@@ -297,17 +297,7 @@ impl XFtl {
                 .collect();
             for (lpn, ppa) in folds {
                 let old_seq = self.table.l2p_seq_of(lpn);
-                if self.snapshot_sees(old_seq) {
-                    let old = self.base.l2p_get(lpn)?;
-                    if old != Some(ppa) {
-                        self.table.retain_version(lpn, old_seq, old);
-                        self.base.stats_mut().versions_retained += 1;
-                        let displaced = self.base.fold_mapping_retain(lpn, ppa)?;
-                        debug_assert_eq!(displaced, old);
-                    }
-                } else {
-                    self.base.fold_mapping(lpn, ppa)?;
-                }
+                self.fold_snapshot_aware(lpn, ppa, old_seq)?;
                 self.table.note_l2p_version(lpn, seq);
             }
         }
@@ -375,57 +365,69 @@ impl XFtl {
         }
     }
 
-    /// Bumps the visibility clock and, when the displaced version of
-    /// `lpn` differs from the freshly-written `ppa`, retains it in the
-    /// version chain before pointing the L2P at the new copy. The plain
-    /// write/trim path under active snapshots.
-    fn retain_and_fold(&mut self, lpn: Lpn, ppa: xftl_flash::Ppa) -> Result<()> {
-        self.commit_seq += 1;
-        let seq = self.commit_seq;
-        let old_seq = self.table.l2p_seq_of(lpn);
-        if self.snapshot_sees(old_seq) {
-            let old = self.base.l2p_get(lpn)?;
-            if old != Some(ppa) {
-                self.table.retain_version(lpn, old_seq, old);
-                self.base.stats_mut().versions_retained += 1;
-                let displaced = self.base.fold_mapping_retain(lpn, ppa)?;
-                debug_assert_eq!(displaced, old);
-            }
-        } else {
-            self.base.fold_mapping(lpn, ppa)?;
+    /// Points the L2P at `ppa`, retaining the displaced version (whose
+    /// sequence is `old_seq`) in the version chain if some active
+    /// snapshot can still see it, invalidating it otherwise.
+    fn fold_snapshot_aware(&mut self, lpn: Lpn, ppa: xftl_flash::Ppa, old_seq: u64) -> Result<()> {
+        if !self.snapshot_sees(old_seq) {
+            return self.base.fold_mapping(lpn, ppa);
         }
-        self.table.note_plain_version(lpn, seq);
+        let old = self.base.l2p_get(lpn)?;
+        if old != Some(ppa) {
+            self.table.retain_version(lpn, old_seq, old);
+            self.base.stats_mut().versions_retained += 1;
+            let displaced = self.base.fold_mapping_retain(lpn, ppa)?;
+            debug_assert_eq!(displaced, old);
+        }
         Ok(())
     }
 
-    /// Plain committed write, snapshot-aware: with no snapshots active it
-    /// is the classic fold (bit-identical legacy behavior); otherwise the
-    /// displaced version is retained for snapshot readers.
-    fn write_plain(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-        if self.snapshots.is_empty() {
-            self.base.write_committed(lpn, buf, &mut self.table)?;
+    /// One data page copy-on-write under `tid`, blocking (`wait`) or
+    /// queued: the new location and the instant it is on the media.
+    fn write_cow(
+        &mut self,
+        lpn: Lpn,
+        tid: Tid,
+        buf: &[u8],
+        wait: bool,
+    ) -> Result<(xftl_flash::Ppa, u64)> {
+        if wait {
+            let ppa = self.base.write_cow(lpn, tid, buf, &mut self.table)?;
+            Ok((ppa, self.base.clock().now()))
         } else {
-            let ppa = self.base.write_cow(lpn, 0, buf, &mut self.table)?;
-            self.retain_and_fold(lpn, ppa)?;
+            self.base.write_cow_queued(lpn, tid, buf, &mut self.table)
+        }
+    }
+
+    /// Plain committed host write, snapshot-aware: with no snapshots
+    /// active it is the classic fold (bit-identical legacy behavior);
+    /// otherwise the visibility clock advances and the displaced version
+    /// is retained for snapshot readers.
+    fn write_plain(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<u64> {
+        self.base.counters_mut().host_writes += 1;
+        let (ppa, done) = self.write_cow(lpn, 0, buf, wait)?;
+        if self.snapshots.is_empty() {
+            self.base.fold_mapping(lpn, ppa)?;
+        } else {
+            self.commit_seq += 1;
+            let old_seq = self.table.l2p_seq_of(lpn);
+            self.fold_snapshot_aware(lpn, ppa, old_seq)?;
+            self.table.note_plain_version(lpn, self.commit_seq);
         }
         // The overwrite's own data program is now the page's durable
         // record; a stale committed entry left behind would resurrect
         // the old version if a later commit re-persisted the table.
         self.table.supersede_committed(lpn, 0);
-        Ok(())
+        Ok(done)
     }
 
-    /// Queued flavor of [`XFtl::write_plain`] for the batched paths.
-    fn write_plain_queued(&mut self, lpn: Lpn, buf: &[u8]) -> Result<u64> {
-        let done = if self.snapshots.is_empty() {
-            self.base
-                .write_committed_queued(lpn, buf, &mut self.table)?
-        } else {
-            let (ppa, done) = self.base.write_cow_queued(lpn, 0, buf, &mut self.table)?;
-            self.retain_and_fold(lpn, ppa)?;
-            done
-        };
-        self.table.supersede_committed(lpn, 0);
+    /// Tid-tagged copy-on-write host write: the new version is parked in
+    /// the X-L2P table, invisible to others until `commit(tid)`.
+    fn write_tagged(&mut self, tid: Tid, lpn: Lpn, buf: &[u8], wait: bool) -> Result<u64> {
+        self.base.counters_mut().host_writes += 1;
+        self.reserve_tx_slot(tid, lpn)?;
+        let (ppa, done) = self.write_cow(lpn, tid, buf, wait)?;
+        self.record_tx_write(tid, lpn, ppa);
         Ok(done)
     }
 
@@ -660,8 +662,7 @@ impl BlockDevice for XFtl {
         if self.staged_writers.contains_key(&lpn) {
             self.flush_staged_commits()?;
         }
-        self.base.counters_mut().host_writes += 1;
-        self.write_plain(lpn, buf)
+        self.write_plain(lpn, buf, true).map(drop)
     }
 
     fn trim(&mut self, lpn: Lpn) -> Result<()> {
@@ -703,8 +704,7 @@ impl BlockDevice for XFtl {
         for cmd in cmds {
             match cmd {
                 IoCmd::Write { lpn, data } => {
-                    self.base.counters_mut().host_writes += 1;
-                    done = done.max(self.write_plain_queued(*lpn, data)?);
+                    done = done.max(self.write_plain(*lpn, data, false)?);
                 }
                 IoCmd::Trim { lpn } => {
                     self.base.counters_mut().trims += 1;
@@ -772,11 +772,7 @@ impl TxBlockDevice for XFtl {
         if tid == 0 {
             return self.write(lpn, buf);
         }
-        self.base.counters_mut().host_writes += 1;
-        self.reserve_tx_slot(tid, lpn)?;
-        let ppa = self.base.write_cow(lpn, tid, buf, &mut self.table)?;
-        self.record_tx_write(tid, lpn, ppa);
-        Ok(())
+        self.write_tagged(tid, lpn, buf, true).map(drop)
     }
 
     fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
@@ -914,17 +910,11 @@ impl TxBlockDevice for XFtl {
         self.base.counters_mut().batches += 1;
         let mut done = 0;
         for (lpn, data) in pages {
-            self.base.counters_mut().host_writes += 1;
-            if tid == 0 {
-                done = done.max(self.write_plain_queued(*lpn, data)?);
-                continue;
-            }
-            self.reserve_tx_slot(tid, *lpn)?;
-            let (ppa, d) = self
-                .base
-                .write_cow_queued(*lpn, tid, data, &mut self.table)?;
-            done = done.max(d);
-            self.record_tx_write(tid, *lpn, ppa);
+            done = done.max(if tid == 0 {
+                self.write_plain(*lpn, data, false)?
+            } else {
+                self.write_tagged(tid, *lpn, data, false)?
+            });
         }
         // No wait here: commit(tid) drains before the X-L2P table write,
         // so the durability point still covers every page of the batch.

@@ -387,22 +387,14 @@ impl<D: BlockDevice> Pager<D> {
         if !self.in_tx {
             return Err(DbError::TxState("no transaction active"));
         }
-        if self.dirty_in_tx.is_empty() && self.journal_ino.is_none() {
-            // Read-only transaction: nothing to make durable — but a
-            // snapshot transaction still holds device state to release.
-            if self.concurrent {
-                if let Some(tid) = self.tid {
-                    self.fs.borrow_mut().abort_tx(tid)?;
-                }
-            }
-            self.end_tx();
+        if self.end_read_only_tx()? {
             return Ok(());
         }
         let t0 = self.span_start();
         let res = match self.mode {
             m if m.is_rollback() => self.commit_rollback_mode(),
             DbJournalMode::Wal => self.commit_wal_mode(),
-            _ => self.commit_off_mode(),
+            _ => self.commit_off(|fs, ino, tid| fs.fsync(ino, Some(tid))),
         };
         if let Err(e) = res {
             return Err(self.unwind_conflict(e)?);
@@ -410,6 +402,23 @@ impl<D: BlockDevice> Pager<D> {
         self.record_span(OpClass::PagerFlush, self.tid.unwrap_or(0), 0, t0);
         self.end_tx();
         Ok(())
+    }
+
+    /// Ends a transaction that changed nothing: there is nothing to make
+    /// durable — but a snapshot transaction still holds device state to
+    /// release. Returns `false` (and does nothing) if there is work to
+    /// commit.
+    fn end_read_only_tx(&mut self) -> Result<bool> {
+        if !self.dirty_in_tx.is_empty() || self.journal_ino.is_some() {
+            return Ok(false);
+        }
+        if self.concurrent {
+            if let Some(tid) = self.tid {
+                self.fs.borrow_mut().abort_tx(tid)?;
+            }
+        }
+        self.end_tx();
+        Ok(true)
     }
 
     /// Conflict cleanup for a `BEGIN CONCURRENT` loser: the device and
@@ -617,30 +626,39 @@ impl<D: BlockDevice> Pager<D> {
         Ok(())
     }
 
-    fn commit_rollback_mode(&mut self) -> Result<()> {
-        self.write_header()?;
-        self.sync_journal()?;
-        // Force: write every dirty page to the database file.
+    /// Writes one page image to its home in the database file, tagged
+    /// with `tid` in `Off` mode.
+    fn write_home(&mut self, pgno: PageNo, data: &[u8], tid: Option<Tid>) -> Result<()> {
+        self.fs
+            .borrow_mut()
+            .write(self.db_ino, pgno as u64 * self.page_size as u64, data, tid)?;
+        self.stats.db_writes += 1;
+        Ok(())
+    }
+
+    /// Force: writes every page the transaction dirtied to the database
+    /// file, in page order, tagged with `tid` (`Off` mode) or untagged.
+    /// A page no longer cached was spilled under cache pressure — already
+    /// written home (or, in `Off` mode, stolen to the device under the
+    /// tid) — and the fsync that follows makes it durable.
+    fn force_dirty(&mut self, tid: Option<Tid>) -> Result<()> {
         let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
         dirty.sort_unstable();
         for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                // Spilled under cache pressure: already written home; the
-                // fsync below makes it durable.
-                None => continue,
+            let Some(f) = self.cache.get_mut(&pgno) else {
+                continue;
             };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                None,
-            )?;
-            self.stats.db_writes += 1;
+            f.dirty = false;
+            let data = f.data.clone();
+            self.write_home(pgno, &data, tid)?;
         }
+        Ok(())
+    }
+
+    fn commit_rollback_mode(&mut self) -> Result<()> {
+        self.write_header()?;
+        self.sync_journal()?;
+        self.force_dirty(None)?;
         self.fs.borrow_mut().fsync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         // Commit point: finalize the journal (delete / truncate / zero
@@ -661,13 +679,7 @@ impl<D: BlockDevice> Pager<D> {
                 let mut buf = vec![0u8; self.page_size];
                 let off = (1 + i as u64) * self.page_size as u64;
                 self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    *pgno as u64 * self.page_size as u64,
-                    &buf,
-                    None,
-                )?;
-                self.stats.db_writes += 1;
+                self.write_home(*pgno, &buf, None)?;
             }
             self.fs.borrow_mut().fsync(self.db_ino, None)?;
             self.stats.fsyncs += 1;
@@ -706,13 +718,7 @@ impl<D: BlockDevice> Pager<D> {
                 let mut buf = vec![0u8; self.page_size];
                 let foff = (1 + i as u64) * self.page_size as u64;
                 self.fs.borrow_mut().read(ino, foff, &mut buf, None)?;
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    &buf,
-                    None,
-                )?;
-                self.stats.db_writes += 1;
+                self.write_home(pgno, &buf, None)?;
             }
             if records > 0 {
                 self.fs.borrow_mut().fsync(self.db_ino, None)?;
@@ -851,13 +857,7 @@ impl<D: BlockDevice> Pager<D> {
         for (pgno, off) in entries {
             let mut buf = vec![0u8; self.page_size];
             self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &buf,
-                None,
-            )?;
-            self.stats.db_writes += 1;
+            self.write_home(pgno, &buf, None)?;
         }
         self.fs.borrow_mut().fsync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
@@ -871,7 +871,15 @@ impl<D: BlockDevice> Pager<D> {
 
     // --- Off (X-FTL) protocol ---------------------------------------------------
 
-    fn commit_off_mode(&mut self) -> Result<()> {
+    /// The one `Off`-mode commit body (§4.3): header, force-write under
+    /// the transaction's tid, and a single file-system call that flushes
+    /// the file and ends the device transaction as `seal` says —
+    /// `fsync` (blocking commit), `fsync_submit` (split-phase) or
+    /// `fsync_defer_commit` (a coordinator commits several files at once).
+    fn commit_off<T>(
+        &mut self,
+        seal: fn(&mut FileSystem<D>, Ino, Tid) -> xftl_fs::Result<T>,
+    ) -> Result<T> {
         // A concurrent transaction skips the header force-write when
         // nothing in it changed: otherwise every pair of writers would
         // collide on page 0 and first-committer-wins would serialize them
@@ -883,29 +891,10 @@ impl<D: BlockDevice> Pager<D> {
         let Some(tid) = self.tid else {
             unreachable!("Off-mode tx has a tid")
         };
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                // Spilled: already stolen to the device under this tid.
-                None => continue,
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                Some(tid),
-            )?;
-            self.stats.db_writes += 1;
-        }
-        // Single fsync: force-write plus device commit (§4.3).
-        self.fs.borrow_mut().fsync(self.db_ino, Some(tid))?;
+        self.force_dirty(Some(tid))?;
+        let sealed = seal(&mut self.fs.borrow_mut(), self.db_ino, tid)?;
         self.stats.fsyncs += 1;
-        Ok(())
+        Ok(sealed)
     }
 
     /// Split-phase commit. In `Off` mode the force-write ends with a
@@ -924,50 +913,15 @@ impl<D: BlockDevice> Pager<D> {
         if !self.in_tx {
             return Err(DbError::TxState("no transaction active"));
         }
-        if self.dirty_in_tx.is_empty() {
-            if self.concurrent {
-                if let Some(tid) = self.tid {
-                    self.fs.borrow_mut().abort_tx(tid)?;
-                }
-            }
-            self.end_tx();
+        if self.end_read_only_tx()? {
             return Ok(CommitTicket::immediate(0));
         }
         let t0 = self.span_start();
-        let header = (self.page_count, self.freelist_head, self.schema_root);
-        if !self.concurrent || header != self.tx_orig_header {
-            self.write_header()?;
-        }
-        let Some(tid) = self.tid else {
-            unreachable!("Off-mode tx has a tid")
-        };
-        let res = (|| {
-            let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-            dirty.sort_unstable();
-            for pgno in dirty {
-                let data = match self.cache.get_mut(&pgno) {
-                    Some(f) => {
-                        f.dirty = false;
-                        f.data.clone()
-                    }
-                    // Spilled: already stolen to the device under this tid.
-                    None => continue,
-                };
-                self.fs.borrow_mut().write(
-                    self.db_ino,
-                    pgno as u64 * self.page_size as u64,
-                    &data,
-                    Some(tid),
-                )?;
-                self.stats.db_writes += 1;
-            }
-            self.fs.borrow_mut().fsync_submit(self.db_ino, tid)
-        })();
-        let ticket = match res {
+        let tid = self.tid.unwrap_or(0);
+        let ticket = match self.commit_off(FileSystem::fsync_submit) {
             Ok(t) => t,
-            Err(e) => return Err(self.unwind_conflict(e.into())?),
+            Err(e) => return Err(self.unwind_conflict(e)?),
         };
-        self.stats.fsyncs += 1;
         self.record_span(OpClass::PagerFlush, tid, 0, t0);
         self.end_tx();
         Ok(ticket)
@@ -1024,30 +978,7 @@ impl<D: BlockDevice> Pager<D> {
         if !self.in_tx {
             return Err(DbError::TxState("no transaction active"));
         }
-        let Some(tid) = self.tid else {
-            unreachable!("Off-mode tx has a tid")
-        };
-        self.write_header()?;
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                None => continue, // spilled: already on the device under tid
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                Some(tid),
-            )?;
-            self.stats.db_writes += 1;
-        }
-        self.fs.borrow_mut().fsync_defer_commit(self.db_ino, tid)?;
-        self.stats.fsyncs += 1;
+        self.commit_off(FileSystem::fsync_defer_commit)?;
         self.end_tx();
         Ok(())
     }
@@ -1070,24 +1001,7 @@ impl<D: BlockDevice> Pager<D> {
         self.ensure_journal()?;
         self.master_name = Some(master.to_string());
         self.sync_journal()?;
-        let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
-        dirty.sort_unstable();
-        for pgno in dirty {
-            let data = match self.cache.get_mut(&pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    f.data.clone()
-                }
-                None => continue,
-            };
-            self.fs.borrow_mut().write(
-                self.db_ino,
-                pgno as u64 * self.page_size as u64,
-                &data,
-                None,
-            )?;
-            self.stats.db_writes += 1;
-        }
+        self.force_dirty(None)?;
         self.fs.borrow_mut().fsync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         Ok(())
@@ -1246,13 +1160,7 @@ impl<D: BlockDevice> Pager<D> {
                     if (self.journal_synced_records as usize) < self.journaled.len() {
                         self.sync_journal()?;
                     }
-                    self.fs.borrow_mut().write(
-                        self.db_ino,
-                        pgno as u64 * self.page_size as u64,
-                        &frame.data,
-                        None,
-                    )?;
-                    self.stats.db_writes += 1;
+                    self.write_home(pgno, &frame.data, None)?;
                 }
                 DbJournalMode::Wal => {
                     let off = self.wal_append_frame(pgno, &frame.data, 0)?;
@@ -1263,13 +1171,7 @@ impl<D: BlockDevice> Pager<D> {
                     let Some(tid) = self.tid else {
                         unreachable!("Off-mode tx has a tid")
                     };
-                    self.fs.borrow_mut().write(
-                        self.db_ino,
-                        pgno as u64 * self.page_size as u64,
-                        &frame.data,
-                        Some(tid),
-                    )?;
-                    self.stats.db_writes += 1;
+                    self.write_home(pgno, &frame.data, Some(tid))?;
                 }
             }
         }

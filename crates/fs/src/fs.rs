@@ -811,7 +811,10 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn fsync(&mut self, ino: Ino, tid: Option<Tid>) -> Result<()> {
         if let Some(t) = tid {
             if self.snapshot_tids.contains(&t) {
-                return self.fsync_snapshot(t);
+                let commit = self.tx_ops()?.commit;
+                self.fsync_snapshot(t, commit)?;
+                self.stats.barriers += 1;
+                return Ok(());
             }
         }
         self.stats.fsyncs += 1;
@@ -822,37 +825,33 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(())
     }
 
-    /// Commit of a snapshot transaction: its data pages are already on
-    /// the device (writes bypassed the cache), so only dirty metadata
-    /// images ride along before the device commit runs first-committer-
-    /// wins validation. A losing transaction surfaces as [`FsError::Dev`]
-    /// wrapping `DevError::Conflict`; the device has already rolled it
-    /// back, and the in-RAM metadata is re-read from committed state
-    /// before the error propagates.
-    fn fsync_snapshot(&mut self, tid: Tid) -> Result<()> {
-        let ops = self.tx_ops()?;
+    /// Commit of a snapshot transaction, sealed with `seal` (the blocking
+    /// `commit`, or `commit_submit` for the split-phase flavor — there
+    /// validation and visibility happen at the submit, so conflicts
+    /// surface here, not at the wait). Its data pages are already on the
+    /// device (writes bypassed the cache), so only dirty metadata images
+    /// ride along before the device runs first-committer-wins validation.
+    /// A losing transaction surfaces as [`FsError::Dev`] wrapping
+    /// `DevError::Conflict`; the device has already rolled it back, and
+    /// the in-RAM metadata is re-read from committed state before the
+    /// error propagates.
+    fn fsync_snapshot<T>(
+        &mut self,
+        tid: Tid,
+        seal: fn(&mut D, Tid) -> xftl_ftl::Result<T>,
+    ) -> Result<T> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        let res = (|| {
-            if !metas.is_empty() {
-                let batch: Vec<(Lpn, &[u8])> =
-                    metas.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-            }
-            (ops.commit)(&mut self.dev, tid)
-        })();
+        let res = self.flush_tx(&[], tid, seal);
         self.snapshot_tids.remove(&tid);
         match res {
-            Ok(()) => {
-                self.stats.barriers += 1;
+            Ok(sealed) => {
                 self.record_fsync(tid, t0);
-                Ok(())
+                Ok(sealed)
             }
             Err(e) => {
                 self.reload_metadata()?;
-                Err(e.into())
+                Err(e)
             }
         }
     }
@@ -887,34 +886,15 @@ impl<D: BlockDevice> FileSystem<D> {
     /// to the device tagged with `tid` *without* issuing the commit — the
     /// multi-file transaction path (§4.3): every database file of the
     /// transaction is flushed under one tid, then a single
-    /// [`FileSystem::commit_tx`] makes the whole group atomic.
+    /// [`FileSystem::commit_tx`] makes the whole group atomic (and is the
+    /// barrier that waits for the queued batch).
     pub fn fsync_defer_commit(&mut self, ino: Ino, tid: Tid) -> Result<()> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
-        let ops = self.tx_ops()?;
         self.stats.fsyncs += 1;
         let dirty = self.cache.dirty_of(ino);
-        let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for lpn in dirty {
-            let Some(p) = self.cache.get_mut(lpn) else {
-                unreachable!("dirty page in cache")
-            };
-            p.dirty = false;
-            p.tid = None;
-            pages.push((lpn, p.data.clone()));
-        }
-        self.stats.data_writes += pages.len() as u64;
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        pages.extend(metas);
-        if !pages.is_empty() {
-            // One queued batch; the deferred commit is the barrier that
-            // waits for it.
-            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-        }
-        Ok(())
+        self.flush_tx(&dirty, tid, |_, _| Ok(()))
     }
 
     /// Issues the device commit sealing a multi-file transaction whose
@@ -940,64 +920,16 @@ impl<D: BlockDevice> FileSystem<D> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
+        let commit_submit = self.tx_ops()?.commit_submit;
         if self.snapshot_tids.contains(&tid) {
-            return self.fsync_submit_snapshot(tid);
+            return self.fsync_snapshot(tid, commit_submit);
         }
-        let ops = self.tx_ops()?;
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_of(ino);
-        let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-        for lpn in dirty {
-            let Some(p) = self.cache.get_mut(lpn) else {
-                unreachable!("dirty page in cache")
-            };
-            p.dirty = false;
-            p.tid = None;
-            pages.push((lpn, p.data.clone()));
-        }
-        self.stats.data_writes += pages.len() as u64;
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        pages.extend(metas);
-        if !pages.is_empty() {
-            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-        }
-        let ticket = (ops.commit_submit)(&mut self.dev, tid)?;
+        let ticket = self.flush_tx(&dirty, tid, commit_submit)?;
         self.record_fsync(tid, t0);
         Ok(ticket)
-    }
-
-    /// Split-phase flavor of [`FileSystem::fsync_snapshot`]: validation
-    /// and visibility happen at `commit_submit`, durability at the group
-    /// flush named by the returned ticket. Conflicts surface here, not at
-    /// the wait.
-    fn fsync_submit_snapshot(&mut self, tid: Tid) -> Result<CommitTicket> {
-        let ops = self.tx_ops()?;
-        self.stats.fsyncs += 1;
-        let t0 = self.span_start();
-        let metas = self.collect_meta_images()?;
-        self.stats.meta_writes += metas.len() as u64;
-        let res = (|| {
-            if !metas.is_empty() {
-                let batch: Vec<(Lpn, &[u8])> =
-                    metas.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-            }
-            (ops.commit_submit)(&mut self.dev, tid)
-        })();
-        self.snapshot_tids.remove(&tid);
-        match res {
-            Ok(ticket) => {
-                self.record_fsync(tid, t0);
-                Ok(ticket)
-            }
-            Err(e) => {
-                self.reload_metadata()?;
-                Err(e.into())
-            }
-        }
     }
 
     /// Redeems a ticket from [`FileSystem::fsync_submit`], blocking until
@@ -1013,6 +945,49 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(())
     }
 
+    /// Takes the dirty pages `dirty` out of the cache's care: copies
+    /// their images and marks them clean and untagged.
+    fn take_dirty(&mut self, dirty: &[Lpn]) -> Vec<(Lpn, Vec<u8>)> {
+        self.stats.data_writes += dirty.len() as u64;
+        dirty
+            .iter()
+            .map(|&lpn| {
+                let Some(p) = self.cache.get_mut(lpn) else {
+                    unreachable!("dirty page in cache")
+                };
+                p.dirty = false;
+                p.tid = None;
+                (lpn, p.data.clone())
+            })
+            .collect()
+    }
+
+    /// The one `Off`-mode flush: a transaction's dirty data pages plus
+    /// the dirty metadata images go to the device under `tid` as one
+    /// queued batch — which a channel-parallel FTL overlaps across its
+    /// channels — and `seal` ends it: the blocking `commit`, which waits
+    /// for the batch and makes the whole transaction durable and atomic
+    /// with one command in place of two barriers; `commit_submit`, which
+    /// only stages it; or nothing, when a later
+    /// [`FileSystem::commit_tx`] seals several files at once.
+    fn flush_tx<T>(
+        &mut self,
+        dirty: &[Lpn],
+        tid: Tid,
+        seal: fn(&mut D, Tid) -> xftl_ftl::Result<T>,
+    ) -> Result<T> {
+        let ops = self.tx_ops()?;
+        let mut pages = self.take_dirty(dirty);
+        let metas = self.collect_meta_images()?;
+        self.stats.meta_writes += metas.len() as u64;
+        pages.extend(metas);
+        if !pages.is_empty() {
+            let batch: Vec<(Lpn, &[u8])> = pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
+            (ops.submit_tx)(&mut self.dev, tid, &batch)?;
+        }
+        Ok(seal(&mut self.dev, tid)?)
+    }
+
     fn sync_pages(&mut self, dirty: &[Lpn], tid: Option<Tid>) -> Result<()> {
         let has_meta = self.has_dirty_meta();
         if dirty.is_empty() && !has_meta {
@@ -1020,49 +995,19 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         match self.mode {
             JournalMode::Off => {
-                let ops = self.tx_ops()?;
+                let commit = self.tx_ops()?.commit;
                 let tid = match tid {
                     Some(t) => t,
                     None => self.begin_tx(),
                 };
-                // The whole transaction — data pages plus dirty metadata —
-                // goes to the device as one queued batch, which a
-                // channel-parallel FTL overlaps across its channels.
-                let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    p.tid = None;
-                    pages.push((lpn, p.data.clone()));
-                }
-                self.stats.data_writes += pages.len() as u64;
-                let metas = self.collect_meta_images()?;
-                self.stats.meta_writes += metas.len() as u64;
-                pages.extend(metas);
-                let batch: Vec<(Lpn, &[u8])> =
-                    pages.iter().map(|(l, d)| (*l, d.as_slice())).collect();
-                (ops.submit_tx)(&mut self.dev, tid, &batch)?;
-                // One command replaces both barriers: the device waits for
-                // the queued batch and makes the whole transaction durable
-                // and atomic.
-                (ops.commit)(&mut self.dev, tid)?;
+                self.flush_tx(dirty, tid, commit)?;
                 self.stats.barriers += 1;
             }
             JournalMode::Ordered => {
                 // Data first, in place — one queued batch; the journal
                 // barrier below completes the queue before the commit
                 // page can land.
-                let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    pages.push((lpn, p.data.clone()));
-                }
-                self.stats.data_writes += pages.len() as u64;
+                let pages = self.take_dirty(dirty);
                 if !pages.is_empty() {
                     let cmds: Vec<IoCmd<'_>> = pages
                         .iter()
@@ -1076,15 +1021,7 @@ impl<D: BlockDevice> FileSystem<D> {
             JournalMode::Full => {
                 // Data rides inside the journal transaction; home writes
                 // are owed at checkpoint (each page written twice).
-                let mut entries: Vec<(Lpn, Vec<u8>)> = Vec::with_capacity(dirty.len());
-                for &lpn in dirty {
-                    let Some(p) = self.cache.get_mut(lpn) else {
-                        unreachable!("dirty page in cache")
-                    };
-                    p.dirty = false;
-                    entries.push((lpn, p.data.clone()));
-                }
-                self.stats.data_writes += entries.len() as u64;
+                let mut entries = self.take_dirty(dirty);
                 let metas = self.collect_meta_images()?;
                 entries.extend(metas);
                 self.journal_txn(&entries)?;

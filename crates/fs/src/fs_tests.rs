@@ -480,3 +480,77 @@ fn consistency_clean_after_crash_and_remount() {
     let report = fs2.check_consistency().unwrap();
     assert!(report.is_clean(), "{report:?}");
 }
+
+/// Reads every logical page of the device under `fs`.
+fn device_image(fs: &mut FileSystem<XFtl>) -> Vec<Vec<u8>> {
+    let ps = fs.page_size();
+    (0..LOGICAL)
+        .map(|lpn| {
+            let mut page = vec![0u8; ps];
+            fs.device_mut().read(lpn, &mut page).unwrap();
+            page
+        })
+        .collect()
+}
+
+#[test]
+fn off_mode_seals_flush_the_same_transaction() {
+    // The three ways to end an `Off`-mode flush share one body; only the
+    // device command that seals it differs. Same transaction in, same
+    // pages, counters and post-crash state out.
+    type Seal = fn(&mut FileSystem<XFtl>, crate::layout::Ino, xftl_ftl::Tid);
+    let seals: [(&str, Seal); 3] = [
+        ("fsync", |fs, f, tid| fs.fsync(f, Some(tid)).unwrap()),
+        ("fsync_submit + fsync_wait", |fs, f, tid| {
+            let ticket = fs.fsync_submit(f, tid).unwrap();
+            fs.fsync_wait(ticket).unwrap();
+        }),
+        ("fsync_defer_commit + commit_tx", |fs, f, tid| {
+            fs.fsync_defer_commit(f, tid).unwrap();
+            fs.commit_tx(tid).unwrap();
+        }),
+    ];
+    let mut outcomes = Vec::new();
+    for (name, seal) in seals {
+        let mut fs = fs_off();
+        let ps = fs.page_size();
+        let f = fs.create("db").unwrap();
+        fs.sync_meta(None).unwrap();
+        fs.reset_stats();
+        let host_writes_before = fs.device().counters().host_writes;
+        let data: Vec<u8> = (0..3 * ps).map(|i| (i % 249) as u8).collect();
+        let tid = fs.begin_tx();
+        fs.write(f, 0, &data, Some(tid)).unwrap();
+        seal(&mut fs, f, tid);
+        let stats = *fs.stats();
+        assert_eq!(stats.data_writes, 3, "{name}");
+        assert_eq!((stats.fsyncs, stats.barriers), (1, 1), "{name}");
+        let host_writes = fs.device().counters().host_writes - host_writes_before;
+        let image = device_image(&mut fs);
+        // Power cut: the sealed transaction must be there in full.
+        let dev = XFtl::recover(fs.into_device().into_chip()).unwrap();
+        let mut fs2 = FileSystem::mount_tx(dev, JournalMode::Off, 64).unwrap();
+        let f2 = fs2.open("db").unwrap();
+        let mut out = vec![0u8; data.len()];
+        assert_eq!(
+            fs2.read(f2, 0, &mut out, None).unwrap(),
+            data.len(),
+            "{name}"
+        );
+        assert_eq!(out, data, "{name}");
+        assert!(fs2.check_consistency().unwrap().is_clean(), "{name}");
+        let recovered = device_image(&mut fs2);
+        outcomes.push((name, stats.meta_writes, host_writes, image, recovered));
+    }
+    let (first, rest) = outcomes.split_first().unwrap();
+    for other in rest {
+        let what = format!("{} vs {}", first.0, other.0);
+        assert_eq!(first.1, other.1, "meta_writes: {what}");
+        assert_eq!(first.2, other.2, "host_writes: {what}");
+        assert!(first.3 == other.3, "device pages: {what}");
+        assert!(
+            first.4 == other.4,
+            "device pages after the power cut: {what}"
+        );
+    }
+}

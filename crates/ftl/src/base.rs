@@ -802,16 +802,11 @@ impl FtlBase {
     /// block as needed. Mapping-class pages (`Map`, `XL2p`, `Commit`) use
     /// their own frontier so they never share blocks with host data. Data
     /// pages rotate over one frontier per channel, so back-to-back page
-    /// allocations land on different channels and queued programs overlap.
-    fn alloc_slot(&mut self, kind: PageKind) -> Result<Ppa> {
-        self.alloc_slot_class(kind, false)
-    }
-
-    /// [`FtlBase::alloc_slot`] with an explicit temperature: `cold` data
-    /// pages (GC copies, low-heat LPNs) fill their own per-channel
-    /// frontiers so hot churn and cold residue age in different blocks.
-    /// Only meaningful for `PageKind::Data`.
-    fn alloc_slot_class(&mut self, kind: PageKind, cold: bool) -> Result<Ppa> {
+    /// allocations land on different channels and queued programs overlap;
+    /// `cold` data pages (GC copies, low-heat LPNs) fill their own
+    /// per-channel frontiers so hot churn and cold residue age in
+    /// different blocks (`cold` is only meaningful for `PageKind::Data`).
+    fn alloc_slot(&mut self, kind: PageKind, cold: bool) -> Result<Ppa> {
         let map_class = matches!(kind, PageKind::Map | PageKind::XL2p | PageKind::Commit);
         if map_class {
             loop {
@@ -1266,13 +1261,6 @@ impl FtlBase {
             // GC data copies are cold by definition — they survived a
             // whole block's lifetime without being overwritten.
             let cold_copy = self.hot_cold && oob.kind == PageKind::Data;
-            let mut dst = match self.alloc_slot_class(oob.kind, cold_copy) {
-                Ok(d) => d,
-                Err(e) => {
-                    self.scratch = buf;
-                    return Err(e);
-                }
-            };
             // A GC copy of the *committed* version of a data page is
             // re-stamped tid = 0 so the recovery roll-forward treats it as
             // committed state even if its writer's X-L2P entry is long gone.
@@ -1296,30 +1284,9 @@ impl FtlBase {
             }
             // Copy programs get the same bounded re-execution as host
             // writes: a failed copy-back must not lose the live page.
-            let mut attempts = 0;
-            let prog_done = loop {
-                match self.chip.program_queued(dst, &buf, new_oob, read_done) {
-                    Ok((_, done)) => break done,
-                    Err(FlashError::ProgramFailed(_)) if attempts < PROGRAM_RETRY_LIMIT => {
-                        attempts += 1;
-                        self.stats.program_retries += 1;
-                        self.abandon_frontier(dst.block);
-                        dst = match self.alloc_slot_class(oob.kind, cold_copy) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                self.scratch = buf;
-                                return Err(e);
-                            }
-                        };
-                    }
-                    Err(e) => {
-                        self.scratch = buf;
-                        return Err(e.into());
-                    }
-                }
-            };
+            let programmed = self.program_at_frontier(new_oob, cold_copy, &buf, read_done, false);
             self.scratch = buf;
-            self.note_block_program(dst.block);
+            let (dst, prog_done) = programmed?;
             if cold_copy {
                 self.stats.cold_writes += 1;
             }
@@ -1333,7 +1300,6 @@ impl FtlBase {
             }
             copied += 1;
             self.valid.mark_invalid(old);
-            self.valid.mark_valid(dst);
             match oob.kind {
                 PageKind::Data => {
                     if mapped_here {
@@ -1375,7 +1341,7 @@ impl FtlBase {
             // Persist the folded mapping before the originals vanish: a
             // crash after the erase must not depend on the (now broken)
             // cycle for recovery.
-            self.checkpoint_internal(hook)?;
+            self.checkpoint(hook)?;
             meta_stale = false; // checkpoint wrote a fresh meta root
         }
         // The erase is queued too; the chip's per-unit busy tracking
@@ -1456,22 +1422,78 @@ impl FtlBase {
         self.read_retry(ppa, buf)
     }
 
-    /// Programs a page of any kind into the log frontier and marks it
-    /// valid. Does not touch the L2P table — callers decide the mapping
-    /// semantics. Runs GC first if space is low.
-    pub fn program_raw(
+    /// The one place a page is programmed into a log frontier: allocate
+    /// a slot, program it there, and on a program-status failure abandon
+    /// that frontier and re-execute on a fresh block (bounded; the torn
+    /// page was never marked valid and GC reclaims it with the block).
+    /// `wait` blocks the clock until the cells are programmed; otherwise
+    /// the program is queued behind `not_before` and its completion
+    /// instant handed back. Runs no GC, checks no device state and counts
+    /// nothing per kind — the callers differ in exactly that.
+    fn program_at_frontier(
         &mut self,
-        kind: PageKind,
-        lpn: Lpn,
-        tid: Tid,
+        oob: Oob,
+        cold: bool,
         buf: &[u8],
-        hook: &mut dyn GcHook,
-    ) -> Result<Ppa> {
-        self.program_raw_aux(kind, lpn, tid, 0, buf, hook)
+        not_before: Nanos,
+        wait: bool,
+    ) -> Result<(Ppa, Nanos)> {
+        let mut attempts = 0;
+        loop {
+            let dst = self.alloc_slot(oob.kind, cold)?;
+            let programmed = if wait {
+                self.chip
+                    .program(dst, buf, oob)
+                    .map(|_| self.chip.clock().now())
+            } else {
+                self.chip
+                    .program_queued(dst, buf, oob, not_before)
+                    .map(|(_, done)| done)
+            };
+            match programmed {
+                Ok(done) => {
+                    self.valid.mark_valid(dst);
+                    self.note_block_program(dst.block);
+                    return Ok((dst, done));
+                }
+                Err(FlashError::ProgramFailed(_)) if attempts < PROGRAM_RETRY_LIMIT => {
+                    attempts += 1;
+                    self.stats.program_retries += 1;
+                    self.abandon_frontier(dst.block);
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
     }
 
-    /// [`FtlBase::program_raw`] with an explicit auxiliary OOB word (used
-    /// by the TxFlash baseline's cyclic-commit links).
+    /// Host-path program of a page of any kind: refuses on a read-only
+    /// device, runs GC first if space is low, places data hot or cold,
+    /// and counts the program by kind. Does not touch the L2P table —
+    /// callers decide the mapping semantics.
+    fn program_page(
+        &mut self,
+        oob: Oob,
+        buf: &[u8],
+        not_before: Nanos,
+        wait: bool,
+        hook: &mut dyn GcHook,
+    ) -> Result<(Ppa, Nanos)> {
+        self.check_writable()?;
+        self.maybe_gc(hook)?;
+        let cold = self.classify_write(oob.kind, oob.lpn);
+        match self.program_at_frontier(oob, cold, buf, not_before, wait) {
+            Ok(placed) => {
+                self.note_program(oob.kind);
+                Ok(placed)
+            }
+            Err(DevError::OutOfSpace) => Err(self.space_error()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Programs a page of any kind into the log frontier, blocking until
+    /// it is on the media, with an explicit auxiliary OOB word (used by
+    /// the TxFlash baseline's cyclic-commit links).
     pub fn program_raw_aux(
         &mut self,
         kind: PageKind,
@@ -1481,40 +1503,14 @@ impl FtlBase {
         buf: &[u8],
         hook: &mut dyn GcHook,
     ) -> Result<Ppa> {
-        self.check_writable()?;
-        self.maybe_gc(hook)?;
-        let cold = self.classify_write(kind, lpn);
-        let mut attempts = 0;
-        loop {
-            let dst = match self.alloc_slot_class(kind, cold) {
-                Ok(d) => d,
-                Err(DevError::OutOfSpace) => return Err(self.space_error()),
-                Err(e) => return Err(e),
-            };
-            let oob = Oob {
-                lpn,
-                seq: 0,
-                tid,
-                kind,
-                aux,
-            };
-            match self.chip.program(dst, buf, oob) {
-                Ok(_) => {
-                    self.valid.mark_valid(dst);
-                    self.note_program(kind);
-                    self.note_block_program(dst.block);
-                    return Ok(dst);
-                }
-                Err(FlashError::ProgramFailed(_)) if attempts < PROGRAM_RETRY_LIMIT => {
-                    // Re-execute on a fresh block; the torn page was never
-                    // marked valid and GC reclaims it with the block.
-                    attempts += 1;
-                    self.stats.program_retries += 1;
-                    self.abandon_frontier(dst.block);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let oob = Oob {
+            lpn,
+            seq: 0,
+            tid,
+            kind,
+            aux,
+        };
+        Ok(self.program_page(oob, buf, 0, true, hook)?.0)
     }
 
     /// Hot/cold placement decision for one host data write: records the
@@ -1550,38 +1546,14 @@ impl FtlBase {
         not_before: Nanos,
         hook: &mut dyn GcHook,
     ) -> Result<(Ppa, Nanos)> {
-        self.check_writable()?;
-        self.maybe_gc(hook)?;
-        let cold = self.classify_write(kind, lpn);
-        let mut attempts = 0;
-        loop {
-            let dst = match self.alloc_slot_class(kind, cold) {
-                Ok(d) => d,
-                Err(DevError::OutOfSpace) => return Err(self.space_error()),
-                Err(e) => return Err(e),
-            };
-            let oob = Oob {
-                lpn,
-                seq: 0,
-                tid,
-                kind,
-                aux,
-            };
-            match self.chip.program_queued(dst, buf, oob, not_before) {
-                Ok((_, done)) => {
-                    self.valid.mark_valid(dst);
-                    self.note_program(kind);
-                    self.note_block_program(dst.block);
-                    return Ok((dst, done));
-                }
-                Err(FlashError::ProgramFailed(_)) if attempts < PROGRAM_RETRY_LIMIT => {
-                    attempts += 1;
-                    self.stats.program_retries += 1;
-                    self.abandon_frontier(dst.block);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let oob = Oob {
+            lpn,
+            seq: 0,
+            tid,
+            kind,
+            aux,
+        };
+        self.program_page(oob, buf, not_before, false, hook)
     }
 
     fn note_program(&mut self, kind: PageKind) {
@@ -1594,6 +1566,30 @@ impl FtlBase {
         }
     }
 
+    /// One host data page, copy-on-write: programmed into the data
+    /// frontier tagged `tid`, the committed mapping left alone. Returns
+    /// the new location and the instant the page is on the media.
+    fn write_data(
+        &mut self,
+        lpn: Lpn,
+        tid: Tid,
+        buf: &[u8],
+        wait: bool,
+        hook: &mut dyn GcHook,
+    ) -> Result<(Ppa, Nanos)> {
+        self.check_lpn(lpn)?;
+        let t_start = self.chip.clock().now();
+        let oob = Oob {
+            tid,
+            ..Oob::data(lpn)
+        };
+        let (dst, done) = self.program_page(oob, buf, 0, wait, hook)?;
+        self.chip
+            .recorder()
+            .record_span(OpClass::FtlHostWrite, tid, lpn, t_start, done);
+        Ok((dst, done))
+    }
+
     /// Copy-on-write data write that leaves the committed mapping intact
     /// (the X-FTL `write(tid, p)` path).
     pub fn write_cow(
@@ -1603,14 +1599,7 @@ impl FtlBase {
         buf: &[u8],
         hook: &mut dyn GcHook,
     ) -> Result<Ppa> {
-        self.check_lpn(lpn)?;
-        let t_start = self.chip.clock().now();
-        let dst = self.program_raw(PageKind::Data, lpn, tid, buf, hook)?;
-        let t_end = self.chip.clock().now();
-        self.chip
-            .recorder()
-            .record_span(OpClass::FtlHostWrite, tid, lpn, t_start, t_end);
-        Ok(dst)
+        Ok(self.write_data(lpn, tid, buf, true, hook)?.0)
     }
 
     /// Queued copy-on-write data write (the device's batched `write_tx`
@@ -1622,34 +1611,28 @@ impl FtlBase {
         buf: &[u8],
         hook: &mut dyn GcHook,
     ) -> Result<(Ppa, Nanos)> {
-        self.check_lpn(lpn)?;
-        let t_start = self.chip.clock().now();
-        let (dst, done) = self.program_raw_queued(PageKind::Data, lpn, tid, 0, buf, 0, hook)?;
-        self.chip
-            .recorder()
-            .record_span(OpClass::FtlHostWrite, tid, lpn, t_start, done);
-        Ok((dst, done))
+        self.write_data(lpn, tid, buf, false, hook)
     }
 
-    /// Ordinary page write: copy-on-write plus immediate L2P update,
-    /// invalidating the previous version (the plain-FTL path).
-    pub fn write_committed(&mut self, lpn: Lpn, buf: &[u8], hook: &mut dyn GcHook) -> Result<()> {
-        let dst = self.write_cow(lpn, 0, buf, hook)?;
-        self.fold_mapping(lpn, dst)
-    }
-
-    /// Queued committed write (the device's batched `write` path): the
-    /// mapping updates immediately, the media time is returned for the
-    /// caller's completion bookkeeping.
-    pub fn write_committed_queued(
+    /// Ordinary page write (the plain-FTL path): copy-on-write plus
+    /// immediate L2P update, invalidating the previous version. `wait`
+    /// blocks until the page is on the media; either way the instant it
+    /// is there is returned for the caller's completion bookkeeping.
+    pub(crate) fn write_folded(
         &mut self,
         lpn: Lpn,
         buf: &[u8],
+        wait: bool,
         hook: &mut dyn GcHook,
     ) -> Result<Nanos> {
-        let (dst, done) = self.write_cow_queued(lpn, 0, buf, hook)?;
+        let (dst, done) = self.write_data(lpn, 0, buf, wait, hook)?;
         self.fold_mapping(lpn, dst)?;
         Ok(done)
+    }
+
+    /// Blocking ordinary page write.
+    pub fn write_committed(&mut self, lpn: Lpn, buf: &[u8], hook: &mut dyn GcHook) -> Result<()> {
+        self.write_folded(lpn, buf, true, hook).map(drop)
     }
 
     /// Full queue barrier: advances the clock past every queued flash
@@ -1669,17 +1652,9 @@ impl FtlBase {
     /// Fallible: the covering slab may need a demand fetch (and an
     /// eviction flush) first.
     pub fn fold_mapping(&mut self, lpn: Lpn, ppa: Ppa) -> Result<()> {
-        let slab = self.cmt.slab_of_lpn(lpn);
-        self.ensure_resident(slab)?;
-        let old = self.cmt.get(lpn).unwrap_or(None);
-        if old == Some(ppa) {
-            return Ok(());
-        }
-        if let Some(old) = old {
+        if let Some(old) = self.fold_mapping_retain(lpn, ppa)? {
             self.valid.mark_invalid(old);
         }
-        self.cmt.set(lpn, Some(ppa));
-        self.valid.mark_valid(ppa);
         Ok(())
     }
 
@@ -1708,12 +1683,8 @@ impl FtlBase {
 
     /// Drops the committed mapping of `lpn` and reclaims its flash copy.
     pub fn trim_lpn(&mut self, lpn: Lpn) -> Result<()> {
-        self.check_lpn(lpn)?;
-        let slab = self.cmt.slab_of_lpn(lpn);
-        self.ensure_resident(slab)?;
-        if let Some(old) = self.cmt.get(lpn).unwrap_or(None) {
+        if let Some(old) = self.trim_lpn_retain(lpn)? {
             self.valid.mark_invalid(old);
-            self.cmt.set(lpn, None);
         }
         Ok(())
     }
@@ -1850,30 +1821,14 @@ impl FtlBase {
     /// must work from inside GC itself. Queued; `write_meta`'s drain is
     /// the durability barrier.
     fn program_map_page_nogc(&mut self, lpn: Lpn, aux: u32, buf: &[u8]) -> Result<Ppa> {
-        let mut attempts = 0;
-        loop {
-            let dst = self.alloc_slot(PageKind::Map)?;
-            let oob = Oob {
-                lpn,
-                seq: 0,
-                tid: 0,
-                kind: PageKind::Map,
-                aux,
-            };
-            match self.chip.program_queued(dst, buf, oob, 0) {
-                Ok(_) => {
-                    self.valid.mark_valid(dst);
-                    self.note_block_program(dst.block);
-                    return Ok(dst);
-                }
-                Err(FlashError::ProgramFailed(_)) if attempts < PROGRAM_RETRY_LIMIT => {
-                    attempts += 1;
-                    self.stats.program_retries += 1;
-                    self.abandon_frontier(dst.block);
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let oob = Oob {
+            lpn,
+            seq: 0,
+            tid: 0,
+            kind: PageKind::Map,
+            aux,
+        };
+        Ok(self.program_at_frontier(oob, false, buf, 0, false)?.0)
     }
 
     // --- persistence -------------------------------------------------------
@@ -1960,10 +1915,6 @@ impl FtlBase {
     /// Persists every dirty L2P slab and a new checkpoint root. After this
     /// returns, the committed mapping survives power loss without replay.
     pub fn checkpoint(&mut self, hook: &mut dyn GcHook) -> Result<()> {
-        self.checkpoint_internal(hook)
-    }
-
-    fn checkpoint_internal(&mut self, hook: &mut dyn GcHook) -> Result<()> {
         // Only resident slabs can be dirty (eviction flushes first), so a
         // checkpoint never has to fault anything in.
         for slab in self.cmt.dirty_slabs() {

@@ -7,7 +7,7 @@
 //! the chip's channel queue: writes in one batch stripe across channels and
 //! overlap, which is where the multi-channel S830 numbers come from.
 
-use xftl_flash::{FlashChip, PageKind, SimClock};
+use xftl_flash::{FlashChip, Nanos, PageKind, SimClock};
 
 use crate::base::{FtlBase, NoHook};
 use crate::dev::{BlockDevice, CmdId, CmdQueue, DevCounters, IoCmd, Lpn};
@@ -86,6 +86,13 @@ impl PageMappedFtl {
     pub fn base(&self) -> &FtlBase {
         &self.base
     }
+
+    /// One host page write, blocking (`wait`) or queued; returns the
+    /// instant the page is on the media.
+    fn write_page(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<Nanos> {
+        self.base.counters_mut().host_writes += 1;
+        self.base.write_folded(lpn, buf, wait, &mut NoHook)
+    }
 }
 
 impl BlockDevice for PageMappedFtl {
@@ -103,8 +110,7 @@ impl BlockDevice for PageMappedFtl {
     }
 
     fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-        self.base.counters_mut().host_writes += 1;
-        self.base.write_committed(lpn, buf, &mut NoHook)
+        self.write_page(lpn, buf, true).map(drop)
     }
 
     fn trim(&mut self, lpn: Lpn) -> Result<()> {
@@ -135,8 +141,7 @@ impl BlockDevice for PageMappedFtl {
         for cmd in cmds {
             match cmd {
                 IoCmd::Write { lpn, data } => {
-                    self.base.counters_mut().host_writes += 1;
-                    done = done.max(self.base.write_committed_queued(*lpn, data, &mut NoHook)?);
+                    done = done.max(self.write_page(*lpn, data, false)?);
                 }
                 IoCmd::Trim { lpn } => {
                     self.base.counters_mut().trims += 1;

@@ -11,8 +11,8 @@ use xftl_db::{Connection, DbJournalMode, SharedFs};
 use xftl_flash::{AgingModel, FaultPlan, FlashChip, FlashConfigBuilder, Nanos, SimClock};
 use xftl_fs::{FileSystem, FsConfig, FsError, FsStats, Ino, JournalMode};
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlStats,
-    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
+    AtomicWriteFtl, BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase,
+    FtlStats, GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
     TxBlockDevice,
 };
 
@@ -131,82 +131,62 @@ impl BlockDevice for AnyDev {
 /// command on another personality is a rig configuration bug and panics.
 impl TxBlockDevice for AnyDev {
     fn begin(&mut self, tid: Tid) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.begin(tid),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().begin(tid)
     }
-
     fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.read_tx(tid, lpn, buf),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().read_tx(tid, lpn, buf)
     }
     fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.write_tx(tid, lpn, buf),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().write_tx(tid, lpn, buf)
     }
     fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
-        match self {
-            AnyDev::X(d) => d.commit_submit(tid),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().commit_submit(tid)
     }
     fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.commit_wait(ticket),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().commit_wait(ticket)
     }
     fn commit(&mut self, tid: Tid) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.commit(tid),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().commit(tid)
     }
     fn abort(&mut self, tid: Tid) -> Result<()> {
-        match self {
-            AnyDev::X(d) => d.abort(tid),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().abort(tid)
     }
     fn submit_tx(&mut self, tid: Tid, pages: &[(Lpn, &[u8])]) -> Result<CmdId> {
-        match self {
-            AnyDev::X(d) => d.submit_tx(tid, pages),
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
-        }
+        self.x().submit_tx(tid, pages)
     }
 }
 
 impl AnyDev {
+    /// The one personality that speaks the transactional commands.
+    fn x(&mut self) -> &mut SataLink<XFtl> {
+        match self {
+            AnyDev::X(d) => d,
+            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
+        }
+    }
+
+    /// The shared FTL engine of whichever personality is inside.
+    fn base(&self) -> &FtlBase {
+        fwd!(self, d => d.inner().base())
+    }
+
+    fn base_mut(&mut self) -> &mut FtlBase {
+        fwd!(self, d => d.inner_mut().base_mut())
+    }
+
     /// FTL-attributed statistics of whichever personality is inside.
     pub fn ftl_stats(&self) -> FtlStats {
-        match self {
-            AnyDev::Plain(d) => *d.inner().stats(),
-            AnyDev::X(d) => *d.inner().stats(),
-            AnyDev::AtomicW(d) => *d.inner().stats(),
-        }
+        *self.base().stats()
     }
 
     /// Raw flash statistics.
     pub fn flash_stats(&self) -> xftl_flash::FlashStats {
-        match self {
-            AnyDev::Plain(d) => d.inner().flash_stats(),
-            AnyDev::X(d) => d.inner().flash_stats(),
-            AnyDev::AtomicW(d) => d.inner().flash_stats(),
-        }
+        self.base().flash_stats()
     }
 
     /// Resets device statistics (chip + FTL counters).
     pub fn reset_stats(&mut self) {
-        match self {
-            AnyDev::Plain(d) => d.inner_mut().reset_stats(),
-            AnyDev::X(d) => d.inner_mut().reset_stats(),
-            AnyDev::AtomicW(d) => d.inner_mut().reset_stats(),
-        }
+        self.base_mut().reset_stats();
     }
 
     /// The telemetry handle installed on the underlying chip. All clones
@@ -214,41 +194,25 @@ impl AnyDev {
     /// from a crash) rejoin the stack-wide telemetry: the chip carries the
     /// handle across power cycles.
     pub fn recorder(&self) -> Telemetry {
-        match self {
-            AnyDev::Plain(d) => d.inner().base().recorder().clone(),
-            AnyDev::X(d) => d.inner().base().recorder().clone(),
-            AnyDev::AtomicW(d) => d.inner().base().recorder().clone(),
-        }
+        self.base().recorder().clone()
     }
 
     /// Installs (or clears) the background-scrub / wear-leveling policy
     /// on whichever personality is inside. The policy lives in FTL RAM,
     /// so the rig re-installs it after every simulated power cycle.
     pub fn set_scrub_config(&mut self, cfg: Option<ScrubConfig>) {
-        match self {
-            AnyDev::Plain(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
-            AnyDev::X(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_scrub_config(cfg),
-        }
+        self.base_mut().set_scrub_config(cfg);
     }
 
     /// Current device-health state (persisted by the FTL; survives
     /// power cycles).
     pub fn device_state(&self) -> DeviceState {
-        match self {
-            AnyDev::Plain(d) => d.inner().base().device_state(),
-            AnyDev::X(d) => d.inner().base().device_state(),
-            AnyDev::AtomicW(d) => d.inner().base().device_state(),
-        }
+        self.base().device_state()
     }
 
     /// Blocks retired to the bad-block table.
     pub fn bad_block_count(&self) -> usize {
-        match self {
-            AnyDev::Plain(d) => d.inner().base().bad_block_count(),
-            AnyDev::X(d) => d.inner().base().bad_block_count(),
-            AnyDev::AtomicW(d) => d.inner().base().bad_block_count(),
-        }
+        self.base().bad_block_count()
     }
 }
 
@@ -406,10 +370,7 @@ impl Rig {
             builder = builder.channels(ch);
         }
         let flash_cfg = builder.build();
-        let link = match cfg.profile {
-            Profile::OpenSsd => LinkConfig::SATA2,
-            Profile::S830 => LinkConfig::SATA3,
-        };
+        let link = link_for(cfg.profile);
         let mut chip = FlashChip::new(flash_cfg, clock.clone());
         // One telemetry handle serves every layer; installed on the chip
         // pre-format so the FTL, file system, and database all clone it.
@@ -430,11 +391,7 @@ impl Rig {
                 clock.clone(),
             )),
         };
-        match &mut dev {
-            AnyDev::Plain(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::X(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-        }
+        dev.base_mut().set_gc_policy(cfg.gc_policy);
         dev.set_scrub_config(cfg.scrub);
         if let Some(aging) = cfg.aging {
             age_device(&mut dev, aging, cfg.seed);
@@ -498,15 +455,10 @@ impl Rig {
     pub fn snapshot(&self) -> Snapshot {
         let fs = self.fs.borrow();
         let dev = fs.device();
-        let (ftl, flash) = match dev {
-            AnyDev::Plain(d) => (*d.inner().stats(), d.inner().flash_stats()),
-            AnyDev::X(d) => (*d.inner().stats(), d.inner().flash_stats()),
-            AnyDev::AtomicW(d) => (*d.inner().stats(), d.inner().flash_stats()),
-        };
         Snapshot {
             fs: *fs.stats(),
-            ftl,
-            flash,
+            ftl: dev.ftl_stats(),
+            flash: dev.flash_stats(),
             dev: dev.counters(),
             now_ns: self.clock.now(),
         }
@@ -560,13 +512,10 @@ impl Rig {
     ///
     /// All `Connection`s into the old rig must have been dropped.
     pub fn crash_and_recover(self) -> (Rig, Nanos) {
-        let Rig { fs, clock, cfg } = self;
-        let fs = Rc::try_unwrap(fs)
-            .expect("connections still open")
-            .into_inner();
+        let (fs, clock, cfg) = self.teardown();
         let dev = fs.into_device();
         let t0 = clock.now();
-        let dev = match dev {
+        let mut dev = match dev {
             AnyDev::Plain(link) => {
                 let chip = link.into_inner().into_chip();
                 AnyDev::Plain(SataLink::new(
@@ -593,22 +542,9 @@ impl Rig {
             }
         };
         let recovery_ns = clock.now() - t0;
-        let mut dev = dev;
-        match &mut dev {
-            AnyDev::Plain(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::X(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-            AnyDev::AtomicW(d) => d.inner_mut().base_mut().set_gc_policy(cfg.gc_policy),
-        }
+        dev.base_mut().set_gc_policy(cfg.gc_policy);
         dev.set_scrub_config(cfg.scrub);
-        let fs = Self::mount_any(dev, &clock, &cfg);
-        (
-            Rig {
-                fs: Rc::new(RefCell::new(fs)),
-                clock,
-                cfg,
-            },
-            recovery_ns,
-        )
+        (Self::reassemble(dev, clock, cfg), recovery_ns)
     }
 
     /// Creates (or reuses) `name` pre-sized to `pages` zeroed pages and
