@@ -1264,6 +1264,55 @@ mod tests {
     }
 
     #[test]
+    fn plain_writes_survive_checkpoints_under_gc_pressure() {
+        // The `PageMappedFtl` regression of the same name in xftl-ftl,
+        // through X-FTL's plain `write`: skewed overwrites with a flush
+        // every 16 on a device small enough that GC runs during most
+        // checkpoints, then a power cut.
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const LOGICAL: u64 = 384;
+        let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(64).build();
+        let mut d = XFtl::format(FlashChip::new(cfg, SimClock::new()), LOGICAL).unwrap();
+        let ps = d.page_size();
+        let image = |lpn: u64, version: u32| {
+            let mut page = vec![(lpn % 251) as u8; ps];
+            page[..4].copy_from_slice(&version.to_le_bytes());
+            page
+        };
+        let mut version = vec![0u32; LOGICAL as usize];
+        for lpn in 0..LOGICAL {
+            d.write(lpn, &image(lpn, 0)).unwrap();
+        }
+        d.flush().unwrap();
+        let mut rng = StdRng::seed_from_u64(2); // loses mappings if GC runs inside a slab write
+        for i in 1..=6000u32 {
+            let lpn = if rng.gen_bool(0.8) {
+                rng.gen_range(0..LOGICAL / 5)
+            } else {
+                rng.gen_range(0..LOGICAL)
+            };
+            version[lpn as usize] = i;
+            d.write(lpn, &image(lpn, i)).unwrap();
+            if i % 16 == 0 {
+                d.flush().unwrap();
+            }
+        }
+        d.flush().unwrap();
+        let mut chip = d.into_chip();
+        chip.power_cycle();
+        let mut d = XFtl::recover(chip).unwrap();
+        let mut out = vec![0u8; ps];
+        for lpn in 0..LOGICAL {
+            d.read(lpn, &mut out).unwrap();
+            assert!(
+                out == image(lpn, version[lpn as usize]),
+                "lpn {lpn} lost its last write"
+            );
+        }
+    }
+
+    #[test]
     fn recovery_is_idempotent() {
         let mut d = dev();
         let a = page(&d, 5);

@@ -1782,38 +1782,40 @@ impl FtlBase {
     /// root deliberately keeps the current `ckpt_seq`: replaying
     /// post-checkpoint events over newer slab content is idempotent
     /// (folds are last-writer-wins in sequence order), so an eviction
-    /// flush is crash-safe without a full checkpoint. The translation
-    /// programs bypass GC (they may run *inside* GC); the bounded batch
+    /// flush is crash-safe without a full checkpoint. The bounded batch
     /// keeps pool consumption per host write small and the next host
     /// write's `maybe_gc` restores the low-water mark.
     fn flush_dirty_batch(&mut self, victim: usize) -> Result<()> {
-        let mut batch = vec![victim];
-        for slab in self.cmt.dirty_slabs() {
-            if batch.len() >= MAP_FLUSH_BATCH {
-                break;
-            }
-            if slab != victim {
-                batch.push(slab);
-            }
-        }
-        let geo = self.chip.config().geometry;
-        for slab in batch {
-            let buf = match self.cmt.entries(slab) {
-                Some(entries) => {
-                    meta::encode_slab_entries(entries, geo.page_size, geo.pages_per_block)
-                }
-                None => continue,
-            };
-            let dst = self.program_map_page_nogc(slab as u64, 0, &buf)?;
-            self.stats.map_writes += 1;
-            if let Some(old) = self.map_locs[slab].replace(dst) {
-                self.valid.mark_invalid(old);
-            }
-            self.mark_gtd_dirty(slab);
-            self.cmt.mark_clean(slab);
+        self.write_slab(victim)?;
+        let others = self.cmt.dirty_slabs();
+        for slab in others.into_iter().take(MAP_FLUSH_BATCH - 1) {
+            self.write_slab(slab)?;
         }
         self.stats.map_flush_batches += 1;
         self.write_meta()
+    }
+
+    /// The one writer of translation slabs: encodes resident slab `slab`,
+    /// programs it to a fresh translation page, re-points the directory
+    /// at it and marks the frame clean. Nothing between the encode and
+    /// the mark may change a mapping, or the flash copy would be stale
+    /// while the frame claims to match it — so the program bypasses GC
+    /// (it may also run *inside* GC); callers keep the pool fed between
+    /// slabs. Queued; `write_meta`'s drain is the durability barrier.
+    fn write_slab(&mut self, slab: usize) -> Result<()> {
+        let geo = self.chip.config().geometry;
+        let Some(entries) = self.cmt.entries(slab) else {
+            return Ok(());
+        };
+        let buf = meta::encode_slab_entries(entries, geo.page_size, geo.pages_per_block);
+        let dst = self.program_map_page_nogc(slab as u64, 0, &buf)?;
+        self.stats.map_writes += 1;
+        if let Some(old) = self.map_locs[slab].replace(dst) {
+            self.valid.mark_invalid(old);
+        }
+        self.mark_gtd_dirty(slab);
+        self.cmt.mark_clean(slab);
+        Ok(())
     }
 
     /// Programs one `Map`-class page into the mapping frontier WITHOUT
@@ -1916,31 +1918,24 @@ impl FtlBase {
     /// returns, the committed mapping survives power loss without replay.
     pub fn checkpoint(&mut self, hook: &mut dyn GcHook) -> Result<()> {
         // Only resident slabs can be dirty (eviction flushes first), so a
-        // checkpoint never has to fault anything in.
-        for slab in self.cmt.dirty_slabs() {
-            // GC triggered by an earlier iteration's program can evict and
-            // flush slabs from this list; re-check before writing.
-            if !self.cmt.is_dirty(slab) {
-                continue;
+        // checkpoint never has to fault anything in. GC keeps the pool fed
+        // *between* slab writes, never inside one; a slab its eviction
+        // flush already cleaned is skipped, one it dirtied is picked up
+        // by the next pass — so no slab is dirty when the sequence number
+        // below is taken, and roll-forward may skip everything at or
+        // before it.
+        loop {
+            let dirty = self.cmt.dirty_slabs();
+            if dirty.is_empty() {
+                break;
             }
-            let geo = self.chip.config().geometry;
-            let buf = match self.cmt.entries(slab) {
-                Some(entries) => {
-                    meta::encode_slab_entries(entries, geo.page_size, geo.pages_per_block)
+            self.check_writable()?;
+            for slab in dirty {
+                self.maybe_gc(hook)?;
+                if self.cmt.is_dirty(slab) {
+                    self.write_slab(slab)?;
                 }
-                None => continue,
-            };
-            // Slab writes are queued rather than awaited one by one;
-            // write_meta below is the barrier.
-            let (dst, _) =
-                self.program_raw_queued(PageKind::Map, slab as u64, 0, 0, &buf, 0, hook)?;
-            // Re-read the old location *after* the program: the GC it may
-            // have run can itself relocate the previous translation page.
-            if let Some(old) = self.map_locs[slab].replace(dst) {
-                self.valid.mark_invalid(old);
             }
-            self.mark_gtd_dirty(slab);
-            self.cmt.mark_clean(slab);
         }
         // The new root covers everything programmed so far.
         self.ckpt_seq = self.chip.next_seq() - 1;

@@ -278,6 +278,64 @@ mod tests {
         assert_eq!(out, data);
     }
 
+    /// Skewed overwrites with a `flush` every 16 writes on a device small
+    /// enough that GC runs during most checkpoints, then a power cut:
+    /// every page must read back its last image.
+    fn churn_flush_recover(seed: u64, budget: Option<usize>) {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const LOGICAL: u64 = 384;
+        let cfg = FlashConfigBuilder::tiny().blocks(64).build();
+        let mut d = PageMappedFtl::format(FlashChip::new(cfg, SimClock::new()), LOGICAL).unwrap();
+        d.base_mut().set_map_cache_budget(budget).unwrap();
+        let ps = d.page_size();
+        let image = |lpn: u64, version: u32| {
+            let mut page = vec![(lpn % 251) as u8; ps];
+            page[..4].copy_from_slice(&version.to_le_bytes());
+            page
+        };
+        let mut version = vec![0u32; LOGICAL as usize];
+        for lpn in 0..LOGICAL {
+            d.write(lpn, &image(lpn, 0)).unwrap();
+        }
+        d.flush().unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for i in 1..=6000u32 {
+            let lpn = if rng.gen_bool(0.8) {
+                rng.gen_range(0..LOGICAL / 5)
+            } else {
+                rng.gen_range(0..LOGICAL)
+            };
+            version[lpn as usize] = i;
+            d.write(lpn, &image(lpn, i)).unwrap();
+            if i % 16 == 0 {
+                d.flush().unwrap();
+            }
+        }
+        d.flush().unwrap();
+        let mut chip = d.into_chip();
+        chip.power_cycle();
+        let mut d = PageMappedFtl::recover(chip).unwrap();
+        d.base_mut().set_map_cache_budget(budget).unwrap();
+        let mut out = vec![0u8; ps];
+        for lpn in 0..LOGICAL {
+            d.read(lpn, &mut out)
+                .unwrap_or_else(|e| panic!("seed {seed} budget {budget:?}: lpn {lpn}: {e:?}"));
+            assert!(
+                out == image(lpn, version[lpn as usize]),
+                "seed {seed} budget {budget:?}: lpn {lpn} lost its last write"
+            );
+        }
+    }
+
+    #[test]
+    fn checkpoint_under_gc_pressure_keeps_every_mapping() {
+        for seed in 1..=6 {
+            churn_flush_recover(seed, None);
+            churn_flush_recover(seed, Some(2));
+        }
+    }
+
     #[test]
     fn flush_with_clean_mapping_writes_nothing() {
         let mut d = dev();
