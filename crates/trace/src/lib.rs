@@ -19,8 +19,8 @@
 //!
 //! The crate has **no dependencies** and **never reads a clock of its
 //! own**: timestamps enter exclusively as simulated nanoseconds produced
-//! by `SimClock` above. `xtask lint-sim` enforces this with a special
-//! no-waiver rule for this crate.
+//! by `SimClock` above. `xtask analyze` (the `sim-clock` lint) enforces
+//! this with a special no-waiver rule for this crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -482,19 +482,10 @@ impl Rig {
         (fs, clock, cfg)
     }
 
-    /// Reassembles a rig around a recovered device.
+    /// Reassembles a rig around a recovered device: mounts the volume and
+    /// rejoins it to the telemetry handle the chip carried through the
+    /// power cycle.
     pub fn reassemble(dev: AnyDev, clock: SimClock, cfg: RigConfig) -> Rig {
-        let fs = Self::mount_any(dev, &clock, &cfg);
-        Rig {
-            fs: Rc::new(RefCell::new(fs)),
-            clock,
-            cfg,
-        }
-    }
-
-    fn mount_any(dev: AnyDev, clock: &SimClock, cfg: &RigConfig) -> FileSystem<AnyDev> {
-        // The chip carried the telemetry handle through the power cycle;
-        // rejoin the freshly mounted file system to it.
         let telemetry = dev.recorder();
         let mut fs = match cfg.fs_mode() {
             JournalMode::Off => FileSystem::mount_tx(dev, JournalMode::Off, cfg.fs_cache_pages),
@@ -502,7 +493,11 @@ impl Rig {
         }
         .expect("mount");
         fs.set_recorder(clock.clone(), telemetry);
-        fs
+        Rig {
+            fs: Rc::new(RefCell::new(fs)),
+            clock,
+            cfg,
+        }
     }
 
     /// Simulates a power loss and full recovery: the file system and all

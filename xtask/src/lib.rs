@@ -6,9 +6,7 @@
 //!   AST-level lint suite encoding X-FTL's domain invariants
 //!   (ticket-leak, layering, error-discard, wildcard-arm, sim-clock,
 //!   unsafe-wall), with span diagnostics, JSON findings reports,
-//!   justified waivers, and a fixture-backed mutation self-test. The
-//!   old grep-based `lint-sim` survives as a CLI alias running the
-//!   determinism subset (`sim-clock` + `unsafe-wall`).
+//!   justified waivers, and a fixture-backed mutation self-test.
 //! - [`benchcheck`] — the perf-regression gate comparing a fresh
 //!   `BENCH_all.json` against the committed `BENCH_BASELINE.json`.
 

@@ -10,10 +10,6 @@
 //! - `analyze --selftest` — mutation self-test: every lint must fire on
 //!   its seeded fixture violation and stay quiet on the clean twin; a
 //!   lint that cannot fire is a failure naming the lint.
-//! - `lint-sim` — alias for the determinism subset (`sim-clock` +
-//!   `unsafe-wall`), preserving the historic command the CI and docs
-//!   reference. The old line-grep implementation is gone; this runs on
-//!   the same engine, so comments and strings can no longer trip it.
 //! - `bench-check [fresh] [baseline] [--allow-new]` — the
 //!   perf-regression gate over `BENCH_*.json` reports (see
 //!   [`xtask::benchcheck`]). `--allow-new` downgrades metrics the
@@ -41,12 +37,9 @@ fn repo_root() -> PathBuf {
 
 /// `analyze` subcommand: parses flags, runs the engine, writes the
 /// report, prints diagnostics + summary.
-fn run_analyze(args: &[String], lints: Option<Vec<&'static str>>) -> ExitCode {
+fn run_analyze(args: &[String]) -> ExitCode {
     let root = repo_root();
     let mut cfg = Config::default();
-    if let Some(lints) = lints {
-        cfg.lints = lints;
-    }
     let mut json_path = root.join("ANALYZE_REPORT.json");
     let mut selftest = false;
     let mut i = 0;
@@ -119,9 +112,7 @@ fn run_analyze(args: &[String], lints: Option<Vec<&'static str>>) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
-        Some("analyze") => run_analyze(&args[2..], None),
-        // Historic alias: the determinism wall, now on the AST engine.
-        Some("lint-sim") => run_analyze(&args[2..], Some(vec!["sim-clock", "unsafe-wall"])),
+        Some("analyze") => run_analyze(&args[2..]),
         Some("bench-check") => {
             let root = repo_root();
             let mut allow_new = false;
@@ -160,7 +151,6 @@ fn main() -> ExitCode {
                  commands:\n\
                  \x20 analyze [--json P] [--features L] [--lints L]  domain lint suite (JSON report + summary)\n\
                  \x20 analyze --selftest               prove every lint live against the fixtures\n\
-                 \x20 lint-sim                         determinism wall (sim-clock + unsafe-wall)\n\
                  \x20 bench-check [fresh] [baseline] [--allow-new]\n\
                  \x20                                  compare bench reports; --allow-new downgrades\n\
                  \x20                                  metrics absent from the baseline to warnings\n\

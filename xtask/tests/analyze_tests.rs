@@ -130,18 +130,6 @@ fn strings_and_comments_do_not_trip_sim_clock() {
 }
 
 #[test]
-fn lint_sim_alias_subset_matches_the_engine() {
-    // The `lint-sim` CLI runs exactly this subset on the same engine.
-    let cfg = Config {
-        lints: vec!["sim-clock", "unsafe-wall"],
-        ..Config::default()
-    };
-    let a = analyze::analyze_repo(&repo_root(), &cfg);
-    assert!(a.violations.is_empty(), "{:?}", a.violations);
-    assert_eq!(a.lints_run.len(), 2);
-}
-
-#[test]
 fn summary_line_and_json_report_shape() {
     let src = "use std::time::Instant;\n";
     let a = run_on("crates/fixture/src/probe.rs", src, &["sim-clock"]);
