@@ -73,10 +73,10 @@
 
 use std::collections::HashMap;
 
-use xftl_flash::{FlashChip, PageKind, SimClock};
+use xftl_flash::{FlashChip, SimClock};
 use xftl_ftl::{
     BlockDevice, CmdId, CmdQueue, CommitTicket, DevCounters, DevError, DeviceState, FtlBase,
-    FtlStats, IoCmd, Lpn, NoHook, Result, Tid, TxBlockDevice,
+    FtlStats, IoCmd, Lpn, Result, Tid, TxBlockDevice,
 };
 use xftl_trace::{OpClass, Recorder};
 
@@ -146,8 +146,16 @@ impl XFtl {
         logical_pages: u64,
         xl2p_capacity: usize,
     ) -> Result<Self> {
-        Ok(XFtl {
-            base: FtlBase::format(chip, logical_pages)?,
+        Ok(Self::assemble(
+            FtlBase::format(chip, logical_pages)?,
+            xl2p_capacity,
+        ))
+    }
+
+    /// A device with empty transactional RAM state over `base`.
+    fn assemble(base: FtlBase, xl2p_capacity: usize) -> Self {
+        XFtl {
+            base,
             table: Xl2pTable::new(xl2p_capacity),
             queue: CmdQueue::default(),
             staged: Vec::new(),
@@ -156,7 +164,7 @@ impl XFtl {
             commit_seq: 0,
             snapshots: HashMap::new(),
             staged_seq_of: HashMap::new(),
-        })
+        }
     }
 
     /// Rebuilds the device from flash after a power loss.
@@ -184,60 +192,27 @@ impl XFtl {
         let t0 = clock.now();
         let (mut base, log) = FtlBase::recover(chip)?;
         let t_scan = clock.now();
-        // Merge plain roll-forward events with the commit fold, ordered by
-        // global program sequence (a committed transaction's pages become
-        // current at the instant its X-L2P table write hit flash).
-        let mut merged: Vec<(u64, Lpn, xftl_flash::Ppa)> = Vec::new();
-        for e in &log.events {
-            if e.kind == PageKind::Data && e.tid == 0 && e.seq > log.ckpt_seq {
-                merged.push((e.seq, e.lpn, e.ppa));
-            }
+        // A committed transaction's pages become current at the instant
+        // its X-L2P table write hit flash; entries of in-flight
+        // transactions are implicitly aborted — simply not folded.
+        let mut folds = Vec::new();
+        if let Some((table_seq, bytes)) = log.xl2p.as_ref().filter(|(s, _)| *s > log.ckpt_seq) {
+            let entries = Xl2pTable::decode_pages(bytes, base.page_size(), base.pages_per_block());
+            folds.extend(
+                entries
+                    .iter()
+                    .filter(|e| e.status == TxStatus::Committed)
+                    .map(|e| (*table_seq, e.lpn, e.ppa)),
+            );
         }
-        if let Some((table_seq, bytes)) = &log.xl2p {
-            if *table_seq > log.ckpt_seq {
-                let geo_ps = base.page_size();
-                let ppb = base.pages_per_block();
-                for entry in Xl2pTable::decode_pages(bytes, geo_ps, ppb) {
-                    if entry.status == TxStatus::Committed {
-                        merged.push((*table_seq, entry.lpn, entry.ppa));
-                    }
-                    // Active entries: implicit abort — simply not folded.
-                }
-            }
-        }
-        merged.sort_by_key(|&(seq, _, _)| seq);
-        for (_, lpn, ppa) in merged {
-            base.apply_event(lpn, ppa)?;
-        }
-        // Persist the recovered state and retire the old X-L2P table; the
-        // fresh checkpoint now owns every committed fold. A device that
-        // has degraded to read-only cannot take a checkpoint — keep the
-        // folds in RAM and the old roots on flash, and serve reads from
-        // the recovered mapping (re-recovery replays the same fold).
-        if base.device_state() != DeviceState::ReadOnly {
-            base.clear_xl2p_roots();
-            base.checkpoint(&mut NoHook)?;
-        }
+        base.finish_recovery(&log, folds)?;
         let t_end = clock.now();
         let breakdown = RecoveryBreakdown {
             total_ns: t_end - t0,
             scan_ns: t_scan - t0,
             xl2p_ns: t_end - t_scan,
         };
-        Ok((
-            XFtl {
-                base,
-                table: Xl2pTable::new(xl2p_capacity),
-                queue: CmdQueue::default(),
-                staged: Vec::new(),
-                staged_writers: HashMap::new(),
-                next_group: 1,
-                commit_seq: 0,
-                snapshots: HashMap::new(),
-                staged_seq_of: HashMap::new(),
-            },
-            breakdown,
-        ))
+        Ok((Self::assemble(base, xl2p_capacity), breakdown))
     }
 
     /// Checkpoints the L2P table and releases committed X-L2P entries,
@@ -382,30 +357,13 @@ impl XFtl {
         Ok(())
     }
 
-    /// One data page copy-on-write under `tid`, blocking (`wait`) or
-    /// queued: the new location and the instant it is on the media.
-    fn write_cow(
-        &mut self,
-        lpn: Lpn,
-        tid: Tid,
-        buf: &[u8],
-        wait: bool,
-    ) -> Result<(xftl_flash::Ppa, u64)> {
-        if wait {
-            let ppa = self.base.write_cow(lpn, tid, buf, &mut self.table)?;
-            Ok((ppa, self.base.clock().now()))
-        } else {
-            self.base.write_cow_queued(lpn, tid, buf, &mut self.table)
-        }
-    }
-
     /// Plain committed host write, snapshot-aware: with no snapshots
     /// active it is the classic fold (bit-identical legacy behavior);
     /// otherwise the visibility clock advances and the displaced version
     /// is retained for snapshot readers.
     fn write_plain(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<u64> {
         self.base.counters_mut().host_writes += 1;
-        let (ppa, done) = self.write_cow(lpn, 0, buf, wait)?;
+        let (ppa, done) = self.base.write_cow(lpn, 0, buf, wait, &mut self.table)?;
         if self.snapshots.is_empty() {
             self.base.fold_mapping(lpn, ppa)?;
         } else {
@@ -426,7 +384,7 @@ impl XFtl {
     fn write_tagged(&mut self, tid: Tid, lpn: Lpn, buf: &[u8], wait: bool) -> Result<u64> {
         self.base.counters_mut().host_writes += 1;
         self.reserve_tx_slot(tid, lpn)?;
-        let (ppa, done) = self.write_cow(lpn, tid, buf, wait)?;
+        let (ppa, done) = self.base.write_cow(lpn, tid, buf, wait, &mut self.table)?;
         self.record_tx_write(tid, lpn, ppa);
         Ok(done)
     }
@@ -613,18 +571,6 @@ impl XFtl {
     /// not yet durable), in submission order — for audits and tests.
     pub fn staged_tids(&self) -> &[Tid] {
         &self.staged
-    }
-
-    /// True if `lpn` has a staged commit fold that the L2P table does not
-    /// reflect yet — for audits.
-    pub fn lpn_has_staged_fold(&self, lpn: Lpn) -> bool {
-        self.staged_writers.contains_key(&lpn)
-    }
-
-    /// The commit-sequence snapshot `tid` is reading at, if it began one
-    /// that has not yet resolved (commit, abort, or conflict).
-    pub fn snapshot_of(&self, tid: Tid) -> Option<u64> {
-        self.snapshots.get(&tid).copied()
     }
 
     /// Number of active snapshot transactions.

@@ -12,10 +12,9 @@
 
 use xftl_flash::{FlashChip, Oob, PageKind, Ppa, SimClock};
 
-use crate::base::{FtlBase, GcHook, NoHook, RecoveryLog};
+use crate::base::{FtlBase, GcHook, RecoveryLog};
 use crate::dev::{BlockDevice, DevCounters, Lpn, Tid};
 use crate::error::Result;
-use crate::health::DeviceState;
 use crate::stats::FtlStats;
 
 /// Magic prefix of a commit-record page ("AWRECORD").
@@ -75,12 +74,7 @@ impl AtomicWriteFtl {
     /// record vanish — the per-call all-or-nothing guarantee.
     pub fn recover(chip: FlashChip) -> Result<Self> {
         let (mut base, log) = FtlBase::recover(chip)?;
-        Self::replay(&mut base, &log)?;
-        // A device in end-of-life read-only mode cannot persist the
-        // recovered state; the replayed mapping serves reads from RAM.
-        if base.device_state() != DeviceState::ReadOnly {
-            base.checkpoint(&mut NoHook)?;
-        }
+        base.finish_recovery(&log, Self::sealed_folds(&log))?;
         Ok(AtomicWriteFtl {
             base,
             hook: RecordHook::default(),
@@ -88,7 +82,9 @@ impl AtomicWriteFtl {
         })
     }
 
-    fn replay(base: &mut FtlBase, log: &RecoveryLog) -> Result<()> {
+    /// The folds the commit records in `log` seal, each at its record's
+    /// sequence.
+    fn sealed_folds(log: &RecoveryLog) -> Vec<(u64, Lpn, Ppa)> {
         // Sequence number of each group's commit record (records before
         // the checkpoint are not in the log; their groups are covered by
         // the checkpointed L2P).
@@ -98,18 +94,13 @@ impl AtomicWriteFtl {
                 record_seq.push((e.tid, e.seq));
             }
         }
-        // A group's pages become current at the record's sequence; merge
-        // with plain roll-forward events in that order.
-        let mut folds: Vec<(u64, crate::dev::Lpn, xftl_flash::Ppa)> = Vec::new();
+        // A group's pages become current at the record's sequence.
+        let mut folds = Vec::new();
         for e in &log.events {
-            if e.kind != PageKind::Data {
+            if e.kind != PageKind::Data || e.tid == 0 {
                 continue;
             }
-            if e.tid == 0 {
-                if e.seq > log.ckpt_seq {
-                    folds.push((e.seq, e.lpn, e.ppa));
-                }
-            } else if e.seq <= log.tx_horizon {
+            if e.seq <= log.tx_horizon {
                 // Orphan from an earlier life; its group id may have been
                 // reused since, so it must not join a newer record.
             } else if let Some(&(_, rec)) = record_seq
@@ -120,11 +111,7 @@ impl AtomicWriteFtl {
                 folds.push((rec, e.lpn, e.ppa));
             }
         }
-        folds.sort_by_key(|&(seq, _, _)| seq);
-        for (_, lpn, ppa) in folds {
-            base.apply_event(lpn, ppa)?;
-        }
-        Ok(())
+        folds
     }
 
     /// Writes `pages` as one atomic group: every page lands, then a commit
@@ -140,7 +127,7 @@ impl AtomicWriteFtl {
         for (lpn, data) in pages {
             match self
                 .base
-                .write_cow_queued(*lpn, group, data, &mut self.hook)
+                .write_cow(*lpn, group, data, false, &mut self.hook)
             {
                 Ok((ppa, done)) => {
                     data_done = data_done.max(done);
@@ -156,15 +143,14 @@ impl AtomicWriteFtl {
             }
         }
         let record = self.encode_record(group, pages);
-        let (rec_ppa, rec_done) = self.base.program_raw_queued(
-            PageKind::Commit,
-            group,
-            group,
-            0,
-            &record,
-            data_done,
-            &mut self.hook,
-        )?;
+        let oob = Oob {
+            tid: group,
+            kind: PageKind::Commit,
+            ..Oob::data(group)
+        };
+        let (rec_ppa, rec_done) =
+            self.base
+                .program_raw(oob, &record, data_done, false, &mut self.hook)?;
         self.base.wait_for(rec_done);
         self.hook.records.push(rec_ppa);
         self.base.counters_mut().commits += 1;
@@ -180,12 +166,18 @@ impl AtomicWriteFtl {
     /// checkpoint covers the groups they seal. Cap their number so a
     /// flush-averse host cannot fill the drive with records.
     fn release_records_if_needed(&mut self) -> Result<()> {
-        let cap = self.base.pages_per_block() / 2;
-        if self.hook.records.len() >= cap {
-            self.base.checkpoint(&mut self.hook)?;
-            for ppa in self.hook.records.drain(..) {
-                self.base.invalidate(ppa);
-            }
+        if self.hook.records.len() >= self.base.pages_per_block() / 2 {
+            self.checkpoint_and_release_records()?;
+        }
+        Ok(())
+    }
+
+    /// Checkpoints the L2P, which then covers every sealed group, and
+    /// lets the records go.
+    fn checkpoint_and_release_records(&mut self) -> Result<()> {
+        self.base.checkpoint(&mut self.hook)?;
+        for ppa in self.hook.records.drain(..) {
+            self.base.invalidate(ppa);
         }
         Ok(())
     }
@@ -269,11 +261,7 @@ impl BlockDevice for AtomicWriteFtl {
         self.base.counters_mut().flushes += 1;
         self.base.drain();
         if self.base.has_dirty_mapping() {
-            self.base.checkpoint(&mut self.hook)?;
-            // Checkpointed L2P now covers every sealed group; records can go.
-            for ppa in self.hook.records.drain(..) {
-                self.base.invalidate(ppa);
-            }
+            self.checkpoint_and_release_records()?;
         }
         Ok(())
     }

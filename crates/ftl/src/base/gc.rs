@@ -1,0 +1,446 @@
+//! The collector: when to reclaim space (`maybe_gc`), which closed block
+//! to reclaim (greedy, FIFO, cost-benefit), and how (`collect_block`:
+//! relocate the live pages, chase every table that pointed at them,
+//! erase). The background scrubber and static wear leveling ride the
+//! same tick and the same relocation path.
+
+use std::cmp::Reverse;
+
+use xftl_flash::{FlashError, Nanos, PageKind, Ppa};
+use xftl_trace::{OpClass, Recorder};
+
+use super::pool::{BlockState, Class, Fifo, Stream};
+use super::{with_read_retries, FtlBase, GcHook, GcPolicy, RETAINED_COPY_TID};
+use crate::error::{DevError, Result};
+use crate::health::{DeviceState, ScrubConfig, ScrubReason};
+
+/// GC starts when the free-block pool drops below the low-water mark.
+/// This floor is the single-channel value; multi-channel devices raise
+/// it (see [`FtlBase::gc_low_water`]) because one GC pass can open a
+/// cold write frontier on every channel straight out of the pool.
+const GC_LOW_WATER: usize = 3;
+
+/// Why a block is being collected (relocate-and-erase): normal space
+/// reclamation, a scrub of at-risk data, or static wear leveling. Decides
+/// which stats and trace class the copies charge to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CollectKind {
+    Gc,
+    Scrub,
+    WearLevel,
+}
+
+impl FtlBase {
+    fn channels(&self) -> usize {
+        self.chip.config().geometry.channels.max(1) as usize
+    }
+
+    /// The geometry-scaled GC trigger: single-channel devices keep the
+    /// legacy floor, multi-channel devices hold two blocks of headroom
+    /// per channel so a GC pass that opens cold frontiers on every
+    /// channel cannot drain the pool mid-collection.
+    fn gc_low_water(&self) -> usize {
+        GC_LOW_WATER.max(2 * self.channels())
+    }
+
+    /// Runs `collect` with GC re-entry (a checkpoint inside GC) and
+    /// budget-enforcing evictions suspended.
+    fn gc_section(&mut self, collect: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
+        self.in_gc = true;
+        let r = collect(self);
+        self.in_gc = false;
+        r
+    }
+
+    /// Runs garbage collection until the free pool is back above the low
+    ///-water mark. Wrappers call this before host writes. The background
+    /// scrubber and static wear leveling piggyback on this tick: every
+    /// [`ScrubConfig::interval_ops`] calls (and only with pool headroom
+    /// to spare) they each relocate at most one at-risk block.
+    pub(super) fn maybe_gc(&mut self, hook: &mut dyn GcHook) -> Result<()> {
+        if self.in_gc {
+            return Ok(()); // a checkpoint inside GC must not re-enter
+        }
+        while self.pool.free_len() < self.gc_low_water() {
+            let r = self.gc_section(|b| {
+                let victim = b.pick_victim().ok_or(DevError::OutOfSpace)?;
+                b.collect_block(victim, CollectKind::Gc, hook)
+            });
+            self.or_space_error(r)?;
+        }
+        // GC's demand fetches overshoot the cache budget; trim now that
+        // the pool is back above the water mark.
+        self.evict_to_budget()?;
+        if let Some(cfg) = self.scrub {
+            self.scrub_tick += 1;
+            if self.scrub_tick >= cfg.interval_ops.max(1)
+                && self.pool.free_len() >= self.gc_low_water()
+            {
+                self.scrub_tick = 0;
+                let r = self
+                    .scrub_once(cfg, hook)
+                    .and_then(|()| self.wear_level_once(cfg, hook));
+                self.or_space_error(r)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Classifies a pool-exhaustion failure: on a device that has lost
+    /// blocks to retirement this is end-of-life degradation (the device
+    /// goes read-only, permanently); on a healthy device it is the host
+    /// over-filling its over-provisioning (a transient, logical error).
+    pub(super) fn or_space_error<T>(&mut self, r: Result<T>) -> Result<T> {
+        match r {
+            Err(DevError::OutOfSpace) if self.bad_block_count() > 0 => {
+                self.enter_state(DeviceState::ReadOnly);
+                Err(DevError::ReadOnly)
+            }
+            other => other,
+        }
+    }
+
+    /// Records an erase failure: the block leaves every allocation path
+    /// for good. Its live pages (if any) were copied out by the caller,
+    /// so retirement costs capacity, never data. Once retirements eat
+    /// into the spare headroom the format-time sizing guaranteed, the
+    /// device enters the `Degraded` state.
+    pub(super) fn retire_block(&mut self, block: u32) {
+        if self.pool.retire(block) {
+            self.stats.bad_block_retirements += 1;
+        }
+        if self.short_of_spares() {
+            self.enter_state(DeviceState::Degraded);
+        }
+    }
+
+    /// Closed blocks that hold something: the victim candidates. A block
+    /// abandoned before its first page landed has nothing to collect.
+    fn candidates(&self) -> impl Iterator<Item = (u32, Class)> + '_ {
+        self.pool
+            .closed()
+            .filter(|&(b, _)| self.chip.write_point(b) != Some(0))
+    }
+
+    /// Scores every closed block against the scrub thresholds and
+    /// relocates the riskiest one whose score crosses the trigger.
+    /// Deterministic integer math: each component contributes
+    /// `value * 1000 / threshold`, and a combined score ≥ 1000 — any one
+    /// threshold reached, or several near misses compounding — fires.
+    /// The reported reason is the dominant component.
+    fn scrub_once(&mut self, cfg: ScrubConfig, hook: &mut dyn GcHook) -> Result<()> {
+        let now = self.chip.clock().now();
+        let at_risk = self.candidates().filter_map(|(b, _)| {
+            let s_read = self.chip.block_read_count(b) * 1000 / cfg.read_threshold.max(1);
+            let s_flip = self.chip.block_corrected_flips(b) * 1000 / cfg.flip_threshold.max(1);
+            let s_age = if cfg.age_threshold_ns == Nanos::MAX {
+                0
+            } else {
+                let age = self
+                    .chip
+                    .block_first_program_at(b)
+                    .map_or(0, |t| now.saturating_sub(t));
+                age * 1000 / cfg.age_threshold_ns.max(1)
+            };
+            let score = s_read.saturating_add(s_flip).saturating_add(s_age);
+            let reason = if s_flip >= s_read && s_flip >= s_age {
+                ScrubReason::EccFeedback
+            } else if s_read >= s_age {
+                ScrubReason::ReadDisturb
+            } else {
+                ScrubReason::Retention
+            };
+            (score >= 1000).then_some((score, b, reason))
+        });
+        // `min_by_key` keeps the first of equals: the lowest block index
+        // among the top scorers.
+        let Some((_, victim, reason)) = at_risk.min_by_key(|&(score, _, _)| Reverse(score)) else {
+            return Ok(());
+        };
+        self.gc_section(|b| b.collect_block(victim, CollectKind::Scrub, hook))?;
+        self.last_scrub = Some((victim, reason));
+        Ok(())
+    }
+
+    /// Static wear leveling: when the erase-count spread between the
+    /// most-worn block and the coldest closed block exceeds the cap, the
+    /// cold block is relocated so its low-wear cells rejoin the free pool
+    /// (instead of sitting pinned under data that never changes while the
+    /// rest of the array wears out).
+    fn wear_level_once(&mut self, cfg: ScrubConfig, hook: &mut dyn GcHook) -> Result<()> {
+        let max_wear = (self.first_pool_block()..self.chip.config().geometry.blocks as u32)
+            .filter(|&b| !self.is_bad_block(b))
+            .map(|b| self.chip.erase_count(b))
+            .max()
+            .unwrap_or(0);
+        let coldest = self
+            .candidates()
+            .map(|(b, _)| (self.chip.erase_count(b), b))
+            .min_by_key(|&(wear, _)| wear);
+        match coldest {
+            Some((cold_wear, victim))
+                if max_wear.saturating_sub(cold_wear) > cfg.wear_delta_cap =>
+            {
+                self.gc_section(|b| b.collect_block(victim, CollectKind::WearLevel, hook))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Greedy fallback: fewest valid pages among the candidates (the
+    /// lowest block index among equals).
+    fn pick_victim_greedy(&self) -> Option<u32> {
+        let (count, victim) = self
+            .candidates()
+            .map(|(b, _)| (self.valid.valid_in_block(b), b))
+            .min_by_key(|&(count, _)| count)?;
+        // A fully valid victim cannot gain space; give up rather than churn.
+        ((count as usize) < self.pages_per_block()).then_some(victim)
+    }
+
+    /// Cost-benefit selection: maximize `(1 − u) / (1 + u) × age`. The
+    /// benefit term is the reclaimable space over the copy cost (Kawaguchi
+    /// et al.); the age term (programs since the block last took a write)
+    /// lets old, moderately-valid cold blocks eventually beat young nearly
+    /// -empty hot blocks whose garbage is still accumulating. Data and
+    /// mapping blocks compete as separate classes — the best scorer of
+    /// each is computed and the global winner collected — so the stats can
+    /// attribute victims per class and neither class starves the other.
+    fn pick_victim_cost_benefit(&self) -> Option<u32> {
+        let now = self.chip.next_seq();
+        let ppb = self.pages_per_block();
+        let mut best: [Option<(f64, u32)>; 2] = [None, None];
+        for (b, class) in self.candidates() {
+            let valid = self.valid.valid_in_block(b);
+            if valid as usize >= ppb {
+                continue; // nothing reclaimable
+            }
+            let u = f64::from(valid) / ppb as f64;
+            let age = now.saturating_sub(self.pool.last_program_seq(b)) as f64;
+            // All inputs are small exact integers, so the f64 score is a
+            // deterministic function of device state; ties break on the
+            // lower block index because `>` keeps the first maximum.
+            let score = (1.0 - u) / (1.0 + u) * age;
+            let slot = &mut best[usize::from(class == Class::Map)];
+            if slot.is_none_or(|(s, _)| score > s) {
+                *slot = Some((score, b));
+            }
+        }
+        match (best[0], best[1]) {
+            (Some((sd, bd)), Some((sm, bm))) => Some(if sm > sd { bm } else { bd }),
+            (Some((_, b)), None) | (None, Some((_, b))) => Some(b),
+            (None, None) => None,
+        }
+    }
+
+    fn pick_victim(&mut self) -> Option<u32> {
+        match self.gc_policy {
+            // Urgent-GC fallback: with the free pool nearly drained, the
+            // age-weighted score must not pick a high-valid old block —
+            // copying most of a block while nearly out of space is how a
+            // device deadlocks. Greedy's min-valid victim maximizes the
+            // immediate net gain; cost-benefit resumes once headroom is
+            // back.
+            GcPolicy::CostBenefit if self.pool.free_len() > self.channels() => {
+                return self.pick_victim_cost_benefit();
+            }
+            GcPolicy::Fifo => {
+                let ppb = self.pages_per_block() as u32;
+                let (chip, valid) = (&self.chip, &self.valid);
+                // Oldest closed data block that yields at least one page.
+                let oldest = self.pool.fifo_next(|b| {
+                    if chip.write_point(b) == Some(0) {
+                        Fifo::Drop
+                    } else if valid.valid_in_block(b) * 10 >= ppb * 9 {
+                        // (Nearly) fully valid: collecting it would copy
+                        // ~a whole block to reclaim a page or two. Recycle
+                        // to the back and try the next — even simple
+                        // firmware bounds its write amplification this way.
+                        Fifo::Requeue
+                    } else {
+                        Fifo::Take
+                    }
+                });
+                if oldest.is_some() {
+                    return oldest;
+                }
+            }
+            GcPolicy::CostBenefit | GcPolicy::Greedy => {}
+        }
+        self.pick_victim_greedy()
+    }
+
+    /// Relocates every live page of `victim` to the frontier, fixes every
+    /// table that pointed at them, and erases the block. Shared by GC,
+    /// the background scrubber (whose erase also resets the block's
+    /// read-disturb and retention damage), and static wear leveling;
+    /// `why` attributes the copies to the right stats and trace class.
+    fn collect_block(
+        &mut self,
+        victim: u32,
+        why: CollectKind,
+        hook: &mut dyn GcHook,
+    ) -> Result<()> {
+        let ppb = self.pages_per_block();
+        let copy_class = match why {
+            CollectKind::Gc => OpClass::GcCopy,
+            CollectKind::Scrub => OpClass::ScrubCopy,
+            CollectKind::WearLevel => OpClass::WearLevelCopy,
+        };
+        let mut meta_stale = false;
+        // Set when a *committed* page that carries transactional cycle
+        // metadata (TxFlash's aux link) is re-stamped: the remaining cycle
+        // members lose their recovery evidence, so the L2P fold must be
+        // persisted before the victim is erased.
+        let mut need_ckpt = false;
+        let mut copied = 0u64;
+        for page in 0..ppb as u32 {
+            let old = Ppa::new(victim, page);
+            if !self.valid.is_valid(old) {
+                continue;
+            }
+            let t_copy = self.chip.clock().now();
+            // The scratch buffer must be restored on every error path.
+            let mut buf = std::mem::take(&mut self.scratch);
+            let moved = self.relocate_page(old, &mut buf, &mut need_ckpt);
+            self.scratch = buf;
+            let (oob, mapped_here, dst, prog_done) = moved?;
+            self.chip
+                .recorder()
+                .record_span(copy_class, 0, oob.lpn, t_copy, prog_done);
+            match why {
+                CollectKind::Gc => self.stats.gc_copies += 1,
+                CollectKind::Scrub => self.stats.scrub_copies += 1,
+                CollectKind::WearLevel => self.stats.wear_level_copies += 1,
+            }
+            copied += 1;
+            self.valid.mark_invalid(old);
+            meta_stale |= match oob.kind {
+                PageKind::Data => {
+                    if mapped_here {
+                        self.fold_mapping_retain(oob.lpn, dst)?;
+                    }
+                    false
+                }
+                // The checkpoint root must chase relocated map/X-L2P
+                // pages, or a crash would leave it pointing into an
+                // erased block.
+                PageKind::Map => self.map.relocated(&oob, old, dst),
+                PageKind::XL2p => match self.xl2p_roots.iter_mut().find(|p| **p == old) {
+                    Some(slot) => {
+                        *slot = dst;
+                        true
+                    }
+                    None => false,
+                },
+                PageKind::Commit => false,
+                PageKind::Meta => unreachable!("meta blocks are never GC victims"),
+            };
+            hook.relocated(&oob, old, dst);
+        }
+        if need_ckpt {
+            // Persist the folded mapping before the originals vanish: a
+            // crash after the erase must not depend on the (now broken)
+            // cycle for recovery.
+            self.checkpoint(hook)?;
+            meta_stale = false; // checkpoint wrote a fresh meta root
+        }
+        let was = self.pool.state(victim);
+        // The erase is queued too; the chip's per-unit busy tracking
+        // already orders it after the in-flight reads from this block.
+        let reclaimed = match self.chip.erase_queued(victim, 0) {
+            Ok(_) => {
+                self.pool.release(victim);
+                was
+            }
+            Err(FlashError::EraseFailed(_)) => {
+                // Every live page was already copied out above, so losing
+                // the block costs capacity, not data. Retire it; the
+                // refreshed meta root below persists the table.
+                self.retire_block(victim);
+                meta_stale = true;
+                None
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let cost_benefit = u64::from(self.gc_policy == GcPolicy::CostBenefit);
+        match why {
+            // The validity ratio (the paper's aging knob) concerns
+            // reclaimed *data* blocks; everything else — nearly-dead
+            // mapping blocks, victims lost to retirement — is bookkept
+            // apart.
+            CollectKind::Gc if reclaimed == Some(BlockState::Closed(Class::Data)) => {
+                self.stats.gc_runs += 1;
+                self.stats.gc_victim_pages += ppb as u64;
+                self.stats.gc_valid_pages += copied;
+                self.stats.gc_cb_data_victims += cost_benefit;
+            }
+            CollectKind::Gc => {
+                self.stats.gc_runs += 1;
+                self.stats.gc_map_runs += 1;
+                self.stats.gc_cb_map_victims += cost_benefit;
+            }
+            CollectKind::Scrub => self.stats.scrub_runs += 1,
+            CollectKind::WearLevel => self.stats.wear_level_runs += 1,
+        }
+        if meta_stale {
+            self.write_meta()?;
+        }
+        Ok(())
+    }
+
+    /// Copies the live page at `old` to the frontier through `buf`,
+    /// returning its original OOB, whether the committed mapping pointed
+    /// at it, the new location and the instant the copy is on the media.
+    /// Copy-backs ride the device queue: the read and the program of one
+    /// page are chained (`not_before`), but copies of different pages
+    /// overlap when source and destination sit on different channels, so
+    /// GC steals less host time.
+    fn relocate_page(
+        &mut self,
+        old: Ppa,
+        buf: &mut [u8],
+        need_ckpt: &mut bool,
+    ) -> Result<(xftl_flash::Oob, bool, Ppa, Nanos)> {
+        // ECC failures on the source get bounded re-reads.
+        let (r, retries) = with_read_retries(|| self.chip.read_queued(old, buf, 0));
+        self.stats.read_retries += retries;
+        let (oob, read_done) = r?;
+        let data = oob.kind == PageKind::Data;
+        // The committed-mapping test may demand-fetch the covering slab
+        // (a charged translation read — part of GC's true cost in a
+        // demand-paged FTL).
+        let mapped_here = data && self.l2p_get(oob.lpn)? == Some(old);
+        let mut new_oob = oob;
+        if mapped_here {
+            // A GC copy of the *committed* version of a data page is
+            // re-stamped tid = 0 so the recovery roll-forward treats it as
+            // committed state even if its writer's X-L2P entry is long gone.
+            *need_ckpt |= oob.tid != 0 && oob.aux != 0;
+            new_oob.tid = 0;
+            new_oob.aux = 0;
+        } else if data && oob.tid == 0 {
+            // A valid tid-0 page the L2P does not point at is a
+            // snapshot-retained pre-image. Its copy gets a fresh (newer)
+            // program sequence, so left stamped tid 0 the recovery
+            // roll-forward would resurrect the superseded version over
+            // the page's current state. Mark it as a retained copy, which
+            // recovery never folds.
+            new_oob.tid = RETAINED_COPY_TID;
+        }
+        // GC data copies are cold by definition — they survived a whole
+        // block's lifetime without being overwritten.
+        let stream = match (data, self.hot_cold) {
+            (true, true) => Stream::Cold,
+            (true, false) => Stream::Hot,
+            (false, _) => Stream::Map,
+        };
+        // Copy programs get the same bounded re-execution as host
+        // writes: a failed copy-back must not lose the live page.
+        let (dst, prog_done) = self.program_at_frontier(new_oob, stream, buf, read_done, false)?;
+        if stream == Stream::Cold {
+            self.stats.cold_writes += 1;
+        }
+        Ok((oob, mapped_here, dst, prog_done))
+    }
+}

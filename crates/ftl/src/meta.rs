@@ -16,7 +16,6 @@
 
 use xftl_flash::Ppa;
 
-use crate::dev::Lpn;
 use crate::health::DeviceState;
 
 /// Magic number identifying a meta page ("XFTLMETA" as bytes).
@@ -225,7 +224,8 @@ pub fn gtd_page_count(slabs: usize, page_size: usize) -> usize {
     slabs.div_ceil(gtd_pointers_per_page(page_size))
 }
 
-/// Serializes GTD page `gtd_idx`: the slice of slab pointers it covers.
+/// Serializes GTD page `gtd_idx`: the slice of slab pointers it covers,
+/// in the translation-page format (a GTD page is a slab of slab homes).
 pub fn encode_gtd_page(
     map_locs: &[Option<Ppa>],
     gtd_idx: usize,
@@ -233,13 +233,8 @@ pub fn encode_gtd_page(
     pages_per_block: usize,
 ) -> Vec<u8> {
     let per = gtd_pointers_per_page(page_size);
-    let mut buf = vec![0u8; page_size];
-    let start = gtd_idx * per;
-    for i in 0..per {
-        let entry = map_locs.get(start + i).copied().flatten();
-        put_u64(&mut buf, i * 8, encode_opt_ppa(entry, pages_per_block));
-    }
-    buf
+    let covered = map_locs.chunks(per).nth(gtd_idx).unwrap_or(&[]);
+    encode_slab_entries(covered, page_size, pages_per_block)
 }
 
 /// Loads GTD page `gtd_idx` back into the slab-pointer table.
@@ -249,13 +244,10 @@ pub fn decode_gtd_page(
     buf: &[u8],
     pages_per_block: usize,
 ) {
-    let per = gtd_pointers_per_page(buf.len());
-    let start = gtd_idx * per;
-    for i in 0..per {
-        if start + i >= map_locs.len() {
-            break;
-        }
-        map_locs[start + i] = decode_opt_ppa(get_u64(buf, i * 8), pages_per_block);
+    let start = gtd_idx * gtd_pointers_per_page(buf.len());
+    let pointers = decode_slab_entries(buf, pages_per_block);
+    for (slot, ptr) in map_locs.iter_mut().skip(start).zip(pointers.iter()) {
+        *slot = *ptr;
     }
 }
 
@@ -267,35 +259,6 @@ pub fn gtd_page_of(slab: usize, page_size: usize) -> usize {
 /// Entries of the L2P table stored per mapping slab page.
 pub fn entries_per_slab(page_size: usize) -> usize {
     page_size / 8
-}
-
-/// Serializes one L2P slab (`slab_idx`) from the in-RAM table.
-pub fn encode_slab(
-    l2p: &[Option<Ppa>],
-    slab_idx: usize,
-    page_size: usize,
-    pages_per_block: usize,
-) -> Vec<u8> {
-    let eps = entries_per_slab(page_size);
-    let mut buf = vec![0u8; page_size];
-    let start = slab_idx * eps;
-    for i in 0..eps {
-        let entry = l2p.get(start + i).copied().flatten();
-        put_u64(&mut buf, i * 8, encode_opt_ppa(entry, pages_per_block));
-    }
-    buf
-}
-
-/// Loads one slab page back into the in-RAM table.
-pub fn decode_slab(l2p: &mut [Option<Ppa>], slab_idx: usize, buf: &[u8], pages_per_block: usize) {
-    let eps = entries_per_slab(buf.len());
-    let start = slab_idx * eps;
-    for i in 0..eps {
-        if start + i >= l2p.len() {
-            break;
-        }
-        l2p[start + i] = decode_opt_ppa(get_u64(buf, i * 8), pages_per_block);
-    }
 }
 
 /// Serializes one cached slab frame (the demand-paged engine's unit of
@@ -321,11 +284,6 @@ pub fn decode_slab_entries(buf: &[u8], pages_per_block: usize) -> Box<[Option<Pp
     (0..eps)
         .map(|i| decode_opt_ppa(get_u64(buf, i * 8), pages_per_block))
         .collect()
-}
-
-/// Which slab an LPN's mapping entry lives in.
-pub fn slab_of(lpn: Lpn, page_size: usize) -> usize {
-    (lpn as usize) / entries_per_slab(page_size)
 }
 
 #[cfg(test)]
@@ -490,38 +448,14 @@ mod tests {
     }
 
     #[test]
-    fn slab_roundtrip() {
-        let page_size = 512;
-        let eps = entries_per_slab(page_size);
-        let mut l2p: Vec<Option<Ppa>> = vec![None; eps * 2];
-        l2p[3] = Some(Ppa::new(1, 1));
-        l2p[eps] = Some(Ppa::new(2, 7));
-        let slab0 = encode_slab(&l2p, 0, page_size, PPB);
-        let slab1 = encode_slab(&l2p, 1, page_size, PPB);
-        let mut out: Vec<Option<Ppa>> = vec![None; eps * 2];
-        decode_slab(&mut out, 0, &slab0, PPB);
-        decode_slab(&mut out, 1, &slab1, PPB);
-        assert_eq!(out, l2p);
-    }
-
-    #[test]
-    fn slab_of_partitions_lpns() {
+    fn short_slab_padded_with_unmapped() {
+        // A translation page covers more entries than a short last slab
+        // holds; the excess encodes as unmapped.
         let ps = 512;
-        let eps = entries_per_slab(ps) as u64;
-        assert_eq!(slab_of(0, ps), 0);
-        assert_eq!(slab_of(eps - 1, ps), 0);
-        assert_eq!(slab_of(eps, ps), 1);
-    }
-
-    #[test]
-    fn short_l2p_padded_with_unmapped() {
-        // A slab page can cover more entries than the table holds; the
-        // excess encodes as unmapped and decodes without overrunning.
-        let ps = 512;
-        let l2p = vec![Some(Ppa::new(0, 1)); 3];
-        let slab = encode_slab(&l2p, 0, ps, PPB);
-        let mut out = vec![None; 3];
-        decode_slab(&mut out, 0, &slab, PPB);
-        assert_eq!(out, l2p);
+        let entries = vec![Some(Ppa::new(0, 1)); 3];
+        let out = decode_slab_entries(&encode_slab_entries(&entries, ps, PPB), PPB);
+        assert_eq!(out.len(), entries_per_slab(ps));
+        assert_eq!(&out[..3], entries.as_slice());
+        assert!(out[3..].iter().all(Option::is_none));
     }
 }

@@ -7,12 +7,11 @@
 //! the chip's channel queue: writes in one batch stripe across channels and
 //! overlap, which is where the multi-channel S830 numbers come from.
 
-use xftl_flash::{FlashChip, Nanos, PageKind, SimClock};
+use xftl_flash::{FlashChip, Nanos, SimClock};
 
 use crate::base::{FtlBase, NoHook};
 use crate::dev::{BlockDevice, CmdId, CmdQueue, DevCounters, IoCmd, Lpn};
 use crate::error::Result;
-use crate::health::DeviceState;
 use crate::stats::FtlStats;
 
 /// A plain page-mapping FTL device.
@@ -32,20 +31,10 @@ impl PageMappedFtl {
     }
 
     /// Rebuilds the device from flash after a power loss, replaying
-    /// post-checkpoint writes, then persists the recovered state. A
-    /// device that reached end-of-life read-only mode skips the persist
-    /// step: the replayed mapping stays in RAM (re-recovery replays the
-    /// same log), and reads keep working.
+    /// post-checkpoint writes, then persists the recovered state.
     pub fn recover(chip: FlashChip) -> Result<Self> {
         let (mut base, log) = FtlBase::recover(chip)?;
-        for e in &log.events {
-            if e.kind == PageKind::Data && e.tid == 0 {
-                base.apply_event(e.lpn, e.ppa)?;
-            }
-        }
-        if base.device_state() != DeviceState::ReadOnly {
-            base.checkpoint(&mut NoHook)?;
-        }
+        base.finish_recovery(&log, Vec::new())?;
         Ok(PageMappedFtl {
             base,
             queue: CmdQueue::default(),

@@ -27,10 +27,9 @@ use std::collections::HashMap;
 use xftl_flash::{FlashChip, Oob, PageKind, Ppa, SimClock};
 use xftl_trace::{OpClass, Recorder};
 
-use crate::base::{FtlBase, GcHook, NoHook, RecoveryLog};
+use crate::base::{FtlBase, GcHook, RecoveryLog};
 use crate::dev::{BlockDevice, CommitTicket, DevCounters, Lpn, Tid, TxBlockDevice};
 use crate::error::{DevError, Result};
-use crate::health::DeviceState;
 use crate::stats::FtlStats;
 
 /// Cycle-closing flag in the auxiliary OOB word; the low 31 bits hold the
@@ -81,12 +80,7 @@ impl TxFlashFtl {
     /// `n`) are rolled forward; incomplete cycles vanish.
     pub fn recover(chip: FlashChip) -> Result<Self> {
         let (mut base, log) = FtlBase::recover(chip)?;
-        Self::replay(&mut base, &log)?;
-        // A device in end-of-life read-only mode cannot persist the
-        // recovered state; the replayed mapping serves reads from RAM.
-        if base.device_state() != DeviceState::ReadOnly {
-            base.checkpoint(&mut NoHook)?;
-        }
+        base.finish_recovery(&log, Self::closed_cycle_folds(&log))?;
         Ok(TxFlashFtl {
             base,
             pending: HashMap::new(),
@@ -94,7 +88,9 @@ impl TxFlashFtl {
         })
     }
 
-    fn replay(base: &mut FtlBase, log: &RecoveryLog) -> Result<()> {
+    /// The folds the complete cycles in `log` commit, each at its
+    /// closing page's sequence.
+    fn closed_cycle_folds(log: &RecoveryLog) -> Vec<(u64, Lpn, Ppa)> {
         // Group each tid's pages into *runs*: a run ends at a cycle-closing
         // page, so a reused transaction id yields separate runs, each
         // judged on its own. GC may duplicate positions (relocated copies
@@ -104,17 +100,13 @@ impl TxFlashFtl {
         // plain roll-forward events at the *close* sequence. Runs that
         // closed before the checkpoint are already covered by the
         // checkpointed L2P and are skipped.
-        type Run = Vec<(u64, crate::dev::Lpn, Ppa, u32)>; // (seq, lpn, ppa, pos)
+        type Run = Vec<(u64, Lpn, Ppa, u32)>; // (seq, lpn, ppa, pos)
         let mut open: HashMap<Tid, Run> = HashMap::new();
-        let mut folds: Vec<(u64, crate::dev::Lpn, Ppa)> = Vec::new();
+        let mut folds = Vec::new();
         for e in &log.events {
             match e.kind {
-                PageKind::Data if e.tid == 0 && e.seq > log.ckpt_seq => {
-                    folds.push((e.seq, e.lpn, e.ppa));
-                }
                 PageKind::Data if e.tid == 0 => {
-                    // Non-transactional write already covered by the
-                    // checkpointed L2P.
+                    // Plain write: the engine's own roll-forward.
                 }
                 PageKind::Data if e.seq <= log.tx_horizon => {
                     // A dead transaction from an earlier life: its cycle
@@ -136,7 +128,7 @@ impl TxFlashFtl {
                         let complete = seen.iter().skip(1).all(|&s| s);
                         if complete && close_seq > log.ckpt_seq {
                             // Latest version per lpn within the run.
-                            let mut newest: HashMap<crate::dev::Lpn, (u64, Ppa)> = HashMap::new();
+                            let mut newest: HashMap<Lpn, (u64, Ppa)> = HashMap::new();
                             for (seq, lpn, ppa, _) in run {
                                 let slot = newest.entry(lpn).or_insert((seq, ppa));
                                 if seq > slot.0 {
@@ -152,11 +144,7 @@ impl TxFlashFtl {
                 _ => {}
             }
         }
-        folds.sort_by_key(|&(seq, _, _)| seq);
-        for (_, lpn, ppa) in folds {
-            base.apply_event(lpn, ppa)?;
-        }
-        Ok(())
+        folds
     }
 
     /// Programs the buffered page of `tid` with the given link word.
@@ -169,9 +157,12 @@ impl TxFlashFtl {
         };
         let position = self.hook.programmed.get(&tid).map_or(0, Vec::len) as u32 + 1;
         let aux = if close { CLOSE | position } else { position };
-        let ppa =
-            self.base
-                .program_raw_aux(PageKind::Data, lpn, tid, aux, &data, &mut self.hook)?;
+        let oob = Oob {
+            tid,
+            aux,
+            ..Oob::data(lpn)
+        };
+        let (ppa, _) = self.base.program_raw(oob, &data, 0, true, &mut self.hook)?;
         self.hook
             .programmed
             .entry(tid)

@@ -62,17 +62,6 @@ impl ValidityMap {
     pub fn valid_in_block(&self, block: u32) -> u32 {
         self.counts[block as usize]
     }
-
-    /// Total valid pages on the device.
-    pub fn total_valid(&self) -> u64 {
-        self.counts.iter().map(|&c| c as u64).sum()
-    }
-
-    /// Clears every bit (used when recovery rebuilds state from flash).
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-        self.counts.fill(0);
-    }
 }
 
 #[cfg(test)]
@@ -113,16 +102,5 @@ mod tests {
         assert_eq!(v.valid_in_block(0), 2);
         assert_eq!(v.valid_in_block(1), 0);
         assert_eq!(v.valid_in_block(2), 1);
-        assert_eq!(v.total_valid(), 3);
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut v = ValidityMap::new(2, 8);
-        v.mark_valid(Ppa::new(0, 0));
-        v.mark_valid(Ppa::new(1, 5));
-        v.clear();
-        assert_eq!(v.total_valid(), 0);
-        assert!(!v.is_valid(Ppa::new(0, 0)));
     }
 }

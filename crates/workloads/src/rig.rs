@@ -71,17 +71,21 @@ pub enum Profile {
     S830,
 }
 
-/// A device of any FTL personality behind its SATA link.
+/// A device of any FTL personality — by default each behind its SATA
+/// link, which is what the rig builds. The forwarding below is generic
+/// over the three slots, so a test harness that wraps the personalities
+/// differently (say, in the shadow oracle) reuses it instead of
+/// hand-copying it and forgetting a defaulted method.
 #[derive(Debug)]
 #[allow(missing_docs)]
 // One AnyDev exists per rig, never in collections; boxing the X-FTL
 // variant (whose commit-pipeline state tips the size ratio) would only
 // add indirection to every forwarded device call.
 #[allow(clippy::large_enum_variant)]
-pub enum AnyDev {
-    Plain(SataLink<PageMappedFtl>),
-    X(SataLink<XFtl>),
-    AtomicW(SataLink<AtomicWriteFtl>),
+pub enum AnyDev<P = SataLink<PageMappedFtl>, T = SataLink<XFtl>, A = SataLink<AtomicWriteFtl>> {
+    Plain(P),
+    X(T),
+    AtomicW(A),
 }
 
 macro_rules! fwd {
@@ -94,7 +98,7 @@ macro_rules! fwd {
     };
 }
 
-impl BlockDevice for AnyDev {
+impl<P: BlockDevice, T: BlockDevice, A: BlockDevice> BlockDevice for AnyDev<P, T, A> {
     fn page_size(&self) -> usize {
         fwd!(self, d => d.page_size())
     }
@@ -124,12 +128,15 @@ impl BlockDevice for AnyDev {
     }
 }
 
-/// The rig erases the FTL personality behind an enum, so the compile-time
-/// `TxBlockDevice` capability becomes a rig-level invariant instead: only
-/// [`AnyDev::X`] actually speaks the transactional commands, and the rig
-/// builds `Off`-mode volumes only over that personality. Reaching a tx
-/// command on another personality is a rig configuration bug and panics.
-impl TxBlockDevice for AnyDev {
+/// The enum erases the FTL personality, so the compile-time
+/// `TxBlockDevice` capability becomes an invariant of whoever builds it:
+/// only [`AnyDev::X`] actually speaks the transactional commands, and the
+/// rig builds `Off`-mode volumes only over that personality. Reaching a tx
+/// command on another personality is a configuration bug and panics.
+/// Every method is forwarded, the defaulted ones included — a wrapper
+/// that lets `begin` fall back to the trait's no-op silently degrades
+/// snapshot reads to read-committed.
+impl<P: BlockDevice, T: TxBlockDevice, A: BlockDevice> TxBlockDevice for AnyDev<P, T, A> {
     fn begin(&mut self, tid: Tid) -> Result<()> {
         self.x().begin(tid)
     }
@@ -156,15 +163,17 @@ impl TxBlockDevice for AnyDev {
     }
 }
 
-impl AnyDev {
+impl<P, T, A> AnyDev<P, T, A> {
     /// The one personality that speaks the transactional commands.
-    fn x(&mut self) -> &mut SataLink<XFtl> {
+    fn x(&mut self) -> &mut T {
         match self {
             AnyDev::X(d) => d,
             _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
         }
     }
+}
 
+impl AnyDev {
     /// The shared FTL engine of whichever personality is inside.
     fn base(&self) -> &FtlBase {
         fwd!(self, d => d.inner().base())

@@ -20,6 +20,10 @@ use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::PageMappedFtl;
 #[cfg(feature = "verify")]
 use xftl_verify::ShadowDevice;
+use xftl_workloads::AnyDev;
+
+mod common;
+use common::{ftl, ftl_mut, recover_with, wrap, Checked};
 
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
@@ -44,131 +48,24 @@ fn background_faults() -> FaultPlan {
 }
 
 // --- verify wiring ------------------------------------------------------
-// With the `verify` feature, both device personalities run behind the
-// shadow oracle for the whole sweep: every command the FS/DB stack issues
-// is mirrored into the reference model, every read is checked against the
-// worlds the crash semantics allow, and each recovery ends with a
-// durability sweep plus a flash-physics audit. Without the feature, the
-// aliases collapse to the bare FTLs and the helpers are identities.
+// Both device personalities run behind `common::Checked` for the whole
+// sweep (the shadow oracle under `--features verify`, the bare FTL
+// otherwise), erased behind the rig's forwarding enum.
 
-#[cfg(feature = "verify")]
-type PlainDev = ShadowDevice<PageMappedFtl>;
-#[cfg(not(feature = "verify"))]
-type PlainDev = PageMappedFtl;
+type PlainDev = Checked<PageMappedFtl>;
+type XDev = Checked<XFtl>;
+/// The enum's third slot is never built here; giving it the plain type
+/// lets every match stay total with an or-pattern.
+type Dev = AnyDev<PlainDev, XDev, PlainDev>;
 
-#[cfg(feature = "verify")]
-type XDev = ShadowDevice<XFtl>;
-#[cfg(not(feature = "verify"))]
-type XDev = XFtl;
-
-fn wrap_plain(d: PageMappedFtl) -> PlainDev {
-    #[cfg(feature = "verify")]
-    {
-        ShadowDevice::new(d)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn wrap_x(d: XFtl) -> XDev {
-    #[cfg(feature = "verify")]
-    {
-        ShadowDevice::new(d)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn plain_ftl(d: &PlainDev) -> &PageMappedFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn plain_ftl_mut(d: &mut PlainDev) -> &mut PageMappedFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner_mut()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn x_ftl(d: &XDev) -> &XFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn x_ftl_mut(d: &mut XDev) -> &mut XFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner_mut()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-/// Recovers a crashed device. Under `verify` the oracle carries its model
-/// across the power cycle, sweeps the committed image for durability, and
-/// audits the flash metadata before handing the device back.
 fn recover_plain(d: PlainDev) -> PlainDev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = d.into_parts();
-        let recovered = PageMappedFtl::recover(inner.into_chip()).unwrap();
-        let mut dev = ShadowDevice::resume(recovered, model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        PageMappedFtl::recover(d.into_chip()).unwrap()
-    }
+    recover_with(d, PageMappedFtl::into_chip, |chip| {
+        PageMappedFtl::recover(chip).unwrap()
+    })
 }
 
 fn recover_x(d: XDev) -> XDev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = d.into_parts();
-        let recovered = XFtl::recover(inner.into_chip()).unwrap();
-        let mut dev = ShadowDevice::resume(recovered, model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        XFtl::recover(d.into_chip()).unwrap()
-    }
-}
-
-#[derive(Debug)]
-// One Dev per test scenario, never in collections; the X-FTL variant's
-// commit-pipeline state tips clippy's size ratio.
-#[allow(clippy::large_enum_variant)]
-enum Dev {
-    Plain(PlainDev),
-    X(XDev),
+    recover_with(d, XFtl::into_chip, |chip| XFtl::recover(chip).unwrap())
 }
 
 fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
@@ -176,8 +73,8 @@ fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
     let mut chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock.clone());
     chip.set_fault_plan(background_faults());
     let dev = match mode {
-        DbJournalMode::Off => Dev::X(wrap_x(XFtl::format(chip, LOGICAL).unwrap())),
-        _ => Dev::Plain(wrap_plain(PageMappedFtl::format(chip, LOGICAL).unwrap())),
+        DbJournalMode::Off => Dev::X(wrap(XFtl::format(chip, LOGICAL).unwrap())),
+        _ => Dev::Plain(wrap(PageMappedFtl::format(chip, LOGICAL).unwrap())),
     };
     let fs_mode = if mode == DbJournalMode::Off {
         JournalMode::Off
@@ -197,119 +94,6 @@ fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
     }
     .unwrap();
     (Rc::new(RefCell::new(fs)), clock)
-}
-
-// Forward the device traits through the enum.
-mod devimpl {
-    use super::Dev;
-    use xftl_ftl::{
-        BlockDevice, CmdId, CommitTicket, DevCounters, IoCmd, Lpn, Result, Tid, TxBlockDevice,
-    };
-
-    impl BlockDevice for Dev {
-        fn page_size(&self) -> usize {
-            match self {
-                Dev::Plain(d) => d.page_size(),
-                Dev::X(d) => d.page_size(),
-            }
-        }
-        fn capacity_pages(&self) -> u64 {
-            match self {
-                Dev::Plain(d) => d.capacity_pages(),
-                Dev::X(d) => d.capacity_pages(),
-            }
-        }
-        fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            match self {
-                Dev::Plain(d) => d.read(lpn, buf),
-                Dev::X(d) => d.read(lpn, buf),
-            }
-        }
-        fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            match self {
-                Dev::Plain(d) => d.write(lpn, buf),
-                Dev::X(d) => d.write(lpn, buf),
-            }
-        }
-        fn trim(&mut self, lpn: Lpn) -> Result<()> {
-            match self {
-                Dev::Plain(d) => d.trim(lpn),
-                Dev::X(d) => d.trim(lpn),
-            }
-        }
-        fn flush(&mut self) -> Result<()> {
-            match self {
-                Dev::Plain(d) => d.flush(),
-                Dev::X(d) => d.flush(),
-            }
-        }
-        fn counters(&self) -> DevCounters {
-            match self {
-                Dev::Plain(d) => d.counters(),
-                Dev::X(d) => d.counters(),
-            }
-        }
-        fn submit(&mut self, cmds: &[IoCmd<'_>]) -> Result<CmdId> {
-            match self {
-                Dev::Plain(d) => d.submit(cmds),
-                Dev::X(d) => d.submit(cmds),
-            }
-        }
-        fn complete_until(&mut self, barrier: CmdId) -> Result<()> {
-            match self {
-                Dev::Plain(d) => d.complete_until(barrier),
-                Dev::X(d) => d.complete_until(barrier),
-            }
-        }
-    }
-
-    /// The enum erases the compile-time tx capability, so this impl
-    /// reintroduces it at runtime: `build` only pairs `Off` mode with the
-    /// `X` personality, and only `Off` mode issues these commands.
-    impl TxBlockDevice for Dev {
-        fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            match self {
-                Dev::X(d) => d.read_tx(tid, lpn, buf),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            match self {
-                Dev::X(d) => d.write_tx(tid, lpn, buf),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
-            match self {
-                Dev::X(d) => d.commit_submit(tid),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-            match self {
-                Dev::X(d) => d.commit_wait(ticket),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn commit(&mut self, tid: Tid) -> Result<()> {
-            match self {
-                Dev::X(d) => d.commit(tid),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn abort(&mut self, tid: Tid) -> Result<()> {
-            match self {
-                Dev::X(d) => d.abort(tid),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-        fn submit_tx(&mut self, tid: Tid, pages: &[(Lpn, &[u8])]) -> Result<CmdId> {
-            match self {
-                Dev::X(d) => d.submit_tx(tid, pages),
-                Dev::Plain(_) => panic!("test bug: tx command on the page-mapping personality"),
-            }
-        }
-    }
 }
 
 /// Runs the fixed schedule with a fuse armed after `fuse` operations.
@@ -334,10 +118,11 @@ fn run_until_crash(
     // measured batches.
     {
         let mut fsb = fs.borrow_mut();
-        match fsb.device_mut() {
-            Dev::Plain(d) => plain_ftl_mut(d).base_mut().chip_mut().arm_power_fuse(fuse),
-            Dev::X(d) => x_ftl_mut(d).base_mut().chip_mut().arm_power_fuse(fuse),
-        }
+        let base = match fsb.device_mut() {
+            Dev::Plain(d) | Dev::AtomicW(d) => ftl_mut(d).base_mut(),
+            Dev::X(d) => ftl_mut(d).base_mut(),
+        };
+        base.chip_mut().arm_power_fuse(fuse);
     }
     let mut committed = 0u32;
     for batch in 0..12i64 {
@@ -369,10 +154,10 @@ fn crash_sweep(mode: DbJournalMode) {
     let total_ops = {
         let fsb = fs.borrow();
         match fsb.device() {
-            Dev::Plain(d) => {
-                plain_ftl(d).flash_stats().programs + plain_ftl(d).flash_stats().erases
+            Dev::Plain(d) | Dev::AtomicW(d) => {
+                ftl(d).flash_stats().programs + ftl(d).flash_stats().erases
             }
-            Dev::X(d) => x_ftl(d).flash_stats().programs + x_ftl(d).flash_stats().erases,
+            Dev::X(d) => ftl(d).flash_stats().programs + ftl(d).flash_stats().erases,
         }
     };
     // Sweep fuse positions across the whole run.
@@ -388,7 +173,7 @@ fn crash_sweep(mode: DbJournalMode) {
             let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
             let dev = fs_inner.into_device();
             let dev = match dev {
-                Dev::Plain(d) => Dev::Plain(recover_plain(d)),
+                Dev::Plain(d) | Dev::AtomicW(d) => Dev::Plain(recover_plain(d)),
                 Dev::X(d) => Dev::X(recover_x(d)),
             };
             let fs = if mode == DbJournalMode::Off {
@@ -420,6 +205,35 @@ fn crash_sweep(mode: DbJournalMode) {
     );
 }
 
+/// The forwarding enum must carry the *defaulted* transactional commands
+/// too: a wrapper that lets `begin` fall back to the trait's no-op hands
+/// out snapshot transactions that silently read committed state.
+#[test]
+fn snapshot_begun_through_the_enum_isolates_its_reader() {
+    let (fs, _clock) = build(DbJournalMode::Off);
+    let mut fs = fs.borrow_mut();
+    let ps = fs.page_size();
+    let ino = fs.create("snap.dat").unwrap();
+    fs.write(ino, 0, &vec![1u8; ps], None).unwrap();
+    fs.sync_all().unwrap();
+    let reader = fs.begin_tx_concurrent().unwrap();
+    let writer = fs.begin_tx_concurrent().unwrap();
+    fs.write(ino, 0, &vec![2u8; ps], Some(writer)).unwrap();
+    fs.fsync(ino, Some(writer)).unwrap();
+    let mut buf = vec![0u8; ps];
+    fs.read(ino, 0, &mut buf, Some(reader)).unwrap();
+    assert!(
+        buf.iter().all(|&b| b == 1),
+        "a concurrent commit leaked into the snapshot"
+    );
+    fs.fsync(ino, Some(reader)).unwrap();
+    fs.read(ino, 0, &mut buf, None).unwrap();
+    assert!(
+        buf.iter().all(|&b| b == 2),
+        "the committed overwrite is lost"
+    );
+}
+
 #[test]
 fn crash_sweep_rollback_mode() {
     crash_sweep(DbJournalMode::Rollback);
@@ -435,6 +249,25 @@ fn crash_sweep_xftl_mode() {
     crash_sweep(DbJournalMode::Off);
 }
 
+/// Recovers `chip` with the first attempts dying partway through
+/// (recovery itself writes: roll-forward checkpoint, meta pages), then
+/// once more uninterrupted.
+fn recover_through_crashes<D>(
+    mut chip: FlashChip,
+    recover: impl Fn(FlashChip) -> xftl_ftl::Result<D>,
+) -> D {
+    for recovery_fuse in [2u64, 5, 9] {
+        chip.power_cycle();
+        chip.arm_power_fuse(recovery_fuse);
+        // Whether this attempt survives its fuse or dies, retry on the
+        // same flash image until one completes.
+        drop(recover(chip.clone()));
+    }
+    chip.power_cycle();
+    chip.disarm_power_fuse();
+    recover(chip).unwrap()
+}
+
 /// Crash *during recovery* (the fuse fires while the recovered device is
 /// re-checkpointing), then recover again: the second recovery must still
 /// produce exactly the committed state — recovery is idempotent under
@@ -448,56 +281,15 @@ fn crash_during_recovery_is_idempotent() {
         let (committed, crashed) = run_until_crash(&fs, mode, fuse);
         assert!(crashed, "{fuse}-op fuse must fire mid-schedule ({mode:?})");
         let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
-        #[cfg(feature = "verify")]
-        let (mut chip, model) = match fs_inner.into_device() {
-            Dev::Plain(d) => {
-                let (ftl, model) = d.into_parts();
-                (ftl.into_chip(), model)
+        let dev = match fs_inner.into_device() {
+            Dev::Plain(d) | Dev::AtomicW(d) => {
+                Dev::Plain(recover_with(d, PageMappedFtl::into_chip, |chip| {
+                    recover_through_crashes(chip, PageMappedFtl::recover)
+                }))
             }
-            Dev::X(d) => {
-                let (ftl, model) = d.into_parts();
-                (ftl.into_chip(), model)
-            }
-        };
-        #[cfg(not(feature = "verify"))]
-        let mut chip = match fs_inner.into_device() {
-            Dev::Plain(d) => d.into_chip(),
-            Dev::X(d) => d.into_chip(),
-        };
-        // First recovery attempt dies partway through (recovery itself
-        // writes: roll-forward checkpoint, meta pages).
-        for recovery_fuse in [2u64, 5, 9] {
-            chip.power_cycle();
-            chip.arm_power_fuse(recovery_fuse);
-            // Whether this attempt survives its fuse or dies, retry on
-            // the same flash image until one completes.
-            match mode {
-                DbJournalMode::Off => drop(XFtl::recover(chip.clone())),
-                _ => drop(PageMappedFtl::recover(chip.clone())),
-            }
-        }
-        // Final, uninterrupted recovery.
-        chip.power_cycle();
-        chip.disarm_power_fuse();
-        #[cfg(feature = "verify")]
-        let dev = match mode {
-            DbJournalMode::Off => {
-                let mut d = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-                d.verify_recovered();
-                d.audit();
-                Dev::X(d)
-            }
-            _ => {
-                let mut d = ShadowDevice::resume(PageMappedFtl::recover(chip).unwrap(), model);
-                d.verify_recovered();
-                d.audit();
-                Dev::Plain(d)
-            }
-        };
-        #[cfg(not(feature = "verify"))]
-        let dev = match mode {
-            DbJournalMode::Off => Dev::X(XFtl::recover(chip).unwrap()),
-            _ => Dev::Plain(PageMappedFtl::recover(chip).unwrap()),
+            Dev::X(d) => Dev::X(recover_with(d, XFtl::into_chip, |chip| {
+                recover_through_crashes(chip, XFtl::recover)
+            })),
         };
         let fs = if mode == DbJournalMode::Off {
             FileSystem::mount_tx(dev, JournalMode::Off, 256)
@@ -955,8 +747,8 @@ fn crash_mid_scrub_relocation_sweep() {
     let mut cut_mid_scrub = 0u32;
     for fuse in 1..=20u64 {
         let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
-        let mut dev = wrap_x(XFtl::format(chip, 48).unwrap());
-        x_ftl_mut(&mut dev)
+        let mut dev = wrap(XFtl::format(chip, 48).unwrap());
+        ftl_mut(&mut dev)
             .base_mut()
             .set_scrub_config(Some(ScrubConfig {
                 read_threshold: 50,
@@ -979,12 +771,9 @@ fn crash_mid_scrub_relocation_sweep() {
         // The next write's GC tick fires the scrubber; the fuse lands
         // somewhere inside the relocation (or, for late positions, in
         // the host write after it).
-        x_ftl_mut(&mut dev)
-            .base_mut()
-            .chip_mut()
-            .arm_power_fuse(fuse);
+        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
         let died = dev.write(9, &vec![0xAB; ps]).is_err();
-        let stats = *x_ftl(&dev).base().stats();
+        let stats = *ftl(&dev).base().stats();
         if died && stats.scrub_copies > 0 && stats.scrub_runs == 0 {
             cut_mid_scrub += 1;
         }
@@ -1018,7 +807,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     use xftl_ftl::{BlockDevice, DevError, DeviceState};
 
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = wrap_x(XFtl::format(chip, 48).unwrap());
+    let mut dev = wrap(XFtl::format(chip, 48).unwrap());
     let ps = dev.page_size();
     for lpn in 0..8u64 {
         let fill = u8::try_from(lpn).unwrap() + 1;
@@ -1033,24 +822,21 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     for _ in 0..28 {
         plan = plan.trigger(FaultTrigger::new(FaultKind::EraseFail));
     }
-    x_ftl_mut(&mut dev)
-        .base_mut()
-        .chip_mut()
-        .set_fault_plan(plan);
+    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(plan);
     let mut i = 0u64;
-    while x_ftl(&dev).base().device_state() == DeviceState::Healthy {
+    while ftl(&dev).base().device_state() == DeviceState::Healthy {
         let fill = (i % 100) as u8;
         dev.write(8 + (i % 8), &vec![fill; ps]).unwrap();
         i += 1;
         assert!(i < 100_000, "retirements never degraded the device");
     }
-    assert_eq!(x_ftl(&dev).base().device_state(), DeviceState::Degraded);
+    assert_eq!(ftl(&dev).base().device_state(), DeviceState::Degraded);
 
     // Two back-to-back recoveries: Degraded persists through both (via
     // the meta root and, independently, the bad-block census).
     let mut dev = recover_x(recover_x(dev));
     assert_eq!(
-        x_ftl(&dev).base().device_state(),
+        ftl(&dev).base().device_state(),
         DeviceState::Degraded,
         "Degraded state lost across double recovery"
     );
@@ -1058,7 +844,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     dev.write(8, &vec![0x77; ps]).unwrap();
 
     // Stage 2: every further erase fails; the pool drains to read-only.
-    x_ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
+    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
         FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
     );
     let mut i = 0u64;
@@ -1073,11 +859,11 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
         }
         assert!(i < 100_000, "pool exhaustion never went read-only");
     }
-    assert_eq!(x_ftl(&dev).base().device_state(), DeviceState::ReadOnly);
+    assert_eq!(ftl(&dev).base().device_state(), DeviceState::ReadOnly);
 
     let mut dev = recover_x(recover_x(dev));
     assert_eq!(
-        x_ftl(&dev).base().device_state(),
+        ftl(&dev).base().device_state(),
         DeviceState::ReadOnly,
         "ReadOnly state lost across double recovery"
     );

@@ -22,8 +22,9 @@ use xftl_flash::{
     AgingModel, FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, SimClock,
 };
 use xftl_ftl::{BlockDevice, DevError, DeviceState, ScrubConfig, ScrubReason, TxBlockDevice};
-#[cfg(feature = "verify")]
-use xftl_verify::ShadowDevice;
+
+mod common;
+use common::{audit, ftl, ftl_mut, recover_with, verify_recovered, wrap, Checked};
 
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
@@ -37,73 +38,18 @@ fn fault_seed() -> u64 {
         .unwrap_or(0xFA17_B10C)
 }
 
-// --- verify wiring ------------------------------------------------------
-
-#[cfg(feature = "verify")]
-type Dev = ShadowDevice<XFtl>;
-#[cfg(not(feature = "verify"))]
-type Dev = XFtl;
-
-fn wrap(d: XFtl) -> Dev {
-    #[cfg(feature = "verify")]
-    {
-        ShadowDevice::new(d)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn ftl(d: &Dev) -> &XFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn ftl_mut(d: &mut Dev) -> &mut XFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner_mut()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
+type Dev = Checked<XFtl>;
 
 /// Power-cycles and recovers the device; `arm` may install a fault plan on
 /// the cold chip so the faults hit recovery's own replay reads/writes.
-/// Under `verify` the oracle model rides across the cycle, sweeps the
-/// committed image, and audits the flash metadata.
 fn power_cycle_and_recover(d: Dev, arm: Option<FaultPlan>) -> Dev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = d.into_parts();
-        let mut chip = inner.into_chip();
-        chip.power_cycle();
-        if let Some(plan) = arm {
-            chip.set_fault_plan(plan);
-        }
-        let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        let mut chip = d.into_chip();
+    recover_with(d, XFtl::into_chip, |mut chip| {
         chip.power_cycle();
         if let Some(plan) = arm {
             chip.set_fault_plan(plan);
         }
         XFtl::recover(chip).unwrap()
-    }
+    })
 }
 
 /// Where in the schedule the fault trigger is armed.
@@ -237,8 +183,7 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
         assert_eq!(chip.retired_blocks().len(), 1, "{ctx}: no block retired");
         assert!(ftl(&dev).base().is_bad_block(chip.retired_blocks()[0]));
     }
-    #[cfg(feature = "verify")]
-    dev.audit();
+    audit(&dev);
 }
 
 const KINDS: [FaultKind; 4] = [
@@ -349,8 +294,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
             dev.read(lpn, &mut buf).unwrap();
             assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost its committed value");
         }
-        #[cfg(feature = "verify")]
-        dev.audit();
+        audit(&dev);
         let mut dev = power_cycle_and_recover(dev, None);
         for lpn in 0..8u64 {
             dev.read(lpn, &mut buf).unwrap();
@@ -450,11 +394,8 @@ fn fault_matrix_end_of_life_read_only() {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect(lpn), "lpn {lpn} lost at transition");
     }
-    #[cfg(feature = "verify")]
-    {
-        dev.verify_recovered();
-        dev.audit();
-    }
+    verify_recovered(&mut dev);
+    audit(&dev);
 
     // ... and across a power cycle: recovery succeeds on a read-only
     // device and the persisted state holds.
@@ -543,6 +484,5 @@ fn fault_soak_background_rates() {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect[lpn as usize], "lpn {lpn} corrupted");
     }
-    #[cfg(feature = "verify")]
-    dev.audit();
+    audit(&dev);
 }

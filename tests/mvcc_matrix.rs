@@ -28,9 +28,10 @@ use xftl_core::XFtl;
 use xftl_db::DbError;
 use xftl_flash::{FlashChip, FlashConfig, SimClock};
 use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
-#[cfg(feature = "verify")]
-use xftl_verify::ShadowDevice;
 use xftl_workloads::{concurrent_fill, ConcurrentPlan, Mode, Rig, RigConfig};
+
+mod common;
+use common::{ftl, recover_with, wrap, Checked};
 
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
@@ -44,34 +45,7 @@ fn mvcc_seed() -> u64 {
         .unwrap_or(0x4D5F_CC13)
 }
 
-// --- verify wiring ------------------------------------------------------
-
-#[cfg(feature = "verify")]
-type Dev = ShadowDevice<XFtl>;
-#[cfg(not(feature = "verify"))]
-type Dev = XFtl;
-
-fn wrap(d: XFtl) -> Dev {
-    #[cfg(feature = "verify")]
-    {
-        ShadowDevice::new(d)
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
-
-fn ftl(d: &Dev) -> &XFtl {
-    #[cfg(feature = "verify")]
-    {
-        d.inner()
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        d
-    }
-}
+type Dev = Checked<XFtl>;
 
 fn dev() -> Dev {
     let clock = SimClock::new();
@@ -80,22 +54,10 @@ fn dev() -> Dev {
 }
 
 fn power_cycle_and_recover(d: Dev) -> Dev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = d.into_parts();
-        let mut chip = inner.into_chip();
-        chip.power_cycle();
-        let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        let mut chip = d.into_chip();
+    recover_with(d, XFtl::into_chip, |mut chip| {
         chip.power_cycle();
         XFtl::recover(chip).unwrap()
-    }
+    })
 }
 
 // --- the device-level schedule runner -----------------------------------

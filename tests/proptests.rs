@@ -27,6 +27,9 @@ use xftl_flash::{FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, Sim
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, TxBlockDevice, TxFlashFtl};
 
+mod common;
+use common::{recover_with, wrap, Checked};
+
 /// One generator per (family, case): fully determined by the pair, so any
 /// failing case replays from its printed seed alone.
 fn case_rng(family: u64, case: u64) -> StdRng {
@@ -423,63 +426,28 @@ fn resolve_crash_world<D: BlockDevice>(
 // followed by a durability sweep plus a flash-physics audit. The op
 // loops below are oblivious to the wrapping — they only use the device
 // traits, which the wrapper forwards.
-#[cfg(feature = "verify")]
-use xftl_verify::ShadowDevice;
-
-#[cfg(feature = "verify")]
-type XDev = ShadowDevice<XFtl>;
-#[cfg(not(feature = "verify"))]
-type XDev = XFtl;
+type XDev = Checked<XFtl>;
 
 fn x_format(chip: FlashChip, logical: u64, xl2p_cap: usize) -> XDev {
-    let dev = XFtl::format_with_capacity(chip, logical, xl2p_cap).unwrap();
-    #[cfg(feature = "verify")]
-    let dev = ShadowDevice::new(dev);
-    dev
+    wrap(XFtl::format_with_capacity(chip, logical, xl2p_cap).unwrap())
 }
 
 fn x_crash(dev: XDev, xl2p_cap: usize) -> XDev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = dev.into_parts();
-        let recovered = XFtl::recover_with_capacity(inner.into_chip(), xl2p_cap).unwrap();
-        let mut dev = ShadowDevice::resume(recovered, model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        XFtl::recover_with_capacity(dev.into_chip(), xl2p_cap).unwrap()
-    }
+    recover_with(dev, XFtl::into_chip, |chip| {
+        XFtl::recover_with_capacity(chip, xl2p_cap).unwrap()
+    })
 }
 
-#[cfg(feature = "verify")]
-type TDev = ShadowDevice<TxFlashFtl>;
-#[cfg(not(feature = "verify"))]
-type TDev = TxFlashFtl;
+type TDev = Checked<TxFlashFtl>;
 
 fn t_format(chip: FlashChip, logical: u64) -> TDev {
-    let dev = TxFlashFtl::format(chip, logical).unwrap();
-    #[cfg(feature = "verify")]
-    let dev = ShadowDevice::new(dev);
-    dev
+    wrap(TxFlashFtl::format(chip, logical).unwrap())
 }
 
 fn t_crash(dev: TDev) -> TDev {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = dev.into_parts();
-        let recovered = TxFlashFtl::recover(inner.into_chip()).unwrap();
-        let mut dev = ShadowDevice::resume(recovered, model);
-        dev.verify_recovered();
-        dev.audit();
-        dev
-    }
-    #[cfg(not(feature = "verify"))]
-    {
-        TxFlashFtl::recover(dev.into_chip()).unwrap()
-    }
+    recover_with(dev, TxFlashFtl::into_chip, |chip| {
+        TxFlashFtl::recover(chip).unwrap()
+    })
 }
 
 /// X-FTL's committed state always equals a model where transactional

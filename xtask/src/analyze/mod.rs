@@ -447,15 +447,21 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) {
     }
 }
 
-/// Analyzes the repository rooted at `root`.
-pub fn analyze_repo(root: &Path, cfg: &Config) -> Analysis {
+/// Every scanned source of the repository rooted at `root`, as sorted
+/// (repo-relative path, contents) pairs.
+pub fn repo_sources(root: &Path) -> Vec<(String, String)> {
     let mut sources = Vec::new();
     for sub in SCAN_ROOTS {
         collect_rs(root, &root.join(sub), &mut sources);
     }
     sources.sort();
     sources.dedup_by(|a, b| a.0 == b.0);
-    analyze_sources(&sources, cfg)
+    sources
+}
+
+/// Analyzes the repository rooted at `root`.
+pub fn analyze_repo(root: &Path, cfg: &Config) -> Analysis {
+    analyze_sources(&repo_sources(root), cfg)
 }
 
 /// Mutation self-test: proves every lint live against the fixture

@@ -1,6 +1,6 @@
 //! # xtask — repository automation library
 //!
-//! The binary (`src/main.rs`) is a thin CLI over two subsystems:
+//! The binary (`src/main.rs`) is a thin CLI over three subsystems:
 //!
 //! - [`analyze`] — the `xftl-analyze` static analysis engine: an
 //!   AST-level lint suite encoding X-FTL's domain invariants
@@ -9,8 +9,11 @@
 //!   justified waivers, and a fixture-backed mutation self-test.
 //! - [`benchcheck`] — the perf-regression gate comparing a fresh
 //!   `BENCH_all.json` against the committed `BENCH_BASELINE.json`.
+//! - [`loc`] — code-line accounting (non-test / test lines per crate and
+//!   per file) on the analyzer's lexer and test-boundary pass.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod benchcheck;
+pub mod loc;

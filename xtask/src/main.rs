@@ -15,6 +15,9 @@
 //!   [`xtask::benchcheck`]). `--allow-new` downgrades metrics the
 //!   baseline lacks to warnings so instrumentation can land ahead of a
 //!   baseline re-bless; missing or drifted metrics still fail.
+//! - `loc [ROOT]` — non-test and test code lines per crate and per file
+//!   (see [`xtask::loc`]), of this checkout or of the one at `ROOT` — so
+//!   a "net lines down" claim is one `diff` of two reports.
 //!
 //! Waiver policy, lint catalogue, and the fixture corpus are documented
 //! in DESIGN.md ("Static analysis") and in [`xtask::analyze`].
@@ -27,6 +30,7 @@ use std::process::ExitCode;
 
 use xtask::analyze::{self, Config};
 use xtask::benchcheck;
+use xtask::loc;
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR points at xtask/; the repo root is its parent.
@@ -144,6 +148,11 @@ fn main() -> ExitCode {
                 }
             }
         }
+        Some("loc") => {
+            let root = args.get(2).map_or_else(repo_root, PathBuf::from);
+            print!("{}", loc::render(&loc::loc_repo(&root)));
+            ExitCode::SUCCESS
+        }
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <command>\n\
@@ -154,7 +163,8 @@ fn main() -> ExitCode {
                  \x20 bench-check [fresh] [baseline] [--allow-new]\n\
                  \x20                                  compare bench reports; --allow-new downgrades\n\
                  \x20                                  metrics absent from the baseline to warnings\n\
-                 \x20                                  (defaults: BENCH_all.json BENCH_BASELINE.json)"
+                 \x20                                  (defaults: BENCH_all.json BENCH_BASELINE.json)\n\
+                 \x20 loc [ROOT]                       code / test lines per crate and per file"
             );
             ExitCode::FAILURE
         }
