@@ -160,7 +160,7 @@ pub fn channel_scaling(scale: FioScale) -> String {
     // Commit-pipeline sweep: IOPS vs split-phase queue depth on the
     // X-FTL rig. Depth 1 is the classic blocking fsync; deeper queues
     // overlap tx N+1's writes with tx N's in-flight commit and let the
-    // device coalesce staged commits into one group flush (fewer meta
+    // device coalesce staged commits into one group flush (fewer table
     // programs per commit).
     out.push_str(&format!(
         "Commit pipeline: X-FTL IOPS vs queue depth ({QDEPTH_CHANNELS} channels):\n\n"
@@ -252,7 +252,7 @@ mod tests {
             q1.iops
         );
         // The win must come from group commit actually coalescing: fewer
-        // meta programs than commits.
+        // table programs than commits.
         assert!(q8.ftl.group_commit_flushes > 0, "no group flushes recorded");
         assert!(
             q8.ftl.commits_coalesced > q8.ftl.group_commit_flushes,

@@ -5,33 +5,40 @@
 //! engine. Because the engine is copy-on-write anyway, transactional
 //! atomicity costs almost nothing extra: a `write_tx` is an ordinary
 //! out-of-place page write whose new address is parked in the X-L2P table
-//! instead of the L2P table, and `commit` makes one small table write plus
-//! a meta-root update (Figure 4).
+//! instead of the L2P table, and `commit` makes one small table write
+//! (Figure 4, minus its root-pointer update).
 //!
 //! ## Commit protocol (Figure 4), pipelined
 //!
 //! 1. flip the transaction's X-L2P entries to *Committed* in device RAM;
-//! 2. write the X-L2P table copy-on-write to fresh flash pages and point
-//!    the checkpoint root at it — **this is the durability point**;
+//! 2. write the X-L2P table copy-on-write to fresh flash pages, queued
+//!    behind every program issued so far — **the durability point is the
+//!    completion of the last of them**. Figure 4 then points the meta
+//!    root at the table; here the image is its own commit evidence
+//!    instead (generation id, page index and page count in every page's
+//!    OOB), the recovery scan — which probes every page anyway — finds
+//!    the newest *complete* generation, and no root is written;
 //! 3. re-map the committed LPNs in the L2P table, invalidating the old
 //!    versions (idempotent; recovery re-derives it from step 2's table).
 //!
 //! Old committed versions are invalidated only *after* step 2, so a crash
 //! at any instant leaves either the old committed state or the new one
-//! reachable — never neither.
+//! reachable — never neither: a torn or partial newest generation is
+//! passed over for the previous one, which stays valid until its
+//! successor is completely issued.
 //!
 //! The command set is split-phase: `commit_submit(tid)` performs step 1
 //! only and *stages* the transaction into the current commit group, and
 //! `commit_wait(ticket)` triggers the **group flush** — steps 2 and 3 for
-//! every staged transaction at once, sharing a single X-L2P table write
-//! and a single meta-root program. Between submit and flush the staged
-//! versions are visible (reads are routed through the X-L2P table) but
-//! not durable; the next transaction's data writes stream into the
-//! channel queues underneath the staged commits, which is where the
-//! pipeline's throughput comes from. Any operation that must order after
-//! a staged fold (a plain write/trim to a staged page, a checkpoint, a
-//! flush) forces the group flush first, so the one-writer-at-a-time
-//! semantics of the blocking command are preserved exactly.
+//! every staged transaction at once, sharing a single X-L2P table write.
+//! Between submit and flush the staged versions are visible (reads are
+//! routed through the X-L2P table) but not durable; the next
+//! transaction's data writes stream into the channel queues underneath
+//! the staged commits, which is where the pipeline's throughput comes
+//! from. Any operation that must order after a staged fold (a plain
+//! write/trim to a staged page, a checkpoint, a flush) forces the group
+//! flush first, so the one-writer-at-a-time semantics of the blocking
+//! command are preserved exactly.
 //!
 //! A power loss before the group flush loses every staged transaction
 //! *whole*: the persisted X-L2P table still shows their entries Active
@@ -96,7 +103,8 @@ pub struct RecoveryBreakdown {
     pub total_ns: u64,
     /// Base FTL recovery (checkpoint load + log scan) — the "common" part.
     pub scan_ns: u64,
-    /// X-L2P processing: fold committed entries, persist the result.
+    /// X-L2P processing: read the table image the scan found, fold its
+    /// committed entries, persist the result.
     pub xl2p_ns: u64,
 }
 
@@ -192,17 +200,21 @@ impl XFtl {
         let t0 = clock.now();
         let (mut base, log) = FtlBase::recover(chip)?;
         let t_scan = clock.now();
-        // A committed transaction's pages become current at the instant
-        // its X-L2P table write hit flash; entries of in-flight
-        // transactions are implicitly aborted — simply not folded.
+        // A committed transaction's pages become current at the point
+        // its group flush began — the generation id every page of the
+        // table image carries, which a GC copy keeps while its program
+        // sequence moves; entries of in-flight transactions are
+        // implicitly aborted — simply not folded.
         let mut folds = Vec::new();
-        if let Some((table_seq, bytes)) = log.xl2p.as_ref().filter(|(s, _)| *s > log.ckpt_seq) {
-            let entries = Xl2pTable::decode_pages(bytes, base.page_size(), base.pages_per_block());
+        let mut page = vec![0u8; base.page_size()];
+        for ppa in base.xl2p_roots().to_vec() {
+            let generation = base.read_at(ppa, &mut page)?.tid;
+            let entries = Xl2pTable::decode_pages(&page, page.len(), base.pages_per_block());
             folds.extend(
                 entries
                     .iter()
                     .filter(|e| e.status == TxStatus::Committed)
-                    .map(|e| (*table_seq, e.lpn, e.ppa)),
+                    .map(|e| (generation, e.lpn, e.ppa)),
             );
         }
         base.finish_recovery(&log, folds)?;
@@ -225,34 +237,34 @@ impl XFtl {
     }
 
     /// The release itself, for callers that already flushed (or are the
-    /// flush): persist the L2P, drop the folded entries.
+    /// flush): persist the L2P — the checkpoint retires the table image
+    /// once its root is on the media — and drop the folded entries.
     fn checkpoint_and_release_raw(&mut self) -> Result<()> {
-        self.base.clear_xl2p_roots();
         self.base.checkpoint(&mut self.table)?;
         self.table.release_committed();
         Ok(())
     }
 
     /// The group flush — steps 2 and 3 of Figure 4 for *every* staged
-    /// transaction at once: one copy-on-write X-L2P table write and one
-    /// meta-root program make the whole group durable, then the folds are
-    /// applied in submission order. This is where concurrent
-    /// `commit_submit`s coalesce; with N staged commits the meta-page
-    /// cost is 1/N per transaction.
+    /// transaction at once: one copy-on-write X-L2P table write makes the
+    /// whole group durable, then the folds are applied in submission
+    /// order. This is where concurrent `commit_submit`s coalesce; with N
+    /// staged commits the table-write cost is 1/N per transaction.
     fn flush_staged_commits(&mut self) -> Result<()> {
         if self.staged.is_empty() {
             return Ok(());
         }
         let t_start = self.base.clock().now();
-        // The persist below drains the chip at its durability barrier, so
-        // every outstanding ticket is retired here (ledger bound, as in
-        // the classic blocking commit).
+        // The table image below is ordered behind every program issued so
+        // far, so waiting for it retires every outstanding ticket (ledger
+        // bound, as in the classic blocking commit).
         self.queue.retire(CmdId(u64::MAX));
         // Step 2 (durability point), once for the whole group.
         let pages = self
             .table
             .encode_pages(self.base.page_size(), self.base.pages_per_block());
-        self.base.persist_xl2p(&pages, &mut self.table)?;
+        let durable_at = self.base.persist_xl2p(&pages, &mut self.table)?;
+        self.base.wait_for(durable_at);
         // Step 3: fold in submission order, so a page committed by two
         // staged transactions ends up at the later writer's version.
         // Displaced versions a live snapshot can still see are retained
@@ -735,8 +747,8 @@ impl TxBlockDevice for XFtl {
                 .record_span(OpClass::TxCommit, tid, 0, now, now);
             return Ok(CommitTicket::immediate(tid));
         }
-        // A writer transaction needs a durability flush (X-L2P persist +
-        // root write) that a read-only device can no longer perform.
+        // A writer transaction needs a durability flush (the X-L2P
+        // persist) that a read-only device can no longer perform.
         // Refuse at submit time, before the commit becomes visible —
         // commits acknowledged *before* the transition stay readable.
         if self.base.device_state() == DeviceState::ReadOnly {
@@ -815,8 +827,9 @@ impl TxBlockDevice for XFtl {
         if ticket.group().0 >= self.next_group {
             self.flush_staged_commits()?;
         }
-        // The flush drained the chip at its durability barrier; a ticket
-        // from an earlier group has nothing left to wait for.
+        // The flush waited for its table image, which completes after
+        // everything issued before it; a ticket from an earlier group has
+        // nothing left to wait for.
         Ok(())
     }
 
@@ -862,8 +875,8 @@ impl TxBlockDevice for XFtl {
                 self.write_tagged(tid, *lpn, data, false)?
             });
         }
-        // No wait here: commit(tid) drains before the X-L2P table write,
-        // so the durability point still covers every page of the batch.
+        // No wait here: commit(tid) orders the X-L2P table write behind
+        // every page of the batch, so the durability point covers them.
         Ok(self.queue.issue(done))
     }
 }
@@ -931,19 +944,27 @@ mod tests {
     }
 
     #[test]
-    fn commit_writes_one_table_page_and_meta() {
+    fn commit_is_one_table_program() {
         // Roomy table so the committed-release housekeeping threshold
         // (capacity / 2) does not fire inside the measured commit.
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
         let a = page(&d, 1);
-        for lpn in 0..5 {
-            d.write_tx(3, lpn, &a).unwrap();
-        }
-        let before = d.flash_stats().programs;
+        let batch: Vec<(Lpn, &[u8])> = (0..5u64).map(|lpn| (lpn, &a[..])).collect();
+        d.submit_tx(3, &batch).unwrap();
+        let before = (d.flash_stats().programs, d.stats().meta_writes);
+        // One chip, one unit: the queued data pages complete one by one.
+        let data_done = d.base().chip().idle_at();
+        assert!(data_done > d.clock().now(), "the batch is still in flight");
         d.commit(3).unwrap();
-        let cost = d.flash_stats().programs - before;
-        assert_eq!(cost, 2, "commit = 1 X-L2P page + 1 meta page, got {cost}");
+        assert_eq!(d.flash_stats().programs - before.0, 1, "1 X-L2P page");
+        assert_eq!(d.stats().meta_writes - before.1, 0, "and no root");
+        // The table page is ordered behind the last data page and awaited;
+        // nothing else stands between that page and the acknowledgement.
+        let cfg = *d.base().chip().config();
+        let queued_program = cfg.geometry.page_size as u64 * cfg.timings.channel_ns_per_byte
+            + cfg.timings.program_ns;
+        assert_eq!(d.clock().now(), data_done + queued_program);
     }
 
     #[test]
@@ -1055,21 +1076,26 @@ mod tests {
     }
 
     #[test]
-    fn crash_right_after_table_write_commits() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.flush().unwrap();
-        d.write_tx(9, 0, &new).unwrap();
-        // Fuse fires on the *meta* write (2nd program of the commit):
-        // table page landed, root did not -> commit is NOT durable.
-        d.base_mut().chip_mut().arm_power_fuse(2);
-        assert!(d.commit(9).is_err());
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old, "commit without root update must roll back");
+    fn table_page_landed_commits_table_page_torn_rolls_back() {
+        // The table page is the whole commit: the power dying in it
+        // (fuse 1) rolls the transaction back, the power dying in the
+        // very next program (fuse 2, a plain write) finds it committed.
+        for (fuse, survives) in [(1, false), (2, true)] {
+            let mut d = dev();
+            let old = page(&d, 1);
+            let new = page(&d, 2);
+            d.write(0, &old).unwrap();
+            d.flush().unwrap();
+            d.write_tx(9, 0, &new).unwrap();
+            d.base_mut().chip_mut().arm_power_fuse(fuse);
+            assert_eq!(d.commit(9).is_ok(), survives);
+            assert!(!survives || d.write(5, &new).is_err());
+            let mut d2 = XFtl::recover(d.into_chip()).unwrap();
+            let mut out = page(&d2, 0);
+            d2.read(0, &mut out).unwrap();
+            let expect = if survives { &new } else { &old };
+            assert!(out == *expect, "fuse {fuse}: commit survives = {survives}");
+        }
     }
 
     #[test]
@@ -1279,7 +1305,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_coalesces_concurrent_submits_into_one_meta_program() {
+    fn group_commit_coalesces_concurrent_submits_into_one_table_program() {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
         let a = page(&d, 0xA1);
@@ -1287,6 +1313,7 @@ mod tests {
         d.write_tx(1, 0, &a).unwrap();
         d.write_tx(2, 1, &b).unwrap();
         let before = d.flash_stats().programs;
+        let roots = d.stats().meta_writes;
         let t1 = d.commit_submit(1).unwrap();
         let t2 = d.commit_submit(2).unwrap();
         assert_eq!(
@@ -1298,10 +1325,12 @@ mod tests {
         // Redeeming the later ticket flushes the whole group.
         d.commit_wait(t2).unwrap();
         let cost = d.flash_stats().programs - before;
-        assert_eq!(cost, 2, "two commits share 1 X-L2P page + 1 meta page");
+        assert_eq!(cost, 1, "two commits share 1 X-L2P page");
         // The earlier ticket's group already flushed: free.
         d.commit_wait(t1).unwrap();
-        assert_eq!(d.flash_stats().programs - before, 2);
+        assert_eq!(d.flash_stats().programs - before, 1);
+        assert_eq!(d.stats().xl2p_writes, 1);
+        assert_eq!(d.stats().meta_writes, roots, "and no root");
         assert_eq!(d.stats().group_commit_flushes, 1);
         assert_eq!(d.stats().commits_coalesced, 2);
         let mut out = page(&d, 0);
@@ -1443,6 +1472,34 @@ mod tests {
             assert_eq!(out, data, "lpn {lpn} committed");
         }
         assert_eq!(d.counters().batches, 1);
+    }
+
+    #[test]
+    fn table_page_starts_after_the_slowest_channels_data_page() {
+        // Four channels, five data pages: channel 0 takes two and is the
+        // slowest. The table page lands on one channel, but it may start
+        // only when the data on *every* channel is on the media.
+        let cfg = xftl_flash::FlashConfigBuilder::tiny().channels(4).build();
+        let chip = FlashChip::new(cfg, SimClock::new());
+        let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
+        let data = vec![0x5Au8; d.page_size()];
+        let batch: Vec<(Lpn, &[u8])> = (0..5u64).map(|lpn| (lpn, &data[..])).collect();
+        d.submit_tx(1, &batch).unwrap();
+        let slowest = d.base().chip().idle_at();
+        let busy = d.flash_stats().busy_channel_ns;
+        assert!(busy[0] > busy[1], "channel 0 carries the extra page");
+        assert!(
+            busy[1..4].iter().all(|&ns| ns > 0),
+            "every channel has data"
+        );
+        d.commit(1).unwrap();
+        let t = cfg.timings;
+        let queued_program = cfg.geometry.page_size as u64 * t.channel_ns_per_byte + t.program_ns;
+        assert_eq!(
+            d.clock().now(),
+            slowest + queued_program,
+            "the table page began the instant the last channel finished"
+        );
     }
 
     #[test]

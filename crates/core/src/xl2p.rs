@@ -14,7 +14,11 @@
 //! The paper sizes each entry at 16 bytes and the whole table at 500
 //! entries (8 KB — one flash page) or 1000 entries (16 KB — two pages);
 //! [`Xl2pTable::encode_pages`] reproduces that layout exactly so the table
-//! is persisted copy-on-write in whole flash pages at commit time.
+//! is persisted copy-on-write in whole flash pages at commit time. What
+//! ties the pages of one persisted image together — generation id, page
+//! index, page count — rides in each page's OOB, where the recovery scan
+//! reads it without fetching the page; the 16-byte page header carries
+//! only the magic and the page's entry count.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -374,8 +378,9 @@ impl Xl2pTable {
     /// its own durable record (the overwrite's data program, or the new
     /// commit's table write). Leaving them in the table would let a
     /// later `persist` resurrect the old version at recovery: recovered
-    /// folds apply at the *table page's* program sequence, which is
-    /// newer than the overwrite's. Returns the number removed.
+    /// folds apply at the persisting flush's *generation id*, which is
+    /// newer than the overwrite's program sequence. Returns the number
+    /// removed.
     pub fn supersede_committed(&mut self, lpn: Lpn, keep: Tid) -> usize {
         let mut n = 0;
         let mut i = 0;

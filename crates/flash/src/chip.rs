@@ -82,7 +82,12 @@ pub enum PageKind {
     Map,
     /// FTL meta/checkpoint root block page.
     Meta,
-    /// A persisted copy of the X-L2P transactional table.
+    /// One page of a persisted X-L2P table image. The OOB makes the image
+    /// its own commit evidence for the recovery scan: `tid` is the image's
+    /// *generation id* (the program sequence its group flush began at,
+    /// which is also where its commits fold — GC copies keep it while
+    /// `seq` moves), `lpn` the page's index within the image and `aux`
+    /// the number of pages the image has.
     XL2p,
     /// Commit record of the per-call atomic-write baseline FTL (Park et
     /// al. \[18\] in the paper's related work).
@@ -101,12 +106,14 @@ pub struct Oob {
     pub lpn: u64,
     /// Device-global program sequence number.
     pub seq: u64,
-    /// Transaction id that wrote this page; 0 for non-transactional writes.
+    /// Transaction id that wrote this page; 0 for non-transactional
+    /// writes. On an XL2p page: the generation id of its table image.
     pub tid: u64,
     /// Role of the page.
     pub kind: PageKind,
     /// FTL-specific auxiliary word (e.g. TxFlash's cyclic-commit link:
-    /// position within the transaction plus the cycle-closing flag).
+    /// position within the transaction plus the cycle-closing flag; the
+    /// GTD tag on Map pages; the image's page count on XL2p pages).
     pub aux: u32,
 }
 
@@ -378,16 +385,23 @@ impl FlashChip {
         self.outstanding.iter().filter(|&&c| c > now).count()
     }
 
-    /// Barrier: waits for every outstanding queued operation and returns
-    /// the instant the array went idle.
-    pub fn drain(&mut self) -> Nanos {
-        let end = self
-            .outstanding
+    /// The instant the array goes idle if nothing more is issued: the
+    /// latest completion among the outstanding queued operations, or now.
+    /// Waits for nothing — pass it as `not_before` to order a program
+    /// after everything issued so far without draining.
+    pub fn idle_at(&self) -> Nanos {
+        self.outstanding
             .iter()
             .copied()
             .max()
             .unwrap_or(0)
-            .max(self.clock.now());
+            .max(self.clock.now())
+    }
+
+    /// Barrier: waits for every outstanding queued operation and returns
+    /// the instant the array went idle.
+    pub fn drain(&mut self) -> Nanos {
+        let end = self.idle_at();
         self.clock.advance_to(end);
         self.outstanding.clear();
         end
@@ -1430,6 +1444,31 @@ mod tests {
         assert_eq!(c.outstanding_ops(), 1);
         c.drain();
         assert_eq!(c.clock().now(), done_a.max(done_b));
+    }
+
+    #[test]
+    fn idle_at_names_the_drain_instant_without_waiting() {
+        let mut c = chip_with(2, 1, 8);
+        let data = page(&c, 1);
+        assert_eq!(c.idle_at(), c.clock().now(), "an idle array is idle now");
+        let (_, done_a) = c
+            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+            .unwrap();
+        let (_, done_b) = c
+            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+            .unwrap();
+        let now = c.clock().now();
+        assert_eq!(c.idle_at(), done_a.max(done_b));
+        assert_eq!(c.clock().now(), now, "idle_at advances nothing");
+        assert_eq!(c.outstanding_ops(), 2);
+        // A program ordered behind it starts no earlier, on any channel.
+        let (_, done_c) = c
+            .program_queued(Ppa::new(1, 1), &data, Oob::data(2), c.idle_at())
+            .unwrap();
+        let t = c.config().timings;
+        let xfer = c.config().geometry.page_size as u64 * t.channel_ns_per_byte;
+        assert_eq!(done_c, done_a.max(done_b) + xfer + t.program_ns);
+        assert_eq!(c.drain(), done_c);
     }
 
     #[test]

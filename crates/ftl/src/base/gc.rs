@@ -322,17 +322,17 @@ impl FtlBase {
                     }
                     false
                 }
-                // The checkpoint root must chase relocated map/X-L2P
-                // pages, or a crash would leave it pointing into an
-                // erased block.
+                // The checkpoint root must chase relocated map pages, or
+                // a crash would leave it pointing into an erased block.
                 PageKind::Map => self.map.relocated(&oob, old, dst),
-                PageKind::XL2p => match self.xl2p_roots.iter_mut().find(|p| **p == old) {
-                    Some(slot) => {
+                // No root names a table-image page: the copy carries its
+                // generation id, and the recovery scan finds it there.
+                PageKind::XL2p => {
+                    if let Some(slot) = self.xl2p_roots.iter_mut().find(|p| **p == old) {
                         *slot = dst;
-                        true
                     }
-                    None => false,
-                },
+                    false
+                }
                 PageKind::Commit => false,
                 PageKind::Meta => unreachable!("meta blocks are never GC victims"),
             };

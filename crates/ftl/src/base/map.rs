@@ -16,8 +16,8 @@ use crate::meta::{self, MetaPage};
 use crate::validity::ValidityMap;
 
 /// GTD pages a directory of `slabs` slabs needs: none while the slab
-/// pointers (plus pointer slots reserved for up to 8 X-L2P table pages)
-/// fit inline in the root page. Decided by geometry alone, so recovery
+/// pointers (plus 8 slots the bad-block table can always count on) fit
+/// inline in the root page. Decided by geometry alone, so recovery
 /// recomputes it without trusting flash contents.
 pub(super) fn gtd_pages_for(slabs: usize, page_size: usize) -> usize {
     if slabs + 8 > MetaPage::max_pointers(page_size) {

@@ -15,11 +15,11 @@
 //!
 //! | module | owns | contract |
 //! |---|---|---|
-//! | `mod.rs` | [`FtlBase`] | page I/O (the one program path, reads with ECC retry), mapping folds, the meta ring and checkpoints, device health; orchestrates the rest |
+//! | `mod.rs` | [`FtlBase`] | page I/O (the one program path, reads with ECC retry), mapping folds, the meta ring and checkpoints, the X-L2P table image, device health; orchestrates the rest |
 //! | `pool.rs` | `Pool` | every flash block is in exactly one state (`Meta`, `Free`, `Open`, `Closed`, `Bad`); allocation, frontiers, the free list and the FIFO queue agree with it |
 //! | `map.rs` | `MapDir` | every L2P slab has one home (cache frame, translation page, or both) and non-resident slabs are clean; demand fetch, eviction and the slab/GTD writers live here |
 //! | `gc.rs` | — | when to reclaim, which closed block, and the relocate-chase-erase loop shared by GC, scrub and wear leveling |
-//! | `recover.rs` | — | newest root → directory → OOB scan → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
+//! | `recover.rs` | — | newest root → directory → OOB scan (census, events, the live table image) → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
 //!
 //! `Pool` and `MapDir` keep their fields private: the collector, recovery
 //! and this file reach blocks and slabs only through their methods.
@@ -39,7 +39,10 @@
 //! rolls the L2P forward by replaying data pages whose OOB sequence number
 //! exceeds the checkpoint's, in sequence order — transactional pages
 //! (OOB `tid != 0`) are *not* replayed here; the X-FTL layer resolves them
-//! through the persisted X-L2P table.
+//! through the persisted X-L2P table image, which no root points at: its
+//! pages (`PageKind::XL2p`) carry a generation id, their index and the
+//! page count in the OOB, and the same scan finds the newest complete
+//! generation the checkpoint does not already cover.
 //!
 //! ## Demand-paged mapping
 //!
@@ -144,7 +147,6 @@ fn never_written_root(logical_pages: u64, slabs: usize) -> MetaPage {
         logical_pages,
         ckpt_seq: 0,
         tx_horizon: 0,
-        xl2p_roots: Vec::new(),
         map_locs: vec![None; slabs],
         gtd_locs: Vec::new(),
         bad_blocks: Vec::new(),
@@ -249,11 +251,8 @@ impl WearSummary {
 pub struct RecoveryLog {
     /// Post-checkpoint pages in ascending sequence order.
     pub events: Vec<ScanEvent>,
-    /// Concatenated contents of the persisted X-L2P table pages, if the
-    /// checkpoint pointed at any: `(newest_program_seq, raw_bytes)`.
-    pub xl2p: Option<(u64, Vec<u8>)>,
-    /// Sequence number the loaded checkpoint covers; only X-L2P tables
-    /// written after it carry unfolded commits.
+    /// Sequence number the loaded checkpoint covers; only X-L2P table
+    /// generations begun after it carry unfolded commits.
     pub ckpt_seq: u64,
     /// The *previous* boot's transaction horizon: transactional pages at
     /// or before it belong to dead transactions of earlier lives (unless
@@ -272,9 +271,11 @@ pub struct FtlBase {
     /// Where every L2P slab lives. The authoritative mapping is in
     /// translation pages on flash.
     map: MapDir,
-    /// Locations of the persisted X-L2P table pages (owned by the X-FTL
-    /// layer; stored here because they ride in the meta page and are
-    /// GC-relocatable).
+    /// The live persisted X-L2P table image, in page-index order: the
+    /// newest completely issued generation no checkpoint covers yet (the
+    /// content is owned by the X-FTL layer). RAM-only — recovery finds
+    /// the image by scanning — and kept here because its pages must stay
+    /// valid and be chased when GC relocates them.
     xl2p_roots: Vec<Ppa>,
     valid: ValidityMap,
     /// Victim-selection policy.
@@ -364,7 +365,7 @@ impl FtlBase {
         root: MetaPage,
         meta_cur: usize,
         map: MapDir,
-        mut valid: ValidityMap,
+        valid: ValidityMap,
         mut census: Vec<BlockState>,
     ) -> FtlBase {
         let geo = chip.config().geometry;
@@ -373,14 +374,11 @@ impl FtlBase {
                 *state = BlockState::Bad;
             }
         }
-        for ppa in &root.xl2p_roots {
-            valid.mark_valid(*ppa);
-        }
         FtlBase {
             logical_pages: root.logical_pages,
             pool: Pool::from_census(geo, census),
             map,
-            xl2p_roots: root.xl2p_roots,
+            xl2p_roots: Vec::new(),
             valid,
             gc_policy: GcPolicy::Greedy,
             hot_cold: false,
@@ -508,10 +506,16 @@ impl FtlBase {
         self.map.cache().any_dirty()
     }
 
-    /// Locations of the persisted X-L2P table pages recorded in the meta
-    /// page (empty when no table is live).
+    /// Locations of the live persisted X-L2P table image's pages, in
+    /// page-index order (empty when no generation is live).
     pub fn xl2p_roots(&self) -> &[Ppa] {
         &self.xl2p_roots
+    }
+
+    /// True if the engine counts `ppa` as holding live content (what GC
+    /// relocates rather than discards) — for the verify oracle's audits.
+    pub fn page_is_valid(&self, ppa: Ppa) -> bool {
+        self.valid.is_valid(ppa)
     }
 
     /// Number of blocks in the bad-block table.
@@ -725,15 +729,14 @@ impl FtlBase {
     }
 
     /// Programs a page of any kind into its log frontier with an explicit
-    /// auxiliary OOB word (X-L2P table pages, commit records, the TxFlash
-    /// baseline's cyclic-commit links), blocking until it is on the media
-    /// (`wait`) or queued behind `not_before` — a data dependency such as
-    /// the pages a commit record seals — so a batch overlaps across
-    /// channels. Refuses on a read-only device, runs GC first if space is
-    /// low, places data hot or cold, and counts the program by kind.
-    /// Returns the destination and the instant the page is on the media.
-    /// Does not touch the L2P table — callers decide the mapping
-    /// semantics.
+    /// auxiliary OOB word (commit records, the TxFlash baseline's
+    /// cyclic-commit links), blocking until it is on the media (`wait`)
+    /// or queued behind `not_before` — a data dependency such as the
+    /// pages a commit record seals — so a batch overlaps across channels.
+    /// Refuses on a read-only device, runs GC first if space is low,
+    /// places data hot or cold, and counts the program by kind. Returns
+    /// the destination and the instant the page is on the media. Does not
+    /// touch the L2P table — callers decide the mapping semantics.
     pub fn program_raw(
         &mut self,
         oob: Oob,
@@ -744,6 +747,20 @@ impl FtlBase {
     ) -> Result<(Ppa, Nanos)> {
         self.check_writable()?;
         self.maybe_gc(hook)?;
+        self.program_counted(oob, buf, not_before, wait)
+    }
+
+    /// [`FtlBase::program_raw`] past its gate: place, program, classify a
+    /// pool-exhaustion failure, count by kind. For callers that have
+    /// checked the device state and fed the pool themselves because no GC
+    /// may run between their pages.
+    fn program_counted(
+        &mut self,
+        oob: Oob,
+        buf: &[u8],
+        not_before: Nanos,
+        wait: bool,
+    ) -> Result<(Ppa, Nanos)> {
         let stream = self.classify_write(oob.kind, oob.lpn);
         let placed = self.program_at_frontier(oob, stream, buf, not_before, wait);
         let placed = self.or_space_error(placed)?;
@@ -869,7 +886,7 @@ impl FtlBase {
         let geo = self.chip.config().geometry;
         let (map_locs, gtd_locs) = self.map.root_pointers();
         // The bad-block list shares the meta page's pointer area with the
-        // slab/GTD and X-L2P pointers. The chip's own health marks are
+        // slab/GTD pointers. The chip's own health marks are
         // authoritative (recovery unions both), so if a dying drive ever
         // accumulates more retirements than fit, truncating the persisted
         // list is safe — unlike panicking in `MetaPage::encode`.
@@ -878,13 +895,11 @@ impl FtlBase {
         } else {
             gtd_locs.len()
         };
-        let bad_cap = MetaPage::max_pointers(geo.page_size)
-            .saturating_sub(inline_ptrs + self.xl2p_roots.len());
+        let bad_cap = MetaPage::max_pointers(geo.page_size).saturating_sub(inline_ptrs);
         let page = MetaPage {
             logical_pages: self.logical_pages,
             ckpt_seq: self.ckpt_seq,
             tx_horizon: self.tx_horizon,
-            xl2p_roots: self.xl2p_roots.clone(),
             map_locs,
             gtd_locs,
             bad_blocks: self.pool.bad_blocks().take(bad_cap).collect(),
@@ -943,35 +958,70 @@ impl FtlBase {
         self.ckpt_seq = self.chip.next_seq() - 1;
         self.write_meta()?;
         self.stats.checkpoints += 1;
-        Ok(())
-    }
-
-    /// Persists the X-L2P table (the X-FTL commit path, Figure 4): the
-    /// table pages are written copy-on-write to fresh locations and the
-    /// checkpoint root is updated to point at them. The L2P slabs are *not*
-    /// rewritten — recovery re-folds committed entries from the persisted
-    /// table.
-    pub fn persist_xl2p(&mut self, table_pages: &[Vec<u8>], hook: &mut dyn GcHook) -> Result<()> {
-        let mut new_roots = Vec::with_capacity(table_pages.len());
-        for (i, page) in table_pages.iter().enumerate() {
-            let oob = Oob {
-                kind: PageKind::XL2p,
-                ..Oob::data(i as u64)
-            };
-            new_roots.push(self.program_raw(oob, page, 0, false, hook)?.0);
-        }
-        for old in std::mem::replace(&mut self.xl2p_roots, new_roots) {
-            self.valid.mark_invalid(old);
-        }
-        self.write_meta()
-    }
-
-    /// Drops the persisted X-L2P table references (after their entries have
-    /// been folded and checkpointed).
-    pub fn clear_xl2p_roots(&mut self) {
+        // Only now is the X-L2P table image obsolete. Until the covering
+        // root is on the media a power cut recovers from the old root and
+        // re-folds from the image, so its pages had to stay valid (and
+        // chased) through the GC runs between the slab writes above.
         for old in std::mem::take(&mut self.xl2p_roots) {
             self.valid.mark_invalid(old);
         }
+        Ok(())
+    }
+
+    /// Persists the X-L2P table as a new *generation* — the whole of an
+    /// X-FTL commit's flash cost. The image is its own commit evidence:
+    /// every page carries the generation id, its index and the page count
+    /// in the OOB, the recovery scan folds the newest generation it finds
+    /// complete, and no root is written. The L2P slabs are *not*
+    /// rewritten either — recovery re-folds committed entries from the
+    /// image.
+    ///
+    /// The pages are queued behind the completion of every program issued
+    /// so far (the transactions' data pages, GC copies of pinned pages),
+    /// so ordering costs no drain; the commit is durable at the returned
+    /// instant. The generation id is the program sequence at this point —
+    /// also where recovery folds the image's commits among the plain
+    /// writes — so GC runs once, before the id is taken, and never between
+    /// the pages: a GC copy of a committed page stamped *after* the id
+    /// would replay over the commit that supersedes it. The previous
+    /// generation stays valid until the new one is completely issued; a
+    /// power cut in between recovers from it.
+    pub fn persist_xl2p(
+        &mut self,
+        table_pages: &[Vec<u8>],
+        hook: &mut dyn GcHook,
+    ) -> Result<Nanos> {
+        self.check_writable()?;
+        self.maybe_gc(hook)?;
+        let generation = self.chip.next_seq();
+        let after = self.chip.idle_at();
+        let mut image = Vec::with_capacity(table_pages.len());
+        let mut durable_at = after;
+        for (i, page) in table_pages.iter().enumerate() {
+            let oob = Oob {
+                kind: PageKind::XL2p,
+                tid: generation,
+                aux: table_pages.len() as u32,
+                ..Oob::data(i as u64)
+            };
+            match self.program_counted(oob, page, after, false) {
+                Ok((ppa, done)) => {
+                    image.push(ppa);
+                    durable_at = durable_at.max(done);
+                }
+                Err(e) => {
+                    // A partial generation is nobody's evidence.
+                    for ppa in image {
+                        self.valid.mark_invalid(ppa);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        for old in std::mem::replace(&mut self.xl2p_roots, image) {
+            self.valid.mark_invalid(old);
+        }
+        Ok(durable_at)
     }
 }
 
@@ -1127,7 +1177,7 @@ mod tests {
         let directory = f.map.root_pointers();
         let (free, resident) = (f.free_block_count(), f.map_cache().resident());
         let (g, log) = FtlBase::recover(f.into_chip()).unwrap();
-        assert!(log.events.is_empty() && log.xl2p.is_none());
+        assert!(log.events.is_empty() && g.xl2p_roots().is_empty());
         assert_eq!(census_of(&g), census);
         assert_eq!(g.map.root_pointers(), directory);
         assert_eq!(
@@ -1276,20 +1326,61 @@ mod tests {
     }
 
     #[test]
-    fn persist_xl2p_updates_roots_and_meta() {
+    fn persist_xl2p_leaves_the_root_ring_untouched() {
         let mut f = base(16, 32);
         let table = vec![vec![0xABu8; f.page_size()], vec![0xCDu8; f.page_size()]];
-        f.persist_xl2p(&table, &mut NoHook).unwrap();
-        let roots = f.xl2p_roots().to_vec();
-        assert_eq!(roots.len(), 2);
-        let chip = f.into_chip();
-        let (mut g, log) = FtlBase::recover(chip).unwrap();
-        assert_eq!(g.xl2p_roots(), roots.as_slice());
-        let (_, bytes) = log.xl2p.unwrap();
-        assert_eq!(&bytes[..g.page_size()], table[0].as_slice());
-        assert_eq!(&bytes[g.page_size()..], table[1].as_slice());
-        g.clear_xl2p_roots();
+        let ring = |f: &FtlBase| META_BLOCKS.map(|b| f.chip.write_point(b));
+        let (before, roots_written) = (ring(&f), f.stats().meta_writes);
+        let generation = f.chip.next_seq();
+        let durable_at = f.persist_xl2p(&table, &mut NoHook).unwrap();
+        assert_eq!(ring(&f), before, "a table persist programs no root");
+        assert_eq!(f.stats().meta_writes, roots_written);
+        assert_eq!(f.stats().xl2p_writes, 2);
+        assert!(durable_at > f.clock().now(), "queued, not waited for");
+        let image = f.xl2p_roots().to_vec();
+        assert_eq!(image.len(), 2);
+        // The scan alone finds the image again, in index order, and its
+        // pages say which generation they are.
+        let (mut g, _) = FtlBase::recover(f.into_chip()).unwrap();
+        assert_eq!(g.xl2p_roots(), image.as_slice());
+        let mut out = page(&g, 0);
+        for (i, ppa) in image.iter().enumerate() {
+            let oob = g.read_at(*ppa, &mut out).unwrap();
+            assert_eq!((oob.tid, oob.lpn, oob.aux), (generation, i as u64, 2));
+            assert_eq!(out, table[i]);
+        }
+        // A checkpoint covers the image's folds and retires it.
+        g.checkpoint(&mut NoHook).unwrap();
         assert!(g.xl2p_roots().is_empty());
+        assert!(image.iter().all(|ppa| !g.valid.is_valid(*ppa)));
+        let (h, _) = FtlBase::recover(g.into_chip()).unwrap();
+        assert!(h.xl2p_roots().is_empty(), "a covered generation is dead");
+    }
+
+    #[test]
+    fn recovery_passes_over_a_partial_generation_for_the_one_before() {
+        let mut f = base(16, 32);
+        let first = vec![vec![0x11u8; f.page_size()]];
+        let second = vec![vec![0x21u8; f.page_size()], vec![0x22u8; f.page_size()]];
+        f.persist_xl2p(&first, &mut NoHook).unwrap();
+        let kept = f.xl2p_roots().to_vec();
+        // The power dies in the second page of the next generation: the
+        // first page is intact on flash, the image is not complete.
+        f.chip_mut().arm_power_fuse(2);
+        assert!(f.persist_xl2p(&second, &mut NoHook).is_err());
+        assert_eq!(
+            f.xl2p_roots(),
+            kept.as_slice(),
+            "old image live until the swap"
+        );
+        let (mut g, _) = FtlBase::recover(f.into_chip()).unwrap();
+        assert_eq!(g.xl2p_roots(), kept.as_slice());
+        // Issued whole, the newer generation wins and the older is dead.
+        g.persist_xl2p(&second, &mut NoHook).unwrap();
+        let newer = g.xl2p_roots().to_vec();
+        assert!(!g.valid.is_valid(kept[0]));
+        let (h, _) = FtlBase::recover(g.into_chip()).unwrap();
+        assert_eq!(h.xl2p_roots(), newer.as_slice());
     }
 
     // --- fault handling ---------------------------------------------------

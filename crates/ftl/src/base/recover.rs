@@ -4,6 +4,8 @@
 //! once the personality has decided what the events mean — replay and
 //! persist the result.
 
+use std::collections::BTreeMap;
+
 use xftl_flash::{FlashChip, PageKind, PageProbe, Ppa};
 use xftl_trace::{OpClass, Recorder};
 
@@ -75,10 +77,14 @@ fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64) -> Result<(Vec<BlockState>, Ve
             // transaction may straddle a checkpoint (pages before it,
             // commit evidence after it), and only the wrapping
             // personality can tell.
+            // A table-image page counts by its generation id, not its
+            // own sequence: a GC copy of a checkpoint-covered image is
+            // as covered as the original.
             let relevant = match oob.kind {
                 PageKind::Data => oob.seq > ckpt_seq || oob.tid != 0,
                 PageKind::Commit => oob.seq > ckpt_seq,
-                _ => false,
+                PageKind::XL2p => oob.tid > ckpt_seq,
+                PageKind::Map | PageKind::Meta => false,
             };
             if relevant {
                 events.push(ScanEvent {
@@ -101,36 +107,57 @@ fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64) -> Result<(Vec<BlockState>, Ve
     Ok((census, events))
 }
 
+/// The pages, in index order, of the newest X-L2P table generation the
+/// scan found *complete* — an intact page for every index below the page
+/// count each of its pages states (the original or a GC copy; they are
+/// identical). A generation cut short by the power loss, or one GC has
+/// begun to reclaim, is passed over for the one before it, which stayed
+/// valid until its successor was completely issued. Empty if there is
+/// none: no commit since the checkpoint.
+fn newest_complete_generation(events: &[ScanEvent]) -> Vec<Ppa> {
+    let mut generations: BTreeMap<u64, (u32, BTreeMap<u64, Ppa>)> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.kind == PageKind::XL2p) {
+        let (_, pages) = generations.entry(e.tid).or_insert((e.aux, BTreeMap::new()));
+        pages.insert(e.lpn, e.ppa);
+    }
+    generations
+        .into_values()
+        .rev()
+        .find_map(|(count, pages)| {
+            (0..u64::from(count))
+                .map(|i| pages.get(&i).copied())
+                .collect::<Option<Vec<Ppa>>>()
+        })
+        .unwrap_or_default()
+}
+
 impl FtlBase {
     /// Rebuilds device state from the flash contents after a power loss.
     ///
     /// Loads the newest checkpoint, replays nothing yet: the returned
     /// [`RecoveryLog`] carries every post-checkpoint page in sequence
-    /// order plus the persisted X-L2P table bytes. The wrapping device
-    /// personality decides what the transactional events mean and hands
-    /// the folds they imply to [`FtlBase::finish_recovery`].
+    /// order, and [`FtlBase::xl2p_roots`] names the live X-L2P table
+    /// image if the scan found one. The wrapping device personality
+    /// decides what the transactional events mean and hands the folds
+    /// they imply to [`FtlBase::finish_recovery`].
     pub fn recover(mut chip: FlashChip) -> Result<(FtlBase, RecoveryLog)> {
         chip.power_cycle();
         let t_recover = chip.clock().now();
         let (meta_cur, root) = newest_root(&mut chip)?;
         let (map, valid) = MapDir::load(&mut chip, &root)?;
         let (census, events) = scan_pool(&mut chip, root.ckpt_seq)?;
-        // Pull the persisted X-L2P table pages, if any.
-        let mut xl2p = None;
-        let mut buf = vec![0u8; chip.config().geometry.page_size];
-        for ppa in &root.xl2p_roots {
-            let oob = with_read_retries(|| chip.read(*ppa, &mut buf)).0?;
-            let (seq, bytes) = xl2p.get_or_insert((0, Vec::new()));
-            *seq = oob.seq.max(*seq);
-            bytes.extend_from_slice(&buf);
-        }
         let log = RecoveryLog {
             events,
-            xl2p,
             ckpt_seq: root.ckpt_seq,
             tx_horizon: root.tx_horizon,
         };
         let mut base = FtlBase::assemble(chip, root, meta_cur, map, valid, census);
+        // The image's folds live nowhere else until a checkpoint covers
+        // them: its pages are valid, and chased, again.
+        base.xl2p_roots = newest_complete_generation(&log.events);
+        for ppa in &base.xl2p_roots {
+            base.valid.mark_valid(*ppa);
+        }
         // This boot's recovery establishes a new horizon: no live
         // transaction's evidence predates the scan we just did. The
         // post-recovery checkpoint persists it.
@@ -153,13 +180,14 @@ impl FtlBase {
     /// (`tid == 0`) data writes merged, by program sequence, with the
     /// `(seq, lpn, ppa)` folds the personality derived from its
     /// transactional evidence — each becomes current at the sequence its
-    /// commit evidence hit flash — then retires the persisted X-L2P table
-    /// and checkpoints, so the fresh root owns every fold. Replays are
-    /// idempotent (last writer wins), which is what makes eviction
-    /// flushes crash-safe without refreshing `ckpt_seq`. A device that
-    /// reached end-of-life read-only mode cannot persist anything: the
-    /// folds stay in RAM and the old roots on flash (re-recovery replays
-    /// the same log), and reads keep working.
+    /// commit evidence hit flash — then checkpoints, so the fresh root
+    /// owns every fold and the X-L2P table image (live until that root is
+    /// on the media) is retired. Replays are idempotent (last writer
+    /// wins), which is what makes eviction flushes crash-safe without
+    /// refreshing `ckpt_seq`. A device that reached end-of-life read-only
+    /// mode cannot persist anything: the folds stay in RAM, the old root
+    /// and the table image on flash (re-recovery replays the same log
+    /// and picks the same generation), and reads keep working.
     pub fn finish_recovery(
         &mut self,
         log: &RecoveryLog,
@@ -177,7 +205,6 @@ impl FtlBase {
             }
         }
         if self.device_state != DeviceState::ReadOnly {
-            self.clear_xl2p_roots();
             self.checkpoint(&mut NoHook)?;
         }
         Ok(())

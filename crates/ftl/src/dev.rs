@@ -320,7 +320,7 @@ pub trait TxBlockDevice: BlockDevice {
     /// versions become visible to subsequent reads at once (the commit is
     /// ordered), but durability is deferred: the device may coalesce
     /// several staged commits into one group and persist them with a
-    /// single meta-page program. Power loss before the group persists
+    /// single table write. Power loss before the group persists
     /// loses the *whole* transaction (never part of it).
     fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket>;
 

@@ -6,10 +6,12 @@
 //!
 //! * **Meta page** — the checkpoint root, written to the reserved meta
 //!   block (block 0). Holds the exported capacity, the checkpoint sequence
-//!   number, the flash location of the persisted X-L2P table (if any), the
-//!   locations of every L2P mapping slab, and the bad-block table (blocks
+//!   number, the locations of every L2P mapping slab, and the bad-block
+//!   table (blocks
 //!   retired after erase failures; the chip's own health marks are
 //!   authoritative, the persisted list lets recovery cross-check them).
+//!   It names no X-L2P table page: a persisted table image is found by
+//!   the recovery scan through its own OOB (`PageKind::XL2p`).
 //! * **Map slab** — one page-sized slice of the L2P table:
 //!   `page_size / 8` entries of 8 bytes each (`0` = unmapped, otherwise
 //!   linear physical address + 1).
@@ -25,11 +27,12 @@ pub const META_MAGIC: u64 = 0x5846_544C_4D45_5441;
 /// devices whose slab-pointer table no longer fits inline in the root;
 /// version 4 added the persisted device-health state
 /// ([`crate::DeviceState`]), so a device that went read-only stays
-/// read-only across power cycles.
-pub const META_VERSION: u64 = 4;
+/// read-only across power cycles; version 5 dropped the X-L2P table
+/// pointers (the table image is located by the recovery scan).
+pub const META_VERSION: u64 = 5;
 
-/// Fixed header size of a meta page in bytes (10 u64 fields).
-const META_HEADER: usize = 80;
+/// Fixed header size of a meta page in bytes (9 u64 fields).
+const META_HEADER: usize = 72;
 
 /// OOB `aux` tag distinguishing a GTD page from an ordinary translation
 /// page (both carry `PageKind::Map`; the `lpn` field holds the GTD page
@@ -49,9 +52,6 @@ pub struct MetaPage {
     /// spans a power cycle, so pages at or before this horizon cannot
     /// belong to a live transaction.
     pub tx_horizon: u64,
-    /// Locations of the persisted X-L2P table pages, in order (empty when
-    /// no table is live; more than one page for large table configurations).
-    pub xl2p_roots: Vec<Ppa>,
     /// Flash location of each L2P mapping slab (`None` = never persisted,
     /// meaning every entry of that slab is unmapped).
     ///
@@ -102,7 +102,7 @@ fn decode_opt_ppa(v: u64, pages_per_block: usize) -> Option<Ppa> {
 }
 
 impl MetaPage {
-    /// Maximum combined number of X-L2P roots, map slabs, and bad-block
+    /// Maximum combined number of map slabs (or GTD pages) and bad-block
     /// entries a meta page of `page_size` can index.
     pub fn max_pointers(page_size: usize) -> usize {
         (page_size - META_HEADER) / 8
@@ -117,7 +117,7 @@ impl MetaPage {
         let paged = !self.gtd_locs.is_empty();
         let map_slots = if paged { 0 } else { self.map_locs.len() };
         assert!(
-            map_slots + self.gtd_locs.len() + self.xl2p_roots.len() + self.bad_blocks.len()
+            map_slots + self.gtd_locs.len() + self.bad_blocks.len()
                 <= Self::max_pointers(page_size),
             "mapping pointers overflow a single meta page"
         );
@@ -127,16 +127,11 @@ impl MetaPage {
         put_u64(&mut buf, 16, self.logical_pages);
         put_u64(&mut buf, 24, self.ckpt_seq);
         put_u64(&mut buf, 32, self.tx_horizon);
-        put_u64(&mut buf, 40, self.xl2p_roots.len() as u64);
-        put_u64(&mut buf, 48, self.map_locs.len() as u64);
-        put_u64(&mut buf, 56, self.bad_blocks.len() as u64);
-        put_u64(&mut buf, 64, self.gtd_locs.len() as u64);
-        put_u64(&mut buf, 72, self.device_state.as_u64());
+        put_u64(&mut buf, 40, self.map_locs.len() as u64);
+        put_u64(&mut buf, 48, self.bad_blocks.len() as u64);
+        put_u64(&mut buf, 56, self.gtd_locs.len() as u64);
+        put_u64(&mut buf, 64, self.device_state.as_u64());
         let mut off = META_HEADER;
-        for root in &self.xl2p_roots {
-            put_u64(&mut buf, off, encode_opt_ppa(Some(*root), pages_per_block));
-            off += 8;
-        }
         if paged {
             for loc in &self.gtd_locs {
                 put_u64(&mut buf, off, encode_opt_ppa(Some(*loc), pages_per_block));
@@ -165,21 +160,15 @@ impl MetaPage {
         if get_u64(buf, 8) != META_VERSION {
             return None;
         }
-        let roots = get_u64(buf, 40) as usize;
-        let count = get_u64(buf, 48) as usize;
-        let bad = get_u64(buf, 56) as usize;
-        let gtd = get_u64(buf, 64) as usize;
-        let device_state = DeviceState::from_u64(get_u64(buf, 72))?;
+        let count = get_u64(buf, 40) as usize;
+        let bad = get_u64(buf, 48) as usize;
+        let gtd = get_u64(buf, 56) as usize;
+        let device_state = DeviceState::from_u64(get_u64(buf, 64))?;
         let inline_map = if gtd > 0 { 0 } else { count };
-        if META_HEADER + (roots + inline_map + gtd + bad) * 8 > buf.len() {
+        if META_HEADER + (inline_map + gtd + bad) * 8 > buf.len() {
             return None;
         }
         let mut off = META_HEADER;
-        let mut xl2p_roots = Vec::with_capacity(roots);
-        for _ in 0..roots {
-            xl2p_roots.push(decode_opt_ppa(get_u64(buf, off), pages_per_block)?);
-            off += 8;
-        }
         let mut gtd_locs = Vec::with_capacity(gtd);
         let mut map_locs = Vec::with_capacity(count);
         if gtd > 0 {
@@ -203,7 +192,6 @@ impl MetaPage {
             logical_pages: get_u64(buf, 16),
             ckpt_seq: get_u64(buf, 24),
             tx_horizon: get_u64(buf, 32),
-            xl2p_roots,
             map_locs,
             gtd_locs,
             bad_blocks,
@@ -298,7 +286,6 @@ mod tests {
             logical_pages: 100,
             ckpt_seq: 42,
             tx_horizon: 17,
-            xl2p_roots: vec![Ppa::new(3, 4), Ppa::new(5, 6)],
             map_locs: vec![None, Some(Ppa::new(1, 2)), None],
             gtd_locs: vec![],
             bad_blocks: vec![7, 11],
@@ -314,7 +301,6 @@ mod tests {
             logical_pages: 8,
             ckpt_seq: 1,
             tx_horizon: 0,
-            xl2p_roots: vec![],
             map_locs: vec![Some(Ppa::new(2, 0))],
             gtd_locs: vec![],
             bad_blocks: vec![],
@@ -336,7 +322,6 @@ mod tests {
             logical_pages: 1,
             ckpt_seq: 0,
             tx_horizon: 0,
-            xl2p_roots: vec![],
             map_locs: vec![],
             gtd_locs: vec![],
             bad_blocks: vec![],
@@ -353,14 +338,13 @@ mod tests {
             logical_pages: 1,
             ckpt_seq: 0,
             tx_horizon: 0,
-            xl2p_roots: vec![],
             map_locs: vec![],
             gtd_locs: vec![],
             bad_blocks: vec![],
             device_state: DeviceState::Healthy,
         };
         let mut buf = m.encode(512, PPB);
-        put_u64(&mut buf, 72, 9);
+        put_u64(&mut buf, 64, 9);
         assert_eq!(MetaPage::decode(&buf, PPB), None);
     }
 
@@ -370,7 +354,6 @@ mod tests {
             logical_pages: 1,
             ckpt_seq: 0,
             tx_horizon: 0,
-            xl2p_roots: vec![],
             map_locs: vec![],
             gtd_locs: vec![],
             bad_blocks: vec![],
@@ -392,7 +375,6 @@ mod tests {
             logical_pages: 64 * slabs as u64,
             ckpt_seq: 9,
             tx_horizon: 2,
-            xl2p_roots: vec![Ppa::new(4, 1)],
             map_locs: (0..slabs)
                 .map(|i| Some(Ppa::new(10 + i as u32, 0)))
                 .collect(),
@@ -410,7 +392,6 @@ mod tests {
         assert_eq!(d.gtd_locs, m.gtd_locs);
         assert_eq!(d.map_locs.len(), slabs);
         assert!(d.map_locs.iter().all(Option::is_none), "placeholders");
-        assert_eq!(d.xl2p_roots, m.xl2p_roots);
         assert_eq!(d.bad_blocks, m.bad_blocks);
         assert_eq!(d.ckpt_seq, 9);
     }

@@ -43,7 +43,7 @@ pub struct FtlStats {
     /// failure.
     pub bad_block_retirements: u64,
     /// Group-commit flushes: X-L2P persist events that made one or more
-    /// staged commits durable with a single meta-page program.
+    /// staged commits durable with a single table-image write.
     pub group_commit_flushes: u64,
     /// Transactions whose commits were made durable by those flushes; the
     /// ratio to `group_commit_flushes` is the mean coalescing factor.

@@ -20,6 +20,13 @@
 //!   matching OOB metadata; for active (uncommitted) entries the old
 //!   committed version is still programmed too (GC must never reclaim a
 //!   pinned rollback copy); and `committed_len() <= len() <= capacity()`.
+//! * **Commit evidence** — the X-L2P table image is found by the recovery
+//!   scan, not through a root, so what the scan may find must be exactly
+//!   what the device means: the valid `XL2p` pages are the pages of one
+//!   complete generation (index `i` of `n` at slot `i` of the live list,
+//!   one generation id) or there are none; every page of an older
+//!   generation is invalid; and the newest checkpoint root names no
+//!   table page.
 //! * **Bad-block discipline** — a block the chip has retired (erase
 //!   failure) holds no programmed or torn pages (the failed erase still
 //!   wipes the cells, and nothing may program it afterwards), is present
@@ -36,6 +43,7 @@ use std::fmt;
 
 use xftl_core::{TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
+use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
 
 use crate::shadow::ShadowDevice;
@@ -176,6 +184,34 @@ pub enum AuditViolation {
         /// Total entry count.
         len: usize,
     },
+    /// Slot `index` of the live table image is not page `index` of one
+    /// complete generation: the page is gone, or its OOB names another
+    /// index, page count or generation than its siblings.
+    Xl2pImageBroken {
+        /// Slot of the live list.
+        index: usize,
+        /// Page the slot names.
+        ppa: Ppa,
+        /// What is wrong with it.
+        state: &'static str,
+    },
+    /// A table-image page's validity disagrees with the live list: a
+    /// stale generation still valid (GC would copy it for ever, and a
+    /// recovery scan could prefer it), or a live page marked dead (GC
+    /// would erase the only evidence of a commit).
+    Xl2pValidityMismatch {
+        /// The table-image page.
+        ppa: Ppa,
+        /// Generation id in its OOB.
+        generation: u64,
+        /// Whether the engine counts it valid.
+        valid: bool,
+    },
+    /// The newest checkpoint root points at a table-image page.
+    RootNamesTablePage {
+        /// The pointer's target.
+        ppa: Ppa,
+    },
     /// A retired block holds a programmed or torn page: the FTL reused a
     /// block the chip already reported an erase failure on.
     RetiredBlockReused {
@@ -302,6 +338,26 @@ impl fmt::Display for AuditViolation {
             AuditViolation::Xl2pCommittedCount { committed, len } => write!(
                 f,
                 "X-L2P table reports {committed} committed entries out of {len} total"
+            ),
+            AuditViolation::Xl2pImageBroken { index, ppa, state } => write!(
+                f,
+                "slot {index} of the live X-L2P table image names {ppa:?}, which is {state} \
+                 — the live pages are not one complete generation"
+            ),
+            AuditViolation::Xl2pValidityMismatch {
+                ppa,
+                generation,
+                valid,
+            } => write!(
+                f,
+                "X-L2P table page {ppa:?} of generation {generation} is {} the live image \
+                 but counted {}",
+                if *valid { "outside" } else { "in" },
+                if *valid { "valid" } else { "invalid" }
+            ),
+            AuditViolation::RootNamesTablePage { ppa } => write!(
+                f,
+                "the newest checkpoint root points at X-L2P table page {ppa:?}"
             ),
             AuditViolation::RetiredBlockReused { block, page, state } => write!(
                 f,
@@ -532,7 +588,8 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
     Ok(report)
 }
 
-/// Full X-FTL audit: chip physics, L2P, and X-L2P sanity.
+/// Full X-FTL audit: chip physics, L2P, commit evidence, and X-L2P
+/// sanity.
 ///
 /// For every entry the pinned new version must be a live programmed data
 /// page with matching OOB (`tid` may have been re-stamped to 0 by GC only
@@ -549,6 +606,7 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
 pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
     let base = dev.base();
     let mut report = audit_base(base)?;
+    audit_table_image(base)?;
     let table = dev.xl2p();
     if table.len() > table.capacity() {
         return Err(AuditViolation::Xl2pOverflow {
@@ -633,6 +691,65 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
         }
     }
     Ok(report)
+}
+
+/// Commit-evidence audit (see the [module docs](self)): the live list is
+/// one complete generation, validity of every `XL2p` page on flash agrees
+/// with it, and the newest root points at none of them.
+fn audit_table_image(base: &FtlBase) -> Result<(), AuditViolation> {
+    let chip = base.chip();
+    let geo = chip.config().geometry;
+    let live = base.xl2p_roots();
+    let mut generation = None;
+    for (index, &ppa) in live.iter().enumerate() {
+        let broken = |state| AuditViolation::Xl2pImageBroken { index, ppa, state };
+        let PageProbe::Programmed(oob) = chip.probe_silent(ppa) else {
+            return Err(broken("not programmed"));
+        };
+        if oob.kind != PageKind::XL2p {
+            return Err(broken("not a table page"));
+        }
+        if oob.lpn != index as u64 || oob.aux as usize != live.len() {
+            return Err(broken("another index or page count"));
+        }
+        if *generation.get_or_insert(oob.tid) != oob.tid {
+            return Err(broken("of another generation"));
+        }
+    }
+    let mut newest_root: Option<(u64, MetaPage)> = None;
+    let mut buf = vec![0u8; geo.page_size];
+    for block in 0..geo.blocks as u32 {
+        for page in 0..geo.pages_per_block as u32 {
+            let ppa = Ppa::new(block, page);
+            let PageProbe::Programmed(oob) = chip.probe_silent(ppa) else {
+                continue;
+            };
+            if oob.kind == PageKind::XL2p && base.page_is_valid(ppa) != live.contains(&ppa) {
+                return Err(AuditViolation::Xl2pValidityMismatch {
+                    ppa,
+                    generation: oob.tid,
+                    valid: base.page_is_valid(ppa),
+                });
+            }
+            if oob.kind == PageKind::Meta && newest_root.as_ref().is_none_or(|(s, _)| oob.seq > *s)
+            {
+                let root = chip
+                    .read_silent(ppa, &mut buf)
+                    .and_then(|_| MetaPage::decode(&buf, geo.pages_per_block));
+                newest_root = root.map(|r| (oob.seq, r)).or(newest_root);
+            }
+        }
+    }
+    if let Some((_, root)) = newest_root {
+        let named = root.map_locs.iter().flatten().chain(&root.gtd_locs);
+        for &ppa in named {
+            if matches!(chip.probe_silent(ppa), PageProbe::Programmed(o) if o.kind == PageKind::XL2p)
+            {
+                return Err(AuditViolation::RootNamesTablePage { ppa });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Devices the auditor knows how to open up.
@@ -782,6 +899,57 @@ mod tests {
         assert!(
             msg.starts_with("flash auditor:"),
             "unexpected message: {msg}"
+        );
+    }
+
+    /// Two commits: the second generation is live, the first is stale.
+    fn dev_with_a_stale_and_a_live_generation() -> (XFtl, Ppa, Ppa) {
+        let mut dev = fresh_xftl(32, 64);
+        let ps = dev.page_size();
+        dev.write_tx(3, 2, &vec![0xAA; ps]).unwrap();
+        dev.commit(3).unwrap();
+        let stale = dev.base().xl2p_roots()[0];
+        dev.write_tx(4, 7, &vec![0xBB; ps]).unwrap();
+        dev.commit(4).unwrap();
+        let live = dev.base().xl2p_roots()[0];
+        assert_ne!(stale, live);
+        audit_xftl(&dev).unwrap();
+        (dev, stale, live)
+    }
+
+    #[test]
+    fn mutation_stale_generation_left_valid_is_caught() {
+        let (mut dev, stale, _) = dev_with_a_stale_and_a_live_generation();
+        // Emulate a persist that forgot to invalidate its predecessor: a
+        // retaining fold onto the stale page and back marks it valid and
+        // leaves the mapping as it was.
+        let home = dev.base().l2p_peek(2).unwrap();
+        dev.base_mut().fold_mapping_retain(2, stale).unwrap();
+        dev.base_mut().fold_mapping_retain(2, home).unwrap();
+        let err = audit_xftl(&dev).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pValidityMismatch { ppa, valid: true, .. } if ppa == stale),
+            "expected the stale generation flagged, got: {err}"
+        );
+    }
+
+    #[test]
+    fn mutation_dropped_page_of_the_live_generation_is_caught() {
+        // Marked dead, GC would erase the only evidence of the commits...
+        let (mut dev, _, live) = dev_with_a_stale_and_a_live_generation();
+        dev.base_mut().invalidate(live);
+        let err = audit_xftl(&dev).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pValidityMismatch { ppa, valid: false, .. } if ppa == live),
+            "expected the live page flagged, got: {err}"
+        );
+        // ...and once it has, the live list names a page that is gone.
+        let (mut dev, _, live) = dev_with_a_stale_and_a_live_generation();
+        dev.base_mut().chip_mut().erase(live.block).unwrap();
+        let err = audit_xftl(&dev).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pImageBroken { index: 0, ppa, .. } if ppa == live),
+            "expected the broken image flagged, got: {err}"
         );
     }
 

@@ -2,8 +2,8 @@
 //! program/erase operation during a known transaction schedule, recover,
 //! and verify the committed-prefix invariant — the strongest form of the
 //! paper's §5.4 recovery claims. Every layer's crash handling (torn meta
-//! pages, half-written journals, unsealed X-L2P tables) gets hit by some
-//! fuse position.
+//! pages, half-written journals, torn and partial X-L2P table images)
+//! gets hit by some fuse position.
 
 // Test/demo code: unwrap/expect on a setup failure is the right failure
 // mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
@@ -23,7 +23,7 @@ use xftl_verify::ShadowDevice;
 use xftl_workloads::AnyDev;
 
 mod common;
-use common::{ftl, ftl_mut, recover_with, wrap, Checked};
+use common::{audit, ftl, ftl_mut, recover_with, wrap, Checked};
 
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
@@ -313,6 +313,310 @@ fn crash_during_recovery_is_idempotent() {
     }
 }
 
+// --- the X-L2P table image as commit evidence -----------------------------
+// A commit is one queued table-image program and no root (DESIGN.md §5.1,
+// "Commit evidence"): the tests below cut the power at every program of
+// that path, relocate the image under GC, and retire it under GC.
+
+const OLD: u8 = 0x11;
+const NEW: u8 = 0x22;
+const BALLAST: u8 = 0x33;
+
+/// Every logical page of `dev` reads as `expect[lpn]` bytes.
+fn assert_image(dev: &mut XDev, expect: &[u8], what: &str) {
+    use xftl_ftl::BlockDevice;
+    let mut buf = vec![0u8; dev.page_size()];
+    for (lpn, byte) in expect.iter().enumerate() {
+        dev.read(lpn as u64, &mut buf).unwrap();
+        assert!(
+            buf.iter().all(|b| b == byte),
+            "{what}: lpn {lpn} holds {:#x}, expected {byte:#x}",
+            buf[0]
+        );
+    }
+}
+
+/// A roomy 64-block device with `capacity` X-L2P slots, 64 pages of
+/// `OLD` data under a checkpoint, and one committed transaction of
+/// `ballast` pages the checkpoint does not cover: the live generation
+/// every later one has to fall back on, and (31 entries to a tiny page)
+/// what decides how many pages a table image has.
+fn dev_with_live_generation(capacity: usize, ballast: u64) -> (XDev, Vec<u8>) {
+    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
+    let mut dev = wrap(XFtl::format_with_capacity(chip, 128, capacity).unwrap());
+    let ps = dev.page_size();
+    let mut expect = vec![0u8; 128];
+    for lpn in 0..64u64 {
+        dev.write(lpn, &vec![OLD; ps]).unwrap();
+        expect[lpn as usize] = OLD;
+    }
+    dev.flush().unwrap();
+    let page = vec![BALLAST; ps];
+    let batch: Vec<(u64, &[u8])> = (64..64 + ballast).map(|lpn| (lpn, &page[..])).collect();
+    dev.submit_tx(100, &batch).unwrap();
+    dev.commit(100).unwrap();
+    expect[64..64 + ballast as usize].fill(BALLAST);
+    (dev, expect)
+}
+
+/// `submit_tx` + blocking `commit` of one five-page transaction.
+fn one_commit(dev: &mut XDev) -> xftl_ftl::Result<()> {
+    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    let page = vec![NEW; dev.page_size()];
+    let batch: Vec<(u64, &[u8])> = (0..5u64).map(|lpn| (lpn, &page[..])).collect();
+    dev.submit_tx(7, &batch)?;
+    dev.commit(7)
+}
+
+/// Three four-page transactions staged into one group, flushed by
+/// redeeming the last ticket.
+fn three_commit_group(dev: &mut XDev) -> xftl_ftl::Result<()> {
+    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    let page = vec![NEW; dev.page_size()];
+    let mut tickets = Vec::new();
+    for tid in 7..10u64 {
+        let first = (tid - 7) * 4;
+        let batch: Vec<(u64, &[u8])> = (first..first + 4).map(|lpn| (lpn, &page[..])).collect();
+        dev.submit_tx(tid, &batch)?;
+        tickets.push(dev.commit_submit(tid)?);
+    }
+    while let Some(ticket) = tickets.pop() {
+        dev.commit_wait(ticket)?;
+    }
+    Ok(())
+}
+
+/// Cuts the power at every program of `schedule` (which writes `NEW` to
+/// lpns `0..written` and programs `written` data pages plus one table
+/// image — no root, no GC on this roomy device). Until the last page of
+/// the image is intact nothing of the schedule survives and the previous
+/// generation (the ballast) does; one program later everything does.
+/// Each recovery runs twice, and the second must change nothing.
+fn sweep_commit_boundaries(
+    capacity: usize,
+    ballast: u64,
+    image_pages: u64,
+    written: usize,
+    schedule: fn(&mut XDev) -> xftl_ftl::Result<()>,
+) {
+    let recover = |d: XDev| {
+        recover_with(d, XFtl::into_chip, |chip| {
+            XFtl::recover_with_capacity(chip, capacity).unwrap()
+        })
+    };
+    let programs = written as u64 + image_pages;
+    for fuse in 1..=programs + 1 {
+        let (mut dev, mut expect) = dev_with_live_generation(capacity, ballast);
+        assert_eq!(ftl(&dev).base().xl2p_roots().len() as u64, image_pages);
+        let before = (ftl(&dev).flash_stats(), ftl(&dev).stats().meta_writes);
+        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        let acked = schedule(&mut dev).is_ok();
+        assert_eq!(
+            acked,
+            fuse > programs,
+            "fuse {fuse}: the path is {programs} programs"
+        );
+        if acked {
+            let after = ftl(&dev).flash_stats();
+            assert_eq!(after.programs - before.0.programs, programs);
+            assert_eq!(after.erases, before.0.erases);
+            assert_eq!(ftl(&dev).stats().meta_writes, before.1, "no root");
+            expect[..written].fill(NEW);
+        }
+        let what = format!("capacity {capacity}, fuse {fuse} of {programs}");
+        let mut dev = recover(dev);
+        assert_image(&mut dev, &expect, &what);
+        let mut dev = recover(dev);
+        assert_image(&mut dev, &expect, &format!("{what}, second recovery"));
+        audit(&dev);
+    }
+}
+
+#[test]
+fn every_program_of_a_commit_is_a_clean_cut_one_page_table() {
+    sweep_commit_boundaries(500, 4, 1, 5, one_commit);
+    sweep_commit_boundaries(500, 4, 1, 12, three_commit_group);
+}
+
+#[test]
+fn every_program_of_a_commit_is_a_clean_cut_two_page_table() {
+    sweep_commit_boundaries(1000, 36, 2, 5, one_commit);
+    sweep_commit_boundaries(1000, 36, 2, 12, three_commit_group);
+}
+
+/// A device at end of life cannot persist anything, recovery included:
+/// it folds the live generation in RAM, leaves it on flash, and a second
+/// recovery finds the very same pages and folds them again.
+#[test]
+fn read_only_device_re_recovers_the_same_generation_without_persisting() {
+    use xftl_flash::{FaultKind, FaultTrigger};
+    use xftl_ftl::{BlockDevice, DevError, DeviceState, TxBlockDevice};
+    let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
+    let mut dev = wrap(XFtl::format(chip, 48).unwrap());
+    let ps = dev.page_size();
+    let mut expect = vec![0u8; 48];
+    for lpn in 0..16u64 {
+        dev.write(lpn, &vec![OLD; ps]).unwrap();
+        expect[lpn as usize] = OLD;
+    }
+    dev.flush().unwrap();
+    for lpn in 0..4u64 {
+        dev.write_tx(7, lpn, &vec![NEW; ps]).unwrap();
+        expect[lpn as usize] = NEW;
+    }
+    dev.commit(7).unwrap();
+    // Every erase fails from here on: plain overwrites (never a
+    // checkpoint) drain the pool until the device goes read-only.
+    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
+        FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
+    );
+    for i in 0u64.. {
+        let fill = (i % 100) as u8 + 0x40;
+        match dev.write(8 + i % 8, &vec![fill; ps]) {
+            Ok(()) => expect[8 + (i % 8) as usize] = fill,
+            Err(e) => {
+                assert_eq!(e, DevError::ReadOnly, "wrong end-of-life error");
+                break;
+            }
+        }
+        assert!(i < 100_000, "pool exhaustion never went read-only");
+    }
+    let image = ftl(&dev).base().xl2p_roots().to_vec();
+    assert!(!image.is_empty(), "the commit's generation is still live");
+    let programs = ftl(&dev).flash_stats().programs;
+    for round in ["first", "second"] {
+        dev = recover_x(dev);
+        assert_eq!(ftl(&dev).base().device_state(), DeviceState::ReadOnly);
+        assert_eq!(ftl(&dev).base().xl2p_roots(), image.as_slice(), "{round}");
+        assert_eq!(ftl(&dev).flash_stats().programs, programs, "{round}");
+        assert_image(&mut dev, &expect, round);
+    }
+}
+
+/// A 56-block device exporting 384 pages (6 slabs) behind a 2-slab
+/// mapping cache, every page written and checkpointed: small enough that
+/// eviction flushes close the Map frontier over a live table image and
+/// GC has to pick that block.
+fn tight_dev() -> (XDev, Vec<u8>) {
+    use xftl_ftl::BlockDevice;
+    let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
+    let mut dev = wrap(XFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
+    ftl_mut(&mut dev)
+        .base_mut()
+        .set_map_cache_budget(Some(2))
+        .unwrap();
+    let ps = dev.page_size();
+    for lpn in 0..384u64 {
+        dev.write(lpn, &vec![OLD; ps]).unwrap();
+    }
+    dev.flush().unwrap();
+    (dev, vec![OLD; 384])
+}
+
+/// Plain overwrites `from..to` of a schedule striding across all six
+/// slabs (never lpn `64 k`): every step misses the 2-slab cache, so
+/// dirty evictions program translation pages and GC reclaims data and
+/// mapping blocks alike.
+fn churn(dev: &mut XDev, expect: &mut [u8], from: u64, to: u64) {
+    use xftl_ftl::BlockDevice;
+    let ps = dev.page_size();
+    for i in from..to {
+        let lpn = (i % 6) * 64 + 1 + (i / 6) % 40;
+        let fill = (i % 199) as u8 + 0x30;
+        dev.write(lpn, &vec![fill; ps]).unwrap();
+        expect[lpn as usize] = fill;
+    }
+}
+
+/// `commit(A)`; plain `write(A)`; GC relocates the still-live table
+/// image; power cut. The copy carries a newer program sequence than the
+/// plain write, so a fold positioned at the copy's sequence would replay
+/// *after* the overwrite and resurrect the version it superseded. The
+/// fold position is the generation id the copy keeps.
+#[test]
+fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
+    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    let (mut dev, mut expect) = tight_dev();
+    let ps = dev.page_size();
+    dev.write_tx(1, 0, &vec![NEW; ps]).unwrap();
+    dev.commit(1).unwrap();
+    dev.write(0, &vec![0xD2; ps]).unwrap();
+    expect[0] = 0xD2;
+    let image = ftl(&dev).base().xl2p_roots().to_vec();
+    assert_eq!(image.len(), 1);
+    let mut steps = 0;
+    while ftl(&dev).base().xl2p_roots() == image.as_slice() {
+        assert!(steps < 4000, "GC never relocated the table image");
+        churn(&mut dev, &mut expect, steps, steps + 1);
+        steps += 1;
+    }
+    assert_eq!(
+        ftl(&dev).base().xl2p_roots().len(),
+        1,
+        "relocated, still live"
+    );
+    let mut dev = recover_x(dev);
+    assert_image(&mut dev, &expect, "after the relocated image folded");
+}
+
+/// The release order: a checkpoint that covers the table image's folds
+/// may retire the image only once its root is on the media, because the
+/// checkpoint runs GC between its slab writes. The schedule puts the live
+/// image alone (seven dead generations beside it) in a closed mapping
+/// block and the pool one block short exactly at the checkpoint's second
+/// slab, so GC takes that block *inside* the checkpoint — then the power
+/// is cut at every program and erase of the checkpoint-and-release.
+/// Whatever the cut, every commit survives. (The slab homes the old root
+/// references sit in another block GC has no reason to touch: this test
+/// is about the image, not about them.)
+#[test]
+fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
+    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    let build = || {
+        // 33 blocks: 2 meta + 24 of data + 2 of transaction pages + 2 of
+        // mapping pages leave 3 free — the GC low-water mark — until the
+        // checkpoint opens its mapping block.
+        let chip = FlashChip::new(FlashConfig::tiny(33), SimClock::new());
+        let mut dev = wrap(XFtl::format(chip, 192).unwrap());
+        let ps = dev.page_size();
+        let mut expect = vec![OLD; 192];
+        for lpn in 0..192u64 {
+            dev.write(lpn, &vec![OLD; ps]).unwrap();
+        }
+        dev.flush().unwrap();
+        // 13 one-page commits, one page per data block so that no data
+        // block empties: images 1-5 fill the slabs' block, 6-13 the next.
+        for tid in 1..=13u64 {
+            let lpn = (tid - 1) * 8;
+            dev.write_tx(tid, lpn, &vec![NEW; ps]).unwrap();
+            dev.commit(tid).unwrap();
+            expect[lpn as usize] = NEW;
+        }
+        (dev, expect)
+    };
+    let ops = |d: &XDev| ftl(d).flash_stats().programs + ftl(d).flash_stats().erases;
+    let (mut dev, _) = build();
+    let image = ftl(&dev).base().xl2p_roots()[0];
+    let (before, erases) = (ops(&dev), ftl(&dev).flash_stats().erases);
+    dev.flush().unwrap();
+    assert_eq!(ftl(&dev).flash_stats().erases - erases, 1, "one GC run");
+    assert_eq!(
+        ftl(&dev).base().chip().write_point(image.block),
+        Some(0),
+        "GC took the image's block inside the checkpoint"
+    );
+    let cuts = ops(&dev) - before;
+    assert_eq!(cuts, 5, "slab, image copy, erase, slab, root");
+    for fuse in 1..=cuts {
+        let (mut dev, expect) = build();
+        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        assert!(dev.flush().is_err(), "fuse {fuse} must fire in the flush");
+        let mut dev = recover_x(dev);
+        assert_image(&mut dev, &expect, &format!("cut {fuse} of {cuts}"));
+    }
+}
+
 /// Drive a commit into the power fuse so the X-L2P persist is torn
 /// mid-program, then recover under the oracle: the transaction must
 /// resolve all-or-nothing (the oracle's world-narrowing panics on a torn
@@ -333,9 +637,9 @@ fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
     for lpn in 0..6u64 {
         dev.write_tx(3, lpn, &new).unwrap();
     }
-    // The commit persists the X-L2P table and a checkpoint root — several
-    // programs. A two-op fuse dies in the middle of that sequence.
-    dev.inner_mut().base_mut().chip_mut().arm_power_fuse(2);
+    // The commit is one program, the X-L2P table page: a one-op fuse
+    // tears it.
+    dev.inner_mut().base_mut().chip_mut().arm_power_fuse(1);
     assert!(dev.commit(3).is_err(), "fuse must kill the commit");
 
     let (ftl, model) = dev.into_parts();
@@ -410,9 +714,9 @@ fn oracle_power_cut_between_submit_and_wait_loses_group() {
 }
 
 /// Two concurrent `commit_submit`s redeemed by one `commit_wait` must
-/// coalesce into a single group flush — one X-L2P persist and one
-/// meta-root program for both transactions — with every read and the
-/// recovery image still checked by the oracle.
+/// coalesce into a single group flush — one X-L2P persist for both
+/// transactions — with every read and the recovery image still checked
+/// by the oracle.
 #[cfg(feature = "verify")]
 #[test]
 fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
@@ -480,10 +784,9 @@ fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
     }
     let a = dev.commit_submit(3).unwrap();
     let _b = dev.commit_submit(4).unwrap();
-    // Redeeming the first ticket flushes the whole staged group — several
-    // programs (X-L2P table pages + checkpoint root). A two-op fuse dies
-    // mid-flush.
-    dev.inner_mut().base_mut().chip_mut().arm_power_fuse(2);
+    // Redeeming the first ticket flushes the whole staged group — one
+    // program, the X-L2P table page. A one-op fuse tears it.
+    dev.inner_mut().base_mut().chip_mut().arm_power_fuse(1);
     assert!(
         dev.commit_wait(a).is_err(),
         "fuse must kill the group flush"
