@@ -2,8 +2,14 @@
 //! the header's `schema_root`) stores one record per object —
 //! `(type, name, tbl_name, rootpage, sql)` — and the in-RAM catalog is
 //! rebuilt by re-parsing the stored `CREATE` statements at open time.
+//!
+//! Table and index descriptions are handed out as shared handles so a
+//! compiled statement can keep them; [`Catalog::generation`] changes
+//! whenever a handle taken earlier may no longer describe the schema.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use xftl_ftl::BlockDevice;
 
@@ -25,8 +31,9 @@ pub struct TableInfo {
     pub root: PageNo,
     /// Column index of the `INTEGER PRIMARY KEY` rowid alias, if any.
     pub rowid_alias: Option<usize>,
-    /// Next auto-assigned rowid (cached; seeded from the tree's max).
-    pub next_rowid: i64,
+    /// Next auto-assigned rowid (cached; seeded from the tree's max). A
+    /// cell, so inserts advance it through a shared handle.
+    pub next_rowid: Cell<i64>,
     /// Master-table rowid of this object's record.
     pub master_rowid: i64,
 }
@@ -60,9 +67,10 @@ pub struct IndexInfo {
 /// The schema catalog of one database.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: HashMap<String, TableInfo>,
-    indexes: HashMap<String, IndexInfo>,
+    tables: HashMap<String, Rc<TableInfo>>,
+    indexes: HashMap<String, Rc<IndexInfo>>,
     next_master_rowid: i64,
+    generation: u64,
 }
 
 fn norm(name: &str) -> String {
@@ -82,7 +90,7 @@ impl Catalog {
         }
         let mut records: Vec<(i64, Vec<Value>)> = Vec::new();
         btree::table_scan_from(pager, root, i64::MIN, &mut |_, rowid, rec| {
-            records.push((rowid, decode_record(&rec)?));
+            records.push((rowid, decode_record(rec)?));
             Ok(true)
         })?;
         for (rowid, rec) in records {
@@ -94,20 +102,9 @@ impl Catalog {
             };
             match (kind.as_str(), sql::parse(sql_text)?) {
                 ("table", Stmt::CreateTable { name, cols, .. }) => {
-                    let rowid_alias = cols.iter().position(|c| c.is_pk);
                     let root = *rootpage as PageNo;
                     let next_rowid = btree::table_last_rowid(pager, root)?.unwrap_or(0) + 1;
-                    cat.tables.insert(
-                        norm(&name),
-                        TableInfo {
-                            name,
-                            cols,
-                            root,
-                            rowid_alias,
-                            next_rowid,
-                            master_rowid: rowid,
-                        },
-                    );
+                    cat.add_table(name, cols, root, next_rowid, rowid);
                 }
                 (
                     "index",
@@ -115,29 +112,10 @@ impl Catalog {
                         name, table, cols, ..
                     },
                 ) => {
-                    let tinfo = cat
-                        .tables
-                        .get(&norm(&table))
-                        .ok_or(DbError::Corrupt("index before its table in master"))?;
-                    let col_idxs = cols
-                        .iter()
-                        .map(|c| {
-                            tinfo
-                                .col_index(c)
-                                .ok_or(DbError::Corrupt("index column missing"))
-                        })
-                        .collect::<Result<Vec<_>>>()?;
-                    cat.indexes.insert(
-                        norm(&name),
-                        IndexInfo {
-                            name,
-                            table: norm(&table),
-                            cols,
-                            col_idxs,
-                            root: *rootpage as PageNo,
-                            master_rowid: rowid,
-                        },
-                    );
+                    let ix = cat
+                        .index_info(name, &table, cols, *rootpage as PageNo, rowid)
+                        .map_err(|_| DbError::Corrupt("index on a missing table or column"))?;
+                    cat.indexes.insert(norm(&ix.name), Rc::new(ix));
                 }
                 _ => return Err(DbError::Corrupt("master record kind/sql mismatch")),
             }
@@ -145,14 +123,94 @@ impl Catalog {
         Ok(cat)
     }
 
-    fn master_root<D: BlockDevice>(&mut self, pager: &mut Pager<D>) -> Result<PageNo> {
-        let root = pager.schema_root();
-        if root != 0 {
-            return Ok(root);
+    /// Re-reads the schema from storage (after a rollback, a lost
+    /// `BEGIN CONCURRENT` race, or under a fresh snapshot) as a new
+    /// generation.
+    pub fn reload<D: BlockDevice>(&mut self, pager: &mut Pager<D>) -> Result<()> {
+        let generation = self.generation + 1;
+        *self = Catalog::load(pager)?;
+        self.generation = generation;
+        Ok(())
+    }
+
+    /// Counter that moves on every DDL statement and every
+    /// [`Catalog::reload`]: handles and column positions taken under one
+    /// value are valid exactly while it stands.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    fn add_table(
+        &mut self,
+        name: String,
+        cols: Vec<ColDef>,
+        root: PageNo,
+        next_rowid: i64,
+        master_rowid: i64,
+    ) {
+        let info = TableInfo {
+            rowid_alias: cols.iter().position(|c| c.is_pk),
+            next_rowid: Cell::new(next_rowid),
+            name,
+            cols,
+            root,
+            master_rowid,
+        };
+        self.tables.insert(norm(&info.name), Rc::new(info));
+    }
+
+    /// Describes an index on `table`; fails with the name of what is
+    /// missing (the table, or `table.column`).
+    fn index_info(
+        &self,
+        name: String,
+        table: &str,
+        cols: Vec<String>,
+        root: PageNo,
+        master_rowid: i64,
+    ) -> std::result::Result<IndexInfo, String> {
+        let tinfo = self.tables.get(&norm(table)).ok_or(table)?;
+        let col_idxs = cols
+            .iter()
+            .map(|c| tinfo.col_index(c).ok_or_else(|| format!("{table}.{c}")))
+            .collect::<std::result::Result<_, _>>()?;
+        Ok(IndexInfo {
+            name,
+            table: norm(table),
+            cols,
+            col_idxs,
+            root,
+            master_rowid,
+        })
+    }
+
+    /// Creates the object's tree and records its CREATE statement in the
+    /// master table (creating that first, if this is the first object);
+    /// returns the tree's root and the record's rowid.
+    fn persist<D: BlockDevice>(
+        &mut self,
+        pager: &mut Pager<D>,
+        create_tree: fn(&mut Pager<D>) -> Result<PageNo>,
+        [kind, name, table, raw_sql]: [&str; 4],
+    ) -> Result<(PageNo, i64)> {
+        self.generation += 1;
+        let mut master = pager.schema_root();
+        if master == 0 {
+            master = btree::create_table_tree(pager)?;
+            pager.set_schema_root(master)?;
         }
-        let root = btree::create_table_tree(pager)?;
-        pager.set_schema_root(root)?;
-        Ok(root)
+        let root = create_tree(pager)?;
+        let master_rowid = self.next_master_rowid;
+        self.next_master_rowid += 1;
+        let rec = encode_record(&[
+            Value::Text(kind.into()),
+            Value::Text(name.into()),
+            Value::Text(table.into()),
+            Value::Int(root as i64),
+            Value::Text(raw_sql.into()),
+        ]);
+        btree::table_insert(pager, master, master_rowid, &rec)?;
+        Ok((root, master_rowid))
     }
 
     /// Registers a new table from its parsed definition, persisting the
@@ -167,30 +225,12 @@ impl Catalog {
         if self.tables.contains_key(&norm(name)) {
             return Err(DbError::Exists(name.to_string()));
         }
-        let master = self.master_root(pager)?;
-        let root = btree::create_table_tree(pager)?;
-        let master_rowid = self.next_master_rowid;
-        self.next_master_rowid += 1;
-        let rec = encode_record(&[
-            Value::Text("table".into()),
-            Value::Text(name.into()),
-            Value::Text(name.into()),
-            Value::Int(root as i64),
-            Value::Text(raw_sql.into()),
-        ]);
-        btree::table_insert(pager, master, master_rowid, &rec)?;
-        let rowid_alias = cols.iter().position(|c| c.is_pk);
-        self.tables.insert(
-            norm(name),
-            TableInfo {
-                name: name.to_string(),
-                cols: cols.to_vec(),
-                root,
-                rowid_alias,
-                next_rowid: 1,
-                master_rowid,
-            },
-        );
+        let (root, master_rowid) = self.persist(
+            pager,
+            btree::create_table_tree,
+            ["table", name, name, raw_sql],
+        )?;
+        self.add_table(name.to_string(), cols.to_vec(), root, 1, master_rowid);
         Ok(())
     }
 
@@ -206,42 +246,16 @@ impl Catalog {
         if self.indexes.contains_key(&norm(name)) {
             return Err(DbError::Exists(name.to_string()));
         }
-        let tinfo = self
-            .tables
-            .get(&norm(table))
-            .ok_or_else(|| DbError::Unknown(table.to_string()))?;
-        let col_idxs = cols
-            .iter()
-            .map(|c| {
-                tinfo
-                    .col_index(c)
-                    .ok_or_else(|| DbError::Unknown(format!("{table}.{c}")))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let table_key = norm(table);
-        let master = self.master_root(pager)?;
-        let root = btree::create_index_tree(pager)?;
-        let master_rowid = self.next_master_rowid;
-        self.next_master_rowid += 1;
-        let rec = encode_record(&[
-            Value::Text("index".into()),
-            Value::Text(name.into()),
-            Value::Text(table.into()),
-            Value::Int(root as i64),
-            Value::Text(raw_sql.into()),
-        ]);
-        btree::table_insert(pager, master, master_rowid, &rec)?;
-        self.indexes.insert(
-            norm(name),
-            IndexInfo {
-                name: name.to_string(),
-                table: table_key,
-                cols: cols.to_vec(),
-                col_idxs,
-                root,
-                master_rowid,
-            },
-        );
+        // Validate before anything is written; the root comes after.
+        let mut ix = self
+            .index_info(name.to_string(), table, cols.to_vec(), 0, 0)
+            .map_err(DbError::Unknown)?;
+        (ix.root, ix.master_rowid) = self.persist(
+            pager,
+            btree::create_index_tree,
+            ["index", name, table, raw_sql],
+        )?;
+        self.indexes.insert(norm(name), Rc::new(ix));
         Ok(())
     }
 
@@ -251,18 +265,13 @@ impl Catalog {
             .tables
             .remove(&norm(name))
             .ok_or_else(|| DbError::Unknown(name.to_string()))?;
+        self.generation += 1;
         let master = pager.schema_root();
         btree::clear_tree(pager, info.root, true)?;
         pager.free_page(info.root)?;
         btree::table_delete(pager, master, info.master_rowid)?;
-        let dependents: Vec<String> = self
-            .indexes
-            .values()
-            .filter(|ix| ix.table == norm(name))
-            .map(|ix| ix.name.clone())
-            .collect();
-        for ix in dependents {
-            self.drop_index(pager, &ix)?;
+        for ix in self.indexes_of(name) {
+            self.drop_index(pager, &ix.name)?;
         }
         Ok(())
     }
@@ -273,6 +282,7 @@ impl Catalog {
             .indexes
             .remove(&norm(name))
             .ok_or_else(|| DbError::Unknown(name.to_string()))?;
+        self.generation += 1;
         btree::clear_tree(pager, info.root, false)?;
         pager.free_page(info.root)?;
         btree::table_delete(pager, pager.schema_root(), info.master_rowid)?;
@@ -280,16 +290,9 @@ impl Catalog {
     }
 
     /// The table named `name`.
-    pub fn table(&self, name: &str) -> Result<&TableInfo> {
+    pub fn table(&self, name: &str) -> Result<&Rc<TableInfo>> {
         self.tables
             .get(&norm(name))
-            .ok_or_else(|| DbError::Unknown(name.to_string()))
-    }
-
-    /// Mutable access (rowid counter updates).
-    pub fn table_mut(&mut self, name: &str) -> Result<&mut TableInfo> {
-        self.tables
-            .get_mut(&norm(name))
             .ok_or_else(|| DbError::Unknown(name.to_string()))
     }
 
@@ -298,13 +301,17 @@ impl Catalog {
         self.tables.contains_key(&norm(name))
     }
 
-    /// The indexes defined on `table`.
-    pub fn indexes_of(&self, table: &str) -> Vec<IndexInfo> {
-        self.indexes
+    /// The indexes defined on `table`, oldest first.
+    pub fn indexes_of(&self, table: &str) -> Vec<Rc<IndexInfo>> {
+        let table = norm(table);
+        let mut out: Vec<_> = self
+            .indexes
             .values()
-            .filter(|ix| ix.table == norm(table))
+            .filter(|ix| ix.table == table)
             .cloned()
-            .collect()
+            .collect();
+        out.sort_by_key(|ix| ix.master_rowid);
+        out
     }
 
     /// Number of tables (for tests).

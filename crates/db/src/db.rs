@@ -6,15 +6,35 @@
 //! transaction — SQLite's autocommit behaviour, which is what makes the
 //! per-transaction journal costs of Figure 1 so dominant for the
 //! one-statement transactions typical of smartphone apps.
+//!
+//! Applications repeat a handful of SQL texts, so the connection keeps
+//! each text's parse tree and — for DML — its plan (`sqlite3_prepare`
+//! without the handle): [`Prepared`], looked up by text, the plan valid
+//! for one [`Catalog::generation`].
 
 use xftl_ftl::{BlockDevice, Tid};
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, Result};
-use crate::exec::{run_stmt, ExecOutcome};
+use crate::exec::{self, ExecOutcome, Plan};
 use crate::pager::{DbJournalMode, Pager, PagerStats, SharedFs};
 use crate::sql::{parse, Stmt};
 use crate::value::Value;
+
+/// SQL texts the connection keeps prepared. A working set beyond this
+/// (ad-hoc SQL with literals spelled in) re-parses; the least recently
+/// used text makes room.
+const PREPARED_CAP: usize = 64;
+
+/// One SQL text, parsed, and planned once it has run.
+#[derive(Debug)]
+struct Prepared {
+    sql: String,
+    stmt: Stmt,
+    /// The plan and the catalog generation it was compiled under.
+    plan: Option<(u64, Plan)>,
+    last_used: u64,
+}
 
 /// A connection to one database file.
 #[derive(Debug)]
@@ -22,6 +42,8 @@ pub struct Connection<D: BlockDevice> {
     pager: Pager<D>,
     catalog: Catalog,
     explicit_tx: bool,
+    prepared: Vec<Prepared>,
+    uses: u64,
 }
 
 impl<D: BlockDevice> Connection<D> {
@@ -36,6 +58,8 @@ impl<D: BlockDevice> Connection<D> {
             pager,
             catalog,
             explicit_tx: false,
+            prepared: Vec::new(),
+            uses: 0,
         })
     }
 
@@ -60,9 +84,53 @@ impl<D: BlockDevice> Connection<D> {
         out
     }
 
+    /// Position of `sql` among the prepared texts, parsing it on a miss.
+    fn prepare(&mut self, sql: &str) -> Result<usize> {
+        self.uses += 1;
+        let at = match self.prepared.iter().position(|p| p.sql == sql) {
+            Some(at) => at,
+            None => {
+                let fresh = Prepared {
+                    sql: sql.to_string(),
+                    stmt: parse(sql)?,
+                    plan: None,
+                    last_used: 0,
+                };
+                if self.prepared.len() < PREPARED_CAP {
+                    self.prepared.push(fresh);
+                    self.prepared.len() - 1
+                } else {
+                    let lru = (0..PREPARED_CAP).min_by_key(|&i| self.prepared[i].last_used);
+                    let at = lru.unwrap_or(0);
+                    self.prepared[at] = fresh;
+                    at
+                }
+            }
+        };
+        self.prepared[at].last_used = self.uses;
+        Ok(at)
+    }
+
+    /// Runs prepared statement `at` (DDL or DML) in the open transaction,
+    /// planning it if the schema moved since it last ran.
+    fn run(&mut self, at: usize, params: &[Value]) -> Result<ExecOutcome> {
+        let Prepared {
+            sql, stmt, plan, ..
+        } = &mut self.prepared[at];
+        let generation = self.catalog.generation();
+        let current = match plan {
+            Some(current) if current.0 == generation => current,
+            stale => match exec::plan(stmt, &self.catalog)? {
+                Some(p) => stale.insert((generation, p)),
+                None => return exec::run_ddl(&mut self.pager, &mut self.catalog, stmt, sql),
+            },
+        };
+        exec::run(&mut self.pager, &current.1, params)
+    }
+
     fn execute_inner(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
-        let stmt = parse(sql)?;
-        match stmt {
+        let at = self.prepare(sql)?;
+        match self.prepared[at].stmt {
             Stmt::Begin => {
                 if self.explicit_tx {
                     return Err(DbError::TxState("nested BEGIN"));
@@ -79,7 +147,7 @@ impl<D: BlockDevice> Connection<D> {
                 // Schema re-read under the snapshot: another connection on
                 // the same file may have committed DDL since this catalog
                 // was loaded.
-                self.catalog = Catalog::load(&mut self.pager)?;
+                self.catalog.reload(&mut self.pager)?;
                 self.explicit_tx = true;
                 Ok(ExecOutcome::Done { rows_affected: 0 })
             }
@@ -93,7 +161,7 @@ impl<D: BlockDevice> Connection<D> {
                         // A `BEGIN CONCURRENT` loser: the pager already
                         // rolled back; restore the committed schema before
                         // reporting the retryable error.
-                        self.catalog = Catalog::load(&mut self.pager)?;
+                        self.catalog.reload(&mut self.pager)?;
                     }
                     return Err(e);
                 }
@@ -106,23 +174,23 @@ impl<D: BlockDevice> Connection<D> {
                 self.explicit_tx = false;
                 self.pager.rollback()?;
                 // In-RAM schema may reflect rolled-back DDL: reload.
-                self.catalog = Catalog::load(&mut self.pager)?;
+                self.catalog.reload(&mut self.pager)?;
                 Ok(ExecOutcome::Done { rows_affected: 0 })
             }
-            stmt => {
+            _ => {
                 if self.explicit_tx {
-                    run_stmt(&mut self.pager, &mut self.catalog, &stmt, params, sql)
+                    self.run(at, params)
                 } else {
                     // Autocommit: one transaction per statement.
                     self.pager.begin()?;
-                    match run_stmt(&mut self.pager, &mut self.catalog, &stmt, params, sql) {
+                    match self.run(at, params) {
                         Ok(out) => {
                             self.pager.commit()?;
                             Ok(out)
                         }
                         Err(e) => {
                             self.pager.rollback()?;
-                            self.catalog = Catalog::load(&mut self.pager)?;
+                            self.catalog.reload(&mut self.pager)?;
                             Err(e)
                         }
                     }
@@ -172,6 +240,12 @@ impl<D: BlockDevice> Connection<D> {
         self.catalog.table_count()
     }
 
+    /// SQL texts currently kept prepared.
+    #[cfg(test)]
+    pub(crate) fn prepared_len(&self) -> usize {
+        self.prepared.len()
+    }
+
     // --- multi-file transaction plumbing (used by `multidb`) ---------------
 
     /// Begins a transaction controlled by an external coordinator
@@ -201,7 +275,7 @@ impl<D: BlockDevice> Connection<D> {
         self.explicit_tx = false;
         if self.pager.in_tx() {
             self.pager.rollback()?;
-            self.catalog = Catalog::load(&mut self.pager)?;
+            self.catalog.reload(&mut self.pager)?;
         }
         Ok(())
     }

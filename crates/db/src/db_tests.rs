@@ -1033,3 +1033,462 @@ fn in_list_having_offset_end_to_end() {
         .unwrap();
     assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
 }
+
+/// Joins: the probe path emits exactly what the nested loop would, in
+/// its order; and a join with an equality in `ON` never walks the cross
+/// product.
+mod join_equivalence {
+    use super::*;
+    use crate::exec::JOIN_PAIRS;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cmp::Ordering;
+
+    /// `ON` operand: column `col` of table `table`, or a literal.
+    #[derive(Debug, Clone)]
+    enum Operand {
+        Col(usize, usize),
+        Lit(Value),
+    }
+
+    /// One conjunct of an `ON`: a comparison.
+    #[derive(Debug, Clone)]
+    struct Cmp {
+        l: Operand,
+        op: &'static str,
+        r: Operand,
+    }
+
+    const COLS: [&str; 3] = ["id", "k", "v"];
+
+    /// Join keys that collide in every way `=` allows: duplicates, NULL,
+    /// Int against Real (also past 2^53, where two integers share one
+    /// float, and at the two zeros), NaN, Text and Blob of equal bytes.
+    fn key(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..16u32) {
+            0 | 1 => Value::Null,
+            2..=5 => Value::Int(rng.gen_range(0..4)),
+            6 | 7 => Value::Real(f64::from(rng.gen_range(0..4i32))),
+            8 => Value::Real(1.5),
+            9 => Value::Int((1 << 53) + rng.gen_range(0..2i64)),
+            10 => Value::Real((1u64 << 53) as f64),
+            11 => Value::Real(if rng.gen_range(0..2) == 0 {
+                -0.0
+            } else {
+                f64::NAN
+            }),
+            12 | 13 => Value::Text(["a", "b", ""][rng.gen_range(0..3usize)].into()),
+            _ => Value::Blob(
+                [b"a".to_vec(), b"b".to_vec(), Vec::new()][rng.gen_range(0..3usize)].clone(),
+            ),
+        }
+    }
+
+    /// The nested loop, and `=`/`<`/`<>` as `eval` defines them: NULL
+    /// compares to nothing, the rest by `sort_cmp`.
+    fn reference(tables: &[Vec<Vec<Value>>], ons: &[Vec<Cmp>]) -> Vec<Vec<Value>> {
+        let holds = |c: &Cmp, tuple: &[&Vec<Value>]| {
+            let get = |o: &Operand| match o {
+                Operand::Col(t, col) => tuple[*t][*col].clone(),
+                Operand::Lit(v) => v.clone(),
+            };
+            let (l, r) = (get(&c.l), get(&c.r));
+            if l == Value::Null || r == Value::Null {
+                return false;
+            }
+            let ord = l.sort_cmp(&r);
+            match c.op {
+                "=" => ord == Ordering::Equal,
+                "<" => ord == Ordering::Less,
+                "<>" => ord != Ordering::Equal,
+                _ => unreachable!(),
+            }
+        };
+        let mut tuples: Vec<Vec<&Vec<Value>>> = tables[0].iter().map(|r| vec![r]).collect();
+        for (inner, on) in tables[1..].iter().zip(ons) {
+            let mut next = Vec::new();
+            for tuple in &tuples {
+                for row in inner {
+                    let mut t = tuple.clone();
+                    t.push(row);
+                    if on.iter().all(|c| holds(c, &t)) {
+                        next.push(t);
+                    }
+                }
+            }
+            tuples = next;
+        }
+        tuples
+            .into_iter()
+            .map(|t| t.into_iter().flatten().cloned().collect())
+            .collect()
+    }
+
+    #[test]
+    fn probe_and_nested_loop_emit_the_same_tuples_in_the_same_order() {
+        for case in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(0x6a6f_696e ^ case);
+            let n_tables = rng.gen_range(2..=3usize);
+            let mut db = conn(DbJournalMode::Wal);
+            let mut tables = Vec::new();
+            for t in 0..n_tables {
+                db.execute(&format!(
+                    "CREATE TABLE t{t} (id{t} INTEGER PRIMARY KEY, k{t}, v{t} INT)"
+                ))
+                .unwrap();
+                let mut rows = Vec::new();
+                for id in 1..=rng.gen_range(0..8i64) {
+                    let row = vec![
+                        Value::Int(id),
+                        key(&mut rng),
+                        Value::Int(rng.gen_range(0..3)),
+                    ];
+                    db.execute_with(&format!("INSERT INTO t{t} VALUES (?, ?, ?)"), &row)
+                        .unwrap();
+                    rows.push(row);
+                }
+                tables.push(rows);
+            }
+            // Each table is aliased or not; each column reference is
+            // qualified (by alias, or by name where there is none) or bare.
+            let aliases: Vec<Option<String>> = (0..n_tables)
+                .map(|t| (rng.gen_range(0..2) == 0).then(|| format!("x{t}")))
+                .collect();
+            let mut ons = Vec::new();
+            for inner in 1..n_tables {
+                let outer = rng.gen_range(0..inner);
+                let equi = Cmp {
+                    l: Operand::Col(outer, 1),
+                    op: "=",
+                    r: Operand::Col(inner, 1),
+                };
+                let flipped = Cmp {
+                    l: equi.r.clone(),
+                    op: "=",
+                    r: equi.l.clone(),
+                };
+                let residual = [
+                    Cmp {
+                        l: Operand::Col(inner, 2),
+                        op: "<",
+                        r: Operand::Col(outer, 2),
+                    },
+                    Cmp {
+                        l: Operand::Col(inner, 2),
+                        op: "<>",
+                        r: Operand::Lit(Value::Int(1)),
+                    },
+                    Cmp {
+                        l: Operand::Col(outer, 1),
+                        op: "<>",
+                        r: Operand::Lit(key(&mut rng)),
+                    },
+                ][rng.gen_range(0..3usize)]
+                .clone();
+                ons.push(match rng.gen_range(0..7u32) {
+                    0 => vec![equi],
+                    1 => vec![flipped],
+                    2 => vec![equi, residual],
+                    3 => vec![residual, flipped],
+                    // Non-equi: no column = column of the right shape.
+                    4 => vec![Cmp { op: "<", ..equi }],
+                    5 => vec![residual],
+                    _ => vec![Cmp {
+                        l: Operand::Col(inner, 1),
+                        op: "=",
+                        r: Operand::Lit(key(&mut rng)),
+                    }],
+                });
+            }
+            // Literals travel as parameters: no SQL text spells NaN or -0.0.
+            let mut params = Vec::new();
+            let mut render = |o: &Operand| match o {
+                Operand::Lit(v) => {
+                    params.push(v.clone());
+                    "?".to_string()
+                }
+                Operand::Col(t, col) => {
+                    let name = format!("{}{t}", COLS[*col]);
+                    match (&aliases[*t], rng.gen_range(0..2)) {
+                        (_, 0) => name,
+                        (Some(a), _) => format!("{a}.{name}"),
+                        (None, _) => format!("t{t}.{name}"),
+                    }
+                }
+            };
+            let table = |t: usize| match &aliases[t] {
+                Some(a) => format!("t{t} AS {a}"),
+                None => format!("t{t}"),
+            };
+            let mut sql = format!("SELECT * FROM {}", table(0));
+            for (j, on) in ons.iter().enumerate() {
+                let on: Vec<String> = on
+                    .iter()
+                    .map(|c| format!("{} {} {}", render(&c.l), c.op, render(&c.r)))
+                    .collect();
+                sql += &format!(" JOIN {} ON {}", table(j + 1), on.join(" AND "));
+            }
+            // NaN never equals itself as a `Value`: compare the printout.
+            let got = format!("{:?}", db.query_with(&sql, &params).unwrap());
+            let want = format!("{:?}", reference(&tables, &ons));
+            assert_eq!(got, want, "case {case}: {sql}");
+        }
+    }
+
+    #[test]
+    fn stock_level_join_looks_at_matching_pairs_only() {
+        // The shape of TPC-C Stock-Level at `TpccScale::default()`: the
+        // lines of a district's last 20 orders against the stock rows of
+        // 2 warehouses x 1000 items.
+        let mut db = conn(DbJournalMode::Wal);
+        db.execute(
+            "CREATE TABLE order_line (ol_key INTEGER PRIMARY KEY, ol_o_key INT, ol_i_id INT, \
+             ol_qty INT, ol_amount REAL, ol_dist_info TEXT)",
+        )
+        .unwrap();
+        db.execute(
+            "CREATE TABLE stock (s_key INTEGER PRIMARY KEY, s_w_id INT, s_i_id INT, \
+             s_quantity INT, s_ytd INT, s_order_cnt INT)",
+        )
+        .unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        db.execute("BEGIN").unwrap();
+        for w in 1..=2i64 {
+            for i in 1..=1000i64 {
+                let qty = rng.gen_range(10..100i64);
+                db.execute_with(
+                    "INSERT INTO stock VALUES (?, ?, ?, ?, 0, 0)",
+                    &[
+                        Value::Int(w * 1_000_000 + i),
+                        Value::Int(w),
+                        Value::Int(i),
+                        Value::Int(qty),
+                    ],
+                )
+                .unwrap();
+            }
+        }
+        let mut lines = 0u64;
+        for o in 1..=30i64 {
+            for l in 1..=rng.gen_range(5..=15i64) {
+                db.execute_with(
+                    "INSERT INTO order_line VALUES (?, ?, ?, 1, 1.0, 'dist-info')",
+                    &[
+                        Value::Int(o * 100 + l),
+                        Value::Int(o),
+                        Value::Int(rng.gen_range(1..=1000)),
+                    ],
+                )
+                .unwrap();
+                lines += u64::from(o >= 10);
+            }
+        }
+        db.execute("COMMIT").unwrap();
+        let before = JOIN_PAIRS.with(std::cell::Cell::get);
+        let rows = db
+            .query_with(
+                "SELECT COUNT(DISTINCT ol.ol_i_id) FROM order_line ol \
+                 JOIN stock s ON ol.ol_i_id = s.s_i_id \
+                 WHERE ol.ol_key >= ? AND ol.ol_key < ? AND s.s_w_id = ? AND s.s_quantity < ?",
+                &[
+                    Value::Int(1000),
+                    Value::Int(3100),
+                    Value::Int(1),
+                    Value::Int(20),
+                ],
+            )
+            .unwrap();
+        assert!(matches!(rows[0][0], Value::Int(n) if n > 0));
+        // Every item is stocked once per warehouse: two matches a line.
+        let pairs = JOIN_PAIRS.with(std::cell::Cell::get) - before;
+        assert_eq!(pairs, 2 * lines, "the join looked beyond its matches");
+        assert!(lines > 100);
+    }
+}
+
+/// The prepared-statement cache is invisible: the same SQL text behaves
+/// as a fresh parse and plan would, whatever happened to the schema in
+/// between.
+mod stale_plans {
+    use super::*;
+
+    fn ints(rows: Vec<Vec<Value>>) -> Vec<Vec<i64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|v| v.as_i64().unwrap()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn drop_and_recreate_with_another_column_order() {
+        let mut db = conn(DbJournalMode::Rollback);
+        let select = "SELECT a, b FROM t WHERE id = 1";
+        let insert = "INSERT INTO t VALUES (?, ?, ?)";
+        let update = "UPDATE t SET b = b + 1 WHERE a = 20";
+        let row = [Value::Int(1), Value::Int(20), Value::Int(30)];
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INT, b INT)")
+            .unwrap();
+        db.execute_with(insert, &row).unwrap();
+        db.execute(update).unwrap();
+        assert_eq!(ints(db.query(select).unwrap()), [[20, 31]]);
+        db.execute("DROP TABLE t").unwrap();
+        assert!(matches!(db.query(select), Err(DbError::Unknown(_))));
+        db.execute("CREATE TABLE t (b INT, id INTEGER PRIMARY KEY, a INT)")
+            .unwrap();
+        // Same texts, other positions: id is now the second value.
+        db.execute_with(insert, &row).unwrap();
+        assert!(db.query(select).unwrap().is_empty());
+        db.execute_with(insert, &[Value::Int(7), Value::Int(1), Value::Int(20)])
+            .unwrap();
+        db.execute(update).unwrap();
+        assert_eq!(ints(db.query(select).unwrap()), [[20, 8]]);
+    }
+
+    #[test]
+    fn create_and_drop_index_move_the_access_path() {
+        let mut db = conn(DbJournalMode::Wal);
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INT, pad TEXT)")
+            .unwrap();
+        // A cache this small turns the access path into page reads.
+        db.pager_mut().set_cache_capacity(4);
+        db.execute("BEGIN").unwrap();
+        for i in 0..600i64 {
+            db.execute_with(
+                "INSERT INTO t VALUES (?, ?, 'padding-padding-padding')",
+                &[Value::Int(i), Value::Int(i % 200)],
+            )
+            .unwrap();
+        }
+        db.execute("COMMIT").unwrap();
+        let select = "SELECT id FROM t WHERE k = 77";
+        let reads = |db: &mut Connection<PageMappedFtl>| {
+            db.reset_stats();
+            assert_eq!(ints(db.query(select).unwrap()), [[77], [277], [477]]);
+            db.pager_stats().reads
+        };
+        let full_scan = reads(&mut db);
+        db.execute("CREATE INDEX ix_k ON t (k)").unwrap();
+        let by_index = reads(&mut db);
+        assert!(
+            by_index * 4 < full_scan,
+            "{by_index} vs {full_scan} page reads"
+        );
+        db.execute("DROP INDEX ix_k").unwrap();
+        assert_eq!(reads(&mut db), full_scan);
+        // An index maintained by a cached UPDATE and INSERT plan.
+        let update = "UPDATE t SET k = 77 WHERE id = 5";
+        let insert = "INSERT INTO t VALUES (?, 77, 'x')";
+        db.execute(update).unwrap();
+        db.execute("CREATE INDEX ix_k ON t (k)").unwrap();
+        db.execute("UPDATE t SET k = 0 WHERE id = 5").unwrap();
+        db.execute(update).unwrap();
+        db.execute_with(insert, &[Value::Int(1000)]).unwrap();
+        db.reset_stats();
+        assert_eq!(
+            ints(db.query(select).unwrap()),
+            [[5], [77], [277], [477], [1000]]
+        );
+        assert!(db.pager_stats().reads * 4 < full_scan);
+    }
+
+    #[test]
+    fn rolled_back_ddl_leaves_no_plan_behind() {
+        let mut db = conn(DbJournalMode::Rollback);
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INT)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let by_k = "SELECT id FROM t WHERE k = 20";
+        let star = "SELECT * FROM t ORDER BY id";
+        assert_eq!(ints(db.query(by_k).unwrap()), [[2]]);
+        db.execute("BEGIN").unwrap();
+        db.execute("CREATE INDEX ix_k ON t (k)").unwrap();
+        assert_eq!(ints(db.query(by_k).unwrap()), [[2]]); // planned on ix_k
+        db.execute("DROP TABLE t").unwrap();
+        db.execute("CREATE TABLE t (k INT, extra INT, id INTEGER PRIMARY KEY)")
+            .unwrap();
+        db.execute("INSERT INTO t VALUES (20, 0, 9)").unwrap();
+        assert_eq!(ints(db.query(by_k).unwrap()), [[9]]);
+        assert_eq!(ints(db.query(star).unwrap()), [[20, 0, 9]]);
+        db.execute("ROLLBACK").unwrap();
+        // The index root and the second `t` went back to the freelist.
+        assert_eq!(ints(db.query(by_k).unwrap()), [[2]]);
+        assert_eq!(ints(db.query(star).unwrap()), [[1, 10], [2, 20]]);
+        // A statement failing in autocommit rolls back and reloads too.
+        assert!(db.execute("INSERT INTO t VALUES (1, 0)").is_err());
+        assert_eq!(ints(db.query(by_k).unwrap()), [[2]]);
+    }
+
+    #[test]
+    fn concurrent_loser_and_foreign_ddl_replan() {
+        let fs = fs_tx();
+        let open = || Connection::open(Rc::clone(&fs), "t.db", DbJournalMode::Off).unwrap();
+        let (mut a, mut b) = (open(), open());
+        a.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, k INT)")
+            .unwrap();
+        a.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+        let by_k = "SELECT id FROM t WHERE k = 20";
+        let bump = "UPDATE t SET k = k + 1 WHERE id = 1";
+
+        // The loser planned against an index its rollback takes away.
+        a.execute("BEGIN CONCURRENT").unwrap();
+        b.execute("BEGIN CONCURRENT").unwrap();
+        b.execute("CREATE INDEX ix_k ON t (k)").unwrap();
+        assert_eq!(ints(b.query(by_k).unwrap()), [[2]]);
+        b.execute(bump).unwrap();
+        a.execute(bump).unwrap();
+        a.execute("COMMIT").unwrap();
+        assert_eq!(b.execute("COMMIT"), Err(DbError::Conflict));
+        assert_eq!(ints(b.query(by_k).unwrap()), [[2]]);
+        assert!(matches!(
+            b.execute("DROP INDEX ix_k"),
+            Err(DbError::Unknown(_))
+        ));
+
+        // DDL committed by the other connection: seen from the next
+        // snapshot on, by the same texts.
+        a.execute("DROP TABLE t").unwrap();
+        a.execute("CREATE TABLE t (k INT, id INTEGER PRIMARY KEY)")
+            .unwrap();
+        a.execute("INSERT INTO t VALUES (20, 5), (11, 1)").unwrap();
+        b.execute("BEGIN CONCURRENT").unwrap();
+        assert_eq!(ints(b.query(by_k).unwrap()), [[5]]);
+        b.execute(bump).unwrap();
+        b.execute("COMMIT").unwrap();
+        a.execute("BEGIN CONCURRENT").unwrap();
+        assert_eq!(
+            ints(a.query("SELECT * FROM t ORDER BY id").unwrap()),
+            [[12, 1], [20, 5]]
+        );
+        a.execute("COMMIT").unwrap();
+    }
+
+    #[test]
+    fn more_texts_than_the_cache_holds_stay_correct_and_bounded() {
+        let mut db = conn(DbJournalMode::Wal);
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INT)")
+            .unwrap();
+        for round in 0..3i64 {
+            for i in 0..200i64 {
+                db.execute(&format!(
+                    "INSERT OR REPLACE INTO t VALUES ({i}, {})",
+                    i * round
+                ))
+                .unwrap();
+                let got = db
+                    .query_with("SELECT v FROM t WHERE id = ?", &[Value::Int(i)])
+                    .unwrap();
+                assert_eq!(ints(got), [[i * round]]);
+                assert_eq!(
+                    ints(
+                        db.query(&format!("SELECT v + 1 FROM t WHERE id = {i}"))
+                            .unwrap()
+                    ),
+                    [[i * round + 1]]
+                );
+                assert!(db.prepared_len() <= 64);
+            }
+        }
+        assert_eq!(db.prepared_len(), 64);
+        assert!(db.execute("SELEC 1").is_err());
+        assert_eq!(db.prepared_len(), 64);
+    }
+}

@@ -49,7 +49,7 @@ pub use db::Connection;
 pub use error::{DbError, Result};
 pub use exec::ExecOutcome;
 pub use multidb::{begin_multi, commit_multi, rollback_multi};
-pub use pager::{DbJournalMode, Pager, PagerStats, SharedFs};
+pub use pager::{DbJournalMode, PageRef, Pager, PagerStats, SharedFs};
 pub use value::Value;
 
 #[cfg(test)]

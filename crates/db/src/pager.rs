@@ -28,21 +28,21 @@ use xftl_trace::{OpClass, Recorder, Telemetry};
 use crate::error::{DbError, Result};
 
 /// Little-endian u64 at `off` (callers guarantee the bounds).
-fn get_u64(buf: &[u8], off: usize) -> u64 {
+pub(crate) fn get_u64(buf: &[u8], off: usize) -> u64 {
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(&buf[off..off + 8]);
     u64::from_le_bytes(bytes)
 }
 
 /// Little-endian u32 at `off` (callers guarantee the bounds).
-fn get_u32(buf: &[u8], off: usize) -> u32 {
+pub(crate) fn get_u32(buf: &[u8], off: usize) -> u32 {
     let mut bytes = [0u8; 4];
     bytes.copy_from_slice(&buf[off..off + 4]);
     u32::from_le_bytes(bytes)
 }
 
 /// Little-endian u16 at `off` (callers guarantee the bounds).
-fn get_u16(buf: &[u8], off: usize) -> u16 {
+pub(crate) fn get_u16(buf: &[u8], off: usize) -> u16 {
     let mut bytes = [0u8; 2];
     bytes.copy_from_slice(&buf[off..off + 2]);
     u16::from_le_bytes(bytes)
@@ -87,6 +87,11 @@ pub type SharedFs<D> = Rc<RefCell<FileSystem<D>>>;
 /// Database page number (page 0 is the header).
 pub type PageNo = u32;
 
+/// A shared, immutable page image as handed out by [`Pager::page`]. The
+/// cache holds the same allocation; [`Pager::put`] installs a *new*
+/// frame, so a handle taken earlier keeps the bytes it was taken with.
+pub type PageRef = Rc<Vec<u8>>;
+
 /// Magic of the DB header page ("XFTLSQL1").
 const DB_MAGIC: u64 = 0x5846_544C_5351_4C31;
 /// Magic of a rollback-journal header.
@@ -120,7 +125,7 @@ pub struct PagerStats {
 
 #[derive(Debug)]
 struct Frame {
-    data: Vec<u8>,
+    data: PageRef,
     dirty: bool,
     tick: u64,
 }
@@ -310,7 +315,7 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     fn write_header(&mut self) -> Result<()> {
-        let mut hdr = self.page(0)?;
+        let mut hdr = self.page(0)?.to_vec();
         hdr[0..8].copy_from_slice(&DB_MAGIC.to_le_bytes());
         hdr[8..12].copy_from_slice(&self.page_count.to_le_bytes());
         hdr[12..16].copy_from_slice(&self.freelist_head.to_le_bytes());
@@ -593,9 +598,9 @@ impl<D: BlockDevice> Pager<D> {
             return Ok(()); // already saved, or the page is new in this tx
         }
         let original = match self.cache.get(&pgno) {
-            Some(f) if !f.dirty => f.data.clone(),
+            Some(f) if !f.dirty => Rc::clone(&f.data),
             Some(_) => unreachable!("page journaled after modification"),
-            None => self.read_page_raw(pgno)?,
+            None => Rc::new(self.read_page_raw(pgno)?),
         };
         let ino = self.ensure_journal()?;
         let slot = self.journaled.len() as u64;
@@ -649,7 +654,7 @@ impl<D: BlockDevice> Pager<D> {
                 continue;
             };
             f.dirty = false;
-            let data = f.data.clone();
+            let data = Rc::clone(&f.data);
             self.write_home(pgno, &data, tid)?;
         }
         Ok(())
@@ -821,9 +826,9 @@ impl<D: BlockDevice> Pager<D> {
             let data = match self.cache.get_mut(pgno) {
                 Some(f) => {
                     f.dirty = false;
-                    f.data.clone()
+                    Rc::clone(&f.data)
                 }
-                None => self.read_page_raw(*pgno)?,
+                None => Rc::new(self.read_page_raw(*pgno)?),
             };
             let commit_size = if i == last { self.page_count } else { 0 };
             let off = self.wal_append_frame(*pgno, &data, commit_size)?;
@@ -1053,19 +1058,19 @@ impl<D: BlockDevice> Pager<D> {
         Ok(buf)
     }
 
-    /// Returns a copy of page `pgno`.
-    pub fn page(&mut self, pgno: PageNo) -> Result<Vec<u8>> {
+    /// Returns page `pgno`: a handle on the cached frame, not a copy.
+    pub fn page(&mut self, pgno: PageNo) -> Result<PageRef> {
         if let Some(f) = self.cache.get_mut(&pgno) {
             f.tick = self.tick + 1;
             self.tick += 1;
-            return Ok(f.data.clone());
+            return Ok(Rc::clone(&f.data));
         }
-        let data = self.read_page_raw(pgno)?;
+        let data = Rc::new(self.read_page_raw(pgno)?);
         let tick = self.touch();
         self.cache.insert(
             pgno,
             Frame {
-                data: data.clone(),
+                data: Rc::clone(&data),
                 dirty: false,
                 tick,
             },
@@ -1088,7 +1093,7 @@ impl<D: BlockDevice> Pager<D> {
         self.cache.insert(
             pgno,
             Frame {
-                data,
+                data: Rc::new(data),
                 dirty: true,
                 tick,
             },

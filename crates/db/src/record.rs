@@ -202,11 +202,8 @@ pub fn push_key_value(out: &mut Vec<u8>, v: &Value) {
 
 /// Encodes a composite index key: the indexed values followed by the rowid
 /// (which makes every key unique).
-pub fn encode_index_key(values: &[Value], rowid: i64) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in values {
-        push_key_value(&mut out, v);
-    }
+pub fn encode_index_key<'a>(values: impl IntoIterator<Item = &'a Value>, rowid: i64) -> Vec<u8> {
+    let mut out = encode_index_prefix(values);
     out.push(0x7F); // separator below no tag
     out.extend_from_slice(&(rowid as u64 ^ 0x8000_0000_0000_0000).to_be_bytes());
     out
@@ -214,7 +211,7 @@ pub fn encode_index_key(values: &[Value], rowid: i64) -> Vec<u8> {
 
 /// Prefix of an index key covering only the indexed values (for range
 /// scans over all rowids with those values).
-pub fn encode_index_prefix(values: &[Value]) -> Vec<u8> {
+pub fn encode_index_prefix<'a>(values: impl IntoIterator<Item = &'a Value>) -> Vec<u8> {
     let mut out = Vec::new();
     for v in values {
         push_key_value(&mut out, v);

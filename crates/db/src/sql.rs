@@ -206,6 +206,10 @@ pub enum Expr {
     Param(usize),
     /// Column reference, optionally qualified (`t.col`).
     Col(Option<String>, String),
+    /// A column reference resolved against a statement's relations:
+    /// `(relation, column)` positions. The parser never produces it;
+    /// planning rewrites every resolvable [`Expr::Col`] into one.
+    Slot(usize, usize),
     /// Binary operation.
     Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Logical negation.

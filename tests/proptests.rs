@@ -206,7 +206,7 @@ fn btree_matches_model() {
         // Final state: ordered scan equals the model.
         let mut scanned = Vec::new();
         btree::table_scan_from(&mut pager, root, i64::MIN, &mut |_, rowid, val| {
-            scanned.push((rowid, val));
+            scanned.push((rowid, val.to_vec()));
             Ok(true)
         })
         .unwrap();

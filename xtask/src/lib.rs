@@ -1,6 +1,6 @@
 //! # xtask — repository automation library
 //!
-//! The binary (`src/main.rs`) is a thin CLI over three subsystems:
+//! The binary (`src/main.rs`) is a thin CLI over four subsystems:
 //!
 //! - [`analyze`] — the `xftl-analyze` static analysis engine: an
 //!   AST-level lint suite encoding X-FTL's domain invariants
@@ -11,9 +11,12 @@
 //!   `BENCH_all.json` against the committed `BENCH_BASELINE.json`.
 //! - [`loc`] — code-line accounting (non-test / test lines per crate and
 //!   per file) on the analyzer's lexer and test-boundary pass.
+//! - [`perfpair`] — the paired-run protocol behind a host-clock claim:
+//!   `perf` of a parent checkout and of this one, run alternately.
 
 #![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod benchcheck;
 pub mod loc;
+pub mod perfpair;

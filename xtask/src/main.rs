@@ -18,6 +18,10 @@
 //! - `loc [ROOT]` — non-test and test code lines per crate and per file
 //!   (see [`xtask::loc`]), of this checkout or of the one at `ROOT` — so
 //!   a "net lines down" claim is one `diff` of two reports.
+//! - `perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seed 1]`
+//!   — builds `perf` there and here, runs the workload alternately on
+//!   both, and prints medians, quartiles and wins per end-to-end metric
+//!   (see [`xtask::perfpair`]): the evidence a host-clock claim needs.
 //!
 //! Waiver policy, lint catalogue, and the fixture corpus are documented
 //! in DESIGN.md ("Static analysis") and in [`xtask::analyze`].
@@ -31,6 +35,7 @@ use std::process::ExitCode;
 use xtask::analyze::{self, Config};
 use xtask::benchcheck;
 use xtask::loc;
+use xtask::perfpair;
 
 fn repo_root() -> PathBuf {
     // CARGO_MANIFEST_DIR points at xtask/; the repo root is its parent.
@@ -153,6 +158,20 @@ fn main() -> ExitCode {
             print!("{}", loc::render(&loc::loc_repo(&root)));
             ExitCode::SUCCESS
         }
+        Some("perf-pair") => {
+            let report = perfpair::Args::parse(&args[2..])
+                .and_then(|args| perfpair::perf_pair(&repo_root(), &args));
+            match report {
+                Ok(report) => {
+                    print!("{report}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("perf-pair: {e}");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- <command>\n\
@@ -164,7 +183,10 @@ fn main() -> ExitCode {
                  \x20                                  compare bench reports; --allow-new downgrades\n\
                  \x20                                  metrics absent from the baseline to warnings\n\
                  \x20                                  (defaults: BENCH_all.json BENCH_BASELINE.json)\n\
-                 \x20 loc [ROOT]                       code / test lines per crate and per file"
+                 \x20 loc [ROOT]                       code / test lines per crate and per file\n\
+                 \x20 perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seed 1]\n\
+                 \x20                                  perf of a parent checkout and of this one,\n\
+                 \x20                                  run alternately: medians, quartiles, wins"
             );
             ExitCode::FAILURE
         }
