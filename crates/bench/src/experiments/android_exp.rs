@@ -5,6 +5,17 @@ use xftl_workloads::rig::{Mode, Rig, RigConfig};
 
 use crate::metrics;
 use crate::report::{ratio, secs, Table};
+use crate::RunScale;
+
+/// Fraction of each published trace's statement counts replayed at a run
+/// scale — the `scale` argument of [`table2`] and [`fig7`].
+pub fn trace_scale(scale: RunScale) -> f64 {
+    match scale {
+        RunScale::Full => 1.0,
+        RunScale::Quick => 0.05,
+        RunScale::Smoke => 0.02,
+    }
+}
 
 /// Stable lowercase key for a trace name in metric names.
 fn trace_key(name: &str) -> String {
@@ -114,19 +125,4 @@ pub fn fig7(scale: f64) -> String {
     out.push_str(&t.render());
     out.push('\n');
     out
-}
-
-/// WAL and X-FTL elapsed times per trace, for integration tests.
-pub fn fig7_pairs(scale: f64) -> Vec<(&'static str, u64, u64)> {
-    ALL_TRACES
-        .iter()
-        .map(|spec| {
-            let run = |mode: Mode| {
-                let rig = trace_rig(mode, spec, scale);
-                let ops = android::synthesize(spec, scale, 42);
-                android::replay(&rig, spec, &ops).elapsed_ns
-            };
-            (spec.name, run(Mode::Wal), run(Mode::XFtl))
-        })
-        .collect()
 }

@@ -12,9 +12,9 @@
 use xftl_flash::FlashStats;
 use xftl_fs::JournalMode;
 use xftl_workloads::fio::{self, FioConfig};
-use xftl_workloads::rig::{Mode, Profile, Rig, RigConfig};
+use xftl_workloads::rig::Profile;
 
-use crate::experiments::fio_exp::{FioScale, FsSetup};
+use crate::experiments::fio_exp::{fio_rig, FioScale};
 use crate::metrics;
 use crate::report::{millis, Table};
 
@@ -31,25 +31,6 @@ const QDEPTH_CHANNELS: u32 = 4;
 const JOBS: usize = 4;
 const WRITES_PER_FSYNC: usize = 10;
 
-fn channel_rig(setup: FsSetup, channels: u32, scale: &FioScale) -> Rig {
-    let file_pages = scale.file_bytes / 8192;
-    let logical = file_pages * 2 + 4_000;
-    let (mode, over) = match setup {
-        FsSetup::XFtlOff => (Mode::XFtl, None),
-        FsSetup::Ordered => (Mode::Wal, None), // Wal rig = ordered FS
-        FsSetup::Full => (Mode::Rbj, Some(JournalMode::Full)),
-    };
-    Rig::build(RigConfig {
-        mode,
-        profile: Profile::OpenSsd,
-        blocks: ((logical as f64 * 1.6 / 128.0).ceil() as usize).max(64),
-        logical_pages: logical,
-        fs_mode_override: over,
-        channels: Some(channels),
-        ..RigConfig::small(mode)
-    })
-}
-
 /// One measured point plus the flash- and FTL-level stats behind it.
 struct Point {
     iops: f64,
@@ -57,8 +38,8 @@ struct Point {
     ftl: xftl_ftl::FtlStats,
 }
 
-fn run_point(setup: FsSetup, channels: u32, queue_depth: usize, scale: &FioScale) -> Point {
-    let rig = channel_rig(setup, channels, scale);
+fn run_point(fs_mode: JournalMode, channels: u32, queue_depth: usize, scale: &FioScale) -> Point {
+    let rig = fio_rig(fs_mode, Profile::OpenSsd, Some(channels), scale);
     let before = rig.snapshot();
     let r = fio::run(
         &rig,
@@ -72,7 +53,7 @@ fn run_point(setup: FsSetup, channels: u32, queue_depth: usize, scale: &FioScale
         },
     );
     let after = rig.snapshot();
-    if setup == FsSetup::XFtlOff && queue_depth == 1 {
+    if fs_mode == JournalMode::Off && queue_depth == 1 {
         // Queue-wait / chip-op latency distributions behind the X-FTL
         // rows of the report.
         metrics::hists(&format!("channels.ch{channels}"), &rig.telemetry());
@@ -101,9 +82,9 @@ pub fn channel_scaling(scale: FioScale) -> String {
     ]);
     let mut x_points: Vec<Point> = Vec::new();
     for &ch in &CHANNEL_SWEEP {
-        let x = run_point(FsSetup::XFtlOff, ch, 1, &scale);
-        let o = run_point(FsSetup::Ordered, ch, 1, &scale);
-        let f = run_point(FsSetup::Full, ch, 1, &scale);
+        let x = run_point(JournalMode::Off, ch, 1, &scale);
+        let o = run_point(JournalMode::Ordered, ch, 1, &scale);
+        let f = run_point(JournalMode::Full, ch, 1, &scale);
         metrics::metric(format!("channels.ch{ch}.xftl_iops"), x.iops);
         metrics::metric(format!("channels.ch{ch}.ordered_iops"), o.iops);
         metrics::metric(format!("channels.ch{ch}.full_iops"), f.iops);
@@ -175,7 +156,7 @@ pub fn channel_scaling(scale: FioScale) -> String {
     ]);
     let mut base_iops = None;
     for &qd in &QDEPTH_SWEEP {
-        let p = run_point(FsSetup::XFtlOff, QDEPTH_CHANNELS, qd, &scale);
+        let p = run_point(JournalMode::Off, QDEPTH_CHANNELS, qd, &scale);
         let flushes = p.ftl.group_commit_flushes;
         let coalesced = p.ftl.commits_coalesced;
         metrics::metric(format!("channels.qd{qd}.xftl_iops"), p.iops);
@@ -220,16 +201,16 @@ mod tests {
     #[test]
     fn iops_scale_with_channels_and_mode_order_holds() {
         let scale = tiny_scale();
-        let x1 = run_point(FsSetup::XFtlOff, 1, 1, &scale);
-        let x4 = run_point(FsSetup::XFtlOff, 4, 1, &scale);
+        let x1 = run_point(JournalMode::Off, 1, 1, &scale);
+        let x4 = run_point(JournalMode::Off, 4, 1, &scale);
         assert!(
             x4.iops > x1.iops,
             "4 channels ({:.0}) should beat 1 ({:.0})",
             x4.iops,
             x1.iops
         );
-        let o4 = run_point(FsSetup::Ordered, 4, 1, &scale);
-        let f4 = run_point(FsSetup::Full, 4, 1, &scale);
+        let o4 = run_point(JournalMode::Ordered, 4, 1, &scale);
+        let f4 = run_point(JournalMode::Full, 4, 1, &scale);
         assert!(x4.iops > o4.iops, "X-FTL should beat ordered at 4 channels");
         assert!(o4.iops > f4.iops, "ordered should beat full at 4 channels");
         // The stats the report prints must actually be populated.
@@ -243,8 +224,8 @@ mod tests {
     #[test]
     fn commit_pipeline_scales_with_queue_depth() {
         let scale = tiny_scale();
-        let q1 = run_point(FsSetup::XFtlOff, 4, 1, &scale);
-        let q8 = run_point(FsSetup::XFtlOff, 4, 8, &scale);
+        let q1 = run_point(JournalMode::Off, 4, 1, &scale);
+        let q8 = run_point(JournalMode::Off, 4, 8, &scale);
         assert!(
             q8.iops > q1.iops,
             "queue depth 8 ({:.0}) should beat depth 1 ({:.0})",

@@ -17,10 +17,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xftl_workloads::rig::{ConcurrentPlan, Mode, Profile, Rig, RigConfig};
+use xftl_workloads::rig::{CommitWait, ConcurrentPlan, Mode, Profile, Rig, RigConfig};
 
 use crate::metrics;
 use crate::report::{millis, Table};
+use crate::RunScale;
 
 /// Writer counts swept by the experiment.
 pub const WRITER_SWEEP: [usize; 3] = [1, 2, 4];
@@ -45,30 +46,24 @@ pub struct ConcScale {
 }
 
 impl ConcScale {
-    /// Paper-quality scale.
-    pub fn full() -> Self {
-        ConcScale {
-            rounds: 300,
-            writes_per_tx: 8,
-            file_pages: 256,
-        }
-    }
-
-    /// `cargo bench` scale.
-    pub fn quick() -> Self {
-        ConcScale {
-            rounds: 80,
-            writes_per_tx: 6,
-            file_pages: 128,
-        }
-    }
-
-    /// CI smoke scale.
-    pub fn smoke() -> Self {
-        ConcScale {
-            rounds: 30,
-            writes_per_tx: 4,
-            file_pages: 64,
+    /// The parameters for a run scale.
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => ConcScale {
+                rounds: 300,
+                writes_per_tx: 8,
+                file_pages: 256,
+            },
+            RunScale::Quick => ConcScale {
+                rounds: 80,
+                writes_per_tx: 6,
+                file_pages: 128,
+            },
+            RunScale::Smoke => ConcScale {
+                rounds: 30,
+                writes_per_tx: 4,
+                file_pages: 64,
+            },
         }
     }
 }
@@ -198,7 +193,7 @@ pub fn run_regime(writers: usize, scale: &ConcScale, zipf: Option<f64>) -> Point
             Some(z) => zipf_plan(&mut rng, z, writers, round, scale),
             None => disjoint_plan(writers, round, scale),
         };
-        let out = rig.run_concurrent_writers_pipelined(ino, &plan);
+        let out = rig.run_concurrent_writers(ino, &plan, CommitWait::AllSubmitted);
         commits += out.committed.len() as u64;
         conflicts += out.conflicted.len() as u64;
         latencies.extend(out.commit_latency_ns);

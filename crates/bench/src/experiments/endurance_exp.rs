@@ -33,6 +33,7 @@ use xftl_workloads::synthetic::{self, SyntheticConfig};
 
 use crate::metrics;
 use crate::report::Table;
+use crate::RunScale;
 
 /// Scale of the endurance sweep.
 #[derive(Debug, Clone, Copy)]
@@ -45,27 +46,21 @@ pub struct EnduranceScale {
 }
 
 impl EnduranceScale {
-    /// The report-quality configuration.
-    pub fn full() -> Self {
-        EnduranceScale {
-            tuples: 6_000,
-            txn_cap: 20_000,
-        }
-    }
-
-    /// A fast configuration for `cargo bench` smoke runs and tests.
-    pub fn quick() -> Self {
-        EnduranceScale {
-            tuples: 1_500,
-            txn_cap: 4_000,
-        }
-    }
-
-    /// The minimal configuration for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        EnduranceScale {
-            tuples: 800,
-            txn_cap: 1_500,
+    /// The parameters for a run scale (smoke doubles as the tests').
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => EnduranceScale {
+                tuples: 6_000,
+                txn_cap: 20_000,
+            },
+            RunScale::Quick => EnduranceScale {
+                tuples: 1_500,
+                txn_cap: 4_000,
+            },
+            RunScale::Smoke => EnduranceScale {
+                tuples: 800,
+                txn_cap: 1_500,
+            },
         }
     }
 
@@ -331,7 +326,7 @@ pub fn run_point(mode: Mode, env: FaultEnv, scale: &EnduranceScale) -> Endurance
     // Post-mortem: power-cycle, recover, remount, and audit every row
     // through a fresh connection. A dead baseline whose journal cannot
     // be replayed reports exactly what it lost.
-    let (rig, _recovery_ns) = rig.crash_and_recover();
+    let (rig, _) = rig.crash_and_recover();
     let final_state = rig.device_state();
     let mounted_read_only = rig.fs.borrow().mounted_read_only();
     let mut reopened = false;
@@ -484,7 +479,7 @@ mod tests {
 
     #[test]
     fn xftl_stays_fully_readable_at_end_of_life() {
-        let scale = EnduranceScale::smoke();
+        let scale = EnduranceScale::at(RunScale::Smoke);
         let sev = ENDURANCE_SWEEP[2]; // dying: must actually reach EOL
         let p = run_point(Mode::XFtl, sev.env, &scale);
         assert!(
@@ -513,7 +508,7 @@ mod tests {
 
     #[test]
     fn degraded_entry_is_monotone_in_severity() {
-        let scale = EnduranceScale::smoke();
+        let scale = EnduranceScale::at(RunScale::Smoke);
         let degraded: Vec<bool> = ENDURANCE_SWEEP
             .iter()
             .map(|sev| {

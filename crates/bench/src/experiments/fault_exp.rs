@@ -17,6 +17,7 @@ use xftl_workloads::synthetic::{self, SyntheticConfig};
 
 use crate::metrics;
 use crate::report::{millis, Table};
+use crate::RunScale;
 
 /// Scale of the fault sweep.
 #[derive(Debug, Clone, Copy)]
@@ -27,27 +28,21 @@ pub struct FaultScale {
 }
 
 impl FaultScale {
-    /// The report-quality configuration.
-    pub fn full() -> Self {
-        FaultScale {
-            tuples: 20_000,
-            txns: 600,
-        }
-    }
-
-    /// A fast configuration for `cargo bench` smoke runs and tests.
-    pub fn quick() -> Self {
-        FaultScale {
-            tuples: 9_000,
-            txns: 250,
-        }
-    }
-
-    /// The minimal configuration for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        FaultScale {
-            tuples: 5_000,
-            txns: 120,
+    /// The parameters for a run scale (quick doubles as the tests').
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => FaultScale {
+                tuples: 20_000,
+                txns: 600,
+            },
+            RunScale::Quick => FaultScale {
+                tuples: 9_000,
+                txns: 250,
+            },
+            RunScale::Smoke => FaultScale {
+                tuples: 5_000,
+                txns: 120,
+            },
         }
     }
 
@@ -341,7 +336,7 @@ mod tests {
 
     #[test]
     fn xftl_degrades_gracefully_to_heavy_block_retirement() {
-        let scale = FaultScale::quick();
+        let scale = FaultScale::at(RunScale::Quick);
         let clean = run_point(Mode::XFtl, None, &scale).expect("clean run failed");
         let extreme = run_point(Mode::XFtl, Some(TORTURE), &scale).expect("torture run failed");
         // The brutal regime must actually exercise every fault class…
@@ -373,7 +368,7 @@ mod tests {
 
     #[test]
     fn fault_severity_monotonically_costs_time() {
-        let scale = FaultScale::quick();
+        let scale = FaultScale::at(RunScale::Quick);
         let clean = run_point(Mode::XFtl, None, &scale).expect("clean run failed");
         let heavy = run_point(Mode::XFtl, FAULT_SWEEP[3].env, &scale).expect("heavy run failed");
         // Fault handling charges real simulated time, so a heavy fault

@@ -6,6 +6,7 @@ use xftl_workloads::rig::{Mode, Profile, Rig, RigConfig};
 
 use crate::metrics;
 use crate::report::Table;
+use crate::RunScale;
 
 /// FIO experiment scale.
 #[derive(Debug, Clone, Copy)]
@@ -19,76 +20,46 @@ pub struct FioScale {
 }
 
 impl FioScale {
-    /// Default full-scale parameters.
-    pub fn full() -> Self {
-        FioScale {
-            file_bytes: 128 * 1024 * 1024,
-            duration_secs: 30,
-        }
-    }
-
-    /// Reduced scale for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        FioScale {
-            file_bytes: 16 * 1024 * 1024,
-            duration_secs: 4,
-        }
-    }
-
-    /// The minimal scale for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        FioScale {
-            file_bytes: 8 * 1024 * 1024,
-            duration_secs: 2,
+    /// The parameters for a run scale.
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => FioScale {
+                file_bytes: 128 * 1024 * 1024,
+                duration_secs: 30,
+            },
+            RunScale::Quick => FioScale {
+                file_bytes: 16 * 1024 * 1024,
+                duration_secs: 4,
+            },
+            RunScale::Smoke => FioScale {
+                file_bytes: 8 * 1024 * 1024,
+                duration_secs: 2,
+            },
         }
     }
 }
 
-/// The FS configurations of Figure 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum FsSetup {
-    XFtlOff,
-    Ordered,
-    Full,
-}
-
-impl FsSetup {
-    /// Human-readable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FsSetup::XFtlOff => "X-FTL (journaling off)",
-            FsSetup::Ordered => "ordered journaling",
-            FsSetup::Full => "full journaling",
-        }
-    }
-
-    /// Stable lowercase key for metric names.
-    pub fn key(self) -> &'static str {
-        match self {
-            FsSetup::XFtlOff => "xftl",
-            FsSetup::Ordered => "ordered",
-            FsSetup::Full => "full",
-        }
-    }
-}
-
-fn fio_rig(setup: FsSetup, profile: Profile, scale: &FioScale) -> Rig {
+/// The rig of one FIO point: a fresh drive under the file-system setup
+/// `fs_mode` (Figure 8's three: `Off` = X-FTL, ordered, full), with the
+/// profile's channel count unless `channels` overrides it.
+pub fn fio_rig(
+    fs_mode: JournalMode,
+    profile: Profile,
+    channels: Option<u32>,
+    scale: &FioScale,
+) -> Rig {
     let file_pages = scale.file_bytes / 8192;
     // Plenty of logical room; over-provisioning ~60 %.
     let logical = file_pages * 2 + 4_000;
-    let (mode, over) = match setup {
-        FsSetup::XFtlOff => (Mode::XFtl, None),
-        FsSetup::Ordered => (Mode::Wal, None), // Wal rig = ordered FS
-        FsSetup::Full => (Mode::Rbj, Some(JournalMode::Full)),
-    };
     Rig::build(RigConfig {
-        mode,
+        fs_mode,
         profile,
         blocks: ((logical as f64 * 1.6 / 128.0).ceil() as usize).max(64),
         logical_pages: logical,
-        fs_mode_override: over,
-        ..RigConfig::small(mode)
+        channels,
+        // FIO opens no database, so the SQLite side of `Mode` is never
+        // read; `fs_mode` alone describes the stack.
+        ..RigConfig::small(Mode::Wal)
     })
 }
 
@@ -98,14 +69,14 @@ pub const FIG9_QUEUE_DEPTH: usize = 8;
 
 /// One measured IOPS point.
 pub fn run_point(
-    setup: FsSetup,
+    fs_mode: JournalMode,
     profile: Profile,
     jobs: usize,
     writes_per_fsync: usize,
     queue_depth: usize,
     scale: &FioScale,
 ) -> f64 {
-    let rig = fio_rig(setup, profile, scale);
+    let rig = fio_rig(fs_mode, profile, None, scale);
     let r = fio::run(
         &rig,
         &FioConfig {
@@ -130,9 +101,9 @@ pub fn fig8(scale: FioScale) -> String {
     ));
     let mut t = Table::new(vec!["pages/fsync", "X-FTL", "ordered", "full"]);
     for wpf in [1usize, 5, 10, 15, 20] {
-        let x = run_point(FsSetup::XFtlOff, Profile::OpenSsd, 1, wpf, 1, &scale);
-        let o = run_point(FsSetup::Ordered, Profile::OpenSsd, 1, wpf, 1, &scale);
-        let f = run_point(FsSetup::Full, Profile::OpenSsd, 1, wpf, 1, &scale);
+        let x = run_point(JournalMode::Off, Profile::OpenSsd, 1, wpf, 1, &scale);
+        let o = run_point(JournalMode::Ordered, Profile::OpenSsd, 1, wpf, 1, &scale);
+        let f = run_point(JournalMode::Full, Profile::OpenSsd, 1, wpf, 1, &scale);
         metrics::metric(format!("fig8.wpf{wpf}.xftl_iops"), x);
         metrics::metric(format!("fig8.wpf{wpf}.ordered_iops"), o);
         metrics::metric(format!("fig8.wpf{wpf}.full_iops"), f);
@@ -167,17 +138,17 @@ pub fn fig9(scale: FioScale) -> String {
         "S830 full",
     ]);
     for wpf in [1usize, 5, 10, 15, 20] {
-        let so = run_point(FsSetup::Ordered, Profile::S830, 16, wpf, 1, &scale);
+        let so = run_point(JournalMode::Ordered, Profile::S830, 16, wpf, 1, &scale);
         let x = run_point(
-            FsSetup::XFtlOff,
+            JournalMode::Off,
             Profile::OpenSsd,
             16,
             wpf,
             FIG9_QUEUE_DEPTH,
             &scale,
         );
-        let x1 = run_point(FsSetup::XFtlOff, Profile::OpenSsd, 16, wpf, 1, &scale);
-        let sf = run_point(FsSetup::Full, Profile::S830, 16, wpf, 1, &scale);
+        let x1 = run_point(JournalMode::Off, Profile::OpenSsd, 16, wpf, 1, &scale);
+        let sf = run_point(JournalMode::Full, Profile::S830, 16, wpf, 1, &scale);
         metrics::metric(format!("fig9.wpf{wpf}.s830_ordered_iops"), so);
         metrics::metric(format!("fig9.wpf{wpf}.openssd_xftl_iops"), x);
         metrics::metric(format!("fig9.wpf{wpf}.openssd_xftl_qd1_iops"), x1);

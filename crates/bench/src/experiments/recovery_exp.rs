@@ -6,13 +6,12 @@
 //! the mode-specific restart time (hot-journal rollback for RBJ, WAL-scan
 //! for WAL, X-L2P fold for X-FTL) and the excluded common scan time.
 
-use xftl_core::XFtl;
-use xftl_ftl::{PageMappedFtl, SataLink};
-use xftl_workloads::rig::{link_for, AnyDev, Mode, Rig, RigConfig};
+use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::synthetic::{self, SyntheticConfig};
 
 use crate::metrics::{self, mode_key};
 use crate::report::{millis, Table};
+use crate::RunScale;
 
 /// One Table 5 measurement.
 #[derive(Debug, Clone, Copy)]
@@ -35,27 +34,21 @@ pub struct RecoveryScale {
 }
 
 impl RecoveryScale {
-    /// Default full-scale parameters.
-    pub fn full() -> Self {
-        RecoveryScale {
-            tuples: 20_000,
-            txns_before_crash: 200,
-        }
-    }
-
-    /// Reduced scale for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        RecoveryScale {
-            tuples: 2_000,
-            txns_before_crash: 40,
-        }
-    }
-
-    /// The minimal scale for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        RecoveryScale {
-            tuples: 1_500,
-            txns_before_crash: 30,
+    /// The parameters for a run scale.
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => RecoveryScale {
+                tuples: 20_000,
+                txns_before_crash: 200,
+            },
+            RunScale::Quick => RecoveryScale {
+                tuples: 2_000,
+                txns_before_crash: 40,
+            },
+            RunScale::Smoke => RecoveryScale {
+                tuples: 1_500,
+                txns_before_crash: 30,
+            },
         }
     }
 }
@@ -95,50 +88,22 @@ pub fn measure(mode: Mode, scale: RecoveryScale) -> RecoveryMeasurement {
         }
         // Power fails here: no COMMIT, connection dropped.
     }
-    let (fs, clock, cfg) = rig.teardown();
-    let dev = fs.into_device();
     // Device-level recovery, with the X-L2P portion isolated for X-FTL.
-    let (dev, common_ns, device_restart_ns) = match dev {
-        AnyDev::Plain(link) => {
-            let chip = link.into_inner().into_chip();
-            let t0 = clock.now();
-            let d = PageMappedFtl::recover(chip).expect("recover");
-            (
-                AnyDev::Plain(SataLink::new(d, link_for(cfg.profile), clock.clone())),
-                clock.now() - t0,
-                0,
-            )
-        }
-        AnyDev::X(link) => {
-            let chip = link.into_inner().into_chip();
-            let (d, breakdown) =
-                XFtl::recover_with_breakdown(chip, cfg.xl2p_capacity).expect("recover");
-            (
-                AnyDev::X(SataLink::new(d, link_for(cfg.profile), clock.clone())),
-                breakdown.scan_ns,
-                breakdown.xl2p_ns,
-            )
-        }
-        AnyDev::AtomicW(_) => unreachable!("rig never builds the baseline for Table 5"),
-    };
-    let rig = Rig::reassemble(dev, clock, cfg);
+    let (rig, device) = rig.crash_and_recover();
     // SQLite-level restart: the first open performs the mode's recovery
     // (hot-journal rollback / WAL index rebuild).
     let t0 = rig.clock.now();
     let db = rig.open_db("synthetic.db");
     let open_ns = rig.clock.now() - t0;
     drop(db);
-    let restart_ns = match mode {
-        // X-FTL's restart work happens inside the device (X-L2P fold);
-        // opening the database does no recovery at all, but we include it
-        // for honesty — it is near zero.
-        Mode::XFtl => device_restart_ns + open_ns,
-        _ => open_ns,
-    };
     RecoveryMeasurement {
         mode,
-        restart_ns,
-        common_ns,
+        // X-FTL's restart work happens inside the device (the X-L2P
+        // fold, zero on the plain FTL); opening the database then does
+        // no recovery at all, but we include it for honesty — it is near
+        // zero.
+        restart_ns: device.xl2p_ns + open_ns,
+        common_ns: device.scan_ns,
     }
 }
 

@@ -33,6 +33,7 @@ use xftl_ftl::{FtlStats, GcPolicy, PageMappedFtl};
 use crate::experiments::concurrent_exp::Zipf;
 use crate::metrics;
 use crate::report::Table;
+use crate::RunScale;
 
 /// Zipfian skew of the overwrite stream (θ = 0.9, matching the
 /// concurrent experiment's contended regime).
@@ -70,45 +71,44 @@ pub struct SteadyScale {
 }
 
 impl SteadyScale {
-    /// Local validation scale: a 64 GB-class drive. Feasible in bounded
-    /// host RAM only because of fill compression + the paged mapping.
-    pub fn full() -> Self {
-        SteadyScale {
-            config: FlashConfigBuilder::scale_64g().build(),
-            device: "64g",
-            utilization: 0.75,
-            cache_fraction: 0.4,
-            overwrite_factor: 1.25,
-            windows: 8,
-        }
-    }
-
-    /// CI soak-lane scale: 100× the paper's OpenSSD (~6.8 GB raw).
-    pub fn quick() -> Self {
-        SteadyScale {
-            config: FlashConfigBuilder::scale_100x().build(),
-            device: "100x",
-            utilization: 0.75,
-            cache_fraction: 0.4,
-            overwrite_factor: 1.5,
-            windows: 6,
-        }
-    }
-
-    /// PR-CI smoke scale: the tiny test geometry scaled to 256 blocks,
-    /// still demand-paging (the cache holds well under half the slabs).
-    pub fn smoke() -> Self {
-        SteadyScale {
-            config: FlashConfig::tiny(256),
-            device: "tiny",
-            utilization: 0.75,
-            // The tiny geometry's 64-entry slabs give Zipfian draws much
-            // less per-slab locality than the real scales' 1024+, so the
-            // smoke tier needs half the slabs resident to clear the CI
-            // hit-rate gate with margin.
-            cache_fraction: 0.5,
-            overwrite_factor: 2.0,
-            windows: 4,
+    /// The parameters for a run scale.
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            // Local validation scale: a 64 GB-class drive. Feasible in
+            // bounded host RAM only because of fill compression + the
+            // paged mapping.
+            RunScale::Full => SteadyScale {
+                config: FlashConfigBuilder::scale_64g().build(),
+                device: "64g",
+                utilization: 0.75,
+                cache_fraction: 0.4,
+                overwrite_factor: 1.25,
+                windows: 8,
+            },
+            // CI soak-lane scale: 100× the paper's OpenSSD (~6.8 GB raw).
+            RunScale::Quick => SteadyScale {
+                config: FlashConfigBuilder::scale_100x().build(),
+                device: "100x",
+                utilization: 0.75,
+                cache_fraction: 0.4,
+                overwrite_factor: 1.5,
+                windows: 6,
+            },
+            // PR-CI smoke scale: the tiny test geometry scaled to 256
+            // blocks, still demand-paging (the cache holds well under
+            // half the slabs).
+            RunScale::Smoke => SteadyScale {
+                config: FlashConfig::tiny(256),
+                device: "tiny",
+                utilization: 0.75,
+                // The tiny geometry's 64-entry slabs give Zipfian draws
+                // much less per-slab locality than the real scales'
+                // 1024+, so the smoke tier needs half the slabs resident
+                // to clear the CI hit-rate gate with margin.
+                cache_fraction: 0.5,
+                overwrite_factor: 2.0,
+                windows: 4,
+            },
         }
     }
 

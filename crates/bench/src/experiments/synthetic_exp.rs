@@ -1,13 +1,13 @@
 //! Figure 5, Table 1 and Figure 6: the synthetic partsupp workload under
 //! varying transaction sizes and GC-validity regimes.
 
-use xftl_flash::SECOND;
 use xftl_ftl::GcPolicy;
 use xftl_workloads::rig::{Aging, Mode, Rig, RigConfig, Snapshot};
 use xftl_workloads::synthetic::{self, SyntheticConfig};
 
 use crate::metrics::{self, mode_key};
 use crate::report::{ratio, secs, Table};
+use crate::RunScale;
 
 /// A GC-validity regime: the paper ages the OpenSSD so victims carry
 /// ~30/50/70 % valid pages. We reproduce the regimes the way the paper's
@@ -48,7 +48,7 @@ impl Validity {
 
     /// Target utilization (live pages / physical data pages). Under FIFO
     /// GC the mean victim validity converges to roughly this value;
-    /// calibrate with `cargo run --bin calibrate` after timing changes.
+    /// check with `bench calibrate` after timing changes.
     pub fn utilization(self) -> f64 {
         match self {
             Validity::V30 => 0.30,
@@ -71,30 +71,30 @@ pub fn blocks_for(live_pages: u64, logical_pages: u64, utilization: f64) -> usiz
 pub struct SynScale {
     pub tuples: usize,
     pub txns: usize,
+    /// Figure 5's x-axis: updated pages per transaction.
+    pub updates_sweep: &'static [usize],
 }
 
 impl SynScale {
-    /// The paper's configuration: 60,000 tuples, 1,000 transactions.
-    pub fn full() -> Self {
-        SynScale {
-            tuples: 60_000,
-            txns: 1_000,
-        }
-    }
-
-    /// A fast configuration for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        SynScale {
-            tuples: 6_000,
-            txns: 120,
-        }
-    }
-
-    /// The minimal configuration for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        SynScale {
-            tuples: 3_000,
-            txns: 60,
+    /// The parameters for a run scale (full = the paper's configuration:
+    /// 60,000 tuples, 1,000 transactions).
+    pub fn at(scale: RunScale) -> Self {
+        match scale {
+            RunScale::Full => SynScale {
+                tuples: 60_000,
+                txns: 1_000,
+                updates_sweep: &[1, 5, 10, 15, 20],
+            },
+            RunScale::Quick => SynScale {
+                tuples: 6_000,
+                txns: 120,
+                updates_sweep: &[1, 5, 20],
+            },
+            RunScale::Smoke => SynScale {
+                tuples: 3_000,
+                txns: 60,
+                updates_sweep: &[1, 5],
+            },
         }
     }
 
@@ -202,7 +202,7 @@ pub fn run_cell(mode: Mode, validity: Validity, updates: usize, scale: SynScale)
 
 /// Figure 5: execution time vs. updated pages per transaction, one panel
 /// per GC-validity regime.
-pub fn fig5(scale: SynScale, updates_sweep: &[usize]) -> String {
+pub fn fig5(scale: SynScale) -> String {
     let mut out = String::new();
     out.push_str("=== Figure 5: SQLite performance, 1,000 synthetic transactions ===\n");
     out.push_str(&format!(
@@ -219,7 +219,7 @@ pub fn fig5(scale: SynScale, updates_sweep: &[usize]) -> String {
             "WAL/X".into(),
             "meas.valid".into(),
         ]);
-        for &u in updates_sweep {
+        for &u in scale.updates_sweep {
             let rbj = run_cell(Mode::Rbj, validity, u, scale);
             let wal = run_cell(Mode::Wal, validity, u, scale);
             let x = run_cell(Mode::XFtl, validity, u, scale);
@@ -352,12 +352,22 @@ pub fn fig6(scale: SynScale) -> String {
     out
 }
 
-/// The elapsed-time of one (mode, validity) cell at 5 updates — exposed
-/// for integration tests asserting the paper's ordering.
-pub fn headline_ordering(scale: SynScale) -> (u64, u64, u64) {
-    let rbj = run_cell(Mode::Rbj, Validity::V50, 5, scale);
-    let wal = run_cell(Mode::Wal, Validity::V50, 5, scale);
-    let x = run_cell(Mode::XFtl, Validity::V50, 5, scale);
-    let _ = SECOND;
-    (rbj.elapsed_ns, wal.elapsed_ns, x.elapsed_ns)
+/// Calibration helper: measured mean GC victim validity against the
+/// utilization targets behind the Figure 5 validity regimes.
+pub fn calibrate(scale: SynScale) -> String {
+    let mut out = String::new();
+    for mode in [Mode::Rbj, Mode::Wal, Mode::XFtl] {
+        for v in Validity::ALL {
+            let c = run_cell(mode, v, 5, scale);
+            out.push_str(&format!(
+                "{:6} target {:3}: validity {:5.1}%  gc_runs {:5}  time {:8.2}s\n",
+                mode.label(),
+                v.label(),
+                c.measured_validity.map(|x| x * 100.0).unwrap_or(0.0),
+                c.snap.ftl.gc_runs,
+                c.elapsed_ns as f64 / 1e9,
+            ));
+        }
+    }
+    out
 }

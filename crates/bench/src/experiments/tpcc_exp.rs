@@ -8,6 +8,7 @@ use xftl_workloads::tpcc::{
 
 use crate::metrics;
 use crate::report::Table;
+use crate::RunScale;
 
 /// Stable lowercase key for a mix name in metric names.
 fn mix_key(name: &str) -> String {
@@ -31,34 +32,30 @@ pub struct TpccExpScale {
 }
 
 impl TpccExpScale {
-    /// Default benchmark scale (smaller than the paper's 10 warehouses —
-    /// the mix ratios, not the warehouse count, drive the mode gap).
-    pub fn full() -> Self {
-        TpccExpScale {
-            scale: TpccScale::default(),
-            txns_per_mix: 300,
-        }
-    }
-
-    /// Reduced scale for `cargo bench` smoke runs.
-    pub fn quick() -> Self {
-        TpccExpScale {
-            scale: TpccScale {
-                warehouses: 1,
-                districts_per_warehouse: 4,
-                customers_per_district: 10,
-                items: 200,
-                initial_orders: 10,
+    /// The parameters for a run scale. Full is the default benchmark
+    /// scale (smaller than the paper's 10 warehouses — the mix ratios,
+    /// not the warehouse count, drive the mode gap).
+    pub fn at(scale: RunScale) -> Self {
+        let reduced = TpccScale {
+            warehouses: 1,
+            districts_per_warehouse: 4,
+            customers_per_district: 10,
+            items: 200,
+            initial_orders: 10,
+        };
+        match scale {
+            RunScale::Full => TpccExpScale {
+                scale: TpccScale::default(),
+                txns_per_mix: 300,
             },
-            txns_per_mix: 40,
-        }
-    }
-
-    /// The minimal configuration for the CI `bench-smoke` job.
-    pub fn smoke() -> Self {
-        TpccExpScale {
-            txns_per_mix: 20,
-            ..Self::quick()
+            RunScale::Quick => TpccExpScale {
+                scale: reduced,
+                txns_per_mix: 40,
+            },
+            RunScale::Smoke => TpccExpScale {
+                scale: reduced,
+                txns_per_mix: 20,
+            },
         }
     }
 }

@@ -1,11 +1,12 @@
 //! # xftl-bench — harnesses regenerating every table and figure
 //!
 //! Each experiment of the paper's evaluation (§6) has a module under
-//! [`experiments`] and a binary (`cargo run --release -p xftl-bench --bin
-//! fig5` etc.). The `figures` bench target (`cargo bench`) runs every
-//! experiment at a reduced "quick" scale and prints the same tables.
+//! [`experiments`] and a row in the registry of the one front end:
+//! `cargo run --release -p xftl-bench --bin bench -- <name>…
+//! [--smoke|--quick]` runs the named experiments (`all` = the paper's
+//! sweep in one report) and `bench --list` prints the names.
 //!
-//! | paper artifact | module | binary |
+//! | paper artifact | module | `bench <name>` |
 //! |---|---|---|
 //! | Figure 5 (a–c) | `experiments::synthetic_exp::fig5` | `fig5` |
 //! | Table 1 | `experiments::synthetic_exp::table1` | `table1` |
@@ -21,6 +22,8 @@
 //! | (concurrent writers) | `experiments::concurrent_exp::concurrent_scaling` | `concurrent` |
 //! | (fault sweep) | `experiments::fault_exp::fault_sweep` | `faults` |
 //! | (endurance to end-of-life) | `experiments::endurance_exp::endurance_sweep` | `endurance` |
+//! | (GC steady-state soak) | `experiments::steady_exp::steady` | `steady` |
+//! | (GC-validity calibration) | `experiments::synthetic_exp::calibrate` | `calibrate` |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,12 +38,13 @@ pub mod experiments;
 pub mod metrics;
 pub mod report;
 
-/// The scale a bench binary runs at, parsed from its CLI flags.
+/// The scale `bench` runs its experiments at. Every experiment's
+/// `*Scale::at` maps it to that experiment's parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunScale {
     /// Paper-quality scale (the default).
     Full,
-    /// Reduced scale for `cargo bench` runs (`--quick`).
+    /// Reduced scale: seconds instead of minutes (`--quick`).
     Quick,
     /// Minimal scale for the CI `bench-smoke` job (`--smoke`): small
     /// enough to finish in minutes, large enough that every mode
@@ -49,19 +53,6 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses `--smoke` / `--quick` from the process arguments
-    /// (`--smoke` wins if both are given).
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--smoke") {
-            RunScale::Smoke
-        } else if args.iter().any(|a| a == "--quick") {
-            RunScale::Quick
-        } else {
-            RunScale::Full
-        }
-    }
-
     /// The label stamped into the report's `meta.scale`.
     pub fn label(self) -> &'static str {
         match self {
@@ -73,8 +64,8 @@ impl RunScale {
 }
 
 /// Drains the metric sink into a [`xftl_trace::BenchReport`] and writes
-/// it as `BENCH_<name>.json` in the current directory. Every bench
-/// binary calls this after printing its text tables; because the whole
+/// it as `BENCH_<name>.json` in the current directory. `bench` calls
+/// this after printing an experiment's text tables; because the whole
 /// stack runs on the simulated clock, two runs at the same scale write
 /// byte-identical files.
 pub fn write_report(name: &str, scale: RunScale) {

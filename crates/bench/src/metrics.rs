@@ -2,11 +2,11 @@
 //!
 //! Experiment functions return human-readable text tables; the
 //! machine-readable numbers behind the tables are pushed here as they
-//! are measured. A bench binary resets the sink, runs its experiments,
-//! then drains the sink into a [`BenchReport`] written next to the text
-//! output. Writes are last-write-wins per name, so an experiment that
-//! re-runs a cell (Table 1 reuses Figure 5's runner) keeps exactly one
-//! deterministic value per key.
+//! are measured. `bench` resets the sink, runs an experiment (or, for
+//! `all`, its members), then drains the sink into a [`BenchReport`]
+//! written next to the text output. Writes are last-write-wins per
+//! name, so an experiment that re-runs a cell (Table 1 reuses Figure 5's
+//! runner) keeps exactly one deterministic value per key.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -66,8 +66,8 @@ pub fn hists(prefix: &str, telemetry: &Telemetry) {
     });
 }
 
-/// Clears the sink (bench binaries call this before their first
-/// experiment so library tests running earlier in-process can't leak in).
+/// Clears the sink (`bench` calls this before each report's first
+/// experiment, so nothing recorded earlier in the process leaks in).
 pub fn reset() {
     with_sink(|s| {
         s.metrics.clear();

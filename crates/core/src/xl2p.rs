@@ -20,7 +20,7 @@
 //! reads it without fetching the page; the 16-byte page header carries
 //! only the magic and the page's entry count.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use xftl_flash::{Oob, PageKind, Ppa};
@@ -148,12 +148,6 @@ pub struct Xl2pTable {
     /// Commit sequence of the version the L2P table currently points at.
     /// Trails `current_seq` while a staged commit awaits its group flush.
     l2p_seq: HashMap<Lpn, u64>,
-    /// Per-LPN write-intent table: every transaction holding an *active*
-    /// X-L2P entry for the page. Mirrors the active entries exactly
-    /// (intents register at `upsert`, release at `mark_committed` or
-    /// entry removal); replaces the old implicit one-writer-per-page
-    /// assumption.
-    intents: HashMap<Lpn, Vec<Tid>>,
 }
 
 impl Xl2pTable {
@@ -168,7 +162,6 @@ impl Xl2pTable {
             chains: HashMap::new(),
             current_seq: HashMap::new(),
             l2p_seq: HashMap::new(),
-            intents: HashMap::new(),
         }
     }
 
@@ -238,11 +231,6 @@ impl Xl2pTable {
             self.entries[i].ppa = ppa;
             self.entries[i].status = TxStatus::Active;
             self.entries[i].seq = 0;
-            if !was_active {
-                // A committed slot repurposed for a new write becomes an
-                // intent again.
-                self.intents.entry(lpn).or_default().push(tid);
-            }
             return Ok(was_active.then_some(old));
         }
         if self.is_full() {
@@ -258,56 +246,32 @@ impl Xl2pTable {
         });
         self.by_page.insert((tid, lpn), i);
         self.by_tid.entry(tid).or_default().push(i);
-        self.intents.entry(lpn).or_default().push(tid);
         Ok(None)
     }
 
     /// Flips every entry of `tid` to committed, stamping the commit's
     /// sequence ordinal (see [`Entry::seq`]). Returns the number flipped.
     /// The committed pages stop being write *intents* — the tid has won
-    /// them — so they leave the intent table here.
+    /// them.
     pub fn mark_committed(&mut self, tid: Tid, seq: u64) -> usize {
         let mut n = 0;
-        let mut lpns = Vec::new();
         if let Some(idxs) = self.by_tid.get(&tid) {
             for &i in idxs {
                 if self.entries[i].status == TxStatus::Active {
-                    lpns.push(self.entries[i].lpn);
                     self.entries[i].seq = seq;
                 }
                 self.entries[i].status = TxStatus::Committed;
                 n += 1;
             }
         }
-        for lpn in lpns {
-            self.remove_intent(lpn, tid);
-        }
         n
     }
 
-    /// Drops `tid` from the intent list of `lpn`, if present.
-    fn remove_intent(&mut self, lpn: Lpn, tid: Tid) {
-        if let Some(tids) = self.intents.get_mut(&lpn) {
-            if let Some(pos) = tids.iter().position(|&t| t == tid) {
-                tids.remove(pos);
-            }
-            if tids.is_empty() {
-                self.intents.remove(&lpn);
-            }
-        }
-    }
-
     /// Removes the entry at slot `i` (swap-remove), fixing both indices.
-    /// The single choke point through which every entry leaves the table,
-    /// so the write-intent table stays an exact mirror.
+    /// The single choke point through which every entry leaves the table.
     fn remove_index(&mut self, i: usize) -> Entry {
         let e = self.entries.swap_remove(i);
         self.by_page.remove(&(e.tid, e.lpn));
-        if e.status == TxStatus::Active {
-            // Committed entries already left the intent table at
-            // `mark_committed`; only an aborted intent is still listed.
-            self.remove_intent(e.lpn, e.tid);
-        }
         let last = self.entries.len(); // old index of the moved entry
         if let Some(v) = self.by_tid.get_mut(&e.tid) {
             v.retain(|&slot| slot != i);
@@ -398,15 +362,27 @@ impl Xl2pTable {
 
     // --- MVCC side tables (RAM-only, never persisted) ----------------------
 
-    /// The transactions currently holding a write intent on `lpn`, in
-    /// intent-registration order.
-    pub fn writers_of(&self, lpn: Lpn) -> &[Tid] {
-        self.intents.get(&lpn).map_or(&[], Vec::as_slice)
+    /// The transactions currently holding a write intent on `lpn` — an
+    /// *active* entry for the page — in ascending tid order. A scan:
+    /// only tests and diagnostics ask.
+    pub fn writers_of(&self, lpn: Lpn) -> Vec<Tid> {
+        let mut tids: Vec<Tid> = self
+            .active()
+            .filter(|e| e.lpn == lpn)
+            .map(|e| e.tid)
+            .collect();
+        tids.sort_unstable();
+        tids
     }
 
-    /// Number of pages with at least one registered write intent.
+    /// Number of pages with at least one write intent (a scan, as above).
     pub fn intent_pages(&self) -> usize {
-        self.intents.len()
+        let pages: HashSet<Lpn> = self.active().map(|e| e.lpn).collect();
+        pages.len()
+    }
+
+    fn active(&self) -> impl Iterator<Item = &Entry> {
+        self.entries.iter().filter(|e| e.status == TxStatus::Active)
     }
 
     /// Commit sequence of the newest committed version of `lpn` (0 if the

@@ -501,11 +501,6 @@ impl FlashChip {
         self.fault = Some(plan);
     }
 
-    /// Removes and returns the installed fault plan, if any.
-    pub fn take_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.fault.take()
-    }
-
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault.as_ref()

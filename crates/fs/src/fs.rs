@@ -446,12 +446,6 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(tid)
     }
 
-    /// True if `tid` was opened with [`FileSystem::begin_tx_concurrent`]
-    /// and has neither committed nor aborted yet.
-    pub fn is_snapshot_tid(&self, tid: Tid) -> bool {
-        self.snapshot_tids.contains(&tid)
-    }
-
     // --- namespace ---------------------------------------------------------
 
     /// Creates an empty file, returning its inode.

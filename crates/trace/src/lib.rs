@@ -13,7 +13,7 @@
 //! * a bounded structured-event ring (behind the `trace` cargo feature)
 //!   emitting typed spans `{layer, op, tid, lpn, t_start, t_end}`,
 //!   dumpable as JSONL for post-hoc analysis of a failing test or bench;
-//! * [`BenchReport`] — a JSON report schema every bench binary writes
+//! * [`BenchReport`] — a JSON report schema every bench experiment writes
 //!   next to its text tables, diffable exactly in CI because the
 //!   simulated clock makes the numbers reproducible.
 //!

@@ -1,6 +1,6 @@
 //! The serialized bench-report schema (`BENCH_<name>.json`).
 //!
-//! Every bench binary writes one [`BenchReport`] next to its text
+//! Every bench experiment writes one [`BenchReport`] next to its text
 //! tables. Because the whole stack runs on a simulated clock, two runs
 //! of the same binary at the same scale serialize to byte-identical
 //! JSON — which is what lets `xtask bench-check` diff a fresh run
@@ -17,7 +17,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// A machine-readable benchmark report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchReport {
-    /// Report name (the bench binary, e.g. `"all"`).
+    /// Report name (the bench experiment, e.g. `"all"`).
     pub name: String,
     /// Free-form metadata as ordered key/value pairs (scale, seed, ...).
     pub meta: Vec<(String, String)>,

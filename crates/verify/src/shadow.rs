@@ -255,11 +255,6 @@ impl ShadowModel {
         s
     }
 
-    /// Number of commits submitted but not yet durable.
-    pub fn unflushed_commits(&self) -> usize {
-        self.unflushed.len()
-    }
-
     /// Number of snapshot transactions currently open in the model.
     pub fn active_snapshots(&self) -> usize {
         self.snapshots.len()

@@ -197,7 +197,7 @@ mod tests {
         let full_rig = Rig::build(RigConfig {
             blocks: 96,
             logical_pages: 8_000,
-            fs_mode_override: Some(JournalMode::Full),
+            fs_mode: JournalMode::Full,
             ..RigConfig::small(Mode::Rbj)
         });
         let full = run(&full_rig, &cfg(5)).iops;

@@ -25,6 +25,6 @@ pub mod synthetic;
 pub mod tpcc;
 
 pub use rig::{
-    concurrent_fill, Aging, AnyDev, ConcurrentOutcome, ConcurrentPlan, Mode, Profile, Rig,
-    RigConfig, Snapshot,
+    concurrent_fill, Aging, AnyDev, CommitWait, ConcurrentOutcome, ConcurrentPlan, Mode, Profile,
+    Rig, RigConfig, Snapshot,
 };

@@ -6,13 +6,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xftl_core::XFtl;
+use xftl_core::{RecoveryBreakdown, XFtl};
 use xftl_db::{Connection, DbJournalMode, SharedFs};
 use xftl_flash::{AgingModel, FaultPlan, FlashChip, FlashConfigBuilder, Nanos, SimClock};
 use xftl_fs::{FileSystem, FsConfig, FsError, FsStats, Ino, JournalMode};
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase,
-    FtlStats, GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
+    BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase, FtlStats,
+    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
     TxBlockDevice,
 };
 
@@ -71,21 +71,20 @@ pub enum Profile {
     S830,
 }
 
-/// A device of any FTL personality — by default each behind its SATA
-/// link, which is what the rig builds. The forwarding below is generic
-/// over the three slots, so a test harness that wraps the personalities
-/// differently (say, in the shadow oracle) reuses it instead of
-/// hand-copying it and forgetting a defaulted method.
+/// A device of either FTL personality the rig builds — by default each
+/// behind its SATA link. The forwarding below is generic over the two
+/// slots, so a test harness that wraps the personalities differently
+/// (say, in the shadow oracle) reuses it instead of hand-copying it and
+/// forgetting a defaulted method.
 #[derive(Debug)]
 #[allow(missing_docs)]
 // One AnyDev exists per rig, never in collections; boxing the X-FTL
 // variant (whose commit-pipeline state tips the size ratio) would only
 // add indirection to every forwarded device call.
 #[allow(clippy::large_enum_variant)]
-pub enum AnyDev<P = SataLink<PageMappedFtl>, T = SataLink<XFtl>, A = SataLink<AtomicWriteFtl>> {
+pub enum AnyDev<P = SataLink<PageMappedFtl>, T = SataLink<XFtl>> {
     Plain(P),
     X(T),
-    AtomicW(A),
 }
 
 macro_rules! fwd {
@@ -93,12 +92,11 @@ macro_rules! fwd {
         match $self {
             AnyDev::Plain($d) => $body,
             AnyDev::X($d) => $body,
-            AnyDev::AtomicW($d) => $body,
         }
     };
 }
 
-impl<P: BlockDevice, T: BlockDevice, A: BlockDevice> BlockDevice for AnyDev<P, T, A> {
+impl<P: BlockDevice, T: BlockDevice> BlockDevice for AnyDev<P, T> {
     fn page_size(&self) -> usize {
         fwd!(self, d => d.page_size())
     }
@@ -136,7 +134,7 @@ impl<P: BlockDevice, T: BlockDevice, A: BlockDevice> BlockDevice for AnyDev<P, T
 /// Every method is forwarded, the defaulted ones included — a wrapper
 /// that lets `begin` fall back to the trait's no-op silently degrades
 /// snapshot reads to read-committed.
-impl<P: BlockDevice, T: TxBlockDevice, A: BlockDevice> TxBlockDevice for AnyDev<P, T, A> {
+impl<P: BlockDevice, T: TxBlockDevice> TxBlockDevice for AnyDev<P, T> {
     fn begin(&mut self, tid: Tid) -> Result<()> {
         self.x().begin(tid)
     }
@@ -163,12 +161,12 @@ impl<P: BlockDevice, T: TxBlockDevice, A: BlockDevice> TxBlockDevice for AnyDev<
     }
 }
 
-impl<P, T, A> AnyDev<P, T, A> {
+impl<P, T> AnyDev<P, T> {
     /// The one personality that speaks the transactional commands.
     fn x(&mut self) -> &mut T {
         match self {
             AnyDev::X(d) => d,
-            _ => panic!("rig bug: transactional command on a non-X-FTL personality"),
+            AnyDev::Plain(_) => panic!("rig bug: transactional command on the plain FTL"),
         }
     }
 }
@@ -206,11 +204,12 @@ impl AnyDev {
         self.base().recorder().clone()
     }
 
-    /// Installs (or clears) the background-scrub / wear-leveling policy
-    /// on whichever personality is inside. The policy lives in FTL RAM,
-    /// so the rig re-installs it after every simulated power cycle.
-    pub fn set_scrub_config(&mut self, cfg: Option<ScrubConfig>) {
-        self.base_mut().set_scrub_config(cfg);
+    /// Installs the GC victim policy and the background-scrub /
+    /// wear-leveling policy of `cfg`. Both live in FTL RAM, so the rig
+    /// re-installs them after every simulated power cycle.
+    fn install_host_policies(&mut self, cfg: &RigConfig) {
+        self.base_mut().set_gc_policy(cfg.gc_policy);
+        self.base_mut().set_scrub_config(cfg.scrub);
     }
 
     /// Current device-health state (persisted by the FTL; survives
@@ -218,17 +217,14 @@ impl AnyDev {
     pub fn device_state(&self) -> DeviceState {
         self.base().device_state()
     }
-
-    /// Blocks retired to the bad-block table.
-    pub fn bad_block_count(&self) -> usize {
-        self.base().bad_block_count()
-    }
 }
 
 /// Rig parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct RigConfig {
-    /// System configuration under test.
+    /// System configuration under test: the SQLite journal mode of
+    /// [`Rig::open_db`], and what [`RigConfig::small`] derives `fs_mode`
+    /// from.
     pub mode: Mode,
     /// Hardware profile.
     pub profile: Profile,
@@ -238,16 +234,18 @@ pub struct RigConfig {
     pub logical_pages: u64,
     /// OS page-cache capacity (pages).
     pub fs_cache_pages: usize,
-    /// X-L2P capacity when `mode == XFtl`.
+    /// X-L2P capacity when the device is X-FTL.
     pub xl2p_capacity: usize,
     /// Pre-format aging: fraction of the logical space filled with cold
     /// data, plus churn rounds, to set the GC validity regime (Figure 5's
     /// 30/50/70 % knob). `None` = fresh drive.
     pub aging: Option<Aging>,
-    /// Overrides the file-system journal mode implied by `mode` (the FIO
-    /// benchmark compares ext4 *full* journaling, which no SQLite mode
-    /// maps to).
-    pub fs_mode_override: Option<JournalMode>,
+    /// File-system journal mode; it also picks the device, as the paper
+    /// pairs them: `Off` runs on X-FTL, the journaling modes on the plain
+    /// FTL. [`RigConfig::small`] sets the one `mode` implies; the FIO
+    /// experiments, which open no database, set it directly (ext4 *full*
+    /// journaling is a mode no SQLite configuration maps to).
+    pub fs_mode: JournalMode,
     /// GC victim policy; the aged-drive experiments use `Fifo` (the
     /// OpenSSD-era behaviour that makes victim validity track utilization).
     pub gc_policy: GcPolicy,
@@ -329,20 +327,13 @@ impl RigConfig {
             fs_cache_pages: 1024,
             xl2p_capacity: 500,
             aging: None,
-            fs_mode_override: None,
+            fs_mode: mode.fs_mode(),
             gc_policy: GcPolicy::Greedy,
             channels: None,
             seed: 42,
             fault: None,
             scrub: None,
         }
-    }
-}
-
-impl RigConfig {
-    /// The effective file-system journal mode.
-    pub fn fs_mode(&self) -> JournalMode {
-        self.fs_mode_override.unwrap_or_else(|| self.mode.fs_mode())
     }
 }
 
@@ -387,21 +378,20 @@ impl Rig {
         if let Some(env) = cfg.fault {
             chip.set_fault_plan(env.plan());
         }
-        let mut dev = match cfg.mode {
-            Mode::XFtl => AnyDev::X(SataLink::new(
+        let mut dev = match cfg.fs_mode {
+            JournalMode::Off => AnyDev::X(SataLink::new(
                 XFtl::format_with_capacity(chip, cfg.logical_pages, cfg.xl2p_capacity)
                     .expect("format"),
                 link,
                 clock.clone(),
             )),
-            _ => AnyDev::Plain(SataLink::new(
+            JournalMode::Ordered | JournalMode::Full => AnyDev::Plain(SataLink::new(
                 PageMappedFtl::format(chip, cfg.logical_pages).expect("format"),
                 link,
                 clock.clone(),
             )),
         };
-        dev.base_mut().set_gc_policy(cfg.gc_policy);
-        dev.set_scrub_config(cfg.scrub);
+        dev.install_host_policies(&cfg);
         if let Some(aging) = cfg.aging {
             age_device(&mut dev, aging, cfg.seed);
         }
@@ -410,11 +400,17 @@ impl Rig {
             journal_pages: 256.min(cfg.logical_pages / 8).max(16),
             cache_pages: cfg.fs_cache_pages,
         };
-        let mut fs = match cfg.fs_mode() {
+        let fs = match cfg.fs_mode {
             JournalMode::Off => FileSystem::mkfs_tx(dev, JournalMode::Off, fs_cfg),
             mode => FileSystem::mkfs(dev, mode, fs_cfg),
         }
         .expect("mkfs");
+        Rig::around(fs, clock, cfg)
+    }
+
+    /// Wraps a made or mounted volume, joining it to the telemetry handle
+    /// its chip carries (across power cycles too).
+    fn around(mut fs: FileSystem<AnyDev>, clock: SimClock, cfg: RigConfig) -> Rig {
         let telemetry = fs.device().recorder();
         fs.set_recorder(clock.clone(), telemetry);
         Rig {
@@ -426,10 +422,7 @@ impl Rig {
 
     /// Opens a database on the rig, in the mode's journal configuration.
     pub fn open_db(&self, name: &str) -> Connection<AnyDev> {
-        let mut conn =
-            Connection::open(Rc::clone(&self.fs), name, self.cfg.mode.db_mode()).expect("open db");
-        conn.set_recorder(self.clock.clone(), self.telemetry());
-        conn
+        self.try_open_db(name).expect("open db")
     }
 
     /// Like [`Rig::open_db`], but surfaces the open error instead of
@@ -446,11 +439,6 @@ impl Rig {
     /// feature, the structured event ring).
     pub fn telemetry(&self) -> Telemetry {
         self.fs.borrow().device().recorder()
-    }
-
-    /// The configuration this rig was built with.
-    pub fn config(&self) -> &RigConfig {
-        &self.cfg
     }
 
     /// Current device-health state ([`DeviceState::ReadOnly`] once the
@@ -480,75 +468,52 @@ impl Rig {
         fs.device_mut().reset_stats();
     }
 
-    /// Dismantles the rig into its parts for custom crash experiments
-    /// (Table 5 needs per-phase recovery timing). All `Connection`s must
-    /// have been dropped.
-    pub fn teardown(self) -> (FileSystem<AnyDev>, SimClock, RigConfig) {
+    /// Simulates a power loss and full recovery: the file system and all
+    /// caches are dropped, the device is rebuilt from flash through its
+    /// recovery path, and the volume is re-mounted. Returns the recovered
+    /// rig and the simulated time the *device-level* recovery took, split
+    /// as Table 5 needs it: the plain FTL's recovery is all scan; X-FTL
+    /// adds the X-L2P fold.
+    ///
+    /// All `Connection`s into the old rig must have been dropped.
+    pub fn crash_and_recover(self) -> (Rig, RecoveryBreakdown) {
         let Rig { fs, clock, cfg } = self;
         let fs = Rc::try_unwrap(fs)
             .expect("connections still open")
             .into_inner();
-        (fs, clock, cfg)
-    }
-
-    /// Reassembles a rig around a recovered device: mounts the volume and
-    /// rejoins it to the telemetry handle the chip carried through the
-    /// power cycle.
-    pub fn reassemble(dev: AnyDev, clock: SimClock, cfg: RigConfig) -> Rig {
-        let telemetry = dev.recorder();
-        let mut fs = match cfg.fs_mode() {
+        let link = link_for(cfg.profile);
+        let t0 = clock.now();
+        let (mut dev, breakdown) = match fs.into_device() {
+            AnyDev::Plain(old) => {
+                let ftl = PageMappedFtl::recover(old.into_inner().into_chip()).expect("recover");
+                let scan_ns = clock.now() - t0;
+                let breakdown = RecoveryBreakdown {
+                    total_ns: scan_ns,
+                    scan_ns,
+                    xl2p_ns: 0,
+                };
+                (
+                    AnyDev::Plain(SataLink::new(ftl, link, clock.clone())),
+                    breakdown,
+                )
+            }
+            AnyDev::X(old) => {
+                let chip = old.into_inner().into_chip();
+                let (ftl, breakdown) =
+                    XFtl::recover_with_breakdown(chip, cfg.xl2p_capacity).expect("recover");
+                (
+                    AnyDev::X(SataLink::new(ftl, link, clock.clone())),
+                    breakdown,
+                )
+            }
+        };
+        dev.install_host_policies(&cfg);
+        let fs = match cfg.fs_mode {
             JournalMode::Off => FileSystem::mount_tx(dev, JournalMode::Off, cfg.fs_cache_pages),
             mode => FileSystem::mount(dev, mode, cfg.fs_cache_pages),
         }
         .expect("mount");
-        fs.set_recorder(clock.clone(), telemetry);
-        Rig {
-            fs: Rc::new(RefCell::new(fs)),
-            clock,
-            cfg,
-        }
-    }
-
-    /// Simulates a power loss and full recovery: the file system and all
-    /// caches are dropped, the device is rebuilt from flash through its
-    /// recovery path, and the volume is re-mounted. Returns the recovered
-    /// rig and the simulated time the *device-level* recovery took.
-    ///
-    /// All `Connection`s into the old rig must have been dropped.
-    pub fn crash_and_recover(self) -> (Rig, Nanos) {
-        let (fs, clock, cfg) = self.teardown();
-        let dev = fs.into_device();
-        let t0 = clock.now();
-        let mut dev = match dev {
-            AnyDev::Plain(link) => {
-                let chip = link.into_inner().into_chip();
-                AnyDev::Plain(SataLink::new(
-                    PageMappedFtl::recover(chip).expect("recover"),
-                    link_for(cfg.profile),
-                    clock.clone(),
-                ))
-            }
-            AnyDev::X(link) => {
-                let chip = link.into_inner().into_chip();
-                AnyDev::X(SataLink::new(
-                    XFtl::recover_with_capacity(chip, cfg.xl2p_capacity).expect("recover"),
-                    link_for(cfg.profile),
-                    clock.clone(),
-                ))
-            }
-            AnyDev::AtomicW(link) => {
-                let chip = link.into_inner().into_chip();
-                AnyDev::AtomicW(SataLink::new(
-                    AtomicWriteFtl::recover(chip).expect("recover"),
-                    link_for(cfg.profile),
-                    clock.clone(),
-                ))
-            }
-        };
-        let recovery_ns = clock.now() - t0;
-        dev.base_mut().set_gc_policy(cfg.gc_policy);
-        dev.set_scrub_config(cfg.scrub);
-        (Self::reassemble(dev, clock, cfg), recovery_ns)
+        (Rig::around(fs, clock, cfg), breakdown)
     }
 
     /// Creates (or reuses) `name` pre-sized to `pages` zeroed pages and
@@ -576,63 +541,18 @@ impl Rig {
     /// the X-FTL `begin`/first-committer-wins path: every writer opens a
     /// snapshot transaction, their page writes interleave round-robin
     /// (writer 0 step 0, writer 1 step 0, …, writer 0 step 1, …), then
-    /// each fsyncs — commits — in writer order. Conflict losers are
-    /// tallied, not fatal; any other error panics.
+    /// each commit is *submitted* in writer order — first-committer-wins
+    /// validation and visibility happen at the submit — and the tickets
+    /// are redeemed as `wait` says. Conflict losers are tallied, not
+    /// fatal; any other error panics.
     ///
     /// Page images come from [`concurrent_fill`], so callers can verify
     /// exactly which writer's version survived.
-    pub fn run_concurrent_writers(&self, ino: Ino, plan: &ConcurrentPlan) -> ConcurrentOutcome {
-        let mut fs = self.fs.borrow_mut();
-        let ps = fs.page_size() as u64;
-        let tids: Vec<Tid> = plan
-            .writers
-            .iter()
-            .map(|_| fs.begin_tx_concurrent().expect("begin concurrent"))
-            .collect();
-        let depth = plan.writers.iter().map(Vec::len).max().unwrap_or(0);
-        for step in 0..depth {
-            for (w, pages) in plan.writers.iter().enumerate() {
-                if let Some(&page) = pages.get(step) {
-                    let img = concurrent_fill(ps as usize, plan.tag, w, page);
-                    fs.write(ino, page * ps, &img, Some(tids[w]))
-                        .expect("snapshot write");
-                }
-            }
-        }
-        let mut committed = Vec::new();
-        let mut conflicted = Vec::new();
-        let mut commit_latency_ns = Vec::new();
-        for (w, &tid) in tids.iter().enumerate() {
-            let t0 = self.clock.now();
-            match fs.fsync(ino, Some(tid)) {
-                Ok(()) => {
-                    committed.push(w);
-                    commit_latency_ns.push(self.clock.now() - t0);
-                }
-                Err(FsError::Dev(DevError::Conflict)) => conflicted.push(w),
-                Err(e) => panic!("concurrent writer {w} (tid {tid}) failed: {e:?}"),
-            }
-        }
-        ConcurrentOutcome {
-            tids,
-            committed,
-            conflicted,
-            commit_latency_ns,
-        }
-    }
-
-    /// Like [`Rig::run_concurrent_writers`], but commits through the
-    /// split-phase pipeline: every writer's commit is *submitted* first —
-    /// first-committer-wins validation and visibility happen at the
-    /// submit — then the surviving tickets are redeemed in writer order.
-    /// Staged commits coalesce into shared group flushes, which is the
-    /// device-level scaling the concurrent bench measures. Each winner's
-    /// submit-to-durable latency lands in
-    /// [`ConcurrentOutcome::commit_latency_ns`].
-    pub fn run_concurrent_writers_pipelined(
+    pub fn run_concurrent_writers(
         &self,
         ino: Ino,
         plan: &ConcurrentPlan,
+        wait: CommitWait,
     ) -> ConcurrentOutcome {
         let mut fs = self.fs.borrow_mut();
         let ps = fs.page_size() as u64;
@@ -651,22 +571,24 @@ impl Rig {
                 }
             }
         }
+        let mut committed = Vec::new();
         let mut conflicted = Vec::new();
-        let mut tickets: Vec<(usize, CommitTicket, Nanos)> = Vec::new();
+        let mut commit_latency_ns = Vec::new();
+        let mut in_flight: Vec<(usize, CommitTicket, Nanos)> = Vec::new();
         for (w, &tid) in tids.iter().enumerate() {
             let t0 = self.clock.now();
             match fs.fsync_submit(ino, tid) {
-                Ok(ticket) => tickets.push((w, ticket, t0)),
+                Ok(ticket) => in_flight.push((w, ticket, t0)),
                 Err(FsError::Dev(DevError::Conflict)) => conflicted.push(w),
                 Err(e) => panic!("concurrent writer {w} (tid {tid}) failed: {e:?}"),
             }
-        }
-        let mut committed = Vec::new();
-        let mut commit_latency_ns = Vec::new();
-        for (w, ticket, t0) in tickets {
-            fs.fsync_wait(ticket).expect("fsync_wait");
-            committed.push(w);
-            commit_latency_ns.push(self.clock.now() - t0);
+            if wait == CommitWait::EachSubmit || w + 1 == tids.len() {
+                for (w, ticket, t0) in in_flight.drain(..) {
+                    fs.fsync_wait(ticket).expect("fsync_wait");
+                    committed.push(w);
+                    commit_latency_ns.push(self.clock.now() - t0);
+                }
+            }
         }
         ConcurrentOutcome {
             tids,
@@ -675,6 +597,19 @@ impl Rig {
             commit_latency_ns,
         }
     }
+}
+
+/// When [`Rig::run_concurrent_writers`] redeems its commit tickets — the
+/// only difference between a blocking commit and a pipelined one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommitWait {
+    /// After each submit: every writer's commit is durable before the
+    /// next writer's is validated, as with a blocking fsync.
+    EachSubmit,
+    /// After the last submit: staged commits coalesce into shared group
+    /// flushes, which is the device-level scaling the concurrent bench
+    /// measures.
+    AllSubmitted,
 }
 
 /// One deterministic multi-writer round for the MVCC harness: which
@@ -696,9 +631,8 @@ pub struct ConcurrentOutcome {
     pub committed: Vec<usize>,
     /// Writers (by index) that lost first-committer-wins validation.
     pub conflicted: Vec<usize>,
-    /// Simulated commit latency of each admitted writer (parallel to
-    /// `committed`): fsync-start-to-durable for the blocking runner,
-    /// submit-to-redeemed for the pipelined one.
+    /// Simulated submit-to-redeemed commit latency of each admitted
+    /// writer (parallel to `committed`).
     pub commit_latency_ns: Vec<Nanos>,
 }
 
@@ -714,7 +648,7 @@ pub fn concurrent_fill(page_size: usize, tag: u8, writer: usize, page: u64) -> V
 }
 
 /// SATA link parameters for a hardware profile.
-pub fn link_for(profile: Profile) -> LinkConfig {
+fn link_for(profile: Profile) -> LinkConfig {
     match profile {
         Profile::OpenSsd => LinkConfig::SATA2,
         Profile::S830 => LinkConfig::SATA3,
@@ -793,12 +727,46 @@ mod tests {
                     .unwrap();
                 db.execute("INSERT INTO t VALUES (1, 77)").unwrap();
             }
-            let (rig, recovery_ns) = rig.crash_and_recover();
-            assert!(recovery_ns > 0);
+            let (rig, recovery) = rig.crash_and_recover();
+            assert!(recovery.total_ns > 0, "{mode:?}");
+            assert_eq!(
+                recovery.scan_ns + recovery.xl2p_ns,
+                recovery.total_ns,
+                "{mode:?}"
+            );
+            assert_eq!(
+                recovery.xl2p_ns > 0,
+                mode == Mode::XFtl,
+                "{mode:?}: only X-FTL has a table to fold"
+            );
             let mut db = rig.open_db("t.db");
             let rows = db.query("SELECT v FROM t WHERE id = 1").unwrap();
             assert_eq!(rows[0][0], xftl_db::Value::Int(77), "{mode:?}");
         }
+    }
+
+    #[test]
+    fn blocking_and_pipelined_commits_decide_and_write_the_same() {
+        // Overlaps on pages 1 and 5, a disjoint writer, a rewrite within
+        // one transaction: the wait policy may move time, nothing else.
+        let plan = ConcurrentPlan {
+            writers: vec![vec![0, 1], vec![1, 2], vec![6, 7, 6], vec![5, 3], vec![5]],
+            tag: 3,
+        };
+        let run = |wait: CommitWait| {
+            let rig = Rig::build(RigConfig::small(Mode::XFtl));
+            let ino = rig.prepare_concurrent_file("conc.dat", 8);
+            let out = rig.run_concurrent_writers(ino, &plan, wait);
+            assert_eq!(out.committed.len(), out.commit_latency_ns.len());
+            let mut fs = rig.fs.borrow_mut();
+            let mut image = vec![0u8; 8 * fs.page_size()];
+            fs.read(ino, 0, &mut image, None).unwrap();
+            (out.committed, out.conflicted, image)
+        };
+        let blocking = run(CommitWait::EachSubmit);
+        assert_eq!(blocking.0, vec![0, 2, 3], "first committer wins");
+        assert_eq!(blocking.1, vec![1, 4]);
+        assert!(blocking == run(CommitWait::AllSubmitted));
     }
 
     #[test]

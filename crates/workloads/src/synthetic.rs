@@ -7,8 +7,6 @@ use rand::{Rng, SeedableRng};
 use xftl_db::{Connection, DbError, Value};
 use xftl_ftl::BlockDevice;
 
-use crate::rig::Rig;
-
 /// Host CPU time charged per SQL statement (see `tpcc::CPU_STMT_NS`).
 const CPU_STMT_NS: u64 = 70_000;
 
@@ -131,24 +129,6 @@ pub fn run_transactions<D: BlockDevice>(
         elapsed_ns: rig_clock.now() - t0,
         txns: cfg.txns,
     })
-}
-
-/// Convenience: build + load + run on a rig, returning the result and the
-/// final statistics snapshot.
-///
-/// # Errors
-/// Propagates database errors from the load and transaction phases.
-pub fn run_on_rig(
-    rig: &Rig,
-    cfg: &SyntheticConfig,
-) -> xftl_db::Result<(SyntheticResult, crate::rig::Snapshot)> {
-    let mut db = rig.open_db("synthetic.db");
-    load_partsupply(&mut db, cfg)?;
-    rig.reset_stats();
-    db.reset_stats();
-    let result = run_transactions(&mut db, &rig.clock, cfg)?;
-    drop(db);
-    Ok((result, rig.snapshot()))
 }
 
 #[cfg(test)]

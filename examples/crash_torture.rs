@@ -63,7 +63,7 @@ fn main() {
                 }
                 // power cut: no COMMIT, everything dropped
             }
-            let (recovered, recovery_ns) = rig.crash_and_recover();
+            let (recovered, recovery) = rig.crash_and_recover();
             rig = recovered;
             let mut db = rig.open_db("torture.db");
             let rows = db
@@ -89,7 +89,7 @@ fn main() {
                 println!(
                     "{:>6}: first recovery took {:.2} ms simulated",
                     mode.label(),
-                    recovery_ns as f64 / 1e6
+                    recovery.total_ns as f64 / 1e6
                 );
             }
         }

@@ -54,9 +54,7 @@ fn background_faults() -> FaultPlan {
 
 type PlainDev = Checked<PageMappedFtl>;
 type XDev = Checked<XFtl>;
-/// The enum's third slot is never built here; giving it the plain type
-/// lets every match stay total with an or-pattern.
-type Dev = AnyDev<PlainDev, XDev, PlainDev>;
+type Dev = AnyDev<PlainDev, XDev>;
 
 fn recover_plain(d: PlainDev) -> PlainDev {
     recover_with(d, PageMappedFtl::into_chip, |chip| {
@@ -119,7 +117,7 @@ fn run_until_crash(
     {
         let mut fsb = fs.borrow_mut();
         let base = match fsb.device_mut() {
-            Dev::Plain(d) | Dev::AtomicW(d) => ftl_mut(d).base_mut(),
+            Dev::Plain(d) => ftl_mut(d).base_mut(),
             Dev::X(d) => ftl_mut(d).base_mut(),
         };
         base.chip_mut().arm_power_fuse(fuse);
@@ -154,9 +152,7 @@ fn crash_sweep(mode: DbJournalMode) {
     let total_ops = {
         let fsb = fs.borrow();
         match fsb.device() {
-            Dev::Plain(d) | Dev::AtomicW(d) => {
-                ftl(d).flash_stats().programs + ftl(d).flash_stats().erases
-            }
+            Dev::Plain(d) => ftl(d).flash_stats().programs + ftl(d).flash_stats().erases,
             Dev::X(d) => ftl(d).flash_stats().programs + ftl(d).flash_stats().erases,
         }
     };
@@ -173,7 +169,7 @@ fn crash_sweep(mode: DbJournalMode) {
             let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
             let dev = fs_inner.into_device();
             let dev = match dev {
-                Dev::Plain(d) | Dev::AtomicW(d) => Dev::Plain(recover_plain(d)),
+                Dev::Plain(d) => Dev::Plain(recover_plain(d)),
                 Dev::X(d) => Dev::X(recover_x(d)),
             };
             let fs = if mode == DbJournalMode::Off {
@@ -282,11 +278,9 @@ fn crash_during_recovery_is_idempotent() {
         assert!(crashed, "{fuse}-op fuse must fire mid-schedule ({mode:?})");
         let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
         let dev = match fs_inner.into_device() {
-            Dev::Plain(d) | Dev::AtomicW(d) => {
-                Dev::Plain(recover_with(d, PageMappedFtl::into_chip, |chip| {
-                    recover_through_crashes(chip, PageMappedFtl::recover)
-                }))
-            }
+            Dev::Plain(d) => Dev::Plain(recover_with(d, PageMappedFtl::into_chip, |chip| {
+                recover_through_crashes(chip, PageMappedFtl::recover)
+            })),
             Dev::X(d) => Dev::X(recover_with(d, XFtl::into_chip, |chip| {
                 recover_through_crashes(chip, XFtl::recover)
             })),

@@ -28,7 +28,7 @@ use xftl_core::XFtl;
 use xftl_db::DbError;
 use xftl_flash::{FlashChip, FlashConfig, SimClock};
 use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
-use xftl_workloads::{concurrent_fill, ConcurrentPlan, Mode, Rig, RigConfig};
+use xftl_workloads::{concurrent_fill, CommitWait, ConcurrentPlan, Mode, Rig, RigConfig};
 
 mod common;
 use common::{ftl, recover_with, wrap, Checked};
@@ -356,7 +356,7 @@ fn fs_disjoint_writers_all_commit() {
         writers: vec![vec![0, 1], vec![2, 3], vec![4, 5]],
         tag: 7,
     };
-    let out = rig.run_concurrent_writers(ino, &plan);
+    let out = rig.run_concurrent_writers(ino, &plan, CommitWait::EachSubmit);
     assert_eq!(
         out.committed,
         vec![0, 1, 2],
@@ -387,7 +387,7 @@ fn fs_overlapping_writers_lose_exactly_one() {
         writers: vec![vec![0, 1], vec![1, 2]],
         tag: 9,
     };
-    let out = rig.run_concurrent_writers(ino, &plan);
+    let out = rig.run_concurrent_writers(ino, &plan, CommitWait::EachSubmit);
     assert_eq!(out.committed, vec![0], "the first committer wins page 1");
     assert_eq!(out.conflicted, vec![1], "the overlapping writer loses");
     let mut fs = rig.fs.borrow_mut();
@@ -406,6 +406,7 @@ fn fs_overlapping_writers_lose_exactly_one() {
             writers: vec![vec![1, 2]],
             tag: 10,
         },
+        CommitWait::EachSubmit,
     );
     assert_eq!(retry.committed, vec![0]);
     let mut fs = rig.fs.borrow_mut();

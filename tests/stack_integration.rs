@@ -140,7 +140,7 @@ fn fio_mode_ordering() {
     let full_rig = Rig::build(RigConfig {
         blocks: 80,
         logical_pages: 6_000,
-        fs_mode_override: Some(xftl_fs::JournalMode::Full),
+        fs_mode: xftl_fs::JournalMode::Full,
         ..RigConfig::small(Mode::Rbj)
     });
     let full = fio::run(&full_rig, &cfg).iops;
@@ -159,23 +159,7 @@ fn fio_mode_ordering() {
 /// faster than WAL (whose log replay dominates).
 #[test]
 fn recovery_time_ordering() {
-    use xftl_bench_shim::recovery;
-    let rbj = recovery(Mode::Rbj);
-    let wal = recovery(Mode::Wal);
-    let x = recovery(Mode::XFtl);
-    assert!(x < rbj, "X-FTL restart {x} >= RBJ {rbj}");
-    assert!(rbj < wal, "RBJ restart {rbj} >= WAL {wal}");
-}
-
-/// Minimal re-implementation of the Table 5 measurement without pulling
-/// the bench crate in as a dependency.
-mod xftl_bench_shim {
-    use super::*;
-    use xftl_core::XFtl;
-    use xftl_ftl::{PageMappedFtl, SataLink};
-    use xftl_workloads::rig::{link_for, AnyDev, Rig as WRig};
-
-    pub fn recovery(mode: Mode) -> u64 {
+    let recovery = |mode: Mode| {
         let r = rig(mode);
         {
             let mut db = r.open_db("s.db");
@@ -194,32 +178,16 @@ mod xftl_bench_shim {
         }
         // Mode-specific restart work: the X-L2P fold inside the device for
         // X-FTL, the database open (journal rollback / WAL scan) otherwise.
-        let (fs, clock, cfg) = r.teardown();
-        let (dev, device_restart_ns) = match fs.into_device() {
-            AnyDev::Plain(link) => {
-                let d = PageMappedFtl::recover(link.into_inner().into_chip()).unwrap();
-                (
-                    AnyDev::Plain(SataLink::new(d, link_for(cfg.profile), clock.clone())),
-                    0,
-                )
-            }
-            AnyDev::X(link) => {
-                let (d, breakdown) =
-                    XFtl::recover_with_breakdown(link.into_inner().into_chip(), cfg.xl2p_capacity)
-                        .unwrap();
-                (
-                    AnyDev::X(SataLink::new(d, link_for(cfg.profile), clock.clone())),
-                    breakdown.xl2p_ns,
-                )
-            }
-            AnyDev::AtomicW(_) => unreachable!(),
-        };
-        let rig2 = WRig::reassemble(dev, clock, cfg);
-        let t0 = rig2.clock.now();
-        let _db = rig2.open_db("s.db");
-        let open_ns = rig2.clock.now() - t0;
-        device_restart_ns + open_ns
-    }
+        let (r, device) = r.crash_and_recover();
+        let t0 = r.clock.now();
+        let _db = r.open_db("s.db");
+        device.xl2p_ns + (r.clock.now() - t0)
+    };
+    let rbj = recovery(Mode::Rbj);
+    let wal = recovery(Mode::Wal);
+    let x = recovery(Mode::XFtl);
+    assert!(x < rbj, "X-FTL restart {x} >= RBJ {rbj}");
+    assert!(rbj < wal, "RBJ restart {rbj} >= WAL {wal}");
 }
 
 /// TPC-C write-intensive: X-FTL clearly ahead of WAL (paper: ~2.3x).
