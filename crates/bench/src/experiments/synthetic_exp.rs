@@ -278,6 +278,9 @@ pub fn table1(scale: SynScale) -> String {
         "GC",
         "Erase",
     ]);
+    // Where the "GC" column's victims were drained: in budgeted steps at
+    // durability acknowledgements, or inline ahead of a write.
+    let mut gc = Table::new(vec!["Mode", "GC", "Background steps", "Inline"]);
     for mode in [Mode::Rbj, Mode::Wal, Mode::XFtl] {
         let c = run_cell(mode, Validity::V50, 5, scale);
         let fs_overhead = c.snap.fs.overhead_writes();
@@ -297,6 +300,20 @@ pub fn table1(scale: SynScale) -> String {
         metrics::metric(format!("table1.{m}.ftl_reads"), c.snap.flash.reads as f64);
         metrics::metric(format!("table1.{m}.gc_runs"), c.snap.ftl.gc_runs as f64);
         metrics::metric(format!("table1.{m}.erases"), c.snap.flash.erases as f64);
+        metrics::metric(
+            format!("table1.{m}.gc_background_steps"),
+            c.snap.ftl.gc_background_steps as f64,
+        );
+        metrics::metric(
+            format!("table1.{m}.gc_inline_collections"),
+            c.snap.ftl.gc_inline_collections as f64,
+        );
+        gc.row(vec![
+            mode.label().to_string(),
+            c.snap.ftl.gc_runs.to_string(),
+            c.snap.ftl.gc_background_steps.to_string(),
+            c.snap.ftl.gc_inline_collections.to_string(),
+        ]);
         t.row(vec![
             mode.label().to_string(),
             c.db_writes.to_string(),
@@ -311,6 +328,8 @@ pub fn table1(scale: SynScale) -> String {
         ]);
     }
     out.push_str(&t.render());
+    out.push_str("\nwhere the GC column's victims were collected\n");
+    out.push_str(&gc.render());
     out.push('\n');
     out
 }

@@ -641,7 +641,7 @@ impl BlockDevice for XFtl {
         if self.base.has_dirty_mapping() {
             self.checkpoint_and_release()?;
         }
-        Ok(())
+        self.base.gc_step(&mut self.table)
     }
 
     fn counters(&self) -> DevCounters {
@@ -829,8 +829,9 @@ impl TxBlockDevice for XFtl {
         }
         // The flush waited for its table image, which completes after
         // everything issued before it; a ticket from an earlier group has
-        // nothing left to wait for.
-        Ok(())
+        // nothing left to wait for. The host is about to think: the
+        // collector takes its turn on the chip.
+        self.base.gc_step(&mut self.table)
     }
 
     fn abort(&mut self, tid: Tid) -> Result<()> {
@@ -959,12 +960,13 @@ mod tests {
         d.commit(3).unwrap();
         assert_eq!(d.flash_stats().programs - before.0, 1, "1 X-L2P page");
         assert_eq!(d.stats().meta_writes - before.1, 0, "and no root");
-        // The table page is ordered behind the last data page and awaited;
-        // nothing else stands between that page and the acknowledgement.
-        let cfg = *d.base().chip().config();
-        let queued_program = cfg.geometry.page_size as u64 * cfg.timings.channel_ns_per_byte
-            + cfg.timings.program_ns;
-        assert_eq!(d.clock().now(), data_done + queued_program);
+        // The table page's cell program is ordered behind the last data
+        // page and awaited; its transfer hid under that page's tPROG, and
+        // nothing else — no collection step on this roomy device — stands
+        // between the data and the acknowledgement.
+        let t_prog = d.base().chip().config().timings.program_ns;
+        assert_eq!(d.clock().now(), data_done + t_prog);
+        assert_eq!(d.stats().gc_background_steps, 0);
     }
 
     #[test]
@@ -1477,8 +1479,10 @@ mod tests {
     #[test]
     fn table_page_starts_after_the_slowest_channels_data_page() {
         // Four channels, five data pages: channel 0 takes two and is the
-        // slowest. The table page lands on one channel, but it may start
-        // only when the data on *every* channel is on the media.
+        // slowest. The table page lands on one channel, but its cells may
+        // start programming only when the data on *every* channel is on
+        // the media — its bytes crossed the bus before that, under the
+        // data pages' tPROG, so the transfer costs the commit nothing.
         let cfg = xftl_flash::FlashConfigBuilder::tiny().channels(4).build();
         let chip = FlashChip::new(cfg, SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
@@ -1493,12 +1497,10 @@ mod tests {
             "every channel has data"
         );
         d.commit(1).unwrap();
-        let t = cfg.timings;
-        let queued_program = cfg.geometry.page_size as u64 * t.channel_ns_per_byte + t.program_ns;
         assert_eq!(
             d.clock().now(),
-            slowest + queued_program,
-            "the table page began the instant the last channel finished"
+            slowest + cfg.timings.program_ns,
+            "the table page's cell program began the instant the last channel finished"
         );
     }
 

@@ -83,7 +83,7 @@ pub fn commit_multi<D: BlockDevice>(
                     .collect::<Vec<_>>()
                     .join("\n");
                 fsb.write(ino, 0, listing.as_bytes(), None)?;
-                fsb.fsync(ino, None)?;
+                fsb.fdatasync(ino, None)?;
             }
             // 2. Each journal references the master and each database is
             //    force-written (still revocable).

@@ -10,6 +10,10 @@
 //! | `Off`      | write pages straight to the DB file tagged with the        |
 //! |            | transaction id; one `fsync(tid)` = device `commit`        |
 //!
+//! Every "fsync" above is issued as `fdatasync`, as SQLite's unix VFS
+//! does: a sync carries the inode only when the file's size or block
+//! pointers changed, never for a timestamp alone.
+//!
 //! The buffer pool is managed *steal/force* exactly as SQLite's (§2.1):
 //! every commit force-writes the transaction's dirty pages, and under
 //! memory pressure uncommitted dirty pages spill to storage early — via
@@ -399,7 +403,7 @@ impl<D: BlockDevice> Pager<D> {
         let res = match self.mode {
             m if m.is_rollback() => self.commit_rollback_mode(),
             DbJournalMode::Wal => self.commit_wal_mode(),
-            _ => self.commit_off(|fs, ino, tid| fs.fsync(ino, Some(tid))),
+            _ => self.commit_off(|fs, ino, tid| fs.fdatasync(ino, Some(tid))),
         };
         if let Err(e) = res {
             return Err(self.unwind_conflict(e)?);
@@ -550,7 +554,7 @@ impl<D: BlockDevice> Pager<D> {
                 let zero = vec![0u8; self.page_size];
                 self.fs.borrow_mut().write(ino, 0, &zero, None)?;
                 self.stats.journal_writes += 1;
-                self.fs.borrow_mut().fsync(ino, None)?;
+                self.fs.borrow_mut().fdatasync(ino, None)?;
                 self.stats.fsyncs += 1;
             }
             _ => {
@@ -619,13 +623,13 @@ impl<D: BlockDevice> Pager<D> {
             return Ok(());
         };
         // fsync #1: the record pages.
-        self.fs.borrow_mut().fsync(ino, None)?;
+        self.fs.borrow_mut().fdatasync(ino, None)?;
         self.stats.fsyncs += 1;
         // Header with the final record count, then fsync #2.
         let hdr = self.encode_journal_header(self.journaled.len() as u32);
         self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
         self.stats.journal_writes += 1;
-        self.fs.borrow_mut().fsync(ino, None)?;
+        self.fs.borrow_mut().fdatasync(ino, None)?;
         self.stats.fsyncs += 1;
         self.journal_synced_records = self.journaled.len() as u32;
         Ok(())
@@ -664,7 +668,7 @@ impl<D: BlockDevice> Pager<D> {
         self.write_header()?;
         self.sync_journal()?;
         self.force_dirty(None)?;
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
+        self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         // Commit point: finalize the journal (delete / truncate / zero
         // per the mode), durably, so a stale journal can never roll the
@@ -686,7 +690,7 @@ impl<D: BlockDevice> Pager<D> {
                 self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
                 self.write_home(*pgno, &buf, None)?;
             }
-            self.fs.borrow_mut().fsync(self.db_ino, None)?;
+            self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
             self.stats.fsyncs += 1;
             self.journal_ino = Some(ino);
             self.finalize_journal()?;
@@ -726,7 +730,7 @@ impl<D: BlockDevice> Pager<D> {
                 self.write_home(pgno, &buf, None)?;
             }
             if records > 0 {
-                self.fs.borrow_mut().fsync(self.db_ino, None)?;
+                self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
                 self.stats.fsyncs += 1;
             }
         }
@@ -837,7 +841,7 @@ impl<D: BlockDevice> Pager<D> {
         let Some(ino) = self.wal_ino else {
             unreachable!("WAL open")
         };
-        self.fs.borrow_mut().fsync(ino, None)?;
+        self.fs.borrow_mut().fdatasync(ino, None)?;
         self.stats.fsyncs += 1;
         self.wal_last_commit_end = self.wal_end;
         if self.wal_frames >= self.wal_autocheckpoint {
@@ -864,7 +868,7 @@ impl<D: BlockDevice> Pager<D> {
             self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
             self.write_home(pgno, &buf, None)?;
         }
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
+        self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         self.fs.borrow_mut().truncate(ino, WAL_FRAME_HDR)?;
         self.wal_index.clear();
@@ -879,8 +883,11 @@ impl<D: BlockDevice> Pager<D> {
     /// The one `Off`-mode commit body (§4.3): header, force-write under
     /// the transaction's tid, and a single file-system call that flushes
     /// the file and ends the device transaction as `seal` says —
-    /// `fsync` (blocking commit), `fsync_submit` (split-phase) or
-    /// `fsync_defer_commit` (a coordinator commits several files at once).
+    /// `fdatasync` (blocking commit), `fdatasync_submit` (split-phase) or
+    /// `fdatasync_defer_commit` (a coordinator commits several files at
+    /// once). Like SQLite's unix VFS, the pager never asks for more than
+    /// a data-only sync: an in-place page update leaves nothing in the
+    /// inode worth a program.
     fn commit_off<T>(
         &mut self,
         seal: fn(&mut FileSystem<D>, Ino, Tid) -> xftl_fs::Result<T>,
@@ -923,7 +930,7 @@ impl<D: BlockDevice> Pager<D> {
         }
         let t0 = self.span_start();
         let tid = self.tid.unwrap_or(0);
-        let ticket = match self.commit_off(FileSystem::fsync_submit) {
+        let ticket = match self.commit_off(FileSystem::fdatasync_submit) {
             Ok(t) => t,
             Err(e) => return Err(self.unwind_conflict(e)?),
         };
@@ -983,7 +990,7 @@ impl<D: BlockDevice> Pager<D> {
         if !self.in_tx {
             return Err(DbError::TxState("no transaction active"));
         }
-        self.commit_off(FileSystem::fsync_defer_commit)?;
+        self.commit_off(FileSystem::fdatasync_defer_commit)?;
         self.end_tx();
         Ok(())
     }
@@ -1007,7 +1014,7 @@ impl<D: BlockDevice> Pager<D> {
         self.master_name = Some(master.to_string());
         self.sync_journal()?;
         self.force_dirty(None)?;
-        self.fs.borrow_mut().fsync(self.db_ino, None)?;
+        self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
         Ok(())
     }

@@ -561,8 +561,9 @@ impl FlashChip {
         }
     }
 
-    /// Schedules a program: bus transfer first, then the cell array.
-    fn sched_program(&mut self, block: u32, not_before: Nanos) -> Sched {
+    /// Schedules a program: bus transfer first (from `not_before`), then
+    /// the cell array (from `cells_after`, if the transfer ends earlier).
+    fn sched_program(&mut self, block: u32, not_before: Nanos, cells_after: Nanos) -> Sched {
         let t = self.config.timings;
         let g = self.config.geometry;
         let (ch, unit) = (g.channel_of(block), g.unit_of(block));
@@ -570,7 +571,7 @@ impl FlashChip {
         let xfer = g.page_size as u64 * t.channel_ns_per_byte;
         let xfer_start = submit.max(self.chan_busy[ch]);
         let xfer_end = xfer_start + xfer;
-        let cell_start = xfer_end.max(self.unit_busy[unit]);
+        let cell_start = xfer_end.max(self.unit_busy[unit]).max(cells_after);
         let done = cell_start + t.program_ns;
         self.chan_busy[ch] = xfer_end;
         self.unit_busy[unit] = done;
@@ -760,6 +761,7 @@ impl FlashChip {
         data: &[u8],
         mut oob: Oob,
         not_before: Nanos,
+        cells_after: Nanos,
         sync: bool,
     ) -> Result<(Oob, Nanos)> {
         self.check_alive()?;
@@ -787,7 +789,7 @@ impl FlashChip {
         if !sync {
             self.note_arrival();
         }
-        let sched = self.sched_program(ppa.block, not_before);
+        let sched = self.sched_program(ppa.block, not_before, cells_after);
         self.stats.programs += 1;
         self.stats.busy_program_ns += self.config.timings.cmd_overhead_ns + sched.service;
         self.note_channel_busy(&sched);
@@ -869,7 +871,8 @@ impl FlashChip {
     /// next global sequence number, which is returned inside the final OOB.
     /// Blocks (advances the clock) until the cell program finishes.
     pub fn program(&mut self, ppa: Ppa, data: &[u8], oob: Oob) -> Result<Oob> {
-        self.do_program(ppa, data, oob, 0, true).map(|(oob, _)| oob)
+        self.do_program(ppa, data, oob, 0, 0, true)
+            .map(|(oob, _)| oob)
     }
 
     /// Queued program: validates and stamps the page immediately, advances
@@ -877,15 +880,21 @@ impl FlashChip {
     /// completion instant alongside the stamped OOB. Programs to blocks on
     /// distinct channels overlap; [`FlashChip::drain`] (or
     /// [`FlashChip::wait_for`]) is the durability barrier. `not_before`
-    /// defers the start (e.g. until a source read completes).
+    /// defers the whole operation, bus transfer included — a data
+    /// dependency, e.g. on the read that produces the page. `cells_after`
+    /// defers only the cell program — an ordering dependency, e.g. a
+    /// commit page that must not become durable before the pages it
+    /// seals: its bytes may cross the bus while those are still
+    /// programming.
     pub fn program_queued(
         &mut self,
         ppa: Ppa,
         data: &[u8],
         oob: Oob,
         not_before: Nanos,
+        cells_after: Nanos,
     ) -> Result<(Oob, Nanos)> {
-        self.do_program(ppa, data, oob, not_before, false)
+        self.do_program(ppa, data, oob, not_before, cells_after, false)
     }
 
     fn do_erase(&mut self, block: u32, not_before: Nanos, sync: bool) -> Result<Nanos> {
@@ -1313,9 +1322,9 @@ mod tests {
         let data = page(&c, 7);
         let t0 = c.clock().now();
         // Blocks 0 and 1 stripe onto channels 0 and 1.
-        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
-        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let elapsed = c.drain() - t0;
         let serial = serial_program_cost(2);
@@ -1334,17 +1343,17 @@ mod tests {
         let data = page(&c, 7);
         let t0 = c.clock().now();
         // Blocks 0 and 2 both live on channel 0, way 0.
-        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
-        c.program_queued(Ppa::new(2, 0), &data, Oob::data(1), 0)
+        c.program_queued(Ppa::new(2, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let same_unit = c.drain() - t0;
 
         let mut c2 = chip_with(2, 1, 8);
         let t0 = c2.clock().now();
-        c2.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+        c2.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
-        c2.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+        c2.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let distinct = c2.drain() - t0;
 
@@ -1363,9 +1372,9 @@ mod tests {
         let mut c = chip_with(1, 2, 8);
         let data = page(&c, 7);
         let t0 = c.clock().now();
-        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
-        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let elapsed = c.drain() - t0;
         assert!(elapsed < serial_program_cost(2));
@@ -1377,7 +1386,7 @@ mod tests {
         let data = page(&c, 1);
         let t0 = c.clock().now();
         let (_, done) = c
-            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
         // Only the firmware overhead has been charged so far.
         assert_eq!(c.clock().now() - t0, c.config().timings.cmd_overhead_ns);
@@ -1399,9 +1408,39 @@ mod tests {
         let data = page(&c, 1);
         let gate = c.clock().now() + 50 * crate::clock::MILLI;
         let (_, done) = c
-            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), gate)
+            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), gate, 0)
             .unwrap();
         assert!(done >= gate + c.config().timings.program_ns);
+    }
+
+    #[test]
+    fn cells_after_orders_the_cell_program_and_lets_the_transfer_go_ahead() {
+        let cfg = *chip_with(1, 1, 8).config();
+        let t = cfg.timings;
+        let xfer = cfg.geometry.page_size as u64 * t.channel_ns_per_byte;
+        // One channel, one unit: a data page, then a page that must land
+        // after it, ordered each way.
+        let ordered = |whole_op: bool| {
+            let mut c = chip_with(1, 1, 8);
+            let data = page(&c, 1);
+            let (_, first) = c
+                .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
+                .unwrap();
+            let gate = c.idle_at();
+            assert_eq!(gate, first);
+            let (nb, ca) = if whole_op { (gate, 0) } else { (0, gate) };
+            let (_, second) = c
+                .program_queued(Ppa::new(1, 0), &data, Oob::data(1), nb, ca)
+                .unwrap();
+            (first, second)
+        };
+        let (first, behind) = ordered(true);
+        assert_eq!(behind, first + xfer + t.program_ns);
+        // Cell-only: the bytes cross the idle bus under the first page's
+        // tPROG, and the cells start the instant it ends — never earlier.
+        let (first, behind) = ordered(false);
+        assert!(xfer < t.program_ns);
+        assert_eq!(behind, first + t.program_ns);
     }
 
     #[test]
@@ -1409,7 +1448,7 @@ mod tests {
         let mut c = chip_with(4, 1, 8);
         let data = page(&c, 1);
         for b in 0..4u32 {
-            c.program_queued(Ppa::new(b, 0), &data, Oob::data(b as u64), 0)
+            c.program_queued(Ppa::new(b, 0), &data, Oob::data(b as u64), 0, 0)
                 .unwrap();
         }
         c.drain();
@@ -1428,10 +1467,10 @@ mod tests {
         let mut c = chip_with(2, 1, 8);
         let data = page(&c, 1);
         let (_, done_a) = c
-            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
         let (_, done_b) = c
-            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         assert!(done_a > 0 && done_b > 0); // both scheduled
         c.wait_for(done_a.min(done_b));
@@ -1447,10 +1486,10 @@ mod tests {
         let data = page(&c, 1);
         assert_eq!(c.idle_at(), c.clock().now(), "an idle array is idle now");
         let (_, done_a) = c
-            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+            .program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
         let (_, done_b) = c
-            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let now = c.clock().now();
         assert_eq!(c.idle_at(), done_a.max(done_b));
@@ -1458,7 +1497,7 @@ mod tests {
         assert_eq!(c.outstanding_ops(), 2);
         // A program ordered behind it starts no earlier, on any channel.
         let (_, done_c) = c
-            .program_queued(Ppa::new(1, 1), &data, Oob::data(2), c.idle_at())
+            .program_queued(Ppa::new(1, 1), &data, Oob::data(2), c.idle_at(), 0)
             .unwrap();
         let t = c.config().timings;
         let xfer = c.config().geometry.page_size as u64 * t.channel_ns_per_byte;
@@ -1474,7 +1513,7 @@ mod tests {
         let t0 = c.clock().now();
         // Erase block 0 (channel 0) while programming block 1 (channel 1).
         c.erase_queued(0, 0).unwrap();
-        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0)
+        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
             .unwrap();
         let elapsed = c.drain() - t0;
         let t = c.config().timings;
@@ -1734,11 +1773,11 @@ mod tests {
         // on a phantom busy channel left by the dead operation.
         let mut c = chip();
         let data = page(&c, 1);
-        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0)
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
             .unwrap();
         c.arm_power_fuse(1);
         assert_eq!(
-            c.program_queued(Ppa::new(0, 1), &data, Oob::data(1), 0),
+            c.program_queued(Ppa::new(0, 1), &data, Oob::data(1), 0, 0),
             Err(FlashError::PowerLost)
         );
         c.power_cycle();
@@ -1799,7 +1838,7 @@ mod tests {
             let mut c = chip_with(4, 2, 32);
             let data = page(&c, 5);
             for i in 0..16u32 {
-                c.program_queued(Ppa::new(i % 32, 0), &data, Oob::data(i as u64), 0)
+                c.program_queued(Ppa::new(i % 32, 0), &data, Oob::data(i as u64), 0, 0)
                     .unwrap();
             }
             c.drain();

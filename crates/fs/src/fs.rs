@@ -152,6 +152,30 @@ impl<D> fmt::Debug for TxOps<D> {
     }
 }
 
+/// Why an inode-table page differs from its image on the device.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum InodeDirt {
+    Clean,
+    /// Only a timestamp changed: every sync but a data-only one writes
+    /// the page (`fdatasync` skips an inode whose data reads back
+    /// without it).
+    Stamp,
+    /// A field needed to read the data back changed — size, a block
+    /// pointer, the map root, the kind: every sync writes the page.
+    Data,
+}
+
+impl InodeDirt {
+    /// Whether a sync carries the page.
+    fn rides(self, data_only: bool) -> bool {
+        match self {
+            InodeDirt::Clean => false,
+            InodeDirt::Stamp => !data_only,
+            InodeDirt::Data => true,
+        }
+    }
+}
+
 /// Block map for file blocks beyond the inode's direct pointers, chained
 /// across map pages on the device.
 #[derive(Debug, Default)]
@@ -176,8 +200,8 @@ pub struct FileSystem<D: BlockDevice> {
     sb: Superblock,
     mode: JournalMode,
     inodes: Vec<Inode>,
-    /// Per inode-table page dirty flags.
-    inode_dirty: Vec<bool>,
+    /// Per inode-table page: what, if anything, a sync owes the device.
+    inode_dirty: Vec<InodeDirt>,
     bitmap: BlockBitmap,
     /// Root directory: (name, inode).
     dir: Vec<(String, Ino)>,
@@ -268,7 +292,7 @@ impl<D: BlockDevice> FileSystem<D> {
             sb,
             mode,
             inodes,
-            inode_dirty: vec![false; sb.it_pages as usize],
+            inode_dirty: vec![InodeDirt::Clean; sb.it_pages as usize],
             bitmap,
             dir: Vec::new(),
             dir_dirty: false,
@@ -340,7 +364,7 @@ impl<D: BlockDevice> FileSystem<D> {
             sb,
             mode,
             inodes,
-            inode_dirty: vec![false; sb.it_pages as usize],
+            inode_dirty: vec![InodeDirt::Clean; sb.it_pages as usize],
             bitmap,
             dir: Vec::new(),
             dir_dirty: false,
@@ -564,14 +588,7 @@ impl<D: BlockDevice> FileSystem<D> {
             rest = &rest[take..];
             self.evict_if_needed()?;
         }
-        let end = offset + data.len() as u64;
-        let inode = &mut self.inodes[ino as usize];
-        if end > inode.size {
-            inode.size = end;
-        }
-        inode.mtime = self.op_counter;
-        self.op_counter += 1;
-        self.mark_inode_dirty(ino);
+        self.note_written(ino, offset + data.len() as u64);
         Ok(())
     }
 
@@ -630,12 +647,11 @@ impl<D: BlockDevice> FileSystem<D> {
     /// track newest committed state, not this transaction's snapshot).
     /// Clean cached copies of the touched pages are evicted so the cache
     /// cannot serve stale bytes to plain readers after this transaction
-    /// commits. File size still grows, but mtime maintenance is skipped:
-    /// dirtying the shared inode page from every concurrent writer would
-    /// make any two of them conflict at commit. Likewise, concurrent
-    /// writers that *allocate* (grow files or directories) share bitmap
-    /// and inode pages and may conflict — pre-size files for conflict-free
-    /// disjoint workloads.
+    /// commits. Concurrent writers that *allocate* (grow files or
+    /// directories) share bitmap and inode pages and may conflict —
+    /// pre-size files for conflict-free disjoint workloads. Overwrites
+    /// only stamp the inode, and a snapshot commit is data-only (see
+    /// [`FileSystem::fsync_snapshot`]), so they share nothing.
     fn write_snapshot(&mut self, ino: Ino, offset: u64, data: &[u8], tid: Tid) -> Result<()> {
         let ops = self.tx_ops()?;
         let ps = self.page_size() as u64;
@@ -661,11 +677,7 @@ impl<D: BlockDevice> FileSystem<D> {
             off += take as u64;
             rest = &rest[take..];
         }
-        let end = offset + data.len() as u64;
-        if end > self.inodes[ino as usize].size {
-            self.inodes[ino as usize].size = end;
-            self.mark_inode_dirty(ino);
-        }
+        self.note_written(ino, offset + data.len() as u64);
         Ok(())
     }
 
@@ -803,6 +815,20 @@ impl<D: BlockDevice> FileSystem<D> {
     /// `commit(tid)` — the paper's single-fsync commit path. In journal
     /// modes this is the classic ext4 sequence with two barriers.
     pub fn fsync(&mut self, ino: Ino, tid: Option<Tid>) -> Result<()> {
+        self.sync_file(ino, tid, false)
+    }
+
+    /// `fdatasync(ino)`: [`FileSystem::fsync`] minus the metadata the
+    /// data reads back without. An inode whose only change is its
+    /// timestamp stays dirty in RAM until a full sync takes it — what
+    /// SQLite's unix VFS asks of every commit, so an in-place page
+    /// update costs no file-system metadata program (and, in the journal
+    /// modes, no journal transaction).
+    pub fn fdatasync(&mut self, ino: Ino, tid: Option<Tid>) -> Result<()> {
+        self.sync_file(ino, tid, true)
+    }
+
+    fn sync_file(&mut self, ino: Ino, tid: Option<Tid>, data_only: bool) -> Result<()> {
         if let Some(t) = tid {
             if self.snapshot_tids.contains(&t) {
                 let commit = self.tx_ops()?.commit;
@@ -814,7 +840,7 @@ impl<D: BlockDevice> FileSystem<D> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_of(ino);
-        self.sync_pages(&dirty, tid)?;
+        self.sync_pages(&dirty, tid, data_only)?;
         self.record_fsync(tid.unwrap_or(0), t0);
         Ok(())
     }
@@ -824,7 +850,9 @@ impl<D: BlockDevice> FileSystem<D> {
     /// validation and visibility happen at the submit, so conflicts
     /// surface here, not at the wait). Its data pages are already on the
     /// device (writes bypassed the cache), so only dirty metadata images
-    /// ride along before the device runs first-committer-wins validation.
+    /// ride along before the device runs first-committer-wins validation
+    /// — data-only, whichever sync asked: a timestamp page every
+    /// concurrent writer shares would make any two of them conflict.
     /// A losing transaction surfaces as [`FsError::Dev`] wrapping
     /// `DevError::Conflict`; the device has already rolled it back, and
     /// the in-RAM metadata is re-read from committed state before the
@@ -836,7 +864,7 @@ impl<D: BlockDevice> FileSystem<D> {
     ) -> Result<T> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
-        let res = self.flush_tx(&[], tid, seal);
+        let res = self.flush_tx(&[], tid, true, seal);
         self.snapshot_tids.remove(&tid);
         match res {
             Ok(sealed) => {
@@ -855,7 +883,7 @@ impl<D: BlockDevice> FileSystem<D> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_all();
-        self.sync_pages(&dirty, None)?;
+        self.sync_pages(&dirty, None, false)?;
         if self.mode != JournalMode::Off {
             self.stats.checkpoint_writes += self.journal.checkpoint(&mut self.dev)?;
             self.stats.barriers += 1;
@@ -871,28 +899,28 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn sync_meta(&mut self, tid: Option<Tid>) -> Result<()> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
-        self.sync_pages(&[], tid)?;
+        self.sync_pages(&[], tid, false)?;
         self.record_fsync(tid.unwrap_or(0), t0);
         Ok(())
     }
 
-    /// `Off`-mode only: writes a file's dirty pages (and dirty metadata)
-    /// to the device tagged with `tid` *without* issuing the commit — the
-    /// multi-file transaction path (§4.3): every database file of the
-    /// transaction is flushed under one tid, then a single
-    /// [`FileSystem::commit_tx`] makes the whole group atomic (and is the
-    /// barrier that waits for the queued batch).
-    pub fn fsync_defer_commit(&mut self, ino: Ino, tid: Tid) -> Result<()> {
+    /// `Off`-mode only: writes a file's dirty pages (and, data-only, its
+    /// dirty metadata) to the device tagged with `tid` *without* issuing
+    /// the commit — the multi-file transaction path (§4.3): every
+    /// database file of the transaction is flushed under one tid, then a
+    /// single [`FileSystem::commit_tx`] makes the whole group atomic (and
+    /// is the barrier that waits for the queued batch).
+    pub fn fdatasync_defer_commit(&mut self, ino: Ino, tid: Tid) -> Result<()> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
         self.stats.fsyncs += 1;
         let dirty = self.cache.dirty_of(ino);
-        self.flush_tx(&dirty, tid, |_, _| Ok(()))
+        self.flush_tx(&dirty, tid, true, |_, _| Ok(()))
     }
 
     /// Issues the device commit sealing a multi-file transaction whose
-    /// files were flushed with [`FileSystem::fsync_defer_commit`].
+    /// files were flushed with [`FileSystem::fdatasync_defer_commit`].
     pub fn commit_tx(&mut self, tid: Tid) -> Result<()> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
@@ -911,6 +939,16 @@ impl<D: BlockDevice> FileSystem<D> {
     /// transaction's writes with this one's in-flight commit and redeem
     /// the ticket with [`FileSystem::fsync_wait`].
     pub fn fsync_submit(&mut self, ino: Ino, tid: Tid) -> Result<CommitTicket> {
+        self.submit_file(ino, tid, false)
+    }
+
+    /// [`FileSystem::fsync_submit`] with [`FileSystem::fdatasync`]'s
+    /// data-only metadata rule.
+    pub fn fdatasync_submit(&mut self, ino: Ino, tid: Tid) -> Result<CommitTicket> {
+        self.submit_file(ino, tid, true)
+    }
+
+    fn submit_file(&mut self, ino: Ino, tid: Tid, data_only: bool) -> Result<CommitTicket> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
@@ -921,7 +959,7 @@ impl<D: BlockDevice> FileSystem<D> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_of(ino);
-        let ticket = self.flush_tx(&dirty, tid, commit_submit)?;
+        let ticket = self.flush_tx(&dirty, tid, data_only, commit_submit)?;
         self.record_fsync(tid, t0);
         Ok(ticket)
     }
@@ -968,11 +1006,12 @@ impl<D: BlockDevice> FileSystem<D> {
         &mut self,
         dirty: &[Lpn],
         tid: Tid,
+        data_only: bool,
         seal: fn(&mut D, Tid) -> xftl_ftl::Result<T>,
     ) -> Result<T> {
         let ops = self.tx_ops()?;
         let mut pages = self.take_dirty(dirty);
-        let metas = self.collect_meta_images()?;
+        let metas = self.collect_meta_images(data_only)?;
         self.stats.meta_writes += metas.len() as u64;
         pages.extend(metas);
         if !pages.is_empty() {
@@ -982,8 +1021,8 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(seal(&mut self.dev, tid)?)
     }
 
-    fn sync_pages(&mut self, dirty: &[Lpn], tid: Option<Tid>) -> Result<()> {
-        let has_meta = self.has_dirty_meta();
+    fn sync_pages(&mut self, dirty: &[Lpn], tid: Option<Tid>, data_only: bool) -> Result<()> {
+        let has_meta = self.has_dirty_meta(data_only);
         if dirty.is_empty() && !has_meta {
             return Ok(());
         }
@@ -994,7 +1033,7 @@ impl<D: BlockDevice> FileSystem<D> {
                     Some(t) => t,
                     None => self.begin_tx(),
                 };
-                self.flush_tx(dirty, tid, commit)?;
+                self.flush_tx(dirty, tid, data_only, commit)?;
                 self.stats.barriers += 1;
             }
             JournalMode::Ordered => {
@@ -1009,14 +1048,14 @@ impl<D: BlockDevice> FileSystem<D> {
                         .collect();
                     self.dev.submit(&cmds)?;
                 }
-                let metas = self.collect_meta_images()?;
+                let metas = self.collect_meta_images(data_only)?;
                 self.journal_txn(&metas)?;
             }
             JournalMode::Full => {
                 // Data rides inside the journal transaction; home writes
                 // are owed at checkpoint (each page written twice).
                 let mut entries = self.take_dirty(dirty);
-                let metas = self.collect_meta_images()?;
+                let metas = self.collect_meta_images(data_only)?;
                 entries.extend(metas);
                 self.journal_txn(&entries)?;
             }
@@ -1113,9 +1152,34 @@ impl<D: BlockDevice> FileSystem<D> {
         self.check_file(ino)
     }
 
+    /// Raises the dirtiness of the inode-table page holding `ino`.
+    fn mark_inode(&mut self, ino: Ino, dirt: InodeDirt) {
+        let page = (ino as u64 / self.sb.inodes_per_page()) as usize;
+        self.inode_dirty[page] = self.inode_dirty[page].max(dirt);
+    }
+
+    /// A field of `ino` needed to read its data back changed.
     fn mark_inode_dirty(&mut self, ino: Ino) {
-        let page = ino as u64 / self.sb.inodes_per_page();
-        self.inode_dirty[page as usize] = true;
+        self.mark_inode(ino, InodeDirt::Data);
+    }
+
+    /// The tail of every file write ending at byte `end`: the file grows
+    /// to cover it (a change a data-only sync must carry) and its mtime
+    /// moves (one it need not).
+    fn note_written(&mut self, ino: Ino, end: u64) {
+        let mtime = self.bump();
+        let inode = &mut self.inodes[ino as usize];
+        inode.mtime = mtime;
+        let grew = end > inode.size;
+        inode.size = inode.size.max(end);
+        self.mark_inode(
+            ino,
+            if grew {
+                InodeDirt::Data
+            } else {
+                InodeDirt::Stamp
+            },
+        );
     }
 
     fn read_dev_page(&mut self, lpn: Lpn, buf: &mut [u8], tid: Option<Tid>) -> Result<()> {
@@ -1242,17 +1306,19 @@ impl<D: BlockDevice> FileSystem<D> {
         buf
     }
 
-    fn has_dirty_meta(&self) -> bool {
+    fn has_dirty_meta(&self, data_only: bool) -> bool {
         self.dir_dirty
-            || self.inode_dirty.iter().any(|&d| d)
+            || self.inode_dirty.iter().any(|d| d.rides(data_only))
             || !self.bitmap.dirty_pages().is_empty()
             || self.maps.values().any(|m| m.dirty.iter().any(|&d| d))
     }
 
-    /// Serializes every dirty metadata page and clears the dirty flags.
-    /// Directory content is re-packed into inode 0's blocks first (which
-    /// may allocate, dirtying the bitmap and inode table in turn).
-    fn collect_meta_images(&mut self) -> Result<Vec<(Lpn, Vec<u8>)>> {
+    /// Serializes every dirty metadata page — bar, for a `data_only`
+    /// sync, inode-table pages that differ by a timestamp alone — and
+    /// clears the dirty flags of what it took. Directory content is
+    /// re-packed into inode 0's blocks first (which may allocate,
+    /// dirtying the bitmap and inode table in turn).
+    fn collect_meta_images(&mut self, data_only: bool) -> Result<Vec<(Lpn, Vec<u8>)>> {
         let mut out: Vec<(Lpn, Vec<u8>)> = Vec::new();
         let ps = self.page_size();
         if self.dir_dirty {
@@ -1293,12 +1359,12 @@ impl<D: BlockDevice> FileSystem<D> {
         }
         // Inode-table pages.
         for p in 0..self.inode_dirty.len() {
-            if self.inode_dirty[p] {
+            if self.inode_dirty[p].rides(data_only) {
                 out.push((
                     self.sb.it_start + p as u64,
                     encode_inode_page(&self.sb, &self.inodes, p, ps),
                 ));
-                self.inode_dirty[p] = false;
+                self.inode_dirty[p] = InodeDirt::Clean;
             }
         }
         // Bitmap pages last: the allocations above may have dirtied them.
@@ -1429,7 +1495,7 @@ impl<D: BlockDevice> FileSystem<D> {
             }
         }
         self.inodes = inodes;
-        self.inode_dirty.fill(false);
+        self.inode_dirty.fill(InodeDirt::Clean);
         let mut bm_bytes = Vec::with_capacity((self.sb.bm_pages as usize) * ps);
         for p in 0..self.sb.bm_pages {
             self.dev.read(self.sb.bm_start + p, &mut buf)?;

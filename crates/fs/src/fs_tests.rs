@@ -505,8 +505,8 @@ fn off_mode_seals_flush_the_same_transaction() {
             let ticket = fs.fsync_submit(f, tid).unwrap();
             fs.fsync_wait(ticket).unwrap();
         }),
-        ("fsync_defer_commit + commit_tx", |fs, f, tid| {
-            fs.fsync_defer_commit(f, tid).unwrap();
+        ("fdatasync_defer_commit + commit_tx", |fs, f, tid| {
+            fs.fdatasync_defer_commit(f, tid).unwrap();
             fs.commit_tx(tid).unwrap();
         }),
     ];
@@ -553,4 +553,77 @@ fn off_mode_seals_flush_the_same_transaction() {
             "device pages after the power cut: {what}"
         );
     }
+}
+
+/// What one sync of `f` cost the device in file-system metadata: pages
+/// written home under the transaction (`Off`) or into the journal
+/// (`Ordered`, descriptor and commit pages included).
+fn meta_cost<D: BlockDevice>(fs: &mut FileSystem<D>, sync: impl FnOnce(&mut FileSystem<D>)) -> u64 {
+    let before = *fs.stats();
+    sync(fs);
+    let d = *fs.stats() - before;
+    assert_eq!((d.fsyncs, d.data_writes), (1, 1), "one sync of one page");
+    d.meta_writes + d.journal_writes
+}
+
+/// An in-place overwrite changes nothing in the inode but its timestamp:
+/// a data-only sync writes no metadata for it (in `Ordered` mode, no
+/// journal transaction at all), a full `fsync` writes the inode page.
+/// An extension changes the size: both write it. Size and data survive a
+/// power cut either way.
+#[test]
+fn data_only_sync_skips_an_inode_only_its_timestamp_dirtied() {
+    fn run<D: BlockDevice>(
+        mut fs: FileSystem<D>,
+        data_only: bool,
+        (overwrite, extend): (u64, u64),
+        remount: fn(FileSystem<D>) -> FileSystem<D>,
+    ) {
+        let what = if data_only { "fdatasync" } else { "fsync" };
+        let ps = fs.page_size();
+        let sync = |fs: &mut FileSystem<D>, f| {
+            if data_only {
+                fs.fdatasync(f, None).unwrap();
+            } else {
+                fs.fsync(f, None).unwrap();
+            }
+        };
+        let f = fs.create("db").unwrap();
+        fs.write(f, 0, &vec![1u8; 3 * ps], None).unwrap();
+        fs.sync_all().unwrap();
+        // Overwrite in place.
+        fs.write(f, ps as u64, &vec![2u8; ps], None).unwrap();
+        assert_eq!(meta_cost(&mut fs, |fs| sync(fs, f)), overwrite, "{what}");
+        // Extend by a page.
+        fs.write(f, 3 * ps as u64, &vec![3u8; ps], None).unwrap();
+        assert_eq!(meta_cost(&mut fs, |fs| sync(fs, f)), extend, "{what}");
+        // One more overwrite, then the power goes.
+        fs.write(f, 0, &vec![4u8; ps], None).unwrap();
+        sync(&mut fs, f);
+        let mut fs = remount(fs);
+        let f = fs.open("db").unwrap();
+        assert_eq!(fs.size(f).unwrap(), 4 * ps as u64, "{what}: size");
+        let mut out = vec![0u8; 4 * ps];
+        assert_eq!(fs.read(f, 0, &mut out, None).unwrap(), 4 * ps, "{what}");
+        let fills: Vec<u8> = out.chunks(ps).map(|page| page[0]).collect();
+        assert_eq!(fills, [4, 2, 1, 3], "{what}: data");
+        assert!(out
+            .chunks(ps)
+            .all(|page| page.iter().all(|b| *b == page[0])));
+        assert!(fs.check_consistency().unwrap().is_clean(), "{what}");
+    }
+    let cut_off = |fs: FileSystem<XFtl>| {
+        let dev = XFtl::recover(fs.into_device().into_chip()).unwrap();
+        FileSystem::mount_tx(dev, JournalMode::Off, 64).unwrap()
+    };
+    let cut_ordered = |fs: FileSystem<PageMappedFtl>| {
+        let dev = PageMappedFtl::recover(fs.into_device().into_chip()).unwrap();
+        FileSystem::mount(dev, JournalMode::Ordered, 64).unwrap()
+    };
+    // `Off`: the inode page; an extension adds the bitmap page.
+    run(fs_off(), true, (0, 2), cut_off);
+    run(fs_off(), false, (1, 2), cut_off);
+    // `Ordered`: descriptor + images + commit in the journal.
+    run(fs_ordered(), true, (0, 4), cut_ordered);
+    run(fs_ordered(), false, (3, 4), cut_ordered);
 }

@@ -88,10 +88,12 @@ impl AtomicWriteFtl {
         // Sequence number of each group's commit record (records before
         // the checkpoint are not in the log; their groups are covered by
         // the checkpointed L2P).
+        // A record GC relocated seals at the original's sequence, which
+        // the copy carries in its OOB `lpn` (0 on an original).
         let mut record_seq: Vec<(Tid, u64)> = Vec::new();
         for e in &log.events {
             if e.kind == PageKind::Commit {
-                record_seq.push((e.tid, e.seq));
+                record_seq.push((e.tid, if e.lpn == 0 { e.seq } else { e.lpn }));
             }
         }
         // A group's pages become current at the record's sequence.
@@ -146,7 +148,7 @@ impl AtomicWriteFtl {
         let oob = Oob {
             tid: group,
             kind: PageKind::Commit,
-            ..Oob::data(group)
+            ..Oob::data(0)
         };
         let (rec_ppa, rec_done) =
             self.base
@@ -159,6 +161,7 @@ impl AtomicWriteFtl {
             self.base.fold_mapping(lpn, ppa)?;
         }
         self.release_records_if_needed()?;
+        self.base.gc_step(&mut self.hook)?;
         Ok(group)
     }
 
@@ -263,7 +266,7 @@ impl BlockDevice for AtomicWriteFtl {
         if self.base.has_dirty_mapping() {
             self.checkpoint_and_release_records()?;
         }
-        Ok(())
+        self.base.gc_step(&mut self.hook)
     }
 
     fn counters(&self) -> DevCounters {
@@ -358,6 +361,64 @@ mod tests {
         assert!(d.stats().gc_runs > 0);
         let mut out = vec![0u8; d.page_size()];
         d.read(5, &mut out).unwrap(); // must not error
+    }
+
+    /// GC gives a relocated record a program sequence newer than records
+    /// written since. Sealing at the copy's sequence would replay an old
+    /// group over a newer one that wrote the same page; the copy carries
+    /// the original's sequence, and that is where its group seals.
+    #[test]
+    fn a_relocated_record_seals_its_group_where_the_original_did() {
+        use crate::base::ScanEvent;
+        let event = |seq, lpn, tid, kind, page| ScanEvent {
+            seq,
+            lpn,
+            tid,
+            ppa: Ppa::new(3, page),
+            kind,
+            aux: 0,
+        };
+        let log = RecoveryLog {
+            // Group 1 writes lpn 7 and seals at 2; group 2 overwrites it
+            // and seals at 4; GC then moves group 1's record to 5.
+            events: vec![
+                event(1, 7, 1, PageKind::Data, 0),
+                event(3, 7, 2, PageKind::Data, 1),
+                event(4, 0, 2, PageKind::Commit, 2),
+                event(5, 2, 1, PageKind::Commit, 3),
+            ],
+            ckpt_seq: 0,
+            tx_horizon: 0,
+        };
+        let mut folds = AtomicWriteFtl::sealed_folds(&log);
+        folds.sort_unstable();
+        assert_eq!(folds, [(2, 7, Ppa::new(3, 0)), (4, 7, Ppa::new(3, 1))]);
+        // And GC stamps the copy so. A full device behind a 2-slab
+        // mapping cache: eviction flushes close the mapping frontier over
+        // live records, and GC takes it; churn until a record has moved.
+        let cfg = xftl_flash::FlashConfigBuilder::tiny()
+            .blocks(20)
+            .pages_per_block(32)
+            .build();
+        let mut d = AtomicWriteFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap();
+        d.base.set_map_cache_budget(Some(2)).unwrap();
+        let mut buf = page(&d, 0);
+        for lpn in 0..384 {
+            d.write(lpn, &buf).unwrap();
+        }
+        d.flush().unwrap();
+        let moved = (0..2000u64).find_map(|i| {
+            let data = vec![(i % 250) as u8; d.page_size()];
+            d.write_atomic(&[(i * 97 % 384, &data)]).unwrap();
+            let records = d.hook.records.clone();
+            records.into_iter().find_map(|ppa| {
+                let oob = d.base.read_at(ppa, &mut buf).unwrap();
+                (oob.lpn != 0).then_some(oob)
+            })
+        });
+        let copy = moved.expect("GC never relocated a live record");
+        assert_eq!(copy.kind, PageKind::Commit);
+        assert!(copy.lpn < copy.seq, "the original's sequence, not its own");
     }
 
     #[test]

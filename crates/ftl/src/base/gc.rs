@@ -1,8 +1,10 @@
-//! The collector: when to reclaim space (`maybe_gc`), which closed block
-//! to reclaim (greedy, FIFO, cost-benefit), and how (`collect_block`:
-//! relocate the live pages, chase every table that pointed at them,
-//! erase). The background scrubber and static wear leveling ride the
-//! same tick and the same relocation path.
+//! The collector: when to reclaim space (`maybe_gc` inline, below the
+//! low-water mark; `gc_step` in the background, at every durability
+//! acknowledgement), which closed block to reclaim (greedy, FIFO,
+//! cost-benefit), and how (`collect_block`: relocate live pages up to a
+//! copy budget, chase every table that pointed at them, erase once none
+//! is left). The background scrubber and static wear leveling ride the
+//! inline tick and the same relocation path.
 
 use std::cmp::Reverse;
 
@@ -63,8 +65,9 @@ impl FtlBase {
         }
         while self.pool.free_len() < self.gc_low_water() {
             let r = self.gc_section(|b| {
-                let victim = b.pick_victim().ok_or(DevError::OutOfSpace)?;
-                b.collect_block(victim, CollectKind::Gc, hook)
+                let victim = b.next_victim().ok_or(DevError::OutOfSpace)?;
+                b.stats.gc_inline_collections += 1;
+                b.collect_block(victim, CollectKind::Gc, usize::MAX, hook)
             });
             self.or_space_error(r)?;
         }
@@ -84,6 +87,53 @@ impl FtlBase {
             }
         }
         Ok(())
+    }
+
+    /// One background collection step. Every personality calls this as
+    /// the last act of a durability acknowledgement — the instant the
+    /// host is about to think and the chip about to idle — so the copies
+    /// it queues (and never waits for) fill that gap instead of stalling
+    /// the write that would otherwise trip the low-water mark. It runs
+    /// only while the pool is within one block of that mark, and sizes
+    /// itself from device state. Collecting a victim that held `v` valid
+    /// pages of `ppb` yields `ppb − v`, so every page programmed since
+    /// the previous step owes `v / (ppb − v)` copies (rounded up; at
+    /// least one; just the erase once none is left): rate matching — the
+    /// victim is empty by the time the pool has consumed the space it
+    /// will free. A step that starts a victim pays one interval ahead,
+    /// and one that finishes a victim with the pool still at the mark
+    /// goes on to the next. See DESIGN.md §14, "Background collection".
+    pub fn gc_step(&mut self, hook: &mut dyn GcHook) -> Result<()> {
+        let now = self.chip.next_seq();
+        let programmed = now - std::mem::replace(&mut self.paced_seq, now);
+        if self.in_gc || self.device_state == DeviceState::ReadOnly {
+            return Ok(());
+        }
+        while self.pool.free_len() <= self.gc_low_water() {
+            let Some(victim) = self.next_victim() else {
+                break;
+            };
+            // What the victim held when it was picked, less what the host
+            // has invalidated since: copies made plus copies to make.
+            let copied = self.draining.map_or(0, |d| d.1);
+            let v = u64::from(self.valid.valid_in_block(victim)) + copied;
+            // No step can run during the host's next burst, so a fresh
+            // victim pays for that one in advance as well as for the one
+            // behind, taking it to be no longer than the last.
+            let intervals = if copied == 0 { 2 } else { 1 };
+            let owed = (intervals * programmed * v).div_ceil(self.pages_per_block() as u64 - v);
+            self.stats.gc_background_steps += 1;
+            let r = self.gc_section(|b| {
+                b.collect_block(victim, CollectKind::Gc, owed.max(1) as usize, hook)
+            });
+            self.or_space_error(r)?;
+            if self.draining.is_some() {
+                break; // budget spent inside the victim
+            }
+            // Finished, yet the pool is still at the mark (the copies
+            // opened a block): the next victim owes the same programs.
+        }
+        self.evict_to_budget()
     }
 
     /// Classifies a pool-exhaustion failure: on a device that has lost
@@ -157,7 +207,7 @@ impl FtlBase {
         let Some((_, victim, reason)) = at_risk.min_by_key(|&(score, _, _)| Reverse(score)) else {
             return Ok(());
         };
-        self.gc_section(|b| b.collect_block(victim, CollectKind::Scrub, hook))?;
+        self.gc_section(|b| b.collect_block(victim, CollectKind::Scrub, usize::MAX, hook))?;
         self.last_scrub = Some((victim, reason));
         Ok(())
     }
@@ -181,7 +231,9 @@ impl FtlBase {
             Some((cold_wear, victim))
                 if max_wear.saturating_sub(cold_wear) > cfg.wear_delta_cap =>
             {
-                self.gc_section(|b| b.collect_block(victim, CollectKind::WearLevel, hook))
+                self.gc_section(|b| {
+                    b.collect_block(victim, CollectKind::WearLevel, usize::MAX, hook)
+                })
             }
             _ => Ok(()),
         }
@@ -233,6 +285,18 @@ impl FtlBase {
         }
     }
 
+    /// The victim to collect next: the one a background step left partly
+    /// drained, while it is still a closed block, before any fresh pick —
+    /// the FIFO picker pops its queue, so re-picking would lose it.
+    fn next_victim(&mut self) -> Option<u32> {
+        let still_closed =
+            |&(b, _): &(u32, u64)| matches!(self.pool.state(b), Some(BlockState::Closed(_)));
+        if self.draining.filter(still_closed).is_none() {
+            self.draining = self.pick_victim().map(|b| (b, 0));
+        }
+        self.draining.map(|(b, _)| b)
+    }
+
     fn pick_victim(&mut self) -> Option<u32> {
         match self.gc_policy {
             // Urgent-GC fallback: with the free pool nearly drained, the
@@ -270,15 +334,18 @@ impl FtlBase {
         self.pick_victim_greedy()
     }
 
-    /// Relocates every live page of `victim` to the frontier, fixes every
-    /// table that pointed at them, and erases the block. Shared by GC,
-    /// the background scrubber (whose erase also resets the block's
+    /// Relocates up to `budget` live pages of `victim` to the frontier,
+    /// fixes every table that pointed at them, and erases the block once
+    /// no live page is left in it — otherwise the victim is remembered as
+    /// the one in progress. Shared by inline GC (unbounded budget), the
+    /// background step, the scrubber (whose erase also resets the block's
     /// read-disturb and retention damage), and static wear leveling;
     /// `why` attributes the copies to the right stats and trace class.
     fn collect_block(
         &mut self,
         victim: u32,
         why: CollectKind,
+        mut budget: usize,
         hook: &mut dyn GcHook,
     ) -> Result<()> {
         let ppb = self.pages_per_block();
@@ -293,12 +360,18 @@ impl FtlBase {
         // members lose their recovery evidence, so the L2P fold must be
         // persisted before the victim is erased.
         let mut need_ckpt = false;
-        let mut copied = 0u64;
+        // Copies earlier steps made out of this victim count with it.
+        let earlier = self.draining.take_if(|d| d.0 == victim);
+        let mut copied = earlier.map_or(0, |d| d.1);
         for page in 0..ppb as u32 {
             let old = Ppa::new(victim, page);
             if !self.valid.is_valid(old) {
                 continue;
             }
+            if budget == 0 {
+                break;
+            }
+            budget -= 1;
             let t_copy = self.chip.clock().now();
             // The scratch buffer must be restored on every error path.
             let mut buf = std::mem::take(&mut self.scratch);
@@ -344,6 +417,15 @@ impl FtlBase {
             // cycle for recovery.
             self.checkpoint(hook)?;
             meta_stale = false; // checkpoint wrote a fresh meta root
+        }
+        if self.valid.valid_in_block(victim) > 0 {
+            // Budget spent with live pages left: the erase is a later
+            // step's. A relocated map page gets its root now, not then.
+            self.draining = Some((victim, copied));
+            if meta_stale {
+                self.write_meta()?;
+            }
+            return Ok(());
         }
         let was = self.pool.state(victim);
         // The erase is queued too; the chip's per-unit busy tracking
@@ -427,6 +509,12 @@ impl FtlBase {
             // the page's current state. Mark it as a retained copy, which
             // recovery never folds.
             new_oob.tid = RETAINED_COPY_TID;
+        } else if oob.kind == PageKind::Commit && oob.lpn == 0 {
+            // A commit record seals its group at the record's program
+            // sequence — among the other groups' records and the tid-0
+            // copies above. The copy's own sequence is newer than records
+            // written since, so it carries the original's (OOB `lpn`).
+            new_oob.lpn = oob.seq;
         }
         // GC data copies are cold by definition — they survived a whole
         // block's lifetime without being overwritten.
@@ -437,10 +525,304 @@ impl FtlBase {
         };
         // Copy programs get the same bounded re-execution as host
         // writes: a failed copy-back must not lose the live page.
-        let (dst, prog_done) = self.program_at_frontier(new_oob, stream, buf, read_done, false)?;
+        let (dst, prog_done) =
+            self.program_at_frontier(new_oob, stream, buf, read_done, 0, false)?;
         if stream == Stream::Cold {
             self.stats.cold_writes += 1;
         }
         Ok((oob, mapped_here, dst, prog_done))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use xftl_flash::{FlashChip, FlashConfigBuilder, SimClock};
+
+    use super::*;
+    use crate::base::NoHook;
+
+    const POLICIES: [GcPolicy; 3] = [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit];
+    const PPB: u64 = 16;
+    const LOGICAL: u64 = 128;
+
+    /// 16 blocks of 16 tiny pages exporting 128: at 57 % utilisation a
+    /// victim holds a handful of live pages.
+    fn base(policy: GcPolicy) -> FtlBase {
+        let cfg = FlashConfigBuilder::tiny()
+            .pages_per_block(PPB as usize)
+            .build();
+        let mut f = FtlBase::format(FlashChip::new(cfg, SimClock::new()), LOGICAL).unwrap();
+        f.set_gc_policy(policy);
+        f
+    }
+
+    /// Where the `i`-th write of a fixed random-looking schedule goes
+    /// (splitmix64 of `i`).
+    fn lpn_of(i: u64) -> u64 {
+        let z = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % LOGICAL
+    }
+
+    /// The `i`-th write; the fill names it, so a read tells which write
+    /// it returns.
+    fn write(f: &mut FtlBase, i: u64) {
+        let data = vec![(i % 251) as u8; f.page_size()];
+        f.write_committed(lpn_of(i), &data, &mut NoHook).unwrap();
+    }
+
+    /// Every page holds the fill of its last write among the first `n`.
+    fn assert_last_writes(f: &mut FtlBase, n: u64) {
+        let mut last = [0u8; LOGICAL as usize];
+        for i in 0..n {
+            last[lpn_of(i) as usize] = (i % 251) as u8;
+        }
+        let mut out = vec![0u8; f.page_size()];
+        for (lpn, fill) in last.iter().enumerate() {
+            f.read_committed(lpn as u64, &mut out).unwrap();
+            assert_eq!(out[0], *fill, "lpn {lpn}");
+        }
+    }
+
+    /// Writes, with no acknowledgement, until the pool is down to the
+    /// mark; returns how many writes that took.
+    fn write_down_to_the_mark(f: &mut FtlBase) -> u64 {
+        let mut n = 0;
+        while f.pool.free_len() > f.gc_low_water() {
+            write(f, n);
+            n += 1;
+        }
+        assert_eq!(f.stats().gc_runs, 0, "the mark is above the inline trigger");
+        n
+    }
+
+    /// A step that believes `programs` pages were programmed since the
+    /// previous one.
+    fn step_after(f: &mut FtlBase, programs: u64) {
+        f.paced_seq = f.chip.next_seq().saturating_sub(programs);
+        f.gc_step(&mut NoHook).unwrap();
+    }
+
+    /// Flash operation counts, the clock, and where every page ended up:
+    /// equal fingerprints mean the same program/erase sequence.
+    fn fingerprint(f: &FtlBase) -> (u64, u64, u64, u64, u64) {
+        let s = f.flash_stats();
+        let placement = (0..LOGICAL).fold(0xcbf2_9ce4_8422_2325u64, |h, lpn| {
+            let at = f.l2p_peek(lpn).map_or(u64::MAX, |p| p.linear(PPB as usize));
+            (h ^ at).wrapping_mul(0x100_0000_01b3)
+        });
+        (s.programs, s.reads, s.erases, f.clock().now(), placement)
+    }
+
+    #[test]
+    fn a_step_copies_what_the_programs_since_the_last_one_owe_and_no_more() {
+        // (policy, live pages in the first victim at the mark)
+        for (policy, v) in [
+            (GcPolicy::Greedy, 3),
+            (GcPolicy::Fifo, 6),
+            (GcPolicy::CostBenefit, 3),
+        ] {
+            // Each program owes v / (ppb - v) copies, rounded up; an idle
+            // interval still owes one; a fresh victim pays for the
+            // interval ahead as well as the one behind.
+            for programs in [0, 1, 3] {
+                let mut f = base(policy);
+                let n = write_down_to_the_mark(&mut f);
+                step_after(&mut f, programs);
+                let owed = (2 * programs * v).div_ceil(PPB - v).max(1);
+                assert!(
+                    owed < v,
+                    "{policy:?}/{programs}: the victim outlasts the step"
+                );
+                let (victim, copied) = f.draining.expect("a victim in progress");
+                assert_eq!(copied, owed, "{policy:?}/{programs}");
+                assert_eq!(u64::from(f.valid.valid_in_block(victim)), v - owed);
+                let s = *f.stats();
+                assert_eq!(
+                    (s.gc_copies, s.gc_runs, s.gc_background_steps),
+                    (owed, 0, 1)
+                );
+                assert_eq!(s.gc_inline_collections, 0);
+                assert_eq!(f.flash_stats().erases, 0, "live pages left: no erase");
+                assert_eq!(
+                    f.paced_seq,
+                    f.chip.next_seq() - owed,
+                    "pacing restarts at the step"
+                );
+                // In progress, it pays for the interval behind only — at
+                // the rate of what it held, not of what is left.
+                step_after(&mut f, 2);
+                let more = (2 * v).div_ceil(PPB - v).min(v - owed);
+                assert_eq!(f.stats().gc_copies, owed + more, "{policy:?}/{programs}");
+                assert_eq!(f.stats().gc_runs, u64::from(owed + more == v));
+                assert_last_writes(&mut f, n);
+            }
+        }
+    }
+
+    #[test]
+    fn a_victim_is_erased_exactly_when_its_last_live_page_has_left() {
+        for policy in POLICIES {
+            let mut f = base(policy);
+            let n = write_down_to_the_mark(&mut f);
+            step_after(&mut f, 0);
+            let (victim, _) = f.draining.expect("a victim in progress");
+            let v = u64::from(f.valid.valid_in_block(victim)) + 1;
+            let data_victim = f.pool.state(victim) == Some(BlockState::Closed(Class::Data));
+            assert!(data_victim, "{policy:?}");
+            // One copy a step: the erase rides the step that takes the
+            // last page, not one before and not one after.
+            for step in 2..=v {
+                assert_eq!(f.flash_stats().erases, 0, "{policy:?}: step {step}");
+                assert_eq!(f.draining, Some((victim, step - 1)));
+                step_after(&mut f, 0);
+            }
+            assert_eq!(f.draining, None, "{policy:?}: dropped at the erase");
+            assert_eq!(f.pool.state(victim), Some(BlockState::Free));
+            let s = *f.stats();
+            assert_eq!((f.flash_stats().erases, s.gc_runs, s.gc_copies), (1, 1, v));
+            assert_eq!(s.gc_background_steps, v);
+            // `gc_valid_pages` is exact across the partial steps.
+            assert_eq!((s.gc_valid_pages, s.gc_victim_pages), (v, PPB));
+            // One block above the mark there is nothing to do.
+            assert_eq!(f.pool.free_len(), f.gc_low_water() + 1);
+            step_after(&mut f, 1000);
+            assert_eq!(*f.stats(), s, "{policy:?}: no step above the mark");
+            assert_last_writes(&mut f, n);
+        }
+    }
+
+    #[test]
+    fn a_victim_with_no_live_page_costs_one_erase() {
+        let mut f = base(GcPolicy::Greedy);
+        // Sixteen pages written twice: the first block is all garbage.
+        for round in 0..2 {
+            for lpn in 0..PPB {
+                let data = vec![round; f.page_size()];
+                f.write_committed(lpn, &data, &mut NoHook).unwrap();
+            }
+        }
+        let mut n = 0;
+        while f.pool.free_len() > f.gc_low_water() {
+            let data = vec![2; f.page_size()];
+            f.write_committed(PPB + n % (LOGICAL - PPB), &data, &mut NoHook)
+                .unwrap();
+            n += 1;
+        }
+        let programs = f.flash_stats().programs;
+        step_after(&mut f, 5);
+        let s = *f.stats();
+        assert_eq!((s.gc_runs, s.gc_copies, s.gc_background_steps), (1, 0, 1));
+        assert_eq!(f.flash_stats().erases, 1);
+        assert_eq!(f.flash_stats().programs, programs, "no copy, no root");
+    }
+
+    #[test]
+    fn a_fifo_victim_in_progress_is_continued_not_lost() {
+        let mut f = base(GcPolicy::Fifo);
+        let mut n = write_down_to_the_mark(&mut f);
+        step_after(&mut f, 0);
+        let (victim, _) = f.draining.expect("a victim in progress");
+        assert!(!f.pool.fifo_contains(victim), "FIFO's `Take` popped it");
+        // A second step resumes it rather than taking the next in line.
+        step_after(&mut f, 0);
+        assert_eq!(f.draining, Some((victim, 2)));
+        // So does inline GC: writes with no acknowledgement run the pool
+        // below the mark, and the first inline collection finishes the
+        // half-drained victim before picking another.
+        while f.stats().gc_inline_collections == 0 {
+            write(&mut f, n);
+            n += 1;
+        }
+        assert_eq!(f.stats().gc_runs, 1);
+        assert_eq!(f.draining, None);
+        assert!(
+            matches!(
+                f.pool.state(victim),
+                Some(BlockState::Free | BlockState::Open(_))
+            ),
+            "the inline collection erased the victim the steps began"
+        );
+        let s = *f.stats();
+        assert_eq!(
+            s.gc_valid_pages, s.gc_copies,
+            "earlier steps' copies counted"
+        );
+        assert_last_writes(&mut f, n);
+    }
+
+    #[test]
+    fn a_step_is_a_no_op_above_the_mark_on_a_read_only_device_and_inside_gc() {
+        let mut f = base(GcPolicy::Greedy);
+        let idle = |f: &FtlBase| (*f.stats(), f.flash_stats(), f.clock().now());
+        // Above the mark.
+        write(&mut f, 0);
+        let before = idle(&f);
+        step_after(&mut f, 1);
+        assert_eq!(idle(&f), before);
+        assert_eq!(
+            f.paced_seq,
+            f.chip.next_seq(),
+            "pacing restarts all the same"
+        );
+        // At the mark, but read-only, or re-entered from inside GC.
+        write_down_to_the_mark(&mut f);
+        let before = idle(&f);
+        f.device_state = DeviceState::ReadOnly;
+        step_after(&mut f, 8);
+        f.device_state = DeviceState::Healthy;
+        f.in_gc = true;
+        step_after(&mut f, 8);
+        f.in_gc = false;
+        assert_eq!(idle(&f), before);
+        step_after(&mut f, 8);
+        assert_eq!(f.stats().gc_background_steps, 1, "and here it does run");
+    }
+
+    #[test]
+    fn acknowledged_often_enough_the_inline_loop_never_runs() {
+        for policy in POLICIES {
+            // An acknowledgement every `gap` programs, up to a whole block.
+            for gap in 1..=PPB {
+                let mut f = base(policy);
+                for i in 0..3000 {
+                    write(&mut f, i);
+                    if (i + 1) % gap == 0 {
+                        f.gc_step(&mut NoHook).unwrap();
+                    }
+                }
+                let s = *f.stats();
+                assert_eq!(s.gc_inline_collections, 0, "{policy:?}/{gap}");
+                assert!(s.gc_runs > 100, "{policy:?}/{gap}: {} runs", s.gc_runs);
+                assert!(s.gc_background_steps >= s.gc_runs);
+                assert!(f.pool.free_len() >= f.gc_low_water());
+                assert_last_writes(&mut f, 3000);
+            }
+        }
+    }
+
+    #[test]
+    fn never_acknowledged_the_collector_is_the_inline_one_it_always_was() {
+        // Recorded at the parent of the commit that introduced `gc_step`
+        // (same schedule, public API only): a schedule with no
+        // acknowledgement must not be able to tell the difference.
+        let recorded = [
+            (3676, 1675, 219, 4_434_859_600, 16_570_011_679_106_419_675),
+            (3902, 1901, 233, 4_714_166_000, 6_303_215_479_101_058_668),
+            (3696, 1695, 220, 4_458_958_800, 5_497_642_235_157_610_537),
+        ];
+        for (policy, parent) in POLICIES.into_iter().zip(recorded) {
+            let mut f = base(policy);
+            for i in 0..2000 {
+                write(&mut f, i);
+            }
+            assert_eq!(fingerprint(&f), parent, "{policy:?}");
+            let s = *f.stats();
+            assert_eq!(
+                (s.gc_inline_collections, s.gc_background_steps),
+                (s.gc_runs, 0)
+            );
+        }
     }
 }

@@ -354,6 +354,8 @@ impl FtlBase {
             aux,
             ..Oob::data(lpn)
         };
-        Ok(self.program_at_frontier(oob, Stream::Map, buf, 0, false)?.0)
+        Ok(self
+            .program_at_frontier(oob, Stream::Map, buf, 0, 0, false)?
+            .0)
     }
 }

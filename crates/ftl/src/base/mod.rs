@@ -297,6 +297,13 @@ pub struct FtlBase {
     scratch: Vec<u8>,
     /// Guards against re-entering GC from a checkpoint issued inside GC.
     in_gc: bool,
+    /// The GC victim a background step left partly drained, and the
+    /// copies made out of it so far. Dropped at its erase or retirement;
+    /// ignored once the block is no longer closed.
+    draining: Option<(u32, u64)>,
+    /// Program sequence at the previous background step: the pacing
+    /// input. The chip's counter, unlike its statistics, is never reset.
+    paced_seq: u64,
     /// Background-scrub / wear-leveling policy (`None` = disabled, the
     /// historical behaviour).
     scrub: Option<ScrubConfig>,
@@ -390,6 +397,8 @@ impl FtlBase {
             counters: DevCounters::default(),
             scratch: vec![0u8; geo.page_size],
             in_gc: false,
+            draining: None,
+            paced_seq: chip.next_seq(),
             scrub: None,
             scrub_tick: 0,
             last_scrub: None,
@@ -682,16 +691,18 @@ impl FtlBase {
     /// program-status failure abandon that frontier and re-execute on a
     /// fresh block (bounded; the torn page was never marked valid and GC
     /// reclaims it with the block). `wait` blocks the clock until the
-    /// cells are programmed; otherwise the program is queued behind
-    /// `not_before` and its completion instant handed back. Runs no GC,
-    /// checks no device state and counts nothing per kind — the callers
-    /// differ in exactly that.
+    /// cells are programmed; otherwise the program is queued — the whole
+    /// of it behind `not_before`, its cell program alone behind
+    /// `cells_after` — and its completion instant handed back. Runs no
+    /// GC, checks no device state and counts nothing per kind — the
+    /// callers differ in exactly that.
     fn program_at_frontier(
         &mut self,
         oob: Oob,
         stream: Stream,
         buf: &[u8],
         not_before: Nanos,
+        cells_after: Nanos,
         wait: bool,
     ) -> Result<(Ppa, Nanos)> {
         let mut attempts = 0;
@@ -706,7 +717,7 @@ impl FtlBase {
                     .map(|_| self.chip.clock().now())
             } else {
                 self.chip
-                    .program_queued(dst, buf, oob, not_before)
+                    .program_queued(dst, buf, oob, not_before, cells_after)
                     .map(|(_, done)| done)
             };
             match programmed {
@@ -747,7 +758,7 @@ impl FtlBase {
     ) -> Result<(Ppa, Nanos)> {
         self.check_writable()?;
         self.maybe_gc(hook)?;
-        self.program_counted(oob, buf, not_before, wait)
+        self.program_counted(oob, buf, not_before, 0, wait)
     }
 
     /// [`FtlBase::program_raw`] past its gate: place, program, classify a
@@ -759,10 +770,11 @@ impl FtlBase {
         oob: Oob,
         buf: &[u8],
         not_before: Nanos,
+        cells_after: Nanos,
         wait: bool,
     ) -> Result<(Ppa, Nanos)> {
         let stream = self.classify_write(oob.kind, oob.lpn);
-        let placed = self.program_at_frontier(oob, stream, buf, not_before, wait);
+        let placed = self.program_at_frontier(oob, stream, buf, not_before, cells_after, wait);
         let placed = self.or_space_error(placed)?;
         match oob.kind {
             PageKind::Data => self.stats.data_writes += 1,
@@ -976,10 +988,12 @@ impl FtlBase {
     /// rewritten either — recovery re-folds committed entries from the
     /// image.
     ///
-    /// The pages are queued behind the completion of every program issued
-    /// so far (the transactions' data pages, GC copies of pinned pages),
-    /// so ordering costs no drain; the commit is durable at the returned
-    /// instant. The generation id is the program sequence at this point —
+    /// The pages' cell programs are ordered behind the completion of every
+    /// program issued so far (the transactions' data pages, GC copies of
+    /// pinned pages) — their bytes may cross the bus while those are
+    /// still programming — so ordering costs neither a drain nor an idle
+    /// channel; the commit is durable at the returned instant. The
+    /// generation id is the program sequence at this point —
     /// also where recovery folds the image's commits among the plain
     /// writes — so GC runs once, before the id is taken, and never between
     /// the pages: a GC copy of a committed page stamped *after* the id
@@ -1004,7 +1018,7 @@ impl FtlBase {
                 aux: table_pages.len() as u32,
                 ..Oob::data(i as u64)
             };
-            match self.program_counted(oob, page, after, false) {
+            match self.program_counted(oob, page, 0, after, false) {
                 Ok((ppa, done)) => {
                     image.push(ppa);
                     durable_at = durable_at.max(done);

@@ -229,6 +229,12 @@ impl Pool {
         None
     }
 
+    /// True if `block` is waiting in the FIFO victim queue.
+    #[cfg(test)]
+    pub(super) fn fifo_contains(&self, block: u32) -> bool {
+        self.fifo.contains(&block)
+    }
+
     /// Records a successful program into `block` at sequence `seq`.
     pub(super) fn note_program(&mut self, block: u32, seq: u64) {
         self.last_seq[block as usize] = seq;

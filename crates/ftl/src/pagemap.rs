@@ -117,7 +117,7 @@ impl BlockDevice for PageMappedFtl {
         if self.base.has_dirty_mapping() {
             self.base.checkpoint(&mut NoHook)?;
         }
-        Ok(())
+        self.base.gc_step(&mut NoHook)
     }
 
     fn counters(&self) -> DevCounters {

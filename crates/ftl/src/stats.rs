@@ -14,8 +14,17 @@ pub struct FtlStats {
     pub data_writes: u64,
     /// Pages copied by garbage collection.
     pub gc_copies: u64,
-    /// Garbage-collection runs (one victim block each).
+    /// Garbage-collection runs: victim blocks erased (or retired), however
+    /// many steps drained them.
     pub gc_runs: u64,
+    /// Background collection steps that did work: a budgeted share of a
+    /// victim's copies, its erase, or both, issued at a durability
+    /// acknowledgement (a step that finishes its victim with the pool
+    /// still at the mark goes on to the next, and counts again).
+    pub gc_background_steps: u64,
+    /// Collections run inline, ahead of a write that found the free pool
+    /// below the low-water mark (each finishes its victim).
+    pub gc_inline_collections: u64,
     /// GC runs that recycled mapping-class blocks (excluded from the
     /// validity ratio).
     pub gc_map_runs: u64,
@@ -142,6 +151,8 @@ impl Sub for FtlStats {
             data_writes: self.data_writes - rhs.data_writes,
             gc_copies: self.gc_copies - rhs.gc_copies,
             gc_runs: self.gc_runs - rhs.gc_runs,
+            gc_background_steps: self.gc_background_steps - rhs.gc_background_steps,
+            gc_inline_collections: self.gc_inline_collections - rhs.gc_inline_collections,
             gc_map_runs: self.gc_map_runs - rhs.gc_map_runs,
             gc_victim_pages: self.gc_victim_pages - rhs.gc_victim_pages,
             gc_valid_pages: self.gc_valid_pages - rhs.gc_valid_pages,

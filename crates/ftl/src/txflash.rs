@@ -232,7 +232,7 @@ impl BlockDevice for TxFlashFtl {
         if self.base.has_dirty_mapping() {
             self.base.checkpoint(&mut self.hook)?;
         }
-        Ok(())
+        self.base.gc_step(&mut self.hook)
     }
 
     fn counters(&self) -> DevCounters {
@@ -295,6 +295,7 @@ impl TxBlockDevice for TxFlashFtl {
         self.base
             .recorder()
             .record_span(OpClass::TxCommit, tid, 0, t_start, t_end);
+        self.base.gc_step(&mut self.hook)?;
         Ok(CommitTicket::immediate(tid))
     }
 

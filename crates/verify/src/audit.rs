@@ -44,7 +44,7 @@ use std::fmt;
 use xftl_core::{TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
-use xftl_ftl::{DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
+use xftl_ftl::{AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
 
 use crate::shadow::ShadowDevice;
 
@@ -774,6 +774,12 @@ impl Auditable for PageMappedFtl {
 }
 
 impl Auditable for TxFlashFtl {
+    fn audit(&self) -> Result<AuditReport, AuditViolation> {
+        audit_base(self.base())
+    }
+}
+
+impl Auditable for AtomicWriteFtl {
     fn audit(&self) -> Result<AuditReport, AuditViolation> {
         audit_base(self.base())
     }

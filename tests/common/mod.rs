@@ -13,8 +13,14 @@
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
 
-use xftl_flash::FlashChip;
-use xftl_ftl::BlockDevice;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use xftl_core::XFtl;
+use xftl_flash::{FlashChip, FlashError};
+use xftl_ftl::{
+    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Tid, TxBlockDevice,
+    TxFlashFtl,
+};
 
 /// What a personality must offer to be audited after recovery.
 #[cfg(feature = "verify")]
@@ -74,14 +80,248 @@ pub fn recover_with<D: BlockDevice + Auditable>(
     into_chip: impl FnOnce(D) -> FlashChip,
     recover: impl FnOnce(FlashChip) -> D,
 ) -> Checked<D> {
+    let recovered = try_recover_with(d, into_chip, |chip| Ok(recover(chip)));
+    recovered.unwrap_or_else(|e| unreachable!("infallible recover closure: {e:?}"))
+}
+
+/// [`recover_with`] for a recovery that may refuse the chip.
+pub fn try_recover_with<D: BlockDevice + Auditable>(
+    d: Checked<D>,
+    into_chip: impl FnOnce(D) -> FlashChip,
+    recover: impl FnOnce(FlashChip) -> xftl_ftl::Result<D>,
+) -> xftl_ftl::Result<Checked<D>> {
     #[cfg(feature = "verify")]
     {
         let (inner, model) = d.into_parts();
-        let mut dev = xftl_verify::ShadowDevice::resume(recover(into_chip(inner)), model);
+        let mut dev = xftl_verify::ShadowDevice::resume(recover(into_chip(inner))?, model);
         dev.verify_recovered();
         dev.audit();
-        dev
+        Ok(dev)
     }
     #[cfg(not(feature = "verify"))]
     recover(into_chip(d))
+}
+
+// --- the every-boundary power-cut sweep -----------------------------------
+
+/// What the sweep needs of a device personality beyond the commands.
+pub trait Personality: BlockDevice + Auditable + Sized {
+    /// Whether [`Personality::group`] is all-or-nothing across a power cut.
+    const ATOMIC: bool;
+    fn format(chip: FlashChip, logical: u64) -> Self;
+    fn recover(chip: FlashChip) -> xftl_ftl::Result<Self>;
+    fn into_chip(self) -> FlashChip;
+    fn base(&self) -> &FtlBase;
+    fn base_mut(&mut self) -> &mut FtlBase;
+    /// Writes `pages` as one acknowledged group: a transaction and its
+    /// commit where the personality has them, plain writes and a flush
+    /// where it does not.
+    fn group(dev: &mut Checked<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut>;
+}
+
+/// Where in a [`Personality::group`] a command failed.
+#[derive(Debug)]
+pub struct Cut {
+    /// Pages of the group whose writes were acknowledged one by one
+    /// before it (always 0 inside a transaction).
+    pub acked: usize,
+    /// It was the command that seals the group: commit or flush.
+    pub sealing: bool,
+    pub error: DevError,
+}
+
+macro_rules! personality {
+    ($ty:ty, atomic: $atomic:expr, $group:expr) => {
+        impl Personality for $ty {
+            const ATOMIC: bool = $atomic;
+            fn format(chip: FlashChip, logical: u64) -> Self {
+                <$ty>::format(chip, logical).unwrap()
+            }
+            fn recover(chip: FlashChip) -> xftl_ftl::Result<Self> {
+                <$ty>::recover(chip)
+            }
+            fn into_chip(self) -> FlashChip {
+                <$ty>::into_chip(self)
+            }
+            fn base(&self) -> &FtlBase {
+                <$ty>::base(self)
+            }
+            fn base_mut(&mut self) -> &mut FtlBase {
+                <$ty>::base_mut(self)
+            }
+            fn group(
+                dev: &mut Checked<Self>,
+                tid: Tid,
+                pages: &[(Lpn, Vec<u8>)],
+            ) -> Result<(), Cut> {
+                $group(dev, tid, pages)
+            }
+        }
+    };
+}
+
+fn plain_group<D: BlockDevice>(
+    dev: &mut D,
+    _tid: Tid,
+    pages: &[(Lpn, Vec<u8>)],
+) -> Result<(), Cut> {
+    let cut = |acked, sealing| {
+        move |error| Cut {
+            acked,
+            sealing,
+            error,
+        }
+    };
+    for (acked, (lpn, data)) in pages.iter().enumerate() {
+        dev.write(*lpn, data).map_err(cut(acked, false))?;
+    }
+    dev.flush().map_err(cut(pages.len(), true))
+}
+
+fn tx_group<D: TxBlockDevice>(dev: &mut D, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
+    let cut = |sealing| {
+        move |error| Cut {
+            acked: 0,
+            sealing,
+            error,
+        }
+    };
+    for (lpn, data) in pages {
+        dev.write_tx(tid, *lpn, data).map_err(cut(false))?;
+    }
+    dev.commit(tid).map_err(cut(true))
+}
+
+personality!(PageMappedFtl, atomic: false, plain_group);
+personality!(AtomicWriteFtl, atomic: false, plain_group);
+personality!(TxFlashFtl, atomic: true, tx_group);
+personality!(XFtl, atomic: true, tx_group);
+
+/// What [`sweep`] saw.
+#[derive(Debug, Default)]
+pub struct Swept {
+    /// Programs and erases of the schedule: the cuts made.
+    pub cuts: u64,
+    /// Cuts after which `recover` refused the chip with `ReadErased` —
+    /// the mapping-page window DESIGN.md §5.2 documents. Anything else
+    /// recovery refuses, or any lost or torn group, panics.
+    pub unrecoverable: Vec<u64>,
+    /// FTL statistics of the uncut run, the build phase excluded.
+    pub stats: xftl_ftl::FtlStats,
+    /// Acknowledgements of the uncut run in which a root was written by
+    /// a collection step that erased nothing: hazard (e)'s root write.
+    pub partial_step_roots: u64,
+}
+
+/// The `i`-th group of the sweep's schedule: `len` pages scattered over
+/// `logical`, filled with a byte naming the group.
+fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)> {
+    let mut rng = StdRng::seed_from_u64(i);
+    let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::new();
+    for _ in 0..len {
+        let lpn = rng.gen_range(0..logical);
+        if pages.iter().all(|(l, _)| *l != lpn) {
+            pages.push((lpn, vec![(i % 250) as u8 + 1; ps]));
+        }
+    }
+    pages
+}
+
+/// Cuts the power at every program and erase of a schedule of `groups`
+/// acknowledged groups of `len` pages on the device `build` makes, and
+/// after each cut recovers (twice) and checks that every acknowledged
+/// group is there, the group in flight is there as far as the personality
+/// promises (whole or not at all where groups are atomic, page by page
+/// where they are not), and nothing else moved — through [`Checked`], so
+/// under `verify` the shadow oracle and the flash auditor check every
+/// recovery as well.
+pub fn sweep<D: Personality>(build: impl Fn() -> Checked<D>, groups: u64, len: u64) -> Swept {
+    let ops = |d: &Checked<D>| {
+        let s = ftl(d).base().flash_stats();
+        s.programs + s.erases
+    };
+    let image = |d: &mut Checked<D>| -> Vec<u8> {
+        let mut buf = vec![0u8; d.page_size()];
+        (0..d.capacity_pages())
+            .map(|lpn| {
+                d.read(lpn, &mut buf).unwrap();
+                assert!(buf.iter().all(|b| *b == buf[0]), "lpn {lpn} is torn");
+                buf[0]
+            })
+            .collect()
+    };
+    // The uncut run: how many cuts there are, and what the steps did.
+    let mut swept = Swept::default();
+    let mut dev = build();
+    let (logical, ps) = (dev.capacity_pages(), dev.page_size());
+    let (before, built) = (ops(&dev), *ftl(&dev).base().stats());
+    for i in 0..groups {
+        let s0 = *ftl(&dev).base().stats();
+        D::group(&mut dev, i + 1, &sweep_group(i, len, logical, ps)).unwrap();
+        let d = *ftl(&dev).base().stats() - s0;
+        let roots_accounted = d.checkpoints + d.map_flush_batches;
+        if d.gc_background_steps > 0 && d.gc_runs == 0 && d.meta_writes > roots_accounted {
+            swept.partial_step_roots += 1;
+        }
+    }
+    swept.cuts = ops(&dev) - before;
+    swept.stats = *ftl(&dev).base().stats() - built;
+    for fuse in 1..=swept.cuts {
+        let mut dev = build();
+        let mut expect = image(&mut dev);
+        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        // The group the power died in, and where in it.
+        let mut in_flight = None;
+        for i in 0..groups {
+            let pages = sweep_group(i, len, logical, ps);
+            match D::group(&mut dev, i + 1, &pages) {
+                Ok(()) => {
+                    for (lpn, data) in &pages {
+                        expect[*lpn as usize] = data[0];
+                    }
+                }
+                Err(cut) => {
+                    assert!(
+                        ftl(&dev).base().chip().is_dead(),
+                        "fuse {fuse}, group {i}: {cut:?} with the power on"
+                    );
+                    in_flight = Some((pages, cut));
+                    break;
+                }
+            }
+        }
+        let (pages, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
+        let mut dev = match try_recover_with(dev, D::into_chip, D::recover) {
+            Ok(dev) => dev,
+            Err(DevError::Flash(FlashError::ReadErased(_))) => {
+                swept.unrecoverable.push(fuse);
+                continue;
+            }
+            Err(e) => panic!("fuse {fuse}: recovery refused the chip: {e:?}"),
+        };
+        let got = image(&mut dev);
+        let landed = |(lpn, data): &(Lpn, Vec<u8>)| got[*lpn as usize] == data[0];
+        // What of the group in flight may show: atomic, all of it or
+        // none, and only if the seal was reached; page by page, the
+        // acknowledged writes for sure and the one in flight perhaps.
+        let shown = if D::ATOMIC {
+            let all = cut.sealing && pages.iter().all(landed);
+            if all {
+                pages.len()
+            } else {
+                0
+            }
+        } else {
+            let in_doubt = pages.get(cut.acked).is_some_and(landed);
+            cut.acked + usize::from(in_doubt)
+        };
+        for (lpn, data) in &pages[..shown] {
+            expect[*lpn as usize] = data[0];
+        }
+        assert_eq!(got, expect, "fuse {fuse}: {cut:?}");
+        // Recovery is idempotent.
+        let mut dev = recover_with(dev, D::into_chip, |chip| D::recover(chip).unwrap());
+        assert_eq!(image(&mut dev), expect, "fuse {fuse}: second recovery");
+    }
+    swept
 }

@@ -18,10 +18,12 @@
 //! - `loc [ROOT]` — non-test and test code lines per crate and per file
 //!   (see [`xtask::loc`]), of this checkout or of the one at `ROOT` — so
 //!   a "net lines down" claim is one `diff` of two reports.
-//! - `perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seed 1]`
+//! - `perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seeds 1,7,13]`
 //!   — builds `perf` there and here, runs the workload alternately on
-//!   both, and prints medians, quartiles and wins per end-to-end metric
-//!   (see [`xtask::perfpair`]): the evidence a host-clock claim needs.
+//!   both, cycling the seeds across the pairs, and prints medians,
+//!   quartiles, wins and the difference beside its `BENCHMARK.json` bound
+//!   per end-to-end metric (see [`xtask::perfpair`]): the evidence a
+//!   host-clock claim needs, and a simulated-clock claim on several seeds.
 //!
 //! Waiver policy, lint catalogue, and the fixture corpus are documented
 //! in DESIGN.md ("Static analysis") and in [`xtask::analyze`].
@@ -184,9 +186,10 @@ fn main() -> ExitCode {
                  \x20                                  metrics absent from the baseline to warnings\n\
                  \x20                                  (defaults: BENCH_all.json BENCH_BASELINE.json)\n\
                  \x20 loc [ROOT]                       code / test lines per crate and per file\n\
-                 \x20 perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seed 1]\n\
+                 \x20 perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seeds 1,7,13]\n\
                  \x20                                  perf of a parent checkout and of this one,\n\
-                 \x20                                  run alternately: medians, quartiles, wins"
+                 \x20                                  run alternately, seeds cycled over the pairs:\n\
+                 \x20                                  medians, quartiles, wins, difference vs bound"
             );
             ExitCode::FAILURE
         }

@@ -3,14 +3,18 @@
 //! A number on the host clock means something only next to the same
 //! number from the parent commit, taken on the same machine minutes
 //! apart. This builds `perf` (the repository's benchmark, see
-//! `BENCHMARK.json`) in two checkouts, runs one workload at one seed
-//! alternately on both — which side goes first alternates too — and
-//! prints, per end-to-end metric, both medians and quartiles, how many
-//! pairs the change won, and whether the rule for a gain holds: at least
-//! nine tenths of the pairs won (ties count for neither side) and the
-//! medians further apart than the parent's own quartiles. The simulated
-//! and count metrics are exact per seed, so for them the report says
-//! whether every run of both sides printed the same value.
+//! `BENCHMARK.json`) in two checkouts, runs one workload alternately on
+//! both — which side goes first alternates too, and `--seeds 1,7,13`
+//! cycles the seeds across the pairs — and prints, per end-to-end metric,
+//! both medians and quartiles, how many pairs the change won, the
+//! difference of the medians beside the bound `BENCHMARK.json` allows,
+//! and whether the rule for a gain holds: at least nine tenths of the
+//! pairs won (ties count for neither side) and the medians further apart
+//! than the parent's own quartiles. The simulated and count metrics are
+//! exact per seed: ten pairs at one seed are ten copies of one number, so
+//! a claim on them is shown on several seeds (one of them unseen while
+//! the change was written), and the report says when both sides printed
+//! the same value in every pair, or when one side did not repeat itself.
 //!
 //! `perf` itself is untouched: this only builds it, runs it, and reads
 //! the JSON object on the last line of its standard output.
@@ -30,29 +34,32 @@ pub struct Args {
     pub parent: PathBuf,
     /// Workload name, passed through to `perf`.
     pub workload: String,
-    /// Seed, passed through to `perf`.
-    pub seed: u64,
+    /// Seeds, passed through to `perf`: pair `i` runs both sides at
+    /// `seeds[i % seeds.len()]`.
+    pub seeds: Vec<u64>,
     /// Number of (parent, change) pairs.
     pub pairs: usize,
 }
 
 impl Args {
-    /// Parses `--parent P --workload W [--pairs N] [--seed N]`.
+    /// Parses `--parent P --workload W [--pairs N] [--seeds A,B,…]`
+    /// (`--seed N` is `--seeds N`).
     pub fn parse(args: &[String]) -> Result<Args, String> {
-        let (mut parent, mut workload, mut seed, mut pairs) = (None, None, 1, 10);
+        let (mut parent, mut workload, mut seeds, mut pairs) = (None, None, vec![1], 10);
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let value = it.next().ok_or_else(|| format!("`{flag}` needs a value"))?;
-            let number = || {
-                value
-                    .parse::<u64>()
+            let number = |text: &str| {
+                text.parse::<u64>()
                     .map_err(|_| format!("`{flag} {value}`: not a number"))
             };
             match flag.as_str() {
                 "--parent" => parent = Some(PathBuf::from(value)),
                 "--workload" => workload = Some(value.clone()),
-                "--seed" => seed = number()?,
-                "--pairs" => pairs = number()? as usize,
+                "--seed" | "--seeds" => {
+                    seeds = value.split(',').map(number).collect::<Result<_, _>>()?;
+                }
+                "--pairs" => pairs = number(value)? as usize,
                 other => return Err(format!("unknown flag `{other}`")),
             }
         }
@@ -62,7 +69,7 @@ impl Args {
         Ok(Args {
             parent: parent.ok_or("`--parent <checkout>` is required")?,
             workload: workload.ok_or("`--workload <name>` is required")?,
-            seed,
+            seeds,
             pairs,
         })
     }
@@ -75,6 +82,8 @@ pub struct MetricDef {
     pub name: String,
     /// True if a larger value is the better one.
     pub higher_is_better: bool,
+    /// Share of the parent's value by which it may worsen.
+    pub bound: f64,
 }
 
 impl MetricDef {
@@ -105,6 +114,10 @@ pub fn metric_defs(benchmark_json: &str) -> Result<Vec<MetricDef>, String> {
             Ok(MetricDef {
                 name: field("name")?.to_string(),
                 higher_is_better: field("better")? == "higher",
+                bound: m
+                    .get("bound")
+                    .and_then(JsonValue::as_f64)
+                    .ok_or("BENCHMARK.json: metric without `bound`")?,
             })
         })
         .collect()
@@ -190,24 +203,40 @@ pub struct Row {
     pub wins: usize,
     /// Pairs in which the parent read better.
     pub losses: usize,
-    /// Every run of both sides printed the same value.
+    /// Both sides printed the same value in every pair.
     pub identical: bool,
+    /// Each side printed one value per seed, whatever the pair.
+    pub repeats: bool,
 }
 
 impl Row {
-    /// Compares `pairs` of (parent, change) values of one metric.
-    pub fn of(def: MetricDef, pairs: &[(f64, f64)]) -> Row {
+    /// Compares `pairs` of (seed, parent, change) values of one metric.
+    pub fn of(def: MetricDef, pairs: &[(u64, f64, f64)]) -> Row {
         let better = |a: f64, b: f64| if def.higher_is_better { a > b } else { a < b };
-        let side = |pick: fn(&(f64, f64)) -> f64| pairs.iter().map(pick).collect::<Vec<_>>();
+        let side = |pick: fn(&(u64, f64, f64)) -> f64| pairs.iter().map(pick).collect::<Vec<_>>();
+        let same = |a: f64, b: f64| a.to_bits() == b.to_bits();
         Row {
-            parent: Spread::of(&side(|p| p.0)),
-            change: Spread::of(&side(|p| p.1)),
-            wins: pairs.iter().filter(|(p, c)| better(*c, *p)).count(),
-            losses: pairs.iter().filter(|(p, c)| better(*p, *c)).count(),
-            identical: pairs
-                .iter()
-                .all(|(p, c)| p.to_bits() == pairs[0].0.to_bits() && c.to_bits() == p.to_bits()),
+            parent: Spread::of(&side(|p| p.1)),
+            change: Spread::of(&side(|p| p.2)),
+            wins: pairs.iter().filter(|(_, p, c)| better(*c, *p)).count(),
+            losses: pairs.iter().filter(|(_, p, c)| better(*p, *c)).count(),
+            identical: pairs.iter().all(|(_, p, c)| same(*p, *c)),
+            repeats: pairs.iter().all(|(seed, p, c)| {
+                let first = pairs.iter().find(|q| q.0 == *seed).unwrap_or(&pairs[0]);
+                same(*p, first.1) && same(*c, first.2)
+            }),
             def,
+        }
+    }
+
+    /// The change's median less the parent's, as a share of the parent's
+    /// and signed so that positive is better.
+    pub fn gain(&self) -> f64 {
+        let delta = (self.change.median - self.parent.median) / self.parent.median;
+        if self.def.higher_is_better {
+            delta
+        } else {
+            -delta
         }
     }
 
@@ -225,33 +254,39 @@ impl Row {
     }
 
     fn verdict(&self, pairs: usize) -> String {
-        if self.def.is_exact() {
-            return if self.identical {
-                "identical in every run".into()
-            } else {
-                "DIFFERS between runs".into()
-            };
+        if self.def.is_exact() && !self.repeats {
+            return "NOT EXACT: a side printed two values at one seed".into();
         }
-        let ratio = self.change.median / self.parent.median;
+        if self.def.is_exact() && self.identical {
+            return "identical in every pair".into();
+        }
         let tag = if self.is_gain(pairs) {
             "gain"
+        } else if self.gain() < -self.def.bound {
+            "WORSE THAN ITS BOUND"
         } else if self.losses * 10 >= pairs * 9 {
             "worse"
         } else {
             "unresolved"
         };
-        format!("x{ratio:.3} of parent, {tag}")
+        format!(
+            "{:.2} % {} (may worsen by {:.0} %), {tag}",
+            100.0 * self.gain().abs(),
+            if self.gain() < 0.0 { "worse" } else { "better" },
+            100.0 * self.def.bound
+        )
     }
 }
 
 /// The report: one line per metric.
 pub fn render(args: &Args, rows: &[Row], failed: (f64, f64)) -> String {
+    let seeds: Vec<String> = args.seeds.iter().map(u64::to_string).collect();
     let mut out = format!(
-        "perf-pair: workload {} seed {} — {} pairs, parent {}\n\
+        "perf-pair: workload {} seeds {} cycled over {} pairs, parent {}\n\
          failed ops over all runs: parent {} change {}\n\
          {:<24} {:>38} {:>38} {:>9}  verdict\n",
         args.workload,
-        args.seed,
+        seeds.join(","),
         args.pairs,
         args.parent.display(),
         failed.0,
@@ -294,11 +329,11 @@ fn build(root: &Path) -> Result<PathBuf, String> {
     Ok(target.join("release/perf"))
 }
 
-fn run_once(bin: &Path, root: &Path, args: &Args) -> Result<Run, String> {
+fn run_once(bin: &Path, root: &Path, workload: &str, seed: u64) -> Result<Run, String> {
     let out = Command::new(bin)
         .current_dir(root)
-        .args(["--workload", &args.workload, "--trace", "0", "--seed"])
-        .arg(args.seed.to_string())
+        .args(["--workload", workload, "--trace", "0", "--seed"])
+        .arg(seed.to_string())
         .output()
         .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
     if !out.status.success() {
@@ -321,8 +356,9 @@ pub fn perf_pair(change_root: &Path, args: &Args) -> Result<String, String> {
     let change_bin = build(change_root)?;
     let mut runs = Vec::with_capacity(args.pairs);
     for pair in 0..args.pairs {
-        let parent = |()| run_once(&parent_bin, &args.parent, args);
-        let change = |()| run_once(&change_bin, change_root, args);
+        let seed = args.seeds[pair % args.seeds.len()];
+        let parent = |()| run_once(&parent_bin, &args.parent, &args.workload, seed);
+        let change = |()| run_once(&change_bin, change_root, &args.workload, seed);
         let (p, c) = if pair % 2 == 0 {
             let p = parent(())?;
             (p, change(())?)
@@ -330,21 +366,25 @@ pub fn perf_pair(change_root: &Path, args: &Args) -> Result<String, String> {
             let c = change(())?;
             (parent(())?, c)
         };
-        eprintln!("perf-pair: pair {}/{} done", pair + 1, args.pairs);
-        runs.push((p, c));
+        eprintln!(
+            "perf-pair: pair {}/{} (seed {seed}) done",
+            pair + 1,
+            args.pairs
+        );
+        runs.push((seed, p, c));
     }
     let rows = defs
         .into_iter()
         .map(|def| {
             let pairs = runs
                 .iter()
-                .map(|(p, c)| Some((p.value(&def.name)?, c.value(&def.name)?)))
+                .map(|(seed, p, c)| Some((*seed, p.value(&def.name)?, c.value(&def.name)?)))
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| format!("a run did not print `{}`", def.name))?;
             Ok(Row::of(def, &pairs))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let failed = runs.iter().fold((0.0, 0.0), |acc, (p, c)| {
+    let failed = runs.iter().fold((0.0, 0.0), |acc, (_, p, c)| {
         (acc.0 + p.failed, acc.1 + c.failed)
     });
     Ok(render(args, &rows, failed))
@@ -358,6 +398,7 @@ mod tests {
         MetricDef {
             name: name.into(),
             higher_is_better: higher,
+            bound: 0.25,
         }
     }
 
@@ -365,9 +406,13 @@ mod tests {
     fn args_need_parent_and_workload_and_default_the_rest() {
         let argv = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
         let a = Args::parse(&argv("--parent /p --workload oltp-xftl")).unwrap();
-        assert_eq!((a.pairs, a.seed), (10, 1));
+        assert_eq!((a.pairs, a.seeds), (10, vec![1]));
         let a = Args::parse(&argv("--workload w --seed 7 --pairs 3 --parent p")).unwrap();
-        assert_eq!((a.pairs, a.seed, a.workload.as_str()), (3, 7, "w"));
+        assert_eq!((a.pairs, a.seeds, a.workload.as_str()), (3, vec![7], "w"));
+        let a = Args::parse(&argv("--workload w --seeds 1,7,13 --parent p")).unwrap();
+        assert_eq!(a.seeds, [1, 7, 13]);
+        assert!(Args::parse(&argv("--parent p --workload w --seeds 1,x")).is_err());
+        assert!(Args::parse(&argv("--parent p --workload w --seeds")).is_err());
         assert!(Args::parse(&argv("--workload w")).is_err());
         assert!(Args::parse(&argv("--parent p")).is_err());
         assert!(Args::parse(&argv("--parent p --workload w --pairs 0")).is_err());
@@ -378,11 +423,12 @@ mod tests {
     #[test]
     fn reads_metric_directions_and_perf_output() {
         let defs = metric_defs(
-            r#"{"end_to_end": [{"name": "sim_ops_per_s", "better": "higher"},
-                               {"name": "setup_s", "better": "lower"}]}"#,
+            r#"{"end_to_end": [{"name": "sim_ops_per_s", "better": "higher", "bound": 0.25},
+                               {"name": "setup_s", "better": "lower", "bound": 0.25}]}"#,
         )
         .unwrap();
         assert_eq!(defs, [def("sim_ops_per_s", true), def("setup_s", false)]);
+        assert!(metric_defs(r#"{"end_to_end": [{"name": "x", "better": "lower"}]}"#).is_err());
         assert!(defs[0].is_exact() && !defs[1].is_exact());
         let run = Run::parse(
             "progress line\n{\"correct\": true, \"attempted\": 5, \"failed\": 1, \
@@ -406,36 +452,57 @@ mod tests {
 
     #[test]
     fn a_gain_needs_nine_wins_in_ten_and_a_gap_wider_than_the_parents_spread() {
-        let pairs: Vec<(f64, f64)> = (0..10).map(|i| (100.0 + f64::from(i), 210.0)).collect();
+        let pairs: Vec<(u64, f64, f64)> =
+            (0..10).map(|i| (1, 100.0 + f64::from(i), 210.0)).collect();
         let row = Row::of(def("host_ops_per_s", true), &pairs);
         assert_eq!((row.wins, row.losses), (10, 0));
         assert!(row.is_gain(10));
         assert!(row.verdict(10).ends_with("gain"));
-        // Lower is better: the same numbers are ten losses.
+        // Lower is better: the same numbers are ten losses, and past the
+        // 25 % the metric may worsen by.
         let row = Row::of(def("setup_s", false), &pairs);
         assert_eq!((row.wins, row.losses), (0, 10));
-        assert!(!row.is_gain(10) && row.verdict(10).ends_with("worse"));
+        assert!(!row.is_gain(10) && row.verdict(10).ends_with("WORSE THAN ITS BOUND"));
         // Eight wins are not enough, however large.
         let mut mixed = pairs.clone();
-        mixed[0].1 = 1.0;
-        mixed[1].1 = 1.0;
+        mixed[0].2 = 1.0;
+        mixed[1].2 = 1.0;
         assert!(!Row::of(def("host_ops_per_s", true), &mixed).is_gain(10));
-        // Ten wins inside the parent's own spread are not a gain either.
-        let close: Vec<(f64, f64)> = (0..10)
-            .map(|i| (100.0 + 10.0 * f64::from(i), 101.0 + 10.0 * f64::from(i)))
+        // Ten wins inside the parent's own spread are not a gain either,
+        // nor ten losses inside the bound a breach of it.
+        let close: Vec<(u64, f64, f64)> = (0..10)
+            .map(|i| (1, 100.0 + 10.0 * f64::from(i), 101.0 + 10.0 * f64::from(i)))
             .collect();
         let row = Row::of(def("host_ops_per_s", true), &close);
         assert_eq!(row.wins, 10);
         assert!(!row.is_gain(10) && row.verdict(10).ends_with("unresolved"));
+        let row = Row::of(def("setup_s", false), &close);
+        assert!(row.verdict(10).ends_with(", worse"), "{}", row.verdict(10));
+        assert!(row
+            .verdict(10)
+            .starts_with("0.69 % worse (may worsen by 25 %)"));
     }
 
     #[test]
-    fn exact_metrics_report_identity_to_the_bit() {
-        let same = [(0.1 + 0.2, 0.1 + 0.2); 3];
+    fn exact_metrics_report_identity_to_the_bit_and_per_seed_repetition() {
+        let same = [(1, 0.1 + 0.2, 0.1 + 0.2); 3];
         let row = Row::of(def("sim_ops_per_s", true), &same);
-        assert!(row.identical && row.verdict(3) == "identical in every run");
-        let moved = [(0.3, 0.3), (0.3, 0.1 + 0.2)];
-        let row = Row::of(def("flash_reads_per_op", false), &moved);
-        assert!(!row.identical && row.verdict(2).starts_with("DIFFERS"));
+        assert!(row.identical && row.repeats);
+        assert_eq!(row.verdict(3), "identical in every pair");
+        // Seeds cycle: each side may differ between seeds, not within one.
+        let cycled = [
+            (1, 50.0, 30.0),
+            (7, 52.0, 31.0),
+            (1, 50.0, 30.0),
+            (7, 52.0, 31.0),
+        ];
+        let row = Row::of(def("sim_lat_p99_ms", false), &cycled);
+        assert!(!row.identical && row.repeats && row.is_gain(4));
+        assert!(row
+            .verdict(4)
+            .starts_with("40.20 % better (may worsen by 25 %), gain"));
+        let drifted = [(1, 50.0, 30.0), (7, 52.0, 31.0), (1, 50.0, 30.5)];
+        let row = Row::of(def("flash_reads_per_op", false), &drifted);
+        assert!(!row.repeats && row.verdict(3).starts_with("NOT EXACT"));
     }
 }
