@@ -293,16 +293,6 @@ impl Xl2pTable {
         e
     }
 
-    /// Removes every entry of `tid`, returning their physical addresses
-    /// (the abort path invalidates them).
-    pub fn remove_tid(&mut self, tid: Tid) -> Vec<Ppa> {
-        let mut ppas = Vec::new();
-        while let Some(&i) = self.by_tid.get(&tid).and_then(|v| v.first()) {
-            ppas.push(self.remove_index(i).ppa);
-        }
-        ppas
-    }
-
     /// Removes only the *active* entries of `tid`, returning their
     /// physical addresses. Used by abort: entries already committed are
     /// owned by the L2P fold and must not be touched — an `abort(t)`
@@ -659,13 +649,13 @@ mod tests {
     }
 
     #[test]
-    fn remove_tid_returns_ppas_and_fixes_indices() {
+    fn remove_active_of_tid_returns_ppas_and_fixes_indices() {
         let mut t = Xl2pTable::new(8);
         t.upsert(1, 0, p(0, 0)).unwrap();
         t.upsert(2, 1, p(0, 1)).unwrap();
         t.upsert(1, 2, p(0, 2)).unwrap();
         t.upsert(3, 3, p(0, 3)).unwrap();
-        let mut ppas = t.remove_tid(1);
+        let mut ppas = t.remove_active_of_tid(1);
         ppas.sort();
         assert_eq!(ppas, vec![p(0, 0), p(0, 2)]);
         assert_eq!(t.len(), 2);
@@ -814,7 +804,7 @@ mod tests {
         // Repurposing the committed slot re-registers the intent.
         t.upsert(1, 7, p(0, 4)).unwrap();
         assert_eq!(t.writers_of(7), &[1]);
-        t.remove_tid(1);
+        t.remove_active_of_tid(1);
         assert_eq!(t.intent_pages(), 0);
     }
 

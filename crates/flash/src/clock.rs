@@ -60,11 +60,6 @@ impl SimClock {
         self.now_ns.fetch_max(instant, Ordering::Relaxed);
     }
 
-    /// Current instant expressed in seconds as a float (for reports).
-    pub fn now_secs(&self) -> f64 {
-        self.now() as f64 / SECOND as f64
-    }
-
     /// Convenience: elapsed simulated time since `start`.
     pub fn since(&self, start: Nanos) -> Nanos {
         self.now().saturating_sub(start)
@@ -98,11 +93,6 @@ impl Stopwatch {
     /// Simulated nanoseconds elapsed since [`Stopwatch::start`].
     pub fn elapsed(&self) -> Nanos {
         self.clock.since(self.start)
-    }
-
-    /// Elapsed time in seconds as a float.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.elapsed() as f64 / SECOND as f64
     }
 }
 
@@ -143,20 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn now_secs_converts() {
-        let c = SimClock::new();
-        c.advance(2 * SECOND + 500 * MILLI);
-        assert!((c.now_secs() - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn stopwatch_measures_span() {
         let c = SimClock::new();
         c.advance(100);
         let sw = Stopwatch::start(&c);
         c.advance(250);
         assert_eq!(sw.elapsed(), 250);
-        assert!((sw.elapsed_secs() - 250e-9).abs() < 1e-18);
     }
 
     #[test]

@@ -255,12 +255,6 @@ impl FlashConfigBuilder {
         }
     }
 
-    /// A 256 GB-class drive: the [`scale_64g`](Self::scale_64g) geometry
-    /// with 4× the blocks (70,144 ≈ 274 GB raw).
-    pub fn scale_256g() -> Self {
-        Self::scale_64g().blocks(70_144)
-    }
-
     /// Sets the number of erase blocks (drive size).
     pub fn blocks(mut self, blocks: usize) -> Self {
         self.config.geometry.blocks = blocks;
@@ -364,10 +358,8 @@ mod tests {
         assert!(soak.geometry.capacity_bytes() >= 100 * small.geometry.capacity_bytes());
         let g64 = FlashConfigBuilder::scale_64g().build();
         assert!(g64.geometry.capacity_bytes() >= 64 << 30);
-        let g256 = FlashConfigBuilder::scale_256g().build();
-        assert!(g256.geometry.capacity_bytes() >= 256 << 30);
         // All presets keep channel striping within the stats array bound.
-        for cfg in [soak, g64, g256] {
+        for cfg in [soak, g64] {
             assert!(cfg.geometry.channels as usize <= crate::stats::MAX_CHANNELS);
             assert!(cfg.geometry.units() > 1);
         }

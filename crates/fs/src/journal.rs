@@ -280,11 +280,6 @@ impl Journal {
         self.write_header(dev)?;
         Ok(written)
     }
-
-    /// Pending home writes owed by the next checkpoint.
-    pub fn pending_pages(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 #[cfg(test)]
@@ -368,10 +363,10 @@ mod tests {
         let image = page(&dev, 0x33);
         j.append_body(&mut dev, &[(home, image.clone())]).unwrap();
         j.append_commit(&mut dev).unwrap();
-        assert_eq!(j.pending_pages(), 1);
+        assert_eq!(j.pending.len(), 1);
         let n = j.checkpoint(&mut dev).unwrap();
         assert_eq!(n, 1);
-        assert_eq!(j.pending_pages(), 0);
+        assert_eq!(j.pending.len(), 0);
         let mut out = page(&dev, 0);
         dev.read(home, &mut out).unwrap();
         assert_eq!(out, image);

@@ -1,11 +1,10 @@
 //! Structured event spans and the bounded ring that stores them.
 //!
-//! Events are only *stored* when the `trace` cargo feature is enabled —
-//! the types always exist so call sites need no `cfg`. The ring is
-//! bounded ([`RING_CAPACITY`] by default): once full, the oldest events
-//! are overwritten, so a trace of an arbitrarily long run costs constant
-//! memory and always holds the most recent window — the part that
-//! explains a failure.
+//! Events are only *stored* once `Telemetry::start_events` has armed the
+//! shared handle. The ring is bounded ([`RING_CAPACITY`] by default):
+//! once full, the oldest events are overwritten, so a trace of an
+//! arbitrarily long run costs constant memory and always holds the most
+//! recent window — the part that explains a failure.
 
 use crate::op::OpClass;
 use crate::Nanos;
@@ -78,8 +77,6 @@ pub struct EventRing {
     capacity: usize,
     /// Index of the logically first (oldest) event once wrapped.
     head: usize,
-    /// Total events ever pushed (including overwritten ones).
-    pushed: u64,
 }
 
 impl Default for EventRing {
@@ -95,7 +92,6 @@ impl EventRing {
             buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
-            pushed: 0,
         }
     }
 
@@ -107,7 +103,6 @@ impl EventRing {
             self.buf[self.head] = ev;
             self.head = (self.head + 1) % self.capacity;
         }
-        self.pushed += 1;
     }
 
     /// Events currently held, oldest first.
@@ -115,27 +110,6 @@ impl EventRing {
         self.buf[self.head..]
             .iter()
             .chain(self.buf[..self.head].iter())
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when no events are held.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Total events ever pushed, including overwritten ones.
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Discards all held events (the total-pushed counter keeps running).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
     }
 
     /// The whole ring as JSONL, one event per line, oldest first.
@@ -172,8 +146,6 @@ mod tests {
         }
         let kept: Vec<Nanos> = r.iter().map(|e| e.t_start).collect();
         assert_eq!(kept, vec![2, 3, 4]);
-        assert_eq!(r.total_pushed(), 5);
-        assert_eq!(r.len(), 3);
     }
 
     #[test]
@@ -184,8 +156,6 @@ mod tests {
         let s = r.to_jsonl();
         assert_eq!(s.lines().count(), 2);
         assert!(s.starts_with("{\"layer\":\"flash\",\"op\":\"chip_read\""));
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.to_jsonl(), "");
+        assert_eq!(EventRing::default().to_jsonl(), "");
     }
 }

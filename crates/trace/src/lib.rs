@@ -10,9 +10,10 @@
 //!   deterministic quantiles (p50/p95/p99/max), one per [`OpClass`];
 //! * [`Telemetry`] — a cheaply cloneable [`Recorder`] handle threaded
 //!   through the stack; all clones feed the same histogram set;
-//! * a bounded structured-event ring (behind the `trace` cargo feature)
-//!   emitting typed spans `{layer, op, tid, lpn, t_start, t_end}`,
-//!   dumpable as JSONL for post-hoc analysis of a failing test or bench;
+//! * a bounded structured-event ring, armed at run time by
+//!   [`Telemetry::start_events`], holding typed spans `{layer, op, tid,
+//!   lpn, t_start, t_end}`, dumpable as JSONL for post-hoc analysis of a
+//!   failing test or bench;
 //! * [`BenchReport`] — a JSON report schema every bench experiment writes
 //!   next to its text tables, diffable exactly in CI because the
 //!   simulated clock makes the numbers reproducible.

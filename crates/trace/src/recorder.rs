@@ -1,16 +1,14 @@
 //! The [`Recorder`] trait and the shared [`Telemetry`] handle.
 //!
 //! One `Telemetry` is created per rig/bench run and cloned into every
-//! layer; all clones feed the same histogram set (and, with the `trace`
-//! feature, the same event ring). A disabled handle records nothing and
-//! costs one branch per call, so production paths can call it
-//! unconditionally.
+//! layer; all clones feed the same histogram set (and, once
+//! [`Telemetry::start_events`] has armed it, the same event ring). A
+//! disabled handle records nothing and costs one branch per call, so
+//! production paths can call it unconditionally.
 
 use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::event::Event;
-#[cfg(feature = "trace")]
-use crate::event::EventRing;
+use crate::event::{Event, EventRing};
 use crate::hist::{Hist, HistSummary};
 use crate::op::{OpClass, N_OPS};
 use crate::Nanos;
@@ -21,23 +19,23 @@ pub trait Recorder {
     fn record(&self, op: OpClass, dur: Nanos);
 
     /// Records a full span: feeds the histogram with `t_end - t_start`
-    /// and, when event tracing is compiled in and this recorder stores
-    /// events, appends a typed event.
+    /// and, when this recorder is capturing events, appends a typed
+    /// event.
     fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Nanos, t_end: Nanos);
 }
 
 struct Inner {
     hists: [Hist; N_OPS],
-    #[cfg(feature = "trace")]
-    ring: EventRing,
+    /// Allocated by `start_events`; until then a span is a histogram
+    /// bump and this `Option` test.
+    ring: Option<EventRing>,
 }
 
 impl Inner {
     fn new() -> Self {
         Inner {
             hists: std::array::from_fn(|_| Hist::new()),
-            #[cfg(feature = "trace")]
-            ring: EventRing::default(),
+            ring: None,
         }
     }
 }
@@ -78,20 +76,6 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// True when this handle actually records.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// True when two handles share the same sink.
-    pub fn same_sink(&self, other: &Telemetry) -> bool {
-        match (&self.inner, &other.inner) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (None, None) => true,
-            _ => false,
-        }
-    }
-
     fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> Option<R> {
         self.inner.as_ref().map(|inner| {
             let mut guard = inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -123,44 +107,26 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Resets all histograms (and the event ring) to empty.
+    /// Resets all histograms to empty and stops capturing events.
     pub fn reset(&self) {
         self.with_inner(|i| {
             *i = Inner::new();
         });
     }
 
-    /// The current event ring as JSONL, oldest span first.
-    ///
-    /// Always empty unless the crate is built with the `trace` feature
-    /// (events are not stored otherwise) and the handle is enabled.
+    /// Drops whatever events were captured and captures every span from
+    /// here on into a fresh bounded ring, shared by all clones. The
+    /// histograms are untouched.
+    pub fn start_events(&self) {
+        self.with_inner(|i| i.ring = Some(EventRing::default()));
+    }
+
+    /// The captured events as JSONL, oldest span first; empty unless
+    /// [`start_events`](Self::start_events) armed an enabled handle.
     pub fn events_jsonl(&self) -> String {
-        #[cfg(feature = "trace")]
-        {
-            self.with_inner(|i| i.ring.to_jsonl()).unwrap_or_default()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            String::new()
-        }
-    }
-
-    /// Number of events currently held (0 without the `trace` feature).
-    pub fn event_count(&self) -> usize {
-        #[cfg(feature = "trace")]
-        {
-            self.with_inner(|i| i.ring.len()).unwrap_or(0)
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
-    }
-
-    /// Discards stored events without touching the histograms.
-    pub fn clear_events(&self) {
-        #[cfg(feature = "trace")]
-        self.with_inner(|i| i.ring.clear());
+        self.with_inner(|i| i.ring.as_ref().map(EventRing::to_jsonl))
+            .flatten()
+            .unwrap_or_default()
     }
 }
 
@@ -172,27 +138,15 @@ impl Recorder for Telemetry {
     fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Nanos, t_end: Nanos) {
         self.with_inner(|i| {
             i.hists[op.idx()].record(t_end.saturating_sub(t_start));
-            #[cfg(feature = "trace")]
-            i.ring.push(Event {
-                layer: op.layer(),
-                op,
-                tid,
-                lpn,
-                t_start,
-                t_end,
-            });
-            #[cfg(not(feature = "trace"))]
-            {
-                // Spans still feed the histograms; only storage is gated.
-                let _ = (tid, lpn);
-                let _ = Event {
+            if let Some(ring) = &mut i.ring {
+                ring.push(Event {
                     layer: op.layer(),
                     op,
                     tid,
                     lpn,
                     t_start,
                     t_end,
-                };
+                });
             }
         });
     }
@@ -206,7 +160,6 @@ mod tests {
     fn clones_share_one_sink() {
         let t = Telemetry::new();
         let u = t.clone();
-        assert!(t.same_sink(&u));
         t.record(OpClass::ChipRead, 50_000);
         u.record(OpClass::ChipRead, 70_000);
         assert_eq!(t.hist(OpClass::ChipRead).count(), 2);
@@ -216,7 +169,7 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
+        t.start_events();
         t.record(OpClass::TxCommit, 1);
         t.record_span(OpClass::TxCommit, 1, 2, 0, 10);
         assert_eq!(t.total_samples(), 0);
@@ -236,21 +189,22 @@ mod tests {
         assert_eq!(sums[0].0, OpClass::TxCommit);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
-    fn spans_are_stored_as_events_with_trace_feature() {
+    fn spans_are_stored_as_events_once_armed() {
         let t = Telemetry::new();
-        t.record_span(OpClass::TxCommit, 7, 42, 1_000, 4_000);
-        assert_eq!(t.event_count(), 1);
-        let jsonl = t.events_jsonl();
+        t.record_span(OpClass::ChipRead, 0, 1, 0, 500);
+        assert_eq!(t.events_jsonl(), "", "nothing is captured until armed");
+        t.start_events();
+        t.clone()
+            .record_span(OpClass::TxCommit, 7, 42, 1_000, 4_000);
         assert_eq!(
-            jsonl,
+            t.events_jsonl(),
             "{\"layer\":\"ftl\",\"op\":\"tx_commit\",\"tid\":7,\"lpn\":42,\
              \"t_start\":1000,\"t_end\":4000}\n"
         );
-        t.clear_events();
-        assert_eq!(t.event_count(), 0);
-        // Histograms survive an event clear.
+        // Re-arming drops what was captured; the histograms keep it.
+        t.start_events();
+        assert_eq!(t.events_jsonl(), "");
         assert_eq!(t.hist(OpClass::TxCommit).count(), 1);
     }
 

@@ -46,14 +46,6 @@ impl BenchReport {
         self.metrics.push((name.to_owned(), value));
     }
 
-    /// Looks up a metric by name (first match).
-    pub fn get_metric(&self, name: &str) -> Option<f64> {
-        self.metrics
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
-    }
-
     /// Folds a telemetry handle's non-empty histograms into the report.
     pub fn attach_telemetry(&mut self, t: &Telemetry) {
         for (op, summary) in t.summaries() {
@@ -207,13 +199,6 @@ mod tests {
         assert_eq!(back, r);
         // Serialization is stable.
         assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn metric_lookup() {
-        let r = sample_report();
-        assert_eq!(r.get_metric("syn_update_tps"), Some(1234.5));
-        assert_eq!(r.get_metric("absent"), None);
     }
 
     #[test]

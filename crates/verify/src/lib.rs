@@ -1,8 +1,9 @@
 //! # xftl-verify — shadow-model oracle and flash physics auditor
 //!
 //! Machine-checkable transactional correctness for the X-FTL stack. The
-//! crate contributes two cooperating checkers, both free when the `verify`
-//! feature of the workspace root is off (this crate simply is not built):
+//! crate contributes two cooperating checkers. It is a dev-dependency of
+//! the workspace root: every integration test runs its devices behind
+//! both, and no bench, example or library build links it:
 //!
 //! * [`shadow::ShadowDevice`] — wraps any [`xftl_ftl::BlockDevice`] /
 //!   [`xftl_ftl::TxBlockDevice`] and mirrors every command into a
@@ -10,9 +11,11 @@
 //!   issues is compared against the model, which checks, per operation:
 //!   read-your-own-writes within a transaction, isolation of uncommitted
 //!   writes between transactions, all-or-nothing visibility at
-//!   commit/abort, and durability of the committed image across
-//!   `power_cycle()` + recovery. A violation panics with a diagnostic
-//!   prefixed `shadow oracle:` naming the transaction and page.
+//!   commit/abort, snapshot views and first-committer-wins verdicts, and
+//!   durability of the committed image across `power_cycle()` + recovery
+//!   — staged commits included, of which a power cut keeps a prefix in
+//!   submission order. A violation panics with a diagnostic prefixed
+//!   `shadow oracle:` naming the transaction and page.
 //! * [`audit`] — the flash physics / metadata auditor. Walks the raw
 //!   [`xftl_flash::FlashChip`] array and the FTL's mapping state between
 //!   operations (using silent probes that charge no simulated time) and

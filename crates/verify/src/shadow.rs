@@ -16,9 +16,9 @@
 //!
 //! * a failed plain write or trim leaves that page holding either the old
 //!   or the new value — two worlds, tracked per page;
-//! * a failed `commit` leaves the whole transaction either entirely
-//!   applied or entirely discarded — two worlds for the *set* of pages,
-//!   all-or-nothing;
+//! * a failed `commit_submit` leaves the whole transaction either
+//!   entirely applied or entirely discarded — two worlds for the *set* of
+//!   pages, all-or-nothing;
 //! * a failed `submit_tx` batch may have recorded any prefix of the batch
 //!   in the transaction's uncommitted view — tracked per page of the
 //!   batch.
@@ -35,15 +35,23 @@
 //! A successful `commit_submit` makes the transaction's versions visible
 //! at once — the model folds them into the committed image — but they are
 //! not durable until the commit group flushes. Each submitted-unflushed
-//! commit is tracked with the pre-submit value of every page it wrote, so
-//! a crash can roll visibility back to the old image and re-open the
-//! outcome as an all-or-nothing in-doubt transaction (the group flush is
-//! one X-L2P table write plus one meta program: it either covered the
-//! whole group or none of it). A successful `commit_wait` (or `flush`, or
-//! plain traffic to a staged page, which forces the device to flush the
-//! group first) retires the records as durable. While a page has a staged
+//! commit is tracked, in submission order, with the pre-submit value of
+//! every page it wrote. A successful `commit_wait` (or `flush`, or plain
+//! traffic to a staged page, which forces the device to flush the group
+//! first) retires the records as durable; a command that *fails* leaves
+//! them as they are — visible, perhaps durable — because the device may
+//! flush a group on its own at any time anyway. While a page has a staged
 //! writer, reads of it prove nothing about the durable worlds underneath,
 //! so world-narrowing is suspended for that page.
+//!
+//! A power cut rolls visibility back to the pre-submit image and re-opens
+//! the `n` records it caught as `n + 1` worlds: groups flush strictly in
+//! submission order and a flush is all-or-nothing (one self-certifying
+//! table image), so the flash holds the durable image plus some *prefix*
+//! of the staged commits — never commit `k + 1` without commit `k`, never
+//! half of one, whether or not they share pages. Reads after recovery
+//! strike the prefix lengths they contradict; when one is left, those
+//! commits are durable and the rest never happened.
 //!
 //! ## Snapshot transactions (MVCC)
 //!
@@ -90,9 +98,9 @@ fn digest(data: &[u8]) -> String {
     s
 }
 
-/// A failed commit: the device may hold the whole transaction or none of
-/// it. Pages the host overwrites afterwards drop out (their outcome is no
-/// longer observable).
+/// A failed `commit_submit`: the device may hold the whole transaction or
+/// none of it. Pages the host overwrites afterwards drop out (their
+/// outcome is no longer observable).
 #[derive(Debug, Clone)]
 struct DoubtTx {
     tid: Tid,
@@ -158,6 +166,14 @@ pub struct ShadowModel {
     /// Commits submitted but not yet flushed (split-phase pipeline), in
     /// submission order: visible in `committed`, not yet durable.
     unflushed: Vec<UnflushedCommit>,
+    /// The pipeline a power cut caught, rolled back out of `committed`:
+    /// the flash holds the first `k` of these records for one `k`.
+    cut: Vec<UnflushedCommit>,
+    /// The values of `k` no read since the cut has ruled out; `[0]` while
+    /// `cut` is empty.
+    cut_prefixes: Vec<usize>,
+    /// `(kept, staged)` of the last cut, once the reads have settled it.
+    last_cut: Option<(usize, usize)>,
     /// Monotone clock ticked on every committed-image change. Survives
     /// crashes (it orders history; it is not device state).
     commit_counter: u64,
@@ -186,6 +202,9 @@ impl ShadowModel {
             unsynced_trims: HashMap::new(),
             doubt_txns: Vec::new(),
             unflushed: Vec::new(),
+            cut: Vec::new(),
+            cut_prefixes: vec![0],
+            last_cut: None,
             commit_counter: 0,
             page_seq: HashMap::new(),
             seq_doubt: HashSet::new(),
@@ -207,17 +226,24 @@ impl ShadowModel {
 
     /// Number of unresolved in-doubt pages and transactions.
     pub fn doubt_count(&self) -> usize {
-        self.doubt_pages.len() + self.doubt_txns.len()
+        self.doubt_pages.len() + self.doubt_txns.len() + self.cut.len()
+    }
+
+    /// `(kept, staged)` of the last power cut, if it caught commits
+    /// in flight and the reads since have settled which survived: the
+    /// first `kept` of the `staged`.
+    pub fn last_cut(&self) -> Option<(usize, usize)> {
+        self.last_cut
     }
 
     /// Models a power loss: every uncommitted transaction view dies with
     /// the device RAM. In-doubt worlds persist — they describe the flash.
     /// Trims that never reached a checkpoint become in-doubt pages: the
-    /// recovery scan may resurrect the pre-trim value. Commits whose
-    /// group flush never landed roll visibility back and become in-doubt
-    /// transactions.
+    /// recovery scan may resurrect the pre-trim value. Commits not known
+    /// durable roll visibility back and survive as a prefix.
     pub fn crash(&mut self) {
-        self.spill_unflushed(u64::MAX);
+        self.last_cut = None;
+        self.spill_unflushed();
         self.pending.clear();
         self.pending_doubt.clear();
         // Snapshots live in device RAM (the commit-sequence clock resets
@@ -232,13 +258,10 @@ impl ShadowModel {
                 self.doubt_pages.entry(lpn).or_default().extend(cands);
             }
         }
-        // Every page whose post-crash value is uncertain also has an
-        // uncertain change-clock: exclude it from first-committer-wins
-        // verdicts.
-        self.seq_doubt.extend(self.doubt_pages.keys().copied());
-        for tx in &self.doubt_txns {
-            self.seq_doubt.extend(tx.pages.keys().copied());
-        }
+        // Whichever world a page landed in, it changed before the cut,
+        // and so before any snapshot that can still commit: every
+        // first-committer-wins verdict from here on is exact.
+        self.seq_doubt.clear();
     }
 
     /// Every page the model has an opinion about (committed or in doubt).
@@ -249,7 +272,7 @@ impl ShadowModel {
         for tx in &self.doubt_txns {
             s.extend(tx.pages.keys().copied());
         }
-        for rec in &self.unflushed {
+        for rec in self.unflushed.iter().chain(&self.cut) {
             s.extend(rec.pages.keys().copied());
         }
         s
@@ -279,6 +302,11 @@ impl ShadowModel {
         }
         for tx in &self.doubt_txns {
             for (lpn, v) in &tx.pages {
+                doubt.entry(*lpn).or_default().push(v.clone());
+            }
+        }
+        for rec in &self.cut {
+            for (lpn, (_, v)) in &rec.pages {
                 doubt.entry(*lpn).or_default().push(v.clone());
             }
         }
@@ -350,8 +378,8 @@ impl ShadowModel {
         self.apply_abort(tid);
     }
 
-    /// True if a staged (submitted, unflushed) commit wrote `lpn`.
-    fn lpn_is_staged(&self, lpn: Lpn) -> bool {
+    /// True if a staged (submitted, not known durable) commit wrote `lpn`.
+    pub fn is_staged(&self, lpn: Lpn) -> bool {
         self.unflushed.iter().any(|r| r.pages.contains_key(&lpn))
     }
 
@@ -359,52 +387,58 @@ impl ShadowModel {
     /// the open commit group first (the split-phase ordering rule), so
     /// everything staged became durable before the command ran.
     fn note_plain_conflict(&mut self, lpn: Lpn) {
-        if self.lpn_is_staged(lpn) {
+        if self.is_staged(lpn) {
             self.mark_unflushed_durable(u64::MAX);
         }
     }
 
+    /// A newer durable program of `lpn` exists: the older worlds —
+    /// resurrectable trims, failed-write candidates, failed-commit and
+    /// power-cut outcomes — can no longer surface through it.
+    fn forget_doubts(&mut self, lpn: Lpn) {
+        self.unsynced_trims.remove(&lpn);
+        self.doubt_pages.remove(&lpn);
+        self.doubt_txns.retain_mut(|tx| {
+            tx.pages.remove(&lpn);
+            !tx.pages.is_empty()
+        });
+        for rec in &mut self.cut {
+            rec.pages.remove(&lpn);
+        }
+    }
+
     /// The group flush landed for every record with `group <= group`:
-    /// their staged values are durable. The fold carries the newest
-    /// program sequence for those pages, so older worlds — resurrectable
-    /// trims, failed-write candidates, failed-commit outcomes — vanish.
+    /// their staged values are durable.
     fn mark_unflushed_durable(&mut self, group: u64) {
         let (durable, keep): (Vec<_>, Vec<_>) =
             self.unflushed.drain(..).partition(|rec| rec.group <= group);
         self.unflushed = keep;
         for rec in durable {
             for lpn in rec.pages.into_keys() {
-                self.unsynced_trims.remove(&lpn);
-                self.doubt_pages.remove(&lpn);
-                let mut i = 0;
-                while i < self.doubt_txns.len() {
-                    self.doubt_txns[i].pages.remove(&lpn);
-                    if self.doubt_txns[i].pages.is_empty() {
-                        self.doubt_txns.remove(i);
-                    } else {
-                        i += 1;
-                    }
-                }
+                self.forget_doubts(lpn);
             }
         }
     }
 
-    /// Models the loss (or in-doubt outcome) of unflushed commit groups
-    /// `..= group`: visibility rolls back to the pre-submit image and
-    /// each record re-opens as an all-or-nothing in-doubt transaction.
-    /// Pages written by more than one spilled record can't keep the
-    /// all-or-nothing shape (their worlds interleave); those records
-    /// degrade to per-page doubt — a sound superset.
-    fn spill_unflushed(&mut self, group: u64) {
-        let (spill, keep): (Vec<_>, Vec<_>) =
-            self.unflushed.drain(..).partition(|rec| rec.group <= group);
-        self.unflushed = keep;
-        if spill.is_empty() {
+    /// Models the power cut's effect on the commits in flight: visibility
+    /// rolls back to the pre-submit image and the records re-open as the
+    /// prefix worlds of the module docs.
+    fn spill_unflushed(&mut self) {
+        if self.unflushed.is_empty() {
             return;
         }
+        // Leftovers of an earlier cut no read settled would multiply with
+        // this one's worlds; per-page candidates are a sound superset.
+        for rec in std::mem::take(&mut self.cut) {
+            for (lpn, (_, new)) in rec.pages {
+                self.doubt_pages.entry(lpn).or_default().push(new);
+            }
+        }
+        self.cut = std::mem::take(&mut self.unflushed);
+        self.cut_prefixes = (0..=self.cut.len()).collect();
         // Roll visibility back in reverse submission order, landing on
         // the pre-record baseline even when records chain on one page.
-        for rec in spill.iter().rev() {
+        for rec in self.cut.iter().rev() {
             for (lpn, (old, _new)) in &rec.pages {
                 match old {
                     Some(v) => {
@@ -416,30 +450,33 @@ impl ShadowModel {
                 }
             }
         }
-        let mut counts: HashMap<Lpn, usize> = HashMap::new();
-        for rec in &spill {
-            for lpn in rec.pages.keys() {
-                *counts.entry(*lpn).or_default() += 1;
-                // Whether the group flush landed is unknown, so the
-                // page's change-clock is too.
-                self.seq_doubt.insert(*lpn);
-            }
-        }
-        for rec in spill {
-            if rec.pages.keys().any(|l| counts[l] > 1) {
-                for (lpn, (_, new)) in rec.pages {
-                    self.doubt_pages.entry(lpn).or_default().push(new);
-                }
-            } else {
-                let pages: BTreeMap<Lpn, Vec<u8>> = rec
-                    .pages
-                    .into_iter()
-                    .map(|(lpn, (_, new))| (lpn, new))
-                    .collect();
-                self.doubt_txns.push(DoubtTx {
-                    tid: rec.tid,
-                    pages,
-                });
+    }
+
+    /// What `lpn` holds if the cut kept the first `k` staged commits: the
+    /// newest of them that wrote it, `None` where none did.
+    fn cut_value(&self, k: usize, lpn: Lpn) -> Option<&Vec<u8>> {
+        let newest = self.cut[..k].iter().rev().find_map(|r| r.pages.get(&lpn));
+        newest.map(|(_, new)| new)
+    }
+
+    /// The prefix lengths of the cut pipeline still possible under which
+    /// the committed view of `lpn` reads as `observed`.
+    fn fitting_prefixes(&self, lpn: Lpn, observed: &[u8]) -> Vec<usize> {
+        let under = self.under_cut_matches(lpn, observed);
+        let fits = |k: &usize| self.cut_value(*k, lpn).map_or(under, |v| v == observed);
+        self.cut_prefixes.iter().copied().filter(fits).collect()
+    }
+
+    /// The cut kept exactly the first `kept` staged commits: they are
+    /// durable, the rest never happened.
+    fn settle_cut(&mut self, kept: usize) {
+        let cut = std::mem::take(&mut self.cut);
+        self.cut_prefixes = vec![0];
+        self.last_cut = Some((kept, cut.len()));
+        for rec in cut.into_iter().take(kept) {
+            for (lpn, (_, new)) in rec.pages {
+                self.forget_doubts(lpn);
+                self.committed.insert(lpn, new);
             }
         }
     }
@@ -464,9 +501,15 @@ impl ShadowModel {
     }
 
     /// True if `observed` is consistent with *some* allowed world for the
-    /// committed view of `lpn` (base value, failed-write candidates, or a
-    /// failed commit's new value). Non-mutating.
+    /// committed view of `lpn`. Non-mutating.
     fn committed_view_matches(&self, lpn: Lpn, observed: &[u8]) -> bool {
+        !self.fitting_prefixes(lpn, observed).is_empty()
+    }
+
+    /// True if `observed` is a value `lpn` may hold underneath the cut
+    /// pipeline: base value, failed-write candidates, or a failed
+    /// commit's new value.
+    fn under_cut_matches(&self, lpn: Lpn, observed: &[u8]) -> bool {
         if self.committed_matches(lpn, observed) {
             return true;
         }
@@ -578,14 +621,17 @@ impl ShadowModel {
             .filter(|tx| tx.pages.contains_key(&lpn))
             .map(|tx| tx.tid)
             .collect();
+        let cut_tids: Vec<Tid> = self.cut.iter().map(|rec| rec.tid).collect();
         assert!(
             ok,
             "shadow oracle: {who} returned {}, expected committed value {} \
              ({} failed-write candidate(s), in-doubt commit(s) of tids {doubt_tids:?} \
-             on this page) — isolation or durability violated",
+             on this page, prefixes {:?} of the commits of tids {cut_tids:?} a power cut \
+             caught staged) — isolation or durability violated",
             digest(observed),
             digest(self.committed_bytes(lpn)),
             self.doubt_pages.get(&lpn).map_or(0, Vec::len),
+            self.cut_prefixes,
         );
         self.resolve_committed(lpn, observed);
     }
@@ -609,7 +655,18 @@ impl ShadowModel {
         // A staged (unflushed-commit) page reads from the copy-on-write
         // version, not the durable image: the observation proves nothing
         // about the worlds a crash could expose, so don't narrow them.
-        if self.lpn_is_staged(lpn) {
+        if self.is_staged(lpn) {
+            return;
+        }
+        // Strike the prefixes of a cut pipeline this read contradicts; the
+        // page underneath was observed only if none of the rest covers it.
+        let fits = self.fitting_prefixes(lpn, observed);
+        match fits[..] {
+            [kept] if !self.cut.is_empty() => self.settle_cut(kept),
+            _ => self.cut_prefixes = fits,
+        }
+        let covers = |k: &usize| self.cut_value(*k, lpn).is_some();
+        if self.cut_prefixes.iter().any(covers) {
             return;
         }
         let any_doubt = self.doubt_pages.contains_key(&lpn)
@@ -655,23 +712,13 @@ impl ShadowModel {
     /// A plain write (or committed page of a successful commit) landed.
     fn apply_write(&mut self, lpn: Lpn, data: &[u8]) {
         self.committed.insert(lpn, data.to_vec());
-        self.doubt_pages.remove(&lpn);
         self.bump_page(lpn);
         // A sure write pins the page's change-clock again.
         self.seq_doubt.remove(&lpn);
-        // The fresh program carries the newest sequence number, so the
-        // roll-forward scan can never resurrect a pre-trim page here.
-        self.unsynced_trims.remove(&lpn);
-        // Any in-doubt commit outcome for this page is now unobservable.
-        let mut i = 0;
-        while i < self.doubt_txns.len() {
-            self.doubt_txns[i].pages.remove(&lpn);
-            if self.doubt_txns[i].pages.is_empty() {
-                self.doubt_txns.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        // The fresh program carries the newest sequence number: the
+        // roll-forward scan can never resurrect a pre-trim page here, and
+        // any in-doubt outcome for this page is now unobservable.
+        self.forget_doubts(lpn);
     }
 
     fn apply_trim(&mut self, lpn: Lpn) {
@@ -687,6 +734,8 @@ impl ShadowModel {
         if let Some(cands) = self.doubt_pages.get(&lpn) {
             resurrectable.extend(cands.iter().cloned());
         }
+        let cut = self.cut.iter().filter_map(|rec| rec.pages.get(&lpn));
+        resurrectable.extend(cut.map(|(_, new)| new.clone()));
         self.apply_write(lpn, &[]);
         self.committed.remove(&lpn); // absent = zeros
         if !resurrectable.is_empty() {
@@ -701,14 +750,25 @@ impl ShadowModel {
     }
 
     /// A plain write/trim failed: the page holds either the old or the
-    /// attempted value. An empty candidate models "trimmed to zeros".
+    /// attempted value. An empty candidate models "trimmed to zeros". On
+    /// a staged page the attempt, if it landed, landed *over* the group
+    /// the device flushed to make room for it, so the page leaves the
+    /// pipeline: whatever a record would have exposed there is one more
+    /// candidate, and no prefix is judged by it.
     fn doubt_write(&mut self, lpn: Lpn, data: &[u8]) {
-        let cand = if data.is_empty() {
-            vec![0; self.page_size]
+        let zeros = || vec![0; self.page_size];
+        let attempt = if data.is_empty() {
+            zeros()
         } else {
             data.to_vec()
         };
-        self.doubt_pages.entry(lpn).or_default().push(cand);
+        let mut cands = vec![attempt];
+        for rec in &mut self.unflushed {
+            if let Some((old, new)) = rec.pages.remove(&lpn) {
+                cands.extend([old.unwrap_or_else(zeros), new]);
+            }
+        }
+        self.doubt_pages.entry(lpn).or_default().extend(cands);
         // The change may or may not have landed: the stamp is uncertain.
         self.seq_doubt.insert(lpn);
     }
@@ -913,12 +973,6 @@ impl<D: BlockDevice> BlockDevice for ShadowDevice<D> {
                 Ok(())
             }
             Err(e) => {
-                // The device flushes the open commit group before a plain
-                // write to a staged page; dying here leaves the group in
-                // doubt alongside the page itself.
-                if self.model.lpn_is_staged(lpn) {
-                    self.model.spill_unflushed(u64::MAX);
-                }
                 self.model.doubt_write(lpn, buf);
                 Err(e)
             }
@@ -933,9 +987,6 @@ impl<D: BlockDevice> BlockDevice for ShadowDevice<D> {
                 Ok(())
             }
             Err(e) => {
-                if self.model.lpn_is_staged(lpn) {
-                    self.model.spill_unflushed(u64::MAX);
-                }
                 self.model.doubt_write(lpn, &[]);
                 Err(e)
             }
@@ -980,14 +1031,6 @@ impl<D: BlockDevice> BlockDevice for ShadowDevice<D> {
                 Ok(id)
             }
             Err(e) => {
-                if cmds.iter().any(|c| match c {
-                    IoCmd::Write { lpn, .. } | IoCmd::Trim { lpn } => {
-                        self.model.lpn_is_staged(*lpn)
-                    }
-                    IoCmd::Barrier => false,
-                }) {
-                    self.model.spill_unflushed(u64::MAX);
-                }
                 // Any prefix of the batch may have been serviced.
                 for cmd in cmds {
                     match cmd {
@@ -1033,9 +1076,6 @@ impl<D: TxBlockDevice> TxBlockDevice for ShadowDevice<D> {
             }
             Err(e) => {
                 if tid == NO_TID {
-                    if self.model.lpn_is_staged(lpn) {
-                        self.model.spill_unflushed(u64::MAX);
-                    }
                     self.model.doubt_write(lpn, buf);
                 }
                 // For tid != 0 a failed write_tx records nothing in the
@@ -1080,22 +1120,13 @@ impl<D: TxBlockDevice> TxBlockDevice for ShadowDevice<D> {
 
     fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
         let (group, immediate) = (ticket.group().0, ticket.is_immediate());
-        match self.inner.commit_wait(ticket) {
-            Ok(()) => {
-                if !immediate {
-                    self.model.mark_unflushed_durable(group);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                // The group flush died mid-program: every record it was
-                // to cover is now in doubt, all-or-nothing.
-                if !immediate {
-                    self.model.spill_unflushed(group);
-                }
-                Err(e)
-            }
+        // If the group flush dies, what it was to cover stays as it was —
+        // visible and perhaps durable — for the power cut to settle.
+        self.inner.commit_wait(ticket)?;
+        if !immediate {
+            self.model.mark_unflushed_durable(group);
         }
+        Ok(())
     }
 
     fn abort(&mut self, tid: Tid) -> Result<()> {
@@ -1126,9 +1157,6 @@ impl<D: TxBlockDevice> TxBlockDevice for ShadowDevice<D> {
             }
             Err(e) => {
                 if tid == NO_TID {
-                    if pages.iter().any(|(lpn, _)| self.model.lpn_is_staged(*lpn)) {
-                        self.model.spill_unflushed(u64::MAX);
-                    }
                     for (lpn, data) in pages {
                         self.model.doubt_write(*lpn, data);
                     }
@@ -1272,12 +1300,12 @@ mod tests {
         // Tear the commit on its first flash program.
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(1);
         assert!(dev.commit(5).is_err());
-        assert_eq!(dev.model().doubt_count(), 1);
 
         let (ftl, model) = dev.into_parts();
         let mut chip = ftl.into_chip();
         chip.power_cycle();
         let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
+        assert_eq!(dev.model().doubt_count(), 1);
         dev.verify_recovered();
         // Whichever world survived, both pages must agree (all-or-nothing):
         // verify_recovered read both pages, so the doubt is fully resolved.
@@ -1554,5 +1582,145 @@ mod tests {
         dev.commit(2).unwrap();
         let mut buf = vec![0u8; dev.page_size()];
         dev.read_tx(1, 0, &mut buf).unwrap();
+    }
+
+    /// A RAM-only device that is correct while the power is on — staged
+    /// commits visible at once, groups flushed whole and in order — and
+    /// whose power cut keeps exactly the staged pages the test picks.
+    #[derive(Default)]
+    struct PicksAtCut {
+        durable: HashMap<Lpn, Vec<u8>>,
+        staged: Vec<BTreeMap<Lpn, Vec<u8>>>,
+        pending: HashMap<Tid, BTreeMap<Lpn, Vec<u8>>>,
+    }
+
+    impl PicksAtCut {
+        /// The seeded bug: page `lpn` of the `i`-th staged commit
+        /// survives iff `keep(i, lpn)`.
+        fn power_cut(mut self, keep: impl Fn(usize, Lpn) -> bool) -> Self {
+            for (i, rec) in std::mem::take(&mut self.staged).into_iter().enumerate() {
+                let kept = rec.into_iter().filter(|(lpn, _)| keep(i, *lpn));
+                self.durable.extend(kept);
+            }
+            self.pending.clear();
+            self
+        }
+    }
+
+    impl BlockDevice for PicksAtCut {
+        fn page_size(&self) -> usize {
+            16
+        }
+        fn capacity_pages(&self) -> u64 {
+            8
+        }
+        fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
+            let staged = self.staged.iter().rev().find_map(|rec| rec.get(&lpn));
+            match staged.or_else(|| self.durable.get(&lpn)) {
+                Some(v) => buf.copy_from_slice(v),
+                None => buf.fill(0),
+            }
+            Ok(())
+        }
+        fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
+            self.flush()?;
+            self.durable.insert(lpn, buf.to_vec());
+            Ok(())
+        }
+        fn trim(&mut self, lpn: Lpn) -> Result<()> {
+            self.flush()?;
+            self.durable.remove(&lpn);
+            Ok(())
+        }
+        fn flush(&mut self) -> Result<()> {
+            for rec in self.staged.drain(..) {
+                self.durable.extend(rec);
+            }
+            Ok(())
+        }
+        fn counters(&self) -> DevCounters {
+            DevCounters::default()
+        }
+    }
+
+    impl TxBlockDevice for PicksAtCut {
+        fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
+            match self.pending.get(&tid).and_then(|m| m.get(&lpn)) {
+                Some(v) => buf.copy_from_slice(v),
+                None => self.read(lpn, buf)?,
+            }
+            Ok(())
+        }
+        fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
+            self.pending
+                .entry(tid)
+                .or_default()
+                .insert(lpn, buf.to_vec());
+            Ok(())
+        }
+        fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
+            self.staged
+                .push(self.pending.remove(&tid).unwrap_or_default());
+            Ok(CommitTicket::new(tid, CmdId(1)))
+        }
+        fn commit_wait(&mut self, _ticket: CommitTicket) -> Result<()> {
+            self.flush()
+        }
+        fn abort(&mut self, tid: Tid) -> Result<()> {
+            self.pending.remove(&tid);
+            Ok(())
+        }
+    }
+
+    /// Stages one commit per entry of `commits` (page, fill) on a
+    /// [`PicksAtCut`], cuts the power keeping what `keep` picks, and
+    /// sweeps the survivor through the oracle. Returns how the oracle
+    /// settled the cut.
+    fn cut_and_verify(
+        commits: &[&[(Lpn, u8)]],
+        keep: impl Fn(usize, Lpn) -> bool,
+    ) -> Option<(usize, usize)> {
+        let mut dev = ShadowDevice::new(PicksAtCut::default());
+        for (tid, pages) in (1..).zip(commits) {
+            for (lpn, fill) in *pages {
+                dev.write_tx(tid, *lpn, &[*fill; 16]).unwrap();
+            }
+            assert!(!dev.commit_submit(tid).unwrap().is_immediate());
+        }
+        let (inner, model) = dev.into_parts();
+        let mut dev = ShadowDevice::resume(inner.power_cut(keep), model);
+        dev.verify_recovered();
+        dev.model().last_cut()
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow oracle")]
+    fn mutation_group_surviving_without_its_predecessor_is_caught() {
+        cut_and_verify(&[&[(0, 1)], &[(1, 2)]], |i, _| i == 1);
+    }
+
+    /// Both commits write page 1; the cut keeps the first whole and of
+    /// the second only page 2.
+    #[test]
+    #[should_panic(expected = "shadow oracle")]
+    fn mutation_torn_overlapping_groups_is_caught() {
+        cut_and_verify(&[&[(0, 1), (1, 1)], &[(1, 2), (2, 2)]], |i, lpn| {
+            i == 0 || lpn == 2
+        });
+    }
+
+    /// Three staged commits are four worlds: of the eight subsets a cut
+    /// could keep, the oracle accepts the prefixes and nothing else.
+    #[test]
+    fn power_cut_keeps_exactly_a_prefix_of_the_staged_commits() {
+        let commits: [&[(Lpn, u8)]; 3] = [&[(0, 1), (1, 1)], &[(1, 2), (2, 2)], &[(3, 3)]];
+        for subset in 0u32..8 {
+            let kept = [0b000, 0b001, 0b011, 0b111]
+                .iter()
+                .position(|&p| p == subset);
+            let run = || cut_and_verify(&commits, |i, _| subset >> i & 1 == 1);
+            let settled = std::panic::catch_unwind(run).ok();
+            assert_eq!(settled, kept.map(|k| Some((k, 3))), "subset {subset:#05b}");
+        }
     }
 }

@@ -435,8 +435,8 @@ impl Rig {
         Ok(conn)
     }
 
-    /// The stack-wide telemetry handle (histograms and, with the `trace`
-    /// feature, the structured event ring).
+    /// The stack-wide telemetry handle (histograms and, once armed with
+    /// `start_events`, the structured event ring).
     pub fn telemetry(&self) -> Telemetry {
         self.fs.borrow().device().recorder()
     }

@@ -1,14 +1,12 @@
-//! Verify wiring shared by the integration tests.
+//! Oracle wiring shared by the integration tests.
 //!
-//! With the `verify` feature every device personality under test runs
-//! behind the shadow oracle: each command the test (or the FS/DB stack
-//! above it) issues is mirrored into the reference model, every read is
-//! checked against the worlds the crash semantics allow, and each
-//! recovery ends with a durability sweep plus a flash-physics audit.
-//! Without the feature [`Checked`] collapses to the bare device and the
-//! helpers are identities — the op loops in the test files only use the
-//! device traits, which the wrapper forwards, so they are oblivious to
-//! the wrapping.
+//! Every device personality under test runs behind
+//! [`xftl_verify::ShadowDevice`]: each command the test (or the FS/DB
+//! stack above it) issues is mirrored into the reference model, every
+//! read is checked against the worlds the crash semantics allow, and each
+//! recovery ends with a durability sweep plus a flash-physics audit. The
+//! op loops in the test files only use the device traits, which the
+//! wrapper forwards.
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -21,85 +19,33 @@ use xftl_ftl::{
     AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Tid, TxBlockDevice,
     TxFlashFtl,
 };
-
-/// What a personality must offer to be audited after recovery.
-#[cfg(feature = "verify")]
-pub use xftl_verify::Auditable;
-#[cfg(not(feature = "verify"))]
-pub trait Auditable {}
-#[cfg(not(feature = "verify"))]
-impl<D> Auditable for D {}
-
-/// `D` behind the shadow oracle under `verify`, bare otherwise.
-#[cfg(feature = "verify")]
-pub type Checked<D> = xftl_verify::ShadowDevice<D>;
-#[cfg(not(feature = "verify"))]
-pub type Checked<D> = D;
-
-pub fn wrap<D: BlockDevice>(d: D) -> Checked<D> {
-    #[cfg(feature = "verify")]
-    let d = xftl_verify::ShadowDevice::new(d);
-    d
-}
-
-/// The personality inside the wrapper.
-pub fn ftl<D: BlockDevice>(d: &Checked<D>) -> &D {
-    #[cfg(feature = "verify")]
-    let d = d.inner();
-    d
-}
-
-pub fn ftl_mut<D: BlockDevice>(d: &mut Checked<D>) -> &mut D {
-    #[cfg(feature = "verify")]
-    let d = d.inner_mut();
-    d
-}
-
-/// Flash-physics audit of a live device (`verify` only).
-pub fn audit<D: BlockDevice + Auditable>(d: &Checked<D>) {
-    #[cfg(feature = "verify")]
-    d.audit();
-    let _ = d;
-}
-
-/// Durability sweep of the committed image against the oracle's model
-/// (`verify` only).
-pub fn verify_recovered<D: BlockDevice>(d: &mut Checked<D>) {
-    #[cfg(feature = "verify")]
-    d.verify_recovered();
-    let _ = d;
-}
+use xftl_verify::{Auditable, ShadowDevice};
 
 /// Takes a crashed device down to its flash (`into_chip`) and brings it
 /// back (`recover`, which may power-cycle the chip or arm faults first).
-/// Under `verify` the oracle carries its model across the power cycle,
-/// sweeps the committed image for durability, and audits the flash
-/// metadata before handing the device back.
+/// The oracle carries its model across the power cycle, sweeps the
+/// committed image for durability, and audits the flash metadata before
+/// handing the device back.
 pub fn recover_with<D: BlockDevice + Auditable>(
-    d: Checked<D>,
+    d: ShadowDevice<D>,
     into_chip: impl FnOnce(D) -> FlashChip,
     recover: impl FnOnce(FlashChip) -> D,
-) -> Checked<D> {
+) -> ShadowDevice<D> {
     let recovered = try_recover_with(d, into_chip, |chip| Ok(recover(chip)));
     recovered.unwrap_or_else(|e| unreachable!("infallible recover closure: {e:?}"))
 }
 
 /// [`recover_with`] for a recovery that may refuse the chip.
 pub fn try_recover_with<D: BlockDevice + Auditable>(
-    d: Checked<D>,
+    d: ShadowDevice<D>,
     into_chip: impl FnOnce(D) -> FlashChip,
     recover: impl FnOnce(FlashChip) -> xftl_ftl::Result<D>,
-) -> xftl_ftl::Result<Checked<D>> {
-    #[cfg(feature = "verify")]
-    {
-        let (inner, model) = d.into_parts();
-        let mut dev = xftl_verify::ShadowDevice::resume(recover(into_chip(inner))?, model);
-        dev.verify_recovered();
-        dev.audit();
-        Ok(dev)
-    }
-    #[cfg(not(feature = "verify"))]
-    recover(into_chip(d))
+) -> xftl_ftl::Result<ShadowDevice<D>> {
+    let (inner, model) = d.into_parts();
+    let mut dev = ShadowDevice::resume(recover(into_chip(inner))?, model);
+    dev.verify_recovered();
+    dev.audit();
+    Ok(dev)
 }
 
 // --- the every-boundary power-cut sweep -----------------------------------
@@ -116,7 +62,7 @@ pub trait Personality: BlockDevice + Auditable + Sized {
     /// Writes `pages` as one acknowledged group: a transaction and its
     /// commit where the personality has them, plain writes and a flush
     /// where it does not.
-    fn group(dev: &mut Checked<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut>;
+    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut>;
 }
 
 /// Where in a [`Personality::group`] a command failed.
@@ -150,7 +96,7 @@ macro_rules! personality {
                 <$ty>::base_mut(self)
             }
             fn group(
-                dev: &mut Checked<Self>,
+                dev: &mut ShadowDevice<Self>,
                 tid: Tid,
                 pages: &[(Lpn, Vec<u8>)],
             ) -> Result<(), Cut> {
@@ -232,15 +178,14 @@ fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)>
 /// after each cut recovers (twice) and checks that every acknowledged
 /// group is there, the group in flight is there as far as the personality
 /// promises (whole or not at all where groups are atomic, page by page
-/// where they are not), and nothing else moved — through [`Checked`], so
-/// under `verify` the shadow oracle and the flash auditor check every
-/// recovery as well.
-pub fn sweep<D: Personality>(build: impl Fn() -> Checked<D>, groups: u64, len: u64) -> Swept {
-    let ops = |d: &Checked<D>| {
-        let s = ftl(d).base().flash_stats();
+/// where they are not), and nothing else moved — behind the shadow oracle,
+/// which with the flash auditor checks every recovery as well.
+pub fn sweep<D: Personality>(build: impl Fn() -> ShadowDevice<D>, groups: u64, len: u64) -> Swept {
+    let ops = |d: &ShadowDevice<D>| {
+        let s = d.inner().base().flash_stats();
         s.programs + s.erases
     };
-    let image = |d: &mut Checked<D>| -> Vec<u8> {
+    let image = |d: &mut ShadowDevice<D>| -> Vec<u8> {
         let mut buf = vec![0u8; d.page_size()];
         (0..d.capacity_pages())
             .map(|lpn| {
@@ -254,22 +199,22 @@ pub fn sweep<D: Personality>(build: impl Fn() -> Checked<D>, groups: u64, len: u
     let mut swept = Swept::default();
     let mut dev = build();
     let (logical, ps) = (dev.capacity_pages(), dev.page_size());
-    let (before, built) = (ops(&dev), *ftl(&dev).base().stats());
+    let (before, built) = (ops(&dev), *dev.inner().base().stats());
     for i in 0..groups {
-        let s0 = *ftl(&dev).base().stats();
+        let s0 = *dev.inner().base().stats();
         D::group(&mut dev, i + 1, &sweep_group(i, len, logical, ps)).unwrap();
-        let d = *ftl(&dev).base().stats() - s0;
+        let d = *dev.inner().base().stats() - s0;
         let roots_accounted = d.checkpoints + d.map_flush_batches;
         if d.gc_background_steps > 0 && d.gc_runs == 0 && d.meta_writes > roots_accounted {
             swept.partial_step_roots += 1;
         }
     }
     swept.cuts = ops(&dev) - before;
-    swept.stats = *ftl(&dev).base().stats() - built;
+    swept.stats = *dev.inner().base().stats() - built;
     for fuse in 1..=swept.cuts {
         let mut dev = build();
         let mut expect = image(&mut dev);
-        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         // The group the power died in, and where in it.
         let mut in_flight = None;
         for i in 0..groups {
@@ -282,7 +227,7 @@ pub fn sweep<D: Personality>(build: impl Fn() -> Checked<D>, groups: u64, len: u
                 }
                 Err(cut) => {
                     assert!(
-                        ftl(&dev).base().chip().is_dead(),
+                        dev.inner().base().chip().is_dead(),
                         "fuse {fuse}, group {i}: {cut:?} with the power on"
                     );
                     in_flight = Some((pages, cut));

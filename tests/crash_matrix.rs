@@ -18,12 +18,11 @@ use xftl_db::{Connection, DbJournalMode, Value};
 use xftl_flash::{FaultPlan, FlashChip, FlashConfig, SimClock};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::PageMappedFtl;
-#[cfg(feature = "verify")]
 use xftl_verify::ShadowDevice;
 use xftl_workloads::AnyDev;
 
 mod common;
-use common::{audit, ftl, ftl_mut, recover_with, wrap, Checked};
+use common::recover_with;
 
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
@@ -37,7 +36,7 @@ const FAULT_SEED: u64 = 0xF417_5EED;
 /// program-status failures, erase failures (block retirements), and read
 /// bit-flips — all at or above the 1e-3/op acceptance floor. The FTL's
 /// retry/retirement machinery must make them invisible to the stack, and
-/// under `--features verify` the oracle and auditor prove it.
+/// the oracle and auditor prove it.
 fn background_faults() -> FaultPlan {
     FaultPlan::background(
         FAULT_SEED, 1e-3, // program-status failures
@@ -47,13 +46,12 @@ fn background_faults() -> FaultPlan {
     )
 }
 
-// --- verify wiring ------------------------------------------------------
-// Both device personalities run behind `common::Checked` for the whole
-// sweep (the shadow oracle under `--features verify`, the bare FTL
-// otherwise), erased behind the rig's forwarding enum.
+// --- oracle wiring ------------------------------------------------------
+// Both device personalities run behind the shadow oracle for the whole
+// sweep, erased behind the rig's forwarding enum.
 
-type PlainDev = Checked<PageMappedFtl>;
-type XDev = Checked<XFtl>;
+type PlainDev = ShadowDevice<PageMappedFtl>;
+type XDev = ShadowDevice<XFtl>;
 type Dev = AnyDev<PlainDev, XDev>;
 
 fn recover_plain(d: PlainDev) -> PlainDev {
@@ -71,8 +69,10 @@ fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
     let mut chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock.clone());
     chip.set_fault_plan(background_faults());
     let dev = match mode {
-        DbJournalMode::Off => Dev::X(wrap(XFtl::format(chip, LOGICAL).unwrap())),
-        _ => Dev::Plain(wrap(PageMappedFtl::format(chip, LOGICAL).unwrap())),
+        DbJournalMode::Off => Dev::X(ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap())),
+        _ => Dev::Plain(ShadowDevice::new(
+            PageMappedFtl::format(chip, LOGICAL).unwrap(),
+        )),
     };
     let fs_mode = if mode == DbJournalMode::Off {
         JournalMode::Off
@@ -117,8 +117,8 @@ fn run_until_crash(
     {
         let mut fsb = fs.borrow_mut();
         let base = match fsb.device_mut() {
-            Dev::Plain(d) => ftl_mut(d).base_mut(),
-            Dev::X(d) => ftl_mut(d).base_mut(),
+            Dev::Plain(d) => d.inner_mut().base_mut(),
+            Dev::X(d) => d.inner_mut().base_mut(),
         };
         base.chip_mut().arm_power_fuse(fuse);
     }
@@ -152,8 +152,8 @@ fn crash_sweep(mode: DbJournalMode) {
     let total_ops = {
         let fsb = fs.borrow();
         match fsb.device() {
-            Dev::Plain(d) => ftl(d).flash_stats().programs + ftl(d).flash_stats().erases,
-            Dev::X(d) => ftl(d).flash_stats().programs + ftl(d).flash_stats().erases,
+            Dev::Plain(d) => d.inner().flash_stats().programs + d.inner().flash_stats().erases,
+            Dev::X(d) => d.inner().flash_stats().programs + d.inner().flash_stats().erases,
         }
     };
     // Sweep fuse positions across the whole run.
@@ -338,7 +338,7 @@ fn assert_image(dev: &mut XDev, expect: &[u8], what: &str) {
 fn dev_with_live_generation(capacity: usize, ballast: u64) -> (XDev, Vec<u8>) {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
     let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
-    let mut dev = wrap(XFtl::format_with_capacity(chip, 128, capacity).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format_with_capacity(chip, 128, capacity).unwrap());
     let ps = dev.page_size();
     let mut expect = vec![0u8; 128];
     for lpn in 0..64u64 {
@@ -402,9 +402,9 @@ fn sweep_commit_boundaries(
     let programs = written as u64 + image_pages;
     for fuse in 1..=programs + 1 {
         let (mut dev, mut expect) = dev_with_live_generation(capacity, ballast);
-        assert_eq!(ftl(&dev).base().xl2p_roots().len() as u64, image_pages);
-        let before = (ftl(&dev).flash_stats(), ftl(&dev).stats().meta_writes);
-        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        assert_eq!(dev.inner().base().xl2p_roots().len() as u64, image_pages);
+        let before = (dev.inner().flash_stats(), dev.inner().stats().meta_writes);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         let acked = schedule(&mut dev).is_ok();
         assert_eq!(
             acked,
@@ -412,10 +412,10 @@ fn sweep_commit_boundaries(
             "fuse {fuse}: the path is {programs} programs"
         );
         if acked {
-            let after = ftl(&dev).flash_stats();
+            let after = dev.inner().flash_stats();
             assert_eq!(after.programs - before.0.programs, programs);
             assert_eq!(after.erases, before.0.erases);
-            assert_eq!(ftl(&dev).stats().meta_writes, before.1, "no root");
+            assert_eq!(dev.inner().stats().meta_writes, before.1, "no root");
             expect[..written].fill(NEW);
         }
         let what = format!("capacity {capacity}, fuse {fuse} of {programs}");
@@ -423,7 +423,7 @@ fn sweep_commit_boundaries(
         assert_image(&mut dev, &expect, &what);
         let mut dev = recover(dev);
         assert_image(&mut dev, &expect, &format!("{what}, second recovery"));
-        audit(&dev);
+        dev.audit();
     }
 }
 
@@ -447,7 +447,7 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
     use xftl_flash::{FaultKind, FaultTrigger};
     use xftl_ftl::{BlockDevice, DevError, DeviceState, TxBlockDevice};
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = wrap(XFtl::format(chip, 48).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
     let ps = dev.page_size();
     let mut expect = vec![0u8; 48];
     for lpn in 0..16u64 {
@@ -462,7 +462,7 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
     dev.commit(7).unwrap();
     // Every erase fails from here on: plain overwrites (never a
     // checkpoint) drain the pool until the device goes read-only.
-    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
+    dev.inner_mut().base_mut().chip_mut().set_fault_plan(
         FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
     );
     for i in 0u64.. {
@@ -476,14 +476,14 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
         }
         assert!(i < 100_000, "pool exhaustion never went read-only");
     }
-    let image = ftl(&dev).base().xl2p_roots().to_vec();
+    let image = dev.inner().base().xl2p_roots().to_vec();
     assert!(!image.is_empty(), "the commit's generation is still live");
-    let programs = ftl(&dev).flash_stats().programs;
+    let programs = dev.inner().flash_stats().programs;
     for round in ["first", "second"] {
         dev = recover_x(dev);
-        assert_eq!(ftl(&dev).base().device_state(), DeviceState::ReadOnly);
-        assert_eq!(ftl(&dev).base().xl2p_roots(), image.as_slice(), "{round}");
-        assert_eq!(ftl(&dev).flash_stats().programs, programs, "{round}");
+        assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
+        assert_eq!(dev.inner().base().xl2p_roots(), image.as_slice(), "{round}");
+        assert_eq!(dev.inner().flash_stats().programs, programs, "{round}");
         assert_image(&mut dev, &expect, round);
     }
 }
@@ -495,8 +495,9 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
 fn tight_dev() -> (XDev, Vec<u8>) {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
-    let mut dev = wrap(XFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
-    ftl_mut(&mut dev)
+    let mut dev =
+        ShadowDevice::new(XFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
+    dev.inner_mut()
         .base_mut()
         .set_map_cache_budget(Some(2))
         .unwrap();
@@ -541,16 +542,16 @@ fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
     dev.commit(1).unwrap();
     dev.write(0, &vec![0xD2; ps]).unwrap();
     expect[0] = 0xD2;
-    let image = ftl(&dev).base().xl2p_roots().to_vec();
+    let image = dev.inner().base().xl2p_roots().to_vec();
     assert_eq!(image.len(), 1);
     let mut steps = 0;
-    while ftl(&dev).base().xl2p_roots() == image.as_slice() {
+    while dev.inner().base().xl2p_roots() == image.as_slice() {
         assert!(steps < 4000, "GC never relocated the table image");
         churn(&mut dev, &mut expect, steps, steps + 1);
         steps += 1;
     }
     assert_eq!(
-        ftl(&dev).base().xl2p_roots().len(),
+        dev.inner().base().xl2p_roots().len(),
         1,
         "relocated, still live"
     );
@@ -578,7 +579,7 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         // mapping pages leave 4 free — one above the GC low-water mark, so
         // no commit's acknowledgement starts a background step.
         let chip = FlashChip::new(FlashConfig::tiny(34), SimClock::new());
-        let mut dev = wrap(XFtl::format(chip, 192).unwrap());
+        let mut dev = ShadowDevice::new(XFtl::format(chip, 192).unwrap());
         let ps = dev.page_size();
         let mut expect = vec![OLD; 192];
         for lpn in 0..192u64 {
@@ -602,24 +603,24 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         }
         (dev, expect)
     };
-    let ops = |d: &XDev| ftl(d).flash_stats().programs + ftl(d).flash_stats().erases;
+    let ops = |d: &XDev| d.inner().flash_stats().programs + d.inner().flash_stats().erases;
     let (mut dev, _) = build();
-    let image = ftl(&dev).base().xl2p_roots()[0];
-    let (before, stats) = (ops(&dev), *ftl(&dev).stats());
+    let image = dev.inner().base().xl2p_roots()[0];
+    let (before, stats) = (ops(&dev), *dev.inner().stats());
     assert_eq!(
         (stats.gc_runs, stats.gc_background_steps),
         (0, 0),
         "nothing collected before the flush"
     );
     dev.flush().unwrap();
-    let during = *ftl(&dev).stats() - stats;
+    let during = *dev.inner().stats() - stats;
     assert_eq!(
         (during.gc_inline_collections, during.gc_copies),
         (1, 1),
         "inline GC ran inside the checkpoint and moved one page: the image"
     );
     assert_eq!(
-        ftl(&dev).base().chip().write_point(image.block),
+        dev.inner().base().chip().write_point(image.block),
         Some(0),
         "GC took the image's block inside the checkpoint"
     );
@@ -632,7 +633,7 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
     assert_eq!(cuts, 7, "slab, image copy, erase, slab, slab, root; erase");
     for fuse in 1..=cuts {
         let (mut dev, expect) = build();
-        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         assert!(dev.flush().is_err(), "fuse {fuse} must fire in the flush");
         let mut dev = recover_x(dev);
         assert_image(&mut dev, &expect, &format!("cut {fuse} of {cuts}"));
@@ -643,7 +644,6 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
 /// mid-program, then recover under the oracle: the transaction must
 /// resolve all-or-nothing (the oracle's world-narrowing panics on a torn
 /// commit) and the flash metadata must audit green afterwards.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -687,7 +687,6 @@ fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
 /// commit_wait. No group flush ever ran, so the whole group must vanish —
 /// the oracle carries both as in-doubt worlds across the cycle and the
 /// recovered image must sit in the all-old world for every page.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_power_cut_between_submit_and_wait_loses_group() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -739,7 +738,6 @@ fn oracle_power_cut_between_submit_and_wait_loses_group() {
 /// coalesce into a single group flush — one X-L2P persist for both
 /// transactions — with every read and the recovery image still checked
 /// by the oracle.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -785,7 +783,6 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
 /// all-or-nothing unit is the group, not the transaction. The oracle's
 /// in-doubt worlds (spilled when commit_wait fails) enforce exactly that
 /// across the power cycle.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -839,7 +836,6 @@ fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
 /// recovery must reproduce exactly the committed image the first one
 /// produced — recovery is idempotent, as witnessed by the oracle's
 /// durability sweep and the flash audit.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_double_recovery_is_idempotent() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -877,7 +873,6 @@ fn oracle_double_recovery_is_idempotent() {
 /// OOB roll-forward (acknowledged writes intact, the never-programmed
 /// one absent), and the flash auditor — which now decodes translation
 /// pages and the GTD — must still pass on the torn image.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
     use xftl_ftl::BlockDevice;
@@ -928,7 +923,7 @@ fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
 /// first inside an eviction window: the second recovery — interrupting
 /// nothing but re-running the roll-forward checkpoint, GTD programs, and
 /// meta-root append of the first — must reproduce the *identical* L2P
-/// mapping and data image. Runs in every feature configuration.
+/// mapping and data image.
 #[test]
 fn double_recovery_with_bounded_cache_is_idempotent() {
     use xftl_ftl::BlockDevice;
@@ -983,7 +978,6 @@ fn double_recovery_with_bounded_cache_is_idempotent() {
 /// intents, and retained versions are device RAM), and produce the same
 /// image when interrupted by a second power cycle — all under the
 /// oracle's durability sweep and flash audit.
-#[cfg(feature = "verify")]
 #[test]
 fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -1072,8 +1066,8 @@ fn crash_mid_scrub_relocation_sweep() {
     let mut cut_mid_scrub = 0u32;
     for fuse in 1..=20u64 {
         let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
-        let mut dev = wrap(XFtl::format(chip, 48).unwrap());
-        ftl_mut(&mut dev)
+        let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
+        dev.inner_mut()
             .base_mut()
             .set_scrub_config(Some(ScrubConfig {
                 read_threshold: 50,
@@ -1096,9 +1090,9 @@ fn crash_mid_scrub_relocation_sweep() {
         // The next write's GC tick fires the scrubber; the fuse lands
         // somewhere inside the relocation (or, for late positions, in
         // the host write after it).
-        ftl_mut(&mut dev).base_mut().chip_mut().arm_power_fuse(fuse);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         let died = dev.write(9, &vec![0xAB; ps]).is_err();
-        let stats = *ftl(&dev).base().stats();
+        let stats = *dev.inner().base().stats();
         if died && stats.scrub_copies > 0 && stats.scrub_runs == 0 {
             cut_mid_scrub += 1;
         }
@@ -1132,7 +1126,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     use xftl_ftl::{BlockDevice, DevError, DeviceState};
 
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = wrap(XFtl::format(chip, 48).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
     let ps = dev.page_size();
     for lpn in 0..8u64 {
         let fill = u8::try_from(lpn).unwrap() + 1;
@@ -1147,21 +1141,21 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     for _ in 0..28 {
         plan = plan.trigger(FaultTrigger::new(FaultKind::EraseFail));
     }
-    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(plan);
+    dev.inner_mut().base_mut().chip_mut().set_fault_plan(plan);
     let mut i = 0u64;
-    while ftl(&dev).base().device_state() == DeviceState::Healthy {
+    while dev.inner().base().device_state() == DeviceState::Healthy {
         let fill = (i % 100) as u8;
         dev.write(8 + (i % 8), &vec![fill; ps]).unwrap();
         i += 1;
         assert!(i < 100_000, "retirements never degraded the device");
     }
-    assert_eq!(ftl(&dev).base().device_state(), DeviceState::Degraded);
+    assert_eq!(dev.inner().base().device_state(), DeviceState::Degraded);
 
     // Two back-to-back recoveries: Degraded persists through both (via
     // the meta root and, independently, the bad-block census).
     let mut dev = recover_x(recover_x(dev));
     assert_eq!(
-        ftl(&dev).base().device_state(),
+        dev.inner().base().device_state(),
         DeviceState::Degraded,
         "Degraded state lost across double recovery"
     );
@@ -1169,7 +1163,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     dev.write(8, &vec![0x77; ps]).unwrap();
 
     // Stage 2: every further erase fails; the pool drains to read-only.
-    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
+    dev.inner_mut().base_mut().chip_mut().set_fault_plan(
         FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
     );
     let mut i = 0u64;
@@ -1184,11 +1178,11 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
         }
         assert!(i < 100_000, "pool exhaustion never went read-only");
     }
-    assert_eq!(ftl(&dev).base().device_state(), DeviceState::ReadOnly);
+    assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
 
     let mut dev = recover_x(recover_x(dev));
     assert_eq!(
-        ftl(&dev).base().device_state(),
+        dev.inner().base().device_state(),
         DeviceState::ReadOnly,
         "ReadOnly state lost across double recovery"
     );
@@ -1217,16 +1211,14 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
 /// the pool sits at the GC mark for the whole schedule, blocks big enough
 /// that a victim outlasts a step, and mapping blocks (closed over live
 /// slabs by the eviction flushes) are victims too.
-fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> Checked<D> {
-    // Bare, `D`'s own bound brings the commands into scope.
-    #[cfg(feature = "verify")]
+fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D> {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny()
         .blocks(20)
         .pages_per_block(32)
         .build();
-    let mut dev = wrap(D::format(FlashChip::new(cfg, SimClock::new()), 384));
-    let base = ftl_mut(&mut dev).base_mut();
+    let mut dev = ShadowDevice::new(D::format(FlashChip::new(cfg, SimClock::new()), 384));
+    let base = dev.inner_mut().base_mut();
     base.set_gc_policy(policy);
     base.set_map_cache_budget(Some(2)).unwrap();
     let ps = dev.page_size();

@@ -8,9 +8,8 @@
 //!
 //! All randomness flows from the workspace `simrand` shim through a
 //! [`FaultPlan`] seeded by `XFTL_FAULT_SEED` (default fixed), so each cell
-//! replays the identical schedule in CI. Under `--features verify` the
-//! whole matrix additionally runs behind the shadow oracle with a
-//! flash-physics audit after recovery.
+//! replays the identical schedule in CI. The whole matrix runs behind the
+//! shadow oracle with a flash-physics audit after recovery.
 
 // Test/demo code: unwrap/expect on a setup failure is the right failure
 // mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
@@ -24,7 +23,8 @@ use xftl_flash::{
 use xftl_ftl::{BlockDevice, DevError, DeviceState, ScrubConfig, ScrubReason, TxBlockDevice};
 
 mod common;
-use common::{audit, ftl, ftl_mut, recover_with, verify_recovered, wrap, Checked};
+use common::recover_with;
+use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
@@ -38,7 +38,7 @@ fn fault_seed() -> u64 {
         .unwrap_or(0xFA17_B10C)
 }
 
-type Dev = Checked<XFtl>;
+type Dev = ShadowDevice<XFtl>;
 
 /// Power-cycles and recovers the device; `arm` may install a fault plan on
 /// the cold chip so the faults hit recovery's own replay reads/writes.
@@ -75,7 +75,7 @@ fn plan_for(kind: FaultKind) -> FaultPlan {
 }
 
 fn arm(dev: &mut Dev, kind: FaultKind) {
-    ftl_mut(dev)
+    dev.inner_mut()
         .base_mut()
         .chip_mut()
         .set_fault_plan(plan_for(kind));
@@ -87,7 +87,7 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
     let ctx = format!("cell ({kind:?}, {point:?})");
     let clock = SimClock::new();
     let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
-    let mut dev = wrap(XFtl::format(chip, LOGICAL).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap());
     let ps = dev.page_size();
     // Expected committed value of lpns 0..16, maintained alongside writes.
     let mut expect = vec![0u8; 16];
@@ -137,7 +137,10 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
         let lpn = 8 + (i % 8);
         write_plain(&mut dev, &mut expect, lpn, (i % 200) as u8);
     }
-    assert!(ftl(&dev).base().stats().gc_runs > 0, "{ctx}: GC never ran");
+    assert!(
+        dev.inner().base().stats().gc_runs > 0,
+        "{ctx}: GC never ran"
+    );
     dev.flush().unwrap();
 
     // Crash and recover — the RecoveryReplay injection point arms the
@@ -176,14 +179,14 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
     }
     // Every cell must actually have injected its fault: the one-shot
     // trigger is consumed by the end of the schedule.
-    let chip = ftl(&dev).base().chip();
+    let chip = dev.inner().base().chip();
     let pending = chip.fault_plan().map_or(0, FaultPlan::pending_triggers);
     assert_eq!(pending, 0, "{ctx}: fault trigger never fired");
     if matches!(kind, FaultKind::EraseFail) {
         assert_eq!(chip.retired_blocks().len(), 1, "{ctx}: no block retired");
-        assert!(ftl(&dev).base().is_bad_block(chip.retired_blocks()[0]));
+        assert!(dev.inner().base().is_bad_block(chip.retired_blocks()[0]));
     }
-    audit(&dev);
+    dev.audit();
 }
 
 const KINDS: [FaultKind; 4] = [
@@ -238,9 +241,9 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
         reads_per_flip: 30,
         ..AgingModel::inert()
     }));
-    let mut dev = wrap(XFtl::format(chip, LOGICAL).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap());
     if scrubbed {
-        ftl_mut(&mut dev)
+        dev.inner_mut()
             .base_mut()
             .set_scrub_config(Some(ScrubConfig {
                 read_threshold: 150,
@@ -277,7 +280,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
     }
 
     if scrubbed {
-        let base = ftl(&dev).base();
+        let base = dev.inner().base();
         assert!(base.stats().scrub_runs > 0, "{ctx}: scrubber never ran");
         assert_eq!(
             base.last_scrub().map(|(_, r)| r),
@@ -294,7 +297,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
             dev.read(lpn, &mut buf).unwrap();
             assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost its committed value");
         }
-        audit(&dev);
+        dev.audit();
         let mut dev = power_cycle_and_recover(dev, None);
         for lpn in 0..8u64 {
             dev.read(lpn, &mut buf).unwrap();
@@ -302,7 +305,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
         }
     } else {
         assert!(
-            ftl(&dev).base().flash_stats().aging_uncorrectable > 0,
+            dev.inner().base().flash_stats().aging_uncorrectable > 0,
             "{ctx}: the unscrubbed ablation never hit the cliff"
         );
     }
@@ -326,12 +329,12 @@ fn fault_matrix_read_disturb_unscrubbed_loses_data() {
 /// the device walks Healthy → Degraded → ReadOnly. The contract at the
 /// cliff edge: no panic, writes fail with `DevError::ReadOnly`, and every
 /// commit acked before the transition stays readable — through the
-/// transition and across a power cycle (oracle-swept under `verify`).
+/// transition and across a power cycle (oracle-swept).
 #[test]
 fn fault_matrix_end_of_life_read_only() {
     let clock = SimClock::new();
     let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
-    let mut dev = wrap(XFtl::format(chip, LOGICAL).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap());
     let ps = dev.page_size();
 
     // Acked state established while healthy: a committed transaction and
@@ -352,7 +355,7 @@ fn fault_matrix_end_of_life_read_only() {
 
     // Now every erase fails, so each GC cycle retires its victim: the
     // pool drains block by block into the bad-block table.
-    ftl_mut(&mut dev).base_mut().chip_mut().set_fault_plan(
+    dev.inner_mut().base_mut().chip_mut().set_fault_plan(
         FaultPlan::new(fault_seed()).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
     );
     let mut final_err = None;
@@ -371,7 +374,7 @@ fn fault_matrix_end_of_life_read_only() {
         Some(DevError::ReadOnly),
         "wrong end-of-life error"
     );
-    let base = ftl(&dev).base();
+    let base = dev.inner().base();
     assert_eq!(base.device_state(), DeviceState::ReadOnly);
     assert!(base.stats().degraded_entries > 0, "skipped Degraded");
 
@@ -394,13 +397,13 @@ fn fault_matrix_end_of_life_read_only() {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect(lpn), "lpn {lpn} lost at transition");
     }
-    verify_recovered(&mut dev);
-    audit(&dev);
+    dev.verify_recovered();
+    dev.audit();
 
     // ... and across a power cycle: recovery succeeds on a read-only
     // device and the persisted state holds.
     let mut dev = power_cycle_and_recover(dev, None);
-    assert_eq!(ftl(&dev).base().device_state(), DeviceState::ReadOnly);
+    assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
     for lpn in 0..8u64 {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect(lpn), "lpn {lpn} lost across power cycle");
@@ -419,7 +422,7 @@ fn fault_matrix_end_of_life_read_only() {
 fn fault_soak_background_rates() {
     let clock = SimClock::new();
     let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
-    let mut dev = wrap(XFtl::format(chip, LOGICAL).unwrap());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap());
     let ps = dev.page_size();
     let plan = || {
         FaultPlan::background(
@@ -430,10 +433,7 @@ fn fault_soak_background_rates() {
             2e-3, // uncorrectable ECC bursts
         )
     };
-    ftl_mut(&mut dev)
-        .base_mut()
-        .chip_mut()
-        .set_fault_plan(plan());
+    dev.inner_mut().base_mut().chip_mut().set_fault_plan(plan());
     let mut expect = [0u8; 16];
     let mut buf = vec![0u8; ps];
     for lpn in 0..16u64 {
@@ -476,7 +476,7 @@ fn fault_soak_background_rates() {
         }
     }
     dev.flush().unwrap();
-    let flash = ftl(&dev).base().flash_stats();
+    let flash = dev.inner().base().flash_stats();
     assert!(flash.program_fails > 0, "program faults never fired");
     assert!(flash.corrected_reads > 0, "correctable flips never fired");
     let mut dev = power_cycle_and_recover(dev, Some(plan()));
@@ -484,5 +484,5 @@ fn fault_soak_background_rates() {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect[lpn as usize], "lpn {lpn} corrupted");
     }
-    audit(&dev);
+    dev.audit();
 }

@@ -11,9 +11,9 @@
 //!
 //! All randomness in the soak flows from a single seed, overridable with
 //! `XFTL_MVCC_SEED=<n>` (mirroring the fault matrix's `XFTL_FAULT_SEED`),
-//! so CI replays identical schedules. Under `--features verify` the
-//! device cells run behind the shadow oracle, which independently
-//! checks snapshot visibility, lost updates, and spurious conflicts.
+//! so CI replays identical schedules. The device cells run behind the
+//! shadow oracle, which independently checks snapshot visibility, lost
+//! updates, and spurious conflicts.
 
 // Test/demo code: unwrap/expect on a setup failure is the right failure
 // mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
@@ -31,7 +31,8 @@ use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
 use xftl_workloads::{concurrent_fill, CommitWait, ConcurrentPlan, Mode, Rig, RigConfig};
 
 mod common;
-use common::{ftl, recover_with, wrap, Checked};
+use common::recover_with;
+use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
@@ -45,12 +46,12 @@ fn mvcc_seed() -> u64 {
         .unwrap_or(0x4D5F_CC13)
 }
 
-type Dev = Checked<XFtl>;
+type Dev = ShadowDevice<XFtl>;
 
 fn dev() -> Dev {
     let clock = SimClock::new();
     let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
-    wrap(XFtl::format(chip, LOGICAL).unwrap())
+    ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap())
 }
 
 fn power_cycle_and_recover(d: Dev) -> Dev {
@@ -166,8 +167,8 @@ fn device_disjoint_writers_all_commit() {
             ];
             let committed = run_schedule(&mut d, interleave, &writers, &commit_order, &mut expect);
             assert_eq!(committed, vec![true; 3], "disjoint writers must all win");
-            assert_eq!(ftl(&d).stats().conflict_aborts, 0);
-            assert_eq!(ftl(&d).active_snapshots(), 0, "snapshots must release");
+            assert_eq!(d.inner().stats().conflict_aborts, 0);
+            assert_eq!(d.inner().active_snapshots(), 0, "snapshots must release");
             assert_image(&mut d, &expect, &format!("{interleave:?}/{commit_order:?}"));
         }
     }
@@ -189,10 +190,10 @@ fn device_overlapping_writers_lose_exactly_one() {
             let winners = committed.iter().filter(|&&c| c).count();
             assert_eq!(winners, 2, "exactly one of the overlapping pair loses");
             assert!(committed[2], "the disjoint writer never conflicts");
-            assert_eq!(ftl(&d).stats().conflict_aborts, 1);
-            assert_eq!(ftl(&d).active_snapshots(), 0);
+            assert_eq!(d.inner().stats().conflict_aborts, 1);
+            assert_eq!(d.inner().active_snapshots(), 0);
             assert_eq!(
-                ftl(&d).xl2p().intent_pages(),
+                d.inner().xl2p().intent_pages(),
                 0,
                 "the loser's write intents must release"
             );
@@ -234,8 +235,8 @@ fn device_read_only_snapshot_ignores_concurrent_commits() {
 
     // The read-only commit succeeds and releases the snapshot.
     d.commit(1).unwrap();
-    assert_eq!(ftl(&d).active_snapshots(), 0);
-    assert_eq!(ftl(&d).stats().conflict_aborts, 0);
+    assert_eq!(d.inner().active_snapshots(), 0);
+    assert_eq!(d.inner().stats().conflict_aborts, 0);
 }
 
 #[test]
@@ -250,9 +251,9 @@ fn device_abort_releases_intents_for_the_survivor() {
     // the survivor's first-committer-wins check.
     d.abort(1).unwrap();
     d.commit(2).unwrap();
-    assert_eq!(ftl(&d).stats().conflict_aborts, 0);
-    assert_eq!(ftl(&d).active_snapshots(), 0);
-    assert_eq!(ftl(&d).xl2p().intent_pages(), 0);
+    assert_eq!(d.inner().stats().conflict_aborts, 0);
+    assert_eq!(d.inner().active_snapshots(), 0);
+    assert_eq!(d.inner().xl2p().intent_pages(), 0);
     let mut buf = vec![0u8; ps];
     d.read(4, &mut buf).unwrap();
     assert_eq!(buf[0], 0x22);
@@ -328,7 +329,7 @@ fn mvcc_soak_random_schedules() {
         "the soak never produced a conflict — overlap probability too low to test anything"
     );
     assert_eq!(
-        ftl(&d).stats().conflict_aborts,
+        d.inner().stats().conflict_aborts,
         conflicts_seen,
         "device conflict tally disagrees with the prediction"
     );
@@ -337,8 +338,8 @@ fn mvcc_soak_random_schedules() {
     // Power cut: everything committed survives; MVCC state is RAM-only.
     d.flush().unwrap();
     let mut d = power_cycle_and_recover(d);
-    assert_eq!(ftl(&d).active_snapshots(), 0);
-    assert_eq!(ftl(&d).xl2p().intent_pages(), 0);
+    assert_eq!(d.inner().active_snapshots(), 0);
+    assert_eq!(d.inner().xl2p().intent_pages(), 0);
     assert_image(&mut d, &expect, "post-crash soak image");
 }
 

@@ -3,8 +3,9 @@
 //!
 //! Formerly written with `proptest`; the workspace now builds hermetically
 //! with no external crates, so each family runs a fixed number of cases
-//! from the deterministic in-tree PRNG instead. Every failure message
-//! carries the case seed, so a red run reproduces exactly.
+//! from the deterministic in-tree PRNG instead. Every failure names its
+//! case — in the message, or on stderr as the oracle's panic unwinds — so
+//! a red run reproduces exactly.
 
 // Test/demo code: unwrap/expect on a setup failure is the right failure
 // mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
@@ -12,7 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -28,7 +29,8 @@ use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, TxBlockDevice, TxFlashFtl};
 
 mod common;
-use common::{recover_with, wrap, Checked};
+use common::recover_with;
+use xftl_verify::ShadowDevice;
 
 /// One generator per (family, case): fully determined by the pair, so any
 /// failing case replays from its printed seed alone.
@@ -311,10 +313,19 @@ fn fs_matches_model() {
     }
 }
 
-// --- X-FTL transactional semantics vs model ------------------------------------------
+// --- device schedules vs the shadow oracle -----------------------------------------
+// Families 7, 8, 10 and 11 generate a schedule of device commands and
+// run it behind `xftl_verify::ShadowDevice`: the oracle's model is the
+// one statement of what a transactional device owes its host, and every
+// read below is checked against it.
 
+/// One step of a device schedule.
 #[derive(Debug, Clone)]
-enum TxOp {
+enum DevOp {
+    /// Open `tid` as a snapshot transaction.
+    Begin {
+        tid: u64,
+    },
     Write {
         tid: u64,
         lpn: u64,
@@ -342,7 +353,7 @@ enum TxOp {
     Crash,
 }
 
-fn rand_tx_ops(rng: &mut StdRng) -> Vec<TxOp> {
+fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
     // Host contract (§3.3/§4.3): X-FTL does not arbitrate write-write
     // conflicts — SQLite's database-level write lock guarantees a single
     // writer per page. The generator honours that contract by giving each
@@ -354,229 +365,237 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<TxOp> {
             0..=3 => {
                 let tid = rng.gen_range(1u64..5);
                 let row = rng.gen_range(0u64..5);
-                TxOp::Write {
+                DevOp::Write {
                     tid,
                     lpn: row * 4 + (tid - 1),
                     byte: rng.gen_range(0u8..=255),
                 }
             }
-            4 | 5 => TxOp::PlainWrite {
+            4 | 5 => DevOp::PlainWrite {
                 lpn: rng.gen_range(20u64..24),
                 byte: rng.gen_range(0u8..=255),
             },
-            6 | 7 => TxOp::Commit {
+            6 | 7 => DevOp::Commit {
                 tid: rng.gen_range(1u64..5),
             },
-            8 => TxOp::Abort {
+            8 => DevOp::Abort {
                 tid: rng.gen_range(1u64..5),
             },
-            9 => TxOp::Flush,
-            10 => TxOp::Crash,
-            11 => TxOp::CommitSubmit {
+            9 => DevOp::Flush,
+            10 => DevOp::Crash,
+            11 => DevOp::CommitSubmit {
                 tid: rng.gen_range(1u64..5),
             },
-            _ => TxOp::CommitWait,
+            _ => DevOp::CommitWait,
         })
         .collect()
 }
 
-/// Resolves the post-crash state of the split-phase model. Group commits
-/// flush strictly in submission order and a group is all-or-nothing, so
-/// whatever internal flushes (capacity checkpoints, conflict flushes)
-/// happened before the crash, the surviving image must equal `durable`
-/// plus some *prefix* of the staged records. Returns that world.
-fn resolve_crash_world<D: BlockDevice>(
-    dev: &mut D,
-    durable: &HashMap<u64, u8>,
-    staged: &[HashMap<u64, u8>],
-    case: u64,
-) -> HashMap<u64, u8> {
+/// Generates a schedule with 2–4 concurrently open snapshot writers.
+/// Tids are never reused, so each `begin` opens a fresh transaction and
+/// every commit outcome is attributable to exactly one snapshot; plain
+/// writes provide the non-transactional traffic that must conflict
+/// overlapping snapshot writers.
+fn rand_mvcc_ops(rng: &mut StdRng) -> Vec<DevOp> {
+    let n = rng.gen_range(40..100);
+    let mut ops = Vec::with_capacity(n);
+    let mut active: Vec<u64> = Vec::new();
+    let mut next_tid = 1u64;
+    for _ in 0..n {
+        let roll = rng.gen_range(0u32..100);
+        if roll < 22 {
+            if active.len() < 4 {
+                ops.push(DevOp::Begin { tid: next_tid });
+                active.push(next_tid);
+                next_tid += 1;
+            }
+        } else if roll < 52 {
+            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
+                ops.push(DevOp::Write {
+                    tid: active[i],
+                    lpn: rng.gen_range(0u64..16),
+                    byte: rng.gen_range(1u8..=250),
+                });
+            }
+        } else if roll < 62 {
+            ops.push(DevOp::PlainWrite {
+                lpn: rng.gen_range(0u64..16),
+                byte: rng.gen_range(1u8..=250),
+            });
+        } else if roll < 78 {
+            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
+                let tid = active.swap_remove(i);
+                ops.push(if rng.gen_bool(0.5) {
+                    DevOp::Commit { tid }
+                } else {
+                    DevOp::CommitSubmit { tid }
+                });
+            }
+        } else if roll < 84 {
+            ops.push(DevOp::CommitWait);
+        } else if roll < 91 {
+            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
+                let tid = active.swap_remove(i);
+                ops.push(DevOp::Abort { tid });
+            }
+        } else if roll < 96 {
+            ops.push(DevOp::Flush);
+        } else {
+            ops.push(DevOp::Crash);
+            active.clear();
+        }
+    }
+    ops
+}
+
+/// The corners a family's schedules reached, summed over its cases: a
+/// generator that drifts away from one fails the family's closing
+/// assertion instead of passing vacuously.
+#[derive(Debug, Default)]
+struct Exercised {
+    /// Commits the device staged (non-immediate tickets).
+    staged: u32,
+    /// Power cuts that caught commits staged and kept a strict prefix of
+    /// them.
+    cuts_strict_prefix: u32,
+    /// Plain writes onto a staged page (the group must flush first).
+    plain_on_staged: u32,
+    /// Snapshot commits refused with `Conflict`.
+    conflicts: u32,
+    /// Snapshot writers admitted while another snapshot was open.
+    overlapping_admits: u32,
+}
+
+/// Says where in which case a panic — the oracle's, mostly — struck, so
+/// a red run replays from its output alone.
+struct Unwinding<'a>(&'a str, &'a DevOp);
+
+impl Drop for Unwinding<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}: failed at {:?}", self.0, self.1);
+        }
+    }
+}
+
+/// Issues `ops` on `dev` and, after every one, reads every page plainly
+/// and through every open transaction: the oracle asserts each read
+/// (visibility at commit, read-your-own-writes, isolation, frozen
+/// snapshot views), each commit verdict (no lost update, no spurious
+/// conflict), and — inside `crash`, which is [`recover_with`] — that a
+/// power cut kept the durable image plus a prefix of what was staged.
+/// Ends with one more cut; returns the recovered device.
+fn run_schedule<D: TxBlockDevice>(
+    what: &str,
+    mut dev: ShadowDevice<D>,
+    ops: &[DevOp],
+    crash: impl Fn(ShadowDevice<D>) -> ShadowDevice<D>,
+    seen: &mut Exercised,
+) -> ShadowDevice<D> {
     let ps = dev.page_size();
     let mut buf = vec![0u8; ps];
-    let mut image = [0u8; 24];
-    for lpn in 0..24u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        image[usize::try_from(lpn).unwrap()] = buf[0];
-    }
-    let mut world = durable.clone();
-    let mut k = 0usize;
-    loop {
-        let matched = (0..24u64).all(|lpn| {
-            image[usize::try_from(lpn).unwrap()] == world.get(&lpn).copied().unwrap_or(0)
-        });
-        if matched {
-            return world;
+    // Outstanding tickets, oldest first; snapshot transactions open; of
+    // all open transactions, the ones that have written.
+    let mut tickets = Vec::new();
+    let mut began: BTreeSet<u64> = BTreeSet::new();
+    let mut writers: BTreeSet<u64> = BTreeSet::new();
+    for op in ops.iter().chain([&DevOp::Crash]) {
+        let _at = Unwinding(what, op);
+        match *op {
+            DevOp::Begin { tid } => {
+                dev.begin(tid).unwrap();
+                began.insert(tid);
+            }
+            DevOp::Write { tid, lpn, byte } => {
+                dev.write_tx(tid, lpn, &vec![byte; ps]).unwrap();
+                writers.insert(tid);
+            }
+            DevOp::PlainWrite { lpn, byte } => {
+                seen.plain_on_staged += u32::from(dev.model().is_staged(lpn));
+                dev.write(lpn, &vec![byte; ps]).unwrap();
+            }
+            DevOp::Commit { tid } | DevOp::CommitSubmit { tid } => {
+                let (snapshot, wrote) = (began.remove(&tid), writers.remove(&tid));
+                match dev.commit_submit(tid) {
+                    Ok(ticket) => {
+                        seen.staged += u32::from(!ticket.is_immediate());
+                        let overlapping = snapshot && wrote && !began.is_empty();
+                        seen.overlapping_admits += u32::from(overlapping);
+                        if matches!(op, DevOp::Commit { .. }) {
+                            dev.commit_wait(ticket).unwrap();
+                        } else {
+                            tickets.push(ticket);
+                        }
+                    }
+                    // Whether the refusal was earned is the oracle's call;
+                    // that only a snapshot can earn one is not.
+                    Err(DevError::Conflict) if snapshot => seen.conflicts += 1,
+                    Err(e) => panic!("{what}: {op:?} refused: {e:?}"),
+                }
+            }
+            DevOp::CommitWait => {
+                if let Some(ticket) = tickets.pop() {
+                    dev.commit_wait(ticket).unwrap();
+                }
+            }
+            DevOp::Abort { tid } => {
+                dev.abort(tid).unwrap();
+                began.remove(&tid);
+                writers.remove(&tid);
+            }
+            DevOp::Flush => dev.flush().unwrap(),
+            DevOp::Crash => {
+                dev = crash(dev);
+                let strict = |(kept, staged): (usize, usize)| kept < staged;
+                seen.cuts_strict_prefix += u32::from(dev.model().last_cut().is_some_and(strict));
+                // Tickets, snapshots and uncommitted writes die with the
+                // power.
+                tickets.clear();
+                began.clear();
+                writers.clear();
+            }
         }
-        assert!(
-            k < staged.len(),
-            "case {case}: post-crash image matches no prefix of the {} staged commit(s)\n\
-             image: {image:?}\ndurable: {durable:?}\nstaged: {staged:?}",
-            staged.len()
-        );
-        for (lpn, byte) in &staged[k] {
-            world.insert(*lpn, *byte);
+        for lpn in 0..dev.capacity_pages() {
+            dev.read(lpn, &mut buf).unwrap();
+            for &tid in began.union(&writers) {
+                dev.read_tx(tid, lpn, &mut buf).unwrap();
+            }
         }
-        k += 1;
     }
+    dev
 }
 
-// With the `verify` feature the FTL model tests run through the shadow
-// oracle: every command is mirrored into `ShadowDevice`'s reference
-// model, every read is checked against it, and each crash/recovery is
-// followed by a durability sweep plus a flash-physics audit. The op
-// loops below are oblivious to the wrapping — they only use the device
-// traits, which the wrapper forwards.
-type XDev = Checked<XFtl>;
+type XDev = ShadowDevice<XFtl>;
 
-fn x_format(chip: FlashChip, logical: u64, xl2p_cap: usize) -> XDev {
-    wrap(XFtl::format_with_capacity(chip, logical, xl2p_cap).unwrap())
+/// X-FTL exporting 24 pages of `chip`, with 64 X-L2P slots.
+fn x_format(chip: FlashChip) -> XDev {
+    ShadowDevice::new(XFtl::format_with_capacity(chip, 24, 64).unwrap())
 }
 
-fn x_crash(dev: XDev, xl2p_cap: usize) -> XDev {
+fn x_crash(dev: XDev) -> XDev {
     recover_with(dev, XFtl::into_chip, |chip| {
-        XFtl::recover_with_capacity(chip, xl2p_cap).unwrap()
+        XFtl::recover_with_capacity(chip, 64).unwrap()
     })
 }
 
-type TDev = Checked<TxFlashFtl>;
-
-fn t_format(chip: FlashChip, logical: u64) -> TDev {
-    wrap(TxFlashFtl::format(chip, logical).unwrap())
-}
-
-fn t_crash(dev: TDev) -> TDev {
-    recover_with(dev, TxFlashFtl::into_chip, |chip| {
-        TxFlashFtl::recover(chip).unwrap()
-    })
-}
-
-/// X-FTL's committed state always equals a model where transactional
-/// writes become visible only at commit (blocking or submitted), vanish
-/// on abort, and crashes preserve durable data plus — group-atomically,
-/// in submission order — any staged split-phase commits an internal
-/// flush happened to persist.
+/// Family 7: X-FTL's transactional writes become visible only at commit
+/// (blocking or submitted), vanish on abort, and a crash preserves the
+/// durable image plus — group-atomically, in submission order — any
+/// staged split-phase commits an internal flush happened to persist.
 #[test]
 fn xftl_transactions_match_model() {
+    let mut seen = Exercised::default();
     for case in 0..48u64 {
         let mut rng = case_rng(7, case);
         let ops = rand_tx_ops(&mut rng);
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(40), clock);
-        let mut dev = x_format(chip, 24, 64);
-        let ps = dev.page_size();
-        // What reads return / what certainly survives a crash / staged
-        // split-phase records (visible, not yet certainly durable) in
-        // submission order / outstanding tickets, oldest first.
-        let mut visible: HashMap<u64, u8> = HashMap::new();
-        let mut durable: HashMap<u64, u8> = HashMap::new();
-        let mut staged_model: Vec<HashMap<u64, u8>> = Vec::new();
-        let mut outstanding = Vec::new();
-        let mut pending: HashMap<u64, HashMap<u64, u8>> = HashMap::new();
-        for op in &ops {
-            match op {
-                TxOp::Write { tid, lpn, byte } => {
-                    dev.write_tx(*tid, *lpn, &vec![*byte; ps]).unwrap();
-                    pending.entry(*tid).or_default().insert(*lpn, *byte);
-                }
-                TxOp::PlainWrite { lpn, byte } => {
-                    dev.write(*lpn, &vec![*byte; ps]).unwrap();
-                    // A plain write landing on a staged page forces the
-                    // device to flush the group first (the fold must not
-                    // clobber the new batch), so the pipeline drains here.
-                    if staged_model.iter().any(|rec| rec.contains_key(lpn)) {
-                        for rec in staged_model.drain(..) {
-                            durable.extend(rec);
-                        }
-                    }
-                    visible.insert(*lpn, *byte);
-                    durable.insert(*lpn, *byte);
-                }
-                TxOp::Commit { tid } => {
-                    dev.commit(*tid).unwrap();
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    // Blocking commit = submit + wait: a *real* commit
-                    // flushes the whole staged pipeline along with this
-                    // tx. An empty transaction is durable by vacuity —
-                    // its ticket is immediate, so nothing need flush.
-                    if !writes.is_empty() {
-                        for rec in staged_model.drain(..) {
-                            durable.extend(rec);
-                        }
-                    }
-                    for (lpn, byte) in writes {
-                        visible.insert(lpn, byte);
-                        durable.insert(lpn, byte);
-                    }
-                }
-                TxOp::CommitSubmit { tid } => {
-                    let t = dev.commit_submit(*tid).unwrap();
-                    outstanding.push(t);
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    for (lpn, byte) in &writes {
-                        visible.insert(*lpn, *byte);
-                    }
-                    // An immediate ticket stages nothing — waiting on it
-                    // later is only a queue barrier, never a flush.
-                    if !t.is_immediate() {
-                        staged_model.push(writes);
-                    }
-                }
-                TxOp::CommitWait => {
-                    // The newest ticket's group covers everything staged;
-                    // older tickets become no-ops once it flushes. An
-                    // immediate ticket never implies a group flush.
-                    if let Some(t) = outstanding.pop() {
-                        dev.commit_wait(t).unwrap();
-                        if !t.is_immediate() {
-                            for rec in staged_model.drain(..) {
-                                durable.extend(rec);
-                            }
-                        }
-                    }
-                }
-                TxOp::Abort { tid } => {
-                    dev.abort(*tid).unwrap();
-                    pending.remove(tid);
-                }
-                TxOp::Flush => {
-                    dev.flush().unwrap();
-                    for rec in staged_model.drain(..) {
-                        durable.extend(rec);
-                    }
-                }
-                TxOp::Crash => {
-                    dev = x_crash(dev, 64);
-                    pending.clear();
-                    // Tickets die with the power; resolve which prefix of
-                    // the staged pipeline an internal flush saved.
-                    outstanding.clear();
-                    durable = resolve_crash_world(&mut dev, &durable, &staged_model, case);
-                    staged_model.clear();
-                    visible = durable.clone();
-                }
-            }
-            // Committed view must match the model at every step.
-            let mut buf = vec![0u8; ps];
-            for lpn in 0..24u64 {
-                dev.read(lpn, &mut buf).unwrap();
-                let expect = visible.get(&lpn).copied().unwrap_or(0);
-                assert_eq!(buf[0], expect, "case {case}: lpn {lpn} after {op:?}");
-            }
-            // Each in-flight transaction sees its own writes.
-            for (tid, writes) in &pending {
-                for (lpn, byte) in writes {
-                    dev.read_tx(*tid, *lpn, &mut buf).unwrap();
-                    assert_eq!(buf[0], *byte, "case {case}");
-                }
-            }
-        }
-        // Final crash: durable state plus a staged prefix survives.
-        let mut dev = x_crash(dev, 64);
-        resolve_crash_world(&mut dev, &durable, &staged_model, case);
+        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
+        let what = format!("family 7 case {case}");
+        run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
     }
+    // (This generator keeps plain writes off the transactions' pages, so
+    // none lands on a staged one; family 11's do.)
+    assert!(seen.cuts_strict_prefix > 0, "{seen:?}");
 }
-
-// --- X-FTL transactional semantics vs model, under injected faults -------------
 
 /// Generates a deterministic fault environment alongside the command
 /// schedule: modest background rates (kept low enough that bounded FTL
@@ -611,199 +630,56 @@ fn rand_fault_plan(rng: &mut StdRng) -> FaultPlan {
     plan
 }
 
-/// Family 7's transactional model must keep holding when the chip runs
+/// Family 10: family 7's schedules must keep passing when the chip runs
 /// under a generated [`FaultPlan`]: program failures, block retirements,
 /// and read errors are the FTL's problem to retry and remap — never
-/// visible in the committed image, to in-flight readers, or (under
-/// `--features verify`) to the shadow oracle and flash auditor.
+/// visible in the committed image, to in-flight readers, or to the flash
+/// auditor.
 #[test]
 fn xftl_transactions_match_model_under_faults() {
+    let mut seen = Exercised::default();
+    let mut retried = 0;
     for case in 0..32u64 {
         let mut rng = case_rng(10, case);
         let plan = rand_fault_plan(&mut rng);
         let ops = rand_tx_ops(&mut rng);
-        let clock = SimClock::new();
-        let mut chip = FlashChip::new(FlashConfig::tiny(40), clock);
+        let mut chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         // Installed before format so even the first metadata writes run
-        // in the fault environment; the plan survives every power cycle.
+        // in the fault environment; the plan survives every power cycle,
+        // and so do the chip's counters.
         chip.set_fault_plan(plan);
-        let mut dev = x_format(chip, 24, 64);
-        let ps = dev.page_size();
-        let mut visible: HashMap<u64, u8> = HashMap::new();
-        let mut durable: HashMap<u64, u8> = HashMap::new();
-        let mut staged_model: Vec<HashMap<u64, u8>> = Vec::new();
-        let mut outstanding = Vec::new();
-        let mut pending: HashMap<u64, HashMap<u64, u8>> = HashMap::new();
-        for op in &ops {
-            match op {
-                TxOp::Write { tid, lpn, byte } => {
-                    dev.write_tx(*tid, *lpn, &vec![*byte; ps]).unwrap();
-                    pending.entry(*tid).or_default().insert(*lpn, *byte);
-                }
-                TxOp::PlainWrite { lpn, byte } => {
-                    dev.write(*lpn, &vec![*byte; ps]).unwrap();
-                    // Plain write over a staged page ⇒ the device flushed
-                    // the group before programming the new version.
-                    if staged_model.iter().any(|rec| rec.contains_key(lpn)) {
-                        for rec in staged_model.drain(..) {
-                            durable.extend(rec);
-                        }
-                    }
-                    visible.insert(*lpn, *byte);
-                    durable.insert(*lpn, *byte);
-                }
-                TxOp::Commit { tid } => {
-                    dev.commit(*tid).unwrap();
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    // Only a non-empty commit flushes the staged pipeline;
-                    // an empty one redeems an immediate ticket (barrier).
-                    if !writes.is_empty() {
-                        for rec in staged_model.drain(..) {
-                            durable.extend(rec);
-                        }
-                    }
-                    for (lpn, byte) in writes {
-                        visible.insert(lpn, byte);
-                        durable.insert(lpn, byte);
-                    }
-                }
-                TxOp::CommitSubmit { tid } => {
-                    let t = dev.commit_submit(*tid).unwrap();
-                    outstanding.push(t);
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    for (lpn, byte) in &writes {
-                        visible.insert(*lpn, *byte);
-                    }
-                    if !t.is_immediate() {
-                        staged_model.push(writes);
-                    }
-                }
-                TxOp::CommitWait => {
-                    if let Some(t) = outstanding.pop() {
-                        dev.commit_wait(t).unwrap();
-                        if !t.is_immediate() {
-                            for rec in staged_model.drain(..) {
-                                durable.extend(rec);
-                            }
-                        }
-                    }
-                }
-                TxOp::Abort { tid } => {
-                    dev.abort(*tid).unwrap();
-                    pending.remove(tid);
-                }
-                TxOp::Flush => {
-                    dev.flush().unwrap();
-                    for rec in staged_model.drain(..) {
-                        durable.extend(rec);
-                    }
-                }
-                TxOp::Crash => {
-                    dev = x_crash(dev, 64);
-                    pending.clear();
-                    outstanding.clear();
-                    durable = resolve_crash_world(&mut dev, &durable, &staged_model, case);
-                    staged_model.clear();
-                    visible = durable.clone();
-                }
-            }
-            let mut buf = vec![0u8; ps];
-            for lpn in 0..24u64 {
-                dev.read(lpn, &mut buf).unwrap();
-                let expect = visible.get(&lpn).copied().unwrap_or(0);
-                assert_eq!(buf[0], expect, "case {case}: lpn {lpn} after {op:?}");
-            }
-            for (tid, writes) in &pending {
-                for (lpn, byte) in writes {
-                    dev.read_tx(*tid, *lpn, &mut buf).unwrap();
-                    assert_eq!(buf[0], *byte, "case {case}");
-                }
-            }
-        }
-        let mut dev = x_crash(dev, 64);
-        resolve_crash_world(&mut dev, &durable, &staged_model, case);
+        let what = format!("family 10 case {case}");
+        let dev = run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
+        let flash = dev.inner().flash_stats();
+        retried += flash.program_fails + flash.uncorrectable_reads;
     }
+    assert!(
+        seen.cuts_strict_prefix > 0 && retried > 0,
+        "{seen:?}, {retried} failed programs and reads retried"
+    );
 }
 
-// --- TxFlash SCC semantics vs model ------------------------------------------
-
-/// The TxFlash baseline obeys the same transactional model as X-FTL
-/// (visible at commit, gone on abort/crash), via its cyclic-commit
-/// mechanism instead of a mapping table.
+/// Family 8: the TxFlash baseline obeys the same transactional model as
+/// X-FTL (visible at commit, gone on abort/crash), via its cyclic-commit
+/// mechanism instead of a mapping table — and with no pipeline: every
+/// ticket is immediate, so a power cut never finds a commit staged.
 #[test]
 fn txflash_transactions_match_model() {
+    let mut seen = Exercised::default();
     for case in 0..48u64 {
         let mut rng = case_rng(8, case);
         let ops = rand_tx_ops(&mut rng);
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(40), clock);
-        let mut dev = t_format(chip, 24);
-        let ps = dev.page_size();
-        let mut committed: HashMap<u64, u8> = HashMap::new();
-        let mut pending: HashMap<u64, HashMap<u64, u8>> = HashMap::new();
-        for op in &ops {
-            match op {
-                TxOp::Write { tid, lpn, byte } => {
-                    dev.write_tx(*tid, *lpn, &vec![*byte; ps]).unwrap();
-                    pending.entry(*tid).or_default().insert(*lpn, *byte);
-                }
-                TxOp::PlainWrite { lpn, byte } => {
-                    dev.write(*lpn, &vec![*byte; ps]).unwrap();
-                    committed.insert(*lpn, *byte);
-                }
-                TxOp::Commit { tid } => {
-                    dev.commit(*tid).unwrap();
-                    for (lpn, byte) in pending.remove(tid).unwrap_or_default() {
-                        committed.insert(lpn, byte);
-                    }
-                }
-                TxOp::CommitSubmit { tid } => {
-                    // The synchronous personality has no pipeline: submit
-                    // IS the durable commit and the ticket is immediate.
-                    let t = dev.commit_submit(*tid).unwrap();
-                    assert!(t.is_immediate(), "case {case}: TxFlash staged a commit");
-                    dev.commit_wait(t).unwrap();
-                    for (lpn, byte) in pending.remove(tid).unwrap_or_default() {
-                        committed.insert(lpn, byte);
-                    }
-                }
-                // Immediate tickets are redeemed on the spot above;
-                // nothing is ever outstanding.
-                TxOp::CommitWait => {}
-                TxOp::Abort { tid } => {
-                    dev.abort(*tid).unwrap();
-                    pending.remove(tid);
-                }
-                TxOp::Flush => dev.flush().unwrap(),
-                TxOp::Crash => {
-                    dev = t_crash(dev);
-                    pending.clear();
-                }
-            }
-            let mut buf = vec![0u8; ps];
-            for lpn in 0..24u64 {
-                dev.read(lpn, &mut buf).unwrap();
-                let expect = committed.get(&lpn).copied().unwrap_or(0);
-                assert_eq!(buf[0], expect, "case {case}: lpn {lpn} after {op:?}");
-            }
-            for (tid, writes) in &pending {
-                for (lpn, byte) in writes {
-                    dev.read_tx(*tid, *lpn, &mut buf).unwrap();
-                    assert_eq!(buf[0], *byte, "case {case}");
-                }
-            }
-        }
-        let mut dev = t_crash(dev);
-        let mut buf = vec![0u8; ps];
-        for lpn in 0..24u64 {
-            dev.read(lpn, &mut buf).unwrap();
-            assert_eq!(
-                buf[0],
-                committed.get(&lpn).copied().unwrap_or(0),
-                "case {case}: lpn {lpn} after recovery"
-            );
-        }
+        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
+        let dev = ShadowDevice::new(TxFlashFtl::format(chip, 24).unwrap());
+        let crash = |d| {
+            recover_with(d, TxFlashFtl::into_chip, |chip| {
+                TxFlashFtl::recover(chip).unwrap()
+            })
+        };
+        let what = format!("family 8 case {case}");
+        run_schedule(&what, dev, &ops, crash, &mut seen);
     }
+    assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");
 }
 
 // --- SQL engine vs key-value model ---------------------------------------------
@@ -922,257 +798,30 @@ fn sql_engine_matches_model() {
     }
 }
 
-// --- family 11: MVCC concurrent schedules vs the sequential model ---------------
-
-/// One step of a random concurrent schedule. Every transactional tid is
-/// opened with `begin` (a snapshot transaction); plain writes provide
-/// the non-transactional traffic that must conflict overlapping
-/// snapshot writers.
-#[derive(Debug, Clone)]
-enum MvccOp {
-    Begin { tid: u64 },
-    Write { tid: u64, lpn: u64, byte: u8 },
-    PlainWrite { lpn: u64, byte: u8 },
-    Commit { tid: u64 },
-    CommitSubmit { tid: u64 },
-    CommitWait,
-    Abort { tid: u64 },
-    Flush,
-    Crash,
-}
-
-/// Generates a schedule with 2–4 concurrently open snapshot writers.
-/// Tids are never reused, so each `begin` opens a fresh transaction and
-/// every commit outcome is attributable to exactly one snapshot.
-fn rand_mvcc_ops(rng: &mut StdRng) -> Vec<MvccOp> {
-    let n = rng.gen_range(40..100);
-    let mut ops = Vec::with_capacity(n);
-    let mut active: Vec<u64> = Vec::new();
-    let mut next_tid = 1u64;
-    for _ in 0..n {
-        let roll = rng.gen_range(0u32..100);
-        if roll < 22 {
-            if active.len() < 4 {
-                ops.push(MvccOp::Begin { tid: next_tid });
-                active.push(next_tid);
-                next_tid += 1;
-            }
-        } else if roll < 52 {
-            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
-                ops.push(MvccOp::Write {
-                    tid: active[i],
-                    lpn: rng.gen_range(0u64..16),
-                    byte: rng.gen_range(1u8..=250),
-                });
-            }
-        } else if roll < 62 {
-            ops.push(MvccOp::PlainWrite {
-                lpn: rng.gen_range(0u64..16),
-                byte: rng.gen_range(1u8..=250),
-            });
-        } else if roll < 78 {
-            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
-                let tid = active.swap_remove(i);
-                ops.push(if rng.gen_bool(0.5) {
-                    MvccOp::Commit { tid }
-                } else {
-                    MvccOp::CommitSubmit { tid }
-                });
-            }
-        } else if roll < 84 {
-            ops.push(MvccOp::CommitWait);
-        } else if roll < 91 {
-            if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
-                let tid = active.swap_remove(i);
-                ops.push(MvccOp::Abort { tid });
-            }
-        } else if roll < 96 {
-            ops.push(MvccOp::Flush);
-        } else {
-            ops.push(MvccOp::Crash);
-            active.clear();
-        }
-    }
-    ops
-}
-
-/// MVCC schedules match a sequential model with snapshot views and a
-/// page change-clock: a snapshot transaction reads its `begin`-time
-/// image (own writes excepted), commits succeed iff no written page
-/// changed after the snapshot (first-committer-wins, predicted
-/// *exactly*), losers roll back completely, and crashes keep the durable
-/// image plus a staged prefix while every snapshot dies with device RAM.
+/// Family 11: MVCC schedules. A snapshot transaction reads its
+/// `begin`-time image (own writes excepted), commits succeed iff no
+/// written page changed after the snapshot (first-committer-wins, which
+/// the oracle predicts *exactly*: it panics on a lost update and on a
+/// spurious conflict alike), losers roll back completely, and crashes
+/// keep the durable image plus a staged prefix while every snapshot dies
+/// with device RAM.
 #[test]
 fn xftl_mvcc_schedules_match_model() {
+    let mut seen = Exercised::default();
     for case in 0..40u64 {
         let mut rng = case_rng(11, case);
         let ops = rand_mvcc_ops(&mut rng);
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(40), clock);
-        let mut dev = x_format(chip, 24, 64);
-        let ps = dev.page_size();
-        // The sequential model: visible/durable images and the staged
-        // split-phase records as in family 7, plus the MVCC bookkeeping —
-        // a monotone change-clock per page, each open snapshot's clock
-        // value, and its frozen view of the visible image.
-        let mut visible: HashMap<u64, u8> = HashMap::new();
-        let mut durable: HashMap<u64, u8> = HashMap::new();
-        let mut staged_model: Vec<HashMap<u64, u8>> = Vec::new();
-        let mut outstanding = Vec::new();
-        let mut pending: HashMap<u64, HashMap<u64, u8>> = HashMap::new();
-        let mut clock_m = 0u64;
-        let mut page_clock: HashMap<u64, u64> = HashMap::new();
-        let mut snaps: HashMap<u64, u64> = HashMap::new();
-        let mut views: HashMap<u64, HashMap<u64, u8>> = HashMap::new();
-        for op in &ops {
-            match op {
-                MvccOp::Begin { tid } => {
-                    dev.begin(*tid).unwrap();
-                    snaps.insert(*tid, clock_m);
-                    views.insert(*tid, visible.clone());
-                }
-                MvccOp::Write { tid, lpn, byte } => {
-                    dev.write_tx(*tid, *lpn, &vec![*byte; ps]).unwrap();
-                    pending.entry(*tid).or_default().insert(*lpn, *byte);
-                }
-                MvccOp::PlainWrite { lpn, byte } => {
-                    dev.write(*lpn, &vec![*byte; ps]).unwrap();
-                    if staged_model.iter().any(|rec| rec.contains_key(lpn)) {
-                        for rec in staged_model.drain(..) {
-                            durable.extend(rec);
-                        }
-                    }
-                    visible.insert(*lpn, *byte);
-                    durable.insert(*lpn, *byte);
-                    clock_m += 1;
-                    page_clock.insert(*lpn, clock_m);
-                }
-                MvccOp::Commit { tid } => {
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    let snap = snaps.remove(tid).unwrap_or(u64::MAX);
-                    views.remove(tid);
-                    // First-committer-wins, predicted exactly. A
-                    // read-only snapshot never validates (durable by
-                    // vacuity).
-                    let conflict = !writes.is_empty()
-                        && writes
-                            .keys()
-                            .any(|l| page_clock.get(l).copied().unwrap_or(0) > snap);
-                    if conflict {
-                        assert_eq!(
-                            dev.commit(*tid),
-                            Err(DevError::Conflict),
-                            "case {case}: stale writer admitted at {op:?}"
-                        );
-                    } else {
-                        dev.commit(*tid)
-                            .unwrap_or_else(|e| panic!("case {case}: {op:?} refused: {e:?}"));
-                        if !writes.is_empty() {
-                            for rec in staged_model.drain(..) {
-                                durable.extend(rec);
-                            }
-                        }
-                        for (lpn, byte) in writes {
-                            visible.insert(lpn, byte);
-                            durable.insert(lpn, byte);
-                            clock_m += 1;
-                            page_clock.insert(lpn, clock_m);
-                        }
-                    }
-                }
-                MvccOp::CommitSubmit { tid } => {
-                    let writes = pending.remove(tid).unwrap_or_default();
-                    let snap = snaps.remove(tid).unwrap_or(u64::MAX);
-                    views.remove(tid);
-                    let conflict = !writes.is_empty()
-                        && writes
-                            .keys()
-                            .any(|l| page_clock.get(l).copied().unwrap_or(0) > snap);
-                    if conflict {
-                        assert_eq!(
-                            dev.commit_submit(*tid).map(|_| ()),
-                            Err(DevError::Conflict),
-                            "case {case}: stale writer admitted at {op:?}"
-                        );
-                    } else {
-                        let t = dev.commit_submit(*tid).unwrap();
-                        outstanding.push(t);
-                        for (lpn, byte) in &writes {
-                            visible.insert(*lpn, *byte);
-                            clock_m += 1;
-                            page_clock.insert(*lpn, clock_m);
-                        }
-                        if !t.is_immediate() {
-                            staged_model.push(writes);
-                        }
-                    }
-                }
-                MvccOp::CommitWait => {
-                    if let Some(t) = outstanding.pop() {
-                        dev.commit_wait(t).unwrap();
-                        if !t.is_immediate() {
-                            for rec in staged_model.drain(..) {
-                                durable.extend(rec);
-                            }
-                        }
-                    }
-                }
-                MvccOp::Abort { tid } => {
-                    dev.abort(*tid).unwrap();
-                    pending.remove(tid);
-                    snaps.remove(tid);
-                    views.remove(tid);
-                }
-                MvccOp::Flush => {
-                    dev.flush().unwrap();
-                    for rec in staged_model.drain(..) {
-                        durable.extend(rec);
-                    }
-                }
-                MvccOp::Crash => {
-                    dev = x_crash(dev, 64);
-                    pending.clear();
-                    outstanding.clear();
-                    snaps.clear();
-                    views.clear();
-                    durable = resolve_crash_world(&mut dev, &durable, &staged_model, case);
-                    staged_model.clear();
-                    visible = durable.clone();
-                    // Pre-crash stamps are all <= clock_m, so no snapshot
-                    // begun after recovery can conflict on them — exactly
-                    // the device's reset commit-sequence semantics.
-                }
-            }
-            // The committed view matches the model at every step…
-            let mut buf = vec![0u8; ps];
-            for lpn in 0..16u64 {
-                dev.read(lpn, &mut buf).unwrap();
-                let expect = visible.get(&lpn).copied().unwrap_or(0);
-                assert_eq!(buf[0], expect, "case {case}: lpn {lpn} after {op:?}");
-            }
-            // …and every open snapshot sees its own writes over its
-            // frozen begin-time view, never the live image.
-            for (tid, view) in &views {
-                for lpn in 0..16u64 {
-                    let expect = pending
-                        .get(tid)
-                        .and_then(|m| m.get(&lpn))
-                        .or_else(|| view.get(&lpn))
-                        .copied()
-                        .unwrap_or(0);
-                    dev.read_tx(*tid, lpn, &mut buf).unwrap();
-                    assert_eq!(
-                        buf[0], expect,
-                        "case {case}: snapshot tid {tid} lpn {lpn} after {op:?}"
-                    );
-                }
-            }
-        }
-        // Final crash: durable state plus a staged prefix survives, and
-        // every open snapshot is gone.
-        let mut dev = x_crash(dev, 64);
-        resolve_crash_world(&mut dev, &durable, &staged_model, case);
+        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
+        let what = format!("family 11 case {case}");
+        run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
     }
+    assert!(
+        seen.cuts_strict_prefix > 0
+            && seen.plain_on_staged > 0
+            && seen.conflicts > 0
+            && seen.overlapping_admits > 0,
+        "{seen:?}"
+    );
 }
 
 // --- family 12: demand-paged mapping cache vs the full-RAM reference ------------

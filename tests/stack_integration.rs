@@ -261,7 +261,6 @@ fn multi_database_crash_recovery() {
 /// runs a seeded background NAND fault process (program/erase failures,
 /// bit-flips, all at or above the 1e-3/op floor): the FTL's retry and
 /// bad-block machinery must keep every fault invisible to the SQL layer.
-#[cfg(feature = "verify")]
 #[test]
 fn full_stack_runs_green_under_shadow_oracle() {
     use std::cell::RefCell;

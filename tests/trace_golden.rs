@@ -1,6 +1,6 @@
-//! Golden event-stream test (`cargo test --features trace`): a fixed
-//! 3-transaction workload on the full X-FTL stack must serialize the
-//! exact JSONL event stream committed in `tests/golden/trace_3tx.jsonl`.
+//! Golden event-stream test: a fixed 3-transaction workload on the full
+//! X-FTL stack must serialize the exact JSONL event stream committed in
+//! `tests/golden/trace_3tx.jsonl`.
 //!
 //! Everything below the SQL layer runs on the simulated clock, so the
 //! stream is byte-for-byte reproducible; any unintended change to
@@ -9,10 +9,9 @@
 //! change:
 //!
 //! ```text
-//! XFTL_BLESS_GOLDEN=1 cargo test --features trace --test trace_golden
+//! XFTL_BLESS_GOLDEN=1 cargo test --test trace_golden
 //! ```
 
-#![cfg(feature = "trace")]
 // Test code: unwrap/expect on setup failure is the desired failure mode
 // (clippy.toml's allow-unwrap-in-tests covers #[test] fns only).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -35,9 +34,9 @@ fn run_workload() -> String {
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INT)")
         .expect("ddl");
     let telemetry = rig.telemetry();
-    // Only the three transactions belong in the golden stream; drop the
-    // format/mkfs/DDL prelude.
-    telemetry.clear_events();
+    // Only the three transactions belong in the golden stream: capture
+    // starts after the format/mkfs/DDL prelude.
+    telemetry.start_events();
     for i in 0..3i64 {
         db.execute("BEGIN").expect("begin");
         db.execute(&format!("INSERT INTO t VALUES ({i}, {})", i * 10))
@@ -74,7 +73,7 @@ fn three_tx_event_stream_matches_golden() {
     let want = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
         panic!(
             "cannot read {GOLDEN}: {e}\n\
-             bless it with: XFTL_BLESS_GOLDEN=1 cargo test --features trace --test trace_golden"
+             bless it with: XFTL_BLESS_GOLDEN=1 cargo test --test trace_golden"
         )
     });
     if got != want {
@@ -87,7 +86,7 @@ fn three_tx_event_stream_matches_golden() {
         panic!(
             "event stream diverges from {GOLDEN} at line {} \
              ({} got vs {} golden lines)\n got: {}\nwant: {}\n\
-             if the change is intended: XFTL_BLESS_GOLDEN=1 cargo test --features trace --test trace_golden",
+             if the change is intended: XFTL_BLESS_GOLDEN=1 cargo test --test trace_golden",
             line + 1,
             got.lines().count(),
             want.lines().count(),

@@ -1,7 +1,7 @@
-//! Commit-pipeline overlap proof (`cargo test --features trace`): the
-//! split-phase device API must let transaction N+1's data writes land
-//! while transaction N's commit is still in flight, and the group flush
-//! must retire both commits with one coalesced meta program.
+//! Commit-pipeline overlap proof: the split-phase device API must let
+//! transaction N+1's data writes land while transaction N's commit is
+//! still in flight, and the group flush must retire both commits with
+//! one coalesced meta program.
 //!
 //! The proof is read straight off the structured event stream: tx 1's
 //! in-flight window runs from its `commit_pipeline_depth` sample (the
@@ -9,7 +9,6 @@
 //! group flush). Every tx-2 `ftl_host_write` span must fall inside that
 //! window, and the two `tx_commit` spans must be the same flush.
 
-#![cfg(feature = "trace")]
 // Test code: unwrap/expect on setup failure is the desired failure mode
 // (clippy.toml's allow-unwrap-in-tests covers #[test] fns only).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -59,7 +58,7 @@ fn next_tx_writes_overlap_in_flight_commit() {
     for lpn in 0..4u64 {
         dev.write_tx(1, lpn, &vec![0x11; ps]).unwrap();
     }
-    telemetry.clear_events();
+    telemetry.start_events();
     let t1 = dev.commit_submit(1).unwrap();
     assert!(!t1.is_immediate(), "a real commit must stage");
 

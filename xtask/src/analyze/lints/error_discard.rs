@@ -34,7 +34,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
     let toks = &f.toks;
     let mut i = 0;
     while i < toks.len() {
-        if f.in_test(i) || f.inactive(i) {
+        if f.in_test(i) {
             i += 1;
             continue;
         }

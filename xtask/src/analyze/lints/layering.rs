@@ -41,7 +41,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
         let mut v = Vec::new();
         let mut i = 0;
         while i < f.toks.len() {
-            if f.toks[i].is_ident("use") && !f.inactive(i) {
+            if f.toks[i].is_ident("use") {
                 let end = f.item_end(i);
                 v.push((i, end));
                 i = end;
@@ -59,7 +59,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
     // Inline path expressions, skipping tokens inside use decls (those
     // were handled above).
     for i in 0..f.toks.len() {
-        if f.toks[i].kind != TokKind::Ident || !f.path_starts_at(i) || f.inactive(i) {
+        if f.toks[i].kind != TokKind::Ident || !f.path_starts_at(i) {
             continue;
         }
         if use_ranges.iter().any(|&(a, b)| a <= i && i < b) {

@@ -40,7 +40,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
         let Some((body_open, body_close)) = decl.body else {
             continue;
         };
-        if f.in_test(decl.fn_tok) || f.inactive(decl.fn_tok) {
+        if f.in_test(decl.fn_tok) {
             continue;
         }
         for call in super::call_sites(f, body_open + 1, body_close) {
@@ -50,7 +50,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
                     .qualifier
                     .as_ref()
                     .is_some_and(|q| reg.ticket_qualified.contains(&format!("{q}::{name}")));
-            if !is_ticket || f.in_test(call.ident) || f.inactive(call.ident) {
+            if !is_ticket || f.in_test(call.ident) {
                 continue;
             }
             check_site(f, &call, body_close, out);

@@ -39,7 +39,7 @@ pub fn run(f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
     }
     let mut i = 0;
     while i < f.toks.len() {
-        if !f.toks[i].is_ident("match") || f.in_test(i) || f.inactive(i) {
+        if !f.toks[i].is_ident("match") || f.in_test(i) {
             i += 1;
             continue;
         }

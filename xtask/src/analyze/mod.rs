@@ -65,9 +65,6 @@ pub struct UsedWaiver {
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// Cargo features considered active for `#[cfg(feature = …)]`
-    /// gating. Defaults to all of them.
-    pub features: BTreeSet<String>,
     /// Lints to run (defaults to all).
     pub lints: Vec<&'static str>,
 }
@@ -75,10 +72,6 @@ pub struct Config {
 impl Default for Config {
     fn default() -> Self {
         Config {
-            features: ["verify", "trace"]
-                .iter()
-                .map(ToString::to_string)
-                .collect(),
             lints: lints::LINTS.to_vec(),
         }
     }
@@ -218,8 +211,6 @@ pub struct Analysis {
     pub lints_run: Vec<&'static str>,
     pub violations: Vec<Violation>,
     pub waivers_used: Vec<UsedWaiver>,
-    /// Label for the feature set analysed under (for the report meta).
-    pub features: Vec<String>,
 }
 
 impl Analysis {
@@ -248,8 +239,6 @@ impl Analysis {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n  \"tool\": \"xftl-analyze\",\n  \"schema\": 1,\n");
-        let feats: Vec<String> = self.features.iter().map(|f| json_str(f)).collect();
-        let _ = writeln!(s, "  \"features\": [{}],", feats.join(", "));
         let lints: Vec<String> = self.lints_run.iter().map(|l| json_str(l)).collect();
         let _ = writeln!(s, "  \"lints_run\": [{}],", lints.join(", "));
         let _ = writeln!(
@@ -318,7 +307,7 @@ pub const NO_WAIVER_REGION: &str = "crates/trace";
 pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
     let files: Vec<SourceFile> = sources
         .iter()
-        .map(|(p, src)| SourceFile::parse(p, src, &cfg.features))
+        .map(|(p, src)| SourceFile::parse(p, src))
         .collect();
     let reg = build_registry(&files);
 
@@ -403,7 +392,6 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Analysis {
         lints_run: cfg.lints.clone(),
         violations,
         waivers_used,
-        features: cfg.features.iter().cloned().collect(),
     }
 }
 
@@ -479,10 +467,7 @@ pub fn selftest(root: &Path) -> Vec<String> {
             };
             let vpath = fixture_virtual_path(&src)
                 .unwrap_or_else(|| "crates/fixture/src/lib.rs".to_string());
-            let cfg = Config {
-                lints: vec![lint],
-                ..Config::default()
-            };
+            let cfg = Config { lints: vec![lint] };
             let analysis = analyze_sources(&[(vpath, src)], &cfg);
             let fired = analysis.violations.iter().any(|v| v.lint == lint);
             if expect_fire && !fired {

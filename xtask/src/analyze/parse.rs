@@ -6,10 +6,8 @@
 //! code", "this fn returns `Result<_, DevError>`", "these are the arms
 //! of that `match`" — and those are all derivable from a paired token
 //! stream plus a few local scans. Where the heuristics cut a corner the
-//! cut is *conservative for the code we lint* (an unrecognised `cfg`
-//! predicate counts as active, an unparseable pattern is never flagged).
-
-use std::collections::BTreeSet;
+//! cut is *conservative for the code we lint* (a `cfg` predicate other
+//! than `test` counts as active, an unparseable pattern is never flagged).
 
 use super::lexer::{lex, Tok, TokKind, WaiverDecl};
 
@@ -27,18 +25,14 @@ pub struct SourceFile {
     /// Token-index ranges (half-open) that are test-only code:
     /// `#[cfg(test)]` items and `#[test]` fns.
     pub test_ranges: Vec<(usize, usize)>,
-    /// Token-index ranges disabled by the active feature set
-    /// (`#[cfg(feature = "x")]` with `x` not enabled, or
-    /// `#[cfg(not(feature = "x"))]` with `x` enabled).
-    pub inactive_ranges: Vec<(usize, usize)>,
     /// Names from `#[cfg(test)] mod <name>;` declarations: the named
     /// sibling files are test-only in their entirety.
     pub test_mod_decls: Vec<String>,
 }
 
 impl SourceFile {
-    /// Lex and annotate one source file under the given feature set.
-    pub fn parse(path: &str, src: &str, features: &BTreeSet<String>) -> SourceFile {
+    /// Lex and annotate one source file.
+    pub fn parse(path: &str, src: &str) -> SourceFile {
         let (toks, waivers) = lex(src);
         let pair = pair_delims(&toks);
         let mut f = SourceFile {
@@ -47,10 +41,9 @@ impl SourceFile {
             pair,
             waivers,
             test_ranges: Vec::new(),
-            inactive_ranges: Vec::new(),
             test_mod_decls: Vec::new(),
         };
-        f.scan_cfg(features);
+        f.scan_cfg();
         f
     }
 
@@ -68,16 +61,6 @@ impl SourceFile {
     /// True when token `i` is inside test-only code.
     pub fn in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(a, b)| a <= i && i < b)
-    }
-
-    /// True when token `i` is disabled under the active feature set.
-    pub fn inactive(&self, i: usize) -> bool {
-        self.inactive_ranges.iter().any(|&(a, b)| a <= i && i < b)
-    }
-
-    /// True when a lint should skip token `i` entirely.
-    pub fn skip(&self, i: usize) -> bool {
-        self.inactive(i)
     }
 
     /// End (exclusive) of the item/statement whose first token after
@@ -107,9 +90,9 @@ impl SourceFile {
         self.toks.len()
     }
 
-    /// Walks every `#[...]` attribute, recording test / inactive ranges
-    /// and `#[cfg(test)] mod name;` declarations.
-    fn scan_cfg(&mut self, features: &BTreeSet<String>) {
+    /// Walks every `#[...]` attribute, recording test ranges and
+    /// `#[cfg(test)] mod name;` declarations.
+    fn scan_cfg(&mut self) {
         let mut i = 0;
         while i < self.toks.len() {
             if !self.toks[i].is_punct("#") {
@@ -131,7 +114,7 @@ impl SourceFile {
             }
             let close = self.pair[j];
             let inner = &self.toks[j + 1..close];
-            let verdict = classify_attr(inner, features);
+            let is_test = is_test_attr(inner);
             // The attributed item starts after this attribute and any
             // further consecutive attributes.
             let mut item = close + 1;
@@ -143,38 +126,30 @@ impl SourceFile {
             {
                 item = self.pair[item + 1] + 1;
             }
-            match verdict {
-                AttrVerdict::Test => {
-                    let end = self.item_end(item);
-                    // `#[cfg(test)] mod name;` pulls a sibling file in.
-                    if self.toks.get(item).is_some_and(|t| t.is_ident("mod"))
-                        && self.toks.get(item + 2).is_some_and(|t| t.is_punct(";"))
-                    {
-                        if let Some(name) = self.toks.get(item + 1) {
-                            self.test_mod_decls.push(name.text.clone());
-                        }
+            if is_test {
+                let end = self.item_end(item);
+                // `#[cfg(test)] mod name;` pulls a sibling file in.
+                if self.toks.get(item).is_some_and(|t| t.is_ident("mod"))
+                    && self.toks.get(item + 2).is_some_and(|t| t.is_punct(";"))
+                {
+                    if let Some(name) = self.toks.get(item + 1) {
+                        self.test_mod_decls.push(name.text.clone());
                     }
-                    self.test_ranges.push((item, end));
                 }
-                AttrVerdict::Inactive => {
-                    let end = self.item_end(item);
-                    self.inactive_ranges.push((item, end));
-                }
-                AttrVerdict::Plain => {}
+                self.test_ranges.push((item, end));
             }
             i = close + 1;
         }
     }
 
-    /// Flattens every `use` declaration outside inactive code into
-    /// absolute path strings: `use a::b::{c, d::e as f};` yields
+    /// Flattens every `use` declaration into absolute path strings: `use a::b::{c, d::e as f};` yields
     /// `a::b::c` and `a::b::d::e`, each tagged with the line of the
     /// `use` keyword.
     pub fn use_paths(&self) -> Vec<(String, u32, usize)> {
         let mut out = Vec::new();
         let mut i = 0;
         while i < self.toks.len() {
-            if self.toks[i].is_ident("use") && !self.inactive(i) {
+            if self.toks[i].is_ident("use") {
                 let end = self.item_end(i);
                 let line = self.toks[i].line;
                 flatten_use(self, i + 1, end, String::new(), line, i, &mut out);
@@ -212,36 +187,13 @@ impl SourceFile {
     }
 }
 
-enum AttrVerdict {
-    /// `#[cfg(test)]` or `#[test]`.
-    Test,
-    /// `#[cfg(feature = "x")]` with `x` disabled, or the `not(...)` dual.
-    Inactive,
-    Plain,
-}
-
-fn classify_attr(inner: &[Tok], features: &BTreeSet<String>) -> AttrVerdict {
-    if inner.len() == 1 && inner[0].is_ident("test") {
-        return AttrVerdict::Test;
+/// `#[test]`, or a `#[cfg(...)]` naming `test`.
+fn is_test_attr(inner: &[Tok]) -> bool {
+    match inner {
+        [only] => only.is_ident("test"),
+        [first, rest @ ..] => first.is_ident("cfg") && rest.iter().any(|t| t.text == "test"),
+        [] => false,
     }
-    if inner.first().is_some_and(|t| t.is_ident("cfg")) {
-        let texts: Vec<&str> = inner.iter().map(|t| t.text.as_str()).collect();
-        if texts.contains(&"test") {
-            return AttrVerdict::Test;
-        }
-        // cfg ( feature = "x" )  /  cfg ( not ( feature = "x" ) )
-        let negated = texts.get(2).is_some_and(|&t| t == "not");
-        if let Some(fi) = texts.iter().position(|&t| t == "feature") {
-            if let Some(name_tok) = inner.get(fi + 2) {
-                let name = name_tok.text.trim_matches('"');
-                let enabled = features.contains(name);
-                if enabled == negated {
-                    return AttrVerdict::Inactive;
-                }
-            }
-        }
-    }
-    AttrVerdict::Plain
 }
 
 /// Matches `(`/`)`, `[`/`]`, `{`/`}` into a pairing table.
@@ -627,7 +579,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> SourceFile {
-        SourceFile::parse("crates/demo/src/lib.rs", src, &BTreeSet::new())
+        SourceFile::parse("crates/demo/src/lib.rs", src)
     }
 
     #[test]
@@ -644,20 +596,6 @@ mod tests {
     fn cfg_test_mod_decl_is_recorded() {
         let f = parse("#[cfg(test)]\nmod fs_tests;\nfn live() {}");
         assert_eq!(f.test_mod_decls, vec!["fs_tests".to_string()]);
-    }
-
-    #[test]
-    fn feature_gating_follows_the_active_set() {
-        let mut feats = BTreeSet::new();
-        feats.insert("verify".to_string());
-        let src = "#[cfg(feature = \"verify\")] fn a() { on(); }\n#[cfg(feature = \"trace\")] fn b() { off(); }\n#[cfg(not(feature = \"verify\"))] fn c() { also_off(); }";
-        let f = SourceFile::parse("src/lib.rs", src, &feats);
-        let on = f.toks.iter().position(|t| t.is_ident("on")).unwrap();
-        let off = f.toks.iter().position(|t| t.is_ident("off")).unwrap();
-        let also = f.toks.iter().position(|t| t.is_ident("also_off")).unwrap();
-        assert!(!f.inactive(on));
-        assert!(f.inactive(off));
-        assert!(f.inactive(also));
     }
 
     #[test]

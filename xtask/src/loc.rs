@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use crate::analyze::parse::SourceFile;
-use crate::analyze::{build_registry, repo_sources, Config};
+use crate::analyze::{build_registry, repo_sources};
 
 /// Token-bearing lines of one file, split at the test boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,14 +38,11 @@ pub struct FileLoc {
     pub test: usize,
 }
 
-/// Counts a set of (virtual-path, source) pairs. Every cargo feature is
-/// considered active, so `#[cfg(feature = …)]` code is counted once
-/// whichever way it is gated.
+/// Counts a set of (virtual-path, source) pairs.
 pub fn loc_sources(sources: &[(String, String)]) -> Vec<FileLoc> {
-    let features = Config::default().features;
     let files: Vec<SourceFile> = sources
         .iter()
-        .map(|(p, src)| SourceFile::parse(p, src, &features))
+        .map(|(p, src)| SourceFile::parse(p, src))
         .collect();
     let reg = build_registry(&files);
     files

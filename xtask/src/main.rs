@@ -2,7 +2,7 @@
 //!
 //! Run with `cargo run -p xtask -- <command>`:
 //!
-//! - `analyze [--json PATH] [--features LIST] [--lints LIST]` — the
+//! - `analyze [--json PATH] [--lints LIST]` — the
 //!   `xftl-analyze` static analysis engine: AST-level domain lints over
 //!   the whole workspace with rustc-style span diagnostics, a JSON
 //!   findings report (default `ANALYZE_REPORT.json`), and a
@@ -60,16 +60,6 @@ fn run_analyze(args: &[String]) -> ExitCode {
             "--json" => {
                 if let Some(p) = args.get(i + 1) {
                     json_path = PathBuf::from(p);
-                    i += 1;
-                }
-            }
-            "--features" => {
-                if let Some(list) = args.get(i + 1) {
-                    cfg.features = list
-                        .split(',')
-                        .map(|s| s.trim().to_string())
-                        .filter(|s| !s.is_empty())
-                        .collect();
                     i += 1;
                 }
             }
@@ -179,7 +169,7 @@ fn main() -> ExitCode {
                 "usage: cargo run -p xtask -- <command>\n\
                  \n\
                  commands:\n\
-                 \x20 analyze [--json P] [--features L] [--lints L]  domain lint suite (JSON report + summary)\n\
+                 \x20 analyze [--json P] [--lints L]   domain lint suite (JSON report + summary)\n\
                  \x20 analyze --selftest               prove every lint live against the fixtures\n\
                  \x20 bench-check [fresh] [baseline] [--allow-new]\n\
                  \x20                                  compare bench reports; --allow-new downgrades\n\

@@ -2,7 +2,6 @@
 //! self-test over the seeded fixture corpus, the waiver policy, and the
 //! promise that the checked-in tree itself analyzes clean.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use xtask::analyze::{self, lints, Config};
@@ -16,7 +15,6 @@ fn repo_root() -> PathBuf {
 fn run_on(path: &str, src: &str, only: &[&'static str]) -> analyze::Analysis {
     let cfg = Config {
         lints: only.to_vec(),
-        ..Config::default()
     };
     analyze::analyze_sources(&[(path.to_string(), src.to_string())], &cfg)
 }
@@ -46,27 +44,6 @@ fn checked_in_tree_analyzes_clean() {
         msgs.join("\n")
     );
     assert!(analysis.files_scanned > 50, "scan missed most of the tree");
-}
-
-/// Both feature sets must analyze clean — `#[cfg(feature = ...)]`
-/// regions flip between them, so a violation can hide in either half.
-#[test]
-fn both_feature_sets_analyze_clean() {
-    for feats in [vec!["verify"], vec!["trace"]] {
-        let cfg = Config {
-            features: feats
-                .iter()
-                .map(ToString::to_string)
-                .collect::<BTreeSet<_>>(),
-            ..Config::default()
-        };
-        let analysis = analyze::analyze_repo(&repo_root(), &cfg);
-        assert!(
-            analysis.violations.is_empty(),
-            "violations under features {feats:?}: {:?}",
-            analysis.violations.first()
-        );
-    }
 }
 
 #[test]
