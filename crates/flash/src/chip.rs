@@ -113,7 +113,7 @@ pub struct Oob {
     pub kind: PageKind,
     /// FTL-specific auxiliary word (e.g. TxFlash's cyclic-commit link:
     /// position within the transaction plus the cycle-closing flag; the
-    /// GTD tag on Map pages; the image's page count on XL2p pages).
+    /// image's page count on XL2p pages).
     pub aux: u32,
 }
 

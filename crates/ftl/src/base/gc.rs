@@ -354,7 +354,6 @@ impl FtlBase {
             CollectKind::Scrub => OpClass::ScrubCopy,
             CollectKind::WearLevel => OpClass::WearLevelCopy,
         };
-        let mut meta_stale = false;
         // Set when a *committed* page that carries transactional cycle
         // metadata (TxFlash's aux link) is re-stamped: the remaining cycle
         // members lose their recovery evidence, so the L2P fold must be
@@ -388,27 +387,23 @@ impl FtlBase {
             }
             copied += 1;
             self.valid.mark_invalid(old);
-            meta_stale |= match oob.kind {
-                PageKind::Data => {
-                    if mapped_here {
-                        self.fold_mapping_retain(oob.lpn, dst)?;
-                    }
-                    false
+            // Only RAM chases a relocated translation or table-image
+            // page. No root names either: the copy carries its slab index
+            // (and a newer sequence), or its generation id, and the
+            // recovery scan finds it there.
+            match oob.kind {
+                PageKind::Data if mapped_here => {
+                    self.fold_mapping_retain(oob.lpn, dst)?;
                 }
-                // The checkpoint root must chase relocated map pages, or
-                // a crash would leave it pointing into an erased block.
                 PageKind::Map => self.map.relocated(&oob, old, dst),
-                // No root names a table-image page: the copy carries its
-                // generation id, and the recovery scan finds it there.
                 PageKind::XL2p => {
                     if let Some(slot) = self.xl2p_roots.iter_mut().find(|p| **p == old) {
                         *slot = dst;
                     }
-                    false
                 }
-                PageKind::Commit => false,
+                PageKind::Data | PageKind::Commit => {}
                 PageKind::Meta => unreachable!("meta blocks are never GC victims"),
-            };
+            }
             hook.relocated(&oob, old, dst);
         }
         if need_ckpt {
@@ -416,18 +411,16 @@ impl FtlBase {
             // crash after the erase must not depend on the (now broken)
             // cycle for recovery.
             self.checkpoint(hook)?;
-            meta_stale = false; // checkpoint wrote a fresh meta root
         }
         if self.valid.valid_in_block(victim) > 0 {
             // Budget spent with live pages left: the erase is a later
-            // step's. A relocated map page gets its root now, not then.
+            // step's.
             self.draining = Some((victim, copied));
-            if meta_stale {
-                self.write_meta()?;
-            }
             return Ok(());
         }
         let was = self.pool.state(victim);
+        // The root lists the bad blocks: stale once one is retired.
+        let mut meta_stale = false;
         // The erase is queued too; the chip's per-unit busy tracking
         // already orders it after the in-flight reads from this block.
         let reclaimed = match self.chip.erase_queued(victim, 0) {

@@ -1,30 +1,21 @@
 //! The mapping directory: the one place that knows where an L2P slab
 //! lives — in a cache frame ([`MappingCache`]), in a translation page on
-//! flash, or both — and, in paged mode, where the GTD pages indexing
-//! those translation pages live. The demand-paging engine below (fetch
-//! on miss, CLOCK eviction, batched dirty flush) is the only code that
-//! moves a slab between the two.
+//! flash, or both. The demand-paging engine below (fetch on miss, CLOCK
+//! eviction, one translation-page program per dirty victim) is the only
+//! code that moves a slab between the two.
 
 use xftl_flash::{FlashChip, Oob, PageKind, Ppa};
 
 use super::pool::Stream;
-use super::{with_read_retries, FtlBase, MAP_FLUSH_BATCH};
+use super::{with_read_retries, FtlBase};
 use crate::cmt::MappingCache;
 use crate::dev::Lpn;
 use crate::error::Result;
-use crate::meta::{self, MetaPage};
-use crate::validity::ValidityMap;
+use crate::meta;
 
-/// GTD pages a directory of `slabs` slabs needs: none while the slab
-/// pointers (plus 8 slots the bad-block table can always count on) fit
-/// inline in the root page. Decided by geometry alone, so recovery
-/// recomputes it without trusting flash contents.
-pub(super) fn gtd_pages_for(slabs: usize, page_size: usize) -> usize {
-    if slabs + 8 > MetaPage::max_pointers(page_size) {
-        meta::gtd_page_count(slabs, page_size)
-    } else {
-        0
-    }
+/// Slabs an L2P of `logical_pages` entries splits into.
+pub(super) fn slab_count(logical_pages: u64, page_size: usize) -> usize {
+    (logical_pages as usize).div_ceil(meta::entries_per_slab(page_size))
 }
 
 #[derive(Debug)]
@@ -32,40 +23,25 @@ pub(super) struct MapDir {
     /// Residency and dirtiness of the demand-paged L2P (the CMT).
     cmt: MappingCache,
     /// Flash home of each persisted slab (`None` = never written: every
-    /// entry unmapped).
+    /// entry unmapped). RAM only: on flash a slab's home is the newest
+    /// intact `Map` page carrying its index, which the recovery scan
+    /// finds by itself.
     homes: Vec<Option<Ppa>>,
-    /// Paged-GTD mode: flash home of each GTD page (`None` until first
-    /// written) and which GTD pages have stale persisted copies. Both
-    /// empty in inline mode.
-    gtd_homes: Vec<Option<Ppa>>,
-    gtd_dirty: Vec<bool>,
-    page_size: usize,
 }
 
 impl MapDir {
-    /// Loads the directory a checkpoint root describes, and starts the
-    /// validity map with every page it reaches: the GTD pages (paged
-    /// mode), then every persisted translation page, streamed once (with
-    /// ECC retries — these pages are the mapping's only persisted copy)
-    /// into an unbounded cache; the wrapper re-applies its RAM budget
-    /// afterwards.
-    /// A root with no persisted slab (a fresh format) costs no flash
+    /// Loads the directory whose slabs live at `homes`: every persisted
+    /// translation page, streamed once (with ECC retries — these pages
+    /// are the mapping's only persisted copy) into an unbounded cache;
+    /// the wrapper re-applies its RAM budget afterwards.
+    /// A directory with no persisted slab (a fresh format) costs no flash
     /// read and leaves every slab resident as the clean all-unmapped
     /// frame: eviction just drops it, and a demand fetch with no home
     /// reinstalls the same frame.
-    pub(super) fn load(chip: &mut FlashChip, root: &MetaPage) -> Result<(MapDir, ValidityMap)> {
+    pub(super) fn load(chip: &mut FlashChip, homes: Vec<Option<Ppa>>) -> Result<MapDir> {
         let geo = chip.config().geometry;
-        let mut valid = ValidityMap::new(geo.blocks, geo.pages_per_block);
         let eps = meta::entries_per_slab(geo.page_size);
         let mut buf = vec![0u8; geo.page_size];
-        let mut homes = root.map_locs.clone();
-        let mut gtd_homes = vec![None; gtd_pages_for(homes.len(), geo.page_size)];
-        for (g, loc) in root.gtd_locs.iter().enumerate().take(gtd_homes.len()) {
-            with_read_retries(|| chip.read(*loc, &mut buf)).0?;
-            meta::decode_gtd_page(&mut homes, g, &buf, geo.pages_per_block);
-            valid.mark_valid(*loc);
-            gtd_homes[g] = Some(*loc);
-        }
         let mut cmt = MappingCache::new(homes.len(), eps, None);
         for (slab, home) in homes.iter().enumerate() {
             let Some(ppa) = home else {
@@ -74,22 +50,9 @@ impl MapDir {
             };
             with_read_retries(|| chip.read(*ppa, &mut buf)).0?;
             let entries = meta::decode_slab_entries(&buf, geo.pages_per_block);
-            for e in entries.iter().flatten() {
-                valid.mark_valid(*e);
-            }
             cmt.install(slab, entries, false);
-            valid.mark_valid(*ppa);
         }
-        let dir = MapDir {
-            cmt,
-            // A GTD page the root does not list is (re-)created at the
-            // next meta write.
-            gtd_dirty: gtd_homes.iter().map(Option::is_none).collect(),
-            gtd_homes,
-            homes,
-            page_size: geo.page_size,
-        };
-        Ok((dir, valid))
+        Ok(MapDir { cmt, homes })
     }
 
     /// The residency bookkeeping, read-only.
@@ -97,44 +60,21 @@ impl MapDir {
         &self.cmt
     }
 
-    /// Flash pages the directory itself occupies when fully persisted:
-    /// one per slab plus the GTD pages.
-    pub(super) fn directory_pages(&self) -> usize {
-        self.homes.len() + self.gtd_homes.len()
+    /// Flash home of every slab, by slab index.
+    pub(super) fn homes(&self) -> &[Option<Ppa>] {
+        &self.homes
     }
 
-    /// The pointers a checkpoint root carries: every slab home, and the
-    /// GTD page homes (empty in inline mode, where the root stores the
-    /// slab homes themselves).
-    pub(super) fn root_pointers(&self) -> (Vec<Option<Ppa>>, Vec<Ppa>) {
-        let gtd: Vec<Ppa> = self.gtd_homes.iter().copied().flatten().collect();
-        debug_assert_eq!(gtd.len(), self.gtd_homes.len());
-        (self.homes.clone(), gtd)
-    }
-
-    /// Re-points slab `slab` at its new translation page, returning the
-    /// superseded one. The covering GTD page goes stale with it.
-    fn repoint(&mut self, slab: usize, dst: Ppa) -> Option<Ppa> {
-        if !self.gtd_homes.is_empty() {
-            self.gtd_dirty[meta::gtd_page_of(slab, self.page_size)] = true;
+    /// GC moved the translation page of slab `oob.lpn` from `old` to
+    /// `dst`: the directory follows it if it still pointed at `old`. No
+    /// root has to — the copy carries the slab index and a newer program
+    /// sequence than the original.
+    pub(super) fn relocated(&mut self, oob: &Oob, old: Ppa, dst: Ppa) {
+        if let Some(home) = self.homes.get_mut(oob.lpn as usize) {
+            if *home == Some(old) {
+                *home = Some(dst);
+            }
         }
-        self.homes[slab].replace(dst)
-    }
-
-    /// GC moved a `Map`-kind page from `old` to `dst`: chases it if the
-    /// directory (or, for a GTD page, the root) still points at `old`.
-    /// Returns whether the persisted root is now stale.
-    pub(super) fn relocated(&mut self, oob: &Oob, old: Ppa, dst: Ppa) -> bool {
-        let idx = oob.lpn as usize;
-        let gtd = oob.aux == meta::GTD_AUX;
-        let homes = if gtd { &self.gtd_homes } else { &self.homes };
-        let hit = homes.get(idx) == Some(&Some(old));
-        if hit && gtd {
-            self.gtd_homes[idx] = Some(dst);
-        } else if hit {
-            self.repoint(idx, dst);
-        }
-        hit
     }
 }
 
@@ -172,6 +112,20 @@ impl FtlBase {
             .get((lpn as usize) % cmt.entries_per_slab())
             .copied()
             .flatten()
+    }
+
+    /// Marks valid every page the tables reference: each slab's home,
+    /// every entry of the resident slabs — all of them while a recovery
+    /// runs, which is when validity is rebuilt — and the live table image.
+    pub(super) fn mark_referenced_valid(&mut self) {
+        let slabs = 0..self.map.homes.len();
+        let entries = slabs
+            .filter_map(|slab| self.map.cmt.entries(slab))
+            .flatten();
+        let homes = self.map.homes.iter();
+        for ppa in entries.chain(homes).flatten().chain(&self.xl2p_roots) {
+            self.valid.mark_valid(*ppa);
+        }
     }
 
     /// Bounds the mapping cache to `budget` resident slabs (`None` =
@@ -262,17 +216,19 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Evicts one CLOCK victim. A dirty victim first triggers a batched
-    /// flush (which also cleans other dirty slabs riding along), so the
-    /// dropped frame never holds the only copy of a mapping. Returns
-    /// `false` when nothing is resident.
+    /// Evicts one CLOCK victim. A dirty victim is written to a fresh
+    /// translation page first — one queued program, and nothing else: no
+    /// other slab rides along, no drain, no root — so the dropped frame
+    /// never holds the only copy of a mapping. Returns `false` when
+    /// nothing is resident.
     fn evict_one(&mut self) -> Result<bool> {
         let Some(victim) = self.map.cmt.pick_victim() else {
             return Ok(false);
         };
         if self.map.cmt.is_dirty(victim) {
-            self.flush_dirty_batch(victim)?;
+            self.write_slab(victim)?;
             self.stats.map_evictions_dirty += 1;
+            self.stats.map_flush_batches += 1;
         } else {
             self.stats.map_evictions_clean += 1;
         }
@@ -281,81 +237,37 @@ impl FtlBase {
         Ok(true)
     }
 
-    /// Writes `victim` plus up to [`MAP_FLUSH_BATCH`] − 1 more dirty
-    /// resident slabs to fresh translation pages, then persists the
-    /// refreshed directory with a *single* checkpoint-root program. The
-    /// root deliberately keeps the current `ckpt_seq`: replaying
-    /// post-checkpoint events over newer slab content is idempotent
-    /// (folds are last-writer-wins in sequence order), so an eviction
-    /// flush is crash-safe without a full checkpoint. The bounded batch
-    /// keeps pool consumption per host write small and the next host
-    /// write's `maybe_gc` restores the low-water mark.
-    fn flush_dirty_batch(&mut self, victim: usize) -> Result<()> {
-        self.write_slab(victim)?;
-        let others = self.map.cmt.dirty_slabs();
-        for slab in others.into_iter().take(MAP_FLUSH_BATCH - 1) {
-            self.write_slab(slab)?;
-        }
-        self.stats.map_flush_batches += 1;
-        self.write_meta()
-    }
-
     /// The one writer of translation slabs: encodes resident slab `slab`,
     /// programs it to a fresh translation page, re-points the directory
     /// at it and marks the frame clean. Nothing between the encode and
     /// the mark may change a mapping, or the flash copy would be stale
     /// while the frame claims to match it — so the program bypasses GC
     /// (it may also run *inside* GC); callers keep the pool fed between
-    /// slabs. Queued; `write_meta`'s drain is the durability barrier.
+    /// slabs.
+    ///
+    /// The page is its own pointer: its OOB carries the slab index, and
+    /// the recovery scan takes the newest intact one per index. It keeps
+    /// the current `ckpt_seq` — replaying post-checkpoint events over
+    /// newer slab content is idempotent (folds are last-writer-wins in
+    /// sequence order) — so it must only never be durable *before* a page
+    /// it maps: queued, its cell program ordered behind every program
+    /// issued so far.
     pub(super) fn write_slab(&mut self, slab: usize) -> Result<()> {
         let Some(entries) = self.map.cmt.entries(slab) else {
             return Ok(());
         };
         let buf = meta::encode_slab_entries(entries, self.page_size(), self.pages_per_block());
-        let dst = self.program_map_page(slab as u64, 0, &buf)?;
+        let oob = Oob {
+            kind: PageKind::Map,
+            ..Oob::data(slab as Lpn)
+        };
+        let after = self.chip.idle_at();
+        let (dst, _) = self.program_at_frontier(oob, Stream::Map, &buf, 0, after, false)?;
         self.stats.map_writes += 1;
-        if let Some(old) = self.map.repoint(slab, dst) {
+        if let Some(old) = self.map.homes[slab].replace(dst) {
             self.valid.mark_invalid(old);
         }
         self.map.cmt.mark_clean(slab);
         Ok(())
-    }
-
-    /// Paged mode: re-programs every stale GTD page, so that root → GTD
-    /// → translation pages are all consistent on flash before the root
-    /// is written, then drains — the GTD pages themselves must land
-    /// before the root that points at them. No-op in inline mode.
-    pub(super) fn flush_gtd(&mut self) -> Result<()> {
-        for g in 0..self.map.gtd_homes.len() {
-            if !self.map.gtd_dirty[g] && self.map.gtd_homes[g].is_some() {
-                continue;
-            }
-            let buf =
-                meta::encode_gtd_page(&self.map.homes, g, self.page_size(), self.pages_per_block());
-            let dst = self.program_map_page(g as u64, meta::GTD_AUX, &buf)?;
-            self.stats.gtd_writes += 1;
-            if let Some(old) = self.map.gtd_homes[g].replace(dst) {
-                self.valid.mark_invalid(old);
-            }
-            self.map.gtd_dirty[g] = false;
-        }
-        if !self.map.gtd_homes.is_empty() {
-            self.chip.drain();
-        }
-        Ok(())
-    }
-
-    /// Programs one `Map`-kind page into the mapping frontier WITHOUT
-    /// running GC first — the slab and GTD write path, which must work
-    /// from inside GC itself. Queued.
-    fn program_map_page(&mut self, lpn: Lpn, aux: u32, buf: &[u8]) -> Result<Ppa> {
-        let oob = Oob {
-            kind: PageKind::Map,
-            aux,
-            ..Oob::data(lpn)
-        };
-        Ok(self
-            .program_at_frontier(oob, Stream::Map, buf, 0, 0, false)?
-            .0)
     }
 }

@@ -17,9 +17,9 @@
 //! |---|---|---|
 //! | `mod.rs` | [`FtlBase`] | page I/O (the one program path, reads with ECC retry), mapping folds, the meta ring and checkpoints, the X-L2P table image, device health; orchestrates the rest |
 //! | `pool.rs` | `Pool` | every flash block is in exactly one state (`Meta`, `Free`, `Open`, `Closed`, `Bad`); allocation, frontiers, the free list and the FIFO queue agree with it |
-//! | `map.rs` | `MapDir` | every L2P slab has one home (cache frame, translation page, or both) and non-resident slabs are clean; demand fetch, eviction and the slab/GTD writers live here |
+//! | `map.rs` | `MapDir` | every L2P slab has one home (cache frame, translation page, or both) and non-resident slabs are clean; demand fetch, eviction and the one slab writer live here |
 //! | `gc.rs` | — | when to reclaim, which closed block, and the relocate-chase-erase loop shared by GC, scrub and wear leveling |
-//! | `recover.rs` | — | newest root → directory → OOB scan (census, events, the live table image) → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
+//! | `recover.rs` | — | newest root → one OOB scan (census, events, every slab's home, the live table image) → directory → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
 //!
 //! `Pool` and `MapDir` keep their fields private: the collector, recovery
 //! and this file reach blocks and slabs only through their methods.
@@ -30,41 +30,47 @@
 //!
 //! ## Persistence model
 //!
-//! Block 0 is a reserved *meta ring*: checkpoint-root pages are appended to
-//! it and the newest valid one wins at recovery (the paper assumes the
-//! meta-block pointer update is atomic; appending versioned root pages is
-//! the standard way firmware realizes that assumption). A checkpoint writes
-//! every dirty L2P slab into the normal log frontier (kind = `Map`) and
-//! then a fresh meta page. Crash recovery loads the newest checkpoint and
-//! rolls the L2P forward by replaying data pages whose OOB sequence number
-//! exceeds the checkpoint's, in sequence order — transactional pages
-//! (OOB `tid != 0`) are *not* replayed here; the X-FTL layer resolves them
-//! through the persisted X-L2P table image, which no root points at: its
-//! pages (`PageKind::XL2p`) carry a generation id, their index and the
-//! page count in the OOB, and the same scan finds the newest complete
-//! generation the checkpoint does not already cover.
+//! Blocks 0 and 1 are a reserved *meta ring*: checkpoint-root pages are
+//! appended to it and the newest valid one wins at recovery (the paper
+//! assumes the meta-block pointer update is atomic; appending versioned
+//! root pages is the standard way firmware realizes that assumption). A
+//! checkpoint writes every dirty L2P slab into the normal log frontier
+//! (kind = `Map`) and then a fresh meta page. The root carries the
+//! checkpoint sequence number, the transaction horizon, the bad-block
+//! table and the device-health state — and names **no page of the pool**.
+//! *A page the recovery scan sees anyway needs no pointer*, and the scan
+//! probes the OOB of every pool page (the block census needs it):
+//!
+//! * a translation page says `kind = Map`, `lpn` = slab index and its
+//!   program sequence: the newest intact one of an index *is* that
+//!   slab's home (a GC copy is newer than its original and identical);
+//! * an X-L2P table-image page says `kind = XL2p`, its generation id, its
+//!   index and the page count: the newest complete generation the
+//!   checkpoint does not already cover is the live one.
+//!
+//! So no root, however old, can name a page GC has since erased, and
+//! neither an eviction nor a relocation has a root to write. Crash
+//! recovery loads the slabs the scan found and rolls the L2P forward by
+//! replaying data pages whose OOB sequence number exceeds the
+//! checkpoint's, in sequence order — over a slab written since that
+//! checkpoint the replay is idempotent (folds are last-writer-wins).
+//! Transactional pages (OOB `tid != 0`) are *not* replayed here; the
+//! X-FTL layer resolves them through the table image.
 //!
 //! ## Demand-paged mapping
 //!
-//! The L2P table itself is no longer pinned in RAM. It is split into
+//! The L2P table itself is not pinned in RAM. It is split into
 //! page-sized *slabs*; the authoritative copy of each slab is its
-//! translation page on flash (`PageKind::Map`, OOB `lpn` = slab index),
-//! and a [`MappingCache`] keeps a bounded set of hot slabs resident with
-//! CLOCK eviction. A lookup that misses demand-fetches the slab (a charged
-//! flash read — translation traffic is a first-class cost, exactly the
-//! DFTL trade); evicting a dirty slab batches up to
-//! [`MAP_FLUSH_BATCH`] dirty frames into translation-page programs under
-//! a *single* checkpoint-root write. That root reuses the old `ckpt_seq`:
-//! replaying post-checkpoint events over newer slab content is idempotent
-//! (folds are last-writer-wins in sequence order), so an eviction flush
-//! needs no full checkpoint to be crash-safe.
-//!
-//! Small devices keep every slab pointer inline in the root page; once
-//! the pointer table outgrows it, the root switches to a paged *global
-//! translation directory* (GTD): root → GTD pages (`PageKind::Map` with
-//! OOB `aux` = [`meta::GTD_AUX`], `lpn` = GTD page index) → translation
-//! pages. Formats choose the mode from geometry alone, so recovery can
-//! recompute it without trusting flash contents.
+//! translation page on flash, and a [`MappingCache`] keeps a bounded set
+//! of hot slabs resident with CLOCK eviction. A lookup that misses
+//! demand-fetches the slab (a charged flash read — translation traffic is
+//! a first-class cost, exactly the DFTL trade); evicting a dirty slab is
+//! one queued translation-page program (`write_slab`) and nothing else.
+//! What that program must not do is become durable before a data page it
+//! maps, so its cell program is ordered behind everything issued so far
+//! (`cells_after`; free on one flash unit) — an order, not a wait. Where
+//! each slab lives on flash (`MapDir::homes`) is RAM state of one pointer
+//! a slab, rebuilt by every recovery scan.
 
 mod gc;
 mod map;
@@ -74,13 +80,13 @@ mod recover;
 use xftl_flash::{FlashChip, FlashError, Nanos, Oob, PageKind, Ppa, SimClock};
 use xftl_trace::{HeatSketch, OpClass, Recorder, Telemetry};
 
-use self::map::MapDir;
+use self::map::{slab_count, MapDir};
 use self::pool::{BlockState, Pool, Stream, FIRST_POOL_BLOCK};
 use crate::cmt::MappingCache;
 use crate::dev::{DevCounters, Lpn, Tid};
 use crate::error::{DevError, Result};
 use crate::health::{DeviceState, ScrubConfig, ScrubReason};
-use crate::meta::{self, MetaPage};
+use crate::meta::MetaPage;
 use crate::stats::FtlStats;
 use crate::validity::ValidityMap;
 
@@ -106,12 +112,6 @@ const PROGRAM_RETRY_LIMIT: usize = 8;
 /// re-read usually decodes; a persistently dead page still fails after
 /// the retries.
 const READ_RETRY_LIMIT: u64 = 4;
-
-/// Maximum dirty mapping slabs coalesced into one eviction flush. Each
-/// flush pays one checkpoint-root program regardless of how many
-/// translation pages ride along, so batching amortizes the root cost;
-/// the bound keeps a single host write's worst-case latency predictable.
-pub const MAP_FLUSH_BATCH: usize = 8;
 
 /// Write-heat counter slots for hot/cold separation (a one-row sketch;
 /// see [`xftl_trace::HeatSketch`]). Fixed, so RAM stays bounded at any
@@ -141,14 +141,12 @@ fn with_read_retries<T>(
 }
 
 /// The checkpoint root of a device nothing was ever written to: nothing
-/// persisted, no bad blocks known, every slab unmapped.
-fn never_written_root(logical_pages: u64, slabs: usize) -> MetaPage {
+/// persisted, no bad blocks known.
+fn never_written_root(logical_pages: u64) -> MetaPage {
     MetaPage {
         logical_pages,
         ckpt_seq: 0,
         tx_horizon: 0,
-        map_locs: vec![None; slabs],
-        gtd_locs: Vec::new(),
         bad_blocks: Vec::new(),
         device_state: DeviceState::Healthy,
     }
@@ -325,54 +323,52 @@ impl FtlBase {
     /// (a configuration error, not a runtime condition).
     pub fn format(mut chip: FlashChip, logical_pages: u64) -> Result<FtlBase> {
         let geo = chip.config().geometry;
-        let slabs = (logical_pages as usize).div_ceil(meta::entries_per_slab(geo.page_size));
-        let gtd_pages = map::gtd_pages_for(slabs, geo.page_size);
-        // In paged-GTD mode only the (much smaller) GTD pointer table
-        // must fit the root; inline mode fits by definition.
-        assert!(
-            gtd_pages + 8 <= MetaPage::max_pointers(geo.page_size),
-            "mapping directory needs {gtd_pages}/{slabs} pointers; one meta page indexes at \
-             most {}",
-            MetaPage::max_pointers(geo.page_size)
-        );
+        let slabs = slab_count(logical_pages, geo.page_size);
         let data_blocks = geo.blocks.saturating_sub(META_BLOCKS.len());
-        let needed_blocks = (logical_pages as usize + slabs + gtd_pages)
-            .div_ceil(geo.pages_per_block)
-            + MIN_SPARE_BLOCKS;
+        let needed_blocks =
+            (logical_pages as usize + slabs).div_ceil(geo.pages_per_block) + MIN_SPARE_BLOCKS;
         assert!(
             data_blocks >= needed_blocks,
             "geometry too small: {data_blocks} data blocks < {needed_blocks} required \
              for {logical_pages} logical pages"
         );
-        // A formatted chip starts erased except for the initial meta page.
-        for mb in META_BLOCKS {
-            if chip.write_point(mb) != Some(0) {
-                chip.erase(mb)?;
+        // A formatted chip starts erased except for the initial meta
+        // page: whatever a previous life left in the pool — a translation
+        // page above all — the next recovery scan would adopt. A block
+        // that fails its erase is retired by the chip and stays out of
+        // the pool below; a fresh chip pays no erase.
+        for b in 0..geo.blocks as u32 {
+            if chip.write_point(b) != Some(0) {
+                match chip.erase(b) {
+                    Err(FlashError::EraseFailed(_)) if b >= FIRST_POOL_BLOCK => {}
+                    r => r?,
+                }
             }
         }
         // Built from the root a recovery would find on a device that was
         // never written, exactly as recovery builds it.
-        let root = never_written_root(logical_pages, slabs);
-        let (map, valid) = MapDir::load(&mut chip, &root)?;
+        let root = never_written_root(logical_pages);
+        let map = MapDir::load(&mut chip, vec![None; slabs])?;
         let census = vec![BlockState::Free; geo.blocks];
-        let mut base = FtlBase::assemble(chip, root, 0, map, valid, census);
+        let mut base = FtlBase::assemble(chip, root, 0, map, census);
         base.write_meta()?;
         base.ckpt_seq = base.chip.next_seq() - 1;
         Ok(base)
     }
 
     /// The one constructor: the engine a checkpoint root, the directory
-    /// loaded from it and a per-block census (`Free` or `Closed`)
-    /// describe. Blocks the root's bad-block table or the chip's own
-    /// health marks name are `Bad` whatever the census found — the union,
-    /// because a block retired after the last meta write is only in the
-    /// latter, and a re-formatted worn chip keeps its factory marks.
+    /// of the slabs the scan found and a per-block census (`Free` or
+    /// `Closed`) describe, every page still counted invalid (recovery
+    /// marks what the tables reference). Blocks the root's bad-block
+    /// table or the chip's own health marks name are `Bad` whatever the
+    /// census found — the union, because a block retired after the last
+    /// meta write is only in the latter, and a re-formatted worn chip
+    /// keeps its factory marks.
     fn assemble(
         chip: FlashChip,
         root: MetaPage,
         meta_cur: usize,
         map: MapDir,
-        valid: ValidityMap,
         mut census: Vec<BlockState>,
     ) -> FtlBase {
         let geo = chip.config().geometry;
@@ -386,7 +382,7 @@ impl FtlBase {
             pool: Pool::from_census(geo, census),
             map,
             xl2p_roots: Vec::new(),
-            valid,
+            valid: ValidityMap::new(geo.blocks, geo.pages_per_block),
             gc_policy: GcPolicy::Greedy,
             hot_cold: false,
             heat: HeatSketch::new(HEAT_SLOTS, HEAT_HALF_LIFE),
@@ -504,6 +500,12 @@ impl FtlBase {
         self.map.cache()
     }
 
+    /// Where the directory holds each slab's translation page, by slab
+    /// index (`None` = never written) — for the verify oracle's audits.
+    pub fn slab_homes(&self) -> &[Option<Ppa>] {
+        self.map.homes()
+    }
+
     /// Number of free (fully erased, pooled) blocks.
     pub fn free_block_count(&self) -> usize {
         self.pool.free_len() + self.pool.open_len()
@@ -604,7 +606,7 @@ impl FtlBase {
     /// the format-time sizing check re-evaluated against the current
     /// bad-block table.
     fn short_of_spares(&self) -> bool {
-        let needed = (self.logical_pages as usize + self.map.directory_pages())
+        let needed = (self.logical_pages as usize + self.map.homes().len())
             .div_ceil(self.pages_per_block())
             + MIN_SPARE_BLOCKS;
         let usable = self.chip.config().geometry.blocks - META_BLOCKS.len();
@@ -888,36 +890,25 @@ impl FtlBase {
 
     // --- persistence -------------------------------------------------------
 
-    /// Appends a fresh checkpoint-root page to the meta ring, after
-    /// whatever GTD pages it must point at.
+    /// Appends a fresh checkpoint-root page to the meta ring.
     fn write_meta(&mut self) -> Result<()> {
-        // Durability barrier: the root must not land before the pages it
-        // points at have finished on their channels.
+        // Durability barrier: the root must not land before the pages
+        // its `ckpt_seq` covers have finished on their channels.
         self.chip.drain();
-        self.flush_gtd()?;
-        let geo = self.chip.config().geometry;
-        let (map_locs, gtd_locs) = self.map.root_pointers();
-        // The bad-block list shares the meta page's pointer area with the
-        // slab/GTD pointers. The chip's own health marks are
-        // authoritative (recovery unions both), so if a dying drive ever
-        // accumulates more retirements than fit, truncating the persisted
-        // list is safe — unlike panicking in `MetaPage::encode`.
-        let inline_ptrs = if gtd_locs.is_empty() {
-            map_locs.len()
-        } else {
-            gtd_locs.len()
-        };
-        let bad_cap = MetaPage::max_pointers(geo.page_size).saturating_sub(inline_ptrs);
+        let page_size = self.page_size();
+        // The chip's own health marks are authoritative (recovery unions
+        // both), so if a dying drive ever accumulates more retirements
+        // than fit, truncating the persisted list is safe — unlike
+        // panicking in `MetaPage::encode`.
+        let bad_cap = MetaPage::max_bad_blocks(page_size);
         let page = MetaPage {
             logical_pages: self.logical_pages,
             ckpt_seq: self.ckpt_seq,
             tx_horizon: self.tx_horizon,
-            map_locs,
-            gtd_locs,
             bad_blocks: self.pool.bad_blocks().take(bad_cap).collect(),
             device_state: self.device_state,
         };
-        let buf = page.encode(geo.page_size, geo.pages_per_block);
+        let buf = page.encode(page_size);
         let (block, wp) = match self.chip.write_point(META_BLOCKS[self.meta_cur]) {
             Some(wp) => (META_BLOCKS[self.meta_cur], wp),
             None => {
@@ -1188,12 +1179,12 @@ mod tests {
         let census = census_of(&f);
         assert_eq!(census[5], Some(BlockState::Bad));
         assert_eq!(census[4], Some(BlockState::Free));
-        let directory = f.map.root_pointers();
+        let directory = f.slab_homes().to_vec();
         let (free, resident) = (f.free_block_count(), f.map_cache().resident());
         let (g, log) = FtlBase::recover(f.into_chip()).unwrap();
         assert!(log.events.is_empty() && g.xl2p_roots().is_empty());
         assert_eq!(census_of(&g), census);
-        assert_eq!(g.map.root_pointers(), directory);
+        assert_eq!(g.slab_homes(), directory.as_slice());
         assert_eq!(
             (g.free_block_count(), g.map_cache().resident()),
             (free, resident)
@@ -1237,21 +1228,62 @@ mod tests {
         assert_eq!(out, a);
     }
 
+    /// Falling back to an older root is sound, not lucky: the root names
+    /// no page of the pool, so what was evicted, relocated and erased
+    /// since it was written cannot leave it pointing anywhere.
     #[test]
     fn recover_survives_torn_meta_write() {
-        let mut f = base(16, 32);
-        let a = page(&f, 1);
-        f.write_committed(3, &a, &mut NoHook).unwrap();
+        // 4 slabs behind a 2-slab cache, every page under a checkpoint:
+        // the older root.
+        let mut f = base(44, 64 * 4);
+        f.set_map_cache_budget(Some(2)).unwrap();
+        for lpn in 0..256u64 {
+            let data = vec![0x11; f.page_size()];
+            f.write_committed(lpn, &data, &mut NoHook).unwrap();
+        }
         f.checkpoint(&mut NoHook).unwrap();
-        // Tear the next meta write mid-program.
+        let older_root = f.ckpt_seq;
+        let erases = |f: &FtlBase, home: &Option<Ppa>| home.map(|p| f.chip.erase_count(p.block));
+        let homes_then: Vec<_> = f.slab_homes().iter().map(|h| (*h, erases(&f, h))).collect();
+        let at_root = *f.stats();
+        // Overwrites striding across three slabs, the fourth now and
+        // then: every one misses the cache, dirty victims are written
+        // out, and GC collects data and mapping blocks alike — a mapping
+        // block with the rare slab's page still live in it, and the
+        // translation pages the older root's checkpoint wrote.
+        let mut expect = vec![0x11u8; 256];
+        let mut i = 0u64;
+        while (*f.stats() - at_root).gc_map_runs < 4 || i < 200 {
+            let slab = if i % 16 == 15 { 3 } else { i % 3 };
+            let (lpn, fill) = (slab * 64 + (i / 3) % 50, (i % 199) as u8 + 0x30);
+            let data = vec![fill; f.page_size()];
+            f.write_committed(lpn, &data, &mut NoHook).unwrap();
+            expect[lpn as usize] = fill;
+            i += 1;
+            assert!(i < 5_000, "GC never collected a mapping block");
+        }
+        let since = *f.stats() - at_root;
+        assert!(since.map_evictions_dirty > 0);
+        assert!(
+            since.gc_copies > since.gc_valid_pages,
+            "a live translation page was relocated"
+        );
+        assert_eq!(since.meta_writes, 0, "nothing since has written a root");
+        assert!(
+            homes_then.iter().all(|(h, then)| erases(&f, h) > *then),
+            "every translation page of that checkpoint is erased by now"
+        );
+        // The next root is torn mid-program.
         f.chip_mut().arm_power_fuse(1);
-        let r = f.checkpoint(&mut NoHook);
-        assert!(r.is_err());
-        let chip = f.into_chip();
-        let (mut g, _) = FtlBase::recover(chip).unwrap();
+        assert!(f.write_meta().is_err());
+        let (mut g, log) = FtlBase::recover(f.into_chip()).unwrap();
+        assert_eq!(log.ckpt_seq, older_root);
+        g.finish_recovery(&log, Vec::new()).unwrap();
         let mut out = page(&g, 0);
-        g.read_committed(3, &mut out).unwrap();
-        assert_eq!(out, a);
+        for (lpn, fill) in expect.iter().enumerate() {
+            g.read_committed(lpn as u64, &mut out).unwrap();
+            assert_eq!(out[0], *fill, "lpn {lpn}");
+        }
     }
 
     #[test]
@@ -1718,10 +1750,8 @@ mod tests {
         assert!(s.map_cache_misses >= 11, "round-robin must thrash");
         assert!(s.map_evictions_dirty > 0, "dirty victims must flush");
         assert!(s.map_writes > 0, "translation pages must be programmed");
-        assert!(
-            s.map_flush_batches > 0,
-            "eviction flushes batch under one root"
-        );
+        assert_eq!(s.map_writes, s.map_evictions_dirty, "one program each");
+        assert_eq!(s.meta_writes, 1, "and no root but the format's");
         // Every mapping answers correctly through demand fetches.
         let mut out = page(&f, 0);
         for slab in 0..4u64 {
@@ -1734,24 +1764,59 @@ mod tests {
     }
 
     #[test]
-    fn paged_gtd_engages_and_survives_recovery() {
-        // 3_100 logical pages = 49 slabs at the tiny page size; 49 + 8
-        // exceeds one meta page's pointer capacity, so the directory goes
-        // to paged-GTD mode (the 64 GB-class presets land here too).
+    fn a_directory_of_any_size_is_found_by_the_scan() {
+        // 3_100 logical pages = 49 slabs at the tiny page size: more
+        // pointers than a root page could ever have listed (the 64
+        // GB-class presets have hundreds). The root lists none.
         let mut f = base(520, 3_100);
         let data = page(&f, 0x3D);
-        // Dirty a spread of slabs, then checkpoint: paged mode must
-        // program GTD pages (inline mode never touches that counter).
-        for lpn in (0..3_100u64).step_by(50) {
+        for lpn in (0..3_100u64).step_by(32) {
             f.write_committed(lpn, &data, &mut NoHook).unwrap();
         }
         f.checkpoint(&mut NoHook).unwrap();
-        assert!(f.stats().gtd_writes > 0, "directory did not page out");
-        let expected: Vec<_> = (0..3_100u64).step_by(50).map(|l| f.l2p_peek(l)).collect();
+        assert_eq!(f.slab_homes().iter().flatten().count(), 49);
+        let expected: Vec<_> = (0..3_100u64).step_by(32).map(|l| f.l2p_peek(l)).collect();
+        let homes = f.slab_homes().to_vec();
         let (g, _log) = FtlBase::recover(f.into_chip()).unwrap();
-        let recovered: Vec<_> = (0..3_100u64).step_by(50).map(|l| g.l2p_peek(l)).collect();
-        assert_eq!(expected, recovered, "paged GTD lost mappings");
+        assert_eq!(g.slab_homes(), homes.as_slice());
+        let recovered: Vec<_> = (0..3_100u64).step_by(32).map(|l| g.l2p_peek(l)).collect();
+        assert_eq!(expected, recovered, "the scan lost mappings");
         assert!(recovered.iter().all(Option::is_some));
+    }
+
+    /// With homes found by scan, whatever a previous life left in the
+    /// pool would be adopted by the next recovery: `format` erases it.
+    #[test]
+    fn format_over_a_used_chip_adopts_nothing() {
+        let mut f = base(16, 64);
+        f.set_map_cache_budget(Some(1)).unwrap();
+        for i in 0..40u64 {
+            let data = vec![i as u8 + 1; f.page_size()];
+            f.write_committed(i % 2 * 32 + i / 2, &data, &mut NoHook)
+                .unwrap();
+        }
+        f.checkpoint(&mut NoHook).unwrap();
+        // Left open on purpose: data after the checkpoint, too.
+        f.write_committed(5, &page(&f, 0xEE), &mut NoHook).unwrap();
+        assert!(f.slab_homes().iter().all(Option::is_some));
+        let erases = f.flash_stats().erases;
+        let g = FtlBase::format(f.into_chip(), 64).unwrap();
+        assert!(
+            g.flash_stats().erases > erases,
+            "the used blocks are erased"
+        );
+        assert_eq!(g.free_block_count(), 14, "and every pool block is free");
+        let (mut h, log) = FtlBase::recover(g.into_chip()).unwrap();
+        assert!(log.events.is_empty(), "no stale data page replays");
+        assert!(h.slab_homes().iter().all(Option::is_none), "no stale slab");
+        h.finish_recovery(&log, Vec::new()).unwrap();
+        let mut out = page(&h, 0xFF);
+        for lpn in 0..64u64 {
+            h.read_committed(lpn, &mut out).unwrap();
+            assert!(out.iter().all(|&b| b == 0), "lpn {lpn} is mapped");
+        }
+        // A fresh chip pays no erase.
+        assert_eq!(base(16, 64).flash_stats().erases, 0);
     }
 
     #[test]

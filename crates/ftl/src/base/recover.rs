@@ -1,15 +1,21 @@
 //! Power-loss recovery: find the newest checkpoint root, take the
-//! per-block census and the post-checkpoint events from one OOB scan,
-//! rebuild the engine from them exactly as `format` builds it, and —
-//! once the personality has decided what the events mean — replay and
-//! persist the result.
+//! per-block census, the post-checkpoint events and every slab's home
+//! from one OOB scan, rebuild the engine from them exactly as `format`
+//! builds it, and — once the personality has decided what the events
+//! mean — replay and persist the result.
+//!
+//! The root names no page of the pool. *A page the scan sees anyway
+//! needs no pointer*: a translation page says which slab it holds, and a
+//! table-image page which generation, in its own OOB, so the newest
+//! intact one is the live one and no root — however old — can name a
+//! page GC has since erased.
 
 use std::collections::BTreeMap;
 
 use xftl_flash::{FlashChip, PageKind, PageProbe, Ppa};
 use xftl_trace::{OpClass, Recorder};
 
-use super::map::MapDir;
+use super::map::{slab_count, MapDir};
 use super::pool::{BlockState, Class, FIRST_POOL_BLOCK};
 use super::{with_read_retries, FtlBase, NoHook, RecoveryLog, ScanEvent, META_BLOCKS};
 use crate::dev::Lpn;
@@ -34,7 +40,7 @@ fn newest_root(chip: &mut FlashChip) -> Result<(usize, MetaPage)> {
             if with_read_retries(|| chip.read(ppa, &mut buf)).0.is_err() {
                 continue;
             }
-            if let Some(m) = MetaPage::decode(&buf, geo.pages_per_block) {
+            if let Some(m) = MetaPage::decode(&buf) {
                 if newest.as_ref().is_none_or(|(s, _, _)| oob.seq > *s) {
                     newest = Some((oob.seq, idx, m));
                 }
@@ -45,14 +51,24 @@ fn newest_root(chip: &mut FlashChip) -> Result<(usize, MetaPage)> {
     Ok((meta_cur, root))
 }
 
-/// Scans the OOB of every pool block once: the block census (a block is
-/// free iff its first page is erased; what a written block holds is
-/// decided by its first intact page) and the roll-forward events, in
-/// ascending sequence order.
-fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64) -> Result<(Vec<BlockState>, Vec<ScanEvent>)> {
+/// What one pass over the OOB of every pool block finds.
+struct Scan {
+    /// A block is free iff its first page is erased; what a written block
+    /// holds is decided by its first intact page.
+    census: Vec<BlockState>,
+    /// The roll-forward events, in ascending sequence order.
+    events: Vec<ScanEvent>,
+    /// The home of each slab: the intact `Map` page of that index with
+    /// the highest program sequence (a GC copy outranks its original and
+    /// holds the same bytes).
+    homes: Vec<Option<Ppa>>,
+}
+
+fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64, slabs: usize) -> Result<Scan> {
     let geo = chip.config().geometry;
     let mut census = vec![BlockState::Free; geo.blocks];
     let mut events = Vec::new();
+    let mut homes: Vec<Option<(u64, Ppa)>> = vec![None; slabs];
     for b in FIRST_POOL_BLOCK..geo.blocks as u32 {
         let mut written = false;
         let mut holds = None;
@@ -96,6 +112,13 @@ fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64) -> Result<(Vec<BlockState>, Ve
                     aux: oob.aux,
                 });
             }
+            if oob.kind == PageKind::Map {
+                if let Some(home) = homes.get_mut(oob.lpn as usize) {
+                    if home.is_none_or(|(seq, _)| oob.seq > seq) {
+                        *home = Some((oob.seq, ppa));
+                    }
+                }
+            }
         }
         if written {
             // A block holding nothing but torn pages has no class of its
@@ -104,7 +127,11 @@ fn scan_pool(chip: &mut FlashChip, ckpt_seq: u64) -> Result<(Vec<BlockState>, Ve
         }
     }
     events.sort_by_key(|e| e.seq);
-    Ok((census, events))
+    Ok(Scan {
+        census,
+        events,
+        homes: homes.into_iter().map(|h| h.map(|(_, ppa)| ppa)).collect(),
+    })
 }
 
 /// The pages, in index order, of the newest X-L2P table generation the
@@ -134,7 +161,7 @@ fn newest_complete_generation(events: &[ScanEvent]) -> Vec<Ppa> {
 impl FtlBase {
     /// Rebuilds device state from the flash contents after a power loss.
     ///
-    /// Loads the newest checkpoint, replays nothing yet: the returned
+    /// Loads the mapping the scan found, replays nothing yet: the returned
     /// [`RecoveryLog`] carries every post-checkpoint page in sequence
     /// order, and [`FtlBase::xl2p_roots`] names the live X-L2P table
     /// image if the scan found one. The wrapping device personality
@@ -144,20 +171,20 @@ impl FtlBase {
         chip.power_cycle();
         let t_recover = chip.clock().now();
         let (meta_cur, root) = newest_root(&mut chip)?;
-        let (map, valid) = MapDir::load(&mut chip, &root)?;
-        let (census, events) = scan_pool(&mut chip, root.ckpt_seq)?;
+        let slabs = slab_count(root.logical_pages, chip.config().geometry.page_size);
+        let scan = scan_pool(&mut chip, root.ckpt_seq, slabs)?;
+        let map = MapDir::load(&mut chip, scan.homes)?;
         let log = RecoveryLog {
-            events,
+            events: scan.events,
             ckpt_seq: root.ckpt_seq,
             tx_horizon: root.tx_horizon,
         };
-        let mut base = FtlBase::assemble(chip, root, meta_cur, map, valid, census);
+        let mut base = FtlBase::assemble(chip, root, meta_cur, map, scan.census);
         // The image's folds live nowhere else until a checkpoint covers
-        // them: its pages are valid, and chased, again.
+        // them: its pages are valid, and chased, again — like every page
+        // a slab names, and the slabs' own.
         base.xl2p_roots = newest_complete_generation(&log.events);
-        for ppa in &base.xl2p_roots {
-            base.valid.mark_valid(*ppa);
-        }
+        base.mark_referenced_valid();
         // This boot's recovery establishes a new horizon: no live
         // transaction's evidence predates the scan we just did. The
         // post-recovery checkpoint persists it.
@@ -183,11 +210,12 @@ impl FtlBase {
     /// commit evidence hit flash — then checkpoints, so the fresh root
     /// owns every fold and the X-L2P table image (live until that root is
     /// on the media) is retired. Replays are idempotent (last writer
-    /// wins), which is what makes eviction flushes crash-safe without
-    /// refreshing `ckpt_seq`. A device that reached end-of-life read-only
-    /// mode cannot persist anything: the folds stay in RAM, the old root
-    /// and the table image on flash (re-recovery replays the same log
-    /// and picks the same generation), and reads keep working.
+    /// wins), which is what makes a translation page written since the
+    /// root (an eviction, a checkpoint cut short) safe to load under it.
+    /// A device that reached end-of-life read-only mode cannot persist
+    /// anything: the folds stay in RAM, the old root and the table image
+    /// on flash (re-recovery replays the same log and picks the same
+    /// generation), and reads keep working.
     pub fn finish_recovery(
         &mut self,
         log: &RecoveryLog,
@@ -204,6 +232,14 @@ impl FtlBase {
                 self.fold_mapping(lpn, ppa)?;
             }
         }
+        // A fold invalidates the page its slab said the LPN lived on
+        // before — and a slab on flash may be several moves behind,
+        // naming a page GC has since erased and the log reused: for
+        // another LPN (whose own fold changes nothing, and re-marks
+        // nothing, if its slab already names the page), for a translation
+        // page, for a table-image page. What the replayed tables
+        // reference is what is valid: marked again.
+        self.mark_referenced_valid();
         if self.device_state != DeviceState::ReadOnly {
             self.checkpoint(&mut NoHook)?;
         }

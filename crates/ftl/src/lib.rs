@@ -10,10 +10,10 @@
 //! * [`sata::SataLink`] — host-interface latency model (SATA 2/3).
 //! * [`base::FtlBase`] — the shared FTL engine: log-structured allocation,
 //!   a demand-paged L2P (bounded mapping cache over flash-resident
-//!   translation pages, with a two-level GTD once the directory outgrows
-//!   one meta page), greedy / FIFO / cost-benefit garbage collection with
-//!   optional hot/cold write-frontier separation, checkpoint-root meta
-//!   ring, and crash-recovery scanning.
+//!   translation pages that the recovery scan finds by their own OOB),
+//!   greedy / FIFO / cost-benefit garbage collection with optional
+//!   hot/cold write-frontier separation, checkpoint-root meta ring, and
+//!   crash-recovery scanning.
 //! * [`pagemap::PageMappedFtl`] — the OpenSSD's original FTL (the paper's
 //!   baseline device for SQLite's RBJ and WAL modes).
 //! * [`atomicwrite::AtomicWriteFtl`] — the per-call atomic-write FTL of

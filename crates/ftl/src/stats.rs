@@ -32,7 +32,7 @@ pub struct FtlStats {
     pub gc_victim_pages: u64,
     /// Valid pages found in *data* GC victims.
     pub gc_valid_pages: u64,
-    /// L2P mapping slabs written by checkpoints.
+    /// L2P mapping slabs written, by checkpoints and dirty evictions.
     pub map_writes: u64,
     /// Meta (checkpoint-root) pages written.
     pub meta_writes: u64,
@@ -78,10 +78,12 @@ pub struct FtlStats {
     pub map_evictions_clean: u64,
     /// Dirty frames whose eviction forced a translation-page program.
     pub map_evictions_dirty: u64,
-    /// Eviction flush batches: groups of dirty translation-page programs
-    /// coalesced under a single checkpoint-root write.
+    /// Always equal to `map_evictions_dirty` (an eviction programs its
+    /// victim and nothing else); a field because the `perf` benchmark
+    /// reads it.
     pub map_flush_batches: u64,
-    /// Global-translation-directory pages programmed (paged-GTD mode).
+    /// Always 0: no root names a translation page, so there is no
+    /// directory of them to page out. Kept for the `perf` benchmark.
     pub gtd_writes: u64,
     /// Cost-benefit GC victims drawn from the data block class.
     pub gc_cb_data_victims: u64,

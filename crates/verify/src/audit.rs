@@ -15,18 +15,22 @@
 //!   increasing within a block, globally unique, and below the chip's
 //!   next-sequence counter.
 //! * **L2P sanity** — every mapped logical page points at a programmed
-//!   data page whose OOB records the same logical page number.
+//!   data page whose OOB records the same logical page number, and the
+//!   engine counts that page valid (GC erases what it does not).
 //! * **X-L2P sanity** — every entry pins a live programmed data page with
 //!   matching OOB metadata; for active (uncommitted) entries the old
 //!   committed version is still programmed too (GC must never reclaim a
 //!   pinned rollback copy); and `committed_len() <= len() <= capacity()`.
-//! * **Commit evidence** — the X-L2P table image is found by the recovery
-//!   scan, not through a root, so what the scan may find must be exactly
-//!   what the device means: the valid `XL2p` pages are the pages of one
-//!   complete generation (index `i` of `n` at slot `i` of the live list,
-//!   one generation id) or there are none; every page of an older
-//!   generation is invalid; and the newest checkpoint root names no
-//!   table page.
+//! * **Scan-found pages** — no root names a page of the pool: the
+//!   recovery scan finds translation pages and the X-L2P table image
+//!   through their own OOB, so what the scan may find must be exactly
+//!   what the device means. For every slab, the directory's home is the
+//!   intact `Map` page of that index with the highest program sequence on
+//!   the media, it is valid, and every other `Map` page of that index is
+//!   invalid. The valid `XL2p` pages are the pages of one complete
+//!   generation (index `i` of `n` at slot `i` of the live list, one
+//!   generation id) or there are none, and every page of an older
+//!   generation is invalid.
 //! * **Bad-block discipline** — a block the chip has retired (erase
 //!   failure) holds no programmed or torn pages (the failed erase still
 //!   wipes the cells, and nothing may program it afterwards), is present
@@ -43,7 +47,6 @@ use std::fmt;
 
 use xftl_core::{TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
-use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
 
 use crate::shadow::ShadowDevice;
@@ -131,6 +134,14 @@ pub enum AuditViolation {
         /// Page kind recorded in the OOB.
         kind: PageKind,
     },
+    /// The L2P maps a logical page to a page the engine counts invalid:
+    /// GC would erase the block without relocating it.
+    MappedPageInvalid {
+        /// Logical page.
+        lpn: Lpn,
+        /// Physical page the L2P points at.
+        ppa: Ppa,
+    },
     /// An X-L2P entry pins a physical page that is no longer programmed:
     /// GC reclaimed a pinned new version.
     Xl2pDanglingPpa {
@@ -207,9 +218,25 @@ pub enum AuditViolation {
         /// Whether the engine counts it valid.
         valid: bool,
     },
-    /// The newest checkpoint root points at a table-image page.
-    RootNamesTablePage {
-        /// The pointer's target.
+    /// The directory's home of a slab is not the translation page a
+    /// recovery scan would pick for it — the newest intact `Map` page of
+    /// that index on the media — or the engine counts it dead (GC would
+    /// erase the slab's only persisted copy).
+    SlabHomeNotNewest {
+        /// Slab index.
+        slab: usize,
+        /// Where the directory says the slab lives.
+        home: Option<Ppa>,
+        /// The page the scan would pick.
+        newest: Option<Ppa>,
+    },
+    /// A superseded translation page is still counted valid: GC would
+    /// copy it for ever, and the copy's fresh sequence would make the
+    /// stale content the scan's pick.
+    StaleTranslationPageValid {
+        /// Slab index in its OOB.
+        slab: usize,
+        /// The superseded page.
         ppa: Ppa,
     },
     /// A retired block holds a programmed or torn page: the FTL reused a
@@ -300,6 +327,10 @@ impl fmt::Display for AuditViolation {
                 f,
                 "L2P maps lpn {lpn} to {ppa:?}, but its OOB says lpn {oob_lpn}, kind {kind:?}"
             ),
+            AuditViolation::MappedPageInvalid { lpn, ppa } => write!(
+                f,
+                "L2P maps lpn {lpn} to {ppa:?}, which is counted invalid — GC would erase it"
+            ),
             AuditViolation::Xl2pDanglingPpa {
                 tid,
                 lpn,
@@ -355,9 +386,15 @@ impl fmt::Display for AuditViolation {
                 if *valid { "outside" } else { "in" },
                 if *valid { "valid" } else { "invalid" }
             ),
-            AuditViolation::RootNamesTablePage { ppa } => write!(
+            AuditViolation::SlabHomeNotNewest { slab, home, newest } => write!(
                 f,
-                "the newest checkpoint root points at X-L2P table page {ppa:?}"
+                "the directory holds slab {slab} at {home:?}, but the newest intact \
+                 translation page of that index — what a recovery scan adopts — is \
+                 {newest:?}, or the home is counted invalid"
+            ),
+            AuditViolation::StaleTranslationPageValid { slab, ppa } => write!(
+                f,
+                "superseded translation page {ppa:?} of slab {slab} is still counted valid"
             ),
             AuditViolation::RetiredBlockReused { block, page, state } => write!(
                 f,
@@ -481,8 +518,9 @@ pub fn audit_chip(chip: &FlashChip) -> Result<AuditReport, AuditViolation> {
     Ok(report)
 }
 
-/// Audits the chip plus the engine's L2P: every mapped logical page must
-/// point at a programmed data page recording the same `lpn` in its OOB.
+/// Audits the chip plus the engine's L2P: every slab lives where a
+/// recovery scan would find it, and every mapped logical page points at a
+/// programmed data page recording the same `lpn` in its OOB.
 ///
 /// # Errors
 /// The first violated invariant.
@@ -550,6 +588,7 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
             }
         }
     }
+    audit_slab_homes(base)?;
     for lpn in 0..base.capacity_pages() {
         // `l2p_peek` resolves non-resident slabs by silently reading the
         // persisted translation page, so the audit itself perturbs neither
@@ -581,6 +620,9 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
                         oob_lpn: oob.lpn,
                         kind: oob.kind,
                     });
+                }
+                if !base.page_is_valid(ppa) {
+                    return Err(AuditViolation::MappedPageInvalid { lpn, ppa });
                 }
             }
         }
@@ -693,9 +735,48 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
     Ok(report)
 }
 
+/// Translation-page audit (see the [module docs](self)): the directory
+/// and the media agree on where every slab lives, and validity agrees
+/// with both.
+fn audit_slab_homes(base: &FtlBase) -> Result<(), AuditViolation> {
+    let chip = base.chip();
+    let geo = chip.config().geometry;
+    let homes = base.slab_homes();
+    let mut newest: Vec<Option<(u64, Ppa)>> = vec![None; homes.len()];
+    for block in base.first_pool_block()..geo.blocks as u32 {
+        for page in 0..geo.pages_per_block as u32 {
+            let ppa = Ppa::new(block, page);
+            let PageProbe::Programmed(oob) = chip.probe_silent(ppa) else {
+                continue;
+            };
+            let slab = oob.lpn as usize;
+            if oob.kind != PageKind::Map || slab >= homes.len() {
+                continue;
+            }
+            if base.page_is_valid(ppa) && homes[slab] != Some(ppa) {
+                return Err(AuditViolation::StaleTranslationPageValid { slab, ppa });
+            }
+            if newest[slab].is_none_or(|(seq, _)| oob.seq > seq) {
+                newest[slab] = Some((oob.seq, ppa));
+            }
+        }
+    }
+    for (slab, (home, newest)) in homes.iter().zip(newest).enumerate() {
+        let newest = newest.map(|(_, ppa)| ppa);
+        if *home != newest || home.is_some_and(|ppa| !base.page_is_valid(ppa)) {
+            return Err(AuditViolation::SlabHomeNotNewest {
+                slab,
+                home: *home,
+                newest,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Commit-evidence audit (see the [module docs](self)): the live list is
-/// one complete generation, validity of every `XL2p` page on flash agrees
-/// with it, and the newest root points at none of them.
+/// one complete generation, and validity of every `XL2p` page on flash
+/// agrees with it.
 fn audit_table_image(base: &FtlBase) -> Result<(), AuditViolation> {
     let chip = base.chip();
     let geo = chip.config().geometry;
@@ -716,8 +797,6 @@ fn audit_table_image(base: &FtlBase) -> Result<(), AuditViolation> {
             return Err(broken("of another generation"));
         }
     }
-    let mut newest_root: Option<(u64, MetaPage)> = None;
-    let mut buf = vec![0u8; geo.page_size];
     for block in 0..geo.blocks as u32 {
         for page in 0..geo.pages_per_block as u32 {
             let ppa = Ppa::new(block, page);
@@ -730,22 +809,6 @@ fn audit_table_image(base: &FtlBase) -> Result<(), AuditViolation> {
                     generation: oob.tid,
                     valid: base.page_is_valid(ppa),
                 });
-            }
-            if oob.kind == PageKind::Meta && newest_root.as_ref().is_none_or(|(s, _)| oob.seq > *s)
-            {
-                let root = chip
-                    .read_silent(ppa, &mut buf)
-                    .and_then(|_| MetaPage::decode(&buf, geo.pages_per_block));
-                newest_root = root.map(|r| (oob.seq, r)).or(newest_root);
-            }
-        }
-    }
-    if let Some((_, root)) = newest_root {
-        let named = root.map_locs.iter().flatten().chain(&root.gtd_locs);
-        for &ppa in named {
-            if matches!(chip.probe_silent(ppa), PageProbe::Programmed(o) if o.kind == PageKind::XL2p)
-            {
-                return Err(AuditViolation::RootNamesTablePage { ppa });
             }
         }
     }
@@ -956,6 +1019,73 @@ mod tests {
         assert!(
             matches!(err, AuditViolation::Xl2pImageBroken { index: 0, ppa, .. } if ppa == live),
             "expected the broken image flagged, got: {err}"
+        );
+    }
+
+    /// Two flushes of one slab: its second translation page is live,
+    /// its first superseded.
+    fn dev_with_a_stale_and_a_live_translation_page() -> (PageMappedFtl, Ppa, Ppa) {
+        let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
+        let mut dev = PageMappedFtl::format(chip, 48).unwrap();
+        let ps = dev.page_size();
+        dev.write(0, &vec![1; ps]).unwrap();
+        dev.flush().unwrap();
+        let stale = dev.base().slab_homes()[0].unwrap();
+        dev.write(1, &vec![2; ps]).unwrap();
+        dev.flush().unwrap();
+        let live = dev.base().slab_homes()[0].unwrap();
+        assert_ne!(stale, live);
+        dev.audit().unwrap();
+        (dev, stale, live)
+    }
+
+    #[test]
+    fn mutation_superseded_translation_page_left_valid_is_caught() {
+        let (mut dev, stale, _) = dev_with_a_stale_and_a_live_translation_page();
+        // Emulate a slab write that forgot to invalidate its predecessor
+        // (the retaining-fold trick of the stale-generation test above).
+        let data = dev.base().l2p_peek(0).unwrap();
+        dev.base_mut().fold_mapping_retain(0, stale).unwrap();
+        dev.base_mut().fold_mapping_retain(0, data).unwrap();
+        let err = dev.audit().unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::StaleTranslationPageValid { slab: 0, ppa } if ppa == stale),
+            "expected the superseded page flagged, got: {err}"
+        );
+    }
+
+    #[test]
+    fn mutation_directory_not_at_the_newest_translation_page_is_caught() {
+        use xftl_flash::Oob;
+        let (mut dev, _, live) = dev_with_a_stale_and_a_live_translation_page();
+        // Emulate a relocation that forgot to re-point the directory: a
+        // newer page of the slab's index is on the media — a recovery
+        // scan would adopt it — and the directory still names the old.
+        let ps = dev.page_size();
+        let copy = Ppa::new(23, 0);
+        assert!(dev.base().chip().is_erased(copy));
+        let oob = Oob {
+            kind: PageKind::Map,
+            ..Oob::data(0)
+        };
+        let chip = dev.base_mut().chip_mut();
+        chip.program(copy, &vec![0u8; ps], oob).unwrap();
+        let err = dev.audit().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AuditViolation::SlabHomeNotNewest { slab: 0, home, newest }
+                    if home == Some(live) && newest == Some(copy)
+            ),
+            "expected the outranked home flagged, got: {err}"
+        );
+        // Counted dead, GC would erase the slab's only persisted copy.
+        let (mut dev, _, live) = dev_with_a_stale_and_a_live_translation_page();
+        dev.base_mut().invalidate(live);
+        let err = dev.audit().unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::SlabHomeNotNewest { slab: 0, home, .. } if home == Some(live)),
+            "expected the dead home flagged, got: {err}"
         );
     }
 

@@ -14,7 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xftl_core::XFtl;
-use xftl_flash::{FlashChip, FlashError};
+use xftl_flash::FlashChip;
 use xftl_ftl::{
     AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Tid, TxBlockDevice,
     TxFlashFtl,
@@ -31,21 +31,11 @@ pub fn recover_with<D: BlockDevice + Auditable>(
     into_chip: impl FnOnce(D) -> FlashChip,
     recover: impl FnOnce(FlashChip) -> D,
 ) -> ShadowDevice<D> {
-    let recovered = try_recover_with(d, into_chip, |chip| Ok(recover(chip)));
-    recovered.unwrap_or_else(|e| unreachable!("infallible recover closure: {e:?}"))
-}
-
-/// [`recover_with`] for a recovery that may refuse the chip.
-pub fn try_recover_with<D: BlockDevice + Auditable>(
-    d: ShadowDevice<D>,
-    into_chip: impl FnOnce(D) -> FlashChip,
-    recover: impl FnOnce(FlashChip) -> xftl_ftl::Result<D>,
-) -> xftl_ftl::Result<ShadowDevice<D>> {
     let (inner, model) = d.into_parts();
-    let mut dev = ShadowDevice::resume(recover(into_chip(inner))?, model);
+    let mut dev = ShadowDevice::resume(recover(into_chip(inner)), model);
     dev.verify_recovered();
     dev.audit();
-    Ok(dev)
+    dev
 }
 
 // --- the every-boundary power-cut sweep -----------------------------------
@@ -143,22 +133,6 @@ personality!(AtomicWriteFtl, atomic: false, plain_group);
 personality!(TxFlashFtl, atomic: true, tx_group);
 personality!(XFtl, atomic: true, tx_group);
 
-/// What [`sweep`] saw.
-#[derive(Debug, Default)]
-pub struct Swept {
-    /// Programs and erases of the schedule: the cuts made.
-    pub cuts: u64,
-    /// Cuts after which `recover` refused the chip with `ReadErased` —
-    /// the mapping-page window DESIGN.md §5.2 documents. Anything else
-    /// recovery refuses, or any lost or torn group, panics.
-    pub unrecoverable: Vec<u64>,
-    /// FTL statistics of the uncut run, the build phase excluded.
-    pub stats: xftl_ftl::FtlStats,
-    /// Acknowledgements of the uncut run in which a root was written by
-    /// a collection step that erased nothing: hazard (e)'s root write.
-    pub partial_step_roots: u64,
-}
-
 /// The `i`-th group of the sweep's schedule: `len` pages scattered over
 /// `logical`, filled with a byte naming the group.
 fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)> {
@@ -175,12 +149,18 @@ fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)>
 
 /// Cuts the power at every program and erase of a schedule of `groups`
 /// acknowledged groups of `len` pages on the device `build` makes, and
-/// after each cut recovers (twice) and checks that every acknowledged
-/// group is there, the group in flight is there as far as the personality
-/// promises (whole or not at all where groups are atomic, page by page
-/// where they are not), and nothing else moved — behind the shadow oracle,
-/// which with the flash auditor checks every recovery as well.
-pub fn sweep<D: Personality>(build: impl Fn() -> ShadowDevice<D>, groups: u64, len: u64) -> Swept {
+/// after each cut recovers (twice; no chip may be refused) and checks that
+/// every acknowledged group is there, the group in flight is there as far
+/// as the personality promises (whole or not at all where groups are
+/// atomic, page by page where they are not), and nothing else moved —
+/// behind the shadow oracle, which with the flash auditor checks every
+/// recovery as well. Returns the FTL statistics of the uncut run, the
+/// build phase excluded.
+pub fn sweep<D: Personality>(
+    build: impl Fn() -> ShadowDevice<D>,
+    groups: u64,
+    len: u64,
+) -> xftl_ftl::FtlStats {
     let ops = |d: &ShadowDevice<D>| {
         let s = d.inner().base().flash_stats();
         s.programs + s.erases
@@ -196,22 +176,15 @@ pub fn sweep<D: Personality>(build: impl Fn() -> ShadowDevice<D>, groups: u64, l
             .collect()
     };
     // The uncut run: how many cuts there are, and what the steps did.
-    let mut swept = Swept::default();
     let mut dev = build();
     let (logical, ps) = (dev.capacity_pages(), dev.page_size());
     let (before, built) = (ops(&dev), *dev.inner().base().stats());
     for i in 0..groups {
-        let s0 = *dev.inner().base().stats();
         D::group(&mut dev, i + 1, &sweep_group(i, len, logical, ps)).unwrap();
-        let d = *dev.inner().base().stats() - s0;
-        let roots_accounted = d.checkpoints + d.map_flush_batches;
-        if d.gc_background_steps > 0 && d.gc_runs == 0 && d.meta_writes > roots_accounted {
-            swept.partial_step_roots += 1;
-        }
     }
-    swept.cuts = ops(&dev) - before;
-    swept.stats = *dev.inner().base().stats() - built;
-    for fuse in 1..=swept.cuts {
+    let cuts = ops(&dev) - before;
+    let stats = *dev.inner().base().stats() - built;
+    for fuse in 1..=cuts {
         let mut dev = build();
         let mut expect = image(&mut dev);
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
@@ -236,14 +209,11 @@ pub fn sweep<D: Personality>(build: impl Fn() -> ShadowDevice<D>, groups: u64, l
             }
         }
         let (pages, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
-        let mut dev = match try_recover_with(dev, D::into_chip, D::recover) {
-            Ok(dev) => dev,
-            Err(DevError::Flash(FlashError::ReadErased(_))) => {
-                swept.unrecoverable.push(fuse);
-                continue;
-            }
-            Err(e) => panic!("fuse {fuse}: recovery refused the chip: {e:?}"),
+        let recover = |chip| {
+            D::recover(chip)
+                .unwrap_or_else(|e| panic!("fuse {fuse}: recovery refused the chip: {e:?}"))
         };
+        let mut dev = recover_with(dev, D::into_chip, recover);
         let got = image(&mut dev);
         let landed = |(lpn, data): &(Lpn, Vec<u8>)| got[*lpn as usize] == data[0];
         // What of the group in flight may show: atomic, all of it or
@@ -268,5 +238,5 @@ pub fn sweep<D: Personality>(build: impl Fn() -> ShadowDevice<D>, groups: u64, l
         let mut dev = recover_with(dev, D::into_chip, |chip| D::recover(chip).unwrap());
         assert_eq!(image(&mut dev), expect, "fuse {fuse}: second recovery");
     }
-    swept
+    stats
 }

@@ -490,8 +490,8 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
 
 /// A 56-block device exporting 384 pages (6 slabs) behind a 2-slab
 /// mapping cache, every page written and checkpointed: small enough that
-/// eviction flushes close the Map frontier over a live table image and
-/// GC has to pick that block.
+/// evictions close the Map frontier over a live table image and GC has to
+/// pick that block.
 fn tight_dev() -> (XDev, Vec<u8>) {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
@@ -568,9 +568,7 @@ fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
 /// power is cut at every program and erase of the flush: the
 /// checkpoint-and-release, and the background step that closes it (an
 /// erase of the mapping block the checkpoint emptied; no copy, no root).
-/// Whatever the cut, every commit survives. (The slab homes the old root
-/// references sit in that last block, which goes only after the new root
-/// is on the media: this test is about the image, not about them.)
+/// Whatever the cut, every commit survives.
 #[test]
 fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
@@ -871,8 +869,9 @@ fn oracle_double_recovery_is_idempotent() {
 /// programs its translation page before the fetch — the fuse kills
 /// exactly that program. Recovery must rebuild the identical mapping by
 /// OOB roll-forward (acknowledged writes intact, the never-programmed
-/// one absent), and the flash auditor — which now decodes translation
-/// pages and the GTD — must still pass on the torn image.
+/// one absent), and the flash auditor — which decodes translation pages
+/// and checks each slab's home is the one a scan would find — must still
+/// pass on the torn image.
 #[test]
 fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
     use xftl_ftl::BlockDevice;
@@ -921,9 +920,9 @@ fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
 
 /// Recover twice in a row under a bounded mapping-cache budget, crashing
 /// first inside an eviction window: the second recovery — interrupting
-/// nothing but re-running the roll-forward checkpoint, GTD programs, and
-/// meta-root append of the first — must reproduce the *identical* L2P
-/// mapping and data image.
+/// nothing but re-running the roll-forward checkpoint and meta-root
+/// append of the first — must reproduce the *identical* L2P mapping and
+/// data image.
 #[test]
 fn double_recovery_with_bounded_cache_is_idempotent() {
     use xftl_ftl::BlockDevice;
@@ -1210,7 +1209,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
 /// mapping cache, every page written and checkpointed: tight enough that
 /// the pool sits at the GC mark for the whole schedule, blocks big enough
 /// that a victim outlasts a step, and mapping blocks (closed over live
-/// slabs by the eviction flushes) are victims too.
+/// slabs by the evictions) are victims too.
 fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D> {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny()
@@ -1230,40 +1229,25 @@ fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> ShadowDev
 }
 
 /// Sweeps 30 acknowledged groups of 2 pages on `D` under each GC policy.
-/// Every cut recovers to the acknowledged state — but for the window
-/// DESIGN.md §5.2 documents and leaves open: a collection that *finishes*
-/// a mapping-class victim erases it before it writes the root naming the
-/// relocated pages, so a cut inside that root write (the program, plus
-/// the ring erase when the meta block wraps: at most two operations a
-/// victim) leaves a chip `recover` refuses with `ReadErased`. A step that
-/// relocates a mapping page and does *not* finish writes the root in that
-/// step, so steps narrow the window and never widen it.
+/// Every cut recovers (the sweep refuses a refused chip) to the
+/// acknowledged state — mapping-class victims included: a relocated
+/// translation page is found by the scan, whichever of the copy, the
+/// erase and the next root the power cut falls between.
 fn sweep_steps<D: common::Personality>(name: &str) {
     use xftl_ftl::GcPolicy;
-    let (mut collections, mut runs, mut partial_step_roots) = (0, 0, 0);
+    let (mut collections, mut runs, mut map_runs) = (0, 0, 0);
     for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
-        let swept = common::sweep(|| stepping_dev::<D>(policy), 30, 2);
-        let s = swept.stats;
+        let s = common::sweep(|| stepping_dev::<D>(policy), 30, 2);
         assert!(s.gc_background_steps > 0, "{name}/{policy:?}: no step ran");
-        assert!(
-            swept.unrecoverable.len() as u64 <= 2 * s.gc_map_runs,
-            "{name}/{policy:?}: {} map victims, unrecoverable cuts {:?} of {}",
-            s.gc_map_runs,
-            swept.unrecoverable,
-            swept.cuts
-        );
         collections += s.gc_background_steps + s.gc_inline_collections;
         runs += s.gc_runs;
-        partial_step_roots += swept.partial_step_roots;
+        map_runs += s.gc_map_runs;
     }
     // The cuts fell where the issue is: between two steps of one victim
-    // (and so between its last copy and its erase), and inside the root
-    // write of a step that moved a mapping page without finishing.
+    // (and so between its last copy and its erase), and around the erase
+    // of a mapping block.
     assert!(collections > runs, "{name}: no victim took two steps");
-    assert!(
-        partial_step_roots > 0,
-        "{name}: no partial step wrote a root"
-    );
+    assert!(map_runs > 0, "{name}: no mapping block was collected");
 }
 
 #[test]
@@ -1286,21 +1270,27 @@ fn steps_survive_every_cut_xftl() {
     sweep_steps::<XFtl>("xftl");
 }
 
-/// The size of that window on DESIGN.md §5.2's own repro — `PageMappedFtl`,
-/// 56 tiny blocks exporting 384 pages behind a 2-slab cache, every page
-/// written and flushed ([`tight_dev`]'s device under the plain
-/// personality), then 300 writes of [`churn`]'s schedule and no
-/// acknowledgement, so no background step: 119 of the 2239 cuts, as
-/// before steps existed. (ROADMAP item 1 closes it; this pins that
-/// nothing widens it meanwhile.)
+/// DESIGN.md §5.2's repro of the mapping-page window, closed —
+/// `PageMappedFtl`, 56 tiny blocks exporting 384 pages behind a 2-slab
+/// cache, every page written and flushed ([`tight_dev`]'s device under
+/// the plain personality), then 300 writes of [`churn`]'s schedule and no
+/// acknowledgement, so no background step. Until translation pages
+/// certified themselves 119 of these cuts (2,239 then) left a chip
+/// `recover` refused with `ReadErased`: GC erased a victim before the
+/// root naming a relocated translation page was written. Every cut
+/// recovers now, and behind the oracle every page reads `OLD` or an
+/// overwrite issued before the cut, acknowledged ones for sure.
 #[test]
-fn mapping_page_window_is_the_one_design_5_2_counts() {
-    use xftl_flash::FlashError;
-    use xftl_ftl::{BlockDevice, DevError};
+fn mapping_page_window_is_closed() {
+    use xftl_ftl::BlockDevice;
     let build = || {
         let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
-        let mut dev = PageMappedFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap();
-        dev.base_mut().set_map_cache_budget(Some(2)).unwrap();
+        let chip = FlashChip::new(cfg, SimClock::new());
+        let mut dev = ShadowDevice::new(PageMappedFtl::format(chip, 384).unwrap());
+        dev.inner_mut()
+            .base_mut()
+            .set_map_cache_budget(Some(2))
+            .unwrap();
         let page = vec![OLD; dev.page_size()];
         for lpn in 0..384u64 {
             dev.write(lpn, &page).unwrap();
@@ -1308,28 +1298,28 @@ fn mapping_page_window_is_the_one_design_5_2_counts() {
         dev.flush().unwrap();
         dev
     };
-    let overwrite = |dev: &mut PageMappedFtl, i: u64| {
+    let overwrite = |dev: &mut PlainDev, i: u64| {
         let (lpn, fill) = churn_write(i);
         dev.write(lpn, &vec![fill; dev.page_size()])
     };
-    let ops = |d: &PageMappedFtl| d.flash_stats().programs + d.flash_stats().erases;
+    let ops = |d: &PlainDev| d.inner().flash_stats().programs + d.inner().flash_stats().erases;
     let mut dev = build();
     let before = ops(&dev);
     for i in 0..300 {
         overwrite(&mut dev, i).unwrap();
     }
     let cuts = ops(&dev) - before;
-    assert_eq!(dev.stats().gc_background_steps, 0);
-    let mut refused = 0;
+    let s = *dev.inner().stats();
+    assert_eq!(s.gc_background_steps, 0);
+    assert!(s.gc_map_runs > 0 && s.gc_copies > s.gc_valid_pages);
+    assert_eq!(cuts, 1939);
     for fuse in 1..=cuts {
         let mut dev = build();
-        dev.base_mut().chip_mut().arm_power_fuse(fuse);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         assert!((0..300).any(|i| overwrite(&mut dev, i).is_err()));
-        match PageMappedFtl::recover(dev.into_chip()) {
-            Ok(_) => {}
-            Err(DevError::Flash(FlashError::ReadErased(_))) => refused += 1,
-            Err(e) => panic!("fuse {fuse}: {e:?}"),
-        }
+        let recover = |chip| {
+            PageMappedFtl::recover(chip).unwrap_or_else(|e| panic!("fuse {fuse}: refused: {e:?}"))
+        };
+        recover_with(dev, PageMappedFtl::into_chip, recover);
     }
-    assert_eq!((cuts, refused), (2239, 119));
 }

@@ -177,10 +177,14 @@ pub fn concurrent_gate(fresh: &BenchReport) -> Vec<String> {
 /// baseline drift. The mapping cache must serve > 80 % of translations
 /// from RAM at the bench's bounded budget, cost-benefit victim
 /// selection must beat greedy on write amplification under Zipfian
-/// skew, and the resident-slab high-water mark must never exceed the
-/// configured budget. Metrics present in the report but out of bounds
-/// — or missing entirely — are violations; like the pipeline gate,
-/// this catches regressions that a re-blessed baseline would launder.
+/// skew, the resident-slab high-water mark must never exceed the
+/// configured budget, and under either policy a host write must cost
+/// fewer than 0.6 translation-page programs — an eviction writes its
+/// victim and nothing else (riders amortising a root that no longer
+/// exists read 0.70–0.87 here). Metrics present in the report but out
+/// of bounds — or missing entirely — are violations; like the pipeline
+/// gate, this catches regressions that a re-blessed baseline would
+/// launder.
 pub fn steady_gate(fresh: &BenchReport) -> Vec<String> {
     let get = |name: &str| {
         fresh
@@ -202,6 +206,10 @@ pub fn steady_gate(fresh: &BenchReport) -> Vec<String> {
     let greedy_wa = need("steady.greedy.wa");
     let budget = need("steady.cb.cache_budget_slabs");
     let resident = need("steady.cb.cache_resident_max");
+    let map_programs = ["greedy", "cb"].map(|policy| {
+        let name = format!("steady.{policy}.translation_overhead");
+        (need(&name), name)
+    });
     if let Some(h) = hit {
         if h <= 0.80 {
             violations.push(format!(
@@ -220,6 +228,14 @@ pub fn steady_gate(fresh: &BenchReport) -> Vec<String> {
         if r > b {
             violations.push(format!(
                 "resident slabs peaked at {r:.0} over the budget of {b:.0} — cache bound broken"
+            ));
+        }
+    }
+    for (t, name) in map_programs {
+        if let Some(t) = t.filter(|t| *t >= 0.6) {
+            violations.push(format!(
+                "`{name}` {t:.4} >= 0.6 translation-page programs per host write — an \
+                 eviction is writing more than its victim"
             ));
         }
     }
@@ -508,13 +524,25 @@ mod tests {
         assert_eq!(concurrent_gate(&missing).len(), 1);
     }
 
-    fn steady_report(hit: f64, cb_wa: f64, greedy_wa: f64, resident: f64) -> BenchReport {
+    /// Translation-page programs per host write (greedy, cost-benefit)
+    /// when an eviction writes its victim and nothing else.
+    const LEAN: [f64; 2] = [0.46, 0.48];
+
+    fn steady_report(
+        hit: f64,
+        cb_wa: f64,
+        greedy_wa: f64,
+        resident: f64,
+        map_programs: [f64; 2],
+    ) -> BenchReport {
         report_with(&[
             ("steady.cb.map_cache_hit_rate", hit),
             ("steady.cb.wa", cb_wa),
             ("steady.greedy.wa", greedy_wa),
             ("steady.cb.cache_budget_slabs", 100.0),
             ("steady.cb.cache_resident_max", resident),
+            ("steady.greedy.translation_overhead", map_programs[0]),
+            ("steady.cb.translation_overhead", map_programs[1]),
         ])
     }
 
@@ -522,20 +550,29 @@ mod tests {
     fn steady_gate_demands_hit_rate_and_wa_win() {
         // The healthy shape: hot cache, cost-benefit beats greedy,
         // residency under budget.
-        assert!(steady_gate(&steady_report(0.87, 2.8, 3.4, 100.0)).is_empty());
+        assert!(steady_gate(&steady_report(0.87, 2.8, 3.4, 100.0, LEAN)).is_empty());
         // Thrashing cache: hit rate at or under the 80% floor fails.
-        assert_eq!(steady_gate(&steady_report(0.80, 2.8, 3.4, 100.0)).len(), 1);
+        let report = steady_report(0.80, 2.8, 3.4, 100.0, LEAN);
+        assert_eq!(steady_gate(&report).len(), 1);
         // Victim-selection win lost: cost-benefit WA >= greedy WA.
-        assert_eq!(steady_gate(&steady_report(0.87, 3.4, 3.4, 100.0)).len(), 1);
+        let report = steady_report(0.87, 3.4, 3.4, 100.0, LEAN);
+        assert_eq!(steady_gate(&report).len(), 1);
         // Budget overrun: resident high-water mark above the budget.
-        assert_eq!(steady_gate(&steady_report(0.87, 2.8, 3.4, 101.0)).len(), 1);
+        let report = steady_report(0.87, 2.8, 3.4, 101.0, LEAN);
+        assert_eq!(steady_gate(&report).len(), 1);
+        // Riders are back: an eviction programs more than its victim,
+        // under either policy.
+        for (riders, caught) in [([0.70, 0.48], 1), ([0.46, 0.6], 1), ([0.87, 0.79], 2)] {
+            let report = steady_report(0.87, 2.8, 3.4, 100.0, riders);
+            assert_eq!(steady_gate(&report).len(), caught, "{riders:?}");
+        }
     }
 
     #[test]
     fn steady_gate_fails_when_metrics_are_missing() {
         // Dropping the steady metrics entirely must not silently pass.
         let v = steady_gate(&report_with(&[("steady.logical_pages", 1000.0)]));
-        assert_eq!(v.len(), 5, "{v:?}");
+        assert_eq!(v.len(), 7, "{v:?}");
         assert!(v.iter().all(|m| m.contains("missing")));
     }
 
