@@ -44,5 +44,5 @@
 pub mod xftl;
 pub mod xl2p;
 
-pub use xftl::{RecoveryBreakdown, XFtl, DEFAULT_XL2P_CAPACITY};
+pub use xftl::{XFtl, DEFAULT_XL2P_CAPACITY};
 pub use xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};

@@ -93,21 +93,6 @@ use crate::xl2p::{TxStatus, Xl2pError, Xl2pTable};
 /// one 8 KB flash page).
 pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 
-/// Simulated-time breakdown of a recovery, for the paper's Table 5: the
-/// X-L2P portion (load + fold + re-checkpoint) is what the paper reports
-/// as X-FTL's 3.5 ms "SQLite restart time"; the scan portion is the
-/// common FTL work the paper excludes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryBreakdown {
-    /// Total simulated recovery time.
-    pub total_ns: u64,
-    /// Base FTL recovery (checkpoint load + log scan) — the "common" part.
-    pub scan_ns: u64,
-    /// X-L2P processing: read the table image the scan found, fold its
-    /// committed entries, persist the result.
-    pub xl2p_ns: u64,
-}
-
 /// The transactional FTL.
 #[derive(Debug)]
 pub struct XFtl {
@@ -186,20 +171,13 @@ impl XFtl {
         Self::recover_with_capacity(chip, DEFAULT_XL2P_CAPACITY)
     }
 
-    /// [`XFtl::recover`] with an explicit X-L2P capacity.
+    /// [`XFtl::recover`] with an explicit X-L2P capacity. What the parts
+    /// cost is in [`FtlBase::recovery`]: reading the table image, the
+    /// fold and the closing checkpoint (its `replay_ns` and
+    /// `checkpoint_ns`) are what the paper reports as X-FTL's 3.5 ms
+    /// "SQLite restart time"; the rest is the common FTL work it excludes.
     pub fn recover_with_capacity(chip: FlashChip, xl2p_capacity: usize) -> Result<Self> {
-        Ok(Self::recover_with_breakdown(chip, xl2p_capacity)?.0)
-    }
-
-    /// Recovery with a simulated-time breakdown (Table 5 instrumentation).
-    pub fn recover_with_breakdown(
-        chip: FlashChip,
-        xl2p_capacity: usize,
-    ) -> Result<(Self, RecoveryBreakdown)> {
-        let clock = chip.clock().clone();
-        let t0 = clock.now();
         let (mut base, log) = FtlBase::recover(chip)?;
-        let t_scan = clock.now();
         // A committed transaction's pages become current at the point
         // its group flush began — the generation id every page of the
         // table image carries, which a GC copy keeps while its program
@@ -218,13 +196,7 @@ impl XFtl {
             );
         }
         base.finish_recovery(&log, folds)?;
-        let t_end = clock.now();
-        let breakdown = RecoveryBreakdown {
-            total_ns: t_end - t0,
-            scan_ns: t_scan - t0,
-            xl2p_ns: t_end - t_scan,
-        };
-        Ok((Self::assemble(base, xl2p_capacity), breakdown))
+        Ok(Self::assemble(base, xl2p_capacity))
     }
 
     /// Checkpoints the L2P table and releases committed X-L2P entries,
@@ -306,9 +278,9 @@ impl XFtl {
             t_start,
             t_end,
         );
-        // Housekeeping: once committed entries crowd the table, persist
-        // the L2P and release them.
-        if self.table.committed_len() > self.table.capacity() / 2 {
+        // Housekeeping: once committed entries crowd the table, or the
+        // roll-forward window is full, persist the L2P and release them.
+        if self.table.committed_len() > self.table.capacity() / 2 || self.base.root_due() {
             self.checkpoint_and_release_raw()?;
         }
         // Retention is deliberately coarse (any active snapshot retains);

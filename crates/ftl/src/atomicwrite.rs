@@ -49,6 +49,12 @@ impl GcHook for RecordHook {
             _ => {}
         }
     }
+
+    /// A group is open only inside one call; between calls every
+    /// tid-tagged page is sealed and folded, or dead.
+    fn tx_floor(&self) -> Option<u64> {
+        self.pending.is_empty().then_some(u64::MAX)
+    }
 }
 
 /// The per-call atomic-write FTL.
@@ -167,9 +173,10 @@ impl AtomicWriteFtl {
 
     /// Commit-record pages stay valid (un-reclaimable) until a mapping
     /// checkpoint covers the groups they seal. Cap their number so a
-    /// flush-averse host cannot fill the drive with records.
+    /// flush-averse host cannot fill the drive with records — nor, with
+    /// few large groups, the roll-forward window with their pages.
     fn release_records_if_needed(&mut self) -> Result<()> {
-        if self.hook.records.len() >= self.base.pages_per_block() / 2 {
+        if self.hook.records.len() >= self.base.pages_per_block() / 2 || self.base.root_due() {
             self.checkpoint_and_release_records()?;
         }
         Ok(())
@@ -389,6 +396,7 @@ mod tests {
             ],
             ckpt_seq: 0,
             tx_horizon: 0,
+            loaded_at: 0,
         };
         let mut folds = AtomicWriteFtl::sealed_folds(&log);
         folds.sort_unstable();

@@ -22,6 +22,13 @@ use crate::health::{DeviceState, ScrubConfig, ScrubReason};
 /// cold write frontier on every channel straight out of the pool.
 const GC_LOW_WATER: usize = 3;
 
+/// A checkpoint root is due once this many blocks' worth of pages have
+/// been programmed since the last one (see [`FtlBase::root_due`]): what
+/// bounds the window a recovery rolls forward — at the OpenSSD geometry
+/// 4,096 programs, some 0.2 s of scan, against one root of as many
+/// programs as there are dirty slabs.
+const ROOT_WINDOW_BLOCKS: u64 = 32;
+
 /// Why a block is being collected (relocate-and-erase): normal space
 /// reclamation, a scrub of at-risk data, or static wear leveling. Decides
 /// which stats and trace class the copies charge to.
@@ -43,6 +50,25 @@ impl FtlBase {
     /// channel cannot drain the pool mid-collection.
     fn gc_low_water(&self) -> usize {
         GC_LOW_WATER.max(2 * self.channels())
+    }
+
+    /// True once the programs since the last root fill 32 blocks
+    /// (`ROOT_WINDOW_BLOCKS`): recovery rolls all of them forward,
+    /// so each personality asks this where it runs its own checkpoint
+    /// routine and keeps the window — and the recovery scan — bounded
+    /// however rarely the host flushes.
+    pub fn root_due(&self) -> bool {
+        let window = ROOT_WINDOW_BLOCKS * self.pages_per_block() as u64;
+        self.chip.next_seq() - 1 - self.ckpt_seq >= window
+    }
+
+    /// Checkpoints if a root is due: for a personality whose checkpoint
+    /// routine has nothing of its own to release.
+    pub fn checkpoint_if_due(&mut self, hook: &mut dyn GcHook) -> Result<()> {
+        if self.root_due() {
+            self.checkpoint(hook)?;
+        }
+        Ok(())
     }
 
     /// Runs `collect` with GC re-entry (a checkpoint inside GC) and
@@ -258,12 +284,20 @@ impl FtlBase {
     /// mapping blocks compete as separate classes — the best scorer of
     /// each is computed and the global winner collected — so the stats can
     /// attribute victims per class and neither class starves the other.
+    /// A dead candidate short-circuits all of it.
     fn pick_victim_cost_benefit(&self) -> Option<u32> {
         let now = self.chip.next_seq();
         let ppb = self.pages_per_block();
         let mut best: [Option<(f64, u32)>; 2] = [None, None];
         for (b, class) in self.candidates() {
             let valid = self.valid.valid_in_block(b);
+            if valid == 0 {
+                // Dead: it costs one erase and its garbage cannot grow, so
+                // the age it would otherwise wait out buys nothing — and
+                // a dead mapping block is one more the recovery scan must
+                // read in full.
+                return Some(b);
+            }
             if valid as usize >= ppb {
                 continue; // nothing reclaimable
             }
@@ -709,6 +743,46 @@ mod tests {
         assert_eq!((s.gc_runs, s.gc_copies, s.gc_background_steps), (1, 0, 1));
         assert_eq!(f.flash_stats().erases, 1);
         assert_eq!(f.flash_stats().programs, programs, "no copy, no root");
+    }
+
+    /// Cost-benefit scores a block `(1 − u) / (1 + u) × age`, and at
+    /// `u = 0` that is its age alone: a mapping block that died young
+    /// would wait behind every old, half-valid data block. It costs one
+    /// erase and can gain no more garbage — it goes first.
+    #[test]
+    fn cost_benefit_takes_a_dead_block_before_an_old_half_valid_one() {
+        let mut f = base(GcPolicy::CostBenefit);
+        let put = |f: &mut FtlBase, lpn: u64| {
+            let data = vec![lpn as u8; f.page_size()];
+            f.write_committed(lpn, &data, &mut NoHook).unwrap();
+        };
+        // The first data block, sixteen pages; then half of them again,
+        // behind a one-slab cache: every write from here on writes the
+        // slab it dirtied out, and every translation page supersedes the
+        // one before it — the first mapping block fills up with garbage.
+        (0..PPB).for_each(|lpn| put(&mut f, lpn));
+        let old = f.l2p_peek(PPB - 1).unwrap().block;
+        f.set_map_cache_budget(Some(1)).unwrap();
+        (0..PPB / 2).for_each(|lpn| put(&mut f, lpn));
+        assert_eq!(u64::from(f.valid.valid_in_block(old)), PPB / 2);
+        let map_block = |f: &FtlBase| f.candidates().find(|&(_, class)| class == Class::Map);
+        while map_block(&f).is_none() {
+            put(&mut f, 0);
+        }
+        let (dead, _) = map_block(&f).unwrap();
+        assert_eq!(f.valid.valid_in_block(dead), 0);
+        assert_eq!(f.stats().gc_runs, 0, "nothing collected yet");
+        // By its score the old data block would go first: at u = 1/2 it
+        // scores a third of its age, the dead block its age.
+        let age = |b| (f.chip.next_seq() - f.pool.last_program_seq(b)) as f64;
+        assert!(age(old) / 3.0 > age(dead));
+        // ...and the dead one does.
+        assert_eq!(f.pick_victim_cost_benefit(), Some(dead));
+        // Greedy took the emptiest block as it always did, and FIFO still
+        // takes the oldest data block whatever the mapping blocks hold.
+        assert_eq!(f.pick_victim_greedy(), Some(dead));
+        f.set_gc_policy(GcPolicy::Fifo);
+        assert_eq!(f.pick_victim(), Some(old));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | `pool.rs` | `Pool` | every flash block is in exactly one state (`Meta`, `Free`, `Open`, `Closed`, `Bad`); allocation, frontiers, the free list and the FIFO queue agree with it |
 //! | `map.rs` | `MapDir` | every L2P slab has one home (cache frame, translation page, or both) and non-resident slabs are clean; demand fetch, eviction and the one slab writer live here |
 //! | `gc.rs` | — | when to reclaim, which closed block, and the relocate-chase-erase loop shared by GC, scrub and wear leveling |
-//! | `recover.rs` | — | newest root → one OOB scan (census, events, every slab's home, the live table image) → directory → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
+//! | `recover.rs` | — | newest root → one OOB scan (census, events, every slab's home, the live table image; a data block the root covers is taken on trust after two probes) → directory → the same constructor `format` uses; the replay-and-checkpoint tail every personality ends with |
 //!
 //! `Pool` and `MapDir` keep their fields private: the collector, recovery
 //! and this file reach blocks and slabs only through their methods.
@@ -39,7 +39,7 @@
 //! checkpoint sequence number, the transaction horizon, the bad-block
 //! table and the device-health state — and names **no page of the pool**.
 //! *A page the recovery scan sees anyway needs no pointer*, and the scan
-//! probes the OOB of every pool page (the block census needs it):
+//! probes the OOB of every page the root does not cover:
 //!
 //! * a translation page says `kind = Map`, `lpn` = slab index and its
 //!   program sequence: the newest intact one of an index *is* that
@@ -56,6 +56,22 @@
 //! checkpoint the replay is idempotent (folds are last-writer-wins).
 //! Transactional pages (OOB `tid != 0`) are *not* replayed here; the
 //! X-FTL layer resolves them through the table image.
+//!
+//! What the root *does* say is how much of the pool the scan may take on
+//! trust. Sequences ascend within a block (stamped at program time,
+//! programmed in page order), so a data block whose **last** page is an
+//! intact data page at or below both `ckpt_seq` (nothing in it is a
+//! roll-forward event) and `tx_horizon` (nothing in it is evidence a
+//! personality would still fold) is entered in the census after two
+//! probes; an erased, torn, non-data or newer last page, or a first page
+//! that is not data — every mapping-class block — is read in full, as
+//! every block used to be. Two things keep that set small: a root is
+//! due ([`FtlBase::root_due`]) once 32 blocks' worth of pages have been
+//! programmed since the last, asked by each personality where it runs
+//! its own checkpoint routine, and every checkpoint advances the horizon
+//! to just below the personality's oldest open group
+//! ([`GcHook::tx_floor`]); and cost-benefit GC takes a dead block
+//! first, so mapping-class garbage does not stand around to be scanned.
 //!
 //! ## Demand-paged mapping
 //!
@@ -170,6 +186,8 @@ fn never_written_root(logical_pages: u64) -> MetaPage {
 ///   slightly-emptier hot block that is about to self-invalidate anyway.
 ///   Data and mapping blocks are scored as separate victim classes, so
 ///   translation-page churn cannot starve data cleaning (or vice versa).
+///   A block with no valid page is taken before any scoring: it costs
+///   one erase and waiting cannot make it cheaper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[allow(missing_docs)] // the policies are described above
 pub enum GcPolicy {
@@ -195,6 +213,15 @@ pub trait GcHook {
     /// `oob` is the page's metadata as originally written; the page now
     /// lives at `new` instead of `old`.
     fn relocated(&mut self, oob: &Oob, old: Ppa, new: Ppa);
+
+    /// The lowest program sequence of a tid-tagged page the device's
+    /// recovery may still have to fold: the first page of its oldest open
+    /// group or cycle, `u64::MAX` when none is open or recovery never
+    /// consults such pages. A checkpoint moves the transaction horizon up
+    /// to just below it; `None` — a hook that cannot say — leaves the
+    /// horizon where it is, and the recovery scan reads in full whatever
+    /// lies above it.
+    fn tx_floor(&self) -> Option<u64>;
 }
 
 /// Hook for devices with no mapping state outside the L2P table.
@@ -203,6 +230,10 @@ pub struct NoHook;
 
 impl GcHook for NoHook {
     fn relocated(&mut self, _oob: &Oob, _old: Ppa, _new: Ppa) {}
+
+    fn tx_floor(&self) -> Option<u64> {
+        Some(u64::MAX)
+    }
 }
 
 /// One page programmed after the last checkpoint, discovered by the
@@ -252,10 +283,34 @@ pub struct RecoveryLog {
     /// Sequence number the loaded checkpoint covers; only X-L2P table
     /// generations begun after it carry unfolded commits.
     pub ckpt_seq: u64,
-    /// The *previous* boot's transaction horizon: transactional pages at
-    /// or before it belong to dead transactions of earlier lives (unless
-    /// already folded via the checkpoint).
+    /// The root's transaction horizon: transactional pages at or before
+    /// it belong to dead transactions of earlier lives or to groups the
+    /// checkpoint already covers — none is evidence any more.
     pub tx_horizon: u64,
+    /// The instant the slabs were loaded; replay is timed from here.
+    pub loaded_at: Nanos,
+}
+
+/// Simulated time of each part of the last recovery — they add up to the
+/// whole; all zero on a device that was formatted, not recovered — and
+/// how much of the pool its scan read in full.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecoveryBreakdown {
+    /// Finding the newest root in the meta ring.
+    pub root_ns: u64,
+    /// The OOB scan of the pool.
+    pub scan_ns: u64,
+    /// Reading the translation pages the scan found.
+    pub load_ns: u64,
+    /// From the loaded directory to the closing checkpoint: the
+    /// personality reading its commit evidence, and the folds.
+    pub replay_ns: u64,
+    /// The closing checkpoint (zero on a read-only device).
+    pub checkpoint_ns: u64,
+    /// Pool blocks the scan found written.
+    pub written_blocks: u32,
+    /// Of those, data blocks the root covers: two probes each.
+    pub skipped_blocks: u32,
 }
 
 /// The shared FTL engine. See the module docs for the division of labour
@@ -287,9 +342,11 @@ pub struct FtlBase {
     meta_cur: usize,
     /// Sequence number covered by the last full checkpoint.
     ckpt_seq: u64,
-    /// Sequence of the most recent power-cycle recovery (see
+    /// Sequence at or below which no tid-tagged page is evidence (see
     /// [`crate::meta::MetaPage::tx_horizon`]).
     tx_horizon: u64,
+    /// What the recovery that built this engine cost, part by part.
+    recovery: RecoveryBreakdown,
     stats: FtlStats,
     counters: DevCounters,
     scratch: Vec<u8>,
@@ -389,6 +446,7 @@ impl FtlBase {
             meta_cur,
             ckpt_seq: root.ckpt_seq,
             tx_horizon: root.tx_horizon,
+            recovery: RecoveryBreakdown::default(),
             stats: FtlStats::default(),
             counters: DevCounters::default(),
             scratch: vec![0u8; geo.page_size],
@@ -527,6 +585,11 @@ impl FtlBase {
     /// relocates rather than discards) — for the verify oracle's audits.
     pub fn page_is_valid(&self, ppa: Ppa) -> bool {
         self.valid.is_valid(ppa)
+    }
+
+    /// What the recovery that built this engine cost, part by part.
+    pub fn recovery(&self) -> RecoveryBreakdown {
+        self.recovery
     }
 
     /// Number of blocks in the bad-block table.
@@ -957,8 +1020,11 @@ impl FtlBase {
                 }
             }
         }
-        // The new root covers everything programmed so far.
+        // The new root covers everything programmed so far, and no
+        // tid-tagged page below the hook's floor is evidence any more.
         self.ckpt_seq = self.chip.next_seq() - 1;
+        let floor = hook.tx_floor().map_or(0, |floor| floor.saturating_sub(1));
+        self.tx_horizon = self.tx_horizon.max(self.ckpt_seq.min(floor));
         self.write_meta()?;
         self.stats.checkpoints += 1;
         // Only now is the X-L2P table image obsolete. Until the covering

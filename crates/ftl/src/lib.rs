@@ -56,7 +56,9 @@ pub mod txflash;
 pub mod validity;
 
 pub use atomicwrite::AtomicWriteFtl;
-pub use base::{FtlBase, GcHook, GcPolicy, NoHook, RecoveryLog, ScanEvent, WearSummary};
+pub use base::{
+    FtlBase, GcHook, GcPolicy, NoHook, RecoveryBreakdown, RecoveryLog, ScanEvent, WearSummary,
+};
 pub use cmt::MappingCache;
 pub use dev::{
     BlockDevice, CmdId, CmdQueue, CommitTicket, DevCounters, IoCmd, Lpn, Tid, TxBlockDevice, NO_TID,

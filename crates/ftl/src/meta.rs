@@ -42,10 +42,12 @@ pub struct MetaPage {
     /// Global program sequence number at checkpoint time; recovery rolls
     /// forward only pages programmed after this.
     pub ckpt_seq: u64,
-    /// Sequence number of the most recent power-cycle recovery. In-flight
-    /// transactional evidence (cyclic-commit links, commit records) never
-    /// spans a power cycle, so pages at or before this horizon cannot
-    /// belong to a live transaction.
+    /// Sequence at or below which no tid-tagged page is evidence: set
+    /// at a power-cycle recovery (in-flight cyclic-commit links and
+    /// commit records never span one) and advanced by every checkpoint
+    /// to just below the personality's oldest open group. Pages at or
+    /// before it belong to dead transactions or to groups the checkpoint
+    /// covers.
     pub tx_horizon: u64,
     /// Blocks retired after erase failures, ascending. Recovery unions
     /// this with the chip's own health marks, so a root written before

@@ -77,10 +77,13 @@ impl PageMappedFtl {
     }
 
     /// One host page write, blocking (`wait`) or queued; returns the
-    /// instant the page is on the media.
+    /// instant the page is on the media. A host that never flushes still
+    /// gets a root once the roll-forward window is full.
     fn write_page(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<Nanos> {
         self.base.counters_mut().host_writes += 1;
-        self.base.write_folded(lpn, buf, wait, &mut NoHook)
+        let done = self.base.write_folded(lpn, buf, wait, &mut NoHook)?;
+        self.base.checkpoint_if_due(&mut NoHook)?;
+        Ok(done)
     }
 }
 

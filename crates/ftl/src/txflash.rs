@@ -40,6 +40,9 @@ const CLOSE: u32 = 1 << 31;
 #[derive(Debug, Default)]
 struct SccHook {
     programmed: HashMap<Tid, Vec<(Lpn, Ppa)>>,
+    /// Program sequence when the device last went from no open cycle on
+    /// flash to one: no page of any open cycle is older.
+    floor: u64,
 }
 
 impl GcHook for SccHook {
@@ -54,6 +57,10 @@ impl GcHook for SccHook {
                 }
             }
         }
+    }
+
+    fn tx_floor(&self) -> Option<u64> {
+        (self.programmed.is_empty().then_some(u64::MAX)).or(Some(self.floor))
     }
 }
 
@@ -155,6 +162,9 @@ impl TxFlashFtl {
         let Some((lpn, data)) = slot.take() else {
             return Ok(());
         };
+        if self.hook.programmed.is_empty() {
+            self.hook.floor = self.base.chip().next_seq();
+        }
         let position = self.hook.programmed.get(&tid).map_or(0, Vec::len) as u32 + 1;
         let aux = if close { CLOSE | position } else { position };
         let oob = Oob {
@@ -200,6 +210,12 @@ impl TxFlashFtl {
     pub fn base(&self) -> &FtlBase {
         &self.base
     }
+
+    /// Where the programmed pages of every open cycle are, for the
+    /// verify oracle's audits.
+    pub fn open_pages(&self) -> impl Iterator<Item = Ppa> + '_ {
+        (self.hook.programmed.values().flatten()).map(|(_, ppa)| *ppa)
+    }
 }
 
 impl BlockDevice for TxFlashFtl {
@@ -218,7 +234,10 @@ impl BlockDevice for TxFlashFtl {
 
     fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
         self.base.counters_mut().host_writes += 1;
-        self.base.write_committed(lpn, buf, &mut self.hook)
+        self.base.write_committed(lpn, buf, &mut self.hook)?;
+        // A root once the roll-forward window is full, flushed or not;
+        // cycles still open keep their pages above its horizon.
+        self.base.checkpoint_if_due(&mut self.hook)
     }
 
     fn trim(&mut self, lpn: Lpn) -> Result<()> {
@@ -295,6 +314,7 @@ impl TxBlockDevice for TxFlashFtl {
         self.base
             .recorder()
             .record_span(OpClass::TxCommit, tid, 0, t_start, t_end);
+        self.base.checkpoint_if_due(&mut self.hook)?;
         self.base.gc_step(&mut self.hook)?;
         Ok(CommitTicket::immediate(tid))
     }

@@ -31,6 +31,12 @@
 //!   generation (index `i` of `n` at slot `i` of the live list, one
 //!   generation id) or there are none, and every page of an older
 //!   generation is invalid.
+//! * **Skipped blocks** — the recovery scan takes a data block on trust
+//!   when its last page is at or below both the root's checkpoint
+//!   sequence and its transaction horizon. Such a block must hold nothing
+//!   the scan would have used — no page newer than either bound, nothing
+//!   but data pages — and the horizon must stay below every page of a
+//!   group or cycle the personality still has open.
 //! * **Bad-block discipline** — a block the chip has retired (erase
 //!   failure) holds no programmed or torn pages (the failed erase still
 //!   wipes the cells, and nothing may program it afterwards), is present
@@ -47,6 +53,7 @@ use std::fmt;
 
 use xftl_core::{TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
+use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
 
 use crate::shadow::ShadowDevice;
@@ -239,6 +246,28 @@ pub enum AuditViolation {
         /// The superseded page.
         ppa: Ppa,
     },
+    /// A data block the recovery scan would skip — first and last page
+    /// data, the last at or below the root's checkpoint sequence and
+    /// transaction horizon — holds a page the scan needs.
+    CoveredBlockHidesPage {
+        /// The page the scan would never see.
+        ppa: Ppa,
+        /// What it is.
+        kind: PageKind,
+        /// Its program sequence.
+        seq: u64,
+    },
+    /// The transaction horizon has reached a page of a group or cycle
+    /// that is still open: recovery would disown it, and with it the
+    /// commit that closes the group after the next root.
+    HorizonPastOpenPage {
+        /// The open group's page.
+        ppa: Ppa,
+        /// Its program sequence (`None`: not an intact page at all).
+        seq: Option<u64>,
+        /// The newest root's transaction horizon.
+        horizon: u64,
+    },
     /// A retired block holds a programmed or torn page: the FTL reused a
     /// block the chip already reported an erase failure on.
     RetiredBlockReused {
@@ -395,6 +424,16 @@ impl fmt::Display for AuditViolation {
             AuditViolation::StaleTranslationPageValid { slab, ppa } => write!(
                 f,
                 "superseded translation page {ppa:?} of slab {slab} is still counted valid"
+            ),
+            AuditViolation::CoveredBlockHidesPage { ppa, kind, seq } => write!(
+                f,
+                "{kind:?} page {ppa:?} (seq {seq}) sits in a data block the recovery scan \
+                 skips as covered by the root"
+            ),
+            AuditViolation::HorizonPastOpenPage { ppa, seq, horizon } => write!(
+                f,
+                "transaction horizon {horizon} has reached page {ppa:?} (seq {seq:?}) of a \
+                 group that is still open"
             ),
             AuditViolation::RetiredBlockReused { block, page, state } => write!(
                 f,
@@ -589,6 +628,7 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
         }
     }
     audit_slab_homes(base)?;
+    audit_covered_blocks(base)?;
     for lpn in 0..base.capacity_pages() {
         // `l2p_peek` resolves non-resident slabs by silently reading the
         // persisted translation page, so the audit itself perturbs neither
@@ -774,6 +814,80 @@ fn audit_slab_homes(base: &FtlBase) -> Result<(), AuditViolation> {
     Ok(())
 }
 
+/// The newest intact checkpoint root on the media — the one a recovery
+/// of this chip would load — or `None` on a chip that was never
+/// formatted.
+pub fn newest_root(chip: &FlashChip) -> Option<MetaPage> {
+    let geo = chip.config().geometry;
+    let ring = (0..2u32).flat_map(|b| (0..geo.pages_per_block as u32).map(move |p| Ppa::new(b, p)));
+    let mut buf = vec![0u8; geo.page_size];
+    let roots = ring.filter_map(|ppa| {
+        let oob = chip.read_silent(ppa, &mut buf)?;
+        let root = MetaPage::decode(&buf).filter(|_| oob.kind == PageKind::Meta)?;
+        Some((oob.seq, root))
+    });
+    roots.max_by_key(|(seq, _)| *seq).map(|(_, root)| root)
+}
+
+/// Skipped-block audit (see the [module docs](self)): restates, from the
+/// media alone — the root a recovery would load, the pages it would
+/// probe — when the scan takes a block on trust, and reads every page of
+/// each such block for what the full scan would have used.
+fn audit_covered_blocks(base: &FtlBase) -> Result<(), AuditViolation> {
+    let chip = base.chip();
+    let geo = chip.config().geometry;
+    let Some(root) = newest_root(chip) else {
+        return Ok(());
+    };
+    let (ckpt_seq, horizon) = (root.ckpt_seq, root.tx_horizon);
+    let last = geo.pages_per_block as u32 - 1;
+    for block in base.first_pool_block()..geo.blocks as u32 {
+        let data_seq = |page| match chip.probe_silent(Ppa::new(block, page)) {
+            PageProbe::Programmed(oob) if oob.kind == PageKind::Data => Some(oob.seq),
+            _ => None,
+        };
+        let covered = |seq| seq <= ckpt_seq && seq <= horizon;
+        if data_seq(0).is_none() || !data_seq(last).is_some_and(covered) {
+            continue;
+        }
+        for page in 0..=last {
+            let ppa = Ppa::new(block, page);
+            let PageProbe::Programmed(oob) = chip.probe_silent(ppa) else {
+                continue;
+            };
+            let needed = match oob.kind {
+                PageKind::Data => !covered(oob.seq),
+                PageKind::XL2p | PageKind::Commit | PageKind::Map | PageKind::Meta => true,
+            };
+            if needed {
+                return Err(AuditViolation::CoveredBlockHidesPage {
+                    ppa,
+                    kind: oob.kind,
+                    seq: oob.seq,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The other half of the skipped-block bargain: every page of a group or
+/// cycle the personality still has open lies above the transaction
+/// horizon, so no root written meanwhile lets the scan disown it.
+fn audit_open_pages(base: &FtlBase, open: impl Iterator<Item = Ppa>) -> Result<(), AuditViolation> {
+    let horizon = newest_root(base.chip()).map_or(0, |root| root.tx_horizon);
+    for ppa in open {
+        let seq = match base.chip().probe_silent(ppa) {
+            PageProbe::Programmed(oob) => Some(oob.seq),
+            _ => None,
+        };
+        if seq.is_none_or(|seq| seq <= horizon) {
+            return Err(AuditViolation::HorizonPastOpenPage { ppa, seq, horizon });
+        }
+    }
+    Ok(())
+}
+
 /// Commit-evidence audit (see the [module docs](self)): the live list is
 /// one complete generation, and validity of every `XL2p` page on flash
 /// agrees with it.
@@ -838,11 +952,14 @@ impl Auditable for PageMappedFtl {
 
 impl Auditable for TxFlashFtl {
     fn audit(&self) -> Result<AuditReport, AuditViolation> {
+        audit_open_pages(self.base(), self.open_pages())?;
         audit_base(self.base())
     }
 }
 
 impl Auditable for AtomicWriteFtl {
+    /// (A group is open only inside one `write_atomic` call: between
+    /// calls there is no open page for the horizon to overrun.)
     fn audit(&self) -> Result<AuditReport, AuditViolation> {
         audit_base(self.base())
     }
@@ -1086,6 +1203,85 @@ mod tests {
         assert!(
             matches!(err, AuditViolation::SlabHomeNotNewest { slab: 0, home, .. } if home == Some(live)),
             "expected the dead home flagged, got: {err}"
+        );
+    }
+
+    #[test]
+    fn mutation_horizon_advanced_past_an_open_cycle_is_caught() {
+        use xftl_ftl::NoHook;
+        let open_cycle = || {
+            let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
+            let mut dev = TxFlashFtl::format(chip, 48).unwrap();
+            let ps = dev.page_size();
+            dev.write(0, &vec![1; ps]).unwrap();
+            // Two pages of cycle 9: the first programmed, the second
+            // buffered — the cycle is open on flash.
+            dev.write_tx(9, 1, &vec![2; ps]).unwrap();
+            dev.write_tx(9, 2, &vec![3; ps]).unwrap();
+            assert_eq!(dev.open_pages().count(), 1);
+            dev
+        };
+        // The device's own checkpoint keeps the horizon below the cycle.
+        let mut dev = open_cycle();
+        dev.flush().unwrap();
+        dev.audit().unwrap();
+        // Emulate a checkpoint that did not ask the personality: the
+        // horizon runs up to the root, past the cycle's first page, and a
+        // recovery under that root would disown it — the cycle could
+        // close after the root and still be lost.
+        let mut dev = open_cycle();
+        dev.base_mut().checkpoint(&mut NoHook).unwrap();
+        let page = dev.open_pages().next().unwrap();
+        let err = dev.audit().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AuditViolation::HorizonPastOpenPage { ppa, seq: Some(seq), horizon }
+                    if ppa == page && seq <= horizon
+            ),
+            "expected the overrun horizon flagged, got: {err}"
+        );
+    }
+
+    #[test]
+    fn mutation_covered_block_hiding_a_post_root_page_is_caught() {
+        use xftl_flash::Oob;
+        let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
+        let mut dev = PageMappedFtl::format(chip, 48).unwrap();
+        let ps = dev.page_size();
+        dev.write(0, &vec![1; ps]).unwrap();
+        dev.flush().unwrap();
+        // Emulate a frontier that mixed classes: a data block, first and
+        // last page data, with a table-image page of a generation no root
+        // covers in the middle. The recovery that finds it reads it in
+        // full (it is newer than the root) and files it under data...
+        let mut chip = dev.into_chip();
+        let pages = chip.config().geometry.pages_per_block as u32;
+        for page in 0..pages {
+            let oob = if page == 3 {
+                Oob {
+                    kind: PageKind::XL2p,
+                    tid: u64::MAX,
+                    aux: 2,
+                    ..Oob::data(0)
+                }
+            } else {
+                Oob::data(8 + u64::from(page))
+            };
+            chip.program(Ppa::new(23, page), &vec![7u8; ps], oob)
+                .unwrap();
+        }
+        let dev = PageMappedFtl::recover(chip).unwrap();
+        // ...and its closing root now covers the block's last page: the
+        // next scan would take the block on trust, table page and all.
+        let err = dev.audit().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                AuditViolation::CoveredBlockHidesPage { ppa, kind: PageKind::XL2p, .. }
+                    if ppa == Ppa::new(23, 3)
+            ),
+            "expected the hidden table page flagged, got: {err}"
         );
     }
 

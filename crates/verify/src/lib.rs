@@ -41,5 +41,7 @@
 pub mod audit;
 pub mod shadow;
 
-pub use audit::{audit_base, audit_chip, audit_xftl, AuditReport, AuditViolation, Auditable};
+pub use audit::{
+    audit_base, audit_chip, audit_xftl, newest_root, AuditReport, AuditViolation, Auditable,
+};
 pub use shadow::{ShadowDevice, ShadowModel};

@@ -6,14 +6,14 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use xftl_core::{RecoveryBreakdown, XFtl};
+use xftl_core::XFtl;
 use xftl_db::{Connection, DbJournalMode, SharedFs};
 use xftl_flash::{AgingModel, FaultPlan, FlashChip, FlashConfigBuilder, Nanos, SimClock};
 use xftl_fs::{FileSystem, FsConfig, FsError, FsStats, Ino, JournalMode};
 use xftl_ftl::{
     BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase, FtlStats,
-    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Result, SataLink, ScrubConfig, Tid,
-    TxBlockDevice,
+    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, RecoveryBreakdown, Result, SataLink,
+    ScrubConfig, Tid, TxBlockDevice,
 };
 
 use xftl_trace::Telemetry;
@@ -471,9 +471,9 @@ impl Rig {
     /// Simulates a power loss and full recovery: the file system and all
     /// caches are dropped, the device is rebuilt from flash through its
     /// recovery path, and the volume is re-mounted. Returns the recovered
-    /// rig and the simulated time the *device-level* recovery took, split
-    /// as Table 5 needs it: the plain FTL's recovery is all scan; X-FTL
-    /// adds the X-L2P fold.
+    /// rig and what the *device-level* recovery cost, part by part — on
+    /// X-FTL the replay and closing-checkpoint parts are the X-L2P fold
+    /// Table 5 reports.
     ///
     /// All `Connection`s into the old rig must have been dropped.
     pub fn crash_and_recover(self) -> (Rig, RecoveryBreakdown) {
@@ -482,16 +482,10 @@ impl Rig {
             .expect("connections still open")
             .into_inner();
         let link = link_for(cfg.profile);
-        let t0 = clock.now();
         let (mut dev, breakdown) = match fs.into_device() {
             AnyDev::Plain(old) => {
                 let ftl = PageMappedFtl::recover(old.into_inner().into_chip()).expect("recover");
-                let scan_ns = clock.now() - t0;
-                let breakdown = RecoveryBreakdown {
-                    total_ns: scan_ns,
-                    scan_ns,
-                    xl2p_ns: 0,
-                };
+                let breakdown = ftl.base().recovery();
                 (
                     AnyDev::Plain(SataLink::new(ftl, link, clock.clone())),
                     breakdown,
@@ -499,8 +493,8 @@ impl Rig {
             }
             AnyDev::X(old) => {
                 let chip = old.into_inner().into_chip();
-                let (ftl, breakdown) =
-                    XFtl::recover_with_breakdown(chip, cfg.xl2p_capacity).expect("recover");
+                let ftl = XFtl::recover_with_capacity(chip, cfg.xl2p_capacity).expect("recover");
+                let breakdown = ftl.base().recovery();
                 (
                     AnyDev::X(SataLink::new(ftl, link, clock.clone())),
                     breakdown,
@@ -728,17 +722,9 @@ mod tests {
                 db.execute("INSERT INTO t VALUES (1, 77)").unwrap();
             }
             let (rig, recovery) = rig.crash_and_recover();
-            assert!(recovery.total_ns > 0, "{mode:?}");
-            assert_eq!(
-                recovery.scan_ns + recovery.xl2p_ns,
-                recovery.total_ns,
-                "{mode:?}"
-            );
-            assert_eq!(
-                recovery.xl2p_ns > 0,
-                mode == Mode::XFtl,
-                "{mode:?}: only X-FTL has a table to fold"
-            );
+            let parts = [recovery.root_ns, recovery.scan_ns, recovery.checkpoint_ns];
+            assert!(parts.iter().all(|ns| *ns > 0), "{mode:?}: {recovery:?}");
+            assert!(recovery.written_blocks > recovery.skipped_blocks);
             let mut db = rig.open_db("t.db");
             let rows = db.query("SELECT v FROM t WHERE id = 1").unwrap();
             assert_eq!(rows[0][0], xftl_db::Value::Int(77), "{mode:?}");

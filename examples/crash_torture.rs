@@ -86,10 +86,12 @@ fn main() {
             );
             survived += 1;
             if round == 0 {
+                let r = recovery;
+                let total_ns = r.root_ns + r.scan_ns + r.load_ns + r.replay_ns + r.checkpoint_ns;
                 println!(
                     "{:>6}: first recovery took {:.2} ms simulated",
                     mode.label(),
-                    recovery.total_ns as f64 / 1e6
+                    total_ns as f64 / 1e6
                 );
             }
         }

@@ -14,7 +14,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xftl_core::XFtl;
-use xftl_flash::FlashChip;
+use xftl_flash::{FlashChip, Oob, PageKind, PageProbe, Ppa};
+use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
     AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Tid, TxBlockDevice,
     TxFlashFtl,
@@ -36,6 +37,82 @@ pub fn recover_with<D: BlockDevice + Auditable>(
     dev.verify_recovered();
     dev.audit();
     dev
+}
+
+// --- the recovery scan's skip against a scan that cannot skip --------------
+
+/// `chip` under its newest root re-issued with the transaction horizon
+/// zeroed. The recovery scan takes a data block on trust only when its
+/// last page is at or below the checkpoint sequence *and* the horizon, so
+/// under this root it reads every written block in full — and nothing
+/// else changes for a personality whose recovery never consults the
+/// horizon (`PageMappedFtl`, `XFtl`), nor for the other two on an image
+/// of one life with no transaction id reused (the horizon exists to tell
+/// lives and reuses apart). The checkpoint sequence cannot be zeroed the
+/// same way: replaying covered plain pages over the loaded slabs would
+/// bury every version committed under a transaction id.
+pub fn with_horizon_zeroed(mut chip: FlashChip) -> FlashChip {
+    let geo = chip.config().geometry;
+    let zeroed = MetaPage {
+        tx_horizon: 0,
+        ..xftl_verify::newest_root(&chip).expect("a formatted chip")
+    };
+    // Appended where the device would have written its next root.
+    let newest = (0..2u32)
+        .filter(|b| chip.write_point(*b) != Some(0))
+        .max_by_key(|b| match chip.probe_silent(Ppa::new(*b, 0)) {
+            PageProbe::Programmed(oob) => oob.seq,
+            _ => 0,
+        })
+        .expect("a root ring in use");
+    chip.power_cycle();
+    let at = match chip.write_point(newest) {
+        Some(page) => Ppa::new(newest, page),
+        None => {
+            chip.erase(1 - newest).unwrap();
+            Ppa::new(1 - newest, 0)
+        }
+    };
+    let oob = Oob {
+        kind: PageKind::Meta,
+        ..Oob::data(0)
+    };
+    chip.program(at, &zeroed.encode(geo.page_size), oob)
+        .unwrap();
+    chip
+}
+
+/// Recovers the image on `chip` twice — as it is, and under
+/// [`with_horizon_zeroed`] — and holds the two devices to the same pool
+/// census, page validity, slab homes, mapping and contents. Returns how
+/// many blocks the first recovery skipped (the second skips none).
+pub fn assert_skip_is_invisible<D: Personality>(chip: &FlashChip) -> u32 {
+    let mut fast = D::recover(chip.clone()).unwrap();
+    let mut full = D::recover(with_horizon_zeroed(chip.clone())).unwrap();
+    let skipped = fast.base().recovery().skipped_blocks;
+    assert_eq!(full.base().recovery().skipped_blocks, 0);
+    let (a, b) = (fast.base(), full.base());
+    let geo = chip.config().geometry;
+    for block in 0..geo.blocks as u32 {
+        let state = |f: &FtlBase| (f.is_allocatable(block), f.is_bad_block(block));
+        assert_eq!(state(a), state(b), "block {block}");
+        for page in 0..geo.pages_per_block as u32 {
+            let ppa = Ppa::new(block, page);
+            assert_eq!(a.page_is_valid(ppa), b.page_is_valid(ppa), "{ppa:?}");
+        }
+    }
+    assert_eq!(a.slab_homes(), b.slab_homes());
+    assert_eq!(a.xl2p_roots(), b.xl2p_roots());
+    for lpn in 0..a.capacity_pages() {
+        assert_eq!(a.l2p_peek(lpn), b.l2p_peek(lpn), "lpn {lpn}");
+    }
+    let (mut x, mut y) = (vec![0u8; geo.page_size], vec![0u8; geo.page_size]);
+    for lpn in 0..fast.capacity_pages() {
+        fast.read(lpn, &mut x).unwrap();
+        full.read(lpn, &mut y).unwrap();
+        assert_eq!(x, y, "lpn {lpn}");
+    }
+    skipped
 }
 
 // --- the every-boundary power-cut sweep -----------------------------------

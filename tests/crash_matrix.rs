@@ -305,6 +305,54 @@ fn crash_during_recovery_is_idempotent() {
             "{mode:?}: torn batch visible after re-crashed recovery"
         );
     }
+    recovery_cut_in_its_closing_checkpoint_recovers_again();
+}
+
+/// The same claim where recovery writes, at every place it can die. The
+/// image: flushed churn (closed data blocks under roots: the scan skips
+/// them) and a tail over all four slabs that no root covers (the replay
+/// dirties them: the closing checkpoint has four translation pages to
+/// write before its root). `recover` itself only reads — and power-cycles the
+/// chip it is given, which disarms any fuse — so the fuse is armed
+/// between the scan and `finish_recovery`, at every program and erase of
+/// the latter; what the cut leaves is recovered again, skipping again,
+/// audited, and holds every page's last write.
+fn recovery_cut_in_its_closing_checkpoint_recovers_again() {
+    use xftl_ftl::{BlockDevice, FtlBase};
+    use xftl_verify::Auditable;
+    let chip = FlashChip::new(FlashConfig::tiny(56), SimClock::new());
+    let mut dev = PageMappedFtl::format(chip, 256).unwrap();
+    let ps = dev.page_size();
+    let mut expect = vec![0u8; 256];
+    for i in 0..630u64 {
+        let (lpn, fill) = (i * 37 % 256, (i % 250) as u8 + 1);
+        dev.write(lpn, &vec![fill; ps]).unwrap();
+        expect[lpn as usize] = fill;
+        if i % 100 == 99 {
+            dev.flush().unwrap();
+        }
+    }
+    let image = dev.into_chip();
+    let ops = |chip: &FlashChip| chip.stats().programs + chip.stats().erases;
+    let uncut = PageMappedFtl::recover(image.clone()).unwrap();
+    let cuts = ops(uncut.base().chip()) - ops(&image);
+    assert!(uncut.base().recovery().skipped_blocks > 0);
+    assert!(cuts >= 5, "four translation pages and the root: {cuts}");
+    for fuse in 1..=cuts {
+        let (mut base, log) = FtlBase::recover(image.clone()).unwrap();
+        base.chip_mut().arm_power_fuse(fuse);
+        let died = base.finish_recovery(&log, Vec::new());
+        assert!(died.is_err(), "fuse {fuse} never fired");
+        let mut again = PageMappedFtl::recover(base.into_chip())
+            .unwrap_or_else(|e| panic!("fuse {fuse}: the second recovery refused: {e:?}"));
+        assert!(again.base().recovery().skipped_blocks > 0, "fuse {fuse}");
+        again.audit().unwrap_or_else(|v| panic!("fuse {fuse}: {v}"));
+        let mut buf = vec![0u8; ps];
+        for (lpn, fill) in expect.iter().enumerate() {
+            again.read(lpn as u64, &mut buf).unwrap();
+            assert!(buf.iter().all(|b| b == fill), "fuse {fuse}: lpn {lpn}");
+        }
+    }
 }
 
 // --- the X-L2P table image as commit evidence -----------------------------
@@ -1270,6 +1318,206 @@ fn steps_survive_every_cut_xftl() {
     sweep_steps::<XFtl>("xftl");
 }
 
+// --- cadence roots under the power fuse -------------------------------------
+// DESIGN.md §5.3, "Bound the window": a host that never
+// flushes still gets a root every 32 blocks' worth of programs, from each
+// personality's own checkpoint routine, and every root moves the horizon
+// as far as the personality's open groups allow. The sweeps below cut
+// every program and erase of such a root.
+
+/// Forty tiny blocks exporting 160 pages, every page written and
+/// flushed, then churned by plain writes nobody flushes until `behind`
+/// cadence roots are behind it and the next is a handful of programs
+/// away — where the sweep's groups take over.
+fn cadence_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy, behind: u64) -> ShadowDevice<D> {
+    use xftl_ftl::BlockDevice;
+    let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
+    let mut dev = ShadowDevice::new(D::format(chip, 160));
+    dev.inner_mut().base_mut().set_gc_policy(policy);
+    let ps = dev.page_size();
+    for lpn in 0..160u64 {
+        dev.write(lpn, &vec![0xEE; ps]).unwrap();
+    }
+    dev.flush().unwrap();
+    let window = 32 * dev.inner().base().pages_per_block() as u64;
+    let until_due = |d: &ShadowDevice<D>| {
+        let chip = d.inner().base().chip();
+        let root = xftl_verify::newest_root(chip).unwrap();
+        window.saturating_sub(chip.next_seq() - 1 - root.ckpt_seq)
+    };
+    let mut i = 0u64;
+    for root in 0..=behind {
+        // (The atomic-write personality roots itself every few writes and
+        // never gets near: it takes a window's worth of them.)
+        let stop = i + window;
+        while until_due(&dev) > 6 && i < stop {
+            dev.write(i * 37 % 160, &vec![(i % 200) as u8 + 1; ps])
+                .unwrap();
+            i += 1;
+        }
+        if root < behind {
+            // The group that crosses it (X-FTL asks at a commit only).
+            let before = dev.inner().base().stats().checkpoints;
+            let pages: Vec<_> = (0..8).map(|lpn| (lpn, vec![0xDD; ps])).collect();
+            D::group(&mut dev, 1_000 + root, &pages).unwrap();
+            assert!(dev.inner().base().stats().checkpoints > before);
+        }
+    }
+    dev
+}
+
+/// Two groups of eight pages across the first cadence root and across
+/// the second, every cut, under each GC policy.
+fn sweep_cadence_roots<D: common::Personality>(name: &str) {
+    use xftl_ftl::GcPolicy;
+    for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
+        for behind in [0, 1] {
+            let s = common::sweep(|| cadence_dev::<D>(policy, behind), 2, 8);
+            // More roots than the groups' own flushes account for.
+            let flushes = if D::ATOMIC { 0 } else { 2 };
+            assert!(
+                s.checkpoints > flushes,
+                "{name}/{policy:?}/{behind}: no cadence root in the swept groups"
+            );
+        }
+    }
+}
+
+#[test]
+fn cadence_roots_survive_every_cut_pagemap() {
+    sweep_cadence_roots::<PageMappedFtl>("pagemap");
+}
+
+#[test]
+fn cadence_roots_survive_every_cut_atomicwrite() {
+    // Single-page groups release their records — a checkpoint — every
+    // four writes on this geometry, long before the window fills: these
+    // are the roots the sweep cuts. `a_group_that_fills_the_window…`
+    // below does fill it, with three large groups.
+    sweep_cadence_roots::<xftl_ftl::AtomicWriteFtl>("atomicwrite");
+}
+
+#[test]
+fn cadence_roots_survive_every_cut_txflash() {
+    sweep_cadence_roots::<xftl_ftl::TxFlashFtl>("txflash");
+}
+
+#[test]
+fn cadence_roots_survive_every_cut_xftl() {
+    sweep_cadence_roots::<XFtl>("xftl");
+}
+
+/// Why a checkpoint asks the personality before it moves the horizon: a
+/// cycle opened before a cadence root closes after it. Its first page
+/// sits in a block that is long closed and that the root's `ckpt_seq`
+/// covers; were the horizon to cover it too the next scan would skip the
+/// block, find the cycle a page short and drop a commit the host was
+/// told is durable.
+#[test]
+fn an_open_cycle_straddling_a_cadence_root_commits_and_survives_the_cut() {
+    use xftl_ftl::{BlockDevice, TxBlockDevice, TxFlashFtl};
+    let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
+    let mut dev = ShadowDevice::new(TxFlashFtl::format(chip, 128).unwrap());
+    let ps = dev.page_size();
+    for lpn in 0..64u64 {
+        dev.write(lpn, &vec![0xEE; ps]).unwrap();
+    }
+    dev.flush().unwrap();
+    // Cycle 9: its first page programmed, its second buffered.
+    dev.write_tx(9, 100, &vec![0xA1; ps]).unwrap();
+    dev.write_tx(9, 101, &vec![0xA2; ps]).unwrap();
+    let first = dev.inner().open_pages().next().unwrap();
+    // Plain traffic, never flushed, until the device has written a root
+    // of its own accord.
+    let roots = dev.inner().stats().checkpoints;
+    let mut i = 0u64;
+    while dev.inner().stats().checkpoints == roots {
+        dev.write(i % 64, &vec![(i % 200) as u8 + 1; ps]).unwrap();
+        i += 1;
+    }
+    let base = dev.inner().base();
+    let root = xftl_verify::newest_root(base.chip()).unwrap();
+    let (ckpt_seq, horizon) = (root.ckpt_seq, root.tx_horizon);
+    let seq_of = |ppa| match base.chip().probe_silent(ppa) {
+        xftl_flash::PageProbe::Programmed(oob) => oob.seq,
+        other => panic!("{ppa:?} is {other:?}"),
+    };
+    assert!(base.chip().write_point(first.block).is_none(), "closed");
+    assert!(horizon < seq_of(first) && seq_of(first) <= ckpt_seq);
+    dev.audit();
+    // The cycle closes after the root; then the power goes.
+    dev.write_tx(9, 102, &vec![0xA3; ps]).unwrap();
+    dev.commit(9).unwrap();
+    let mut dev = recover_with(dev, TxFlashFtl::into_chip, |chip| {
+        TxFlashFtl::recover(chip).unwrap()
+    });
+    assert!(dev.inner().base().recovery().skipped_blocks >= 8);
+    let mut buf = vec![0u8; ps];
+    for (lpn, fill) in [(100, 0xA1), (101, 0xA2), (102, 0xA3)] {
+        dev.read(lpn, &mut buf).unwrap();
+        assert!(buf.iter().all(|b| *b == fill), "lpn {lpn} of the cycle");
+    }
+}
+
+/// The atomic-write personality has a group open only inside one call,
+/// so its cadence root can only follow a seal — and a commit record names
+/// at most a page's worth of pages, so it takes groups near that size to
+/// fill the window before the record cap forces a root anyway. Three
+/// groups of 100 pages (1 KB pages: a record holds 125) do: the third is
+/// sealed, then rooted, and at every cut of its tail — its last pages,
+/// its record, the translation pages, the root — it is whole or absent
+/// and the two before it are whole.
+#[test]
+fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
+    use xftl_ftl::{AtomicWriteFtl, BlockDevice};
+    use xftl_verify::Auditable;
+    const GROUP: u64 = 100;
+    let fills = [0xA1u8, 0xA2, 0xA3];
+    let write_group = |dev: &mut AtomicWriteFtl, g: u64| {
+        let page = vec![fills[g as usize]; dev.page_size()];
+        let pages: Vec<(u64, &[u8])> = (g * GROUP..(g + 1) * GROUP)
+            .map(|lpn| (lpn, &page[..]))
+            .collect();
+        dev.write_atomic(&pages)
+    };
+    let build = || {
+        let cfg = xftl_flash::FlashConfigBuilder::tiny()
+            .blocks(64)
+            .page_size(1024)
+            .build();
+        let mut dev = AtomicWriteFtl::format(FlashChip::new(cfg, SimClock::new()), 320).unwrap();
+        write_group(&mut dev, 0).unwrap();
+        write_group(&mut dev, 1).unwrap();
+        assert_eq!(dev.stats().checkpoints, 0, "two records, half a window");
+        dev
+    };
+    let mut dev = build();
+    let before = dev.flash_stats().programs;
+    write_group(&mut dev, 2).unwrap();
+    let s = *dev.stats();
+    assert!(3 * (GROUP + 1) > 32 * dev.base().pages_per_block() as u64);
+    assert_eq!((s.commit_record_writes, s.checkpoints), (3, 1));
+    let programs = dev.flash_stats().programs - before;
+    assert_eq!(programs, GROUP + 1 + s.map_writes + 1);
+    for fuse in GROUP - 3..=programs {
+        let mut dev = build();
+        dev.base_mut().chip_mut().arm_power_fuse(fuse);
+        assert!(write_group(&mut dev, 2).is_err(), "fuse {fuse}");
+        let mut dev = AtomicWriteFtl::recover(dev.into_chip()).unwrap();
+        dev.audit().unwrap_or_else(|v| panic!("fuse {fuse}: {v}"));
+        let sealed = fuse > GROUP + 1;
+        let mut buf = vec![0u8; dev.page_size()];
+        for lpn in 0..3 * GROUP {
+            dev.read(lpn, &mut buf).unwrap();
+            let fill = match lpn / GROUP {
+                2 if !sealed => 0,
+                g => fills[g as usize],
+            };
+            assert!(buf.iter().all(|b| *b == fill), "fuse {fuse}: lpn {lpn}");
+        }
+    }
+}
+
 /// DESIGN.md §5.2's repro of the mapping-page window, closed —
 /// `PageMappedFtl`, 56 tiny blocks exporting 384 pages behind a 2-slab
 /// cache, every page written and flushed ([`tight_dev`]'s device under
@@ -1312,7 +1560,7 @@ fn mapping_page_window_is_closed() {
     let s = *dev.inner().stats();
     assert_eq!(s.gc_background_steps, 0);
     assert!(s.gc_map_runs > 0 && s.gc_copies > s.gc_valid_pages);
-    assert_eq!(cuts, 1939);
+    assert_eq!(cuts, 1954);
     for fuse in 1..=cuts {
         let mut dev = build();
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);

@@ -578,6 +578,16 @@ fn x_crash(dev: XDev) -> XDev {
     })
 }
 
+/// [`x_crash`], after holding the image the power cut left — lives,
+/// reused transaction ids and all: X-FTL's recovery never consults the
+/// horizon — to [`common::assert_skip_is_invisible`].
+fn x_crash_checking_the_skip(dev: XDev) -> XDev {
+    recover_with(dev, XFtl::into_chip, |chip| {
+        common::assert_skip_is_invisible::<XFtl>(&chip);
+        XFtl::recover_with_capacity(chip, 64).unwrap()
+    })
+}
+
 /// Family 7: X-FTL's transactional writes become visible only at commit
 /// (blocking or submitted), vanish on abort, and a crash preserves the
 /// durable image plus — group-atomically, in submission order — any
@@ -590,7 +600,8 @@ fn xftl_transactions_match_model() {
         let ops = rand_tx_ops(&mut rng);
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let what = format!("family 7 case {case}");
-        run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
+        let crash = x_crash_checking_the_skip;
+        run_schedule(&what, x_format(chip), &ops, crash, &mut seen);
     }
     // (This generator keeps plain writes off the transactions' pages, so
     // none lands on a staged one; family 11's do.)
@@ -680,6 +691,89 @@ fn txflash_transactions_match_model() {
         run_schedule(&what, dev, &ops, crash, &mut seen);
     }
     assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");
+}
+
+/// One life of a device under a family 7 schedule, four times as long
+/// and with its power cuts taken out: transaction ids are made unique
+/// (slot `t` becomes `t + 4 × its commits and aborts so far`, which keeps
+/// the slot's page stripe), a transactional device takes the commands as
+/// they are, a plain one takes every write as a write and every commit as
+/// a flush. Whatever is open stays open: the caller cuts the power.
+fn one_life<D: BlockDevice>(dev: &mut D, rng: &mut StdRng, tx: Option<fn(&mut D, &DevOp)>) {
+    let ps = dev.page_size();
+    let mut uses = [0u64; 5];
+    for op in (0..4).flat_map(|_| rand_tx_ops(rng)) {
+        let op = match op {
+            DevOp::Crash | DevOp::CommitWait | DevOp::Begin { .. } => continue,
+            DevOp::Write { tid, lpn, byte } => DevOp::Write {
+                tid: tid + 4 * uses[tid as usize],
+                lpn,
+                byte,
+            },
+            DevOp::Commit { tid: slot } | DevOp::CommitSubmit { tid: slot } => {
+                uses[slot as usize] += 1;
+                let tid = slot + 4 * (uses[slot as usize] - 1);
+                DevOp::Commit { tid }
+            }
+            DevOp::Abort { tid: slot } => {
+                uses[slot as usize] += 1;
+                let tid = slot + 4 * (uses[slot as usize] - 1);
+                DevOp::Abort { tid }
+            }
+            op @ (DevOp::PlainWrite { .. } | DevOp::Flush) => op,
+        };
+        match (tx, &op) {
+            (_, DevOp::PlainWrite { lpn, byte }) => dev.write(*lpn, &vec![*byte; ps]).unwrap(),
+            (_, DevOp::Flush) => dev.flush().unwrap(),
+            (Some(tx), op) => tx(dev, op),
+            (None, DevOp::Write { lpn, byte, .. }) => dev.write(*lpn, &vec![*byte; ps]).unwrap(),
+            (None, DevOp::Commit { .. }) => dev.flush().unwrap(),
+            (None, _) => {}
+        }
+    }
+}
+
+fn tx_op<D: TxBlockDevice>(dev: &mut D, op: &DevOp) {
+    match *op {
+        DevOp::Write { tid, lpn, byte } => {
+            let page = vec![byte; dev.page_size()];
+            dev.write_tx(tid, lpn, &page).unwrap();
+        }
+        DevOp::Commit { tid } => dev.commit(tid).unwrap(),
+        DevOp::Abort { tid } => dev.abort(tid).unwrap(),
+        _ => unreachable!("{op:?} is not a transactional command"),
+    }
+}
+
+/// Family 13: the recovery scan reads a data block in full or takes it
+/// on trust after two probes, and no recovery can tell which. Every
+/// personality recovers the image a [`one_life`] leaves on twelve tiny
+/// blocks as it is and with nothing skippable: same census, validity,
+/// slab homes, mapping and contents — and the first did skip, on images
+/// GC had been over.
+#[test]
+fn skipping_covered_blocks_is_invisible_to_recovery() {
+    fn family<D: common::Personality>(tx: Option<fn(&mut D, &DevOp)>) -> (u32, u64) {
+        let (mut skipped, mut collected) = (0, 0);
+        for case in 0..24u64 {
+            let chip = FlashChip::new(FlashConfig::tiny(12), SimClock::new());
+            let mut dev = D::format(chip, 24);
+            one_life(&mut dev, &mut case_rng(13, case), tx);
+            collected += dev.base().stats().gc_runs;
+            skipped += common::assert_skip_is_invisible::<D>(&dev.into_chip());
+        }
+        (skipped, collected)
+    }
+    let seen = [
+        family::<PageMappedFtl>(None),
+        family::<xftl_ftl::AtomicWriteFtl>(None),
+        family::<TxFlashFtl>(Some(tx_op)),
+        family::<XFtl>(Some(tx_op)),
+    ];
+    assert!(
+        seen.iter().all(|(skipped, gc)| *skipped >= 24 && *gc > 0),
+        "(blocks skipped, blocks collected): {seen:?}"
+    );
 }
 
 // --- SQL engine vs key-value model ---------------------------------------------
@@ -813,7 +907,8 @@ fn xftl_mvcc_schedules_match_model() {
         let ops = rand_mvcc_ops(&mut rng);
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let what = format!("family 11 case {case}");
-        run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
+        let crash = x_crash_checking_the_skip;
+        run_schedule(&what, x_format(chip), &ops, crash, &mut seen);
     }
     assert!(
         seen.cuts_strict_prefix > 0

@@ -179,9 +179,10 @@ fn recovery_time_ordering() {
         // Mode-specific restart work: the X-L2P fold inside the device for
         // X-FTL, the database open (journal rollback / WAL scan) otherwise.
         let (r, device) = r.crash_and_recover();
+        let fold = device.replay_ns + device.checkpoint_ns;
         let t0 = r.clock.now();
         let _db = r.open_db("s.db");
-        device.xl2p_ns + (r.clock.now() - t0)
+        u64::from(mode == Mode::XFtl) * fold + (r.clock.now() - t0)
     };
     let rbj = recovery(Mode::Rbj);
     let wal = recovery(Mode::Wal);

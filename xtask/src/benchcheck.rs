@@ -6,7 +6,9 @@
 //! simulated latencies/throughputs within 10 %). Missing or unexpected
 //! metrics are violations too, so the baseline can't silently go stale.
 //! On top of the baseline match, the pipeline gate demands the
-//! split-phase commit win itself: deeper queues must raise X-FTL IOPS.
+//! split-phase commit win itself: deeper queues must raise X-FTL IOPS;
+//! the recovery gate, that device recovery stays a fraction of what
+//! probing every written page would cost.
 
 use std::fs;
 use std::path::Path;
@@ -242,6 +244,47 @@ pub fn steady_gate(fresh: &BenchReport) -> Vec<String> {
     violations
 }
 
+/// The recovery gate, over the `table5` lane: recovery costs what changed
+/// since the root, not what the device holds. For every journal mode the
+/// common FTL recovery must stay within a quarter of the *full-probe*
+/// cost — one OOB probe of every page of every written block, which is
+/// what the scan cost while it was the only directory — plus four blocks'
+/// worth of probes for what no root can ever cover: the two-block root
+/// ring and the open data and mapping frontiers (on the few written
+/// blocks of the smoke scale those four are most of the device). A scan
+/// that stops skipping covered blocks costs the full probe and then
+/// some, whatever baseline it is re-blessed against.
+pub fn recovery_gate(fresh: &BenchReport) -> Vec<String> {
+    let get = |name: &str| {
+        fresh
+            .metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|&(_, v)| v)
+    };
+    let mut violations = Vec::new();
+    for mode in ["rbj", "wal", "xftl"] {
+        let names = ["common_ns", "full_probe_ns", "block_probe_ns"]
+            .map(|metric| format!("table5.{mode}.{metric}"));
+        let [Some(common), Some(full), Some(block)] = names.each_ref().map(|n| get(n)) else {
+            violations.push(format!(
+                "`{}` / `{}` / `{}` missing — recovery gate cannot run",
+                names[0], names[1], names[2]
+            ));
+            continue;
+        };
+        let allowed = 0.25 * full + 4.0 * block;
+        if common > allowed {
+            violations.push(format!(
+                "`{}` {common:.0} > {allowed:.0} (a quarter of the full probe {full:.0} plus \
+                 four blocks) — the recovery scan is reading what the root covers",
+                names[0]
+            ));
+        }
+    }
+    violations
+}
+
 /// Structural gate over the endurance sweep (`BENCH_endurance.json`):
 /// X-FTL must keep every row readable *and* value-intact after
 /// end-of-life recovery at every swept severity, the scrubber must hold
@@ -370,6 +413,10 @@ pub fn bench_check(
     if fresh.name == "all" {
         violations.extend(pipeline_gate(&fresh));
         violations.extend(concurrent_gate(&fresh));
+    }
+    let has_table5 = |r: &BenchReport| r.metrics.iter().any(|(n, _)| n.starts_with("table5."));
+    if fresh.name == "all" || has_table5(&fresh) || has_table5(&baseline) {
+        violations.extend(recovery_gate(&fresh));
     }
     let has_steady = |r: &BenchReport| r.metrics.iter().any(|(n, _)| n.starts_with("steady."));
     if fresh.name == "steady" || has_steady(&fresh) || has_steady(&baseline) {
@@ -522,6 +569,37 @@ mod tests {
         // Dropping the sweep must not silently pass.
         let missing = report_with(&[("concurrent.w1.disjoint_commit_tps", 900.0)]);
         assert_eq!(concurrent_gate(&missing).len(), 1);
+    }
+
+    fn table5_report(common: [f64; 3], full: [f64; 3]) -> BenchReport {
+        let mut r = report_with(&[]);
+        for (i, mode) in ["rbj", "wal", "xftl"].iter().enumerate() {
+            r.metric(&format!("table5.{mode}.common_ns"), common[i]);
+            r.metric(&format!("table5.{mode}.full_probe_ns"), full[i]);
+            r.metric(&format!("table5.{mode}.block_probe_ns"), 6e6);
+        }
+        r
+    }
+
+    #[test]
+    fn recovery_gate_demands_a_scan_that_skips_what_the_root_covers() {
+        // The smoke scale after the skip: 11, 5 and 4 written blocks.
+        let full = [70.9e6, 32.2e6, 25.8e6];
+        assert!(recovery_gate(&table5_report([30.6e6, 16.3e6, 6.6e6], full)).is_empty());
+        // The scan reads every page again: the full probe and the rest
+        // of the recovery on top, in the mode that wrote the most.
+        let v = recovery_gate(&table5_report([84.6e6, 16.3e6, 6.6e6], full));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("table5.rbj.common_ns"), "{v:?}");
+        // At full scale a quarter is a quarter: 50 blocks, 12 unread.
+        let full = [328.7e6, 322.2e6, 154.7e6];
+        assert!(recovery_gate(&table5_report([26.5e6, 52.1e6, 31.8e6], full)).is_empty());
+        let v = recovery_gate(&table5_report([26.5e6, 110e6, 31.8e6], full));
+        assert_eq!(v.len(), 1, "{v:?}");
+        // Dropping the lane's metrics must not silently pass.
+        let v = recovery_gate(&report_with(&[("table5.rbj.common_ns", 1.0)]));
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|m| m.contains("missing")));
     }
 
     /// Translation-page programs per host write (greedy, cost-benefit)
