@@ -11,7 +11,7 @@
 
 use xftl_core::XFtl;
 use xftl_flash::{FlashChip, FlashConfigBuilder, SimClock};
-use xftl_ftl::{AtomicWriteFtl, BlockDevice, TxBlockDevice, TxFlashFtl};
+use xftl_ftl::{AtomicWriteFtl, BlockDevice, FtlStats, Personality, TxBlockDevice, TxFlashFtl};
 use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::synthetic::{self, SyntheticConfig};
 
@@ -75,6 +75,9 @@ pub fn xl2p_capacity(quick: bool) -> String {
     out
 }
 
+/// Logical pages of ablation 2's devices.
+const AW_LOGICAL: u64 = 4_000;
+
 /// Ablation 2: X-FTL vs the two related-work baselines — the per-call
 /// atomic-write FTL (Park et al. \[18\]) and TxFlash's Simple Cyclic Commit
 /// (Prabhakaran et al. \[20\]) — on raw-device transactions of `group`
@@ -85,9 +88,9 @@ pub fn atomic_write_baseline(quick: bool) -> String {
     } else {
         (2_000, 5)
     };
-    let logical: u64 = 4_000;
-    let blocks = 64;
     let page = vec![0xC3u8; 8192];
+    // The pages transaction `i` updates.
+    let lpns = |i: u64| (0..group as u64).map(move |p| (i * group as u64 + p) % AW_LOGICAL);
     let mut out = String::new();
     out.push_str("=== Ablation: X-FTL vs atomic-write FTL [18] vs TxFlash SCC [20] ===\n");
     out.push_str(&format!(
@@ -99,136 +102,97 @@ pub fn atomic_write_baseline(quick: bool) -> String {
         "flash programs",
         "overhead pages",
     ]);
-
     // X-FTL: write_tx x group + one commit.
-    {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(
-            FlashConfigBuilder::openssd().blocks(blocks).build(),
-            clock.clone(),
-        );
-        let mut dev = XFtl::format(chip, logical).expect("format");
-        let t0 = clock.now();
-        for i in 0..txns as u64 {
-            let tid = i + 1;
-            for p in 0..group as u64 {
-                dev.write_tx(tid, (i * group as u64 + p) % logical, &page)
-                    .expect("write_tx");
-            }
-            dev.commit(tid).expect("commit");
-        }
-        let elapsed = clock.now() - t0;
-        let s = dev.stats();
-        metrics::metric("ablation.aw.xftl.elapsed_ns", elapsed as f64);
-        metrics::metric(
-            "ablation.aw.xftl.programs",
-            dev.flash_stats().programs as f64,
-        );
-        t.row(vec![
-            "X-FTL".to_string(),
-            secs(elapsed),
-            dev.flash_stats().programs.to_string(),
-            (s.xl2p_writes + s.meta_writes).to_string(),
-        ]);
-    }
-
+    baseline_row::<XFtl>(
+        &mut t,
+        ("X-FTL", "xftl"),
+        txns,
+        |s| s.xl2p_writes + s.meta_writes,
+        |d, i| transaction(d, i + 1, lpns(i), &page),
+    );
     // Atomic-write FTL, ideal case: the whole group in one call (only
     // possible when nothing is stolen early).
-    {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(
-            FlashConfigBuilder::openssd().blocks(blocks).build(),
-            clock.clone(),
-        );
-        let mut dev = AtomicWriteFtl::format(chip, logical).expect("format");
-        let t0 = clock.now();
-        for i in 0..txns as u64 {
-            let pages: Vec<(u64, &[u8])> = (0..group as u64)
-                .map(|p| ((i * group as u64 + p) % logical, page.as_slice()))
-                .collect();
-            dev.write_atomic(&pages).expect("write_atomic");
-        }
-        let elapsed = clock.now() - t0;
-        let s = dev.stats();
-        metrics::metric("ablation.aw.one_call.elapsed_ns", elapsed as f64);
-        metrics::metric(
-            "ablation.aw.one_call.programs",
-            dev.flash_stats().programs as f64,
-        );
-        t.row(vec![
-            "atomic-write (one call/txn)".to_string(),
-            secs(elapsed),
-            dev.flash_stats().programs.to_string(),
-            (s.commit_record_writes + s.meta_writes).to_string(),
-        ]);
-    }
-
+    baseline_row::<AtomicWriteFtl>(
+        &mut t,
+        ("atomic-write (one call/txn)", "one_call"),
+        txns,
+        |s| s.commit_record_writes + s.meta_writes,
+        |d, i| {
+            let pages: Vec<(u64, &[u8])> = lpns(i).map(|lpn| (lpn, page.as_slice())).collect();
+            d.write_atomic(&pages).expect("write_atomic");
+        },
+    );
     // TxFlash SCC: the cycle-closing marker rides on the last data page —
     // zero overhead pages, but per-call atomicity only (no steal).
-    {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(
-            FlashConfigBuilder::openssd().blocks(blocks).build(),
-            clock.clone(),
-        );
-        let mut dev = TxFlashFtl::format(chip, logical).expect("format");
-        let t0 = clock.now();
-        for i in 0..txns as u64 {
-            let tid = i + 1;
-            for p in 0..group as u64 {
-                dev.write_tx(tid, (i * group as u64 + p) % logical, &page)
-                    .expect("write_tx");
-            }
-            dev.commit(tid).expect("commit");
-        }
-        let elapsed = clock.now() - t0;
-        let s = dev.stats();
-        metrics::metric("ablation.aw.txflash_scc.elapsed_ns", elapsed as f64);
-        metrics::metric(
-            "ablation.aw.txflash_scc.programs",
-            dev.flash_stats().programs as f64,
-        );
-        t.row(vec![
-            "TxFlash SCC (one cycle/txn)".to_string(),
-            secs(elapsed),
-            dev.flash_stats().programs.to_string(),
-            (s.commit_record_writes + s.xl2p_writes).to_string(),
-        ]);
-    }
-
+    baseline_row::<TxFlashFtl>(
+        &mut t,
+        ("TxFlash SCC (one cycle/txn)", "txflash_scc"),
+        txns,
+        |s| s.commit_record_writes + s.xl2p_writes,
+        |d, i| transaction(d, i + 1, lpns(i), &page),
+    );
     // Atomic-write FTL under steal: every page eviction is its own call,
     // so every page pays a commit record (§3.3's incompatibility).
-    {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(
-            FlashConfigBuilder::openssd().blocks(blocks).build(),
-            clock.clone(),
-        );
-        let mut dev = AtomicWriteFtl::format(chip, logical).expect("format");
-        let t0 = clock.now();
-        for i in 0..txns as u64 {
-            for p in 0..group as u64 {
-                dev.write((i * group as u64 + p) % logical, &page)
-                    .expect("write");
+    baseline_row::<AtomicWriteFtl>(
+        &mut t,
+        ("atomic-write (steal: call/page)", "steal"),
+        txns,
+        |s| s.commit_record_writes + s.meta_writes,
+        |d, i| {
+            for lpn in lpns(i) {
+                d.write(lpn, &page).expect("write");
             }
-        }
-        let elapsed = clock.now() - t0;
-        let s = dev.stats();
-        metrics::metric("ablation.aw.steal.elapsed_ns", elapsed as f64);
-        metrics::metric(
-            "ablation.aw.steal.programs",
-            dev.flash_stats().programs as f64,
-        );
-        t.row(vec![
-            "atomic-write (steal: call/page)".to_string(),
-            secs(elapsed),
-            dev.flash_stats().programs.to_string(),
-            (s.commit_record_writes + s.meta_writes).to_string(),
-        ]);
-    }
+        },
+    );
     out.push_str(&t.render());
     out.push('\n');
     out
+}
+
+/// One row of ablation 2: `P` formatted on a fresh 64-block OpenSSD chip
+/// runs `txns` transactions, the `i`-th issued by `txn(dev, i)`; its time,
+/// flash programs and the overhead pages `overhead` counts are tabulated
+/// under `label` and recorded under `ablation.aw.<key>`.
+fn baseline_row<P: Personality>(
+    t: &mut Table,
+    (label, key): (&str, &str),
+    txns: usize,
+    overhead: fn(&FtlStats) -> u64,
+    mut txn: impl FnMut(&mut P, u64),
+) {
+    let clock = SimClock::new();
+    let chip = FlashChip::new(
+        FlashConfigBuilder::openssd().blocks(64).build(),
+        clock.clone(),
+    );
+    let mut dev = P::format(chip, AW_LOGICAL).expect("format");
+    let t0 = clock.now();
+    for i in 0..txns as u64 {
+        txn(&mut dev, i);
+    }
+    let elapsed = clock.now() - t0;
+    let programs = dev.base().flash_stats().programs;
+    metrics::metric(format!("ablation.aw.{key}.elapsed_ns"), elapsed as f64);
+    metrics::metric(format!("ablation.aw.{key}.programs"), programs as f64);
+    t.row(vec![
+        label.to_string(),
+        secs(elapsed),
+        programs.to_string(),
+        overhead(dev.base().stats()).to_string(),
+    ]);
+}
+
+/// `tid` writes `lpns` and commits.
+fn transaction<D: TxBlockDevice>(
+    dev: &mut D,
+    tid: u64,
+    lpns: impl Iterator<Item = u64>,
+    page: &[u8],
+) {
+    for lpn in lpns {
+        dev.write_tx(tid, lpn, page).expect("write_tx");
+    }
+    dev.commit(tid).expect("commit");
 }
 
 /// Ablation 3: WAL auto-checkpoint interval.
@@ -320,7 +284,7 @@ pub fn barrier_cost(quick: bool) -> String {
             }
         }
         let elapsed = clock.now() - t0;
-        let s = dev.stats();
+        let s = dev.base().stats();
         metrics::metric(format!("ablation.barrier.k{k}.elapsed_ns"), elapsed as f64);
         metrics::metric(
             format!("ablation.barrier.k{k}.map_meta_pages"),

@@ -169,12 +169,12 @@ pub fn run_regime(scale: &SteadyScale, policy: GcPolicy, hot_cold: bool) -> Stea
 
     // Steady phase: Zipfian overwrites, measured from a stats snapshot
     // so the fill traffic doesn't dilute the steady-state numbers.
-    let before = *dev.stats();
+    let before = *dev.base().stats();
     let zipf = Zipf::new(logical, ZIPF_THETA);
     let mut rng = StdRng::seed_from_u64(steady_seed());
     let total = (logical as f64 * scale.overwrite_factor) as u64;
     let per_window = (total / scale.windows as u64).max(1);
-    let clock = dev.clock();
+    let clock = dev.base().clock();
     let mut writes_per_s = Vec::with_capacity(scale.windows);
     let mut resident_max = 0;
     let mut n = 0u64;
@@ -195,7 +195,7 @@ pub fn run_regime(scale: &SteadyScale, policy: GcPolicy, hot_cold: bool) -> Stea
             dev.base().map_cache().resident()
         );
     }
-    let d = *dev.stats() - before;
+    let d = *dev.base().stats() - before;
     let host = d.data_writes.max(1) as f64;
     SteadyOut {
         wa: d.total_writes() as f64 / host,

@@ -88,7 +88,7 @@ pub fn drain_into(report: &mut BenchReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_trace::{OpClass, Recorder};
+    use xftl_trace::OpClass;
 
     // The sink is process-global; exercise it in one test so parallel
     // test threads can't interleave resets.

@@ -80,12 +80,12 @@
 
 use std::collections::HashMap;
 
-use xftl_flash::{FlashChip, SimClock};
+use xftl_flash::{FlashChip, Ppa};
 use xftl_ftl::{
-    BlockDevice, CmdId, CmdQueue, CommitTicket, DevCounters, DevError, DeviceState, FtlBase,
-    FtlStats, IoCmd, Lpn, Result, Tid, TxBlockDevice,
+    BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase, IoCmd, Lpn,
+    Personality, RecoveryLog, Result, Tid, TxBlockDevice,
 };
-use xftl_trace::{OpClass, Recorder};
+use xftl_trace::OpClass;
 
 use crate::xl2p::{TxStatus, Xl2pError, Xl2pTable};
 
@@ -98,7 +98,6 @@ pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 pub struct XFtl {
     base: FtlBase,
     table: Xl2pTable,
-    queue: CmdQueue,
     /// Transactions staged by `commit_submit` into the open commit group,
     /// in submission order (= fold order at the group flush). A tid may
     /// appear twice if it was reused and committed twice in one window.
@@ -125,32 +124,19 @@ pub struct XFtl {
     staged_seq_of: HashMap<Tid, u64>,
 }
 
-impl XFtl {
-    /// Formats a fresh chip to export `logical_pages`, with the default
-    /// X-L2P capacity.
-    pub fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
-        Self::format_with_capacity(chip, logical_pages, DEFAULT_XL2P_CAPACITY)
-    }
-
-    /// Formats with an explicit X-L2P capacity (500 and 1000 in the paper;
-    /// the ablation bench sweeps this).
-    pub fn format_with_capacity(
-        chip: FlashChip,
-        logical_pages: u64,
-        xl2p_capacity: usize,
-    ) -> Result<Self> {
-        Ok(Self::assemble(
-            FtlBase::format(chip, logical_pages)?,
-            xl2p_capacity,
-        ))
-    }
-
-    /// A device with empty transactional RAM state over `base`.
-    fn assemble(base: FtlBase, xl2p_capacity: usize) -> Self {
+/// A committed transaction's pages become current at the point its group
+/// flush began — the generation id every page of the live table image
+/// carries, which a GC copy keeps while its program sequence moves;
+/// entries of in-flight transactions are implicitly aborted — simply not
+/// folded (§5.4). Reading the image, the fold and the closing checkpoint
+/// (`replay_ns` and `checkpoint_ns` of [`FtlBase::recovery`]) are what
+/// the paper reports as X-FTL's 3.5 ms "SQLite restart time"; the rest is
+/// the common FTL work it excludes.
+impl Personality for XFtl {
+    fn assemble(base: FtlBase) -> Self {
         XFtl {
             base,
-            table: Xl2pTable::new(xl2p_capacity),
-            queue: CmdQueue::default(),
+            table: Xl2pTable::new(DEFAULT_XL2P_CAPACITY),
             staged: Vec::new(),
             staged_writers: HashMap::new(),
             next_group: 1,
@@ -160,29 +146,7 @@ impl XFtl {
         }
     }
 
-    /// Rebuilds the device from flash after a power loss.
-    ///
-    /// Implements §5.4: load the L2P checkpoint and the persisted X-L2P
-    /// table; fold entries with *Committed* status into the L2P table
-    /// (idempotent); treat entries of in-flight transactions as aborted.
-    /// Ordinary (tid = 0) post-checkpoint writes are rolled forward by
-    /// sequence number, interleaved correctly with the commit fold.
-    pub fn recover(chip: FlashChip) -> Result<Self> {
-        Self::recover_with_capacity(chip, DEFAULT_XL2P_CAPACITY)
-    }
-
-    /// [`XFtl::recover`] with an explicit X-L2P capacity. What the parts
-    /// cost is in [`FtlBase::recovery`]: reading the table image, the
-    /// fold and the closing checkpoint (its `replay_ns` and
-    /// `checkpoint_ns`) are what the paper reports as X-FTL's 3.5 ms
-    /// "SQLite restart time"; the rest is the common FTL work it excludes.
-    pub fn recover_with_capacity(chip: FlashChip, xl2p_capacity: usize) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        // A committed transaction's pages become current at the point
-        // its group flush began — the generation id every page of the
-        // table image carries, which a GC copy keeps while its program
-        // sequence moves; entries of in-flight transactions are
-        // implicitly aborted — simply not folded.
+    fn recovery_folds(base: &mut FtlBase, _: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
         let mut folds = Vec::new();
         let mut page = vec![0u8; base.page_size()];
         for ppa in base.xl2p_roots().to_vec() {
@@ -195,8 +159,69 @@ impl XFtl {
                     .map(|e| (generation, e.lpn, e.ppa)),
             );
         }
-        base.finish_recovery(&log, folds)?;
-        Ok(Self::assemble(base, xl2p_capacity))
+        Ok(folds)
+    }
+
+    fn base(&self) -> &FtlBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut FtlBase {
+        &mut self.base
+    }
+
+    fn into_chip(self) -> FlashChip {
+        self.base.into_chip()
+    }
+}
+
+// The first four methods — `format`, `recover`, `base`, `into_chip` —
+// only delegate to `Personality`: the frozen `perf` package calls them by
+// path from its own trait of the same method names, where without them
+// the call would resolve to that trait and recurse. They go once perf is
+// unfrozen.
+impl XFtl {
+    /// [`Personality::format`], with the default X-L2P capacity.
+    pub fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
+        <Self as Personality>::format(chip, logical_pages)
+    }
+
+    /// [`Personality::recover`], with the default X-L2P capacity.
+    pub fn recover(chip: FlashChip) -> Result<Self> {
+        <Self as Personality>::recover(chip)
+    }
+
+    /// [`Personality::base`].
+    pub fn base(&self) -> &FtlBase {
+        <Self as Personality>::base(self)
+    }
+
+    /// [`Personality::into_chip`].
+    pub fn into_chip(self) -> FlashChip {
+        <Self as Personality>::into_chip(self)
+    }
+
+    /// Formats with an explicit X-L2P capacity (500 and 1000 in the paper;
+    /// the ablation bench sweeps this).
+    pub fn format_with_capacity(
+        chip: FlashChip,
+        logical_pages: u64,
+        xl2p_capacity: usize,
+    ) -> Result<Self> {
+        <Self as Personality>::format(chip, logical_pages).map(|d| d.with_capacity(xl2p_capacity))
+    }
+
+    /// [`XFtl::recover`] with an explicit X-L2P capacity.
+    pub fn recover_with_capacity(chip: FlashChip, xl2p_capacity: usize) -> Result<Self> {
+        <Self as Personality>::recover(chip).map(|d| d.with_capacity(xl2p_capacity))
+    }
+
+    /// The device with an empty table of `xl2p_capacity` entries in place
+    /// of its (equally empty) default one.
+    fn with_capacity(mut self, xl2p_capacity: usize) -> Self {
+        debug_assert!(self.table.is_empty());
+        self.table = Xl2pTable::new(xl2p_capacity);
+        self
     }
 
     /// Checkpoints the L2P table and releases committed X-L2P entries,
@@ -230,7 +255,7 @@ impl XFtl {
         // The table image below is ordered behind every program issued so
         // far, so waiting for it retires every outstanding ticket (ledger
         // bound, as in the classic blocking commit).
-        self.queue.retire(CmdId(u64::MAX));
+        self.base.retire_all();
         // Step 2 (durability point), once for the whole group.
         let pages = self
             .table
@@ -248,7 +273,7 @@ impl XFtl {
             // Only *committed* entries fold: the host may have started
             // writing the transaction's next batch after commit_submit,
             // and those still-active versions must not leak into the L2P.
-            let folds: Vec<(Lpn, xftl_flash::Ppa)> = self
+            let folds: Vec<(Lpn, Ppa)> = self
                 .table
                 .entries_of(tid)
                 .filter(|e| e.status == crate::xl2p::TxStatus::Committed)
@@ -327,7 +352,7 @@ impl XFtl {
     /// Points the L2P at `ppa`, retaining the displaced version (whose
     /// sequence is `old_seq`) in the version chain if some active
     /// snapshot can still see it, invalidating it otherwise.
-    fn fold_snapshot_aware(&mut self, lpn: Lpn, ppa: xftl_flash::Ppa, old_seq: u64) -> Result<()> {
+    fn fold_snapshot_aware(&mut self, lpn: Lpn, ppa: Ppa, old_seq: u64) -> Result<()> {
         if !self.snapshot_sees(old_seq) {
             return self.base.fold_mapping(lpn, ppa);
         }
@@ -493,7 +518,7 @@ impl XFtl {
     }
 
     /// Post-write bookkeeping shared by `write_tx` and `submit_tx`.
-    fn record_tx_write(&mut self, tid: Tid, lpn: Lpn, ppa: xftl_flash::Ppa) {
+    fn record_tx_write(&mut self, tid: Tid, lpn: Lpn, ppa: Ppa) {
         match self.table.upsert(tid, lpn, ppa) {
             Ok(None) => {}
             Ok(Some(superseded)) => {
@@ -509,41 +534,6 @@ impl XFtl {
     /// Number of live X-L2P entries (for tests and stats).
     pub fn xl2p_len(&self) -> usize {
         self.table.len()
-    }
-
-    /// FTL-attributed statistics.
-    pub fn stats(&self) -> &FtlStats {
-        self.base.stats()
-    }
-
-    /// Raw media statistics.
-    pub fn flash_stats(&self) -> xftl_flash::FlashStats {
-        self.base.flash_stats()
-    }
-
-    /// Resets statistics between experiment phases.
-    pub fn reset_stats(&mut self) {
-        self.base.reset_stats();
-    }
-
-    /// Shared simulated clock.
-    pub fn clock(&self) -> SimClock {
-        self.base.clock()
-    }
-
-    /// Powers down, keeping only the flash medium.
-    pub fn into_chip(self) -> FlashChip {
-        self.base.into_chip()
-    }
-
-    /// Direct engine access, for failure injection in tests.
-    pub fn base_mut(&mut self) -> &mut FtlBase {
-        &mut self.base
-    }
-
-    /// Read-only engine access, for the verify oracle's audits.
-    pub fn base(&self) -> &FtlBase {
-        &self.base
     }
 
     /// Read-only X-L2P table access, for the verify oracle's audits.
@@ -609,7 +599,6 @@ impl BlockDevice for XFtl {
         self.flush_staged_commits()?;
         // A flush is also a full queue barrier.
         self.base.drain();
-        self.queue.retire(CmdId(u64::MAX));
         if self.base.has_dirty_mapping() {
             self.checkpoint_and_release()?;
         }
@@ -644,9 +633,7 @@ impl BlockDevice for XFtl {
                     // Ordering without draining: raise the queue's
                     // completion floor over everything issued so far and
                     // over this batch's earlier commands.
-                    self.base.counters_mut().barriers += 1;
-                    self.queue.raise_barrier();
-                    done = done.max(self.queue.horizon());
+                    done = done.max(self.base.barrier());
                     let now = self.base.clock().now();
                     self.base
                         .recorder()
@@ -654,13 +641,11 @@ impl BlockDevice for XFtl {
                 }
             }
         }
-        Ok(self.queue.issue(done))
+        Ok(self.base.issue(done))
     }
 
     fn complete_until(&mut self, barrier: CmdId) -> Result<()> {
-        if let Some(done) = self.queue.retire(barrier) {
-            self.base.wait_for(done);
-        }
+        self.base.complete_until(barrier);
         Ok(())
     }
 }
@@ -744,7 +729,7 @@ impl TxBlockDevice for XFtl {
                 }
                 self.release_snapshot(tid);
                 // Whatever batches the loser had in flight are dead.
-                self.queue.retire(CmdId(u64::MAX));
+                self.base.retire_all();
                 self.base.stats_mut().conflict_aborts += 1;
                 let t_end = self.base.clock().now();
                 self.base
@@ -790,7 +775,6 @@ impl TxBlockDevice for XFtl {
             // Read-only commit: still a full queue barrier, exactly as
             // the blocking command always was.
             self.base.drain();
-            self.queue.retire(CmdId(u64::MAX));
             return Ok(());
         }
         // Groups flush in order, so the ticket's group is durable iff its
@@ -821,7 +805,7 @@ impl TxBlockDevice for XFtl {
         self.release_snapshot(tid);
         // Whatever batches the aborting host had in flight are dead; no
         // one will wait on their tickets.
-        self.queue.retire(CmdId(u64::MAX));
+        self.base.retire_all();
         let t_end = self.base.clock().now();
         self.base
             .recorder()
@@ -850,14 +834,14 @@ impl TxBlockDevice for XFtl {
         }
         // No wait here: commit(tid) orders the X-L2P table write behind
         // every page of the batch, so the durability point covers them.
-        Ok(self.queue.issue(done))
+        Ok(self.base.issue(done))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_flash::{FlashChip, FlashConfig};
+    use xftl_flash::{FlashChip, FlashConfig, SimClock};
 
     fn dev() -> XFtl {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
@@ -911,9 +895,9 @@ mod tests {
         let mut d = dev();
         let a = page(&d, 1);
         d.write_tx(3, 0, &a).unwrap();
-        let before = d.flash_stats().programs;
+        let before = d.base().flash_stats().programs;
         d.abort(3).unwrap();
-        assert_eq!(d.flash_stats().programs, before, "abort is RAM-only");
+        assert_eq!(d.base().flash_stats().programs, before, "abort is RAM-only");
     }
 
     #[test]
@@ -925,20 +909,30 @@ mod tests {
         let a = page(&d, 1);
         let batch: Vec<(Lpn, &[u8])> = (0..5u64).map(|lpn| (lpn, &a[..])).collect();
         d.submit_tx(3, &batch).unwrap();
-        let before = (d.flash_stats().programs, d.stats().meta_writes);
+        let before = (
+            d.base().flash_stats().programs,
+            d.base().stats().meta_writes,
+        );
         // One chip, one unit: the queued data pages complete one by one.
         let data_done = d.base().chip().idle_at();
-        assert!(data_done > d.clock().now(), "the batch is still in flight");
+        assert!(
+            data_done > d.base().clock().now(),
+            "the batch is still in flight"
+        );
         d.commit(3).unwrap();
-        assert_eq!(d.flash_stats().programs - before.0, 1, "1 X-L2P page");
-        assert_eq!(d.stats().meta_writes - before.1, 0, "and no root");
+        assert_eq!(
+            d.base().flash_stats().programs - before.0,
+            1,
+            "1 X-L2P page"
+        );
+        assert_eq!(d.base().stats().meta_writes - before.1, 0, "and no root");
         // The table page's cell program is ordered behind the last data
         // page and awaited; its transfer hid under that page's tPROG, and
         // nothing else — no collection step on this roomy device — stands
         // between the data and the acknowledgement.
         let t_prog = d.base().chip().config().timings.program_ns;
-        assert_eq!(d.clock().now(), data_done + t_prog);
-        assert_eq!(d.stats().gc_background_steps, 0);
+        assert_eq!(d.base().clock().now(), data_done + t_prog);
+        assert_eq!(d.base().stats().gc_background_steps, 0);
     }
 
     #[test]
@@ -1176,7 +1170,7 @@ mod tests {
         for i in 0..300u64 {
             d.write(i % 6, &junk).unwrap();
         }
-        assert!(d.stats().gc_runs > 0);
+        assert!(d.base().stats().gc_runs > 0);
         let mut d2 = XFtl::recover(d.into_chip()).unwrap();
         let mut out = page(&d2, 0);
         d2.read(30, &mut out).unwrap();
@@ -1198,7 +1192,7 @@ mod tests {
         for i in 0..300u64 {
             d.write(i % 6, &junk).unwrap();
         }
-        assert!(d.stats().gc_runs > 0);
+        assert!(d.base().stats().gc_runs > 0);
         let mut out = page(&d, 0);
         d.read(30, &mut out).unwrap();
         assert_eq!(out, old);
@@ -1286,27 +1280,27 @@ mod tests {
         let b = page(&d, 0xB2);
         d.write_tx(1, 0, &a).unwrap();
         d.write_tx(2, 1, &b).unwrap();
-        let before = d.flash_stats().programs;
-        let roots = d.stats().meta_writes;
+        let before = d.base().flash_stats().programs;
+        let roots = d.base().stats().meta_writes;
         let t1 = d.commit_submit(1).unwrap();
         let t2 = d.commit_submit(2).unwrap();
         assert_eq!(
-            d.flash_stats().programs,
+            d.base().flash_stats().programs,
             before,
             "commit_submit stages without programming"
         );
         assert_eq!(d.staged_tids(), &[1, 2]);
         // Redeeming the later ticket flushes the whole group.
         d.commit_wait(t2).unwrap();
-        let cost = d.flash_stats().programs - before;
+        let cost = d.base().flash_stats().programs - before;
         assert_eq!(cost, 1, "two commits share 1 X-L2P page");
         // The earlier ticket's group already flushed: free.
         d.commit_wait(t1).unwrap();
-        assert_eq!(d.flash_stats().programs - before, 1);
-        assert_eq!(d.stats().xl2p_writes, 1);
-        assert_eq!(d.stats().meta_writes, roots, "and no root");
-        assert_eq!(d.stats().group_commit_flushes, 1);
-        assert_eq!(d.stats().commits_coalesced, 2);
+        assert_eq!(d.base().flash_stats().programs - before, 1);
+        assert_eq!(d.base().stats().xl2p_writes, 1);
+        assert_eq!(d.base().stats().meta_writes, roots, "and no root");
+        assert_eq!(d.base().stats().group_commit_flushes, 1);
+        assert_eq!(d.base().stats().commits_coalesced, 2);
         let mut out = page(&d, 0);
         d.read(0, &mut out).unwrap();
         assert_eq!(out, a);
@@ -1322,7 +1316,7 @@ mod tests {
         d.write(0, &old).unwrap();
         d.write_tx(7, 0, &new).unwrap();
         let ticket = d.commit_submit(7).unwrap();
-        let before = d.flash_stats().programs;
+        let before = d.base().flash_stats().programs;
         let mut out = page(&d, 0);
         // Plain readers and other transactions see the staged version...
         d.read(0, &mut out).unwrap();
@@ -1330,7 +1324,11 @@ mod tests {
         d.read_tx(9, 0, &mut out).unwrap();
         assert_eq!(out, new);
         // ...without the read forcing the flush.
-        assert_eq!(d.flash_stats().programs, before, "reads program nothing");
+        assert_eq!(
+            d.base().flash_stats().programs,
+            before,
+            "reads program nothing"
+        );
         assert_eq!(d.staged_tids(), &[7]);
         d.commit_wait(ticket).unwrap();
         assert!(d.staged_tids().is_empty());
@@ -1369,7 +1367,11 @@ mod tests {
         let ticket = d.commit_submit(4).unwrap();
         // The plain write must order after the staged fold.
         d.write(0, &v3).unwrap();
-        assert_eq!(d.stats().group_commit_flushes, 1, "conflict forced flush");
+        assert_eq!(
+            d.base().stats().group_commit_flushes,
+            1,
+            "conflict forced flush"
+        );
         let mut out = page(&d, 0);
         d.read(0, &mut out).unwrap();
         assert_eq!(out, v3, "later plain write wins over the staged commit");
@@ -1391,7 +1393,7 @@ mod tests {
             let cfg = xftl_flash::FlashConfigBuilder::tiny().channels(4).build();
             let chip = FlashChip::new(cfg, SimClock::new());
             let mut d = XFtl::format_with_capacity(chip, 64, 64).unwrap();
-            let clock = d.clock();
+            let clock = d.base().clock();
             let data = vec![0x5Au8; d.page_size()];
             let t0 = clock.now();
             let mut tickets = Vec::new();
@@ -1423,7 +1425,7 @@ mod tests {
         let cfg = xftl_flash::FlashConfigBuilder::tiny().channels(4).build();
         let chip = FlashChip::new(cfg, SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
-        let clock = d.clock();
+        let clock = d.base().clock();
         let data = vec![0x5Au8; d.page_size()];
         let t0 = clock.now();
         for lpn in 0..4u64 {
@@ -1462,7 +1464,7 @@ mod tests {
         let batch: Vec<(Lpn, &[u8])> = (0..5u64).map(|lpn| (lpn, &data[..])).collect();
         d.submit_tx(1, &batch).unwrap();
         let slowest = d.base().chip().idle_at();
-        let busy = d.flash_stats().busy_channel_ns;
+        let busy = d.base().flash_stats().busy_channel_ns;
         assert!(busy[0] > busy[1], "channel 0 carries the extra page");
         assert!(
             busy[1..4].iter().all(|&ns| ns > 0),
@@ -1470,7 +1472,7 @@ mod tests {
         );
         d.commit(1).unwrap();
         assert_eq!(
-            d.clock().now(),
+            d.base().clock().now(),
             slowest + cfg.timings.program_ns,
             "the table page's cell program began the instant the last channel finished"
         );
@@ -1512,7 +1514,7 @@ mod tests {
         assert_eq!(out, a);
         d.read(1, &mut out).unwrap();
         assert_eq!(out, b);
-        assert_eq!(d.stats().conflict_aborts, 0);
+        assert_eq!(d.base().stats().conflict_aborts, 0);
         assert_eq!(d.active_snapshots(), 0);
     }
 
@@ -1532,7 +1534,7 @@ mod tests {
         d.commit(1).unwrap();
         // ...and the second deterministically loses, aborting cleanly.
         assert_eq!(d.commit_submit(2), Err(DevError::Conflict));
-        assert_eq!(d.stats().conflict_aborts, 1);
+        assert_eq!(d.base().stats().conflict_aborts, 1);
         assert_eq!(d.xl2p().writers_of(5), &[] as &[Tid], "intents released");
         assert_eq!(d.active_snapshots(), 0, "loser's snapshot released");
         let mut out = page(&d, 0);
@@ -1573,7 +1575,7 @@ mod tests {
         // The read-only snapshot commits; its pinned version is pruned.
         d.commit(9).unwrap();
         assert_eq!(d.xl2p().retained_versions(), 0);
-        assert!(d.stats().versions_pruned > 0);
+        assert!(d.base().stats().versions_pruned > 0);
         d.read_tx(9, 0, &mut out).unwrap();
         assert_eq!(out, v2, "after release the tid reads committed state");
     }
@@ -1610,9 +1612,13 @@ mod tests {
         d.begin(4).unwrap();
         d.write_tx(4, 0, &a).unwrap();
         assert_eq!(d.xl2p().writers_of(0), &[4]);
-        let before = d.flash_stats().programs;
+        let before = d.base().flash_stats().programs;
         d.abort(4).unwrap();
-        assert_eq!(d.flash_stats().programs, before, "abort stays RAM-only");
+        assert_eq!(
+            d.base().flash_stats().programs,
+            before,
+            "abort stays RAM-only"
+        );
         assert_eq!(d.xl2p().writers_of(0), &[] as &[Tid]);
         assert_eq!(d.active_snapshots(), 0);
         // The page is free for the next writer, no conflict.
@@ -1639,7 +1645,7 @@ mod tests {
         let mut out = page(&d, 0);
         d.read(0, &mut out).unwrap();
         assert_eq!(out, a);
-        assert_eq!(d.stats().conflict_aborts, 0);
+        assert_eq!(d.base().stats().conflict_aborts, 0);
     }
 
     #[test]
@@ -1689,7 +1695,7 @@ mod tests {
         for i in 0..300u64 {
             d.write(i % 6, &junk).unwrap();
         }
-        assert!(d.stats().gc_runs > 0);
+        assert!(d.base().stats().gc_runs > 0);
         let mut out = page(&d, 0);
         d.read_tx(9, 30, &mut out).unwrap();
         assert_eq!(out, keep, "GC relocation chased the retained version");

@@ -27,7 +27,7 @@ use std::rc::Rc;
 use xftl_flash::{Nanos, SimClock};
 use xftl_fs::{FileSystem, FsError, Ino};
 use xftl_ftl::{BlockDevice, CommitTicket, Tid};
-use xftl_trace::{OpClass, Recorder, Telemetry};
+use xftl_trace::{OpClass, Telemetry};
 
 use crate::error::{DbError, Result};
 

@@ -34,7 +34,7 @@ use crate::error::{FlashError, Result};
 use crate::fault::{EccEvent, FaultKind, FaultOp, FaultPlan};
 use crate::stats::{FlashStats, MAX_CHANNELS, QUEUE_DEPTH_BUCKETS};
 use std::fmt;
-use xftl_trace::{OpClass, Recorder, Telemetry};
+use xftl_trace::{OpClass, Telemetry};
 
 /// Physical page address: (block, page-within-block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -38,7 +38,7 @@ use std::fmt;
 
 use xftl_flash::{Nanos, SimClock};
 use xftl_ftl::{BlockDevice, CmdId, CommitTicket, IoCmd, Lpn, Tid, TxBlockDevice};
-use xftl_trace::{OpClass, Recorder, Telemetry};
+use xftl_trace::{OpClass, Telemetry};
 
 use crate::alloc::BlockBitmap;
 use crate::cache::PageCache;

@@ -10,12 +10,11 @@
 //! group. The ablation bench quantifies the extra commit-record writes this
 //! costs relative to X-FTL's single X-L2P write per transaction.
 
-use xftl_flash::{FlashChip, Oob, PageKind, Ppa, SimClock};
+use xftl_flash::{FlashChip, Oob, PageKind, Ppa};
 
-use crate::base::{FtlBase, GcHook, RecoveryLog};
+use crate::base::{FtlBase, GcHook, Personality, RecoveryLog};
 use crate::dev::{BlockDevice, DevCounters, Lpn, Tid};
 use crate::error::Result;
-use crate::stats::FtlStats;
 
 /// Magic prefix of a commit-record page ("AWRECORD").
 const RECORD_MAGIC: u64 = 0x4157_5245_434F_5244;
@@ -65,29 +64,35 @@ pub struct AtomicWriteFtl {
     next_group: Tid,
 }
 
-impl AtomicWriteFtl {
-    /// Formats a fresh chip to export `logical_pages`.
-    pub fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
-        Ok(AtomicWriteFtl {
-            base: FtlBase::format(chip, logical_pages)?,
-            hook: RecordHook::default(),
-            next_group: 1,
-        })
-    }
-
-    /// Rebuilds the device after a power loss. Data pages of groups whose
-    /// commit record made it to flash are rolled forward; groups without a
-    /// record vanish — the per-call all-or-nothing guarantee.
-    pub fn recover(chip: FlashChip) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        base.finish_recovery(&log, Self::sealed_folds(&log))?;
-        Ok(AtomicWriteFtl {
+/// Groups whose commit record made it to flash are rolled forward;
+/// groups without one vanish — the per-call all-or-nothing guarantee.
+impl Personality for AtomicWriteFtl {
+    fn assemble(base: FtlBase) -> Self {
+        AtomicWriteFtl {
             base,
             hook: RecordHook::default(),
             next_group: 1,
-        })
+        }
     }
 
+    fn recovery_folds(_: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
+        Ok(Self::sealed_folds(log))
+    }
+
+    fn base(&self) -> &FtlBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut FtlBase {
+        &mut self.base
+    }
+
+    fn into_chip(self) -> FlashChip {
+        self.base.into_chip()
+    }
+}
+
+impl AtomicWriteFtl {
     /// The folds the commit records in `log` seal, each at its record's
     /// sequence.
     fn sealed_folds(log: &RecoveryLog) -> Vec<(u64, Lpn, Ppa)> {
@@ -131,24 +136,39 @@ impl AtomicWriteFtl {
         let group = self.next_group;
         self.next_group += 1;
         self.hook.pending.clear();
+        let rec_ppa = match self.program_group(group, pages) {
+            Ok(rec_ppa) => rec_ppa,
+            Err(e) => {
+                // Per-call rollback, whether a data page or the record
+                // failed: orphan the pages already written.
+                for (_, ppa) in self.hook.pending.drain(..) {
+                    self.base.invalidate(ppa);
+                }
+                return Err(e);
+            }
+        };
+        self.hook.records.push(rec_ppa);
+        self.base.counters_mut().commits += 1;
+        let pending = std::mem::take(&mut self.hook.pending);
+        for (lpn, ppa) in pending {
+            self.base.fold_mapping(lpn, ppa)?;
+        }
+        self.release_records_if_needed()?;
+        self.base.gc_step(&mut self.hook)?;
+        Ok(group)
+    }
+
+    /// Programs the group's data pages, queued, then its commit record
+    /// chained behind them, and waits for the record; returns where it
+    /// landed. The data pages are `pending` as they land.
+    fn program_group(&mut self, group: Tid, pages: &[(Lpn, &[u8])]) -> Result<Ppa> {
         let mut data_done = 0;
         for (lpn, data) in pages {
-            match self
+            let (ppa, done) = self
                 .base
-                .write_cow(*lpn, group, data, false, &mut self.hook)
-            {
-                Ok((ppa, done)) => {
-                    data_done = data_done.max(done);
-                    self.hook.pending.push((*lpn, ppa));
-                }
-                Err(e) => {
-                    // Per-call rollback: orphan the pages already written.
-                    for (_, ppa) in self.hook.pending.drain(..) {
-                        self.base.invalidate(ppa);
-                    }
-                    return Err(e);
-                }
-            }
+                .write_cow(*lpn, group, data, false, &mut self.hook)?;
+            data_done = data_done.max(done);
+            self.hook.pending.push((*lpn, ppa));
         }
         let record = self.encode_record(group, pages);
         let oob = Oob {
@@ -160,15 +180,7 @@ impl AtomicWriteFtl {
             self.base
                 .program_raw(oob, &record, data_done, false, &mut self.hook)?;
         self.base.wait_for(rec_done);
-        self.hook.records.push(rec_ppa);
-        self.base.counters_mut().commits += 1;
-        let pending = std::mem::take(&mut self.hook.pending);
-        for (lpn, ppa) in pending {
-            self.base.fold_mapping(lpn, ppa)?;
-        }
-        self.release_records_if_needed()?;
-        self.base.gc_step(&mut self.hook)?;
-        Ok(group)
+        Ok(rec_ppa)
     }
 
     /// Commit-record pages stay valid (un-reclaimable) until a mapping
@@ -202,41 +214,6 @@ impl AtomicWriteFtl {
             buf[off..off + 8].copy_from_slice(&lpn.to_le_bytes());
         }
         buf
-    }
-
-    /// FTL-attributed statistics.
-    pub fn stats(&self) -> &FtlStats {
-        self.base.stats()
-    }
-
-    /// Raw media statistics.
-    pub fn flash_stats(&self) -> xftl_flash::FlashStats {
-        self.base.flash_stats()
-    }
-
-    /// Resets statistics between experiment phases.
-    pub fn reset_stats(&mut self) {
-        self.base.reset_stats();
-    }
-
-    /// Shared simulated clock.
-    pub fn clock(&self) -> SimClock {
-        self.base.clock()
-    }
-
-    /// Powers down, keeping only the flash.
-    pub fn into_chip(self) -> FlashChip {
-        self.base.into_chip()
-    }
-
-    /// Direct engine access for failure injection in tests.
-    pub fn base_mut(&mut self) -> &mut FtlBase {
-        &mut self.base
-    }
-
-    /// Read-only engine access (statistics, telemetry).
-    pub fn base(&self) -> &FtlBase {
-        &self.base
     }
 }
 
@@ -284,7 +261,7 @@ impl BlockDevice for AtomicWriteFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_flash::FlashConfig;
+    use xftl_flash::{FlashConfig, SimClock};
 
     fn dev() -> AtomicWriteFtl {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
@@ -306,7 +283,7 @@ mod tests {
         assert_eq!(out, a);
         d.read(1, &mut out).unwrap();
         assert_eq!(out, b);
-        assert_eq!(d.stats().commit_record_writes, 1);
+        assert_eq!(d.base().stats().commit_record_writes, 1);
     }
 
     #[test]
@@ -353,8 +330,8 @@ mod tests {
             d.write(lpn, &a).unwrap();
         }
         // 5 data pages + 5 commit records: the per-call overhead X-FTL avoids.
-        assert_eq!(d.stats().data_writes, 5);
-        assert_eq!(d.stats().commit_record_writes, 5);
+        assert_eq!(d.base().stats().data_writes, 5);
+        assert_eq!(d.base().stats().commit_record_writes, 5);
     }
 
     #[test]
@@ -365,7 +342,7 @@ mod tests {
             d.write_atomic(&[(i % 6, &data), ((i + 1) % 6, &data)])
                 .unwrap();
         }
-        assert!(d.stats().gc_runs > 0);
+        assert!(d.base().stats().gc_runs > 0);
         let mut out = vec![0u8; d.page_size()];
         d.read(5, &mut out).unwrap(); // must not error
     }

@@ -9,7 +9,7 @@
 use std::cmp::Reverse;
 
 use xftl_flash::{FlashError, Nanos, PageKind, Ppa};
-use xftl_trace::{OpClass, Recorder};
+use xftl_trace::OpClass;
 
 use super::pool::{BlockState, Class, Fifo, Stream};
 use super::{with_read_retries, FtlBase, GcHook, GcPolicy, RETAINED_COPY_TID};

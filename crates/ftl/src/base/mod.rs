@@ -1,7 +1,9 @@
 //! The shared page-mapping FTL engine every device personality wraps.
 //!
 //! Four personalities are thin assemblies of this engine; each adds only
-//! its own notion of a transaction:
+//! its own notion of a transaction — its [`Personality`] impl is that
+//! notion's RAM state and recovery rule, and the trait provides the
+//! `format` and `recover` they share:
 //!
 //! * [`crate::pagemap::PageMappedFtl`] — the OpenSSD's original FTL: plain
 //!   page mapping with copy-on-write updates and greedy GC.
@@ -15,7 +17,7 @@
 //!
 //! | module | owns | contract |
 //! |---|---|---|
-//! | `mod.rs` | [`FtlBase`] | page I/O (the one program path, reads with ECC retry), mapping folds, the meta ring and checkpoints, the X-L2P table image, device health; orchestrates the rest |
+//! | `mod.rs` | [`FtlBase`], [`Personality`] | page I/O (the one program path, reads with ECC retry), mapping folds, the meta ring and checkpoints, the X-L2P table image, the split-phase ticket ledger, device health; orchestrates the rest |
 //! | `pool.rs` | `Pool` | every flash block is in exactly one state (`Meta`, `Free`, `Open`, `Closed`, `Bad`); allocation, frontiers, the free list and the FIFO queue agree with it |
 //! | `map.rs` | `MapDir` | every L2P slab has one home (cache frame, translation page, or both) and non-resident slabs are clean; demand fetch, eviction and the one slab writer live here |
 //! | `gc.rs` | — | when to reclaim, which closed block, and the relocate-chase-erase loop shared by GC, scrub and wear leveling |
@@ -94,12 +96,12 @@ mod pool;
 mod recover;
 
 use xftl_flash::{FlashChip, FlashError, Nanos, Oob, PageKind, Ppa, SimClock};
-use xftl_trace::{HeatSketch, OpClass, Recorder, Telemetry};
+use xftl_trace::{HeatSketch, OpClass, Telemetry};
 
 use self::map::{slab_count, MapDir};
 use self::pool::{BlockState, Pool, Stream, FIRST_POOL_BLOCK};
 use crate::cmt::MappingCache;
-use crate::dev::{DevCounters, Lpn, Tid};
+use crate::dev::{BlockDevice, CmdId, CmdQueue, DevCounters, Lpn, Tid};
 use crate::error::{DevError, Result};
 use crate::health::{DeviceState, ScrubConfig, ScrubReason};
 use crate::meta::MetaPage;
@@ -236,6 +238,48 @@ impl GcHook for NoHook {
     }
 }
 
+/// A device personality: one commit rule over the one engine.
+///
+/// The four personalities differ in where their commit evidence lives —
+/// nowhere (`PageMappedFtl`), a commit record (`AtomicWriteFtl`), a
+/// cycle-closing OOB link (`TxFlashFtl`), an X-L2P table image (`XFtl`)
+/// — and in the RAM state that tracks it. Those two and the engine
+/// accessors are required; formatting and recovering, which are the same
+/// for all four, are provided once.
+pub trait Personality: BlockDevice + Sized {
+    /// The personality over `base` with fresh RAM state: nothing open,
+    /// staged or pending, as after a format or a recovery.
+    fn assemble(base: FtlBase) -> Self;
+
+    /// The recovery rule: the `(seq, lpn, ppa)` folds the commit evidence
+    /// in `log` seals, each at the sequence its evidence hit flash (see
+    /// [`FtlBase::finish_recovery`]).
+    fn recovery_folds(base: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>>;
+
+    /// Read-only engine access: statistics, telemetry, the oracle's audits.
+    fn base(&self) -> &FtlBase;
+
+    /// Direct engine access: policies, failure injection.
+    fn base_mut(&mut self) -> &mut FtlBase;
+
+    /// Powers the device down, keeping only the flash medium.
+    fn into_chip(self) -> FlashChip;
+
+    /// Formats a fresh chip to export `logical_pages`.
+    fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
+        Ok(Self::assemble(FtlBase::format(chip, logical_pages)?))
+    }
+
+    /// Rebuilds the device from flash after a power loss: the engine's
+    /// scan, the personality's folds, the replay and closing checkpoint.
+    fn recover(chip: FlashChip) -> Result<Self> {
+        let (mut base, log) = FtlBase::recover(chip)?;
+        let folds = Self::recovery_folds(&mut base, &log)?;
+        base.finish_recovery(&log, folds)?;
+        Ok(Self::assemble(base))
+    }
+}
+
 /// One page programmed after the last checkpoint, discovered by the
 /// recovery scan. Data events with `tid == 0` are replayed directly;
 /// `tid != 0` events are resolved by the transactional layer.
@@ -349,6 +393,8 @@ pub struct FtlBase {
     recovery: RecoveryBreakdown,
     stats: FtlStats,
     counters: DevCounters,
+    /// The split-phase ticket ledger behind `submit`/`complete_until`.
+    queue: CmdQueue,
     scratch: Vec<u8>,
     /// Guards against re-entering GC from a checkpoint issued inside GC.
     in_gc: bool,
@@ -449,6 +495,7 @@ impl FtlBase {
             recovery: RecoveryBreakdown::default(),
             stats: FtlStats::default(),
             counters: DevCounters::default(),
+            queue: CmdQueue::default(),
             scratch: vec![0u8; geo.page_size],
             in_gc: false,
             draining: None,
@@ -918,8 +965,10 @@ impl FtlBase {
     }
 
     /// Full queue barrier: advances the clock past every queued flash
-    /// operation and returns the instant the array went idle.
+    /// operation — so every outstanding ticket is complete and retired —
+    /// and returns the instant the array went idle.
     pub fn drain(&mut self) -> Nanos {
+        self.retire_all();
         self.chip.drain()
     }
 
@@ -927,6 +976,36 @@ impl FtlBase {
     /// returned by a queued write).
     pub fn wait_for(&mut self, completion: Nanos) {
         self.chip.wait_for(completion);
+    }
+
+    // --- the split-phase ticket ledger -------------------------------------
+
+    /// The ticket of a batch whose last command is on the media at `done`.
+    pub fn issue(&mut self, done: Nanos) -> CmdId {
+        self.queue.issue(done)
+    }
+
+    /// An [`IoCmd::Barrier`](crate::dev::IoCmd::Barrier) in a batch:
+    /// counted, and the ledger's ordering floor raised over everything
+    /// issued so far — ordering without draining. Returns the floor, which
+    /// the batch completes no earlier than.
+    pub fn barrier(&mut self) -> Nanos {
+        self.counters.barriers += 1;
+        self.queue.raise_barrier()
+    }
+
+    /// [`BlockDevice::complete_until`]: waits for the batch `barrier`
+    /// names and every batch issued before it.
+    pub fn complete_until(&mut self, barrier: CmdId) {
+        if let Some(done) = self.queue.retire(barrier) {
+            self.chip.wait_for(done);
+        }
+    }
+
+    /// Retires every outstanding ticket without waiting: after a wait that
+    /// covers them all, or when nobody will wait on them.
+    pub fn retire_all(&mut self) {
+        self.queue.retire(CmdId(u64::MAX));
     }
 
     /// Points the committed mapping of `lpn` at `ppa`, invalidating the

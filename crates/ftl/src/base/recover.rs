@@ -15,7 +15,7 @@ use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use xftl_flash::{FlashChip, PageKind, PageProbe, Ppa};
-use xftl_trace::{OpClass, Recorder};
+use xftl_trace::OpClass;
 
 use super::map::{slab_count, MapDir};
 use super::pool::{BlockState, Class, FIRST_POOL_BLOCK};

@@ -77,14 +77,15 @@ impl CmdId {
     pub const IMMEDIATE: CmdId = CmdId(0);
 }
 
-/// Ticket ledger for queueing devices: pairs each issued [`CmdId`] with
-/// the simulated-clock instant its batch completes on the media. Devices
-/// embed one and use it to implement `submit`/`complete_until`, and it is
-/// where [`IoCmd::Barrier`] is honored: a barrier raises an ordering
-/// floor (the completion horizon of everything issued so far) without
-/// draining, so later batches complete no earlier than earlier ones.
+/// Ticket ledger behind `submit`/`complete_until`: pairs each issued
+/// [`CmdId`] with the simulated-clock instant its batch completes on the
+/// media. The engine keeps the one every personality's batches go
+/// through, and it is where [`IoCmd::Barrier`] is honored: a barrier
+/// raises an ordering floor (the completion horizon of everything issued
+/// so far) without draining, so later batches complete no earlier than
+/// earlier ones.
 #[derive(Debug, Default)]
-pub struct CmdQueue {
+pub(crate) struct CmdQueue {
     issued: u64,
     pending: VecDeque<(u64, Nanos)>,
     /// Latest completion instant among all tickets ever issued.
@@ -99,7 +100,7 @@ impl CmdQueue {
     /// barrier was raised, the reported completion is floored at the
     /// barrier's horizon so the batch is ordered after everything that
     /// preceded the fence.
-    pub fn issue(&mut self, done: Nanos) -> CmdId {
+    pub(crate) fn issue(&mut self, done: Nanos) -> CmdId {
         let done = done.max(self.horizon);
         self.latest_done = self.latest_done.max(done);
         self.issued += 1;
@@ -108,23 +109,16 @@ impl CmdQueue {
     }
 
     /// Raises the ordering floor to cover every ticket issued so far —
-    /// ordering without draining. Returns the ticket of the newest batch
-    /// the fence covers ([`CmdId::IMMEDIATE`] when nothing was issued
-    /// yet), so callers can still wait on the pre-barrier prefix.
-    pub fn raise_barrier(&mut self) -> CmdId {
+    /// ordering without draining — and returns it.
+    pub(crate) fn raise_barrier(&mut self) -> Nanos {
         self.horizon = self.latest_done;
-        CmdId(self.issued)
-    }
-
-    /// The current ordering floor (0 until a barrier is raised).
-    pub fn horizon(&self) -> Nanos {
         self.horizon
     }
 
     /// Retires every ticket up to `barrier` and returns the latest
     /// completion time among them (`None` when nothing that old is still
     /// outstanding — e.g. [`CmdId::IMMEDIATE`] or a re-waited ticket).
-    pub fn retire(&mut self, barrier: CmdId) -> Option<Nanos> {
+    pub(crate) fn retire(&mut self, barrier: CmdId) -> Option<Nanos> {
         let mut latest: Option<Nanos> = None;
         while let Some(&(id, done)) = self.pending.front() {
             if id > barrier.0 {
@@ -134,11 +128,6 @@ impl CmdQueue {
             latest = Some(latest.map_or(done, |m| m.max(done)));
         }
         latest
-    }
-
-    /// Number of tickets not yet retired.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
     }
 }
 
@@ -502,13 +491,18 @@ mod tests {
     fn queue_barrier_orders_without_draining() {
         let mut q = CmdQueue::default();
         let a = q.issue(100);
-        assert_eq!(q.horizon(), 0);
-        let fence = q.raise_barrier();
-        assert_eq!(fence, a, "fence covers the pre-barrier prefix");
-        assert_eq!(q.horizon(), 100);
-        assert_eq!(q.outstanding(), 1, "barrier does not drain the queue");
+        assert_eq!(
+            q.raise_barrier(),
+            100,
+            "the floor covers the pre-barrier batch"
+        );
         // A fast post-barrier batch may not complete before the fence.
         let b = q.issue(40);
+        assert_eq!(
+            q.retire(a),
+            Some(100),
+            "barrier does not drain the queue: the pre-barrier ticket is still outstanding"
+        );
         assert_eq!(q.retire(b), Some(100), "completion floored at horizon");
     }
 }

@@ -14,6 +14,10 @@
 //!   greedy / FIFO / cost-benefit garbage collection with optional
 //!   hot/cold write-frontier separation, checkpoint-root meta ring, and
 //!   crash-recovery scanning.
+//! * [`base::Personality`] — what a device personality over that engine
+//!   is: its RAM state and its recovery rule (the folds its commit
+//!   evidence seals), with `format` and `recover` written once for all
+//!   four.
 //! * [`pagemap::PageMappedFtl`] — the OpenSSD's original FTL (the paper's
 //!   baseline device for SQLite's RBJ and WAL modes).
 //! * [`atomicwrite::AtomicWriteFtl`] — the per-call atomic-write FTL of
@@ -57,11 +61,12 @@ pub mod validity;
 
 pub use atomicwrite::AtomicWriteFtl;
 pub use base::{
-    FtlBase, GcHook, GcPolicy, NoHook, RecoveryBreakdown, RecoveryLog, ScanEvent, WearSummary,
+    FtlBase, GcHook, GcPolicy, NoHook, Personality, RecoveryBreakdown, RecoveryLog, ScanEvent,
+    WearSummary,
 };
 pub use cmt::MappingCache;
 pub use dev::{
-    BlockDevice, CmdId, CmdQueue, CommitTicket, DevCounters, IoCmd, Lpn, Tid, TxBlockDevice, NO_TID,
+    BlockDevice, CmdId, CommitTicket, DevCounters, IoCmd, Lpn, Tid, TxBlockDevice, NO_TID,
 };
 pub use error::{DevError, Result};
 pub use health::{DeviceState, ScrubConfig, ScrubReason};

@@ -7,73 +7,46 @@
 //! the chip's channel queue: writes in one batch stripe across channels and
 //! overlap, which is where the multi-channel S830 numbers come from.
 
-use xftl_flash::{FlashChip, Nanos, SimClock};
+use xftl_flash::{FlashChip, Nanos, Ppa};
 
-use crate::base::{FtlBase, NoHook};
-use crate::dev::{BlockDevice, CmdId, CmdQueue, DevCounters, IoCmd, Lpn};
+use crate::base::{FtlBase, NoHook, Personality, RecoveryLog};
+use crate::dev::{BlockDevice, CmdId, DevCounters, IoCmd, Lpn};
 use crate::error::Result;
-use crate::stats::FtlStats;
 
 /// A plain page-mapping FTL device.
 #[derive(Debug)]
 pub struct PageMappedFtl {
     base: FtlBase,
-    queue: CmdQueue,
 }
 
+// The five constructors and accessors below only delegate to
+// `Personality`: the frozen `perf` package calls them by path from its
+// own trait of the same method names, where without them the call would
+// resolve to that trait and recurse. They go once perf is unfrozen.
 impl PageMappedFtl {
-    /// Formats a fresh chip to export `logical_pages`.
+    /// [`Personality::format`].
     pub fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
-        Ok(PageMappedFtl {
-            base: FtlBase::format(chip, logical_pages)?,
-            queue: CmdQueue::default(),
-        })
+        <Self as Personality>::format(chip, logical_pages)
     }
 
-    /// Rebuilds the device from flash after a power loss, replaying
-    /// post-checkpoint writes, then persists the recovered state.
+    /// [`Personality::recover`].
     pub fn recover(chip: FlashChip) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        base.finish_recovery(&log, Vec::new())?;
-        Ok(PageMappedFtl {
-            base,
-            queue: CmdQueue::default(),
-        })
+        <Self as Personality>::recover(chip)
     }
 
-    /// FTL-attributed statistics (Table 1 / Figure 6 counters).
-    pub fn stats(&self) -> &FtlStats {
-        self.base.stats()
-    }
-
-    /// Raw media statistics.
-    pub fn flash_stats(&self) -> xftl_flash::FlashStats {
-        self.base.flash_stats()
-    }
-
-    /// Resets statistics between experiment phases.
-    pub fn reset_stats(&mut self) {
-        self.base.reset_stats();
-    }
-
-    /// Shared simulated clock.
-    pub fn clock(&self) -> SimClock {
-        self.base.clock()
-    }
-
-    /// Powers the device down, keeping only the flash medium.
+    /// [`Personality::into_chip`].
     pub fn into_chip(self) -> FlashChip {
-        self.base.into_chip()
+        <Self as Personality>::into_chip(self)
     }
 
-    /// Direct access to the engine, for tests and failure injection.
+    /// [`Personality::base_mut`].
     pub fn base_mut(&mut self) -> &mut FtlBase {
-        &mut self.base
+        <Self as Personality>::base_mut(self)
     }
 
-    /// Read-only engine access, for the verify oracle's audits.
+    /// [`Personality::base`].
     pub fn base(&self) -> &FtlBase {
-        &self.base
+        <Self as Personality>::base(self)
     }
 
     /// One host page write, blocking (`wait`) or queued; returns the
@@ -84,6 +57,29 @@ impl PageMappedFtl {
         let done = self.base.write_folded(lpn, buf, wait, &mut NoHook)?;
         self.base.checkpoint_if_due(&mut NoHook)?;
         Ok(done)
+    }
+}
+
+/// No commit evidence: every plain write is the engine's own roll-forward.
+impl Personality for PageMappedFtl {
+    fn assemble(base: FtlBase) -> Self {
+        PageMappedFtl { base }
+    }
+
+    fn recovery_folds(_: &mut FtlBase, _: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
+        Ok(Vec::new())
+    }
+
+    fn base(&self) -> &FtlBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut FtlBase {
+        &mut self.base
+    }
+
+    fn into_chip(self) -> FlashChip {
+        self.base.into_chip()
     }
 }
 
@@ -114,7 +110,6 @@ impl BlockDevice for PageMappedFtl {
         self.base.counters_mut().flushes += 1;
         // A flush is also a full queue barrier.
         self.base.drain();
-        self.queue.retire(CmdId(u64::MAX));
         // A write barrier on the OpenSSD persists the mapping table
         // (§6.3.4); skip the writes when nothing changed.
         if self.base.has_dirty_mapping() {
@@ -139,22 +134,16 @@ impl BlockDevice for PageMappedFtl {
                     self.base.counters_mut().trims += 1;
                     self.base.trim_lpn(*lpn)?;
                 }
-                IoCmd::Barrier => {
-                    // Ordering without draining: later commands complete
-                    // no earlier than everything already issued.
-                    self.base.counters_mut().barriers += 1;
-                    self.queue.raise_barrier();
-                    done = done.max(self.queue.horizon());
-                }
+                // Ordering without draining: later commands complete no
+                // earlier than everything already issued.
+                IoCmd::Barrier => done = done.max(self.base.barrier()),
             }
         }
-        Ok(self.queue.issue(done))
+        Ok(self.base.issue(done))
     }
 
     fn complete_until(&mut self, barrier: CmdId) -> Result<()> {
-        if let Some(done) = self.queue.retire(barrier) {
-            self.base.wait_for(done);
-        }
+        self.base.complete_until(barrier);
         Ok(())
     }
 }
@@ -162,7 +151,7 @@ impl BlockDevice for PageMappedFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_flash::{FlashConfig, FlashConfigBuilder};
+    use xftl_flash::{FlashConfig, FlashConfigBuilder, SimClock};
 
     fn dev() -> PageMappedFtl {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
@@ -191,7 +180,7 @@ mod tests {
         let cfg = FlashConfigBuilder::tiny().channels(2).build();
         let chip = FlashChip::new(cfg, SimClock::new());
         let mut d = PageMappedFtl::format(chip, 32).unwrap();
-        let clock = d.clock();
+        let clock = d.base().clock();
         let data = vec![7u8; d.page_size()];
         let t0 = clock.now();
         d.write(0, &data).unwrap();
@@ -334,16 +323,16 @@ mod tests {
         let data = vec![5u8; d.page_size()];
         d.write(0, &data).unwrap();
         d.flush().unwrap();
-        let before = d.flash_stats().programs;
+        let before = d.base().flash_stats().programs;
         d.flush().unwrap();
-        assert_eq!(d.flash_stats().programs, before);
+        assert_eq!(d.base().flash_stats().programs, before);
     }
 }
 
 #[cfg(test)]
 mod wear_tests {
     use super::*;
-    use xftl_flash::FlashConfig;
+    use xftl_flash::{FlashConfig, SimClock};
 
     #[test]
     fn wear_summary_tracks_erases() {

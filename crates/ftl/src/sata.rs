@@ -274,6 +274,7 @@ mod tx_link_tests {
 
     #[test]
     fn link_forwards_transactional_commands_with_costs() {
+        use crate::base::Personality;
         use crate::txflash::TxFlashFtl;
         let clock = SimClock::new();
         let chip = FlashChip::new(FlashConfig::tiny(16), clock.clone());

@@ -24,13 +24,12 @@
 
 use std::collections::HashMap;
 
-use xftl_flash::{FlashChip, Oob, PageKind, Ppa, SimClock};
-use xftl_trace::{OpClass, Recorder};
+use xftl_flash::{FlashChip, Oob, PageKind, Ppa};
+use xftl_trace::OpClass;
 
-use crate::base::{FtlBase, GcHook, RecoveryLog};
+use crate::base::{FtlBase, GcHook, Personality, RecoveryLog};
 use crate::dev::{BlockDevice, CommitTicket, DevCounters, Lpn, Tid, TxBlockDevice};
 use crate::error::{DevError, Result};
-use crate::stats::FtlStats;
 
 /// Cycle-closing flag in the auxiliary OOB word; the low 31 bits hold the
 /// page's 1-based position (or, on the closing page, the total count).
@@ -72,29 +71,36 @@ pub struct TxFlashFtl {
     hook: SccHook,
 }
 
-impl TxFlashFtl {
-    /// Formats a fresh chip to export `logical_pages`.
-    pub fn format(chip: FlashChip, logical_pages: u64) -> Result<Self> {
-        Ok(TxFlashFtl {
-            base: FtlBase::format(chip, logical_pages)?,
-            pending: HashMap::new(),
-            hook: SccHook::default(),
-        })
-    }
-
-    /// Rebuilds the device after a power loss: transactions whose cycle is
-    /// complete (positions `1..=n` present plus a closing page of count
-    /// `n`) are rolled forward; incomplete cycles vanish.
-    pub fn recover(chip: FlashChip) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        base.finish_recovery(&log, Self::closed_cycle_folds(&log))?;
-        Ok(TxFlashFtl {
+/// Transactions whose cycle is complete (positions `1..=n` present plus
+/// a closing page of count `n`) are rolled forward; incomplete cycles
+/// vanish.
+impl Personality for TxFlashFtl {
+    fn assemble(base: FtlBase) -> Self {
+        TxFlashFtl {
             base,
             pending: HashMap::new(),
             hook: SccHook::default(),
-        })
+        }
     }
 
+    fn recovery_folds(_: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
+        Ok(Self::closed_cycle_folds(log))
+    }
+
+    fn base(&self) -> &FtlBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut FtlBase {
+        &mut self.base
+    }
+
+    fn into_chip(self) -> FlashChip {
+        self.base.into_chip()
+    }
+}
+
+impl TxFlashFtl {
     /// The folds the complete cycles in `log` commit, each at its
     /// closing page's sequence.
     fn closed_cycle_folds(log: &RecoveryLog) -> Vec<(u64, Lpn, Ppa)> {
@@ -179,36 +185,6 @@ impl TxFlashFtl {
             .or_default()
             .push((lpn, ppa));
         Ok(())
-    }
-
-    /// FTL-attributed statistics.
-    pub fn stats(&self) -> &FtlStats {
-        self.base.stats()
-    }
-
-    /// Raw media statistics.
-    pub fn flash_stats(&self) -> xftl_flash::FlashStats {
-        self.base.flash_stats()
-    }
-
-    /// Shared simulated clock.
-    pub fn clock(&self) -> SimClock {
-        self.base.clock()
-    }
-
-    /// Powers down, keeping only the flash.
-    pub fn into_chip(self) -> FlashChip {
-        self.base.into_chip()
-    }
-
-    /// Direct engine access for failure injection in tests.
-    pub fn base_mut(&mut self) -> &mut FtlBase {
-        &mut self.base
-    }
-
-    /// Read-only engine access, for the verify oracle's audits.
-    pub fn base(&self) -> &FtlBase {
-        &self.base
     }
 
     /// Where the programmed pages of every open cycle are, for the
@@ -348,7 +324,7 @@ impl TxBlockDevice for TxFlashFtl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_flash::FlashConfig;
+    use xftl_flash::{FlashConfig, SimClock};
 
     fn dev() -> TxFlashFtl {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
@@ -366,13 +342,13 @@ mod tests {
         for lpn in 0..5 {
             d.write_tx(7, lpn, &a).unwrap();
         }
-        let before = d.flash_stats().programs;
+        let before = d.base().flash_stats().programs;
         d.commit(7).unwrap();
-        let after = d.flash_stats().programs;
+        let after = d.base().flash_stats().programs;
         // Commit programs exactly the one buffered page — the cycle closer
         // rides on data, no commit record, no table write.
         assert_eq!(after - before, 1, "SCC's zero-overhead commit");
-        assert_eq!(d.stats().data_writes, 5);
+        assert_eq!(d.base().stats().data_writes, 5);
         let mut out = page(&d, 0);
         d.read(3, &mut out).unwrap();
         assert_eq!(out, a);
@@ -472,7 +448,7 @@ mod tests {
         for i in 0..300u64 {
             d.write(i % 6, &junk).unwrap();
         }
-        assert!(d.stats().gc_runs > 0);
+        assert!(d.base().stats().gc_runs > 0);
         d.commit(1).unwrap();
         let mut out = page(&d, 0);
         d.read(30, &mut out).unwrap();

@@ -8,8 +8,8 @@
 //!
 //! * [`Hist`] — fixed-bucket log-linear latency histograms with exact
 //!   deterministic quantiles (p50/p95/p99/max), one per [`OpClass`];
-//! * [`Telemetry`] — a cheaply cloneable [`Recorder`] handle threaded
-//!   through the stack; all clones feed the same histogram set;
+//! * [`Telemetry`] — a cheaply cloneable recorder handle threaded through
+//!   the stack; all clones feed the same histogram set;
 //! * a bounded structured-event ring, armed at run time by
 //!   [`Telemetry::start_events`], holding typed spans `{layer, op, tid,
 //!   lpn, t_start, t_end}`, dumpable as JSONL for post-hoc analysis of a
@@ -39,7 +39,7 @@ pub use heat::HeatSketch;
 pub use hist::{Hist, HistSummary};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use op::OpClass;
-pub use recorder::{Recorder, Telemetry};
+pub use recorder::Telemetry;
 pub use report::{is_known_op_name, BenchReport, SCHEMA_VERSION};
 
 /// Simulated nanoseconds — the same unit as `xftl_flash::Nanos`, redefined

@@ -1,4 +1,4 @@
-//! The [`Recorder`] trait and the shared [`Telemetry`] handle.
+//! The shared [`Telemetry`] handle.
 //!
 //! One `Telemetry` is created per rig/bench run and cloned into every
 //! layer; all clones feed the same histogram set (and, once
@@ -12,17 +12,6 @@ use crate::event::{Event, EventRing};
 use crate::hist::{Hist, HistSummary};
 use crate::op::{OpClass, N_OPS};
 use crate::Nanos;
-
-/// Sink for latency samples and (optionally) structured event spans.
-pub trait Recorder {
-    /// Records a latency sample of `dur` simulated nanoseconds for `op`.
-    fn record(&self, op: OpClass, dur: Nanos);
-
-    /// Records a full span: feeds the histogram with `t_end - t_start`
-    /// and, when this recorder is capturing events, appends a typed
-    /// event.
-    fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Nanos, t_end: Nanos);
-}
 
 struct Inner {
     hists: [Hist; N_OPS],
@@ -40,7 +29,8 @@ impl Inner {
     }
 }
 
-/// Cheaply cloneable telemetry handle; all clones share one sink.
+/// Cheaply cloneable telemetry handle — the sink for latency samples and
+/// (optionally) structured event spans; all clones share one sink.
 ///
 /// `Telemetry::disabled()` (also the `Default`) is a no-op handle, so
 /// every layer can hold one unconditionally and the hot path pays a
@@ -74,6 +64,29 @@ impl Telemetry {
     /// A no-op handle; every record call is a cheap branch.
     pub fn disabled() -> Self {
         Telemetry { inner: None }
+    }
+
+    /// Records a latency sample of `dur` simulated nanoseconds for `op`.
+    pub fn record(&self, op: OpClass, dur: Nanos) {
+        self.with_inner(|i| i.hists[op.idx()].record(dur));
+    }
+
+    /// Records a full span: feeds the histogram with `t_end - t_start`
+    /// and, when this handle is capturing events, appends a typed event.
+    pub fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Nanos, t_end: Nanos) {
+        self.with_inner(|i| {
+            i.hists[op.idx()].record(t_end.saturating_sub(t_start));
+            if let Some(ring) = &mut i.ring {
+                ring.push(Event {
+                    layer: op.layer(),
+                    op,
+                    tid,
+                    lpn,
+                    t_start,
+                    t_end,
+                });
+            }
+        });
     }
 
     fn with_inner<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> Option<R> {
@@ -127,28 +140,6 @@ impl Telemetry {
         self.with_inner(|i| i.ring.as_ref().map(EventRing::to_jsonl))
             .flatten()
             .unwrap_or_default()
-    }
-}
-
-impl Recorder for Telemetry {
-    fn record(&self, op: OpClass, dur: Nanos) {
-        self.with_inner(|i| i.hists[op.idx()].record(dur));
-    }
-
-    fn record_span(&self, op: OpClass, tid: u64, lpn: u64, t_start: Nanos, t_end: Nanos) {
-        self.with_inner(|i| {
-            i.hists[op.idx()].record(t_end.saturating_sub(t_start));
-            if let Some(ring) = &mut i.ring {
-                ring.push(Event {
-                    layer: op.layer(),
-                    op,
-                    tid,
-                    lpn,
-                    t_start,
-                    t_end,
-                });
-            }
-        });
     }
 }
 

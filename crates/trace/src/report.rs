@@ -175,7 +175,6 @@ pub fn is_known_op_name(name: &str) -> bool {
 mod tests {
     use super::*;
     use crate::op::OpClass;
-    use crate::recorder::Recorder;
 
     fn sample_report() -> BenchReport {
         let t = Telemetry::new();

@@ -54,7 +54,9 @@ use std::fmt;
 use xftl_core::{TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
-use xftl_ftl::{AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Tid, TxFlashFtl};
+use xftl_ftl::{
+    AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Personality, Tid, TxFlashFtl,
+};
 
 use crate::shadow::ShadowDevice;
 

@@ -1175,6 +1175,7 @@ mod tests {
     use super::*;
     use xftl_core::XFtl;
     use xftl_flash::{FlashChip, FlashConfig, SimClock};
+    use xftl_ftl::Personality;
 
     fn fresh(blocks: usize, logical: u64) -> ShadowDevice<XFtl> {
         let clock = SimClock::new();

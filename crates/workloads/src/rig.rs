@@ -12,8 +12,8 @@ use xftl_flash::{AgingModel, FaultPlan, FlashChip, FlashConfigBuilder, Nanos, Si
 use xftl_fs::{FileSystem, FsConfig, FsError, FsStats, Ino, JournalMode};
 use xftl_ftl::{
     BlockDevice, CmdId, CommitTicket, DevCounters, DevError, DeviceState, FtlBase, FtlStats,
-    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, RecoveryBreakdown, Result, SataLink,
-    ScrubConfig, Tid, TxBlockDevice,
+    GcPolicy, IoCmd, LinkConfig, Lpn, PageMappedFtl, Personality, RecoveryBreakdown, Result,
+    SataLink, ScrubConfig, Tid, TxBlockDevice,
 };
 
 use xftl_trace::Telemetry;

@@ -17,23 +17,26 @@ use xftl_core::XFtl;
 use xftl_flash::{FlashChip, Oob, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Tid, TxBlockDevice,
-    TxFlashFtl,
+    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Personality, Tid,
+    TxBlockDevice, TxFlashFtl,
 };
-use xftl_verify::{Auditable, ShadowDevice};
+use xftl_verify::{Auditable, ShadowDevice, ShadowModel};
 
-/// Takes a crashed device down to its flash (`into_chip`) and brings it
-/// back (`recover`, which may power-cycle the chip or arm faults first).
-/// The oracle carries its model across the power cycle, sweeps the
-/// committed image for durability, and audits the flash metadata before
-/// handing the device back.
-pub fn recover_with<D: BlockDevice + Auditable>(
-    d: ShadowDevice<D>,
-    into_chip: impl FnOnce(D) -> FlashChip,
-    recover: impl FnOnce(FlashChip) -> D,
-) -> ShadowDevice<D> {
+/// Takes a crashed device down to its flash and brings it back through
+/// `P`'s recovery. The oracle carries its model across the power cycle,
+/// sweeps the committed image for durability, and audits the flash
+/// metadata before handing the device back.
+pub fn recover<P: Personality + Auditable>(d: ShadowDevice<P>) -> ShadowDevice<P> {
     let (inner, model) = d.into_parts();
-    let mut dev = ShadowDevice::resume(recover(into_chip(inner)), model);
+    let dev = P::recover(inner.into_chip())
+        .unwrap_or_else(|e| panic!("recovery refused the chip: {e:?}"));
+    resume(dev, model)
+}
+
+/// The checks of [`recover`] on a device a recovery of the test's own
+/// making returned, behind the `model` that witnessed the chip's history.
+pub fn resume<P: BlockDevice + Auditable>(dev: P, model: ShadowModel) -> ShadowDevice<P> {
+    let mut dev = ShadowDevice::resume(dev, model);
     dev.verify_recovered();
     dev.audit();
     dev
@@ -117,22 +120,18 @@ pub fn assert_skip_is_invisible<D: Personality>(chip: &FlashChip) -> u32 {
 
 // --- the every-boundary power-cut sweep -----------------------------------
 
-/// What the sweep needs of a device personality beyond the commands.
-pub trait Personality: BlockDevice + Auditable + Sized {
-    /// Whether [`Personality::group`] is all-or-nothing across a power cut.
+/// What the sweep needs of a personality beyond the trait: how it writes
+/// one acknowledged group, and whether that is all-or-nothing.
+pub trait Swept: Personality + Auditable {
+    /// Whether [`Swept::group`] is all-or-nothing across a power cut.
     const ATOMIC: bool;
-    fn format(chip: FlashChip, logical: u64) -> Self;
-    fn recover(chip: FlashChip) -> xftl_ftl::Result<Self>;
-    fn into_chip(self) -> FlashChip;
-    fn base(&self) -> &FtlBase;
-    fn base_mut(&mut self) -> &mut FtlBase;
     /// Writes `pages` as one acknowledged group: a transaction and its
     /// commit where the personality has them, plain writes and a flush
     /// where it does not.
     fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut>;
 }
 
-/// Where in a [`Personality::group`] a command failed.
+/// Where in a [`Swept::group`] a command failed.
 #[derive(Debug)]
 pub struct Cut {
     /// Pages of the group whose writes were acknowledged one by one
@@ -143,41 +142,7 @@ pub struct Cut {
     pub error: DevError,
 }
 
-macro_rules! personality {
-    ($ty:ty, atomic: $atomic:expr, $group:expr) => {
-        impl Personality for $ty {
-            const ATOMIC: bool = $atomic;
-            fn format(chip: FlashChip, logical: u64) -> Self {
-                <$ty>::format(chip, logical).unwrap()
-            }
-            fn recover(chip: FlashChip) -> xftl_ftl::Result<Self> {
-                <$ty>::recover(chip)
-            }
-            fn into_chip(self) -> FlashChip {
-                <$ty>::into_chip(self)
-            }
-            fn base(&self) -> &FtlBase {
-                <$ty>::base(self)
-            }
-            fn base_mut(&mut self) -> &mut FtlBase {
-                <$ty>::base_mut(self)
-            }
-            fn group(
-                dev: &mut ShadowDevice<Self>,
-                tid: Tid,
-                pages: &[(Lpn, Vec<u8>)],
-            ) -> Result<(), Cut> {
-                $group(dev, tid, pages)
-            }
-        }
-    };
-}
-
-fn plain_group<D: BlockDevice>(
-    dev: &mut D,
-    _tid: Tid,
-    pages: &[(Lpn, Vec<u8>)],
-) -> Result<(), Cut> {
+fn plain_group<D: BlockDevice>(dev: &mut D, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
     let cut = |acked, sealing| {
         move |error| Cut {
             acked,
@@ -205,10 +170,33 @@ fn tx_group<D: TxBlockDevice>(dev: &mut D, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -
     dev.commit(tid).map_err(cut(true))
 }
 
-personality!(PageMappedFtl, atomic: false, plain_group);
-personality!(AtomicWriteFtl, atomic: false, plain_group);
-personality!(TxFlashFtl, atomic: true, tx_group);
-personality!(XFtl, atomic: true, tx_group);
+impl Swept for PageMappedFtl {
+    const ATOMIC: bool = false;
+    fn group(dev: &mut ShadowDevice<Self>, _: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
+        plain_group(dev, pages)
+    }
+}
+
+impl Swept for AtomicWriteFtl {
+    const ATOMIC: bool = false;
+    fn group(dev: &mut ShadowDevice<Self>, _: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
+        plain_group(dev, pages)
+    }
+}
+
+impl Swept for TxFlashFtl {
+    const ATOMIC: bool = true;
+    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
+        tx_group(dev, tid, pages)
+    }
+}
+
+impl Swept for XFtl {
+    const ATOMIC: bool = true;
+    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
+        tx_group(dev, tid, pages)
+    }
+}
 
 /// The `i`-th group of the sweep's schedule: `len` pages scattered over
 /// `logical`, filled with a byte naming the group.
@@ -233,7 +221,7 @@ fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)>
 /// behind the shadow oracle, which with the flash auditor checks every
 /// recovery as well. Returns the FTL statistics of the uncut run, the
 /// build phase excluded.
-pub fn sweep<D: Personality>(
+pub fn sweep<D: Swept>(
     build: impl Fn() -> ShadowDevice<D>,
     groups: u64,
     len: u64,
@@ -286,11 +274,10 @@ pub fn sweep<D: Personality>(
             }
         }
         let (pages, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
-        let recover = |chip| {
-            D::recover(chip)
-                .unwrap_or_else(|e| panic!("fuse {fuse}: recovery refused the chip: {e:?}"))
-        };
-        let mut dev = recover_with(dev, D::into_chip, recover);
+        let (inner, model) = dev.into_parts();
+        let recovered =
+            D::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
+        let mut dev = resume(recovered, model);
         let got = image(&mut dev);
         let landed = |(lpn, data): &(Lpn, Vec<u8>)| got[*lpn as usize] == data[0];
         // What of the group in flight may show: atomic, all of it or
@@ -312,7 +299,7 @@ pub fn sweep<D: Personality>(
         }
         assert_eq!(got, expect, "fuse {fuse}: {cut:?}");
         // Recovery is idempotent.
-        let mut dev = recover_with(dev, D::into_chip, |chip| D::recover(chip).unwrap());
+        let mut dev = recover(dev);
         assert_eq!(image(&mut dev), expect, "fuse {fuse}: second recovery");
     }
     stats

@@ -17,12 +17,11 @@ use xftl_core::XFtl;
 use xftl_db::{Connection, DbJournalMode, Value};
 use xftl_flash::{FaultPlan, FlashChip, FlashConfig, SimClock};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
-use xftl_ftl::PageMappedFtl;
+use xftl_ftl::{FtlBase, PageMappedFtl, Personality};
 use xftl_verify::ShadowDevice;
 use xftl_workloads::AnyDev;
 
 mod common;
-use common::recover_with;
 
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
@@ -54,14 +53,12 @@ type PlainDev = ShadowDevice<PageMappedFtl>;
 type XDev = ShadowDevice<XFtl>;
 type Dev = AnyDev<PlainDev, XDev>;
 
-fn recover_plain(d: PlainDev) -> PlainDev {
-    recover_with(d, PageMappedFtl::into_chip, |chip| {
-        PageMappedFtl::recover(chip).unwrap()
-    })
-}
-
-fn recover_x(d: XDev) -> XDev {
-    recover_with(d, XFtl::into_chip, |chip| XFtl::recover(chip).unwrap())
+/// The engine under whichever personality `dev` carries.
+fn base_mut(dev: &mut Dev) -> &mut FtlBase {
+    match dev {
+        Dev::Plain(d) => d.inner_mut().base_mut(),
+        Dev::X(d) => d.inner_mut().base_mut(),
+    }
 }
 
 fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
@@ -114,14 +111,9 @@ fn run_until_crash(
     }
     // Arm the fuse only after setup, so every position lands inside the
     // measured batches.
-    {
-        let mut fsb = fs.borrow_mut();
-        let base = match fsb.device_mut() {
-            Dev::Plain(d) => d.inner_mut().base_mut(),
-            Dev::X(d) => d.inner_mut().base_mut(),
-        };
-        base.chip_mut().arm_power_fuse(fuse);
-    }
+    base_mut(fs.borrow_mut().device_mut())
+        .chip_mut()
+        .arm_power_fuse(fuse);
     let mut committed = 0u32;
     for batch in 0..12i64 {
         let run = (|| -> Result<(), xftl_db::DbError> {
@@ -150,11 +142,8 @@ fn crash_sweep(mode: DbJournalMode) {
     assert!(!crashed);
     assert_eq!(full_batches, 12);
     let total_ops = {
-        let fsb = fs.borrow();
-        match fsb.device() {
-            Dev::Plain(d) => d.inner().flash_stats().programs + d.inner().flash_stats().erases,
-            Dev::X(d) => d.inner().flash_stats().programs + d.inner().flash_stats().erases,
-        }
+        let flash = base_mut(fs.borrow_mut().device_mut()).flash_stats();
+        flash.programs + flash.erases
     };
     // Sweep fuse positions across the whole run.
     let step = (total_ops / 60).max(1);
@@ -169,8 +158,8 @@ fn crash_sweep(mode: DbJournalMode) {
             let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
             let dev = fs_inner.into_device();
             let dev = match dev {
-                Dev::Plain(d) => Dev::Plain(recover_plain(d)),
-                Dev::X(d) => Dev::X(recover_x(d)),
+                Dev::Plain(d) => Dev::Plain(common::recover(d)),
+                Dev::X(d) => Dev::X(common::recover(d)),
             };
             let fs = if mode == DbJournalMode::Off {
                 FileSystem::mount_tx(dev, JournalMode::Off, 256)
@@ -245,114 +234,113 @@ fn crash_sweep_xftl_mode() {
     crash_sweep(DbJournalMode::Off);
 }
 
-/// Recovers `chip` with the first attempts dying partway through
-/// (recovery itself writes: roll-forward checkpoint, meta pages), then
-/// once more uninterrupted.
-fn recover_through_crashes<D>(
-    mut chip: FlashChip,
-    recover: impl Fn(FlashChip) -> xftl_ftl::Result<D>,
-) -> D {
-    for recovery_fuse in [2u64, 5, 9] {
-        chip.power_cycle();
-        chip.arm_power_fuse(recovery_fuse);
-        // Whether this attempt survives its fuse or dies, retry on the
-        // same flash image until one completes.
-        drop(recover(chip.clone()));
-    }
-    chip.power_cycle();
-    chip.disarm_power_fuse();
-    recover(chip).unwrap()
-}
-
-/// Crash *during recovery* (the fuse fires while the recovered device is
-/// re-checkpointing), then recover again: the second recovery must still
-/// produce exactly the committed state — recovery is idempotent under
-/// repeated interruption (§5.4's idempotence claim, adversarially).
+/// Crash *during recovery*, at every program and erase it makes, on every
+/// personality: recovery writes — the closing checkpoint's translation
+/// pages and root — and wherever the power dies in there, the next
+/// recovery must still produce exactly the acknowledged state (§5.4's
+/// idempotence claim, adversarially).
 #[test]
 fn crash_during_recovery_is_idempotent() {
-    for mode in [DbJournalMode::Rollback, DbJournalMode::Off] {
-        // Build a volume with committed data and an interrupted txn.
-        let (fs, _clock) = build(mode);
-        let fuse = if mode == DbJournalMode::Off { 45 } else { 150 };
-        let (committed, crashed) = run_until_crash(&fs, mode, fuse);
-        assert!(crashed, "{fuse}-op fuse must fire mid-schedule ({mode:?})");
-        let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
-        let dev = match fs_inner.into_device() {
-            Dev::Plain(d) => Dev::Plain(recover_with(d, PageMappedFtl::into_chip, |chip| {
-                recover_through_crashes(chip, PageMappedFtl::recover)
-            })),
-            Dev::X(d) => Dev::X(recover_with(d, XFtl::into_chip, |chip| {
-                recover_through_crashes(chip, XFtl::recover)
-            })),
-        };
-        let fs = if mode == DbJournalMode::Off {
-            FileSystem::mount_tx(dev, JournalMode::Off, 256)
-        } else {
-            FileSystem::mount(dev, JournalMode::Ordered, 256)
-        }
-        .unwrap();
-        let fs = Rc::new(RefCell::new(fs));
-        let mut db = Connection::open(fs, "m.db", mode).unwrap();
-        let rows = db.query("SELECT COUNT(*) FROM t").unwrap();
-        let count = rows[0][0].as_i64().unwrap();
-        assert!(
-            count == committed as i64 * 4 || count == (committed as i64 + 1) * 4,
-            "{mode:?}: {count} rows after {committed} acknowledged batches"
-        );
-        assert_eq!(
-            count % 4,
-            0,
-            "{mode:?}: torn batch visible after re-crashed recovery"
-        );
-    }
-    recovery_cut_in_its_closing_checkpoint_recovers_again();
+    // Four translation pages and the root, but for the atomic-write FTL:
+    // it checkpoints every few records, so the tail no root covers is the
+    // last few writes, in one slab.
+    let evidence = [
+        recovery_cuts::<PageMappedFtl>("pagemap", 5),
+        recovery_cuts::<xftl_ftl::AtomicWriteFtl>("atomicwrite", 2),
+        recovery_cuts::<xftl_ftl::TxFlashFtl>("txflash", 5),
+        recovery_cuts::<XFtl>("xftl", 5),
+    ];
+    // Every personality but the plain one folded commit evidence of its
+    // own: open records, closed cycles, a live table image.
+    assert!(
+        evidence[0] == 0 && evidence[1..].iter().all(|n| *n > 0),
+        "{evidence:?}"
+    );
 }
 
-/// The same claim where recovery writes, at every place it can die. The
-/// image: flushed churn (closed data blocks under roots: the scan skips
-/// them) and a tail over all four slabs that no root covers (the replay
-/// dirties them: the closing checkpoint has four translation pages to
-/// write before its root). `recover` itself only reads — and power-cycles the
-/// chip it is given, which disarms any fuse — so the fuse is armed
-/// between the scan and `finish_recovery`, at every program and erase of
-/// the latter; what the cut leaves is recovered again, skipping again,
-/// audited, and holds every page's last write.
-fn recovery_cut_in_its_closing_checkpoint_recovers_again() {
-    use xftl_ftl::{BlockDevice, FtlBase};
-    use xftl_verify::Auditable;
+/// The image [`recovery_cuts`] recovers, and every page's last
+/// acknowledged fill: flushed churn (closed data blocks under roots: the
+/// scan skips them), four acknowledged groups, and a tail of plain writes
+/// over all four slabs no root covers (the atomic-write FTL's record cap
+/// checkpoints all but its last few writes) — so the replay dirties slabs
+/// and the closing checkpoint has translation pages to write before its
+/// root, and what the groups and the tail left of each personality's
+/// commit evidence is live.
+fn recovery_cut_image<P: common::Swept>() -> (ShadowDevice<P>, Vec<u8>) {
+    use xftl_ftl::BlockDevice;
     let chip = FlashChip::new(FlashConfig::tiny(56), SimClock::new());
-    let mut dev = PageMappedFtl::format(chip, 256).unwrap();
+    let mut dev = ShadowDevice::new(P::format(chip, 256).unwrap());
     let ps = dev.page_size();
     let mut expect = vec![0u8; 256];
-    for i in 0..630u64 {
+    let write = |dev: &mut ShadowDevice<P>, expect: &mut [u8], i: u64| {
         let (lpn, fill) = (i * 37 % 256, (i % 250) as u8 + 1);
         dev.write(lpn, &vec![fill; ps]).unwrap();
         expect[lpn as usize] = fill;
+    };
+    for i in 0..600u64 {
+        write(&mut dev, &mut expect, i);
         if i % 100 == 99 {
             dev.flush().unwrap();
         }
     }
-    let image = dev.into_chip();
-    let ops = |chip: &FlashChip| chip.stats().programs + chip.stats().erases;
-    let uncut = PageMappedFtl::recover(image.clone()).unwrap();
-    let cuts = ops(uncut.base().chip()) - ops(&image);
-    assert!(uncut.base().recovery().skipped_blocks > 0);
-    assert!(cuts >= 5, "four translation pages and the root: {cuts}");
-    for fuse in 1..=cuts {
-        let (mut base, log) = FtlBase::recover(image.clone()).unwrap();
-        base.chip_mut().arm_power_fuse(fuse);
-        let died = base.finish_recovery(&log, Vec::new());
-        assert!(died.is_err(), "fuse {fuse} never fired");
-        let mut again = PageMappedFtl::recover(base.into_chip())
-            .unwrap_or_else(|e| panic!("fuse {fuse}: the second recovery refused: {e:?}"));
-        assert!(again.base().recovery().skipped_blocks > 0, "fuse {fuse}");
-        again.audit().unwrap_or_else(|v| panic!("fuse {fuse}: {v}"));
-        let mut buf = vec![0u8; ps];
-        for (lpn, fill) in expect.iter().enumerate() {
-            again.read(lpn as u64, &mut buf).unwrap();
-            assert!(buf.iter().all(|b| b == fill), "fuse {fuse}: lpn {lpn}");
+    for g in 0..4u64 {
+        let pages: Vec<_> = (0..3)
+            .map(|k| (g * 64 + 10 + k, vec![0xA0 + g as u8; ps]))
+            .collect();
+        P::group(&mut dev, g + 1, &pages).unwrap();
+        for (lpn, data) in &pages {
+            expect[*lpn as usize] = data[0];
         }
     }
+    for i in 600..630u64 {
+        write(&mut dev, &mut expect, i);
+    }
+    (dev, expect)
+}
+
+/// Cuts `P`'s recovery of [`recovery_cut_image`] at every program and
+/// erase of its closing checkpoint, recovers each cut again behind the
+/// oracle and the auditor, and holds every page to its last acknowledged
+/// write. `recover` power-cycles the chip it is given, which disarms any
+/// fuse, so the cut recovery is taken apart: the engine's scan, the fuse,
+/// `P`'s folds, `finish_recovery`. The checkpoint must make at least
+/// `min_cuts` programs and erases. Returns how many folds `P`'s own
+/// commit evidence contributed.
+fn recovery_cuts<P: common::Swept>(name: &str, min_cuts: u64) -> usize {
+    use xftl_ftl::BlockDevice;
+    let ops = |chip: &FlashChip| chip.stats().programs + chip.stats().erases;
+    let image = recovery_cut_image::<P>().0.into_parts().0.into_chip();
+    let uncut = P::recover(image.clone()).unwrap();
+    let cuts = ops(uncut.base().chip()) - ops(&image);
+    assert!(uncut.base().recovery().skipped_blocks > 0, "{name}");
+    assert!(cuts >= min_cuts, "{name}: {cuts} cuts, under {min_cuts}");
+    let (mut base, log) = FtlBase::recover(image).unwrap();
+    let evidence = P::recovery_folds(&mut base, &log).unwrap().len();
+    for fuse in 1..=cuts {
+        let (dev, expect) = recovery_cut_image::<P>();
+        let (inner, model) = dev.into_parts();
+        let (mut base, log) = FtlBase::recover(inner.into_chip()).unwrap();
+        base.chip_mut().arm_power_fuse(fuse);
+        let folds = P::recovery_folds(&mut base, &log).unwrap();
+        let died = base.finish_recovery(&log, folds);
+        assert!(died.is_err(), "{name}: fuse {fuse} never fired");
+        let again =
+            P::recover(base.into_chip()).unwrap_or_else(|e| panic!("{name}: fuse {fuse}: {e:?}"));
+        let mut again = common::resume(again, model);
+        assert!(
+            again.inner().base().recovery().skipped_blocks > 0,
+            "{name}: fuse {fuse}"
+        );
+        let mut buf = vec![0u8; again.page_size()];
+        for (lpn, fill) in expect.iter().enumerate() {
+            again.read(lpn as u64, &mut buf).unwrap();
+            assert!(
+                buf.iter().all(|b| b == fill),
+                "{name}: fuse {fuse}: lpn {lpn}"
+            );
+        }
+    }
+    evidence
 }
 
 // --- the X-L2P table image as commit evidence -----------------------------
@@ -442,16 +430,14 @@ fn sweep_commit_boundaries(
     written: usize,
     schedule: fn(&mut XDev) -> xftl_ftl::Result<()>,
 ) {
-    let recover = |d: XDev| {
-        recover_with(d, XFtl::into_chip, |chip| {
-            XFtl::recover_with_capacity(chip, capacity).unwrap()
-        })
-    };
     let programs = written as u64 + image_pages;
     for fuse in 1..=programs + 1 {
         let (mut dev, mut expect) = dev_with_live_generation(capacity, ballast);
         assert_eq!(dev.inner().base().xl2p_roots().len() as u64, image_pages);
-        let before = (dev.inner().flash_stats(), dev.inner().stats().meta_writes);
+        let before = (
+            dev.inner().base().flash_stats(),
+            dev.inner().base().stats().meta_writes,
+        );
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         let acked = schedule(&mut dev).is_ok();
         assert_eq!(
@@ -460,16 +446,16 @@ fn sweep_commit_boundaries(
             "fuse {fuse}: the path is {programs} programs"
         );
         if acked {
-            let after = dev.inner().flash_stats();
+            let after = dev.inner().base().flash_stats();
             assert_eq!(after.programs - before.0.programs, programs);
             assert_eq!(after.erases, before.0.erases);
-            assert_eq!(dev.inner().stats().meta_writes, before.1, "no root");
+            assert_eq!(dev.inner().base().stats().meta_writes, before.1, "no root");
             expect[..written].fill(NEW);
         }
         let what = format!("capacity {capacity}, fuse {fuse} of {programs}");
-        let mut dev = recover(dev);
+        let mut dev = common::recover(dev);
         assert_image(&mut dev, &expect, &what);
-        let mut dev = recover(dev);
+        let mut dev = common::recover(dev);
         assert_image(&mut dev, &expect, &format!("{what}, second recovery"));
         dev.audit();
     }
@@ -526,12 +512,16 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
     }
     let image = dev.inner().base().xl2p_roots().to_vec();
     assert!(!image.is_empty(), "the commit's generation is still live");
-    let programs = dev.inner().flash_stats().programs;
+    let programs = dev.inner().base().flash_stats().programs;
     for round in ["first", "second"] {
-        dev = recover_x(dev);
+        dev = common::recover(dev);
         assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
         assert_eq!(dev.inner().base().xl2p_roots(), image.as_slice(), "{round}");
-        assert_eq!(dev.inner().flash_stats().programs, programs, "{round}");
+        assert_eq!(
+            dev.inner().base().flash_stats().programs,
+            programs,
+            "{round}"
+        );
         assert_image(&mut dev, &expect, round);
     }
 }
@@ -603,7 +593,7 @@ fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
         1,
         "relocated, still live"
     );
-    let mut dev = recover_x(dev);
+    let mut dev = common::recover(dev);
     assert_image(&mut dev, &expect, "after the relocated image folded");
 }
 
@@ -649,17 +639,18 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         }
         (dev, expect)
     };
-    let ops = |d: &XDev| d.inner().flash_stats().programs + d.inner().flash_stats().erases;
+    let ops =
+        |d: &XDev| d.inner().base().flash_stats().programs + d.inner().base().flash_stats().erases;
     let (mut dev, _) = build();
     let image = dev.inner().base().xl2p_roots()[0];
-    let (before, stats) = (ops(&dev), *dev.inner().stats());
+    let (before, stats) = (ops(&dev), *dev.inner().base().stats());
     assert_eq!(
         (stats.gc_runs, stats.gc_background_steps),
         (0, 0),
         "nothing collected before the flush"
     );
     dev.flush().unwrap();
-    let during = *dev.inner().stats() - stats;
+    let during = *dev.inner().base().stats() - stats;
     assert_eq!(
         (during.gc_inline_collections, during.gc_copies),
         (1, 1),
@@ -681,7 +672,7 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         let (mut dev, expect) = build();
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         assert!(dev.flush().is_err(), "fuse {fuse} must fire in the flush");
-        let mut dev = recover_x(dev);
+        let mut dev = common::recover(dev);
         assert_image(&mut dev, &expect, &format!("cut {fuse} of {cuts}"));
     }
 }
@@ -710,12 +701,7 @@ fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
     dev.inner_mut().base_mut().chip_mut().arm_power_fuse(1);
     assert!(dev.commit(3).is_err(), "fuse must kill the commit");
 
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(dev);
 
     // Every page must land in the same world as the first one read.
     let mut buf = vec![0u8; ps];
@@ -763,12 +749,7 @@ fn oracle_power_cut_between_submit_and_wait_loses_group() {
     assert_eq!(buf[0], 0x22, "submitted commit must be visible");
 
     // Power dies with the group staged: tickets a and b are never redeemed.
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(dev);
 
     // Nothing of the staged group was ever programmed durably.
     for lpn in 0..6u64 {
@@ -797,12 +778,12 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
     for lpn in 3..6u64 {
         dev.write_tx(4, lpn, &new).unwrap();
     }
-    let before = *dev.inner().stats();
+    let before = *dev.inner().base().stats();
     let a = dev.commit_submit(3).unwrap();
     let b = dev.commit_submit(4).unwrap();
     dev.commit_wait(b).unwrap();
     dev.commit_wait(a).unwrap();
-    let delta = *dev.inner().stats() - before;
+    let delta = *dev.inner().base().stats() - before;
     assert_eq!(
         delta.group_commit_flushes, 1,
         "both commits share one flush"
@@ -811,12 +792,7 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
 
     // The single flush made both durable: power-cycle and re-check every
     // page through the oracle's recovery sweep plus a flash audit.
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(dev);
     let mut buf = vec![0u8; ps];
     for lpn in 0..6u64 {
         dev.read(lpn, &mut buf).unwrap();
@@ -857,12 +833,7 @@ fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
         "fuse must kill the group flush"
     );
 
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(dev);
 
     // Every page of BOTH transactions must land in the same world.
     let mut buf = vec![0u8; ps];
@@ -946,12 +917,7 @@ fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
         "fuse must fire in the eviction flush"
     );
 
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(PageMappedFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(dev);
     dev.inner_mut()
         .base_mut()
         .set_map_cache_budget(Some(1))
@@ -1066,15 +1032,7 @@ fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
     // Power dies; recover twice (the second cycle interrupts nothing but
     // must still reproduce the same image — recovery stays idempotent
     // with MVCC state in the mix).
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let first = XFtl::recover(chip).unwrap();
-    let mut chip = first.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
-    dev.verify_recovered();
-    dev.audit();
+    let mut dev = common::recover(common::recover(dev));
 
     // The flushed commit survived; everything else rolled back.
     dev.read(6, &mut buf).unwrap();
@@ -1146,7 +1104,7 @@ fn crash_mid_scrub_relocation_sweep() {
         if !died {
             continue; // fuse outlived the schedule: nothing to recover
         }
-        let mut dev = recover_x(dev);
+        let mut dev = common::recover(dev);
         for lpn in 0..8u64 {
             dev.read(lpn, &mut buf).unwrap();
             let expect = u8::try_from(lpn).unwrap() + 1;
@@ -1200,7 +1158,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
 
     // Two back-to-back recoveries: Degraded persists through both (via
     // the meta root and, independently, the bad-block census).
-    let mut dev = recover_x(recover_x(dev));
+    let mut dev = common::recover(common::recover(dev));
     assert_eq!(
         dev.inner().base().device_state(),
         DeviceState::Degraded,
@@ -1227,7 +1185,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     }
     assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
 
-    let mut dev = recover_x(recover_x(dev));
+    let mut dev = common::recover(common::recover(dev));
     assert_eq!(
         dev.inner().base().device_state(),
         DeviceState::ReadOnly,
@@ -1258,13 +1216,13 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
 /// the pool sits at the GC mark for the whole schedule, blocks big enough
 /// that a victim outlasts a step, and mapping blocks (closed over live
 /// slabs by the evictions) are victims too.
-fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D> {
+fn stepping_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D> {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny()
         .blocks(20)
         .pages_per_block(32)
         .build();
-    let mut dev = ShadowDevice::new(D::format(FlashChip::new(cfg, SimClock::new()), 384));
+    let mut dev = ShadowDevice::new(D::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
     let base = dev.inner_mut().base_mut();
     base.set_gc_policy(policy);
     base.set_map_cache_budget(Some(2)).unwrap();
@@ -1281,7 +1239,7 @@ fn stepping_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy) -> ShadowDev
 /// acknowledged state — mapping-class victims included: a relocated
 /// translation page is found by the scan, whichever of the copy, the
 /// erase and the next root the power cut falls between.
-fn sweep_steps<D: common::Personality>(name: &str) {
+fn sweep_steps<D: common::Swept>(name: &str) {
     use xftl_ftl::GcPolicy;
     let (mut collections, mut runs, mut map_runs) = (0, 0, 0);
     for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
@@ -1329,10 +1287,10 @@ fn steps_survive_every_cut_xftl() {
 /// flushed, then churned by plain writes nobody flushes until `behind`
 /// cadence roots are behind it and the next is a handful of programs
 /// away — where the sweep's groups take over.
-fn cadence_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy, behind: u64) -> ShadowDevice<D> {
+fn cadence_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy, behind: u64) -> ShadowDevice<D> {
     use xftl_ftl::BlockDevice;
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = ShadowDevice::new(D::format(chip, 160));
+    let mut dev = ShadowDevice::new(D::format(chip, 160).unwrap());
     dev.inner_mut().base_mut().set_gc_policy(policy);
     let ps = dev.page_size();
     for lpn in 0..160u64 {
@@ -1368,7 +1326,7 @@ fn cadence_dev<D: common::Personality>(policy: xftl_ftl::GcPolicy, behind: u64) 
 
 /// Two groups of eight pages across the first cadence root and across
 /// the second, every cut, under each GC policy.
-fn sweep_cadence_roots<D: common::Personality>(name: &str) {
+fn sweep_cadence_roots<D: common::Swept>(name: &str) {
     use xftl_ftl::GcPolicy;
     for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
         for behind in [0, 1] {
@@ -1429,9 +1387,9 @@ fn an_open_cycle_straddling_a_cadence_root_commits_and_survives_the_cut() {
     let first = dev.inner().open_pages().next().unwrap();
     // Plain traffic, never flushed, until the device has written a root
     // of its own accord.
-    let roots = dev.inner().stats().checkpoints;
+    let roots = dev.inner().base().stats().checkpoints;
     let mut i = 0u64;
-    while dev.inner().stats().checkpoints == roots {
+    while dev.inner().base().stats().checkpoints == roots {
         dev.write(i % 64, &vec![(i % 200) as u8 + 1; ps]).unwrap();
         i += 1;
     }
@@ -1448,9 +1406,7 @@ fn an_open_cycle_straddling_a_cadence_root_commits_and_survives_the_cut() {
     // The cycle closes after the root; then the power goes.
     dev.write_tx(9, 102, &vec![0xA3; ps]).unwrap();
     dev.commit(9).unwrap();
-    let mut dev = recover_with(dev, TxFlashFtl::into_chip, |chip| {
-        TxFlashFtl::recover(chip).unwrap()
-    });
+    let mut dev = common::recover(dev);
     assert!(dev.inner().base().recovery().skipped_blocks >= 8);
     let mut buf = vec![0u8; ps];
     for (lpn, fill) in [(100, 0xA1), (101, 0xA2), (102, 0xA3)] {
@@ -1488,16 +1444,20 @@ fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
         let mut dev = AtomicWriteFtl::format(FlashChip::new(cfg, SimClock::new()), 320).unwrap();
         write_group(&mut dev, 0).unwrap();
         write_group(&mut dev, 1).unwrap();
-        assert_eq!(dev.stats().checkpoints, 0, "two records, half a window");
+        assert_eq!(
+            dev.base().stats().checkpoints,
+            0,
+            "two records, half a window"
+        );
         dev
     };
     let mut dev = build();
-    let before = dev.flash_stats().programs;
+    let before = dev.base().flash_stats().programs;
     write_group(&mut dev, 2).unwrap();
-    let s = *dev.stats();
+    let s = *dev.base().stats();
     assert!(3 * (GROUP + 1) > 32 * dev.base().pages_per_block() as u64);
     assert_eq!((s.commit_record_writes, s.checkpoints), (3, 1));
-    let programs = dev.flash_stats().programs - before;
+    let programs = dev.base().flash_stats().programs - before;
     assert_eq!(programs, GROUP + 1 + s.map_writes + 1);
     for fuse in GROUP - 3..=programs {
         let mut dev = build();
@@ -1550,14 +1510,16 @@ fn mapping_page_window_is_closed() {
         let (lpn, fill) = churn_write(i);
         dev.write(lpn, &vec![fill; dev.page_size()])
     };
-    let ops = |d: &PlainDev| d.inner().flash_stats().programs + d.inner().flash_stats().erases;
+    let ops = |d: &PlainDev| {
+        d.inner().base().flash_stats().programs + d.inner().base().flash_stats().erases
+    };
     let mut dev = build();
     let before = ops(&dev);
     for i in 0..300 {
         overwrite(&mut dev, i).unwrap();
     }
     let cuts = ops(&dev) - before;
-    let s = *dev.inner().stats();
+    let s = *dev.inner().base().stats();
     assert_eq!(s.gc_background_steps, 0);
     assert!(s.gc_map_runs > 0 && s.gc_copies > s.gc_valid_pages);
     assert_eq!(cuts, 1954);
@@ -1565,9 +1527,9 @@ fn mapping_page_window_is_closed() {
         let mut dev = build();
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
         assert!((0..300).any(|i| overwrite(&mut dev, i).is_err()));
-        let recover = |chip| {
-            PageMappedFtl::recover(chip).unwrap_or_else(|e| panic!("fuse {fuse}: refused: {e:?}"))
-        };
-        recover_with(dev, PageMappedFtl::into_chip, recover);
+        let (inner, model) = dev.into_parts();
+        let recovered = PageMappedFtl::recover(inner.into_chip())
+            .unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
+        common::resume(recovered, model);
     }
 }

@@ -20,10 +20,11 @@ use xftl_core::XFtl;
 use xftl_flash::{
     AgingModel, FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, SimClock,
 };
-use xftl_ftl::{BlockDevice, DevError, DeviceState, ScrubConfig, ScrubReason, TxBlockDevice};
+use xftl_ftl::{
+    BlockDevice, DevError, DeviceState, Personality, ScrubConfig, ScrubReason, TxBlockDevice,
+};
 
 mod common;
-use common::recover_with;
 use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
@@ -40,16 +41,13 @@ fn fault_seed() -> u64 {
 
 type Dev = ShadowDevice<XFtl>;
 
-/// Power-cycles and recovers the device; `arm` may install a fault plan on
-/// the cold chip so the faults hit recovery's own replay reads/writes.
-fn power_cycle_and_recover(d: Dev, arm: Option<FaultPlan>) -> Dev {
-    recover_with(d, XFtl::into_chip, |mut chip| {
-        chip.power_cycle();
-        if let Some(plan) = arm {
-            chip.set_fault_plan(plan);
-        }
-        XFtl::recover(chip).unwrap()
-    })
+/// Recovers the device; `arm` may install a fault plan on the cold chip
+/// so the faults hit recovery's own replay reads/writes.
+fn recover_armed(mut d: Dev, arm: Option<FaultPlan>) -> Dev {
+    if let Some(plan) = arm {
+        d.inner_mut().base_mut().chip_mut().set_fault_plan(plan);
+    }
+    common::recover(d)
 }
 
 /// Where in the schedule the fault trigger is armed.
@@ -147,7 +145,7 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
     // cold chip so the trigger sees recovery's own slab/X-L2P reads and
     // checkpoint writes first.
     let recovery_plan = (point == InjectAt::RecoveryReplay).then(|| plan_for(kind));
-    let mut dev = power_cycle_and_recover(dev, recovery_plan);
+    let mut dev = recover_armed(dev, recovery_plan);
 
     // Post-recovery traffic: catches triggers whose op class recovery
     // never issued (e.g. an erase fault armed for replay), and proves the
@@ -298,7 +296,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
             assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost its committed value");
         }
         dev.audit();
-        let mut dev = power_cycle_and_recover(dev, None);
+        let mut dev = common::recover(dev);
         for lpn in 0..8u64 {
             dev.read(lpn, &mut buf).unwrap();
             assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost after power cycle");
@@ -402,7 +400,7 @@ fn fault_matrix_end_of_life_read_only() {
 
     // ... and across a power cycle: recovery succeeds on a read-only
     // device and the persisted state holds.
-    let mut dev = power_cycle_and_recover(dev, None);
+    let mut dev = common::recover(dev);
     assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
     for lpn in 0..8u64 {
         dev.read(lpn, &mut buf).unwrap();
@@ -479,10 +477,51 @@ fn fault_soak_background_rates() {
     let flash = dev.inner().base().flash_stats();
     assert!(flash.program_fails > 0, "program faults never fired");
     assert!(flash.corrected_reads > 0, "correctable flips never fired");
-    let mut dev = power_cycle_and_recover(dev, Some(plan()));
+    let mut dev = recover_armed(dev, Some(plan()));
     for lpn in 0..16u64 {
         dev.read(lpn, &mut buf).unwrap();
         assert_eq!(buf[0], expect[lpn as usize], "lpn {lpn} corrupted");
     }
     dev.audit();
+}
+
+/// A group whose commit record cannot be programmed is rolled back like
+/// one whose data page failed: its pages are garbage at once, not live
+/// pages no table maps — which GC would copy, and the horizon wait on,
+/// until the next power cycle.
+#[test]
+fn atomic_write_record_failure_orphans_its_group() {
+    use xftl_flash::{PageKind, PageProbe, Ppa};
+    use xftl_ftl::AtomicWriteFtl;
+    use xftl_verify::Auditable;
+    let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), SimClock::new());
+    let mut dev = AtomicWriteFtl::format(chip, LOGICAL).unwrap();
+    let page = vec![0x5A; dev.page_size()];
+    dev.write_atomic(&[(3, &page[..])]).unwrap();
+    // Every program of OOB lpn 0 fails, retries included: the record's
+    // (an original record says 0 there), while the group writes
+    // elsewhere.
+    dev.base_mut().chip_mut().set_fault_plan(
+        FaultPlan::new(fault_seed())
+            .trigger(FaultTrigger::new(FaultKind::ProgramFail).on_lpn(0).sticky()),
+    );
+    let group = [(5u64, &page[..]), (9, &page[..])];
+    assert!(dev.write_atomic(&group).is_err(), "the record programmed");
+    let base = dev.base();
+    let geo = base.chip().config().geometry;
+    let orphans: Vec<Ppa> = (0..geo.blocks as u32)
+        .flat_map(|b| (0..geo.pages_per_block as u32).map(move |p| Ppa::new(b, p)))
+        .filter(|ppa| match base.chip().probe_silent(*ppa) {
+            PageProbe::Programmed(oob) => oob.kind == PageKind::Data && oob.tid == 2,
+            PageProbe::Erased | PageProbe::Torn => false,
+        })
+        .collect();
+    assert_eq!(orphans.len(), group.len(), "the data pages landed");
+    for ppa in orphans {
+        assert!(
+            !base.page_is_valid(ppa),
+            "{ppa:?} of the unsealed group is live"
+        );
+    }
+    dev.audit().unwrap();
 }

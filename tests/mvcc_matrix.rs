@@ -31,7 +31,6 @@ use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
 use xftl_workloads::{concurrent_fill, CommitWait, ConcurrentPlan, Mode, Rig, RigConfig};
 
 mod common;
-use common::recover_with;
 use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
@@ -52,13 +51,6 @@ fn dev() -> Dev {
     let clock = SimClock::new();
     let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
     ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap())
-}
-
-fn power_cycle_and_recover(d: Dev) -> Dev {
-    recover_with(d, XFtl::into_chip, |mut chip| {
-        chip.power_cycle();
-        XFtl::recover(chip).unwrap()
-    })
 }
 
 // --- the device-level schedule runner -----------------------------------
@@ -167,7 +159,7 @@ fn device_disjoint_writers_all_commit() {
             ];
             let committed = run_schedule(&mut d, interleave, &writers, &commit_order, &mut expect);
             assert_eq!(committed, vec![true; 3], "disjoint writers must all win");
-            assert_eq!(d.inner().stats().conflict_aborts, 0);
+            assert_eq!(d.inner().base().stats().conflict_aborts, 0);
             assert_eq!(d.inner().active_snapshots(), 0, "snapshots must release");
             assert_image(&mut d, &expect, &format!("{interleave:?}/{commit_order:?}"));
         }
@@ -190,7 +182,7 @@ fn device_overlapping_writers_lose_exactly_one() {
             let winners = committed.iter().filter(|&&c| c).count();
             assert_eq!(winners, 2, "exactly one of the overlapping pair loses");
             assert!(committed[2], "the disjoint writer never conflicts");
-            assert_eq!(d.inner().stats().conflict_aborts, 1);
+            assert_eq!(d.inner().base().stats().conflict_aborts, 1);
             assert_eq!(d.inner().active_snapshots(), 0);
             assert_eq!(
                 d.inner().xl2p().intent_pages(),
@@ -236,7 +228,7 @@ fn device_read_only_snapshot_ignores_concurrent_commits() {
     // The read-only commit succeeds and releases the snapshot.
     d.commit(1).unwrap();
     assert_eq!(d.inner().active_snapshots(), 0);
-    assert_eq!(d.inner().stats().conflict_aborts, 0);
+    assert_eq!(d.inner().base().stats().conflict_aborts, 0);
 }
 
 #[test]
@@ -251,7 +243,7 @@ fn device_abort_releases_intents_for_the_survivor() {
     // the survivor's first-committer-wins check.
     d.abort(1).unwrap();
     d.commit(2).unwrap();
-    assert_eq!(d.inner().stats().conflict_aborts, 0);
+    assert_eq!(d.inner().base().stats().conflict_aborts, 0);
     assert_eq!(d.inner().active_snapshots(), 0);
     assert_eq!(d.inner().xl2p().intent_pages(), 0);
     let mut buf = vec![0u8; ps];
@@ -329,7 +321,7 @@ fn mvcc_soak_random_schedules() {
         "the soak never produced a conflict — overlap probability too low to test anything"
     );
     assert_eq!(
-        d.inner().stats().conflict_aborts,
+        d.inner().base().stats().conflict_aborts,
         conflicts_seen,
         "device conflict tally disagrees with the prediction"
     );
@@ -337,7 +329,7 @@ fn mvcc_soak_random_schedules() {
 
     // Power cut: everything committed survives; MVCC state is RAM-only.
     d.flush().unwrap();
-    let mut d = power_cycle_and_recover(d);
+    let mut d = common::recover(d);
     assert_eq!(d.inner().active_snapshots(), 0);
     assert_eq!(d.inner().xl2p().intent_pages(), 0);
     assert_image(&mut d, &expect, "post-crash soak image");

@@ -26,10 +26,9 @@ use xftl_db::record::{
 use xftl_db::{btree, Value};
 use xftl_flash::{FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, SimClock};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
-use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, TxBlockDevice, TxFlashFtl};
+use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, Personality, TxBlockDevice, TxFlashFtl};
 
 mod common;
-use common::recover_with;
 use xftl_verify::ShadowDevice;
 
 /// One generator per (family, case): fully determined by the pair, so any
@@ -482,7 +481,7 @@ impl Drop for Unwinding<'_> {
 /// and through every open transaction: the oracle asserts each read
 /// (visibility at commit, read-your-own-writes, isolation, frozen
 /// snapshot views), each commit verdict (no lost update, no spurious
-/// conflict), and — inside `crash`, which is [`recover_with`] — that a
+/// conflict), and — inside `crash`, which is [`common::recover`] — that a
 /// power cut kept the durable image plus a prefix of what was staged.
 /// Ends with one more cut; returns the recovered device.
 fn run_schedule<D: TxBlockDevice>(
@@ -572,20 +571,20 @@ fn x_format(chip: FlashChip) -> XDev {
     ShadowDevice::new(XFtl::format_with_capacity(chip, 24, 64).unwrap())
 }
 
+/// [`common::recover`], with [`x_format`]'s 64 X-L2P slots.
 fn x_crash(dev: XDev) -> XDev {
-    recover_with(dev, XFtl::into_chip, |chip| {
-        XFtl::recover_with_capacity(chip, 64).unwrap()
-    })
+    let (inner, model) = dev.into_parts();
+    let dev = XFtl::recover_with_capacity(inner.into_chip(), 64)
+        .unwrap_or_else(|e| panic!("recovery refused the chip: {e:?}"));
+    common::resume(dev, model)
 }
 
 /// [`x_crash`], after holding the image the power cut left — lives,
 /// reused transaction ids and all: X-FTL's recovery never consults the
 /// horizon — to [`common::assert_skip_is_invisible`].
 fn x_crash_checking_the_skip(dev: XDev) -> XDev {
-    recover_with(dev, XFtl::into_chip, |chip| {
-        common::assert_skip_is_invisible::<XFtl>(&chip);
-        XFtl::recover_with_capacity(chip, 64).unwrap()
-    })
+    common::assert_skip_is_invisible::<XFtl>(dev.inner().base().chip());
+    x_crash(dev)
 }
 
 /// Family 7: X-FTL's transactional writes become visible only at commit
@@ -661,7 +660,7 @@ fn xftl_transactions_match_model_under_faults() {
         chip.set_fault_plan(plan);
         let what = format!("family 10 case {case}");
         let dev = run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
-        let flash = dev.inner().flash_stats();
+        let flash = dev.inner().base().flash_stats();
         retried += flash.program_fails + flash.uncorrectable_reads;
     }
     assert!(
@@ -682,13 +681,8 @@ fn txflash_transactions_match_model() {
         let ops = rand_tx_ops(&mut rng);
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let dev = ShadowDevice::new(TxFlashFtl::format(chip, 24).unwrap());
-        let crash = |d| {
-            recover_with(d, TxFlashFtl::into_chip, |chip| {
-                TxFlashFtl::recover(chip).unwrap()
-            })
-        };
         let what = format!("family 8 case {case}");
-        run_schedule(&what, dev, &ops, crash, &mut seen);
+        run_schedule(&what, dev, &ops, common::recover, &mut seen);
     }
     assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");
 }
@@ -753,11 +747,11 @@ fn tx_op<D: TxBlockDevice>(dev: &mut D, op: &DevOp) {
 /// GC had been over.
 #[test]
 fn skipping_covered_blocks_is_invisible_to_recovery() {
-    fn family<D: common::Personality>(tx: Option<fn(&mut D, &DevOp)>) -> (u32, u64) {
+    fn family<D: Personality>(tx: Option<fn(&mut D, &DevOp)>) -> (u32, u64) {
         let (mut skipped, mut collected) = (0, 0);
         for case in 0..24u64 {
             let chip = FlashChip::new(FlashConfig::tiny(12), SimClock::new());
-            let mut dev = D::format(chip, 24);
+            let mut dev = D::format(chip, 24).unwrap();
             one_life(&mut dev, &mut case_rng(13, case), tx);
             collected += dev.base().stats().gc_runs;
             skipped += common::assert_skip_is_invisible::<D>(&dev.into_chip());
@@ -1013,7 +1007,7 @@ fn demand_paged_cache_matches_full_ram_model() {
                     // The mapping the live device holds right now — dirty
                     // resident slabs and persisted translation pages alike.
                     let before: Vec<_> = (0..logical).map(|l| bounded.base().l2p_peek(l)).collect();
-                    misses += bounded.stats().map_cache_misses;
+                    misses += bounded.base().stats().map_cache_misses;
                     bounded = PageMappedFtl::recover(bounded.into_chip()).unwrap();
                     bounded
                         .base_mut()
@@ -1033,7 +1027,7 @@ fn demand_paged_cache_matches_full_ram_model() {
         }
         // Final crash for both devices: the whole logical space must read
         // back identically (roll-forward finds even unflushed writes).
-        misses += bounded.stats().map_cache_misses;
+        misses += bounded.base().stats().map_cache_misses;
         let mut bounded = PageMappedFtl::recover(bounded.into_chip()).unwrap();
         bounded
             .base_mut()
@@ -1048,7 +1042,7 @@ fn demand_paged_cache_matches_full_ram_model() {
             assert_eq!(buf_a, buf_b, "case {case}: lpn {lpn} devices diverged");
         }
         // The bounded run actually exercised demand paging.
-        misses += bounded.stats().map_cache_misses;
+        misses += bounded.base().stats().map_cache_misses;
         assert!(misses > 0, "case {case}: schedule never missed the cache");
     }
 }

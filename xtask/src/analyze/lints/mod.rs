@@ -9,7 +9,6 @@ pub mod error_discard;
 pub mod layering;
 pub mod sim_clock;
 pub mod ticket_leak;
-pub mod unsafe_wall;
 pub mod wildcard_arm;
 
 pub use super::parse::SourceFile;
@@ -17,9 +16,8 @@ pub use super::{Registry, Violation};
 use crate::analyze::lexer::TokKind;
 
 /// Stable lint identifiers (also the names accepted in waivers).
-pub const LINTS: [&str; 6] = [
+pub const LINTS: [&str; 5] = [
     "sim-clock",
-    "unsafe-wall",
     "layering",
     "error-discard",
     "wildcard-arm",
@@ -30,7 +28,6 @@ pub const LINTS: [&str; 6] = [
 pub fn run_lint(lint: &'static str, f: &SourceFile, reg: &Registry, out: &mut Vec<Violation>) {
     match lint {
         "sim-clock" => sim_clock::run(f, out),
-        "unsafe-wall" => unsafe_wall::run(f, out),
         "layering" => layering::run(f, reg, out),
         "error-discard" => error_discard::run(f, reg, out),
         "wildcard-arm" => wildcard_arm::run(f, reg, out),

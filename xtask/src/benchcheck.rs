@@ -514,7 +514,7 @@ mod tests {
 
     #[test]
     fn bench_check_compares_histogram_summaries() {
-        use xftl_trace::{OpClass, Recorder, Telemetry};
+        use xftl_trace::{OpClass, Telemetry};
         let mk = |lat: u64| {
             let t = Telemetry::new();
             t.record(OpClass::TxCommit, lat);

@@ -4,8 +4,8 @@
 //!
 //! - [`analyze`] — the `xftl-analyze` static analysis engine: an
 //!   AST-level lint suite encoding X-FTL's domain invariants
-//!   (ticket-leak, layering, error-discard, wildcard-arm, sim-clock,
-//!   unsafe-wall), with span diagnostics, JSON findings reports,
+//!   (ticket-leak, layering, error-discard, wildcard-arm, sim-clock),
+//!   with span diagnostics, JSON findings reports,
 //!   justified waivers, and a fixture-backed mutation self-test.
 //! - [`benchcheck`] — the perf-regression gate comparing a fresh
 //!   `BENCH_all.json` against the committed `BENCH_BASELINE.json`.

@@ -119,13 +119,12 @@ fn summary_line_and_json_report_shape() {
     assert!(json.contains("crates/fixture/src/probe.rs"), "{json}");
 }
 
-/// All six lints exist, and the registry-driven ones see through the
+/// All five lints exist, and the registry-driven ones see through the
 /// domain vocabulary (a `Result` alias, a `*Ticket` constructor).
 #[test]
 fn lint_catalogue_is_complete() {
     let expected = [
         "sim-clock",
-        "unsafe-wall",
         "layering",
         "error-discard",
         "wildcard-arm",
