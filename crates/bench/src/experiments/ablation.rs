@@ -354,7 +354,7 @@ pub fn multi_file_commit(quick: bool) -> String {
         );
         let extra = match mode {
             Mode::Rbj => format!("{} masters + {} journals", txns, txns * files),
-            _ => "none".to_string(),
+            Mode::Wal | Mode::XFtl => "none".to_string(),
         };
         t.row(vec![
             mode.label().to_string(),

@@ -37,7 +37,7 @@ use crate::RunScale;
 
 /// Scale of the endurance sweep.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct EnduranceScale {
     pub tuples: usize,
     /// Transaction budget: a device that survives this many commits at a

@@ -21,7 +21,7 @@ use crate::RunScale;
 
 /// Scale of the fault sweep.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct FaultScale {
     pub tuples: usize,
     pub txns: usize,

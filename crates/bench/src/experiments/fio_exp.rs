@@ -10,7 +10,7 @@ use crate::RunScale;
 
 /// FIO experiment scale.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct FioScale {
     /// File size per job (paper: 4 GB; scaled down to bound simulator
     /// memory — random-write IOPS at fixed fsync cadence is insensitive

@@ -39,7 +39,7 @@ pub struct RecoveryMeasurement {
 
 /// Crash scale.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct RecoveryScale {
     pub tuples: usize,
     pub txns_before_crash: usize,

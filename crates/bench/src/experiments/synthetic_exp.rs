@@ -17,7 +17,7 @@ use crate::RunScale;
 /// plus cold aged fill); the harness reports the *measured* mean victim
 /// validity next to each target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "each variant names the validity it stands for")]
 pub enum Validity {
     V30,
     V50,
@@ -67,7 +67,7 @@ pub fn blocks_for(live_pages: u64, logical_pages: u64, utilization: f64) -> usiz
 
 /// Scale of the synthetic experiments.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct SynScale {
     pub tuples: usize,
     pub txns: usize,
@@ -124,7 +124,10 @@ impl SynScale {
 
 /// One measured cell of Figure 5.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are named after the Figure 5 quantities they hold"
+)]
 pub struct SynCell {
     pub mode: Mode,
     pub validity: Validity,

@@ -25,7 +25,7 @@ pub const MIXES: [(&str, TpccMix); 4] = [
 
 /// TPC-C experiment scale.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct TpccExpScale {
     pub scale: TpccScale,
     pub txns_per_mix: usize,

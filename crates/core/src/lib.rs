@@ -40,6 +40,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// A match over a protocol enum names every variant: a new variant is a
+// compile error wherever its meaning must be decided.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod xftl;
 pub mod xl2p;

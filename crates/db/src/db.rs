@@ -71,7 +71,7 @@ impl<D: BlockDevice> Connection<D> {
     /// Installs a telemetry handle and its timestamp clock on the pager
     /// (pass clones of the stack-wide pair) so SQL statements, page
     /// fetches, and commit flushes are recorded.
-    pub fn set_recorder(&mut self, clock: xftl_flash::SimClock, recorder: xftl_trace::Telemetry) {
+    pub fn set_recorder(&mut self, clock: xftl_ftl::SimClock, recorder: xftl_trace::Telemetry) {
         self.pager.set_recorder(clock, recorder);
     }
 

@@ -288,7 +288,10 @@ pub struct Select {
 
 /// A DML statement compiled against one schema generation.
 #[derive(Debug)]
-#[allow(missing_docs)] // one variant per statement kind, fields named after clauses
+#[allow(
+    missing_docs,
+    reason = "one variant per statement kind, fields named after clauses"
+)]
 pub enum Plan {
     Select(Box<Select>),
     Insert {

@@ -24,9 +24,8 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use xftl_flash::{Nanos, SimClock};
 use xftl_fs::{FileSystem, FsError, Ino};
-use xftl_ftl::{BlockDevice, CommitTicket, Tid};
+use xftl_ftl::{BlockDevice, CommitTicket, Nanos, SimClock, Tid};
 use xftl_trace::{OpClass, Telemetry};
 
 use crate::error::{DbError, Result};

@@ -180,7 +180,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Tok>> {
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // operator names are their own documentation
+#[allow(missing_docs, reason = "operator names are their own documentation")]
 pub enum BinOp {
     Eq,
     Ne,
@@ -227,7 +227,7 @@ pub enum Expr {
 
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // function names are their own documentation
+#[allow(missing_docs, reason = "function names are their own documentation")]
 pub enum AggFn {
     Count,
     Sum,
@@ -267,7 +267,10 @@ pub struct ColDef {
 
 /// A parsed SQL statement.
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // mirror of the grammar; fields named after clauses
+#[allow(
+    missing_docs,
+    reason = "mirror of the grammar; fields named after clauses"
+)]
 pub enum Stmt {
     CreateTable {
         name: String,

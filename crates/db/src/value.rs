@@ -5,7 +5,7 @@ use std::fmt;
 
 /// A dynamically-typed SQL value (SQLite's five storage classes).
 #[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // the five storage classes are self-describing
+#[allow(missing_docs, reason = "the five storage classes are self-describing")]
 pub enum Value {
     Null,
     Int(i64),

@@ -696,7 +696,7 @@ impl FlashChip {
                 Ok((p.oob, sched.done))
             }
             // Checked Programmed above; nothing mutates page state between.
-            _ => Err(FlashError::ReadErased(ppa)),
+            Page::Erased | Page::Torn => Err(FlashError::ReadErased(ppa)),
         }
     }
 
@@ -776,7 +776,7 @@ impl FlashChip {
         let block = &self.blocks[ppa.block as usize];
         match block.page(ppa.page as usize) {
             Page::Erased => {}
-            _ => return Err(FlashError::ProgramOverwrite(ppa)),
+            Page::Programmed(_) | Page::Torn => return Err(FlashError::ProgramOverwrite(ppa)),
         }
         if ppa.page != block.write_point {
             return Err(FlashError::ProgramOutOfOrder {
@@ -1005,7 +1005,7 @@ impl FlashChip {
                 p.data.copy_to(buf);
                 Some(p.oob)
             }
-            _ => None,
+            Page::Erased | Page::Torn => None,
         }
     }
 
@@ -1675,7 +1675,8 @@ mod tests {
         assert!(c.block_corrected_flips(2) > 0);
         assert_eq!(c.block_read_count(2), 130);
         for _ in 0..11 {
-            let _ = c.read(Ppa::new(2, 0), &mut buf);
+            let read = c.read(Ppa::new(2, 0), &mut buf);
+            assert!(matches!(read, Ok(_) | Err(FlashError::Uncorrectable(_))));
         }
         assert_eq!(
             c.read(Ppa::new(2, 0), &mut buf),
@@ -1757,7 +1758,10 @@ mod tests {
         c.program(Ppa::new(3, 0), &data, Oob::data(1)).unwrap();
         assert_eq!(c.erase(2), Err(FlashError::EraseFailed(2)));
         c.arm_power_fuse(1);
-        let _ = c.program(Ppa::new(3, 1), &data, Oob::data(2));
+        assert_eq!(
+            c.program(Ppa::new(3, 1), &data, Oob::data(2)),
+            Err(FlashError::PowerLost)
+        );
         assert!(c.is_dead());
         c.power_cycle();
         // Health and the plan survived the cycle.
@@ -1804,26 +1808,28 @@ mod tests {
             c.set_fault_plan(FaultPlan::background(42, 0.05, 0.05, 0.1, 0.02));
             let data = page(&c, 9);
             let mut buf = page(&c, 0);
+            // Every outcome, in order: the schedule must replay op by op.
+            let mut outcomes = Vec::new();
             for round in 0..4u64 {
                 for b in 2..16u32 {
                     for p in 0..8u32 {
-                        let _ = c.program(Ppa::new(b, p), &data, Oob::data(round));
+                        outcomes.push(c.program(Ppa::new(b, p), &data, Oob::data(round)).map(Some));
                     }
                 }
                 for b in 2..16u32 {
                     for p in 0..8u32 {
-                        let _ = c.read(Ppa::new(b, p), &mut buf);
+                        outcomes.push(c.read(Ppa::new(b, p), &mut buf).map(Some));
                     }
                 }
                 for b in 2..16u32 {
-                    let _ = c.erase(b);
+                    outcomes.push(c.erase(b).map(|()| None));
                 }
             }
-            (c.clock().now(), *c.stats(), c.retired_blocks())
+            (c.clock().now(), *c.stats(), c.retired_blocks(), outcomes)
         };
-        let (t1, s1, r1) = run();
-        let (t2, s2, r2) = run();
-        assert_eq!((t1, s1, r1.clone()), (t2, s2, r2));
+        let (t1, s1, r1, o1) = run();
+        let (t2, s2, r2, o2) = run();
+        assert_eq!((t1, s1, r1.clone(), o1), (t2, s2, r2, o2));
         // The rates were high enough that every fault class fired.
         assert!(s1.program_fails > 0);
         assert!(s1.erase_fails > 0);

@@ -26,7 +26,7 @@ pub const SECOND: Nanos = 1_000_000_000;
 /// a device, a file system and a database can all advance one timeline.
 ///
 /// ```
-/// use xftl_flash::clock::{SimClock, MILLI};
+/// use xftl_flash::{SimClock, MILLI};
 /// let clock = SimClock::new();
 /// let view = clock.clone();
 /// clock.advance(3 * MILLI);
@@ -69,7 +69,7 @@ impl SimClock {
 /// A scoped stopwatch over a [`SimClock`].
 ///
 /// ```
-/// use xftl_flash::clock::{SimClock, Stopwatch, MICRO};
+/// use xftl_flash::{SimClock, Stopwatch, MICRO};
 /// let clock = SimClock::new();
 /// let sw = Stopwatch::start(&clock);
 /// clock.advance(5 * MICRO);

@@ -26,7 +26,7 @@
 //!
 //! ## Per-operation faults
 //!
-//! Beyond whole-device power loss, a [`FaultPlan`] (see [`fault`]) injects
+//! Beyond whole-device power loss, a [`FaultPlan`] injects
 //! the failures real MLC NAND exhibits per operation: program-status
 //! failures (page unreadable, block suspect), erase-status failures
 //! (block permanently retired — see [`BlockHealth`]), and read bit-flips
@@ -53,16 +53,19 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// A match over a protocol enum names every variant: a new variant is a
+// compile error wherever its meaning must be decided.
+#![deny(clippy::wildcard_enum_match_arm)]
 
-pub mod chip;
-pub mod clock;
-pub mod config;
-pub mod error;
-pub mod fault;
-pub mod stats;
+mod chip;
+mod clock;
+mod config;
+mod error;
+mod fault;
+mod stats;
 
 pub use chip::{BlockHealth, FlashChip, Oob, PageKind, PageProbe, Ppa};
-pub use clock::{Nanos, SimClock, Stopwatch, SECOND};
+pub use clock::{Nanos, SimClock, Stopwatch, MICRO, MILLI, SECOND};
 pub use config::{FlashConfig, FlashConfigBuilder, FlashGeometry, FlashTimings};
 pub use error::{FlashError, Result};
 pub use fault::{AgingModel, EccConfig, EccEvent, FaultKind, FaultOp, FaultPlan, FaultTrigger};

@@ -60,7 +60,16 @@ impl std::error::Error for FsError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             FsError::Dev(e) => Some(e),
-            _ => None,
+            FsError::NotFound
+            | FsError::Exists
+            | FsError::NoSpace
+            | FsError::BadName
+            | FsError::TooLarge
+            | FsError::BadInode
+            | FsError::BadSuperblock
+            | FsError::NeedsTxDevice
+            | FsError::NeedsTid
+            | FsError::ReadOnly => None,
         }
     }
 }
@@ -69,7 +78,14 @@ impl From<DevError> for FsError {
     fn from(e: DevError) -> Self {
         match e {
             DevError::ReadOnly => FsError::ReadOnly,
-            other => FsError::Dev(other),
+            e @ (DevError::Flash(_)
+            | DevError::BadLpn(_)
+            | DevError::OutOfSpace
+            | DevError::UnknownTid(_)
+            | DevError::XL2pFull
+            | DevError::NotFormatted
+            | DevError::NotQueued
+            | DevError::Conflict) => FsError::Dev(e),
         }
     }
 }

@@ -36,8 +36,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use xftl_flash::{Nanos, SimClock};
-use xftl_ftl::{BlockDevice, CmdId, CommitTicket, IoCmd, Lpn, Tid, TxBlockDevice};
+use xftl_ftl::{BlockDevice, CmdId, CommitTicket, IoCmd, Lpn, Nanos, SimClock, Tid, TxBlockDevice};
 use xftl_trace::{OpClass, Telemetry};
 
 use crate::alloc::BlockBitmap;

@@ -2,8 +2,8 @@
 //! every journal mode.
 
 use xftl_core::XFtl;
-use xftl_flash::{FlashChip, FlashConfig, SimClock};
-use xftl_ftl::{BlockDevice, PageMappedFtl};
+use xftl_flash::{FlashChip, FlashConfig, FlashError, SimClock};
+use xftl_ftl::{BlockDevice, DevError, PageMappedFtl};
 
 use crate::error::FsError;
 use crate::fs::{FileSystem, FsConfig, JournalMode};
@@ -369,7 +369,10 @@ fn full_journal_beats_torn_state() {
     fs.write(f, 0, &vec![2u8; ps * 2], None).unwrap();
     // Fuse somewhere inside the next fsync's journal writes.
     fs.device_mut().base_mut().chip_mut().arm_power_fuse(2);
-    let _ = fs.fsync(f, None);
+    assert_eq!(
+        fs.fsync(f, None),
+        Err(FsError::Dev(DevError::Flash(FlashError::PowerLost)))
+    );
     let dev = fs.into_device();
     let dev = PageMappedFtl::recover(dev.into_chip()).unwrap();
     let mut fs2 = FileSystem::mount(dev, JournalMode::Full, 64).unwrap();

@@ -45,7 +45,7 @@ impl GcHook for RecordHook {
                     *p = new;
                 }
             }
-            _ => {}
+            PageKind::Map | PageKind::Meta | PageKind::XL2p => {}
         }
     }
 

@@ -191,7 +191,7 @@ fn never_written_root(logical_pages: u64) -> MetaPage {
 ///   A block with no valid page is taken before any scoring: it costs
 ///   one erase and waiting cannot make it cheaper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)] // the policies are described above
+#[allow(missing_docs, reason = "the policies are described above")]
 pub enum GcPolicy {
     #[default]
     Greedy,
@@ -754,7 +754,11 @@ impl FtlBase {
         self.chip
             .recorder()
             .record_span(OpClass::DegradedEntry, 0, new.as_u64(), t, t);
-        let _ = self.write_meta(); // xftl-analyze: allow(error-discard): best-effort persistence — on a device too far gone to write its root, the RAM state still gates writes and recovery re-derives degradation from the pool census
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort persistence: on a device too far gone to write its root, the RAM state still gates writes and recovery re-derives degradation from the pool census"
+        )]
+        let _ = self.write_meta();
     }
 
     // --- page I/O ---------------------------------------------------------

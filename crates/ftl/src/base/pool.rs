@@ -191,7 +191,7 @@ impl Pool {
         match self.state[block as usize] {
             BlockState::Bad => return false,
             BlockState::Free => self.free.retain(|&b| b != block),
-            _ => self.abandon(block),
+            BlockState::Meta | BlockState::Open(_) | BlockState::Closed(_) => self.abandon(block),
         }
         self.state[block as usize] = BlockState::Bad;
         true
@@ -203,7 +203,7 @@ impl Pool {
     pub(super) fn closed(&self) -> impl Iterator<Item = (u32, Class)> + '_ {
         self.state.iter().enumerate().filter_map(|(b, s)| match s {
             BlockState::Closed(class) => Some((b as u32, *class)),
-            _ => None,
+            BlockState::Meta | BlockState::Free | BlockState::Open(_) | BlockState::Bad => None,
         })
     }
 
@@ -218,7 +218,11 @@ impl Pool {
             let verdict = match self.state[b as usize] {
                 BlockState::Closed(Class::Data) => judge(b),
                 BlockState::Open(Stream::Hot) => Fifo::Requeue,
-                _ => Fifo::Drop,
+                BlockState::Meta
+                | BlockState::Free
+                | BlockState::Open(_)
+                | BlockState::Closed(_)
+                | BlockState::Bad => Fifo::Drop,
             };
             match verdict {
                 Fifo::Take => return Some(b),
@@ -346,7 +350,10 @@ mod tests {
                         pool.abandon(b);
                         match was {
                             BlockState::Open(_) => assert!(pool.closed().any(|(c, _)| c == b)),
-                            other => assert_eq!(pool.state(b), Some(other)),
+                            other @ (BlockState::Meta
+                            | BlockState::Free
+                            | BlockState::Closed(_)
+                            | BlockState::Bad) => assert_eq!(pool.state(b), Some(other)),
                         }
                     }
                     7 | 8 if !closed.is_empty() => {

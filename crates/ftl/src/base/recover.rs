@@ -86,7 +86,7 @@ fn scan_pool(chip: &mut FlashChip, root: &MetaPage, slabs: usize) -> Result<Scan
     let last_page = geo.pages_per_block as u32 - 1;
     let data_seq = |probe| match probe {
         PageProbe::Programmed(oob) if oob.kind == PageKind::Data => Some(oob.seq),
-        _ => None,
+        PageProbe::Erased | PageProbe::Programmed(_) | PageProbe::Torn => None,
     };
     let mut census = vec![BlockState::Free; geo.blocks];
     let mut events = Vec::new();

@@ -45,6 +45,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// A match over a protocol enum names every variant: a new variant is a
+// compile error wherever its meaning must be decided.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod atomicwrite;
 pub mod base;
@@ -75,3 +78,7 @@ pub use sata::{LinkConfig, SataLink};
 pub use stats::FtlStats;
 pub use txflash::TxFlashFtl;
 pub use validity::ValidityMap;
+/// The simulated clock, re-exported so the host layers (fs, db) need no
+/// dependency on the flash crate: they reach flash only through the
+/// device traits above.
+pub use xftl_flash::{Nanos, SimClock};

@@ -154,7 +154,7 @@ impl TxFlashFtl {
                         }
                     }
                 }
-                _ => {}
+                PageKind::Map | PageKind::Meta | PageKind::XL2p | PageKind::Commit => {}
             }
         }
         folds

@@ -195,7 +195,7 @@ impl Hist {
 
 /// The percentile summary of one [`Hist`], as embedded in bench reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "fields are the percentiles they name")]
 pub struct HistSummary {
     pub count: u64,
     pub sum_ns: u64,

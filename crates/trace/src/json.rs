@@ -6,8 +6,6 @@
 //! shortest round-trip formatting — so the same report serializes to the
 //! same bytes on every run, which is what lets CI diff reports exactly.
 
-use std::fmt::Write as _;
-
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -125,9 +123,9 @@ fn write_num(out: &mut String, n: f64) {
         // JSON has no NaN/Inf; clamp to null rather than emit garbage.
         out.push_str("null");
     } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+        out.push_str(&(n as i64).to_string());
     } else {
-        let _ = write!(out, "{n}");
+        out.push_str(&n.to_string());
     }
 }
 
@@ -141,7 +139,7 @@ fn write_str(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }

@@ -20,8 +20,8 @@
 //!
 //! The crate has **no dependencies** and **never reads a clock of its
 //! own**: timestamps enter exclusively as simulated nanoseconds produced
-//! by `SimClock` above. `xtask analyze` (the `sim-clock` lint) enforces
-//! this with a special no-waiver rule for this crate.
+//! by `SimClock` above. The empty `[dependencies]` table and the
+//! workspace `clippy.toml`'s host-clock ban enforce both.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -846,7 +846,7 @@ fn audit_covered_blocks(base: &FtlBase) -> Result<(), AuditViolation> {
     for block in base.first_pool_block()..geo.blocks as u32 {
         let data_seq = |page| match chip.probe_silent(Ppa::new(block, page)) {
             PageProbe::Programmed(oob) if oob.kind == PageKind::Data => Some(oob.seq),
-            _ => None,
+            PageProbe::Erased | PageProbe::Programmed(_) | PageProbe::Torn => None,
         };
         let covered = |seq| seq <= ckpt_seq && seq <= horizon;
         if data_seq(0).is_none() || !data_seq(last).is_some_and(covered) {
@@ -881,7 +881,7 @@ fn audit_open_pages(base: &FtlBase, open: impl Iterator<Item = Ppa>) -> Result<(
     for ppa in open {
         let seq = match base.chip().probe_silent(ppa) {
             PageProbe::Programmed(oob) => Some(oob.seq),
-            _ => None,
+            PageProbe::Erased | PageProbe::Torn => None,
         };
         if seq.is_none_or(|seq| seq <= horizon) {
             return Err(AuditViolation::HorizonPastOpenPage { ppa, seq, horizon });
@@ -984,8 +984,8 @@ impl<D: Auditable + xftl_ftl::BlockDevice> ShadowDevice<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xftl_flash::{FlashConfig, SimClock};
-    use xftl_ftl::{BlockDevice, TxBlockDevice};
+    use xftl_flash::{FlashConfig, FlashError, SimClock};
+    use xftl_ftl::{BlockDevice, DevError, TxBlockDevice};
 
     fn fresh_xftl(blocks: usize, logical: u64) -> XFtl {
         let clock = SimClock::new();
@@ -1353,7 +1353,10 @@ mod tests {
         let ps = dev.page_size();
         dev.write(0, &vec![3; ps]).unwrap();
         dev.base_mut().chip_mut().arm_power_fuse(1);
-        let _ = dev.write(1, &vec![4; ps]);
+        assert_eq!(
+            dev.write(1, &vec![4; ps]),
+            Err(DevError::Flash(FlashError::PowerLost))
+        );
         let mut chip = dev.into_chip();
         chip.power_cycle();
         // The torn page is physics-legal; the recovered device must audit

@@ -78,7 +78,6 @@
 //! state).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt::Write as _;
 
 use xftl_ftl::{
     BlockDevice, CmdId, CommitTicket, DevCounters, DevError, IoCmd, Lpn, Result, Tid,
@@ -89,12 +88,12 @@ use xftl_ftl::{
 fn digest(data: &[u8]) -> String {
     let mut s = String::from("[");
     for b in data.iter().take(8) {
-        let _ = write!(s, "{b:02x}");
+        s.push_str(&format!("{b:02x}"));
     }
     if data.len() > 8 {
         s.push('…');
     }
-    let _ = write!(s, "; {} B]", data.len());
+    s.push_str(&format!("; {} B]", data.len()));
     s
 }
 

@@ -58,7 +58,10 @@ impl Default for FioConfig {
 
 /// Result of one FIO run.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are named after the quantities they hold"
+)]
 pub struct FioResult {
     pub writes: u64,
     pub fsyncs: u64,

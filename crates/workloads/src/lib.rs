@@ -11,12 +11,14 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-// Workload drivers are experiment code, not device firmware: a failed SQL
-// statement or device command means the experiment itself is broken, and
-// panicking with the error is the desired failure mode — the same
-// rationale clippy.toml applies to tests. The simulator stack (flash,
-// ftl, core, fs, db) keeps the strict wall.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+// A match over a protocol enum names every variant: a new variant is a
+// compile error wherever its meaning must be decided.
+#![deny(clippy::wildcard_enum_match_arm)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "experiment code, not device firmware: a failed SQL statement or device command means the experiment is broken, and a panic is the desired failure mode"
+)]
 
 pub mod android;
 pub mod fio;

@@ -65,7 +65,7 @@ impl Mode {
 /// Hardware profile: the OpenSSD development board or the newer Samsung
 /// S830 consumer SSD of Figure 9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "variants are the devices named above")]
 pub enum Profile {
     OpenSsd,
     S830,
@@ -77,11 +77,11 @@ pub enum Profile {
 /// (say, in the shadow oracle) reuses it instead of hand-copying it and
 /// forgetting a defaulted method.
 #[derive(Debug)]
-#[allow(missing_docs)]
-// One AnyDev exists per rig, never in collections; boxing the X-FTL
-// variant (whose commit-pipeline state tips the size ratio) would only
-// add indirection to every forwarded device call.
-#[allow(clippy::large_enum_variant)]
+#[allow(missing_docs, reason = "one variant per device class, named above")]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one AnyDev exists per rig, never in collections: boxing the X-FTL variant would only add indirection to every forwarded device call"
+)]
 pub enum AnyDev<P = SataLink<PageMappedFtl>, T = SataLink<XFtl>> {
     Plain(P),
     X(T),
@@ -348,7 +348,10 @@ pub struct Rig {
 
 /// A cross-layer statistics snapshot (one Table 1 row, plus extras).
 #[derive(Debug, Clone, Copy, Default)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are named after the counters they snapshot"
+)]
 pub struct Snapshot {
     pub fs: FsStats,
     pub ftl: FtlStats,
@@ -402,7 +405,9 @@ impl Rig {
         };
         let fs = match cfg.fs_mode {
             JournalMode::Off => FileSystem::mkfs_tx(dev, JournalMode::Off, fs_cfg),
-            mode => FileSystem::mkfs(dev, mode, fs_cfg),
+            mode @ (JournalMode::Ordered | JournalMode::Full) => {
+                FileSystem::mkfs(dev, mode, fs_cfg)
+            }
         }
         .expect("mkfs");
         Rig::around(fs, clock, cfg)
@@ -504,7 +509,9 @@ impl Rig {
         dev.install_host_policies(&cfg);
         let fs = match cfg.fs_mode {
             JournalMode::Off => FileSystem::mount_tx(dev, JournalMode::Off, cfg.fs_cache_pages),
-            mode => FileSystem::mount(dev, mode, cfg.fs_cache_pages),
+            mode @ (JournalMode::Ordered | JournalMode::Full) => {
+                FileSystem::mount(dev, mode, cfg.fs_cache_pages)
+            }
         }
         .expect("mount");
         (Rig::around(fs, clock, cfg), breakdown)

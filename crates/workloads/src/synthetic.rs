@@ -84,7 +84,10 @@ pub fn load_partsupply<D: BlockDevice>(
 
 /// Outcome of a synthetic run.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are named after the quantities they hold"
+)]
 pub struct SyntheticResult {
     /// Simulated execution time of the transaction phase, nanoseconds.
     pub elapsed_ns: u64,

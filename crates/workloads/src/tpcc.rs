@@ -26,7 +26,7 @@ pub const CPU_JOIN_NS: u64 = 1_400_000;
 
 /// Scale parameters (the paper: 10 warehouses via DBT2).
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "scale knobs are named after what they size")]
 pub struct TpccScale {
     pub warehouses: i64,
     pub districts_per_warehouse: i64,
@@ -65,7 +65,7 @@ impl TpccScale {
 
 /// Transaction-type percentages (Table 3 rows).
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(missing_docs, reason = "fields are Table 3's transaction types")]
 pub struct TpccMix {
     pub delivery: u8,
     pub order_status: u8,
@@ -531,7 +531,10 @@ impl TpccDriver {
 
 /// Result of one mix run.
 #[derive(Debug, Clone, Copy)]
-#[allow(missing_docs)]
+#[allow(
+    missing_docs,
+    reason = "fields are named after the quantities they hold"
+)]
 pub struct TpccResult {
     pub txns: usize,
     pub elapsed_ns: u64,

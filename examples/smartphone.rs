@@ -8,10 +8,11 @@
 //! `scale` is the fraction of the published trace sizes to replay
 //! (default 0.1; Table 2 scale is 1.0).
 
-// Test/demo code: unwrap/expect on a setup failure is the right failure
-// mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
-// fns, not the shared helpers, so the allow is restated file-wide.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use xftl_workloads::android::{self, ALL_TRACES};
 use xftl_workloads::rig::{Mode, Rig, RigConfig};

@@ -5,10 +5,11 @@
 //! cargo run --release --example tpcc_night [txns]
 //! ```
 
-// Test/demo code: unwrap/expect on a setup failure is the right failure
-// mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
-// fns, not the shared helpers, so the allow is restated file-wide.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::tpcc::{self, TpccDriver, TpccScale, WRITE_INTENSIVE};

@@ -8,8 +8,10 @@
 //! op loops in the test files only use the device traits, which the
 //! wrapper forwards.
 
-// Each test binary uses its own subset of these helpers.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each test binary uses its own subset of these helpers"
+)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -11,10 +11,11 @@
 //! replays the identical schedule in CI. The whole matrix runs behind the
 //! shadow oracle with a flash-physics audit after recovery.
 
-// Test/demo code: unwrap/expect on a setup failure is the right failure
-// mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
-// fns, not the shared helpers, so the allow is restated file-wide.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use xftl_core::XFtl;
 use xftl_flash::{

@@ -7,10 +7,11 @@
 //! case — in the message, or on stderr as the oracle's panic unwinds — so
 //! a red run reproduces exactly.
 
-// Test/demo code: unwrap/expect on a setup failure is the right failure
-// mode here; clippy.toml's `allow-unwrap-in-tests` only covers `#[test]`
-// fns, not the shared helpers, so the allow is restated file-wide.
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -93,7 +94,9 @@ fn record_truncation_is_safe() {
             .collect();
         let enc = encode_record(&row);
         let cut = rng.gen_range(1usize..32).min(enc.len());
-        let _ = decode_record(&enc[..enc.len() - cut]); // must not panic
+        if let Ok(decoded) = decode_record(&enc[..enc.len() - cut]) {
+            assert!(decoded.len() <= row.len(), "case {case}");
+        }
     }
 }
 

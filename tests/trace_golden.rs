@@ -12,9 +12,11 @@
 //! XFTL_BLESS_GOLDEN=1 cargo test --test trace_golden
 //! ```
 
-// Test code: unwrap/expect on setup failure is the desired failure mode
-// (clippy.toml's allow-unwrap-in-tests covers #[test] fns only).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use std::path::Path;
 

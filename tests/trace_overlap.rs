@@ -9,9 +9,11 @@
 //! group flush). Every tx-2 `ftl_host_write` span must fall inside that
 //! window, and the two `tx_commit` spans must be the same flush.
 
-// Test code: unwrap/expect on setup failure is the desired failure mode
-// (clippy.toml's allow-unwrap-in-tests covers #[test] fns only).
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
+)]
 
 use xftl_core::XFtl;
 use xftl_flash::{FlashChip, FlashConfig, SimClock};

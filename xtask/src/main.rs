@@ -2,14 +2,6 @@
 //!
 //! Run with `cargo run -p xtask -- <command>`:
 //!
-//! - `analyze [--json PATH] [--lints LIST]` — the
-//!   `xftl-analyze` static analysis engine: AST-level domain lints over
-//!   the whole workspace with rustc-style span diagnostics, a JSON
-//!   findings report (default `ANALYZE_REPORT.json`), and a
-//!   `BENCH_`-style summary line. Exits nonzero on any violation.
-//! - `analyze --selftest` — mutation self-test: every lint must fire on
-//!   its seeded fixture violation and stay quiet on the clean twin; a
-//!   lint that cannot fire is a failure naming the lint.
 //! - `bench-check [fresh] [baseline] [--allow-new]` — the
 //!   perf-regression gate over `BENCH_*.json` reports (see
 //!   [`xtask::benchcheck`]). `--allow-new` downgrades metrics the
@@ -25,16 +17,15 @@
 //!   per end-to-end metric (see [`xtask::perfpair`]): the evidence a
 //!   host-clock claim needs, and a simulated-clock claim on several seeds.
 //!
-//! Waiver policy, lint catalogue, and the fixture corpus are documented
-//! in DESIGN.md ("Static analysis") and in [`xtask::analyze`].
+//! The static checks are the toolchain's: `cargo clippy --workspace
+//! --all-targets -- -D warnings` over the lints in the root `Cargo.toml`
+//! and `clippy.toml` (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 
-use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::analyze::{self, Config};
 use xtask::benchcheck;
 use xtask::loc;
 use xtask::perfpair;
@@ -46,74 +37,9 @@ fn repo_root() -> PathBuf {
         .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
 }
 
-/// `analyze` subcommand: parses flags, runs the engine, writes the
-/// report, prints diagnostics + summary.
-fn run_analyze(args: &[String]) -> ExitCode {
-    let root = repo_root();
-    let mut cfg = Config::default();
-    let mut json_path = root.join("ANALYZE_REPORT.json");
-    let mut selftest = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--selftest" => selftest = true,
-            "--json" => {
-                if let Some(p) = args.get(i + 1) {
-                    json_path = PathBuf::from(p);
-                    i += 1;
-                }
-            }
-            "--lints" => {
-                if let Some(list) = args.get(i + 1) {
-                    let wanted: Vec<&'static str> = analyze::lints::LINTS
-                        .into_iter()
-                        .filter(|l| list.split(',').any(|w| w.trim() == *l))
-                        .collect();
-                    cfg.lints = wanted;
-                    i += 1;
-                }
-            }
-            other => {
-                eprintln!("analyze: unknown flag `{other}`");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    if selftest {
-        let failures = analyze::selftest(&root);
-        if failures.is_empty() {
-            println!(
-                "analyze --selftest: all {} lints proven live against the fixture corpus",
-                analyze::lints::LINTS.len()
-            );
-            return ExitCode::SUCCESS;
-        }
-        for f in &failures {
-            eprintln!("analyze --selftest: {f}");
-        }
-        return ExitCode::FAILURE;
-    }
-
-    let analysis = analyze::analyze_repo(&root, &cfg);
-    print!("{}", analysis.render_text());
-    if let Err(e) = fs::write(&json_path, analysis.to_json()) {
-        eprintln!("analyze: cannot write {}: {e}", json_path.display());
-        return ExitCode::FAILURE;
-    }
-    println!("{}", analysis.summary_line());
-    if analysis.violations.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
-        Some("analyze") => run_analyze(&args[2..]),
         Some("bench-check") => {
             let root = repo_root();
             let mut allow_new = false;
@@ -169,8 +95,6 @@ fn main() -> ExitCode {
                 "usage: cargo run -p xtask -- <command>\n\
                  \n\
                  commands:\n\
-                 \x20 analyze [--json P] [--lints L]   domain lint suite (JSON report + summary)\n\
-                 \x20 analyze --selftest               prove every lint live against the fixtures\n\
                  \x20 bench-check [fresh] [baseline] [--allow-new]\n\
                  \x20                                  compare bench reports; --allow-new downgrades\n\
                  \x20                                  metrics absent from the baseline to warnings\n\
