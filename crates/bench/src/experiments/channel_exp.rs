@@ -181,6 +181,13 @@ pub fn channel_scaling(scale: FioScale) -> String {
                 "-".to_string()
             },
         ]);
+        // The split-phase win itself: a serialized pipeline keeps every
+        // depth-1 number intact, so only qd1 vs qd8 catches it.
+        assert!(
+            qd != 8 || p.iops > base,
+            "commit-pipeline win lost: qd8 X-FTL IOPS {:.0} <= qd1 {base:.0}",
+            p.iops
+        );
     }
     out.push_str(&q.render());
     out.push('\n');

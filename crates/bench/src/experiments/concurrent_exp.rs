@@ -254,6 +254,13 @@ pub fn concurrent_scaling(scale: ConcScale) -> String {
             z.conflicts as f64,
         );
         let base = *base_tps.get_or_insert(d.commit_tps);
+        // The MVCC claim: serialized snapshot commits would leave the
+        // single-writer row intact, so only w1 vs w4 catches them.
+        assert!(
+            w != 4 || d.commit_tps > base,
+            "concurrent-writer win lost: disjoint w4 commit/s {:.0} <= w1 {base:.0}",
+            d.commit_tps
+        );
         let attempts = (z.commits + z.conflicts).max(1);
         t.row(vec![
             w.to_string(),

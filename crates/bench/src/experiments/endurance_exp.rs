@@ -15,10 +15,10 @@
 //! end-of-life, the transaction at which the device entered `Degraded`,
 //! the final device state, the fraction of rows still readable after
 //! recovery, the fraction whose values match an acknowledged commit, and
-//! the scrubber's relocation overhead. The CI gate on top demands that
-//! X-FTL keeps 100 % of rows readable at every severity, that the
-//! scrubber holds aging-induced uncorrectable errors at zero, and that
-//! entry into `Degraded` is monotone in fault severity.
+//! the scrubber's relocation overhead. The sweep asserts, at every scale,
+//! that X-FTL keeps 100 % of rows readable and intact at every severity,
+//! that the scrubber holds aging-induced uncorrectable errors at zero,
+//! and that X-FTL's entry into `Degraded` is monotone in fault severity.
 
 use std::collections::HashMap;
 
@@ -94,8 +94,7 @@ const ENDURANCE_AGING: AgingModel = AgingModel {
 /// One wear severity of the sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct WearSeverity {
-    /// Stable metric key, `s<rank>_<name>` — the rank makes the
-    /// degraded-entry monotonicity gate parseable from metric names.
+    /// Stable metric key, `s<rank>_<name>`, ranked mildest first.
     pub key: &'static str,
     /// Report label.
     pub label: &'static str,
@@ -155,7 +154,6 @@ fn scrub_policy() -> ScrubConfig {
         flip_threshold: 4,
         interval_ops: 16,
         wear_delta_cap: 16,
-        ..ScrubConfig::default()
     }
 }
 
@@ -406,7 +404,7 @@ pub fn endurance_sweep(scale: EnduranceScale) -> String {
         "intact",
         "bad blks",
     ]);
-    let mut x_points = Vec::new();
+    let mut x_points: Vec<(WearSeverity, EndurancePoint)> = Vec::new();
     for sev in ENDURANCE_SWEEP {
         for mode in [Mode::Rbj, Mode::Wal, Mode::XFtl] {
             let p = run_point(mode, sev.env, &scale);
@@ -442,6 +440,23 @@ pub fn endurance_sweep(scale: EnduranceScale) -> String {
                 p.bad_blocks.to_string(),
             ]);
             if mode == Mode::XFtl {
+                assert_eq!(
+                    (p.rows_readable, p.rows_intact, p.aging_uncorrectable),
+                    (p.rows_total, p.rows_total, 0),
+                    "X-FTL at `{}` must keep every row readable and intact at end of life, with \
+                     no aging-induced uncorrectable read: (readable, intact, uncorrectable)",
+                    sev.label
+                );
+                // Upward-closed: once a milder severity degrades the
+                // device, every harsher one must too.
+                let milder = x_points.iter().find(|(_, q)| q.degraded_at_txn.is_some());
+                assert!(
+                    milder.is_none() || p.degraded_at_txn.is_some(),
+                    "degraded entry not monotone in severity: `{}` left X-FTL healthy although \
+                     milder `{}` degraded it",
+                    sev.label,
+                    milder.map_or("", |(m, _)| m.label)
+                );
                 x_points.push((sev, p));
             }
         }

@@ -153,6 +153,10 @@ pub fn fig9(scale: FioScale) -> String {
         metrics::metric(format!("fig9.wpf{wpf}.openssd_xftl_iops"), x);
         metrics::metric(format!("fig9.wpf{wpf}.openssd_xftl_qd1_iops"), x1);
         metrics::metric(format!("fig9.wpf{wpf}.s830_full_iops"), sf);
+        assert!(
+            wpf != 10 || x > x1,
+            "commit-pipeline win lost in fig9: wpf10 pipelined X-FTL IOPS {x:.0} <= qd1 {x1:.0}"
+        );
         t.row(vec![
             wpf.to_string(),
             format!("{so:.0}"),

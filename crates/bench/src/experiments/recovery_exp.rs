@@ -170,6 +170,17 @@ pub fn table5(scale: RecoveryScale) -> String {
         ] {
             metrics::metric(format!("table5.{key}.{name}"), ns as f64);
         }
+        // Recovery costs what changed since the root: a quarter of the
+        // full probe, plus four blocks no root can cover (the two-block
+        // root ring and the open data and mapping frontiers).
+        let allowed = m.full_probe_ns / 4 + 4 * m.block_probe_ns;
+        assert!(
+            m.common_ns <= allowed,
+            "{key} common FTL recovery {} ns > {allowed} ns (a quarter of the full probe {} ns \
+             plus four blocks): the recovery scan is reading what the root covers",
+            m.common_ns,
+            m.full_probe_ns
+        );
         t.row(vec![
             mode.label().to_string(),
             millis(m.restart_ns),

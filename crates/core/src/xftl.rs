@@ -402,20 +402,25 @@ impl XFtl {
     /// any snapshot might still read it.
     fn trim_plain(&mut self, lpn: Lpn) -> Result<()> {
         if self.snapshots.is_empty() {
-            return self.base.trim_lpn(lpn);
-        }
-        self.commit_seq += 1;
-        let seq = self.commit_seq;
-        let old_seq = self.table.l2p_seq_of(lpn);
-        if self.snapshot_sees(old_seq) {
-            if let Some(old) = self.base.trim_lpn_retain(lpn)? {
-                self.table.retain_version(lpn, old_seq, Some(old));
-                self.base.stats_mut().versions_retained += 1;
-            }
-        } else {
             self.base.trim_lpn(lpn)?;
+        } else {
+            self.commit_seq += 1;
+            let seq = self.commit_seq;
+            let old_seq = self.table.l2p_seq_of(lpn);
+            if self.snapshot_sees(old_seq) {
+                if let Some(old) = self.base.trim_lpn_retain(lpn)? {
+                    self.table.retain_version(lpn, old_seq, Some(old));
+                    self.base.stats_mut().versions_retained += 1;
+                }
+            } else {
+                self.base.trim_lpn(lpn)?;
+            }
+            self.table.note_plain_version(lpn, seq);
         }
-        self.table.note_plain_version(lpn, seq);
+        // As after an overwrite: a committed entry left behind would be
+        // re-persisted and fold the trimmed page back at recovery, after
+        // GC may have reclaimed it.
+        self.table.supersede_committed(lpn, 0);
         Ok(())
     }
 

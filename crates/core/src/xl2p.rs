@@ -573,20 +573,21 @@ impl Xl2pTable {
 }
 
 /// The X-L2P table chases garbage-collected pages: when GC relocates a
-/// pinned version, the entry follows it (the L2P side is handled inside
-/// the engine). Retained chain versions are valid pages too — GC may move
-/// them regardless of the tid stamped in their OOB, so the chain chase
-/// runs for every relocated data page.
+/// page an entry names, the entry follows it (the L2P side is handled
+/// inside the engine). The chase goes by address, not by the tid in the
+/// OOB: GC re-stamps the L2P-current copy of a folded committed page to
+/// tid 0, so that page's second move arrives untagged, and an entry left
+/// at the first copy would be re-persisted by the next group flush and
+/// folded over the newer copy at recovery. Retained chain versions are
+/// valid pages too, chased the same way.
 impl GcHook for Xl2pTable {
     fn relocated(&mut self, oob: &Oob, old: Ppa, new: Ppa) {
         if oob.kind != PageKind::Data {
             return;
         }
-        if oob.tid != 0 {
-            if let Some(&i) = self.by_page.get(&(oob.tid, oob.lpn)) {
-                if self.entries[i].ppa == old {
-                    self.entries[i].ppa = new;
-                }
+        for e in self.entries.iter_mut() {
+            if e.lpn == oob.lpn && e.ppa == old {
+                e.ppa = new;
             }
         }
         if let Some(chain) = self.chains.get_mut(&oob.lpn) {
@@ -899,5 +900,11 @@ mod tests {
         // A non-matching relocation is ignored.
         t.relocated(&oob, p(1, 2), p(4, 0));
         assert_eq!(t.lookup(5, 9).unwrap().ppa, p(3, 0));
+        // Committed and folded, the copy is re-stamped tid 0: its next
+        // move is chased by address.
+        t.mark_committed(5, 1);
+        let restamped = Oob { tid: 0, ..oob };
+        t.relocated(&restamped, p(3, 0), p(7, 1));
+        assert_eq!(t.lookup(5, 9).unwrap().ppa, p(7, 1));
     }
 }

@@ -203,9 +203,6 @@ struct Block {
     /// Bits ECC has corrected in this block since the last erase. The
     /// FTL's scrubber reads this as its risk signal.
     corrected_flips: u64,
-    /// Completion instant of the first program after the last erase;
-    /// retention aging of the whole block is measured from here.
-    first_program_at: Option<Nanos>,
 }
 
 impl Block {
@@ -216,7 +213,6 @@ impl Block {
             erase_count: 0,
             reads: 0,
             corrected_flips: 0,
-            first_program_at: None,
         }
     }
 
@@ -853,9 +849,6 @@ impl FlashChip {
             })),
         );
         block.write_point = ppa.page + 1;
-        if block.first_program_at.is_none() {
-            block.first_program_at = Some(sched.done);
-        }
         if sync {
             self.clock.advance_to(sched.done);
         } else {
@@ -936,7 +929,6 @@ impl FlashChip {
         // the ECC feedback that tracked it) reset with the charge.
         b.reads = 0;
         b.corrected_flips = 0;
-        b.first_program_at = None;
         if sync {
             self.clock.advance_to(sched.done);
         } else {
@@ -1035,13 +1027,6 @@ impl FlashChip {
     /// feedback signal a scrubber ranks relocation candidates by.
     pub fn block_corrected_flips(&self, block: u32) -> u64 {
         self.blocks[block as usize].corrected_flips
-    }
-
-    /// Completion instant of the first program after `block`'s last
-    /// erase, or `None` if the block is empty. Retention age of the
-    /// block's oldest data is `now - first_program_at`.
-    pub fn block_first_program_at(&self, block: u32) -> Option<Nanos> {
-        self.blocks[block as usize].first_program_at
     }
 
     /// ECC outcome of the most recent full-page read.

@@ -201,30 +201,18 @@ impl FtlBase {
     /// Scores every closed block against the scrub thresholds and
     /// relocates the riskiest one whose score crosses the trigger.
     /// Deterministic integer math: each component contributes
-    /// `value * 1000 / threshold`, and a combined score ≥ 1000 — any one
-    /// threshold reached, or several near misses compounding — fires.
-    /// The reported reason is the dominant component.
+    /// `value * 1000 / threshold`, and a combined score ≥ 1000 — either
+    /// threshold reached, or two near misses compounding — fires. The
+    /// reported reason is the dominant component.
     fn scrub_once(&mut self, cfg: ScrubConfig, hook: &mut dyn GcHook) -> Result<()> {
-        let now = self.chip.clock().now();
         let at_risk = self.candidates().filter_map(|(b, _)| {
             let s_read = self.chip.block_read_count(b) * 1000 / cfg.read_threshold.max(1);
             let s_flip = self.chip.block_corrected_flips(b) * 1000 / cfg.flip_threshold.max(1);
-            let s_age = if cfg.age_threshold_ns == Nanos::MAX {
-                0
-            } else {
-                let age = self
-                    .chip
-                    .block_first_program_at(b)
-                    .map_or(0, |t| now.saturating_sub(t));
-                age * 1000 / cfg.age_threshold_ns.max(1)
-            };
-            let score = s_read.saturating_add(s_flip).saturating_add(s_age);
-            let reason = if s_flip >= s_read && s_flip >= s_age {
+            let score = s_read.saturating_add(s_flip);
+            let reason = if s_flip >= s_read {
                 ScrubReason::EccFeedback
-            } else if s_read >= s_age {
-                ScrubReason::ReadDisturb
             } else {
-                ScrubReason::Retention
+                ScrubReason::ReadDisturb
             };
             (score >= 1000).then_some((score, b, reason))
         });

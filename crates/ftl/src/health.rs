@@ -12,8 +12,6 @@
 //! by relocating at-risk blocks before their accumulated read-disturb and
 //! retention damage crosses the ECC budget.
 
-use xftl_flash::Nanos;
-
 /// Health lifecycle of the device. Transitions are strictly forward
 /// (`Healthy → Degraded → ReadOnly`) and idempotent: the state is
 /// persisted in the checkpoint root (meta format v4), so a power cycle —
@@ -63,13 +61,8 @@ pub enum ScrubReason {
     /// The block's read count since its last erase crossed the disturb
     /// threshold.
     ReadDisturb,
-    /// The block's oldest data aged past the retention threshold.
-    Retention,
     /// ECC corrected enough bits in the block to signal imminent failure.
     EccFeedback,
-    /// Static wear leveling: the block held cold data on a low-wear block
-    /// while the free pool wore out.
-    WearLevel,
 }
 
 /// Background-scrub and wear-leveling policy.
@@ -89,8 +82,6 @@ pub struct ScrubConfig {
     pub read_threshold: u64,
     /// Relocate a block once ECC has corrected this many bits in it.
     pub flip_threshold: u64,
-    /// Relocate a block once its oldest data is this old.
-    pub age_threshold_ns: Nanos,
     /// Host writes between scrub scans (1 = scan on every write).
     pub interval_ops: u64,
     /// Static wear-leveling trigger: when the erase-count spread between
@@ -105,7 +96,6 @@ impl Default for ScrubConfig {
         ScrubConfig {
             read_threshold: 1 << 12,
             flip_threshold: 16,
-            age_threshold_ns: Nanos::MAX,
             interval_ops: 64,
             wear_delta_cap: 64,
         }

@@ -20,7 +20,8 @@
 //! * **X-L2P sanity** — every entry pins a live programmed data page with
 //!   matching OOB metadata; for active (uncommitted) entries the old
 //!   committed version is still programmed too (GC must never reclaim a
-//!   pinned rollback copy); and `committed_len() <= len() <= capacity()`.
+//!   pinned rollback copy); a folded committed entry names the page the
+//!   L2P maps; and `committed_len() <= len() <= capacity()`.
 //! * **Scan-found pages** — no root names a page of the pool: the
 //!   recovery scan finds translation pages and the X-L2P table image
 //!   through their own OOB, so what the scan may find must be exactly
@@ -189,6 +190,19 @@ pub enum AuditViolation {
         old: Ppa,
         /// Observed page state.
         state: &'static str,
+    },
+    /// A committed, folded X-L2P entry names another page than the L2P
+    /// maps: the next group flush would persist the stale address, and
+    /// recovery would fold it over the newer copy.
+    Xl2pStaleEntry {
+        /// Owning transaction.
+        tid: Tid,
+        /// Logical page of the entry.
+        lpn: Lpn,
+        /// Page the entry names.
+        ppa: Ppa,
+        /// Page the L2P maps.
+        current: Option<Ppa>,
     },
     /// The X-L2P table holds more entries than its capacity.
     Xl2pOverflow {
@@ -393,6 +407,16 @@ impl fmt::Display for AuditViolation {
                 f,
                 "old committed version {old:?} of lpn {lpn}, pinned by active tid {tid}, \
                  is {state} — GC reclaimed a rollback copy"
+            ),
+            AuditViolation::Xl2pStaleEntry {
+                tid,
+                lpn,
+                ppa,
+                current,
+            } => write!(
+                f,
+                "committed X-L2P entry (tid {tid}, lpn {lpn}) names {ppa:?}, but the L2P maps \
+                 {current:?} — recovery would fold the stale address"
             ),
             AuditViolation::Xl2pOverflow { len, capacity } => {
                 write!(f, "X-L2P table holds {len} entries, capacity is {capacity}")
@@ -679,11 +703,10 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
 /// page with matching OOB (`tid` may have been re-stamped to 0 by GC only
 /// for committed, already-folded entries). For every *active* entry — and
 /// every entry of a staged, not-yet-flushed commit group — the old
-/// committed version, the rollback copy, must still be programmed.
-/// Committed entries whose fold already landed and whose mapping has
-/// since been superseded by a later transaction are exempt from the
-/// liveness check: their page is legitimately reclaimable garbage
-/// awaiting `release_committed`.
+/// committed version, the rollback copy, must still be programmed. A
+/// committed entry whose fold already landed must name the page the L2P
+/// maps: the next group flush persists it, and recovery folds it at the
+/// generation id, over anything newer.
 ///
 /// # Errors
 /// The first violated invariant.
@@ -717,9 +740,15 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
         if staged {
             report.staged_entries += 1;
         }
+        // Folded: a newer version removes the entry (`supersede_committed`),
+        // so a folded entry must still name the page the L2P maps.
         if entry.status == TxStatus::Committed && !staged && current != Some(entry.ppa) {
-            // Folded and already superseded: the pinned page is garbage.
-            continue;
+            return Err(AuditViolation::Xl2pStaleEntry {
+                tid: entry.tid,
+                lpn: entry.lpn,
+                ppa: entry.ppa,
+                current,
+            });
         }
         match chip.probe_silent(entry.ppa) {
             PageProbe::Erased => {
@@ -1088,6 +1117,38 @@ mod tests {
             msg.starts_with("flash auditor:"),
             "unexpected message: {msg}"
         );
+    }
+
+    #[test]
+    fn mutation_entry_left_at_the_first_copy_is_caught() {
+        use xftl_ftl::NoHook;
+        let mut dev = fresh_xftl(32, 64);
+        let ps = dev.page_size();
+        dev.write_tx(3, 2, &vec![0xAA; ps]).unwrap();
+        dev.commit(3).unwrap();
+        let first = dev.base().l2p_peek(2).unwrap();
+        audit_xftl(&dev).unwrap();
+        // The L2P moves on to a second copy behind the table's back, as a
+        // GC move the hook failed to chase would leave it.
+        dev.base_mut()
+            .write_committed(2, &vec![0xAA; ps], &mut NoHook)
+            .unwrap();
+        let err = audit_xftl(&dev).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pStaleEntry { tid: 3, lpn: 2, ppa, .. } if ppa == first),
+            "expected a stale entry at {first:?}, got: {err}"
+        );
+    }
+
+    #[test]
+    fn trimming_a_committed_page_drops_its_entry() {
+        let mut dev = fresh_xftl(32, 64);
+        let ps = dev.page_size();
+        dev.write_tx(3, 2, &vec![0xAA; ps]).unwrap();
+        dev.commit(3).unwrap();
+        dev.trim(2).unwrap();
+        assert!(dev.xl2p().lookup(3, 2).is_none());
+        audit_xftl(&dev).unwrap();
     }
 
     /// Two commits: the second generation is live, the first is stale.

@@ -1121,6 +1121,62 @@ fn crash_mid_scrub_relocation_sweep() {
     );
 }
 
+/// A committed page the scrubber moves twice before its X-L2P entry is
+/// released: the first copy is re-stamped tid 0, so the second move
+/// arrives untagged. The entry must follow it anyway, or the next group
+/// flush persists the first copy's address and recovery folds that over
+/// the page's live copy.
+#[test]
+fn twice_relocated_committed_page_survives_the_next_generation() {
+    use xftl_ftl::{BlockDevice, ScrubConfig, TxBlockDevice};
+    let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
+    let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
+    dev.inner_mut()
+        .base_mut()
+        .set_scrub_config(Some(ScrubConfig {
+            read_threshold: 50,
+            interval_ops: 1,
+            ..ScrubConfig::default()
+        }));
+    let ps = dev.page_size();
+    dev.write_tx(1, 0, &vec![0xC1; ps]).unwrap();
+    dev.commit(1).unwrap();
+    let mut copies = vec![dev.inner().base().l2p_peek(0).unwrap()];
+    let mut buf = vec![0u8; ps];
+    for round in 0..16u8 {
+        if copies.len() > 2 {
+            break;
+        }
+        // Plain writes close the block holding lpn 0's copy (an open
+        // frontier is never a scrub victim); hammering reads then take
+        // it past the threshold, and the next write's tick scrubs it.
+        for lpn in 1..9u64 {
+            dev.write(lpn, &vec![round; ps]).unwrap();
+        }
+        for _ in 0..60 {
+            dev.read(0, &mut buf).unwrap();
+        }
+        dev.write(9, &vec![round; ps]).unwrap();
+        let now = dev.inner().base().l2p_peek(0).unwrap();
+        if copies.last() != Some(&now) {
+            copies.push(now);
+        }
+    }
+    assert!(copies.len() > 2, "lpn 0 was not moved twice: {copies:?}");
+    assert!(
+        dev.inner().xl2p().lookup(1, 0).is_some(),
+        "tid 1's entry was released before the second move"
+    );
+    // A second commit persists a new generation holding tid 1's entry,
+    // which the auditor holds to lpn 0's live copy.
+    dev.write_tx(2, 20, &vec![0xC2; ps]).unwrap();
+    dev.commit(2).unwrap();
+    dev.audit();
+    let mut dev = common::recover(dev);
+    dev.read(0, &mut buf).unwrap();
+    assert_eq!(buf[0], 0xC1, "lpn 0 recovered at a stale address");
+}
+
 /// Double recovery with persisted health state: the device is driven to
 /// `Degraded` by bounded block retirements (still writable), then to
 /// `ReadOnly` by sticky erase failures. At each stage two back-to-back

@@ -2,11 +2,13 @@
 //!
 //! Run with `cargo run -p xtask -- <command>`:
 //!
-//! - `bench-check [fresh] [baseline] [--allow-new]` — the
-//!   perf-regression gate over `BENCH_*.json` reports (see
+//! - `bench-check [fresh] [baseline] [--allow-new]` — diffs a
+//!   `BENCH_*.json` report against its committed baseline (see
 //!   [`xtask::benchcheck`]). `--allow-new` downgrades metrics the
 //!   baseline lacks to warnings so instrumentation can land ahead of a
-//!   baseline re-bless; missing or drifted metrics still fail.
+//!   baseline re-bless; missing or drifted metrics still fail. The
+//!   claims that hold whatever the baseline says are asserted inside the
+//!   bench experiments themselves.
 //! - `loc [ROOT]` — non-test and test code lines per crate and per file
 //!   (see [`xtask::loc`]), of this checkout or of the one at `ROOT` — so
 //!   a "net lines down" claim is one `diff` of two reports.
