@@ -2,7 +2,7 @@
 //! the named experiments in order, printing each one's text tables and
 //! writing its `BENCH_<experiment>.json`. `bench all` regenerates every
 //! table and figure of the paper into one `BENCH_all.json` — at `--smoke`
-//! the report `xtask bench-check` diffs against `BENCH_BASELINE.json`.
+//! the report CI compares byte for byte with `BENCH_BASELINE.json`.
 //! `bench --list` prints the names. A name or flag it does not know is an
 //! error, never a silent full-scale run.
 use std::process::ExitCode;

@@ -40,17 +40,8 @@ use crate::RunScale;
 /// concurrent experiment's contended regime).
 pub const ZIPF_THETA: f64 = 0.9;
 
-/// Default seed of the overwrite stream; override with
-/// `XFTL_STEADY_SEED=<n>` to soak a different deterministic schedule.
-pub const DEFAULT_SEED: u64 = 0x5354_4459; // "STDY"
-
-/// The overwrite-stream seed: `XFTL_STEADY_SEED` or [`DEFAULT_SEED`].
-pub fn steady_seed() -> u64 {
-    std::env::var("XFTL_STEADY_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SEED)
-}
+/// Seed of the overwrite stream.
+const SEED: u64 = 0x5354_4459; // "STDY"
 
 /// Scale knobs for one soak run.
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +162,7 @@ pub fn run_regime(scale: &SteadyScale, policy: GcPolicy, hot_cold: bool) -> Stea
     // so the fill traffic doesn't dilute the steady-state numbers.
     let before = *dev.base().stats();
     let zipf = Zipf::new(logical, ZIPF_THETA);
-    let mut rng = StdRng::seed_from_u64(steady_seed());
+    let mut rng = StdRng::seed_from_u64(SEED);
     let total = (logical as f64 * scale.overwrite_factor) as u64;
     let per_window = (total / scale.windows as u64).max(1);
     let clock = dev.base().clock();
@@ -277,7 +268,7 @@ pub fn steady(scale: &SteadyScale) -> String {
         greedy.slabs,
         scale.overwrite_factor,
         ZIPF_THETA,
-        steady_seed(),
+        SEED,
     ));
     let mut t = Table::new(vec![
         "gc policy",

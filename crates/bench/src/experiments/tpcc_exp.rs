@@ -157,10 +157,3 @@ pub fn tables_3_4(s: TpccExpScale) -> String {
     out.push('\n');
     out
 }
-
-/// (WAL, X-FTL) tpm per mix, for integration tests.
-pub fn throughputs(s: TpccExpScale) -> Vec<(f64, f64)> {
-    let wal = run_mode(Mode::Wal, &s);
-    let x = run_mode(Mode::XFtl, &s);
-    wal.into_iter().zip(x).collect()
-}

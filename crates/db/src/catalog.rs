@@ -313,9 +313,4 @@ impl Catalog {
         out.sort_by_key(|ix| ix.master_rowid);
         out
     }
-
-    /// Number of tables (for tests).
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
 }

@@ -235,11 +235,6 @@ impl<D: BlockDevice> Connection<D> {
         &mut self.pager
     }
 
-    /// Number of tables in the schema.
-    pub fn table_count(&self) -> usize {
-        self.catalog.table_count()
-    }
-
     /// SQL texts currently kept prepared.
     #[cfg(test)]
     pub(crate) fn prepared_len(&self) -> usize {

@@ -58,14 +58,6 @@ pub enum ExecOutcome {
 }
 
 impl ExecOutcome {
-    /// The rows of a SELECT, or an empty list.
-    pub fn rows(&self) -> &[Vec<Value>] {
-        match self {
-            ExecOutcome::Rows { rows, .. } => rows,
-            ExecOutcome::Done { .. } => &[],
-        }
-    }
-
     /// Rows affected by DML (0 for SELECT).
     pub fn affected(&self) -> u64 {
         match self {

@@ -25,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use xftl_fs::{FileSystem, FsError, Ino};
-use xftl_ftl::{BlockDevice, CommitTicket, Nanos, SimClock, Tid};
+use xftl_ftl::{BlockDevice, Nanos, SimClock, Tid};
 use xftl_trace::{OpClass, Telemetry};
 
 use crate::error::{DbError, Result};
@@ -882,15 +882,14 @@ impl<D: BlockDevice> Pager<D> {
     /// The one `Off`-mode commit body (§4.3): header, force-write under
     /// the transaction's tid, and a single file-system call that flushes
     /// the file and ends the device transaction as `seal` says —
-    /// `fdatasync` (blocking commit), `fdatasync_submit` (split-phase) or
-    /// `fdatasync_defer_commit` (a coordinator commits several files at
-    /// once). Like SQLite's unix VFS, the pager never asks for more than
-    /// a data-only sync: an in-place page update leaves nothing in the
-    /// inode worth a program.
-    fn commit_off<T>(
+    /// `fdatasync` (blocking commit) or `fdatasync_defer_commit` (a
+    /// coordinator commits several files at once). Like SQLite's unix
+    /// VFS, the pager never asks for more than a data-only sync: an
+    /// in-place page update leaves nothing in the inode worth a program.
+    fn commit_off(
         &mut self,
-        seal: fn(&mut FileSystem<D>, Ino, Tid) -> xftl_fs::Result<T>,
-    ) -> Result<T> {
+        seal: fn(&mut FileSystem<D>, Ino, Tid) -> xftl_fs::Result<()>,
+    ) -> Result<()> {
         // A concurrent transaction skips the header force-write when
         // nothing in it changed: otherwise every pair of writers would
         // collide on page 0 and first-committer-wins would serialize them
@@ -903,49 +902,8 @@ impl<D: BlockDevice> Pager<D> {
             unreachable!("Off-mode tx has a tid")
         };
         self.force_dirty(Some(tid))?;
-        let sealed = seal(&mut self.fs.borrow_mut(), self.db_ino, tid)?;
+        seal(&mut self.fs.borrow_mut(), self.db_ino, tid)?;
         self.stats.fsyncs += 1;
-        Ok(sealed)
-    }
-
-    /// Split-phase commit. In `Off` mode the force-write ends with a
-    /// `commit_submit` instead of the blocking commit: the transaction is
-    /// visible once this returns, and the ticket names the device group
-    /// flush that will make it durable. The caller keeps issuing the next
-    /// transaction's writes while this one's commit is in flight, redeeming
-    /// tickets with [`Pager::commit_wait`] (a queue-depth > 1 commit
-    /// pipeline). Journal modes have no split phase — they commit blocking
-    /// here and hand back an already-durable ticket.
-    pub fn commit_submit(&mut self) -> Result<CommitTicket> {
-        if self.mode != DbJournalMode::Off {
-            self.commit()?;
-            return Ok(CommitTicket::immediate(0));
-        }
-        if !self.in_tx {
-            return Err(DbError::TxState("no transaction active"));
-        }
-        if self.end_read_only_tx()? {
-            return Ok(CommitTicket::immediate(0));
-        }
-        let t0 = self.span_start();
-        let tid = self.tid.unwrap_or(0);
-        let ticket = match self.commit_off(FileSystem::fdatasync_submit) {
-            Ok(t) => t,
-            Err(e) => return Err(self.unwind_conflict(e)?),
-        };
-        self.record_span(OpClass::PagerFlush, tid, 0, t0);
-        self.end_tx();
-        Ok(ticket)
-    }
-
-    /// Blocks until the commit named by `ticket` is durable. Tickets from
-    /// the journal-mode fallback (or an empty transaction) are already
-    /// durable and return immediately.
-    pub fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-        if ticket.is_immediate() {
-            return Ok(());
-        }
-        self.fs.borrow_mut().fsync_wait(ticket)?;
         Ok(())
     }
 

@@ -31,7 +31,7 @@
 use crate::clock::{Nanos, SimClock};
 use crate::config::FlashConfig;
 use crate::error::{FlashError, Result};
-use crate::fault::{EccEvent, FaultKind, FaultOp, FaultPlan};
+use crate::fault::{self, EccEvent, FaultKind, FaultOp, FaultPlan};
 use crate::stats::{FlashStats, MAX_CHANNELS, QUEUE_DEPTH_BUCKETS};
 use std::fmt;
 use xftl_trace::{OpClass, Telemetry};
@@ -453,11 +453,6 @@ impl FlashChip {
         self.fuse = Some(ops);
     }
 
-    /// Disarms any pending power fuse.
-    pub fn disarm_power_fuse(&mut self) {
-        self.fuse = None;
-    }
-
     /// Brings the chip back online after a simulated power cycle, with an
     /// explicit reset contract so fault-injection tests cannot leak state
     /// between injections.
@@ -652,7 +647,7 @@ impl FlashChip {
                 Some(FaultKind::ProgramFail | FaultKind::EraseFail) | None => 0,
             };
             let aging_bits = match plan.aging_model() {
-                Some(model) if !plan.is_exempt(ppa.block) => {
+                Some(model) if !fault::is_exempt(ppa.block) => {
                     let b = &self.blocks[ppa.block as usize];
                     let age = self.clock.now().saturating_sub(programmed_at);
                     model.flips(b.reads, age, b.erase_count)
@@ -661,27 +656,27 @@ impl FlashChip {
             };
             let bits = fault_bits.saturating_add(aging_bits);
             if bits > 0 {
-                let ecc = plan.ecc_config();
                 self.stats.aging_flips += u64::from(aging_bits);
-                if bits <= ecc.correctable_bits {
+                if bits <= fault::CORRECTABLE_BITS {
                     self.last_ecc = EccEvent::Corrected(bits);
                     self.blocks[ppa.block as usize].corrected_flips += u64::from(bits);
                     self.stats.corrected_reads += 1;
-                    self.stats.fault_stall_ns += ecc.correction_ns;
-                    self.recorder.record(OpClass::EccCorrect, ecc.correction_ns);
-                    self.clock.advance(ecc.correction_ns);
+                    self.stats.fault_stall_ns += fault::CORRECTION_NS;
+                    self.recorder
+                        .record(OpClass::EccCorrect, fault::CORRECTION_NS);
+                    self.clock.advance(fault::CORRECTION_NS);
                 } else {
                     self.last_ecc = EccEvent::Uncorrectable(bits);
                     self.stats.uncorrectable_reads += 1;
-                    if aging_bits > 0 && fault_bits <= ecc.correctable_bits {
+                    if aging_bits > 0 && fault_bits <= fault::CORRECTABLE_BITS {
                         // Aging pushed an otherwise-decodable page over the
                         // budget: this is the loss a scrubber prevents.
                         self.stats.aging_uncorrectable += 1;
                     }
-                    self.stats.fault_stall_ns += ecc.uncorrectable_ns;
+                    self.stats.fault_stall_ns += fault::UNCORRECTABLE_NS;
                     self.recorder
-                        .record(OpClass::EccCorrect, ecc.uncorrectable_ns);
-                    self.clock.advance(ecc.uncorrectable_ns);
+                        .record(OpClass::EccCorrect, fault::UNCORRECTABLE_NS);
+                    self.clock.advance(fault::UNCORRECTABLE_NS);
                     return Err(FlashError::Uncorrectable(ppa));
                 }
             }
@@ -818,10 +813,9 @@ impl FlashChip {
         if let Some(plan) = &mut self.fault {
             if let Some(FaultKind::ProgramFail) = plan.decide(FaultOp::Program, ppa, Some(oob.lpn))
             {
-                let ecc = plan.ecc_config();
                 self.stats.program_fails += 1;
                 self.stats.torn_pages += 1;
-                self.stats.fault_stall_ns += ecc.program_fail_ns;
+                self.stats.fault_stall_ns += fault::PROGRAM_FAIL_NS;
                 let block = &mut self.blocks[ppa.block as usize];
                 block.set_page(ppa.page as usize, Page::Torn);
                 block.write_point = ppa.page + 1;
@@ -833,7 +827,7 @@ impl FlashChip {
                 } else {
                     self.outstanding.push(sched.done);
                 }
-                self.clock.advance(ecc.program_fail_ns);
+                self.clock.advance(fault::PROGRAM_FAIL_NS);
                 return Err(FlashError::ProgramFailed(ppa));
             }
         }
@@ -935,14 +929,9 @@ impl FlashChip {
             self.outstanding.push(sched.done);
         }
         if fails {
-            let stall = self
-                .fault
-                .as_ref()
-                .map_or_else(crate::fault::EccConfig::default, FaultPlan::ecc_config)
-                .erase_fail_ns;
             self.stats.erase_fails += 1;
-            self.stats.fault_stall_ns += stall;
-            self.clock.advance(stall);
+            self.stats.fault_stall_ns += fault::ERASE_FAIL_NS;
+            self.clock.advance(fault::ERASE_FAIL_NS);
             self.health[block as usize] = BlockHealth::Retired;
             return Err(FlashError::EraseFailed(block));
         }

@@ -59,41 +59,6 @@ impl SimClock {
     pub fn advance_to(&self, instant: Nanos) {
         self.now_ns.fetch_max(instant, Ordering::Relaxed);
     }
-
-    /// Convenience: elapsed simulated time since `start`.
-    pub fn since(&self, start: Nanos) -> Nanos {
-        self.now().saturating_sub(start)
-    }
-}
-
-/// A scoped stopwatch over a [`SimClock`].
-///
-/// ```
-/// use xftl_flash::{SimClock, Stopwatch, MICRO};
-/// let clock = SimClock::new();
-/// let sw = Stopwatch::start(&clock);
-/// clock.advance(5 * MICRO);
-/// assert_eq!(sw.elapsed(), 5 * MICRO);
-/// ```
-#[derive(Debug)]
-pub struct Stopwatch {
-    clock: SimClock,
-    start: Nanos,
-}
-
-impl Stopwatch {
-    /// Begins timing at the clock's current instant.
-    pub fn start(clock: &SimClock) -> Self {
-        Self {
-            clock: clock.clone(),
-            start: clock.now(),
-        }
-    }
-
-    /// Simulated nanoseconds elapsed since [`Stopwatch::start`].
-    pub fn elapsed(&self) -> Nanos {
-        self.clock.since(self.start)
-    }
 }
 
 #[cfg(test)]
@@ -130,20 +95,5 @@ mod tests {
         assert_eq!(c.now(), 100);
         c.advance_to(250);
         assert_eq!(c.now(), 250);
-    }
-
-    #[test]
-    fn stopwatch_measures_span() {
-        let c = SimClock::new();
-        c.advance(100);
-        let sw = Stopwatch::start(&c);
-        c.advance(250);
-        assert_eq!(sw.elapsed(), 250);
-    }
-
-    #[test]
-    fn since_saturates() {
-        let c = SimClock::new();
-        assert_eq!(c.since(10), 0);
     }
 }

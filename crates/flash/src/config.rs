@@ -171,11 +171,6 @@ impl FlashConfig {
             timings: FlashTimings::OPENSSD,
         }
     }
-
-    /// Starts a [`FlashConfigBuilder`] from the OpenSSD profile.
-    pub fn builder() -> FlashConfigBuilder {
-        FlashConfigBuilder::openssd()
-    }
 }
 
 /// Fluent construction of a [`FlashConfig`] from a profile preset plus
@@ -285,18 +280,6 @@ impl FlashConfigBuilder {
         self
     }
 
-    /// Replaces the whole geometry.
-    pub fn geometry(mut self, geometry: FlashGeometry) -> Self {
-        self.config.geometry = geometry;
-        self
-    }
-
-    /// Replaces the whole timing model.
-    pub fn timings(mut self, timings: FlashTimings) -> Self {
-        self.config.timings = timings;
-        self
-    }
-
     /// Finishes the configuration.
     pub fn build(self) -> FlashConfig {
         self.config
@@ -367,7 +350,7 @@ mod tests {
 
     #[test]
     fn builder_overrides_profile_fields() {
-        let cfg = FlashConfig::builder()
+        let cfg = FlashConfigBuilder::openssd()
             .blocks(128)
             .channels(2)
             .ways(4)

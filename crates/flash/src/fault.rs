@@ -4,7 +4,7 @@
 //! programs report status failure and leave the page unreadable, erases
 //! eventually fail permanently (the block is retired to the bad-block
 //! table), and reads return bit errors that the controller's ECC corrects
-//! up to a configured strength. The power fuse in [`crate::FlashChip`]
+//! up to a fixed strength. The power fuse in [`crate::FlashChip`]
 //! models whole-device failure; a [`FaultPlan`] models the per-operation
 //! failures every production FTL must additionally survive.
 //!
@@ -21,8 +21,9 @@
 //!
 //! Latency of the failure paths (ECC correction stalls, failed-program
 //! status polls, failed-erase retries) is charged to the simulated clock
-//! using [`EccConfig`] parameters, so fault sweeps move the benchmark
-//! numbers the way real degraded media would.
+//! using the ECC constants below (`CORRECTABLE_BITS` and four stall
+//! figures), so fault sweeps move the benchmark numbers the way real
+//! degraded media would.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,8 +164,8 @@ pub enum EccEvent {
 /// read as a pure function of physical state — the block's read count
 /// since its last erase, the page's age since program, and the block's
 /// lifetime erase count. No RNG is consulted, so installing an aging
-/// model never shifts the [`FaultPlan`] seed stream: `XFTL_FAULT_SEED`
-/// pins the background faults exactly as before.
+/// model never shifts the [`FaultPlan`] seed stream: the same seed
+/// draws the same background faults with or without it.
 ///
 /// The curve is piecewise linear: below each threshold a process
 /// contributes nothing; past it, one bit per `per_flip` step. Wear
@@ -216,39 +217,34 @@ impl AgingModel {
     }
 }
 
-/// ECC strength and the latency cost of the failure paths.
-///
-/// The latencies model a BCH/LDPC engine plus firmware handling on the
-/// OpenSSD-era controller: a correction stall is tens of microseconds, a
-/// failed program is detected by the status poll after the full `tPROG`,
-/// and a failed erase is detected after the full `tBERS` (both already
-/// charged by the chip) plus firmware handling modelled here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EccConfig {
-    /// Bit flips per page read the ECC corrects in-line.
-    pub correctable_bits: u32,
-    /// Extra stall charged when a read needs correction.
-    pub correction_ns: Nanos,
-    /// Extra firmware time charged when ECC gives up on a read (re-read
-    /// attempts, read-retry voltage shifts) before reporting
-    /// [`crate::FlashError::Uncorrectable`].
-    pub uncorrectable_ns: Nanos,
-    /// Extra firmware time charged when a program reports status failure.
-    pub program_fail_ns: Nanos,
-    /// Extra firmware time charged when an erase reports status failure.
-    pub erase_fail_ns: Nanos,
-}
+// ECC strength and the latency cost of the failure paths. The latencies
+// model a BCH/LDPC engine plus firmware handling on the OpenSSD-era
+// controller: a correction stall is tens of microseconds, a failed
+// program is detected by the status poll after the full `tPROG`, and a
+// failed erase is detected after the full `tBERS` (both already charged
+// by the chip) plus firmware handling modelled here.
 
-impl Default for EccConfig {
-    fn default() -> Self {
-        EccConfig {
-            correctable_bits: 8,
-            correction_ns: 15 * MICRO,
-            uncorrectable_ns: 450 * MICRO,
-            program_fail_ns: 120 * MICRO,
-            erase_fail_ns: 700 * MICRO,
-        }
-    }
+/// Bit flips per page read the ECC corrects in-line.
+pub(crate) const CORRECTABLE_BITS: u32 = 8;
+/// Extra stall charged when a read needs correction.
+pub(crate) const CORRECTION_NS: Nanos = 15 * MICRO;
+/// Extra firmware time charged when ECC gives up on a read (re-read
+/// attempts, read-retry voltage shifts) before reporting
+/// [`crate::FlashError::Uncorrectable`].
+pub(crate) const UNCORRECTABLE_NS: Nanos = 450 * MICRO;
+/// Extra firmware time charged when a program reports status failure.
+pub(crate) const PROGRAM_FAIL_NS: Nanos = 120 * MICRO;
+/// Extra firmware time charged when an erase reports status failure.
+pub(crate) const ERASE_FAIL_NS: Nanos = 700 * MICRO;
+
+/// Blocks never faulted, never aged. NAND datasheets guarantee the first
+/// block(s) valid for the device's lifetime (boot/firmware storage); the
+/// FTL keeps its meta root ring there.
+const EXEMPT_BLOCKS: [u32; 2] = [0, 1];
+
+/// Whether `block` is one of the fault-exempt `EXEMPT_BLOCKS`.
+pub(crate) fn is_exempt(block: u32) -> bool {
+    EXEMPT_BLOCKS.contains(&block)
 }
 
 /// A deterministic fault schedule for one chip.
@@ -259,15 +255,10 @@ impl Default for EccConfig {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rng: StdRng,
-    ecc: EccConfig,
     program_fail_rate: f64,
     erase_fail_rate: f64,
     read_flip_rate: f64,
     uncorrectable_rate: f64,
-    /// Blocks never faulted. NAND datasheets guarantee the first block(s)
-    /// valid for the device's lifetime (boot/firmware storage); the FTL
-    /// keeps its meta root ring there, so the default exempts blocks 0-1.
-    exempt: Vec<u32>,
     triggers: Vec<FaultTrigger>,
     aging: Option<AgingModel>,
     ops_seen: u64,
@@ -275,17 +266,15 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan with no background fault rates and no triggers, seeded for
-    /// any later rate draws. Blocks 0 and 1 are exempt by default (see
-    /// [`FaultPlan::exempt_blocks`]).
+    /// any later rate draws. Blocks 0 and 1 are never faulted (the meta
+    /// root ring lives there).
     pub fn new(seed: u64) -> Self {
         FaultPlan {
             rng: StdRng::seed_from_u64(seed),
-            ecc: EccConfig::default(),
             program_fail_rate: 0.0,
             erase_fail_rate: 0.0,
             read_flip_rate: 0.0,
             uncorrectable_rate: 0.0,
-            exempt: vec![0, 1],
             triggers: Vec::new(),
             aging: None,
             ops_seen: 0,
@@ -321,7 +310,7 @@ impl FaultPlan {
     }
 
     /// Per-read probability of a correctable bit-flip burst (1 to
-    /// `correctable_bits` flips, uniformly drawn).
+    /// `CORRECTABLE_BITS` flips, uniformly drawn).
     pub fn read_flip_rate(mut self, rate: f64) -> Self {
         self.read_flip_rate = rate;
         self
@@ -331,20 +320,6 @@ impl FaultPlan {
     /// ECC strength). Checked before the correctable draw.
     pub fn uncorrectable_rate(mut self, rate: f64) -> Self {
         self.uncorrectable_rate = rate;
-        self
-    }
-
-    /// Replaces the ECC model.
-    pub fn ecc(mut self, ecc: EccConfig) -> Self {
-        self.ecc = ecc;
-        self
-    }
-
-    /// Replaces the fault-exempt block list (default `[0, 1]`, the
-    /// datasheet-guaranteed blocks holding the FTL's meta root ring).
-    /// Pass an empty list to fault every block.
-    pub fn exempt_blocks(mut self, blocks: Vec<u32>) -> Self {
-        self.exempt = blocks;
         self
     }
 
@@ -362,20 +337,9 @@ impl FaultPlan {
         self
     }
 
-    /// The ECC model in force.
-    pub fn ecc_config(&self) -> EccConfig {
-        self.ecc
-    }
-
     /// The aging curve in force, if any.
     pub fn aging_model(&self) -> Option<AgingModel> {
         self.aging
-    }
-
-    /// Whether `block` is on the fault-exempt list (never faulted, never
-    /// aged — the datasheet-guaranteed blocks holding the meta root ring).
-    pub fn is_exempt(&self, block: u32) -> bool {
-        self.exempt.contains(&block)
     }
 
     /// How many operations this plan has been consulted for. Trigger
@@ -394,7 +358,7 @@ impl FaultPlan {
     pub(crate) fn decide(&mut self, op: FaultOp, ppa: Ppa, lpn: Option<u64>) -> Option<FaultKind> {
         let index = self.ops_seen;
         self.ops_seen += 1;
-        if self.exempt.contains(&ppa.block) {
+        if is_exempt(ppa.block) {
             return None;
         }
         if let Some(pos) = self
@@ -423,10 +387,10 @@ impl FaultPlan {
             }
             FaultOp::Read => {
                 if self.uncorrectable_rate > 0.0 && self.rng.gen_bool(self.uncorrectable_rate) {
-                    return Some(FaultKind::ReadFlips(self.ecc.correctable_bits + 1));
+                    return Some(FaultKind::ReadFlips(CORRECTABLE_BITS + 1));
                 }
                 if self.read_flip_rate > 0.0 && self.rng.gen_bool(self.read_flip_rate) {
-                    let bits = self.rng.gen_range(1..=self.ecc.correctable_bits.max(1));
+                    let bits = self.rng.gen_range(1..=CORRECTABLE_BITS);
                     return Some(FaultKind::ReadFlips(bits));
                 }
             }
@@ -596,7 +560,7 @@ mod tests {
         let mut plan = FaultPlan::new(5).uncorrectable_rate(1.0);
         match plan.decide(FaultOp::Read, ppa(2), None) {
             Some(FaultKind::ReadFlips(bits)) => {
-                assert!(bits > plan.ecc_config().correctable_bits);
+                assert!(bits > CORRECTABLE_BITS);
             }
             other => panic!("expected uncorrectable flips, got {other:?}"),
         }
@@ -608,7 +572,7 @@ mod tests {
         for _ in 0..50 {
             match plan.decide(FaultOp::Read, ppa(2), None) {
                 Some(FaultKind::ReadFlips(bits)) => {
-                    assert!(bits >= 1 && bits <= plan.ecc_config().correctable_bits);
+                    assert!((1..=CORRECTABLE_BITS).contains(&bits));
                 }
                 other => panic!("expected correctable flips, got {other:?}"),
             }

@@ -30,8 +30,8 @@
 //! the failures real MLC NAND exhibits per operation: program-status
 //! failures (page unreadable, block suspect), erase-status failures
 //! (block permanently retired — see [`BlockHealth`]), and read bit-flips
-//! against a configurable ECC model ([`EccConfig`]) that corrects up to N
-//! bits and otherwise fails with [`FlashError::Uncorrectable`]. Plans are
+//! against an ECC model that corrects up to 8 bits per page and
+//! otherwise fails with [`FlashError::Uncorrectable`]. Plans are
 //! seeded and fully deterministic, schedulable by op index, block, page,
 //! or LPN, and charge realistic retry/correction latencies to the shared
 //! clock.
@@ -65,8 +65,8 @@ mod fault;
 mod stats;
 
 pub use chip::{BlockHealth, FlashChip, Oob, PageKind, PageProbe, Ppa};
-pub use clock::{Nanos, SimClock, Stopwatch, MICRO, MILLI, SECOND};
+pub use clock::{Nanos, SimClock, MICRO, MILLI, SECOND};
 pub use config::{FlashConfig, FlashConfigBuilder, FlashGeometry, FlashTimings};
 pub use error::{FlashError, Result};
-pub use fault::{AgingModel, EccConfig, EccEvent, FaultKind, FaultOp, FaultPlan, FaultTrigger};
+pub use fault::{AgingModel, EccEvent, FaultKind, FaultOp, FaultPlan, FaultTrigger};
 pub use stats::{FlashStats, MAX_CHANNELS, QUEUE_DEPTH_BUCKETS};

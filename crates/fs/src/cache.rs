@@ -45,16 +45,6 @@ impl PageCache {
         }
     }
 
-    /// Number of cached pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.pages.is_empty()
-    }
-
     fn tick(&mut self) -> u64 {
         self.clock += 1;
         self.clock
@@ -155,11 +145,6 @@ impl PageCache {
     /// Drops every page of `ino` (unlink path).
     pub fn drop_ino(&mut self, ino: Ino) {
         self.pages.retain(|_, p| p.ino != ino);
-    }
-
-    /// Drops everything (unmount after sync).
-    pub fn clear(&mut self) {
-        self.pages.clear();
     }
 }
 

@@ -397,11 +397,6 @@ impl<D: BlockDevice> FileSystem<D> {
         self.dev.page_size()
     }
 
-    /// Journal mode of this mount.
-    pub fn mode(&self) -> JournalMode {
-        self.mode
-    }
-
     /// True when mount found the device in end-of-life read-only mode:
     /// journal replay was skipped, so the volume serves the last
     /// checkpointed state and every write path reports
@@ -938,16 +933,6 @@ impl<D: BlockDevice> FileSystem<D> {
     /// transaction's writes with this one's in-flight commit and redeem
     /// the ticket with [`FileSystem::fsync_wait`].
     pub fn fsync_submit(&mut self, ino: Ino, tid: Tid) -> Result<CommitTicket> {
-        self.submit_file(ino, tid, false)
-    }
-
-    /// [`FileSystem::fsync_submit`] with [`FileSystem::fdatasync`]'s
-    /// data-only metadata rule.
-    pub fn fdatasync_submit(&mut self, ino: Ino, tid: Tid) -> Result<CommitTicket> {
-        self.submit_file(ino, tid, true)
-    }
-
-    fn submit_file(&mut self, ino: Ino, tid: Tid, data_only: bool) -> Result<CommitTicket> {
         if self.mode != JournalMode::Off {
             return Err(FsError::NeedsTxDevice);
         }
@@ -958,7 +943,7 @@ impl<D: BlockDevice> FileSystem<D> {
         self.stats.fsyncs += 1;
         let t0 = self.span_start();
         let dirty = self.cache.dirty_of(ino);
-        let ticket = self.flush_tx(&dirty, tid, data_only, commit_submit)?;
+        let ticket = self.flush_tx(&dirty, tid, false, commit_submit)?;
         self.record_fsync(tid, t0);
         Ok(ticket)
     }

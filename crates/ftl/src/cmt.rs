@@ -81,11 +81,6 @@ impl MappingCache {
         self.resident
     }
 
-    /// The residency budget (`None` = unbounded).
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
     /// Sets the residency budget. The caller is responsible for evicting
     /// down to the new budget afterwards (eviction does flash I/O, which
     /// lives in the engine).

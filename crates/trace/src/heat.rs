@@ -75,11 +75,6 @@ impl HeatSketch {
     pub fn is_hot(&self, lpn: u64, threshold: u8) -> bool {
         self.estimate(lpn) >= threshold
     }
-
-    /// Number of counter slots (RAM budget diagnostics).
-    pub fn slots(&self) -> usize {
-        self.counters.len()
-    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //!   lpn, t_start, t_end}`, dumpable as JSONL for post-hoc analysis of a
 //!   failing test or bench;
 //! * [`BenchReport`] — a JSON report schema every bench experiment writes
-//!   next to its text tables, diffable exactly in CI because the
-//!   simulated clock makes the numbers reproducible.
+//!   next to its text tables, which CI diffs byte for byte against a
+//!   committed baseline because the simulated clock makes the numbers
+//!   reproducible.
 //!
 //! The crate has **no dependencies** and **never reads a clock of its
 //! own**: timestamps enter exclusively as simulated nanoseconds produced
@@ -40,7 +41,7 @@ pub use hist::{Hist, HistSummary};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use op::OpClass;
 pub use recorder::Telemetry;
-pub use report::{is_known_op_name, BenchReport, SCHEMA_VERSION};
+pub use report::BenchReport;
 
 /// Simulated nanoseconds — the same unit as `xftl_flash::Nanos`, redefined
 /// here so the telemetry layer can sit *below* the flash crate.

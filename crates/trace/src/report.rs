@@ -3,16 +3,14 @@
 //! Every bench experiment writes one [`BenchReport`] next to its text
 //! tables. Because the whole stack runs on a simulated clock, two runs
 //! of the same binary at the same scale serialize to byte-identical
-//! JSON — which is what lets `xtask bench-check` diff a fresh run
-//! against the committed `BENCH_BASELINE.json` with tight tolerances.
+//! JSON — which is what lets CI `diff` a fresh run against the
+//! committed `BENCH_BASELINE.json` byte for byte.
 
 use crate::hist::HistSummary;
-use crate::json::{parse, JsonError, JsonValue};
-use crate::op::OpClass;
-use crate::recorder::Telemetry;
+use crate::json::JsonValue;
 
 /// Schema version stamped into every report; bump on breaking change.
-pub const SCHEMA_VERSION: u64 = 1;
+const SCHEMA_VERSION: u64 = 1;
 
 /// A machine-readable benchmark report.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -46,13 +44,6 @@ impl BenchReport {
         self.metrics.push((name.to_owned(), value));
     }
 
-    /// Folds a telemetry handle's non-empty histograms into the report.
-    pub fn attach_telemetry(&mut self, t: &Telemetry) {
-        for (op, summary) in t.summaries() {
-            self.hists.push((op.name().to_owned(), summary));
-        }
-    }
-
     /// Serializes to deterministic pretty JSON (trailing newline).
     pub fn to_json(&self) -> String {
         let meta = self
@@ -79,52 +70,6 @@ impl BenchReport {
         ])
         .to_pretty()
     }
-
-    /// Parses a report previously produced by [`BenchReport::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, JsonError> {
-        let root = parse(text)?;
-        let bad = |msg: &str| JsonError {
-            msg: msg.to_owned(),
-            at: 0,
-        };
-        let schema = root
-            .get("schema")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| bad("missing schema"))?;
-        if schema as u64 != SCHEMA_VERSION {
-            return Err(bad(&format!("unsupported schema version {schema}")));
-        }
-        let name = root
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| bad("missing name"))?
-            .to_owned();
-        let mut report = BenchReport::new(&name);
-        for (k, v) in root
-            .get("meta")
-            .and_then(JsonValue::members)
-            .ok_or_else(|| bad("missing meta"))?
-        {
-            let v = v.as_str().ok_or_else(|| bad("meta value not a string"))?;
-            report.meta(k, v);
-        }
-        for (k, v) in root
-            .get("metrics")
-            .and_then(JsonValue::members)
-            .ok_or_else(|| bad("missing metrics"))?
-        {
-            let v = v.as_f64().ok_or_else(|| bad("metric not a number"))?;
-            report.metric(k, v);
-        }
-        for (k, v) in root
-            .get("hists")
-            .and_then(JsonValue::members)
-            .ok_or_else(|| bad("missing hists"))?
-        {
-            report.hists.push((k.clone(), summary_from_json(v)?));
-        }
-        Ok(report)
-    }
 }
 
 const SUMMARY_FIELDS: [&str; 7] = [
@@ -144,83 +89,33 @@ fn summary_to_json(s: &HistSummary) -> JsonValue {
     )
 }
 
-fn summary_from_json(v: &JsonValue) -> Result<HistSummary, JsonError> {
-    let field = |name: &str| {
-        v.get(name)
-            .and_then(JsonValue::as_f64)
-            .map(|f| f as u64)
-            .ok_or_else(|| JsonError {
-                msg: format!("hist summary missing {name}"),
-                at: 0,
-            })
-    };
-    Ok(HistSummary {
-        count: field("count")?,
-        sum_ns: field("sum_ns")?,
-        min_ns: field("min_ns")?,
-        p50_ns: field("p50_ns")?,
-        p95_ns: field("p95_ns")?,
-        p99_ns: field("p99_ns")?,
-        max_ns: field("max_ns")?,
-    })
-}
-
-/// Sanity check used by report consumers: op-class histogram keys in a
-/// parsed report must be known class names (typo guard for baselines).
-pub fn is_known_op_name(name: &str) -> bool {
-    OpClass::ALL.iter().any(|op| op.name() == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::OpClass;
+    use crate::json::parse;
 
-    fn sample_report() -> BenchReport {
-        let t = Telemetry::new();
-        t.record(OpClass::ChipRead, 60_000);
-        t.record(OpClass::ChipRead, 61_000);
-        t.record(OpClass::TxCommit, 2_500_000);
+    #[test]
+    fn json_carries_every_section() {
         let mut r = BenchReport::new("all");
         r.meta("scale", "smoke");
-        r.meta("seed", "42");
         r.metric("syn_update_tps", 1234.5);
-        r.metric("tpcc_commits", 9000.0);
-        r.attach_telemetry(&t);
-        r
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_everything() {
-        let r = sample_report();
-        let text = r.to_json();
-        let back = BenchReport::from_json(&text).unwrap();
-        assert_eq!(back, r);
-        // Serialization is stable.
-        assert_eq!(back.to_json(), text);
-    }
-
-    #[test]
-    fn hist_keys_are_known_op_names() {
-        let r = sample_report();
-        assert_eq!(r.hists.len(), 2);
-        for (name, _) in &r.hists {
-            assert!(is_known_op_name(name), "{name}");
-        }
-        assert!(!is_known_op_name("made_up_op"));
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let text = sample_report()
-            .to_json()
-            .replace(&format!("\"schema\": {SCHEMA_VERSION}"), "\"schema\": 999");
-        assert!(BenchReport::from_json(&text).is_err());
-    }
-
-    #[test]
-    fn missing_sections_are_rejected() {
-        assert!(BenchReport::from_json("{}").is_err());
-        assert!(BenchReport::from_json("not json").is_err());
+        let summary = HistSummary {
+            count: 2,
+            p95_ns: 61_000,
+            ..HistSummary::default()
+        };
+        r.hists.push(("chip_read".to_owned(), summary));
+        let root = parse(&r.to_json()).unwrap();
+        assert_eq!(root.get("schema").and_then(JsonValue::as_f64), Some(1.0));
+        assert_eq!(root.get("name").and_then(JsonValue::as_str), Some("all"));
+        let scale = root.get("meta").and_then(|m| m.get("scale"));
+        assert_eq!(scale.and_then(JsonValue::as_str), Some("smoke"));
+        let tps = root.get("metrics").and_then(|m| m.get("syn_update_tps"));
+        assert_eq!(tps.and_then(JsonValue::as_f64), Some(1234.5));
+        let hist = root.get("hists").and_then(|h| h.get("chip_read")).unwrap();
+        assert_eq!(
+            hist.get("p95_ns").and_then(JsonValue::as_f64),
+            Some(61_000.0)
+        );
     }
 }

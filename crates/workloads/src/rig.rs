@@ -253,8 +253,6 @@ pub struct RigConfig {
     /// the channel-scaling experiment. `None` keeps the profile's default
     /// (OpenSSD: 1, S830: 4).
     pub channels: Option<u32>,
-    /// Seed for aging and workload randomness.
-    pub seed: u64,
     /// Background NAND fault environment installed on the chip before
     /// formatting (the plan is a property of the silicon and survives
     /// every power cycle). `None` = perfect flash.
@@ -306,6 +304,9 @@ impl FaultEnv {
     }
 }
 
+/// Seed of the aging pass's fill-and-churn stream.
+const AGING_SEED: u64 = 42;
+
 /// Aging parameters: fill the drive, then churn, before mkfs.
 #[derive(Debug, Clone, Copy)]
 pub struct Aging {
@@ -330,7 +331,6 @@ impl RigConfig {
             fs_mode: mode.fs_mode(),
             gc_policy: GcPolicy::Greedy,
             channels: None,
-            seed: 42,
             fault: None,
             scrub: None,
         }
@@ -396,7 +396,7 @@ impl Rig {
         };
         dev.install_host_policies(&cfg);
         if let Some(aging) = cfg.aging {
-            age_device(&mut dev, aging, cfg.seed);
+            age_device(&mut dev, aging, AGING_SEED);
         }
         let fs_cfg = FsConfig {
             inode_count: 256,

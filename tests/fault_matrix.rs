@@ -7,8 +7,8 @@
 //! and plain writes keep their last acknowledged value.
 //!
 //! All randomness flows from the workspace `simrand` shim through a
-//! [`FaultPlan`] seeded by `XFTL_FAULT_SEED` (default fixed), so each cell
-//! replays the identical schedule in CI. The whole matrix runs behind the
+//! [`FaultPlan`] seeded by [`FAULT_SEED`], so each cell replays the
+//! identical schedule on every run. The whole matrix runs behind the
 //! shadow oracle with a flash-physics audit after recovery.
 
 #![allow(
@@ -31,14 +31,8 @@ use xftl_verify::ShadowDevice;
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
 
-/// Seed for every fault plan in this file; override with
-/// `XFTL_FAULT_SEED=<n>` to replay a different deterministic schedule.
-fn fault_seed() -> u64 {
-    std::env::var("XFTL_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xFA17_B10C)
-}
+/// Seed for every fault plan in this file.
+const FAULT_SEED: u64 = 0xCAFE_BABE;
 
 type Dev = ShadowDevice<XFtl>;
 
@@ -70,7 +64,7 @@ enum InjectAt {
 }
 
 fn plan_for(kind: FaultKind) -> FaultPlan {
-    FaultPlan::new(fault_seed()).trigger(FaultTrigger::new(kind))
+    FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(kind))
 }
 
 fn arm(dev: &mut Dev, kind: FaultKind) {
@@ -235,7 +229,7 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
     let mut chip = FlashChip::new(FlashConfig::tiny(BLOCKS), clock);
     // Flips start 300 reads in, one more every 30 reads: past the 8-bit
     // ECC budget (uncorrectable) from read 570 of the same page.
-    chip.set_fault_plan(FaultPlan::new(fault_seed()).aging(AgingModel {
+    chip.set_fault_plan(FaultPlan::new(FAULT_SEED).aging(AgingModel {
         read_disturb_threshold: 300,
         reads_per_flip: 30,
         ..AgingModel::inert()
@@ -355,7 +349,7 @@ fn fault_matrix_end_of_life_read_only() {
     // Now every erase fails, so each GC cycle retires its victim: the
     // pool drains block by block into the bad-block table.
     dev.inner_mut().base_mut().chip_mut().set_fault_plan(
-        FaultPlan::new(fault_seed()).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
+        FaultPlan::new(FAULT_SEED).trigger(FaultTrigger::new(FaultKind::EraseFail).sticky()),
     );
     let mut final_err = None;
     for i in 0..20_000u64 {
@@ -425,8 +419,7 @@ fn fault_soak_background_rates() {
     let ps = dev.page_size();
     let plan = || {
         FaultPlan::background(
-            fault_seed(),
-            1e-2, // program-status failures
+            FAULT_SEED, 1e-2, // program-status failures
             5e-3, // erase failures
             5e-2, // correctable bit-flips
             2e-3, // uncorrectable ECC bursts
@@ -503,7 +496,7 @@ fn atomic_write_record_failure_orphans_its_group() {
     // (an original record says 0 there), while the group writes
     // elsewhere.
     dev.base_mut().chip_mut().set_fault_plan(
-        FaultPlan::new(fault_seed())
+        FaultPlan::new(FAULT_SEED)
             .trigger(FaultTrigger::new(FaultKind::ProgramFail).on_lpn(0).sticky()),
     );
     let group = [(5u64, &page[..]), (9, &page[..])];

@@ -9,9 +9,8 @@
 //! [`Rig::run_concurrent_writers`]; the SQL cells through two
 //! `Connection`s and `BEGIN CONCURRENT`.
 //!
-//! All randomness in the soak flows from a single seed, overridable with
-//! `XFTL_MVCC_SEED=<n>` (mirroring the fault matrix's `XFTL_FAULT_SEED`),
-//! so CI replays identical schedules. The device cells run behind the
+//! All randomness in the soak flows from the single [`MVCC_SEED`], so
+//! every run replays identical schedules. The device cells run behind the
 //! shadow oracle, which independently checks snapshot visibility, lost
 //! updates, and spurious conflicts.
 
@@ -37,14 +36,8 @@ use xftl_verify::ShadowDevice;
 const BLOCKS: usize = 24;
 const LOGICAL: u64 = 48;
 
-/// Seed for the randomized soak; override with `XFTL_MVCC_SEED=<n>` to
-/// replay a different deterministic schedule.
-fn mvcc_seed() -> u64 {
-    std::env::var("XFTL_MVCC_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0x4D5F_CC13)
-}
+/// Seed for the randomized soak.
+const MVCC_SEED: u64 = 0x4D5F_CC13;
 
 type Dev = ShadowDevice<XFtl>;
 
@@ -280,7 +273,7 @@ fn device_plain_overwrite_conflicts_snapshot_writer() {
 /// snapshots die, and no retained pre-image outlives recovery.
 #[test]
 fn mvcc_soak_random_schedules() {
-    let mut rng = StdRng::seed_from_u64(mvcc_seed());
+    let mut rng = StdRng::seed_from_u64(MVCC_SEED);
     let mut d = dev();
     let ps = d.page_size();
     let mut expect = vec![0u8; 12];

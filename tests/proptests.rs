@@ -5,7 +5,9 @@
 //! with no external crates, so each family runs a fixed number of cases
 //! from the deterministic in-tree PRNG instead. Every failure names its
 //! case — in the message, or on stderr as the oracle's panic unwinds — so
-//! a red run reproduces exactly.
+//! a red run reproduces exactly. The schedules `proptest` once shrank
+//! failures to (`FS_REGRESSIONS`, `DEV_REGRESSIONS`) run ahead of their
+//! families' generated cases.
 
 #![allow(
     clippy::unwrap_used,
@@ -251,67 +253,84 @@ fn rand_fs_ops(rng: &mut StdRng) -> Vec<FsOp> {
         .collect()
 }
 
+/// Byte-range schedules an earlier generator shrank failures to; each
+/// runs before the generated cases. Kept as the corpus recorded them.
+#[rustfmt::skip]
+const FS_REGRESSIONS: [&[FsOp]; 2] = [
+    &[FsOp::Read { off: 1, len: 1 }],
+    &[FsOp::Write { off: 170, len: 2687, byte: 1 }, FsOp::Truncate { size: 1 },
+      FsOp::Write { off: 171, len: 1, byte: 0 }],
+];
+
+/// Runs `ops` on a fresh file and checks every step, and the remounted
+/// file, against a plain Vec<u8> model.
+fn fs_case(what: &str, ops: &[FsOp]) {
+    let chip = FlashChip::new(FlashConfig::tiny(300), SimClock::new());
+    let dev = PageMappedFtl::format(chip, 2_200).unwrap();
+    let mut fs = FileSystem::mkfs(
+        dev,
+        JournalMode::Ordered,
+        FsConfig {
+            inode_count: 8,
+            journal_pages: 32,
+            cache_pages: 16,
+        },
+    )
+    .unwrap();
+    let f = fs.create("model").unwrap();
+    let mut model: Vec<u8> = Vec::new();
+    for op in ops {
+        match op {
+            FsOp::Write { off, len, byte } => {
+                let data = vec![*byte; *len];
+                fs.write(f, *off, &data, None).unwrap();
+                let end = *off as usize + *len;
+                if model.len() < end {
+                    model.resize(end, 0);
+                }
+                model[*off as usize..end].fill(*byte);
+            }
+            FsOp::Read { off, len } => {
+                let mut buf = vec![0u8; *len];
+                let n = fs.read(f, *off, &mut buf, None).unwrap();
+                let expect_n = model.len().saturating_sub(*off as usize).min(*len);
+                assert_eq!(n, expect_n, "{what}");
+                if n > 0 {
+                    assert_eq!(
+                        &buf[..n],
+                        &model[*off as usize..*off as usize + n],
+                        "{what}"
+                    );
+                }
+            }
+            FsOp::Truncate { size } => {
+                fs.truncate(f, *size).unwrap();
+                model.truncate(*size as usize);
+            }
+            FsOp::Fsync => fs.fsync(f, None).unwrap(),
+        }
+        assert_eq!(fs.size(f).unwrap(), model.len() as u64, "{what}");
+    }
+    // Durability: sync, remount, and compare the whole file.
+    let dev = fs.unmount().unwrap();
+    let mut fs = FileSystem::mount(dev, JournalMode::Ordered, 16).unwrap();
+    let f = fs.open("model").unwrap();
+    let mut buf = vec![0u8; model.len()];
+    let n = fs.read(f, 0, &mut buf, None).unwrap();
+    assert_eq!(n, model.len(), "{what}");
+    assert_eq!(buf, model, "{what}");
+}
+
 /// Byte-granular file I/O matches a plain Vec<u8> model, across cache
 /// pressure and fsyncs.
 #[test]
 fn fs_matches_model() {
+    for (i, ops) in FS_REGRESSIONS.iter().enumerate() {
+        fs_case(&format!("family 6 regression {i}"), ops);
+    }
     for case in 0..48u64 {
-        let mut rng = case_rng(6, case);
-        let ops = rand_fs_ops(&mut rng);
-        let chip = FlashChip::new(FlashConfig::tiny(300), SimClock::new());
-        let dev = PageMappedFtl::format(chip, 2_200).unwrap();
-        let mut fs = FileSystem::mkfs(
-            dev,
-            JournalMode::Ordered,
-            FsConfig {
-                inode_count: 8,
-                journal_pages: 32,
-                cache_pages: 16,
-            },
-        )
-        .unwrap();
-        let f = fs.create("model").unwrap();
-        let mut model: Vec<u8> = Vec::new();
-        for op in &ops {
-            match op {
-                FsOp::Write { off, len, byte } => {
-                    let data = vec![*byte; *len];
-                    fs.write(f, *off, &data, None).unwrap();
-                    let end = *off as usize + *len;
-                    if model.len() < end {
-                        model.resize(end, 0);
-                    }
-                    model[*off as usize..end].fill(*byte);
-                }
-                FsOp::Read { off, len } => {
-                    let mut buf = vec![0u8; *len];
-                    let n = fs.read(f, *off, &mut buf, None).unwrap();
-                    let expect_n = model.len().saturating_sub(*off as usize).min(*len);
-                    assert_eq!(n, expect_n, "case {case}");
-                    if n > 0 {
-                        assert_eq!(
-                            &buf[..n],
-                            &model[*off as usize..*off as usize + n],
-                            "case {case}"
-                        );
-                    }
-                }
-                FsOp::Truncate { size } => {
-                    fs.truncate(f, *size).unwrap();
-                    model.truncate(*size as usize);
-                }
-                FsOp::Fsync => fs.fsync(f, None).unwrap(),
-            }
-            assert_eq!(fs.size(f).unwrap(), model.len() as u64, "case {case}");
-        }
-        // Durability: sync, remount, and compare the whole file.
-        let dev = fs.unmount().unwrap();
-        let mut fs = FileSystem::mount(dev, JournalMode::Ordered, 16).unwrap();
-        let f = fs.open("model").unwrap();
-        let mut buf = vec![0u8; model.len()];
-        let n = fs.read(f, 0, &mut buf, None).unwrap();
-        assert_eq!(n, model.len(), "case {case}");
-        assert_eq!(buf, model, "case {case}");
+        let ops = rand_fs_ops(&mut case_rng(6, case));
+        fs_case(&format!("family 6 case {case}"), &ops);
     }
 }
 
@@ -392,6 +411,25 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
         })
         .collect()
 }
+
+/// Device schedules an earlier generator shrank failures to. Families 7
+/// and 8 run each before their generated cases. Kept as the corpus
+/// recorded them.
+#[rustfmt::skip]
+const DEV_REGRESSIONS: [&[DevOp]; 5] = [
+    &[DevOp::Write { tid: 2, lpn: 0, byte: 0 }, DevOp::Commit { tid: 2 },
+      DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Flush],
+    &[DevOp::Write { tid: 2, lpn: 15, byte: 0 }, DevOp::Write { tid: 3, lpn: 15, byte: 1 },
+      DevOp::Commit { tid: 3 }, DevOp::Commit { tid: 2 }],
+    &[DevOp::Write { tid: 4, lpn: 3, byte: 0 }, DevOp::Write { tid: 1, lpn: 8, byte: 1 },
+      DevOp::Commit { tid: 1 }, DevOp::Write { tid: 1, lpn: 8, byte: 0 }, DevOp::Commit { tid: 4 }],
+    &[DevOp::Write { tid: 2, lpn: 1, byte: 0 }, DevOp::Write { tid: 2, lpn: 1, byte: 1 },
+      DevOp::Write { tid: 1, lpn: 0, byte: 0 }, DevOp::PlainWrite { lpn: 20, byte: 0 },
+      DevOp::Flush, DevOp::Commit { tid: 2 }, DevOp::Crash],
+    &[DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Write { tid: 2, lpn: 1, byte: 0 },
+      DevOp::Crash, DevOp::Write { tid: 2, lpn: 5, byte: 0 }, DevOp::Commit { tid: 2 },
+      DevOp::Crash],
+];
 
 /// Generates a schedule with 2–4 concurrently open snapshot writers.
 /// Tids are never reused, so each `begin` opens a fresh transaction and
@@ -590,6 +628,20 @@ fn x_crash_checking_the_skip(dev: XDev) -> XDev {
     x_crash(dev)
 }
 
+/// A family's schedules, each named: [`DEV_REGRESSIONS`], then 48
+/// generated cases.
+fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>)> {
+    let regressions = DEV_REGRESSIONS
+        .iter()
+        .enumerate()
+        .map(move |(i, ops)| (format!("family {family} regression {i}"), ops.to_vec()));
+    let generated = (0..48u64).map(move |case| {
+        let ops = rand_tx_ops(&mut case_rng(family, case));
+        (format!("family {family} case {case}"), ops)
+    });
+    regressions.chain(generated)
+}
+
 /// Family 7: X-FTL's transactional writes become visible only at commit
 /// (blocking or submitted), vanish on abort, and a crash preserves the
 /// durable image plus — group-atomically, in submission order — any
@@ -597,11 +649,8 @@ fn x_crash_checking_the_skip(dev: XDev) -> XDev {
 #[test]
 fn xftl_transactions_match_model() {
     let mut seen = Exercised::default();
-    for case in 0..48u64 {
-        let mut rng = case_rng(7, case);
-        let ops = rand_tx_ops(&mut rng);
+    for (what, ops) in tx_schedules(7) {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-        let what = format!("family 7 case {case}");
         let crash = x_crash_checking_the_skip;
         run_schedule(&what, x_format(chip), &ops, crash, &mut seen);
     }
@@ -679,12 +728,9 @@ fn xftl_transactions_match_model_under_faults() {
 #[test]
 fn txflash_transactions_match_model() {
     let mut seen = Exercised::default();
-    for case in 0..48u64 {
-        let mut rng = case_rng(8, case);
-        let ops = rand_tx_ops(&mut rng);
+    for (what, ops) in tx_schedules(8) {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let dev = ShadowDevice::new(TxFlashFtl::format(chip, 24).unwrap());
-        let what = format!("family 8 case {case}");
         run_schedule(&what, dev, &ops, common::recover, &mut seen);
     }
     assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");

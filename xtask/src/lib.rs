@@ -1,10 +1,7 @@
 //! # xtask — repository automation library
 //!
-//! The binary (`src/main.rs`) is a thin CLI over three subsystems:
+//! The binary (`src/main.rs`) is a thin CLI over two subsystems:
 //!
-//! - [`benchcheck`] — the baseline diff comparing a fresh `BENCH_*.json`
-//!   report against its committed baseline. The absolute claims are
-//!   `assert!`s inside the experiments that measure them.
 //! - [`loc`] — code-line accounting (non-test / test lines per crate and
 //!   per file) on its own token-line scanner and test-boundary pass.
 //! - [`perfpair`] — the paired-run protocol behind a host-clock claim:
@@ -12,6 +9,5 @@
 
 #![forbid(unsafe_code)]
 
-pub mod benchcheck;
 pub mod loc;
 pub mod perfpair;

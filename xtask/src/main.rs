@@ -2,13 +2,6 @@
 //!
 //! Run with `cargo run -p xtask -- <command>`:
 //!
-//! - `bench-check [fresh] [baseline] [--allow-new]` — diffs a
-//!   `BENCH_*.json` report against its committed baseline (see
-//!   [`xtask::benchcheck`]). `--allow-new` downgrades metrics the
-//!   baseline lacks to warnings so instrumentation can land ahead of a
-//!   baseline re-bless; missing or drifted metrics still fail. The
-//!   claims that hold whatever the baseline says are asserted inside the
-//!   bench experiments themselves.
 //! - `loc [ROOT]` — non-test and test code lines per crate and per file
 //!   (see [`xtask::loc`]), of this checkout or of the one at `ROOT` — so
 //!   a "net lines down" claim is one `diff` of two reports.
@@ -21,14 +14,15 @@
 //!
 //! The static checks are the toolchain's: `cargo clippy --workspace
 //! --all-targets -- -D warnings` over the lints in the root `Cargo.toml`
-//! and `clippy.toml` (DESIGN.md §12).
+//! and `clippy.toml` (DESIGN.md §12). The bench reports need no tool:
+//! the simulation is deterministic, so each `BENCH_*.json` is compared
+//! with its committed baseline by `diff -u`.
 
 #![forbid(unsafe_code)]
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::benchcheck;
 use xtask::loc;
 use xtask::perfpair;
 
@@ -42,37 +36,6 @@ fn repo_root() -> PathBuf {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     match args.get(1).map(String::as_str) {
-        Some("bench-check") => {
-            let root = repo_root();
-            let mut allow_new = false;
-            let mut paths = Vec::new();
-            for arg in &args[2..] {
-                match arg.as_str() {
-                    "--allow-new" => allow_new = true,
-                    other if other.starts_with("--") => {
-                        eprintln!("bench-check: unknown flag `{other}`");
-                        return ExitCode::FAILURE;
-                    }
-                    path => paths.push(PathBuf::from(path)),
-                }
-            }
-            let fresh = paths
-                .first()
-                .cloned()
-                .unwrap_or_else(|| root.join("BENCH_all.json"));
-            let baseline = paths
-                .get(1)
-                .cloned()
-                .unwrap_or_else(|| root.join("BENCH_BASELINE.json"));
-            match benchcheck::bench_check(&fresh, &baseline, allow_new) {
-                Ok(0) => ExitCode::SUCCESS,
-                Ok(_) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("bench-check: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
         Some("loc") => {
             let root = args.get(2).map_or_else(repo_root, PathBuf::from);
             print!("{}", loc::render(&loc::loc_repo(&root)));
@@ -97,10 +60,6 @@ fn main() -> ExitCode {
                 "usage: cargo run -p xtask -- <command>\n\
                  \n\
                  commands:\n\
-                 \x20 bench-check [fresh] [baseline] [--allow-new]\n\
-                 \x20                                  compare bench reports; --allow-new downgrades\n\
-                 \x20                                  metrics absent from the baseline to warnings\n\
-                 \x20                                  (defaults: BENCH_all.json BENCH_BASELINE.json)\n\
                  \x20 loc [ROOT]                       code / test lines per crate and per file\n\
                  \x20 perf-pair --parent <checkout> --workload <w> [--pairs 10] [--seeds 1,7,13]\n\
                  \x20                                  perf of a parent checkout and of this one,\n\
