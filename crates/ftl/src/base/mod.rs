@@ -377,9 +377,6 @@ pub struct FtlBase {
     valid: ValidityMap,
     /// Victim-selection policy.
     gc_policy: GcPolicy,
-    /// Hot/cold separation switch (off by default: the paper's figures
-    /// run a single frontier per channel).
-    hot_cold: bool,
     /// Per-LPN recent write frequency, feeding hot/cold placement.
     heat: HeatSketch,
     /// Meta block currently being appended to (index into META_BLOCKS).
@@ -402,6 +399,9 @@ pub struct FtlBase {
     /// copies made out of it so far. Dropped at its erase or retirement;
     /// ignored once the block is no longer closed.
     draining: Option<(u32, u64)>,
+    /// The block the latest collection copies out of: a log that finds
+    /// the free list dry never reopens it.
+    collecting: Option<u32>,
     /// Program sequence at the previous background step: the pacing
     /// input. The chip's counter, unlike its statistics, is never reset.
     paced_seq: u64,
@@ -487,7 +487,6 @@ impl FtlBase {
             xl2p_roots: Vec::new(),
             valid: ValidityMap::new(geo.blocks, geo.pages_per_block),
             gc_policy: GcPolicy::Greedy,
-            hot_cold: false,
             heat: HeatSketch::new(HEAT_SLOTS, HEAT_HALF_LIFE),
             meta_cur,
             ckpt_seq: root.ckpt_seq,
@@ -499,6 +498,7 @@ impl FtlBase {
             scratch: vec![0u8; geo.page_size],
             in_gc: false,
             draining: None,
+            collecting: None,
             paced_seq: chip.next_seq(),
             scrub: None,
             scrub_tick: 0,
@@ -700,11 +700,12 @@ impl FtlBase {
         self.gc_policy
     }
 
-    /// Enables or disables hot/cold write-frontier separation. When on,
-    /// host data writes of low-heat LPNs and all GC data copies go to
-    /// per-channel cold frontiers instead of the (hot) data frontiers.
+    /// Enables or disables heat classification of host writes. When on,
+    /// host data writes of low-heat LPNs join the GC survivors in the
+    /// cold log, striped over every channel, instead of the (hot) data
+    /// frontiers.
     pub fn set_hot_cold(&mut self, enabled: bool) {
-        self.hot_cold = enabled;
+        self.pool.set_heat_classified(enabled);
     }
 
     // --- device health ---------------------------------------------------
@@ -823,9 +824,13 @@ impl FtlBase {
     ) -> Result<(Ppa, Nanos)> {
         let mut attempts = 0;
         loop {
-            let dst = self
-                .pool
-                .alloc(&self.chip, stream)
+            // A recovery can find the free list dry: the log then reopens
+            // a block a power cut left part-written.
+            let dst = (self.pool.alloc(&self.chip, stream))
+                .or_else(|| {
+                    (self.pool).reopen(&self.chip, stream, self.collecting)?;
+                    self.pool.alloc(&self.chip, stream)
+                })
                 .ok_or(DevError::OutOfSpace)?;
             let programmed = if wait {
                 self.chip
@@ -909,7 +914,7 @@ impl FtlBase {
         if kind != PageKind::Data {
             return Stream::Map;
         }
-        if !self.hot_cold {
+        if !self.pool.heat_classified() {
             return Stream::Hot;
         }
         self.heat.touch(lpn);

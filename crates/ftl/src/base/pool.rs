@@ -6,7 +6,7 @@
 
 use std::collections::VecDeque;
 
-use xftl_flash::{FlashChip, FlashGeometry, Ppa};
+use xftl_flash::{BlockHealth, FlashChip, FlashGeometry, Ppa};
 
 /// First block available for data/mapping allocation; the blocks below
 /// it are the meta (checkpoint-root) ring.
@@ -21,10 +21,21 @@ pub(super) enum Class {
     Map,
 }
 
+impl Class {
+    /// What the blocks of `stream`'s log hold.
+    fn of(stream: Stream) -> Class {
+        match stream {
+            Stream::Hot | Stream::Cold => Class::Data,
+            Stream::Map => Class::Map,
+        }
+    }
+}
+
 /// The log a page is appended to. Host data rotates over one `Hot`
 /// frontier per flash channel, so consecutive allocations stripe across
-/// channels and queued programs overlap; `Cold` data (GC copies,
-/// low-heat LPNs) fills its own per-channel frontiers so hot churn and
+/// channels and queued programs overlap; `Cold` data (GC survivors,
+/// low-heat LPNs) fills its own frontiers — at most one lane per channel,
+/// striped by the pool itself (see [`Pool::alloc`]) — so hot churn and
 /// cold residue age in different blocks; mapping-class pages (L2P slabs,
 /// X-L2P tables, commit records) share the single `Map` frontier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +69,7 @@ pub(super) enum Fifo {
     Drop,
 }
 
-/// The open blocks of one stream, one lane per flash channel (the map
+/// The open blocks of one stream, lane `i` fed from channel `i` (the map
 /// stream has a single lane), and the round-robin cursor over them.
 #[derive(Debug)]
 struct Frontier {
@@ -78,6 +89,13 @@ pub(super) struct Pool {
     last_seq: Vec<u64>,
     /// Indexed by `Stream`.
     frontiers: [Frontier; 3],
+    /// Heat-classified host writes share the cold log with the GC
+    /// survivors.
+    heat_classified: bool,
+    /// Pages allocated on every log, and the GC copies among them: the
+    /// survivors' share of the programs, which stripes the cold log.
+    allocated: u64,
+    gc_copies: u64,
 }
 
 impl Pool {
@@ -85,7 +103,9 @@ impl Pool {
     /// for every pool block — what format decides and the recovery scan
     /// finds). Free blocks pool in index order; data blocks enter the
     /// FIFO queue in index order (allocation age is unknown after a
-    /// crash); block ages start over.
+    /// crash); block ages start over. The cold log starts with no lane,
+    /// and the pages the census found written count as programs it had
+    /// no share of: a recovered device restripes it from there.
     pub(super) fn from_census(geo: FlashGeometry, mut state: Vec<BlockState>) -> Pool {
         state[..FIRST_POOL_BLOCK as usize].fill(BlockState::Meta);
         let blocks_in = |want: BlockState| -> VecDeque<u32> {
@@ -98,20 +118,63 @@ impl Pool {
             cursor: 0,
         };
         let channels = geo.channels.max(1) as usize;
+        let written = state.iter().filter(|s| matches!(s, BlockState::Closed(_)));
         Pool {
             free: blocks_in(BlockState::Free),
             fifo: blocks_in(BlockState::Closed(Class::Data)),
             last_seq: vec![0; geo.blocks],
-            frontiers: [frontier(channels), frontier(channels), frontier(1)],
+            frontiers: [frontier(channels), frontier(0), frontier(1)],
+            heat_classified: false,
+            allocated: (written.count() * geo.pages_per_block) as u64,
+            gc_copies: 0,
             state,
         }
+    }
+
+    /// Whether heat-classified host writes share the cold log.
+    pub(super) fn heat_classified(&self) -> bool {
+        self.heat_classified
+    }
+
+    /// Lets heat-classified host writes into the cold log, or keeps it
+    /// for the GC survivors alone.
+    pub(super) fn set_heat_classified(&mut self, enabled: bool) {
+        self.heat_classified = enabled;
+    }
+
+    /// Counts a GC copy, data or mapping, toward the survivors' share.
+    pub(super) fn note_gc_copy(&mut self) {
+        self.gc_copies += 1;
     }
 
     /// Next free slot of `stream`'s log, opening a new block as needed;
     /// `None` when the stream's frontiers are full and the free list is
     /// empty. Fresh frontiers open on the least-worn free block (data
     /// lanes prefer one on their own channel), spreading erase load.
+    ///
+    /// The cold log stripes itself here. With heat-classified host
+    /// writes in it, it takes a lane per channel. With the survivors
+    /// alone it takes their share of the programs, `⌈channels × GC
+    /// copies ÷ pages allocated⌉` lanes, at least one: a lane per channel
+    /// would open a block per channel for a trickle of copies, one lane
+    /// would queue a copy-heavy device's survivors on one bus. It never
+    /// narrows — a lane that dropped out would strand a part-written
+    /// block.
     pub(super) fn alloc(&mut self, chip: &FlashChip, stream: Stream) -> Option<Ppa> {
+        self.allocated += 1;
+        if stream == Stream::Cold {
+            let channels = chip.config().geometry.channels.max(1) as usize;
+            let share = (channels as u64 * self.gc_copies).div_ceil(self.allocated);
+            let want = if self.heat_classified {
+                channels
+            } else {
+                (share as usize).clamp(1, channels)
+            };
+            let f = &mut self.frontiers[Stream::Cold as usize];
+            if f.lanes.len() < want {
+                f.lanes.resize(want, None);
+            }
+        }
         let lanes = self.frontiers[stream as usize].lanes.len();
         for i in 0..lanes {
             let lane = (self.frontiers[stream as usize].cursor + i) % lanes;
@@ -138,6 +201,54 @@ impl Pool {
             }
         }
         None
+    }
+
+    /// Reopens, on the lane `stream` allocates from next, a part-written
+    /// block of its class that a power cut closed: for a log whose lanes
+    /// are full when the free list is dry, as a recovery can find it.
+    /// The healthy one with the most room, preferring the lane's own
+    /// channel; never `collecting`, the block a collection is copying
+    /// out of. Sequences still ascend within such a block, and the
+    /// classes still never share one. `None` when there is none.
+    pub(super) fn reopen(
+        &mut self,
+        chip: &FlashChip,
+        stream: Stream,
+        collecting: Option<u32>,
+    ) -> Option<()> {
+        let f = &self.frontiers[stream as usize];
+        let lane = f.cursor % f.lanes.len().max(1);
+        let geo = chip.config().geometry;
+        let class = Class::of(stream);
+        let (_, _, b) = (FIRST_POOL_BLOCK..self.state.len() as u32)
+            .filter(|&b| {
+                Some(b) != collecting && self.state[b as usize] == BlockState::Closed(class)
+            })
+            .filter(|&b| chip.block_health(b) == BlockHealth::Good)
+            .filter_map(|b| {
+                let wp = chip.write_point(b)?;
+                let elsewhere = stream != Stream::Map && geo.channel_of(b) != lane;
+                Some((elsewhere, wp, b))
+            })
+            .min()?;
+        let f = &mut self.frontiers[stream as usize];
+        if f.lanes.is_empty() {
+            f.lanes.push(None);
+        }
+        if let Some(full) = f.lanes[lane].replace(b) {
+            self.state[full as usize] = BlockState::Closed(class);
+        }
+        self.state[b as usize] = BlockState::Open(stream);
+        Some(())
+    }
+
+    /// Lanes of `stream` with no block open on them — a log with no
+    /// lane yet counts the one its first page opens: the blocks its next
+    /// allocations take from the free list.
+    pub(super) fn unopened_lanes(&self, stream: Stream) -> usize {
+        let f = &self.frontiers[stream as usize];
+        let open = f.lanes.iter().flatten().count();
+        f.lanes.len().max(1) - open
     }
 
     /// Pops the least-worn free block on `channel` (any channel when
@@ -169,12 +280,7 @@ impl Pool {
                     *lane = None;
                 }
             }
-            let class = if stream == Stream::Map {
-                Class::Map
-            } else {
-                Class::Data
-            };
-            self.state[block as usize] = BlockState::Closed(class);
+            self.state[block as usize] = BlockState::Closed(Class::of(stream));
         }
     }
 
@@ -207,8 +313,15 @@ impl Pool {
         })
     }
 
+    /// Open write frontiers, in index order.
+    pub(super) fn open(&self) -> impl Iterator<Item = u32> + '_ {
+        (self.state.iter().enumerate())
+            .filter(|(_, s)| matches!(s, BlockState::Open(_)))
+            .map(|(b, _)| b as u32)
+    }
+
     /// Walks the allocation-order queue once for the oldest closed data
-    /// block `judge` takes. Blocks still filling their hot frontier and
+    /// block `judge` takes. Blocks still filling a data frontier and
     /// blocks `judge` requeues go to the back of the line; entries whose
     /// block has been erased or reused since are dropped (a block
     /// re-enters the queue when it is allocated again).
@@ -217,7 +330,7 @@ impl Pool {
             let b = self.fifo.pop_front()?;
             let verdict = match self.state[b as usize] {
                 BlockState::Closed(Class::Data) => judge(b),
-                BlockState::Open(Stream::Hot) => Fifo::Requeue,
+                BlockState::Open(Stream::Hot | Stream::Cold) => Fifo::Requeue,
                 BlockState::Meta
                 | BlockState::Free
                 | BlockState::Open(_)
@@ -256,8 +369,7 @@ impl Pool {
 
     /// Open write frontiers, filled-but-unnoticed ones included.
     pub(super) fn open_len(&self) -> usize {
-        let open = |s: &&BlockState| matches!(s, BlockState::Open(_));
-        self.state.iter().filter(open).count()
+        self.open().count()
     }
 
     /// The state of `block` (`None` past the end of the array).
@@ -376,6 +488,84 @@ mod tests {
             let bad = pool.closed().count() + pool.free_len() + pool.open_len();
             assert_eq!(pool.bad_blocks().count(), geo.blocks - 2 - bad);
         }
+    }
+
+    #[test]
+    fn the_cold_log_widens_with_the_survivors_share_and_never_narrows() {
+        let cfg = FlashConfigBuilder::tiny().blocks(40).channels(4).build();
+        let geo = cfg.geometry;
+        let mut chip = FlashChip::new(cfg, SimClock::new());
+        let mut pool = Pool::from_census(geo, vec![BlockState::Free; geo.blocks]);
+        let page = vec![0u8; geo.page_size];
+        let put = |pool: &mut Pool, chip: &mut FlashChip, stream| {
+            let at = pool.alloc(chip, stream).unwrap();
+            chip.program(at, &page, Oob::data(0)).unwrap();
+        };
+        let copy = |pool: &mut Pool, chip: &mut FlashChip, stream| {
+            pool.note_gc_copy();
+            put(pool, chip, stream);
+        };
+        let cold_lanes = |pool: &Pool| pool.frontiers[Stream::Cold as usize].lanes.len();
+        assert_eq!(cold_lanes(&pool), 0, "no survivor, no lane");
+        assert_eq!(pool.unopened_lanes(Stream::Cold), 1, "its first opens one");
+        for _ in 0..7 {
+            put(&mut pool, &mut chip, Stream::Hot);
+        }
+        // One copy in eight programs: ⌈4 × 1 ÷ 8⌉ = 1 lane.
+        copy(&mut pool, &mut chip, Stream::Cold);
+        assert_eq!(
+            (cold_lanes(&pool), pool.unopened_lanes(Stream::Cold)),
+            (1, 0)
+        );
+        // Five in twelve, a mapping page's among them: ⌈4 × 5 ÷ 12⌉ = 2.
+        copy(&mut pool, &mut chip, Stream::Map);
+        for _ in 0..3 {
+            copy(&mut pool, &mut chip, Stream::Cold);
+        }
+        assert_eq!(cold_lanes(&pool), 2);
+        check(&pool, &chip);
+        // Then the share falls to 6 in 41, and the lanes stay.
+        for _ in 0..28 {
+            put(&mut pool, &mut chip, Stream::Hot);
+        }
+        copy(&mut pool, &mut chip, Stream::Cold);
+        assert_eq!(cold_lanes(&pool), 2);
+        // Heat-classified host writes in the log: a lane per channel.
+        pool.set_heat_classified(true);
+        put(&mut pool, &mut chip, Stream::Cold);
+        assert_eq!(cold_lanes(&pool), 4);
+        check(&pool, &chip);
+    }
+
+    #[test]
+    fn a_dry_log_reopens_a_cut_block_never_the_one_being_collected() {
+        let cfg = FlashConfigBuilder::tiny().blocks(6).channels(2).build();
+        let geo = cfg.geometry;
+        let mut chip = FlashChip::new(cfg, SimClock::new());
+        let page = vec![0u8; geo.page_size];
+        // A power cut left blocks 2 and 3 part-written (3 with more room)
+        // and 4 and 5 full: the census finds no free block.
+        for (block, pages) in [(2, 3), (3, 1), (4, 8), (5, 8)] {
+            for p in 0..pages {
+                chip.program(Ppa::new(block, p), &page, Oob::data(0))
+                    .unwrap();
+            }
+        }
+        let census = vec![BlockState::Closed(Class::Data); geo.blocks];
+        let mut pool = Pool::from_census(geo, census);
+        assert_eq!(pool.alloc(&chip, Stream::Cold), None);
+        // Collecting block 3: the copies go to block 2, not to itself.
+        assert_eq!(pool.reopen(&chip, Stream::Cold, Some(3)), Some(()));
+        assert_eq!(pool.state(2), Some(BlockState::Open(Stream::Cold)));
+        assert_eq!(pool.alloc(&chip, Stream::Cold), Some(Ppa::new(2, 3)));
+        check(&pool, &chip);
+        // No mapping block is part-written: the map log stays dry.
+        assert_eq!(pool.reopen(&chip, Stream::Map, None), None);
+        // With no collection running the hot log takes block 3.
+        assert_eq!(pool.reopen(&chip, Stream::Hot, None), Some(()));
+        assert_eq!(pool.state(3), Some(BlockState::Open(Stream::Hot)));
+        assert_eq!(pool.open_len(), 2);
+        check(&pool, &chip);
     }
 
     #[test]

@@ -91,8 +91,9 @@ pub struct FtlStats {
     pub gc_cb_map_victims: u64,
     /// Host data writes routed to the hot write frontier.
     pub hot_writes: u64,
-    /// Data writes routed to the cold frontier (cold LPNs and GC copies)
-    /// while hot/cold separation is enabled.
+    /// Data writes routed to the cold log: GC data copies (but under
+    /// FIFO without heat classification, which keeps one log), and the
+    /// low-heat host writes while hot/cold separation is enabled.
     pub cold_writes: u64,
     /// Background-scrub victims relocated (one block each) before their
     /// accumulated read-disturb / retention damage crossed the ECC budget.

@@ -612,10 +612,11 @@ fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
 fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
     let build = || {
-        // 34 blocks: 2 meta + 24 of data + 2 of transaction pages + 2 of
-        // mapping pages leave 4 free — one above the GC low-water mark, so
-        // no commit's acknowledgement starts a background step.
-        let chip = FlashChip::new(FlashConfig::tiny(34), SimClock::new());
+        // 35 blocks: 2 meta + 24 of data + 2 of transaction pages + 2 of
+        // mapping pages leave 5 free — one above the GC low-water mark,
+        // which holds a block for the cold log no survivor has opened
+        // yet — so no commit's acknowledgement starts a background step.
+        let chip = FlashChip::new(FlashConfig::tiny(35), SimClock::new());
         let mut dev = ShadowDevice::new(XFtl::format(chip, 192).unwrap());
         let ps = dev.page_size();
         let mut expect = vec![OLD; 192];
@@ -631,10 +632,12 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
             dev.commit(tid).unwrap();
             expect[lpn as usize] = NEW;
         }
-        // Four plain writes (no acknowledgement, so no step) dirty the
-        // third slab and open the data block that takes the pool down to
-        // the mark.
-        for lpn in [129u64, 137, 145, 153] {
+        // Twelve plain writes (no acknowledgement, so no step) dirty the
+        // third slab and open the two data blocks that take the pool
+        // down to the inline floor.
+        for lpn in [
+            129u64, 137, 145, 153, 161, 169, 177, 185, 130, 138, 146, 154,
+        ] {
             dev.write(lpn, &vec![BALLAST; ps]).unwrap();
             expect[lpn as usize] = BALLAST;
         }
@@ -1147,9 +1150,10 @@ fn twice_relocated_committed_page_survives_the_next_generation() {
         if copies.len() > 2 {
             break;
         }
-        // Plain writes close the block holding lpn 0's copy (an open
-        // frontier is never a scrub victim); hammering reads then take
-        // it past the threshold, and the next write's tick scrubs it.
+        // Plain writes fill the hot log past the block that took lpn 0's
+        // commit; hammering reads then take the block holding lpn 0 past
+        // the threshold, and the next write's tick scrubs it — closed,
+        // or the survivors' open cold block its first move went to.
         for lpn in 1..9u64 {
             dev.write(lpn, &vec![round; ps]).unwrap();
         }
@@ -1579,7 +1583,7 @@ fn mapping_page_window_is_closed() {
     let s = *dev.inner().base().stats();
     assert_eq!(s.gc_background_steps, 0);
     assert!(s.gc_map_runs > 0 && s.gc_copies > s.gc_valid_pages);
-    assert_eq!(cuts, 1954);
+    assert_eq!(cuts, 1583);
     for fuse in 1..=cuts {
         let mut dev = build();
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
