@@ -137,14 +137,16 @@ pub struct SteadyOut {
 /// Runs one regime to GC steady state: fill the logical space
 /// sequentially, then overwrite under the Zipfian stream with the
 /// mapping cache bounded, measuring only the overwrite phase.
-pub fn run_regime(scale: &SteadyScale, policy: GcPolicy, hot_cold: bool) -> SteadyOut {
+pub fn run_regime(scale: &SteadyScale, policy: GcPolicy) -> SteadyOut {
     let chip = FlashChip::new(scale.config, SimClock::new());
     let logical = scale.logical_pages();
     let mut dev = PageMappedFtl::format(chip, logical).expect("format steady device");
     let slabs = dev.base().map_cache().slabs();
     let budget = ((slabs as f64 * scale.cache_fraction) as usize).max(1);
     dev.base_mut().set_gc_policy(policy);
-    dev.base_mut().set_hot_cold(hot_cold);
+    // The two regimes the soak compares: greedy on one write stream,
+    // cost-benefit with hot/cold separation.
+    dev.base_mut().set_hot_cold(policy == GcPolicy::CostBenefit);
     dev.base_mut()
         .set_map_cache_budget(Some(budget))
         .expect("bound mapping cache");
@@ -230,8 +232,8 @@ fn emit(prefix: &str, out: &SteadyOut) {
 /// The full soak: greedy vs cost-benefit (with hot/cold separation) on
 /// the same device, budget, and overwrite stream.
 pub fn steady(scale: &SteadyScale) -> String {
-    let greedy = run_regime(scale, GcPolicy::Greedy, false);
-    let cb = run_regime(scale, GcPolicy::CostBenefit, true);
+    let greedy = run_regime(scale, GcPolicy::Greedy);
+    let cb = run_regime(scale, GcPolicy::CostBenefit);
     emit("steady.greedy", &greedy);
     emit("steady.cb", &cb);
     metrics::metric("steady.logical_pages", scale.logical_pages() as f64);
@@ -313,8 +315,8 @@ mod tests {
     #[test]
     fn steady_run_is_budget_bounded_and_deterministic() {
         let scale = tiny_scale();
-        let a = run_regime(&scale, GcPolicy::CostBenefit, true);
-        let b = run_regime(&scale, GcPolicy::CostBenefit, true);
+        let a = run_regime(&scale, GcPolicy::CostBenefit);
+        let b = run_regime(&scale, GcPolicy::CostBenefit);
         assert!(a.resident_max <= a.budget);
         assert!(a.budget < a.slabs, "the cache must actually demand-page");
         assert_eq!(a.wa, b.wa, "same seed, same WA");
@@ -326,8 +328,8 @@ mod tests {
     #[test]
     fn cost_benefit_does_not_lose_to_greedy_on_skew() {
         let scale = tiny_scale();
-        let greedy = run_regime(&scale, GcPolicy::Greedy, false);
-        let cb = run_regime(&scale, GcPolicy::CostBenefit, true);
+        let greedy = run_regime(&scale, GcPolicy::Greedy);
+        let cb = run_regime(&scale, GcPolicy::CostBenefit);
         assert!(
             cb.wa <= greedy.wa * 1.02,
             "cost-benefit WA {:.3} should not regress past greedy {:.3}",

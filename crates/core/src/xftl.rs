@@ -57,22 +57,25 @@
 //! transaction displaces; promoting that into multi-version concurrency
 //! control costs only RAM bookkeeping:
 //!
-//! * `begin(tid)` captures the device's **commit sequence** (bumped by
-//!   every `commit_submit` and, while snapshots are active, every plain
-//!   write/trim). All MVCC machinery is inert while no snapshot is
-//!   registered — legacy hosts see bit-identical behavior.
+//! * `begin(tid)` captures the device's **commit sequence**, bumped by
+//!   every `commit_submit` that stages pages and every plain write and
+//!   trim, each of which also records the sequence of the version the L2P
+//!   now maps. That clock is all a device without snapshots keeps: with
+//!   none registered, nothing is retained and every fold invalidates the
+//!   displaced version, as it always did.
 //! * While any snapshot is active, a fold that would invalidate the
 //!   displaced version *retains* it instead, appending `(old_seq, ppa)`
 //!   to the page's RAM-only version chain in the X-L2P table.
 //! * `read_tx(tid, lpn)` for a snapshot transaction resolves, in order:
-//!   its own X-L2P entry, the newest staged commit at or below its
+//!   its own active X-L2P entry, the newest staged commit at or below its
 //!   snapshot, the L2P copy if its fold sequence is old enough, else a
 //!   chain walk to the newest retained version at or below the snapshot.
 //! * `commit_submit` validates first-committer-wins: if any page the
-//!   transaction wrote has a committed version newer than its snapshot,
-//!   the transaction aborts with [`DevError::Conflict`] (its versions
-//!   feed GC, its write intents release) — the winner is always the
-//!   first committer, deterministically.
+//!   transaction wrote has a committed version newer than its snapshot —
+//!   a staged commit's ordinal, else the L2P version's sequence — the
+//!   transaction aborts with [`DevError::Conflict`] (its versions feed
+//!   GC, its write intents release) — the winner is always the first
+//!   committer, deterministically.
 //! * Chains prune as snapshots retire; pruned copies are invalidated
 //!   (GC food). Everything is RAM-only: a power cut kills snapshots,
 //!   and recovery rebuilds validity from L2P membership, so retained
@@ -87,7 +90,7 @@ use xftl_ftl::{
 };
 use xftl_trace::OpClass;
 
-use crate::xl2p::{TxStatus, Xl2pError, Xl2pTable};
+use crate::xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};
 
 /// Default X-L2P capacity (the paper's small configuration: 500 entries,
 /// one 8 KB flash page).
@@ -98,30 +101,25 @@ pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 pub struct XFtl {
     base: FtlBase,
     table: Xl2pTable,
-    /// Transactions staged by `commit_submit` into the open commit group,
-    /// in submission order (= fold order at the group flush). A tid may
+    /// Commits staged by `commit_submit` into the open commit group, each
+    /// as its tid and the ordinal it stamped on the entries it flipped, in
+    /// submission order (= fold order at the group flush). A tid may
     /// appear twice if it was reused and committed twice in one window.
-    staged: Vec<Tid>,
-    /// Newest staged writer per logical page: reads of a staged page are
-    /// routed through the (GC-chased) X-L2P entry of this tid instead of
-    /// the not-yet-updated L2P table.
-    staged_writers: HashMap<Lpn, Tid>,
+    /// Which pages are staged, and whose version a read of one returns,
+    /// is read off the entries bearing these ordinals.
+    staged: Vec<(Tid, u64)>,
     /// Id the open commit group's ticket carries; groups flush in order,
     /// so a ticket is durable exactly when its id is below this counter.
     next_group: u64,
     /// Global commit sequence: the MVCC visibility clock. Bumped by every
-    /// `commit_submit` that stages pages and, while snapshots are active,
-    /// by every plain write/trim. RAM-only — it resets at recovery, which
-    /// is sound because snapshots never survive power loss either.
+    /// `commit_submit` that stages pages and by every plain write/trim.
+    /// RAM-only — it resets at recovery, which is sound because snapshots
+    /// never survive power loss either.
     commit_seq: u64,
     /// Active snapshot per transaction: the commit sequence `begin(tid)`
     /// captured. Present only between `begin` and the transaction's
     /// commit/abort/conflict resolution.
     snapshots: HashMap<Tid, u64>,
-    /// Commit sequence assigned to each staged-but-unflushed commit, so
-    /// snapshot readers can tell which staged versions their snapshot
-    /// already saw. Cleared by the group flush.
-    staged_seq_of: HashMap<Tid, u64>,
 }
 
 /// A committed transaction's pages become current at the point its group
@@ -138,11 +136,9 @@ impl Personality for XFtl {
             base,
             table: Xl2pTable::new(DEFAULT_XL2P_CAPACITY),
             staged: Vec::new(),
-            staged_writers: HashMap::new(),
             next_group: 1,
             commit_seq: 0,
             snapshots: HashMap::new(),
-            staged_seq_of: HashMap::new(),
         }
     }
 
@@ -264,34 +260,28 @@ impl XFtl {
         self.base.wait_for(durable_at);
         // Step 3: fold in submission order, so a page committed by two
         // staged transactions ends up at the later writer's version.
-        // Displaced versions a live snapshot can still see are retained
-        // in the RAM version chains instead of being invalidated.
+        // Each commit folds exactly the entries it flipped: neither the
+        // active entries of the tid's next batch nor what an earlier
+        // commit of a reused tid left in the table — folded by its own
+        // flush, and perhaps superseded since by another writer's.
         let staged = std::mem::take(&mut self.staged);
-        self.staged_writers.clear();
-        for &tid in &staged {
-            let seq = self.staged_seq_of.get(&tid).copied().unwrap_or(0);
-            // Only *committed* entries fold: the host may have started
-            // writing the transaction's next batch after commit_submit,
-            // and those still-active versions must not leak into the L2P.
+        for &(tid, seq) in &staged {
             let folds: Vec<(Lpn, Ppa)> = self
                 .table
                 .entries_of(tid)
-                .filter(|e| e.status == crate::xl2p::TxStatus::Committed)
+                .filter(|e| e.seq == seq)
                 .map(|e| (e.lpn, e.ppa))
                 .collect();
             for (lpn, ppa) in folds {
-                let old_seq = self.table.l2p_seq_of(lpn);
-                self.fold_snapshot_aware(lpn, ppa, old_seq)?;
-                self.table.note_l2p_version(lpn, seq);
+                self.fold(lpn, ppa, seq)?;
             }
         }
-        self.staged_seq_of.clear();
         self.next_group += 1;
         let stats = self.base.stats_mut();
         stats.group_commit_flushes += 1;
         stats.commits_coalesced += staged.len() as u64;
         let t_end = self.base.clock().now();
-        for &tid in &staged {
+        for &(tid, _) in &staged {
             self.base
                 .recorder()
                 .record_span(OpClass::TxCommit, tid, 0, t_start, t_end);
@@ -349,10 +339,12 @@ impl XFtl {
         }
     }
 
-    /// Points the L2P at `ppa`, retaining the displaced version (whose
-    /// sequence is `old_seq`) in the version chain if some active
-    /// snapshot can still see it, invalidating it otherwise.
-    fn fold_snapshot_aware(&mut self, lpn: Lpn, ppa: Ppa, old_seq: u64) -> Result<()> {
+    /// Points the L2P at `ppa`, the version of sequence `seq`. The
+    /// displaced version is retained in the version chain if some active
+    /// snapshot can still see it, invalidated otherwise.
+    fn fold(&mut self, lpn: Lpn, ppa: Ppa, seq: u64) -> Result<()> {
+        let old_seq = self.table.l2p_seq_of(lpn);
+        self.table.note_l2p_version(lpn, seq);
         if !self.snapshot_sees(old_seq) {
             return self.base.fold_mapping(lpn, ppa);
         }
@@ -366,25 +358,17 @@ impl XFtl {
         Ok(())
     }
 
-    /// Plain committed host write, snapshot-aware: with no snapshots
-    /// active it is the classic fold (bit-identical legacy behavior);
-    /// otherwise the visibility clock advances and the displaced version
-    /// is retained for snapshot readers.
+    /// Plain committed host write: a version of its own on the
+    /// visibility clock, folded at once.
     fn write_plain(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<u64> {
         self.base.counters_mut().host_writes += 1;
         let (ppa, done) = self.base.write_cow(lpn, 0, buf, wait, &mut self.table)?;
-        if self.snapshots.is_empty() {
-            self.base.fold_mapping(lpn, ppa)?;
-        } else {
-            self.commit_seq += 1;
-            let old_seq = self.table.l2p_seq_of(lpn);
-            self.fold_snapshot_aware(lpn, ppa, old_seq)?;
-            self.table.note_plain_version(lpn, self.commit_seq);
-        }
+        self.commit_seq += 1;
+        self.fold(lpn, ppa, self.commit_seq)?;
         // The overwrite's own data program is now the page's durable
         // record; a stale committed entry left behind would resurrect
         // the old version if a later commit re-persisted the table.
-        self.table.supersede_committed(lpn, 0);
+        self.table.supersede_committed(lpn);
         Ok(done)
     }
 
@@ -401,27 +385,48 @@ impl XFtl {
     /// Snapshot-aware trim: the dropped mapping's copy is retained while
     /// any snapshot might still read it.
     fn trim_plain(&mut self, lpn: Lpn) -> Result<()> {
-        if self.snapshots.is_empty() {
-            self.base.trim_lpn(lpn)?;
-        } else {
-            self.commit_seq += 1;
-            let seq = self.commit_seq;
-            let old_seq = self.table.l2p_seq_of(lpn);
-            if self.snapshot_sees(old_seq) {
-                if let Some(old) = self.base.trim_lpn_retain(lpn)? {
-                    self.table.retain_version(lpn, old_seq, Some(old));
-                    self.base.stats_mut().versions_retained += 1;
-                }
-            } else {
-                self.base.trim_lpn(lpn)?;
+        self.commit_seq += 1;
+        let old_seq = self.table.l2p_seq_of(lpn);
+        self.table.note_l2p_version(lpn, self.commit_seq);
+        if self.snapshot_sees(old_seq) {
+            if let Some(old) = self.base.trim_lpn_retain(lpn)? {
+                self.table.retain_version(lpn, old_seq, Some(old));
+                self.base.stats_mut().versions_retained += 1;
             }
-            self.table.note_plain_version(lpn, seq);
+        } else {
+            self.base.trim_lpn(lpn)?;
         }
         // As after an overwrite: a committed entry left behind would be
         // re-persisted and fold the trimmed page back at recovery, after
         // GC may have reclaimed it.
-        self.table.supersede_committed(lpn, 0);
+        self.table.supersede_committed(lpn);
         Ok(())
+    }
+
+    /// The entry of the newest staged commit of `lpn` among those stamped
+    /// at or below `seq` — the version a reader at that point sees, not
+    /// yet folded into the L2P. The entry is consulted at read time, so
+    /// GC relocations of the staged page are chased for free.
+    fn staged_entry(&self, lpn: Lpn, seq: u64) -> Option<&Entry> {
+        self.staged
+            .iter()
+            .rev()
+            .filter(|&&(_, s)| s <= seq)
+            .find_map(|&(tid, s)| self.table.lookup(tid, lpn).filter(|e| e.seq == s))
+    }
+
+    /// Sequence of the newest committed version of `lpn`: the newest
+    /// staged commit's ordinal, else the sequence of the version the L2P
+    /// maps.
+    fn newest_seq(&self, lpn: Lpn) -> u64 {
+        self.staged_entry(lpn, u64::MAX)
+            .map_or_else(|| self.table.l2p_seq_of(lpn), |e| e.seq)
+    }
+
+    /// True if a staged commit wrote `lpn`: plain traffic to it must order
+    /// after the group's fold, or the fold would later clobber it.
+    fn is_staged(&self, lpn: Lpn) -> bool {
+        self.staged_entry(lpn, u64::MAX).is_some()
     }
 
     /// Serves a snapshot transaction's read of a page it did not write:
@@ -429,20 +434,7 @@ impl XFtl {
     /// lives — a staged commit, the L2P table, or the retained chain.
     fn read_snapshot(&mut self, tid: Tid, snap: u64, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
         let t_start = self.base.clock().now();
-        // Newest staged (submitted, unflushed) commit the snapshot saw.
-        let mut staged_ppa = None;
-        for &stid in self.staged.iter().rev() {
-            if self.staged_seq_of.get(&stid).copied().unwrap_or(0) > snap {
-                continue;
-            }
-            if let Some(e) = self.table.lookup(stid, lpn) {
-                if e.status == TxStatus::Committed {
-                    staged_ppa = Some(e.ppa);
-                    break;
-                }
-            }
-        }
-        if let Some(ppa) = staged_ppa {
+        if let Some(ppa) = self.staged_entry(lpn, snap).map(|e| e.ppa) {
             self.base.read_at(ppa, buf)?;
         } else if self.table.l2p_seq_of(lpn) <= snap {
             self.base.read_committed(lpn, buf)?;
@@ -465,9 +457,9 @@ impl XFtl {
                         now,
                     );
                 }
-                // Nothing retained that old: every version the snapshot
-                // could see has been pruned away or never tracked (a
-                // pre-MVCC page) — the committed copy is the best answer.
+                // Nothing retained that old (a trim of a page with no
+                // copy retains nothing): the committed copy is the best
+                // answer.
                 None => self.base.read_committed(lpn, buf)?,
             }
         }
@@ -478,20 +470,13 @@ impl XFtl {
         Ok(())
     }
 
-    /// Routes a read of `lpn` through the staged (committed but not yet
-    /// folded) version if one exists. Returns `true` if it served the
-    /// read. The X-L2P entry is consulted at read time, so GC relocations
-    /// of the staged page are chased for free.
-    fn read_staged(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<bool> {
-        let Some(&tid) = self.staged_writers.get(&lpn) else {
-            return Ok(false);
-        };
-        let Some(entry) = self.table.lookup(tid, lpn) else {
-            return Ok(false);
-        };
-        let ppa = entry.ppa;
-        self.base.read_at(ppa, buf)?;
-        Ok(true)
+    /// Serves a read of `lpn` from the newest staged commit's version, or
+    /// else from the L2P.
+    fn read_current(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
+        match self.staged_entry(lpn, u64::MAX).map(|e| e.ppa) {
+            Some(ppa) => self.base.read_at(ppa, buf).map(drop),
+            None => self.base.read_committed(lpn, buf),
+        }
     }
 
     /// Pre-write bookkeeping shared by `write_tx` and `submit_tx`: ensure
@@ -505,7 +490,7 @@ impl XFtl {
         if self
             .table
             .lookup(tid, lpn)
-            .is_some_and(|e| e.status == crate::xl2p::TxStatus::Committed)
+            .is_some_and(|e| e.status == TxStatus::Committed)
         {
             self.checkpoint_and_release()?;
         }
@@ -532,7 +517,6 @@ impl XFtl {
                 self.base.invalidate(superseded);
             }
             Err(Xl2pError::Full) => unreachable!("capacity checked by reserve_tx_slot"),
-            Err(Xl2pError::Conflict) => unreachable!("upsert runs no conflict checks"),
         }
     }
 
@@ -546,9 +530,10 @@ impl XFtl {
         &self.table
     }
 
-    /// Transactions staged in the open commit group (submitted, visible,
-    /// not yet durable), in submission order — for audits and tests.
-    pub fn staged_tids(&self) -> &[Tid] {
+    /// Commits staged in the open commit group (submitted, visible, not
+    /// yet durable) as `(tid, ordinal)`, in submission order — for audits
+    /// and tests. An entry belongs to one iff it bears the ordinal.
+    pub fn staged_commits(&self) -> &[(Tid, u64)] {
         &self.staged
     }
 
@@ -575,23 +560,20 @@ impl BlockDevice for XFtl {
     fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
         self.base.counters_mut().host_reads += 1;
         // A staged commit's version is visible before it is durable.
-        if self.read_staged(lpn, buf)? {
-            return Ok(());
-        }
-        self.base.read_committed(lpn, buf)
+        self.read_current(lpn, buf)
     }
 
     fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
         // A plain write to a staged page must order after the staged
         // fold, or the fold would later clobber it: flush the group.
-        if self.staged_writers.contains_key(&lpn) {
+        if self.is_staged(lpn) {
             self.flush_staged_commits()?;
         }
         self.write_plain(lpn, buf, true).map(drop)
     }
 
     fn trim(&mut self, lpn: Lpn) -> Result<()> {
-        if self.staged_writers.contains_key(&lpn) {
+        if self.is_staged(lpn) {
             self.flush_staged_commits()?;
         }
         self.base.counters_mut().trims += 1;
@@ -618,7 +600,7 @@ impl BlockDevice for XFtl {
         // Same ordering rule as the unbatched paths: plain traffic to a
         // staged page forces the group flush first.
         if cmds.iter().any(|c| match c {
-            IoCmd::Write { lpn, .. } | IoCmd::Trim { lpn } => self.staged_writers.contains_key(lpn),
+            IoCmd::Write { lpn, .. } | IoCmd::Trim { lpn } => self.is_staged(*lpn),
             IoCmd::Barrier => false,
         }) {
             self.flush_staged_commits()?;
@@ -669,22 +651,16 @@ impl TxBlockDevice for XFtl {
         // §5.3: if the reader wrote this page, return its own version;
         // otherwise the version its snapshot pins (for a snapshot
         // transaction), or the newest committed copy — which may still be
-        // a staged (unflushed) commit's version rather than the L2P's.
-        match self.table.lookup(tid, lpn) {
-            Some(entry) => {
-                let ppa = entry.ppa;
-                self.base.read_at(ppa, buf)?;
-                Ok(())
-            }
-            None => {
-                if let Some(&snap) = self.snapshots.get(&tid) {
-                    return self.read_snapshot(tid, snap, lpn, buf);
-                }
-                if self.read_staged(lpn, buf)? {
-                    return Ok(());
-                }
-                self.base.read_committed(lpn, buf)
-            }
+        // a staged (unflushed) commit's version rather than the L2P's. A
+        // reused tid's committed entry is not its own version: another
+        // writer may have superseded that commit since.
+        let own = (self.table.lookup(tid, lpn)).filter(|e| e.status == TxStatus::Active);
+        if let Some(e) = own {
+            return self.base.read_at(e.ppa, buf).map(drop);
+        }
+        match self.snapshots.get(&tid) {
+            Some(&snap) => self.read_snapshot(tid, snap, lpn, buf),
+            None => self.read_current(lpn, buf),
         }
     }
 
@@ -720,15 +696,18 @@ impl TxBlockDevice for XFtl {
             // A snapshot tid recommitting while still staged would fold
             // both commits under one sequence; flush the open group so
             // every commit keeps its own visibility point.
-            if self.staged.contains(&tid) {
+            if self.staged.iter().any(|&(t, _)| t == tid) {
                 self.flush_staged_commits()?;
             }
             // First-committer-wins: if any page this transaction wrote
-            // gained a newer committed version after its snapshot, this
-            // (later) committer loses and aborts cleanly — its versions
-            // feed GC, its write intents release, and the host retries
-            // on a fresh snapshot.
-            if self.table.check_first_committer(tid, snap).is_err() {
+            // gained a newer committed version after its snapshot — a
+            // staged commit's, else the one the L2P maps — this (later)
+            // committer loses and aborts cleanly: its versions feed GC,
+            // its write intents release, and the host retries on a fresh
+            // snapshot.
+            let conflicted = (self.table.entries_of(tid))
+                .any(|e| e.status == TxStatus::Active && self.newest_seq(e.lpn) > snap);
+            if conflicted {
                 for ppa in self.table.remove_active_of_tid(tid) {
                     self.base.invalidate(ppa);
                 }
@@ -748,22 +727,10 @@ impl TxBlockDevice for XFtl {
         // from this instant; durability waits for the group flush.
         // Only entries that were still Active belong to *this* commit —
         // leftover Committed entries of a reused tid keep their earlier
-        // commit's sequence.
-        let lpns: Vec<Lpn> = self
-            .table
-            .entries_of(tid)
-            .filter(|e| e.status == TxStatus::Active)
-            .map(|e| e.lpn)
-            .collect();
+        // commit's ordinal.
         self.commit_seq += 1;
-        let seq = self.commit_seq;
-        self.table.mark_committed(tid, seq);
-        self.staged_seq_of.insert(tid, seq);
-        for lpn in lpns {
-            self.staged_writers.insert(lpn, tid);
-            self.table.note_committed_version(lpn, seq);
-        }
-        self.staged.push(tid);
+        self.table.mark_committed(tid, self.commit_seq);
+        self.staged.push((tid, self.commit_seq));
         self.release_snapshot(tid);
         self.base.recorder().record_span(
             OpClass::CommitPipelineDepth,
@@ -821,11 +788,7 @@ impl TxBlockDevice for XFtl {
     fn submit_tx(&mut self, tid: Tid, pages: &[(Lpn, &[u8])]) -> Result<CmdId> {
         // tid 0 is plain traffic: same staged-page ordering rule as
         // `write`/`submit`, or the group's fold would clobber the batch.
-        if tid == 0
-            && pages
-                .iter()
-                .any(|(lpn, _)| self.staged_writers.contains_key(lpn))
-        {
+        if tid == 0 && pages.iter().any(|&(lpn, _)| self.is_staged(lpn)) {
             self.flush_staged_commits()?;
         }
         self.base.counters_mut().batches += 1;
@@ -986,9 +949,9 @@ mod tests {
 
     #[test]
     fn overlapping_staged_commits_survive_a_crash_in_order() {
-        // Two split-phase commits on the same page: the second submit
-        // must flush the first group, or one persisted table would hold
-        // two committed entries for lpn 7 with no recoverable order.
+        // Two split-phase commits of the same page in one group: the
+        // persisted table holds both committed entries for lpn 7, ordered
+        // by commit ordinal, so recovery folds the later one last.
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 24, 64).unwrap();
         let first = page(&d, 0x11);
@@ -1294,7 +1257,7 @@ mod tests {
             before,
             "commit_submit stages without programming"
         );
-        assert_eq!(d.staged_tids(), &[1, 2]);
+        assert_eq!(d.staged_commits(), &[(1, 1), (2, 2)]);
         // Redeeming the later ticket flushes the whole group.
         d.commit_wait(t2).unwrap();
         let cost = d.base().flash_stats().programs - before;
@@ -1334,9 +1297,9 @@ mod tests {
             before,
             "reads program nothing"
         );
-        assert_eq!(d.staged_tids(), &[7]);
+        assert_eq!(d.staged_commits(), &[(7, 2)], "after the plain write's 1");
         d.commit_wait(ticket).unwrap();
-        assert!(d.staged_tids().is_empty());
+        assert!(d.staged_commits().is_empty());
     }
 
     #[test]
@@ -1725,5 +1688,119 @@ mod tests {
         let mut out = page(&d2, 0);
         d2.read(0, &mut out).unwrap();
         assert_eq!(out, v3);
+    }
+
+    /// tid 1 commits lpn 5, then tid 2 commits lpn 5 over it: tid 1's
+    /// entry stays in the table, committed and superseded, until the next
+    /// checkpoint. Returns tid 2's version, the current one.
+    fn superseded_by_a_second_writer(d: &mut XFtl) -> Vec<u8> {
+        let (a, b) = (page(d, 0xA1), page(d, 0xB2));
+        d.write_tx(1, 5, &a).unwrap();
+        d.commit(1).unwrap();
+        d.write_tx(2, 5, &b).unwrap();
+        d.commit(2).unwrap();
+        let old = d
+            .xl2p()
+            .lookup(1, 5)
+            .expect("tid 1's entry awaits the checkpoint");
+        assert_eq!(old.status, TxStatus::Committed);
+        b
+    }
+
+    #[test]
+    fn a_reused_tid_folds_only_the_commit_it_just_made() {
+        let mut d = dev();
+        let b = superseded_by_a_second_writer(&mut d);
+        let c = page(&d, 0xC3);
+        d.write_tx(1, 6, &c).unwrap();
+        d.commit(1).unwrap();
+        let mut out = page(&d, 0);
+        d.read(5, &mut out).unwrap();
+        assert_eq!(out, b, "tid 1's superseded commit was folded again");
+        d.read(6, &mut out).unwrap();
+        assert_eq!(out, c);
+        // Recovery folds the image in commit order and agrees.
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 8).unwrap();
+        d2.read(5, &mut out).unwrap();
+        assert_eq!(out, b);
+        d2.read(6, &mut out).unwrap();
+        assert_eq!(out, c);
+    }
+
+    #[test]
+    fn a_tid_staged_twice_in_one_group_folds_each_commit_once() {
+        let mut d = dev();
+        let (a, b, c) = (page(&d, 0xA1), page(&d, 0xB2), page(&d, 0xC3));
+        d.write_tx(1, 5, &a).unwrap();
+        let _t1 = d.commit_submit(1).unwrap();
+        d.write_tx(2, 5, &b).unwrap();
+        let _t2 = d.commit_submit(2).unwrap();
+        d.write_tx(1, 6, &c).unwrap();
+        let t3 = d.commit_submit(1).unwrap();
+        assert_eq!(d.staged_commits(), &[(1, 1), (2, 2), (1, 3)]);
+        let mut out = page(&d, 0);
+        d.read(5, &mut out).unwrap();
+        assert_eq!(out, b, "the newest staged commit of the page is visible");
+        d.commit_wait(t3).unwrap();
+        assert_eq!(d.base().stats().group_commit_flushes, 1);
+        d.read(5, &mut out).unwrap();
+        assert_eq!(out, b, "the group folded tid 1's first commit twice");
+        d.read(6, &mut out).unwrap();
+        assert_eq!(out, c);
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 8).unwrap();
+        d2.read(5, &mut out).unwrap();
+        assert_eq!(out, b);
+    }
+
+    #[test]
+    fn a_reused_tid_reads_a_superseded_commit_of_its_own_as_committed_state() {
+        let mut d = dev();
+        let b = superseded_by_a_second_writer(&mut d);
+        let c = page(&d, 0xC3);
+        d.write_tx(1, 6, &c).unwrap();
+        let mut out = page(&d, 0);
+        d.read_tx(1, 5, &mut out).unwrap();
+        assert_eq!(out, b, "a committed entry is not the tid's own version");
+        d.read_tx(1, 6, &mut out).unwrap();
+        assert_eq!(out, c, "an active one is");
+    }
+
+    #[test]
+    fn first_committer_check_reads_staged_and_folded_versions() {
+        let mut d = dev();
+        let (v1, v2, v3) = (page(&d, 1), page(&d, 2), page(&d, 3));
+        d.write(5, &v1).unwrap();
+        // A snapshot writer, and a plain writer that stages a newer
+        // version of its page before it commits.
+        d.begin(1).unwrap();
+        d.write_tx(1, 5, &v2).unwrap();
+        d.write_tx(2, 5, &v3).unwrap();
+        let t2 = d.commit_submit(2).unwrap();
+        assert_eq!(d.commit_submit(1), Err(DevError::Conflict), "staged newer");
+        d.commit_wait(t2).unwrap();
+        // Once folded, the L2P's version is the newer one.
+        d.begin(1).unwrap();
+        d.write_tx(1, 7, &v2).unwrap();
+        d.begin(3).unwrap();
+        d.write_tx(3, 7, &v3).unwrap();
+        d.commit(3).unwrap();
+        assert_eq!(d.commit_submit(1), Err(DevError::Conflict), "folded newer");
+        // tid 3 is reused while its committed entry for lpn 7 stays in
+        // the table; a snapshot taken after both commits saw them.
+        d.begin(3).unwrap();
+        d.begin(1).unwrap();
+        d.write_tx(1, 5, &v2).unwrap();
+        d.write_tx(1, 7, &v2).unwrap();
+        d.commit(1).unwrap();
+        // Only pages a transaction has in flight count: tid 3's entry for
+        // lpn 7, superseded after its snapshot, is past validation.
+        d.write_tx(3, 8, &v3).unwrap();
+        d.commit(3).unwrap();
+        assert_eq!(d.base().stats().conflict_aborts, 2);
+        let mut out = page(&d, 0);
+        d.read(5, &mut out).unwrap();
+        assert_eq!(out, v2);
+        d.read(7, &mut out).unwrap();
+        assert_eq!(out, v2);
     }
 }

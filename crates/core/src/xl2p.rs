@@ -20,8 +20,9 @@
 //! reads it without fetching the page; the 16-byte page header carries
 //! only the magic and the page's entry count.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use xftl_flash::{Oob, PageKind, Ppa};
 use xftl_ftl::{DevError, GcHook, Lpn, Tid};
@@ -33,20 +34,12 @@ pub enum Xl2pError {
     /// the caller must release committed entries (checkpoint) or make the
     /// host commit/abort an active transaction first.
     Full,
-    /// First-committer-wins validation failed: some page this snapshot
-    /// transaction wrote already has a committed version newer than the
-    /// transaction's begin snapshot. The loser must abort and retry on a
-    /// fresh snapshot.
-    Conflict,
 }
 
 impl fmt::Display for Xl2pError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Xl2pError::Full => write!(f, "X-L2P table is full"),
-            Xl2pError::Conflict => {
-                write!(f, "snapshot write conflicts with a newer committed version")
-            }
         }
     }
 }
@@ -57,7 +50,6 @@ impl From<Xl2pError> for DevError {
     fn from(e: Xl2pError) -> Self {
         match e {
             Xl2pError::Full => DevError::XL2pFull,
-            Xl2pError::Conflict => DevError::Conflict,
         }
     }
 }
@@ -84,12 +76,13 @@ pub struct Entry {
     pub ppa: Ppa,
     /// Owning transaction's status.
     pub status: TxStatus,
-    /// Commit-sequence ordinal stamped when the entry turns Committed
-    /// (0 while Active). RAM-only bookkeeping — not part of the 16-byte
-    /// flash layout — but it governs the *order* entries are serialized
-    /// in: committed entries persist ascending by ordinal, so recovery
-    /// can fold two commits of the same page in commit order simply by
-    /// applying them in decode order.
+    /// Ordinal of the commit that flipped the entry to Committed (0
+    /// while Active): it tells which commit the entry belongs to when a
+    /// reused tid holds entries of several, so a group flush folds — and
+    /// a read serves — exactly one commit's pages. RAM-only, not part of
+    /// the 16-byte flash layout, but it orders the image: committed
+    /// entries persist ascending by ordinal, so recovery folds two
+    /// commits of one page in commit order simply by decode order.
     pub seq: u64,
 }
 
@@ -127,7 +120,8 @@ pub struct Version {
     pub ppa: Option<Ppa>,
 }
 
-/// The in-DRAM X-L2P table with O(1) lookup by `(tid, lpn)` and by `tid`.
+/// The in-DRAM X-L2P table: one ordered map keyed by `(tid, lpn)`, so a
+/// transaction's entries are a range of it.
 ///
 /// Since the MVCC work it also owns the snapshot-read side tables. All of
 /// them are RAM-only and never serialized: snapshots do not survive power
@@ -136,18 +130,16 @@ pub struct Version {
 #[derive(Debug)]
 pub struct Xl2pTable {
     capacity: usize,
-    entries: Vec<Entry>,
-    by_page: HashMap<(Tid, Lpn), usize>,
-    by_tid: HashMap<Tid, Vec<usize>>,
+    entries: BTreeMap<(Tid, Lpn), Entry>,
     /// Per-LPN chains of retained superseded versions, ascending by `seq`.
     chains: HashMap<Lpn, Vec<Version>>,
-    /// Commit sequence of the newest committed version of each LPN — the
-    /// value first-committer-wins validation compares snapshots against.
-    /// Bumped at `commit_submit` (visibility point), ahead of the fold.
-    current_seq: HashMap<Lpn, u64>,
     /// Commit sequence of the version the L2P table currently points at.
-    /// Trails `current_seq` while a staged commit awaits its group flush.
     l2p_seq: HashMap<Lpn, u64>,
+}
+
+/// The keys of `tid`'s entries.
+fn span(tid: Tid) -> RangeInclusive<(Tid, Lpn)> {
+    (tid, Lpn::MIN)..=(tid, Lpn::MAX)
 }
 
 impl Xl2pTable {
@@ -156,11 +148,8 @@ impl Xl2pTable {
     pub fn new(capacity: usize) -> Self {
         Xl2pTable {
             capacity,
-            entries: Vec::with_capacity(capacity),
-            by_page: HashMap::new(),
-            by_tid: HashMap::new(),
+            entries: BTreeMap::new(),
             chains: HashMap::new(),
-            current_seq: HashMap::new(),
             l2p_seq: HashMap::new(),
         }
     }
@@ -188,33 +177,29 @@ impl Xl2pTable {
     /// Number of entries with committed status (releasable after the next
     /// L2P checkpoint).
     pub fn committed_len(&self) -> usize {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|e| e.status == TxStatus::Committed)
             .count()
     }
 
-    /// All entries in insertion order, for audits and diagnostics.
+    /// All entries in `(tid, lpn)` order, for audits and diagnostics.
     pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter()
+        self.entries.values()
     }
 
     /// The entry for `(tid, lpn)`, if any.
     pub fn lookup(&self, tid: Tid, lpn: Lpn) -> Option<&Entry> {
-        self.by_page.get(&(tid, lpn)).map(|&i| &self.entries[i])
+        self.entries.get(&(tid, lpn))
     }
 
-    /// All entries belonging to `tid`.
+    /// All entries belonging to `tid`, in lpn order.
     pub fn entries_of(&self, tid: Tid) -> impl Iterator<Item = &Entry> {
-        self.by_tid
-            .get(&tid)
-            .into_iter()
-            .flat_map(|idxs| idxs.iter().map(|&i| &self.entries[i]))
+        self.entries.range(span(tid)).map(|(_, e)| e)
     }
 
     /// True if `tid` owns any entry.
     pub fn has_tid(&self, tid: Tid) -> bool {
-        self.by_tid.contains_key(&tid)
+        self.entries_of(tid).next().is_some()
     }
 
     /// Inserts a new active entry, or updates the physical address of an
@@ -225,72 +210,39 @@ impl Xl2pTable {
     /// fold and is never reported for invalidation. Errors with
     /// [`Xl2pError::Full`] when the table cannot absorb a new entry.
     pub fn upsert(&mut self, tid: Tid, lpn: Lpn, ppa: Ppa) -> Result<Option<Ppa>, Xl2pError> {
-        if let Some(&i) = self.by_page.get(&(tid, lpn)) {
-            let old = self.entries[i].ppa;
-            let was_active = self.entries[i].status == TxStatus::Active;
-            self.entries[i].ppa = ppa;
-            self.entries[i].status = TxStatus::Active;
-            self.entries[i].seq = 0;
-            return Ok(was_active.then_some(old));
-        }
-        if self.is_full() {
-            return Err(Xl2pError::Full);
-        }
-        let i = self.entries.len();
-        self.entries.push(Entry {
+        let active = Entry {
             tid,
             lpn,
             ppa,
             status: TxStatus::Active,
             seq: 0,
-        });
-        self.by_page.insert((tid, lpn), i);
-        self.by_tid.entry(tid).or_default().push(i);
+        };
+        if let Some(e) = self.entries.get_mut(&(tid, lpn)) {
+            let superseded = (e.status == TxStatus::Active).then_some(e.ppa);
+            *e = active;
+            return Ok(superseded);
+        }
+        if self.is_full() {
+            return Err(Xl2pError::Full);
+        }
+        self.entries.insert((tid, lpn), active);
         Ok(None)
     }
 
-    /// Flips every entry of `tid` to committed, stamping the commit's
-    /// sequence ordinal (see [`Entry::seq`]). Returns the number flipped.
-    /// The committed pages stop being write *intents* — the tid has won
-    /// them.
+    /// Flips the active entries of `tid` to committed, stamping them with
+    /// the commit's ordinal (see [`Entry::seq`]). Returns the number
+    /// flipped. The committed pages stop being write *intents* — the tid
+    /// has won them.
     pub fn mark_committed(&mut self, tid: Tid, seq: u64) -> usize {
         let mut n = 0;
-        if let Some(idxs) = self.by_tid.get(&tid) {
-            for &i in idxs {
-                if self.entries[i].status == TxStatus::Active {
-                    self.entries[i].seq = seq;
-                }
-                self.entries[i].status = TxStatus::Committed;
+        for e in self.entries.range_mut(span(tid)).map(|(_, e)| e) {
+            if e.status == TxStatus::Active {
+                e.status = TxStatus::Committed;
+                e.seq = seq;
                 n += 1;
             }
         }
         n
-    }
-
-    /// Removes the entry at slot `i` (swap-remove), fixing both indices.
-    /// The single choke point through which every entry leaves the table.
-    fn remove_index(&mut self, i: usize) -> Entry {
-        let e = self.entries.swap_remove(i);
-        self.by_page.remove(&(e.tid, e.lpn));
-        let last = self.entries.len(); // old index of the moved entry
-        if let Some(v) = self.by_tid.get_mut(&e.tid) {
-            v.retain(|&slot| slot != i);
-        }
-        if i < last {
-            let moved = self.entries[i];
-            self.by_page.insert((moved.tid, moved.lpn), i);
-            if let Some(v) = self.by_tid.get_mut(&moved.tid) {
-                for slot in v.iter_mut() {
-                    if *slot == last {
-                        *slot = i;
-                    }
-                }
-            }
-        }
-        if self.by_tid.get(&e.tid).is_some_and(Vec::is_empty) {
-            self.by_tid.remove(&e.tid);
-        }
-        e
     }
 
     /// Removes only the *active* entries of `tid`, returning their
@@ -298,14 +250,10 @@ impl Xl2pTable {
     /// owned by the L2P fold and must not be touched — an `abort(t)`
     /// arriving after `commit(t)` is a no-op on the committed data.
     pub fn remove_active_of_tid(&mut self, tid: Tid) -> Vec<Ppa> {
-        let mut ppas = Vec::new();
-        while let Some(&i) = self.by_tid.get(&tid).and_then(|v| {
-            v.iter()
-                .find(|&&i| self.entries[i].status == TxStatus::Active)
-        }) {
-            ppas.push(self.remove_index(i).ppa);
-        }
-        ppas
+        self.entries
+            .extract_if(span(tid), |_, e| e.status == TxStatus::Active)
+            .map(|(_, e)| e.ppa)
+            .collect()
     }
 
     /// Releases every *committed* entry (called after an L2P checkpoint
@@ -314,40 +262,21 @@ impl Xl2pTable {
     /// The released pages stay valid: they are the committed versions now
     /// owned by the L2P table.
     pub fn release_committed(&mut self) {
-        let mut i = 0;
-        while i < self.entries.len() {
-            if self.entries[i].status == TxStatus::Committed {
-                self.remove_index(i);
-            } else {
-                i += 1;
-            }
-        }
+        self.entries.retain(|_, e| e.status == TxStatus::Active);
     }
 
-    /// Removes every *committed* entry for `lpn` belonging to a
-    /// transaction other than `keep` — called when a newer version
-    /// supersedes the page: a plain overwrite (`keep = 0`) or a later
-    /// transactional commit (`keep` = the new writer). The removed
-    /// entries' folds are already applied, and the newer version carries
-    /// its own durable record (the overwrite's data program, or the new
-    /// commit's table write). Leaving them in the table would let a
+    /// Removes every *committed* entry for `lpn` — called when a plain
+    /// overwrite or trim supersedes the page. The removed entries' folds
+    /// are already applied, and the overwrite carries its own durable
+    /// record (its data program). Leaving them in the table would let a
     /// later `persist` resurrect the old version at recovery: recovered
     /// folds apply at the persisting flush's *generation id*, which is
-    /// newer than the overwrite's program sequence. Returns the number
-    /// removed.
-    pub fn supersede_committed(&mut self, lpn: Lpn, keep: Tid) -> usize {
-        let mut n = 0;
-        let mut i = 0;
-        while i < self.entries.len() {
-            let e = &self.entries[i];
-            if e.lpn == lpn && e.tid != keep && e.status == TxStatus::Committed {
-                self.remove_index(i);
-                n += 1;
-            } else {
-                i += 1;
-            }
-        }
-        n
+    /// newer than the overwrite's program sequence. A later
+    /// transactional commit of the page does not call this: its entry
+    /// persists behind the older ones (by ordinal) and folds last.
+    pub fn supersede_committed(&mut self, lpn: Lpn) {
+        self.entries
+            .retain(|_, e| e.lpn != lpn || e.status == TxStatus::Active);
     }
 
     // --- MVCC side tables (RAM-only, never persisted) ----------------------
@@ -356,13 +285,10 @@ impl Xl2pTable {
     /// *active* entry for the page — in ascending tid order. A scan:
     /// only tests and diagnostics ask.
     pub fn writers_of(&self, lpn: Lpn) -> Vec<Tid> {
-        let mut tids: Vec<Tid> = self
-            .active()
+        self.active()
             .filter(|e| e.lpn == lpn)
             .map(|e| e.tid)
-            .collect();
-        tids.sort_unstable();
-        tids
+            .collect()
     }
 
     /// Number of pages with at least one write intent (a scan, as above).
@@ -372,52 +298,19 @@ impl Xl2pTable {
     }
 
     fn active(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter().filter(|e| e.status == TxStatus::Active)
+        self.iter().filter(|e| e.status == TxStatus::Active)
     }
 
-    /// Commit sequence of the newest committed version of `lpn` (0 if the
-    /// page was never committed under sequence tracking).
-    pub fn current_seq_of(&self, lpn: Lpn) -> u64 {
-        self.current_seq.get(&lpn).copied().unwrap_or(0)
-    }
-
-    /// Commit sequence of the version the L2P table points at.
+    /// Commit sequence of the version the L2P table points at (0 if the
+    /// page was never written since the device came up).
     pub fn l2p_seq_of(&self, lpn: Lpn) -> u64 {
         self.l2p_seq.get(&lpn).copied().unwrap_or(0)
     }
 
-    /// Records that `seq` became the newest committed version of `lpn`
-    /// at `commit_submit` time (visible at once, folded into L2P later).
-    pub fn note_committed_version(&mut self, lpn: Lpn, seq: u64) {
-        self.current_seq.insert(lpn, seq);
-    }
-
-    /// Records that the L2P fold of `lpn` caught up to `seq`.
+    /// Records that the L2P mapping of `lpn` moved to the version of
+    /// sequence `seq` (a commit's fold, a plain overwrite or a trim).
     pub fn note_l2p_version(&mut self, lpn: Lpn, seq: u64) {
         self.l2p_seq.insert(lpn, seq);
-    }
-
-    /// Records a plain (non-transactional) overwrite or trim of `lpn`:
-    /// visibility and L2P advance together.
-    pub fn note_plain_version(&mut self, lpn: Lpn, seq: u64) {
-        self.current_seq.insert(lpn, seq);
-        self.l2p_seq.insert(lpn, seq);
-    }
-
-    /// First-committer-wins validation for a snapshot transaction about to
-    /// commit: every page it wrote (its *active* entries) must still be at
-    /// the version its snapshot saw. A newer committed version of any such
-    /// page means a concurrent writer won the race — the caller aborts
-    /// this transaction with [`Xl2pError::Conflict`].
-    pub fn check_first_committer(&self, tid: Tid, snapshot: u64) -> Result<(), Xl2pError> {
-        let conflicted = self
-            .entries_of(tid)
-            .any(|e| e.status == TxStatus::Active && self.current_seq_of(e.lpn) > snapshot);
-        if conflicted {
-            Err(Xl2pError::Conflict)
-        } else {
-            Ok(())
-        }
     }
 
     /// Retains a displaced version in `lpn`'s chain for active snapshot
@@ -504,13 +397,9 @@ impl Xl2pTable {
         }
         // Committed entries persist in commit order (recovery folds them
         // in decode order, and two commits of the same page must fold
-        // later-commit-last). The in-RAM vector cannot serve as that
-        // order: swap-removes of released neighbours shuffle it.
-        let mut ordered: Vec<Entry> = self.entries.clone();
-        ordered.sort_by_key(|e| match e.status {
-            TxStatus::Active => 0,
-            TxStatus::Committed => e.seq,
-        });
+        // later-commit-last); active ones, ordinal 0, lead.
+        let mut ordered: Vec<&Entry> = self.iter().collect();
+        ordered.sort_by_key(|e| e.seq);
         let mut pages = Vec::new();
         for chunk in ordered.chunks(per_page) {
             let mut buf = vec![0u8; page_size];
@@ -585,7 +474,7 @@ impl GcHook for Xl2pTable {
         if oob.kind != PageKind::Data {
             return;
         }
-        for e in self.entries.iter_mut() {
+        for e in self.entries.values_mut() {
             if e.lpn == oob.lpn && e.ppa == old {
                 e.ppa = new;
             }
@@ -656,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_active_of_tid_returns_ppas_and_fixes_indices() {
+    fn remove_active_of_tid_returns_ppas_and_spares_the_rest() {
         let mut t = Xl2pTable::new(8);
         t.upsert(1, 0, p(0, 0)).unwrap();
         t.upsert(2, 1, p(0, 1)).unwrap();
@@ -666,7 +555,7 @@ mod tests {
         ppas.sort();
         assert_eq!(ppas, vec![p(0, 0), p(0, 2)]);
         assert_eq!(t.len(), 2);
-        // Survivors still resolvable after swap_remove index churn.
+        // Survivors still resolvable.
         assert_eq!(t.lookup(2, 1).unwrap().ppa, p(0, 1));
         assert_eq!(t.lookup(3, 3).unwrap().ppa, p(0, 3));
         assert!(t.entries_of(2).count() == 1);
@@ -816,31 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn first_committer_check_flags_newer_versions() {
-        let mut t = Xl2pTable::new(8);
-        t.upsert(1, 5, p(0, 0)).unwrap();
-        // Nothing newer than the snapshot: clean.
-        assert_eq!(t.check_first_committer(1, 3), Ok(()));
-        // A concurrent writer committed lpn 5 at seq 4 > snapshot 3.
-        t.note_committed_version(5, 4);
-        assert_eq!(t.check_first_committer(1, 3), Err(Xl2pError::Conflict));
-        // A later snapshot that saw seq 4 is unaffected.
-        assert_eq!(t.check_first_committer(1, 4), Ok(()));
-        // Committed entries are past validation; only active ones count.
-        t.mark_committed(1, 1);
-        assert_eq!(t.check_first_committer(1, 3), Ok(()));
-    }
-
-    #[test]
-    fn conflict_error_converts_to_dev_error() {
-        assert_eq!(DevError::from(Xl2pError::Conflict), DevError::Conflict);
-        assert_eq!(
-            Xl2pError::Conflict.to_string(),
-            "snapshot write conflicts with a newer committed version"
-        );
-    }
-
-    #[test]
     fn version_chain_visibility_and_pruning() {
         let mut t = Xl2pTable::new(8);
         // lpn 9: unwritten until seq 2, then v1@p(1,0) until seq 5, then
@@ -848,7 +712,7 @@ mod tests {
         t.retain_version(9, 0, None);
         t.retain_version(9, 2, Some(p(1, 0)));
         t.retain_version(9, 5, Some(p(1, 1)));
-        t.note_plain_version(9, 8);
+        t.note_l2p_version(9, 8);
         assert_eq!(t.version_at(9, 1), Some((3, None)));
         assert_eq!(t.version_at(9, 2), Some((3, Some(p(1, 0)))));
         assert_eq!(t.version_at(9, 4), Some((3, Some(p(1, 0)))));

@@ -870,6 +870,48 @@ mod tests {
     }
 
     #[test]
+    fn a_step_that_goes_on_copies_at_most_the_floors_worth_of_blocks() {
+        // 40 blocks exporting 528 pages, every page written once, then
+        // overwritten at random with no acknowledgement down to the
+        // floor: every victim is nearly full, its copies take about the
+        // block its erase gives back, and the pool stays at the floor
+        // victim after victim. Only the cap on what the step copies ends
+        // it; without one it would run on through most of the device.
+        const PAGES: u64 = 528;
+        let cfg = FlashConfigBuilder::tiny()
+            .blocks(40)
+            .pages_per_block(PPB as usize)
+            .build();
+        let mut f = FtlBase::format(FlashChip::new(cfg, SimClock::new()), PAGES).unwrap();
+        f.set_gc_policy(GcPolicy::Greedy);
+        let put = |f: &mut FtlBase, lpn: u64| {
+            let data = vec![lpn as u8; f.page_size()];
+            f.write_committed(lpn, &data, &mut NoHook).unwrap();
+        };
+        (0..PAGES).for_each(|lpn| put(&mut f, lpn));
+        let mut i = 0;
+        while f.pool.free_len() > f.gc_floor() {
+            put(&mut f, lpn_of(i) * PAGES / LOGICAL + i % 4);
+            i += 1;
+        }
+        assert_eq!(f.stats().gc_runs, 0);
+        // Owed far more than any victim holds: each is taken whole until
+        // the cap, which leaves the last one in progress.
+        step_after(&mut f, 1000);
+        let s = *f.stats();
+        let cap = f.gc_floor() as u64 * PPB;
+        assert!(s.gc_runs >= 2, "the step went on past a finished victim");
+        assert_eq!(s.gc_copies, cap, "{} victims", s.gc_background_steps);
+        assert!(f.draining.is_some());
+        assert_eq!(f.pool.free_len(), f.gc_floor());
+        let mut out = vec![0u8; f.page_size()];
+        for lpn in 0..PAGES {
+            f.read_committed(lpn, &mut out).unwrap();
+            assert_eq!(out[0], lpn as u8, "lpn {lpn}");
+        }
+    }
+
+    #[test]
     fn a_step_is_a_no_op_above_the_mark_on_a_read_only_device_and_inside_gc() {
         let mut f = base(GcPolicy::Greedy);
         let idle = |f: &FtlBase| (*f.stats(), f.flash_stats(), f.clock().now());

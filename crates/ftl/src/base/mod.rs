@@ -65,12 +65,15 @@
 //! intact data page at or below both `ckpt_seq` (nothing in it is a
 //! roll-forward event) and `tx_horizon` (nothing in it is evidence a
 //! personality would still fold) is entered in the census after two
-//! probes; an erased, torn, non-data or newer last page, or a first page
-//! that is not data — every mapping-class block — is read in full, as
-//! every block used to be. Two things keep that set small: a root is
-//! due ([`FtlBase::root_due`]) once 32 blocks' worth of pages have been
-//! programmed since the last, asked by each personality where it runs
-//! its own checkpoint routine, and every checkpoint advances the horizon
+//! probes. When the last page cannot vouch for it (erased, torn, not
+//! data, or newer) but the first page can, the covered pages are a
+//! prefix: the first page past it is bisected and only the tail from
+//! there is read. A block whose first page is not such a data page —
+//! every mapping-class block — is read in full. Two things keep the
+//! pages read few: a root is due ([`FtlBase::root_due`]) once 32
+//! blocks' worth of pages have been programmed since the last, asked by
+//! each personality where it runs its own checkpoint routine, and every
+//! checkpoint advances the horizon
 //! to just below the personality's oldest open group
 //! ([`GcHook::tx_floor`]); and cost-benefit GC takes a dead block
 //! first, so mapping-class garbage does not stand around to be scanned.

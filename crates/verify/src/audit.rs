@@ -20,8 +20,10 @@
 //! * **X-L2P sanity** — every entry pins a live programmed data page with
 //!   matching OOB metadata; for active (uncommitted) entries the old
 //!   committed version is still programmed too (GC must never reclaim a
-//!   pinned rollback copy); a folded committed entry names the page the
-//!   L2P maps; and `committed_len() <= len() <= capacity()`.
+//!   pinned rollback copy); the newest folded committed entry of a page
+//!   names the page the L2P maps, and older ones — superseded by a later
+//!   commit of the page, never folded or read again — are exempt; and
+//!   `committed_len() <= len() <= capacity()`.
 //! * **Scan-found pages** — no root names a page of the pool: the
 //!   recovery scan finds translation pages and the X-L2P table image
 //!   through their own OOB, so what the scan may find must be exactly
@@ -52,7 +54,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use xftl_core::{TxStatus, XFtl};
+use xftl_core::{Entry, TxStatus, XFtl};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
@@ -74,6 +76,8 @@ pub struct AuditReport {
     pub xl2p_entries: usize,
     /// X-L2P entries belonging to staged (submitted, unflushed) commits.
     pub staged_entries: usize,
+    /// Committed X-L2P entries a later commit of the same page superseded.
+    pub superseded_entries: usize,
     /// Blocks the chip has retired after erase failures.
     pub retired_blocks: u64,
 }
@@ -191,9 +195,9 @@ pub enum AuditViolation {
         /// Observed page state.
         state: &'static str,
     },
-    /// A committed, folded X-L2P entry names another page than the L2P
-    /// maps: the next group flush would persist the stale address, and
-    /// recovery would fold it over the newer copy.
+    /// The newest committed, folded X-L2P entry of a page names another
+    /// page than the L2P maps: the next group flush would persist the
+    /// stale address, and recovery would fold it over the newer copy.
     Xl2pStaleEntry {
         /// Owning transaction.
         tid: Tid,
@@ -703,10 +707,14 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
 /// page with matching OOB (`tid` may have been re-stamped to 0 by GC only
 /// for committed, already-folded entries). For every *active* entry — and
 /// every entry of a staged, not-yet-flushed commit group — the old
-/// committed version, the rollback copy, must still be programmed. A
-/// committed entry whose fold already landed must name the page the L2P
-/// maps: the next group flush persists it, and recovery folds it at the
-/// generation id, over anything newer.
+/// committed version, the rollback copy, must still be programmed. Of a
+/// page's committed entries whose folds already landed, the newest (by
+/// commit ordinal) must name the page the L2P maps: the next group flush
+/// persists it, and recovery folds it at the generation id, over
+/// anything newer. The older ones are superseded: no flush folds them
+/// again and no read is served from them, and the image orders them
+/// ahead of the newest, so recovery folds them first. Their pages may
+/// already be reclaimed; they are exempt from every check.
 ///
 /// # Errors
 /// The first violated invariant.
@@ -728,21 +736,34 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
         });
     }
     let chip = base.chip();
+    // A committed entry of a staged (submitted, unflushed) commit is the
+    // live read path for its page even though the L2P does not point at
+    // it yet: it gets the full liveness check, and — like an active entry
+    // — its old L2P version must survive as the rollback copy, because a
+    // crash before the group flush loses the commit.
+    let is_staged = |e: &Entry| dev.staged_commits().contains(&(e.tid, e.seq));
+    let is_folded = |e: &Entry| e.status == TxStatus::Committed && !is_staged(e);
+    // The newest folded commit of each page, by ordinal.
+    let mut newest: HashMap<Lpn, u64> = HashMap::new();
+    for e in table.iter().filter(|e| is_folded(e)) {
+        let seq = newest.entry(e.lpn).or_default();
+        *seq = (*seq).max(e.seq);
+    }
     for entry in table.iter() {
         report.xl2p_entries += 1;
         let current = base.l2p_peek(entry.lpn);
-        // A committed entry of a staged (submitted, unflushed) commit is
-        // the live read path for its page even though the L2P does not
-        // point at it yet: it gets the full liveness check, and — like an
-        // active entry — its old L2P version must survive as the rollback
-        // copy, because a crash before the group flush loses the commit.
-        let staged = entry.status == TxStatus::Committed && dev.staged_tids().contains(&entry.tid);
+        let staged = is_staged(entry);
         if staged {
             report.staged_entries += 1;
         }
-        // Folded: a newer version removes the entry (`supersede_committed`),
-        // so a folded entry must still name the page the L2P maps.
-        if entry.status == TxStatus::Committed && !staged && current != Some(entry.ppa) {
+        let folded = is_folded(entry);
+        if folded && newest.get(&entry.lpn).is_some_and(|&seq| entry.seq < seq) {
+            report.superseded_entries += 1;
+            continue;
+        }
+        // The newest folded entry must still name the page the L2P maps:
+        // a plain overwrite or trim removes it (`supersede_committed`).
+        if folded && current != Some(entry.ppa) {
             return Err(AuditViolation::Xl2pStaleEntry {
                 tid: entry.tid,
                 lpn: entry.lpn,
@@ -1137,6 +1158,30 @@ mod tests {
         assert!(
             matches!(err, AuditViolation::Xl2pStaleEntry { tid: 3, lpn: 2, ppa, .. } if ppa == first),
             "expected a stale entry at {first:?}, got: {err}"
+        );
+    }
+
+    #[test]
+    fn a_page_committed_twice_keeps_only_the_newest_entry_to_the_l2p() {
+        let mut dev = fresh_xftl(32, 64);
+        let ps = dev.page_size();
+        dev.write_tx(1, 5, &vec![0xA1; ps]).unwrap();
+        dev.commit(1).unwrap();
+        dev.write_tx(2, 5, &vec![0xB2; ps]).unwrap();
+        dev.commit(2).unwrap();
+        // Both entries wait for the checkpoint; tid 1's is superseded.
+        assert_eq!(dev.xl2p().committed_len(), 2);
+        let report = audit_xftl(&dev).unwrap();
+        assert_eq!((report.xl2p_entries, report.superseded_entries), (2, 1));
+        // The newest is held to the L2P as before.
+        let newest = dev.base().l2p_peek(5).unwrap();
+        dev.base_mut()
+            .write_committed(5, &vec![0xB2; ps], &mut xftl_ftl::NoHook)
+            .unwrap();
+        let err = audit_xftl(&dev).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pStaleEntry { tid: 2, lpn: 5, ppa, .. } if ppa == newest),
+            "expected tid 2's entry to be stale, got: {err}"
         );
     }
 

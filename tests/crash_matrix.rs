@@ -1276,8 +1276,9 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
 /// mapping cache, every page written and checkpointed: tight enough that
 /// the pool sits at the GC mark for the whole schedule, blocks big enough
 /// that a victim outlasts a step, and mapping blocks (closed over live
-/// slabs by the evictions) are victims too.
-fn stepping_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D> {
+/// slabs by the evictions) are victims too. `hot_cold` separates the
+/// write streams by heat.
+fn stepping_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy, hot_cold: bool) -> ShadowDevice<D> {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny()
         .blocks(20)
@@ -1286,6 +1287,7 @@ fn stepping_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D>
     let mut dev = ShadowDevice::new(D::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
     let base = dev.inner_mut().base_mut();
     base.set_gc_policy(policy);
+    base.set_hot_cold(hot_cold);
     base.set_map_cache_budget(Some(2)).unwrap();
     let ps = dev.page_size();
     for lpn in 0..384u64 {
@@ -1295,17 +1297,24 @@ fn stepping_dev<D: common::Swept>(policy: xftl_ftl::GcPolicy) -> ShadowDevice<D>
     dev
 }
 
-/// Sweeps 30 acknowledged groups of 2 pages on `D` under each GC policy.
-/// Every cut recovers (the sweep refuses a refused chip) to the
-/// acknowledged state — mapping-class victims included: a relocated
-/// translation page is found by the scan, whichever of the copy, the
-/// erase and the next root the power cut falls between.
+/// Sweeps 30 acknowledged groups of 2 pages on `D` under each GC policy,
+/// and under cost-benefit with hot/cold separation (the `dev-steady`
+/// configuration). Every cut recovers (the sweep refuses a refused chip)
+/// to the acknowledged state — mapping-class victims included: a
+/// relocated translation page is found by the scan, whichever of the
+/// copy, the erase and the next root the power cut falls between.
 fn sweep_steps<D: common::Swept>(name: &str) {
     use xftl_ftl::GcPolicy;
     let (mut collections, mut runs, mut map_runs) = (0, 0, 0);
-    for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
-        let s = common::sweep(|| stepping_dev::<D>(policy), 30, 2);
-        assert!(s.gc_background_steps > 0, "{name}/{policy:?}: no step ran");
+    for (policy, hot_cold) in [
+        (GcPolicy::Greedy, false),
+        (GcPolicy::Fifo, false),
+        (GcPolicy::CostBenefit, false),
+        (GcPolicy::CostBenefit, true),
+    ] {
+        let s = common::sweep(|| stepping_dev::<D>(policy, hot_cold), 30, 2);
+        let what = format!("{name}/{policy:?}/hot_cold={hot_cold}");
+        assert!(s.gc_background_steps > 0, "{what}: no step ran");
         collections += s.gc_background_steps + s.gc_inline_collections;
         runs += s.gc_runs;
         map_runs += s.gc_map_runs;

@@ -32,7 +32,7 @@ use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, Personality, TxBlockDevice, TxFlashFtl};
 
 mod common;
-use xftl_verify::ShadowDevice;
+use xftl_verify::{Auditable, ShadowDevice};
 
 /// One generator per (family, case): fully determined by the pair, so any
 /// failing case replays from its printed seed alone.
@@ -379,7 +379,13 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
     // conflicts — SQLite's database-level write lock guarantees a single
     // writer per page. The generator honours that contract by giving each
     // transaction id its own page-number stripe (lpn % 4 == tid - 1) and
-    // keeping plain writes on pages 20..24.
+    // keeping plain writes on pages 20..24. The stripe is stricter than
+    // the contract: it forbids even *sequential* transactional writers of
+    // one page, which the host may well issue — one commits, the next
+    // writes the page — and so it never produces a reused tid committing
+    // again after another tid superseded its page (X-FTL keeps reused
+    // tids apart by their commit ordinals). `DEV_REGRESSIONS` holds that
+    // case by hand.
     let n = rng.gen_range(1usize..50);
     (0..n)
         .map(|_| match rng.gen_range(0u32..13) {
@@ -412,11 +418,15 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
         .collect()
 }
 
-/// Device schedules an earlier generator shrank failures to. Families 7
-/// and 8 run each before their generated cases. Kept as the corpus
-/// recorded them.
+/// Fixed device schedules: the first five are what an earlier generator
+/// shrank failures to, kept as the corpus recorded them; the last two are
+/// the reused-tid case `rand_tx_ops` cannot produce — tid 1 commits page
+/// 5, tid 2 commits it over tid 1, and tid 1, reused, commits page 6 —
+/// blocking, then as one staged group redeemed by its last ticket.
+/// Families 7 and 8 run each before their generated cases, with the
+/// flash auditor after every op.
 #[rustfmt::skip]
-const DEV_REGRESSIONS: [&[DevOp]; 5] = [
+const DEV_REGRESSIONS: [&[DevOp]; 7] = [
     &[DevOp::Write { tid: 2, lpn: 0, byte: 0 }, DevOp::Commit { tid: 2 },
       DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Flush],
     &[DevOp::Write { tid: 2, lpn: 15, byte: 0 }, DevOp::Write { tid: 3, lpn: 15, byte: 1 },
@@ -429,6 +439,13 @@ const DEV_REGRESSIONS: [&[DevOp]; 5] = [
     &[DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Write { tid: 2, lpn: 1, byte: 0 },
       DevOp::Crash, DevOp::Write { tid: 2, lpn: 5, byte: 0 }, DevOp::Commit { tid: 2 },
       DevOp::Crash],
+    &[DevOp::Write { tid: 1, lpn: 5, byte: 0xA1 }, DevOp::Commit { tid: 1 },
+      DevOp::Write { tid: 2, lpn: 5, byte: 0xB2 }, DevOp::Commit { tid: 2 },
+      DevOp::Write { tid: 1, lpn: 6, byte: 0xC3 }, DevOp::Commit { tid: 1 }],
+    &[DevOp::Write { tid: 1, lpn: 5, byte: 0xA1 }, DevOp::CommitSubmit { tid: 1 },
+      DevOp::Write { tid: 2, lpn: 5, byte: 0xB2 }, DevOp::CommitSubmit { tid: 2 },
+      DevOp::Write { tid: 1, lpn: 6, byte: 0xC3 }, DevOp::CommitSubmit { tid: 1 },
+      DevOp::CommitWait],
 ];
 
 /// Generates a schedule with 2–4 concurrently open snapshot writers.
@@ -524,12 +541,14 @@ impl Drop for Unwinding<'_> {
 /// snapshot views), each commit verdict (no lost update, no spurious
 /// conflict), and — inside `crash`, which is [`common::recover`] — that a
 /// power cut kept the durable image plus a prefix of what was staged.
+/// With `audit`, the flash auditor also opens the device after every op.
 /// Ends with one more cut; returns the recovered device.
-fn run_schedule<D: TxBlockDevice>(
+fn run_schedule<D: TxBlockDevice + Auditable>(
     what: &str,
     mut dev: ShadowDevice<D>,
     ops: &[DevOp],
     crash: impl Fn(ShadowDevice<D>) -> ShadowDevice<D>,
+    audit: bool,
     seen: &mut Exercised,
 ) -> ShadowDevice<D> {
     let ps = dev.page_size();
@@ -601,6 +620,9 @@ fn run_schedule<D: TxBlockDevice>(
                 dev.read_tx(tid, lpn, &mut buf).unwrap();
             }
         }
+        if audit {
+            dev.audit();
+        }
     }
     dev
 }
@@ -628,16 +650,16 @@ fn x_crash_checking_the_skip(dev: XDev) -> XDev {
     x_crash(dev)
 }
 
-/// A family's schedules, each named: [`DEV_REGRESSIONS`], then 48
-/// generated cases.
-fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>)> {
-    let regressions = DEV_REGRESSIONS
-        .iter()
-        .enumerate()
-        .map(move |(i, ops)| (format!("family {family} regression {i}"), ops.to_vec()));
+/// A family's schedules, each named and marked fixed or generated:
+/// [`DEV_REGRESSIONS`], then 48 generated cases.
+fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>, bool)> {
+    let regressions = DEV_REGRESSIONS.iter().enumerate().map(move |(i, ops)| {
+        let what = format!("family {family} regression {i}");
+        (what, ops.to_vec(), true)
+    });
     let generated = (0..48u64).map(move |case| {
         let ops = rand_tx_ops(&mut case_rng(family, case));
-        (format!("family {family} case {case}"), ops)
+        (format!("family {family} case {case}"), ops, false)
     });
     regressions.chain(generated)
 }
@@ -649,10 +671,10 @@ fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>)> {
 #[test]
 fn xftl_transactions_match_model() {
     let mut seen = Exercised::default();
-    for (what, ops) in tx_schedules(7) {
+    for (what, ops, fixed) in tx_schedules(7) {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let crash = x_crash_checking_the_skip;
-        run_schedule(&what, x_format(chip), &ops, crash, &mut seen);
+        run_schedule(&what, x_format(chip), &ops, crash, fixed, &mut seen);
     }
     // (This generator keeps plain writes off the transactions' pages, so
     // none lands on a staged one; family 11's do.)
@@ -711,7 +733,7 @@ fn xftl_transactions_match_model_under_faults() {
         // and so do the chip's counters.
         chip.set_fault_plan(plan);
         let what = format!("family 10 case {case}");
-        let dev = run_schedule(&what, x_format(chip), &ops, x_crash, &mut seen);
+        let dev = run_schedule(&what, x_format(chip), &ops, x_crash, false, &mut seen);
         let flash = dev.inner().base().flash_stats();
         retried += flash.program_fails + flash.uncorrectable_reads;
     }
@@ -728,10 +750,10 @@ fn xftl_transactions_match_model_under_faults() {
 #[test]
 fn txflash_transactions_match_model() {
     let mut seen = Exercised::default();
-    for (what, ops) in tx_schedules(8) {
+    for (what, ops, fixed) in tx_schedules(8) {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let dev = ShadowDevice::new(TxFlashFtl::format(chip, 24).unwrap());
-        run_schedule(&what, dev, &ops, common::recover, &mut seen);
+        run_schedule(&what, dev, &ops, common::recover, fixed, &mut seen);
     }
     assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");
 }
@@ -951,7 +973,7 @@ fn xftl_mvcc_schedules_match_model() {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let what = format!("family 11 case {case}");
         let crash = x_crash_checking_the_skip;
-        run_schedule(&what, x_format(chip), &ops, crash, &mut seen);
+        run_schedule(&what, x_format(chip), &ops, crash, false, &mut seen);
     }
     assert!(
         seen.cuts_strict_prefix > 0
