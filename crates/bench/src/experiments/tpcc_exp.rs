@@ -1,5 +1,6 @@
 //! Tables 3–4: TPC-C throughput across the four transaction mixes.
 
+use xftl_ftl::DIFF_SIZE_BUCKETS;
 use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::tpcc::{
     self, TpccDriver, TpccMix, TpccScale, JOIN_ONLY, READ_INTENSIVE, SELECTION_ONLY,
@@ -75,8 +76,9 @@ fn tpcc_rig(mode: Mode, s: &TpccExpScale) -> Rig {
     })
 }
 
-/// Runs one mode through all four mixes on one database instance.
-fn run_mode(mode: Mode, s: &TpccExpScale) -> Vec<f64> {
+/// Runs one mode through all four mixes on one database instance:
+/// throughput per mix, and what the write-intensive mix cost the device.
+fn run_mode(mode: Mode, s: &TpccExpScale) -> (Vec<f64>, WriteCost) {
     let rig = tpcc_rig(mode, s);
     let mut db = rig.open_db("tpcc.db");
     tpcc::load(&mut db, &s.scale, 1234);
@@ -84,11 +86,55 @@ fn run_mode(mode: Mode, s: &TpccExpScale) -> Vec<f64> {
     // must track the database state.
     let mut driver = TpccDriver::new(s.scale, 99).with_clock(rig.clock.clone());
     let mut out = Vec::new();
-    for (_, mix) in MIXES.iter() {
+    let mut cost = WriteCost::default();
+    for (i, (_, mix)) in MIXES.iter().enumerate() {
+        let before = rig.snapshot();
         let r = tpcc::run_mix(&mut db, &rig.clock, &mut driver, mix, s.txns_per_mix);
         out.push(r.tpm);
+        if i == 0 {
+            let after = rig.snapshot();
+            let commits = (after.dev.commits - before.dev.commits).max(1);
+            cost = WriteCost {
+                programs_per_commit: (after.flash.programs - before.flash.programs) as f64
+                    / commits as f64,
+                diff_sizes: (after.ftl - before.ftl).diff_size_hist,
+            };
+        }
     }
-    out
+    (out, cost)
+}
+
+/// The device cost of the write-intensive mix.
+#[derive(Debug, Default, Clone, Copy)]
+struct WriteCost {
+    /// Flash programs per device commit, from every cause.
+    programs_per_commit: f64,
+    /// Transactional page writes by the size of their differential
+    /// ([`xftl_ftl::FtlStats::diff_size_hist`]).
+    diff_sizes: [u64; DIFF_SIZE_BUCKETS],
+}
+
+/// Flash programs per commit the write-intensive mix may cost X-FTL:
+/// each commit's changed bytes ride its table image instead of whole
+/// pages (DESIGN.md §5.2, "Differentials").
+const MAX_XFTL_PROGRAMS_PER_COMMIT: f64 = 4.5;
+
+/// The histogram of encoded differential bytes per transactional write.
+fn diff_size_table(cost: &WriteCost) -> String {
+    let total = cost.diff_sizes.iter().sum::<u64>().max(1) as f64;
+    let mut t = Table::new(vec![
+        "Encoded bytes",
+        "0",
+        "1-64",
+        "65-128",
+        "129-256",
+        "257-512",
+        ">512 (whole)",
+    ]);
+    let mut row = vec!["Writes".to_string()];
+    row.extend((cost.diff_sizes.iter()).map(|&n| format!("{:.1}%", 100.0 * n as f64 / total)));
+    t.row(row);
+    t.render()
 }
 
 /// Tables 3–4: the mix definitions and measured throughput.
@@ -119,8 +165,8 @@ pub fn tables_3_4(s: TpccExpScale) -> String {
          {} warehouses, {} txns/mix) ===\n\n",
         s.scale.warehouses, s.txns_per_mix
     ));
-    let wal = run_mode(Mode::Wal, &s);
-    let x = run_mode(Mode::XFtl, &s);
+    let (wal, _) = run_mode(Mode::Wal, &s);
+    let (x, x_cost) = run_mode(Mode::XFtl, &s);
     for (i, (name, _)) in MIXES.iter().enumerate() {
         metrics::metric(format!("table4.{}.wal_tpm", mix_key(name)), wal[i]);
         metrics::metric(format!("table4.{}.xftl_tpm", mix_key(name)), x[i]);
@@ -154,6 +200,21 @@ pub fn tables_3_4(s: TpccExpScale) -> String {
         format!("{:.2}", x[3] / wal[3].max(1e-9)),
     ]);
     out.push_str(&t4.render());
+    out.push_str(&format!(
+        "\n=== Write-intensive mix on X-FTL: differential bytes per page write \
+         ({:.2} flash programs per commit) ===\n\n",
+        x_cost.programs_per_commit
+    ));
+    out.push_str(&diff_size_table(&x_cost));
     out.push('\n');
+    metrics::metric(
+        "table4.write_intensive.xftl_programs_per_commit",
+        x_cost.programs_per_commit,
+    );
+    assert!(
+        x_cost.programs_per_commit <= MAX_XFTL_PROGRAMS_PER_COMMIT,
+        "X-FTL write-intensive mix: {:.2} flash programs per commit, over {MAX_XFTL_PROGRAMS_PER_COMMIT}",
+        x_cost.programs_per_commit
+    );
     out
 }

@@ -13,6 +13,10 @@
 //! writes at all. SQLite can then run with journaling `OFF` and a file
 //! system can skip data journaling, each halving its write volume.
 //!
+//! Beyond the paper, a small update is not programmed either: its
+//! changed bytes against the page's cached base ([`diff::Diff`],
+//! [`cache::ImageCache`]) ride the commit's table image instead.
+//!
 //! ```
 //! use xftl_core::XFtl;
 //! use xftl_flash::{FlashChip, FlashConfig, SimClock};
@@ -44,8 +48,12 @@
 // compile error wherever its meaning must be decided.
 #![deny(clippy::wildcard_enum_match_arm)]
 
+pub mod cache;
+pub mod diff;
 pub mod xftl;
 pub mod xl2p;
 
-pub use xftl::{XFtl, DEFAULT_XL2P_CAPACITY};
-pub use xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};
+pub use cache::{ImageCache, IMAGE_CACHE_PAGES};
+pub use diff::{Diff, DIFF_LIMIT};
+pub use xftl::{XFtl, DEFAULT_XL2P_CAPACITY, MAX_DIFF_AGE};
+pub use xl2p::{Entry, Live, TxStatus, Xl2pError, Xl2pTable};

@@ -1321,8 +1321,11 @@ impl<D: BlockDevice> FileSystem<D> {
             self.mark_inode_dirty(0);
             self.dir_dirty = false;
         }
-        // Block maps (may not allocate; chain pages already allocated).
-        let inos: Vec<Ino> = self.maps.keys().copied().collect();
+        // Block maps (may not allocate; chain pages already allocated), in
+        // inode order: the device may diff some pages of a batch and not
+        // others, so the order it sees them in is part of the result.
+        let mut inos: Vec<Ino> = self.maps.keys().copied().collect();
+        inos.sort_unstable();
         for ino in inos {
             let dirty: Vec<usize> = {
                 let map = &self.maps[&ino];

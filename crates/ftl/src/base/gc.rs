@@ -13,7 +13,7 @@ use xftl_flash::{FlashError, Nanos, PageKind, Ppa};
 use xftl_trace::OpClass;
 
 use super::pool::{BlockState, Class, Fifo, Stream};
-use super::{with_read_retries, FtlBase, GcHook, GcPolicy, RETAINED_COPY_TID};
+use super::{origin_seq, with_read_retries, FtlBase, GcHook, GcPolicy, RETAINED_COPY_TID};
 use crate::error::{DevError, Result};
 use crate::health::{DeviceState, ScrubConfig, ScrubReason};
 
@@ -561,9 +561,14 @@ impl FtlBase {
             // A GC copy of the *committed* version of a data page is
             // re-stamped tid = 0 so the recovery roll-forward treats it as
             // committed state even if its writer's X-L2P entry is long gone.
+            // It keeps the program sequence of the write it copies
+            // (`origin_seq`), which tells X-FTL's recovery a moved base of
+            // a page differential from a newer write of the page.
             *need_ckpt |= oob.tid != 0 && oob.aux != 0;
             new_oob.tid = 0;
-            new_oob.aux = 0;
+            let origin = origin_seq(oob.seq, oob.tid, oob.aux);
+            debug_assert!(origin <= u64::from(u32::MAX), "sequences fit the OOB word");
+            new_oob.aux = origin as u32;
         } else if data && oob.tid == 0 {
             // A valid tid-0 page the L2P does not point at is a
             // snapshot-retained pre-image. Its copy gets a fresh (newer)

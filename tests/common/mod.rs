@@ -306,3 +306,115 @@ pub fn sweep<D: Swept>(
     }
     stats
 }
+
+// --- the every-boundary sweep of a schedule of page differentials ---------
+
+/// One acknowledged step of a [`sweep_diffs`] schedule.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// A transaction writing these whole pages, then its commit.
+    Tx(Tid, Vec<(Lpn, Vec<u8>)>),
+    /// A plain write of one page.
+    Plain(Lpn, Vec<u8>),
+    /// A flush: the device checkpoints.
+    Flush,
+}
+
+/// Cuts the power at every program and erase of `steps` on the X-FTL
+/// device `build` makes, and after each cut recovers (twice) and checks
+/// every page byte for byte: every acknowledged step is there; of the
+/// step the power died in, a transaction is there whole if its commit
+/// was reached and not at all otherwise, and a plain write may or may
+/// not be. Every step of the uncut run is audited. Returns the FTL
+/// statistics of the uncut run, the build phase excluded, and how many
+/// cuts it made.
+pub fn sweep_diffs(
+    build: impl Fn() -> ShadowDevice<XFtl>,
+    steps: &[Step],
+) -> (xftl_ftl::FtlStats, u64) {
+    let ops = |d: &ShadowDevice<XFtl>| {
+        let s = d.inner().base().flash_stats();
+        s.programs + s.erases
+    };
+    let image = |d: &mut ShadowDevice<XFtl>| -> Vec<Vec<u8>> {
+        let mut buf = vec![0u8; d.page_size()];
+        (0..d.capacity_pages())
+            .map(|lpn| {
+                d.read(lpn, &mut buf).unwrap();
+                buf.clone()
+            })
+            .collect()
+    };
+    let mut dev = build();
+    let (before, built) = (ops(&dev), *dev.inner().base().stats());
+    for step in steps {
+        step_on(&mut dev, step).unwrap();
+        dev.audit();
+    }
+    let cuts = ops(&dev) - before;
+    let stats = *dev.inner().base().stats() - built;
+    for fuse in 1..=cuts {
+        let mut dev = build();
+        let mut expect = image(&mut dev);
+        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
+        let mut in_flight = None;
+        for step in steps {
+            match step_on(&mut dev, step) {
+                Ok(()) => apply(&mut expect, step),
+                Err((reached, error)) => {
+                    assert!(
+                        dev.inner().base().chip().is_dead(),
+                        "fuse {fuse}: {step:?}: {error:?} with the power on"
+                    );
+                    in_flight = Some((step, reached));
+                    break;
+                }
+            }
+        }
+        let (step, reached) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
+        let (inner, model) = dev.into_parts();
+        let recovered =
+            XFtl::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
+        let mut dev = resume(recovered, model);
+        let got = image(&mut dev);
+        // The step in flight shows whole, or not at all.
+        let mut landed = expect.clone();
+        apply(&mut landed, step);
+        let shown = reached && got == landed;
+        assert!(
+            shown || got == expect,
+            "fuse {fuse}: {step:?} shows in part, or an acknowledged step is lost"
+        );
+        let mut dev = recover(dev);
+        assert!(image(&mut dev) == got, "fuse {fuse}: second recovery");
+    }
+    (stats, cuts)
+}
+
+/// Runs `step`; on failure, whether it had reached the command that
+/// seals it (a commit, or the plain write itself), and the error.
+fn step_on(dev: &mut ShadowDevice<XFtl>, step: &Step) -> Result<(), (bool, DevError)> {
+    match step {
+        Step::Tx(tid, pages) => tx_group(dev, *tid, pages).map_err(|c| (c.sealing, c.error)),
+        Step::Plain(lpn, page) => dev.write(*lpn, page).map_err(|e| (true, e)),
+        Step::Flush => dev.flush().map_err(|e| (false, e)),
+    }
+}
+
+/// Runs `step`, which must not fail.
+pub fn step(dev: &mut ShadowDevice<XFtl>, step: &Step) -> Result<(), DevError> {
+    step_on(dev, step).map_err(|(_, e)| e)
+}
+
+/// `expect` after `step`.
+pub fn apply(expect: &mut [Vec<u8>], step: &Step) {
+    match step {
+        Step::Tx(_, pages) => {
+            for (lpn, page) in pages {
+                expect[*lpn as usize].clone_from(page);
+            }
+        }
+        Step::Plain(lpn, page) => expect[*lpn as usize].clone_from(page),
+        Step::Flush => {}
+    }
+}

@@ -356,6 +356,13 @@ enum DevOp {
         lpn: u64,
         byte: u8,
     },
+    /// `tid` rewrites four bytes of the page as it reads it: on X-FTL a
+    /// differential once the page was written whole.
+    Patch {
+        tid: u64,
+        lpn: u64,
+        byte: u8,
+    },
     Commit {
         tid: u64,
     },
@@ -426,7 +433,7 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
 /// Families 7 and 8 run each before their generated cases, with the
 /// flash auditor after every op.
 #[rustfmt::skip]
-const DEV_REGRESSIONS: [&[DevOp]; 7] = [
+const DEV_REGRESSIONS: [&[DevOp]; 8] = [
     &[DevOp::Write { tid: 2, lpn: 0, byte: 0 }, DevOp::Commit { tid: 2 },
       DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Flush],
     &[DevOp::Write { tid: 2, lpn: 15, byte: 0 }, DevOp::Write { tid: 3, lpn: 15, byte: 1 },
@@ -446,6 +453,19 @@ const DEV_REGRESSIONS: [&[DevOp]; 7] = [
       DevOp::Write { tid: 2, lpn: 5, byte: 0xB2 }, DevOp::CommitSubmit { tid: 2 },
       DevOp::Write { tid: 1, lpn: 6, byte: 0xC3 }, DevOp::CommitSubmit { tid: 1 },
       DevOp::CommitWait],
+    // Page differentials: staged over one base, moved onto a whole commit
+    // staged under a pending one, superseded by a plain write, kept
+    // across a checkpoint and a power cut.
+    &[DevOp::Write { tid: 1, lpn: 3, byte: 0x10 }, DevOp::Commit { tid: 1 },
+      DevOp::Patch { tid: 2, lpn: 3, byte: 0x20 }, DevOp::CommitSubmit { tid: 2 },
+      DevOp::Patch { tid: 3, lpn: 3, byte: 0x30 }, DevOp::Patch { tid: 4, lpn: 3, byte: 0x40 },
+      DevOp::Write { tid: 5, lpn: 3, byte: 0x50 }, DevOp::CommitSubmit { tid: 5 },
+      DevOp::Commit { tid: 3 }, DevOp::Abort { tid: 4 }, DevOp::CommitWait,
+      DevOp::Patch { tid: 6, lpn: 3, byte: 0x60 }, DevOp::Commit { tid: 6 }, DevOp::Flush,
+      DevOp::Crash, DevOp::Write { tid: 7, lpn: 4, byte: 0x70 }, DevOp::Commit { tid: 7 },
+      DevOp::Patch { tid: 8, lpn: 4, byte: 0x80 }, DevOp::Commit { tid: 8 },
+      DevOp::PlainWrite { lpn: 4, byte: 0x90 }, DevOp::Patch { tid: 9, lpn: 4, byte: 0xA0 },
+      DevOp::Commit { tid: 9 }],
 ];
 
 /// Generates a schedule with 2–4 concurrently open snapshot writers.
@@ -572,6 +592,12 @@ fn run_schedule<D: TxBlockDevice + Auditable>(
             DevOp::PlainWrite { lpn, byte } => {
                 seen.plain_on_staged += u32::from(dev.model().is_staged(lpn));
                 dev.write(lpn, &vec![byte; ps]).unwrap();
+            }
+            DevOp::Patch { tid, lpn, byte } => {
+                dev.read_tx(tid, lpn, &mut buf).unwrap();
+                buf[lpn as usize..][..4].fill(byte);
+                dev.write_tx(tid, lpn, &buf).unwrap();
+                writers.insert(tid);
             }
             DevOp::Commit { tid } | DevOp::CommitSubmit { tid } => {
                 let (snapshot, wrote) = (began.remove(&tid), writers.remove(&tid));
@@ -769,7 +795,9 @@ fn one_life<D: BlockDevice>(dev: &mut D, rng: &mut StdRng, tx: Option<fn(&mut D,
     let mut uses = [0u64; 5];
     for op in (0..4).flat_map(|_| rand_tx_ops(rng)) {
         let op = match op {
-            DevOp::Crash | DevOp::CommitWait | DevOp::Begin { .. } => continue,
+            DevOp::Crash | DevOp::CommitWait | DevOp::Begin { .. } | DevOp::Patch { .. } => {
+                continue
+            }
             DevOp::Write { tid, lpn, byte } => DevOp::Write {
                 tid: tid + 4 * uses[tid as usize],
                 lpn,
