@@ -12,7 +12,9 @@
 //!   them). It names no page of the pool: a translation page and a
 //!   persisted X-L2P table page are both found by the recovery scan
 //!   through their own OOB (`PageKind::Map`: slab index and program
-//!   sequence; `PageKind::XL2p`: generation, index and page count).
+//!   sequence; `PageKind::XL2p`: generation, index and page count). It
+//!   names at most one table image *generation*: the one the checkpoint
+//!   left live, which the scan reads although the checkpoint covers it.
 //! * **Map slab** — one page-sized slice of the L2P table:
 //!   `page_size / 8` entries of 8 bytes each (`0` = unmapped, otherwise
 //!   linear physical address + 1).
@@ -29,10 +31,11 @@ pub const META_MAGIC: u64 = 0x5846_544C_4D45_5441;
 /// read-only across power cycles; version 5 dropped the X-L2P table
 /// pointers and version 6 the translation-page pointers (and with them
 /// version 3's paged directory of those): the recovery scan locates both.
-pub const META_VERSION: u64 = 6;
+/// Version 7 added the kept table image's generation.
+pub const META_VERSION: u64 = 7;
 
-/// Fixed header size of a meta page in bytes (7 u64 fields).
-const META_HEADER: usize = 56;
+/// Fixed header size of a meta page in bytes (8 u64 fields).
+const META_HEADER: usize = 64;
 
 /// Parsed contents of a meta (checkpoint-root) page.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,6 +61,11 @@ pub struct MetaPage {
     /// stale root can under-report but the recovered device re-derives
     /// anything worse from the pool it finds.
     pub device_state: DeviceState,
+    /// Generation of the X-L2P table image this checkpoint left live, 0
+    /// if none: an image carrying state the checkpoint does not cover
+    /// (X-FTL's page differentials, see `GcHook::keeps_image`). Recovery
+    /// reads an image the checkpoint covers only if it is this one.
+    pub kept_image: u64,
 }
 
 fn put_u64(buf: &mut [u8], off: usize, v: u64) {
@@ -109,6 +117,7 @@ impl MetaPage {
         put_u64(&mut buf, 32, self.tx_horizon);
         put_u64(&mut buf, 40, self.bad_blocks.len() as u64);
         put_u64(&mut buf, 48, self.device_state.as_u64());
+        put_u64(&mut buf, 56, self.kept_image);
         for (i, bad) in self.bad_blocks.iter().enumerate() {
             put_u64(&mut buf, META_HEADER + i * 8, u64::from(*bad));
         }
@@ -137,6 +146,7 @@ impl MetaPage {
             tx_horizon: get_u64(buf, 32),
             bad_blocks,
             device_state,
+            kept_image: get_u64(buf, 56),
         })
     }
 }
@@ -184,6 +194,7 @@ mod tests {
             tx_horizon: 17,
             bad_blocks,
             device_state,
+            kept_image: 9,
         }
     }
 
@@ -193,11 +204,11 @@ mod tests {
             root(vec![7, 11], DeviceState::Degraded),
             root(vec![], DeviceState::Healthy),
             root(vec![3], DeviceState::ReadOnly),
-            root((0..57).collect(), DeviceState::Healthy),
+            root((0..56).collect(), DeviceState::Healthy),
         ] {
             assert_eq!(MetaPage::decode(&m.encode(512)), Some(m));
         }
-        assert_eq!(MetaPage::max_bad_blocks(512), 57);
+        assert_eq!(MetaPage::max_bad_blocks(512), 56);
     }
 
     #[test]
@@ -209,7 +220,7 @@ mod tests {
     #[test]
     fn meta_rejects_wrong_version_unknown_state_and_overlong_table() {
         let good = root(vec![5], DeviceState::Healthy).encode(512);
-        for (off, v) in [(8, 99), (8, 5), (48, 9), (40, 58)] {
+        for (off, v) in [(8, 99), (8, 5), (8, 6), (48, 9), (40, 57)] {
             let mut buf = good.clone();
             put_u64(&mut buf, off, v);
             assert_eq!(MetaPage::decode(&buf), None, "field at {off} = {v}");
