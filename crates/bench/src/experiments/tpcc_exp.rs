@@ -1,6 +1,6 @@
 //! Tables 3–4: TPC-C throughput across the four transaction mixes.
 
-use xftl_ftl::DIFF_SIZE_BUCKETS;
+use xftl_ftl::FtlStats;
 use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::tpcc::{
     self, TpccDriver, TpccMix, TpccScale, JOIN_ONLY, READ_INTENSIVE, SELECTION_ONLY,
@@ -95,9 +95,10 @@ fn run_mode(mode: Mode, s: &TpccExpScale) -> (Vec<f64>, WriteCost) {
             let after = rig.snapshot();
             let commits = (after.dev.commits - before.dev.commits).max(1);
             cost = WriteCost {
+                commits,
                 programs_per_commit: (after.flash.programs - before.flash.programs) as f64
                     / commits as f64,
-                diff_sizes: (after.ftl - before.ftl).diff_size_hist,
+                ftl: after.ftl - before.ftl,
             };
         }
     }
@@ -107,11 +108,13 @@ fn run_mode(mode: Mode, s: &TpccExpScale) -> (Vec<f64>, WriteCost) {
 /// The device cost of the write-intensive mix.
 #[derive(Debug, Default, Clone, Copy)]
 struct WriteCost {
+    /// Device commits.
+    commits: u64,
     /// Flash programs per device commit, from every cause.
     programs_per_commit: f64,
-    /// Transactional page writes by the size of their differential
-    /// ([`xftl_ftl::FtlStats::diff_size_hist`]).
-    diff_sizes: [u64; DIFF_SIZE_BUCKETS],
+    /// What the FTL did over the mix: the differentials by size
+    /// ([`FtlStats::diff_size_hist`]), and the pages written whole.
+    ftl: FtlStats,
 }
 
 /// Flash programs per commit the write-intensive mix may cost X-FTL:
@@ -121,7 +124,8 @@ const MAX_XFTL_PROGRAMS_PER_COMMIT: f64 = 4.5;
 
 /// The histogram of encoded differential bytes per transactional write.
 fn diff_size_table(cost: &WriteCost) -> String {
-    let total = cost.diff_sizes.iter().sum::<u64>().max(1) as f64;
+    let sizes = cost.ftl.diff_size_hist;
+    let total = sizes.iter().sum::<u64>().max(1) as f64;
     let mut t = Table::new(vec![
         "Encoded bytes",
         "0",
@@ -132,9 +136,29 @@ fn diff_size_table(cost: &WriteCost) -> String {
         ">512 (whole)",
     ]);
     let mut row = vec!["Writes".to_string()];
-    row.extend((cost.diff_sizes.iter()).map(|&n| format!("{:.1}%", 100.0 * n as f64 / total)));
+    row.extend((sizes.iter()).map(|&n| format!("{:.1}%", 100.0 * n as f64 / total)));
     t.row(row);
     t.render()
+}
+
+/// The pages written whole per commit, by cause, and the share of the
+/// differentials kept that carry a copy run.
+fn whole_write_table(cost: &WriteCost) -> String {
+    let s = &cost.ftl;
+    let per_commit = |n: u64| format!("{:.2}", n as f64 / cost.commits.max(1) as f64);
+    let mut t = Table::new(vec!["Whole writes", "Size", "Age", "Budget", "Cache miss"]);
+    t.row(vec![
+        "Per commit".to_string(),
+        per_commit(s.merges_size),
+        per_commit(s.merges_age),
+        per_commit(s.merges_budget),
+        per_commit(s.image_cache_misses),
+    ]);
+    format!(
+        "{}\nDifferentials with a copy run: {:.1}%\n",
+        t.render(),
+        100.0 * s.diff_copies as f64 / s.diff_writes.max(1) as f64
+    )
 }
 
 /// Tables 3–4: the mix definitions and measured throughput.
@@ -206,6 +230,8 @@ pub fn tables_3_4(s: TpccExpScale) -> String {
         x_cost.programs_per_commit
     ));
     out.push_str(&diff_size_table(&x_cost));
+    out.push('\n');
+    out.push_str(&whole_write_table(&x_cost));
     out.push('\n');
     metrics::metric(
         "table4.write_intensive.xftl_programs_per_commit",

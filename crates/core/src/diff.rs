@@ -4,14 +4,26 @@
 //! *Page-Differential Logging* (Kim, Whang & Song) writes only the bytes
 //! a page update changed. X-FTL carries such a differential in the
 //! commit's X-L2P table image instead of programming a new whole page
-//! (DESIGN.md §5.2, "Differentials"). A [`Diff`] is a list of runs
-//! `(offset, bytes)`. It is always taken against the base, never against
-//! the previous differential, so it is cumulative: the newest one alone
-//! rebuilds the page, and applying it is idempotent.
+//! (DESIGN.md §5.2, "Differentials"). A [`Diff`] is a list of runs of two
+//! kinds: a *literal* `(offset, bytes)` writes bytes, and a *copy*
+//! `(dst, src, len)` copies base bytes from another offset, as VCDIFF's
+//! COPY does (RFC 3284). It is always taken against the base, never
+//! against the previous differential, so it is cumulative: the newest one
+//! alone rebuilds the page from its base. Copies read the base, not the
+//! page being rewritten, so a differential applies to its base only.
+//!
+//! Two passes encode one. The *positional* pass compares the pages
+//! offset by offset: exact for an edit in place, and the only pass a
+//! differential within the limit ever sees. A B-tree page packs its cells
+//! back to back, though, so an insert, a delete or a record that changes
+//! length moves every later byte; past the limit, a *shift-aware* pass
+//! finds the moved bytes in the base and copies them.
 //!
 //! On flash a differential is a run count (`u16`) and, per run, its
-//! offset and length (`u16` each) and its bytes. [`Diff::encoded_len`]
-//! is the runs' part of that, which is what the size limit bounds.
+//! offset and length (`u16` each) and its bytes; a copy is a run of
+//! length 0 followed by its source offset and length (`u16` each).
+//! [`Diff::encoded_len`] is the runs' part of that, which is what the
+//! size limit bounds.
 
 /// Largest encoded differential kept as one, for an 8 KB page: past it
 /// the page is written whole, and that whole write is the merge. Pages
@@ -25,7 +37,16 @@ const MERGE_GAP: usize = 16;
 /// Bytes of a run's header: offset and length.
 const RUN_HEADER: usize = 4;
 
-/// Word the comparison strides by.
+/// Bytes of a copy run: a header of length 0, then source and length.
+const COPY_RUN: usize = 8;
+
+/// Longest literal one header carries: a 64 KB page takes two.
+const MAX_RUN: usize = 1 << 15;
+
+/// Shortest stretch the shift-aware pass matches after a change.
+const MIN_MATCH: usize = 16;
+
+/// Word the comparison strides by, and the base's index is keyed by.
 const WORD: usize = 8;
 
 /// Span compared at once, and scanned word by word where it differs.
@@ -37,8 +58,17 @@ pub fn limit_for(page_size: usize) -> usize {
     DIFF_LIMIT.min(page_size / 16)
 }
 
+/// One run of a differential.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Run<'a> {
+    /// Writes `bytes` at `dst`.
+    Literal { dst: usize, bytes: &'a [u8] },
+    /// Copies `len` base bytes at `src` to `dst`.
+    Copy { dst: usize, src: usize, len: usize },
+}
+
 /// The changed bytes of a page against its base, held in its flash
-/// encoding: a run count, then each run's offset, length and bytes.
+/// encoding: a run count, then each run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diff {
     encoded: Vec<u8>,
@@ -54,15 +84,21 @@ impl Default for Diff {
 
 impl Diff {
     /// The differential that turns `base` into `new`, or `None` once its
-    /// encoded size passes `limit`. Equal stretches are skipped a block
-    /// or a word at a time, and the scan stops at the first run that
-    /// passes the limit.
+    /// encoded size passes `limit`: the positional pass, and the
+    /// shift-aware one if that passes the limit.
     ///
     /// # Panics
     /// If the pages differ in length or are longer than 64 KB.
     pub fn encode(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
         assert_eq!(base.len(), new.len(), "a differential spans one page size");
         assert!(base.len() <= usize::from(u16::MAX) + 1, "offsets are u16");
+        Self::encode_in_place(base, new, limit).or_else(|| Self::encode_shifted(base, new, limit))
+    }
+
+    /// The positional pass: literal runs at the offsets that changed.
+    /// Equal stretches are skipped a block or a word at a time, and the
+    /// scan stops at the first run that passes the limit.
+    fn encode_in_place(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
         let n = base.len();
         let mut diff = Diff::default();
         let mut next = next_change(base, new, 0);
@@ -82,8 +118,57 @@ impl Diff {
                     None => break window,
                 }
             };
-            diff.push(start, &new[start..=last]);
+            diff.push_literal(start, &new[start..=last]);
             next = next_change(base, new, window);
+        }
+        Some(diff)
+    }
+
+    /// The shift-aware pass, greedy: a match is extended at the current
+    /// shift; where it breaks, the pass resyncs at the first offset where
+    /// [`MIN_MATCH`] bytes match the base at shift 0, at the current
+    /// shift, or where the base's index of words places them. The bytes
+    /// skipped are a literal, a stretch matched at a shift other than 0 a
+    /// copy. The resync scan ends where its literal would pass the limit,
+    /// so an incompressible page costs about the limit in probes.
+    fn encode_shifted(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+        let n = base.len();
+        let index = WordIndex::new(base);
+        let mut diff = Diff::default();
+        let (mut at, mut shift) = (0, 0isize);
+        while at < n {
+            let src = at.wrapping_add_signed(shift);
+            let len = common_len(&new[at..], base.get(src..).unwrap_or_default());
+            if len > 0 {
+                if shift != 0 {
+                    diff.push_copy(at, src, len);
+                }
+                at += len;
+            } else {
+                // The literal up to the resync must fit what is left.
+                let room = limit.checked_sub(diff.encoded_len() + RUN_HEADER);
+                let last = room.map_or(at, |room| (at + room.min(n)).min(n - 1));
+                let (mut to, hit) = match resync(&index, new, at..last + 1, shift) {
+                    Some(found) => found,
+                    None if last + 1 == n => (n, 0),
+                    None => return None,
+                };
+                // A match the index placed may start before its probe.
+                while to > at
+                    && (to - 1)
+                        .checked_add_signed(hit)
+                        .is_some_and(|from| new[to - 1] == base[from])
+                {
+                    to -= 1;
+                }
+                if to > at {
+                    diff.push_literal(at, &new[at..to]);
+                }
+                (at, shift) = (to, hit);
+            }
+            if diff.encoded_len() > limit {
+                return None;
+            }
         }
         Some(diff)
     }
@@ -91,27 +176,46 @@ impl Diff {
     /// The differential that rewrites every byte of a page, whatever its
     /// base: `page` itself, as runs.
     pub fn whole(page: &[u8]) -> Diff {
-        const MAX_RUN: usize = 1 << 15;
         let mut diff = Diff::default();
-        for (i, run) in page.chunks(MAX_RUN).enumerate() {
-            diff.push(i * MAX_RUN, run);
-        }
+        diff.push_literal(0, page);
         diff
     }
 
-    /// Appends a run of `bytes` at `offset`.
-    fn push(&mut self, offset: usize, bytes: &[u8]) {
+    /// Bumps the run count.
+    fn count_run(&mut self) {
         let count = u16::from_le_bytes([self.encoded[0], self.encoded[1]]) + 1;
         self.encoded[..2].copy_from_slice(&count.to_le_bytes());
-        self.encoded
-            .extend_from_slice(&(offset as u16).to_le_bytes());
-        self.encoded
-            .extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-        self.encoded.extend_from_slice(bytes);
     }
 
-    /// The runs, as `(offset, bytes)`.
-    fn runs(&self) -> impl Iterator<Item = (usize, &[u8])> {
+    /// Appends `u16` fields.
+    fn put(&mut self, fields: &[usize]) {
+        for &f in fields {
+            assert!(
+                f <= usize::from(u16::MAX),
+                "a field of a differential is a u16"
+            );
+            self.encoded.extend_from_slice(&(f as u16).to_le_bytes());
+        }
+    }
+
+    /// Appends literal runs of `bytes` at `offset`, [`MAX_RUN`] bytes at
+    /// most each.
+    fn push_literal(&mut self, offset: usize, bytes: &[u8]) {
+        for (i, run) in bytes.chunks(MAX_RUN).enumerate() {
+            self.count_run();
+            self.put(&[offset + i * MAX_RUN, run.len()]);
+            self.encoded.extend_from_slice(run);
+        }
+    }
+
+    /// Appends a copy run of `len` base bytes from `src` to `dst`.
+    fn push_copy(&mut self, dst: usize, src: usize, len: usize) {
+        self.count_run();
+        self.put(&[dst, 0, src, len]);
+    }
+
+    /// The runs, in order.
+    fn runs(&self) -> impl Iterator<Item = Run<'_>> {
         let mut at = 2;
         std::iter::from_fn(move || {
             let field =
@@ -119,19 +223,37 @@ impl Diff {
             if at >= self.encoded.len() {
                 return None;
             }
-            let (off, len) = (field(at), field(at + 2));
+            let (dst, len) = (field(at), field(at + 2));
+            if len == 0 {
+                let (src, len) = (field(at + 4), field(at + 6));
+                at += COPY_RUN;
+                return Some(Run::Copy { dst, src, len });
+            }
             let bytes = &self.encoded[at + RUN_HEADER..at + RUN_HEADER + len];
             at += RUN_HEADER + len;
-            Some((off, bytes))
+            Some(Run::Literal { dst, bytes })
         })
     }
 
-    /// Writes the runs over `page`. Idempotent: applying twice is
-    /// applying once.
+    /// Rewrites `page`, which holds the differential's base, into the
+    /// page it encodes. Copies read the base as it was on entry.
     pub fn apply(&self, page: &mut [u8]) {
-        for (off, bytes) in self.runs() {
-            page[off..off + bytes.len()].copy_from_slice(bytes);
+        let base = self.has_copies().then(|| page.to_vec());
+        for run in self.runs() {
+            match run {
+                Run::Literal { dst, bytes } => page[dst..dst + bytes.len()].copy_from_slice(bytes),
+                Run::Copy { dst, src, len } => {
+                    if let Some(base) = &base {
+                        page[dst..dst + len].copy_from_slice(&base[src..src + len]);
+                    }
+                }
+            }
         }
+    }
+
+    /// True if a run copies base bytes from another offset.
+    pub fn has_copies(&self) -> bool {
+        self.runs().any(|r| matches!(r, Run::Copy { .. }))
     }
 
     /// Encoded size of the runs: a header and the bytes of each.
@@ -150,8 +272,8 @@ impl Diff {
     }
 
     /// Parses one differential off the front of `bytes`, returning it and
-    /// the bytes it took; `None` if `bytes` ends inside it or a run does
-    /// not fit a page of `page_size`.
+    /// the bytes it took; `None` if `bytes` ends inside it, or a run
+    /// writes, or a copy reads, past a page of `page_size`.
     pub fn read_from(bytes: &[u8], page_size: usize) -> Option<(Diff, usize)> {
         let field = |at: usize| {
             Some(usize::from(u16::from_le_bytes(
@@ -161,15 +283,108 @@ impl Diff {
         let count = field(0)?;
         let mut at = 2;
         for _ in 0..count {
-            let (off, len) = (field(at)?, field(at + 2)?);
-            if off + len > page_size || bytes.len() < at + RUN_HEADER + len {
+            let (dst, len) = (field(at)?, field(at + 2)?);
+            let (src, len, size) = match len {
+                0 => (field(at + 4)?, field(at + 6)?, COPY_RUN),
+                len => (dst, len, RUN_HEADER + len),
+            };
+            if dst + len > page_size || src + len > page_size || bytes.len() < at + size {
                 return None;
             }
-            at += RUN_HEADER + len;
+            at += size;
         }
         let encoded = bytes[..at].to_vec();
         Some((Diff { encoded }, at))
     }
+}
+
+/// Where the shift-aware pass picks up after a change: the first new
+/// offset in `probes` where [`MIN_MATCH`] bytes match the base at shift
+/// 0, at `shift`, or where the index places their first word. The offset
+/// and the shift of the match.
+fn resync(
+    index: &WordIndex<'_>,
+    new: &[u8],
+    probes: std::ops::Range<usize>,
+    shift: isize,
+) -> Option<(usize, isize)> {
+    let base = index.base;
+    let n = new.len();
+    // The second word is compared only where the first matched.
+    let matches = |j: usize, from: usize| {
+        from + MIN_MATCH <= n && base[from + WORD..from + MIN_MATCH] == new[j + WORD..j + MIN_MATCH]
+    };
+    for j in probes.start..probes.end.min((n + 1).saturating_sub(MIN_MATCH)) {
+        let first = word(&new[j..j + WORD]);
+        if word(&base[j..j + WORD]) == first && matches(j, j) {
+            return Some((j, 0));
+        }
+        if let Some(from) = j
+            .checked_add_signed(shift)
+            .filter(|&f| shift != 0 && f + WORD <= n)
+        {
+            if word(&base[from..from + WORD]) == first && matches(j, from) {
+                return Some((j, shift));
+            }
+        }
+        if let Some(from) = index.find(first).filter(|&from| matches(j, from)) {
+            return Some((j, from as isize - j as isize));
+        }
+    }
+    None
+}
+
+/// The base's words at word-aligned offsets, by hash: where a word of
+/// the new page may have come from. A slot holds the first word that
+/// hashes to it, or word 0 if none does: a candidate either way.
+struct WordIndex<'a> {
+    base: &'a [u8],
+    /// Word number of a word hashing to the slot.
+    slots: Vec<u16>,
+    bits: u32,
+}
+
+impl<'a> WordIndex<'a> {
+    fn new(base: &'a [u8]) -> Self {
+        let words = base.len() / WORD;
+        let bits = (2 * words).max(2).next_power_of_two().trailing_zeros();
+        let mut index = WordIndex {
+            base,
+            slots: vec![0; 1 << bits],
+            bits,
+        };
+        // Backwards, so the first word of a slot is the one left in it.
+        for (i, w) in base.chunks_exact(WORD).enumerate().rev() {
+            let slot = index.slot(word(w));
+            index.slots[slot] = i as u16;
+        }
+        index
+    }
+
+    fn slot(&self, w: u64) -> usize {
+        (w.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
+    }
+
+    /// The offset of a base word equal to `w`, if the index holds one.
+    fn find(&self, w: u64) -> Option<usize> {
+        let at = usize::from(self.slots[self.slot(w)]) * WORD;
+        (word(&self.base[at..at + WORD]) == w).then_some(at)
+    }
+}
+
+/// Length of the common prefix of `a` and `b`, a word at a time.
+fn common_len(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let words = a.chunks_exact(WORD).zip(b.chunks_exact(WORD));
+    for (i, (x, y)) in words.enumerate() {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return i * WORD + (diff.trailing_zeros() / 8) as usize;
+        }
+    }
+    let tail = n / WORD * WORD;
+    tail + (tail..n).take_while(|&i| a[i] == b[i]).count()
 }
 
 /// The first index at or past `at` where the pages differ. The next
@@ -195,16 +410,8 @@ fn next_change(base: &[u8], new: &[u8], at: usize) -> Option<usize> {
 
 /// The first index in `at..end` where the pages differ, by words.
 fn scan(base: &[u8], new: &[u8], at: usize, end: usize) -> Option<usize> {
-    let (b, n) = (&base[at..end], &new[at..end]);
-    let words = b.chunks_exact(WORD).zip(n.chunks_exact(WORD));
-    for (i, (x, y)) in words.enumerate() {
-        let diff = word(x) ^ word(y);
-        if diff != 0 {
-            return Some(at + i * WORD + (diff.trailing_zeros() / 8) as usize);
-        }
-    }
-    let tail = b.len() / WORD * WORD;
-    (tail..b.len()).find(|&i| b[i] != n[i]).map(|i| at + i)
+    let len = common_len(&base[at..end], &new[at..end]);
+    (at + len < end).then_some(at + len)
 }
 
 /// The last index in `at..end` where the pages differ, for a window of
@@ -259,34 +466,206 @@ mod tests {
         page
     }
 
-    #[test]
-    fn encode_then_apply_gives_the_new_page_back() {
-        for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
+    /// A cell of a B-tree page: an 8-byte key, then payload.
+    fn cell(rng: &mut StdRng) -> Vec<u8> {
+        let mut cell = vec![0u8; rng.gen_range(16..200)];
+        fill(rng, &mut cell);
+        cell
+    }
+
+    /// A page laid out as `btree.rs` lays one out: a 12-byte header with
+    /// the cell count, the cells back to back, zeros after.
+    fn btree_page(cells: &[Vec<u8>]) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE];
+        page[0] = 1;
+        page[2..4].copy_from_slice(&(cells.len() as u16).to_le_bytes());
+        let mut at = 12;
+        for c in cells {
+            page[at..at + c.len()].copy_from_slice(c);
+            at += c.len();
+        }
+        page
+    }
+
+    /// A B-tree page filled to between a third and three quarters, and
+    /// the page after one to three edits: a cell inserted mid-page, a
+    /// cell deleted, a record grown or shrunk, or bytes edited in place.
+    fn btree_edit(rng: &mut StdRng) -> (Vec<u8>, Vec<u8>) {
+        let target = rng.gen_range(PAGE / 3..PAGE * 3 / 4);
+        let mut cells = Vec::new();
+        while cells.iter().map(Vec::len).sum::<usize>() < target {
+            cells.push(cell(rng));
+        }
+        let base = btree_page(&cells);
+        for _ in 0..rng.gen_range(1..=3) {
+            let i = rng.gen_range(0..cells.len());
+            match rng.gen_range(0..4) {
+                0 => cells.insert(i, cell(rng)),
+                1 if cells.len() > 1 => drop(cells.remove(i)),
+                2 => {
+                    let len = rng.gen_range(9..240);
+                    let old = cells[i].len();
+                    cells[i].resize(len, 0);
+                    if len > old {
+                        fill(rng, &mut cells[i][old..]);
+                    }
+                }
+                _ => {
+                    let len = rng.gen_range(1..=8.min(cells[i].len()));
+                    let off = rng.gen_range(0..=cells[i].len() - len);
+                    fill(rng, &mut cells[i][off..off + len]);
+                }
+            }
+        }
+        (base, btree_page(&cells))
+    }
+
+    /// A page pair of seed `seed`: B-tree edits, or in-place edits of a
+    /// random page.
+    fn case(seed: u64) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        if seed.is_multiple_of(3) {
             let mut base = vec![0u8; PAGE];
             fill(&mut rng, &mut base);
-            let edits = rng.gen_range(0..40);
+            let edits = rng.gen_range(0..60);
             let new = edited(&mut rng, &base, edits);
-            let diff = Diff::encode(&base, &new, usize::MAX).unwrap();
-            assert_eq!(applied(&base, &diff), new, "seed {seed}");
-            // And through the flash encoding.
-            let mut bytes = Vec::new();
-            diff.write_to(&mut bytes);
-            let (back, used) = Diff::read_from(&bytes, PAGE).unwrap();
-            assert_eq!((back, used), (diff, bytes.len()), "seed {seed}");
+            (base, new)
+        } else {
+            btree_edit(&mut rng)
+        }
+    }
+
+    /// Applies, and round-trips through the flash encoding.
+    fn check_exact(base: &[u8], new: &[u8], diff: &Diff, what: &str) {
+        assert!(applied(base, diff) == new, "{what}: apply");
+        let mut bytes = Vec::new();
+        diff.write_to(&mut bytes);
+        let (back, used) = Diff::read_from(&bytes, base.len()).unwrap();
+        assert_eq!((&back, used), (diff, bytes.len()), "{what}: flash");
+    }
+
+    #[test]
+    fn encode_then_apply_gives_the_new_page_back() {
+        for seed in 0..300 {
+            let (base, new) = case(seed);
+            let full = Diff::encode(&base, &new, usize::MAX).unwrap();
+            check_exact(&base, &new, &full, &format!("seed {seed}"));
+            let shifted = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+            check_exact(&base, &new, &shifted, &format!("seed {seed}, shifted"));
         }
     }
 
     #[test]
-    fn applying_is_idempotent() {
+    fn the_early_exit_never_undercounts_on_either_pass() {
+        type Pass = fn(&[u8], &[u8], usize) -> Option<Diff>;
+        let passes: [(&str, Pass); 2] = [
+            ("positional", Diff::encode_in_place),
+            ("shift-aware", Diff::encode_shifted),
+        ];
+        for seed in 0..300 {
+            let (base, new) = case(seed);
+            let limit = StdRng::seed_from_u64(!seed).gen_range(0..=2 * DIFF_LIMIT);
+            for (name, pass) in passes {
+                let full = pass(&base, &new, usize::MAX).unwrap();
+                match pass(&base, &new, limit) {
+                    Some(diff) => {
+                        assert_eq!(diff, full, "seed {seed}, {name}");
+                        assert!(diff.encoded_len() <= limit);
+                    }
+                    None => assert!(full.encoded_len() > limit, "seed {seed}, {name}"),
+                }
+            }
+            match Diff::encode(&base, &new, limit) {
+                Some(diff) => check_exact(&base, &new, &diff, &format!("seed {seed}")),
+                None => assert!(
+                    (Diff::encode_in_place(&base, &new, limit))
+                        .or_else(|| Diff::encode_shifted(&base, &new, limit))
+                        .is_none(),
+                    "seed {seed}"
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn a_differential_that_fits_in_place_is_the_positional_one() {
+        for seed in 0..300 {
+            let (base, new) = case(seed);
+            let positional = Diff::encode_in_place(&base, &new, usize::MAX).unwrap();
+            if positional.encoded_len() <= DIFF_LIMIT {
+                assert_eq!(
+                    Diff::encode(&base, &new, DIFF_LIMIT),
+                    Some(positional),
+                    "seed {seed}"
+                );
+            }
+        }
+        // And its bytes are the format's: count, then offset, length and
+        // bytes per run.
+        let base = vec![0u8; 64];
+        let mut new = base.clone();
+        new[3..5].fill(7);
+        new[40] = 9;
+        let mut bytes = Vec::new();
+        Diff::encode(&base, &new, 32).unwrap().write_to(&mut bytes);
+        assert_eq!(bytes, [2, 0, 3, 0, 2, 0, 7, 7, 40, 0, 1, 0, 9]);
+    }
+
+    #[test]
+    fn a_cell_inserted_or_deleted_mid_page_is_a_few_copies() {
         for seed in 0..100 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let base = vec![7u8; PAGE];
-            let new = edited(&mut rng, &base, 12);
-            let diff = Diff::encode(&base, &new, DIFF_LIMIT).unwrap();
-            let once = applied(&base, &diff);
-            assert_eq!(applied(&once, &diff), once, "seed {seed}");
+            let mut cells: Vec<Vec<u8>> = (0..30).map(|_| cell(&mut rng)).collect();
+            let base = btree_page(&cells);
+            let inserted = cell(&mut rng);
+            let len = inserted.len();
+            cells.insert(rng.gen_range(1..29), inserted);
+            let new = btree_page(&cells);
+            // The header, the cell, one copy of the tail, and zeros.
+            assert!(
+                Diff::encode(&base, &new, DIFF_LIMIT).is_some(),
+                "seed {seed}"
+            );
+            let diff = Diff::encode_shifted(&base, &new, DIFF_LIMIT).unwrap();
+            assert!(diff.has_copies(), "seed {seed}");
+            assert!(diff.encoded_len() <= len + 40, "seed {seed}: {len} B cell");
+            check_exact(&base, &new, &diff, &format!("seed {seed}"));
+            // The delete is the way back.
+            let back = Diff::encode_shifted(&new, &base, DIFF_LIMIT).unwrap();
+            assert!(back.has_copies() && back.encoded_len() <= 40, "seed {seed}");
+            check_exact(&new, &base, &back, &format!("seed {seed}"));
         }
+    }
+
+    #[test]
+    fn applying_reads_the_base_where_runs_overlap() {
+        // A cell moves left and another right: the second copy's source
+        // is bytes the first copy has already rewritten.
+        let mut rng = StdRng::seed_from_u64(3);
+        let cells: Vec<Vec<u8>> = (0..8).map(|_| cell(&mut rng)).collect();
+        let mut moved = cells.clone();
+        moved.swap(2, 5);
+        let (base, new) = (btree_page(&cells), btree_page(&moved));
+        let diff = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        let copies = diff
+            .runs()
+            .filter(|r| matches!(r, Run::Copy { .. }))
+            .count();
+        assert!(copies >= 2, "{:?}", diff.runs().collect::<Vec<_>>());
+        assert!(applied(&base, &diff) == new);
+        // Each run applied over the page as it stands gives another page:
+        // applying is not idempotent any more, and depends on the base.
+        let mut in_place = base.clone();
+        for run in diff.runs() {
+            let mut single = Diff::default();
+            match run {
+                Run::Literal { dst, bytes } => single.push_literal(dst, bytes),
+                Run::Copy { dst, src, len } => single.push_copy(dst, src, len),
+            }
+            single.apply(&mut in_place);
+        }
+        assert!(in_place != new, "the runs overlap");
+        assert!(applied(&new, &diff) != new);
     }
 
     #[test]
@@ -312,22 +691,15 @@ mod tests {
     }
 
     #[test]
-    fn the_early_exit_never_undercounts() {
-        for seed in 0..300 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let base = vec![0u8; PAGE];
-            let edits = rng.gen_range(0..60);
-            let new = edited(&mut rng, &base, edits);
-            let full = Diff::encode(&base, &new, usize::MAX).unwrap();
-            let limit = rng.gen_range(0..=2 * DIFF_LIMIT);
-            match Diff::encode(&base, &new, limit) {
-                Some(diff) => {
-                    assert_eq!(diff, full, "seed {seed}");
-                    assert!(diff.encoded_len() <= limit);
-                }
-                None => assert!(full.encoded_len() > limit, "seed {seed}"),
-            }
-        }
+    fn an_incompressible_page_stops_within_the_limit() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut base, mut new) = (vec![0u8; PAGE], vec![0u8; PAGE]);
+        fill(&mut rng, &mut base);
+        fill(&mut rng, &mut new);
+        assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT), None);
+        assert_eq!(Diff::encode_shifted(&base, &new, 0), None);
+        let whole = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        assert_eq!(whole, Diff::whole(&new), "one literal, no copy");
     }
 
     #[test]
@@ -352,7 +724,12 @@ mod tests {
         new[100] = 1;
         new[100 + MERGE_GAP + 1] = 1; // 16 equal bytes between: two runs
         let diff = Diff::encode(&base, &new, usize::MAX).unwrap();
-        let runs: Vec<(usize, usize)> = diff.runs().map(|(off, b)| (off, b.len())).collect();
+        let runs: Vec<(usize, usize)> = (diff.runs())
+            .map(|r| match r {
+                Run::Literal { dst, bytes } => (dst, bytes.len()),
+                Run::Copy { .. } => unreachable!("in place"),
+            })
+            .collect();
         assert_eq!(runs, [(10, 17), (100, 1), (117, 1)]);
         assert_eq!(diff.encoded_len(), 3 * RUN_HEADER + 19);
     }
@@ -365,20 +742,37 @@ mod tests {
         let diff = Diff::whole(&page);
         assert_eq!(applied(&vec![0xEE; page.len()], &diff), page);
         assert_eq!(diff.encoded_len(), page.len() + 2 * RUN_HEADER);
+        // So does any differential of a 64 KB page: no run reads as a copy.
+        let base = vec![0xEE; page.len()];
+        let diff = Diff::encode(&base, &page, usize::MAX).unwrap();
+        check_exact(&base, &page, &diff, "64 KB");
     }
 
     #[test]
     fn a_truncated_encoding_is_refused() {
-        let base = vec![0u8; 64];
+        let base: Vec<u8> = (0..64).map(|i| i * 3).collect();
         let mut new = base.clone();
         new[5..9].fill(1);
+        // A cell inserted mid-page: a copy run and literals.
+        new.splice(20..20, [0xAA; 6]);
+        new.truncate(64);
+        let diff = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        assert!(diff.has_copies());
         let mut bytes = Vec::new();
-        Diff::encode(&base, &new, usize::MAX)
-            .unwrap()
-            .write_to(&mut bytes);
+        diff.write_to(&mut bytes);
+        assert_eq!(Diff::read_from(&bytes, 64), Some((diff, bytes.len())));
         for cut in 0..bytes.len() {
             assert_eq!(Diff::read_from(&bytes[..cut], 64), None, "cut at {cut}");
         }
         assert_eq!(Diff::read_from(&bytes, 8), None, "a run past the page");
+        // A copy whose source, or whose destination, leaves the page.
+        for (dst, src) in [(0, 60), (60, 0)] {
+            let mut copy = Diff::default();
+            copy.push_copy(dst, src, 8);
+            let mut bytes = Vec::new();
+            copy.write_to(&mut bytes);
+            assert_eq!(Diff::read_from(&bytes, 64), None, "copy {src} -> {dst}");
+            assert!(Diff::read_from(&bytes, 68).is_some());
+        }
     }
 }

@@ -57,8 +57,10 @@
 //! differential past [`crate::diff::DIFF_LIMIT`], or a cache miss, writes
 //! the page whole, and that whole write is the merge; so does age: a
 //! differential folded more than [`MAX_DIFF_AGE`] commits ago is merged
-//! at the next group flush. A read is the base page plus the differential
-//! held in RAM.
+//! at the next group flush. And so does the image's size: the group
+//! flush merges the largest live differentials of pages it does not
+//! write while the image would need a second page. A read is the base
+//! page plus the differential held in RAM.
 //!
 //! ## Abort
 //!
@@ -114,7 +116,7 @@ use crate::xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};
 pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 
 /// Commits a live differential may age before the group flush merges
-/// its page: keeps the table image at about one page.
+/// its page.
 pub const MAX_DIFF_AGE: u64 = 32;
 
 /// The live table image a recovery found: its generation id, entries
@@ -316,16 +318,13 @@ impl XFtl {
             return Ok(());
         }
         let t_start = self.base.clock().now();
-        // The table image below is ordered behind every program issued so
-        // far, so waiting for it retires every outstanding ticket (ledger
-        // bound, as in the classic blocking commit).
-        self.base.retire_all();
         // Step 2 (durability point), once for the whole group: the
         // entries, and every differential live once the group is folded.
-        let pages = {
-            let (ps, ppb) = (self.base.page_size(), self.base.pages_per_block());
-            (self.table).encode_image(ps, ppb, &self.image_diffs())
-        };
+        let pages = self.next_image()?;
+        // The table image is ordered behind every program issued so far,
+        // so waiting for it retires every outstanding ticket (ledger
+        // bound, as in the classic blocking commit).
+        self.base.retire_all();
         let durable_at = self.base.persist_xl2p(&pages, &mut self.table)?;
         self.base.wait_for(durable_at);
         // Step 3: fold in submission order, so a page committed by two
@@ -397,6 +396,50 @@ impl XFtl {
         }
         diffs.retain(|(_, _, diff)| !diff.is_empty());
         diffs
+    }
+
+    /// The next table image, as pages, kept to one: while its entries
+    /// and differentials would need a second page, the largest live
+    /// differential of a page the group does not write is merged first —
+    /// the whole write [`XFtl::merge_aged`] makes, ordered before the
+    /// image. Sized from the records' lengths, and encoded once. If the
+    /// entries and the group's own differentials need a second page
+    /// anyway, no merge would save it, and none is made.
+    fn next_image(&mut self) -> Result<Vec<Vec<u8>>> {
+        let (ps, ppb) = (self.base.page_size(), self.base.pages_per_block());
+        let diffs = self.image_diffs();
+        let mut records: usize = (diffs.iter())
+            .map(|d| Xl2pTable::diff_record_len(d.2))
+            .sum();
+        if self.table.image_fits_page(ps, records) {
+            return Ok(self.table.encode_image(ps, ppb, &diffs));
+        }
+        let mut group: Vec<Lpn> = (self.staged.iter())
+            .flat_map(|&(tid, seq)| self.table.entries_of(tid).filter(move |e| e.seq == seq))
+            .map(|e| e.lpn)
+            .collect();
+        group.sort_unstable();
+        let (mut mergeable, mut fixed) = (Vec::new(), 0);
+        for (lpn, _, diff) in diffs {
+            let len = Xl2pTable::diff_record_len(diff);
+            if group.binary_search(&lpn).is_ok() {
+                fixed += len;
+            } else {
+                mergeable.push((len, lpn));
+            }
+        }
+        if self.table.image_fits_page(ps, fixed) {
+            mergeable.sort_unstable();
+            while !self.table.image_fits_page(ps, records) {
+                let Some((len, lpn)) = mergeable.pop() else {
+                    break;
+                };
+                self.merge(lpn)?;
+                self.base.stats_mut().merges_budget += 1;
+                records -= len;
+            }
+        }
+        Ok(self.table.encode_image(ps, ppb, &self.image_diffs()))
     }
 
     /// Folds `tid`'s whole version of `lpn`, stamped `seq`: the page's
@@ -606,6 +649,7 @@ impl XFtl {
         stats.diff_size_hist[diff_size_bucket(Some(diff.encoded_len()))] += 1;
         stats.diff_writes += 1;
         stats.diff_bytes += diff.encoded_len() as u64;
+        stats.diff_copies += u64::from(diff.has_copies());
         // A RAM-only command: a quarter of the firmware overhead, as an
         // unmapped read.
         let clock = self.base.clock();
@@ -2335,7 +2379,11 @@ mod tests {
 
     #[test]
     fn an_aged_differential_is_merged_at_a_group_flush() {
-        let (mut d, base) = diff_dev();
+        // A 16-entry table checkpoints every ninth commit, so the image
+        // stays far inside its page: age alone merges.
+        let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
+        let mut d = XFtl::format_with_capacity(chip, 64, 16).unwrap();
+        let base = seed_base(&mut d);
         let new = edit(&base, 40, 4, 0xAB);
         d.write_tx(1, 3, &new).unwrap();
         d.commit(1).unwrap();
@@ -2348,10 +2396,66 @@ mod tests {
         d.write_tx(99, 10, &other).unwrap();
         d.commit(99).unwrap();
         assert!(d.xl2p().live(3).is_none(), "merged");
-        assert_eq!(d.base().stats().merges_age, 1);
+        let stats = d.base().stats();
+        assert_eq!((stats.merges_age, stats.merges_budget), (1, 0));
+        assert_eq!(read(&mut d, 3), new);
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 16).unwrap();
+        assert_eq!(read(&mut d2, 3), new);
+    }
+
+    #[test]
+    fn the_largest_differential_is_merged_when_the_image_outgrows_its_page() {
+        let (mut d, base) = diff_dev();
+        d.write_tx(100, 4, &base).unwrap();
+        d.commit(100).unwrap();
+        let (small, large) = (edit(&base, 40, 6, 0xAB), edit(&base, 90, 20, 0xCD));
+        d.write_tx(1, 3, &small).unwrap();
+        d.write_tx(1, 4, &large).unwrap();
+        d.commit(1).unwrap();
+        // Commits of another page (zero-byte differentials after the first):
+        // each adds an entry to the image.
+        let other = page(&d, 5);
+        let mut tid = 2;
+        while d.base().stats().merges_budget == 0 {
+            assert_eq!(d.base().xl2p_roots().len(), 1, "commit {tid}: one page");
+            let before = programs(&d);
+            d.write_tx(tid, 10, &other).unwrap();
+            d.commit(tid).unwrap();
+            tid += 1;
+            assert!(tid < MAX_DIFF_AGE, "the budget never bound");
+            if d.base().stats().merges_budget > 0 {
+                assert_eq!(programs(&d), before + 2, "the merge and the image");
+            }
+        }
+        assert_eq!(d.base().xl2p_roots().len(), 1, "still one page");
+        assert!(d.xl2p().live(4).is_none(), "the larger one merged");
+        assert!(d.xl2p().live(3).is_some(), "the smaller one stays");
+        let stats = d.base().stats();
+        assert_eq!((stats.merges_budget, stats.merges_age), (1, 0));
+        assert_eq!(
+            (read(&mut d, 3), read(&mut d, 4)),
+            (small.clone(), large.clone())
+        );
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        assert_eq!((read(&mut d2, 3), read(&mut d2, 4)), (small, large));
+    }
+
+    #[test]
+    fn a_moved_tail_commits_as_copies_in_the_image() {
+        let (mut d, base) = diff_dev();
+        // Five bytes inserted at 100: every later byte moves.
+        let mut new = base.clone();
+        new.splice(100..100, [0xEE; 5]);
+        new.truncate(base.len());
+        let before = programs(&d);
+        d.write_tx(1, 3, &new).unwrap();
+        d.commit(1).unwrap();
+        assert_eq!(programs(&d), before + 1, "the table page only");
+        let stats = d.base().stats();
+        assert_eq!((stats.diff_writes, stats.diff_copies), (1, 1));
         assert_eq!(read(&mut d, 3), new);
         let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
-        assert_eq!(read(&mut d2, 3), new);
+        assert_eq!(read(&mut d2, 3), new, "the copies read the base");
     }
 
     #[test]

@@ -128,6 +128,9 @@ const TABLE_MAGIC: u64 = 0x584C_3250_5442_4C45;
 const ENTRY_BYTES: usize = 16;
 /// Page header: magic + entry count.
 const PAGE_HEADER: usize = 16;
+/// Bytes of a differential record before its runs: lpn, base and the
+/// differential's run count.
+const DIFF_RECORD_HEADER: usize = 10;
 
 /// Little-endian u64 at `off` (callers guarantee the bounds).
 fn get_u64(page: &[u8], off: usize) -> u64 {
@@ -599,6 +602,17 @@ impl Xl2pTable {
         freed
     }
 
+    /// Bytes `diff`'s record takes in a table image.
+    pub fn diff_record_len(diff: &Diff) -> usize {
+        DIFF_RECORD_HEADER + diff.encoded_len()
+    }
+
+    /// True if the table's entries and differential records of `records`
+    /// bytes in all make an image of one page of `page_size` bytes.
+    pub fn image_fits_page(&self, page_size: usize, records: usize) -> bool {
+        PAGE_HEADER + self.len() * ENTRY_BYTES + records <= page_size
+    }
+
     /// Serializes the table and the differentials `diffs` — `(lpn, base,
     /// diff)` each — into whole flash pages of `page_size` bytes (the
     /// commit-time copy-on-write write of Figure 4): the entries fill the pages
@@ -910,6 +924,38 @@ mod tests {
         assert!(entries
             .iter()
             .any(|e| e.tid == 9 && e.lpn == 100 && e.status == TxStatus::Active));
+    }
+
+    #[test]
+    fn the_one_page_size_is_what_the_image_encodes() {
+        let mut t = Xl2pTable::new(500);
+        let diffs: Vec<(Lpn, Ppa, Diff)> = (0..12)
+            .map(|i| {
+                let base = vec![0u8; 512];
+                let mut new = base.clone();
+                new[i * 7..][..i * 3 + 1].fill(1);
+                (
+                    i as Lpn,
+                    p(3, i as u32),
+                    Diff::encode(&base, &new, 512).unwrap(),
+                )
+            })
+            .collect();
+        for entries in 0..20u64 {
+            for carried in 0..=diffs.len() {
+                let with: Vec<(Lpn, Ppa, &Diff)> = (diffs[..carried].iter())
+                    .map(|(l, b, d)| (*l, *b, d))
+                    .collect();
+                let records = (with.iter()).map(|d| Xl2pTable::diff_record_len(d.2)).sum();
+                let pages = t.encode_image(512, 8, &with).len();
+                assert_eq!(
+                    t.image_fits_page(512, records),
+                    pages == 1,
+                    "{entries} entries, {carried} differentials"
+                );
+            }
+            t.upsert(entries + 1, entries, p(1, 0)).unwrap();
+        }
     }
 
     #[test]

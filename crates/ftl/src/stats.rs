@@ -116,12 +116,18 @@ pub struct FtlStats {
     pub diff_writes: u64,
     /// Encoded bytes of those differentials.
     pub diff_bytes: u64,
+    /// Those of the differentials that carry a copy run: bytes the write
+    /// moved within the page, found at another offset of its base.
+    pub diff_copies: u64,
     /// Transactional writes programmed whole because their differential
     /// passed the size limit: the page's merge.
     pub merges_size: u64,
     /// Pages programmed whole because their live differential had aged
     /// past the commit limit: at their next write, or at a group flush.
     pub merges_age: u64,
+    /// Pages programmed whole at a group flush, largest live differential
+    /// first, because the table image would otherwise need a second page.
+    pub merges_budget: u64,
     /// Transactional writes programmed whole because the base image of
     /// the page was not in the image cache: the page's merge, if it had
     /// a live differential (one recovery restored: a live base is
@@ -225,8 +231,10 @@ impl Sub for FtlStats {
             read_only_entries: self.read_only_entries - rhs.read_only_entries,
             diff_writes: self.diff_writes - rhs.diff_writes,
             diff_bytes: self.diff_bytes - rhs.diff_bytes,
+            diff_copies: self.diff_copies - rhs.diff_copies,
             merges_size: self.merges_size - rhs.merges_size,
             merges_age: self.merges_age - rhs.merges_age,
+            merges_budget: self.merges_budget - rhs.merges_budget,
             image_cache_misses: self.image_cache_misses - rhs.image_cache_misses,
             diff_size_hist: std::array::from_fn(|i| self.diff_size_hist[i] - rhs.diff_size_hist[i]),
         }

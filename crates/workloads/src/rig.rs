@@ -768,9 +768,13 @@ mod tests {
         /// The same 400 bytes every time: X-FTL keeps the rewrite as an
         /// empty differential and programs nothing for the page.
         Identical,
-        /// 600 bytes that all differ from the last version, past X-FTL's
-        /// differential limit: each statement programs its page whole.
+        /// 600 bytes of one letter, the next letter every 300 upserts: all
+        /// differ from the row's last version, but once a page holds a row
+        /// of the new letter, X-FTL copies the others' bytes from it.
         Changed,
+        /// 600 bytes no page holds: past X-FTL's differential limit, so
+        /// each statement programs its page whole.
+        Unique,
     }
 
     /// The FTL statistics of a small X-FTL rig under `gc_policy`, aged or
@@ -790,6 +794,17 @@ mod tests {
                 Rows::Changed => char::from(b'a' + (i / 300 % 26) as u8)
                     .to_string()
                     .repeat(600),
+                Rows::Unique => {
+                    let mut x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    (0..600)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            char::from(b'0' + (x % 64) as u8)
+                        })
+                        .collect()
+                }
             };
             db.execute_with(
                 "INSERT OR REPLACE INTO t VALUES (?, ?)",
@@ -836,32 +851,51 @@ mod tests {
     fn greedy_keeps_the_aged_data_out_of_its_victims() {
         // Greedy's survivors have a log of their own, so the aged data it
         // copies once stays there instead of riding along in the blocks
-        // the workload churns: on the same aged drive its victims carry
-        // under half of what FIFO's do.
-        let greedy = mean_gc_validity(GcPolicy::Greedy, Some(HEAVY)).unwrap();
-        let fifo = mean_gc_validity(GcPolicy::Fifo, Some(HEAVY)).unwrap();
-        assert!(greedy < fifo / 2.0, "greedy {greedy} vs FIFO {fifo}");
-        // Rewrites of identical rows program next to nothing: 89 % of
-        // the page writes are empty differentials under either policy,
-        // and what the collector sees is the aged data and the file
-        // system's own pages. There greedy's victims carry about half of
-        // what FIFO's do, no longer under half: pinned.
-        let run = |policy| gc_run(policy, Some(HEAVY), Rows::Identical);
-        let (greedy, fifo) = (run(GcPolicy::Greedy), run(GcPolicy::Fifo));
-        let empty = |s: &FtlStats| {
-            let writes = s.diff_size_hist.iter().sum::<u64>() + s.image_cache_misses;
-            format!("{:.3}", s.diff_size_hist[0] as f64 / writes as f64)
+        // the workload churns: on the same aged drive, under page traffic
+        // programmed whole, its victims carry under half of what FIFO's do.
+        let run = |rows| {
+            let greedy = gc_run(GcPolicy::Greedy, Some(HEAVY), rows);
+            let fifo = gc_run(GcPolicy::Fifo, Some(HEAVY), rows);
+            (greedy, fifo)
         };
+        let validity = |s: &FtlStats| s.mean_gc_validity().unwrap();
+        let (greedy, fifo) = run(Rows::Unique);
+        let (g, f) = (validity(&greedy), validity(&fifo));
+        assert!(g < f / 2.0, "greedy {g} vs FIFO {f}");
+        // X-FTL writes few pages of the other inputs whole, and what the
+        // collector sees is then the aged data and the file system's own
+        // pages. There greedy's victims carry about half of what FIFO's
+        // do, no longer under half: pinned, with the share of page writes
+        // kept as differentials of each shape.
+        let share = |s: &FtlStats, n: u64| {
+            let writes = s.diff_size_hist.iter().sum::<u64>() + s.image_cache_misses;
+            format!("{:.3}", n as f64 / writes as f64)
+        };
+        // Pinned: greedy ÷ FIFO validity, then the empty differentials'
+        // share under greedy and FIFO, then the copy runs' share.
+        let pinned = |rows| {
+            let (greedy, fifo) = run(rows);
+            let (g, f) = (validity(&greedy), validity(&fifo));
+            [
+                format!("{:.3}", g / f),
+                share(&greedy, greedy.diff_size_hist[0]),
+                share(&fifo, fifo.diff_size_hist[0]),
+                share(&greedy, greedy.diff_copies),
+                share(&fifo, fifo.diff_copies),
+            ]
+        };
+        // Rewrites of identical rows program next to nothing: 89 % of
+        // the page writes are empty differentials; 3.9 % carry a copy run.
         assert_eq!(
-            (empty(&greedy), empty(&fifo)),
-            ("0.888".into(), "0.888".into())
+            pinned(Rows::Identical),
+            ["0.644", "0.893", "0.893", "0.039", "0.039"]
         );
-        let (greedy, fifo) = (
-            greedy.mean_gc_validity().unwrap(),
-            fifo.mean_gc_validity().unwrap(),
+        // A row of a new letter copies the bytes of one already changed:
+        // 42 % of the page writes carry a copy run.
+        assert_eq!(
+            pinned(Rows::Changed),
+            ["0.534", "0.444", "0.444", "0.419", "0.419"]
         );
-        let ratio = format!("{:.3}", greedy / fifo);
-        assert_eq!(ratio, "0.536", "greedy {greedy} vs FIFO {fifo}");
     }
 
     #[test]

@@ -1751,6 +1751,80 @@ fn differentials_survive_every_cut() {
     assert!(cuts > 150, "{cuts} cuts");
 }
 
+/// Updates that move bytes within a page, as a B-tree insert or delete
+/// does: each differential copies the moved tail from another offset of
+/// its base, and a page moved often enough is written whole. Cut at every
+/// program and erase, beside plain overwrites and a checkpoint.
+#[test]
+fn shifted_differentials_survive_every_cut() {
+    use common::Step;
+    use xftl_ftl::BlockDevice;
+    let ps = diff_dev().page_size();
+    let mut image: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|lpn| diff_initial(lpn, ps)).collect();
+    let mut steps = Vec::new();
+    for i in 0..24u64 {
+        let (lpn, at, len) = (
+            i % DIFF_HOT,
+            (i * 37 % 300) as usize + 20,
+            (i % 4) as usize + 2,
+        );
+        let page = &mut image[lpn as usize];
+        if i % 3 == 2 {
+            // A delete: the tail moves left, the page ends in filler.
+            page.drain(at..at + len);
+            page.resize(ps, 0xF0 | i as u8);
+        } else {
+            // An insert: the tail moves right, its last bytes drop off.
+            page.splice(at..at, (0..len).map(|k| (i + k as u64) as u8 | 0x80));
+            page.truncate(ps);
+        }
+        steps.push(Step::Tx(i + 1, vec![(lpn, page.clone())]));
+        if i % 8 == 5 {
+            let lpn = DIFF_HOT + i;
+            image[lpn as usize][0] ^= 0xFF;
+            steps.push(Step::Plain(lpn, image[lpn as usize].clone()));
+        }
+        if i == 12 {
+            steps.push(Step::Flush);
+        }
+    }
+    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    assert!(stats.diff_copies >= 8, "{stats:?}");
+    assert!(
+        stats.merges_size > 0,
+        "no page moved past the limit: {stats:?}"
+    );
+    assert!(cuts > 30, "{cuts} cuts");
+}
+
+/// Six hot pages each carry a live differential while transactions
+/// commit pages of their own written whole: the entries grow until the
+/// table image would need a second page, and the group flush merges the
+/// largest differential first — a whole write ordered before the image.
+/// Every program and erase is cut, the one between that merge and the
+/// image among them.
+#[test]
+fn a_budget_merge_in_a_group_flush_survives_every_cut() {
+    use common::Step;
+    use xftl_ftl::BlockDevice;
+    let ps = diff_dev().page_size();
+    let mut steps = Vec::new();
+    for lpn in 0..DIFF_HOT {
+        let mut page = diff_initial(lpn, ps);
+        page[40 + lpn as usize * 50..][..8 + lpn as usize * 3].fill(0xB0 | lpn as u8);
+        steps.push(Step::Tx(lpn + 1, vec![(lpn, page)]));
+    }
+    for i in 0..20u64 {
+        let lpn = DIFF_HOT + 10 + i;
+        let page: Vec<u8> = (0..ps).map(|j| (j as u64 * 5 + i) as u8).collect();
+        steps.push(Step::Tx(100 + i, vec![(lpn, page)]));
+    }
+    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    assert!(stats.merges_budget >= 2, "{stats:?}");
+    assert_eq!(stats.merges_age, 0, "{stats:?}");
+    assert!(cuts > 20, "{cuts} cuts");
+}
+
 /// Cuts the recovery of a chip whose live image carries differentials at
 /// every program and erase of its closing checkpoint — the cut recovery
 /// taken apart as in [`recovery_cuts`] — and recovers each cut again:
