@@ -12,12 +12,13 @@
 //! alone rebuilds the page from its base. Copies read the base, not the
 //! page being rewritten, so a differential applies to its base only.
 //!
-//! Two passes encode one. The *positional* pass compares the pages
-//! offset by offset: exact for an edit in place, and the only pass a
-//! differential within the limit ever sees. A B-tree page packs its cells
-//! back to back, though, so an insert, a delete or a record that changes
-//! length moves every later byte; past the limit, a *shift-aware* pass
-//! finds the moved bytes in the base and copies them.
+//! One greedy pass encodes it, run at most twice. Run without an index
+//! it resyncs after a change only where 16 bytes match at the same
+//! offset: a positional comparison, exact for an edit in place. A B-tree
+//! page packs its cells back to back, though, so an insert, a delete or a
+//! record that changes length moves every later byte; if the first run
+//! passes the limit, a second one finds the moved bytes through an index
+//! of the base's words and copies them.
 //!
 //! On flash a differential is a run count (`u16`) and, per run, its
 //! offset and length (`u16` each) and its bytes; a copy is a run of
@@ -30,10 +31,6 @@
 /// smaller than 8 KB scale it down (see [`limit_for`]).
 pub const DIFF_LIMIT: usize = 512;
 
-/// Two changed stretches closer than this share one run: the equal bytes
-/// between them cost less than a second run header. Two words.
-const MERGE_GAP: usize = 16;
-
 /// Bytes of a run's header: offset and length.
 const RUN_HEADER: usize = 4;
 
@@ -43,7 +40,9 @@ const COPY_RUN: usize = 8;
 /// Longest literal one header carries: a 64 KB page takes two.
 const MAX_RUN: usize = 1 << 15;
 
-/// Shortest stretch the shift-aware pass matches after a change.
+/// Shortest stretch the pass matches after a change, two words: two
+/// changed stretches closer than this share one literal, as the equal
+/// bytes between them cost less than a second run header.
 const MIN_MATCH: usize = 16;
 
 /// Word the comparison strides by, and the base's index is keyed by.
@@ -84,56 +83,28 @@ impl Default for Diff {
 
 impl Diff {
     /// The differential that turns `base` into `new`, or `None` once its
-    /// encoded size passes `limit`: the positional pass, and the
-    /// shift-aware one if that passes the limit.
+    /// encoded size passes `limit`: [`Diff::greedy`] without the base's
+    /// word index, and with it if that passes the limit.
     ///
     /// # Panics
     /// If the pages differ in length or are longer than 64 KB.
     pub fn encode(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
         assert_eq!(base.len(), new.len(), "a differential spans one page size");
         assert!(base.len() <= usize::from(u16::MAX) + 1, "offsets are u16");
-        Self::encode_in_place(base, new, limit).or_else(|| Self::encode_shifted(base, new, limit))
+        Self::greedy(base, new, limit, None)
+            .or_else(|| Self::greedy(base, new, limit, Some(&WordIndex::new(base))))
     }
 
-    /// The positional pass: literal runs at the offsets that changed.
-    /// Equal stretches are skipped a block or a word at a time, and the
-    /// scan stops at the first run that passes the limit.
-    fn encode_in_place(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+    /// The pass: a match is extended at the current shift; where it
+    /// breaks, the pass resyncs at the first offset where [`MIN_MATCH`]
+    /// bytes match the base at shift 0, at the current shift, or where
+    /// `index` places them. The bytes skipped are a literal, a stretch
+    /// matched at a shift other than 0 a copy. Without an index the shift
+    /// stays 0: a literal ends where [`MIN_MATCH`] equal bytes follow its
+    /// last change. The resync scan ends where its literal would pass the
+    /// limit, so an incompressible page costs about the limit in probes.
+    fn greedy(base: &[u8], new: &[u8], limit: usize, index: Option<&WordIndex>) -> Option<Diff> {
         let n = base.len();
-        let mut diff = Diff::default();
-        let mut next = next_change(base, new, 0);
-        while let Some(start) = next {
-            // The run takes in every change less than MERGE_GAP equal
-            // bytes after its last, jumping to the farthest one in that
-            // window; it is at least as long as its last change, so its
-            // size is checked as that moves.
-            let mut last = start;
-            let window = loop {
-                if diff.encoded_len() + RUN_HEADER + (last + 1 - start) > limit {
-                    return None;
-                }
-                let window = (last + 1 + MERGE_GAP).min(n);
-                match last_change(base, new, last + 1, window) {
-                    Some(at) => last = at,
-                    None => break window,
-                }
-            };
-            diff.push_literal(start, &new[start..=last]);
-            next = next_change(base, new, window);
-        }
-        Some(diff)
-    }
-
-    /// The shift-aware pass, greedy: a match is extended at the current
-    /// shift; where it breaks, the pass resyncs at the first offset where
-    /// [`MIN_MATCH`] bytes match the base at shift 0, at the current
-    /// shift, or where the base's index of words places them. The bytes
-    /// skipped are a literal, a stretch matched at a shift other than 0 a
-    /// copy. The resync scan ends where its literal would pass the limit,
-    /// so an incompressible page costs about the limit in probes.
-    fn encode_shifted(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
-        let n = base.len();
-        let index = WordIndex::new(base);
         let mut diff = Diff::default();
         let (mut at, mut shift) = (0, 0isize);
         while at < n {
@@ -148,9 +119,10 @@ impl Diff {
                 // The literal up to the resync must fit what is left.
                 let room = limit.checked_sub(diff.encoded_len() + RUN_HEADER);
                 let last = room.map_or(at, |room| (at + room.min(n)).min(n - 1));
-                let (mut to, hit) = match resync(&index, new, at..last + 1, shift) {
+                let (mut to, hit) = match resync(base, index, new, at..last + 1, shift) {
                     Some(found) => found,
-                    None if last + 1 == n => (n, 0),
+                    // No offset is left where a match could start.
+                    None if last + MIN_MATCH >= n => (n, 0),
                     None => return None,
                 };
                 // A match the index placed may start before its probe.
@@ -298,38 +270,45 @@ impl Diff {
     }
 }
 
-/// Where the shift-aware pass picks up after a change: the first new
-/// offset in `probes` where [`MIN_MATCH`] bytes match the base at shift
-/// 0, at `shift`, or where the index places their first word. The offset
-/// and the shift of the match.
+/// Where [`Diff::greedy`] picks up after a change: the first new offset
+/// in `probes` where [`MIN_MATCH`] bytes match the base at shift 0, at
+/// `shift`, or where `index` places their first word. The offset and the
+/// shift of the match.
 fn resync(
-    index: &WordIndex<'_>,
+    base: &[u8],
+    index: Option<&WordIndex>,
     new: &[u8],
     probes: std::ops::Range<usize>,
     shift: isize,
 ) -> Option<(usize, isize)> {
-    let base = index.base;
     let n = new.len();
-    // The second word is compared only where the first matched.
-    let matches = |j: usize, from: usize| {
-        from + MIN_MATCH <= n && base[from + WORD..from + MIN_MATCH] == new[j + WORD..j + MIN_MATCH]
-    };
-    for j in probes.start..probes.end.min((n + 1).saturating_sub(MIN_MATCH)) {
+    let (mut j, end) = (
+        probes.start,
+        probes.end.min((n + 1).saturating_sub(MIN_MATCH)),
+    );
+    while j < end {
         let first = word(&new[j..j + WORD]);
-        if word(&base[j..j + WORD]) == first && matches(j, j) {
-            return Some((j, 0));
-        }
-        if let Some(from) = j
-            .checked_add_signed(shift)
-            .filter(|&f| shift != 0 && f + WORD <= n)
-        {
-            if word(&base[from..from + WORD]) == first && matches(j, from) {
-                return Some((j, shift));
-            }
-        }
-        if let Some(from) = index.find(first).filter(|&from| matches(j, from)) {
+        let shifted = j.checked_add_signed(shift).filter(|_| shift != 0);
+        let placed = index.map(|index| index.find(first));
+        // The second word is compared only where the first matched.
+        let from = [Some(j), shifted, placed]
+            .into_iter()
+            .flatten()
+            .find(|&from| {
+                from + MIN_MATCH <= n
+                    && word(&base[from..from + WORD]) == first
+                    && base[from + WORD..from + MIN_MATCH] == new[j + WORD..j + MIN_MATCH]
+            });
+        if let Some(from) = from {
             return Some((j, from as isize - j as isize));
         }
+        // At shift 0 alone, no probe up to the last byte that differs
+        // among these can match.
+        j = match (index, shift) {
+            (None, 0) => (j..j + MIN_MATCH).rev().find(|&i| new[i] != base[i]),
+            _ => None,
+        }
+        .map_or(j + 1, |i| i + 1);
     }
     None
 }
@@ -337,19 +316,17 @@ fn resync(
 /// The base's words at word-aligned offsets, by hash: where a word of
 /// the new page may have come from. A slot holds the first word that
 /// hashes to it, or word 0 if none does: a candidate either way.
-struct WordIndex<'a> {
-    base: &'a [u8],
+struct WordIndex {
     /// Word number of a word hashing to the slot.
     slots: Vec<u16>,
     bits: u32,
 }
 
-impl<'a> WordIndex<'a> {
-    fn new(base: &'a [u8]) -> Self {
+impl WordIndex {
+    fn new(base: &[u8]) -> Self {
         let words = base.len() / WORD;
         let bits = (2 * words).max(2).next_power_of_two().trailing_zeros();
         let mut index = WordIndex {
-            base,
             slots: vec![0; 1 << bits],
             bits,
         };
@@ -365,67 +342,38 @@ impl<'a> WordIndex<'a> {
         (w.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
     }
 
-    /// The offset of a base word equal to `w`, if the index holds one.
-    fn find(&self, w: u64) -> Option<usize> {
-        let at = usize::from(self.slots[self.slot(w)]) * WORD;
-        (word(&self.base[at..at + WORD]) == w).then_some(at)
+    /// The offset of the base word the slot of `w` holds: equal to `w`,
+    /// or not.
+    fn find(&self, w: u64) -> usize {
+        usize::from(self.slots[self.slot(w)]) * WORD
     }
 }
 
-/// Length of the common prefix of `a` and `b`, a word at a time.
+/// Length of the common prefix of `a` and `b`. The first [`BLOCK`]
+/// bytes are compared a word at a time, the first differing byte of a
+/// word read off the XOR of the two; past them, a block at a time, and
+/// the first block that differs word by word.
 fn common_len(a: &[u8], b: &[u8]) -> usize {
     let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let words = a.chunks_exact(WORD).zip(b.chunks_exact(WORD));
-    for (i, (x, y)) in words.enumerate() {
-        let diff = word(x) ^ word(y);
-        if diff != 0 {
-            return i * WORD + (diff.trailing_zeros() / 8) as usize;
+    let mut at = 0;
+    while at < n {
+        let end = (at + BLOCK).min(n);
+        let (x, y) = (&a[at..end], &b[at..end]);
+        if at == 0 || x != y {
+            for (i, (x, y)) in x.chunks_exact(WORD).zip(y.chunks_exact(WORD)).enumerate() {
+                let diff = word(x) ^ word(y);
+                if diff != 0 {
+                    return at + i * WORD + (diff.trailing_zeros() / 8) as usize;
+                }
+            }
+            let tail = at + x.len() / WORD * WORD;
+            if let Some(i) = (tail..end).find(|&i| a[i] != b[i]) {
+                return i;
+            }
         }
+        at = end;
     }
-    let tail = n / WORD * WORD;
-    tail + (tail..n).take_while(|&i| a[i] == b[i]).count()
-}
-
-/// The first index at or past `at` where the pages differ. The next
-/// [`BLOCK`] bytes are scanned word by word, the first differing byte of
-/// a word read off the XOR of the two; past them, the pages are compared
-/// a block at a time, in order, and the first block that differs is
-/// scanned.
-fn next_change(base: &[u8], new: &[u8], at: usize) -> Option<usize> {
-    let n = base.len();
-    let mut end = (at + BLOCK).min(n);
-    if let Some(i) = scan(base, new, at, end) {
-        return Some(i);
-    }
-    while end < n {
-        let (from, to) = (end, (end + BLOCK).min(n));
-        if base[from..to] != new[from..to] {
-            return scan(base, new, from, to);
-        }
-        end = to;
-    }
-    None
-}
-
-/// The first index in `at..end` where the pages differ, by words.
-fn scan(base: &[u8], new: &[u8], at: usize, end: usize) -> Option<usize> {
-    let len = common_len(&base[at..end], &new[at..end]);
-    (at + len < end).then_some(at + len)
-}
-
-/// The last index in `at..end` where the pages differ, for a window of
-/// at most two words: read off the XOR of the words that end it.
-fn last_change(base: &[u8], new: &[u8], at: usize, end: usize) -> Option<usize> {
-    if end - at != 2 * WORD {
-        return (at..end).rev().find(|&i| base[i] != new[i]);
-    }
-    let high = word(&base[at + WORD..end]) ^ word(&new[at + WORD..end]);
-    if high != 0 {
-        return Some(at + 2 * WORD - 1 - (high.leading_zeros() / 8) as usize);
-    }
-    let low = word(&base[at..at + WORD]) ^ word(&new[at..at + WORD]);
-    (low != 0).then(|| at + WORD - 1 - (low.leading_zeros() / 8) as usize)
+    n
 }
 
 /// A little-endian word of exactly [`WORD`] bytes.
@@ -544,60 +492,179 @@ mod tests {
         assert_eq!((&back, used), (diff, bytes.len()), "{what}: flash");
     }
 
+    /// The pass without the base's index: the first run of `encode`.
+    fn unindexed(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+        Diff::greedy(base, new, limit, None)
+    }
+
+    /// The pass with the base's index: the second run of `encode`.
+    fn indexed(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+        Diff::greedy(base, new, limit, Some(&WordIndex::new(base)))
+    }
+
+    /// `pass` at `limit`: the full encoding if that fits, else `None`.
+    fn assert_exact(pass: Pass, base: &[u8], new: &[u8], limit: usize, what: &str) {
+        let full = pass(base, new, usize::MAX).unwrap();
+        match pass(base, new, limit) {
+            Some(diff) => {
+                assert_eq!(diff, full, "{what}, limit {limit}");
+                assert!(diff.encoded_len() <= limit);
+            }
+            None => assert!(full.encoded_len() > limit, "{what}, limit {limit}"),
+        }
+    }
+
+    /// A run of the pass, at a limit.
+    type Pass = fn(&[u8], &[u8], usize) -> Option<Diff>;
+
+    /// A random page, and the page with a few bytes changed mid-page and
+    /// one of its last 15 changed: no 16-byte match starts after that.
+    fn tail_edit(seed: u64) -> (Vec<u8>, Vec<u8>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut base = vec![0u8; PAGE];
+        fill(&mut rng, &mut base);
+        let mut new = base.clone();
+        let (at, len) = (rng.gen_range(PAGE / 4..PAGE * 3 / 4), rng.gen_range(1..24));
+        fill(&mut rng, &mut new[at..at + len]);
+        let last = rng.gen_range(PAGE - 15..PAGE);
+        new[last] = !base[last];
+        (base, new)
+    }
+
+    /// The positional pass `encode` ran before the greedy pass took it
+    /// over, kept as the reference the run without an index must equal:
+    /// literal runs at the offsets that changed, two changes fewer than
+    /// [`MIN_MATCH`] equal bytes apart sharing one; the scan stops at the
+    /// first run that passes the limit.
+    fn positional(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+        let n = base.len();
+        let mut diff = Diff::default();
+        let mut next = next_change(base, new, 0);
+        while let Some(start) = next {
+            let mut last = start;
+            let window = loop {
+                if diff.encoded_len() + RUN_HEADER + (last + 1 - start) > limit {
+                    return None;
+                }
+                let window = (last + 1 + MIN_MATCH).min(n);
+                match last_change(base, new, last + 1, window) {
+                    Some(at) => last = at,
+                    None => break window,
+                }
+            };
+            diff.push_literal(start, &new[start..=last]);
+            next = next_change(base, new, window);
+        }
+        Some(diff)
+    }
+
+    /// The first index at or past `at` where the pages differ.
+    fn next_change(base: &[u8], new: &[u8], at: usize) -> Option<usize> {
+        (at..base.len()).find(|&i| base[i] != new[i])
+    }
+
+    /// The last index in `at..end` where the pages differ.
+    fn last_change(base: &[u8], new: &[u8], at: usize, end: usize) -> Option<usize> {
+        (at..end).rev().find(|&i| base[i] != new[i])
+    }
+
     #[test]
     fn encode_then_apply_gives_the_new_page_back() {
         for seed in 0..300 {
             let (base, new) = case(seed);
             let full = Diff::encode(&base, &new, usize::MAX).unwrap();
             check_exact(&base, &new, &full, &format!("seed {seed}"));
-            let shifted = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
-            check_exact(&base, &new, &shifted, &format!("seed {seed}, shifted"));
+            let shifted = indexed(&base, &new, usize::MAX).unwrap();
+            check_exact(&base, &new, &shifted, &format!("seed {seed}, indexed"));
         }
     }
 
     #[test]
     fn the_early_exit_never_undercounts_on_either_pass() {
-        type Pass = fn(&[u8], &[u8], usize) -> Option<Diff>;
-        let passes: [(&str, Pass); 2] = [
-            ("positional", Diff::encode_in_place),
-            ("shift-aware", Diff::encode_shifted),
-        ];
+        // Without the index, exact at every limit: at a random one, at
+        // the full encoding's length and a byte short of it.
+        for seed in 0..20_000 {
+            let (base, new) = case(seed);
+            let len = unindexed(&base, &new, usize::MAX).unwrap().encoded_len();
+            let limit = StdRng::seed_from_u64(!seed).gen_range(0..=2 * DIFF_LIMIT);
+            for limit in [limit, len, len.saturating_sub(1)] {
+                assert_exact(unindexed, &base, &new, limit, &format!("seed {seed}"));
+            }
+        }
+        // With it, at a random limit (see
+        // `an_index_placed_match_can_be_refused_though_it_fits`).
         for seed in 0..300 {
             let (base, new) = case(seed);
             let limit = StdRng::seed_from_u64(!seed).gen_range(0..=2 * DIFF_LIMIT);
-            for (name, pass) in passes {
-                let full = pass(&base, &new, usize::MAX).unwrap();
-                match pass(&base, &new, limit) {
-                    Some(diff) => {
-                        assert_eq!(diff, full, "seed {seed}, {name}");
-                        assert!(diff.encoded_len() <= limit);
-                    }
-                    None => assert!(full.encoded_len() > limit, "seed {seed}, {name}"),
-                }
-            }
+            assert_exact(
+                indexed,
+                &base,
+                &new,
+                limit,
+                &format!("seed {seed}, indexed"),
+            );
             match Diff::encode(&base, &new, limit) {
                 Some(diff) => check_exact(&base, &new, &diff, &format!("seed {seed}")),
                 None => assert!(
-                    (Diff::encode_in_place(&base, &new, limit))
-                        .or_else(|| Diff::encode_shifted(&base, &new, limit))
+                    unindexed(&base, &new, limit)
+                        .or_else(|| indexed(&base, &new, limit))
                         .is_none(),
                     "seed {seed}"
                 ),
             }
         }
+        // A last change in the page's last 15 bytes, where no match can
+        // start after it: both runs fit it at exactly its length.
+        for seed in 0..1_000 {
+            let (base, new) = tail_edit(seed);
+            for (name, pass) in [("no index", unindexed as Pass), ("indexed", indexed)] {
+                let full = pass(&base, &new, usize::MAX).unwrap();
+                let len = full.encoded_len();
+                assert_eq!(
+                    pass(&base, &new, len),
+                    Some(full),
+                    "tail seed {seed}, {name}"
+                );
+            }
+        }
     }
 
+    /// The one place the indexed run is not exact: the index places a
+    /// match at its probe, and the match is extended back to start before
+    /// it. A limit that the literal up to the match's start fits, but the
+    /// scan to the probe does not, refuses a differential that fits.
+    /// Counted near the limit, where it shows, on a fixed set of cases.
     #[test]
-    fn a_differential_that_fits_in_place_is_the_positional_one() {
-        for seed in 0..300 {
+    fn an_index_placed_match_can_be_refused_though_it_fits() {
+        let mut refused = 0;
+        for seed in 0..1_000 {
             let (base, new) = case(seed);
-            let positional = Diff::encode_in_place(&base, &new, usize::MAX).unwrap();
-            if positional.encoded_len() <= DIFF_LIMIT {
-                assert_eq!(
-                    Diff::encode(&base, &new, DIFF_LIMIT),
-                    Some(positional),
-                    "seed {seed}"
-                );
+            let full = indexed(&base, &new, usize::MAX).unwrap();
+            for limit in full.encoded_len()..full.encoded_len() + 9 {
+                if indexed(&base, &new, limit).is_none() {
+                    assert!(full.has_copies(), "seed {seed}: no match placed");
+                    refused += 1;
+                }
+            }
+        }
+        assert_eq!(refused, 506);
+    }
+
+    /// The first run of `encode` is the positional pass it replaced, at
+    /// any limit.
+    #[test]
+    fn the_run_without_an_index_is_the_positional_pass() {
+        let cases = (0..2_000).map(case).chain((0..1_000).map(tail_edit));
+        for (i, (base, new)) in cases.enumerate() {
+            let full = positional(&base, &new, usize::MAX).unwrap();
+            let limit = StdRng::seed_from_u64(!(i as u64)).gen_range(0..=2 * DIFF_LIMIT);
+            for limit in [usize::MAX, limit, full.encoded_len()] {
+                let want = positional(&base, &new, limit);
+                assert_eq!(unindexed(&base, &new, limit), want, "case {i}, {limit}");
+            }
+            // It is what `encode` gives whenever it fits.
+            if full.encoded_len() <= DIFF_LIMIT {
+                assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT), Some(full));
             }
         }
         // And its bytes are the format's: count, then offset, length and
@@ -626,12 +693,12 @@ mod tests {
                 Diff::encode(&base, &new, DIFF_LIMIT).is_some(),
                 "seed {seed}"
             );
-            let diff = Diff::encode_shifted(&base, &new, DIFF_LIMIT).unwrap();
+            let diff = indexed(&base, &new, DIFF_LIMIT).unwrap();
             assert!(diff.has_copies(), "seed {seed}");
             assert!(diff.encoded_len() <= len + 40, "seed {seed}: {len} B cell");
             check_exact(&base, &new, &diff, &format!("seed {seed}"));
             // The delete is the way back.
-            let back = Diff::encode_shifted(&new, &base, DIFF_LIMIT).unwrap();
+            let back = indexed(&new, &base, DIFF_LIMIT).unwrap();
             assert!(back.has_copies() && back.encoded_len() <= 40, "seed {seed}");
             check_exact(&new, &base, &back, &format!("seed {seed}"));
         }
@@ -646,7 +713,7 @@ mod tests {
         let mut moved = cells.clone();
         moved.swap(2, 5);
         let (base, new) = (btree_page(&cells), btree_page(&moved));
-        let diff = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        let diff = indexed(&base, &new, usize::MAX).unwrap();
         let copies = diff
             .runs()
             .filter(|r| matches!(r, Run::Copy { .. }))
@@ -697,8 +764,8 @@ mod tests {
         fill(&mut rng, &mut base);
         fill(&mut rng, &mut new);
         assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT), None);
-        assert_eq!(Diff::encode_shifted(&base, &new, 0), None);
-        let whole = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        assert_eq!(indexed(&base, &new, 0), None);
+        let whole = indexed(&base, &new, usize::MAX).unwrap();
         assert_eq!(whole, Diff::whole(&new), "one literal, no copy");
     }
 
@@ -720,9 +787,9 @@ mod tests {
         let base = vec![0u8; 256];
         let mut new = base.clone();
         new[10] = 1;
-        new[10 + MERGE_GAP] = 1; // 15 equal bytes between: one run
+        new[10 + MIN_MATCH] = 1; // 15 equal bytes between: one run
         new[100] = 1;
-        new[100 + MERGE_GAP + 1] = 1; // 16 equal bytes between: two runs
+        new[100 + MIN_MATCH + 1] = 1; // 16 equal bytes between: two runs
         let diff = Diff::encode(&base, &new, usize::MAX).unwrap();
         let runs: Vec<(usize, usize)> = (diff.runs())
             .map(|r| match r {
@@ -756,7 +823,7 @@ mod tests {
         // A cell inserted mid-page: a copy run and literals.
         new.splice(20..20, [0xAA; 6]);
         new.truncate(64);
-        let diff = Diff::encode_shifted(&base, &new, usize::MAX).unwrap();
+        let diff = indexed(&base, &new, usize::MAX).unwrap();
         assert!(diff.has_copies());
         let mut bytes = Vec::new();
         diff.write_to(&mut bytes);

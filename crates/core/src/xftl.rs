@@ -183,9 +183,6 @@ pub struct XFtl {
     /// captured. Present only between `begin` and the transaction's
     /// commit/abort/conflict resolution.
     snapshots: HashMap<Tid, u64>,
-    /// Commit ordinal before which no live differential comes of age: a
-    /// new one is first folded later than any live one.
-    merge_due: u64,
 }
 
 /// A committed transaction's pages become current at the point its group
@@ -205,7 +202,6 @@ impl Personality for XFtl {
             next_group: 1,
             commit_seq: 0,
             snapshots: HashMap::new(),
-            merge_due: 0,
         }
     }
 
@@ -463,22 +459,17 @@ impl XFtl {
         );
         self.table.note_l2p_version(lpn, seq);
         self.table.fold_diff(tid, lpn, seq);
-        self.merge_due = self.merge_due.min(seq + MAX_DIFF_AGE + 1);
     }
 
     /// Merges every page whose live differential was first folded more
-    /// than [`MAX_DIFF_AGE`] commits ago.
+    /// than [`MAX_DIFF_AGE`] commits ago. The one-page image keeps the
+    /// live set small enough to scan at every group flush.
     fn merge_aged(&mut self) -> Result<()> {
-        if self.commit_seq < self.merge_due {
-            return Ok(());
-        }
         let horizon = self.commit_seq.saturating_sub(MAX_DIFF_AGE + 1);
         for lpn in self.table.live_since_at_most(horizon) {
             self.merge(lpn)?;
             self.base.stats_mut().merges_age += 1;
         }
-        let oldest = self.table.live_diffs().map(|(_, l)| l.since).min();
-        self.merge_due = oldest.map_or(u64::MAX, |since| since + MAX_DIFF_AGE + 1);
         Ok(())
     }
 

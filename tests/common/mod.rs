@@ -200,143 +200,68 @@ impl Swept for XFtl {
     }
 }
 
-/// The `i`-th group of the sweep's schedule: `len` pages scattered over
-/// `logical`, filled with a byte naming the group.
-fn sweep_group(i: u64, len: u64, logical: u64, ps: usize) -> Vec<(Lpn, Vec<u8>)> {
-    let mut rng = StdRng::seed_from_u64(i);
-    let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::new();
-    for _ in 0..len {
-        let lpn = rng.gen_range(0..logical);
-        if pages.iter().all(|(l, _)| *l != lpn) {
-            pages.push((lpn, vec![(i % 250) as u8 + 1; ps]));
-        }
-    }
-    pages
+/// One acknowledged step of a [`sweep`] schedule.
+#[derive(Debug, Clone)]
+pub enum Step {
+    /// Whole pages written as one group by [`Swept::group`].
+    Group(Tid, Vec<(Lpn, Vec<u8>)>),
+    /// A plain write of one page.
+    Plain(Lpn, Vec<u8>),
+    /// A flush.
+    Flush,
 }
 
-/// Cuts the power at every program and erase of a schedule of `groups`
-/// acknowledged groups of `len` pages on the device `build` makes, and
-/// after each cut recovers (twice; no chip may be refused) and checks that
-/// every acknowledged group is there, the group in flight is there as far
-/// as the personality promises (whole or not at all where groups are
-/// atomic, page by page where they are not), and nothing else moved —
-/// behind the shadow oracle, which with the flash auditor checks every
-/// recovery as well. Returns the FTL statistics of the uncut run, the
-/// build phase excluded.
+impl Step {
+    /// The pages the step writes, in order.
+    fn pages(&self) -> Vec<(Lpn, &[u8])> {
+        match self {
+            Step::Group(_, pages) => pages.iter().map(|(lpn, page)| (*lpn, &page[..])).collect(),
+            Step::Plain(lpn, page) => vec![(*lpn, &page[..])],
+            Step::Flush => Vec::new(),
+        }
+    }
+}
+
+/// `count` groups of up to `len` pages scattered over `dev`'s logical
+/// pages, each filled with a byte naming it.
+pub fn fill_groups<D: Swept>(dev: &ShadowDevice<D>, count: u64, len: u64) -> Vec<Step> {
+    let (logical, ps) = (dev.capacity_pages(), dev.page_size());
+    (0..count)
+        .map(|i| {
+            let mut rng = StdRng::seed_from_u64(i);
+            let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::new();
+            for _ in 0..len {
+                let lpn = rng.gen_range(0..logical);
+                if pages.iter().all(|(l, _)| *l != lpn) {
+                    pages.push((lpn, vec![(i % 250) as u8 + 1; ps]));
+                }
+            }
+            Step::Group(i + 1, pages)
+        })
+        .collect()
+}
+
+/// Cuts the power at every program and erase of `steps` on the device
+/// `build` makes, and after each cut recovers (twice; no chip may be
+/// refused) and checks every page byte for byte: every acknowledged step
+/// is there, the step in flight as far as the personality promises, and
+/// nothing else moved — behind the shadow oracle, which with the flash
+/// auditor checks every recovery as well. A group is there whole or not
+/// at all where groups are atomic, and whole only if its seal was
+/// reached; page by page where they are not, the acknowledged writes for
+/// sure and the one in flight perhaps. A plain write may or may not be
+/// there. Every step of the uncut run is audited. Returns the FTL
+/// statistics of the uncut run, the build phase excluded, and how many
+/// cuts it made.
 pub fn sweep<D: Swept>(
     build: impl Fn() -> ShadowDevice<D>,
-    groups: u64,
-    len: u64,
-) -> xftl_ftl::FtlStats {
+    steps: &[Step],
+) -> (xftl_ftl::FtlStats, u64) {
     let ops = |d: &ShadowDevice<D>| {
         let s = d.inner().base().flash_stats();
         s.programs + s.erases
     };
-    let image = |d: &mut ShadowDevice<D>| -> Vec<u8> {
-        let mut buf = vec![0u8; d.page_size()];
-        (0..d.capacity_pages())
-            .map(|lpn| {
-                d.read(lpn, &mut buf).unwrap();
-                assert!(buf.iter().all(|b| *b == buf[0]), "lpn {lpn} is torn");
-                buf[0]
-            })
-            .collect()
-    };
-    // The uncut run: how many cuts there are, and what the steps did.
-    let mut dev = build();
-    let (logical, ps) = (dev.capacity_pages(), dev.page_size());
-    let (before, built) = (ops(&dev), *dev.inner().base().stats());
-    for i in 0..groups {
-        D::group(&mut dev, i + 1, &sweep_group(i, len, logical, ps)).unwrap();
-    }
-    let cuts = ops(&dev) - before;
-    let stats = *dev.inner().base().stats() - built;
-    for fuse in 1..=cuts {
-        let mut dev = build();
-        let mut expect = image(&mut dev);
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        // The group the power died in, and where in it.
-        let mut in_flight = None;
-        for i in 0..groups {
-            let pages = sweep_group(i, len, logical, ps);
-            match D::group(&mut dev, i + 1, &pages) {
-                Ok(()) => {
-                    for (lpn, data) in &pages {
-                        expect[*lpn as usize] = data[0];
-                    }
-                }
-                Err(cut) => {
-                    assert!(
-                        dev.inner().base().chip().is_dead(),
-                        "fuse {fuse}, group {i}: {cut:?} with the power on"
-                    );
-                    in_flight = Some((pages, cut));
-                    break;
-                }
-            }
-        }
-        let (pages, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
-        let (inner, model) = dev.into_parts();
-        let recovered =
-            D::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
-        let mut dev = resume(recovered, model);
-        let got = image(&mut dev);
-        let landed = |(lpn, data): &(Lpn, Vec<u8>)| got[*lpn as usize] == data[0];
-        // What of the group in flight may show: atomic, all of it or
-        // none, and only if the seal was reached; page by page, the
-        // acknowledged writes for sure and the one in flight perhaps.
-        let shown = if D::ATOMIC {
-            let all = cut.sealing && pages.iter().all(landed);
-            if all {
-                pages.len()
-            } else {
-                0
-            }
-        } else {
-            let in_doubt = pages.get(cut.acked).is_some_and(landed);
-            cut.acked + usize::from(in_doubt)
-        };
-        for (lpn, data) in &pages[..shown] {
-            expect[*lpn as usize] = data[0];
-        }
-        assert_eq!(got, expect, "fuse {fuse}: {cut:?}");
-        // Recovery is idempotent.
-        let mut dev = recover(dev);
-        assert_eq!(image(&mut dev), expect, "fuse {fuse}: second recovery");
-    }
-    stats
-}
-
-// --- the every-boundary sweep of a schedule of page differentials ---------
-
-/// One acknowledged step of a [`sweep_diffs`] schedule.
-#[derive(Debug, Clone)]
-pub enum Step {
-    /// A transaction writing these whole pages, then its commit.
-    Tx(Tid, Vec<(Lpn, Vec<u8>)>),
-    /// A plain write of one page.
-    Plain(Lpn, Vec<u8>),
-    /// A flush: the device checkpoints.
-    Flush,
-}
-
-/// Cuts the power at every program and erase of `steps` on the X-FTL
-/// device `build` makes, and after each cut recovers (twice) and checks
-/// every page byte for byte: every acknowledged step is there; of the
-/// step the power died in, a transaction is there whole if its commit
-/// was reached and not at all otherwise, and a plain write may or may
-/// not be. Every step of the uncut run is audited. Returns the FTL
-/// statistics of the uncut run, the build phase excluded, and how many
-/// cuts it made.
-pub fn sweep_diffs(
-    build: impl Fn() -> ShadowDevice<XFtl>,
-    steps: &[Step],
-) -> (xftl_ftl::FtlStats, u64) {
-    let ops = |d: &ShadowDevice<XFtl>| {
-        let s = d.inner().base().flash_stats();
-        s.programs + s.erases
-    };
-    let image = |d: &mut ShadowDevice<XFtl>| -> Vec<Vec<u8>> {
+    let image = |d: &mut ShadowDevice<D>| -> Vec<Vec<u8>> {
         let mut buf = vec![0u8; d.page_size()];
         (0..d.capacity_pages())
             .map(|lpn| {
@@ -345,10 +270,11 @@ pub fn sweep_diffs(
             })
             .collect()
     };
+    // The uncut run: how many cuts there are, and what the steps did.
     let mut dev = build();
     let (before, built) = (ops(&dev), *dev.inner().base().stats());
-    for step in steps {
-        step_on(&mut dev, step).unwrap();
+    for s in steps {
+        step(&mut dev, s).unwrap();
         dev.audit();
     }
     let cuts = ops(&dev) - before;
@@ -357,64 +283,72 @@ pub fn sweep_diffs(
         let mut dev = build();
         let mut expect = image(&mut dev);
         dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
+        // The step the power died in, and where in it.
         let mut in_flight = None;
-        for step in steps {
-            match step_on(&mut dev, step) {
-                Ok(()) => apply(&mut expect, step),
-                Err((reached, error)) => {
+        for s in steps {
+            match step(&mut dev, s) {
+                Ok(()) => apply(&mut expect, s),
+                Err(cut) => {
                     assert!(
                         dev.inner().base().chip().is_dead(),
-                        "fuse {fuse}: {step:?}: {error:?} with the power on"
+                        "fuse {fuse}: {s:?}: {cut:?} with the power on"
                     );
-                    in_flight = Some((step, reached));
+                    in_flight = Some((s, cut));
                     break;
                 }
             }
         }
-        let (step, reached) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
+        let (s, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
         let (inner, model) = dev.into_parts();
         let recovered =
-            XFtl::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
+            D::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
         let mut dev = resume(recovered, model);
         let got = image(&mut dev);
-        // The step in flight shows whole, or not at all.
+        // Of the step in flight, the pages before `cut.acked` show, and
+        // those up to `may` perhaps.
+        let pages = s.pages();
+        let may = match D::ATOMIC && matches!(s, Step::Group(..)) {
+            true if cut.sealing => pages.len(),
+            true => 0,
+            false => (cut.acked + 1).min(pages.len()),
+        };
+        put(&mut expect, &pages[..cut.acked]);
         let mut landed = expect.clone();
-        apply(&mut landed, step);
-        let shown = reached && got == landed;
+        put(&mut landed, &pages[cut.acked..may]);
         assert!(
-            shown || got == expect,
-            "fuse {fuse}: {step:?} shows in part, or an acknowledged step is lost"
+            got == expect || got == landed,
+            "fuse {fuse}: {s:?}: {cut:?}: shows in part, or an acknowledged step is lost"
         );
+        // Recovery is idempotent.
         let mut dev = recover(dev);
         assert!(image(&mut dev) == got, "fuse {fuse}: second recovery");
     }
     (stats, cuts)
 }
 
-/// Runs `step`; on failure, whether it had reached the command that
-/// seals it (a commit, or the plain write itself), and the error.
-fn step_on(dev: &mut ShadowDevice<XFtl>, step: &Step) -> Result<(), (bool, DevError)> {
-    match step {
-        Step::Tx(tid, pages) => tx_group(dev, *tid, pages).map_err(|c| (c.sealing, c.error)),
-        Step::Plain(lpn, page) => dev.write(*lpn, page).map_err(|e| (true, e)),
-        Step::Flush => dev.flush().map_err(|e| (false, e)),
+/// Runs `s`; on failure, where in it the command failed. A plain write
+/// or a flush is its own seal.
+pub fn step<D: Swept>(dev: &mut ShadowDevice<D>, s: &Step) -> Result<(), Cut> {
+    let cut = |error| Cut {
+        acked: 0,
+        sealing: true,
+        error,
+    };
+    match s {
+        Step::Group(tid, pages) => D::group(dev, *tid, pages),
+        Step::Plain(lpn, page) => dev.write(*lpn, page).map_err(cut),
+        Step::Flush => dev.flush().map_err(cut),
     }
 }
 
-/// Runs `step`, which must not fail.
-pub fn step(dev: &mut ShadowDevice<XFtl>, step: &Step) -> Result<(), DevError> {
-    step_on(dev, step).map_err(|(_, e)| e)
+/// `expect` after `s`.
+pub fn apply(expect: &mut [Vec<u8>], s: &Step) {
+    put(expect, &s.pages());
 }
 
-/// `expect` after `step`.
-pub fn apply(expect: &mut [Vec<u8>], step: &Step) {
-    match step {
-        Step::Tx(_, pages) => {
-            for (lpn, page) in pages {
-                expect[*lpn as usize].clone_from(page);
-            }
-        }
-        Step::Plain(lpn, page) => expect[*lpn as usize].clone_from(page),
-        Step::Flush => {}
+/// `expect` with `pages` written.
+fn put(expect: &mut [Vec<u8>], pages: &[(Lpn, &[u8])]) {
+    for (lpn, page) in pages {
+        expect[*lpn as usize].copy_from_slice(page);
     }
 }

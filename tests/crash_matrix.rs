@@ -1312,7 +1312,8 @@ fn sweep_steps<D: common::Swept>(name: &str) {
         (GcPolicy::CostBenefit, false),
         (GcPolicy::CostBenefit, true),
     ] {
-        let s = common::sweep(|| stepping_dev::<D>(policy, hot_cold), 30, 2);
+        let build = || stepping_dev::<D>(policy, hot_cold);
+        let (s, _) = common::sweep(build, &common::fill_groups(&build(), 30, 2));
         let what = format!("{name}/{policy:?}/hot_cold={hot_cold}");
         assert!(s.gc_background_steps > 0, "{what}: no step ran");
         collections += s.gc_background_steps + s.gc_inline_collections;
@@ -1400,7 +1401,8 @@ fn sweep_cadence_roots<D: common::Swept>(name: &str) {
     use xftl_ftl::GcPolicy;
     for policy in [GcPolicy::Greedy, GcPolicy::Fifo, GcPolicy::CostBenefit] {
         for behind in [0, 1] {
-            let s = common::sweep(|| cadence_dev::<D>(policy, behind), 2, 8);
+            let build = || cadence_dev::<D>(policy, behind);
+            let (s, _) = common::sweep(build, &common::fill_groups(&build(), 2, 8));
             // More roots than the groups' own flushes account for.
             let flushes = if D::ATOMIC { 0 } else { 2 };
             assert!(
@@ -1654,7 +1656,7 @@ fn diff_schedule(ps: usize) -> Vec<common::Step> {
         (lpn, page.clone())
     };
     // Page 5 changes once, first, and ages into a merge.
-    steps.push(Step::Tx(1, vec![patch(&mut image, 5, 40, 0xE5)]));
+    steps.push(Step::Group(1, vec![patch(&mut image, 5, 40, 0xE5)]));
     for i in 0..40u64 {
         let tid = i + 2;
         let byte = i as u8 ^ 0x5A;
@@ -1669,7 +1671,7 @@ fn diff_schedule(ps: usize) -> Vec<common::Step> {
             image[4] = page.clone();
             pages.push((4, page));
         }
-        steps.push(Step::Tx(tid, pages));
+        steps.push(Step::Group(tid, pages));
         if i % 11 == 5 {
             // A plain overwrite of a page with a live differential.
             let (lpn, page) = patch(&mut image, a, 200, 0x11);
@@ -1704,7 +1706,7 @@ fn diff_events(steps: &[common::Step]) -> (usize, usize) {
             (s.checkpoints, s.merges_age)
         };
         let written: Vec<u64> = match step {
-            Step::Tx(tid, pages) => {
+            Step::Group(tid, pages) => {
                 for (lpn, page) in pages {
                     dev.write_tx(*tid, *lpn, page).unwrap();
                 }
@@ -1744,7 +1746,7 @@ fn differentials_survive_every_cut() {
     let (checkpoints, moved) = diff_events(&steps);
     assert!(checkpoints > 0, "no checkpoint over a live differential");
     assert!(moved > 0, "GC moved no base");
-    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.diff_writes >= 60, "{stats:?}");
     assert!(stats.merges_size > 0, "no whole rewrite");
     assert!(stats.merges_age > 0, "no page aged into a merge");
@@ -1778,7 +1780,7 @@ fn shifted_differentials_survive_every_cut() {
             page.splice(at..at, (0..len).map(|k| (i + k as u64) as u8 | 0x80));
             page.truncate(ps);
         }
-        steps.push(Step::Tx(i + 1, vec![(lpn, page.clone())]));
+        steps.push(Step::Group(i + 1, vec![(lpn, page.clone())]));
         if i % 8 == 5 {
             let lpn = DIFF_HOT + i;
             image[lpn as usize][0] ^= 0xFF;
@@ -1788,7 +1790,7 @@ fn shifted_differentials_survive_every_cut() {
             steps.push(Step::Flush);
         }
     }
-    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.diff_copies >= 8, "{stats:?}");
     assert!(
         stats.merges_size > 0,
@@ -1812,14 +1814,14 @@ fn a_budget_merge_in_a_group_flush_survives_every_cut() {
     for lpn in 0..DIFF_HOT {
         let mut page = diff_initial(lpn, ps);
         page[40 + lpn as usize * 50..][..8 + lpn as usize * 3].fill(0xB0 | lpn as u8);
-        steps.push(Step::Tx(lpn + 1, vec![(lpn, page)]));
+        steps.push(Step::Group(lpn + 1, vec![(lpn, page)]));
     }
     for i in 0..20u64 {
         let lpn = DIFF_HOT + 10 + i;
         let page: Vec<u8> = (0..ps).map(|j| (j as u64 * 5 + i) as u8).collect();
-        steps.push(Step::Tx(100 + i, vec![(lpn, page)]));
+        steps.push(Step::Group(100 + i, vec![(lpn, page)]));
     }
-    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.merges_budget >= 2, "{stats:?}");
     assert_eq!(stats.merges_age, 0, "{stats:?}");
     assert!(cuts > 20, "{cuts} cuts");
@@ -1891,16 +1893,16 @@ fn an_undone_differential_stays_undone_past_a_checkpoint() {
         (lpn, page)
     };
     let steps = vec![
-        Step::Tx(1, vec![patch(3, 100, 0xD3)]),
-        Step::Tx(2, vec![(3, diff_initial(3, ps))]),
+        Step::Group(1, vec![patch(3, 100, 0xD3)]),
+        Step::Group(2, vec![(3, diff_initial(3, ps))]),
         // A plain write leaves the mapping dirty: the flush checkpoints.
         Step::Plain(patch(60, 9, 0x60).0, patch(60, 9, 0x60).1),
         Step::Flush,
         Step::Plain(patch(50, 9, 0x50).0, patch(50, 9, 0x50).1),
-        Step::Tx(3, vec![patch(2, 7, 0x77)]),
+        Step::Group(3, vec![patch(2, 7, 0x77)]),
         Step::Plain(patch(51, 9, 0x51).0, patch(51, 9, 0x51).1),
     ];
-    let (stats, cuts) = common::sweep_diffs(diff_dev, &steps);
+    let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert_eq!(stats.diff_writes, 3, "{stats:?}");
     assert_eq!(stats.diff_size_hist[0], 1, "one zero-byte differential");
     assert_eq!(stats.checkpoints, 1, "{stats:?}");
