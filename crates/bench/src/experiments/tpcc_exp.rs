@@ -146,12 +146,11 @@ fn diff_size_table(cost: &WriteCost) -> String {
 fn whole_write_table(cost: &WriteCost) -> String {
     let s = &cost.ftl;
     let per_commit = |n: u64| format!("{:.2}", n as f64 / cost.commits.max(1) as f64);
-    let mut t = Table::new(vec!["Whole writes", "Size", "Age", "Budget", "Cache miss"]);
+    let mut t = Table::new(vec!["Whole writes", "Size", "Room", "Cache miss"]);
     t.row(vec![
         "Per commit".to_string(),
         per_commit(s.merges_size),
-        per_commit(s.merges_age),
-        per_commit(s.merges_budget),
+        per_commit(s.merges_room),
         per_commit(s.image_cache_misses),
     ]);
     format!(

@@ -55,5 +55,5 @@ pub mod xl2p;
 
 pub use cache::{ImageCache, IMAGE_CACHE_PAGES};
 pub use diff::{Diff, DIFF_LIMIT};
-pub use xftl::{XFtl, DEFAULT_XL2P_CAPACITY, MAX_DIFF_AGE};
+pub use xftl::{XFtl, DEFAULT_XL2P_CAPACITY};
 pub use xl2p::{Entry, Live, TxStatus, Xl2pError, Xl2pTable};

@@ -55,12 +55,12 @@
 //! writes one self-contained table image: the entries plus every live
 //! differential, so recovery still reads only the newest generation. A
 //! differential past [`crate::diff::DIFF_LIMIT`], or a cache miss, writes
-//! the page whole, and that whole write is the merge; so does age: a
-//! differential folded more than [`MAX_DIFF_AGE`] commits ago is merged
-//! at the next group flush. And so does the image's size: the group
-//! flush merges the largest live differentials of pages it does not
-//! write while the image would need a second page. A read is the base
-//! page plus the differential held in RAM.
+//! the page whole, and that whole write is the merge. One more rule
+//! merges, after each group flush's durability point: while the next
+//! image would leave too little room for another group like this one,
+//! the live differential with the most record bytes × commits since its
+//! first fold is written whole (see [`XFtl::make_room`]). A read is the
+//! base page plus the differential held in RAM.
 //!
 //! ## Abort
 //!
@@ -115,9 +115,9 @@ use crate::xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};
 /// one 8 KB flash page).
 pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 
-/// Commits a live differential may age before the group flush merges
-/// its page.
-pub const MAX_DIFF_AGE: u64 = 32;
+/// Quarters of the bytes a group flush added to the table image that
+/// [`XFtl::make_room`] keeps free in its page for the next group.
+const ROOM_QUARTERS: usize = 3;
 
 /// The live table image a recovery found: its generation id, entries
 /// and differential records.
@@ -316,7 +316,12 @@ impl XFtl {
         let t_start = self.base.clock().now();
         // Step 2 (durability point), once for the whole group: the
         // entries, and every differential live once the group is folded.
-        let pages = self.next_image()?;
+        let (ps, ppb) = (self.base.page_size(), self.base.pages_per_block());
+        let pages = self.table.encode_image(ps, ppb, &self.image_diffs());
+        let added: usize = (self.staged.iter())
+            .flat_map(|&(tid, seq)| self.table.entries_of(tid).filter(move |e| e.seq == seq))
+            .map(Xl2pTable::image_bytes)
+            .sum();
         // The table image is ordered behind every program issued so far,
         // so waiting for it retires every outstanding ticket (ledger
         // bound, as in the classic blocking commit).
@@ -360,12 +365,12 @@ impl XFtl {
             t_start,
             t_end,
         );
-        self.merge_aged()?;
         // Housekeeping: once committed entries crowd the table, or the
         // roll-forward window is full, persist the L2P and release them.
         if self.table.committed_len() > self.table.capacity() / 2 || self.base.root_due() {
             self.checkpoint_and_release_raw()?;
         }
+        self.make_room(added)?;
         // Retention is deliberately coarse (any active snapshot retains);
         // drop whatever no snapshot can actually reach.
         self.prune_dead_versions();
@@ -394,50 +399,6 @@ impl XFtl {
         diffs
     }
 
-    /// The next table image, as pages, kept to one: while its entries
-    /// and differentials would need a second page, the largest live
-    /// differential of a page the group does not write is merged first —
-    /// the whole write [`XFtl::merge_aged`] makes, ordered before the
-    /// image. Sized from the records' lengths, and encoded once. If the
-    /// entries and the group's own differentials need a second page
-    /// anyway, no merge would save it, and none is made.
-    fn next_image(&mut self) -> Result<Vec<Vec<u8>>> {
-        let (ps, ppb) = (self.base.page_size(), self.base.pages_per_block());
-        let diffs = self.image_diffs();
-        let mut records: usize = (diffs.iter())
-            .map(|d| Xl2pTable::diff_record_len(d.2))
-            .sum();
-        if self.table.image_fits_page(ps, records) {
-            return Ok(self.table.encode_image(ps, ppb, &diffs));
-        }
-        let mut group: Vec<Lpn> = (self.staged.iter())
-            .flat_map(|&(tid, seq)| self.table.entries_of(tid).filter(move |e| e.seq == seq))
-            .map(|e| e.lpn)
-            .collect();
-        group.sort_unstable();
-        let (mut mergeable, mut fixed) = (Vec::new(), 0);
-        for (lpn, _, diff) in diffs {
-            let len = Xl2pTable::diff_record_len(diff);
-            if group.binary_search(&lpn).is_ok() {
-                fixed += len;
-            } else {
-                mergeable.push((len, lpn));
-            }
-        }
-        if self.table.image_fits_page(ps, fixed) {
-            mergeable.sort_unstable();
-            while !self.table.image_fits_page(ps, records) {
-                let Some((len, lpn)) = mergeable.pop() else {
-                    break;
-                };
-                self.merge(lpn)?;
-                self.base.stats_mut().merges_budget += 1;
-                records -= len;
-            }
-        }
-        Ok(self.table.encode_image(ps, ppb, &self.image_diffs()))
-    }
-
     /// Folds `tid`'s whole version of `lpn`, stamped `seq`: the page's
     /// pending differentials move onto it first.
     fn fold_entry(&mut self, tid: Tid, lpn: Lpn, seq: u64) -> Result<()> {
@@ -461,14 +422,32 @@ impl XFtl {
         self.table.fold_diff(tid, lpn, seq);
     }
 
-    /// Merges every page whose live differential was first folded more
-    /// than [`MAX_DIFF_AGE`] commits ago. The one-page image keeps the
-    /// live set small enough to scan at every group flush.
-    fn merge_aged(&mut self) -> Result<()> {
-        let horizon = self.commit_seq.saturating_sub(MAX_DIFF_AGE + 1);
-        for lpn in self.table.live_since_at_most(horizon) {
+    /// Merges live differentials, the most record bytes × commits since
+    /// its first fold first, while the table's entries, its live records
+    /// and room for [`ROOM_QUARTERS`] quarters of the `added` bytes the
+    /// group just put in the image would not fit one page. The merges
+    /// queue behind the image, after the durability point, so the next
+    /// commit does not wait on them; a prediction that falls short costs
+    /// that commit's image a second page.
+    fn make_room(&mut self, added: usize) -> Result<()> {
+        let ps = self.base.page_size();
+        let room = added * ROOM_QUARTERS / 4;
+        let mut lives: Vec<(usize, usize, Lpn)> = (self.table.live_diffs())
+            .map(|(lpn, live)| {
+                let len = Xl2pTable::diff_record_len(&live.diff);
+                let age = self.commit_seq.saturating_sub(live.since) as usize;
+                (len * age, len, lpn)
+            })
+            .collect();
+        let mut records: usize = lives.iter().map(|l| l.1).sum();
+        lives.sort_unstable();
+        while !self.table.image_fits_page(ps, records + room) {
+            let Some((_, len, lpn)) = lives.pop() else {
+                break;
+            };
             self.merge(lpn)?;
-            self.base.stats_mut().merges_age += 1;
+            self.base.stats_mut().merges_room += 1;
+            records -= len;
         }
         Ok(())
     }
@@ -2369,9 +2348,9 @@ mod tests {
     }
 
     #[test]
-    fn an_aged_differential_is_merged_at_a_group_flush() {
+    fn an_old_differential_stays_live_while_the_image_has_room() {
         // A 16-entry table checkpoints every ninth commit, so the image
-        // stays far inside its page: age alone merges.
+        // stays far inside its page: no merge is due, however old.
         let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 64, 16).unwrap();
         let base = seed_base(&mut d);
@@ -2379,50 +2358,58 @@ mod tests {
         d.write_tx(1, 3, &new).unwrap();
         d.commit(1).unwrap();
         let other = page(&d, 5);
-        for tid in 2..=MAX_DIFF_AGE + 1 {
+        for tid in 2..=60 {
             d.write_tx(tid, 10, &other).unwrap();
             d.commit(tid).unwrap();
             assert!(d.xl2p().live(3).is_some(), "commit {tid}");
         }
-        d.write_tx(99, 10, &other).unwrap();
-        d.commit(99).unwrap();
-        assert!(d.xl2p().live(3).is_none(), "merged");
-        let stats = d.base().stats();
-        assert_eq!((stats.merges_age, stats.merges_budget), (1, 0));
+        assert_eq!(d.base().stats().merges_room, 0);
         assert_eq!(read(&mut d, 3), new);
         let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 16).unwrap();
         assert_eq!(read(&mut d2, 3), new);
     }
 
     #[test]
-    fn the_largest_differential_is_merged_when_the_image_outgrows_its_page() {
+    fn the_oldest_bytes_are_merged_when_the_next_image_lacks_room() {
         let (mut d, base) = diff_dev();
         d.write_tx(100, 4, &base).unwrap();
         d.commit(100).unwrap();
-        let (small, large) = (edit(&base, 40, 6, 0xAB), edit(&base, 90, 20, 0xCD));
+        let (small, large) = (edit(&base, 40, 6, 0xAB), edit(&base, 90, 12, 0xCD));
         d.write_tx(1, 3, &small).unwrap();
-        d.write_tx(1, 4, &large).unwrap();
         d.commit(1).unwrap();
-        // Commits of another page (zero-byte differentials after the first):
-        // each adds an entry to the image.
+        // Commits of another page (zero-byte differentials after the
+        // first): each adds an entry to the image. The larger
+        // differential comes late, so the smaller one has more bytes ×
+        // commits by the time the room runs short.
         let other = page(&d, 5);
         let mut tid = 2;
-        while d.base().stats().merges_budget == 0 {
+        while d.base().stats().merges_room == 0 {
+            if tid == 14 {
+                d.write_tx(tid, 4, &large).unwrap();
+            }
             assert_eq!(d.base().xl2p_roots().len(), 1, "commit {tid}: one page");
             let before = programs(&d);
             d.write_tx(tid, 10, &other).unwrap();
             d.commit(tid).unwrap();
             tid += 1;
-            assert!(tid < MAX_DIFF_AGE, "the budget never bound");
-            if d.base().stats().merges_budget > 0 {
-                assert_eq!(programs(&d), before + 2, "the merge and the image");
+            assert!(tid < 40, "the room never ran short");
+            if d.base().stats().merges_room > 0 {
+                assert_eq!(programs(&d), before + 2, "the image and the merge");
             }
         }
         assert_eq!(d.base().xl2p_roots().len(), 1, "still one page");
-        assert!(d.xl2p().live(4).is_none(), "the larger one merged");
-        assert!(d.xl2p().live(3).is_some(), "the smaller one stays");
-        let stats = d.base().stats();
-        assert_eq!((stats.merges_budget, stats.merges_age), (1, 0));
+        assert!(d.xl2p().live(3).is_none(), "the older one merged");
+        assert!(d.xl2p().live(4).is_some(), "the larger one stays");
+        assert_eq!(d.base().stats().merges_room, 1);
+        let image = d.base().xl2p_roots()[0];
+        let merged = d.base.l2p_peek(3).unwrap();
+        let mut buf = page(&d, 0);
+        let image_seq = d.base.read_at(image, &mut buf).unwrap().seq;
+        let merged_seq = d.base.read_at(merged, &mut buf).unwrap().seq;
+        assert!(
+            merged_seq > image_seq,
+            "the merge is queued behind the image"
+        );
         assert_eq!(
             (read(&mut d, 3), read(&mut d, 4)),
             (small.clone(), large.clone())

@@ -116,7 +116,8 @@ pub struct Live {
     /// The changes since the base, cumulative.
     pub diff: Arc<Diff>,
     /// Commit ordinal of the first differential folded onto this base:
-    /// past [`crate::xftl::MAX_DIFF_AGE`] commits the page is merged.
+    /// its record bytes times the commits since rank the page for a
+    /// merge when the table image runs short of room.
     pub since: u64,
     /// Restored by recovery: its base image is not in the cache.
     pub recovered: bool,
@@ -405,15 +406,6 @@ impl Xl2pTable {
         self.live.len()
     }
 
-    /// The pages whose live differential was first folded at or before
-    /// commit ordinal `seq`.
-    pub fn live_since_at_most(&self, seq: u64) -> Vec<Lpn> {
-        (self.live.iter())
-            .filter(|(_, l)| l.since <= seq)
-            .map(|(&lpn, _)| lpn)
-            .collect()
-    }
-
     /// The group flush's fold of `tid`'s differential for `lpn`, stamped
     /// with ordinal `seq`: it becomes the page's live differential, and
     /// the entry's pin on the base passes to it. An
@@ -605,6 +597,13 @@ impl Xl2pTable {
     /// Bytes `diff`'s record takes in a table image.
     pub fn diff_record_len(diff: &Diff) -> usize {
         DIFF_RECORD_HEADER + diff.encoded_len()
+    }
+
+    /// Bytes `e` adds to a table image: the entry, and its differential's
+    /// record unless that is empty.
+    pub fn image_bytes(e: &Entry) -> usize {
+        let diff = e.diff.as_deref().filter(|d| !d.is_empty());
+        ENTRY_BYTES + diff.map_or(0, Self::diff_record_len)
     }
 
     /// True if the table's entries and differential records of `records`

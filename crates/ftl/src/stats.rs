@@ -122,12 +122,10 @@ pub struct FtlStats {
     /// Transactional writes programmed whole because their differential
     /// passed the size limit: the page's merge.
     pub merges_size: u64,
-    /// Pages programmed whole because their live differential had aged
-    /// past the commit limit: at their next write, or at a group flush.
-    pub merges_age: u64,
-    /// Pages programmed whole at a group flush, largest live differential
-    /// first, because the table image would otherwise need a second page.
-    pub merges_budget: u64,
+    /// Pages programmed whole after a group flush, most record bytes ×
+    /// commits since the first fold first, to leave the next table image
+    /// room in its page.
+    pub merges_room: u64,
     /// Transactional writes programmed whole because the base image of
     /// the page was not in the image cache: the page's merge, if it had
     /// a live differential (one recovery restored: a live base is
@@ -233,8 +231,7 @@ impl Sub for FtlStats {
             diff_bytes: self.diff_bytes - rhs.diff_bytes,
             diff_copies: self.diff_copies - rhs.diff_copies,
             merges_size: self.merges_size - rhs.merges_size,
-            merges_age: self.merges_age - rhs.merges_age,
-            merges_budget: self.merges_budget - rhs.merges_budget,
+            merges_room: self.merges_room - rhs.merges_room,
             image_cache_misses: self.image_cache_misses - rhs.image_cache_misses,
             diff_size_hist: std::array::from_fn(|i| self.diff_size_hist[i] - rhs.diff_size_hist[i]),
         }

@@ -865,36 +865,42 @@ mod tests {
         // X-FTL writes few pages of the other inputs whole, and what the
         // collector sees is then the aged data and the file system's own
         // pages. There greedy's victims carry about half of what FIFO's
-        // do, no longer under half: pinned, with the share of page writes
-        // kept as differentials of each shape.
+        // do, no longer under half, or greedy collects no data block at
+        // all: pinned, with the share of page writes kept as
+        // differentials of each shape.
         let share = |s: &FtlStats, n: u64| {
             let writes = s.diff_size_hist.iter().sum::<u64>() + s.image_cache_misses;
             format!("{:.3}", n as f64 / writes as f64)
         };
-        // Pinned: greedy ÷ FIFO validity, then the empty differentials'
-        // share under greedy and FIFO, then the copy runs' share.
+        // Pinned: greedy ÷ FIFO validity (both, if either collected no
+        // data block), then the empty differentials' share under greedy
+        // and FIFO, then the copy runs' share.
         let pinned = |rows| {
             let (greedy, fifo) = run(rows);
-            let (g, f) = (validity(&greedy), validity(&fifo));
+            let ratio = match (greedy.mean_gc_validity(), fifo.mean_gc_validity()) {
+                (Some(g), Some(f)) => format!("{:.3}", g / f),
+                (g, f) => format!("{g:.3?} / {f:.3?}"),
+            };
             [
-                format!("{:.3}", g / f),
+                ratio,
                 share(&greedy, greedy.diff_size_hist[0]),
                 share(&fifo, fifo.diff_size_hist[0]),
                 share(&greedy, greedy.diff_copies),
                 share(&fifo, fifo.diff_copies),
             ]
         };
-        // Rewrites of identical rows program next to nothing: 89 % of
-        // the page writes are empty differentials; 3.9 % carry a copy run.
+        // Rewrites of identical rows program next to nothing: 45 % of
+        // the page writes are empty differentials, 3.9 % carry a copy run,
+        // and greedy collects no data block at all.
         assert_eq!(
             pinned(Rows::Identical),
-            ["0.644", "0.893", "0.893", "0.039", "0.039"]
+            ["None / Some(0.533)", "0.449", "0.449", "0.039", "0.039"]
         );
         // A row of a new letter copies the bytes of one already changed:
         // 42 % of the page writes carry a copy run.
         assert_eq!(
             pinned(Rows::Changed),
-            ["0.534", "0.444", "0.444", "0.419", "0.419"]
+            ["0.549", "0.165", "0.165", "0.419", "0.419"]
         );
     }
 
