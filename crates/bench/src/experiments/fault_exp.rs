@@ -336,7 +336,13 @@ mod tests {
 
     #[test]
     fn xftl_degrades_gracefully_to_heavy_block_retirement() {
-        let scale = FaultScale::at(RunScale::Quick);
+        // X-FTL commits most updates in its table image, so the quick
+        // scale's 250 transactions erase too few blocks to count on an
+        // erase failure: 400 do.
+        let scale = FaultScale {
+            txns: 400,
+            ..FaultScale::at(RunScale::Quick)
+        };
         let clean = run_point(Mode::XFtl, None, &scale).expect("clean run failed");
         let extreme = run_point(Mode::XFtl, Some(TORTURE), &scale).expect("torture run failed");
         // The brutal regime must actually exercise every fault class…

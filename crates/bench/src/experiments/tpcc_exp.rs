@@ -142,7 +142,10 @@ fn diff_size_table(cost: &WriteCost) -> String {
 }
 
 /// The pages written whole per commit, by cause, and the share of the
-/// differentials kept that carry a copy run.
+/// differentials kept that carry a copy run; beside them, what decides
+/// the room: the mean entries and record bytes per table image, the
+/// checkpoints per 1,000 commits, and the translation pages GC rewrote
+/// from RAM.
 fn whole_write_table(cost: &WriteCost) -> String {
     let s = &cost.ftl;
     let per_commit = |n: u64| format!("{:.2}", n as f64 / cost.commits.max(1) as f64);
@@ -153,10 +156,29 @@ fn whole_write_table(cost: &WriteCost) -> String {
         per_commit(s.merges_room),
         per_commit(s.image_cache_misses),
     ]);
+    let per_image = |n: u64| format!("{:.1}", n as f64 / s.group_commit_flushes.max(1) as f64);
+    let mut room = Table::new(vec![
+        "Table image",
+        "Entries",
+        "Record bytes",
+        "Checkpoints/1k commits",
+        "Slab rewrites from RAM",
+    ]);
+    room.row(vec![
+        "Mean".to_string(),
+        per_image(s.image_entries),
+        per_image(s.image_record_bytes),
+        format!(
+            "{:.1}",
+            1000.0 * s.checkpoints as f64 / cost.commits.max(1) as f64
+        ),
+        s.gc_slab_rewrites.to_string(),
+    ]);
     format!(
-        "{}\nDifferentials with a copy run: {:.1}%\n",
+        "{}\nDifferentials with a copy run: {:.1}%\n\n{}",
         t.render(),
-        100.0 * s.diff_copies as f64 / s.diff_writes.max(1) as f64
+        100.0 * s.diff_copies as f64 / s.diff_writes.max(1) as f64,
+        room.render()
     )
 }
 

@@ -100,9 +100,9 @@ pub struct Entry {
     /// The transaction's version as a differential against the base at
     /// `ppa`, instead of a whole page there. While the entry is active or
     /// staged it pins the base's image; the group flush makes it the
-    /// page's live differential, which takes the pin over, and the folded
-    /// entry keeps it only to say that `ppa` is a base. RAM-only; the
-    /// image carries the live set instead.
+    /// page's live differential, which takes the pin over, and takes the
+    /// entry out of the table: the image's differential record is the
+    /// commit's evidence from then on. RAM-only.
     pub diff: Option<Arc<Diff>>,
 }
 
@@ -231,7 +231,9 @@ impl Xl2pTable {
     }
 
     /// Number of entries with committed status (releasable after the next
-    /// L2P checkpoint).
+    /// L2P checkpoint): the whole pages folded since, each the newest
+    /// commit of its page — a folded differential and a superseded entry
+    /// leave the table at their fold.
     pub fn committed_len(&self) -> usize {
         self.iter()
             .filter(|e| e.status == TxStatus::Committed)
@@ -370,23 +372,25 @@ impl Xl2pTable {
     /// has persisted their folds). Active entries — including ones whose
     /// transaction id previously committed and was reused — stay pinned.
     /// The released pages stay valid: they are the committed versions now
-    /// owned by the L2P table.
+    /// owned by the L2P table. Differentials have no entry left to
+    /// release: their records stay in the image until their pages merge.
     pub fn release_committed(&mut self) {
         self.entries.retain(|_, e| e.status == TxStatus::Active);
     }
 
-    /// Removes every *committed* entry for `lpn` — called when a plain
-    /// overwrite or trim supersedes the page. The removed entries' folds
-    /// are already applied, and the overwrite carries its own durable
-    /// record (its data program). Leaving them in the table would let a
-    /// later `persist` resurrect the old version at recovery: recovered
-    /// folds apply at the persisting flush's *generation id*, which is
-    /// newer than the overwrite's program sequence. A later
-    /// transactional commit of the page does not call this: its entry
-    /// persists behind the older ones (by ordinal) and folds last.
-    pub fn supersede_committed(&mut self, lpn: Lpn) {
+    /// Removes every *committed* entry for `lpn` stamped below ordinal
+    /// `below` — called when a newer version supersedes them: a plain
+    /// overwrite, a trim or a merge (`u64::MAX`), or the fold of a whole
+    /// page committed at `below`. Their folds are already applied, and the
+    /// newer version carries its own durable record (its data program,
+    /// or its entry in the image). Left in the table, an entry would be
+    /// re-persisted by every group flush until the checkpoint, and a
+    /// plain overwrite's would resurrect the old version at recovery:
+    /// recovered folds apply at the persisting flush's *generation id*,
+    /// newer than the overwrite's program sequence.
+    pub fn supersede_committed(&mut self, lpn: Lpn, below: u64) {
         self.entries
-            .retain(|_, e| e.lpn != lpn || e.status == TxStatus::Active);
+            .retain(|_, e| e.lpn != lpn || e.status == TxStatus::Active || e.seq >= below);
     }
 
     // --- differentials --------------------------------------------------
@@ -407,14 +411,15 @@ impl Xl2pTable {
     }
 
     /// The group flush's fold of `tid`'s differential for `lpn`, stamped
-    /// with ordinal `seq`: it becomes the page's live differential, and
-    /// the entry's pin on the base passes to it. An
-    /// empty differential leaves the page at its base.
+    /// with ordinal `seq`: it becomes the page's live differential, the
+    /// entry's pin on the base passes to it, and the entry leaves the
+    /// table — it only maps the page to the base the L2P already maps,
+    /// and the image's record of the differential names both. An empty
+    /// differential leaves the page at its base.
     pub fn fold_diff(&mut self, tid: Tid, lpn: Lpn, seq: u64) {
-        let Some(e) = self.entries.get_mut(&(tid, lpn)) else {
-            return;
-        };
-        let (base, Some(diff)) = (e.ppa, e.diff.clone()) else {
+        let key = (tid, lpn);
+        let taken = self.entries.extract_if(key..=key, |_, e| e.diff.is_some());
+        let Some((base, Some(diff))) = taken.last().map(|(_, e)| (e.ppa, e.diff)) else {
             return;
         };
         if diff.is_empty() {

@@ -82,6 +82,9 @@ pub struct FtlStats {
     /// victim and nothing else); a field because the `perf` benchmark
     /// reads it.
     pub map_flush_batches: u64,
+    /// Translation pages GC moved by programming their slab, resident
+    /// and clean in the mapping cache, from RAM: a copy with no read.
+    pub gc_slab_rewrites: u64,
     /// Always 0: no root names a translation page, so there is no
     /// directory of them to page out. Kept for the `perf` benchmark.
     pub gtd_writes: u64,
@@ -126,6 +129,11 @@ pub struct FtlStats {
     /// commits since the first fold first, to leave the next table image
     /// room in its page.
     pub merges_room: u64,
+    /// Entries the persisted X-L2P table images carried, summed over the
+    /// images (X-FTL only; per image, divide by `group_commit_flushes`).
+    pub image_entries: u64,
+    /// Differential record bytes those images carried, summed likewise.
+    pub image_record_bytes: u64,
     /// Transactional writes programmed whole because the base image of
     /// the page was not in the image cache: the page's merge, if it had
     /// a live differential (one recovery restored: a live base is
@@ -216,6 +224,7 @@ impl Sub for FtlStats {
             map_evictions_clean: self.map_evictions_clean - rhs.map_evictions_clean,
             map_evictions_dirty: self.map_evictions_dirty - rhs.map_evictions_dirty,
             map_flush_batches: self.map_flush_batches - rhs.map_flush_batches,
+            gc_slab_rewrites: self.gc_slab_rewrites - rhs.gc_slab_rewrites,
             gtd_writes: self.gtd_writes - rhs.gtd_writes,
             gc_cb_data_victims: self.gc_cb_data_victims - rhs.gc_cb_data_victims,
             gc_cb_map_victims: self.gc_cb_map_victims - rhs.gc_cb_map_victims,
@@ -232,6 +241,8 @@ impl Sub for FtlStats {
             diff_copies: self.diff_copies - rhs.diff_copies,
             merges_size: self.merges_size - rhs.merges_size,
             merges_room: self.merges_room - rhs.merges_room,
+            image_entries: self.image_entries - rhs.image_entries,
+            image_record_bytes: self.image_record_bytes - rhs.image_record_bytes,
             image_cache_misses: self.image_cache_misses - rhs.image_cache_misses,
             diff_size_hist: std::array::from_fn(|i| self.diff_size_hist[i] - rhs.diff_size_hist[i]),
         }

@@ -84,8 +84,6 @@ pub struct AuditReport {
     pub xl2p_entries: usize,
     /// X-L2P entries belonging to staged (submitted, unflushed) commits.
     pub staged_entries: usize,
-    /// Committed X-L2P entries a later commit of the same page superseded.
-    pub superseded_entries: usize,
     /// Live page differentials checked.
     pub live_diffs: usize,
     /// Blocks the chip has retired after erase failures.
@@ -825,14 +823,11 @@ pub fn audit_base(base: &FtlBase) -> Result<AuditReport, AuditViolation> {
 /// page with matching OOB (`tid` may have been re-stamped to 0 by GC only
 /// for committed, already-folded entries). For every *active* entry — and
 /// every entry of a staged, not-yet-flushed commit group — the old
-/// committed version, the rollback copy, must still be programmed. Of a
-/// page's committed entries whose folds already landed, the newest (by
-/// commit ordinal) must name the page the L2P maps: the next group flush
-/// persists it, and recovery folds it at the generation id, over
-/// anything newer. The older ones are superseded: no flush folds them
-/// again and no read is served from them, and the image orders them
-/// ahead of the newest, so recovery folds them first. Their pages may
-/// already be reclaimed; they are exempt from every check.
+/// committed version, the rollback copy, must still be programmed. A
+/// committed entry whose fold already landed must name the page the L2P
+/// maps: the next group flush persists it, and recovery folds it at the
+/// generation id, over anything newer. A newer commit of the page takes
+/// the older entry out at its fold, so none is exempt.
 ///
 /// # Errors
 /// The first violated invariant.
@@ -841,7 +836,19 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
     let mut report = audit_base(base)?;
     audit_table_image(base)?;
     report.live_diffs = audit_diffs(dev)?;
-    let table = dev.xl2p();
+    audit_entries(base, dev.xl2p(), dev.staged_commits(), &mut report)?;
+    audit_pending_diffs(dev)?;
+    Ok(report)
+}
+
+/// The X-L2P entry audit of [`audit_xftl`]: `table` over the chip and L2P
+/// of `base`, with `staged_commits` not yet flushed.
+fn audit_entries(
+    base: &FtlBase,
+    table: &Xl2pTable,
+    staged_commits: &[(Tid, u64)],
+    report: &mut AuditReport,
+) -> Result<(), AuditViolation> {
     if table.len() > table.capacity() {
         return Err(AuditViolation::Xl2pOverflow {
             len: table.len(),
@@ -860,14 +867,8 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
     // it yet: it gets the full liveness check, and — like an active entry
     // — its old L2P version must survive as the rollback copy, because a
     // crash before the group flush loses the commit.
-    let is_staged = |e: &Entry| dev.staged_commits().contains(&(e.tid, e.seq));
+    let is_staged = |e: &Entry| staged_commits.contains(&(e.tid, e.seq));
     let is_folded = |e: &Entry| e.status == TxStatus::Committed && !is_staged(e);
-    // The newest folded commit of each page, by ordinal.
-    let mut newest: HashMap<Lpn, u64> = HashMap::new();
-    for e in table.iter().filter(|e| is_folded(e)) {
-        let seq = newest.entry(e.lpn).or_default();
-        *seq = (*seq).max(e.seq);
-    }
     for entry in table.iter() {
         report.xl2p_entries += 1;
         let current = base.l2p_peek(entry.lpn);
@@ -875,14 +876,10 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
         if staged {
             report.staged_entries += 1;
         }
-        let folded = is_folded(entry);
-        if folded && newest.get(&entry.lpn).is_some_and(|&seq| entry.seq < seq) {
-            report.superseded_entries += 1;
-            continue;
-        }
-        // The newest folded entry must still name the page the L2P maps:
-        // a plain overwrite or trim removes it (`supersede_committed`).
-        if folded && current != Some(entry.ppa) {
+        // A folded entry must name the page the L2P maps: a newer version
+        // of the page removes it (`supersede_committed`), and a folded
+        // differential leaves no entry.
+        if is_folded(entry) && current != Some(entry.ppa) {
             return Err(AuditViolation::Xl2pStaleEntry {
                 tid: entry.tid,
                 lpn: entry.lpn,
@@ -890,23 +887,9 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
                 current,
             });
         }
-        match chip.probe_silent(entry.ppa) {
-            PageProbe::Erased => {
-                return Err(AuditViolation::Xl2pDanglingPpa {
-                    tid: entry.tid,
-                    lpn: entry.lpn,
-                    ppa: entry.ppa,
-                    state: "erased",
-                })
-            }
-            PageProbe::Torn => {
-                return Err(AuditViolation::Xl2pDanglingPpa {
-                    tid: entry.tid,
-                    lpn: entry.lpn,
-                    ppa: entry.ppa,
-                    state: "torn",
-                })
-            }
+        let dangling = match chip.probe_silent(entry.ppa) {
+            PageProbe::Erased => Some("erased"),
+            PageProbe::Torn => Some("torn"),
             PageProbe::Programmed(oob) => {
                 let tid_ok = match entry.status {
                     // A differential's base is whoever wrote it.
@@ -925,7 +908,16 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
                         kind: oob.kind,
                     });
                 }
+                None
             }
+        };
+        if let Some(state) = dangling {
+            return Err(AuditViolation::Xl2pDanglingPpa {
+                tid: entry.tid,
+                lpn: entry.lpn,
+                ppa: entry.ppa,
+                state,
+            });
         }
         if entry.status == TxStatus::Active || staged {
             if let Some(old) = current {
@@ -945,8 +937,7 @@ pub fn audit_xftl(dev: &XFtl) -> Result<AuditReport, AuditViolation> {
             }
         }
     }
-    audit_pending_diffs(dev)?;
-    Ok(report)
+    Ok(())
 }
 
 /// Differential audit (see the [module docs](self)), live differentials;
@@ -1326,7 +1317,7 @@ mod tests {
         let (ps, ppb) = (dev.page_size(), dev.base().pages_per_block());
         // A group flush that forgot the live differentials.
         let pages = dev.xl2p().encode_image(ps, ppb, &[]);
-        dev.base_mut().persist_xl2p(&pages, &mut NoHook).unwrap();
+        dev.base_mut().persist_xl2p(&mut NoHook, |_| pages).unwrap();
         let err = audit_xftl(&dev).unwrap_err();
         assert_eq!(
             err,
@@ -1513,18 +1504,26 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_page_committed_twice_keeps_only_the_newest_entry_to_the_l2p() {
+    /// tid 1 and then tid 2 commit lpn 5 whole; returns tid 1's page.
+    fn dev_with_a_page_committed_twice() -> (XFtl, Ppa) {
         let mut dev = fresh_xftl(32, 64);
         let ps = dev.page_size();
         dev.write_tx(1, 5, &vec![0xA1; ps]).unwrap();
         dev.commit(1).unwrap();
+        let first = dev.base().l2p_peek(5).unwrap();
         dev.write_tx(2, 5, &vec![0xB2; ps]).unwrap();
         dev.commit(2).unwrap();
-        // Both entries wait for the checkpoint; tid 1's is superseded.
-        assert_eq!(dev.xl2p().committed_len(), 2);
-        let report = audit_xftl(&dev).unwrap();
-        assert_eq!((report.xl2p_entries, report.superseded_entries), (2, 1));
+        (dev, first)
+    }
+
+    #[test]
+    fn a_page_committed_twice_keeps_only_the_newest_entry_to_the_l2p() {
+        let (mut dev, _) = dev_with_a_page_committed_twice();
+        let ps = dev.page_size();
+        // tid 2's fold took tid 1's entry out of the table.
+        assert!(dev.xl2p().lookup(1, 5).is_none());
+        assert_eq!(dev.xl2p().committed_len(), 1);
+        assert_eq!(audit_xftl(&dev).unwrap().xl2p_entries, 1);
         // The newest is held to the L2P as before.
         let newest = dev.base().l2p_peek(5).unwrap();
         dev.base_mut()
@@ -1534,6 +1533,23 @@ mod tests {
         assert!(
             matches!(err, AuditViolation::Xl2pStaleEntry { tid: 2, lpn: 5, ppa, .. } if ppa == newest),
             "expected tid 2's entry to be stale, got: {err}"
+        );
+    }
+
+    #[test]
+    fn mutation_superseded_entry_left_in_the_table_is_caught() {
+        let (dev, first) = dev_with_a_page_committed_twice();
+        let newest = dev.base().l2p_peek(5).unwrap();
+        // A table whose second fold left tid 1's entry behind.
+        let mut table = Xl2pTable::new(64);
+        table.upsert(1, 5, first).unwrap();
+        table.mark_committed(1, 1);
+        table.upsert(2, 5, newest).unwrap();
+        table.mark_committed(2, 2);
+        let err = audit_entries(dev.base(), &table, &[], &mut AuditReport::default()).unwrap_err();
+        assert!(
+            matches!(err, AuditViolation::Xl2pStaleEntry { tid: 1, lpn: 5, ppa, .. } if ppa == first),
+            "expected tid 1's entry to be stale, got: {err}"
         );
     }
 

@@ -1610,7 +1610,8 @@ fn mapping_page_window_is_closed() {
 // A small update commits as a differential inside the X-L2P table image
 // (DESIGN.md §5.2, "Differentials"). The schedule below cuts the power at
 // every program and erase of small updates to a few hot pages, whole
-// rewrites and plain overwrites of them, checkpoints between an image and
+// rewrites and plain overwrites of them, cold pages committed whole
+// whose entries fill the image, checkpoints between an image and
 // the cut, GC moving the bases (FIFO brings every block round), and the
 // merges that leave the next table image room.
 
@@ -1665,6 +1666,13 @@ fn diff_schedule(ps: usize) -> Vec<common::Step> {
         let mut pages = vec![patch(&mut image, a, (i * 7) as usize, byte)];
         if b != a {
             pages.push(patch(&mut image, b, (i * 11 + 3) as usize, !byte));
+        }
+        for k in (1..3).filter(|_| i > 0) {
+            // Cold pages the plain writes below passed last time, not
+            // cached: written whole, their entries wait in the image for
+            // the checkpoint.
+            let lpn = DIFF_HOT + (3 * i - k) % (DIFF_LOGICAL - DIFF_HOT);
+            pages.push(patch(&mut image, lpn, 0, byte));
         }
         if i % 7 == 3 {
             // Past the limit: the page is written whole.
@@ -1817,7 +1825,7 @@ fn a_room_merge_after_a_group_flush_survives_every_cut() {
         page[40 + lpn as usize * 50..][..8 + lpn as usize * 3].fill(0xB0 | lpn as u8);
         steps.push(Step::Group(lpn + 1, vec![(lpn, page)]));
     }
-    for i in 0..20u64 {
+    for i in 0..24u64 {
         let lpn = DIFF_HOT + 10 + i;
         let page: Vec<u8> = (0..ps).map(|j| (j as u64 * 5 + i) as u8).collect();
         steps.push(Step::Group(100 + i, vec![(lpn, page)]));
