@@ -4,7 +4,7 @@
 //! eviction, one translation-page program per dirty victim) is the only
 //! code that moves a slab between the two.
 
-use xftl_flash::{FlashChip, Oob, PageKind, Ppa};
+use xftl_flash::{FlashChip, Nanos, Oob, PageKind, Ppa};
 
 use super::pool::Stream;
 use super::{with_read_retries, FtlBase};
@@ -237,10 +237,11 @@ impl FtlBase {
         Ok(true)
     }
 
-    /// The one writer of translation slabs: encodes resident slab `slab`,
-    /// programs it to a fresh translation page, re-points the directory
-    /// at it and marks the frame clean. Nothing between the encode and
-    /// the mark may change a mapping, or the flash copy would be stale
+    /// The one writer of translation slabs: encodes resident slab `slab`
+    /// and programs it to a fresh translation page, returning the page's
+    /// OOB, where it landed and when it is on the media (`None`: the slab
+    /// is not resident). Nothing between the encode and the caller's
+    /// bookkeeping may change a mapping, or the flash copy would be stale
     /// while the frame claims to match it — so the program bypasses GC
     /// (it may also run *inside* GC); callers keep the pool fed between
     /// slabs.
@@ -252,9 +253,9 @@ impl FtlBase {
     /// sequence order) — so it must only never be durable *before* a page
     /// it maps: queued, its cell program ordered behind every program
     /// issued so far.
-    pub(super) fn write_slab(&mut self, slab: usize) -> Result<()> {
+    pub(super) fn program_slab(&mut self, slab: usize) -> Result<Option<(Oob, Ppa, Nanos)>> {
         let Some(entries) = self.map.cmt.entries(slab) else {
-            return Ok(());
+            return Ok(None);
         };
         let buf = meta::encode_slab_entries(entries, self.page_size(), self.pages_per_block());
         let oob = Oob {
@@ -262,12 +263,20 @@ impl FtlBase {
             ..Oob::data(slab as Lpn)
         };
         let after = self.chip.idle_at();
-        let (dst, _) = self.program_at_frontier(oob, Stream::Map, &buf, 0, after, false)?;
-        self.stats.map_writes += 1;
-        if let Some(old) = self.map.homes[slab].replace(dst) {
-            self.valid.mark_invalid(old);
+        let (dst, done) = self.program_at_frontier(oob, Stream::Map, &buf, 0, after, false)?;
+        Ok(Some((oob, dst, done)))
+    }
+
+    /// Writes resident slab `slab` back: programs it, re-points the
+    /// directory at the new page and marks the frame clean.
+    pub(super) fn write_slab(&mut self, slab: usize) -> Result<()> {
+        if let Some((_, dst, _)) = self.program_slab(slab)? {
+            self.stats.map_writes += 1;
+            if let Some(old) = self.map.homes[slab].replace(dst) {
+                self.valid.mark_invalid(old);
+            }
+            self.map.cmt.mark_clean(slab);
         }
-        self.map.cmt.mark_clean(slab);
         Ok(())
     }
 }
