@@ -217,13 +217,13 @@ impl EndurancePoint {
 }
 
 /// True for the typed errors a device at end of life produces; anything
-/// else mid-sweep is a harness failure.
-fn is_end_of_life(e: &DbError) -> bool {
+/// else mid-sweep is a harness failure. A read-only device or file
+/// system reaches the database as `DbError::ReadOnly` whichever layer
+/// refused (the `From` conversions fold both).
+pub(crate) fn is_end_of_life(e: &DbError) -> bool {
     matches!(
         e,
-        DbError::ReadOnly
-            | DbError::Fs(FsError::ReadOnly)
-            | DbError::Fs(FsError::Dev(DevError::ReadOnly | DevError::OutOfSpace))
+        DbError::ReadOnly | DbError::Fs(FsError::Dev(DevError::OutOfSpace))
     )
 }
 

@@ -15,6 +15,7 @@
 use xftl_workloads::rig::{FaultEnv, Mode, Rig, RigConfig, Snapshot};
 use xftl_workloads::synthetic::{self, SyntheticConfig};
 
+use super::endurance_exp::is_end_of_life;
 use crate::metrics;
 use crate::report::{millis, Table};
 use crate::RunScale;
@@ -207,12 +208,9 @@ pub fn run_point(
 /// to print the table. Anything other than the typed end-of-life errors
 /// is a genuine harness failure and still panics.
 fn try_point(mode: Mode, env: Option<FaultEnv>, scale: &FaultScale) -> Option<FaultPoint> {
-    use xftl_db::DbError;
-    use xftl_fs::FsError;
-    use xftl_ftl::DevError;
     match run_point(mode, env, scale) {
         Ok(p) => Some(p),
-        Err(DbError::ReadOnly | DbError::Fs(FsError::Dev(DevError::OutOfSpace))) => None,
+        Err(e) if is_end_of_life(&e) => None,
         Err(e) => panic!("fault sweep: {mode:?} failed for a non-endurance reason: {e}"),
     }
 }

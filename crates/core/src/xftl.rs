@@ -236,23 +236,16 @@ impl Personality for XFtl {
         }
     }
 
-    fn recovery_folds(base: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
-        Ok(RecoveredImage::read(base)?.folds(log.ckpt_seq))
-    }
-
-    /// [`Personality::recover`], plus the image's differentials: each is
-    /// live again if its page still stands on the base it was taken
-    /// against — the page the L2P maps after the replay holds a write
-    /// older than the image (the base, or a GC copy of it). The closing
-    /// checkpoint keeps the image if any is.
-    fn recover(chip: FlashChip) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        let image = RecoveredImage::read(&mut base)?;
-        base.replay(&log, image.folds(log.ckpt_seq))?;
-        let mut dev = Self::assemble(base);
-        dev.restore_diffs(&log, image)?;
-        dev.base.close_recovery(&log, &mut dev.table)?;
-        Ok(dev)
+    /// The image's folds replayed, then its differentials: each is live
+    /// again if its page still stands on the base it was taken against —
+    /// the page the L2P maps after the replay holds a write older than
+    /// the image (the base, or a GC copy of it). The closing checkpoint
+    /// keeps the image if any is.
+    fn recover_from_scan(&mut self, log: &RecoveryLog) -> Result<()> {
+        let image = RecoveredImage::read(&mut self.base)?;
+        self.base.replay(log, image.folds(log.ckpt_seq))?;
+        self.restore_diffs(log, image)?;
+        self.base.close_recovery(log, &mut self.table)
     }
 
     fn base(&self) -> &FtlBase {

@@ -75,8 +75,8 @@ impl Personality for AtomicWriteFtl {
         }
     }
 
-    fn recovery_folds(_: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
-        Ok(Self::sealed_folds(log))
+    fn recover_from_scan(&mut self, log: &RecoveryLog) -> Result<()> {
+        self.base.finish_recovery(log, Self::sealed_folds(log))
     }
 
     fn base(&self) -> &FtlBase {

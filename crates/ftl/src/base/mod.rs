@@ -268,17 +268,20 @@ impl GcHook for NoHook {
 /// nowhere (`PageMappedFtl`), a commit record (`AtomicWriteFtl`), a
 /// cycle-closing OOB link (`TxFlashFtl`), an X-L2P table image (`XFtl`)
 /// — and in the RAM state that tracks it. Those two and the engine
-/// accessors are required; formatting and recovering, which are the same
-/// for all four, are provided once.
+/// accessors are required; formatting, and recovering up to the scan,
+/// which are the same for all four, are provided once.
 pub trait Personality: BlockDevice + Sized {
     /// The personality over `base` with fresh RAM state: nothing open,
     /// staged or pending, as after a format or a recovery.
     fn assemble(base: FtlBase) -> Self;
 
-    /// The recovery rule: the `(seq, lpn, ppa)` folds the commit evidence
-    /// in `log` seals, each at the sequence its evidence hit flash (see
-    /// [`FtlBase::finish_recovery`]).
-    fn recovery_folds(base: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>>;
+    /// The recovery rule, on the device assembled over the engine
+    /// [`FtlBase::recover`] rebuilt: fold the commit evidence in `log`,
+    /// each fold at the sequence its evidence hit flash, with the plain
+    /// writes ([`FtlBase::replay`]), then close with a checkpoint. The
+    /// scan programs and erases nothing, so every flash write a recovery
+    /// makes is made here.
+    fn recover_from_scan(&mut self, log: &RecoveryLog) -> Result<()>;
 
     /// Read-only engine access: statistics, telemetry, the oracle's audits.
     fn base(&self) -> &FtlBase;
@@ -295,12 +298,12 @@ pub trait Personality: BlockDevice + Sized {
     }
 
     /// Rebuilds the device from flash after a power loss: the engine's
-    /// scan, the personality's folds, the replay and closing checkpoint.
+    /// scan, then [`Personality::recover_from_scan`].
     fn recover(chip: FlashChip) -> Result<Self> {
-        let (mut base, log) = FtlBase::recover(chip)?;
-        let folds = Self::recovery_folds(&mut base, &log)?;
-        base.finish_recovery(&log, folds)?;
-        Ok(Self::assemble(base))
+        let (base, log) = FtlBase::recover(chip)?;
+        let mut dev = Self::assemble(base);
+        dev.recover_from_scan(&log)?;
+        Ok(dev)
     }
 }
 

@@ -240,9 +240,9 @@ impl FtlBase {
     /// Loads the mapping the scan found, replays nothing yet: the returned
     /// [`RecoveryLog`] carries every post-checkpoint page in sequence
     /// order, and [`FtlBase::xl2p_roots`] names the live X-L2P table
-    /// image if the scan found one. The wrapping device personality
-    /// decides what the transactional events mean and hands the folds
-    /// they imply to [`FtlBase::finish_recovery`].
+    /// image if the scan found one. It programs and erases nothing. The
+    /// wrapping device personality decides what the transactional events
+    /// mean and folds them ([`super::Personality::recover_from_scan`]).
     pub fn recover(mut chip: FlashChip) -> Result<(FtlBase, RecoveryLog)> {
         chip.power_cycle();
         let t_recover = chip.clock().now();
@@ -294,9 +294,9 @@ impl FtlBase {
         Ok((base, log))
     }
 
-    /// The tail of every personality's recovery: [`FtlBase::replay`],
-    /// then [`FtlBase::close_recovery`] with no state but the L2P's.
-    pub fn finish_recovery(
+    /// The tail of a recovery with no state but the L2P's:
+    /// [`FtlBase::replay`], then [`FtlBase::close_recovery`].
+    pub(crate) fn finish_recovery(
         &mut self,
         log: &RecoveryLog,
         folds: Vec<(u64, Lpn, Ppa)>,

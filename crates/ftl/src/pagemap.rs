@@ -7,7 +7,7 @@
 //! the chip's channel queue: writes in one batch stripe across channels and
 //! overlap, which is where the multi-channel S830 numbers come from.
 
-use xftl_flash::{FlashChip, Nanos, Ppa};
+use xftl_flash::{FlashChip, Nanos};
 
 use crate::base::{FtlBase, NoHook, Personality, RecoveryLog};
 use crate::dev::{BlockDevice, CmdId, DevCounters, IoCmd, Lpn};
@@ -66,8 +66,8 @@ impl Personality for PageMappedFtl {
         PageMappedFtl { base }
     }
 
-    fn recovery_folds(_: &mut FtlBase, _: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
-        Ok(Vec::new())
+    fn recover_from_scan(&mut self, log: &RecoveryLog) -> Result<()> {
+        self.base.finish_recovery(log, Vec::new())
     }
 
     fn base(&self) -> &FtlBase {

@@ -83,8 +83,9 @@ impl Personality for TxFlashFtl {
         }
     }
 
-    fn recovery_folds(_: &mut FtlBase, log: &RecoveryLog) -> Result<Vec<(u64, Lpn, Ppa)>> {
-        Ok(Self::closed_cycle_folds(log))
+    fn recover_from_scan(&mut self, log: &RecoveryLog) -> Result<()> {
+        self.base
+            .finish_recovery(log, Self::closed_cycle_folds(log))
     }
 
     fn base(&self) -> &FtlBase {

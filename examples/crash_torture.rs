@@ -1,7 +1,10 @@
-//! Crash torture: repeatedly pull the (simulated) power at random moments
-//! of a SQLite workload and verify, after every recovery, that the
-//! database holds exactly the committed prefix — the paper's §5.4
-//! guarantees, exercised hundreds of times.
+//! Crash torture: round after round, commit a batch of inserts, leave a
+//! second transaction open over a random number of updates, and power the
+//! (simulated) device off between statements (`Rig::crash_and_recover`);
+//! then verify that the database holds exactly the committed prefix — the
+//! paper's §5.4 guarantees, exercised hundreds of times. No flash
+//! operation is cut part way: the every-cut sweeps of
+//! `tests/crash_matrix.rs` arm the power fuse inside them.
 //!
 //! ```sh
 //! cargo run --release --example crash_torture [rounds]

@@ -1,4 +1,5 @@
-//! Oracle wiring shared by the integration tests.
+//! Oracle wiring and the power-cut harness shared by the integration
+//! tests.
 //!
 //! Every device personality under test runs behind
 //! [`xftl_verify::ShadowDevice`]: each command the test (or the FS/DB
@@ -6,7 +7,8 @@
 //! read is checked against the worlds the crash semantics allow, and each
 //! recovery ends with a durability sweep plus a flash-physics audit. The
 //! op loops in the test files only use the device traits, which the
-//! wrapper forwards.
+//! wrapper forwards. Every loop over power-cut positions is a call to
+//! [`power_cuts`].
 
 #![allow(
     dead_code,
@@ -19,8 +21,8 @@ use xftl_core::XFtl;
 use xftl_flash::{FlashChip, Oob, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Personality, Tid,
-    TxBlockDevice, TxFlashFtl,
+    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Personality, RecoveryLog,
+    Tid, TxBlockDevice, TxFlashFtl,
 };
 use xftl_verify::{Auditable, ShadowDevice, ShadowModel};
 
@@ -213,7 +215,7 @@ pub enum Step {
 
 impl Step {
     /// The pages the step writes, in order.
-    fn pages(&self) -> Vec<(Lpn, &[u8])> {
+    pub fn pages(&self) -> Vec<(Lpn, &[u8])> {
         match self {
             Step::Group(_, pages) => pages.iter().map(|(lpn, page)| (*lpn, &page[..])).collect(),
             Step::Plain(lpn, page) => vec![(*lpn, &page[..])],
@@ -242,88 +244,92 @@ pub fn fill_groups<D: Swept>(dev: &ShadowDevice<D>, count: u64, len: u64) -> Vec
 }
 
 /// Cuts the power at every program and erase of `steps` on the device
-/// `build` makes, and after each cut recovers (twice; no chip may be
-/// refused) and checks every page byte for byte: every acknowledged step
-/// is there, the step in flight as far as the personality promises, and
-/// nothing else moved — behind the shadow oracle, which with the flash
-/// auditor checks every recovery as well. A group is there whole or not
-/// at all where groups are atomic, and whole only if its seal was
-/// reached; page by page where they are not, the acknowledged writes for
-/// sure and the one in flight perhaps. A plain write may or may not be
-/// there. Every step of the uncut run is audited. Returns the FTL
-/// statistics of the uncut run, the build phase excluded, and how many
-/// cuts it made.
+/// `build` makes, through [`power_cuts`], and holds every recovery to
+/// every page byte for byte: every acknowledged step is there, the step
+/// in flight as far as the personality promises, and nothing else moved.
+/// A group is there whole or not at all where groups are atomic, and
+/// whole only if its seal was reached; page by page where they are not,
+/// the acknowledged writes for sure and the one in flight perhaps. A
+/// plain write is a group of one page: there once acknowledged, perhaps
+/// if the power died in it. Every step of the uncut run is audited.
+/// Returns the FTL statistics of the uncut run, the build phase
+/// excluded, and how many cuts it made.
 pub fn sweep<D: Swept>(
     build: impl Fn() -> ShadowDevice<D>,
     steps: &[Step],
 ) -> (xftl_ftl::FtlStats, u64) {
-    let ops = |d: &ShadowDevice<D>| {
-        let s = d.inner().base().flash_stats();
-        s.programs + s.erases
-    };
-    let image = |d: &mut ShadowDevice<D>| -> Vec<Vec<u8>> {
-        let mut buf = vec![0u8; d.page_size()];
-        (0..d.capacity_pages())
-            .map(|lpn| {
-                d.read(lpn, &mut buf).unwrap();
-                buf.clone()
-            })
-            .collect()
-    };
-    // The uncut run: how many cuts there are, and what the steps did.
-    let mut dev = build();
-    let (before, built) = (ops(&dev), *dev.inner().base().stats());
-    for s in steps {
-        step(&mut dev, s).unwrap();
-        dev.audit();
-    }
-    let cuts = ops(&dev) - before;
-    let stats = *dev.inner().base().stats() - built;
-    for fuse in 1..=cuts {
-        let mut dev = build();
-        let mut expect = image(&mut dev);
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        // The step the power died in, and where in it.
-        let mut in_flight = None;
+    let initial = image(&mut build());
+    // What the recovery may show: every acknowledged step, and of the
+    // step the power died in the pages before `cut.acked`, and perhaps
+    // those up to `may`.
+    let run = |dev: &mut ShadowDevice<D>, fuse: Option<u64>| {
+        let built = *dev.inner().base().stats();
+        let (mut expect, mut landed) = (initial.clone(), None);
         for s in steps {
-            match step(&mut dev, s) {
-                Ok(()) => apply(&mut expect, s),
-                Err(cut) => {
-                    assert!(
-                        dev.inner().base().chip().is_dead(),
-                        "fuse {fuse}: {s:?}: {cut:?} with the power on"
-                    );
-                    in_flight = Some((s, cut));
-                    break;
-                }
+            if let Err(cut) = step(dev, s) {
+                let what = format!("fuse {fuse:?}: {s:?}: {cut:?}");
+                assert!(
+                    dev.inner().base().chip().is_dead(),
+                    "{what} with the power on"
+                );
+                let pages = s.pages();
+                let may = match D::ATOMIC && matches!(s, Step::Group(..)) {
+                    true if cut.sealing => pages.len(),
+                    true => 0,
+                    false => (cut.acked + 1).min(pages.len()),
+                };
+                put(&mut expect, &pages[..cut.acked]);
+                let mut image = expect.clone();
+                put(&mut image, &pages[cut.acked..may]);
+                landed = Some((image, what));
+                break;
+            }
+            apply(&mut expect, s);
+            if fuse.is_none() {
+                dev.audit();
             }
         }
-        let (s, cut) = in_flight.unwrap_or_else(|| panic!("fuse {fuse} never fired"));
-        let (inner, model) = dev.into_parts();
-        let recovered =
-            D::recover(inner.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
-        let mut dev = resume(recovered, model);
-        let got = image(&mut dev);
-        // Of the step in flight, the pages before `cut.acked` show, and
-        // those up to `may` perhaps.
-        let pages = s.pages();
-        let may = match D::ATOMIC && matches!(s, Step::Group(..)) {
-            true if cut.sealing => pages.len(),
-            true => 0,
-            false => (cut.acked + 1).min(pages.len()),
-        };
-        put(&mut expect, &pages[..cut.acked]);
-        let mut landed = expect.clone();
-        put(&mut landed, &pages[cut.acked..may]);
         assert!(
-            got == expect || got == landed,
-            "fuse {fuse}: {s:?}: {cut:?}: shows in part, or an acknowledged step is lost"
+            landed.is_some() == fuse.is_some(),
+            "fuse {fuse:?} failed no step"
         );
-        // Recovery is idempotent.
-        let mut dev = recover(dev);
-        assert!(image(&mut dev) == got, "fuse {fuse}: second recovery");
-    }
+        (expect, landed, *dev.inner().base().stats() - built)
+    };
+    let (cuts, (.., stats)) = power_cuts(build, run, |dev, (expect, landed, _), _| {
+        let got = image(dev);
+        assert!(
+            got == *expect || landed.as_ref().is_some_and(|(image, _)| got == *image),
+            "{}: shows in part, or an acknowledged step is lost",
+            landed.as_ref().map_or("uncut", |(_, what)| what)
+        );
+        got
+    });
     (stats, cuts)
+}
+
+/// Every logical page `lpn` below `expect.len()` of `dev` holds the byte
+/// `expect[lpn]` throughout.
+pub fn assert_image<D: BlockDevice>(dev: &mut D, expect: &[u8], what: &str) {
+    let mut buf = vec![0u8; dev.page_size()];
+    for (lpn, &fill) in expect.iter().enumerate() {
+        dev.read(lpn as Lpn, &mut buf).unwrap();
+        assert!(
+            buf.iter().all(|&b| b == fill),
+            "{what}: lpn {lpn} holds {:#x}, expected {fill:#x}",
+            buf[0]
+        );
+    }
+}
+
+/// Every logical page of `dev`, read.
+fn image<D: BlockDevice>(dev: &mut D) -> Vec<Vec<u8>> {
+    let mut buf = vec![0u8; dev.page_size()];
+    (0..dev.capacity_pages())
+        .map(|lpn| {
+            dev.read(lpn, &mut buf).unwrap();
+            buf.clone()
+        })
+        .collect()
 }
 
 /// Runs `s`; on failure, where in it the command failed. A plain write
@@ -350,5 +356,152 @@ pub fn apply(expect: &mut [Vec<u8>], s: &Step) {
 fn put(expect: &mut [Vec<u8>], pages: &[(Lpn, &[u8])]) {
     for (lpn, page) in pages {
         expect[*lpn as usize].copy_from_slice(page);
+    }
+}
+
+// --- the power-cut harness --------------------------------------------------
+
+/// Anything over a flash chip with a recovery of its own that
+/// [`power_cuts`] can cut: a personality behind the oracle, a bare
+/// device, the FS + DB stack, a recovery half done ([`Scanned`]).
+pub trait Stack: Sized {
+    /// The stack its recovery brings back, which is cut and recovered
+    /// again the same way.
+    type Recovered: Stack<Recovered = Self::Recovered>;
+
+    /// `f` on the flash under the stack.
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T;
+
+    /// Takes the stack down to its flash and brings it back through its
+    /// own recovery, behind the oracle and the auditor where it has them.
+    fn recover(self) -> Self::Recovered;
+
+    /// Which of the `ops` programs and erases of the uncut run (the stack
+    /// as that run left it) to cut: every one.
+    fn fuses(&mut self, ops: u64) -> Vec<u64> {
+        (1..=ops).collect()
+    }
+}
+
+/// The one power-cut harness. Runs the stack `build` makes once uncut to
+/// count the programs and erases of `run`; then, for each cut
+/// ([`Stack::fuses`]), builds the stack again, arms the power fuse, runs
+/// it to the cut, recovers it through its own recovery and hands it to
+/// `check`, and recovers it a second time: `check` must see the same
+/// again. The uncut run is recovered and checked the same way, as cut
+/// `None`; `run` sees which cut it runs to. Returns how many cuts were
+/// made and what the uncut run returned.
+pub fn power_cuts<S: Stack, O, Seen: PartialEq>(
+    build: impl Fn() -> S,
+    mut run: impl FnMut(&mut S, Option<u64>) -> O,
+    mut check: impl FnMut(&mut S::Recovered, &O, Option<u64>) -> Seen,
+) -> (u64, O) {
+    let ops = |c: &mut FlashChip| c.stats().programs + c.stats().erases;
+    let mut recover_twice = |stack: S, outcome: &O, fuse: Option<u64>| {
+        let mut stack = stack.recover();
+        let seen = check(&mut stack, outcome, fuse);
+        let mut stack = stack.recover();
+        assert!(
+            check(&mut stack, outcome, fuse) == seen,
+            "fuse {fuse:?}: the second recovery differs from the first"
+        );
+    };
+    let mut stack = build();
+    let before = stack.with_chip(ops);
+    let uncut = run(&mut stack, None);
+    let ran = stack.with_chip(ops) - before;
+    let fuses = stack.fuses(ran);
+    recover_twice(stack, &uncut, None);
+    for &fuse in &fuses {
+        let mut stack = build();
+        stack.with_chip(|c| c.arm_power_fuse(fuse));
+        let outcome = run(&mut stack, Some(fuse));
+        assert!(stack.with_chip(|c| c.is_dead()), "fuse {fuse} never fired");
+        recover_twice(stack, &outcome, Some(fuse));
+    }
+    (fuses.len() as u64, uncut)
+}
+
+impl<P: Personality + Auditable> Stack for ShadowDevice<P> {
+    type Recovered = Self;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(self.inner_mut().base_mut().chip_mut())
+    }
+
+    fn recover(self) -> Self {
+        recover(self)
+    }
+}
+
+/// A bare device, no oracle: the auditor alone checks its recovery.
+impl Stack for AtomicWriteFtl {
+    type Recovered = Self;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(self.base_mut().chip_mut())
+    }
+
+    fn recover(self) -> Self {
+        let dev = <Self as Personality>::recover(self.into_chip())
+            .unwrap_or_else(|e| panic!("recovery refused the chip: {e:?}"));
+        dev.audit().unwrap_or_else(|v| panic!("{v}"));
+        dev
+    }
+}
+
+/// A recovery cut after its scan: the chip under a crashed device
+/// scanned by [`FtlBase::recover`] and the personality assembled over it,
+/// [`Scanned::run`] still to come. The scan programs and erases nothing
+/// ([`scan`] asserts it), so cutting `run` cuts every write `P::recover`
+/// makes.
+pub struct Scanned<P> {
+    pub dev: P,
+    pub log: RecoveryLog,
+    model: ShadowModel,
+}
+
+/// [`FtlBase::recover`], the recovery scan, on `chip`, held to what the
+/// recovery sweeps rest on: it programs and erases nothing.
+pub fn scan(chip: FlashChip) -> (FtlBase, RecoveryLog) {
+    let before = *chip.stats();
+    let (base, log) = FtlBase::recover(chip).expect("the scan refused the chip");
+    let after = base.flash_stats();
+    assert_eq!(
+        (after.programs, after.erases),
+        (before.programs, before.erases),
+        "the recovery scan wrote to flash"
+    );
+    (base, log)
+}
+
+impl<P: Personality> Scanned<P> {
+    pub fn new(crashed: ShadowDevice<P>) -> Self {
+        let (inner, model) = crashed.into_parts();
+        let (base, log) = scan(inner.into_chip());
+        Scanned {
+            dev: P::assemble(base),
+            log,
+            model,
+        }
+    }
+
+    /// The rest of `P`'s recovery.
+    pub fn run(&mut self) -> xftl_ftl::Result<()> {
+        self.dev.recover_from_scan(&self.log)
+    }
+}
+
+impl<P: Personality + Auditable> Stack for Scanned<P> {
+    type Recovered = ShadowDevice<P>;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(self.dev.base_mut().chip_mut())
+    }
+
+    fn recover(self) -> ShadowDevice<P> {
+        let dev = P::recover(self.dev.into_chip())
+            .unwrap_or_else(|e| panic!("recovery refused the chip: {e:?}"));
+        resume(dev, self.model)
     }
 }

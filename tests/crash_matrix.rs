@@ -24,6 +24,8 @@ use xftl_workloads::AnyDev;
 
 mod common;
 
+use common::assert_image;
+
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
 
@@ -92,103 +94,105 @@ fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
     (Rc::new(RefCell::new(fs)), clock)
 }
 
-/// Runs the fixed schedule with a fuse armed after `fuse` operations.
-/// Returns the number of batches confirmed committed before the power
-/// died (commits that returned success), or None if the whole schedule
-/// finished without tripping the fuse.
-fn run_until_crash(
-    fs: &Rc<RefCell<FileSystem<Dev>>>,
+/// The SQL stack the crash sweep cuts: a table created, a connection
+/// open.
+struct Sql {
+    fs: Rc<RefCell<FileSystem<Dev>>>,
+    db: Connection<Dev>,
     mode: DbJournalMode,
-    fuse: u64,
-) -> (u32, bool) {
-    let Ok(mut db) = Connection::open(Rc::clone(fs), "m.db", mode) else {
-        return (0, true); // fuse tripped during open/recovery
-    };
-    if db
-        .execute("CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY, batch INT)")
-        .is_err()
-    {
-        return (0, true);
+}
+
+impl Sql {
+    fn new(mode: DbJournalMode) -> Self {
+        let (fs, _clock) = build(mode);
+        let mut db = Connection::open(Rc::clone(&fs), "m.db", mode).unwrap();
+        db.execute("CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY, batch INT)")
+            .unwrap();
+        Sql { fs, db, mode }
     }
-    // Arm the fuse only after setup, so every position lands inside the
-    // measured batches.
-    base_mut(fs.borrow_mut().device_mut())
-        .chip_mut()
-        .arm_power_fuse(fuse);
-    let mut committed = 0u32;
-    for batch in 0..12i64 {
-        let run = (|| -> Result<(), xftl_db::DbError> {
-            db.execute("BEGIN")?;
-            for k in 0..4i64 {
-                db.execute_with(
-                    "INSERT INTO t VALUES (?, ?)",
-                    &[Value::Int(batch * 4 + k + 1), Value::Int(batch)],
-                )?;
+
+    /// The fixed schedule, twelve batches of four inserts. Returns how
+    /// many were acknowledged committed before the power died.
+    fn run(&mut self) -> i64 {
+        for batch in 0..12i64 {
+            let run = (|| -> Result<(), xftl_db::DbError> {
+                self.db.execute("BEGIN")?;
+                for k in 0..4i64 {
+                    self.db.execute_with(
+                        "INSERT INTO t VALUES (?, ?)",
+                        &[Value::Int(batch * 4 + k + 1), Value::Int(batch)],
+                    )?;
+                }
+                self.db.execute("COMMIT")?;
+                Ok(())
+            })();
+            if run.is_err() {
+                return batch;
             }
-            db.execute("COMMIT")?;
-            Ok(())
-        })();
-        match run {
-            Ok(()) => committed += 1,
-            Err(_) => return (committed, true),
         }
+        12
     }
-    (committed, false)
+}
+
+impl common::Stack for Sql {
+    type Recovered = Self;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(base_mut(self.fs.borrow_mut().device_mut()).chip_mut())
+    }
+
+    /// Power-cycles and recovers the device, remounts, reopens.
+    fn recover(self) -> Self {
+        let Sql { fs, db, mode } = self;
+        drop(db);
+        let fs = Rc::try_unwrap(fs).expect("sole owner").into_inner();
+        let dev = match fs.into_device() {
+            Dev::Plain(d) => Dev::Plain(common::recover(d)),
+            Dev::X(d) => Dev::X(common::recover(d)),
+        };
+        let fs = match mode {
+            DbJournalMode::Off => FileSystem::mount_tx(dev, JournalMode::Off, 256),
+            _ => FileSystem::mount(dev, JournalMode::Ordered, 256),
+        };
+        let fs = Rc::new(RefCell::new(fs.unwrap()));
+        let db = Connection::open(Rc::clone(&fs), "m.db", mode).unwrap();
+        Sql { fs, db, mode }
+    }
+
+    /// One in sixty of the programs and erases the chip made uncut,
+    /// formatting included, from the third on: those inside the run.
+    fn fuses(&mut self, ops: u64) -> Vec<u64> {
+        let total = self.with_chip(|c| c.stats().programs + c.stats().erases);
+        let every = (total / 60).max(1) as usize;
+        (3..total)
+            .step_by(every)
+            .take_while(|f| *f <= ops)
+            .collect()
+    }
 }
 
 fn crash_sweep(mode: DbJournalMode) {
-    // Establish the total number of flash ops a clean run needs.
-    let (fs, _clock) = build(mode);
-    let (full_batches, crashed) = run_until_crash(&fs, mode, u64::MAX / 2);
-    assert!(!crashed);
-    assert_eq!(full_batches, 12);
-    let total_ops = {
-        let flash = base_mut(fs.borrow_mut().device_mut()).flash_stats();
-        flash.programs + flash.erases
-    };
-    // Sweep fuse positions across the whole run.
-    let step = (total_ops / 60).max(1);
-    let mut positions_tested = 0;
-    let mut fuse = 3u64;
-    while fuse < total_ops {
-        let (fs, _clock) = build(mode);
-        let (committed, crashed) = run_until_crash(&fs, mode, fuse);
-        if crashed {
-            positions_tested += 1;
-            // Power-cycle and recover the device, remount, reopen.
-            let fs_inner = Rc::try_unwrap(fs).expect("sole owner").into_inner();
-            let dev = fs_inner.into_device();
-            let dev = match dev {
-                Dev::Plain(d) => Dev::Plain(common::recover(d)),
-                Dev::X(d) => Dev::X(common::recover(d)),
-            };
-            let fs = if mode == DbJournalMode::Off {
-                FileSystem::mount_tx(dev, JournalMode::Off, 256)
-            } else {
-                FileSystem::mount(dev, JournalMode::Ordered, 256)
-            }
-            .unwrap();
-            let fs = Rc::new(RefCell::new(fs));
-            let mut db = Connection::open(fs, "m.db", mode).unwrap();
-            let rows = db
-                .query("SELECT COUNT(*), MAX(batch) FROM t")
-                .unwrap_or_else(|e| panic!("{mode:?} fuse {fuse}: query failed: {e}"));
+    let (cuts, _) = common::power_cuts(
+        || Sql::new(mode),
+        |sql, _| sql.run(),
+        |sql, &committed, fuse| {
+            assert!(fuse.is_some() || committed == 12, "{mode:?}: uncut");
+            let rows = (sql.db.query("SELECT COUNT(*), MAX(batch) FROM t"))
+                .unwrap_or_else(|e| panic!("{mode:?} fuse {fuse:?}: query failed: {e}"));
             let count = rows[0][0].as_i64().unwrap();
-            // Every acknowledged commit must be intact; one extra batch may
-            // or may not have survived (the crash happened inside it), but
-            // it must be complete if present (multiples of 4 rows).
+            // Every acknowledged commit must be intact; one extra batch
+            // may or may not have survived (the crash happened inside
+            // it), but it must be complete if present (multiples of 4
+            // rows).
             assert!(
-                count == committed as i64 * 4 || count == (committed as i64 + 1) * 4,
-                "{mode:?} fuse {fuse}: {count} rows after {committed} acknowledged batches"
+                count == committed * 4 || count == (committed + 1) * 4,
+                "{mode:?} fuse {fuse:?}: {count} rows after {committed} acknowledged batches"
             );
-            assert_eq!(count % 4, 0, "{mode:?} fuse {fuse}: torn batch visible");
-        }
-        fuse += step;
-    }
-    assert!(
-        positions_tested > 20,
-        "{mode:?}: sweep covered too few crash points"
+            assert_eq!(count % 4, 0, "{mode:?} fuse {fuse:?}: torn batch visible");
+            count
+        },
     );
+    assert!(cuts > 20, "{mode:?}: sweep covered too few crash points");
 }
 
 /// The forwarding enum must carry the *defaulted* transactional commands
@@ -259,6 +263,32 @@ fn crash_during_recovery_is_idempotent() {
     );
 }
 
+/// The recovery sweeps arm the fuse after the scan, `FtlBase::recover`:
+/// a cut it wrote would be lost to them. On every image a power cut
+/// leaves of a schedule that keeps the pool at the GC mark — torn pages,
+/// part-collected victims, translation pages no root names — it programs
+/// and erases nothing, on every personality.
+#[test]
+fn the_recovery_scan_programs_and_erases_nothing() {
+    fn scan_every_cut<P: common::Swept>() {
+        let build = || stepping_dev::<P>(xftl_ftl::GcPolicy::CostBenefit, true);
+        let steps = common::fill_groups(&build(), 6, 2);
+        let run = |dev: &mut ShadowDevice<P>, _| {
+            for s in &steps {
+                if common::step(dev, s).is_err() {
+                    break;
+                }
+            }
+            common::scan(dev.inner().base().chip().clone());
+        };
+        common::power_cuts(build, run, |_, (), _| ());
+    }
+    scan_every_cut::<PageMappedFtl>();
+    scan_every_cut::<xftl_ftl::AtomicWriteFtl>();
+    scan_every_cut::<xftl_ftl::TxFlashFtl>();
+    scan_every_cut::<XFtl>();
+}
+
 /// The image [`recovery_cuts`] recovers, and every page's last
 /// acknowledged fill: flushed churn (closed data blocks under roots: the
 /// scan skips them), four acknowledged groups, and a tail of plain writes
@@ -300,47 +330,35 @@ fn recovery_cut_image<P: common::Swept>() -> (ShadowDevice<P>, Vec<u8>) {
 }
 
 /// Cuts `P`'s recovery of [`recovery_cut_image`] at every program and
-/// erase of its closing checkpoint, recovers each cut again behind the
-/// oracle and the auditor, and holds every page to its last acknowledged
-/// write. `recover` power-cycles the chip it is given, which disarms any
-/// fuse, so the cut recovery is taken apart: the engine's scan, the fuse,
-/// `P`'s folds, `finish_recovery`. The checkpoint must make at least
-/// `min_cuts` programs and erases. Returns how many folds `P`'s own
-/// commit evidence contributed.
+/// erase it makes after the scan, which writes nothing
+/// ([`common::Scanned`]), recovers each cut again behind the oracle and
+/// the auditor,
+/// and holds every page to its last acknowledged write. The checkpoint
+/// must make at least `min_cuts` programs and erases. Returns how many
+/// pages the uncut recovery maps to a transactional write its scan found:
+/// the folds `P`'s own commit evidence contributed.
 fn recovery_cuts<P: common::Swept>(name: &str, min_cuts: u64) -> usize {
-    use xftl_ftl::BlockDevice;
-    let ops = |chip: &FlashChip| chip.stats().programs + chip.stats().erases;
-    let image = recovery_cut_image::<P>().0.into_parts().0.into_chip();
-    let uncut = P::recover(image.clone()).unwrap();
-    let cuts = ops(uncut.base().chip()) - ops(&image);
-    assert!(uncut.base().recovery().skipped_blocks > 0, "{name}");
+    let expect = recovery_cut_image::<P>().1;
+    let run = |s: &mut common::Scanned<P>, _| {
+        assert!(s.dev.base().recovery().skipped_blocks > 0, "{name}");
+        let done = s.run().is_ok();
+        let evidence = (s.log.events.iter())
+            .filter(|e| e.kind == xftl_flash::PageKind::Data && e.tid != 0)
+            .filter(|e| s.dev.base().l2p_peek(e.lpn) == Some(e.ppa))
+            .count();
+        (done, evidence)
+    };
+    let (cuts, (_, evidence)) = common::power_cuts(
+        || common::Scanned::new(recovery_cut_image::<P>().0),
+        run,
+        |dev, &(done, _), fuse| {
+            assert_eq!(done, fuse.is_none(), "{name}: fuse {fuse:?}");
+            let skipped = dev.inner().base().recovery().skipped_blocks;
+            assert!(skipped > 0, "{name}: fuse {fuse:?}");
+            assert_image(dev, &expect, &format!("{name}: fuse {fuse:?}"));
+        },
+    );
     assert!(cuts >= min_cuts, "{name}: {cuts} cuts, under {min_cuts}");
-    let (mut base, log) = FtlBase::recover(image).unwrap();
-    let evidence = P::recovery_folds(&mut base, &log).unwrap().len();
-    for fuse in 1..=cuts {
-        let (dev, expect) = recovery_cut_image::<P>();
-        let (inner, model) = dev.into_parts();
-        let (mut base, log) = FtlBase::recover(inner.into_chip()).unwrap();
-        base.chip_mut().arm_power_fuse(fuse);
-        let folds = P::recovery_folds(&mut base, &log).unwrap();
-        let died = base.finish_recovery(&log, folds);
-        assert!(died.is_err(), "{name}: fuse {fuse} never fired");
-        let again =
-            P::recover(base.into_chip()).unwrap_or_else(|e| panic!("{name}: fuse {fuse}: {e:?}"));
-        let mut again = common::resume(again, model);
-        assert!(
-            again.inner().base().recovery().skipped_blocks > 0,
-            "{name}: fuse {fuse}"
-        );
-        let mut buf = vec![0u8; again.page_size()];
-        for (lpn, fill) in expect.iter().enumerate() {
-            again.read(lpn as u64, &mut buf).unwrap();
-            assert!(
-                buf.iter().all(|b| b == fill),
-                "{name}: fuse {fuse}: lpn {lpn}"
-            );
-        }
-    }
     evidence
 }
 
@@ -352,20 +370,6 @@ fn recovery_cuts<P: common::Swept>(name: &str, min_cuts: u64) -> usize {
 const OLD: u8 = 0x11;
 const NEW: u8 = 0x22;
 const BALLAST: u8 = 0x33;
-
-/// Every logical page of `dev` reads as `expect[lpn]` bytes.
-fn assert_image(dev: &mut XDev, expect: &[u8], what: &str) {
-    use xftl_ftl::BlockDevice;
-    let mut buf = vec![0u8; dev.page_size()];
-    for (lpn, byte) in expect.iter().enumerate() {
-        dev.read(lpn as u64, &mut buf).unwrap();
-        assert!(
-            buf.iter().all(|b| b == byte),
-            "{what}: lpn {lpn} holds {:#x}, expected {byte:#x}",
-            buf[0]
-        );
-    }
-}
 
 /// A roomy 64-block device with `capacity` X-L2P slots, 64 pages of
 /// `OLD` data under a checkpoint, and one committed transaction of
@@ -422,8 +426,7 @@ fn three_commit_group(dev: &mut XDev) -> xftl_ftl::Result<()> {
 /// lpns `0..written` and programs `written` data pages plus one table
 /// image — no root, no GC on this roomy device). Until the last page of
 /// the image is intact nothing of the schedule survives and the previous
-/// generation (the ballast) does; one program later everything does.
-/// Each recovery runs twice, and the second must change nothing.
+/// generation (the ballast) does; uncut, everything does.
 fn sweep_commit_boundaries(
     capacity: usize,
     ballast: u64,
@@ -432,34 +435,35 @@ fn sweep_commit_boundaries(
     schedule: fn(&mut XDev) -> xftl_ftl::Result<()>,
 ) {
     let programs = written as u64 + image_pages;
-    for fuse in 1..=programs + 1 {
-        let (mut dev, mut expect) = dev_with_live_generation(capacity, ballast);
+    let old = dev_with_live_generation(capacity, ballast).1;
+    let build = || {
+        let dev = dev_with_live_generation(capacity, ballast).0;
         assert_eq!(dev.inner().base().xl2p_roots().len() as u64, image_pages);
-        let before = (
-            dev.inner().base().flash_stats(),
-            dev.inner().base().stats().meta_writes,
-        );
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        let acked = schedule(&mut dev).is_ok();
-        assert_eq!(
-            acked,
-            fuse > programs,
-            "fuse {fuse}: the path is {programs} programs"
-        );
+        dev
+    };
+    let run = |dev: &mut XDev, _| {
+        let base = dev.inner().base();
+        let before = (base.flash_stats(), base.stats().meta_writes);
+        let acked = schedule(dev).is_ok();
         if acked {
-            let after = dev.inner().base().flash_stats();
+            let base = dev.inner().base();
+            let after = base.flash_stats();
             assert_eq!(after.programs - before.0.programs, programs);
             assert_eq!(after.erases, before.0.erases);
-            assert_eq!(dev.inner().base().stats().meta_writes, before.1, "no root");
+            assert_eq!(base.stats().meta_writes, before.1, "no root");
+        }
+        acked
+    };
+    let (cuts, _) = common::power_cuts(build, run, |dev, &acked, fuse| {
+        let what = format!("capacity {capacity}, fuse {fuse:?} of {programs}");
+        assert_eq!(acked, fuse.is_none(), "{what}");
+        let mut expect = old.clone();
+        if acked {
             expect[..written].fill(NEW);
         }
-        let what = format!("capacity {capacity}, fuse {fuse} of {programs}");
-        let mut dev = common::recover(dev);
-        assert_image(&mut dev, &expect, &what);
-        let mut dev = common::recover(dev);
-        assert_image(&mut dev, &expect, &format!("{what}, second recovery"));
-        dev.audit();
-    }
+        assert_image(dev, &expect, &what);
+    });
+    assert_eq!(cuts, programs, "the path is {programs} programs");
 }
 
 #[test]
@@ -528,14 +532,13 @@ fn read_only_device_re_recovers_the_same_generation_without_persisting() {
 }
 
 /// A 56-block device exporting 384 pages (6 slabs) behind a 2-slab
-/// mapping cache, every page written and checkpointed: small enough that
-/// evictions close the Map frontier over a live table image and GC has to
-/// pick that block.
-fn tight_dev() -> (XDev, Vec<u8>) {
+/// mapping cache, every page written `OLD` and checkpointed: small enough
+/// that, on X-FTL, evictions close the Map frontier over a live table
+/// image and GC has to pick that block.
+fn tight_dev<P: common::Swept>() -> ShadowDevice<P> {
     use xftl_ftl::BlockDevice;
     let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
-    let mut dev =
-        ShadowDevice::new(XFtl::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
+    let mut dev = ShadowDevice::new(P::format(FlashChip::new(cfg, SimClock::new()), 384).unwrap());
     dev.inner_mut()
         .base_mut()
         .set_map_cache_budget(Some(2))
@@ -545,7 +548,7 @@ fn tight_dev() -> (XDev, Vec<u8>) {
         dev.write(lpn, &vec![OLD; ps]).unwrap();
     }
     dev.flush().unwrap();
-    (dev, vec![OLD; 384])
+    dev
 }
 
 /// Plain overwrites `from..to` of a schedule striding across all six
@@ -575,7 +578,7 @@ fn churn_write(i: u64) -> (u64, u8) {
 #[test]
 fn gc_relocated_table_image_folds_at_its_generation_not_the_copy() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
-    let (mut dev, mut expect) = tight_dev();
+    let (mut dev, mut expect) = (tight_dev::<XFtl>(), vec![OLD; 384]);
     let ps = dev.page_size();
     dev.write_tx(1, 0, &vec![NEW; ps]).unwrap();
     dev.commit(1).unwrap();
@@ -643,25 +646,42 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         }
         (dev, expect)
     };
-    let ops =
-        |d: &XDev| d.inner().base().flash_stats().programs + d.inner().base().flash_stats().erases;
-    let (mut dev, _) = build();
-    let image = dev.inner().base().xl2p_roots()[0];
-    let (before, stats) = (ops(&dev), *dev.inner().base().stats());
-    assert_eq!(
-        (stats.gc_runs, stats.gc_background_steps),
-        (0, 0),
-        "nothing collected before the flush"
+    let expect = build().1;
+    let run = |dev: &mut XDev, _| {
+        let base = dev.inner().base();
+        let (image, stats) = (base.xl2p_roots()[0], *base.stats());
+        assert_eq!(
+            (stats.gc_runs, stats.gc_background_steps),
+            (0, 0),
+            "nothing collected before the flush"
+        );
+        let flushed = dev.flush().is_ok();
+        let base = dev.inner().base();
+        (
+            flushed,
+            *base.stats() - stats,
+            base.chip().write_point(image.block),
+        )
+    };
+    let (cuts, (_, during, image_block)) = common::power_cuts(
+        || build().0,
+        run,
+        |dev, &(flushed, ..), fuse| {
+            assert_eq!(
+                flushed,
+                fuse.is_none(),
+                "fuse {fuse:?} must fire in the flush"
+            );
+            assert_image(dev, &expect, &format!("cut {fuse:?}"));
+        },
     );
-    dev.flush().unwrap();
-    let during = *dev.inner().base().stats() - stats;
     assert_eq!(
         (during.gc_inline_collections, during.gc_copies),
         (1, 1),
         "inline GC ran inside the checkpoint and moved one page: the image"
     );
     assert_eq!(
-        dev.inner().base().chip().write_point(image.block),
+        image_block,
         Some(0),
         "GC took the image's block inside the checkpoint"
     );
@@ -670,52 +690,39 @@ fn checkpoint_and_release_under_gc_pressure_survives_every_cut() {
         (1, 2),
         "the closing step erased the block the checkpoint emptied"
     );
-    let cuts = ops(&dev) - before;
     assert_eq!(cuts, 7, "slab, image copy, erase, slab, slab, root; erase");
-    for fuse in 1..=cuts {
-        let (mut dev, expect) = build();
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        assert!(dev.flush().is_err(), "fuse {fuse} must fire in the flush");
-        let mut dev = common::recover(dev);
-        assert_image(&mut dev, &expect, &format!("cut {fuse} of {cuts}"));
-    }
 }
 
-/// Drive a commit into the power fuse so the X-L2P persist is torn
-/// mid-program, then recover under the oracle: the transaction must
-/// resolve all-or-nothing (the oracle's world-narrowing panics on a torn
-/// commit) and the flash metadata must audit green afterwards.
-#[test]
-fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
-    use xftl_ftl::{BlockDevice, TxBlockDevice};
+/// A 40-block X-FTL device exporting 64 pages, the first `old` of them
+/// written `OLD` and flushed.
+fn small_dev(old: u64) -> XDev {
+    use xftl_ftl::BlockDevice;
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
     let mut dev = ShadowDevice::new(XFtl::format(chip, 64).unwrap());
-    let ps = dev.page_size();
-    let old = vec![0x11u8; ps];
-    let new = vec![0x22u8; ps];
-    for lpn in 0..6u64 {
-        dev.write(lpn, &old).unwrap();
+    let page = vec![OLD; dev.page_size()];
+    for lpn in 0..old {
+        dev.write(lpn, &page).unwrap();
     }
     dev.flush().unwrap();
-    for lpn in 0..6u64 {
-        dev.write_tx(3, lpn, &new).unwrap();
-    }
-    // The commit is one program, the X-L2P table page: a one-op fuse
-    // tears it.
-    dev.inner_mut().base_mut().chip_mut().arm_power_fuse(1);
-    assert!(dev.commit(3).is_err(), "fuse must kill the commit");
+    dev
+}
 
-    let mut dev = common::recover(dev);
-
-    // Every page must land in the same world as the first one read.
-    let mut buf = vec![0u8; ps];
-    dev.read(0, &mut buf).unwrap();
-    let world = buf[0];
-    assert!(world == 0x11 || world == 0x22, "unknown world {world:#x}");
-    for lpn in 1..6u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], world, "torn commit: lpn {lpn} in another world");
-    }
+/// Cut a transaction at every program — its pages, then its commit, the
+/// X-L2P table page torn mid-program — and recover under the oracle: the
+/// transaction must resolve all-or-nothing (the oracle's world-narrowing
+/// panics on a torn commit, the sweep on a page in the other world) and
+/// the flash metadata must audit green afterwards.
+#[test]
+fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
+    use xftl_ftl::BlockDevice;
+    let new = vec![NEW; small_dev(0).page_size()];
+    let tx = common::Step::Group(3, (0..6u64).map(|lpn| (lpn, new.clone())).collect());
+    let (stats, cuts) = common::sweep(|| small_dev(6), &[tx]);
+    assert_eq!(
+        (stats.xl2p_writes, cuts),
+        (1, 7),
+        "the commit is one program"
+    );
 }
 
 /// Power cut in the split-phase window: two transactions commit_submit
@@ -726,20 +733,10 @@ fn oracle_fuse_mid_commit_resolves_all_or_nothing() {
 #[test]
 fn oracle_power_cut_between_submit_and_wait_loses_group() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
-    let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = ShadowDevice::new(XFtl::format(chip, 64).unwrap());
-    let ps = dev.page_size();
-    let old = vec![0x11u8; ps];
-    let new = vec![0x22u8; ps];
+    let mut dev = small_dev(6);
+    let new = vec![NEW; dev.page_size()];
     for lpn in 0..6u64 {
-        dev.write(lpn, &old).unwrap();
-    }
-    dev.flush().unwrap();
-    for lpn in 0..3u64 {
-        dev.write_tx(3, lpn, &new).unwrap();
-    }
-    for lpn in 3..6u64 {
-        dev.write_tx(4, lpn, &new).unwrap();
+        dev.write_tx(3 + lpn / 3, lpn, &new).unwrap();
     }
     let a = dev.commit_submit(3).unwrap();
     let b = dev.commit_submit(4).unwrap();
@@ -748,21 +745,13 @@ fn oracle_power_cut_between_submit_and_wait_loses_group() {
         "X-FTL stages commits"
     );
     // Both are visible now, before any flush.
-    let mut buf = vec![0u8; ps];
-    dev.read(0, &mut buf).unwrap();
-    assert_eq!(buf[0], 0x22, "submitted commit must be visible");
+    assert_image(&mut dev, &[NEW], "submitted commit must be visible");
 
     // Power dies with the group staged: tickets a and b are never redeemed.
     let mut dev = common::recover(dev);
 
     // Nothing of the staged group was ever programmed durably.
-    for lpn in 0..6u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(
-            buf[0], 0x11,
-            "unflushed group survived the crash: lpn {lpn}"
-        );
-    }
+    assert_image(&mut dev, &[OLD; 6], "unflushed group survived the crash");
 }
 
 /// Two concurrent `commit_submit`s redeemed by one `commit_wait` must
@@ -774,13 +763,9 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
     let mut dev = ShadowDevice::new(XFtl::format(chip, 64).unwrap());
-    let ps = dev.page_size();
-    let new = vec![0x22u8; ps];
-    for lpn in 0..3u64 {
-        dev.write_tx(3, lpn, &new).unwrap();
-    }
-    for lpn in 3..6u64 {
-        dev.write_tx(4, lpn, &new).unwrap();
+    let new = vec![NEW; dev.page_size()];
+    for lpn in 0..6u64 {
+        dev.write_tx(3 + lpn / 3, lpn, &new).unwrap();
     }
     let before = *dev.inner().base().stats();
     let a = dev.commit_submit(3).unwrap();
@@ -797,11 +782,7 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
     // The single flush made both durable: power-cycle and re-check every
     // page through the oracle's recovery sweep plus a flash audit.
     let mut dev = common::recover(dev);
-    let mut buf = vec![0u8; ps];
-    for lpn in 0..6u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], 0x22, "coalesced commit lost lpn {lpn}");
-    }
+    assert_image(&mut dev, &[NEW; 6], "coalesced commit lost");
 }
 
 /// Fuse in the middle of a *group* flush: two staged commits share one
@@ -812,20 +793,10 @@ fn oracle_group_commit_coalesces_two_commits_into_one_flush() {
 #[test]
 fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
-    let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = ShadowDevice::new(XFtl::format(chip, 64).unwrap());
-    let ps = dev.page_size();
-    let old = vec![0x11u8; ps];
-    let new = vec![0x22u8; ps];
+    let mut dev = small_dev(6);
+    let new = vec![NEW; dev.page_size()];
     for lpn in 0..6u64 {
-        dev.write(lpn, &old).unwrap();
-    }
-    dev.flush().unwrap();
-    for lpn in 0..3u64 {
-        dev.write_tx(3, lpn, &new).unwrap();
-    }
-    for lpn in 3..6u64 {
-        dev.write_tx(4, lpn, &new).unwrap();
+        dev.write_tx(3 + lpn / 3, lpn, &new).unwrap();
     }
     let a = dev.commit_submit(3).unwrap();
     let _b = dev.commit_submit(4).unwrap();
@@ -840,17 +811,11 @@ fn oracle_fuse_mid_group_flush_is_all_or_nothing() {
     let mut dev = common::recover(dev);
 
     // Every page of BOTH transactions must land in the same world.
-    let mut buf = vec![0u8; ps];
+    let mut buf = vec![0u8; dev.page_size()];
     dev.read(0, &mut buf).unwrap();
     let world = buf[0];
-    assert!(world == 0x11 || world == 0x22, "unknown world {world:#x}");
-    for lpn in 1..6u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(
-            buf[0], world,
-            "torn group flush: lpn {lpn} in another world"
-        );
-    }
+    assert!(world == OLD || world == NEW, "unknown world {world:#x}");
+    assert_image(&mut dev, &[world; 6], "torn group flush");
 }
 
 /// Recover twice in a row with no intervening traffic: the second
@@ -869,22 +834,17 @@ fn oracle_double_recovery_is_idempotent() {
     }
     dev.write_tx(5, 0, &vec![0xEEu8; ps]).unwrap(); // in-flight, must die
 
-    let (ftl, model) = dev.into_parts();
-    let mut chip = ftl.into_chip();
-    chip.power_cycle();
-    let first = XFtl::recover(chip).unwrap();
-    // Power-cycle again immediately: recovery's own writes (checkpoint,
-    // meta ring append) must leave a state that recovers to the same
-    // image.
-    let mut chip = first.into_chip();
-    chip.power_cycle();
-    let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
+    // Power-cycle again right after the first recovery: its own writes
+    // (checkpoint, meta ring append) must leave a state that recovers to
+    // the same image.
+    let mut dev = common::recover(common::recover(dev));
     assert!(dev.verify_recovered() >= 8);
-    dev.audit();
 
-    let mut buf = vec![0u8; ps];
-    dev.read(0, &mut buf).unwrap();
-    assert_eq!(buf[0], 1, "in-flight tx write survived double recovery");
+    assert_image(
+        &mut dev,
+        &[1],
+        "in-flight tx write survived double recovery",
+    );
 }
 
 /// Power cut in the middle of a dirty-slab eviction flush: with a
@@ -898,17 +858,16 @@ fn oracle_double_recovery_is_idempotent() {
 #[test]
 fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
     use xftl_ftl::BlockDevice;
-    const MAP_LOGICAL: u64 = 400;
     let chip = FlashChip::new(FlashConfig::tiny(110), SimClock::new());
-    let mut dev = ShadowDevice::new(PageMappedFtl::format(chip, MAP_LOGICAL).unwrap());
+    let mut expect = map_fills();
+    let mut dev = ShadowDevice::new(PageMappedFtl::format(chip, expect.len() as u64).unwrap());
     dev.inner_mut()
         .base_mut()
         .set_map_cache_budget(Some(1))
         .unwrap();
     let ps = dev.page_size();
-    for lpn in 0..MAP_LOGICAL {
-        let fill = u8::try_from(lpn % 250).unwrap() + 1;
-        dev.write(lpn, &vec![fill; ps]).unwrap();
+    for (lpn, &fill) in expect.iter().enumerate() {
+        dev.write(lpn as u64, &vec![fill; ps]).unwrap();
     }
     dev.flush().unwrap();
     // Dirty the slab covering lpn 0, then touch a far slab: the miss
@@ -926,14 +885,13 @@ fn oracle_fuse_mid_eviction_flush_recovers_acknowledged_writes() {
         .base_mut()
         .set_map_cache_budget(Some(1))
         .unwrap();
-    let mut buf = vec![0u8; ps];
-    dev.read(0, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xEE, "acknowledged write lost in eviction crash");
-    for lpn in 1..MAP_LOGICAL {
-        dev.read(lpn, &mut buf).unwrap();
-        let expect = u8::try_from(lpn % 250).unwrap() + 1;
-        assert_eq!(buf[0], expect, "lpn {lpn} corrupted by the torn eviction");
-    }
+    expect[0] = 0xEE;
+    assert_image(&mut dev, &expect, "after the torn eviction");
+}
+
+/// The 400 pages of the eviction tests, each filled with a byte naming it.
+fn map_fills() -> Vec<u8> {
+    (0..400u32).map(|lpn| (lpn % 250) as u8 + 1).collect()
 }
 
 /// Recover twice in a row under a bounded mapping-cache budget, crashing
@@ -946,14 +904,15 @@ fn double_recovery_with_bounded_cache_is_idempotent() {
     use xftl_ftl::BlockDevice;
     const MAP_LOGICAL: u64 = 400;
     let chip = FlashChip::new(FlashConfig::tiny(110), SimClock::new());
+    let mut expect = map_fills();
     let mut dev = PageMappedFtl::format(chip, MAP_LOGICAL).unwrap();
     dev.base_mut().set_map_cache_budget(Some(2)).unwrap();
     let ps = dev.page_size();
-    for lpn in 0..MAP_LOGICAL {
-        let fill = u8::try_from(lpn % 250).unwrap() + 1;
-        dev.write(lpn, &vec![fill; ps]).unwrap();
+    for (lpn, &fill) in expect.iter().enumerate() {
+        dev.write(lpn as u64, &vec![fill; ps]).unwrap();
     }
     dev.write(5, &vec![0xEE; ps]).unwrap();
+    expect[5] = 0xEE;
     // The next cross-slab write needs an eviction and a data program;
     // the one-op fuse dies in whichever comes first.
     dev.base_mut().chip_mut().arm_power_fuse(1);
@@ -978,14 +937,12 @@ fn double_recovery_with_bounded_cache_is_idempotent() {
         "double recovery changed the mapping"
     );
     second.base_mut().set_map_cache_budget(Some(2)).unwrap();
+    // The write the power cut may or may not have landed.
     let mut buf = vec![0u8; ps];
-    second.read(5, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xEE, "acknowledged write lost");
-    for lpn in (0..MAP_LOGICAL).filter(|l| *l != 5 && *l != 300) {
-        second.read(lpn, &mut buf).unwrap();
-        let expect = u8::try_from(lpn % 250).unwrap() + 1;
-        assert_eq!(buf[0], expect, "lpn {lpn} corrupted across recoveries");
-    }
+    second.read(300, &mut buf).unwrap();
+    expect[300] = buf[0];
+    assert!([0xDD, map_fills()[300]].contains(&buf[0]));
+    assert_image(&mut second, &expect, "across recoveries");
 }
 
 /// Power cut with the full MVCC machinery engaged: two snapshot writers
@@ -998,14 +955,8 @@ fn double_recovery_with_bounded_cache_is_idempotent() {
 #[test]
 fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
     use xftl_ftl::{BlockDevice, TxBlockDevice};
-    let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-    let mut dev = ShadowDevice::new(XFtl::format(chip, 64).unwrap());
+    let mut dev = small_dev(8);
     let ps = dev.page_size();
-    let old = vec![0x11u8; ps];
-    for lpn in 0..8u64 {
-        dev.write(lpn, &old).unwrap();
-    }
-    dev.flush().unwrap();
 
     // Four snapshot transactions on disjoint pages: two stay active,
     // one commits durably (blocking), one is submitted but unflushed.
@@ -1029,7 +980,7 @@ fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
     dev.read(4, &mut buf).unwrap();
     assert_eq!(buf[0], 0xC3, "staged commit must be visible");
     dev.read(0, &mut buf).unwrap();
-    assert_eq!(buf[0], 0x11, "active writer's version must not leak");
+    assert_eq!(buf[0], OLD, "active writer's version must not leak");
     assert_eq!(dev.inner().xl2p().intent_pages(), 4, "two live writers");
     assert_eq!(dev.inner().active_snapshots(), 2, "tids 1 and 2 still open");
 
@@ -1039,15 +990,9 @@ fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
     let mut dev = common::recover(common::recover(dev));
 
     // The flushed commit survived; everything else rolled back.
-    dev.read(6, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xD4, "flushed commit lost");
-    for lpn in [0u64, 1, 2, 3, 4, 5, 7] {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(
-            buf[0], 0x11,
-            "uncommitted or unflushed version survived: lpn {lpn}"
-        );
-    }
+    let mut expect = [OLD; 8];
+    expect[6] = 0xD4;
+    assert_image(&mut dev, &expect, "flushed commit lost, or more survived");
     // Snapshots, write intents, and retained versions are device RAM:
     // recovery must come up with none of them.
     assert_eq!(
@@ -1072,8 +1017,7 @@ fn oracle_power_cut_with_live_snapshot_writers_keeps_commits_drops_intents() {
 #[test]
 fn crash_mid_scrub_relocation_sweep() {
     use xftl_ftl::{BlockDevice, ScrubConfig};
-    let mut cut_mid_scrub = 0u32;
-    for fuse in 1..=20u64 {
+    let build = || {
         let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
         let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
         dev.inner_mut()
@@ -1096,28 +1040,23 @@ fn crash_mid_scrub_relocation_sweep() {
         for _ in 0..60 {
             dev.read(0, &mut buf).unwrap();
         }
-        // The next write's GC tick fires the scrubber; the fuse lands
-        // somewhere inside the relocation (or, for late positions, in
-        // the host write after it).
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        let died = dev.write(9, &vec![0xAB; ps]).is_err();
+        dev
+    };
+    // The next write's GC tick fires the scrubber; the fuse lands
+    // somewhere inside the relocation, or in the host write after it.
+    let mut cut_mid_scrub = 0u32;
+    let run = |dev: &mut XDev, fuse: Option<u64>| {
+        let died = dev.write(9, &vec![0xAB; dev.page_size()]).is_err();
         let stats = *dev.inner().base().stats();
+        assert_eq!(died, fuse.is_some());
         if died && stats.scrub_copies > 0 && stats.scrub_runs == 0 {
             cut_mid_scrub += 1;
         }
-        if !died {
-            continue; // fuse outlived the schedule: nothing to recover
-        }
-        let mut dev = common::recover(dev);
-        for lpn in 0..8u64 {
-            dev.read(lpn, &mut buf).unwrap();
-            let expect = u8::try_from(lpn).unwrap() + 1;
-            assert_eq!(
-                buf[0], expect,
-                "fuse {fuse}: lpn {lpn} lost in torn scrub relocation"
-            );
-        }
-    }
+    };
+    common::power_cuts(build, run, |dev, (), fuse| {
+        let what = format!("fuse {fuse:?}: torn scrub relocation");
+        assert_image(dev, &[1, 2, 3, 4, 5, 6, 7, 8], &what);
+    });
     assert!(
         cut_mid_scrub > 0,
         "no fuse position landed inside a scrub relocation"
@@ -1177,8 +1116,7 @@ fn twice_relocated_committed_page_survives_the_next_generation() {
     dev.commit(2).unwrap();
     dev.audit();
     let mut dev = common::recover(dev);
-    dev.read(0, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xC1, "lpn 0 recovered at a stale address");
+    assert_image(&mut dev, &[0xC1], "lpn 0 recovered at a stale address");
 }
 
 /// Double recovery with persisted health state: the device is driven to
@@ -1194,9 +1132,8 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
     let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
     let mut dev = ShadowDevice::new(XFtl::format(chip, 48).unwrap());
     let ps = dev.page_size();
-    for lpn in 0..8u64 {
-        let fill = u8::try_from(lpn).unwrap() + 1;
-        dev.write(lpn, &vec![fill; ps]).unwrap();
+    for lpn in 0..8u8 {
+        dev.write(lpn.into(), &vec![lpn + 1; ps]).unwrap();
     }
     dev.flush().unwrap();
 
@@ -1252,12 +1189,7 @@ fn double_recovery_preserves_degraded_and_read_only_state() {
         DeviceState::ReadOnly,
         "ReadOnly state lost across double recovery"
     );
-    let mut buf = vec![0u8; ps];
-    for lpn in 0..8u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        let expect = u8::try_from(lpn).unwrap() + 1;
-        assert_eq!(buf[0], expect, "lpn {lpn} lost at end of life");
-    }
+    assert_image(&mut dev, &[1, 2, 3, 4, 5, 6, 7, 8], "lost at end of life");
     assert_eq!(
         dev.write(0, &vec![0xEE; ps]),
         Err(DevError::ReadOnly),
@@ -1492,13 +1424,12 @@ fn an_open_cycle_straddling_a_cadence_root_commits_and_survives_the_cut() {
 /// at most a page's worth of pages, so it takes groups near that size to
 /// fill the window before the record cap forces a root anyway. Three
 /// groups of 100 pages (1 KB pages: a record holds 125) do: the third is
-/// sealed, then rooted, and at every cut of its tail — its last pages,
-/// its record, the translation pages, the root — it is whole or absent
-/// and the two before it are whole.
+/// sealed, then rooted, and at every cut of it — its pages, its record,
+/// the translation pages, the root — it is whole or absent and the two
+/// before it are whole.
 #[test]
 fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
     use xftl_ftl::{AtomicWriteFtl, BlockDevice};
-    use xftl_verify::Auditable;
     const GROUP: u64 = 100;
     let fills = [0xA1u8, 0xA2, 0xA3];
     let write_group = |dev: &mut AtomicWriteFtl, g: u64| {
@@ -1523,31 +1454,34 @@ fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
         );
         dev
     };
-    let mut dev = build();
-    let before = dev.base().flash_stats().programs;
-    write_group(&mut dev, 2).unwrap();
-    let s = *dev.base().stats();
-    assert!(3 * (GROUP + 1) > 32 * dev.base().pages_per_block() as u64);
+    let run = |dev: &mut AtomicWriteFtl, _| {
+        let before = dev.base().flash_stats();
+        let sealed = write_group(dev, 2).is_ok();
+        let after = dev.base().flash_stats();
+        let programs = after.programs - before.programs;
+        (
+            sealed,
+            *dev.base().stats(),
+            programs,
+            after.erases - before.erases,
+        )
+    };
+    let (cuts, (_, s, programs, erases)) =
+        common::power_cuts(build, run, |dev, &(sealed, ..), fuse| {
+            assert_eq!(sealed, fuse.is_none(), "fuse {fuse:?}");
+            let sealed = fuse.is_none_or(|fuse| fuse > GROUP + 1);
+            let mut expect: Vec<u8> = (0..3 * GROUP)
+                .map(|lpn| fills[(lpn / GROUP) as usize])
+                .collect();
+            if !sealed {
+                expect[2 * GROUP as usize..].fill(0);
+            }
+            assert_image(dev, &expect, &format!("fuse {fuse:?}"));
+        });
+    assert!(3 * (GROUP + 1) > 32 * build().base().pages_per_block() as u64);
     assert_eq!((s.commit_record_writes, s.checkpoints), (3, 1));
-    let programs = dev.base().flash_stats().programs - before;
     assert_eq!(programs, GROUP + 1 + s.map_writes + 1);
-    for fuse in GROUP - 3..=programs {
-        let mut dev = build();
-        dev.base_mut().chip_mut().arm_power_fuse(fuse);
-        assert!(write_group(&mut dev, 2).is_err(), "fuse {fuse}");
-        let mut dev = AtomicWriteFtl::recover(dev.into_chip()).unwrap();
-        dev.audit().unwrap_or_else(|v| panic!("fuse {fuse}: {v}"));
-        let sealed = fuse > GROUP + 1;
-        let mut buf = vec![0u8; dev.page_size()];
-        for lpn in 0..3 * GROUP {
-            dev.read(lpn, &mut buf).unwrap();
-            let fill = match lpn / GROUP {
-                2 if !sealed => 0,
-                g => fills[g as usize],
-            };
-            assert!(buf.iter().all(|b| *b == fill), "fuse {fuse}: lpn {lpn}");
-        }
-    }
+    assert_eq!(cuts, programs + erases);
 }
 
 /// DESIGN.md §5.2's repro of the mapping-page window, closed —
@@ -1563,47 +1497,20 @@ fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
 #[test]
 fn mapping_page_window_is_closed() {
     use xftl_ftl::BlockDevice;
-    let build = || {
-        let cfg = xftl_flash::FlashConfigBuilder::tiny().blocks(56).build();
-        let chip = FlashChip::new(cfg, SimClock::new());
-        let mut dev = ShadowDevice::new(PageMappedFtl::format(chip, 384).unwrap());
-        dev.inner_mut()
-            .base_mut()
-            .set_map_cache_budget(Some(2))
-            .unwrap();
-        let page = vec![OLD; dev.page_size()];
-        for lpn in 0..384u64 {
-            dev.write(lpn, &page).unwrap();
-        }
-        dev.flush().unwrap();
-        dev
-    };
     let overwrite = |dev: &mut PlainDev, i: u64| {
         let (lpn, fill) = churn_write(i);
         dev.write(lpn, &vec![fill; dev.page_size()])
     };
-    let ops = |d: &PlainDev| {
-        d.inner().base().flash_stats().programs + d.inner().base().flash_stats().erases
+    let run = |dev: &mut PlainDev, _| {
+        let cut = (0..300).any(|i| overwrite(dev, i).is_err());
+        (cut, *dev.inner().base().stats())
     };
-    let mut dev = build();
-    let before = ops(&dev);
-    for i in 0..300 {
-        overwrite(&mut dev, i).unwrap();
-    }
-    let cuts = ops(&dev) - before;
-    let s = *dev.inner().base().stats();
+    let (cuts, (_, s)) = common::power_cuts(tight_dev, run, |_, &(cut, _), fuse| {
+        assert_eq!(cut, fuse.is_some(), "fuse {fuse:?}");
+    });
     assert_eq!(s.gc_background_steps, 0);
     assert!(s.gc_map_runs > 0 && s.gc_copies > s.gc_valid_pages);
     assert_eq!(cuts, 1583);
-    for fuse in 1..=cuts {
-        let mut dev = build();
-        dev.inner_mut().base_mut().chip_mut().arm_power_fuse(fuse);
-        assert!((0..300).any(|i| overwrite(&mut dev, i).is_err()));
-        let (inner, model) = dev.into_parts();
-        let recovered = PageMappedFtl::recover(inner.into_chip())
-            .unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
-        common::resume(recovered, model);
-    }
 }
 
 // --- page differentials -----------------------------------------------------
@@ -1702,8 +1609,6 @@ fn diff_schedule(ps: usize) -> Vec<common::Step> {
 /// checkpoints taken over a live differential, and the bases GC moved
 /// under one.
 fn diff_events(steps: &[common::Step]) -> (usize, usize) {
-    use common::Step;
-    use xftl_ftl::{BlockDevice, TxBlockDevice};
     let mut dev = diff_dev();
     let (mut checkpoints, mut moved) = (0, 0);
     for step in steps {
@@ -1714,23 +1619,8 @@ fn diff_events(steps: &[common::Step]) -> (usize, usize) {
             let s = dev.inner().base().stats();
             (s.checkpoints, s.merges_room)
         };
-        let written: Vec<u64> = match step {
-            Step::Group(tid, pages) => {
-                for (lpn, page) in pages {
-                    dev.write_tx(*tid, *lpn, page).unwrap();
-                }
-                dev.commit(*tid).unwrap();
-                pages.iter().map(|(lpn, _)| *lpn).collect()
-            }
-            Step::Plain(lpn, page) => {
-                dev.write(*lpn, page).unwrap();
-                vec![*lpn]
-            }
-            Step::Flush => {
-                dev.flush().unwrap();
-                Vec::new()
-            }
-        };
+        common::step(&mut dev, step).unwrap();
+        let written: Vec<u64> = step.pages().iter().map(|(lpn, _)| *lpn).collect();
         let s = dev.inner().base().stats();
         if s.checkpoints > ckpts && !bases.is_empty() {
             checkpoints += 1;
@@ -1836,53 +1726,40 @@ fn a_room_merge_after_a_group_flush_survives_every_cut() {
 }
 
 /// Cuts the recovery of a chip whose live image carries differentials at
-/// every program and erase of its closing checkpoint — the cut recovery
-/// taken apart as in [`recovery_cuts`] — and recovers each cut again:
-/// every page holds its committed bytes.
+/// every program and erase `XFtl::recover` makes after its scan — the
+/// image's folds, the differentials restored, the closing checkpoint
+/// that keeps the image — and recovers each cut again: every page holds
+/// its committed bytes.
 #[test]
 fn a_cut_recovery_keeps_the_differentials() {
     use xftl_ftl::BlockDevice;
-    let ops = |chip: &FlashChip| chip.stats().programs + chip.stats().erases;
     let ps = diff_dev().page_size();
     let steps = diff_schedule(ps);
     // Stop short of the next flush, with differentials live.
     let steps = &steps[..steps.len() - 7];
-    let run = || {
+    let mut expect: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|l| diff_initial(l, ps)).collect();
+    for step in steps {
+        common::apply(&mut expect, step);
+    }
+    let build = || {
         let mut dev = diff_dev();
-        let mut expect: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|l| diff_initial(l, ps)).collect();
         for step in steps {
             common::step(&mut dev, step).unwrap();
-            common::apply(&mut expect, step);
         }
         assert!(dev.inner().xl2p().live_len() > 0);
-        (dev.into_parts().0.into_chip(), expect)
+        common::Scanned::new(dev)
     };
-    let (image, _) = run();
-    let uncut = XFtl::recover(image.clone()).unwrap();
-    assert!(
-        uncut.xl2p().live_len() > 0,
-        "recovery restores the differentials"
-    );
-    let cuts = ops(uncut.base().chip()) - ops(&image);
-    assert!(cuts >= 2, "{cuts} cuts");
-    for fuse in 1..=cuts {
-        let (chip, expect) = run();
-        let (mut base, log) = FtlBase::recover(chip).unwrap();
-        base.chip_mut().arm_power_fuse(fuse);
-        let folds = XFtl::recovery_folds(&mut base, &log).unwrap();
-        assert!(
-            base.finish_recovery(&log, folds).is_err(),
-            "fuse {fuse} never fired"
-        );
-        let mut again =
-            XFtl::recover(base.into_chip()).unwrap_or_else(|e| panic!("fuse {fuse}: {e:?}"));
-        xftl_verify::audit_xftl(&again).unwrap_or_else(|e| panic!("fuse {fuse}: {e}"));
+    let run = |s: &mut common::Scanned<XFtl>, _| (s.run().is_ok(), s.dev.xl2p().live_len());
+    let (cuts, (_, live)) = common::power_cuts(build, run, |dev, &(done, _), fuse| {
+        assert_eq!(done, fuse.is_none(), "fuse {fuse:?}");
         let mut buf = vec![0u8; ps];
         for (lpn, page) in expect.iter().enumerate() {
-            again.read(lpn as u64, &mut buf).unwrap();
-            assert!(buf == *page, "fuse {fuse}: lpn {lpn}");
+            dev.read(lpn as u64, &mut buf).unwrap();
+            assert!(buf == *page, "fuse {fuse:?}: lpn {lpn}");
         }
-    }
+    });
+    assert!(live > 0, "recovery restores the differentials");
+    assert!(cuts >= 2, "{cuts} cuts");
 }
 
 /// A differential undone by a rewrite of its base bytes, then a

@@ -26,6 +26,7 @@ use xftl_ftl::{
 };
 
 mod common;
+use common::assert_image;
 use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
@@ -152,18 +153,7 @@ fn run_cell(kind: FaultKind, point: InjectAt) {
 
     // The host-visible contract: committed transaction applied in full,
     // aborted transaction invisible, plain writes at their last value.
-    let mut buf = vec![0u8; ps];
-    for lpn in 0..16u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(
-            buf[0], expect[lpn as usize],
-            "{ctx}: lpn {lpn} lost its committed value"
-        );
-        assert!(
-            buf.iter().all(|&b| b == buf[0]),
-            "{ctx}: lpn {lpn} holds a torn page"
-        );
-    }
+    assert_image(&mut dev, &expect, &ctx);
     // Aborted tid 8 wrote fill 4 over lpns 4..8; committed state there is
     // the phase-B fill 2 — checked above via `expect`, restated for the
     // matrix's headline claim:
@@ -286,16 +276,10 @@ fn run_read_disturb_cell(scrubbed: bool) -> bool {
             "{ctx}: a read crossed the ECC budget despite the scrubber"
         );
         // The whole committed image survived the hammering.
-        for lpn in 0..8u64 {
-            dev.read(lpn, &mut buf).unwrap();
-            assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost its committed value");
-        }
+        assert_image(&mut dev, &[7; 8], &ctx);
         dev.audit();
         let mut dev = common::recover(dev);
-        for lpn in 0..8u64 {
-            dev.read(lpn, &mut buf).unwrap();
-            assert_eq!(buf[0], 7, "{ctx}: lpn {lpn} lost after power cycle");
-        }
+        assert_image(&mut dev, &[7; 8], &format!("{ctx}: after power cycle"));
     } else {
         assert!(
             dev.inner().base().flash_stats().aging_uncorrectable > 0,
@@ -385,11 +369,8 @@ fn fault_matrix_end_of_life_read_only() {
     );
 
     // Every acked commit is still readable at the cliff edge.
-    let mut buf = vec![0u8; ps];
-    for lpn in 0..8u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], expect(lpn), "lpn {lpn} lost at transition");
-    }
+    let image: Vec<u8> = (0..8).map(expect).collect();
+    assert_image(&mut dev, &image, "lost at transition");
     dev.verify_recovered();
     dev.audit();
 
@@ -397,10 +378,7 @@ fn fault_matrix_end_of_life_read_only() {
     // device and the persisted state holds.
     let mut dev = common::recover(dev);
     assert_eq!(dev.inner().base().device_state(), DeviceState::ReadOnly);
-    for lpn in 0..8u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], expect(lpn), "lpn {lpn} lost across power cycle");
-    }
+    assert_image(&mut dev, &image, "lost across power cycle");
     assert_eq!(
         dev.write(0, &vec![0xEE; ps]),
         Err(DevError::ReadOnly),
@@ -427,7 +405,6 @@ fn fault_soak_background_rates() {
     };
     dev.inner_mut().base_mut().chip_mut().set_fault_plan(plan());
     let mut expect = [0u8; 16];
-    let mut buf = vec![0u8; ps];
     for lpn in 0..16u64 {
         dev.write(lpn, &vec![1u8; ps]).unwrap();
         expect[lpn as usize] = 1;
@@ -458,13 +435,7 @@ fn fault_soak_background_rates() {
         // "correctable flips fired" assertion below holds for any seed,
         // not just the default one.
         for sweep in 0..4u64 {
-            for lpn in 0..16u64 {
-                dev.read(lpn, &mut buf).unwrap();
-                assert_eq!(
-                    buf[0], expect[lpn as usize],
-                    "round {round} sweep {sweep}: lpn {lpn}"
-                );
-            }
+            assert_image(&mut dev, &expect, &format!("round {round} sweep {sweep}"));
         }
     }
     dev.flush().unwrap();
@@ -472,10 +443,7 @@ fn fault_soak_background_rates() {
     assert!(flash.program_fails > 0, "program faults never fired");
     assert!(flash.corrected_reads > 0, "correctable flips never fired");
     let mut dev = recover_armed(dev, Some(plan()));
-    for lpn in 0..16u64 {
-        dev.read(lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], expect[lpn as usize], "lpn {lpn} corrupted");
-    }
+    assert_image(&mut dev, &expect, "corrupted");
     dev.audit();
 }
 

@@ -31,6 +31,7 @@ use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
 use xftl_workloads::{concurrent_fill, CommitWait, ConcurrentPlan, Mode, Rig, RigConfig};
 
 mod common;
+use common::assert_image;
 use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
@@ -123,19 +124,6 @@ fn run_schedule(
         }
     }
     committed
-}
-
-fn assert_image(dev: &mut Dev, expect: &[u8], ctx: &str) {
-    let ps = dev.page_size();
-    let mut buf = vec![0u8; ps];
-    for (lpn, &fill) in expect.iter().enumerate() {
-        dev.read(lpn as Lpn, &mut buf).unwrap();
-        assert_eq!(buf[0], fill, "{ctx}: lpn {lpn} holds the wrong version");
-        assert!(
-            buf.iter().all(|&b| b == buf[0]),
-            "{ctx}: lpn {lpn} holds a torn page"
-        );
-    }
 }
 
 // --- device cells: interleaving × conflict kind -------------------------
