@@ -18,7 +18,9 @@
 //! page packs its cells back to back, though, so an insert, a delete or a
 //! record that changes length moves every later byte; if the first run
 //! passes the limit, a second one finds the moved bytes through an index
-//! of the base's words and copies them.
+//! of the base's words and copies them. Only the second run may go past
+//! the limit, up to a cap: the first, let as far, keeps long literals
+//! where a few copies would have done.
 //!
 //! On flash a differential is a run count (`u16`) and, per run, its
 //! offset and length (`u16` each) and its bytes; a copy is a run of
@@ -26,9 +28,11 @@
 //! [`Diff::encoded_len`] is the runs' part of that, which is what the
 //! size limit bounds.
 
-/// Largest encoded differential kept as one, for an 8 KB page: past it
-/// the page is written whole, and that whole write is the merge. Pages
-/// smaller than 8 KB scale it down (see [`limit_for`]).
+/// Largest encoded differential the positional run keeps, for an 8 KB
+/// page, and the largest that stays live past its commit's durability
+/// point: one past it rides its commit's table image and is merged right
+/// after (DESIGN.md §5.2). Pages smaller than 8 KB scale it down (see
+/// [`limit_for`]).
 pub const DIFF_LIMIT: usize = 512;
 
 /// Bytes of a run's header: offset and length.
@@ -57,6 +61,15 @@ pub fn limit_for(page_size: usize) -> usize {
     DIFF_LIMIT.min(page_size / 16)
 }
 
+/// The cap on an encoded differential for pages of `page_size` bytes, a
+/// quarter page (2 KB on 8 KB pages): only the indexed run may pass
+/// [`limit_for`], and a differential past this is refused and the page
+/// written whole before its commit's image. The cap is a sweep
+/// (DESIGN.md §5.2).
+pub fn cap_for(page_size: usize) -> usize {
+    page_size / 4
+}
+
 /// One run of a differential.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Run<'a> {
@@ -82,17 +95,17 @@ impl Default for Diff {
 }
 
 impl Diff {
-    /// The differential that turns `base` into `new`, or `None` once its
-    /// encoded size passes `limit`: [`Diff::greedy`] without the base's
-    /// word index, and with it if that passes the limit.
+    /// The differential that turns `base` into `new`: [`Diff::greedy`]
+    /// without the base's word index up to `limit` bytes encoded, and
+    /// with it up to `cap` if that passes the limit; `None` past both.
     ///
     /// # Panics
     /// If the pages differ in length or are longer than 64 KB.
-    pub fn encode(base: &[u8], new: &[u8], limit: usize) -> Option<Diff> {
+    pub fn encode(base: &[u8], new: &[u8], limit: usize, cap: usize) -> Option<Diff> {
         assert_eq!(base.len(), new.len(), "a differential spans one page size");
         assert!(base.len() <= usize::from(u16::MAX) + 1, "offsets are u16");
         Self::greedy(base, new, limit, None)
-            .or_else(|| Self::greedy(base, new, limit, Some(&WordIndex::new(base))))
+            .or_else(|| Self::greedy(base, new, cap, Some(&WordIndex::new(base))))
     }
 
     /// The pass: a match is extended at the current shift; where it
@@ -572,7 +585,7 @@ mod tests {
     fn encode_then_apply_gives_the_new_page_back() {
         for seed in 0..300 {
             let (base, new) = case(seed);
-            let full = Diff::encode(&base, &new, usize::MAX).unwrap();
+            let full = Diff::encode(&base, &new, usize::MAX, usize::MAX).unwrap();
             check_exact(&base, &new, &full, &format!("seed {seed}"));
             let shifted = indexed(&base, &new, usize::MAX).unwrap();
             check_exact(&base, &new, &shifted, &format!("seed {seed}, indexed"));
@@ -603,7 +616,7 @@ mod tests {
                 limit,
                 &format!("seed {seed}, indexed"),
             );
-            match Diff::encode(&base, &new, limit) {
+            match Diff::encode(&base, &new, limit, limit) {
                 Some(diff) => check_exact(&base, &new, &diff, &format!("seed {seed}")),
                 None => assert!(
                     unindexed(&base, &new, limit)
@@ -662,9 +675,12 @@ mod tests {
                 let want = positional(&base, &new, limit);
                 assert_eq!(unindexed(&base, &new, limit), want, "case {i}, {limit}");
             }
-            // It is what `encode` gives whenever it fits.
+            // It is what `encode` gives whenever it fits, whatever the cap.
             if full.encoded_len() <= DIFF_LIMIT {
-                assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT), Some(full));
+                assert_eq!(
+                    Diff::encode(&base, &new, DIFF_LIMIT, usize::MAX),
+                    Some(full)
+                );
             }
         }
         // And its bytes are the format's: count, then offset, length and
@@ -674,7 +690,9 @@ mod tests {
         new[3..5].fill(7);
         new[40] = 9;
         let mut bytes = Vec::new();
-        Diff::encode(&base, &new, 32).unwrap().write_to(&mut bytes);
+        Diff::encode(&base, &new, 32, 32)
+            .unwrap()
+            .write_to(&mut bytes);
         assert_eq!(bytes, [2, 0, 3, 0, 2, 0, 7, 7, 40, 0, 1, 0, 9]);
     }
 
@@ -690,7 +708,7 @@ mod tests {
             let new = btree_page(&cells);
             // The header, the cell, one copy of the tail, and zeros.
             assert!(
-                Diff::encode(&base, &new, DIFF_LIMIT).is_some(),
+                Diff::encode(&base, &new, DIFF_LIMIT, DIFF_LIMIT).is_some(),
                 "seed {seed}"
             );
             let diff = indexed(&base, &new, DIFF_LIMIT).unwrap();
@@ -745,13 +763,13 @@ mod tests {
             for _ in 0..6 {
                 let next = edited(&mut rng, &page, 3);
                 // One step against the previous version...
-                Diff::encode(&page, &next, usize::MAX)
+                Diff::encode(&page, &next, usize::MAX, usize::MAX)
                     .unwrap()
                     .apply(&mut stepped);
                 page = next;
             }
             // ...and one cumulative differential against the base.
-            let cumulative = Diff::encode(&base, &page, usize::MAX).unwrap();
+            let cumulative = Diff::encode(&base, &page, usize::MAX, usize::MAX).unwrap();
             assert_eq!(applied(&base, &cumulative), stepped, "seed {seed}");
             assert_eq!(stepped, page);
         }
@@ -763,16 +781,49 @@ mod tests {
         let (mut base, mut new) = (vec![0u8; PAGE], vec![0u8; PAGE]);
         fill(&mut rng, &mut base);
         fill(&mut rng, &mut new);
-        assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT), None);
+        assert_eq!(Diff::encode(&base, &new, DIFF_LIMIT, cap_for(PAGE)), None);
         assert_eq!(indexed(&base, &new, 0), None);
         let whole = indexed(&base, &new, usize::MAX).unwrap();
         assert_eq!(whole, Diff::whole(&new), "one literal, no copy");
     }
 
+    /// An edit in place past the limit is kept by the indexed run, up to
+    /// the cap; a moved tail the positional run would spell out as a long
+    /// literal is a few copies.
+    #[test]
+    fn only_the_indexed_run_passes_the_limit_up_to_the_cap() {
+        let (limit, cap) = (limit_for(PAGE), cap_for(PAGE));
+        assert_eq!((limit, cap), (DIFF_LIMIT, 2048));
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut base = vec![0u8; PAGE];
+        fill(&mut rng, &mut base);
+        let mut wide = base.clone();
+        fill(&mut rng, &mut wide[1000..1800]);
+        assert_eq!(unindexed(&base, &wide, limit), None);
+        let diff = Diff::encode(&base, &wide, limit, cap).unwrap();
+        assert!(diff.encoded_len() > limit && diff.encoded_len() <= cap);
+        check_exact(&base, &wide, &diff, "800 B in place");
+        assert_eq!(Diff::encode(&base, &wide, limit, limit), None);
+        let mut wider = base.clone();
+        fill(&mut rng, &mut wider[1000..1000 + cap]);
+        assert_eq!(
+            Diff::encode(&base, &wider, limit, cap),
+            None,
+            "past the cap"
+        );
+        // Five bytes inserted: the positional run would need the tail.
+        let mut moved = base.clone();
+        moved.splice(100..100, [0xEE; 5]);
+        moved.truncate(PAGE);
+        assert_eq!(unindexed(&base, &moved, cap), None);
+        let diff = Diff::encode(&base, &moved, limit, cap).unwrap();
+        assert!(diff.has_copies() && diff.encoded_len() <= limit);
+    }
+
     #[test]
     fn a_zero_byte_differential_round_trips() {
         let base = vec![9u8; PAGE];
-        let diff = Diff::encode(&base, &base, 0).unwrap();
+        let diff = Diff::encode(&base, &base, 0, 0).unwrap();
         assert!(diff.is_empty());
         assert_eq!(diff.encoded_len(), 0);
         assert_eq!(applied(&base, &diff), base);
@@ -790,7 +841,7 @@ mod tests {
         new[10 + MIN_MATCH] = 1; // 15 equal bytes between: one run
         new[100] = 1;
         new[100 + MIN_MATCH + 1] = 1; // 16 equal bytes between: two runs
-        let diff = Diff::encode(&base, &new, usize::MAX).unwrap();
+        let diff = Diff::encode(&base, &new, usize::MAX, usize::MAX).unwrap();
         let runs: Vec<(usize, usize)> = (diff.runs())
             .map(|r| match r {
                 Run::Literal { dst, bytes } => (dst, bytes.len()),
@@ -811,7 +862,7 @@ mod tests {
         assert_eq!(diff.encoded_len(), page.len() + 2 * RUN_HEADER);
         // So does any differential of a 64 KB page: no run reads as a copy.
         let base = vec![0xEE; page.len()];
-        let diff = Diff::encode(&base, &page, usize::MAX).unwrap();
+        let diff = Diff::encode(&base, &page, usize::MAX, usize::MAX).unwrap();
         check_exact(&base, &page, &diff, "64 KB");
     }
 

@@ -54,13 +54,16 @@
 //! [`Diff`] against it in the transaction's X-L2P entry. The group flush
 //! writes one self-contained table image: the entries plus every live
 //! differential, so recovery still reads only the newest generation. A
-//! differential past [`crate::diff::DIFF_LIMIT`], or a cache miss, writes
-//! the page whole, and that whole write is the merge. One more rule
-//! merges, after each group flush's durability point: while the next
-//! image would leave too little room for another group like this one,
-//! the live differential with the most record bytes × commits since its
-//! first fold is written whole (see [`XFtl::make_room`]). A read is the
-//! base page plus the differential held in RAM.
+//! cache miss, or a differential past the cap ([`crate::diff::cap_for`],
+//! a quarter page), writes the page whole, and that whole write is the
+//! merge. A differential past [`crate::diff::DIFF_LIMIT`] but within the
+//! cap rides its commit's image too, unless the image would need a second
+//! page for it, and is merged right after the durability point. One more
+//! rule merges there: while the next image would leave too little
+//! room for another group like this one, the live differential with the
+//! most record bytes × commits since its first fold is written whole (see
+//! [`XFtl::make_room`]). A read is the base page plus the differential
+//! held in RAM.
 //!
 //! ## Abort
 //!
@@ -108,14 +111,14 @@ use xftl_ftl::{
 };
 use xftl_trace::OpClass;
 
-use crate::diff::{limit_for, Diff};
+use crate::diff::{cap_for, limit_for, Diff};
 use crate::xl2p::{Entry, TxStatus, Xl2pError, Xl2pTable};
 
 /// Default X-L2P capacity (the paper's small configuration: 500 entries,
 /// one 8 KB flash page).
 pub const DEFAULT_XL2P_CAPACITY: usize = 500;
 
-/// Quarters of the bytes a group flush added to the table image that
+/// Quarters of the bytes a group flush leaves in the table image that
 /// [`XFtl::make_room`] keeps free in its page for the next group.
 const ROOM_QUARTERS: usize = 3;
 
@@ -340,10 +343,16 @@ impl XFtl {
         let t_start = self.base.clock().now();
         // Step 2 (durability point), once for the whole group: the
         // entries, and every differential live once the group is folded.
+        // What the group leaves in it: a record past the limit is merged
+        // after this image, and leaves it.
         let (ps, ppb) = (self.base.page_size(), self.base.pages_per_block());
+        let limit = limit_for(ps);
         let added: usize = (self.staged.iter())
             .flat_map(|&(tid, seq)| self.table.entries_of(tid).filter(move |e| e.seq == seq))
-            .map(Xl2pTable::image_bytes)
+            .map(|e| {
+                let merged = e.diff.as_deref().filter(|d| d.encoded_len() > limit);
+                Xl2pTable::image_bytes(e) - merged.map_or(0, Xl2pTable::diff_record_len)
+            })
             .sum();
         // The table image is ordered behind every program issued so far,
         // so waiting for it retires every outstanding ticket (ledger
@@ -437,15 +446,25 @@ impl XFtl {
         self.table.fold_diff(tid, lpn, seq);
     }
 
-    /// Merges live differentials, the most record bytes × commits since
-    /// its first fold first, while the table's entries, its live records
-    /// and room for [`ROOM_QUARTERS`] quarters of the `added` bytes the
-    /// group just put in the image would not fit one page. The merges
-    /// queue behind the image, after the durability point, so the next
-    /// commit does not wait on them; a prediction that falls short costs
-    /// that commit's image a second page.
+    /// Merges every live differential past the size limit — its commit's
+    /// image carried it this far — then the others, the most record bytes
+    /// × commits since its first fold first, while the table's entries,
+    /// its live records and room for [`ROOM_QUARTERS`] quarters of the
+    /// `added` bytes the group left in the image would not fit one page.
+    /// The merges queue behind the image, after the durability point, so
+    /// the next commit does not wait on them; a prediction that falls
+    /// short costs that commit's image a second page.
     fn make_room(&mut self, added: usize) -> Result<()> {
         let ps = self.base.page_size();
+        let limit = limit_for(ps);
+        let oversized: Vec<Lpn> = (self.table.live_diffs())
+            .filter(|(_, live)| live.diff.encoded_len() > limit)
+            .map(|(lpn, _)| lpn)
+            .collect();
+        for lpn in oversized {
+            self.merge(lpn)?;
+            self.base.stats_mut().merges_size_after += 1;
+        }
         let room = added * ROOM_QUARTERS / 4;
         let mut lives: Vec<(usize, usize, Lpn)> = (self.table.live_diffs())
             .map(|(lpn, live)| {
@@ -525,7 +544,7 @@ impl XFtl {
             return;
         };
         let diff = match self.table.cache().peek(new) {
-            Some(image) => Diff::encode(image, &page, usize::MAX).unwrap_or_default(),
+            Some(image) => Diff::encode(image, &page, usize::MAX, usize::MAX).unwrap_or_default(),
             None => Diff::whole(&page),
         };
         let rebased = self.table.upsert_diff(tid, lpn, new, diff);
@@ -562,16 +581,17 @@ impl XFtl {
     /// Before `tid`'s entries flip: a differential folds onto the base it
     /// was taken against, so it moves onto the page's newest committed
     /// base if a staged whole page replaced that since; and it is written
-    /// whole if it has outgrown the limit, or if another transaction's
+    /// whole if it has outgrown the cap, or if another transaction's
     /// snapshot may need the version its fold would displace in place
-    /// (a whole page's fold retains that version).
+    /// (a whole page's fold retains that version). Then the ones past the
+    /// limit that the next image has no room for are written whole.
     fn settle_diffs(&mut self, tid: Tid) -> Result<()> {
         let pending: Vec<(Lpn, Ppa)> = (self.table.entries_of(tid))
             .filter(|e| e.status == TxStatus::Active && e.diff.is_some())
             .map(|e| (e.lpn, e.ppa))
             .collect();
         let watched = self.snapshots.keys().any(|&t| t != tid);
-        let limit = limit_for(self.base.page_size());
+        let cap = cap_for(self.base.page_size());
         for (lpn, base) in pending {
             let newest = self.newest_base(lpn);
             if let Some(newest) = newest.filter(|&n| n != base) {
@@ -580,9 +600,45 @@ impl XFtl {
             let size = (self.table.lookup(tid, lpn))
                 .and_then(|e| e.diff.as_ref())
                 .map_or(0, |d| d.encoded_len());
-            if watched || newest.is_none() || size > limit {
+            if watched || newest.is_none() || size > cap {
                 self.materialize(tid, lpn)?;
+                self.base.stats_mut().merges_size_before += u64::from(size > cap);
             }
+        }
+        self.fit_image(tid)
+    }
+
+    /// Writes `tid`'s differentials past the limit whole, the largest
+    /// first, while the next table image — the staged group's, and
+    /// `tid`'s commit — would not fit one page: a record that would only
+    /// be merged after the image must not cost the commit a second image
+    /// page.
+    fn fit_image(&mut self, tid: Tid) -> Result<()> {
+        let ps = self.base.page_size();
+        let limit = limit_for(ps);
+        let mut oversized: Vec<(usize, Lpn)> = (self.table.entries_of(tid))
+            .filter(|e| e.status == TxStatus::Active)
+            .filter_map(|e| e.diff.as_deref().map(|diff| (diff, e.lpn)))
+            .filter(|(diff, _)| diff.encoded_len() > limit)
+            .map(|(diff, lpn)| (Xl2pTable::diff_record_len(diff), lpn))
+            .collect();
+        if oversized.is_empty() {
+            return Ok(());
+        }
+        oversized.sort_unstable();
+        let mut commits = self.staged.clone();
+        // `tid`'s entries are still active, stamped 0.
+        commits.push((tid, 0));
+        let mut records: usize = (image_diffs(&self.table, &commits).iter())
+            .map(|d| Xl2pTable::diff_record_len(d.2))
+            .sum();
+        while !self.table.image_fits_page(ps, records) {
+            let Some((len, lpn)) = oversized.pop() else {
+                break;
+            };
+            self.materialize(tid, lpn)?;
+            self.base.stats_mut().merges_size_before += 1;
+            records -= len;
         }
         Ok(())
     }
@@ -599,7 +655,7 @@ impl XFtl {
 
     /// Keeps `tid`'s write of `lpn` as a differential against the page's
     /// newest base, if that base's image is cached and the differential
-    /// is within the limit; false, and the caller writes the page whole,
+    /// is within the cap; false, and the caller writes the page whole,
     /// otherwise. No differential is taken while any snapshot is active:
     /// it may need the version the commit displaces.
     fn write_diff(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<bool> {
@@ -615,9 +671,9 @@ impl XFtl {
         let Some(base) = self.newest_base(lpn) else {
             return Ok(false);
         };
-        let limit = limit_for(buf.len());
+        let (limit, cap) = (limit_for(buf.len()), cap_for(buf.len()));
         let encoded =
-            (self.table.cache_mut().get(base)).map(|image| Diff::encode(image, buf, limit));
+            (self.table.cache_mut().get(base)).map(|image| Diff::encode(image, buf, limit, cap));
         let stats = self.base.stats_mut();
         let diff = match encoded {
             None => {
@@ -625,7 +681,7 @@ impl XFtl {
                 return Ok(false);
             }
             Some(None) => {
-                stats.merges_size += 1;
+                stats.merges_size_before += 1;
                 stats.diff_size_hist[diff_size_bucket(None)] += 1;
                 return Ok(false);
             }
@@ -2362,20 +2418,86 @@ mod tests {
     }
 
     #[test]
-    fn updates_past_the_limit_and_cache_misses_are_written_whole() {
+    fn an_update_past_the_limit_rides_the_image_and_is_merged_after_it() {
         let (mut d, base) = diff_dev();
-        let limit = limit_for(d.page_size());
+        let new = edit(&base, 0, limit_for(d.page_size()), 1);
         let before = programs(&d);
-        d.write_tx(1, 3, &edit(&base, 0, limit, 1)).unwrap();
-        assert_eq!(programs(&d), before + 1, "past the limit: the merge");
-        assert_eq!(d.base().stats().merges_size, 1);
+        d.write_tx(1, 3, &new).unwrap();
+        assert_eq!(programs(&d), before, "within the cap: a differential");
+        let image_seq = d.base().chip().next_seq();
         d.commit(1).unwrap();
-        // A page not written whole since power-on has no cached base.
+        assert_eq!(programs(&d), before + 2, "the image, then the merge");
+        assert!(
+            d.base().chip().idle_at() > d.base().clock().now(),
+            "the commit returns at its image; the merge is still programming"
+        );
+        let stats = d.base().stats();
+        assert_eq!((stats.merges_size_before, stats.merges_size_after), (0, 1));
+        assert!(d.xl2p().live(3).is_none(), "merged");
+        let (image, merged) = (d.base().xl2p_roots()[0], d.base().l2p_peek(3).unwrap());
+        let mut buf = page(&d, 0);
+        assert_eq!(d.base.read_at(image, &mut buf).unwrap().seq, image_seq);
+        let merge_seq = d.base.read_at(merged, &mut buf).unwrap().seq;
+        assert_eq!(merge_seq, image_seq + 1, "the merge is the next program");
+        assert_eq!(read(&mut d, 3), new);
         let mut d = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        assert_eq!(read(&mut d, 3), new);
+        // A page not written whole since power-on has no cached base.
         let before = programs(&d);
         d.write_tx(2, 3, &base).unwrap();
         assert_eq!(programs(&d), before + 1);
         assert_eq!(d.base().stats().image_cache_misses, 1);
+    }
+
+    #[test]
+    fn past_the_cap_or_the_image_page_an_update_is_written_whole_first() {
+        let (mut d, base) = diff_dev();
+        let cap = cap_for(d.page_size());
+        let before = programs(&d);
+        d.write_tx(1, 3, &edit(&base, 0, cap, 1)).unwrap();
+        assert_eq!(programs(&d), before + 1, "past the cap: written whole");
+        d.commit(1).unwrap();
+        let stats = d.base().stats();
+        assert_eq!((stats.merges_size_before, stats.merges_size_after), (1, 0));
+        assert_eq!(stats.diff_size_hist[6], 1, "refused");
+        // Five more bases, then a commit of five differentials past the
+        // limit, of 36 to 76 bytes: beside the table's entries their
+        // records would need a second image page, and the largest is
+        // written whole before the image instead.
+        for lpn in 4..9 {
+            d.write_tx(100, lpn, &base).unwrap();
+        }
+        d.commit(100).unwrap();
+        let limit = limit_for(d.page_size());
+        let pages: Vec<Vec<u8>> = (4..9)
+            .map(|lpn| edit(&base, 8, limit + 10 * (lpn as usize - 4), lpn as u8))
+            .collect();
+        for (lpn, new) in (4..9).zip(&pages) {
+            d.write_tx(2, lpn, new).unwrap();
+        }
+        let before = programs(&d);
+        let image_seq = d.base().chip().next_seq() + 1;
+        d.commit(2).unwrap();
+        assert_eq!(d.base().xl2p_roots().len(), 1, "one image page");
+        assert_eq!(
+            programs(&d),
+            before + 6,
+            "one whole page, the image, four merges"
+        );
+        let stats = d.base().stats();
+        assert_eq!((stats.merges_size_before, stats.merges_size_after), (2, 4));
+        let mut buf = page(&d, 0);
+        let image = d.base().xl2p_roots()[0];
+        assert_eq!(d.base.read_at(image, &mut buf).unwrap().seq, image_seq);
+        let largest = d.base().l2p_peek(8).unwrap();
+        assert!(d.base.read_at(largest, &mut buf).unwrap().seq < image_seq);
+        for (lpn, new) in (4..9).zip(&pages) {
+            assert_eq!(&read(&mut d, lpn), new, "lpn {lpn}");
+        }
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        for (lpn, new) in (4..9).zip(&pages) {
+            assert_eq!(&read(&mut d2, lpn), new, "lpn {lpn}, recovered");
+        }
     }
 
     #[test]

@@ -941,7 +941,7 @@ mod tests {
                 (
                     i as Lpn,
                     p(3, i as u32),
-                    Diff::encode(&base, &new, 512).unwrap(),
+                    Diff::encode(&base, &new, 512, 512).unwrap(),
                 )
             })
             .collect();

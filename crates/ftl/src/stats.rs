@@ -122,9 +122,15 @@ pub struct FtlStats {
     /// Those of the differentials that carry a copy run: bytes the write
     /// moved within the page, found at another offset of its base.
     pub diff_copies: u64,
-    /// Transactional writes programmed whole because their differential
-    /// passed the size limit: the page's merge.
-    pub merges_size: u64,
+    /// Transactional writes programmed whole before their commit's table
+    /// image because their differential passed X-FTL's cap, or because
+    /// the image had no room for it: the page's merge, which the commit
+    /// waits for.
+    pub merges_size_before: u64,
+    /// Differentials past X-FTL's size limit that rode their commit's
+    /// table image and were merged — written whole — right after its
+    /// durability point.
+    pub merges_size_after: u64,
     /// Pages programmed whole after a group flush, most record bytes ×
     /// commits since the first fold first, to leave the next table image
     /// room in its page.
@@ -141,20 +147,22 @@ pub struct FtlStats {
     pub image_cache_misses: u64,
     /// Transactional writes of a page with a cached base, by the size of
     /// their encoded differential: 0 bytes, then up to 64, 128, 256 and
-    /// 512 bytes, then past X-FTL's limit (written whole).
+    /// 512 bytes, then past 512 (on an 8 KB page: past X-FTL's limit, up
+    /// to its cap, riding the image and merged after it), then refused
+    /// (past the cap: written whole).
     pub diff_size_hist: [u64; DIFF_SIZE_BUCKETS],
 }
 
 /// Buckets of [`FtlStats::diff_size_hist`].
-pub const DIFF_SIZE_BUCKETS: usize = 6;
+pub const DIFF_SIZE_BUCKETS: usize = 7;
 
 /// The [`FtlStats::diff_size_hist`] bucket of a differential of `bytes`
-/// encoded bytes (`None`: past the limit).
+/// encoded bytes (`None`: refused).
 pub fn diff_size_bucket(bytes: Option<usize>) -> usize {
     match bytes {
         Some(0) => 0,
         Some(b) => (b.div_ceil(64).next_power_of_two().trailing_zeros() as usize + 1)
-            .min(DIFF_SIZE_BUCKETS - 1),
+            .min(DIFF_SIZE_BUCKETS - 2),
         None => DIFF_SIZE_BUCKETS - 1,
     }
 }
@@ -239,7 +247,8 @@ impl Sub for FtlStats {
             diff_writes: self.diff_writes - rhs.diff_writes,
             diff_bytes: self.diff_bytes - rhs.diff_bytes,
             diff_copies: self.diff_copies - rhs.diff_copies,
-            merges_size: self.merges_size - rhs.merges_size,
+            merges_size_before: self.merges_size_before - rhs.merges_size_before,
+            merges_size_after: self.merges_size_after - rhs.merges_size_after,
             merges_room: self.merges_room - rhs.merges_room,
             image_entries: self.image_entries - rhs.image_entries,
             image_record_bytes: self.image_record_bytes - rhs.image_record_bytes,
@@ -282,10 +291,11 @@ mod tests {
     fn differential_sizes_bucket_by_powers_of_two() {
         let buckets: Vec<usize> = [Some(0), Some(1), Some(64), Some(65), Some(128)]
             .into_iter()
-            .chain([Some(129), Some(256), Some(300), Some(512), Some(513), None])
+            .chain([Some(129), Some(256), Some(300), Some(512), Some(513)])
+            .chain([Some(2048), None])
             .map(diff_size_bucket)
             .collect();
-        assert_eq!(buckets, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5]);
+        assert_eq!(buckets, [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]);
     }
 
     #[test]

@@ -897,12 +897,12 @@ mod tests {
             ["None / Some(0.526)", "0.449", "0.449", "0.039", "0.039"]
         );
         // A row of a new letter copies the bytes of one already changed:
-        // 42 % of the page writes carry a copy run. Under 1 % are empty:
+        // 47 % of the page writes carry a copy run. Under 1 % are empty:
         // a page is rarely merged, so a rewrite of an unchanged page
         // still carries its live differential.
         assert_eq!(
             pinned(Rows::Changed),
-            ["0.560", "0.009", "0.009", "0.419", "0.419"]
+            ["0.560", "0.009", "0.009", "0.474", "0.474"]
         );
     }
 

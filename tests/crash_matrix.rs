@@ -1647,7 +1647,7 @@ fn differentials_survive_every_cut() {
     assert!(moved > 0, "GC moved no base");
     let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.diff_writes >= 60, "{stats:?}");
-    assert!(stats.merges_size > 0, "no whole rewrite");
+    assert!(stats.merges_size_before > 0, "no whole rewrite");
     assert!(stats.merges_room > 0, "no page merged to make room");
     assert!(cuts > 150, "{cuts} cuts");
 }
@@ -1692,7 +1692,7 @@ fn shifted_differentials_survive_every_cut() {
     let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.diff_copies >= 8, "{stats:?}");
     assert!(
-        stats.merges_size > 0,
+        stats.merges_size_before + stats.merges_size_after > 0,
         "no page moved past the limit: {stats:?}"
     );
     assert!(cuts > 30, "{cuts} cuts");
@@ -1722,6 +1722,38 @@ fn a_room_merge_after_a_group_flush_survives_every_cut() {
     }
     let (stats, cuts) = common::sweep(diff_dev, &steps);
     assert!(stats.merges_room >= 2, "{stats:?}");
+    assert!(cuts > 20, "{cuts} cuts");
+}
+
+/// Commits whose differentials pass the limit but not the cap, one or two
+/// to a commit: each rides its commit's table image and is merged — a
+/// whole write queued behind the image — right after the durability
+/// point. Every program and erase is cut, those between an image and its
+/// size merges among them; none is written whole before its image.
+#[test]
+fn a_size_merge_after_the_image_survives_every_cut() {
+    use common::Step;
+    use xftl_ftl::BlockDevice;
+    let ps = diff_dev().page_size();
+    let mut image: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|lpn| diff_initial(lpn, ps)).collect();
+    let mut steps = Vec::new();
+    for i in 0..12u64 {
+        let hot = [i % DIFF_HOT, (i + 2) % DIFF_HOT];
+        let mut pages = Vec::new();
+        for &lpn in &hot[..if i % 3 == 0 { 2 } else { 1 }] {
+            // 40 to 99 bytes in place: past the 32-byte limit of a
+            // 512-byte page, within its 128-byte cap.
+            let len = 40 + (i as usize * 13) % 60;
+            let at = (i as usize * 29 + lpn as usize * 7) % (ps - len);
+            let page = &mut image[lpn as usize];
+            page[at..at + len].fill(0x80 | i as u8);
+            pages.push((lpn, page.clone()));
+        }
+        steps.push(Step::Group(i + 1, pages));
+    }
+    let (stats, cuts) = common::sweep(diff_dev, &steps);
+    assert!(stats.merges_size_after >= 2, "{stats:?}");
+    assert_eq!(stats.merges_size_before, 0, "{stats:?}");
     assert!(cuts > 20, "{cuts} cuts");
 }
 
