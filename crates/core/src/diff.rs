@@ -95,7 +95,7 @@ impl Default for Diff {
 }
 
 impl Diff {
-    /// The differential that turns `base` into `new`: [`Diff::greedy`]
+    /// The differential that turns `base` into `new`: `Diff::greedy`
     /// without the base's word index up to `limit` bytes encoded, and
     /// with it up to `cap` if that passes the limit; `None` past both.
     ///

@@ -62,7 +62,7 @@
 //! rule merges there: while the next image would leave too little
 //! room for another group like this one, the live differential with the
 //! most record bytes × commits since its first fold is written whole (see
-//! [`XFtl::make_room`]). A read is the base page plus the differential
+//! `XFtl::make_room`). A read is the base page plus the differential
 //! held in RAM.
 //!
 //! ## Abort

@@ -9,13 +9,13 @@
 //! the Facebook trace's thumbnail blobs (§6.3.2) exercise multi-page
 //! writes per insert.
 //!
-//! There is one reader and one writer. [`Page`] is a borrowed cursor over
+//! There is one reader and one writer. `Page` is a borrowed cursor over
 //! the shared frame [`Pager::page`] hands out: header fields, a cell
 //! iterator that bounds-checks each cell as it yields it (key and raw
 //! bytes are slices of the frame, nothing is copied), and a binary search
-//! over the fixed-size table-interior cells. [`PageBuilder`] assembles a
+//! over the fixed-size table-interior cells. `PageBuilder` assembles a
 //! page image from encoded cells. Table and index trees share every
-//! algorithm; [`Tree`] and [`Key`] carry the two differences (cell layout
+//! algorithm; `Tree` and `Key` carry the two differences (cell layout
 //! and key comparison).
 //!
 //! Two things are frozen, and `tests/file_image.rs`, the `BENCH_*`
@@ -27,7 +27,7 @@
 //!   table leaf `rowid u64 | total_len u32 | local_len u32 | overflow u32
 //!   | local bytes`; table interior `child u32 | rowid u64`; index leaf
 //!   `len u16 | key`; index interior `child u32 | len u16 | key`. Leaves
-//!   split at [`split_point_by_size`], table interiors at `count / 2`,
+//!   split at `split_point_by_size`, table interiors at `count / 2`,
 //!   leaves merge below a quarter page into at most nine tenths.
 //! * **The touch order.** Pager eviction is LRU by touch, and small
 //!   caches turn touch order into device I/O, so each operation calls
@@ -37,7 +37,7 @@
 //!
 //! A damaged page is a [`DbError::Corrupt`], from every entry point:
 //! lengths and counts are checked where they are read, and descents are
-//! bounded by [`MAX_DEPTH`] so a cycle of child pointers ends.
+//! bounded by `MAX_DEPTH` so a cycle of child pointers ends.
 
 use xftl_ftl::BlockDevice;
 

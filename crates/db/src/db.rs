@@ -9,7 +9,7 @@
 //!
 //! Applications repeat a handful of SQL texts, so the connection keeps
 //! each text's parse tree and — for DML — its plan (`sqlite3_prepare`
-//! without the handle): [`Prepared`], looked up by text, the plan valid
+//! without the handle): `Prepared`, looked up by text, the plan valid
 //! for one [`Catalog::generation`].
 
 use xftl_ftl::{BlockDevice, Tid};

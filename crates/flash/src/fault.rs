@@ -249,7 +249,7 @@ pub(crate) fn is_exempt(block: u32) -> bool {
 
 /// A deterministic fault schedule for one chip.
 ///
-/// See the [module docs](self) for the model. Construct with
+/// See the module docs of `fault` for the model. Construct with
 /// [`FaultPlan::new`], configure with the builder methods, then install
 /// with [`crate::FlashChip::set_fault_plan`].
 #[derive(Debug, Clone)]

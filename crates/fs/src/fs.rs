@@ -11,7 +11,7 @@
 //! compile-time property: `Off` mode is only reachable through the
 //! [`FileSystem::mkfs_tx`]/[`FileSystem::mount_tx`] constructors, which
 //! require `D: TxBlockDevice` and capture the extended commands in a
-//! dispatch table ([`TxOps`]). The plain constructors reject `Off`
+//! dispatch table (`TxOps`). The plain constructors reject `Off`
 //! up front — there is no runtime capability probe to fail later.
 //!
 //! Multi-page flushes ride the queued submission path

@@ -1317,12 +1317,29 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Deliberately broken FTL: `abort` reports success but forgets to
-    /// drop the transaction's copy-on-write pages, so a later commit of
-    /// the same tid (or a read through it) exposes rolled-back data.
-    struct BrokenAbort(XFtl);
+    /// A deliberately broken X-FTL: every command forwarded but the one
+    /// its bug breaks.
+    struct Broken(XFtl, Bug);
 
-    impl BlockDevice for BrokenAbort {
+    #[derive(PartialEq)]
+    enum Bug {
+        /// `abort` reports success but forgets to drop the transaction's
+        /// copy-on-write pages, so a later commit of the same tid (or a
+        /// read through it) exposes rolled-back data.
+        Abort,
+        /// `write_tx` writes in place (plain write), leaking uncommitted
+        /// data to every reader.
+        WriteTx,
+        /// `begin` reports success but never registers the snapshot, so
+        /// the transaction reads the live image and its commit skips
+        /// first-committer-wins.
+        Begin,
+        /// `commit_submit` aborts every transaction and refuses it with
+        /// `Conflict`.
+        Commit,
+    }
+
+    impl BlockDevice for Broken {
         fn page_size(&self) -> usize {
             self.0.page_size()
         }
@@ -1346,32 +1363,51 @@ mod tests {
         }
     }
 
-    impl TxBlockDevice for BrokenAbort {
+    impl TxBlockDevice for Broken {
+        fn begin(&mut self, tid: Tid) -> Result<()> {
+            if self.1 == Bug::Begin {
+                return Ok(());
+            }
+            self.0.begin(tid)
+        }
         fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
             self.0.read_tx(tid, lpn, buf)
         }
         fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
+            if self.1 == Bug::WriteTx {
+                return self.0.write(lpn, buf);
+            }
             self.0.write_tx(tid, lpn, buf)
         }
         fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
+            if self.1 == Bug::Commit {
+                self.0.abort(tid)?;
+                return Err(DevError::Conflict);
+            }
             self.0.commit_submit(tid)
         }
         fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
             self.0.commit_wait(ticket)
         }
-        fn abort(&mut self, _tid: Tid) -> Result<()> {
-            Ok(()) // the seeded bug: rollback dropped on the floor
+        fn abort(&mut self, tid: Tid) -> Result<()> {
+            if self.1 == Bug::Abort {
+                return Ok(());
+            }
+            self.0.abort(tid)
         }
+    }
+
+    /// [`fresh`]'s device with `bug`, and a page each of `1`s and `2`s.
+    fn broken(bug: Bug) -> (ShadowDevice<Broken>, Vec<u8>, Vec<u8>) {
+        let dev = ShadowDevice::new(Broken(fresh(24, 48).into_parts().0, bug));
+        let (old, new) = (vec![1u8; dev.page_size()], vec![2u8; dev.page_size()]);
+        (dev, old, new)
     }
 
     #[test]
     #[should_panic(expected = "shadow oracle")]
     fn mutation_broken_abort_is_caught() {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(24), clock);
-        let mut dev = ShadowDevice::new(BrokenAbort(XFtl::format(chip, 48).unwrap()));
-        let old = vec![1u8; dev.page_size()];
-        let new = vec![2u8; dev.page_size()];
+        let (mut dev, old, new) = broken(Bug::Abort);
         dev.write(0, &old).unwrap();
         dev.write_tx(7, 0, &new).unwrap();
         dev.abort(7).unwrap();
@@ -1383,66 +1419,73 @@ mod tests {
         dev.read(0, &mut buf).unwrap();
     }
 
-    /// Deliberately broken FTL: `write_tx` writes in place (plain write),
-    /// leaking uncommitted data to every reader.
-    struct LeakyWriteTx(XFtl);
-
-    impl BlockDevice for LeakyWriteTx {
-        fn page_size(&self) -> usize {
-            self.0.page_size()
-        }
-        fn capacity_pages(&self) -> u64 {
-            self.0.capacity_pages()
-        }
-        fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            self.0.read(lpn, buf)
-        }
-        fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            self.0.write(lpn, buf)
-        }
-        fn trim(&mut self, lpn: Lpn) -> Result<()> {
-            self.0.trim(lpn)
-        }
-        fn flush(&mut self) -> Result<()> {
-            self.0.flush()
-        }
-        fn counters(&self) -> DevCounters {
-            self.0.counters()
-        }
-    }
-
-    impl TxBlockDevice for LeakyWriteTx {
-        fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            self.0.read_tx(tid, lpn, buf)
-        }
-        fn write_tx(&mut self, _tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            self.0.write(lpn, buf) // the seeded bug: no copy-on-write
-        }
-        fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
-            self.0.commit_submit(tid)
-        }
-        fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-            self.0.commit_wait(ticket)
-        }
-        fn abort(&mut self, tid: Tid) -> Result<()> {
-            self.0.abort(tid)
-        }
-    }
-
     #[test]
     #[should_panic(expected = "shadow oracle")]
     fn mutation_isolation_leak_is_caught() {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(24), clock);
-        let mut dev = ShadowDevice::new(LeakyWriteTx(XFtl::format(chip, 48).unwrap()));
-        let old = vec![1u8; dev.page_size()];
-        let new = vec![2u8; dev.page_size()];
+        let (mut dev, old, new) = broken(Bug::WriteTx);
         dev.write(0, &old).unwrap();
         dev.write_tx(7, 0, &new).unwrap();
         // A plain read must still see the old value; the leaky device
         // exposes tid 7's uncommitted write.
         let mut buf = vec![0u8; dev.page_size()];
         dev.read(0, &mut buf).unwrap();
+    }
+
+    /// A recovery that comes back without an acknowledged plain write:
+    /// the chip recovered is the one before the write.
+    #[test]
+    #[should_panic(expected = "shadow oracle")]
+    fn mutation_lost_plain_write_is_caught() {
+        let mut dev = fresh(24, 48);
+        dev.write(3, &page(&dev, 1)).unwrap();
+        dev.flush().unwrap();
+        let mut chip = dev.inner().base().chip().clone();
+        dev.write(3, &page(&dev, 2)).unwrap();
+        chip.power_cycle();
+        let model = dev.into_parts().1;
+        ShadowDevice::resume(XFtl::recover(chip).unwrap(), model).verify_recovered();
+    }
+
+    /// A recovery that shows bytes on a page the host never wrote. The
+    /// durability sweep reads only the pages the model tracks, so this
+    /// takes a read of the page itself — the crash sweeps read every page.
+    #[test]
+    #[should_panic(expected = "shadow oracle")]
+    fn mutation_never_written_page_showing_bytes_is_caught() {
+        let mut dev = fresh(24, 48);
+        let data = page(&dev, 1);
+        dev.write(3, &data).unwrap();
+        // The seeded bug: lpn 9 written behind the model's back.
+        dev.inner_mut().write(9, &data).unwrap();
+        let (ftl, model) = dev.into_parts();
+        let mut chip = ftl.into_chip();
+        chip.power_cycle();
+        let mut dev = ShadowDevice::resume(XFtl::recover(chip).unwrap(), model);
+        dev.verify_recovered();
+        dev.read(9, &mut page(&dev, 0)).unwrap();
+    }
+
+    /// A snapshot writer admitted over a plain overwrite of its page.
+    #[test]
+    #[should_panic(expected = "lost update")]
+    fn mutation_admitted_lost_update_is_caught() {
+        let (mut dev, old, new) = broken(Bug::Begin);
+        dev.begin(1).unwrap();
+        dev.write_tx(1, 0, &new).unwrap();
+        dev.write(0, &old).unwrap();
+        dev.commit(1).unwrap();
+    }
+
+    /// A snapshot writer refused though nothing it wrote changed.
+    #[test]
+    #[should_panic(expected = "spurious conflict")]
+    fn mutation_refused_disjoint_writer_is_caught() {
+        let (mut dev, old, new) = broken(Bug::Commit);
+        dev.begin(1).unwrap();
+        dev.begin(2).unwrap();
+        dev.write_tx(1, 0, &old).unwrap();
+        dev.write_tx(2, 1, &new).unwrap();
+        assert_eq!(dev.commit(1), Err(DevError::Conflict));
     }
 
     #[test]
@@ -1515,64 +1558,10 @@ mod tests {
         assert_eq!(dev.model().active_snapshots(), 0);
     }
 
-    /// Deliberately broken FTL: `begin` reports success but never
-    /// registers the snapshot, so the transaction reads the live image
-    /// and later commits skip first-committer-wins validation.
-    struct BrokenBegin(XFtl);
-
-    impl BlockDevice for BrokenBegin {
-        fn page_size(&self) -> usize {
-            self.0.page_size()
-        }
-        fn capacity_pages(&self) -> u64 {
-            self.0.capacity_pages()
-        }
-        fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            self.0.read(lpn, buf)
-        }
-        fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            self.0.write(lpn, buf)
-        }
-        fn trim(&mut self, lpn: Lpn) -> Result<()> {
-            self.0.trim(lpn)
-        }
-        fn flush(&mut self) -> Result<()> {
-            self.0.flush()
-        }
-        fn counters(&self) -> DevCounters {
-            self.0.counters()
-        }
-    }
-
-    impl TxBlockDevice for BrokenBegin {
-        fn begin(&mut self, _tid: Tid) -> Result<()> {
-            Ok(()) // the seeded bug: snapshot registration dropped
-        }
-        fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-            self.0.read_tx(tid, lpn, buf)
-        }
-        fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
-            self.0.write_tx(tid, lpn, buf)
-        }
-        fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
-            self.0.commit_submit(tid)
-        }
-        fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-            self.0.commit_wait(ticket)
-        }
-        fn abort(&mut self, tid: Tid) -> Result<()> {
-            self.0.abort(tid)
-        }
-    }
-
     #[test]
     #[should_panic(expected = "shadow oracle")]
     fn mutation_broken_begin_is_caught() {
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(24), clock);
-        let mut dev = ShadowDevice::new(BrokenBegin(XFtl::format(chip, 48).unwrap()));
-        let old = vec![1u8; dev.page_size()];
-        let new = vec![2u8; dev.page_size()];
+        let (mut dev, old, new) = broken(Bug::Begin);
         dev.write(0, &old).unwrap();
         dev.begin(1).unwrap();
         // Another transaction commits over the page; the broken device

@@ -1,19 +1,24 @@
-//! Oracle wiring and the power-cut harness shared by the integration
-//! tests.
+//! Oracle wiring, the one schedule alphabet and runner, and the power-cut
+//! harness shared by the integration tests.
 //!
 //! Every device personality under test runs behind
 //! [`xftl_verify::ShadowDevice`]: each command the test (or the FS/DB
 //! stack above it) issues is mirrored into the reference model, every
 //! read is checked against the worlds the crash semantics allow, and each
 //! recovery ends with a durability sweep plus a flash-physics audit. The
-//! op loops in the test files only use the device traits, which the
-//! wrapper forwards. Every loop over power-cut positions is a call to
-//! [`power_cuts`].
+//! oracle is the one judge of what a device may show: no test keeps an
+//! expected image of its own except to pin a world the oracle leaves
+//! open. Device schedules are [`DevOp`] lists, issued by [`Run::issue`]
+//! from [`run_schedule`] and [`sweep`]. Every loop over power-cut
+//! positions is a call to [`power_cuts`].
 
 #![allow(
     dead_code,
     reason = "each test binary uses its own subset of these helpers"
 )]
+
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,8 +26,8 @@ use xftl_core::XFtl;
 use xftl_flash::{FlashChip, Oob, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
-    AtomicWriteFtl, BlockDevice, DevError, FtlBase, Lpn, PageMappedFtl, Personality, RecoveryLog,
-    Tid, TxBlockDevice, TxFlashFtl,
+    AtomicWriteFtl, BlockDevice, CommitTicket, DevError, FtlBase, Lpn, PageMappedFtl, Personality,
+    RecoveryLog, Result as DevResult, Tid, TxBlockDevice, TxFlashFtl,
 };
 use xftl_verify::{Auditable, ShadowDevice, ShadowModel};
 
@@ -122,188 +127,342 @@ pub fn assert_skip_is_invisible<D: Personality>(chip: &FlashChip) -> u32 {
     skipped
 }
 
-// --- the every-boundary power-cut sweep -----------------------------------
+// --- the one schedule alphabet and its runner ------------------------------
 
-/// What the sweep needs of a personality beyond the trait: how it writes
-/// one acknowledged group, and whether that is all-or-nothing.
+/// A page image a schedule writes.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Page {
+    /// Every byte of the page is this one.
+    Fill(u8),
+    /// The page's bytes.
+    Image(Vec<u8>),
+}
+
+impl Page {
+    /// The page as written on a device of `page_size`-byte pages.
+    pub fn bytes(&self, page_size: usize) -> Cow<'_, [u8]> {
+        match self {
+            Page::Fill(byte) => Cow::Owned(vec![*byte; page_size]),
+            Page::Image(bytes) => Cow::Borrowed(bytes),
+        }
+    }
+}
+
+/// One command of a device schedule: the alphabet every schedule in
+/// `tests/` is written in, issued by [`Run::issue`]. A schedule of
+/// filled pages prints ([`literal`]) as the `DevOp` list that replays it.
+///
+/// - `Begin` opens `tid` as a snapshot transaction.
+/// - `Patch` has `tid` rewrite four bytes of the page as it reads it: on
+///   X-FTL a differential once the page was written whole.
+/// - `CommitSubmit` stages the commit (visible immediately) and keeps the
+///   ticket outstanding; `CommitWait` redeems the newest outstanding
+///   ticket — its group covers everything currently staged, so the whole
+///   pipeline drains durable.
+/// - `Group` writes `pages` as one acknowledged group ([`Swept::group`]).
+/// - `Crash` is a power cut, and the recovery [`run_schedule`] was given.
+#[derive(Debug, Clone)]
+pub enum DevOp {
+    Begin { tid: Tid },
+    Write { tid: Tid, lpn: Lpn, page: Page },
+    PlainWrite { lpn: Lpn, page: Page },
+    Patch { tid: Tid, lpn: Lpn, byte: u8 },
+    Commit { tid: Tid },
+    CommitSubmit { tid: Tid },
+    CommitWait,
+    Abort { tid: Tid },
+    Group { tid: Tid, pages: Vec<(Lpn, Page)> },
+    Flush,
+    Crash,
+}
+
+/// `ops` as a Rust list literal of `DevOp`s, with `Page::Fill` in scope
+/// as `Fill`: a red schedule goes into a regression corpus as printed.
+fn literal(ops: &[DevOp]) -> String {
+    let ops: Vec<String> = ops.iter().map(|op| format!("DevOp::{op:?}")).collect();
+    format!("&[{}]", ops.join(", "))
+}
+
+/// What the schedules need of a personality beyond the trait: its
+/// transactional commands, where it has them.
 pub trait Swept: Personality + Auditable {
-    /// Whether [`Swept::group`] is all-or-nothing across a power cut.
-    const ATOMIC: bool;
+    /// `dev`'s transactional commands, behind the oracle; `None` where
+    /// the personality has none.
+    fn tx(dev: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice>;
+
     /// Writes `pages` as one acknowledged group: a transaction and its
     /// commit where the personality has them, plain writes and a flush
     /// where it does not.
-    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut>;
-}
-
-/// Where in a [`Swept::group`] a command failed.
-#[derive(Debug)]
-pub struct Cut {
-    /// Pages of the group whose writes were acknowledged one by one
-    /// before it (always 0 inside a transaction).
-    pub acked: usize,
-    /// It was the command that seals the group: commit or flush.
-    pub sealing: bool,
-    pub error: DevError,
-}
-
-fn plain_group<D: BlockDevice>(dev: &mut D, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-    let cut = |acked, sealing| {
-        move |error| Cut {
-            acked,
-            sealing,
-            error,
+    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Page)]) -> DevResult<()> {
+        let ps = dev.page_size();
+        match Self::tx(dev) {
+            Some(tx) => {
+                for (lpn, page) in pages {
+                    tx.write_tx(tid, *lpn, &page.bytes(ps))?;
+                }
+                tx.commit(tid)
+            }
+            None => {
+                for (lpn, page) in pages {
+                    dev.write(*lpn, &page.bytes(ps))?;
+                }
+                dev.flush()
+            }
         }
-    };
-    for (acked, (lpn, data)) in pages.iter().enumerate() {
-        dev.write(*lpn, data).map_err(cut(acked, false))?;
     }
-    dev.flush().map_err(cut(pages.len(), true))
-}
-
-fn tx_group<D: TxBlockDevice>(dev: &mut D, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-    let cut = |sealing| {
-        move |error| Cut {
-            acked: 0,
-            sealing,
-            error,
-        }
-    };
-    for (lpn, data) in pages {
-        dev.write_tx(tid, *lpn, data).map_err(cut(false))?;
-    }
-    dev.commit(tid).map_err(cut(true))
 }
 
 impl Swept for PageMappedFtl {
-    const ATOMIC: bool = false;
-    fn group(dev: &mut ShadowDevice<Self>, _: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-        plain_group(dev, pages)
+    fn tx(_: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
+        None
     }
 }
 
 impl Swept for AtomicWriteFtl {
-    const ATOMIC: bool = false;
-    fn group(dev: &mut ShadowDevice<Self>, _: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-        plain_group(dev, pages)
+    fn tx(_: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
+        None
     }
 }
 
 impl Swept for TxFlashFtl {
-    const ATOMIC: bool = true;
-    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-        tx_group(dev, tid, pages)
+    fn tx(dev: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
+        Some(dev)
     }
 }
 
 impl Swept for XFtl {
-    const ATOMIC: bool = true;
-    fn group(dev: &mut ShadowDevice<Self>, tid: Tid, pages: &[(Lpn, Vec<u8>)]) -> Result<(), Cut> {
-        tx_group(dev, tid, pages)
+    fn tx(dev: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
+        Some(dev)
     }
 }
 
-/// One acknowledged step of a [`sweep`] schedule.
-#[derive(Debug, Clone)]
-pub enum Step {
-    /// Whole pages written as one group by [`Swept::group`].
-    Group(Tid, Vec<(Lpn, Vec<u8>)>),
-    /// A plain write of one page.
-    Plain(Lpn, Vec<u8>),
-    /// A flush.
-    Flush,
+fn tx<D: Swept>(dev: &mut ShadowDevice<D>) -> &mut dyn TxBlockDevice {
+    D::tx(dev).expect("a transactional command on a device without transactions")
 }
 
-impl Step {
-    /// The pages the step writes, in order.
-    pub fn pages(&self) -> Vec<(Lpn, &[u8])> {
-        match self {
-            Step::Group(_, pages) => pages.iter().map(|(lpn, page)| (*lpn, &page[..])).collect(),
-            Step::Plain(lpn, page) => vec![(*lpn, &page[..])],
-            Step::Flush => Vec::new(),
+/// The corners a family's schedules reached, summed over its cases: a
+/// generator that drifts away from one fails the family's closing
+/// assertion instead of passing vacuously.
+#[derive(Debug, Default)]
+pub struct Exercised {
+    /// Commits the device staged (non-immediate tickets).
+    pub staged: u32,
+    /// Power cuts that caught commits staged and kept a strict prefix of
+    /// them.
+    pub cuts_strict_prefix: u32,
+    /// Plain writes onto a staged page (the group must flush first).
+    pub plain_on_staged: u32,
+    /// Snapshot commits refused with `Conflict`.
+    pub conflicts: u32,
+    /// Snapshot writers admitted while another snapshot was open.
+    pub overlapping_admits: u32,
+}
+
+/// Prints what it says on stderr if a panic — the oracle's, mostly —
+/// unwinds through it, so a red run replays from its output alone.
+struct Unwinding<F: Fn() -> String>(F);
+
+impl<F: Fn() -> String> Drop for Unwinding<F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("{}", (self.0)());
         }
     }
 }
 
+/// What a schedule holds open between its commands.
+#[derive(Debug, Default)]
+pub struct Run {
+    /// Outstanding tickets, oldest first.
+    tickets: Vec<CommitTicket>,
+    /// Snapshot transactions open.
+    began: BTreeSet<Tid>,
+    /// Of all open transactions, the ones that have written.
+    writers: BTreeSet<Tid>,
+    /// Snapshot commits refused since the power came on: the device's
+    /// `conflict_aborts`.
+    conflicts: u64,
+}
+
+impl Run {
+    /// Issues `op`, any but [`DevOp::Crash`], on `dev`, and notes in
+    /// `seen` the corners it reached. A snapshot's commit refused with
+    /// `Conflict` is a verdict, not a failure: whether it was earned is
+    /// the oracle's call; that only a snapshot can earn one is not.
+    pub fn issue<D: Swept>(
+        &mut self,
+        dev: &mut ShadowDevice<D>,
+        op: &DevOp,
+        seen: &mut Exercised,
+    ) -> DevResult<()> {
+        let ps = dev.page_size();
+        match *op {
+            DevOp::Begin { tid } => {
+                tx(dev).begin(tid)?;
+                self.began.insert(tid);
+            }
+            DevOp::Write { tid, lpn, ref page } => {
+                tx(dev).write_tx(tid, lpn, &page.bytes(ps))?;
+                self.writers.insert(tid);
+            }
+            DevOp::PlainWrite { lpn, ref page } => {
+                seen.plain_on_staged += u32::from(dev.model().is_staged(lpn));
+                dev.write(lpn, &page.bytes(ps))?;
+            }
+            DevOp::Patch { tid, lpn, byte } => {
+                let mut buf = vec![0u8; ps];
+                tx(dev).read_tx(tid, lpn, &mut buf)?;
+                buf[lpn as usize..][..4].fill(byte);
+                tx(dev).write_tx(tid, lpn, &buf)?;
+                self.writers.insert(tid);
+            }
+            DevOp::Commit { tid } | DevOp::CommitSubmit { tid } => {
+                let (snapshot, wrote) = (self.began.remove(&tid), self.writers.remove(&tid));
+                match tx(dev).commit_submit(tid) {
+                    Ok(ticket) => {
+                        seen.staged += u32::from(!ticket.is_immediate());
+                        let overlapping = snapshot && wrote && !self.began.is_empty();
+                        seen.overlapping_admits += u32::from(overlapping);
+                        match op {
+                            DevOp::Commit { .. } => tx(dev).commit_wait(ticket)?,
+                            _ => self.tickets.push(ticket),
+                        }
+                    }
+                    Err(DevError::Conflict) if snapshot => {
+                        self.conflicts += 1;
+                        seen.conflicts += 1;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            DevOp::CommitWait => {
+                if let Some(ticket) = self.tickets.pop() {
+                    tx(dev).commit_wait(ticket)?;
+                }
+            }
+            DevOp::Abort { tid } => {
+                tx(dev).abort(tid)?;
+                self.began.remove(&tid);
+                self.writers.remove(&tid);
+            }
+            DevOp::Group { tid, ref pages } => D::group(dev, tid, pages)?,
+            DevOp::Flush => dev.flush()?,
+            DevOp::Crash => unreachable!("a power cut is the schedule's to make"),
+        }
+        Ok(())
+    }
+
+    /// Holds the device's conflict count to the refusals this run saw.
+    fn assert_conflicts<D: Swept>(&self, dev: &ShadowDevice<D>, what: &str) {
+        let aborts = dev.inner().base().stats().conflict_aborts;
+        assert_eq!(
+            aborts, self.conflicts,
+            "{what}: the device's conflict tally"
+        );
+    }
+}
+
+/// The one schedule runner. Issues `ops` on `dev` through [`Run::issue`],
+/// each of which must succeed, and after every one reads every page
+/// plainly and through every open transaction: the oracle asserts each
+/// read (visibility at commit, read-your-own-writes, isolation, frozen
+/// snapshot views), each commit verdict (no lost update, no spurious
+/// conflict), and — inside `crash`, a recovery such as [`recover`] —
+/// that a power cut kept the durable image plus a prefix of what was
+/// staged. The device's conflict count must equal the refusals seen.
+/// With `audit`, the flash auditor also opens the device after every op.
+/// Returns the device as the schedule left it; on a panic, prints the
+/// schedule as a [`literal`].
+pub fn run_schedule<D: Swept>(
+    what: &str,
+    mut dev: ShadowDevice<D>,
+    ops: &[DevOp],
+    crash: impl Fn(ShadowDevice<D>) -> ShadowDevice<D>,
+    audit: bool,
+    seen: &mut Exercised,
+) -> ShadowDevice<D> {
+    let mut buf = vec![0u8; dev.page_size()];
+    let mut run = Run::default();
+    for (i, op) in ops.iter().enumerate() {
+        let _at = Unwinding(|| format!("{what}: failed at op {i}, {op:?}, of {}", literal(ops)));
+        if let DevOp::Crash = op {
+            run.assert_conflicts(&dev, what);
+            dev = crash(dev);
+            let strict = |(kept, staged): (usize, usize)| kept < staged;
+            seen.cuts_strict_prefix += u32::from(dev.model().last_cut().is_some_and(strict));
+            // Tickets, snapshots and uncommitted writes die with the
+            // power.
+            run = Run::default();
+        } else if let Err(e) = run.issue(&mut dev, op, seen) {
+            panic!("{what}: {op:?} refused: {e:?}");
+        }
+        for lpn in 0..dev.capacity_pages() {
+            dev.read(lpn, &mut buf).unwrap();
+            for &tid in run.began.union(&run.writers) {
+                tx(&mut dev).read_tx(tid, lpn, &mut buf).unwrap();
+            }
+        }
+        if audit {
+            dev.audit();
+        }
+    }
+    run.assert_conflicts(&dev, what);
+    dev
+}
+
+// --- the every-boundary power-cut sweep -----------------------------------
+
 /// `count` groups of up to `len` pages scattered over `dev`'s logical
 /// pages, each filled with a byte naming it.
-pub fn fill_groups<D: Swept>(dev: &ShadowDevice<D>, count: u64, len: u64) -> Vec<Step> {
-    let (logical, ps) = (dev.capacity_pages(), dev.page_size());
+pub fn fill_groups<D: Swept>(dev: &ShadowDevice<D>, count: u64, len: u64) -> Vec<DevOp> {
+    let logical = dev.capacity_pages();
     (0..count)
         .map(|i| {
             let mut rng = StdRng::seed_from_u64(i);
-            let mut pages: Vec<(Lpn, Vec<u8>)> = Vec::new();
+            let mut pages: Vec<(Lpn, Page)> = Vec::new();
             for _ in 0..len {
                 let lpn = rng.gen_range(0..logical);
                 if pages.iter().all(|(l, _)| *l != lpn) {
-                    pages.push((lpn, vec![(i % 250) as u8 + 1; ps]));
+                    pages.push((lpn, Page::Fill((i % 250) as u8 + 1)));
                 }
             }
-            Step::Group(i + 1, pages)
+            DevOp::Group { tid: i + 1, pages }
         })
         .collect()
 }
 
-/// Cuts the power at every program and erase of `steps` on the device
-/// `build` makes, through [`power_cuts`], and holds every recovery to
-/// every page byte for byte: every acknowledged step is there, the step
-/// in flight as far as the personality promises, and nothing else moved.
-/// A group is there whole or not at all where groups are atomic, and
-/// whole only if its seal was reached; page by page where they are not,
-/// the acknowledged writes for sure and the one in flight perhaps. A
-/// plain write is a group of one page: there once acknowledged, perhaps
-/// if the power died in it. Every step of the uncut run is audited.
+/// Cuts the power at every program and erase of `ops` on the device
+/// `build` makes, through [`power_cuts`]. Each cut must fail an op with
+/// the chip dead; every op of the uncut run is audited. The oracle
+/// judges every recovery — its durability sweep in [`recover`], and a
+/// read of every logical page, which catches a page never written that
+/// shows bytes, and whose image the second recovery must repeat.
 /// Returns the FTL statistics of the uncut run, the build phase
 /// excluded, and how many cuts it made.
 pub fn sweep<D: Swept>(
     build: impl Fn() -> ShadowDevice<D>,
-    steps: &[Step],
+    ops: &[DevOp],
 ) -> (xftl_ftl::FtlStats, u64) {
-    let initial = image(&mut build());
-    // What the recovery may show: every acknowledged step, and of the
-    // step the power died in the pages before `cut.acked`, and perhaps
-    // those up to `may`.
     let run = |dev: &mut ShadowDevice<D>, fuse: Option<u64>| {
         let built = *dev.inner().base().stats();
-        let (mut expect, mut landed) = (initial.clone(), None);
-        for s in steps {
-            if let Err(cut) = step(dev, s) {
-                let what = format!("fuse {fuse:?}: {s:?}: {cut:?}");
-                assert!(
-                    dev.inner().base().chip().is_dead(),
-                    "{what} with the power on"
-                );
-                let pages = s.pages();
-                let may = match D::ATOMIC && matches!(s, Step::Group(..)) {
-                    true if cut.sealing => pages.len(),
-                    true => 0,
-                    false => (cut.acked + 1).min(pages.len()),
-                };
-                put(&mut expect, &pages[..cut.acked]);
-                let mut image = expect.clone();
-                put(&mut image, &pages[cut.acked..may]);
-                landed = Some((image, what));
-                break;
-            }
-            apply(&mut expect, s);
-            if fuse.is_none() {
+        let (mut run, mut seen) = (Run::default(), Exercised::default());
+        let cut = ops.iter().enumerate().find_map(|(i, op)| {
+            let cut = run.issue(dev, op, &mut seen).err();
+            if cut.is_none() && fuse.is_none() {
                 dev.audit();
             }
+            cut.map(|e| format!("op {i}, {op:?}: {e:?}"))
+        });
+        match cut {
+            Some(cut) => assert!(
+                dev.inner().base().chip().is_dead(),
+                "fuse {fuse:?}: {cut} with the power on"
+            ),
+            None => assert!(fuse.is_none(), "fuse {fuse:?} failed no op"),
         }
-        assert!(
-            landed.is_some() == fuse.is_some(),
-            "fuse {fuse:?} failed no step"
-        );
-        (expect, landed, *dev.inner().base().stats() - built)
+        *dev.inner().base().stats() - built
     };
-    let (cuts, (.., stats)) = power_cuts(build, run, |dev, (expect, landed, _), _| {
-        let got = image(dev);
-        assert!(
-            got == *expect || landed.as_ref().is_some_and(|(image, _)| got == *image),
-            "{}: shows in part, or an acknowledged step is lost",
-            landed.as_ref().map_or("uncut", |(_, what)| what)
-        );
-        got
-    });
+    let (cuts, stats) = power_cuts(build, run, |dev, _, _| image(dev));
     (stats, cuts)
 }
 
@@ -322,7 +481,7 @@ pub fn assert_image<D: BlockDevice>(dev: &mut D, expect: &[u8], what: &str) {
 }
 
 /// Every logical page of `dev`, read.
-fn image<D: BlockDevice>(dev: &mut D) -> Vec<Vec<u8>> {
+pub fn image<D: BlockDevice>(dev: &mut D) -> Vec<Vec<u8>> {
     let mut buf = vec![0u8; dev.page_size()];
     (0..dev.capacity_pages())
         .map(|lpn| {
@@ -330,33 +489,6 @@ fn image<D: BlockDevice>(dev: &mut D) -> Vec<Vec<u8>> {
             buf.clone()
         })
         .collect()
-}
-
-/// Runs `s`; on failure, where in it the command failed. A plain write
-/// or a flush is its own seal.
-pub fn step<D: Swept>(dev: &mut ShadowDevice<D>, s: &Step) -> Result<(), Cut> {
-    let cut = |error| Cut {
-        acked: 0,
-        sealing: true,
-        error,
-    };
-    match s {
-        Step::Group(tid, pages) => D::group(dev, *tid, pages),
-        Step::Plain(lpn, page) => dev.write(*lpn, page).map_err(cut),
-        Step::Flush => dev.flush().map_err(cut),
-    }
-}
-
-/// `expect` after `s`.
-pub fn apply(expect: &mut [Vec<u8>], s: &Step) {
-    put(expect, &s.pages());
-}
-
-/// `expect` with `pages` written.
-fn put(expect: &mut [Vec<u8>], pages: &[(Lpn, &[u8])]) {
-    for (lpn, page) in pages {
-        expect[*lpn as usize].copy_from_slice(page);
-    }
 }
 
 // --- the power-cut harness --------------------------------------------------
@@ -398,6 +530,7 @@ pub fn power_cuts<S: Stack, O, Seen: PartialEq>(
 ) -> (u64, O) {
     let ops = |c: &mut FlashChip| c.stats().programs + c.stats().erases;
     let mut recover_twice = |stack: S, outcome: &O, fuse: Option<u64>| {
+        let _at = Unwinding(|| format!("power cut at fuse {fuse:?}"));
         let mut stack = stack.recover();
         let seen = check(&mut stack, outcome, fuse);
         let mut stack = stack.recover();

@@ -1,18 +1,18 @@
 //! Deterministic MVCC concurrency matrix: writer interleavings crossed
 //! with conflict kinds, at every layer of the stack.
 //!
-//! The device cells drive N snapshot transactions (`begin` →
-//! interleaved `write_tx` → ordered commits) against an exact
-//! first-committer-wins prediction: a writer loses if and only if some
-//! page it wrote was committed by an earlier writer after its snapshot
-//! began. The file-system cells run the same shapes through
+//! The device cells are schedules of N snapshot transactions (`begin` →
+//! interleaved `write_tx` → ordered commits), with plain writes and
+//! aborts, run through the shared runner behind the shadow oracle. The
+//! oracle predicts every verdict exactly — a writer loses if and only if
+//! some page it wrote changed after its snapshot began — and every
+//! snapshot read; the runner holds the device's conflict count to the
+//! refusals it saw. The file-system cells run the same shapes through
 //! [`Rig::run_concurrent_writers`]; the SQL cells through two
 //! `Connection`s and `BEGIN CONCURRENT`.
 //!
 //! All randomness in the soak flows from the single [`MVCC_SEED`], so
-//! every run replays identical schedules. The device cells run behind the
-//! shadow oracle, which independently checks snapshot visibility, lost
-//! updates, and spurious conflicts.
+//! every run replays identical schedules.
 
 #![allow(
     clippy::unwrap_used,
@@ -20,18 +20,16 @@
     reason = "test code: a panic on a setup failure is the right failure mode, and allow-unwrap-in-tests covers #[test] fns only"
 )]
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xftl_core::XFtl;
 use xftl_db::DbError;
 use xftl_flash::{FlashChip, FlashConfig, SimClock};
-use xftl_ftl::{BlockDevice, DevError, Lpn, Tid, TxBlockDevice};
+use xftl_ftl::{Lpn, Tid};
 use xftl_workloads::{concurrent_fill, CommitWait, ConcurrentPlan, Mode, Rig, RigConfig};
 
 mod common;
-use common::assert_image;
+use common::{DevOp, Exercised, Page::Fill};
 use xftl_verify::ShadowDevice;
 
 const BLOCKS: usize = 24;
@@ -48,273 +46,177 @@ fn dev() -> Dev {
     ShadowDevice::new(XFtl::format(chip, LOGICAL).unwrap())
 }
 
-// --- the device-level schedule runner -----------------------------------
-
-/// How the writers' page writes interleave on the device queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Interleave {
-    /// Writer 0 step 0, writer 1 step 0, …, writer 0 step 1, … — the
-    /// maximally mixed order.
-    RoundRobin,
-    /// Each writer issues its whole script before the next starts; only
-    /// the commits overlap the snapshots.
-    Batched,
-}
-
-/// One writer's script: its transaction id and the (page, fill) writes.
-type Script = (Tid, Vec<(Lpn, u8)>);
-
-/// Runs one round: begins every writer's snapshot, interleaves the
-/// writes, then commits in `commit_order`. Each commit outcome is checked
-/// against the exact first-committer-wins prediction, and `expect` is
-/// advanced to the winners' values. Returns which writers committed.
-fn run_schedule(
-    dev: &mut Dev,
-    interleave: Interleave,
-    writers: &[Script],
-    commit_order: &[usize],
-    expect: &mut [u8],
-) -> Vec<bool> {
-    for (tid, _) in writers {
-        dev.begin(*tid).unwrap();
-    }
-    match interleave {
-        Interleave::RoundRobin => {
-            let depth = writers.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
-            for step in 0..depth {
-                for (tid, script) in writers {
-                    if let Some(&(lpn, fill)) = script.get(step) {
-                        let ps = dev.page_size();
-                        dev.write_tx(*tid, lpn, &vec![fill; ps]).unwrap();
-                    }
-                }
-            }
-        }
-        Interleave::Batched => {
-            for (tid, script) in writers {
-                for &(lpn, fill) in script {
-                    let ps = dev.page_size();
-                    dev.write_tx(*tid, lpn, &vec![fill; ps]).unwrap();
-                }
-            }
-        }
-    }
-    // First-committer-wins, predicted exactly: every snapshot began
-    // before any of this round's commits, so writer w loses iff an
-    // earlier committer already took one of w's pages this round.
-    let mut taken: HashSet<Lpn> = HashSet::new();
-    let mut committed = vec![false; writers.len()];
-    for &w in commit_order {
-        let (tid, script) = &writers[w];
-        let conflicts = script.iter().any(|(lpn, _)| taken.contains(lpn));
-        if conflicts {
-            assert_eq!(
-                dev.commit(*tid),
-                Err(DevError::Conflict),
-                "writer {w} (tid {tid}) overlapped an earlier committer but was admitted"
-            );
-        } else {
-            dev.commit(*tid)
-                .unwrap_or_else(|e| panic!("writer {w} (tid {tid}) spuriously refused: {e:?}"));
-            committed[w] = true;
-            for &(lpn, fill) in script {
-                taken.insert(lpn);
-                expect[lpn as usize] = fill;
-            }
-        }
-    }
-    committed
-}
-
 // --- device cells: interleaving × conflict kind -------------------------
+
+/// One round of snapshot writers `first_tid..`, writer `w` writing
+/// `writers[w]`'s (page, fill) pairs: all begin, their writes interleave
+/// (step by step across the writers, or each writer's in turn), and they
+/// commit in `order`.
+fn round(first_tid: Tid, writers: &[&[(Lpn, u8)]], mixed: bool, order: &[usize]) -> Vec<DevOp> {
+    let tids = first_tid..first_tid + writers.len() as u64;
+    let mut ops: Vec<DevOp> = tids.clone().map(|tid| DevOp::Begin { tid }).collect();
+    let mut writes: Vec<(usize, Tid, Lpn, u8)> = (tids.zip(writers))
+        .flat_map(|(tid, w)| {
+            w.iter()
+                .enumerate()
+                .map(move |(k, &(lpn, b))| (k, tid, lpn, b))
+        })
+        .collect();
+    if mixed {
+        writes.sort_by_key(|&(k, tid, ..)| (k, tid));
+    }
+    ops.extend(
+        (writes.into_iter()).map(|(_, tid, lpn, byte)| DevOp::Write {
+            tid,
+            lpn,
+            page: Fill(byte),
+        }),
+    );
+    ops.extend(order.iter().map(|&w| DevOp::Commit {
+        tid: first_tid + w as u64,
+    }));
+    ops
+}
+
+/// `ops` on a fresh device through the shared runner, which reads every
+/// page plainly and through every open transaction after every op — the
+/// oracle predicts each verdict and each read exactly. Returns the
+/// device and what the schedule reached; every snapshot it opened was
+/// released.
+fn run(what: &str, ops: &[DevOp]) -> (Dev, Exercised) {
+    let mut seen = Exercised::default();
+    let d = common::run_schedule(what, dev(), ops, common::recover, false, &mut seen);
+    assert_eq!(
+        d.inner().active_snapshots(),
+        0,
+        "{what}: snapshots must release"
+    );
+    (d, seen)
+}
 
 #[test]
 fn device_disjoint_writers_all_commit() {
-    for interleave in [Interleave::RoundRobin, Interleave::Batched] {
-        for commit_order in [[0usize, 1, 2], [2, 1, 0]] {
-            let mut d = dev();
-            let mut expect = vec![0u8; 16];
-            let writers: Vec<Script> = vec![
-                (1, vec![(0, 11), (1, 12)]),
-                (2, vec![(2, 21), (3, 22)]),
-                (3, vec![(4, 31), (5, 32)]),
+    for mixed in [true, false] {
+        for order in [[0usize, 1, 2], [2, 1, 0]] {
+            let writers: [&[(Lpn, u8)]; 3] = [
+                &[(0, 11), (1, 12)],
+                &[(2, 21), (3, 22)],
+                &[(4, 31), (5, 32)],
             ];
-            let committed = run_schedule(&mut d, interleave, &writers, &commit_order, &mut expect);
-            assert_eq!(committed, vec![true; 3], "disjoint writers must all win");
-            assert_eq!(d.inner().base().stats().conflict_aborts, 0);
-            assert_eq!(d.inner().active_snapshots(), 0, "snapshots must release");
-            assert_image(&mut d, &expect, &format!("{interleave:?}/{commit_order:?}"));
+            let what = format!("mixed {mixed}, order {order:?}");
+            let (_, seen) = run(&what, &round(1, &writers, mixed, &order));
+            assert_eq!(seen.conflicts, 0, "{what}: disjoint writers must all win");
         }
     }
 }
 
 #[test]
 fn device_overlapping_writers_lose_exactly_one() {
-    for interleave in [Interleave::RoundRobin, Interleave::Batched] {
-        for commit_order in [[0usize, 1, 2], [1, 0, 2], [2, 1, 0]] {
-            let mut d = dev();
-            let mut expect = vec![0u8; 16];
+    for mixed in [true, false] {
+        for order in [[0usize, 1, 2], [1, 0, 2], [2, 1, 0]] {
             // Writers 0 and 1 share page 5; writer 2 is disjoint.
-            let writers: Vec<Script> = vec![
-                (1, vec![(0, 11), (5, 12)]),
-                (2, vec![(5, 21), (3, 22)]),
-                (3, vec![(7, 31)]),
-            ];
-            let committed = run_schedule(&mut d, interleave, &writers, &commit_order, &mut expect);
-            let winners = committed.iter().filter(|&&c| c).count();
-            assert_eq!(winners, 2, "exactly one of the overlapping pair loses");
-            assert!(committed[2], "the disjoint writer never conflicts");
-            assert_eq!(d.inner().base().stats().conflict_aborts, 1);
-            assert_eq!(d.inner().active_snapshots(), 0);
+            let writers: [&[(Lpn, u8)]; 3] = [&[(0, 11), (5, 12)], &[(5, 21), (3, 22)], &[(7, 31)]];
+            let what = format!("mixed {mixed}, order {order:?}");
+            let (d, seen) = run(&what, &round(1, &writers, mixed, &order));
             assert_eq!(
-                d.inner().xl2p().intent_pages(),
-                0,
-                "the loser's write intents must release"
+                seen.conflicts, 1,
+                "{what}: one of the overlapping pair loses"
             );
-            assert_image(&mut d, &expect, &format!("{interleave:?}/{commit_order:?}"));
+            let intents = d.inner().xl2p().intent_pages();
+            assert_eq!(intents, 0, "{what}: the loser's write intents must release");
         }
     }
 }
 
 #[test]
 fn device_read_only_snapshot_ignores_concurrent_commits() {
-    let mut d = dev();
-    let ps = d.page_size();
-    d.write(2, &vec![0xAA; ps]).unwrap();
-    d.begin(1).unwrap();
-
-    // A folded commit after the snapshot: invisible to the reader.
-    d.write_tx(5, 2, &vec![0xBB; ps]).unwrap();
-    d.commit(5).unwrap();
-    let mut buf = vec![0u8; ps];
-    d.read(2, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xBB, "live image moved");
-    d.read_tx(1, 2, &mut buf).unwrap();
-    assert_eq!(buf[0], 0xAA, "snapshot leaked a folded commit");
-
-    // A staged (submitted, unflushed) commit: equally invisible.
-    d.write_tx(6, 3, &vec![0xCC; ps]).unwrap();
-    let ticket = d.commit_submit(6).unwrap();
-    d.read_tx(1, 3, &mut buf).unwrap();
-    assert!(
-        buf.iter().all(|&b| b == 0),
-        "snapshot leaked a staged commit"
-    );
-    d.commit_wait(ticket).unwrap();
-    d.read_tx(1, 3, &mut buf).unwrap();
-    assert!(
-        buf.iter().all(|&b| b == 0),
-        "snapshot leaked after the group flush"
-    );
-
-    // The read-only commit succeeds and releases the snapshot.
-    d.commit(1).unwrap();
-    assert_eq!(d.inner().active_snapshots(), 0);
-    assert_eq!(d.inner().base().stats().conflict_aborts, 0);
+    // Tid 1 reads through its snapshot while a folded commit (5) and a
+    // staged one (6), then its group flush, move the live image; its
+    // read-only commit succeeds and releases the snapshot.
+    #[rustfmt::skip]
+    let ops = [
+        DevOp::PlainWrite { lpn: 2, page: Fill(0xAA) }, DevOp::Begin { tid: 1 },
+        DevOp::Write { tid: 5, lpn: 2, page: Fill(0xBB) }, DevOp::Commit { tid: 5 },
+        DevOp::Write { tid: 6, lpn: 3, page: Fill(0xCC) }, DevOp::CommitSubmit { tid: 6 },
+        DevOp::CommitWait, DevOp::Commit { tid: 1 },
+    ];
+    assert_eq!(run("read-only snapshot", &ops).1.conflicts, 0);
 }
 
 #[test]
 fn device_abort_releases_intents_for_the_survivor() {
-    let mut d = dev();
-    let ps = d.page_size();
-    d.begin(1).unwrap();
-    d.begin(2).unwrap();
-    d.write_tx(1, 4, &vec![0x11; ps]).unwrap();
-    d.write_tx(2, 4, &vec![0x22; ps]).unwrap();
     // The aborter never committed, so its writes must not count against
     // the survivor's first-committer-wins check.
-    d.abort(1).unwrap();
-    d.commit(2).unwrap();
-    assert_eq!(d.inner().base().stats().conflict_aborts, 0);
-    assert_eq!(d.inner().active_snapshots(), 0);
+    #[rustfmt::skip]
+    let ops = [
+        DevOp::Begin { tid: 1 }, DevOp::Begin { tid: 2 },
+        DevOp::Write { tid: 1, lpn: 4, page: Fill(0x11) },
+        DevOp::Write { tid: 2, lpn: 4, page: Fill(0x22) },
+        DevOp::Abort { tid: 1 }, DevOp::Commit { tid: 2 },
+    ];
+    let (d, seen) = run("abort, then the survivor", &ops);
+    assert_eq!(seen.conflicts, 0);
     assert_eq!(d.inner().xl2p().intent_pages(), 0);
-    let mut buf = vec![0u8; ps];
-    d.read(4, &mut buf).unwrap();
-    assert_eq!(buf[0], 0x22);
 }
 
 #[test]
 fn device_plain_overwrite_conflicts_snapshot_writer() {
-    let mut d = dev();
-    let ps = d.page_size();
-    d.begin(1).unwrap();
-    d.write_tx(1, 3, &vec![0x11; ps]).unwrap();
     // Non-transactional traffic bumps the page's version while the
-    // snapshot is open: the snapshot writer is now stale and must lose.
-    d.write(3, &vec![0x99; ps]).unwrap();
-    assert_eq!(d.commit(1), Err(DevError::Conflict));
-    let mut buf = vec![0u8; ps];
-    d.read(3, &mut buf).unwrap();
-    assert_eq!(buf[0], 0x99, "the plain write is the surviving version");
-    // A retry on a fresh snapshot wins.
-    d.begin(1).unwrap();
-    d.write_tx(1, 3, &vec![0x11; ps]).unwrap();
-    d.commit(1).unwrap();
-    d.read(3, &mut buf).unwrap();
-    assert_eq!(buf[0], 0x11);
+    // snapshot is open: the snapshot writer is now stale and must lose;
+    // a retry on a fresh snapshot wins.
+    #[rustfmt::skip]
+    let ops = [
+        DevOp::Begin { tid: 1 }, DevOp::Write { tid: 1, lpn: 3, page: Fill(0x11) },
+        DevOp::PlainWrite { lpn: 3, page: Fill(0x99) }, DevOp::Commit { tid: 1 },
+        DevOp::Begin { tid: 1 }, DevOp::Write { tid: 1, lpn: 3, page: Fill(0x11) },
+        DevOp::Commit { tid: 1 },
+    ];
+    assert_eq!(run("plain overwrite", &ops).1.conflicts, 1);
 }
 
 // --- the seeded soak ----------------------------------------------------
 
-/// Random concurrent schedules for many rounds, each checked against the
-/// exact prediction, then a power cut: committed versions survive, open
-/// snapshots die, and no retained pre-image outlives recovery.
+/// Thirty rounds of two to four snapshot writers on twelve pages, random
+/// writes, interleaving and commit order, with plain writes between
+/// rounds, then a flush and a power cut: every verdict and read is the
+/// oracle's to predict, committed versions survive, open snapshots die,
+/// and no retained pre-image outlives recovery.
 #[test]
 fn mvcc_soak_random_schedules() {
     let mut rng = StdRng::seed_from_u64(MVCC_SEED);
-    let mut d = dev();
-    let ps = d.page_size();
-    let mut expect = vec![0u8; 12];
-    let mut conflicts_seen = 0u64;
-    for round in 0..30u64 {
+    let mut ops = Vec::new();
+    for r in 0..30u64 {
         let n_writers = rng.gen_range(2..=4);
-        let writers: Vec<Script> = (0..n_writers)
-            .map(|w| {
-                let tid = round * 8 + w + 1;
+        let writers: Vec<Vec<(Lpn, u8)>> = (0..n_writers)
+            .map(|_| {
                 let n_pages = rng.gen_range(1..=3);
-                let script = (0..n_pages)
+                (0..n_pages)
                     .map(|_| (rng.gen_range(0..12u64), rng.gen_range(1..=250u8)))
-                    .collect();
-                (tid, script)
+                    .collect()
             })
             .collect();
-        let mut commit_order: Vec<usize> = (0..n_writers as usize).collect();
+        let mut order: Vec<usize> = (0..n_writers).collect();
         // A deterministic shuffle from the same seed stream.
-        for i in (1..commit_order.len()).rev() {
-            commit_order.swap(i, rng.gen_range(0..=i));
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.gen_range(0..=i));
         }
-        let interleave = if rng.gen_bool(0.5) {
-            Interleave::RoundRobin
-        } else {
-            Interleave::Batched
-        };
-        let committed = run_schedule(&mut d, interleave, &writers, &commit_order, &mut expect);
-        conflicts_seen += committed.iter().filter(|&&c| !c).count() as u64;
+        let writers: Vec<&[(Lpn, u8)]> = writers.iter().map(Vec::as_slice).collect();
+        ops.extend(round(r * 8 + 1, &writers, rng.gen_bool(0.5), &order));
         // Occasional plain traffic between rounds (no snapshots open).
         if rng.gen_bool(0.3) {
             let lpn = rng.gen_range(0..12u64);
-            let fill = rng.gen_range(1..=250u8);
-            d.write(lpn, &vec![fill; ps]).unwrap();
-            expect[lpn as usize] = fill;
+            let page = Fill(rng.gen_range(1..=250u8));
+            ops.push(DevOp::PlainWrite { lpn, page });
         }
     }
+    ops.extend([DevOp::Flush, DevOp::Crash]);
+    let (d, seen) = run("soak", &ops);
     assert!(
-        conflicts_seen > 0,
+        seen.conflicts > 0,
         "the soak never produced a conflict — overlap probability too low to test anything"
     );
-    assert_eq!(
-        d.inner().base().stats().conflict_aborts,
-        conflicts_seen,
-        "device conflict tally disagrees with the prediction"
-    );
-    assert_image(&mut d, &expect, "pre-crash soak image");
-
-    // Power cut: everything committed survives; MVCC state is RAM-only.
-    d.flush().unwrap();
-    let mut d = common::recover(d);
-    assert_eq!(d.inner().active_snapshots(), 0);
+    // MVCC state is RAM-only.
     assert_eq!(d.inner().xl2p().intent_pages(), 0);
-    assert_image(&mut d, &expect, "post-crash soak image");
 }
 
 // --- file-system cells (Rig harness) ------------------------------------

@@ -1,13 +1,12 @@
 //! Randomized model tests: core data structures checked against reference
 //! models under pseudo-random operation sequences.
 //!
-//! Formerly written with `proptest`; the workspace now builds hermetically
-//! with no external crates, so each family runs a fixed number of cases
-//! from the deterministic in-tree PRNG instead. Every failure names its
-//! case — in the message, or on stderr as the oracle's panic unwinds — so
-//! a red run reproduces exactly. The schedules `proptest` once shrank
-//! failures to (`FS_REGRESSIONS`, `DEV_REGRESSIONS`) run ahead of their
-//! families' generated cases.
+//! Each family runs a fixed number of cases from the deterministic
+//! in-tree PRNG. Every failure names its case — in the message, or on
+//! stderr as the oracle's panic unwinds, where a device schedule prints
+//! whole as the `DevOp` list that replays it — so a red run reproduces
+//! exactly. Fixed schedules (`FS_REGRESSIONS`, `DEV_REGRESSIONS`) run
+//! ahead of their families' generated cases.
 
 #![allow(
     clippy::unwrap_used,
@@ -16,7 +15,7 @@
 )]
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -29,10 +28,11 @@ use xftl_db::record::{
 use xftl_db::{btree, Value};
 use xftl_flash::{FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, SimClock};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
-use xftl_ftl::{BlockDevice, DevError, PageMappedFtl, Personality, TxBlockDevice, TxFlashFtl};
+use xftl_ftl::{BlockDevice, PageMappedFtl, Personality, TxFlashFtl};
 
 mod common;
-use xftl_verify::{Auditable, ShadowDevice};
+use common::{run_schedule, DevOp, Exercised, Page::Fill};
+use xftl_verify::ShadowDevice;
 
 /// One generator per (family, case): fully determined by the pair, so any
 /// failing case replays from its printed seed alone.
@@ -335,52 +335,13 @@ fn fs_matches_model() {
 }
 
 // --- device schedules vs the shadow oracle -----------------------------------------
-// Families 7, 8, 10 and 11 generate a schedule of device commands and
-// run it behind `xftl_verify::ShadowDevice`: the oracle's model is the
-// one statement of what a transactional device owes its host, and every
-// read below is checked against it.
+// Families 7, 8, 10 and 11 generate a schedule of device commands in the
+// alphabet of `tests/common` and run it behind `xftl_verify::ShadowDevice`
+// through `common::run_schedule`: the oracle's model is the one statement
+// of what a transactional device owes its host, and every read is checked
+// against it.
 
-/// One step of a device schedule.
-#[derive(Debug, Clone)]
-enum DevOp {
-    /// Open `tid` as a snapshot transaction.
-    Begin {
-        tid: u64,
-    },
-    Write {
-        tid: u64,
-        lpn: u64,
-        byte: u8,
-    },
-    PlainWrite {
-        lpn: u64,
-        byte: u8,
-    },
-    /// `tid` rewrites four bytes of the page as it reads it: on X-FTL a
-    /// differential once the page was written whole.
-    Patch {
-        tid: u64,
-        lpn: u64,
-        byte: u8,
-    },
-    Commit {
-        tid: u64,
-    },
-    /// Split-phase: stage the commit (visible immediately) and keep the
-    /// ticket outstanding.
-    CommitSubmit {
-        tid: u64,
-    },
-    /// Redeem the newest outstanding ticket — its group covers everything
-    /// currently staged, so the whole pipeline drains durable.
-    CommitWait,
-    Abort {
-        tid: u64,
-    },
-    Flush,
-    Crash,
-}
-
+/// A family 7 schedule, ending in a power cut.
 fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
     // Host contract (§3.3/§4.3): X-FTL does not arbitrate write-write
     // conflicts — SQLite's database-level write lock guarantees a single
@@ -402,12 +363,12 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
                 DevOp::Write {
                     tid,
                     lpn: row * 4 + (tid - 1),
-                    byte: rng.gen_range(0u8..=255),
+                    page: Fill(rng.gen_range(0u8..=255)),
                 }
             }
             4 | 5 => DevOp::PlainWrite {
                 lpn: rng.gen_range(20u64..24),
-                byte: rng.gen_range(0u8..=255),
+                page: Fill(rng.gen_range(0u8..=255)),
             },
             6 | 7 => DevOp::Commit {
                 tid: rng.gen_range(1u64..5),
@@ -422,6 +383,7 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
             },
             _ => DevOp::CommitWait,
         })
+        .chain([DevOp::Crash])
         .collect()
 }
 
@@ -434,41 +396,42 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
 /// flash auditor after every op.
 #[rustfmt::skip]
 const DEV_REGRESSIONS: [&[DevOp]; 8] = [
-    &[DevOp::Write { tid: 2, lpn: 0, byte: 0 }, DevOp::Commit { tid: 2 },
-      DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Flush],
-    &[DevOp::Write { tid: 2, lpn: 15, byte: 0 }, DevOp::Write { tid: 3, lpn: 15, byte: 1 },
+    &[DevOp::Write { tid: 2, lpn: 0, page: Fill(0) }, DevOp::Commit { tid: 2 },
+      DevOp::Write { tid: 2, lpn: 1, page: Fill(1) }, DevOp::Flush],
+    &[DevOp::Write { tid: 2, lpn: 15, page: Fill(0) }, DevOp::Write { tid: 3, lpn: 15, page: Fill(1) },
       DevOp::Commit { tid: 3 }, DevOp::Commit { tid: 2 }],
-    &[DevOp::Write { tid: 4, lpn: 3, byte: 0 }, DevOp::Write { tid: 1, lpn: 8, byte: 1 },
-      DevOp::Commit { tid: 1 }, DevOp::Write { tid: 1, lpn: 8, byte: 0 }, DevOp::Commit { tid: 4 }],
-    &[DevOp::Write { tid: 2, lpn: 1, byte: 0 }, DevOp::Write { tid: 2, lpn: 1, byte: 1 },
-      DevOp::Write { tid: 1, lpn: 0, byte: 0 }, DevOp::PlainWrite { lpn: 20, byte: 0 },
+    &[DevOp::Write { tid: 4, lpn: 3, page: Fill(0) }, DevOp::Write { tid: 1, lpn: 8, page: Fill(1) },
+      DevOp::Commit { tid: 1 }, DevOp::Write { tid: 1, lpn: 8, page: Fill(0) }, DevOp::Commit { tid: 4 }],
+    &[DevOp::Write { tid: 2, lpn: 1, page: Fill(0) }, DevOp::Write { tid: 2, lpn: 1, page: Fill(1) },
+      DevOp::Write { tid: 1, lpn: 0, page: Fill(0) }, DevOp::PlainWrite { lpn: 20, page: Fill(0) },
       DevOp::Flush, DevOp::Commit { tid: 2 }, DevOp::Crash],
-    &[DevOp::Write { tid: 2, lpn: 1, byte: 1 }, DevOp::Write { tid: 2, lpn: 1, byte: 0 },
-      DevOp::Crash, DevOp::Write { tid: 2, lpn: 5, byte: 0 }, DevOp::Commit { tid: 2 },
+    &[DevOp::Write { tid: 2, lpn: 1, page: Fill(1) }, DevOp::Write { tid: 2, lpn: 1, page: Fill(0) },
+      DevOp::Crash, DevOp::Write { tid: 2, lpn: 5, page: Fill(0) }, DevOp::Commit { tid: 2 },
       DevOp::Crash],
-    &[DevOp::Write { tid: 1, lpn: 5, byte: 0xA1 }, DevOp::Commit { tid: 1 },
-      DevOp::Write { tid: 2, lpn: 5, byte: 0xB2 }, DevOp::Commit { tid: 2 },
-      DevOp::Write { tid: 1, lpn: 6, byte: 0xC3 }, DevOp::Commit { tid: 1 }],
-    &[DevOp::Write { tid: 1, lpn: 5, byte: 0xA1 }, DevOp::CommitSubmit { tid: 1 },
-      DevOp::Write { tid: 2, lpn: 5, byte: 0xB2 }, DevOp::CommitSubmit { tid: 2 },
-      DevOp::Write { tid: 1, lpn: 6, byte: 0xC3 }, DevOp::CommitSubmit { tid: 1 },
+    &[DevOp::Write { tid: 1, lpn: 5, page: Fill(0xA1) }, DevOp::Commit { tid: 1 },
+      DevOp::Write { tid: 2, lpn: 5, page: Fill(0xB2) }, DevOp::Commit { tid: 2 },
+      DevOp::Write { tid: 1, lpn: 6, page: Fill(0xC3) }, DevOp::Commit { tid: 1 }],
+    &[DevOp::Write { tid: 1, lpn: 5, page: Fill(0xA1) }, DevOp::CommitSubmit { tid: 1 },
+      DevOp::Write { tid: 2, lpn: 5, page: Fill(0xB2) }, DevOp::CommitSubmit { tid: 2 },
+      DevOp::Write { tid: 1, lpn: 6, page: Fill(0xC3) }, DevOp::CommitSubmit { tid: 1 },
       DevOp::CommitWait],
     // Page differentials: staged over one base, moved onto a whole commit
     // staged under a pending one, superseded by a plain write, kept
     // across a checkpoint and a power cut.
-    &[DevOp::Write { tid: 1, lpn: 3, byte: 0x10 }, DevOp::Commit { tid: 1 },
+    &[DevOp::Write { tid: 1, lpn: 3, page: Fill(0x10) }, DevOp::Commit { tid: 1 },
       DevOp::Patch { tid: 2, lpn: 3, byte: 0x20 }, DevOp::CommitSubmit { tid: 2 },
       DevOp::Patch { tid: 3, lpn: 3, byte: 0x30 }, DevOp::Patch { tid: 4, lpn: 3, byte: 0x40 },
-      DevOp::Write { tid: 5, lpn: 3, byte: 0x50 }, DevOp::CommitSubmit { tid: 5 },
+      DevOp::Write { tid: 5, lpn: 3, page: Fill(0x50) }, DevOp::CommitSubmit { tid: 5 },
       DevOp::Commit { tid: 3 }, DevOp::Abort { tid: 4 }, DevOp::CommitWait,
       DevOp::Patch { tid: 6, lpn: 3, byte: 0x60 }, DevOp::Commit { tid: 6 }, DevOp::Flush,
-      DevOp::Crash, DevOp::Write { tid: 7, lpn: 4, byte: 0x70 }, DevOp::Commit { tid: 7 },
+      DevOp::Crash, DevOp::Write { tid: 7, lpn: 4, page: Fill(0x70) }, DevOp::Commit { tid: 7 },
       DevOp::Patch { tid: 8, lpn: 4, byte: 0x80 }, DevOp::Commit { tid: 8 },
-      DevOp::PlainWrite { lpn: 4, byte: 0x90 }, DevOp::Patch { tid: 9, lpn: 4, byte: 0xA0 },
+      DevOp::PlainWrite { lpn: 4, page: Fill(0x90) }, DevOp::Patch { tid: 9, lpn: 4, byte: 0xA0 },
       DevOp::Commit { tid: 9 }],
 ];
 
-/// Generates a schedule with 2–4 concurrently open snapshot writers.
+/// Generates a schedule with 2–4 concurrently open snapshot writers,
+/// ending in a power cut.
 /// Tids are never reused, so each `begin` opens a fresh transaction and
 /// every commit outcome is attributable to exactly one snapshot; plain
 /// writes provide the non-transactional traffic that must conflict
@@ -491,13 +454,13 @@ fn rand_mvcc_ops(rng: &mut StdRng) -> Vec<DevOp> {
                 ops.push(DevOp::Write {
                     tid: active[i],
                     lpn: rng.gen_range(0u64..16),
-                    byte: rng.gen_range(1u8..=250),
+                    page: Fill(rng.gen_range(1u8..=250)),
                 });
             }
         } else if roll < 62 {
             ops.push(DevOp::PlainWrite {
                 lpn: rng.gen_range(0u64..16),
-                byte: rng.gen_range(1u8..=250),
+                page: Fill(rng.gen_range(1u8..=250)),
             });
         } else if roll < 78 {
             if let Some(i) = (!active.is_empty()).then(|| rng.gen_range(0..active.len())) {
@@ -522,135 +485,8 @@ fn rand_mvcc_ops(rng: &mut StdRng) -> Vec<DevOp> {
             active.clear();
         }
     }
+    ops.push(DevOp::Crash);
     ops
-}
-
-/// The corners a family's schedules reached, summed over its cases: a
-/// generator that drifts away from one fails the family's closing
-/// assertion instead of passing vacuously.
-#[derive(Debug, Default)]
-struct Exercised {
-    /// Commits the device staged (non-immediate tickets).
-    staged: u32,
-    /// Power cuts that caught commits staged and kept a strict prefix of
-    /// them.
-    cuts_strict_prefix: u32,
-    /// Plain writes onto a staged page (the group must flush first).
-    plain_on_staged: u32,
-    /// Snapshot commits refused with `Conflict`.
-    conflicts: u32,
-    /// Snapshot writers admitted while another snapshot was open.
-    overlapping_admits: u32,
-}
-
-/// Says where in which case a panic — the oracle's, mostly — struck, so
-/// a red run replays from its output alone.
-struct Unwinding<'a>(&'a str, &'a DevOp);
-
-impl Drop for Unwinding<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("{}: failed at {:?}", self.0, self.1);
-        }
-    }
-}
-
-/// Issues `ops` on `dev` and, after every one, reads every page plainly
-/// and through every open transaction: the oracle asserts each read
-/// (visibility at commit, read-your-own-writes, isolation, frozen
-/// snapshot views), each commit verdict (no lost update, no spurious
-/// conflict), and — inside `crash`, which is [`common::recover`] — that a
-/// power cut kept the durable image plus a prefix of what was staged.
-/// With `audit`, the flash auditor also opens the device after every op.
-/// Ends with one more cut; returns the recovered device.
-fn run_schedule<D: TxBlockDevice + Auditable>(
-    what: &str,
-    mut dev: ShadowDevice<D>,
-    ops: &[DevOp],
-    crash: impl Fn(ShadowDevice<D>) -> ShadowDevice<D>,
-    audit: bool,
-    seen: &mut Exercised,
-) -> ShadowDevice<D> {
-    let ps = dev.page_size();
-    let mut buf = vec![0u8; ps];
-    // Outstanding tickets, oldest first; snapshot transactions open; of
-    // all open transactions, the ones that have written.
-    let mut tickets = Vec::new();
-    let mut began: BTreeSet<u64> = BTreeSet::new();
-    let mut writers: BTreeSet<u64> = BTreeSet::new();
-    for op in ops.iter().chain([&DevOp::Crash]) {
-        let _at = Unwinding(what, op);
-        match *op {
-            DevOp::Begin { tid } => {
-                dev.begin(tid).unwrap();
-                began.insert(tid);
-            }
-            DevOp::Write { tid, lpn, byte } => {
-                dev.write_tx(tid, lpn, &vec![byte; ps]).unwrap();
-                writers.insert(tid);
-            }
-            DevOp::PlainWrite { lpn, byte } => {
-                seen.plain_on_staged += u32::from(dev.model().is_staged(lpn));
-                dev.write(lpn, &vec![byte; ps]).unwrap();
-            }
-            DevOp::Patch { tid, lpn, byte } => {
-                dev.read_tx(tid, lpn, &mut buf).unwrap();
-                buf[lpn as usize..][..4].fill(byte);
-                dev.write_tx(tid, lpn, &buf).unwrap();
-                writers.insert(tid);
-            }
-            DevOp::Commit { tid } | DevOp::CommitSubmit { tid } => {
-                let (snapshot, wrote) = (began.remove(&tid), writers.remove(&tid));
-                match dev.commit_submit(tid) {
-                    Ok(ticket) => {
-                        seen.staged += u32::from(!ticket.is_immediate());
-                        let overlapping = snapshot && wrote && !began.is_empty();
-                        seen.overlapping_admits += u32::from(overlapping);
-                        if matches!(op, DevOp::Commit { .. }) {
-                            dev.commit_wait(ticket).unwrap();
-                        } else {
-                            tickets.push(ticket);
-                        }
-                    }
-                    // Whether the refusal was earned is the oracle's call;
-                    // that only a snapshot can earn one is not.
-                    Err(DevError::Conflict) if snapshot => seen.conflicts += 1,
-                    Err(e) => panic!("{what}: {op:?} refused: {e:?}"),
-                }
-            }
-            DevOp::CommitWait => {
-                if let Some(ticket) = tickets.pop() {
-                    dev.commit_wait(ticket).unwrap();
-                }
-            }
-            DevOp::Abort { tid } => {
-                dev.abort(tid).unwrap();
-                began.remove(&tid);
-                writers.remove(&tid);
-            }
-            DevOp::Flush => dev.flush().unwrap(),
-            DevOp::Crash => {
-                dev = crash(dev);
-                let strict = |(kept, staged): (usize, usize)| kept < staged;
-                seen.cuts_strict_prefix += u32::from(dev.model().last_cut().is_some_and(strict));
-                // Tickets, snapshots and uncommitted writes die with the
-                // power.
-                tickets.clear();
-                began.clear();
-                writers.clear();
-            }
-        }
-        for lpn in 0..dev.capacity_pages() {
-            dev.read(lpn, &mut buf).unwrap();
-            for &tid in began.union(&writers) {
-                dev.read_tx(tid, lpn, &mut buf).unwrap();
-            }
-        }
-        if audit {
-            dev.audit();
-        }
-    }
-    dev
 }
 
 type XDev = ShadowDevice<XFtl>;
@@ -676,12 +512,12 @@ fn x_crash_checking_the_skip(dev: XDev) -> XDev {
     x_crash(dev)
 }
 
-/// A family's schedules, each named and marked fixed or generated:
-/// [`DEV_REGRESSIONS`], then 48 generated cases.
+/// A family's schedules, each named and marked fixed or generated, each
+/// ending in a power cut: [`DEV_REGRESSIONS`], then 48 generated cases.
 fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>, bool)> {
     let regressions = DEV_REGRESSIONS.iter().enumerate().map(move |(i, ops)| {
         let what = format!("family {family} regression {i}");
-        (what, ops.to_vec(), true)
+        (what, [*ops, &[DevOp::Crash]].concat(), true)
     });
     let generated = (0..48u64).map(move |case| {
         let ops = rand_tx_ops(&mut case_rng(family, case));
@@ -790,51 +626,36 @@ fn txflash_transactions_match_model() {
 /// the slot's page stripe), a transactional device takes the commands as
 /// they are, a plain one takes every write as a write and every commit as
 /// a flush. Whatever is open stays open: the caller cuts the power.
-fn one_life<D: BlockDevice>(dev: &mut D, rng: &mut StdRng, tx: Option<fn(&mut D, &DevOp)>) {
-    let ps = dev.page_size();
+fn one_life<D: common::Swept>(dev: &mut ShadowDevice<D>, rng: &mut StdRng) {
+    let tx = D::tx(dev).is_some();
+    let (mut run, mut seen) = (common::Run::default(), common::Exercised::default());
     let mut uses = [0u64; 5];
     for op in (0..4).flat_map(|_| rand_tx_ops(rng)) {
         let op = match op {
             DevOp::Crash | DevOp::CommitWait | DevOp::Begin { .. } | DevOp::Patch { .. } => {
                 continue
             }
-            DevOp::Write { tid, lpn, byte } => DevOp::Write {
+            DevOp::Write { tid, lpn, page } if tx => DevOp::Write {
                 tid: tid + 4 * uses[tid as usize],
                 lpn,
-                byte,
+                page,
             },
-            DevOp::Commit { tid: slot } | DevOp::CommitSubmit { tid: slot } => {
+            DevOp::Write { lpn, page, .. } => DevOp::PlainWrite { lpn, page },
+            DevOp::Commit { tid: slot }
+            | DevOp::CommitSubmit { tid: slot }
+            | DevOp::Abort { tid: slot } => {
                 uses[slot as usize] += 1;
                 let tid = slot + 4 * (uses[slot as usize] - 1);
-                DevOp::Commit { tid }
+                match op {
+                    DevOp::Abort { .. } if tx => DevOp::Abort { tid },
+                    DevOp::Abort { .. } => continue,
+                    _ if tx => DevOp::Commit { tid },
+                    _ => DevOp::Flush,
+                }
             }
-            DevOp::Abort { tid: slot } => {
-                uses[slot as usize] += 1;
-                let tid = slot + 4 * (uses[slot as usize] - 1);
-                DevOp::Abort { tid }
-            }
-            op @ (DevOp::PlainWrite { .. } | DevOp::Flush) => op,
+            op => op,
         };
-        match (tx, &op) {
-            (_, DevOp::PlainWrite { lpn, byte }) => dev.write(*lpn, &vec![*byte; ps]).unwrap(),
-            (_, DevOp::Flush) => dev.flush().unwrap(),
-            (Some(tx), op) => tx(dev, op),
-            (None, DevOp::Write { lpn, byte, .. }) => dev.write(*lpn, &vec![*byte; ps]).unwrap(),
-            (None, DevOp::Commit { .. }) => dev.flush().unwrap(),
-            (None, _) => {}
-        }
-    }
-}
-
-fn tx_op<D: TxBlockDevice>(dev: &mut D, op: &DevOp) {
-    match *op {
-        DevOp::Write { tid, lpn, byte } => {
-            let page = vec![byte; dev.page_size()];
-            dev.write_tx(tid, lpn, &page).unwrap();
-        }
-        DevOp::Commit { tid } => dev.commit(tid).unwrap(),
-        DevOp::Abort { tid } => dev.abort(tid).unwrap(),
-        _ => unreachable!("{op:?} is not a transactional command"),
+        run.issue(dev, &op, &mut seen).unwrap();
     }
 }
 
@@ -846,22 +667,22 @@ fn tx_op<D: TxBlockDevice>(dev: &mut D, op: &DevOp) {
 /// GC had been over.
 #[test]
 fn skipping_covered_blocks_is_invisible_to_recovery() {
-    fn family<D: Personality>(tx: Option<fn(&mut D, &DevOp)>) -> (u32, u64) {
+    fn family<D: common::Swept>() -> (u32, u64) {
         let (mut skipped, mut collected) = (0, 0);
         for case in 0..24u64 {
             let chip = FlashChip::new(FlashConfig::tiny(12), SimClock::new());
-            let mut dev = D::format(chip, 24).unwrap();
-            one_life(&mut dev, &mut case_rng(13, case), tx);
-            collected += dev.base().stats().gc_runs;
-            skipped += common::assert_skip_is_invisible::<D>(&dev.into_chip());
+            let mut dev = ShadowDevice::new(D::format(chip, 24).unwrap());
+            one_life(&mut dev, &mut case_rng(13, case));
+            collected += dev.inner().base().stats().gc_runs;
+            skipped += common::assert_skip_is_invisible::<D>(dev.inner().base().chip());
         }
         (skipped, collected)
     }
     let seen = [
-        family::<PageMappedFtl>(None),
-        family::<xftl_ftl::AtomicWriteFtl>(None),
-        family::<TxFlashFtl>(Some(tx_op)),
-        family::<XFtl>(Some(tx_op)),
+        family::<PageMappedFtl>(),
+        family::<xftl_ftl::AtomicWriteFtl>(),
+        family::<TxFlashFtl>(),
+        family::<XFtl>(),
     ];
     assert!(
         seen.iter().all(|(skipped, gc)| *skipped >= 24 && *gc > 0),
