@@ -150,7 +150,10 @@ fn diff_size_table(cost: &WriteCost) -> String {
 /// differentials kept that carry a copy run; beside them, what decides
 /// the room: the mean entries and record bytes per table image, the
 /// checkpoints per 1,000 commits, and the translation pages GC rewrote
-/// from RAM.
+/// from RAM; and what a table image waits for on the chip, by whose
+/// work fills the wait, beside the merges run in the host's think time,
+/// those of them run whether or not the host's command had arrived, and
+/// those the gaps left for the next flush.
 fn whole_write_table(cost: &WriteCost) -> String {
     let s = &cost.ftl;
     let per_commit = |n: u64| format!("{:.2}", n as f64 / cost.commits.max(1) as f64);
@@ -186,11 +189,44 @@ fn whole_write_table(cost: &WriteCost) -> String {
         ),
         s.gc_slab_rewrites.to_string(),
     ]);
+    let parts = [s.image_wait_gap_ns, s.image_wait_own_ns, s.image_wait_gc_ns];
+    assert_eq!(
+        parts.iter().sum::<u64>(),
+        s.image_wait_ns,
+        "the parts of the images' wait sum to it"
+    );
+    let ms_per_image = |ns: u64| {
+        format!(
+            "{:.3}",
+            ns as f64 / 1e6 / s.group_commit_flushes.max(1) as f64
+        )
+    };
+    let mut wait = Table::new(vec![
+        "Image wait (ms)",
+        "Total",
+        "Merges",
+        "Own writes",
+        "GC",
+        "Merges/commit",
+        "Forced/commit",
+        "Left/commit",
+    ]);
+    wait.row(vec![
+        "Per image".to_string(),
+        ms_per_image(s.image_wait_ns),
+        ms_per_image(s.image_wait_gap_ns),
+        ms_per_image(s.image_wait_own_ns),
+        ms_per_image(s.image_wait_gc_ns),
+        per_commit(s.merges_size_after + s.merges_room),
+        per_commit(s.merges_forced),
+        per_commit(s.gap_merges_left),
+    ]);
     format!(
-        "{}\nDifferentials with a copy run: {:.1}%\n\n{}",
+        "{}\nDifferentials with a copy run: {:.1}%\n\n{}\n{}",
         t.render(),
         100.0 * s.diff_copies as f64 / s.diff_writes.max(1) as f64,
-        room.render()
+        room.render(),
+        wait.render()
     )
 }
 

@@ -58,12 +58,16 @@
 //! a quarter page), writes the page whole, and that whole write is the
 //! merge. A differential past [`crate::diff::DIFF_LIMIT`] but within the
 //! cap rides its commit's image too, unless the image would need a second
-//! page for it, and is merged right after the durability point. One more
-//! rule merges there: while the next image would leave too little
-//! room for another group like this one, the live differential with the
-//! most record bytes × commits since its first fold is written whole (see
-//! `XFtl::make_room`). A read is the base page plus the differential
-//! held in RAM.
+//! page for it, and is merged after the durability point. One more rule
+//! merges there: while the next image would leave too little room for
+//! another group like this one, the live differential with the most
+//! record bytes × commits since its first fold is written whole (see
+//! `XFtl::make_room`). Both run in the host's think time: at the next
+//! command, back-dated into the gap before it, and only as far as they
+//! start before it arrives (`XFtl::command`) — except a room merge
+//! without which the image would lack room for one differential up to
+//! the cap: the command waits for that. A read is the base page plus
+//! the differential held in RAM.
 //!
 //! ## Abort
 //!
@@ -104,7 +108,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use xftl_flash::{FlashChip, PageProbe, Ppa};
+use xftl_flash::{FlashChip, Nanos, PageProbe, Ppa};
 use xftl_ftl::{
     diff_size_bucket, origin_seq, BlockDevice, CmdId, CommitTicket, DevCounters, DevError,
     DeviceState, FtlBase, IoCmd, Lpn, Personality, RecoveryLog, Result, Tid, TxBlockDevice,
@@ -193,6 +197,15 @@ fn image_diffs<'a>(table: &'a Xl2pTable, staged: &[(Tid, u64)]) -> Vec<(Lpn, Ppa
     diffs
 }
 
+/// The merge work a group flush leaves for the host's think time
+/// ([`XFtl::make_room`]): the bytes the group left in its table image,
+/// and how many merges the last gap left for the next.
+#[derive(Debug, Clone, Copy)]
+struct Room {
+    added: usize,
+    left: u64,
+}
+
 /// The transactional FTL.
 #[derive(Debug)]
 pub struct XFtl {
@@ -217,6 +230,12 @@ pub struct XFtl {
     /// captured. Present only between `begin` and the transaction's
     /// commit/abort/conflict resolution.
     snapshots: HashMap<Tid, u64>,
+    /// The last group flush's merges, pending until gaps between
+    /// commands have run them all, or the next flush replaces them.
+    room: Option<Room>,
+    /// The instant the device returned its last command: where the gap
+    /// before the next one begins.
+    idle_from: Nanos,
 }
 
 /// A committed transaction's pages become current at the point its group
@@ -236,6 +255,8 @@ impl Personality for XFtl {
             next_group: 1,
             commit_seq: 0,
             snapshots: HashMap::new(),
+            room: None,
+            idle_from: 0,
         }
     }
 
@@ -415,7 +436,10 @@ impl XFtl {
         if crowded || window {
             self.checkpoint_and_release_raw()?;
         }
-        self.make_room(added)?;
+        // The merges wait for the host's think time. What the last gap
+        // left is reconsidered now, under this group's room.
+        let replaced = self.room.replace(Room { added, left: 0 });
+        self.base.stats_mut().gap_merges_left += replaced.map_or(0, |r| r.left);
         // Retention is deliberately coarse (any active snapshot retains);
         // drop whatever no snapshot can actually reach.
         self.prune_dead_versions();
@@ -446,26 +470,70 @@ impl XFtl {
         self.table.fold_diff(tid, lpn, seq);
     }
 
+    /// The one choke point of every command the device takes: first
+    /// the merges the last group flush left run in the gap since the
+    /// previous command returned ([`XFtl::run_merges`]); the instant this
+    /// one returns opens the next gap.
+    fn command<T>(&mut self, run: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        self.run_merges()?;
+        let done = run(self);
+        self.idle_from = self.base.clock().now();
+        done
+    }
+
+    /// Runs the pending merges on the chip's background cursor from the
+    /// instant the previous command returned — back-dated into the
+    /// host's think time, issued before the command now arriving, and
+    /// only as far as they start before it arrived (DESIGN.md §5.2, "When
+    /// merges run"). Firmware still dispatching then holds the command.
+    /// What the gap leaves waits for the next one.
+    fn run_merges(&mut self) -> Result<()> {
+        let Some(room) = self.room else {
+            return Ok(());
+        };
+        let arrival = self.base.clock().now();
+        self.base.chip_mut().begin_background(self.idle_from);
+        let left = self.make_room(room.added, arrival);
+        self.base.chip_mut().end_background();
+        let left = left?;
+        self.room = (left > 0).then_some(Room { left, ..room });
+        Ok(())
+    }
+
     /// Merges every live differential past the size limit — its commit's
     /// image carried it this far — then the others, the most record bytes
     /// × commits since its first fold first, while the table's entries,
     /// its live records and room for [`ROOM_QUARTERS`] quarters of the
-    /// `added` bytes the group left in the image would not fit one page.
-    /// The merges queue behind the image, after the durability point, so
-    /// the next commit does not wait on them; a prediction that falls
-    /// short costs that commit's image a second page.
-    fn make_room(&mut self, added: usize) -> Result<()> {
+    /// bytes the group left in the image would not fit one page.
+    /// Runs in the gap before a host command that arrives at `arrival`:
+    /// a merge that would not start before then is left, a live
+    /// differential the next image carries; returns how many. Only a
+    /// room merge without which the entries and live records would not
+    /// leave the page room for one differential up to the cap — the
+    /// largest a commit's image carries — runs whenever it starts, the
+    /// command waiting for it: that bounds what short gaps leave, and a
+    /// commit's differential past the limit still rides its image. A
+    /// prediction that falls short costs the next commit's image a
+    /// second page.
+    fn make_room(&mut self, added: usize, arrival: Nanos) -> Result<u64> {
         let ps = self.base.page_size();
         let limit = limit_for(ps);
+        // A page with a staged commit is left to the group's flush, which
+        // replaces its live differential: a merge would move the base a
+        // staged differential was taken against.
         let oversized: Vec<Lpn> = (self.table.live_diffs())
-            .filter(|(_, live)| live.diff.encoded_len() > limit)
+            .filter(|(lpn, live)| live.diff.encoded_len() > limit && !self.is_staged(*lpn))
             .map(|(lpn, _)| lpn)
             .collect();
+        let mut left = 0;
         for lpn in oversized {
-            self.merge(lpn)?;
-            self.base.stats_mut().merges_size_after += 1;
+            if self.gap_merge(lpn, arrival)? {
+                self.base.stats_mut().merges_size_after += 1;
+            } else {
+                left += 1;
+            }
         }
-        let room = added * ROOM_QUARTERS / 4;
+        let (reserve, cap) = (added * ROOM_QUARTERS / 4, cap_for(ps));
         let mut lives: Vec<(usize, usize, Lpn)> = (self.table.live_diffs())
             .map(|(lpn, live)| {
                 let len = Xl2pTable::diff_record_len(&live.diff);
@@ -475,15 +543,36 @@ impl XFtl {
             .collect();
         let mut records: usize = lives.iter().map(|l| l.1).sum();
         lives.sort_unstable();
-        while !self.table.image_fits_page(ps, records + room) {
+        while !self.table.image_fits_page(ps, records + reserve) {
             let Some((_, len, lpn)) = lives.pop() else {
                 break;
             };
-            self.merge(lpn)?;
-            self.base.stats_mut().merges_room += 1;
+            if self.is_staged(lpn) {
+                continue;
+            }
+            let forced = !self.table.image_fits_page(ps, records + cap);
+            if self.gap_merge(lpn, if forced { Nanos::MAX } else { arrival })? {
+                let stats = self.base.stats_mut();
+                stats.merges_room += 1;
+                stats.merges_forced += u64::from(forced);
+            } else {
+                left += 1;
+            }
             records -= len;
         }
-        Ok(())
+        Ok(left)
+    }
+
+    /// Merges `lpn` in the gap if its first command would start on the
+    /// chip before the host's command arrives at `arrival`; true if it
+    /// ran.
+    fn gap_merge(&mut self, lpn: Lpn, arrival: Nanos) -> Result<bool> {
+        let start = self.base.chip().background_start();
+        if start.is_none_or(|start| start >= arrival) {
+            return Ok(false);
+        }
+        self.merge(lpn)?;
+        Ok(true)
     }
 
     /// Writes `lpn`'s newest committed version whole — its base with the
@@ -1035,38 +1124,46 @@ impl BlockDevice for XFtl {
     }
 
     fn read(&mut self, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-        self.base.counters_mut().host_reads += 1;
-        // A staged commit's version is visible before it is durable.
-        self.read_current(lpn, buf)
+        self.command(|d| {
+            d.base.counters_mut().host_reads += 1;
+            // A staged commit's version is visible before it is durable.
+            d.read_current(lpn, buf)
+        })
     }
 
     fn write(&mut self, lpn: Lpn, buf: &[u8]) -> Result<()> {
-        // A plain write to a staged page must order after the staged
-        // fold, or the fold would later clobber it: flush the group.
-        if self.is_staged(lpn) {
-            self.flush_staged_commits()?;
-        }
-        self.write_plain(lpn, buf, true).map(drop)
+        self.command(|d| {
+            // A plain write to a staged page must order after the staged
+            // fold, or the fold would later clobber it: flush the group.
+            if d.is_staged(lpn) {
+                d.flush_staged_commits()?;
+            }
+            d.write_plain(lpn, buf, true).map(drop)
+        })
     }
 
     fn trim(&mut self, lpn: Lpn) -> Result<()> {
-        if self.is_staged(lpn) {
-            self.flush_staged_commits()?;
-        }
-        self.base.counters_mut().trims += 1;
-        self.trim_plain(lpn)
+        self.command(|d| {
+            if d.is_staged(lpn) {
+                d.flush_staged_commits()?;
+            }
+            d.base.counters_mut().trims += 1;
+            d.trim_plain(lpn)
+        })
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.base.counters_mut().flushes += 1;
-        // Everything staged must be durable when flush returns.
-        self.flush_staged_commits()?;
-        // A flush is also a full queue barrier.
-        self.base.drain();
-        if self.base.has_dirty_mapping() {
-            self.checkpoint_and_release()?;
-        }
-        self.base.gc_step(&mut self.table)
+        self.command(|d| {
+            d.base.counters_mut().flushes += 1;
+            // Everything staged must be durable when flush returns.
+            d.flush_staged_commits()?;
+            // A flush is also a full queue barrier.
+            d.base.drain();
+            if d.base.has_dirty_mapping() {
+                d.checkpoint_and_release()?;
+            }
+            d.base.gc_step(&mut d.table)
+        })
     }
 
     fn counters(&self) -> DevCounters {
@@ -1074,38 +1171,40 @@ impl BlockDevice for XFtl {
     }
 
     fn submit(&mut self, cmds: &[IoCmd<'_>]) -> Result<CmdId> {
-        // Same ordering rule as the unbatched paths: plain traffic to a
-        // staged page forces the group flush first.
-        if cmds.iter().any(|c| match c {
-            IoCmd::Write { lpn, .. } | IoCmd::Trim { lpn } => self.is_staged(*lpn),
-            IoCmd::Barrier => false,
-        }) {
-            self.flush_staged_commits()?;
-        }
-        self.base.counters_mut().batches += 1;
-        let mut done = 0;
-        for cmd in cmds {
-            match cmd {
-                IoCmd::Write { lpn, data } => {
-                    done = done.max(self.write_plain(*lpn, data, false)?);
-                }
-                IoCmd::Trim { lpn } => {
-                    self.base.counters_mut().trims += 1;
-                    self.trim_plain(*lpn)?;
-                }
-                IoCmd::Barrier => {
-                    // Ordering without draining: raise the queue's
-                    // completion floor over everything issued so far and
-                    // over this batch's earlier commands.
-                    done = done.max(self.base.barrier());
-                    let now = self.base.clock().now();
-                    self.base
-                        .recorder()
-                        .record_span(OpClass::BarrierDispatch, 0, 0, now, now);
+        self.command(|d| {
+            // Same ordering rule as the unbatched paths: plain traffic to a
+            // staged page forces the group flush first.
+            if cmds.iter().any(|c| match c {
+                IoCmd::Write { lpn, .. } | IoCmd::Trim { lpn } => d.is_staged(*lpn),
+                IoCmd::Barrier => false,
+            }) {
+                d.flush_staged_commits()?;
+            }
+            d.base.counters_mut().batches += 1;
+            let mut done = 0;
+            for cmd in cmds {
+                match cmd {
+                    IoCmd::Write { lpn, data } => {
+                        done = done.max(d.write_plain(*lpn, data, false)?);
+                    }
+                    IoCmd::Trim { lpn } => {
+                        d.base.counters_mut().trims += 1;
+                        d.trim_plain(*lpn)?;
+                    }
+                    IoCmd::Barrier => {
+                        // Ordering without draining: raise the queue's
+                        // completion floor over everything issued so far and
+                        // over this batch's earlier commands.
+                        done = done.max(d.base.barrier());
+                        let now = d.base.clock().now();
+                        d.base
+                            .recorder()
+                            .record_span(OpClass::BarrierDispatch, 0, 0, now, now);
+                    }
                 }
             }
-        }
-        Ok(self.base.issue(done))
+            Ok(d.base.issue(done))
+        })
     }
 
     fn complete_until(&mut self, barrier: CmdId) -> Result<()> {
@@ -1124,165 +1223,176 @@ impl TxBlockDevice for XFtl {
     }
 
     fn read_tx(&mut self, tid: Tid, lpn: Lpn, buf: &mut [u8]) -> Result<()> {
-        self.base.counters_mut().host_reads += 1;
-        // §5.3: if the reader wrote this page, return its own version;
-        // otherwise the version its snapshot pins (for a snapshot
-        // transaction), or the newest committed copy — which may still be
-        // a staged (unflushed) commit's version rather than the L2P's. A
-        // reused tid's committed entry is not its own version: another
-        // writer may have superseded that commit since.
-        let own = (self.table.lookup(tid, lpn))
-            .filter(|e| e.status == TxStatus::Active)
-            .map(|e| (e.ppa, e.diff.clone()));
-        if let Some((ppa, diff)) = own {
-            return self.read_version(ppa, diff.as_deref(), buf);
-        }
-        match self.snapshots.get(&tid) {
-            Some(&snap) => self.read_snapshot(tid, snap, lpn, buf),
-            None => self.read_current(lpn, buf),
-        }
+        self.command(|d| {
+            d.base.counters_mut().host_reads += 1;
+            // §5.3: if the reader wrote this page, return its own version;
+            // otherwise the version its snapshot pins (for a snapshot
+            // transaction), or the newest committed copy — which may still be
+            // a staged (unflushed) commit's version rather than the L2P's. A
+            // reused tid's committed entry is not its own version: another
+            // writer may have superseded that commit since.
+            let own = (d.table.lookup(tid, lpn))
+                .filter(|e| e.status == TxStatus::Active)
+                .map(|e| (e.ppa, e.diff.clone()));
+            if let Some((ppa, diff)) = own {
+                return d.read_version(ppa, diff.as_deref(), buf);
+            }
+            match d.snapshots.get(&tid) {
+                Some(&snap) => d.read_snapshot(tid, snap, lpn, buf),
+                None => d.read_current(lpn, buf),
+            }
+        })
     }
 
     fn write_tx(&mut self, tid: Tid, lpn: Lpn, buf: &[u8]) -> Result<()> {
         if tid == 0 {
             return self.write(lpn, buf);
         }
-        self.write_tagged(tid, lpn, buf, true).map(drop)
+        self.command(|d| d.write_tagged(tid, lpn, buf, true).map(drop))
     }
 
     fn commit_submit(&mut self, tid: Tid) -> Result<CommitTicket> {
-        self.base.counters_mut().commits += 1;
-        let now = self.base.clock().now();
-        if !self.table.has_tid(tid) {
-            // Read-only (or unknown) transaction: nothing to persist —
-            // the commit is durable by vacuity, so the ticket is
-            // immediate. The queue-barrier duty moves to commit_wait.
-            // A read-only snapshot resolves here: release it.
-            self.release_snapshot(tid);
-            self.base
-                .recorder()
-                .record_span(OpClass::TxCommit, tid, 0, now, now);
-            return Ok(CommitTicket::immediate(tid));
-        }
-        // A writer transaction needs a durability flush (the X-L2P
-        // persist) that a read-only device can no longer perform.
-        // Refuse at submit time, before the commit becomes visible —
-        // commits acknowledged *before* the transition stay readable.
-        if self.base.device_state() == DeviceState::ReadOnly {
-            return Err(DevError::ReadOnly);
-        }
-        if let Some(&snap) = self.snapshots.get(&tid) {
-            // A snapshot tid recommitting while still staged would fold
-            // both commits under one sequence; flush the open group so
-            // every commit keeps its own visibility point.
-            if self.staged.iter().any(|&(t, _)| t == tid) {
-                self.flush_staged_commits()?;
-            }
-            // First-committer-wins: if any page this transaction wrote
-            // gained a newer committed version after its snapshot — a
-            // staged commit's, else the one the L2P maps — this (later)
-            // committer loses and aborts cleanly: its versions feed GC,
-            // its write intents release, and the host retries on a fresh
-            // snapshot.
-            let conflicted = (self.table.entries_of(tid))
-                .any(|e| e.status == TxStatus::Active && self.newest_seq(e.lpn) > snap);
-            if conflicted {
-                for ppa in self.table.remove_active_of_tid(tid) {
-                    self.drop_version(ppa);
-                }
-                self.release_snapshot(tid);
-                // Whatever batches the loser had in flight are dead.
-                self.base.retire_all();
-                self.base.stats_mut().conflict_aborts += 1;
-                let t_end = self.base.clock().now();
-                self.base
+        self.command(|d| {
+            d.base.counters_mut().commits += 1;
+            let now = d.base.clock().now();
+            if !d.table.has_tid(tid) {
+                // Read-only (or unknown) transaction: nothing to persist —
+                // the commit is durable by vacuity, so the ticket is
+                // immediate. The queue-barrier duty moves to commit_wait.
+                // A read-only snapshot resolves here: release it.
+                d.release_snapshot(tid);
+                d.base
                     .recorder()
-                    .record_span(OpClass::ConflictAbort, tid, 0, now, t_end);
-                return Err(DevError::Conflict);
+                    .record_span(OpClass::TxCommit, tid, 0, now, now);
+                return Ok(CommitTicket::immediate(tid));
             }
-        }
-        // Step 1 of Figure 4, now: flip statuses in device RAM. The new
-        // versions are visible (reads route through the X-L2P entries)
-        // from this instant; durability waits for the group flush.
-        // Only entries that were still Active belong to *this* commit —
-        // leftover Committed entries of a reused tid keep their earlier
-        // commit's ordinal.
-        self.settle_diffs(tid)?;
-        self.commit_seq += 1;
-        self.table.mark_committed(tid, self.commit_seq);
-        self.staged.push((tid, self.commit_seq));
-        self.release_snapshot(tid);
-        self.base.recorder().record_span(
-            OpClass::CommitPipelineDepth,
-            tid,
-            self.staged.len() as u64,
-            now,
-            now,
-        );
-        Ok(CommitTicket::new(tid, CmdId(self.next_group)))
+            // A writer transaction needs a durability flush (the X-L2P
+            // persist) that a read-only device can no longer perform.
+            // Refuse at submit time, before the commit becomes visible —
+            // commits acknowledged *before* the transition stay readable.
+            if d.base.device_state() == DeviceState::ReadOnly {
+                return Err(DevError::ReadOnly);
+            }
+            if let Some(&snap) = d.snapshots.get(&tid) {
+                // A snapshot tid recommitting while still staged would fold
+                // both commits under one sequence; flush the open group so
+                // every commit keeps its own visibility point.
+                if d.staged.iter().any(|&(t, _)| t == tid) {
+                    d.flush_staged_commits()?;
+                }
+                // First-committer-wins: if any page this transaction wrote
+                // gained a newer committed version after its snapshot — a
+                // staged commit's, else the one the L2P maps — this (later)
+                // committer loses and aborts cleanly: its versions feed GC,
+                // its write intents release, and the host retries on a fresh
+                // snapshot.
+                let conflicted = (d.table.entries_of(tid))
+                    .any(|e| e.status == TxStatus::Active && d.newest_seq(e.lpn) > snap);
+                if conflicted {
+                    for ppa in d.table.remove_active_of_tid(tid) {
+                        d.drop_version(ppa);
+                    }
+                    d.release_snapshot(tid);
+                    // Whatever batches the loser had in flight are dead.
+                    d.base.retire_all();
+                    d.base.stats_mut().conflict_aborts += 1;
+                    let t_end = d.base.clock().now();
+                    d.base
+                        .recorder()
+                        .record_span(OpClass::ConflictAbort, tid, 0, now, t_end);
+                    return Err(DevError::Conflict);
+                }
+            }
+            // Step 1 of Figure 4, now: flip statuses in device RAM. The new
+            // versions are visible (reads route through the X-L2P entries)
+            // from this instant; durability waits for the group flush.
+            // Only entries that were still Active belong to *this* commit —
+            // leftover Committed entries of a reused tid keep their earlier
+            // commit's ordinal.
+            d.settle_diffs(tid)?;
+            d.commit_seq += 1;
+            d.table.mark_committed(tid, d.commit_seq);
+            d.staged.push((tid, d.commit_seq));
+            d.release_snapshot(tid);
+            d.base.recorder().record_span(
+                OpClass::CommitPipelineDepth,
+                tid,
+                d.staged.len() as u64,
+                now,
+                now,
+            );
+            Ok(CommitTicket::new(tid, CmdId(d.next_group)))
+        })
     }
 
     fn commit_wait(&mut self, ticket: CommitTicket) -> Result<()> {
-        if ticket.is_immediate() {
-            // Read-only commit: still a full queue barrier, exactly as
-            // the blocking command always was.
-            self.base.drain();
-            return Ok(());
-        }
-        // Groups flush in order, so the ticket's group is durable iff its
-        // id is already behind the group counter; otherwise it is the
-        // open group — flush it (coalescing everything staged so far).
-        if ticket.group().0 >= self.next_group {
-            self.flush_staged_commits()?;
-        }
-        // The flush waited for its table image, which completes after
-        // everything issued before it; a ticket from an earlier group has
-        // nothing left to wait for. The host is about to think: the
-        // collector takes its turn on the chip.
-        self.base.gc_step(&mut self.table)
+        self.command(|d| {
+            if ticket.is_immediate() {
+                // Read-only commit: still a full queue barrier, exactly as
+                // the blocking command always was.
+                d.base.drain();
+                return Ok(());
+            }
+            // Groups flush in order, so the ticket's group is durable iff its
+            // id is already behind the group counter; otherwise it is the
+            // open group — flush it (coalescing everything staged so far).
+            if ticket.group().0 >= d.next_group {
+                d.flush_staged_commits()?;
+            }
+            // The flush waited for its table image, which completes after
+            // everything issued before it; a ticket from an earlier group has
+            // nothing left to wait for. The host is about to think: the
+            // collector takes its turn on the chip, and the group's merges
+            // wait for the next command.
+            d.base.gc_step(&mut d.table)
+        })
     }
 
     fn abort(&mut self, tid: Tid) -> Result<()> {
-        self.base.counters_mut().aborts += 1;
-        let t_start = self.base.clock().now();
-        // §5.3: two steps, no flash writes — drop the transaction's
-        // *active* entries, invalidate their pages. Entries that already
-        // committed (and the committed versions in L2P) are untouchable:
-        // an abort arriving after a successful commit is a no-op.
-        for ppa in self.table.remove_active_of_tid(tid) {
-            self.drop_version(ppa);
-        }
-        // An aborting snapshot transaction releases its snapshot (and its
-        // write intents, via the entry removal above).
-        self.release_snapshot(tid);
-        // Whatever batches the aborting host had in flight are dead; no
-        // one will wait on their tickets.
-        self.base.retire_all();
-        let t_end = self.base.clock().now();
-        self.base
-            .recorder()
-            .record_span(OpClass::TxAbort, tid, 0, t_start, t_end);
-        Ok(())
+        self.command(|d| {
+            d.base.counters_mut().aborts += 1;
+            let t_start = d.base.clock().now();
+            // §5.3: two steps, no flash writes — drop the transaction's
+            // *active* entries, invalidate their pages. Entries that already
+            // committed (and the committed versions in L2P) are untouchable:
+            // an abort arriving after a successful commit is a no-op.
+            for ppa in d.table.remove_active_of_tid(tid) {
+                d.drop_version(ppa);
+            }
+            // An aborting snapshot transaction releases its snapshot (and its
+            // write intents, via the entry removal above).
+            d.release_snapshot(tid);
+            // Whatever batches the aborting host had in flight are dead; no
+            // one will wait on their tickets.
+            d.base.retire_all();
+            let t_end = d.base.clock().now();
+            d.base
+                .recorder()
+                .record_span(OpClass::TxAbort, tid, 0, t_start, t_end);
+            Ok(())
+        })
     }
 
     fn submit_tx(&mut self, tid: Tid, pages: &[(Lpn, &[u8])]) -> Result<CmdId> {
-        // tid 0 is plain traffic: same staged-page ordering rule as
-        // `write`/`submit`, or the group's fold would clobber the batch.
-        if tid == 0 && pages.iter().any(|&(lpn, _)| self.is_staged(lpn)) {
-            self.flush_staged_commits()?;
-        }
-        self.base.counters_mut().batches += 1;
-        let mut done = 0;
-        for (lpn, data) in pages {
-            done = done.max(if tid == 0 {
-                self.write_plain(*lpn, data, false)?
-            } else {
-                self.write_tagged(tid, *lpn, data, false)?
-            });
-        }
-        // No wait here: commit(tid) orders the X-L2P table write behind
-        // every page of the batch, so the durability point covers them.
-        Ok(self.base.issue(done))
+        self.command(|d| {
+            // tid 0 is plain traffic: same staged-page ordering rule as
+            // `write`/`submit`, or the group's fold would clobber the batch.
+            if tid == 0 && pages.iter().any(|&(lpn, _)| d.is_staged(lpn)) {
+                d.flush_staged_commits()?;
+            }
+            d.base.counters_mut().batches += 1;
+            let mut done = 0;
+            for (lpn, data) in pages {
+                done = done.max(if tid == 0 {
+                    d.write_plain(*lpn, data, false)?
+                } else {
+                    d.write_tagged(tid, *lpn, data, false)?
+                });
+            }
+            // No wait here: commit(tid) orders the X-L2P table write behind
+            // every page of the batch, so the durability point covers them.
+            Ok(d.base.issue(done))
+        })
     }
 }
 
@@ -2349,6 +2459,12 @@ mod tests {
         out
     }
 
+    /// The host thinks long enough for every merge a flush left to run
+    /// before its next command.
+    fn think(d: &XFtl) {
+        d.base().clock().advance(20 * xftl_flash::MILLI);
+    }
+
     #[test]
     fn a_small_update_commits_in_the_table_image_alone() {
         let (mut d, base) = diff_dev();
@@ -2426,13 +2542,27 @@ mod tests {
         assert_eq!(programs(&d), before, "within the cap: a differential");
         let image_seq = d.base().chip().next_seq();
         d.commit(1).unwrap();
+        assert_eq!(
+            programs(&d),
+            before + 1,
+            "the commit waits for its image alone"
+        );
+        assert!(d.xl2p().live(3).is_some(), "the merge waits for the gap");
+        // After a long think, the next command runs the merge first,
+        // back-dated into the gap: done before the command arrived.
+        think(&d);
+        let arrival = d.base().clock().now();
+        let mut out = page(&d, 0);
+        d.read(10, &mut out).unwrap();
         assert_eq!(programs(&d), before + 2, "the image, then the merge");
+        let program_ns = d.base().chip().config().timings.program_ns;
         assert!(
-            d.base().chip().idle_at() > d.base().clock().now(),
-            "the commit returns at its image; the merge is still programming"
+            d.base().clock().now() - arrival < program_ns,
+            "the read waited for no program"
         );
         let stats = d.base().stats();
         assert_eq!((stats.merges_size_before, stats.merges_size_after), (0, 1));
+        assert_eq!(stats.gap_merges_left, 0);
         assert!(d.xl2p().live(3).is_none(), "merged");
         let (image, merged) = (d.base().xl2p_roots()[0], d.base().l2p_peek(3).unwrap());
         let mut buf = page(&d, 0);
@@ -2447,6 +2577,50 @@ mod tests {
         d.write_tx(2, 3, &base).unwrap();
         assert_eq!(programs(&d), before + 1);
         assert_eq!(d.base().stats().image_cache_misses, 1);
+    }
+
+    #[test]
+    fn a_command_that_arrives_first_keeps_the_merge_pending() {
+        let (mut d, base) = diff_dev();
+        let new = edit(&base, 0, limit_for(d.page_size()), 1);
+        d.write_tx(1, 3, &new).unwrap();
+        d.commit(1).unwrap();
+        // The next command arrives the instant the commit returns: the
+        // merge could not start before it, and stays a live differential.
+        let other = page(&d, 5);
+        let before = programs(&d);
+        d.write_tx(2, 10, &other).unwrap();
+        assert_eq!(programs(&d), before + 1, "the command's page alone");
+        assert!(d.xl2p().live(3).is_some());
+        // So is the commit: the next image carries its record in its one
+        // page, the next gap takes the merge up, and recovery reads the
+        // page.
+        d.commit(2).unwrap();
+        assert_eq!(d.base().xl2p_roots().len(), 1);
+        assert!(d.xl2p().live(3).is_some(), "still pending at the cut");
+        let stats = d.base().stats();
+        assert_eq!((stats.gap_merges_left, stats.merges_size_after), (1, 0));
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        assert!(d2.xl2p().live(3).is_some_and(|l| l.recovered));
+        assert_eq!((read(&mut d2, 3), read(&mut d2, 10)), (new, other));
+    }
+
+    #[test]
+    fn a_gap_leaves_a_page_with_a_staged_commit_to_its_flush() {
+        let (mut d, base) = diff_dev();
+        let first = edit(&base, 0, limit_for(d.page_size()), 1);
+        d.write_tx(1, 3, &first).unwrap();
+        d.commit(1).unwrap();
+        // With no think, the size merge stays pending; the page's next
+        // commit, a small differential, is staged when a long gap ends.
+        let second = edit(&first, 100, 6, 2);
+        d.write_tx(2, 3, &second).unwrap();
+        let ticket = d.commit_submit(2).unwrap();
+        think(&d);
+        d.commit_wait(ticket).unwrap();
+        assert_eq!(read(&mut d, 3), second);
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        assert_eq!(read(&mut d2, 3), second, "the staged commit survives");
     }
 
     #[test]
@@ -2479,6 +2653,8 @@ mod tests {
         let image_seq = d.base().chip().next_seq() + 1;
         d.commit(2).unwrap();
         assert_eq!(d.base().xl2p_roots().len(), 1, "one image page");
+        think(&d);
+        read(&mut d, 10);
         assert_eq!(
             programs(&d),
             before + 6,
@@ -2600,6 +2776,11 @@ mod tests {
             d.commit(tid).unwrap();
             tid += 1;
             assert!(tid < 40, "the room never ran short");
+            assert_eq!(programs(&d), before + 1, "the image alone");
+            // The merges run at the next command, after the host's think.
+            think(&d);
+            let mut out = page(&d, 0);
+            d.read(3, &mut out).unwrap();
             if d.base().stats().merges_room > 0 {
                 assert_eq!(programs(&d), before + 2, "the image and the merge");
             }
@@ -2613,16 +2794,44 @@ mod tests {
         let mut buf = page(&d, 0);
         let image_seq = d.base.read_at(image, &mut buf).unwrap().seq;
         let merged_seq = d.base.read_at(merged, &mut buf).unwrap().seq;
-        assert!(
-            merged_seq > image_seq,
-            "the merge is queued behind the image"
-        );
+        assert!(merged_seq > image_seq, "the merge runs after the image");
         assert_eq!(
             (read(&mut d, 3), read(&mut d, 4)),
             (small.clone(), large.clone())
         );
         let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
         assert_eq!((read(&mut d2, 3), read(&mut d2, 4)), (small, large));
+    }
+
+    #[test]
+    fn short_gaps_still_merge_enough_to_bound_the_image() {
+        let (mut d, base) = diff_dev();
+        for lpn in 20..40 {
+            d.write_tx(100, lpn, &base).unwrap();
+        }
+        d.commit(100).unwrap();
+        // Small differentials of twenty pages, committed back to back: no
+        // gap is long enough for a merge that yields to the host, and the
+        // records pile up until the image's page lacks room for one
+        // differential up to the cap. From then on the commands wait for
+        // merges, and once every page carries one, the images take one
+        // page each.
+        let mut pages = vec![base.clone(); 64];
+        for tid in 1..60 {
+            let lpn = 20 + tid % 20;
+            pages[lpn as usize] = edit(&base, (tid * 8 % 400) as usize, 12, tid as u8);
+            d.write_tx(tid, lpn, &pages[lpn as usize]).unwrap();
+            d.commit(tid).unwrap();
+            let roots = d.base().xl2p_roots().len();
+            assert!(roots == 1 || tid < 20, "commit {tid}: {roots} pages");
+        }
+        let stats = d.base().stats();
+        assert_eq!(stats.merges_forced, stats.merges_room, "{stats:?}");
+        assert!(stats.merges_forced > 30, "{stats:?}");
+        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
+        for lpn in 20..40 {
+            assert_eq!(read(&mut d2, lpn), pages[lpn as usize], "lpn {lpn}");
+        }
     }
 
     #[test]

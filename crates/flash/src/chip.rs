@@ -260,9 +260,34 @@ pub enum PageProbe {
     Torn,
 }
 
+/// Whose work a command is: what [`FlashChip::wait_by_work`] splits a
+/// wait by, indexed as `Work as usize`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// The host's own commands.
+    Host,
+    /// The FTL's collector: GC, scrub and wear-levelling copies and
+    /// erases (see [`FlashChip::set_collecting`]).
+    Collect,
+    /// Firmware work run in the host's think time, on the background
+    /// cursor (see [`FlashChip::begin_background`]).
+    Background,
+}
+
+/// A queued operation not yet waited on: the instant it began to occupy
+/// the array, the instant it finishes, and whose work it is.
+#[derive(Debug, Clone, Copy)]
+struct Busy {
+    start: Nanos,
+    done: Nanos,
+    work: Work,
+}
+
 /// Completion schedule of one operation on the array.
 #[derive(Debug, Clone, Copy)]
 struct Sched {
+    /// Absolute instant the operation begins to occupy its unit's cells.
+    start: Nanos,
     /// Absolute instant the operation finishes.
     done: Nanos,
     /// Media service time (cell + bus occupancy, no command overhead).
@@ -290,8 +315,14 @@ pub struct FlashChip {
     chan_busy: Vec<Nanos>,
     /// Instant each (channel, way) unit's cell array becomes free.
     unit_busy: Vec<Nanos>,
-    /// Completion instants of queued operations not yet waited on.
-    outstanding: Vec<Nanos>,
+    /// Queued operations not yet waited on.
+    outstanding: Vec<Busy>,
+    /// Set while the FTL's collector issues commands.
+    collecting: bool,
+    /// The background cursor: set between
+    /// [`FlashChip::begin_background`] and [`FlashChip::end_background`],
+    /// the instant the firmware dispatches its next command.
+    cursor: Option<Nanos>,
     /// Remaining program/erase operations before a simulated power loss.
     fuse: Option<u64>,
     /// Set once the fuse fires; all operations fail until `rearm` is called
@@ -327,6 +358,8 @@ impl FlashChip {
             chan_busy: vec![0; config.geometry.channels.max(1) as usize],
             unit_busy: vec![0; config.geometry.units()],
             outstanding: Vec::new(),
+            collecting: false,
+            cursor: None,
             fuse: None,
             dead: false,
             health: vec![BlockHealth::Good; config.geometry.blocks],
@@ -378,27 +411,28 @@ impl FlashChip {
     /// current simulated instant.
     pub fn outstanding_ops(&self) -> usize {
         let now = self.clock.now();
-        self.outstanding.iter().filter(|&&c| c > now).count()
+        self.outstanding.iter().filter(|b| b.done > now).count()
     }
 
     /// The instant the array goes idle if nothing more is issued: the
-    /// latest completion among the outstanding queued operations, or now.
-    /// Waits for nothing — pass it as `not_before` to order a program
-    /// after everything issued so far without draining.
+    /// latest completion among the outstanding queued operations, or the
+    /// instant the next command dispatches. Waits for nothing — pass it
+    /// as `not_before` to order a program after everything issued so far
+    /// without draining.
     pub fn idle_at(&self) -> Nanos {
         self.outstanding
             .iter()
-            .copied()
+            .map(|b| b.done)
             .max()
             .unwrap_or(0)
-            .max(self.clock.now())
+            .max(self.issue_at())
     }
 
     /// Barrier: waits for every outstanding queued operation and returns
     /// the instant the array went idle.
     pub fn drain(&mut self) -> Nanos {
         let end = self.idle_at();
-        self.clock.advance_to(end);
+        self.wait_until(end);
         self.outstanding.clear();
         end
     }
@@ -406,9 +440,119 @@ impl FlashChip {
     /// Waits until the operation that reported `completion` has finished
     /// (partial barrier; other queued operations may still be in flight).
     pub fn wait_for(&mut self, completion: Nanos) {
-        self.clock.advance_to(completion);
-        let now = self.clock.now();
-        self.outstanding.retain(|&c| c > now);
+        self.wait_until(completion);
+        let now = self.issue_at();
+        self.outstanding.retain(|b| b.done > now);
+    }
+
+    /// Marks the commands issued from now on as the collector's, or the
+    /// host's again, for [`FlashChip::wait_by_work`].
+    pub fn set_collecting(&mut self, on: bool) {
+        self.collecting = on;
+    }
+
+    /// Starts the background cursor at `at`, an instant at or before now:
+    /// firmware work run in the host's think time, back-dated into it.
+    /// Until [`FlashChip::end_background`], commands dispatch at the
+    /// cursor instead of now, their firmware dispatch and synchronous
+    /// waits advance the cursor and not the clock, and their telemetry
+    /// spans start there. Each is scheduled on the array as issued, so a
+    /// host command issued after the run queues behind every background
+    /// command the run started — the caller issues one only if it starts
+    /// before the host's command arrived ([`FlashChip::background_start`]).
+    pub fn begin_background(&mut self, at: Nanos) {
+        debug_assert!(self.cursor.is_none(), "one background run at a time");
+        self.cursor = Some(at);
+    }
+
+    /// Ends the background run. Firmware still dispatching past now
+    /// holds the host: the clock waits for the cursor.
+    pub fn end_background(&mut self) {
+        if let Some(cursor) = self.cursor.take() {
+            self.clock.advance_to(cursor);
+        }
+    }
+
+    /// While the background cursor is set, the instant the next
+    /// background command would start on the array: after its dispatch,
+    /// and after every queued operation — exact on a chip of one unit,
+    /// cautious on several.
+    pub fn background_start(&self) -> Option<Nanos> {
+        let dispatched = self.cursor? + self.config.timings.cmd_overhead_ns;
+        Some(dispatched.max(self.idle_at()))
+    }
+
+    /// Splits the wait from `from` until [`FlashChip::idle_at`] by whose
+    /// work fills it, indexed as `Work as usize`. Walking back from the
+    /// end, each instant goes to the queued operation that occupies the
+    /// array then, and an instant none occupies to the operation that
+    /// starts after it, so the parts sum to the wait.
+    pub fn wait_by_work(&self, from: Nanos) -> [Nanos; 3] {
+        let mut parts = [0; 3];
+        let mut t = self.idle_at();
+        let mut next = Work::Host;
+        while t > from {
+            let covering = (self.outstanding.iter())
+                .filter(|b| b.start < t && t <= b.done)
+                .min_by_key(|b| b.start);
+            let (until, work) = match covering {
+                Some(b) => (b.start, b.work),
+                None => {
+                    let before = (self.outstanding.iter())
+                        .map(|b| b.done)
+                        .filter(|&d| d < t)
+                        .max();
+                    (before.unwrap_or(from), next)
+                }
+            };
+            let until = until.max(from);
+            parts[work as usize] += t - until;
+            (t, next) = (until, work);
+        }
+        parts
+    }
+
+    /// The instant the next command dispatches: the background cursor
+    /// while it is set, else now. Where a span of a command starts.
+    pub fn issue_at(&self) -> Nanos {
+        self.cursor.unwrap_or_else(|| self.clock.now())
+    }
+
+    /// Whose work a command issued now is.
+    fn work(&self) -> Work {
+        match (self.cursor, self.collecting) {
+            (Some(_), _) => Work::Background,
+            (None, true) => Work::Collect,
+            (None, false) => Work::Host,
+        }
+    }
+
+    /// Charges `ns` of serial firmware time: to the cursor while it is
+    /// set, else to the clock.
+    fn firmware(&mut self, ns: Nanos) {
+        match &mut self.cursor {
+            Some(cursor) => *cursor += ns,
+            None => self.clock.advance(ns),
+        }
+    }
+
+    /// Waits until `instant`: the cursor while it is set, else the clock.
+    fn wait_until(&mut self, instant: Nanos) {
+        match &mut self.cursor {
+            Some(cursor) => *cursor = (*cursor).max(instant),
+            None => self.clock.advance_to(instant),
+        }
+    }
+
+    /// Queues the operation `sched` describes: it stays outstanding
+    /// until waited on.
+    fn enqueue(&mut self, sched: &Sched) {
+        let work = self.work();
+        self.outstanding.push(Busy {
+            start: sched.start,
+            done: sched.done,
+            work,
+        });
     }
 
     fn check_alive(&self) -> Result<()> {
@@ -474,6 +618,8 @@ impl FlashChip {
         self.dead = false;
         self.fuse = None;
         self.outstanding.clear();
+        self.collecting = false;
+        self.cursor = None;
         for t in &mut self.chan_busy {
             *t = 0;
         }
@@ -514,8 +660,8 @@ impl FlashChip {
 
     /// Records the queue depth an arriving command observes.
     fn note_arrival(&mut self) {
-        let now = self.clock.now();
-        self.outstanding.retain(|&c| c > now);
+        let now = self.issue_at();
+        self.outstanding.retain(|b| b.done > now);
         let depth = self.outstanding.len().min(QUEUE_DEPTH_BUCKETS - 1);
         self.stats.queue_depth_hist[depth] += 1;
         self.stats.queued_ops += 1;
@@ -536,7 +682,7 @@ impl FlashChip {
         let t = self.config.timings;
         let g = self.config.geometry;
         let (ch, unit) = (g.channel_of(block), g.unit_of(block));
-        let submit = self.clock.now().max(not_before);
+        let submit = self.issue_at().max(not_before);
         let xfer = bytes * t.channel_ns_per_byte;
         let cell_start = submit.max(self.unit_busy[unit]);
         let cell_end = cell_start + cell_ns;
@@ -545,6 +691,7 @@ impl FlashChip {
         self.unit_busy[unit] = done;
         self.chan_busy[ch] = done;
         Sched {
+            start: cell_start,
             done,
             service: cell_ns + xfer,
             wait: (cell_start - submit) + (xfer_start - cell_end),
@@ -558,7 +705,7 @@ impl FlashChip {
         let t = self.config.timings;
         let g = self.config.geometry;
         let (ch, unit) = (g.channel_of(block), g.unit_of(block));
-        let submit = self.clock.now().max(not_before);
+        let submit = self.issue_at().max(not_before);
         let xfer = g.page_size as u64 * t.channel_ns_per_byte;
         let xfer_start = submit.max(self.chan_busy[ch]);
         let xfer_end = xfer_start + xfer;
@@ -567,6 +714,7 @@ impl FlashChip {
         self.chan_busy[ch] = xfer_end;
         self.unit_busy[unit] = done;
         Sched {
+            start: cell_start,
             done,
             service: xfer + t.program_ns,
             wait: (xfer_start - submit) + (cell_start - xfer_end),
@@ -579,11 +727,12 @@ impl FlashChip {
         let t = self.config.timings;
         let g = self.config.geometry;
         let (ch, unit) = (g.channel_of(block), g.unit_of(block));
-        let submit = self.clock.now().max(not_before);
+        let submit = self.issue_at().max(not_before);
         let start = submit.max(self.unit_busy[unit]);
         let done = start + t.erase_ns;
         self.unit_busy[unit] = done;
         Sched {
+            start,
             done,
             service: t.erase_ns,
             wait: start - submit,
@@ -608,9 +757,9 @@ impl FlashChip {
             });
         }
         let read_ns = self.config.timings.read_ns;
-        let t_entry = self.clock.now();
+        let t_entry = self.issue_at();
         // Firmware dispatch is serial; media + bus time overlaps per lane.
-        self.clock.advance(self.config.timings.cmd_overhead_ns);
+        self.firmware(self.config.timings.cmd_overhead_ns);
         if !sync {
             self.note_arrival();
         }
@@ -619,9 +768,9 @@ impl FlashChip {
         self.stats.busy_read_ns += self.config.timings.cmd_overhead_ns + sched.service;
         self.note_channel_busy(&sched);
         if sync {
-            self.clock.advance_to(sched.done);
+            self.wait_until(sched.done);
         } else {
-            self.outstanding.push(sched.done);
+            self.enqueue(&sched);
         }
         let (lpn, tid, programmed_at) =
             match self.blocks[ppa.block as usize].page(ppa.page as usize) {
@@ -649,7 +798,7 @@ impl FlashChip {
             let aging_bits = match plan.aging_model() {
                 Some(model) if !fault::is_exempt(ppa.block) => {
                     let b = &self.blocks[ppa.block as usize];
-                    let age = self.clock.now().saturating_sub(programmed_at);
+                    let age = self.issue_at().saturating_sub(programmed_at);
                     model.flips(b.reads, age, b.erase_count)
                 }
                 _ => 0,
@@ -664,7 +813,7 @@ impl FlashChip {
                     self.stats.fault_stall_ns += fault::CORRECTION_NS;
                     self.recorder
                         .record(OpClass::EccCorrect, fault::CORRECTION_NS);
-                    self.clock.advance(fault::CORRECTION_NS);
+                    self.firmware(fault::CORRECTION_NS);
                 } else {
                     self.last_ecc = EccEvent::Uncorrectable(bits);
                     self.stats.uncorrectable_reads += 1;
@@ -676,7 +825,7 @@ impl FlashChip {
                     self.stats.fault_stall_ns += fault::UNCORRECTABLE_NS;
                     self.recorder
                         .record(OpClass::EccCorrect, fault::UNCORRECTABLE_NS);
-                    self.clock.advance(fault::UNCORRECTABLE_NS);
+                    self.firmware(fault::UNCORRECTABLE_NS);
                     return Err(FlashError::Uncorrectable(ppa));
                 }
             }
@@ -721,10 +870,10 @@ impl FlashChip {
         self.check_alive()?;
         self.check_range(ppa)?;
         let t = self.config.timings;
-        let t_entry = self.clock.now();
+        let t_entry = self.issue_at();
         // OOB-only read: a quarter of the command overhead plus a short
         // cell access and transfer of the spare area.
-        self.clock.advance(t.cmd_overhead_ns / 4);
+        self.firmware(t.cmd_overhead_ns / 4);
         let sched = self.sched_read(
             ppa.block,
             t.read_ns / 8,
@@ -734,7 +883,7 @@ impl FlashChip {
         self.stats.oob_reads += 1;
         self.stats.busy_read_ns += t.cmd_overhead_ns / 4 + sched.service;
         self.note_channel_busy(&sched);
-        self.clock.advance_to(sched.done);
+        self.wait_until(sched.done);
         self.recorder
             .record_span(OpClass::ChipOobRead, 0, 0, t_entry, sched.done);
         Ok(
@@ -775,8 +924,8 @@ impl FlashChip {
                 expected_page: block.write_point,
             });
         }
-        let t_entry = self.clock.now();
-        self.clock.advance(self.config.timings.cmd_overhead_ns);
+        let t_entry = self.issue_at();
+        self.firmware(self.config.timings.cmd_overhead_ns);
         if !sync {
             self.note_arrival();
         }
@@ -823,11 +972,11 @@ impl FlashChip {
                     self.health[ppa.block as usize] = BlockHealth::Suspect;
                 }
                 if sync {
-                    self.clock.advance_to(sched.done);
+                    self.wait_until(sched.done);
                 } else {
-                    self.outstanding.push(sched.done);
+                    self.enqueue(&sched);
                 }
-                self.clock.advance(fault::PROGRAM_FAIL_NS);
+                self.firmware(fault::PROGRAM_FAIL_NS);
                 return Err(FlashError::ProgramFailed(ppa));
             }
         }
@@ -844,9 +993,9 @@ impl FlashChip {
         );
         block.write_point = ppa.page + 1;
         if sync {
-            self.clock.advance_to(sched.done);
+            self.wait_until(sched.done);
         } else {
-            self.outstanding.push(sched.done);
+            self.enqueue(&sched);
         }
         self.recorder
             .record_span(OpClass::ChipProgram, oob.tid, oob.lpn, t_entry, sched.done);
@@ -891,8 +1040,8 @@ impl FlashChip {
             // Erase is modelled as atomic: power loss before it takes effect.
             return Err(FlashError::PowerLost);
         }
-        let t_entry = self.clock.now();
-        self.clock.advance(self.config.timings.cmd_overhead_ns);
+        let t_entry = self.issue_at();
+        self.firmware(self.config.timings.cmd_overhead_ns);
         if !sync {
             self.note_arrival();
         }
@@ -924,14 +1073,14 @@ impl FlashChip {
         b.reads = 0;
         b.corrected_flips = 0;
         if sync {
-            self.clock.advance_to(sched.done);
+            self.wait_until(sched.done);
         } else {
-            self.outstanding.push(sched.done);
+            self.enqueue(&sched);
         }
         if fails {
             self.stats.erase_fails += 1;
             self.stats.fault_stall_ns += fault::ERASE_FAIL_NS;
-            self.clock.advance(fault::ERASE_FAIL_NS);
+            self.firmware(fault::ERASE_FAIL_NS);
             self.health[block as usize] = BlockHealth::Retired;
             return Err(FlashError::EraseFailed(block));
         }
@@ -1829,5 +1978,133 @@ mod tests {
             (c.clock().now(), *c.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    // --- the background cursor -------------------------------------------------
+
+    /// A one-unit chip with a host program queued at instant zero, the
+    /// host then idle until `think` past the ack: the chip and the ack.
+    fn acked_then_thinking(think: Nanos) -> (FlashChip, Nanos) {
+        let mut c = chip_with(1, 1, 8);
+        let data = page(&c, 1);
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
+            .unwrap();
+        let ack = c.clock().now();
+        c.clock().advance(think);
+        (c, ack)
+    }
+
+    #[test]
+    fn a_background_command_not_started_by_the_arrival_lets_the_host_go_first() {
+        let (mut c, ack) = acked_then_thinking(0);
+        let busy = c.idle_at();
+        let arrival = c.clock().now();
+        c.begin_background(ack);
+        // The unit is busy past the arrival: a background program would
+        // start when it frees, so the host's command goes first.
+        let start = c.background_start().unwrap();
+        assert_eq!(start, busy);
+        assert!(start >= arrival);
+        c.end_background();
+        assert_eq!(c.clock().now(), arrival, "nothing was dispatched");
+        let data = page(&c, 2);
+        let (_, done) = c
+            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
+            .unwrap();
+        assert_eq!(done, busy + c.config().timings.program_ns);
+    }
+
+    #[test]
+    fn a_background_command_started_before_the_arrival_finishes_first() {
+        let t = chip_with(1, 1, 8).config().timings;
+        let (mut c, ack) = acked_then_thinking(3 * t.program_ns / 2);
+        let arrival = c.clock().now();
+        c.begin_background(ack);
+        assert!(c.background_start().unwrap() < arrival);
+        let data = page(&c, 2);
+        let (_, merged) = c
+            .program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
+            .unwrap();
+        c.end_background();
+        assert!(merged > arrival, "still programming when the host arrives");
+        let (_, host) = c
+            .program_queued(Ppa::new(2, 0), &data, Oob::data(2), 0, 0)
+            .unwrap();
+        assert_eq!(host, merged + t.program_ns, "queued behind it");
+    }
+
+    #[test]
+    fn background_dispatch_and_waits_leave_the_host_clock_alone() {
+        let t = chip_with(1, 1, 8).config().timings;
+        let (mut c, ack) = acked_then_thinking(10 * t.program_ns);
+        let arrival = c.clock().now();
+        let (recorder, before) = (Telemetry::new(), c.stats().programs);
+        c.set_recorder(recorder.clone());
+        c.begin_background(ack);
+        let mut buf = page(&c, 0);
+        c.read(Ppa::new(0, 0), &mut buf).unwrap();
+        let data = page(&c, 3);
+        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
+            .unwrap();
+        assert_eq!(c.clock().now(), arrival);
+        c.end_background();
+        assert_eq!(c.clock().now(), arrival, "the firmware was done by then");
+        assert_eq!(c.stats().programs, before + 1);
+        // Back-dated: the program's span starts where the read ended,
+        // long before the arrival, and runs its whole course.
+        let program = recorder.hist(OpClass::ChipProgram);
+        assert_eq!(program.count(), 1);
+        assert_eq!(
+            program.max(),
+            t.cmd_overhead_ns + page_xfer(&c) + t.program_ns
+        );
+    }
+
+    #[test]
+    fn a_host_command_waits_for_background_firmware_past_its_arrival() {
+        let t = chip_with(1, 1, 8).config().timings;
+        let (mut c, ack) = acked_then_thinking(0);
+        let busy = c.idle_at();
+        c.clock()
+            .advance(busy - c.clock().now() + t.cmd_overhead_ns / 2);
+        let arrival = c.clock().now();
+        c.begin_background(ack);
+        // The unit frees before the arrival; the base read's dispatch
+        // and media time run past it.
+        assert!(c.background_start().unwrap() < arrival);
+        let mut buf = page(&c, 0);
+        c.read(Ppa::new(0, 0), &mut buf).unwrap();
+        c.end_background();
+        assert!(c.clock().now() > arrival);
+        assert_eq!(c.clock().now(), busy + t.read_ns + page_xfer(&c));
+    }
+
+    fn page_xfer(c: &FlashChip) -> Nanos {
+        c.config().geometry.page_size as u64 * c.config().timings.channel_ns_per_byte
+    }
+
+    #[test]
+    fn a_wait_splits_by_work_and_the_parts_sum_to_it() {
+        let mut c = chip_with(1, 1, 8);
+        let data = page(&c, 4);
+        c.program_queued(Ppa::new(0, 0), &data, Oob::data(0), 0, 0)
+            .unwrap();
+        c.set_collecting(true);
+        c.program_queued(Ppa::new(1, 0), &data, Oob::data(1), 0, 0)
+            .unwrap();
+        c.erase_queued(2, 0).unwrap();
+        c.set_collecting(false);
+        c.begin_background(c.clock().now());
+        c.program_queued(Ppa::new(3, 0), &data, Oob::data(3), 0, 0)
+            .unwrap();
+        c.end_background();
+        let from = c.clock().now();
+        let parts = c.wait_by_work(from);
+        assert_eq!(parts.iter().sum::<Nanos>(), c.idle_at() - from);
+        let t = c.config().timings;
+        assert!(parts[Work::Collect as usize] >= t.program_ns + t.erase_ns);
+        assert!(parts[Work::Background as usize] >= t.program_ns);
+        assert!(parts[Work::Host as usize] > 0 && parts[Work::Host as usize] < t.program_ns);
+        assert_eq!(c.wait_by_work(c.idle_at()), [0; 3]);
     }
 }

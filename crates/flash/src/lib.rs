@@ -64,7 +64,7 @@ mod error;
 mod fault;
 mod stats;
 
-pub use chip::{BlockHealth, FlashChip, Oob, PageKind, PageProbe, Ppa};
+pub use chip::{BlockHealth, FlashChip, Oob, PageKind, PageProbe, Ppa, Work};
 pub use clock::{Nanos, SimClock, MICRO, MILLI, SECOND};
 pub use config::{FlashConfig, FlashConfigBuilder, FlashGeometry, FlashTimings};
 pub use error::{FlashError, Result};

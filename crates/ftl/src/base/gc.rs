@@ -95,7 +95,9 @@ impl FtlBase {
     /// budget-enforcing evictions suspended.
     fn gc_section(&mut self, collect: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
         self.in_gc = true;
+        self.chip.set_collecting(true);
         let r = collect(self);
+        self.chip.set_collecting(false);
         self.in_gc = false;
         r
     }
@@ -448,7 +450,7 @@ impl FtlBase {
                 break;
             }
             budget -= 1;
-            let t_copy = self.chip.clock().now();
+            let t_copy = self.chip.issue_at();
             // The scratch buffer must be restored on every error path.
             let mut buf = std::mem::take(&mut self.scratch);
             let moved = self.relocate_page(old, &mut buf, &mut need_ckpt);

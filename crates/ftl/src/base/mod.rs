@@ -98,7 +98,7 @@ mod map;
 mod pool;
 mod recover;
 
-use xftl_flash::{FlashChip, FlashError, Nanos, Oob, PageKind, Ppa, SimClock};
+use xftl_flash::{FlashChip, FlashError, Nanos, Oob, PageKind, Ppa, SimClock, Work};
 use xftl_trace::{HeatSketch, OpClass, Telemetry};
 
 use self::map::{slab_count, MapDir};
@@ -977,7 +977,7 @@ impl FtlBase {
         hook: &mut dyn GcHook,
     ) -> Result<(Ppa, Nanos)> {
         self.check_lpn(lpn)?;
-        let t_start = self.chip.clock().now();
+        let t_start = self.chip.issue_at();
         let oob = Oob {
             tid,
             ..Oob::data(lpn)
@@ -1206,6 +1206,12 @@ impl FtlBase {
         let table_pages = encode(hook);
         let generation = self.chip.next_seq();
         let after = self.chip.idle_at();
+        let now = self.chip.clock().now();
+        let wait = self.chip.wait_by_work(now);
+        self.stats.image_wait_ns += after - now;
+        self.stats.image_wait_own_ns += wait[Work::Host as usize];
+        self.stats.image_wait_gc_ns += wait[Work::Collect as usize];
+        self.stats.image_wait_gap_ns += wait[Work::Background as usize];
         let mut image = Vec::with_capacity(table_pages.len());
         let mut durable_at = after;
         for (i, page) in table_pages.iter().enumerate() {

@@ -135,6 +135,31 @@ pub struct FtlStats {
     /// commits since the first fold first, to leave the next table image
     /// room in its page.
     pub merges_room: u64,
+    /// Merges a group flush's rules called for that no gap had run when
+    /// the next flush came: every time, the host's command arrived before
+    /// they could start. Each stayed a live differential, carried by the
+    /// table images, and that flush reconsidered it.
+    pub gap_merges_left: u64,
+    /// Of [`FtlStats::merges_room`]: merges X-FTL ran in a gap whether or
+    /// not they started before the host's command arrived, which waited
+    /// for any that did not — without them the table image would have
+    /// lacked room for one differential up to the cap.
+    pub merges_forced: u64,
+    /// Simulated time the persisted X-L2P table images waited for chip
+    /// time — from each image's issue until everything queued before it
+    /// is on the media — summed over the images. The next three split it
+    /// by whose commands filled the wait, and sum to it.
+    pub image_wait_ns: u64,
+    /// Of [`FtlStats::image_wait_ns`]: the host's own commands, such as
+    /// the commits' whole page writes.
+    pub image_wait_own_ns: u64,
+    /// Of [`FtlStats::image_wait_ns`]: GC, scrub and wear-levelling copies
+    /// and erases.
+    pub image_wait_gc_ns: u64,
+    /// Of [`FtlStats::image_wait_ns`]: X-FTL's merges after an earlier
+    /// image, run in the gaps between the host's commands — the forced
+    /// ones ([`FtlStats::merges_forced`]) among them.
+    pub image_wait_gap_ns: u64,
     /// Entries the persisted X-L2P table images carried, summed over the
     /// images (X-FTL only; per image, divide by `group_commit_flushes`).
     pub image_entries: u64,
@@ -250,6 +275,12 @@ impl Sub for FtlStats {
             merges_size_before: self.merges_size_before - rhs.merges_size_before,
             merges_size_after: self.merges_size_after - rhs.merges_size_after,
             merges_room: self.merges_room - rhs.merges_room,
+            gap_merges_left: self.gap_merges_left - rhs.gap_merges_left,
+            merges_forced: self.merges_forced - rhs.merges_forced,
+            image_wait_ns: self.image_wait_ns - rhs.image_wait_ns,
+            image_wait_own_ns: self.image_wait_own_ns - rhs.image_wait_own_ns,
+            image_wait_gc_ns: self.image_wait_gc_ns - rhs.image_wait_gc_ns,
+            image_wait_gap_ns: self.image_wait_gap_ns - rhs.image_wait_gap_ns,
             image_entries: self.image_entries - rhs.image_entries,
             image_record_bytes: self.image_record_bytes - rhs.image_record_bytes,
             image_cache_misses: self.image_cache_misses - rhs.image_cache_misses,

@@ -23,7 +23,7 @@ use std::collections::BTreeSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xftl_core::XFtl;
-use xftl_flash::{FlashChip, Oob, PageKind, PageProbe, Ppa};
+use xftl_flash::{FlashChip, Nanos, Oob, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
     AtomicWriteFtl, BlockDevice, CommitTicket, DevError, FtlBase, Lpn, PageMappedFtl, Personality,
@@ -160,6 +160,9 @@ impl Page {
 ///   ticket — its group covers everything currently staged, so the whole
 ///   pipeline drains durable.
 /// - `Group` writes `pages` as one acknowledged group ([`Swept::group`]).
+/// - `Think` is the host's think time: the simulated clock advances by
+///   that many nanoseconds, a gap X-FTL's next command back-dates the
+///   merges its last group flush left into.
 /// - `Crash` is a power cut, and the recovery [`run_schedule`] was given.
 #[derive(Debug, Clone)]
 pub enum DevOp {
@@ -173,6 +176,7 @@ pub enum DevOp {
     Abort { tid: Tid },
     Group { tid: Tid, pages: Vec<(Lpn, Page)> },
     Flush,
+    Think(Nanos),
     Crash,
 }
 
@@ -347,6 +351,7 @@ impl Run {
             }
             DevOp::Group { tid, ref pages } => D::group(dev, tid, pages)?,
             DevOp::Flush => dev.flush()?,
+            DevOp::Think(ns) => dev.inner().base().clock().advance(ns),
             DevOp::Crash => unreachable!("a power cut is the schedule's to make"),
         }
         Ok(())

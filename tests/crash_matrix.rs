@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use xftl_core::XFtl;
 use xftl_db::{Connection, DbJournalMode, Value};
-use xftl_flash::{FaultPlan, FlashChip, FlashConfig, SimClock};
+use xftl_flash::{FaultPlan, FlashChip, FlashConfig, Nanos, SimClock, MILLI};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
 use xftl_ftl::{FtlBase, PageMappedFtl, Personality};
 use xftl_verify::ShadowDevice;
@@ -28,6 +28,25 @@ use common::{assert_image, DevOp, Page::Fill, Page::Image};
 
 const BLOCKS: usize = 300;
 const LOGICAL: u64 = 2_200;
+
+/// A host think time long enough for every merge X-FTL's last group
+/// flush left to run before the next command.
+const THINK_NS: Nanos = 20 * MILLI;
+
+/// `ops` with the host thinking [`THINK_NS`] after every group, and a
+/// flush at the end: its arrival runs the last group's merges.
+fn thinking(ops: Vec<DevOp>) -> Vec<DevOp> {
+    let mut out = Vec::with_capacity(2 * ops.len() + 1);
+    for op in ops {
+        let group = matches!(op, DevOp::Group { .. });
+        out.push(op);
+        if group {
+            out.push(DevOp::Think(THINK_NS));
+        }
+    }
+    out.push(DevOp::Flush);
+    out
+}
 
 /// Fixed seed for the background fault process, so every fuse position of
 /// the sweep replays the identical fault schedule (all randomness flows
@@ -111,9 +130,12 @@ impl Sql {
         Sql { fs, db, mode }
     }
 
-    /// The fixed schedule, twelve batches of four inserts. Returns how
-    /// many were acknowledged committed before the power died.
+    /// The fixed schedule, twelve batches of four inserts, the host
+    /// thinking after each: X-FTL merges in that gap. Returns how many
+    /// were acknowledged committed before the power died.
     fn run(&mut self) -> i64 {
+        use xftl_ftl::BlockDevice;
+        let clock = base_mut(self.fs.borrow_mut().device_mut()).clock();
         for batch in 0..12i64 {
             let run = (|| -> Result<(), xftl_db::DbError> {
                 self.db.execute("BEGIN")?;
@@ -129,7 +151,13 @@ impl Sql {
             if run.is_err() {
                 return batch;
             }
+            clock.advance(THINK_NS);
         }
+        // A device flush runs the last batch's merges. A cut in it loses
+        // nothing acknowledged; any other failure is the device's.
+        let flushed = self.fs.borrow_mut().device_mut().flush();
+        let dead = base_mut(self.fs.borrow_mut().device_mut()).chip().is_dead();
+        assert!(flushed.is_ok() || dead, "{flushed:?}");
         12
     }
 }
@@ -1499,7 +1527,8 @@ fn diff_dev() -> ShadowDevice<XFtl> {
     dev
 }
 
-/// The differential-heavy schedule over [`diff_dev`]'s pages.
+/// The differential-heavy schedule over [`diff_dev`]'s pages, the host
+/// thinking after every group.
 fn diff_schedule(ps: usize) -> Vec<DevOp> {
     let mut image: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|lpn| diff_initial(lpn, ps)).collect();
     let mut ops = Vec::new();
@@ -1548,7 +1577,7 @@ fn diff_schedule(ps: usize) -> Vec<DevOp> {
             ops.push(DevOp::PlainWrite { lpn, page });
         }
     }
-    ops
+    thinking(ops)
 }
 
 /// Replays `ops` uncut and counts what the sweep must cut around: the
@@ -1564,7 +1593,7 @@ fn diff_events(ops: &[DevOp]) -> (usize, usize) {
             .collect();
         let (ckpts, merges) = {
             let s = dev.inner().base().stats();
-            (s.checkpoints, s.merges_room)
+            (s.checkpoints, s.merges_size_after + s.merges_room)
         };
         run.issue(&mut dev, op, &mut seen).unwrap();
         let written: Vec<u64> = match op {
@@ -1580,7 +1609,7 @@ fn diff_events(ops: &[DevOp]) -> (usize, usize) {
         moved += (bases.iter())
             .filter(|(lpn, base)| {
                 !written.contains(lpn)
-                    && s.merges_room == merges
+                    && s.merges_size_after + s.merges_room == merges
                     && table.live(*lpn).is_some_and(|l| l.base != *base)
             })
             .count();
@@ -1640,7 +1669,7 @@ fn shifted_differentials_survive_every_cut() {
             ops.push(DevOp::Flush);
         }
     }
-    let (stats, cuts) = common::sweep(diff_dev, &ops);
+    let (stats, cuts) = common::sweep(diff_dev, &thinking(ops));
     assert!(stats.diff_copies >= 8, "{stats:?}");
     assert!(
         stats.merges_size_before + stats.merges_size_after > 0,
@@ -1651,10 +1680,10 @@ fn shifted_differentials_survive_every_cut() {
 
 /// Six hot pages each carry a live differential while transactions
 /// commit pages of their own written whole: the entries grow until the
-/// next table image would lack room, and the group flush merges the
-/// differential with the most bytes × commits first — a whole write
-/// queued behind the image. Every program and erase is cut, the one
-/// between the image and that merge among them.
+/// next table image would lack room, and the next command after the
+/// host's think merges the differential with the most bytes × commits
+/// first — a whole write back-dated into the gap. Every program and erase
+/// is cut, the one between the image and that merge among them.
 #[test]
 fn a_room_merge_after_a_group_flush_survives_every_cut() {
     use xftl_ftl::BlockDevice;
@@ -1678,16 +1707,16 @@ fn a_room_merge_after_a_group_flush_survives_every_cut() {
             pages,
         });
     }
-    let (stats, cuts) = common::sweep(diff_dev, &ops);
+    let (stats, cuts) = common::sweep(diff_dev, &thinking(ops));
     assert!(stats.merges_room >= 2, "{stats:?}");
     assert!(cuts > 20, "{cuts} cuts");
 }
 
 /// Commits whose differentials pass the limit but not the cap, one or two
 /// to a commit: each rides its commit's table image and is merged — a
-/// whole write queued behind the image — right after the durability
-/// point. Every program and erase is cut, those between an image and its
-/// size merges among them; none is written whole before its image.
+/// whole write — in the host's think time after the durability point.
+/// Every program and erase is cut, those between an image and its size
+/// merges among them; none is written whole before its image.
 #[test]
 fn a_size_merge_after_the_image_survives_every_cut() {
     use xftl_ftl::BlockDevice;
@@ -1708,10 +1737,93 @@ fn a_size_merge_after_the_image_survives_every_cut() {
         }
         ops.push(DevOp::Group { tid: i + 1, pages });
     }
-    let (stats, cuts) = common::sweep(diff_dev, &ops);
+    let (stats, cuts) = common::sweep(diff_dev, &thinking(ops));
     assert!(stats.merges_size_after >= 2, "{stats:?}");
     assert_eq!(stats.merges_size_before, 0, "{stats:?}");
     assert!(cuts > 20, "{cuts} cuts");
+}
+
+/// Groups of size merges — three differentials past the limit to a
+/// commit — each followed by a think that lets none, some or all of the
+/// pending merges run before the next command, a plain write: what a
+/// gap leaves stays live, the next image carries it, and a later gap
+/// takes it up. Every program and erase is cut, each merge back-dated
+/// into a gap among them.
+#[test]
+fn gap_merges_survive_every_cut() {
+    use xftl_core::diff::limit_for;
+    use xftl_ftl::BlockDevice;
+    let dev = diff_dev();
+    let (ps, program_ns) = (
+        dev.page_size(),
+        dev.inner().base().chip().config().timings.program_ns,
+    );
+    let thinks = [0, program_ns * 3 / 2, THINK_NS];
+    let mut image: Vec<Vec<u8>> = (0..DIFF_LOGICAL).map(|lpn| diff_initial(lpn, ps)).collect();
+    let mut ops = Vec::new();
+    for i in 0..12u64 {
+        let mut pages = Vec::new();
+        for k in 0..3 {
+            let lpn = (i + k) % DIFF_HOT;
+            // 40 to 63 bytes in place: past the limit, within the cap.
+            let len = 40 + (i as usize * 7 + k as usize * 5) % 24;
+            let at = (i as usize * 31 + k as usize * 97) % (ps - len);
+            let page = &mut image[lpn as usize];
+            page[at..at + len].fill(0x40 | (i * 3 + k) as u8);
+            pages.push((lpn, Image(page.clone())));
+        }
+        ops.push(DevOp::Group { tid: i + 1, pages });
+        ops.push(DevOp::Think(thinks[i as usize % thinks.len()]));
+        let lpn = DIFF_HOT + i;
+        image[lpn as usize][0] ^= 0xFF;
+        let page = Image(image[lpn as usize].clone());
+        ops.push(DevOp::PlainWrite { lpn, page });
+    }
+    // Then groups back to back, each a small differential of a hot page
+    // beside a page written whole: the entries and records fill the
+    // image until merges run though the next command has arrived.
+    for i in 0..24u64 {
+        let hot = i % DIFF_HOT;
+        let page = &mut image[hot as usize];
+        page[(i as usize * 41) % (ps - 12)..][..4 + i as usize % 8].fill(0x90 | i as u8);
+        let page = Image(page.clone());
+        let cold = DIFF_HOT + 20 + i;
+        let whole: Vec<u8> = (0..ps).map(|j| (j as u64 * 3 + i) as u8).collect();
+        image[cold as usize] = whole.clone();
+        let pages = vec![(hot, page), (cold, Image(whole))];
+        ops.push(DevOp::Group {
+            tid: 100 + i,
+            pages,
+        });
+    }
+    ops.push(DevOp::Think(THINK_NS));
+    ops.push(DevOp::Flush);
+    // Uncut, the gaps before the plain writes that found merges pending
+    // ran none, some and all of them.
+    let pending = |dev: &ShadowDevice<XFtl>| {
+        (dev.inner().xl2p().live_diffs())
+            .filter(|(_, live)| live.diff.encoded_len() > limit_for(ps))
+            .count()
+    };
+    let merged = |dev: &ShadowDevice<XFtl>| dev.inner().base().stats().merges_size_after;
+    let mut dev = diff_dev();
+    let (mut run, mut seen) = (common::Run::default(), common::Exercised::default());
+    let mut gaps = [0u32; 3];
+    for op in &ops {
+        let (found, before) = (pending(&dev), merged(&dev));
+        run.issue(&mut dev, op, &mut seen).unwrap();
+        if let (DevOp::PlainWrite { .. }, true) = (op, found > 0) {
+            let ran = merged(&dev) > before;
+            gaps[usize::from(ran) + usize::from(ran && pending(&dev) == 0)] += 1;
+        }
+    }
+    assert!(gaps.iter().all(|&n| n > 0), "none, some, all: {gaps:?}");
+    let uncut = dev.inner().base().stats();
+    assert!(uncut.merges_forced > 0, "{uncut:?}");
+    let (stats, cuts) = common::sweep(diff_dev, &ops);
+    assert!(stats.merges_size_after >= 12, "{stats:?}");
+    assert!(stats.gap_merges_left > 0, "{stats:?}");
+    assert!(cuts > 30, "{cuts} cuts");
 }
 
 /// Cuts the recovery of a chip whose live image carries differentials at
@@ -1723,8 +1835,8 @@ fn a_size_merge_after_the_image_survives_every_cut() {
 fn a_cut_recovery_keeps_the_differentials() {
     use xftl_ftl::BlockDevice;
     let ops = diff_schedule(diff_dev().page_size());
-    // Stop short of the next flush, with differentials live.
-    let ops = &ops[..ops.len() - 7];
+    // Stop short of the last group, with differentials live.
+    let ops = &ops[..ops.len() - 9];
     let build = || {
         let mut dev = diff_dev();
         let (mut run, mut seen) = (common::Run::default(), common::Exercised::default());
