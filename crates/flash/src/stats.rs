@@ -63,14 +63,13 @@ pub struct FlashStats {
     /// firmware command overhead). Channel `c` accumulates into slot
     /// `min(c, MAX_CHANNELS - 1)`.
     pub busy_channel_ns: [Nanos; MAX_CHANNELS],
-    /// Operations submitted through the queued (asynchronous) interface.
-    pub queued_ops: u64,
     /// Total time operations spent waiting for their channel/way to free
     /// up before service could start (queueing delay).
     pub queue_wait_ns: Nanos,
     /// Histogram of device queue depth observed at each command arrival
     /// (queued submissions only): how many earlier commands were still in
-    /// flight.
+    /// flight. Its samples are the queued operations
+    /// ([`FlashStats::queued_ops`]).
     pub queue_depth_hist: [u64; QUEUE_DEPTH_BUCKETS],
 }
 
@@ -86,11 +85,17 @@ impl FlashStats {
         self.busy_channel_ns.iter().copied().max().unwrap_or(0)
     }
 
+    /// Operations submitted through the queued (asynchronous) interface:
+    /// each arrival is one sample of the queue-depth histogram.
+    pub fn queued_ops(&self) -> u64 {
+        self.queue_depth_hist.iter().sum()
+    }
+
     /// Mean queue depth seen by arriving queued commands (0.0 when
     /// nothing was ever queued). The last histogram bucket is counted at
     /// its lower bound, so this under-reports saturated queues slightly.
     pub fn mean_queue_depth(&self) -> f64 {
-        let samples: u64 = self.queue_depth_hist.iter().sum();
+        let samples = self.queued_ops();
         if samples == 0 {
             return 0.0;
         }
@@ -134,7 +139,6 @@ impl Sub for FlashStats {
             busy_program_ns: self.busy_program_ns - rhs.busy_program_ns,
             busy_erase_ns: self.busy_erase_ns - rhs.busy_erase_ns,
             busy_channel_ns: sub_arrays(self.busy_channel_ns, rhs.busy_channel_ns),
-            queued_ops: self.queued_ops - rhs.queued_ops,
             queue_wait_ns: self.queue_wait_ns - rhs.queue_wait_ns,
             queue_depth_hist: sub_arrays(self.queue_depth_hist, rhs.queue_depth_hist),
         }

@@ -287,42 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn group_without_record_rolls_back_on_crash() {
-        let mut d = dev();
-        let a = page(&d, 1);
-        let b = page(&d, 2);
-        d.write_atomic(&[(0, &a), (1, &b)]).unwrap();
-        d.flush().unwrap();
-        // Tear the power during the second group: fuse allows the first
-        // data page, kills the second, so no commit record is written.
-        let c = page(&d, 7);
-        let e = page(&d, 8);
-        d.base_mut().chip_mut().arm_power_fuse(2);
-        assert!(d.write_atomic(&[(0, &c), (1, &e)]).is_err());
-        let mut d2 = AtomicWriteFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, a, "unsealed group must not surface");
-        d2.read(1, &mut out).unwrap();
-        assert_eq!(out, b);
-    }
-
-    #[test]
-    fn sealed_group_survives_crash_without_flush() {
-        let mut d = dev();
-        let a = page(&d, 3);
-        let b = page(&d, 4);
-        d.write_atomic(&[(2, &a), (3, &b)]).unwrap();
-        // No flush: the commit record alone must make the group durable.
-        let mut d2 = AtomicWriteFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(2, &mut out).unwrap();
-        assert_eq!(out, a);
-        d2.read(3, &mut out).unwrap();
-        assert_eq!(out, b);
-    }
-
-    #[test]
     fn every_plain_write_pays_a_record() {
         let mut d = dev();
         let a = page(&d, 1);
@@ -332,19 +296,6 @@ mod tests {
         // 5 data pages + 5 commit records: the per-call overhead X-FTL avoids.
         assert_eq!(d.base().stats().data_writes, 5);
         assert_eq!(d.base().stats().commit_record_writes, 5);
-    }
-
-    #[test]
-    fn survives_gc_churn() {
-        let mut d = dev();
-        for i in 0..400u64 {
-            let data = vec![(i % 250) as u8; d.page_size()];
-            d.write_atomic(&[(i % 6, &data), ((i + 1) % 6, &data)])
-                .unwrap();
-        }
-        assert!(d.base().stats().gc_runs > 0);
-        let mut out = vec![0u8; d.page_size()];
-        d.read(5, &mut out).unwrap(); // must not error
     }
 
     /// GC gives a relocated record a program sequence newer than records
@@ -404,17 +355,5 @@ mod tests {
         let copy = moved.expect("GC never relocated a live record");
         assert_eq!(copy.kind, PageKind::Commit);
         assert!(copy.lpn < copy.seq, "the original's sequence, not its own");
-    }
-
-    #[test]
-    fn recovery_is_idempotent() {
-        let mut d = dev();
-        let a = page(&d, 9);
-        d.write_atomic(&[(0, &a)]).unwrap();
-        let d2 = AtomicWriteFtl::recover(d.into_chip()).unwrap();
-        let mut d3 = AtomicWriteFtl::recover(d2.into_chip()).unwrap();
-        let mut out = page(&d3, 0);
-        d3.read(0, &mut out).unwrap();
-        assert_eq!(out, a);
     }
 }

@@ -91,14 +91,13 @@ impl FtlBase {
         Ok(())
     }
 
-    /// Runs `collect` with GC re-entry (a checkpoint inside GC) and
-    /// budget-enforcing evictions suspended.
+    /// Runs `collect` with the chip's commands marked the collector's:
+    /// while they are, GC re-entry (a checkpoint inside GC) and
+    /// budget-enforcing evictions are suspended.
     fn gc_section(&mut self, collect: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
-        self.in_gc = true;
         self.chip.set_collecting(true);
         let r = collect(self);
         self.chip.set_collecting(false);
-        self.in_gc = false;
         r
     }
 
@@ -108,7 +107,7 @@ impl FtlBase {
     /// [`ScrubConfig::interval_ops`] calls (and only with pool headroom
     /// to spare) they each relocate at most one at-risk block.
     pub(super) fn maybe_gc(&mut self, hook: &mut dyn GcHook) -> Result<()> {
-        if self.in_gc {
+        if self.chip.is_collecting() {
             return Ok(()); // a checkpoint inside GC must not re-enter
         }
         while self.pool.free_len() < self.gc_floor() {
@@ -160,7 +159,7 @@ impl FtlBase {
     pub fn gc_step(&mut self, hook: &mut dyn GcHook) -> Result<()> {
         let now = self.chip.next_seq();
         let programmed = now - std::mem::replace(&mut self.paced_seq, now);
-        if self.in_gc || self.device_state == DeviceState::ReadOnly {
+        if self.chip.is_collecting() || self.device_state == DeviceState::ReadOnly {
             return Ok(());
         }
         let mut due = self.pool.free_len() <= self.gc_low_water();
@@ -1009,9 +1008,9 @@ mod tests {
         f.device_state = DeviceState::ReadOnly;
         step_after(&mut f, 8);
         f.device_state = DeviceState::Healthy;
-        f.in_gc = true;
+        f.chip.set_collecting(true);
         step_after(&mut f, 8);
-        f.in_gc = false;
+        f.chip.set_collecting(false);
         assert_eq!(idle(&f), before);
         step_after(&mut f, 8);
         assert_eq!(f.stats().gc_background_steps, 1, "and here it does run");

@@ -200,7 +200,7 @@ impl FtlBase {
             return Ok(());
         }
         self.stats.map_cache_misses += 1;
-        if !self.in_gc {
+        if !self.chip.is_collecting() {
             self.evict_to_budget()?;
         }
         let entries = match self.map.homes.get(slab).copied().flatten() {

@@ -427,8 +427,6 @@ pub struct FtlBase {
     /// The split-phase ticket ledger behind `submit`/`complete_until`.
     queue: CmdQueue,
     scratch: Vec<u8>,
-    /// Guards against re-entering GC from a checkpoint issued inside GC.
-    in_gc: bool,
     /// The GC victim a background step left partly drained, and the
     /// copies made out of it so far. Dropped at its erase or retirement;
     /// ignored once the block is no longer closed.
@@ -533,7 +531,6 @@ impl FtlBase {
             counters: DevCounters::default(),
             queue: CmdQueue::default(),
             scratch: vec![0u8; geo.page_size],
-            in_gc: false,
             draining: None,
             collecting: None,
             paced_seq: chip.next_seq(),
@@ -1208,7 +1205,11 @@ impl FtlBase {
         let after = self.chip.idle_at();
         let now = self.chip.clock().now();
         let wait = self.chip.wait_by_work(now);
-        self.stats.image_wait_ns += after - now;
+        debug_assert_eq!(
+            wait.iter().sum::<Nanos>(),
+            after - now,
+            "the parts of the image's wait sum to it"
+        );
         self.stats.image_wait_own_ns += wait[Work::Host as usize];
         self.stats.image_wait_gc_ns += wait[Work::Collect as usize];
         self.stats.image_wait_gap_ns += wait[Work::Background as usize];

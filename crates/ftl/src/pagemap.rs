@@ -234,31 +234,6 @@ mod tests {
         assert_eq!(out, data);
     }
 
-    #[test]
-    fn flush_then_crash_preserves_data() {
-        let mut d = dev();
-        let data = vec![3u8; d.page_size()];
-        d.write(2, &data).unwrap();
-        d.flush().unwrap();
-        let mut d2 = PageMappedFtl::recover(d.into_chip()).unwrap();
-        let mut out = vec![0u8; d2.page_size()];
-        d2.read(2, &mut out).unwrap();
-        assert_eq!(out, data);
-    }
-
-    #[test]
-    fn unflushed_writes_also_recovered_by_roll_forward() {
-        // The medium has no volatile data cache, so even unflushed writes
-        // are on flash; roll-forward finds them.
-        let mut d = dev();
-        let data = vec![4u8; d.page_size()];
-        d.write(2, &data).unwrap();
-        let mut d2 = PageMappedFtl::recover(d.into_chip()).unwrap();
-        let mut out = vec![0u8; d2.page_size()];
-        d2.read(2, &mut out).unwrap();
-        assert_eq!(out, data);
-    }
-
     /// Skewed overwrites with a `flush` every 16 writes on a device small
     /// enough that GC runs during most checkpoints, then a power cut:
     /// every page must read back its last image.

@@ -145,18 +145,16 @@ pub struct FtlStats {
     /// for any that did not — without them the table image would have
     /// lacked room for one differential up to the cap.
     pub merges_forced: u64,
-    /// Simulated time the persisted X-L2P table images waited for chip
-    /// time — from each image's issue until everything queued before it
-    /// is on the media — summed over the images. The next three split it
-    /// by whose commands filled the wait, and sum to it.
-    pub image_wait_ns: u64,
-    /// Of [`FtlStats::image_wait_ns`]: the host's own commands, such as
-    /// the commits' whole page writes.
+    /// The persisted X-L2P table images waited for chip time — from each
+    /// image's issue until everything queued before it is on the media —
+    /// and this and the next two split that wait, summed over the images,
+    /// by whose commands filled it. This part: the host's own commands,
+    /// such as the commits' whole page writes.
     pub image_wait_own_ns: u64,
-    /// Of [`FtlStats::image_wait_ns`]: GC, scrub and wear-levelling copies
-    /// and erases.
+    /// Of the images' wait: GC, scrub and wear-levelling copies and
+    /// erases.
     pub image_wait_gc_ns: u64,
-    /// Of [`FtlStats::image_wait_ns`]: X-FTL's merges after an earlier
+    /// Of the images' wait: X-FTL's merges after an earlier
     /// image, run in the gaps between the host's commands — the forced
     /// ones ([`FtlStats::merges_forced`]) among them.
     pub image_wait_gap_ns: u64,
@@ -277,7 +275,6 @@ impl Sub for FtlStats {
             merges_room: self.merges_room - rhs.merges_room,
             gap_merges_left: self.gap_merges_left - rhs.gap_merges_left,
             merges_forced: self.merges_forced - rhs.merges_forced,
-            image_wait_ns: self.image_wait_ns - rhs.image_wait_ns,
             image_wait_own_ns: self.image_wait_own_ns - rhs.image_wait_own_ns,
             image_wait_gc_ns: self.image_wait_gc_ns - rhs.image_wait_gc_ns,
             image_wait_gap_ns: self.image_wait_gap_ns - rhs.image_wait_gap_ns,

@@ -327,19 +327,11 @@ mod tests {
     use super::*;
     use xftl_flash::{FlashConfig, SimClock};
 
-    fn dev() -> TxFlashFtl {
-        let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
-        TxFlashFtl::format(chip, 32).unwrap()
-    }
-
-    fn page(d: &TxFlashFtl, byte: u8) -> Vec<u8> {
-        vec![byte; d.page_size()]
-    }
-
     #[test]
     fn commit_costs_zero_extra_pages() {
-        let mut d = dev();
-        let a = page(&d, 1);
+        let chip = FlashChip::new(FlashConfig::tiny(16), SimClock::new());
+        let mut d = TxFlashFtl::format(chip, 32).unwrap();
+        let a = vec![1; d.page_size()];
         for lpn in 0..5 {
             d.write_tx(7, lpn, &a).unwrap();
         }
@@ -350,118 +342,5 @@ mod tests {
         // rides on data, no commit record, no table write.
         assert_eq!(after - before, 1, "SCC's zero-overhead commit");
         assert_eq!(d.base().stats().data_writes, 5);
-        let mut out = page(&d, 0);
-        d.read(3, &mut out).unwrap();
-        assert_eq!(out, a);
-    }
-
-    #[test]
-    fn uncommitted_invisible_and_abort_rolls_back() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.write_tx(3, 0, &new).unwrap();
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d.read_tx(3, 0, &mut out).unwrap();
-        assert_eq!(out, new, "writer sees its own buffered page");
-        d.abort(3).unwrap();
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-    }
-
-    #[test]
-    fn crash_with_open_cycle_rolls_back() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        let new = page(&d, 2);
-        d.write(0, &old).unwrap();
-        d.write(1, &old).unwrap();
-        d.flush().unwrap();
-        d.write_tx(9, 0, &new).unwrap();
-        d.write_tx(9, 1, &new).unwrap(); // first page programmed, second buffered
-                                         // crash before commit
-        let mut d2 = TxFlashFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old);
-        d2.read(1, &mut out).unwrap();
-        assert_eq!(out, old);
-    }
-
-    #[test]
-    fn committed_cycle_survives_crash() {
-        let mut d = dev();
-        let a = page(&d, 0xA0);
-        let b = page(&d, 0xB0);
-        d.write_tx(5, 2, &a).unwrap();
-        d.write_tx(5, 3, &b).unwrap();
-        d.commit(5).unwrap();
-        // No flush: the closed cycle alone is the durability evidence.
-        let mut d2 = TxFlashFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(2, &mut out).unwrap();
-        assert_eq!(out, a);
-        d2.read(3, &mut out).unwrap();
-        assert_eq!(out, b);
-    }
-
-    #[test]
-    fn crash_one_op_before_close_rolls_back() {
-        let mut d = dev();
-        let old = page(&d, 1);
-        d.write(0, &old).unwrap();
-        d.flush().unwrap();
-        let new = page(&d, 2);
-        d.write_tx(4, 0, &new).unwrap();
-        d.write_tx(4, 1, &new).unwrap();
-        // The commit's closing program is torn.
-        d.base_mut().chip_mut().arm_power_fuse(1);
-        assert!(d.commit(4).is_err());
-        let mut d2 = TxFlashFtl::recover(d.into_chip()).unwrap();
-        let mut out = page(&d2, 0);
-        d2.read(0, &mut out).unwrap();
-        assert_eq!(out, old, "torn closing page must not commit the cycle");
-    }
-
-    #[test]
-    fn rewrites_within_tx_use_latest_version() {
-        let mut d = dev();
-        let v1 = page(&d, 1);
-        let v2 = page(&d, 2);
-        d.write_tx(6, 0, &v1).unwrap();
-        d.write_tx(6, 0, &v2).unwrap();
-        d.commit(6).unwrap();
-        let mut out = page(&d, 0);
-        d.read(0, &mut out).unwrap();
-        assert_eq!(out, v2);
-    }
-
-    #[test]
-    fn survives_gc_churn_mid_transaction() {
-        let mut d = dev();
-        let keep = page(&d, 0x77);
-        d.write_tx(1, 30, &keep).unwrap();
-        d.write_tx(1, 31, &keep).unwrap(); // page 30 programmed, 31 buffered
-        let junk = page(&d, 2);
-        for i in 0..300u64 {
-            d.write(i % 6, &junk).unwrap();
-        }
-        assert!(d.base().stats().gc_runs > 0);
-        d.commit(1).unwrap();
-        let mut out = page(&d, 0);
-        d.read(30, &mut out).unwrap();
-        assert_eq!(out, keep);
-        d.read(31, &mut out).unwrap();
-        assert_eq!(out, keep);
-    }
-
-    #[test]
-    fn commit_of_unknown_tid_is_noop() {
-        let mut d = dev();
-        assert!(d.commit(42).is_ok());
-        assert!(d.abort(42).is_ok());
     }
 }

@@ -388,14 +388,14 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
 }
 
 /// Fixed device schedules: the first five are what an earlier generator
-/// shrank failures to, kept as the corpus recorded them; the last two are
+/// shrank failures to, kept as the corpus recorded them; the next two are
 /// the reused-tid case `rand_tx_ops` cannot produce — tid 1 commits page
 /// 5, tid 2 commits it over tid 1, and tid 1, reused, commits page 6 —
-/// blocking, then as one staged group redeemed by its last ticket.
-/// Families 7 and 8 run each before their generated cases, with the
-/// flash auditor after every op.
+/// blocking, then as one staged group redeemed by its last ticket; the
+/// rest are commented where they stand. Families 7 and 8 run each before
+/// their generated cases, with the flash auditor after every op.
 #[rustfmt::skip]
-const DEV_REGRESSIONS: [&[DevOp]; 8] = [
+const DEV_REGRESSIONS: [&[DevOp]; 10] = [
     &[DevOp::Write { tid: 2, lpn: 0, page: Fill(0) }, DevOp::Commit { tid: 2 },
       DevOp::Write { tid: 2, lpn: 1, page: Fill(1) }, DevOp::Flush],
     &[DevOp::Write { tid: 2, lpn: 15, page: Fill(0) }, DevOp::Write { tid: 3, lpn: 15, page: Fill(1) },
@@ -428,6 +428,17 @@ const DEV_REGRESSIONS: [&[DevOp]; 8] = [
       DevOp::Patch { tid: 8, lpn: 4, byte: 0x80 }, DevOp::Commit { tid: 8 },
       DevOp::PlainWrite { lpn: 4, page: Fill(0x90) }, DevOp::Patch { tid: 9, lpn: 4, byte: 0xA0 },
       DevOp::Commit { tid: 9 }],
+    // A plain overwrite of a page whose committed entry awaits the
+    // checkpoint: the entry must leave the table, or the next commit's
+    // image carries it and recovery folds the old page back over 0x13.
+    &[DevOp::Write { tid: 1, lpn: 15, page: Fill(0x22) }, DevOp::Commit { tid: 1 },
+      DevOp::PlainWrite { lpn: 15, page: Fill(0x13) }, DevOp::Write { tid: 3, lpn: 0, page: Fill(0x05) },
+      DevOp::Commit { tid: 3 }],
+    // A tid writes its next batch while its commit is staged: the group
+    // flush folds only the entries that commit flipped, and lpn 7 stays
+    // invisible.
+    &[DevOp::Write { tid: 1, lpn: 6, page: Fill(0xC3) }, DevOp::CommitSubmit { tid: 1 },
+      DevOp::Write { tid: 1, lpn: 7, page: Fill(0xD4) }, DevOp::CommitWait],
 ];
 
 /// Generates a schedule with 2–4 concurrently open snapshot writers,
