@@ -183,6 +183,9 @@ pub struct Xl2pTable {
     cache: ImageCache,
     /// `(lpn, tid)` of every active entry that carries a differential.
     pending: BTreeSet<(Lpn, Tid)>,
+    /// `(lpn, tid)` of every committed entry: a page's committed entries
+    /// are a range of it.
+    committed: BTreeSet<(Lpn, Tid)>,
 }
 
 /// The keys of `tid`'s entries.
@@ -202,6 +205,7 @@ impl Xl2pTable {
             live: BTreeMap::new(),
             cache: ImageCache::default(),
             pending: BTreeSet::new(),
+            committed: BTreeSet::new(),
         }
     }
 
@@ -235,9 +239,7 @@ impl Xl2pTable {
     /// commit of its page — a folded differential and a superseded entry
     /// leave the table at their fold.
     pub fn committed_len(&self) -> usize {
-        self.iter()
-            .filter(|e| e.status == TxStatus::Committed)
-            .count()
+        self.committed.len()
     }
 
     /// All entries in `(tid, lpn)` order, for audits and diagnostics.
@@ -311,7 +313,10 @@ impl Xl2pTable {
                     None
                 }
                 (None, TxStatus::Active) => Some(e.ppa),
-                (_, TxStatus::Committed) => None,
+                (_, TxStatus::Committed) => {
+                    self.committed.remove(&(lpn, tid));
+                    None
+                }
             };
             *e = active;
         } else if self.is_full() {
@@ -336,6 +341,7 @@ impl Xl2pTable {
                 e.status = TxStatus::Committed;
                 e.seq = seq;
                 n += 1;
+                self.committed.insert((e.lpn, tid));
                 if e.diff.is_some() {
                     self.pending.remove(&(e.lpn, tid));
                 }
@@ -375,7 +381,9 @@ impl Xl2pTable {
     /// owned by the L2P table. Differentials have no entry left to
     /// release: their records stay in the image until their pages merge.
     pub fn release_committed(&mut self) {
-        self.entries.retain(|_, e| e.status == TxStatus::Active);
+        for (lpn, tid) in std::mem::take(&mut self.committed) {
+            self.entries.remove(&(tid, lpn));
+        }
     }
 
     /// Removes every *committed* entry for `lpn` stamped below ordinal
@@ -389,8 +397,14 @@ impl Xl2pTable {
     /// recovered folds apply at the persisting flush's *generation id*,
     /// newer than the overwrite's program sequence.
     pub fn supersede_committed(&mut self, lpn: Lpn, below: u64) {
-        self.entries
-            .retain(|_, e| e.lpn != lpn || e.status == TxStatus::Active || e.seq >= below);
+        let entries = &mut self.entries;
+        let of_page = (lpn, Tid::MIN)..=(lpn, Tid::MAX);
+        let stale: Vec<(Lpn, Tid)> = (self.committed)
+            .extract_if(of_page, |&(_, tid)| entries[&(tid, lpn)].seq < below)
+            .collect();
+        for (lpn, tid) in stale {
+            entries.remove(&(tid, lpn));
+        }
     }
 
     // --- differentials --------------------------------------------------
@@ -422,6 +436,7 @@ impl Xl2pTable {
         let Some((base, Some(diff))) = taken.last().map(|(_, e)| (e.ppa, e.diff)) else {
             return;
         };
+        self.committed.remove(&(lpn, tid));
         if diff.is_empty() {
             self.cache.unpin(base);
             if let Some(old) = self.live.remove(&lpn) {
@@ -1104,5 +1119,81 @@ mod tests {
         let restamped = Oob { tid: 0, ..oob };
         t.relocated(&restamped, p(3, 0), p(7, 1));
         assert_eq!(t.lookup(5, 9).unwrap().ppa, p(7, 1));
+    }
+
+    #[test]
+    fn committed_index_agrees_with_a_scan_of_the_table() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let committed = |t: &Xl2pTable| {
+            (t.iter())
+                .filter(|e| e.status == TxStatus::Committed)
+                .count()
+        };
+        let base = vec![0u8; 512];
+        let mut new = base.clone();
+        new[40..48].fill(7);
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = Xl2pTable::new(48);
+            let (mut seq, mut page) = (0u64, 0u32);
+            for step in 0..3_000 {
+                // Few tids and pages: tids are reused across commits, and
+                // several commits of one page sit in the table at once.
+                let tid: Tid = rng.gen_range(1..6);
+                let lpn: Lpn = rng.gen_range(0..10);
+                page += 1;
+                match rng.gen_range(0..100) {
+                    0..35 => {
+                        let put = t.upsert(tid, lpn, p(page / 8, page % 8));
+                        assert!(put.is_ok() || t.is_full());
+                    }
+                    35..42 => {
+                        let diff = Diff::encode(&base, &new, 512, 512).unwrap();
+                        let put = t.upsert_diff(tid, lpn, p(page / 8, page % 8), diff);
+                        assert!(put.is_ok() || t.is_full());
+                    }
+                    42..60 => {
+                        seq += 1;
+                        t.mark_committed(tid, seq);
+                    }
+                    60..70 => t.fold_diff(tid, lpn, seq),
+                    70..93 => {
+                        // A fold at some commit, or a plain overwrite,
+                        // trim or merge: the old whole-table retain is
+                        // the oracle.
+                        let below = match rng.gen_range(0..4) {
+                            0 => u64::MAX,
+                            _ => rng.gen_range(0..=seq + 1),
+                        };
+                        let want: Vec<Entry> = (t.iter())
+                            .filter(|e| {
+                                e.lpn != lpn || e.status == TxStatus::Active || e.seq >= below
+                            })
+                            .cloned()
+                            .collect();
+                        t.supersede_committed(lpn, below);
+                        let got: Vec<Entry> = t.iter().cloned().collect();
+                        assert_eq!(
+                            got, want,
+                            "seed {seed} step {step}: supersede {lpn} < {below}"
+                        );
+                    }
+                    93..97 => {
+                        t.remove_active_of_tid(tid);
+                    }
+                    _ => {
+                        let want: Vec<Entry> = (t.iter())
+                            .filter(|e| e.status == TxStatus::Active)
+                            .cloned()
+                            .collect();
+                        t.release_committed();
+                        assert_eq!(t.iter().cloned().collect::<Vec<_>>(), want);
+                    }
+                }
+                assert_eq!(t.committed_len(), committed(&t), "seed {seed} step {step}");
+            }
+        }
     }
 }

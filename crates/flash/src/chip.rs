@@ -148,9 +148,11 @@ enum PageData {
 }
 
 impl PageData {
+    /// Every byte equals its successor exactly when the page is one fill;
+    /// the overlapping slice compare runs as a `memcmp`, not byte by byte.
     fn capture(data: &[u8]) -> Self {
         match data.first() {
-            Some(&b) if data.iter().all(|&x| x == b) => PageData::Fill(b),
+            Some(&b) if data[1..] == data[..data.len() - 1] => PageData::Fill(b),
             _ => PageData::Bytes(data.into()),
         }
     }
@@ -1197,6 +1199,37 @@ mod tests {
 
     fn page(chip: &FlashChip, byte: u8) -> Vec<u8> {
         vec![byte; chip.config().geometry.page_size]
+    }
+
+    #[test]
+    fn capture_decides_as_the_bytewise_fill_test() {
+        // The byte-at-a-time test `capture` used to run, kept as its oracle.
+        fn bytewise(data: &[u8]) -> Option<u8> {
+            let b = *data.first()?;
+            data.iter().all(|&x| x == b).then_some(b)
+        }
+        for size in [1, 512, 8192] {
+            for fill in [0x00, 0x5A, 0xFF] {
+                let constant = vec![fill; size];
+                let mut pages = vec![constant.clone()];
+                for at in [0, size / 2, size - 1] {
+                    let mut page = constant.clone();
+                    page[at] ^= 0x01;
+                    pages.push(page);
+                }
+                for page in pages {
+                    let fill = match PageData::capture(&page) {
+                        PageData::Fill(b) => Some(b),
+                        PageData::Bytes(bytes) => {
+                            assert_eq!(&bytes[..], &page[..]);
+                            None
+                        }
+                    };
+                    assert_eq!(fill, bytewise(&page), "{size}-byte page");
+                }
+            }
+        }
+        assert!(matches!(PageData::capture(&[]), PageData::Bytes(b) if b.is_empty()));
     }
 
     #[test]

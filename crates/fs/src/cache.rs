@@ -5,6 +5,12 @@
 //! X-FTL (`Off`) mode, the transaction that dirtied them — eviction of such
 //! a page becomes a `write_tx`, which is precisely the *steal* behaviour
 //! (§5.2) that per-call atomic-write FTLs cannot support and X-FTL can.
+//!
+//! Recency is two intrusive lists, one of clean pages and one of dirty
+//! ones, each least recent first: a touch moves the page to the tail of
+//! its state's list, an eviction takes the head of the clean list, else
+//! of the dirty one, and an fsync walks the dirty list alone. No
+//! operation but a drop scans the cache.
 
 use std::collections::HashMap;
 
@@ -12,110 +18,195 @@ use xftl_ftl::{Lpn, Tid};
 
 use crate::layout::Ino;
 
+/// The end of a list.
+const NIL: usize = usize::MAX;
+
 /// One cached page.
 #[derive(Debug, Clone)]
 pub struct CachedPage {
     /// Page contents.
     pub data: Vec<u8>,
-    /// True if the page differs from its on-device copy.
-    pub dirty: bool,
-    /// Inode the page belongs to (for per-file flush and drop).
-    pub ino: Ino,
     /// Transaction that dirtied the page, if any.
     pub tid: Option<Tid>,
-    /// LRU recency stamp.
-    tick: u64,
+    /// True if the page differs from its on-device copy: which list the
+    /// page is on.
+    dirty: bool,
+    /// Inode the page belongs to (for per-file flush and drop).
+    ino: Ino,
+}
+
+impl CachedPage {
+    /// True if the page differs from its on-device copy.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+}
+
+/// A cached page and its links in its state's recency list.
+#[derive(Debug)]
+struct Slot {
+    lpn: Lpn,
+    page: CachedPage,
+    /// The next less recent page of the list, or [`NIL`].
+    prev: usize,
+    /// The next more recent page of the list, or [`NIL`].
+    next: usize,
 }
 
 /// LRU page cache keyed by device LPN.
 #[derive(Debug)]
 pub struct PageCache {
-    pages: HashMap<Lpn, CachedPage>,
+    /// The pages, in no order.
+    slots: Vec<Slot>,
+    /// Where each page's slot is.
+    index: HashMap<Lpn, usize>,
+    /// `(least recent, most recent)` slot of each list, `[clean, dirty]`.
+    ends: [(usize, usize); 2],
     capacity: usize,
-    clock: u64,
 }
 
 impl PageCache {
     /// Cache holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
         PageCache {
-            pages: HashMap::new(),
+            slots: Vec::new(),
+            index: HashMap::new(),
+            ends: [(NIL, NIL); 2],
             capacity: capacity.max(1),
-            clock: 0,
         }
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    /// Points what links to slot `i` elsewhere: the link from its less
+    /// recent neighbour (or its list's head) at `from_less`, the link from
+    /// its more recent one (or its list's tail) at `from_more`.
+    fn redirect(&mut self, i: usize, from_less: usize, from_more: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        let list = usize::from(self.slots[i].page.dirty);
+        match prev {
+            NIL => self.ends[list].0 = from_less,
+            p => self.slots[p].next = from_less,
+        }
+        match next {
+            NIL => self.ends[list].1 = from_more,
+            n => self.slots[n].prev = from_more,
+        }
+    }
+
+    /// Takes slot `i` out of its list.
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        self.redirect(i, next, prev);
+    }
+
+    /// Appends slot `i` to its state's list as the most recent page.
+    fn push_back(&mut self, i: usize) {
+        let list = usize::from(self.slots[i].page.dirty);
+        let tail = self.ends[list].1;
+        (self.slots[i].prev, self.slots[i].next) = (tail, NIL);
+        match tail {
+            NIL => self.ends[list].0 = i,
+            t => self.slots[t].next = i,
+        }
+        self.ends[list].1 = i;
+    }
+
+    /// Makes `lpn`'s page the most recent, in state `dirty` if given and
+    /// in its own state otherwise.
+    fn touch(&mut self, lpn: Lpn, dirty: Option<bool>) -> Option<&mut CachedPage> {
+        let i = *self.index.get(&lpn)?;
+        self.unlink(i);
+        let page = &mut self.slots[i].page;
+        page.dirty = dirty.unwrap_or(page.dirty);
+        self.push_back(i);
+        Some(&mut self.slots[i].page)
     }
 
     /// Looks a page up, refreshing its recency.
     pub fn get(&mut self, lpn: Lpn) -> Option<&CachedPage> {
-        let t = self.tick();
-        let p = self.pages.get_mut(&lpn)?;
-        p.tick = t;
-        Some(&*p)
+        self.touch(lpn, None).map(|p| &*p)
     }
 
-    /// Mutable lookup, refreshing recency.
-    pub fn get_mut(&mut self, lpn: Lpn) -> Option<&mut CachedPage> {
-        let t = self.tick();
-        let p = self.pages.get_mut(&lpn)?;
-        p.tick = t;
-        Some(p)
+    /// Mutable lookup for a write into the page: refreshes its recency and
+    /// marks it dirty.
+    pub fn make_dirty(&mut self, lpn: Lpn) -> Option<&mut CachedPage> {
+        self.touch(lpn, Some(true))
+    }
+
+    /// Mutable lookup for the page's write-back: refreshes its recency and
+    /// marks it clean.
+    pub fn make_clean(&mut self, lpn: Lpn) -> Option<&mut CachedPage> {
+        self.touch(lpn, Some(false))
     }
 
     /// Inserts or replaces a page.
     pub fn insert(&mut self, lpn: Lpn, ino: Ino, data: Vec<u8>, dirty: bool, tid: Option<Tid>) {
-        let tick = self.tick();
-        self.pages.insert(
-            lpn,
-            CachedPage {
-                data,
-                dirty,
-                ino,
-                tid,
-                tick,
-            },
-        );
+        let page = CachedPage {
+            data,
+            tid,
+            dirty,
+            ino,
+        };
+        let i = match self.index.get(&lpn) {
+            Some(&i) => {
+                self.unlink(i);
+                self.slots[i].page = page;
+                i
+            }
+            None => {
+                self.slots.push(Slot {
+                    lpn,
+                    page,
+                    prev: NIL,
+                    next: NIL,
+                });
+                self.index.insert(lpn, self.slots.len() - 1);
+                self.slots.len() - 1
+            }
+        };
+        self.push_back(i);
     }
 
     /// Removes and returns a page.
     pub fn remove(&mut self, lpn: Lpn) -> Option<CachedPage> {
-        self.pages.remove(&lpn)
+        let i = self.index.remove(&lpn)?;
+        self.unlink(i);
+        let last = self.slots.len() - 1;
+        if i != last {
+            // The last slot moves into `i`.
+            self.redirect(last, i, i);
+            self.index.insert(self.slots[last].lpn, i);
+        }
+        Some(self.slots.swap_remove(i).page)
     }
 
     /// True if the cache is over capacity and must evict.
     pub fn needs_evict(&self) -> bool {
-        self.pages.len() > self.capacity
+        self.slots.len() > self.capacity
     }
 
     /// Pops the least-recently-used page (clean pages preferred, so dirty
     /// write-backs happen only under real pressure).
     pub fn pop_lru(&mut self) -> Option<(Lpn, CachedPage)> {
-        let clean_lru = self
-            .pages
-            .iter()
-            .filter(|(_, p)| !p.dirty)
-            .min_by_key(|(_, p)| p.tick)
-            .map(|(l, _)| *l);
-        let victim = clean_lru.or_else(|| {
-            self.pages
-                .iter()
-                .min_by_key(|(_, p)| p.tick)
-                .map(|(l, _)| *l)
-        })?;
-        self.pages.remove(&victim).map(|p| (victim, p))
+        let i = [self.ends[0].0, self.ends[1].0]
+            .into_iter()
+            .find(|&i| i != NIL)?;
+        let lpn = self.slots[i].lpn;
+        self.remove(lpn).map(|page| (lpn, page))
+    }
+
+    /// The dirty pages, least recent first.
+    fn dirty(&self) -> impl Iterator<Item = &Slot> {
+        let head = self.ends[1].0;
+        std::iter::successors((head != NIL).then(|| &self.slots[head]), |s| {
+            (s.next != NIL).then(|| &self.slots[s.next])
+        })
     }
 
     /// LPNs of dirty pages belonging to `ino`, in LPN order.
     pub fn dirty_of(&self, ino: Ino) -> Vec<Lpn> {
-        let mut v: Vec<Lpn> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.dirty && p.ino == ino)
-            .map(|(l, _)| *l)
+        let mut v: Vec<Lpn> = (self.dirty())
+            .filter(|s| s.page.ino == ino)
+            .map(|s| s.lpn)
             .collect();
         v.sort_unstable();
         v
@@ -123,12 +214,7 @@ impl PageCache {
 
     /// LPNs of every dirty page, in LPN order.
     pub fn dirty_all(&self) -> Vec<Lpn> {
-        let mut v: Vec<Lpn> = self
-            .pages
-            .iter()
-            .filter(|(_, p)| p.dirty)
-            .map(|(l, _)| *l)
-            .collect();
+        let mut v: Vec<Lpn> = self.dirty().map(|s| s.lpn).collect();
         v.sort_unstable();
         v
     }
@@ -137,14 +223,25 @@ impl PageCache {
     /// abort path: "undoing the cached changes is done simply by dropping
     /// them from the file system buffer", §5.2).
     pub fn drop_tid(&mut self, tid: Tid) -> usize {
-        let before = self.pages.len();
-        self.pages.retain(|_, p| p.tid != Some(tid));
-        before - self.pages.len()
+        self.drop_where(|p| p.tid == Some(tid))
     }
 
     /// Drops every page of `ino` (unlink path).
     pub fn drop_ino(&mut self, ino: Ino) {
-        self.pages.retain(|_, p| p.ino != ino);
+        self.drop_where(|p| p.ino == ino);
+    }
+
+    /// Drops every page `doomed` picks; returns how many. A scan, on the
+    /// abort and unlink paths only.
+    fn drop_where(&mut self, doomed: impl Fn(&CachedPage) -> bool) -> usize {
+        let lpns: Vec<Lpn> = (self.slots.iter())
+            .filter(|s| doomed(&s.page))
+            .map(|s| s.lpn)
+            .collect();
+        for &lpn in &lpns {
+            self.remove(lpn);
+        }
+        lpns.len()
     }
 }
 
@@ -158,7 +255,7 @@ mod tests {
         c.insert(10, 1, vec![1, 2, 3], true, Some(7));
         let p = c.get(10).unwrap();
         assert_eq!(p.data, vec![1, 2, 3]);
-        assert!(p.dirty);
+        assert!(p.is_dirty());
         assert_eq!(p.tid, Some(7));
         assert!(c.get(11).is_none());
     }
@@ -172,7 +269,7 @@ mod tests {
         assert!(c.needs_evict());
         let (lpn, p) = c.pop_lru().unwrap();
         assert_eq!(lpn, 2, "clean page evicted before older dirty one");
-        assert!(!p.dirty);
+        assert!(!p.is_dirty());
     }
 
     #[test]
@@ -225,5 +322,130 @@ mod tests {
         c.drop_ino(5);
         assert!(c.get(1).is_none());
         assert!(c.get(2).is_some());
+    }
+
+    /// The cache as it was before its recency lists: pages stamped from
+    /// one clock in a map, scanned whole for every victim and every dirty
+    /// list. Kept as the oracle the lists must agree with.
+    #[derive(Default)]
+    struct Scanned {
+        /// `lpn -> (stamp, dirty, ino, tid)`.
+        pages: HashMap<Lpn, (u64, bool, Ino, Option<Tid>)>,
+        clock: u64,
+    }
+
+    impl Scanned {
+        fn touch(&mut self, lpn: Lpn) -> Option<&mut (u64, bool, Ino, Option<Tid>)> {
+            self.clock += 1;
+            let p = self.pages.get_mut(&lpn)?;
+            p.0 = self.clock;
+            Some(p)
+        }
+
+        fn insert(&mut self, lpn: Lpn, ino: Ino, dirty: bool, tid: Option<Tid>) {
+            self.clock += 1;
+            self.pages.insert(lpn, (self.clock, dirty, ino, tid));
+        }
+
+        fn pop_lru(&mut self) -> Option<(Lpn, bool, Option<Tid>)> {
+            let oldest = |clean_only: bool| {
+                self.pages
+                    .iter()
+                    .filter(|(_, p)| !clean_only || !p.1)
+                    .min_by_key(|(_, p)| p.0)
+                    .map(|(l, _)| *l)
+            };
+            let victim = oldest(true).or_else(|| oldest(false))?;
+            let (_, dirty, _, tid) = self.pages.remove(&victim)?;
+            Some((victim, dirty, tid))
+        }
+
+        fn dirty(&self, ino: Option<Ino>) -> Vec<Lpn> {
+            let mut v: Vec<Lpn> = (self.pages.iter())
+                .filter(|(_, p)| p.1 && ino.is_none_or(|i| p.2 == i))
+                .map(|(l, _)| *l)
+                .collect();
+            v.sort_unstable();
+            v
+        }
+
+        fn drop_where(&mut self, doomed: impl Fn(Ino, Option<Tid>) -> bool) -> usize {
+            let before = self.pages.len();
+            self.pages.retain(|_, p| !doomed(p.2, p.3));
+            before - self.pages.len()
+        }
+    }
+
+    #[test]
+    fn recency_lists_evict_and_list_as_the_scan() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut c = PageCache::new(24);
+            let mut o = Scanned::default();
+            for step in 0..6_000 {
+                let lpn: Lpn = rng.gen_range(0..64);
+                let ino: Ino = rng.gen_range(0..4);
+                let tid = Some(rng.gen_range(1..5)).filter(|_| rng.gen_bool(0.5));
+                match rng.gen_range(0..100) {
+                    0..30 => {
+                        let dirty = rng.gen_bool(0.5);
+                        c.insert(lpn, ino, vec![lpn as u8], dirty, tid);
+                        o.insert(lpn, ino, dirty, tid);
+                    }
+                    30..50 => {
+                        let got = c.get(lpn).map(|p| (p.is_dirty(), p.tid, p.data[0]));
+                        let want = o.touch(lpn).map(|p| (p.1, p.3, lpn as u8));
+                        assert_eq!(got, want, "seed {seed} step {step}: get");
+                    }
+                    50..65 => {
+                        if let Some(p) = c.make_dirty(lpn) {
+                            p.tid = tid.or(p.tid);
+                        }
+                        if let Some(p) = o.touch(lpn) {
+                            (p.1, p.3) = (true, tid.or(p.3));
+                        }
+                    }
+                    65..75 => {
+                        if let Some(p) = c.make_clean(lpn) {
+                            p.tid = None;
+                        }
+                        if let Some(p) = o.touch(lpn) {
+                            (p.1, p.3) = (false, None);
+                        }
+                    }
+                    75..83 => {
+                        let got = c.remove(lpn).map(|p| (p.is_dirty(), p.tid));
+                        let want = o.pages.remove(&lpn).map(|p| (p.1, p.3));
+                        assert_eq!(got, want, "seed {seed} step {step}: remove");
+                    }
+                    83..88 => {
+                        let got = c.pop_lru().map(|(l, p)| (l, p.is_dirty(), p.tid));
+                        assert_eq!(got, o.pop_lru(), "seed {seed} step {step}: pop_lru");
+                    }
+                    88..90 => {
+                        let tid = tid.unwrap_or(1);
+                        let want = o.drop_where(|_, t| t == Some(tid));
+                        assert_eq!(c.drop_tid(tid), want, "seed {seed} step {step}: drop_tid");
+                    }
+                    90..91 => {
+                        c.drop_ino(ino);
+                        o.drop_where(|i, _| i == ino);
+                    }
+                    _ => {
+                        let of = c.dirty_of(ino);
+                        assert_eq!(of, o.dirty(Some(ino)), "seed {seed} step {step}: dirty_of");
+                    }
+                }
+                while c.needs_evict() {
+                    let got = c.pop_lru().map(|(l, p)| (l, p.is_dirty(), p.tid));
+                    assert_eq!(got, o.pop_lru(), "seed {seed} step {step}: eviction");
+                }
+                assert_eq!(c.dirty_all(), o.dirty(None), "seed {seed} step {step}");
+                assert_eq!(c.slots.len(), o.pages.len(), "seed {seed} step {step}");
+            }
+        }
     }
 }

@@ -570,11 +570,10 @@ impl<D: BlockDevice> FileSystem<D> {
                 }
                 self.cache.insert(lpn, ino, page, false, None);
             }
-            let Some(p) = self.cache.get_mut(lpn) else {
+            let Some(p) = self.cache.make_dirty(lpn) else {
                 unreachable!("just inserted")
             };
             p.data[in_page..in_page + take].copy_from_slice(&rest[..take]);
-            p.dirty = true;
             if tid.is_some() {
                 p.tid = tid;
             }
@@ -665,7 +664,7 @@ impl<D: BlockDevice> FileSystem<D> {
             page[in_page..in_page + take].copy_from_slice(&rest[..take]);
             (ops.write_tx)(&mut self.dev, tid, lpn, &page)?;
             self.stats.data_writes += 1;
-            if self.cache.get(lpn).is_some_and(|p| !p.dirty) {
+            if self.cache.get(lpn).is_some_and(|p| !p.is_dirty()) {
                 self.cache.remove(lpn);
             }
             off += take as u64;
@@ -724,11 +723,10 @@ impl<D: BlockDevice> FileSystem<D> {
                     self.read_dev_page(lpn, &mut page, None)?;
                     self.cache.insert(lpn, ino, page, false, None);
                 }
-                let Some(p) = self.cache.get_mut(lpn) else {
+                let Some(p) = self.cache.make_dirty(lpn) else {
                     unreachable!("just inserted")
                 };
                 p.data[cut..].fill(0);
-                p.dirty = true;
             }
         }
         let inode = self.inodes[ino as usize];
@@ -968,10 +966,9 @@ impl<D: BlockDevice> FileSystem<D> {
         dirty
             .iter()
             .map(|&lpn| {
-                let Some(p) = self.cache.get_mut(lpn) else {
+                let Some(p) = self.cache.make_clean(lpn) else {
                     unreachable!("dirty page in cache")
                 };
-                p.dirty = false;
                 p.tid = None;
                 (lpn, p.data.clone())
             })
@@ -1366,7 +1363,7 @@ impl<D: BlockDevice> FileSystem<D> {
             let Some((lpn, page)) = self.cache.pop_lru() else {
                 break;
             };
-            if !page.dirty {
+            if !page.is_dirty() {
                 continue;
             }
             self.stats.evictions += 1;

@@ -22,8 +22,9 @@
 //!   committed version is still programmed too (GC must never reclaim a
 //!   pinned rollback copy); the newest folded committed entry of a page
 //!   names the page the L2P maps, and older ones — superseded by a later
-//!   commit of the page, never folded or read again — are exempt; and
-//!   `committed_len() <= len() <= capacity()`.
+//!   commit of the page, never folded or read again — are exempt;
+//!   `len() <= capacity()`; and `committed_len()` counts exactly the
+//!   committed entries the table holds.
 //! * **Page differentials** — every live differential stands on the page
 //!   the L2P maps, a valid programmed page of its logical page, whose
 //!   image the cache holds byte for byte (unless recovery restored the
@@ -223,12 +224,12 @@ pub enum AuditViolation {
         /// Configured capacity.
         capacity: usize,
     },
-    /// More committed entries than entries exist at all.
+    /// The table's committed count disagrees with its entries.
     Xl2pCommittedCount {
-        /// Committed entry count.
+        /// Committed entry count the table reports.
         committed: usize,
-        /// Total entry count.
-        len: usize,
+        /// Entries of the table with committed status.
+        counted: usize,
     },
     /// Slot `index` of the live table image is not page `index` of one
     /// complete generation: the page is gone, or its OOB names another
@@ -500,9 +501,9 @@ impl fmt::Display for AuditViolation {
             AuditViolation::Xl2pOverflow { len, capacity } => {
                 write!(f, "X-L2P table holds {len} entries, capacity is {capacity}")
             }
-            AuditViolation::Xl2pCommittedCount { committed, len } => write!(
+            AuditViolation::Xl2pCommittedCount { committed, counted } => write!(
                 f,
-                "X-L2P table reports {committed} committed entries out of {len} total"
+                "X-L2P table reports {committed} committed entries but holds {counted}"
             ),
             AuditViolation::Xl2pImageBroken { index, ppa, state } => write!(
                 f,
@@ -855,10 +856,13 @@ fn audit_entries(
             capacity: table.capacity(),
         });
     }
-    if table.committed_len() > table.len() {
+    let counted = (table.iter())
+        .filter(|e| e.status == TxStatus::Committed)
+        .count();
+    if table.committed_len() != counted {
         return Err(AuditViolation::Xl2pCommittedCount {
             committed: table.committed_len(),
-            len: table.len(),
+            counted,
         });
     }
     let chip = base.chip();

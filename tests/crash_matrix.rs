@@ -1458,6 +1458,149 @@ fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
     assert_eq!(cuts, programs + erases);
 }
 
+// --- GC under a group not yet sealed ----------------------------------------
+// TxFlash and the atomic-write personality keep the pages of a group not
+// yet sealed in a list of their own (`SccHook`, `RecordHook`) until the
+// seal folds them into the mapping; when GC moves one of those pages the
+// list must follow it, or the seal folds a page GC erased. A group longer
+// than a block, written on a full FIFO device, sees its own first block
+// collected before it is sealed: FIFO requeues the fully valid blocks of
+// the fill, so the first victim is the block the group starts in, which
+// overwrites issued before the seal leave part invalid.
+
+/// Tiny blocks of the group sweeps' FIFO device.
+const SEAL_BLOCKS: usize = 24;
+/// Logical pages of the group sweeps.
+const SEAL_LOGICAL: u64 = 120;
+
+/// A [`SEAL_BLOCKS`]-block FIFO device under `P` exporting
+/// [`SEAL_LOGICAL`] pages, nothing written.
+fn sealing_dev<P: Personality>() -> P {
+    let chip = FlashChip::new(FlashConfig::tiny(SEAL_BLOCKS), SimClock::new());
+    let mut dev = P::format(chip, SEAL_LOGICAL).unwrap();
+    dev.base_mut().set_gc_policy(xftl_ftl::GcPolicy::Fifo);
+    dev
+}
+
+/// True if GC moved a data page `tid` wrote before its group was sealed:
+/// the group programs its pages in ascending page order, and a copy
+/// keeps the tid under a newer program sequence (the seal's fold
+/// re-stamps no copy made before it).
+fn gc_moved_a_page_of(chip: &FlashChip, tid: u64) -> bool {
+    use xftl_flash::{PageKind, PageProbe, Ppa};
+    let geometry = chip.config().geometry;
+    let mut pages: Vec<(u64, u64)> = Vec::new();
+    for block in 0..geometry.blocks as u32 {
+        for page in 0..geometry.pages_per_block as u32 {
+            if let PageProbe::Programmed(oob) = chip.probe_silent(Ppa::new(block, page)) {
+                if oob.kind == PageKind::Data && oob.tid == tid {
+                    pages.push((oob.lpn, oob.seq));
+                }
+            }
+        }
+    }
+    pages.sort_unstable();
+    pages.windows(2).any(|w| w[0].1 > w[1].1)
+}
+
+/// A TxFlash cycle of 24 pages, three blocks, each page followed by a
+/// plain overwrite of one hot page, on the FIFO device with every page
+/// written: GC collects the cycle's first block while the cycle is open.
+/// The oracle reads the cycle whole or absent at every cut.
+#[test]
+fn an_open_cycle_gc_moves_survives_every_cut() {
+    use xftl_ftl::{BlockDevice, TxFlashFtl};
+    const TID: u64 = 7;
+    let build = || {
+        let mut dev = ShadowDevice::new(sealing_dev::<TxFlashFtl>());
+        let ps = dev.page_size();
+        for lpn in 0..SEAL_LOGICAL {
+            dev.write(lpn, &vec![0xEE; ps]).unwrap();
+        }
+        dev.flush().unwrap();
+        dev
+    };
+    let mut ops: Vec<DevOp> = (0..24u8)
+        .flat_map(|i| {
+            let (lpn, page) = (u64::from(i), Fill(0x80 + i));
+            let hot = Fill(i + 1);
+            [
+                DevOp::Write {
+                    tid: TID,
+                    lpn,
+                    page,
+                },
+                DevOp::PlainWrite {
+                    lpn: SEAL_LOGICAL - 1,
+                    page: hot,
+                },
+            ]
+        })
+        .collect();
+    ops.push(DevOp::Commit { tid: TID });
+    let mut seen = common::Exercised::default();
+    let dev = common::run_schedule("cycle", build(), &ops, common::recover, true, &mut seen);
+    assert!(gc_moved_a_page_of(dev.inner().base().chip(), TID));
+    let (s, cuts) = common::sweep(build, &ops);
+    assert!(s.gc_copies > 0 && cuts > 48, "{cuts} cuts, {s:?}");
+}
+
+/// An atomic group of 36 pages, four and a half blocks, written in one
+/// call on the FIFO device after seven writes of one page in the last
+/// fill group left the open block mostly invalid: GC collects that
+/// block, and the group's first page in it, before the group's record
+/// seals it. At every cut the group reads whole or absent, and the fill
+/// intact.
+#[test]
+fn an_atomic_group_gc_moves_before_its_seal_survives_every_cut() {
+    use xftl_ftl::{AtomicWriteFtl, BlockDevice};
+    const GROUP: u64 = 36;
+    const FILLED: u64 = 104;
+    let old = vec![0xEEu8; 512];
+    let new: Vec<Vec<u8>> = (0..GROUP).map(|lpn| vec![0x80 + lpn as u8; 512]).collect();
+    let build = || {
+        let mut dev = sealing_dev::<AtomicWriteFtl>();
+        let fill = |lpns: &mut dyn Iterator<Item = u64>| -> Vec<(u64, &[u8])> {
+            lpns.map(|lpn| (lpn, &old[..])).collect()
+        };
+        dev.write_atomic(&fill(&mut (0..40))).unwrap();
+        dev.write_atomic(&fill(&mut (40..80))).unwrap();
+        dev.write_atomic(&fill(&mut (80..FILLED).chain([FILLED; 7])))
+            .unwrap();
+        dev
+    };
+    let run = |dev: &mut AtomicWriteFtl, _| {
+        let pages: Vec<(u64, &[u8])> = (0..GROUP)
+            .map(|lpn| (lpn, &new[lpn as usize][..]))
+            .collect();
+        let sealed = dev.write_atomic(&pages);
+        let moved = (sealed.as_ref()).is_ok_and(|&tid| gc_moved_a_page_of(dev.base().chip(), tid));
+        (sealed.is_ok(), moved, *dev.base().stats())
+    };
+    let (cuts, (_, moved, s)) = common::power_cuts(build, run, |dev, &(sealed, ..), fuse| {
+        let mut buf = vec![0u8; dev.page_size()];
+        dev.read(0, &mut buf).unwrap();
+        let whole = buf == new[0];
+        assert!(whole || !sealed, "fuse {fuse:?}: a sealed group lost");
+        for lpn in 0..SEAL_LOGICAL {
+            dev.read(lpn, &mut buf).unwrap();
+            let want = match lpn {
+                _ if lpn < GROUP && whole => new[lpn as usize][0],
+                0..=FILLED => 0xEE,
+                _ => 0,
+            };
+            assert!(
+                buf.iter().all(|&b| b == want),
+                "fuse {fuse:?}: lpn {lpn} holds {:#x}, expected {want:#x}",
+                buf[0]
+            );
+        }
+        whole
+    });
+    assert!(moved, "GC moved no page of the group before its seal");
+    assert!(s.gc_copies > 0 && cuts > GROUP, "{cuts} cuts, {s:?}");
+}
+
 /// DESIGN.md §5.2's repro of the mapping-page window, closed —
 /// `PageMappedFtl`, 56 tiny blocks exporting 384 pages behind a 2-slab
 /// cache, every page written and flushed ([`tight_dev`]'s device under
