@@ -1492,3 +1492,227 @@ mod stale_plans {
         assert_eq!(db.prepared_len(), 64);
     }
 }
+
+/// WAL log reuse: a checkpoint rewinds the log under the next salt, so
+/// stale frames lie past its end, and recovery must stop at the first
+/// frame that is not the generation's next. Each case drives the pager
+/// directly, at 512 B pages (a frame is 576 B), and cuts the power with
+/// the volume as the case leaves it.
+mod wal_reuse {
+    use super::*;
+    use crate::pager::{PageNo, Pager};
+
+    type P = Pager<PageMappedFtl>;
+
+    const DB: &str = "w.db";
+    const WAL: &str = "w.db-wal";
+
+    fn open(fs: &SharedFs<PageMappedFtl>) -> P {
+        Pager::open(Rc::clone(fs), DB, DbJournalMode::Wal).unwrap()
+    }
+
+    /// One committed transaction filling each of `pages` with `fill`,
+    /// growing the database to cover them.
+    fn commit(p: &mut P, pages: &[PageNo], fill: u8) {
+        p.begin().unwrap();
+        for &pgno in pages {
+            while p.page_count() <= pgno {
+                p.alloc_page().unwrap();
+            }
+            p.put(pgno, vec![fill; p.page_size()]).unwrap();
+        }
+        p.commit().unwrap();
+    }
+
+    /// The byte every page in `pages` is filled with.
+    fn fills(p: &mut P, pages: &[PageNo]) -> Vec<u8> {
+        pages
+            .iter()
+            .map(|&pg| {
+                let page = p.page(pg).unwrap();
+                assert!(page.iter().all(|&b| b == page[0]), "page {pg} is torn");
+                page[0]
+            })
+            .collect()
+    }
+
+    fn wal_bytes(fs: &SharedFs<PageMappedFtl>) -> Vec<u8> {
+        let mut fs = fs.borrow_mut();
+        let ino = fs.open(WAL).unwrap();
+        let mut buf = vec![0u8; fs.size(ino).unwrap() as usize];
+        let n = fs.read(ino, 0, &mut buf, None).unwrap();
+        assert_eq!(n, buf.len());
+        buf
+    }
+
+    /// Puts back the log's `page`-th page as `old` had it (zeros past its
+    /// end): a page of the last write that never reached flash.
+    fn tear(fs: &SharedFs<PageMappedFtl>, old: &[u8], page: usize) {
+        let mut fs = fs.borrow_mut();
+        let ps = fs.page_size();
+        let ino = fs.open(WAL).unwrap();
+        let bytes = old
+            .get(page * ps..(page + 1) * ps)
+            .map_or(vec![0; ps], <[u8]>::to_vec);
+        fs.write(ino, (page * ps) as u64, &bytes, None).unwrap();
+        fs.fdatasync(ino, None).unwrap();
+    }
+
+    /// Power cut: the device recovers from its flash, the volume is
+    /// mounted again.
+    fn power_cycle(fs: SharedFs<PageMappedFtl>) -> SharedFs<PageMappedFtl> {
+        let fs = Rc::try_unwrap(fs).expect("sole owner").into_inner();
+        let dev = PageMappedFtl::recover(fs.into_device().into_chip()).unwrap();
+        let fs = FileSystem::mount(dev, JournalMode::Ordered, 512).unwrap();
+        Rc::new(RefCell::new(fs))
+    }
+
+    /// The pages in which `new` differs from `old`.
+    fn changed(old: &[u8], new: &[u8], ps: usize) -> Vec<usize> {
+        (0..new.len() / ps)
+            .filter(|&i| old.get(i * ps..(i + 1) * ps) != Some(&new[i * ps..(i + 1) * ps]))
+            .collect()
+    }
+
+    /// Three generations over the same two-frame start of the log: the
+    /// third's commit ends where the first's second commit began, which
+    /// still holds that commit's frames under the first salt, page 2 at
+    /// the value the second generation overwrote and checkpointed. Its
+    /// salt and its chain each stop the scan there.
+    #[test]
+    fn a_stale_frame_of_an_earlier_generation_past_the_end_is_not_replayed() {
+        let fs = fs_plain();
+        let mut p = open(&fs);
+        commit(&mut p, &[1, 2, 3], 1);
+        p.wal_checkpoint().unwrap();
+        commit(&mut p, &[1], 2);
+        commit(&mut p, &[2], 3);
+        p.wal_checkpoint().unwrap();
+        commit(&mut p, &[2], 4);
+        p.wal_checkpoint().unwrap();
+        commit(&mut p, &[3], 5);
+        drop(p);
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        assert_eq!(fills(&mut p, &[1, 2, 3]), [2, 4, 5]);
+    }
+
+    /// A transaction spills nine frames and rolls back; the next commit,
+    /// eight frames long, ends on a page boundary just where the ninth
+    /// spilled frame begins, the same generation's and intact. The chain
+    /// stops the scan there, and the commit, which continues the chain
+    /// from the last commit and not from the spill, survives the cut.
+    #[test]
+    fn a_rolled_back_spill_under_a_shorter_commit_is_not_replayed() {
+        let fs = fs_plain();
+        let mut p = open(&fs);
+        let pages: Vec<PageNo> = (1..=14).collect();
+        commit(&mut p, &pages, 1);
+        p.set_cache_capacity(4);
+        p.begin().unwrap();
+        for &pgno in &pages {
+            p.put(pgno, vec![6; p.page_size()]).unwrap();
+        }
+        assert!(p.stats().spills >= 9, "{:?}", p.stats());
+        p.rollback().unwrap();
+        commit(&mut p, &pages[..7], 7);
+        drop(p);
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        let want: Vec<u8> = pages
+            .iter()
+            .map(|&pg| if pg <= 7 { 7 } else { 1 })
+            .collect();
+        assert_eq!(fills(&mut p, &pages), want);
+    }
+
+    /// The last commit's last page, which holds no frame header but the
+    /// tail of its last image, never reached flash: every header is
+    /// intact, and only the image checksum tells the commit is torn. It
+    /// is dropped whole; the commit before it stays.
+    #[test]
+    fn a_torn_last_commit_is_dropped_whole() {
+        let fs = fs_plain();
+        let mut p = open(&fs);
+        commit(&mut p, &[1, 2, 3, 4, 5, 6], 1);
+        p.wal_checkpoint().unwrap();
+        commit(&mut p, &[1], 2);
+        let old = wal_bytes(&fs);
+        commit(&mut p, &[2, 3], 3);
+        drop(p);
+        let new = wal_bytes(&fs);
+        let ps = fs.borrow().page_size();
+        let Some(&last) = changed(&old, &new, ps).last() else {
+            panic!("the commit wrote nothing")
+        };
+        // Frames are 576 B from a page boundary: the third ends 192 B
+        // into the page after its header's, and padding fills the rest.
+        assert_eq!(
+            new[last * ps + 192..(last + 1) * ps],
+            vec![0u8; ps - 192][..]
+        );
+        tear(&fs, &old, last);
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        assert_eq!(fills(&mut p, &[1, 2, 3]), [2, 1, 1]);
+    }
+
+    /// A commit of nine frames is torn at the page holding its fourth
+    /// header, and recovery drops it. The eight-frame commit written over
+    /// it ends on a page boundary where the dropped commit's ninth frame,
+    /// its commit frame, still lies intact under the same salt. The chain
+    /// stops the scan there: page 8 keeps its value.
+    #[test]
+    fn a_dropped_commit_under_a_shorter_one_stays_dropped() {
+        let fs = fs_plain();
+        let mut p = open(&fs);
+        let pages: Vec<PageNo> = (1..=8).collect();
+        commit(&mut p, &(1..=20).collect::<Vec<_>>(), 9);
+        p.wal_checkpoint().unwrap();
+        commit(&mut p, &pages, 1);
+        let old = wal_bytes(&fs);
+        commit(&mut p, &pages, 2);
+        drop(p);
+        let new = wal_bytes(&fs);
+        let ps = fs.borrow().page_size();
+        let first = changed(&old, &new, ps)[0];
+        tear(&fs, &old, first + 3);
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        assert_eq!(fills(&mut p, &pages), [1; 8]);
+        commit(&mut p, &pages[..7], 3);
+        drop(p);
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        assert_eq!(fills(&mut p, &pages), [3, 3, 3, 3, 3, 3, 3, 1]);
+    }
+
+    /// The first write of a generation overwrites the last one's frames
+    /// in place. Here only its third page reached flash: the previous
+    /// generation's first commit has its last frame's header in an
+    /// untouched page and its image's tail in that one, and its second
+    /// commit is intact. The checkpoint made the new salt durable, so the
+    /// scan reads none of them; had the header ridden the first write,
+    /// the scan would read the old generation, check only the image of
+    /// its last commit, and replay page 1 torn.
+    #[test]
+    fn a_torn_first_write_of_a_generation_replays_no_old_frame_it_overwrote() {
+        let fs = fs_plain();
+        let mut p = open(&fs);
+        commit(&mut p, &[1], 1);
+        commit(&mut p, &[2, 3, 4], 1);
+        p.wal_checkpoint().unwrap();
+        let old = wal_bytes(&fs);
+        commit(&mut p, &[5, 6], 2);
+        drop(p);
+        let new = wal_bytes(&fs);
+        let ps = fs.borrow().page_size();
+        assert_eq!(changed(&old, &new, ps), [0, 1, 2, 3]);
+        for page in [0, 1, 3] {
+            tear(&fs, &old, page);
+        }
+        let fs = power_cycle(fs);
+        let mut p = open(&fs);
+        assert_eq!(fills(&mut p, &[1, 2, 3, 4, 5, 6]), [1, 1, 1, 1, 0, 0]);
+    }
+}

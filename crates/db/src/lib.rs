@@ -38,6 +38,7 @@ pub mod catalog;
 pub mod db;
 pub mod error;
 pub mod exec;
+mod frames;
 pub mod multidb;
 pub mod pager;
 pub mod record;

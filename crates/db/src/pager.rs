@@ -5,8 +5,9 @@
 //! |------------|-----------------------------------------------------------|
 //! | `Rollback` | copy originals to `<db>-journal`, fsync, fsync header,    |
 //! |            | write pages to the DB file, fsync, delete the journal      |
-//! | `Wal`      | append new versions to `<db>-wal`, one fsync; checkpoint   |
-//! |            | into the DB file every 1000 frames                         |
+//! | `Wal`      | append new versions to `<db>-wal` as one padded write,     |
+//! |            | one fsync; every 1000 frames checkpoint into the DB file   |
+//! |            | and reuse the log from its start under the next salt       |
 //! | `Off`      | write pages straight to the DB file tagged with the        |
 //! |            | transaction id; one `fsync(tid)` = device `commit`        |
 //!
@@ -29,6 +30,7 @@ use xftl_ftl::{BlockDevice, Nanos, SimClock, Tid};
 use xftl_trace::{OpClass, Telemetry};
 
 use crate::error::{DbError, Result};
+use crate::frames::Frames;
 
 /// Little-endian u64 at `off` (callers guarantee the bounds).
 pub(crate) fn get_u64(buf: &[u8], off: usize) -> u64 {
@@ -101,8 +103,43 @@ const DB_MAGIC: u64 = 0x5846_544C_5351_4C31;
 const RJ_MAGIC: u64 = 0x524A_4F55_524E_414C;
 /// Magic of a WAL header.
 const WAL_MAGIC: u64 = 0x5741_4C48_4452_5F31;
-/// Bytes of a WAL frame header preceding each page image.
+/// Bytes of the WAL header, and of the frame header preceding each page
+/// image: page number, commit size (0 but in a commit's last frame),
+/// magic, salt, the image's checksum, and the chain checksum of this
+/// header's first 32 bytes over the previous frame's.
 const WAL_FRAME_HDR: u64 = 64;
+
+/// SQLite's WAL checksum (fileformat2 §4.3): two 32-bit running sums
+/// over the bytes as little-endian word pairs, continuing from `seed`.
+fn wal_sum(seed: u64, bytes: &[u8]) -> u64 {
+    let (mut s0, mut s1) = (seed as u32, (seed >> 32) as u32);
+    for w in bytes.chunks_exact(8) {
+        s0 = s0.wrapping_add(get_u32(w, 0)).wrapping_add(s1);
+        s1 = s1.wrapping_add(get_u32(w, 4)).wrapping_add(s0);
+    }
+    u64::from(s0) | u64::from(s1) << 32
+}
+
+/// The chain value a generation's first frame continues from.
+fn wal_seed(salt: u64) -> u64 {
+    wal_sum(0, &salt.to_le_bytes())
+}
+
+/// The chain value of frame header `fh`, following `prev`'s.
+fn wal_chain(prev: u64, fh: &[u8]) -> u64 {
+    wal_sum(prev, &fh[..32])
+}
+
+/// A commit the WAL recovery scan found: its frames (page, payload
+/// offset, image checksum), the database size it records, and the log's
+/// end and chain after it.
+#[derive(Debug, Default)]
+struct ScannedCommit {
+    frames: Vec<(PageNo, u64, u64)>,
+    size: u32,
+    end: u64,
+    chain: u64,
+}
 
 /// Pager-attributed I/O counts (the "SQLite DB / Journal" columns of
 /// Table 1 come from here).
@@ -126,13 +163,6 @@ pub struct PagerStats {
     pub spills: u64,
 }
 
-#[derive(Debug)]
-struct Frame {
-    data: PageRef,
-    dirty: bool,
-    tick: u64,
-}
-
 /// The pager over one database file.
 #[derive(Debug)]
 pub struct Pager<D: BlockDevice> {
@@ -141,9 +171,8 @@ pub struct Pager<D: BlockDevice> {
     db_ino: Ino,
     mode: DbJournalMode,
     page_size: usize,
-    cache: HashMap<PageNo, Frame>,
+    cache: Frames,
     cache_cap: usize,
-    tick: u64,
 
     /// Committed page count (header field), plus in-tx growth.
     page_count: u32,
@@ -178,10 +207,18 @@ pub struct Pager<D: BlockDevice> {
     wal_ino: Option<Ino>,
     /// page -> byte offset of the latest committed (or own-tx) frame image.
     wal_index: HashMap<PageNo, u64>,
-    /// Append offset in the WAL file.
+    /// Append offset in the WAL file; 0 until the generation's first
+    /// write, which carries the header.
     wal_end: u64,
     /// Frames since the last checkpoint.
     wal_frames: u32,
+    /// The log's generation: every frame carries it, and a checkpoint
+    /// moves to the next.
+    wal_salt: u64,
+    /// Chain checksum of the last frame written, and of the last
+    /// committed one (a rollback rewinds to it).
+    wal_chain: u64,
+    wal_commit_chain: u64,
     /// Frames appended by the open transaction, with the index entry they
     /// displaced (restored on rollback).
     tx_frames: Vec<(PageNo, Option<u64>)>,
@@ -215,11 +252,10 @@ impl<D: BlockDevice> Pager<D> {
             db_ino,
             mode,
             page_size,
-            cache: HashMap::new(),
+            cache: Frames::new(),
             // SQLite's default cache_size is ~2 MB; with the paper's 8 KB
             // pages that is 256 frames.
             cache_cap: 256,
-            tick: 0,
             page_count: 1,
             freelist_head: 0,
             schema_root: 0,
@@ -238,6 +274,9 @@ impl<D: BlockDevice> Pager<D> {
             wal_index: HashMap::new(),
             wal_end: 0,
             wal_frames: 0,
+            wal_salt: 0,
+            wal_chain: 0,
+            wal_commit_chain: 0,
             tx_frames: Vec::new(),
             wal_last_commit_end: 0,
             wal_autocheckpoint: 1000,
@@ -465,6 +504,7 @@ impl<D: BlockDevice> Pager<D> {
                     }
                 }
                 self.wal_end = self.wal_last_commit_end;
+                self.wal_chain = self.wal_commit_chain;
                 self.drop_dirty_cache();
             }
             _ => {
@@ -502,7 +542,7 @@ impl<D: BlockDevice> Pager<D> {
     fn drop_dirty_cache(&mut self) {
         let dirty: Vec<PageNo> = std::mem::take(&mut self.dirty_in_tx).into_iter().collect();
         for pgno in dirty {
-            self.cache.remove(&pgno);
+            self.cache.remove(pgno);
         }
     }
 
@@ -600,8 +640,8 @@ impl<D: BlockDevice> Pager<D> {
         if self.journaled_set.contains(&pgno) || pgno >= self.tx_orig_page_count {
             return Ok(()); // already saved, or the page is new in this tx
         }
-        let original = match self.cache.get(&pgno) {
-            Some(f) if !f.dirty => Rc::clone(&f.data),
+        let original = match self.cache.peek(pgno) {
+            Some(f) if !f.is_dirty() => Rc::clone(&f.data),
             Some(_) => unreachable!("page journaled after modification"),
             None => Rc::new(self.read_page_raw(pgno)?),
         };
@@ -653,11 +693,9 @@ impl<D: BlockDevice> Pager<D> {
         let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
         dirty.sort_unstable();
         for pgno in dirty {
-            let Some(f) = self.cache.get_mut(&pgno) else {
+            let Some(data) = self.cache.mark_clean(pgno) else {
                 continue;
             };
-            f.dirty = false;
-            let data = Rc::clone(&f.data);
             self.write_home(pgno, &data, tid)?;
         }
         Ok(())
@@ -745,96 +783,164 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     /// Opens (or creates) the WAL and rebuilds the in-RAM index from the
-    /// committed frames (§6.4's WAL recovery path when the file is found
-    /// after a crash).
+    /// committed frames of its current generation (§6.4's WAL recovery
+    /// path when the file is found after a crash). The scan reads frame
+    /// headers until the first that is not this generation's next: a salt
+    /// other than the header's, or a broken chain. Every commit but the
+    /// last was durable before the next one began to write, and no write
+    /// of this generation overwrote it, so only the last commit's images
+    /// are read and checked; a torn one drops that commit whole.
     fn wal_open(&mut self) -> Result<()> {
         let wname = self.wal_name();
         let exists = self.fs.borrow().exists(&wname);
         let ino = if exists {
             self.fs.borrow().open(&wname)?
         } else {
-            let ino = self.fs.borrow_mut().create(&wname)?;
-            let mut hdr = vec![0u8; WAL_FRAME_HDR as usize];
-            hdr[0..8].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-            self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
-            ino
+            self.fs.borrow_mut().create(&wname)?
         };
         self.wal_ino = Some(ino);
         self.wal_index.clear();
         self.wal_frames = 0;
-        self.wal_end = WAL_FRAME_HDR;
-        self.wal_last_commit_end = WAL_FRAME_HDR;
-        if !exists {
+        let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
+        let n = self.fs.borrow_mut().read(ino, 0, &mut fh, None)?;
+        if n < fh.len() || get_u64(&fh, 0) != WAL_MAGIC {
+            // A log that never had a header: its first write carries one.
+            self.wal_restart(1);
             return Ok(());
         }
-        // Scan committed frames.
+        let salt = get_u64(&fh, 8);
+        // Until a commit is found, the next write rewrites the header.
+        self.wal_restart(salt);
         let size = self.fs.borrow().size(ino)?;
         let frame_len = WAL_FRAME_HDR + self.page_size as u64;
-        let mut off = WAL_FRAME_HDR;
-        let mut pending: Vec<(PageNo, u64)> = Vec::new();
+        // The frames read since the last commit frame, and the last commit.
+        let mut pending = Vec::new();
+        let mut last = ScannedCommit::default();
+        let (mut off, mut chain) = (WAL_FRAME_HDR, self.wal_chain);
         while off + frame_len <= size {
-            let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
             self.fs.borrow_mut().read(ino, off, &mut fh, None)?;
-            let pgno = get_u32(&fh, 0);
-            let commit_size = get_u32(&fh, 4);
-            let magic_ok = get_u64(&fh, 8) == WAL_MAGIC;
-            if !magic_ok {
+            let next = wal_chain(chain, &fh);
+            if get_u64(&fh, 8) != WAL_MAGIC || get_u64(&fh, 16) != salt || get_u64(&fh, 32) != next
+            {
                 break;
             }
-            pending.push((pgno, off + WAL_FRAME_HDR));
-            self.wal_frames += 1;
+            pending.push((get_u32(&fh, 0), off + WAL_FRAME_HDR, get_u64(&fh, 24)));
             off += frame_len;
+            chain = next;
+            let commit_size = get_u32(&fh, 4);
             if commit_size != 0 {
-                // Commit frame: everything pending becomes visible.
-                for (p, o) in pending.drain(..) {
-                    self.wal_index.insert(p, o);
-                }
-                self.page_count = self.page_count.max(commit_size);
-                self.wal_end = off;
-                self.wal_last_commit_end = off;
+                // A commit frame: the commit before it is not the last,
+                // and this one's padding to the page boundary is skipped.
+                off = off.next_multiple_of(self.page_size as u64);
+                let commit = ScannedCommit {
+                    frames: std::mem::take(&mut pending),
+                    size: commit_size,
+                    end: off,
+                    chain,
+                };
+                self.wal_keep(std::mem::replace(&mut last, commit));
             }
         }
+        let mut image = vec![0u8; self.page_size];
+        for &(_, o, sum) in &last.frames {
+            self.fs.borrow_mut().read(ino, o, &mut image, None)?;
+            if wal_sum(0, &image) != sum {
+                return Ok(());
+            }
+        }
+        self.wal_keep(last);
         Ok(())
     }
 
-    /// Appends one frame; returns the payload offset.
-    fn wal_append_frame(&mut self, pgno: PageNo, data: &[u8], commit_size: u32) -> Result<u64> {
+    /// Makes a recovered commit's frames visible, and appends after it.
+    fn wal_keep(&mut self, commit: ScannedCommit) {
+        if commit.frames.is_empty() {
+            return;
+        }
+        self.wal_frames += commit.frames.len() as u32;
+        for (pgno, off, _) in commit.frames {
+            self.wal_index.insert(pgno, off);
+        }
+        self.page_count = self.page_count.max(commit.size);
+        (self.wal_end, self.wal_chain) = (commit.end, commit.chain);
+        (self.wal_last_commit_end, self.wal_commit_chain) = (commit.end, commit.chain);
+    }
+
+    /// Starts generation `salt` at the start of the log: its first write
+    /// carries the header.
+    fn wal_restart(&mut self, salt: u64) {
+        self.wal_salt = salt;
+        self.wal_end = 0;
+        self.wal_last_commit_end = 0;
+        self.wal_chain = wal_seed(self.wal_salt);
+        self.wal_commit_chain = self.wal_chain;
+    }
+
+    /// Writes `frames` at the log's end as one file write, the last of
+    /// them flagged as a commit of a `commit_size`-page database unless
+    /// that is 0, and returns each frame's payload offset. The first
+    /// write of a generation carries the log header. A commit is padded
+    /// to the page boundary, so the next one starts a page and no page of
+    /// the reused log is ever read back to be merged with a write.
+    fn wal_write(&mut self, frames: &[(PageNo, PageRef)], commit_size: u32) -> Result<Vec<u64>> {
         let Some(ino) = self.wal_ino else {
             unreachable!("WAL open in Wal mode")
         };
-        let mut frame = Vec::with_capacity(WAL_FRAME_HDR as usize + data.len());
-        let mut fh = vec![0u8; WAL_FRAME_HDR as usize];
-        fh[0..4].copy_from_slice(&pgno.to_le_bytes());
-        fh[4..8].copy_from_slice(&commit_size.to_le_bytes());
-        fh[8..16].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&fh);
-        frame.extend_from_slice(data);
-        let off = self.wal_end;
-        self.fs.borrow_mut().write(ino, off, &frame, None)?;
+        let start = self.wal_end;
+        let frame_len = WAL_FRAME_HDR as usize + self.page_size;
+        let mut buf = Vec::with_capacity(frame_len * (frames.len() + 1));
+        if start == 0 {
+            buf.extend_from_slice(&WAL_MAGIC.to_le_bytes());
+            buf.extend_from_slice(&self.wal_salt.to_le_bytes());
+            buf.resize(WAL_FRAME_HDR as usize, 0);
+        }
+        let mut offs = Vec::with_capacity(frames.len());
+        for (i, (pgno, data)) in frames.iter().enumerate() {
+            let cs = if i + 1 == frames.len() {
+                commit_size
+            } else {
+                0
+            };
+            let mut fh = [0u8; WAL_FRAME_HDR as usize];
+            fh[0..4].copy_from_slice(&pgno.to_le_bytes());
+            fh[4..8].copy_from_slice(&cs.to_le_bytes());
+            fh[8..16].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+            fh[16..24].copy_from_slice(&self.wal_salt.to_le_bytes());
+            fh[24..32].copy_from_slice(&wal_sum(0, data).to_le_bytes());
+            self.wal_chain = wal_chain(self.wal_chain, &fh);
+            fh[32..40].copy_from_slice(&self.wal_chain.to_le_bytes());
+            buf.extend_from_slice(&fh);
+            offs.push(start + buf.len() as u64);
+            buf.extend_from_slice(data);
+        }
+        if commit_size != 0 {
+            let end = (start + buf.len() as u64).next_multiple_of(self.page_size as u64);
+            buf.resize((end - start) as usize, 0);
+        }
+        self.fs.borrow_mut().write(ino, start, &buf, None)?;
         // Page-equivalents: a frame is a bit more than one page.
-        self.stats.journal_writes += 1;
-        self.wal_end = off + frame.len() as u64;
-        self.wal_frames += 1;
-        Ok(off + WAL_FRAME_HDR)
+        self.stats.journal_writes += frames.len() as u64;
+        self.wal_end = start + buf.len() as u64;
+        self.wal_frames += frames.len() as u32;
+        Ok(offs)
     }
 
     fn commit_wal_mode(&mut self) -> Result<()> {
         self.write_header()?;
         let mut dirty: Vec<PageNo> = self.dirty_in_tx.iter().copied().collect();
         dirty.sort_unstable();
-        let last = dirty.len().saturating_sub(1);
-        for (i, pgno) in dirty.iter().enumerate() {
+        let mut frames = Vec::with_capacity(dirty.len());
+        for pgno in dirty {
             // A spilled page already has an (uncommitted) frame; re-read it
             // so the final, commit-flagged frame sequence stays intact.
-            let data = match self.cache.get_mut(pgno) {
-                Some(f) => {
-                    f.dirty = false;
-                    Rc::clone(&f.data)
-                }
-                None => Rc::new(self.read_page_raw(*pgno)?),
+            let data = match self.cache.mark_clean(pgno) {
+                Some(data) => data,
+                None => Rc::new(self.read_page_raw(pgno)?),
             };
-            let commit_size = if i == last { self.page_count } else { 0 };
-            let off = self.wal_append_frame(*pgno, &data, commit_size)?;
+            frames.push((pgno, data));
+        }
+        let offs = self.wal_write(&frames, self.page_count)?;
+        for ((pgno, _), off) in frames.iter().zip(offs) {
             self.wal_index.insert(*pgno, off);
         }
         let Some(ino) = self.wal_ino else {
@@ -843,6 +949,7 @@ impl<D: BlockDevice> Pager<D> {
         self.fs.borrow_mut().fdatasync(ino, None)?;
         self.stats.fsyncs += 1;
         self.wal_last_commit_end = self.wal_end;
+        self.wal_commit_chain = self.wal_chain;
         if self.wal_frames >= self.wal_autocheckpoint {
             self.wal_checkpoint()?;
         }
@@ -850,7 +957,16 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     /// Copies the newest version of every WAL-resident page into the
-    /// database file and resets the log (SQLite's checkpoint).
+    /// database file and resets the log (SQLite's checkpoint): the file
+    /// keeps its size, and the next commit overwrites it from the start
+    /// under the next salt. A page comes from the pager cache where that
+    /// holds it clean and the open transaction has not touched it, and
+    /// from the log otherwise. The new salt is made durable before any
+    /// frame of its generation is written, as SQLite syncs the header
+    /// when it restarts the log: a first write whose later pages landed
+    /// and whose header page did not would otherwise leave the previous
+    /// generation to be scanned, with some of its frames half
+    /// overwritten.
     pub fn wal_checkpoint(&mut self) -> Result<()> {
         if self.wal_index.is_empty() {
             return Ok(());
@@ -863,17 +979,31 @@ impl<D: BlockDevice> Pager<D> {
             unreachable!("WAL open")
         };
         for (pgno, off) in entries {
-            let mut buf = vec![0u8; self.page_size];
-            self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
-            self.write_home(pgno, &buf, None)?;
+            let data = match self.cache.peek(pgno) {
+                Some(f) if !f.is_dirty() && !self.dirty_in_tx.contains(&pgno) => Rc::clone(&f.data),
+                _ => {
+                    let mut buf = vec![0u8; self.page_size];
+                    self.fs.borrow_mut().read(ino, off, &mut buf, None)?;
+                    Rc::new(buf)
+                }
+            };
+            self.write_home(pgno, &data, None)?;
         }
         self.fs.borrow_mut().fdatasync(self.db_ino, None)?;
         self.stats.fsyncs += 1;
-        self.fs.borrow_mut().truncate(ino, WAL_FRAME_HDR)?;
         self.wal_index.clear();
         self.wal_frames = 0;
-        self.wal_end = WAL_FRAME_HDR;
-        self.wal_last_commit_end = WAL_FRAME_HDR;
+        self.wal_restart(self.wal_salt + 1);
+        // The header page, whole, so nothing is read back to merge it;
+        // the generation's first write carries the header again, so that
+        // one too starts the page.
+        let mut hdr = vec![0u8; self.page_size];
+        hdr[0..8].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+        hdr[8..16].copy_from_slice(&self.wal_salt.to_le_bytes());
+        self.fs.borrow_mut().write(ino, 0, &hdr, None)?;
+        self.stats.journal_writes += 1;
+        self.fs.borrow_mut().fdatasync(ino, None)?;
+        self.stats.fsyncs += 1;
         Ok(())
     }
 
@@ -991,11 +1121,6 @@ impl<D: BlockDevice> Pager<D> {
 
     // --- page access ---------------------------------------------------------
 
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
     /// Reads a page bypassing the pager cache (recovery paths).
     fn read_page_raw(&mut self, pgno: PageNo) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; self.page_size];
@@ -1024,21 +1149,11 @@ impl<D: BlockDevice> Pager<D> {
 
     /// Returns page `pgno`: a handle on the cached frame, not a copy.
     pub fn page(&mut self, pgno: PageNo) -> Result<PageRef> {
-        if let Some(f) = self.cache.get_mut(&pgno) {
-            f.tick = self.tick + 1;
-            self.tick += 1;
-            return Ok(Rc::clone(&f.data));
+        if let Some(data) = self.cache.get(pgno) {
+            return Ok(data);
         }
         let data = Rc::new(self.read_page_raw(pgno)?);
-        let tick = self.touch();
-        self.cache.insert(
-            pgno,
-            Frame {
-                data: Rc::clone(&data),
-                dirty: false,
-                tick,
-            },
-        );
+        self.cache.insert(pgno, Rc::clone(&data), false);
         self.evict_if_needed()?;
         Ok(data)
     }
@@ -1053,15 +1168,7 @@ impl<D: BlockDevice> Pager<D> {
         if self.mode.is_rollback() && !self.dirty_in_tx.contains(&pgno) {
             self.journal_original(pgno)?;
         }
-        let tick = self.touch();
-        self.cache.insert(
-            pgno,
-            Frame {
-                data: Rc::new(data),
-                dirty: true,
-                tick,
-            },
-        );
+        self.cache.insert(pgno, Rc::new(data), true);
         self.dirty_in_tx.insert(pgno);
         self.evict_if_needed()?;
         Ok(())
@@ -1100,24 +1207,11 @@ impl<D: BlockDevice> Pager<D> {
 
     fn evict_if_needed(&mut self) -> Result<()> {
         while self.cache.len() > self.cache_cap {
-            // Prefer clean victims.
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(_, f)| !f.dirty)
-                .min_by_key(|(_, f)| f.tick)
-                .map(|(&p, _)| p)
-                .or_else(|| {
-                    self.cache
-                        .iter()
-                        .min_by_key(|(_, f)| f.tick)
-                        .map(|(&p, _)| p)
-                });
-            let Some(pgno) = victim else { break };
-            let Some(frame) = self.cache.remove(&pgno) else {
-                unreachable!("victim exists")
+            // Clean victims first.
+            let Some((pgno, frame)) = self.cache.pop_lru() else {
+                break;
             };
-            if !frame.dirty {
+            if !frame.is_dirty() {
                 continue;
             }
             // Steal: spill an uncommitted page.
@@ -1132,7 +1226,7 @@ impl<D: BlockDevice> Pager<D> {
                     self.write_home(pgno, &frame.data, None)?;
                 }
                 DbJournalMode::Wal => {
-                    let off = self.wal_append_frame(pgno, &frame.data, 0)?;
+                    let off = self.wal_write(&[(pgno, frame.data)], 0)?[0];
                     let prev = self.wal_index.insert(pgno, off);
                     self.tx_frames.push((pgno, prev));
                 }

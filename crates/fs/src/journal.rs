@@ -7,9 +7,13 @@
 //! commit page exactly as ext4 does — this is where the ordered/full
 //! journaling costs of §6.3.4 come from.
 //!
-//! Recovery replays, in order, every transaction whose commit page made it
-//! to the device; a missing or mismatched commit page ends the replay —
-//! the classic all-or-nothing redo log.
+//! Recovery redoes every transaction whose commit page made it to the
+//! device; a missing or mismatched commit page ends the log — the classic
+//! all-or-nothing redo log. A first pass finds the complete transactions,
+//! a second writes each home page once, with its newest journaled image:
+//! what replaying them in order would leave, for one write a page.
+
+use std::collections::BTreeMap;
 
 use xftl_ftl::{BlockDevice, DevError, IoCmd, Lpn};
 
@@ -71,9 +75,9 @@ impl Journal {
     }
 
     /// Loads the journal at mount time and replays every complete
-    /// transaction. Returns the journal, the number of transactions
-    /// replayed, and whether the device refused replay writes because it
-    /// reached end-of-life read-only mode.
+    /// transaction. Returns the journal, the number of complete
+    /// transactions found, and whether the device refused replay writes
+    /// because it reached end-of-life read-only mode.
     ///
     /// On a read-only device, replay stops at the first refused write
     /// and the header is left untouched: home pages keep their last
@@ -98,12 +102,14 @@ impl Journal {
             live_pages: 0,
             pending: Vec::new(),
         };
+        // Pass 1: the complete transactions, and the newest journaled
+        // image of each home page among them.
+        let mut newest: BTreeMap<Lpn, u64> = BTreeMap::new();
         let mut replayed = 0;
-        let mut read_only = false;
         let mut off = tail_off;
         let mut seq = tail_seq;
         let capacity = j.region_pages - 1;
-        'replay: loop {
+        loop {
             // Descriptor?
             dev.read(j.abs(off), &mut buf)?;
             if get_u64(&buf, 0) != DESC_MAGIC || get_u64(&buf, 8) != seq {
@@ -113,9 +119,6 @@ impl Journal {
             if count + 2 > capacity {
                 break; // corrupt
             }
-            let homes: Vec<Lpn> = (0..count as usize)
-                .map(|i| get_u64(&buf, 24 + i * 8))
-                .collect();
             // Commit page present and matching?
             let commit_off = j.wrap(off + 1 + count);
             let mut cbuf = vec![0u8; ps];
@@ -123,25 +126,27 @@ impl Journal {
             if get_u64(&cbuf, 0) != CMT_MAGIC || get_u64(&cbuf, 8) != seq {
                 break; // incomplete transaction: stop, discarding it
             }
-            // Redo: copy journaled images home.
-            let mut pbuf = vec![0u8; ps];
-            for (i, home) in homes.iter().enumerate() {
-                let slot = j.wrap(off + 1 + i as u64);
-                dev.read(j.abs(slot), &mut pbuf)?;
-                match dev.write(*home, &pbuf) {
-                    Ok(()) => {}
-                    Err(DevError::ReadOnly) => {
-                        read_only = true;
-                        break 'replay;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+            for i in 0..count {
+                newest.insert(get_u64(&buf, 24 + i as usize * 8), j.wrap(off + 1 + i));
             }
             replayed += 1;
             off = j.wrap(commit_off + 1);
             seq += 1;
         }
-        if replayed > 0 && !read_only {
+        // Pass 2, redo: each home page gets its newest image, once.
+        let mut read_only = false;
+        for (&home, &slot) in &newest {
+            dev.read(j.abs(slot), &mut buf)?;
+            match dev.write(home, &buf) {
+                Ok(()) => {}
+                Err(DevError::ReadOnly) => {
+                    read_only = true;
+                    break;
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+        if !newest.is_empty() && !read_only {
             match dev.flush() {
                 Ok(()) | Err(DevError::ReadOnly) => {}
                 Err(e) => return Err(e.into()),
@@ -398,6 +403,86 @@ mod tests {
         let mut out = page(&dev, 0);
         dev.read(home, &mut out).unwrap();
         assert_eq!(out[0], 19, "latest image must win across wrap");
+    }
+
+    /// The replay before the newest-image pass: every complete
+    /// transaction in log order, each journaled page written home.
+    fn replay_in_order(dev: &mut PageMappedFtl, sb: &Superblock) {
+        let ps = dev.page_size();
+        let mut buf = vec![0u8; ps];
+        dev.read(sb.jr_start, &mut buf).unwrap();
+        let abs = |off: u64| sb.jr_start + off;
+        let wrap = |off: u64| (off - 1) % (sb.jr_pages - 1) + 1;
+        let (mut off, mut seq) = (get_u64(&buf, 8), get_u64(&buf, 16));
+        loop {
+            dev.read(abs(off), &mut buf).unwrap();
+            if get_u64(&buf, 0) != DESC_MAGIC || get_u64(&buf, 8) != seq {
+                break;
+            }
+            let count = get_u64(&buf, 16);
+            let homes: Vec<Lpn> = (0..count as usize)
+                .map(|i| get_u64(&buf, 24 + i * 8))
+                .collect();
+            let commit_off = wrap(off + 1 + count);
+            let mut cbuf = vec![0u8; ps];
+            dev.read(abs(commit_off), &mut cbuf).unwrap();
+            if get_u64(&cbuf, 0) != CMT_MAGIC || get_u64(&cbuf, 8) != seq {
+                break;
+            }
+            let mut pbuf = vec![0u8; ps];
+            for (i, home) in homes.iter().enumerate() {
+                dev.read(abs(wrap(off + 1 + i as u64)), &mut pbuf).unwrap();
+                dev.write(*home, &pbuf).unwrap();
+            }
+            off = wrap(commit_off + 1);
+            seq += 1;
+        }
+    }
+
+    /// A log past a checkpoint that wraps the region: transactions that
+    /// journal the same homes again, then one whose commit page never
+    /// came. Left on a crashed device, which recovers.
+    fn overlapping_log() -> (PageMappedFtl, Superblock) {
+        let (mut dev, sb) = setup();
+        let mut j = Journal::mkfs(&mut dev, &sb).unwrap();
+        let home = |i: u64| sb.data_start + i;
+        let txns: [&[u64]; 5] = [&[1, 2], &[3, 5], &[5, 9], &[3, 9], &[5]];
+        for (t, homes) in txns.iter().enumerate() {
+            if t == 1 {
+                j.checkpoint(&mut dev).unwrap();
+            }
+            let entries: Vec<(Lpn, Vec<u8>)> = homes
+                .iter()
+                .map(|&h| (home(h), page(&dev, (t * 16 + h as usize) as u8)))
+                .collect();
+            j.append_body(&mut dev, &entries).unwrap();
+            dev.flush().unwrap();
+            if t + 1 < txns.len() {
+                j.append_commit(&mut dev).unwrap();
+                dev.flush().unwrap();
+            }
+        }
+        assert!(j.head_off < j.tail_off, "the log wraps the region");
+        (PageMappedFtl::recover(dev.into_chip()).unwrap(), sb)
+    }
+
+    #[test]
+    fn newest_image_replay_leaves_the_homes_of_the_in_order_replay() {
+        let (mut by_newest, sb) = overlapping_log();
+        let (_, replayed, _) = Journal::mount(&mut by_newest, &sb).unwrap();
+        assert_eq!(replayed, 3);
+        let (mut in_order, _) = overlapping_log();
+        replay_in_order(&mut in_order, &sb);
+        let (mut a, mut b) = (page(&by_newest, 0), page(&by_newest, 0));
+        for lpn in sb.data_start..sb.data_start + 16 {
+            by_newest.read(lpn, &mut a).unwrap();
+            in_order.read(lpn, &mut b).unwrap();
+            assert_eq!(a[0], b[0], "home {lpn}");
+        }
+        // Homes 3, 5 and 9 were journaled twice, and 5 by the torn tail
+        // too.
+        by_newest.read(sb.data_start + 5, &mut a).unwrap();
+        assert_eq!(a[0], 2 * 16 + 5);
     }
 
     #[test]

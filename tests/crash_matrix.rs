@@ -113,6 +113,18 @@ fn build(mode: DbJournalMode) -> (Rc<RefCell<FileSystem<Dev>>>, SimClock) {
     (Rc::new(RefCell::new(fs)), clock)
 }
 
+/// The WAL auto-checkpoint of the SQL stack, in frames: a batch commits
+/// two or three, so the sweep's run checkpoints every few batches and its
+/// cuts fall in several generations of the reused log.
+const SWEEP_WAL_CHECKPOINT: u32 = 8;
+
+/// Opens the sweep's database on `fs`.
+fn open_db(fs: &Rc<RefCell<FileSystem<Dev>>>, mode: DbJournalMode) -> Connection<Dev> {
+    let mut db = Connection::open(Rc::clone(fs), "m.db", mode).unwrap();
+    db.pager_mut().wal_autocheckpoint = SWEEP_WAL_CHECKPOINT;
+    db
+}
+
 /// The SQL stack the crash sweep cuts: a table created, a connection
 /// open.
 struct Sql {
@@ -124,7 +136,7 @@ struct Sql {
 impl Sql {
     fn new(mode: DbJournalMode) -> Self {
         let (fs, _clock) = build(mode);
-        let mut db = Connection::open(Rc::clone(&fs), "m.db", mode).unwrap();
+        let mut db = open_db(&fs, mode);
         db.execute("CREATE TABLE IF NOT EXISTS t (id INTEGER PRIMARY KEY, batch INT)")
             .unwrap();
         Sql { fs, db, mode }
@@ -183,7 +195,7 @@ impl common::Stack for Sql {
             _ => FileSystem::mount(dev, JournalMode::Ordered, 256),
         };
         let fs = Rc::new(RefCell::new(fs.unwrap()));
-        let db = Connection::open(Rc::clone(&fs), "m.db", mode).unwrap();
+        let db = open_db(&fs, mode);
         Sql { fs, db, mode }
     }
 
@@ -202,7 +214,14 @@ impl common::Stack for Sql {
 fn crash_sweep(mode: DbJournalMode) {
     let (cuts, _) = common::power_cuts(
         || Sql::new(mode),
-        |sql, _| sql.run(),
+        |sql, fuse| {
+            let committed = sql.run();
+            if fuse.is_none() && mode == DbJournalMode::Wal {
+                let generations = sql.db.pager_stats().checkpoints + 1;
+                assert!(generations >= 3, "{generations} log generations");
+            }
+            committed
+        },
         |sql, &committed, fuse| {
             assert!(fuse.is_some() || committed == 12, "{mode:?}: uncut");
             let rows = (sql.db.query("SELECT COUNT(*), MAX(batch) FROM t"))
@@ -265,6 +284,129 @@ fn crash_sweep_wal_mode() {
 #[test]
 fn crash_sweep_xftl_mode() {
     crash_sweep(DbJournalMode::Off);
+}
+
+// --- the journal's replay at mount, cut -------------------------------
+
+/// The volume [`every_cut_of_the_journal_replay_remounts_to_one_state`]
+/// remounts, cut and recovered at the device: three files grown and
+/// rewritten under ordered journaling, each fsync a journal transaction
+/// over the same inode, bitmap and map pages, none of them checkpointed;
+/// the power died in a last fsync. The mount that follows has every
+/// transaction to redo.
+struct Replay(PlainDev);
+
+/// The volume mounted again.
+struct Mounted(FileSystem<PlainDev>);
+
+const REPLAY_FILES: [&str; 3] = ["a", "b", "c"];
+
+fn replay_volume() -> Replay {
+    let chip = FlashChip::new(FlashConfig::tiny(BLOCKS), SimClock::new());
+    let dev = ShadowDevice::new(PageMappedFtl::format(chip, LOGICAL).unwrap());
+    let cfg = FsConfig {
+        inode_count: 16,
+        journal_pages: 128,
+        cache_pages: 64,
+    };
+    let mut fs = FileSystem::mkfs(dev, JournalMode::Ordered, cfg).unwrap();
+    let ps = fs.page_size();
+    let inos: Vec<_> = REPLAY_FILES.iter().map(|n| fs.create(n).unwrap()).collect();
+    fs.sync_meta(None).unwrap();
+    for round in 0..5u8 {
+        for (i, &ino) in inos.iter().enumerate() {
+            let page = vec![round * 16 + i as u8; ps];
+            let off = u64::from(round) * ps as u64 * (i as u64 + 1);
+            fs.write(ino, off, &page, None).unwrap();
+            fs.fsync(ino, None).unwrap();
+        }
+    }
+    let stats = *fs.stats();
+    assert_eq!(stats.checkpoint_writes, 0, "{stats:?}");
+    fs.device_mut()
+        .inner_mut()
+        .base_mut()
+        .chip_mut()
+        .arm_power_fuse(3);
+    let grow = fs.write(inos[0], 40 * ps as u64, &vec![0xEE; ps], None);
+    assert!(
+        grow.and_then(|()| fs.fsync(inos[0], None)).is_err(),
+        "the fuse never fired"
+    );
+    Replay(common::recover(fs.into_device()))
+}
+
+fn mount(dev: PlainDev) -> Mounted {
+    Mounted(FileSystem::mount(dev, JournalMode::Ordered, 64).unwrap())
+}
+
+impl common::Stack for Replay {
+    type Recovered = Mounted;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(self.0.inner_mut().base_mut().chip_mut())
+    }
+
+    fn recover(self) -> Mounted {
+        mount(common::recover(self.0))
+    }
+}
+
+impl common::Stack for Mounted {
+    type Recovered = Self;
+
+    fn with_chip<T>(&mut self, f: impl FnOnce(&mut FlashChip) -> T) -> T {
+        f(self.0.device_mut().inner_mut().base_mut().chip_mut())
+    }
+
+    fn recover(self) -> Self {
+        mount(common::recover(self.0.into_device()))
+    }
+}
+
+impl Mounted {
+    /// Every file's bytes, once `check_consistency` finds the volume
+    /// clean.
+    fn state(&mut self) -> Vec<Vec<u8>> {
+        let fsck = self.0.check_consistency().unwrap();
+        assert!(fsck.is_clean(), "{fsck:?}");
+        REPLAY_FILES
+            .iter()
+            .map(|name| {
+                let ino = self.0.open(name).unwrap();
+                let mut buf = vec![0u8; self.0.size(ino).unwrap() as usize];
+                self.0.read(ino, 0, &mut buf, None).unwrap();
+                buf
+            })
+            .collect()
+    }
+}
+
+/// A cut at every program and erase of the journal's replay (the mount's
+/// only writes: each home page's newest image, the flush, the header)
+/// remounts to the state the uncut replay leaves, clean under
+/// `check_consistency` — the redo is idempotent wherever it stops.
+#[test]
+fn every_cut_of_the_journal_replay_remounts_to_one_state() {
+    use common::Stack;
+    use xftl_ftl::BlockDevice;
+    let want = replay_volume().recover().state();
+    let replay = |r: &mut Replay, _: Option<u64>| {
+        let mut page = vec![0u8; r.0.page_size()];
+        r.0.read(0, &mut page).unwrap();
+        let sb = xftl_fs::Superblock::decode(&page).unwrap();
+        xftl_fs::journal::Journal::mount(&mut r.0, &sb).map(|(_, replayed, _)| replayed)
+    };
+    let (cuts, replayed) = common::power_cuts(replay_volume, replay, |m, _, _| {
+        let state = m.state();
+        assert!(state == want, "a cut replay remounts to another state");
+        state
+    });
+    let replayed = replayed.unwrap();
+    assert!(
+        replayed >= 10 && cuts >= 5,
+        "{replayed} transactions, {cuts} cuts"
+    );
 }
 
 /// Crash *during recovery*, at every program and erase it makes, on every
