@@ -11,7 +11,7 @@
 
 use xftl_core::XFtl;
 use xftl_flash::{FlashChip, FlashConfigBuilder, SimClock};
-use xftl_ftl::{AtomicWriteFtl, BlockDevice, FtlStats, Personality, TxBlockDevice, TxFlashFtl};
+use xftl_ftl::{AtomicWriteFtl, BlockDevice, FtlStats, Personality, TxBlockDevice};
 use xftl_workloads::rig::{Mode, Rig, RigConfig};
 use xftl_workloads::synthetic::{self, SyntheticConfig};
 
@@ -78,10 +78,9 @@ pub fn xl2p_capacity(quick: bool) -> String {
 /// Logical pages of ablation 2's devices.
 const AW_LOGICAL: u64 = 4_000;
 
-/// Ablation 2: X-FTL vs the two related-work baselines — the per-call
-/// atomic-write FTL (Park et al. \[18\]) and TxFlash's Simple Cyclic Commit
-/// (Prabhakaran et al. \[20\]) — on raw-device transactions of `group`
-/// pages each, with and without steal.
+/// Ablation 2: X-FTL vs the related-work baseline — the per-call
+/// atomic-write FTL (Park et al. \[18\]) — on raw-device transactions of
+/// `group` pages each, with and without steal.
 pub fn atomic_write_baseline(quick: bool) -> String {
     let (txns, group) = if quick {
         (200usize, 5usize)
@@ -92,7 +91,7 @@ pub fn atomic_write_baseline(quick: bool) -> String {
     // The pages transaction `i` updates.
     let lpns = |i: u64| (0..group as u64).map(move |p| (i * group as u64 + p) % AW_LOGICAL);
     let mut out = String::new();
-    out.push_str("=== Ablation: X-FTL vs atomic-write FTL [18] vs TxFlash SCC [20] ===\n");
+    out.push_str("=== Ablation: X-FTL vs atomic-write FTL [18] ===\n");
     out.push_str(&format!(
         "({txns} transactions of {group} page updates each)\n\n"
     ));
@@ -108,7 +107,12 @@ pub fn atomic_write_baseline(quick: bool) -> String {
         ("X-FTL", "xftl"),
         txns,
         |s| s.xl2p_writes + s.meta_writes,
-        |d, i| transaction(d, i + 1, lpns(i), &page),
+        |d, i| {
+            for lpn in lpns(i) {
+                d.write_tx(i + 1, lpn, &page).expect("write_tx");
+            }
+            d.commit(i + 1).expect("commit");
+        },
     );
     // Atomic-write FTL, ideal case: the whole group in one call (only
     // possible when nothing is stolen early).
@@ -121,15 +125,6 @@ pub fn atomic_write_baseline(quick: bool) -> String {
             let pages: Vec<(u64, &[u8])> = lpns(i).map(|lpn| (lpn, page.as_slice())).collect();
             d.write_atomic(&pages).expect("write_atomic");
         },
-    );
-    // TxFlash SCC: the cycle-closing marker rides on the last data page —
-    // zero overhead pages, but per-call atomicity only (no steal).
-    baseline_row::<TxFlashFtl>(
-        &mut t,
-        ("TxFlash SCC (one cycle/txn)", "txflash_scc"),
-        txns,
-        |s| s.commit_record_writes + s.xl2p_writes,
-        |d, i| transaction(d, i + 1, lpns(i), &page),
     );
     // Atomic-write FTL under steal: every page eviction is its own call,
     // so every page pays a commit record (§3.3's incompatibility).
@@ -180,19 +175,6 @@ fn baseline_row<P: Personality>(
         programs.to_string(),
         overhead(dev.base().stats()).to_string(),
     ]);
-}
-
-/// `tid` writes `lpns` and commits.
-fn transaction<D: TxBlockDevice>(
-    dev: &mut D,
-    tid: u64,
-    lpns: impl Iterator<Item = u64>,
-    page: &[u8],
-) {
-    for lpn in lpns {
-        dev.write_tx(tid, lpn, page).expect("write_tx");
-    }
-    dev.commit(tid).expect("commit");
 }
 
 /// Ablation 3: WAL auto-checkpoint interval.

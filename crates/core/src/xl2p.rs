@@ -789,12 +789,6 @@ impl GcHook for Xl2pTable {
     fn keeps_image(&self) -> bool {
         !self.live.is_empty()
     }
-
-    /// X-FTL's recovery folds from the table image alone and never
-    /// consults a tid-tagged data page: none is evidence at any age.
-    fn tx_floor(&self) -> Option<u64> {
-        Some(u64::MAX)
-    }
 }
 
 #[cfg(test)]

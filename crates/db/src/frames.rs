@@ -1,22 +1,19 @@
 //! The pager's buffer pool: page frames with LRU eviction.
 //!
-//! Recency is two intrusive lists threaded through a slab of frames, one
-//! of clean frames and one of dirty ones, each least recent first, as in
-//! the file system's page cache. A touch stamps the frame with the next
-//! tick and moves it to the tail of its state's list; an eviction takes
-//! the head of the clean list, else of the dirty one. A commit writes a
-//! dirty frame back without touching it, so [`Frames::mark_clean`] files
-//! it into the clean list by its tick, walking back from the tail past
-//! the clean frames touched since: the lists keep the order of the
-//! ticks, and the victim is the one the scan for the least tick, clean
-//! frames first, would pick.
+//! Recency is the two lists of the file system's [`Recency`], one of
+//! clean frames and one of dirty ones, as in its page cache. A touch
+//! stamps the frame with the next tick and makes it the most recent of
+//! its state's list; an eviction takes the least recent clean frame,
+//! else the least recent dirty one. A commit writes a dirty frame back
+//! without touching it, so [`Frames::mark_clean`] files it into the
+//! clean list by its tick, walking back from the tail past the clean
+//! frames touched since: the lists keep the order of the ticks, and the
+//! victim is the one the scan for the least tick, clean frames first,
+//! would pick.
 
-use std::collections::HashMap;
+use xftl_fs::recency::{Dirty, Recency};
 
 use crate::pager::{PageNo, PageRef};
-
-/// The end of a list.
-const NIL: usize = usize::MAX;
 
 /// One cached page.
 #[derive(Debug)]
@@ -29,190 +26,89 @@ pub(crate) struct Frame {
     tick: u64,
 }
 
-impl Frame {
+impl Dirty for Frame {
     /// True if the frame holds a change not yet written anywhere.
-    pub(crate) fn is_dirty(&self) -> bool {
+    fn is_dirty(&self) -> bool {
         self.dirty
     }
-}
-
-/// A frame and its links in its state's recency list.
-#[derive(Debug)]
-struct Slot {
-    pgno: PageNo,
-    frame: Frame,
-    /// The next less recent slot of the list, or [`NIL`].
-    prev: usize,
-    /// The next more recent slot of the list, or [`NIL`].
-    next: usize,
 }
 
 /// The frames of one pager.
 #[derive(Debug)]
 pub(crate) struct Frames {
-    /// The frames, in no order.
-    slots: Vec<Slot>,
-    /// Where each page's slot is.
-    index: HashMap<PageNo, usize>,
-    /// `(least recent, most recent)` slot of each list, `[clean, dirty]`.
-    ends: [(usize, usize); 2],
+    frames: Recency<PageNo, Frame>,
     tick: u64,
 }
 
 impl Frames {
     pub(crate) fn new() -> Self {
         Frames {
-            slots: Vec::new(),
-            index: HashMap::new(),
-            ends: [(NIL, NIL); 2],
+            frames: Recency::default(),
             tick: 0,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.frames.len()
     }
 
     /// The frame of `pgno`, its recency untouched.
     pub(crate) fn peek(&self, pgno: PageNo) -> Option<&Frame> {
-        self.index.get(&pgno).map(|&i| &self.slots[i].frame)
-    }
-
-    /// Points what links to slot `i` elsewhere: the link from its less
-    /// recent neighbour (or its list's head) at `from_less`, the link from
-    /// its more recent one (or its list's tail) at `from_more`.
-    fn redirect(&mut self, i: usize, from_less: usize, from_more: usize) {
-        let Slot { prev, next, .. } = self.slots[i];
-        let list = usize::from(self.slots[i].frame.dirty);
-        match prev {
-            NIL => self.ends[list].0 = from_less,
-            p => self.slots[p].next = from_less,
-        }
-        match next {
-            NIL => self.ends[list].1 = from_more,
-            n => self.slots[n].prev = from_more,
-        }
-    }
-
-    /// Takes slot `i` out of its list.
-    fn unlink(&mut self, i: usize) {
-        let Slot { prev, next, .. } = self.slots[i];
-        self.redirect(i, next, prev);
-    }
-
-    /// Links slot `i` into its state's list right after slot `after` (at
-    /// the head for [`NIL`]).
-    fn link_after(&mut self, i: usize, after: usize) {
-        let list = usize::from(self.slots[i].frame.dirty);
-        let next = match after {
-            NIL => self.ends[list].0,
-            a => self.slots[a].next,
-        };
-        (self.slots[i].prev, self.slots[i].next) = (after, next);
-        match after {
-            NIL => self.ends[list].0 = i,
-            a => self.slots[a].next = i,
-        }
-        match next {
-            NIL => self.ends[list].1 = i,
-            n => self.slots[n].prev = i,
-        }
-    }
-
-    /// Stamps slot `i` as touched now and makes it the most recent of its
-    /// state's list; it is on no list yet when `linked` is false.
-    fn touch(&mut self, i: usize, linked: bool) {
-        if linked {
-            self.unlink(i);
-        }
-        self.tick += 1;
-        self.slots[i].frame.tick = self.tick;
-        let list = usize::from(self.slots[i].frame.dirty);
-        self.link_after(i, self.ends[list].1);
+        self.frames.peek(pgno)
     }
 
     /// The data of `pgno`, made the most recent frame.
     pub(crate) fn get(&mut self, pgno: PageNo) -> Option<PageRef> {
-        let i = *self.index.get(&pgno)?;
-        self.touch(i, true);
-        Some(PageRef::clone(&self.slots[i].frame.data))
+        let tick = self.tick + 1;
+        let frame = self.frames.refile(pgno, |f| f.tick = tick, |_| false)?;
+        self.tick = tick;
+        Some(PageRef::clone(&frame.data))
     }
 
     /// Installs `data` as `pgno`'s frame, the most recent of its state.
     pub(crate) fn insert(&mut self, pgno: PageNo, data: PageRef, dirty: bool) {
+        self.tick += 1;
         let frame = Frame {
             data,
             dirty,
-            tick: 0,
+            tick: self.tick,
         };
-        let i = match self.index.get(&pgno) {
-            Some(&i) => {
-                self.unlink(i);
-                self.slots[i].frame = frame;
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    pgno,
-                    frame,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.index.insert(pgno, self.slots.len() - 1);
-                self.slots.len() - 1
-            }
-        };
-        self.touch(i, false);
+        self.frames.insert(pgno, frame);
     }
 
     /// Marks `pgno`'s frame clean without touching it and returns its
     /// data; `None` if it is not cached.
     pub(crate) fn mark_clean(&mut self, pgno: PageNo) -> Option<PageRef> {
-        let i = *self.index.get(&pgno)?;
-        if self.slots[i].frame.dirty {
-            self.unlink(i);
-            self.slots[i].frame.dirty = false;
-            let tick = self.slots[i].frame.tick;
-            let mut after = self.ends[0].1;
-            while after != NIL && self.slots[after].frame.tick > tick {
-                after = self.slots[after].prev;
-            }
-            self.link_after(i, after);
-        }
-        Some(PageRef::clone(&self.slots[i].frame.data))
+        let &Frame { dirty, tick, .. } = self.frames.peek(pgno)?;
+        let frame = if dirty {
+            &*self
+                .frames
+                .refile(pgno, |f| f.dirty = false, |f| f.tick > tick)?
+        } else {
+            self.frames.peek(pgno)?
+        };
+        Some(PageRef::clone(&frame.data))
     }
 
     pub(crate) fn remove(&mut self, pgno: PageNo) -> Option<Frame> {
-        let i = self.index.remove(&pgno)?;
-        self.unlink(i);
-        let last = self.slots.len() - 1;
-        if i != last {
-            // The last slot moves into `i`.
-            self.redirect(last, i, i);
-            self.index.insert(self.slots[last].pgno, i);
-        }
-        Some(self.slots.swap_remove(i).frame)
+        self.frames.remove(pgno)
     }
 
     /// Takes the least recent clean frame, else the least recent dirty one.
     pub(crate) fn pop_lru(&mut self) -> Option<(PageNo, Frame)> {
-        let i = [self.ends[0].0, self.ends[1].0]
-            .into_iter()
-            .find(|&i| i != NIL)?;
-        let pgno = self.slots[i].pgno;
-        self.remove(pgno).map(|f| (pgno, f))
+        self.frames.pop_lru()
     }
 
     /// Drops every frame.
     pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.index.clear();
-        self.ends = [(NIL, NIL); 2];
+        self.frames.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     use rand::rngs::StdRng;

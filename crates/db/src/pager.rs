@@ -25,6 +25,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
+use xftl_fs::recency::Dirty;
 use xftl_fs::{FileSystem, FsError, Ino};
 use xftl_ftl::{BlockDevice, Nanos, SimClock, Tid};
 use xftl_trace::{OpClass, Telemetry};

@@ -111,9 +111,10 @@ pub struct Oob {
     pub tid: u64,
     /// Role of the page.
     pub kind: PageKind,
-    /// FTL-specific auxiliary word (e.g. TxFlash's cyclic-commit link:
-    /// position within the transaction plus the cycle-closing flag; the
-    /// image's page count on XL2p pages).
+    /// FTL-specific auxiliary word: the image's page count on an XL2p
+    /// page; on a GC copy of a committed data page (re-stamped tid 0),
+    /// the program sequence of the write it copies; 0 on any other page
+    /// as first written.
     pub aux: u32,
 }
 

@@ -6,20 +6,16 @@
 //! a page becomes a `write_tx`, which is precisely the *steal* behaviour
 //! (§5.2) that per-call atomic-write FTLs cannot support and X-FTL can.
 //!
-//! Recency is two intrusive lists, one of clean pages and one of dirty
-//! ones, each least recent first: a touch moves the page to the tail of
-//! its state's list, an eviction takes the head of the clean list, else
-//! of the dirty one, and an fsync walks the dirty list alone. No
+//! Recency is the two lists of [`Recency`], one of clean pages and one
+//! of dirty ones: a touch makes the page the most recent of its state's
+//! list, an eviction takes the least recent clean page, else the least
+//! recent dirty one, and an fsync walks the dirty list alone. No
 //! operation but a drop scans the cache.
-
-use std::collections::HashMap;
 
 use xftl_ftl::{Lpn, Tid};
 
 use crate::layout::Ino;
-
-/// The end of a list.
-const NIL: usize = usize::MAX;
+use crate::recency::{Dirty, Recency};
 
 /// One cached page.
 #[derive(Debug, Clone)]
@@ -35,33 +31,17 @@ pub struct CachedPage {
     ino: Ino,
 }
 
-impl CachedPage {
+impl Dirty for CachedPage {
     /// True if the page differs from its on-device copy.
-    pub fn is_dirty(&self) -> bool {
+    fn is_dirty(&self) -> bool {
         self.dirty
     }
-}
-
-/// A cached page and its links in its state's recency list.
-#[derive(Debug)]
-struct Slot {
-    lpn: Lpn,
-    page: CachedPage,
-    /// The next less recent page of the list, or [`NIL`].
-    prev: usize,
-    /// The next more recent page of the list, or [`NIL`].
-    next: usize,
 }
 
 /// LRU page cache keyed by device LPN.
 #[derive(Debug)]
 pub struct PageCache {
-    /// The pages, in no order.
-    slots: Vec<Slot>,
-    /// Where each page's slot is.
-    index: HashMap<Lpn, usize>,
-    /// `(least recent, most recent)` slot of each list, `[clean, dirty]`.
-    ends: [(usize, usize); 2],
+    pages: Recency<Lpn, CachedPage>,
     capacity: usize,
 }
 
@@ -69,56 +49,16 @@ impl PageCache {
     /// Cache holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
         PageCache {
-            slots: Vec::new(),
-            index: HashMap::new(),
-            ends: [(NIL, NIL); 2],
+            pages: Recency::default(),
             capacity: capacity.max(1),
         }
-    }
-
-    /// Points what links to slot `i` elsewhere: the link from its less
-    /// recent neighbour (or its list's head) at `from_less`, the link from
-    /// its more recent one (or its list's tail) at `from_more`.
-    fn redirect(&mut self, i: usize, from_less: usize, from_more: usize) {
-        let Slot { prev, next, .. } = self.slots[i];
-        let list = usize::from(self.slots[i].page.dirty);
-        match prev {
-            NIL => self.ends[list].0 = from_less,
-            p => self.slots[p].next = from_less,
-        }
-        match next {
-            NIL => self.ends[list].1 = from_more,
-            n => self.slots[n].prev = from_more,
-        }
-    }
-
-    /// Takes slot `i` out of its list.
-    fn unlink(&mut self, i: usize) {
-        let Slot { prev, next, .. } = self.slots[i];
-        self.redirect(i, next, prev);
-    }
-
-    /// Appends slot `i` to its state's list as the most recent page.
-    fn push_back(&mut self, i: usize) {
-        let list = usize::from(self.slots[i].page.dirty);
-        let tail = self.ends[list].1;
-        (self.slots[i].prev, self.slots[i].next) = (tail, NIL);
-        match tail {
-            NIL => self.ends[list].0 = i,
-            t => self.slots[t].next = i,
-        }
-        self.ends[list].1 = i;
     }
 
     /// Makes `lpn`'s page the most recent, in state `dirty` if given and
     /// in its own state otherwise.
     fn touch(&mut self, lpn: Lpn, dirty: Option<bool>) -> Option<&mut CachedPage> {
-        let i = *self.index.get(&lpn)?;
-        self.unlink(i);
-        let page = &mut self.slots[i].page;
-        page.dirty = dirty.unwrap_or(page.dirty);
-        self.push_back(i);
-        Some(&mut self.slots[i].page)
+        let update = |p: &mut CachedPage| p.dirty = dirty.unwrap_or(p.dirty);
+        self.pages.refile(lpn, update, |_| false)
     }
 
     /// Looks a page up, refreshing its recency.
@@ -146,67 +86,30 @@ impl PageCache {
             dirty,
             ino,
         };
-        let i = match self.index.get(&lpn) {
-            Some(&i) => {
-                self.unlink(i);
-                self.slots[i].page = page;
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    lpn,
-                    page,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.index.insert(lpn, self.slots.len() - 1);
-                self.slots.len() - 1
-            }
-        };
-        self.push_back(i);
+        self.pages.insert(lpn, page);
     }
 
     /// Removes and returns a page.
     pub fn remove(&mut self, lpn: Lpn) -> Option<CachedPage> {
-        let i = self.index.remove(&lpn)?;
-        self.unlink(i);
-        let last = self.slots.len() - 1;
-        if i != last {
-            // The last slot moves into `i`.
-            self.redirect(last, i, i);
-            self.index.insert(self.slots[last].lpn, i);
-        }
-        Some(self.slots.swap_remove(i).page)
+        self.pages.remove(lpn)
     }
 
     /// True if the cache is over capacity and must evict.
     pub fn needs_evict(&self) -> bool {
-        self.slots.len() > self.capacity
+        self.pages.len() > self.capacity
     }
 
     /// Pops the least-recently-used page (clean pages preferred, so dirty
     /// write-backs happen only under real pressure).
     pub fn pop_lru(&mut self) -> Option<(Lpn, CachedPage)> {
-        let i = [self.ends[0].0, self.ends[1].0]
-            .into_iter()
-            .find(|&i| i != NIL)?;
-        let lpn = self.slots[i].lpn;
-        self.remove(lpn).map(|page| (lpn, page))
-    }
-
-    /// The dirty pages, least recent first.
-    fn dirty(&self) -> impl Iterator<Item = &Slot> {
-        let head = self.ends[1].0;
-        std::iter::successors((head != NIL).then(|| &self.slots[head]), |s| {
-            (s.next != NIL).then(|| &self.slots[s.next])
-        })
+        self.pages.pop_lru()
     }
 
     /// LPNs of dirty pages belonging to `ino`, in LPN order.
     pub fn dirty_of(&self, ino: Ino) -> Vec<Lpn> {
-        let mut v: Vec<Lpn> = (self.dirty())
-            .filter(|s| s.page.ino == ino)
-            .map(|s| s.lpn)
+        let mut v: Vec<Lpn> = (self.pages.dirty())
+            .filter(|(_, p)| p.ino == ino)
+            .map(|(lpn, _)| lpn)
             .collect();
         v.sort_unstable();
         v
@@ -214,7 +117,7 @@ impl PageCache {
 
     /// LPNs of every dirty page, in LPN order.
     pub fn dirty_all(&self) -> Vec<Lpn> {
-        let mut v: Vec<Lpn> = self.dirty().map(|s| s.lpn).collect();
+        let mut v: Vec<Lpn> = self.pages.dirty().map(|(lpn, _)| lpn).collect();
         v.sort_unstable();
         v
     }
@@ -234,12 +137,12 @@ impl PageCache {
     /// Drops every page `doomed` picks; returns how many. A scan, on the
     /// abort and unlink paths only.
     fn drop_where(&mut self, doomed: impl Fn(&CachedPage) -> bool) -> usize {
-        let lpns: Vec<Lpn> = (self.slots.iter())
-            .filter(|s| doomed(&s.page))
-            .map(|s| s.lpn)
+        let lpns: Vec<Lpn> = (self.pages.iter())
+            .filter(|(_, p)| doomed(p))
+            .map(|(lpn, _)| lpn)
             .collect();
         for &lpn in &lpns {
-            self.remove(lpn);
+            self.pages.remove(lpn);
         }
         lpns.len()
     }
@@ -247,6 +150,8 @@ impl PageCache {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     #[test]
@@ -444,7 +349,7 @@ mod tests {
                     assert_eq!(got, o.pop_lru(), "seed {seed} step {step}: eviction");
                 }
                 assert_eq!(c.dirty_all(), o.dirty(None), "seed {seed} step {step}");
-                assert_eq!(c.slots.len(), o.pages.len(), "seed {seed} step {step}");
+                assert_eq!(c.pages.len(), o.pages.len(), "seed {seed} step {step}");
             }
         }
     }

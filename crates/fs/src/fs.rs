@@ -44,6 +44,7 @@ use crate::cache::PageCache;
 use crate::error::{FsError, Result};
 use crate::journal::Journal;
 use crate::layout::{Ino, Inode, InodeKind, Superblock, NDIRECT};
+use crate::recency::Dirty;
 use crate::stats::FsStats;
 
 /// Little-endian u64 at `off` (callers guarantee the bounds).

@@ -45,6 +45,7 @@ pub mod error;
 pub mod fs;
 pub mod journal;
 pub mod layout;
+pub mod recency;
 pub mod stats;
 
 pub use error::{FsError, Result};

@@ -51,8 +51,8 @@ impl GcHook for RecordHook {
 
     /// A group is open only inside one call; between calls every
     /// tid-tagged page is sealed and folded, or dead.
-    fn tx_floor(&self) -> Option<u64> {
-        self.pending.is_empty().then_some(u64::MAX)
+    fn group_open(&self) -> bool {
+        !self.pending.is_empty()
     }
 }
 

@@ -82,18 +82,9 @@ impl FtlBase {
         self.chip.next_seq() - 1 - self.ckpt_seq - self.copies_since_root
     }
 
-    /// Checkpoints if a root is due: for a personality whose checkpoint
-    /// routine has nothing of its own to release.
-    pub fn checkpoint_if_due(&mut self, hook: &mut dyn GcHook) -> Result<()> {
-        if self.root_due() {
-            self.checkpoint(hook)?;
-        }
-        Ok(())
-    }
-
     /// Runs `collect` with the chip's commands marked the collector's:
-    /// while they are, GC re-entry (a checkpoint inside GC) and
-    /// budget-enforcing evictions are suspended.
+    /// while they are, the background step and budget-enforcing
+    /// evictions are suspended.
     fn gc_section(&mut self, collect: impl FnOnce(&mut Self) -> Result<()>) -> Result<()> {
         self.chip.set_collecting(true);
         let r = collect(self);
@@ -107,9 +98,7 @@ impl FtlBase {
     /// [`ScrubConfig::interval_ops`] calls (and only with pool headroom
     /// to spare) they each relocate at most one at-risk block.
     pub(super) fn maybe_gc(&mut self, hook: &mut dyn GcHook) -> Result<()> {
-        if self.chip.is_collecting() {
-            return Ok(()); // a checkpoint inside GC must not re-enter
-        }
+        debug_assert!(!self.chip.is_collecting(), "nothing inside GC asks for GC");
         while self.pool.free_len() < self.gc_floor() {
             let r = self.gc_section(|b| {
                 let victim = b.next_victim().ok_or(DevError::OutOfSpace)?;
@@ -431,11 +420,6 @@ impl FtlBase {
             CollectKind::Scrub => OpClass::ScrubCopy,
             CollectKind::WearLevel => OpClass::WearLevelCopy,
         };
-        // Set when a *committed* page that carries transactional cycle
-        // metadata (TxFlash's aux link) is re-stamped: the remaining cycle
-        // members lose their recovery evidence, so the L2P fold must be
-        // persisted before the victim is erased.
-        let mut need_ckpt = false;
         self.collecting = Some(victim);
         // Copies earlier steps made out of this victim count with it.
         let earlier = self.draining.take_if(|d| d.0 == victim);
@@ -452,7 +436,7 @@ impl FtlBase {
             let t_copy = self.chip.issue_at();
             // The scratch buffer must be restored on every error path.
             let mut buf = std::mem::take(&mut self.scratch);
-            let moved = self.relocate_page(old, &mut buf, &mut need_ckpt);
+            let moved = self.relocate_page(old, &mut buf);
             self.scratch = buf;
             let (oob, mapped_here, dst, prog_done) = moved?;
             self.chip
@@ -487,12 +471,6 @@ impl FtlBase {
                 PageKind::Meta => unreachable!("meta blocks are never GC victims"),
             }
             hook.relocated(&oob, old, dst);
-        }
-        if need_ckpt {
-            // Persist the folded mapping before the originals vanish: a
-            // crash after the erase must not depend on the (now broken)
-            // cycle for recovery.
-            self.checkpoint(hook)?;
         }
         if self.valid.valid_in_block(victim) > 0 {
             // Budget spent with live pages left: the erase is a later
@@ -559,7 +537,6 @@ impl FtlBase {
         &mut self,
         old: Ppa,
         buf: &mut [u8],
-        need_ckpt: &mut bool,
     ) -> Result<(xftl_flash::Oob, bool, Ppa, Nanos)> {
         let map = matches!(
             self.pool.state(old.block),
@@ -588,7 +565,6 @@ impl FtlBase {
             // It keeps the program sequence of the write it copies
             // (`origin_seq`), which tells X-FTL's recovery a moved base of
             // a page differential from a newer write of the page.
-            *need_ckpt |= oob.tid != 0 && oob.aux != 0;
             new_oob.tid = 0;
             let origin = origin_seq(oob.seq, oob.tid, oob.aux);
             debug_assert!(origin <= u64::from(u32::MAX), "sequences fit the OOB word");

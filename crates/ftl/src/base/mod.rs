@@ -1,6 +1,6 @@
 //! The shared page-mapping FTL engine every device personality wraps.
 //!
-//! Four personalities are thin assemblies of this engine; each adds only
+//! Three personalities are thin assemblies of this engine; each adds only
 //! its own notion of a transaction — its [`Personality`] impl is that
 //! notion's RAM state and recovery rule, and the trait provides the
 //! `format` and `recover` they share:
@@ -9,7 +9,6 @@
 //!   page mapping with copy-on-write updates and greedy GC.
 //! * [`crate::atomicwrite::AtomicWriteFtl`] — per-call atomic groups sealed
 //!   by a commit-record page.
-//! * [`crate::txflash::TxFlashFtl`] — TxFlash's cyclic commit in the OOB.
 //! * `xftl_core::XFtl` — the paper's contribution: the transactional X-L2P
 //!   table, commit/abort commands and GC pinning.
 //!
@@ -73,10 +72,10 @@
 //! pages read few: a root is due ([`FtlBase::root_due`]) once 32
 //! blocks' worth of pages have been programmed since the last, asked by
 //! each personality where it runs its own checkpoint routine, and every
-//! checkpoint advances the horizon
-//! to just below the personality's oldest open group
-//! ([`GcHook::tx_floor`]); and cost-benefit GC takes a dead block
-//! first, so mapping-class garbage does not stand around to be scanned.
+//! checkpoint taken while no group is open ([`GcHook::group_open`])
+//! advances the horizon to its own sequence; and cost-benefit GC takes a
+//! dead block first, so mapping-class garbage does not stand around to be
+//! scanned.
 //!
 //! ## Demand-paged mapping
 //!
@@ -220,14 +219,16 @@ pub trait GcHook {
     /// lives at `new` instead of `old`.
     fn relocated(&mut self, oob: &Oob, old: Ppa, new: Ppa);
 
-    /// The lowest program sequence of a tid-tagged page the device's
-    /// recovery may still have to fold: the first page of its oldest open
-    /// group or cycle, `u64::MAX` when none is open or recovery never
-    /// consults such pages. A checkpoint moves the transaction horizon up
-    /// to just below it; `None` — a hook that cannot say — leaves the
-    /// horizon where it is, and the recovery scan reads in full whatever
-    /// lies above it.
-    fn tx_floor(&self) -> Option<u64>;
+    /// True while a group of tid-tagged pages the device's recovery may
+    /// still have to fold is open: the atomic-write FTL inside one
+    /// `write_atomic` call. (X-FTL's recovery folds from the table image
+    /// alone and never consults a tid-tagged data page, so it has none.)
+    /// A checkpoint moves the transaction horizon up to its own sequence
+    /// only when none is open; otherwise it leaves the horizon where it
+    /// is, and the recovery scan reads in full whatever lies above it.
+    fn group_open(&self) -> bool {
+        false
+    }
 
     /// True if the live X-L2P table image records state a checkpoint does
     /// not cover, so the checkpoint must leave it live and name its
@@ -256,20 +257,16 @@ pub struct NoHook;
 
 impl GcHook for NoHook {
     fn relocated(&mut self, _oob: &Oob, _old: Ppa, _new: Ppa) {}
-
-    fn tx_floor(&self) -> Option<u64> {
-        Some(u64::MAX)
-    }
 }
 
 /// A device personality: one commit rule over the one engine.
 ///
-/// The four personalities differ in where their commit evidence lives —
-/// nowhere (`PageMappedFtl`), a commit record (`AtomicWriteFtl`), a
-/// cycle-closing OOB link (`TxFlashFtl`), an X-L2P table image (`XFtl`)
-/// — and in the RAM state that tracks it. Those two and the engine
-/// accessors are required; formatting, and recovering up to the scan,
-/// which are the same for all four, are provided once.
+/// The three personalities differ in where their commit evidence lives —
+/// nowhere (`PageMappedFtl`), a commit record (`AtomicWriteFtl`), an
+/// X-L2P table image (`XFtl`) — and in the RAM state that tracks it.
+/// Those two and the engine accessors are required; formatting, and
+/// recovering up to the scan, which are the same for all three, are
+/// provided once.
 pub trait Personality: BlockDevice + Sized {
     /// The personality over `base` with fresh RAM state: nothing open,
     /// staged or pending, as after a format or a recovery.
@@ -895,8 +892,7 @@ impl FtlBase {
     }
 
     /// Programs a page of any kind into its log frontier with an explicit
-    /// auxiliary OOB word (commit records, the TxFlash baseline's
-    /// cyclic-commit links), blocking until it is on the media (`wait`)
+    /// OOB (commit records), blocking until it is on the media (`wait`)
     /// or queued behind `not_before` — a data dependency such as the
     /// pages a commit record seals — so a batch overlaps across channels.
     /// Refuses on a read-only device, runs GC first if space is low,
@@ -1143,11 +1139,12 @@ impl FtlBase {
                 }
             }
         }
-        // The new root covers everything programmed so far, and no
-        // tid-tagged page below the hook's floor is evidence any more.
+        // The new root covers everything programmed so far, and unless a
+        // group is open no tid-tagged page below it is evidence any more.
         (self.ckpt_seq, self.copies_since_root) = (self.chip.next_seq() - 1, 0);
-        let floor = hook.tx_floor().map_or(0, |floor| floor.saturating_sub(1));
-        self.tx_horizon = self.tx_horizon.max(self.ckpt_seq.min(floor));
+        if !hook.group_open() {
+            self.tx_horizon = self.tx_horizon.max(self.ckpt_seq);
+        }
         // An image that carries state the root does not cover stays live,
         // and the root names it: recovery reads that image, and no other
         // the root covers.

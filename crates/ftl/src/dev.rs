@@ -274,9 +274,10 @@ pub trait BlockDevice {
 /// The transactional command extension (X-FTL commands, §4.2).
 ///
 /// Implemented only by devices that physically support tid-tagged
-/// copy-on-write state: X-FTL itself, the TxFlash/atomic-write baselines,
-/// and pass-through layers above them. Hosts that need transactions bound
-/// `D: TxBlockDevice` and get the commands unconditionally.
+/// copy-on-write state — X-FTL itself — and pass-through layers above
+/// it. (The atomic-write baseline offers only its per-call
+/// `write_atomic`.) Hosts that need transactions bound `D:
+/// TxBlockDevice` and get the commands unconditionally.
 pub trait TxBlockDevice: BlockDevice {
     /// Reads page `lpn` as seen by transaction `tid`: the transaction's own
     /// uncommitted version if it wrote one, otherwise the committed copy.

@@ -17,13 +17,11 @@
 //! * [`base::Personality`] — what a device personality over that engine
 //!   is: its RAM state and its recovery rule (the folds its commit
 //!   evidence seals), with `format` and `recover` written once for all
-//!   four.
+//!   three.
 //! * [`pagemap::PageMappedFtl`] — the OpenSSD's original FTL (the paper's
 //!   baseline device for SQLite's RBJ and WAL modes).
 //! * [`atomicwrite::AtomicWriteFtl`] — the per-call atomic-write FTL of
 //!   Park et al., the related-work baseline of §3.3.
-//! * [`txflash::TxFlashFtl`] — TxFlash's Simple Cyclic Commit (Prabhakaran
-//!   et al.), the second related-work baseline.
 //!
 //! ```
 //! use xftl_flash::{FlashChip, FlashConfig, SimClock};
@@ -59,7 +57,6 @@ pub mod meta;
 pub mod pagemap;
 pub mod sata;
 pub mod stats;
-pub mod txflash;
 pub mod validity;
 
 pub use atomicwrite::AtomicWriteFtl;
@@ -76,7 +73,6 @@ pub use health::{DeviceState, ScrubConfig, ScrubReason};
 pub use pagemap::PageMappedFtl;
 pub use sata::{LinkConfig, SataLink};
 pub use stats::{diff_size_bucket, FtlStats, DIFF_SIZE_BUCKETS};
-pub use txflash::TxFlashFtl;
 pub use validity::ValidityMap;
 /// The simulated clock, re-exported so the host layers (fs, db) need no
 /// dependency on the flash crate: they reach flash only through the

@@ -55,7 +55,9 @@ impl PageMappedFtl {
     fn write_page(&mut self, lpn: Lpn, buf: &[u8], wait: bool) -> Result<Nanos> {
         self.base.counters_mut().host_writes += 1;
         let done = self.base.write_folded(lpn, buf, wait, &mut NoHook)?;
-        self.base.checkpoint_if_due(&mut NoHook)?;
+        if self.base.root_due() {
+            self.base.checkpoint(&mut NoHook)?;
+        }
         Ok(done)
     }
 }

@@ -266,34 +266,3 @@ mod tests {
         assert!(cost3 < cost2);
     }
 }
-
-#[cfg(test)]
-mod tx_link_tests {
-    use super::*;
-    use xftl_flash::{FlashChip, FlashConfig};
-
-    #[test]
-    fn link_forwards_transactional_commands_with_costs() {
-        use crate::base::Personality;
-        use crate::txflash::TxFlashFtl;
-        let clock = SimClock::new();
-        let chip = FlashChip::new(FlashConfig::tiny(16), clock.clone());
-        let dev = TxFlashFtl::format(chip, 32).unwrap();
-        let mut link = SataLink::new(dev, LinkConfig::SATA2, clock.clone());
-        let page = vec![5u8; link.page_size()];
-        let t0 = clock.now();
-        link.write_tx(3, 0, &page).unwrap();
-        let tx_write_cost = clock.now() - t0;
-        assert!(tx_write_cost >= LinkConfig::SATA2.cmd_ns + page.len() as u64 * 3);
-        let t1 = clock.now();
-        link.commit(3).unwrap();
-        assert!(
-            clock.now() - t1 >= LinkConfig::SATA2.cmd_ns,
-            "commit pays link cost"
-        );
-        let mut out = vec![0u8; link.page_size()];
-        link.read(0, &mut out).unwrap();
-        assert_eq!(out, page);
-        link.abort(9).unwrap(); // unknown tid forwards cleanly
-    }
-}

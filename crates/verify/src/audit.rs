@@ -47,8 +47,7 @@
 //!   when its last page is at or below both the root's checkpoint
 //!   sequence and its transaction horizon. Such a block must hold nothing
 //!   the scan would have used — no page newer than either bound, nothing
-//!   but data pages — and the horizon must stay below every page of a
-//!   group or cycle the personality still has open.
+//!   but data pages.
 //! * **Bad-block discipline** — a block the chip has retired (erase
 //!   failure) holds no programmed or torn pages (the failed erase still
 //!   wipes the cells, and nothing may program it afterwards), is present
@@ -66,9 +65,7 @@ use std::fmt;
 use xftl_core::{Diff, Entry, TxStatus, XFtl, Xl2pTable};
 use xftl_flash::{BlockHealth, FlashChip, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
-use xftl_ftl::{
-    AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Personality, Tid, TxFlashFtl,
-};
+use xftl_ftl::{AtomicWriteFtl, DeviceState, FtlBase, Lpn, PageMappedFtl, Personality, Tid};
 
 use crate::shadow::ShadowDevice;
 
@@ -353,17 +350,6 @@ pub enum AuditViolation {
         /// Its program sequence.
         seq: u64,
     },
-    /// The transaction horizon has reached a page of a group or cycle
-    /// that is still open: recovery would disown it, and with it the
-    /// commit that closes the group after the next root.
-    HorizonPastOpenPage {
-        /// The open group's page.
-        ppa: Ppa,
-        /// Its program sequence (`None`: not an intact page at all).
-        seq: Option<u64>,
-        /// The newest root's transaction horizon.
-        horizon: u64,
-    },
     /// A retired block holds a programmed or torn page: the FTL reused a
     /// block the chip already reported an erase failure on.
     RetiredBlockReused {
@@ -576,11 +562,6 @@ impl fmt::Display for AuditViolation {
                 f,
                 "{kind:?} page {ppa:?} (seq {seq}) sits in a data block the recovery scan \
                  skips as covered by the root"
-            ),
-            AuditViolation::HorizonPastOpenPage { ppa, seq, horizon } => write!(
-                f,
-                "transaction horizon {horizon} has reached page {ppa:?} (seq {seq:?}) of a \
-                 group that is still open"
             ),
             AuditViolation::RetiredBlockReused { block, page, state } => write!(
                 f,
@@ -1148,23 +1129,6 @@ fn audit_covered_blocks(base: &FtlBase) -> Result<(), AuditViolation> {
     Ok(())
 }
 
-/// The other half of the skipped-block bargain: every page of a group or
-/// cycle the personality still has open lies above the transaction
-/// horizon, so no root written meanwhile lets the scan disown it.
-fn audit_open_pages(base: &FtlBase, open: impl Iterator<Item = Ppa>) -> Result<(), AuditViolation> {
-    let horizon = newest_root(base.chip()).map_or(0, |root| root.tx_horizon);
-    for ppa in open {
-        let seq = match base.chip().probe_silent(ppa) {
-            PageProbe::Programmed(oob) => Some(oob.seq),
-            PageProbe::Erased | PageProbe::Torn => None,
-        };
-        if seq.is_none_or(|seq| seq <= horizon) {
-            return Err(AuditViolation::HorizonPastOpenPage { ppa, seq, horizon });
-        }
-    }
-    Ok(())
-}
-
 /// Commit-evidence audit (see the [module docs](self)): the live list is
 /// one complete generation, and validity of every `XL2p` page on flash
 /// agrees with it.
@@ -1232,13 +1196,6 @@ impl Auditable for XFtl {
 
 impl Auditable for PageMappedFtl {
     fn audit(&self) -> Result<AuditReport, AuditViolation> {
-        audit_base(self.base())
-    }
-}
-
-impl Auditable for TxFlashFtl {
-    fn audit(&self) -> Result<AuditReport, AuditViolation> {
-        audit_open_pages(self.base(), self.open_pages())?;
         audit_base(self.base())
     }
 }
@@ -1683,43 +1640,6 @@ mod tests {
         assert!(
             matches!(err, AuditViolation::SlabHomeNotNewest { slab: 0, home, .. } if home == Some(live)),
             "expected the dead home flagged, got: {err}"
-        );
-    }
-
-    #[test]
-    fn mutation_horizon_advanced_past_an_open_cycle_is_caught() {
-        use xftl_ftl::NoHook;
-        let open_cycle = || {
-            let chip = FlashChip::new(FlashConfig::tiny(24), SimClock::new());
-            let mut dev = TxFlashFtl::format(chip, 48).unwrap();
-            let ps = dev.page_size();
-            dev.write(0, &vec![1; ps]).unwrap();
-            // Two pages of cycle 9: the first programmed, the second
-            // buffered — the cycle is open on flash.
-            dev.write_tx(9, 1, &vec![2; ps]).unwrap();
-            dev.write_tx(9, 2, &vec![3; ps]).unwrap();
-            assert_eq!(dev.open_pages().count(), 1);
-            dev
-        };
-        // The device's own checkpoint keeps the horizon below the cycle.
-        let mut dev = open_cycle();
-        dev.flush().unwrap();
-        dev.audit().unwrap();
-        // Emulate a checkpoint that did not ask the personality: the
-        // horizon runs up to the root, past the cycle's first page, and a
-        // recovery under that root would disown it — the cycle could
-        // close after the root and still be lost.
-        let mut dev = open_cycle();
-        dev.base_mut().checkpoint(&mut NoHook).unwrap();
-        let page = dev.open_pages().next().unwrap();
-        let err = dev.audit().unwrap_err();
-        assert!(
-            matches!(
-                err,
-                AuditViolation::HorizonPastOpenPage { ppa, seq: Some(seq), horizon }
-                    if ppa == page && seq <= horizon
-            ),
-            "expected the overrun horizon flagged, got: {err}"
         );
     }
 

@@ -27,7 +27,7 @@ use xftl_flash::{FlashChip, Nanos, Oob, PageKind, PageProbe, Ppa};
 use xftl_ftl::meta::MetaPage;
 use xftl_ftl::{
     AtomicWriteFtl, BlockDevice, CommitTicket, DevError, FtlBase, Lpn, PageMappedFtl, Personality,
-    RecoveryLog, Result as DevResult, Tid, TxBlockDevice, TxFlashFtl,
+    RecoveryLog, Result as DevResult, Tid, TxBlockDevice,
 };
 use xftl_verify::{Auditable, ShadowDevice, ShadowModel};
 
@@ -225,12 +225,6 @@ impl Swept for PageMappedFtl {
 impl Swept for AtomicWriteFtl {
     fn tx(_: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
         None
-    }
-}
-
-impl Swept for TxFlashFtl {
-    fn tx(dev: &mut ShadowDevice<Self>) -> Option<&mut dyn TxBlockDevice> {
-        Some(dev)
     }
 }
 

@@ -422,11 +422,10 @@ fn crash_during_recovery_is_idempotent() {
     let evidence = [
         recovery_cuts::<PageMappedFtl>("pagemap", 5),
         recovery_cuts::<xftl_ftl::AtomicWriteFtl>("atomicwrite", 2),
-        recovery_cuts::<xftl_ftl::TxFlashFtl>("txflash", 5),
         recovery_cuts::<XFtl>("xftl", 5),
     ];
     // Every personality but the plain one folded commit evidence of its
-    // own: open records, closed cycles, a live table image.
+    // own: open records, a live table image.
     assert!(
         evidence[0] == 0 && evidence[1..].iter().all(|n| *n > 0),
         "{evidence:?}"
@@ -456,7 +455,6 @@ fn the_recovery_scan_programs_and_erases_nothing() {
     }
     scan_every_cut::<PageMappedFtl>();
     scan_every_cut::<xftl_ftl::AtomicWriteFtl>();
-    scan_every_cut::<xftl_ftl::TxFlashFtl>();
     scan_every_cut::<XFtl>();
 }
 
@@ -1389,11 +1387,6 @@ fn steps_survive_every_cut_atomicwrite() {
 }
 
 #[test]
-fn steps_survive_every_cut_txflash() {
-    sweep_steps::<xftl_ftl::TxFlashFtl>("txflash");
-}
-
-#[test]
 fn steps_survive_every_cut_xftl() {
     sweep_steps::<XFtl>("xftl");
 }
@@ -1480,59 +1473,8 @@ fn cadence_roots_survive_every_cut_atomicwrite() {
 }
 
 #[test]
-fn cadence_roots_survive_every_cut_txflash() {
-    sweep_cadence_roots::<xftl_ftl::TxFlashFtl>("txflash");
-}
-
-#[test]
 fn cadence_roots_survive_every_cut_xftl() {
     sweep_cadence_roots::<XFtl>("xftl");
-}
-
-/// Why a checkpoint asks the personality before it moves the horizon: a
-/// cycle opened before a cadence root closes after it. Its first page
-/// sits in a block that is long closed and that the root's `ckpt_seq`
-/// covers; were the horizon to cover it too the next scan would skip the
-/// block, find the cycle a page short and drop a commit the host was
-/// told is durable.
-#[test]
-fn an_open_cycle_straddling_a_cadence_root_commits_and_survives_the_cut() {
-    use xftl_ftl::{BlockDevice, TxBlockDevice, TxFlashFtl};
-    let chip = FlashChip::new(FlashConfig::tiny(64), SimClock::new());
-    let mut dev = ShadowDevice::new(TxFlashFtl::format(chip, 128).unwrap());
-    let ps = dev.page_size();
-    for lpn in 0..64u64 {
-        dev.write(lpn, &vec![0xEE; ps]).unwrap();
-    }
-    dev.flush().unwrap();
-    // Cycle 9: its first page programmed, its second buffered.
-    dev.write_tx(9, 100, &vec![0xA1; ps]).unwrap();
-    dev.write_tx(9, 101, &vec![0xA2; ps]).unwrap();
-    let first = dev.inner().open_pages().next().unwrap();
-    // Plain traffic, never flushed, until the device has written a root
-    // of its own accord.
-    let roots = dev.inner().base().stats().checkpoints;
-    let mut i = 0u64;
-    while dev.inner().base().stats().checkpoints == roots {
-        dev.write(i % 64, &vec![(i % 200) as u8 + 1; ps]).unwrap();
-        i += 1;
-    }
-    let base = dev.inner().base();
-    let root = xftl_verify::newest_root(base.chip()).unwrap();
-    let (ckpt_seq, horizon) = (root.ckpt_seq, root.tx_horizon);
-    let seq_of = |ppa| match base.chip().probe_silent(ppa) {
-        xftl_flash::PageProbe::Programmed(oob) => oob.seq,
-        other => panic!("{ppa:?} is {other:?}"),
-    };
-    assert!(base.chip().write_point(first.block).is_none(), "closed");
-    assert!(horizon < seq_of(first) && seq_of(first) <= ckpt_seq);
-    dev.audit();
-    // The cycle closes after the root; then the power goes.
-    dev.write_tx(9, 102, &vec![0xA3; ps]).unwrap();
-    dev.commit(9).unwrap();
-    // The oracle reads the whole cycle back.
-    let dev = common::recover(dev);
-    assert!(dev.inner().base().recovery().skipped_blocks >= 8);
 }
 
 /// The atomic-write personality has a group open only inside one call,
@@ -1601,9 +1543,9 @@ fn a_group_that_fills_the_window_is_sealed_then_rooted_at_every_cut() {
 }
 
 // --- GC under a group not yet sealed ----------------------------------------
-// TxFlash and the atomic-write personality keep the pages of a group not
-// yet sealed in a list of their own (`SccHook`, `RecordHook`) until the
-// seal folds them into the mapping; when GC moves one of those pages the
+// The atomic-write personality keeps the pages of a group not yet sealed
+// in a list of its own (`RecordHook`) until the seal folds them into the
+// mapping; when GC moves one of those pages the
 // list must follow it, or the seal folds a page GC erased. A group longer
 // than a block, written on a full FIFO device, sees its own first block
 // collected before it is sealed: FIFO requeues the fully valid blocks of
@@ -1615,11 +1557,11 @@ const SEAL_BLOCKS: usize = 24;
 /// Logical pages of the group sweeps.
 const SEAL_LOGICAL: u64 = 120;
 
-/// A [`SEAL_BLOCKS`]-block FIFO device under `P` exporting
+/// A [`SEAL_BLOCKS`]-block FIFO atomic-write device exporting
 /// [`SEAL_LOGICAL`] pages, nothing written.
-fn sealing_dev<P: Personality>() -> P {
+fn sealing_dev() -> xftl_ftl::AtomicWriteFtl {
     let chip = FlashChip::new(FlashConfig::tiny(SEAL_BLOCKS), SimClock::new());
-    let mut dev = P::format(chip, SEAL_LOGICAL).unwrap();
+    let mut dev = xftl_ftl::AtomicWriteFtl::format(chip, SEAL_LOGICAL).unwrap();
     dev.base_mut().set_gc_policy(xftl_ftl::GcPolicy::Fifo);
     dev
 }
@@ -1645,48 +1587,6 @@ fn gc_moved_a_page_of(chip: &FlashChip, tid: u64) -> bool {
     pages.windows(2).any(|w| w[0].1 > w[1].1)
 }
 
-/// A TxFlash cycle of 24 pages, three blocks, each page followed by a
-/// plain overwrite of one hot page, on the FIFO device with every page
-/// written: GC collects the cycle's first block while the cycle is open.
-/// The oracle reads the cycle whole or absent at every cut.
-#[test]
-fn an_open_cycle_gc_moves_survives_every_cut() {
-    use xftl_ftl::{BlockDevice, TxFlashFtl};
-    const TID: u64 = 7;
-    let build = || {
-        let mut dev = ShadowDevice::new(sealing_dev::<TxFlashFtl>());
-        let ps = dev.page_size();
-        for lpn in 0..SEAL_LOGICAL {
-            dev.write(lpn, &vec![0xEE; ps]).unwrap();
-        }
-        dev.flush().unwrap();
-        dev
-    };
-    let mut ops: Vec<DevOp> = (0..24u8)
-        .flat_map(|i| {
-            let (lpn, page) = (u64::from(i), Fill(0x80 + i));
-            let hot = Fill(i + 1);
-            [
-                DevOp::Write {
-                    tid: TID,
-                    lpn,
-                    page,
-                },
-                DevOp::PlainWrite {
-                    lpn: SEAL_LOGICAL - 1,
-                    page: hot,
-                },
-            ]
-        })
-        .collect();
-    ops.push(DevOp::Commit { tid: TID });
-    let mut seen = common::Exercised::default();
-    let dev = common::run_schedule("cycle", build(), &ops, common::recover, true, &mut seen);
-    assert!(gc_moved_a_page_of(dev.inner().base().chip(), TID));
-    let (s, cuts) = common::sweep(build, &ops);
-    assert!(s.gc_copies > 0 && cuts > 48, "{cuts} cuts, {s:?}");
-}
-
 /// An atomic group of 36 pages, four and a half blocks, written in one
 /// call on the FIFO device after seven writes of one page in the last
 /// fill group left the open block mostly invalid: GC collects that
@@ -1701,7 +1601,7 @@ fn an_atomic_group_gc_moves_before_its_seal_survives_every_cut() {
     let old = vec![0xEEu8; 512];
     let new: Vec<Vec<u8>> = (0..GROUP).map(|lpn| vec![0x80 + lpn as u8; 512]).collect();
     let build = || {
-        let mut dev = sealing_dev::<AtomicWriteFtl>();
+        let mut dev = sealing_dev();
         let fill = |lpns: &mut dyn Iterator<Item = u64>| -> Vec<(u64, &[u8])> {
             lpns.map(|lpn| (lpn, &old[..])).collect()
         };

@@ -28,7 +28,7 @@ use xftl_db::record::{
 use xftl_db::{btree, Value};
 use xftl_flash::{FaultKind, FaultPlan, FaultTrigger, FlashChip, FlashConfig, SimClock};
 use xftl_fs::{FileSystem, FsConfig, JournalMode};
-use xftl_ftl::{BlockDevice, PageMappedFtl, Personality, TxFlashFtl};
+use xftl_ftl::{BlockDevice, PageMappedFtl};
 
 mod common;
 use common::{run_schedule, DevOp, Exercised, Page::Fill};
@@ -335,7 +335,7 @@ fn fs_matches_model() {
 }
 
 // --- device schedules vs the shadow oracle -----------------------------------------
-// Families 7, 8, 10 and 11 generate a schedule of device commands in the
+// Families 7, 10 and 11 generate a schedule of device commands in the
 // alphabet of `tests/common` and run it behind `xftl_verify::ShadowDevice`
 // through `common::run_schedule`: the oracle's model is the one statement
 // of what a transactional device owes its host, and every read is checked
@@ -392,8 +392,8 @@ fn rand_tx_ops(rng: &mut StdRng) -> Vec<DevOp> {
 /// the reused-tid case `rand_tx_ops` cannot produce — tid 1 commits page
 /// 5, tid 2 commits it over tid 1, and tid 1, reused, commits page 6 —
 /// blocking, then as one staged group redeemed by its last ticket; the
-/// rest are commented where they stand. Families 7 and 8 run each before
-/// their generated cases, with the flash auditor after every op.
+/// rest are commented where they stand. Family 7 runs each before its
+/// generated cases, with the flash auditor after every op.
 #[rustfmt::skip]
 const DEV_REGRESSIONS: [&[DevOp]; 10] = [
     &[DevOp::Write { tid: 2, lpn: 0, page: Fill(0) }, DevOp::Commit { tid: 2 },
@@ -523,16 +523,16 @@ fn x_crash_checking_the_skip(dev: XDev) -> XDev {
     x_crash(dev)
 }
 
-/// A family's schedules, each named and marked fixed or generated, each
+/// Family 7's schedules, each named and marked fixed or generated, each
 /// ending in a power cut: [`DEV_REGRESSIONS`], then 48 generated cases.
-fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>, bool)> {
-    let regressions = DEV_REGRESSIONS.iter().enumerate().map(move |(i, ops)| {
-        let what = format!("family {family} regression {i}");
+fn tx_schedules() -> impl Iterator<Item = (String, Vec<DevOp>, bool)> {
+    let regressions = DEV_REGRESSIONS.iter().enumerate().map(|(i, ops)| {
+        let what = format!("family 7 regression {i}");
         (what, [*ops, &[DevOp::Crash]].concat(), true)
     });
-    let generated = (0..48u64).map(move |case| {
-        let ops = rand_tx_ops(&mut case_rng(family, case));
-        (format!("family {family} case {case}"), ops, false)
+    let generated = (0..48u64).map(|case| {
+        let ops = rand_tx_ops(&mut case_rng(7, case));
+        (format!("family 7 case {case}"), ops, false)
     });
     regressions.chain(generated)
 }
@@ -544,7 +544,7 @@ fn tx_schedules(family: u64) -> impl Iterator<Item = (String, Vec<DevOp>, bool)>
 #[test]
 fn xftl_transactions_match_model() {
     let mut seen = Exercised::default();
-    for (what, ops, fixed) in tx_schedules(7) {
+    for (what, ops, fixed) in tx_schedules() {
         let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
         let crash = x_crash_checking_the_skip;
         run_schedule(&what, x_format(chip), &ops, crash, fixed, &mut seen);
@@ -616,21 +616,6 @@ fn xftl_transactions_match_model_under_faults() {
     );
 }
 
-/// Family 8: the TxFlash baseline obeys the same transactional model as
-/// X-FTL (visible at commit, gone on abort/crash), via its cyclic-commit
-/// mechanism instead of a mapping table — and with no pipeline: every
-/// ticket is immediate, so a power cut never finds a commit staged.
-#[test]
-fn txflash_transactions_match_model() {
-    let mut seen = Exercised::default();
-    for (what, ops, fixed) in tx_schedules(8) {
-        let chip = FlashChip::new(FlashConfig::tiny(40), SimClock::new());
-        let dev = ShadowDevice::new(TxFlashFtl::format(chip, 24).unwrap());
-        run_schedule(&what, dev, &ops, common::recover, fixed, &mut seen);
-    }
-    assert_eq!(seen.staged, 0, "TxFlash staged a commit: {seen:?}");
-}
-
 /// One life of a device under a family 7 schedule, four times as long
 /// and with its power cuts taken out: transaction ids are made unique
 /// (slot `t` becomes `t + 4 × its commits and aborts so far`, which keeps
@@ -692,7 +677,6 @@ fn skipping_covered_blocks_is_invisible_to_recovery() {
     let seen = [
         family::<PageMappedFtl>(),
         family::<xftl_ftl::AtomicWriteFtl>(),
-        family::<TxFlashFtl>(),
         family::<XFtl>(),
     ];
     assert!(
